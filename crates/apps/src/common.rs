@@ -3,22 +3,28 @@
 //! meter (the paper times only the steady-state iterations), and checksum
 //! comparison helpers.
 
+use std::ops::{Deref, DerefMut};
+
 use sp2sim::{Node, StatsSnapshot};
 
 /// A column-major 2-D slab: columns `col0 .. col0 + ncols`, `rows` rows.
 ///
-/// Every version of an application materializes its working set into
-/// slabs (from DSM views, distributed arrays or plain vectors), runs the
-/// shared numerical kernel, and commits the result back. This guarantees
-/// bit-identical numerics across the five program versions.
+/// Every version of an application lays its working set out as slabs and
+/// runs the shared numerical kernels on them, which guarantees
+/// bit-identical numerics across the program versions. The storage `D`
+/// is whatever holds the words: an owned `Vec<f64>` (the sequential and
+/// message-passing versions, private scratch), or a slice borrowed from
+/// a DSM view (`&[f64]` of a `ReadView`, `&mut [f64]` of a `WriteView`)
+/// so that the shared-memory versions compute in place on the page
+/// frames.
 #[derive(Clone, Debug)]
-pub struct Slab {
+pub struct Slab<D = Vec<f64>> {
     /// Number of rows (contiguous dimension, Fortran layout).
     pub rows: usize,
     /// First (global) column held.
     pub col0: usize,
     /// Column-major data: `data[(j - col0) * rows + i]`.
-    pub data: Vec<f64>,
+    pub data: D,
 }
 
 impl Slab {
@@ -33,6 +39,14 @@ impl Slab {
 
     /// Slab wrapping an existing buffer (must be `rows * ncols` long).
     pub fn from_vec(rows: usize, col0: usize, data: Vec<f64>) -> Slab {
+        Slab::over(rows, col0, data)
+    }
+}
+
+impl<D: Deref<Target = [f64]>> Slab<D> {
+    /// Slab over existing storage (must be `rows * ncols` long) — in
+    /// particular over the slice of a DSM view, without copying it.
+    pub fn over(rows: usize, col0: usize, data: D) -> Slab<D> {
         debug_assert_eq!(data.len() % rows, 0);
         Slab { rows, col0, data }
     }
@@ -55,18 +69,20 @@ impl Slab {
         self.data[(j - self.col0) * self.rows + i]
     }
 
+    /// Column `j` as a slice.
+    pub fn col(&self, j: usize) -> &[f64] {
+        let o = (j - self.col0) * self.rows;
+        &self.data[o..o + self.rows]
+    }
+}
+
+impl<D: DerefMut<Target = [f64]>> Slab<D> {
     /// Set element `(i, j)`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows);
         debug_assert!(self.cols().contains(&j));
         self.data[(j - self.col0) * self.rows + i] = v;
-    }
-
-    /// Column `j` as a slice.
-    pub fn col(&self, j: usize) -> &[f64] {
-        let o = (j - self.col0) * self.rows;
-        &self.data[o..o + self.rows]
     }
 
     /// Column `j`, mutable.
@@ -81,6 +97,19 @@ impl Slab {
         for j in cols {
             let src = other.col(j).to_vec();
             self.col_mut(j).copy_from_slice(&src);
+        }
+    }
+
+    /// Copy rows `rows` of columns `cols` out of `other` (which must hold
+    /// them), leaving every other element as it is.
+    pub fn copy_block_from<S: Deref<Target = [f64]>>(
+        &mut self,
+        other: &Slab<S>,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) {
+        for j in cols {
+            self.col_mut(j)[rows.clone()].copy_from_slice(&other.col(j)[rows.clone()]);
         }
     }
 }

@@ -30,8 +30,9 @@ pub fn quickstart(engine: EngineKind, nprocs: usize) -> RunOutput<f64> {
             }
         }
         tmk.barrier(0);
-        let r = tmk.read(data, 0..QUICKSTART_LEN);
-        let total: f64 = r.slice().iter().sum();
+        // A view is a window onto the page frames: it must be gone before
+        // the next barrier, so it lives in this one expression.
+        let total: f64 = tmk.read(data, 0..QUICKSTART_LEN).slice().iter().sum();
         tmk.barrier(1);
         tmk.finish();
         total

@@ -324,7 +324,8 @@ fn gather_transposed(
     let mut t = TransposedBlock::new(p, b2.clone());
     for i3 in 0..p.n3 {
         let w = chunk_words(p, b2, i3);
-        let chunk = tmk.read(arr, w.clone()).into_vec();
+        let view = tmk.read(arr, w);
+        let chunk = view.slice();
         for i2 in b2.clone() {
             for i1 in 0..p.n1 {
                 let src = 2 * ((i2 - b2.start) * p.n1 + i1);

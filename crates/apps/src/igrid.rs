@@ -21,14 +21,14 @@
 //! compilers (locks under SPF, collective reduces under XHPF).
 
 use std::cell::RefCell;
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 
 use cri::{Access, Section};
 use inspector::{Inspector, SharedMap};
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
 use spf::{block_range, LoopCtl, Schedule, Spf, SpfReduction};
-use treadmarks::{SharedArray, Tmk, TmkConfig};
+use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
 
 use crate::common::{meter_start, meter_stop, split_run, Slab};
@@ -94,7 +94,17 @@ fn init_full(n: usize) -> Slab {
 /// the indirection map. `src` must hold columns `jr.start-1 ..= jr.end`;
 /// `mapx`/`mapy` give, for each destination cell, the (row, col) the
 /// 9-point stencil is centred on.
-fn step(src: &Slab, mapx: &[u32], mapy: &[u32], out: &mut Slab, n: usize, jr: Range<usize>) {
+fn step<I, O>(
+    src: &Slab<I>,
+    mapx: &[u32],
+    mapy: &[u32],
+    out: &mut Slab<O>,
+    n: usize,
+    jr: Range<usize>,
+) where
+    I: Deref<Target = [f64]>,
+    O: DerefMut<Target = [f64]>,
+{
     for j in jr {
         for i in 1..n - 1 {
             let k = j * n + i;
@@ -141,7 +151,12 @@ fn reductions(s: &Slab, n: usize, square: usize) -> (f64, f64, f64) {
 /// Checksum: grid sum, two probes, then min/max/sum of the square.
 /// The square-sum summation order differs across versions, so the
 /// comparison tolerance is relative (everything else is bit-exact).
-fn checksum(s: &Slab, n: usize, _square: usize, red: (f64, f64, f64)) -> Vec<f64> {
+fn checksum<D: Deref<Target = [f64]>>(
+    s: &Slab<D>,
+    n: usize,
+    _square: usize,
+    red: (f64, f64, f64),
+) -> Vec<f64> {
     let total: f64 = s.data.iter().sum();
     vec![total, s.at(n / 2, n / 2), s.at(1, 1), red.0, red.1, red.2]
 }
@@ -189,21 +204,67 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
 // Hand-coded TreadMarks
 // ---------------------------------------------------------------------
 
-fn read_slab(tmk: &Tmk, arr: SharedArray, n: usize, cols: Range<usize>) -> Slab {
-    Slab::from_vec(
-        n,
-        cols.start,
-        tmk.read(arr, cols.start * n..cols.end * n).into_vec(),
-    )
+/// A read view of columns `cols` of a grid array.
+fn read_cols<'t>(tmk: &'t Tmk, arr: SharedArray, n: usize, cols: &Range<usize>) -> ReadView<'t> {
+    tmk.read(arr, cols.start * n..cols.end * n)
 }
 
-fn write_interior(tmk: &Tmk, arr: SharedArray, n: usize, out: &Slab, jr: Range<usize>) {
-    let mut w = tmk.write(arr, jr.start * n..jr.end * n);
-    for j in jr {
-        for i in 1..n - 1 {
-            w[j * n + i] = out.at(i, j);
+/// One relaxation step of columns `jr` through the DSM: the stencil
+/// loads from the ghosted source pages and stores the interior rows of
+/// the destination pages, both where they live (shared by the three
+/// shared-memory versions).
+fn dsm_step(
+    tmk: &Tmk,
+    (src_arr, dst_arr): (SharedArray, SharedArray),
+    (mapx, mapy): (&[u32], &[u32]),
+    n: usize,
+    jr: &Range<usize>,
+) {
+    let ghosted = jr.start - 1..(jr.end + 1).min(n);
+    let src = read_cols(tmk, src_arr, n, &ghosted);
+    let mut dst = tmk.write(dst_arr, jr.start * n..jr.end * n);
+    step(
+        &Slab::over(n, ghosted.start, src.slice()),
+        mapx,
+        mapy,
+        &mut Slab::over(n, jr.start, dst.slice_mut()),
+        n,
+        jr.clone(),
+    );
+}
+
+/// Min/max/sum of this node's columns `sq` of the centre square of `arr`.
+fn dsm_square_reduction(
+    tmk: &Tmk,
+    arr: SharedArray,
+    n: usize,
+    sq: &Range<usize>,
+    rows: Range<usize>,
+) -> (f64, f64, f64) {
+    let view = read_cols(tmk, arr, n, sq);
+    let src = Slab::over(n, sq.start, view.slice());
+    let mut red = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+    for j in sq.clone() {
+        for i in rows.clone() {
+            let v = src.at(i, j);
+            red.0 = red.0.min(v);
+            red.1 = red.1.max(v);
+            red.2 += v;
         }
     }
+    red
+}
+
+/// Checksum of the whole grid `arr` (the master, after the timed part).
+fn dsm_checksum(
+    tmk: &Tmk,
+    arr: SharedArray,
+    n: usize,
+    square: usize,
+    red: (f64, f64, f64),
+) -> Vec<f64> {
+    let full = read_cols(tmk, arr, n, &(0..n));
+    checksum(&Slab::over(n, 0, full.slice()), n, square, red)
 }
 
 fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
@@ -227,12 +288,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let jr = block_range(me, np, 1..n - 1);
     let one = |src_arr: SharedArray, dst_arr: SharedArray| {
         if !jr.is_empty() {
-            let lo = jr.start - 1;
-            let hi = (jr.end + 1).min(n);
-            let src = read_slab(&tmk, src_arr, n, lo..hi);
-            let mut out = Slab::new(n, jr.start, jr.len());
-            step(&src, &mapx, &mapy, &mut out, n, jr.clone());
-            write_interior(&tmk, dst_arr, n, &out, jr.clone());
+            dsm_step(&tmk, (src_arr, dst_arr), (&mapx, &mapy), n, &jr);
             charge_step(node, jr.len(), n);
         }
         tmk.barrier(1);
@@ -251,15 +307,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let sq = block_range(me, np, sq_lo..sq_lo + p.square);
     let mut red = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
     if !sq.is_empty() {
-        let src = read_slab(&tmk, arrs[cur], n, sq.clone());
-        for j in sq.clone() {
-            for i in sq_lo..sq_lo + p.square {
-                let v = src.at(i, j);
-                red.0 = red.0.min(v);
-                red.1 = red.1.max(v);
-                red.2 += v;
-            }
-        }
+        red = dsm_square_reduction(&tmk, arrs[cur], n, &sq, sq_lo..sq_lo + p.square);
         node.advance((sq.len() * p.square) as f64 * RED_US);
     }
     {
@@ -282,10 +330,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         red
     };
     let (elapsed_us, stats) = meter_stop(node, m);
-    let cs = (me == 0).then(|| {
-        let full = read_slab(&tmk, arrs[cur], n, 0..n);
-        checksum(&full, n, p.square, red)
-    });
+    let cs = (me == 0).then(|| dsm_checksum(&tmk, arrs[cur], n, p.square, red));
     let dsm = tmk.finish();
     NodeOut {
         elapsed_us,
@@ -352,12 +397,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             }
             let cache = maps.borrow();
             let (mapx, mapy) = cache.as_ref().expect("maps cached");
-            let lo = jr.start - 1;
-            let hi = (jr.end + 1).min(n);
-            let src = read_slab(tmk, src_arr, n, lo..hi);
-            let mut out = Slab::new(n, jr.start, jr.len());
-            step(&src, mapx, mapy, &mut out, n, jr.clone());
-            write_interior(tmk, dst_arr, n, &out, jr.clone());
+            dsm_step(tmk, (src_arr, dst_arr), (mapx, mapy), n, &jr);
             charge_step(node, jr.len(), n);
         }
     });
@@ -369,15 +409,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             let sq = ctl.my_block(me, np);
             let mut red = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
             if !sq.is_empty() {
-                let src = read_slab(tmk, arrs[cur], n, sq.clone());
-                for j in sq.clone() {
-                    for i in sq_lo..sq_lo + p.square {
-                        let v = src.at(i, j);
-                        red.0 = red.0.min(v);
-                        red.1 = red.1.max(v);
-                        red.2 += v;
-                    }
-                }
+                red = dsm_square_reduction(tmk, arrs[cur], n, &sq, sq_lo..sq_lo + p.square);
                 node.advance((sq.len() * p.square) as f64 * RED_US);
             }
             r_min.fold(tmk, red.0, f64::min);
@@ -419,8 +451,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             r_sum.value(mr.tmk()),
         );
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let full = read_slab(mr.tmk(), arrs[cur as usize], n, 0..n);
-        checksum(&full, n, p.square, red)
+        dsm_checksum(mr.tmk(), arrs[cur as usize], n, p.square, red)
     });
     let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
     let dsm = tmk.finish();
@@ -477,12 +508,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             }
             let mapx = maps[0].local(tmk);
             let mapy = maps[1].local(tmk);
-            let lo = jr.start - 1;
-            let hi = (jr.end + 1).min(n);
-            let src = read_slab(tmk, src_arr, n, lo..hi);
-            let mut out = Slab::new(n, jr.start, jr.len());
-            step(&src, &mapx, &mapy, &mut out, n, jr.clone());
-            write_interior(tmk, dst_arr, n, &out, jr.clone());
+            dsm_step(tmk, (src_arr, dst_arr), (&mapx, &mapy), n, &jr);
             charge_step(node, jr.len(), n);
         }
     };
@@ -537,15 +563,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             let sq = ctl.my_block(me, np);
             let mut red = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
             if !sq.is_empty() {
-                let src = read_slab(tmk, arrs[cur], n, sq.clone());
-                for j in sq.clone() {
-                    for i in sq_lo..sq_lo + p.square {
-                        let v = src.at(i, j);
-                        red.0 = red.0.min(v);
-                        red.1 = red.1.max(v);
-                        red.2 += v;
-                    }
-                }
+                red = dsm_square_reduction(tmk, arrs[cur], n, &sq, sq_lo..sq_lo + p.square);
                 node.advance((sq.len() * p.square) as f64 * RED_US);
             }
             let mm = tmk.reduce_op(&[red.0, -red.1], treadmarks::ReduceOp::Min);
@@ -592,8 +610,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         );
         let red = *red_out.borrow();
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let full = read_slab(mr.tmk(), arrs[cur], n, 0..n);
-        checksum(&full, n, p.square, red)
+        dsm_checksum(mr.tmk(), arrs[cur], n, p.square, red)
     });
     let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
     let dsm = tmk.finish();

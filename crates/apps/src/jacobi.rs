@@ -21,7 +21,7 @@
 //!   aggregation, which the paper measures at 7.23 vs 7.55 for PVMe.
 
 use std::cell::RefCell;
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
@@ -66,7 +66,11 @@ const P2_US: f64 = 0.020;
 
 /// Phase 1: 4-point stencil for columns `jr` (interior rows).
 /// `input` must hold columns `jr.start - 1 ..= jr.end`.
-fn phase1(input: &Slab, out: &mut Slab, n: usize, jr: Range<usize>) {
+fn phase1<I, O>(input: &Slab<I>, out: &mut Slab<O>, n: usize, jr: Range<usize>)
+where
+    I: Deref<Target = [f64]>,
+    O: DerefMut<Target = [f64]>,
+{
     for j in jr {
         for i in 1..n - 1 {
             let v = 0.25
@@ -92,7 +96,7 @@ fn init_full(n: usize) -> Slab {
 }
 
 /// Checksum: total plus three probe points.
-fn checksum(s: &Slab, n: usize) -> Vec<f64> {
+fn checksum<D: Deref<Target = [f64]>>(s: &Slab<D>, n: usize) -> Vec<f64> {
     let sum: f64 = s.data.iter().sum();
     vec![
         sum,
@@ -174,18 +178,16 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         if !jr.is_empty() {
             let lo = jr.start - 1;
             let hi = (jr.end + 1).min(n);
-            let input = Slab::from_vec(n, lo, tmk.read(arr, lo * n..hi * n).into_vec());
-            phase1(&input, scratch, n, jr.clone());
+            // The stencil reads the shared pages where they are; the view
+            // ends with this block, before the barrier.
+            let input = tmk.read(arr, lo * n..hi * n);
+            phase1(&Slab::over(n, lo, input.slice()), scratch, n, jr.clone());
             charge_phase1(node, jr.len(), n);
         }
         tmk.barrier(1);
         if !jr.is_empty() {
             let mut w = tmk.write(arr, jr.start * n..jr.end * n);
-            for j in jr.clone() {
-                for i in 1..n - 1 {
-                    w[j * n + i] = scratch.at(i, j);
-                }
-            }
+            Slab::over(n, jr.start, w.slice_mut()).copy_block_from(scratch, 1..n - 1, jr.clone());
             drop(w);
             charge_phase2(node, jr.len(), n);
         }
@@ -198,8 +200,8 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     }
     let (elapsed_us, stats) = meter_stop(node, m);
     let cs = (me == 0).then(|| {
-        let full = Slab::from_vec(n, 0, tmk.read(arr, 0..n * n).into_vec());
-        checksum(&full, n)
+        let full = tmk.read(arr, 0..n * n);
+        checksum(&Slab::over(n, 0, full.slice()), n)
     });
     let dsm = tmk.finish();
     NodeOut {
@@ -249,16 +251,17 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             }
             let lo = jr.start - 1;
             let hi = (jr.end + 1).min(n);
-            let input = Slab::from_vec(n, lo, tmk.read(data, lo * n..hi * n).into_vec());
-            let mut out = Slab::new(n, jr.start, jr.len());
-            phase1(&input, &mut out, n, jr.clone());
+            // Stencil straight from the data pages into the scratch
+            // pages: the kernel stores the interior rows only, like the
+            // loop nest SPF compiles.
+            let input = tmk.read(data, lo * n..hi * n);
             let mut w = tmk.write(scr, jr.start * n..jr.end * n);
-            for j in jr.clone() {
-                for i in 1..n - 1 {
-                    w[j * n + i] = out.at(i, j);
-                }
-            }
-            drop(w);
+            phase1(
+                &Slab::over(n, lo, input.slice()),
+                &mut Slab::over(n, jr.start, w.slice_mut()),
+                n,
+                jr.clone(),
+            );
             charge_phase1(node, jr.len(), n);
         }
     });
@@ -271,12 +274,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             }
             let s = tmk.read(scr, jr.start * n..jr.end * n);
             let mut w = tmk.write(data, jr.start * n..jr.end * n);
-            for j in jr.clone() {
-                for i in 1..n - 1 {
-                    w[j * n + i] = s[j * n + i];
-                }
-            }
-            drop(w);
+            Slab::over(n, jr.start, w.slice_mut()).copy_block_from(
+                &Slab::over(n, jr.start, s.slice()),
+                1..n - 1,
+                jr.clone(),
+            );
             charge_phase2(node, jr.len(), n);
         }
     });
@@ -330,8 +332,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             m.par_loop(l2, interior.clone(), Schedule::Block, &[]);
         }
         m.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let full = Slab::from_vec(n, 0, m.tmk().read(data, 0..n * n).into_vec());
-        checksum(&full, n)
+        let full = m.tmk().read(data, 0..n * n);
+        checksum(&Slab::over(n, 0, full.slice()), n)
     });
     let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
     let dsm = tmk.finish();

@@ -29,7 +29,7 @@ use cri::{Access, Section, TriSection};
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
 use spf::{LoopCtl, Schedule, Spf};
-use treadmarks::{SharedArray, Tmk, TmkConfig};
+use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
 
 use crate::common::{hash01, meter_start, meter_stop, split_run};
@@ -81,11 +81,12 @@ fn orthogonalize(pivot: &[f64], col: &mut [f64]) {
 
 /// Checksum over the final orthonormal basis: matrix sum plus a probe
 /// plus one off-diagonal inner product (should be ~0).
-fn checksum(cols: &[Vec<f64>]) -> Vec<f64> {
+fn checksum<C: AsRef<[f64]>>(cols: &[C]) -> Vec<f64> {
     let n = cols.len();
-    let sum: f64 = cols.iter().flat_map(|c| c.iter()).sum();
-    let probe = cols[n / 2][n / 3];
-    let ortho: f64 = cols[0].iter().zip(&cols[n - 1]).map(|(a, b)| a * b).sum();
+    let col = |j: usize| cols[j].as_ref();
+    let sum: f64 = cols.iter().flat_map(|c| c.as_ref().iter()).sum();
+    let probe = col(n / 2)[n / 3];
+    let ortho: f64 = col(0).iter().zip(col(n - 1)).map(|(a, b)| a * b).sum();
     vec![sum, probe, ortho]
 }
 
@@ -144,13 +145,34 @@ impl PaddedMatrix {
         j * self.stride..j * self.stride + self.n
     }
 
-    fn read_col(&self, tmk: &Tmk, j: usize) -> Vec<f64> {
-        tmk.read(self.arr, self.col_range(j)).into_vec()
+    /// Column `j` as a read view: the read faults.
+    fn read_col<'t>(&self, tmk: &'t Tmk, j: usize) -> ReadView<'t> {
+        tmk.read(self.arr, self.col_range(j))
+    }
+
+    /// Column `j` for a read-modify-write: the loads fault first (a read
+    /// view, dropped at once), then the stores (the write view returned,
+    /// through which the column is updated where it lives).
+    fn update_col<'t>(&self, tmk: &'t Tmk, j: usize) -> WriteView<'t> {
+        drop(self.read_col(tmk, j));
+        tmk.write(self.arr, self.col_range(j))
     }
 
     fn write_col(&self, tmk: &Tmk, j: usize, data: &[f64]) {
         let mut w = tmk.write(self.arr, self.col_range(j));
         w.slice_mut().copy_from_slice(data);
+    }
+
+    /// Orthogonalize this node's columns `js` against pivot column `i`,
+    /// in place; returns how many it updated.
+    fn orthogonalize_cols(&self, tmk: &Tmk, i: usize, js: impl Iterator<Item = usize>) -> usize {
+        let pivot = self.read_col(tmk, i);
+        let mut updated = 0;
+        for j in js {
+            orthogonalize(pivot.slice(), self.update_col(tmk, j).slice_mut());
+            updated += 1;
+        }
+        updated
     }
 }
 
@@ -162,7 +184,8 @@ fn dsm_init(tmk: &Tmk, a: &PaddedMatrix, me: usize, np: usize) {
 }
 
 fn dsm_checksum(tmk: &Tmk, a: &PaddedMatrix) -> Vec<f64> {
-    let cols: Vec<Vec<f64>> = (0..a.n).map(|j| a.read_col(tmk, j)).collect();
+    let views: Vec<ReadView> = (0..a.n).map(|j| a.read_col(tmk, j)).collect();
+    let cols: Vec<&[f64]> = views.iter().map(ReadView::slice).collect();
     checksum(&cols)
 }
 
@@ -182,9 +205,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
     let m = meter_start(node);
     for i in 0..n {
         if i % np == me {
-            let mut col = a.read_col(&tmk, i);
-            normalize(&mut col);
-            a.write_col(&tmk, i, &col);
+            normalize(a.update_col(&tmk, i).slice_mut());
             node.advance(n as f64 * NORM_US);
         }
         if use_bcast {
@@ -194,14 +215,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
         } else {
             tmk.barrier(1);
         }
-        let pivot = a.read_col(&tmk, i);
-        let mut updated = 0;
-        for j in ((i + 1)..n).filter(|j| j % np == me) {
-            let mut col = a.read_col(&tmk, j);
-            orthogonalize(&pivot, &mut col);
-            a.write_col(&tmk, j, &col);
-            updated += 1;
-        }
+        let updated = a.orthogonalize_cols(&tmk, i, ((i + 1)..n).filter(|j| j % np == me));
         node.advance(updated as f64 * n as f64 * UPD_US);
     }
     let (elapsed_us, stats) = meter_stop(node, m);
@@ -254,14 +268,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let a = &a;
         move |ctl: &LoopCtl| {
             let i = ctl.args[0] as usize;
-            let pivot = a.read_col(tmk, i);
-            let mut updated = 0;
-            for j in ctl.my_iters(me, np) {
-                let mut col = a.read_col(tmk, j);
-                orthogonalize(&pivot, &mut col);
-                a.write_col(tmk, j, &col);
-                updated += 1;
-            }
+            let updated = a.orthogonalize_cols(tmk, i, ctl.my_iters(me, np));
             node.advance(updated as f64 * n as f64 * UPD_US);
         }
     });
@@ -341,9 +348,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             // Normalization is sequential code: the master executes it,
             // pulling vector i over from its owner (pushed there by the
             // hinted versions).
-            let mut col = a.read_col(mr.tmk(), i);
-            normalize(&mut col);
-            a.write_col(mr.tmk(), i, &col);
+            normalize(a.update_col(mr.tmk(), i).slice_mut());
             node.advance(n as f64 * NORM_US);
             if cri {
                 // The compiler's descriptor for the sequential write:

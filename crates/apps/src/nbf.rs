@@ -24,7 +24,7 @@
 //!   aggregated messages.
 
 use std::cell::RefCell;
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 
 use cri::{Access, Section};
 use inspector::Inspector;
@@ -117,7 +117,7 @@ fn init_coords(m: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 /// cover `range ± w` (passed as full slices here; distributed versions
 /// materialize the window they need).
 #[allow(clippy::too_many_arguments)]
-fn force_kernel(
+fn force_kernel<B: DerefMut<Target = [f64]>>(
     range: Range<usize>,
     partners: &[u32],
     k: usize,
@@ -125,7 +125,7 @@ fn force_kernel(
     y: &[f64],
     z: &[f64],
     coord_lo: usize,
-    buf: &mut [Vec<f64>; 3],
+    buf: &mut [B; 3],
     buf_lo: usize,
 ) {
     for i in range {
@@ -263,30 +263,27 @@ impl DsmIter<'_> {
             return;
         }
         let span = self.span.clone();
-        let x = tmk.read(sh.coords[0], span.clone()).into_vec();
-        let y = tmk.read(sh.coords[1], span.clone()).into_vec();
-        let z = tmk.read(sh.coords[2], span.clone()).into_vec();
-        let mut buf = [
-            vec![0.0; span.len()],
-            vec![0.0; span.len()],
-            vec![0.0; span.len()],
-        ];
+        let [x, y, z] = [0, 1, 2].map(|d| tmk.read(sh.coords[d], span.clone()));
+        charge_force(node, self.block.len(), self.p.k);
+        // The forces accumulate straight into this processor's shared
+        // buffers, cleared first (each iteration's contributions start
+        // from zero).
+        let mut views = [0, 1, 2].map(|d| tmk.write(sh.bufs[me][d], span.clone()));
+        let mut buf = views.each_mut().map(|w| w.slice_mut());
+        for bd in &mut buf {
+            bd.fill(0.0);
+        }
         force_kernel(
             self.block.clone(),
             self.partners,
             self.p.k,
-            &x,
-            &y,
-            &z,
+            x.slice(),
+            y.slice(),
+            z.slice(),
             span.start,
             &mut buf,
             span.start,
         );
-        charge_force(node, self.block.len(), self.p.k);
-        for (d, bd) in buf.iter().enumerate() {
-            let mut w = tmk.write(sh.bufs[me][d], span.clone());
-            w.slice_mut().copy_from_slice(bd);
-        }
     }
 
     /// Phase 2+3: merge every overlapping processor's buffer over this
@@ -327,10 +324,8 @@ impl DsmIter<'_> {
 }
 
 fn dsm_checksum(tmk: &Tmk, sh: &SharedNbf, m: usize) -> Vec<f64> {
-    let x = tmk.read(sh.coords[0], 0..m).into_vec();
-    let y = tmk.read(sh.coords[1], 0..m).into_vec();
-    let z = tmk.read(sh.coords[2], 0..m).into_vec();
-    checksum(&x, &y, &z)
+    let [x, y, z] = [0, 1, 2].map(|d| tmk.read(sh.coords[d], 0..m));
+    checksum(x.slice(), y.slice(), z.slice())
 }
 
 fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
@@ -506,11 +501,9 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             let mine: Vec<f64> = if b.is_empty() {
                 Vec::new()
             } else {
-                let bufs: Vec<Vec<f64>> = (0..3)
-                    .map(|d| tmk.read(sh.bufs[me][d], span.clone()).into_vec())
-                    .collect();
+                let bufs = [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone()));
                 (0..span.len())
-                    .flat_map(|i| bufs.iter().map(move |bd| bd[i]))
+                    .flat_map(|i| bufs.iter().map(move |bd| bd.slice()[i]))
                     .collect()
             };
             let lo = if b.is_empty() { 0 } else { span.start * 3 };

@@ -24,12 +24,12 @@
 //!   exchange point.
 
 use std::cell::RefCell;
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
 use spf::{block_range, LoopCtl, Schedule, Spf};
-use treadmarks::{SharedArray, Tmk, TmkConfig};
+use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
 
 use crate::common::{meter_start, meter_stop, split_run, Slab};
@@ -114,17 +114,20 @@ fn init_at(n: usize, which: usize, i: usize, j: usize) -> f64 {
 /// from p, u, v at `(i, j)`, `(i-1, j)`, `(i, j-1)`, `(i-1, j-1)`.
 /// Inputs must hold columns `jr.start-1 ..= jr.end-1`.
 #[allow(clippy::too_many_arguments)]
-fn step1(
-    p: &Slab,
-    u: &Slab,
-    v: &Slab,
-    cu: &mut Slab,
-    cv: &mut Slab,
-    z: &mut Slab,
-    h: &mut Slab,
+fn step1<I, O>(
+    p: &Slab<I>,
+    u: &Slab<I>,
+    v: &Slab<I>,
+    cu: &mut Slab<O>,
+    cv: &mut Slab<O>,
+    z: &mut Slab<O>,
+    h: &mut Slab<O>,
     n: usize,
     jr: Range<usize>,
-) {
+) where
+    I: Deref<Target = [f64]>,
+    O: DerefMut<Target = [f64]>,
+{
     let fsdx = 4.0 / DX;
     let fsdy = 4.0 / DY;
     for j in jr {
@@ -154,21 +157,24 @@ fn step1(
 /// Step 2: compute unew, vnew, pnew from cu, cv, z, h (ghosted) and
 /// uold, vold, pold (own columns).
 #[allow(clippy::too_many_arguments)]
-fn step2(
-    cu: &Slab,
-    cv: &Slab,
-    z: &Slab,
-    h: &Slab,
-    uold: &Slab,
-    vold: &Slab,
-    pold: &Slab,
-    unew: &mut Slab,
-    vnew: &mut Slab,
-    pnew: &mut Slab,
+fn step2<I, O>(
+    cu: &Slab<I>,
+    cv: &Slab<I>,
+    z: &Slab<I>,
+    h: &Slab<I>,
+    uold: &Slab<I>,
+    vold: &Slab<I>,
+    pold: &Slab<I>,
+    unew: &mut Slab<O>,
+    vnew: &mut Slab<O>,
+    pnew: &mut Slab<O>,
     tdt: f64,
     n: usize,
     jr: Range<usize>,
-) {
+) where
+    I: Deref<Target = [f64]>,
+    O: DerefMut<Target = [f64]>,
+{
     let tdts8 = tdt / 8.0;
     let tdtsdx = tdt / DX;
     let tdtsdy = tdt / DY;
@@ -206,20 +212,23 @@ fn step2(
 /// Step 3: time smoothing over this partition's columns (no neighbours).
 /// Outputs replace uold/vold/pold and u/v/p in place.
 #[allow(clippy::too_many_arguments)]
-fn step3(
-    u: &mut Slab,
-    v: &mut Slab,
-    p: &mut Slab,
-    unew: &Slab,
-    vnew: &Slab,
-    pnew: &Slab,
-    uold: &mut Slab,
-    vold: &mut Slab,
-    pold: &mut Slab,
+fn step3<I, O>(
+    u: &mut Slab<O>,
+    v: &mut Slab<O>,
+    p: &mut Slab<O>,
+    unew: &Slab<I>,
+    vnew: &Slab<I>,
+    pnew: &Slab<I>,
+    uold: &mut Slab<O>,
+    vold: &mut Slab<O>,
+    pold: &mut Slab<O>,
     first: bool,
     n: usize,
     jr: Range<usize>,
-) {
+) where
+    I: Deref<Target = [f64]>,
+    O: DerefMut<Target = [f64]>,
+{
     for j in jr {
         for i in 0..=n {
             if first {
@@ -251,7 +260,7 @@ fn step3(
 }
 
 /// Boundary-row wrap for one slab's own columns: row 0 <- row n.
-fn row_wrap(s: &mut Slab, n: usize, jr: Range<usize>) {
+fn row_wrap<D: DerefMut<Target = [f64]>>(s: &mut Slab<D>, n: usize, jr: Range<usize>) {
     for j in jr {
         let v = s.at(n, j);
         s.set(0, j, v);
@@ -260,7 +269,7 @@ fn row_wrap(s: &mut Slab, n: usize, jr: Range<usize>) {
 
 /// Checksum: sums and probes of the final p and u fields (bit-exact
 /// across versions).
-fn checksum(p_full: &Slab, u_full: &Slab, n: usize) -> Vec<f64> {
+fn checksum<D: Deref<Target = [f64]>>(p_full: &Slab<D>, u_full: &Slab<D>, n: usize) -> Vec<f64> {
     vec![
         p_full.data.iter().sum::<f64>(),
         u_full.data.iter().sum::<f64>(),
@@ -411,30 +420,43 @@ impl DsmShallow {
         }
     }
 
-    fn read_cols(&self, tmk: &Tmk, w: usize, cols: Range<usize>) -> Slab {
-        Slab::from_vec(
-            self.np1,
-            cols.start,
-            tmk.read(self.arrs[w], cols.start * self.np1..cols.end * self.np1)
-                .into_vec(),
-        )
+    /// Open a read view of columns `cols` of array `w`: the read faults.
+    fn read<'t>(&self, tmk: &'t Tmk, w: usize, cols: &Range<usize>) -> ReadView<'t> {
+        tmk.read(self.arrs[w], cols.start * self.np1..cols.end * self.np1)
     }
 
-    fn write_cols(&self, tmk: &Tmk, w: usize, s: &Slab) {
-        let cols = s.cols();
-        let mut view = tmk.write(self.arrs[w], cols.start * self.np1..cols.end * self.np1);
-        view.slice_mut().copy_from_slice(&s.data);
+    /// Open a write view of columns `cols` of array `w`: the write faults.
+    fn write<'t>(&self, tmk: &'t Tmk, w: usize, cols: &Range<usize>) -> WriteView<'t> {
+        tmk.write(self.arrs[w], cols.start * self.np1..cols.end * self.np1)
+    }
+
+    /// Take the read faults of columns `cols` of array `w` — what the
+    /// loads of a read-modify-write loop do before its stores fault — and
+    /// keep no view: the write view opened next covers the same words.
+    fn touch(&self, tmk: &Tmk, w: usize, cols: &Range<usize>) {
+        drop(self.read(tmk, w, cols));
+    }
+
+    /// A kernel-input slab over a read view of columns `cols`.
+    fn input<'v>(&self, view: &'v ReadView, cols: &Range<usize>) -> Slab<&'v [f64]> {
+        Slab::over(self.np1, cols.start, view.slice())
+    }
+
+    /// A kernel-output slab over a write view of columns `cols`: the
+    /// kernel stores straight into the page frames.
+    fn output<'v>(&self, view: &'v mut WriteView, cols: &Range<usize>) -> Slab<&'v mut [f64]> {
+        Slab::over(self.np1, cols.start, view.slice_mut())
     }
 
     fn init_own(&self, tmk: &Tmk, n: usize, jr: Range<usize>) {
         for which in [U, V, P, UOLD, VOLD, POLD] {
-            let mut s = Slab::new(self.np1, jr.start, jr.len());
+            let mut view = self.write(tmk, which, &jr);
+            let mut s = self.output(&mut view, &jr);
             for j in jr.clone() {
                 for i in 0..=n {
                     s.set(i, j, init_at(n, which, i, j));
                 }
             }
-            self.write_cols(tmk, which, &s);
         }
     }
 
@@ -442,35 +464,58 @@ impl DsmShallow {
     /// processor owning column 0 — the master under SPF).
     fn col_wrap(&self, tmk: &Tmk, which: &[usize]) {
         for &w in which {
-            let src = self.read_cols(tmk, w, self.np1 - 1..self.np1).data;
-            let mut view = tmk.write(self.arrs[w], 0..self.np1);
-            view.slice_mut().copy_from_slice(&src);
+            let src = self.read(tmk, w, &(self.np1 - 1..self.np1));
+            let mut dst = self.write(tmk, w, &(0..1));
+            dst.slice_mut().copy_from_slice(src.slice());
         }
     }
 
-    /// One step-1 execution over `jr` columns: read ghosts, run the
-    /// kernel, merge the row wrap if `fuse_wrap`, write back.
+    /// What follows a step kernel on each array it wrote: the fused row
+    /// wrap, or else a zero in row 0 — the kernels store rows `1..=n`
+    /// only, and these loops have always overwritten row 0 (they used to
+    /// fill a zeroed private slab and copy all of it back); keeping the
+    /// store keeps every diff, and so every simulated byte, as it was.
+    fn finish_rows<D: DerefMut<Target = [f64]>>(
+        s: &mut Slab<D>,
+        n: usize,
+        jr: &Range<usize>,
+        fuse_wrap: bool,
+    ) {
+        if fuse_wrap {
+            row_wrap(s, n, jr.clone());
+        } else {
+            for j in jr.clone() {
+                s.set(0, j, 0.0);
+            }
+        }
+    }
+
+    /// One step-1 execution over `jr` columns: fault the ghosted inputs
+    /// in, run the kernel from their pages into the output pages, and
+    /// merge the row wrap if `fuse_wrap`.
     fn do_step1(&self, node: &Node, tmk: &Tmk, n: usize, jr: &Range<usize>, fuse_wrap: bool) {
         if jr.is_empty() {
             return;
         }
         let gr = jr.start - 1..jr.end;
-        let p = self.read_cols(tmk, P, gr.clone());
-        let u = self.read_cols(tmk, U, gr.clone());
-        let v = self.read_cols(tmk, V, gr.clone());
-        let mut cu = Slab::new(self.np1, jr.start, jr.len());
-        let mut cv = Slab::new(self.np1, jr.start, jr.len());
-        let mut z = Slab::new(self.np1, jr.start, jr.len());
-        let mut h = Slab::new(self.np1, jr.start, jr.len());
-        step1(&p, &u, &v, &mut cu, &mut cv, &mut z, &mut h, n, jr.clone());
+        let [p, u, v] = [P, U, V].map(|w| self.read(tmk, w, &gr));
         node.advance((jr.len() * n) as f64 * S1_US);
-        if fuse_wrap {
-            for s in [&mut cu, &mut cv, &mut z, &mut h] {
-                row_wrap(s, n, jr.clone());
-            }
-        }
-        for (w, s) in [(CU, &cu), (CV, &cv), (Z, &z), (H, &h)] {
-            self.write_cols(tmk, w, s);
+        let [mut cu, mut cv, mut z, mut h] = [CU, CV, Z, H].map(|w| self.write(tmk, w, jr));
+        let mut out = [&mut cu, &mut cv, &mut z, &mut h].map(|view| self.output(view, jr));
+        let [cu, cv, z, h] = &mut out;
+        step1(
+            &self.input(&p, &gr),
+            &self.input(&u, &gr),
+            &self.input(&v, &gr),
+            cu,
+            cv,
+            z,
+            h,
+            n,
+            jr.clone(),
+        );
+        for s in &mut out {
+            Self::finish_rows(s, n, jr, fuse_wrap);
         }
     }
 
@@ -479,9 +524,9 @@ impl DsmShallow {
             return;
         }
         for &w in which {
-            let mut s = self.read_cols(tmk, w, jr.clone());
-            row_wrap(&mut s, n, jr.clone());
-            self.write_cols(tmk, w, &s);
+            self.touch(tmk, w, jr);
+            let mut view = self.write(tmk, w, jr);
+            row_wrap(&mut self.output(&mut view, jr), n, jr.clone());
         }
     }
 
@@ -498,80 +543,65 @@ impl DsmShallow {
             return;
         }
         let gr = jr.start - 1..jr.end;
-        let cu = self.read_cols(tmk, CU, gr.clone());
-        let cv = self.read_cols(tmk, CV, gr.clone());
-        let z = self.read_cols(tmk, Z, gr.clone());
-        let h = self.read_cols(tmk, H, gr.clone());
-        let uo = self.read_cols(tmk, UOLD, jr.clone());
-        let vo = self.read_cols(tmk, VOLD, jr.clone());
-        let po = self.read_cols(tmk, POLD, jr.clone());
-        let mut un = Slab::new(self.np1, jr.start, jr.len());
-        let mut vn = Slab::new(self.np1, jr.start, jr.len());
-        let mut pn = Slab::new(self.np1, jr.start, jr.len());
+        let [cu, cv, z, h] = [CU, CV, Z, H].map(|w| self.read(tmk, w, &gr));
+        let [uo, vo, po] = [UOLD, VOLD, POLD].map(|w| self.read(tmk, w, jr));
+        node.advance((jr.len() * n) as f64 * S2_US);
+        let [mut un, mut vn, mut pn] = [UNEW, VNEW, PNEW].map(|w| self.write(tmk, w, jr));
+        let mut out = [&mut un, &mut vn, &mut pn].map(|view| self.output(view, jr));
+        let [un, vn, pn] = &mut out;
         step2(
-            &cu,
-            &cv,
-            &z,
-            &h,
-            &uo,
-            &vo,
-            &po,
-            &mut un,
-            &mut vn,
-            &mut pn,
+            &self.input(&cu, &gr),
+            &self.input(&cv, &gr),
+            &self.input(&z, &gr),
+            &self.input(&h, &gr),
+            &self.input(&uo, jr),
+            &self.input(&vo, jr),
+            &self.input(&po, jr),
+            un,
+            vn,
+            pn,
             tdt,
             n,
             jr.clone(),
         );
-        node.advance((jr.len() * n) as f64 * S2_US);
-        if fuse_wrap {
-            for s in [&mut un, &mut vn, &mut pn] {
-                row_wrap(s, n, jr.clone());
-            }
-        }
-        for (w, s) in [(UNEW, &un), (VNEW, &vn), (PNEW, &pn)] {
-            self.write_cols(tmk, w, s);
+        for s in &mut out {
+            Self::finish_rows(s, n, jr, fuse_wrap);
         }
     }
 
+    /// Step 3 updates six arrays in place. Its loads fault first, array
+    /// by array, then its stores: the read faults of the arrays it also
+    /// writes are taken by [`DsmShallow::touch`], because a write view
+    /// may overlap no other open view.
     fn do_step3(&self, node: &Node, tmk: &Tmk, n: usize, jr3: &Range<usize>, first: bool) {
         if jr3.is_empty() {
             return;
         }
-        let mut u = self.read_cols(tmk, U, jr3.clone());
-        let mut v = self.read_cols(tmk, V, jr3.clone());
-        let mut p = self.read_cols(tmk, P, jr3.clone());
-        let un = self.read_cols(tmk, UNEW, jr3.clone());
-        let vn = self.read_cols(tmk, VNEW, jr3.clone());
-        let pn = self.read_cols(tmk, PNEW, jr3.clone());
-        let mut uo = self.read_cols(tmk, UOLD, jr3.clone());
-        let mut vo = self.read_cols(tmk, VOLD, jr3.clone());
-        let mut po = self.read_cols(tmk, POLD, jr3.clone());
+        for w in [U, V, P] {
+            self.touch(tmk, w, jr3);
+        }
+        let [un, vn, pn] = [UNEW, VNEW, PNEW].map(|w| self.read(tmk, w, jr3));
+        for w in [UOLD, VOLD, POLD] {
+            self.touch(tmk, w, jr3);
+        }
+        node.advance((jr3.len() * (n + 1)) as f64 * S3_US);
+        let mut views = [U, V, P, UOLD, VOLD, POLD].map(|w| self.write(tmk, w, jr3));
+        let mut slabs = views.each_mut().map(|view| self.output(view, jr3));
+        let [u, v, p, uo, vo, po] = &mut slabs;
         step3(
-            &mut u,
-            &mut v,
-            &mut p,
-            &un,
-            &vn,
-            &pn,
-            &mut uo,
-            &mut vo,
-            &mut po,
+            u,
+            v,
+            p,
+            &self.input(&un, jr3),
+            &self.input(&vn, jr3),
+            &self.input(&pn, jr3),
+            uo,
+            vo,
+            po,
             first,
             n,
             jr3.clone(),
         );
-        node.advance((jr3.len() * (n + 1)) as f64 * S3_US);
-        for (w, s) in [
-            (U, &u),
-            (V, &v),
-            (P, &p),
-            (UOLD, &uo),
-            (VOLD, &vo),
-            (POLD, &po),
-        ] {
-            self.write_cols(tmk, w, s);
-        }
     }
 }
 
@@ -618,9 +648,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     }
     let (elapsed_us, stats) = meter_stop(node, m);
     let cs = (me == 0).then(|| {
-        let pf = sh.read_cols(&tmk, P, 0..n + 1);
-        let uf = sh.read_cols(&tmk, U, 0..n + 1);
-        checksum(&pf, &uf, n)
+        let all = 0..n + 1;
+        let (pf, uf) = (sh.read(&tmk, P, &all), sh.read(&tmk, U, &all));
+        checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
     });
     let dsm = tmk.finish();
     NodeOut {
@@ -888,9 +918,9 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
             one(false, 2.0 * DT);
         }
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let pf = sh.read_cols(mr.tmk(), P, 0..n + 1);
-        let uf = sh.read_cols(mr.tmk(), U, 0..n + 1);
-        checksum(&pf, &uf, n)
+        let all = 0..n + 1;
+        let (pf, uf) = (sh.read(mr.tmk(), P, &all), sh.read(mr.tmk(), U, &all));
+        checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
     });
     let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
     let dsm = tmk.finish();

@@ -22,7 +22,57 @@ pub struct DynSection {
 impl DynSection {
     /// Compact an unordered stream of touched word indices. Duplicates
     /// collapse; adjacent indices merge into runs.
+    ///
+    /// The stream is painted into a growable bitmap that is then scanned
+    /// for runs of set bits, so nothing is stored per index and nothing
+    /// is sorted: an inspector walk produces several indices per
+    /// iteration (nine per IGrid stencil point), mostly duplicates of
+    /// its neighbours'. Memory is one bit per word up to the largest
+    /// index seen — 1/64 of the shared array the indices point into.
     pub fn from_indices(indices: impl IntoIterator<Item = usize>) -> DynSection {
+        let mut bits: Vec<u64> = Vec::new();
+        for i in indices {
+            let w = i / 64;
+            if w >= bits.len() {
+                bits.resize((w + 1).max(2 * bits.len()), 0);
+            }
+            bits[w] |= 1 << (i % 64);
+        }
+        let mut runs = Vec::new();
+        // Start of the run of set bits still open at the scan position.
+        let mut open: Option<usize> = None;
+        for (w, &word) in bits.iter().enumerate() {
+            let base = w * 64;
+            let mut pos = 0;
+            while pos < 64 {
+                let rest = word >> pos;
+                match open {
+                    None if rest == 0 => break,
+                    None => {
+                        pos += rest.trailing_zeros();
+                        open = Some(base + pos as usize);
+                    }
+                    Some(start) => {
+                        pos += rest.trailing_ones();
+                        if pos < 64 {
+                            runs.push(start..base + pos as usize);
+                            open = None;
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(start) = open {
+            runs.push(start..bits.len() * 64);
+        }
+        DynSection { runs }
+    }
+
+    /// The previous implementation — one unit range per index, sorted
+    /// and merged — kept as the reference the bitmap walk is tested
+    /// against.
+    #[cfg(test)]
+    fn from_indices_reference(indices: impl IntoIterator<Item = usize>) -> DynSection {
         DynSection {
             runs: merge_ranges(indices.into_iter().map(|i| i..i + 1).collect()),
         }
@@ -136,6 +186,7 @@ impl From<DynSection> for SectionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn indices_compact_into_runs() {
@@ -144,6 +195,42 @@ mod tests {
         assert_eq!(d.words(), 6);
         assert!(!d.is_empty());
         assert!(DynSection::from_indices([]).is_empty());
+    }
+
+    #[test]
+    fn runs_cross_bitmap_word_boundaries() {
+        let d = DynSection::from_indices((60..200).chain([63, 64, 255, 256, 257]));
+        assert_eq!(d.runs(), &[60..200, 255..258]);
+        // A run ending exactly at the last bit of the bitmap.
+        let d = DynSection::from_indices([127, 126, 0]);
+        assert_eq!(d.runs(), &[0..1, 126..128]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The bitmap walk returns the canonical run list of the
+        /// sort-and-merge reference on random index streams: duplicates,
+        /// descending stretches, dense clusters, sparse outliers, empty.
+        #[test]
+        fn bitmap_walk_equals_the_sorting_reference(
+            clusters in prop::collection::vec((0usize..5000, 1usize..40, 0usize..3), 0..12),
+            sparse in prop::collection::vec(0usize..200_000, 0..6),
+        ) {
+            let mut stream: Vec<usize> = Vec::new();
+            for &(base, len, shape) in &clusters {
+                match shape {
+                    0 => stream.extend(base..base + len),
+                    1 => stream.extend((base..base + len).rev()),
+                    _ => stream.extend((base..base + len).flat_map(|i| [i, i])),
+                }
+            }
+            stream.extend(&sparse);
+            let got = DynSection::from_indices(stream.iter().copied());
+            let want = DynSection::from_indices_reference(stream.iter().copied());
+            prop_assert_eq!(got.runs(), want.runs());
+            prop_assert_eq!(got.words(), want.words());
+        }
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl SharedMap {
     pub fn publish(&self, tmk: &Tmk, vals: &[u32]) {
         assert_eq!(vals.len(), self.len);
         let mut w = tmk.write(self.arr, 0..self.len);
-        for (k, &v) in vals.iter().enumerate() {
-            w[k] = v as f64;
+        for (x, &v) in w.slice_mut().iter_mut().zip(vals) {
+            *x = v as f64;
         }
         self.cache.borrow_mut().take();
     }

@@ -366,13 +366,15 @@ impl<'t, 'n> Spf<'t, 'n> {
                 if idx < 0.0 {
                     break;
                 }
-                let args = self.tmk.read(self.ctl_args, 0..64);
-                let nargs = args.slice()[0] as usize;
-                let mut words = Vec::with_capacity(4 + nargs);
-                words.push(idx as u64);
-                for k in 0..3 + nargs {
-                    words.push(args.slice()[1 + k] as u64);
-                }
+                let words = {
+                    // The view must be gone before the body's barriers.
+                    let args = self.tmk.read(self.ctl_args, 0..64);
+                    let nargs = args.slice()[0] as usize;
+                    let mut words = Vec::with_capacity(4 + nargs);
+                    words.push(idx as u64);
+                    words.extend(args.slice()[1..4 + nargs].iter().map(|&x| x as u64));
+                    words
+                };
                 self.execute(&decode_ctl(&words));
                 self.tmk.barrier(1);
             }
@@ -730,7 +732,7 @@ mod tests {
                 let r = spf.run(|m| {
                     m.par_loop(prod, 0..len, Schedule::Block, &[]);
                     m.par_loop(sum, 0..len, Schedule::Block, &[]);
-                    m.tmk().read(a, 0..len).into_vec()
+                    m.tmk().read(a, 0..len).slice().to_vec()
                 });
                 tmk.finish();
                 r

@@ -3,29 +3,38 @@
 //! [`Tmk`] is the per-node handle: it owns the node's protocol state
 //! (shared with the service thread), the shared-memory allocator mirror,
 //! and the synchronization entry points. Shared data is accessed through
-//! [`ReadView`]/[`WriteView`] handles, which perform the page-granularity
+//! [`ReadView`]/[`WriteView`] handles — windows onto the page frames
+//! (see [`crate::page`]) whose opening performs the page-granularity
 //! access checks that `mprotect` performed in the original system.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
-use std::ops::{Index, IndexMut, Range};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sp2sim::{MsgKind, Node, Port, ServiceHandle, SpanKind, WordReader, WordWriter};
 
 use crate::config::{ProtocolMode, TmkConfig};
 use crate::diff::Diff;
-use crate::page::Frame;
+pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag, DiffReqEntry};
 use crate::service::{forward_reduce, service_loop};
 use crate::state::{reduce_children, DiffRange, DsmState, ReduceOp};
 use crate::stats::DsmStats;
 
+/// `TMK_TRACE` in the environment turns on protocol chatter on stderr.
+/// Read once: the lookup takes the environment lock and scans, and
+/// `trace!` sits on every publish page, diff request and fetch.
+fn chatter() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("TMK_TRACE").is_some())
+}
+
 macro_rules! trace {
     ($($arg:tt)*) => {
-        if std::env::var_os("TMK_TRACE").is_some() {
+        if chatter() {
             eprintln!($($arg)*);
         }
     };
@@ -66,89 +75,6 @@ impl SharedArray {
     /// True if the array is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-}
-
-/// A read-only snapshot of an index range of a shared array, indexed by
-/// **global** element index.
-pub struct ReadView {
-    buf: Vec<f64>,
-    lo: usize,
-}
-
-impl ReadView {
-    /// First global index covered.
-    pub fn start(&self) -> usize {
-        self.lo
-    }
-
-    /// The data as a slice (element `i` of the slice is global index
-    /// `start() + i`).
-    pub fn slice(&self) -> &[f64] {
-        &self.buf
-    }
-
-    /// Consume the view, returning the snapshot buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.buf
-    }
-}
-
-impl Index<usize> for ReadView {
-    type Output = f64;
-    #[inline]
-    fn index(&self, i: usize) -> &f64 {
-        &self.buf[i - self.lo]
-    }
-}
-
-/// A writable window onto an index range of a shared array, indexed by
-/// **global** element index. Modifications are committed back to the DSM
-/// when the view is dropped; the pages were write-enabled (twinned) when
-/// the view was created, exactly like a write fault.
-pub struct WriteView<'t, 'n> {
-    tmk: &'t Tmk<'n>,
-    arr: SharedArray,
-    lo: usize,
-    buf: Vec<f64>,
-}
-
-impl WriteView<'_, '_> {
-    /// First global index covered.
-    pub fn start(&self) -> usize {
-        self.lo
-    }
-
-    /// Mutable slice access (element `i` is global index `start() + i`).
-    pub fn slice_mut(&mut self) -> &mut [f64] {
-        &mut self.buf
-    }
-
-    /// Read-only slice access.
-    pub fn slice(&self) -> &[f64] {
-        &self.buf
-    }
-}
-
-impl Index<usize> for WriteView<'_, '_> {
-    type Output = f64;
-    #[inline]
-    fn index(&self, i: usize) -> &f64 {
-        &self.buf[i - self.lo]
-    }
-}
-
-impl IndexMut<usize> for WriteView<'_, '_> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.buf[i - self.lo]
-    }
-}
-
-impl Drop for WriteView<'_, '_> {
-    fn drop(&mut self) {
-        self.tmk
-            .commit_write(self.arr, self.lo, std::mem::take(&mut self.buf));
     }
 }
 
@@ -339,7 +265,7 @@ impl<'n> Tmk<'n> {
     /// every point where [`DsmState::flush`] used to run bare.
     fn publish(&self) {
         let _s = self.node.trace_span(SpanKind::Publish, 0);
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let me = self.proc_id();
         let mut groups: BTreeMap<usize, Vec<(usize, DiffRange)>> = BTreeMap::new();
         let mut us = 0.0;
@@ -358,11 +284,11 @@ impl<'n> Tmk<'n> {
             } else {
                 Vec::new()
             };
-            let flush_us = st.flush(self.node.cost());
+            let flush_us = st.flush(cost);
             let seq = st.vc[me];
             for p in pages {
                 let home = st.home_of(p);
-                let (ranges, f_us) = st.serve_diffs(p, seq, &cost);
+                let (ranges, f_us) = st.serve_diffs(p, seq, cost);
                 us += f_us;
                 trace!(
                     "[{me}] publish: page {p} seq {seq} home {home} ranges {:?}",
@@ -408,25 +334,29 @@ impl<'n> Tmk<'n> {
     /// Open a read view of `range` (global element indices). Invalidated
     /// pages in the range fault: missing diffs are fetched from their
     /// writers and applied, with all costs charged as the paper describes.
-    pub fn read(&self, arr: SharedArray, range: Range<usize>) -> ReadView {
-        let buf = self.fault_range(arr, range.clone(), false);
-        ReadView {
-            buf,
-            lo: range.start,
-        }
+    /// The view is a window onto the page frames and must be dropped
+    /// before this node's next consistency action.
+    pub fn read(&self, arr: SharedArray, range: Range<usize>) -> ReadView<'_> {
+        let (wlo, whi) = self.word_bounds(arr, &range);
+        let mut st = self.fault_range(wlo, whi, false);
+        ReadView::open(&self.state, &mut st, wlo, whi, range.start)
     }
 
     /// Open a write view of `range`. Pages are made consistent first (a
     /// write fault fetches the current content, like the original system),
     /// then write-enabled: a twin is saved per page for later diffing.
-    pub fn write(&self, arr: SharedArray, range: Range<usize>) -> WriteView<'_, 'n> {
-        let buf = self.fault_range(arr, range.clone(), true);
-        WriteView {
-            tmk: self,
-            arr,
-            lo: range.start,
-            buf,
-        }
+    /// Stores through the view land in the page frames directly; its
+    /// range may overlap no other open view.
+    pub fn write(&self, arr: SharedArray, range: Range<usize>) -> WriteView<'_> {
+        let (wlo, whi) = self.word_bounds(arr, &range);
+        let mut st = self.fault_range(wlo, whi, true);
+        WriteView::open(&self.state, &mut st, wlo, whi, range.start)
+    }
+
+    /// Invariant 3 of [`crate::page`]: no view may be open across the
+    /// consistency action `what`.
+    fn quiescent(&self, what: &str) {
+        self.state.lock().frames.assert_quiescent(what);
     }
 
     /// Read a single element.
@@ -473,6 +403,7 @@ impl<'n> Tmk<'n> {
     /// regular sections a loop will touch before it runs, so the runtime
     /// can fetch everything the phase will fault in a single exchange.
     pub fn validate(&self, sections: &[(SharedArray, Range<usize>)]) -> u64 {
+        self.quiescent("validate");
         let _s = self
             .node
             .trace_span(SpanKind::Validate, sections.len() as u32);
@@ -484,17 +415,18 @@ impl<'n> Tmk<'n> {
                 pages.extend(wlo / pw..=(whi - 1) / pw);
             }
         }
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
         let mut hlrc_pages: Vec<usize> = Vec::new();
         let mut missing_pages = 0u64;
         {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             st.stats.validates += 1;
             for &p in &pages {
-                st.frame_mut(p);
-                let missing = st.missing_by_writer(p);
-                if !missing.is_empty() {
+                let mut missing =
+                    DsmState::missing_by_writer(&st.notices, &st.frames, st.me, p).peekable();
+                if missing.peek().is_some() {
                     missing_pages += 1;
                     st.page_prof.entry(p).or_default().faults += 1;
                     if self.hlrc() {
@@ -558,8 +490,7 @@ impl<'n> Tmk<'n> {
         let mut st = self.state.lock();
         let mut us = 0.0;
         for (writer, e) in &entries {
-            let applied = st.frame_mut(e.page).applied[*writer];
-            if e.hi <= applied {
+            if e.hi <= st.applied_seq(e.page, *writer) {
                 continue;
             }
             st.apply_range(e.page, *writer, e.hi, &e.diff);
@@ -573,15 +504,18 @@ impl<'n> Tmk<'n> {
         missing_pages
     }
 
-    /// The fault engine: make `[wlo, whi)` consistent, optionally
-    /// write-enable it, and return a copy of the data.
-    fn fault_range(&self, arr: SharedArray, range: Range<usize>, write: bool) -> Vec<f64> {
-        let (wlo, whi) = self.word_bounds(arr, &range);
+    /// The fault engine: make global words `[wlo, whi)` consistent and
+    /// optionally write-enable their pages. Returns the state still
+    /// locked, so the caller registers its view in the same critical
+    /// section that write-enabled the pages: on the threaded engine no
+    /// service request can slip between the published-image snapshot and
+    /// the first in-place store (invariant 4 of [`crate::page`]).
+    fn fault_range(&self, wlo: usize, whi: usize, write: bool) -> MutexGuard<'_, DsmState> {
         if wlo == whi {
-            return Vec::new();
+            return self.state.lock();
         }
         let pw = self.cfg.page_words;
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let (p0, p1) = (wlo / pw, (whi - 1) / pw);
         let _s = self.node.trace_span(SpanKind::Fault, p0 as u32);
 
@@ -595,12 +529,16 @@ impl<'n> Tmk<'n> {
         let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
         let mut missing_pages: Vec<usize> = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            // The view needs its pages side by side: one extent under the
+            // whole range (a merge the first time, a lookup afterwards).
+            st.frames.cover(p0, p1);
             let mut faulted_pages = 0u64;
             for p in p0..=p1 {
-                st.frame_mut(p);
-                let missing = st.missing_by_writer(p);
-                if !missing.is_empty() {
+                let mut missing =
+                    DsmState::missing_by_writer(&st.notices, &st.frames, st.me, p).peekable();
+                if missing.peek().is_some() {
                     faulted_pages += 1;
                     st.page_prof.entry(p).or_default().faults += 1;
                     if self.hlrc() {
@@ -621,7 +559,7 @@ impl<'n> Tmk<'n> {
                 faulted_pages
             };
             st.stats.faults += faults;
-            drop(st);
+            drop(guard);
             self.node.advance(faults as f64 * cost.page_fault_us);
         }
 
@@ -667,66 +605,50 @@ impl<'n> Tmk<'n> {
         }
 
         // Phase 3: apply in (lamport, writer) order — a linear extension
-        // of happens-before — then write-enable and copy out.
+        // of happens-before — then write-enable.
         entries.sort_by_key(|(w, e)| (e.lamport, *w));
-        let mut out = vec![0.0f64; whi - wlo];
-        {
-            let mut st = self.state.lock();
-            let mut us = 0.0;
-            for (writer, e) in &entries {
-                let applied = st.frame_mut(e.page).applied[*writer];
-                if e.hi <= applied {
-                    continue; // stale range overlap; already incorporated
-                }
-                st.apply_range(e.page, *writer, e.hi, &e.diff);
-                us += cost.diff_apply_us(e.diff.encoded_words());
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mut us = 0.0;
+        for (writer, e) in &entries {
+            if e.hi <= st.applied_seq(e.page, *writer) {
+                continue; // stale range overlap; already incorporated
             }
-            if write {
-                let st = &mut *st;
-                for p in p0..=p1 {
-                    let has_open = st.diffs.get(&p).is_some_and(|d| d.open.is_some());
-                    let frame = st
-                        .frames
-                        .get_mut(&p)
-                        .expect("phase 1 created every frame in range");
-                    if frame.twin.is_none() {
-                        // Write fault: save a twin for later diffing,
-                        // reusing a pooled buffer when the arena has one.
-                        frame.twin = Some(st.scratch.take_copy(&frame.data, &mut st.stats));
-                        us += cost.page_fault_us + cost.twin_us;
-                        st.stats.faults += 1;
-                        st.stats.twins += 1;
-                    } else if has_open && frame.published.is_none() {
-                        // Re-dirtying a page whose un-materialized diff
-                        // range is still open: snapshot the published
-                        // image now, before this epoch's writes land, so
-                        // a wall-clock-time `serve_diffs` on the service
-                        // thread serves exactly the flushed content. Host
-                        // bookkeeping only — the simulated fault already
-                        // paid for this page, so no virtual time charge.
-                        frame.published = Some(frame.data.clone());
-                    }
-                    st.dirty.insert(p);
-                }
-            }
-            // Copy the consistent words out, one contiguous slice per page.
+            st.apply_range(e.page, *writer, e.hi, &e.diff);
+            us += cost.diff_apply_us(e.diff.encoded_words());
+        }
+        if write {
             for p in p0..=p1 {
-                let frame = st.frames.get(&p).expect("frame exists");
-                let page_base = p * pw;
-                let s = wlo.max(page_base);
-                let e = whi.min(page_base + pw);
-                let src = &frame.data[s - page_base..e - page_base];
-                for (d, &x) in out[s - wlo..e - wlo].iter_mut().zip(src) {
-                    *d = f64::from_bits(x);
+                let has_open = st.diffs.get(&p).is_some_and(|d| d.open.is_some());
+                let (data, meta) = st
+                    .frames
+                    .snapshot_parts(p)
+                    .expect("phase 1 covered every page in range");
+                if meta.twin.is_none() {
+                    // Write fault: save a twin for later diffing,
+                    // reusing a pooled buffer when the arena has one.
+                    meta.twin = Some(st.scratch.take_copy(data, &mut st.stats));
+                    us += cost.page_fault_us + cost.twin_us;
+                    st.stats.faults += 1;
+                    st.stats.twins += 1;
+                } else if has_open && meta.published.is_none() {
+                    // Re-dirtying a page whose un-materialized diff
+                    // range is still open: snapshot the published
+                    // image now, before this epoch's writes land, so
+                    // a wall-clock-time `serve_diffs` on the service
+                    // thread serves exactly the flushed content. Host
+                    // bookkeeping only — the simulated fault already
+                    // paid for this page, so no virtual time charge.
+                    meta.published = Some(data.to_vec());
                 }
-            }
-            drop(st);
-            if us > 0.0 {
-                let _a = self.node.trace_span(SpanKind::DiffApply, 0);
-                self.node.advance(us);
+                st.dirty.insert(p);
             }
         }
-        out
+        if us > 0.0 {
+            let _a = self.node.trace_span(SpanKind::DiffApply, 0);
+            self.node.advance(us);
+        }
+        guard
     }
 
     /// HLRC fetch engine: retrieve `pages` whole from their homes and
@@ -740,7 +662,7 @@ impl<'n> Tmk<'n> {
         let _s = self
             .node
             .trace_span(SpanKind::HomeFetch, pages.len() as u32);
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let pw = self.cfg.page_words;
         let groups: BTreeMap<usize, Vec<protocol::PageReqEntry>> = {
             let st = self.state.lock();
@@ -785,28 +707,23 @@ impl<'n> Tmk<'n> {
         }
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let n = st.n;
         let mut us = 0.0;
         for e in incoming {
-            let frame = st.frames.entry(e.page).or_insert_with(|| Frame::new(pw, n));
-            if let Some(twin) = frame.twin.take() {
+            let mut frame = st.frames.frame_mut(e.page);
+            if let Some(twin) = frame.meta.twin.take() {
                 // The page is write-enabled with local in-progress
                 // modifications: reinstall them on top of the home's
                 // copy, and re-twin at the home's copy so the eventual
                 // diff still captures exactly the local delta.
-                let local = Diff::create(&twin, &frame.data);
+                let local = Diff::create(&twin, frame.data);
                 st.scratch.put(twin, &mut st.stats);
                 frame.data.copy_from_slice(&e.data);
-                frame.twin = Some(e.data);
-                local.apply(&mut frame.data);
+                frame.meta.twin = Some(e.data);
+                local.apply(frame.data);
             } else {
                 frame.data.copy_from_slice(&e.data);
             }
-            for (a, &b) in frame.applied.iter_mut().zip(&e.applied) {
-                if b > *a {
-                    *a = b;
-                }
-            }
+            frame.raise_applied(&e.applied);
             st.stats.page_fetches += 1;
             st.page_prof.entry(e.page).or_default().page_fetches += 1;
             us += cost.diff_apply_us(pw);
@@ -838,26 +755,6 @@ impl<'n> Tmk<'n> {
         id
     }
 
-    fn commit_write(&self, arr: SharedArray, lo: usize, buf: Vec<f64>) {
-        let (wlo, whi) = self.word_bounds(arr, &(lo..lo + buf.len()));
-        if wlo == whi {
-            return;
-        }
-        let pw = self.cfg.page_words;
-        let mut st = self.state.lock();
-        for p in wlo / pw..=(whi - 1) / pw {
-            let frame = st.frame_mut(p);
-            debug_assert!(frame.twin.is_some(), "commit to non-write-enabled page");
-            let page_base = p * pw;
-            let s = wlo.max(page_base);
-            let e = whi.min(page_base + pw);
-            let src = &buf[s - wlo..e - wlo];
-            for (d, &x) in frame.data[s - page_base..e - page_base].iter_mut().zip(src) {
-                *d = x.to_bits();
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Synchronization
     // ------------------------------------------------------------------
@@ -866,6 +763,7 @@ impl<'n> Tmk<'n> {
     /// arrivals carry this node's new intervals to the manager (node 0),
     /// the departures carry back every interval the node has not seen.
     pub fn barrier(&self, _id: u32) {
+        self.quiescent("barrier");
         let e = self.barrier_epoch.get();
         self.barrier_epoch.set(e + 1);
         let epoch = e | protocol::BARRIER_EPOCH_BIT;
@@ -918,6 +816,7 @@ impl<'n> Tmk<'n> {
     /// the request is forwarded to the last holder, whose grant carries
     /// the write notices the acquirer has not seen.
     pub fn acquire(&self, lock: u32) {
+        self.quiescent("lock acquire");
         let _s = self.node.trace_span(SpanKind::LockWait, lock);
         let me = self.proc_id();
         let mgr = lock as usize % self.nprocs();
@@ -974,6 +873,7 @@ impl<'n> Tmk<'n> {
     /// Release a lock (`Tmk_lock_release`). Performs the release-side
     /// flush; communicates only if a request is already queued here.
     pub fn release(&self, lock: u32) {
+        self.quiescent("lock release");
         self.publish();
         let grant = {
             let mut st = self.state.lock();
@@ -1016,6 +916,7 @@ impl<'n> Tmk<'n> {
 
     fn fork_with_flags(&self, ctl: &[u64], flag_bits: u64) {
         assert_eq!(self.proc_id(), 0, "only the master forks");
+        self.quiescent("fork");
         let e = self.fork_epoch.get();
         self.fork_epoch.set(e + 1);
         self.state.lock().stats.forks += 1;
@@ -1038,6 +939,7 @@ impl<'n> Tmk<'n> {
     /// all-to-one arrival half, `n - 1` messages (sent by the workers).
     pub fn join(&self) {
         assert_eq!(self.proc_id(), 0, "only the master joins");
+        self.quiescent("join");
         let e = self.fork_epoch.get();
         let _s = self
             .node
@@ -1072,6 +974,7 @@ impl<'n> Tmk<'n> {
     /// or `None` when the master shut the computation down.
     pub fn worker_wait(&self) -> Option<Vec<u64>> {
         assert_ne!(self.proc_id(), 0, "workers only");
+        self.quiescent("worker arrival");
         let e = self.fork_epoch.get();
         self.fork_epoch.set(e + 1);
         let _s = self
@@ -1187,7 +1090,7 @@ impl<'n> Tmk<'n> {
             }
             g
         };
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let hlrc = self.hlrc();
         for (target, pages) in groups {
             let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
@@ -1197,17 +1100,20 @@ impl<'n> Tmk<'n> {
                 let mut st = self.state.lock();
                 for p in pages {
                     let last = st.vc[st.me];
-                    let (ranges, f_us) = st.serve_diffs(p, last, &cost);
+                    let (ranges, f_us) = st.serve_diffs(p, last, cost);
                     us += f_us;
                     if let Some(r) = ranges.into_iter().next_back() {
                         st.stats.pages_pushed += 1;
                         diffs.push((p, r));
                         if hlrc {
-                            let frame = st.frames.get(&p).expect("pushed page has a frame");
+                            let frames = &st.frames;
                             copies.push(protocol::PageRespEntry {
                                 page: p,
-                                applied: frame.applied.clone(),
-                                data: frame.data.clone(),
+                                applied: frames
+                                    .applied(p)
+                                    .expect("pushed page has a frame")
+                                    .to_vec(),
+                                data: frames.data(p).expect("pushed page has a frame").to_vec(),
                             });
                         }
                     }
@@ -1244,7 +1150,7 @@ impl<'n> Tmk<'n> {
             return;
         }
         let _s = self.node.trace_span(SpanKind::PushRecv, expected as u32);
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
         let pw = self.cfg.page_words;
         let mut all: Vec<(usize, protocol::DiffRespEntry)> = Vec::new();
         let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
@@ -1272,7 +1178,7 @@ impl<'n> Tmk<'n> {
         let st = &mut *guard;
         let mut us = 0.0;
         for (writer, e) in &all {
-            let applied = st.frame_mut(e.page).applied[*writer];
+            let applied = st.applied_seq(e.page, *writer);
             trace!(
                 "[{}] push-recv: page {} writer {writer} range {}..={} applied {applied}",
                 self.proc_id(),
@@ -1333,8 +1239,8 @@ impl<'n> Tmk<'n> {
         for (_, e) in page_pushes {
             if st
                 .frames
-                .get(&e.page)
-                .is_some_and(|f| f.applied.iter().zip(&e.applied).any(|(mine, p)| p < mine))
+                .applied(e.page)
+                .is_some_and(|mine| mine.iter().zip(&e.applied).any(|(mine, p)| p < mine))
             {
                 trace!(
                     "[{}] push-recv: dropping dominated page push {}",
@@ -1355,20 +1261,15 @@ impl<'n> Tmk<'n> {
             {
                 // Materialize our pending diff against the pre-push
                 // frame (this also drops the twin).
-                let (_, f_us) = st.serve_diffs(e.page, 0, &cost);
+                let (_, f_us) = st.serve_diffs(e.page, 0, cost);
                 us += f_us;
             }
-            let n = st.n;
-            let frame = st.frames.entry(e.page).or_insert_with(|| Frame::new(pw, n));
-            if let Some(t) = frame.twin.take() {
+            let mut frame = st.frames.frame_mut(e.page);
+            if let Some(t) = frame.meta.twin.take() {
                 st.scratch.put(t, &mut st.stats);
             }
             frame.data.copy_from_slice(&e.data);
-            for (a, &b) in frame.applied.iter_mut().zip(&e.applied) {
-                if b > *a {
-                    *a = b;
-                }
-            }
+            frame.raise_applied(&e.applied);
             us += cost.diff_apply_us(pw);
         }
         drop(guard);
@@ -1547,6 +1448,7 @@ impl<'n> Tmk<'n> {
     /// used by the MGS hand-optimization (§5.3). Collective: every node
     /// must call it at the same point.
     pub fn bcast_pages(&self, root: usize, arr: SharedArray, range: Range<usize>) {
+        self.quiescent("page broadcast");
         let seq = self.bcast_seq.get();
         self.bcast_seq.set(seq.wrapping_add(1));
         let t = tag::BCAST | (seq & 0xFFFF);
@@ -1565,7 +1467,7 @@ impl<'n> Tmk<'n> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         let pw = self.cfg.page_words;
         let (p0, p1) = (wlo / pw, (whi - 1) / pw);
-        let cost = self.node.cost().clone();
+        let cost = self.node.cost();
 
         // Binomial-tree topology with `root` as virtual rank 0.
         let vrank = (me + n - root) % n;
@@ -1577,13 +1479,14 @@ impl<'n> Tmk<'n> {
             let st = self.state.lock();
             w.put_usize(p1 - p0 + 1);
             for p in p0..=p1 {
-                let frame = st.frames.get(&p).expect("root owns the pages");
+                let applied = st.frames.applied(p).expect("root owns the pages");
+                let data = st.frames.data(p).expect("root owns the pages");
                 debug_assert!(!st.dirty.contains(&p), "root must not have open writes");
                 w.put_usize(p);
-                for &a in &frame.applied {
+                for &a in applied {
                     w.put(a as u64);
                 }
-                for &x in &frame.data {
+                for &x in data {
                     w.put(x);
                 }
             }
@@ -1624,16 +1527,12 @@ impl<'n> Tmk<'n> {
             for _ in 0..npages {
                 let p = r.get_usize();
                 let applied: Vec<u32> = (0..n).map(|_| r.get() as u32).collect();
-                let frame = st.frame_mut(p);
-                debug_assert!(frame.twin.is_none(), "broadcast onto dirty page");
-                for i in 0..pw {
-                    frame.data[i] = r.get();
+                let mut frame = st.frames.frame_mut(p);
+                debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
+                for x in frame.data.iter_mut() {
+                    *x = r.get();
                 }
-                for (a, &b) in frame.applied.iter_mut().zip(&applied) {
-                    if b > *a {
-                        *a = b;
-                    }
-                }
+                frame.raise_applied(&applied);
                 st.stats.pages_broadcast += 1;
                 us += cost.diff_apply_us(pw);
             }
@@ -1742,8 +1641,7 @@ mod tests {
                 drop(w);
             }
             tmk.barrier(0);
-            let r = tmk.read(a, 10..20);
-            let v: Vec<f64> = r.slice().to_vec();
+            let v: Vec<f64> = tmk.read(a, 10..20).slice().to_vec();
             tmk.finish();
             v
         });
@@ -1782,8 +1680,7 @@ mod tests {
             }
             drop(w);
             tmk.barrier(0);
-            let r = tmk.read(a, 0..128);
-            let sum: f64 = r.slice().iter().sum();
+            let sum: f64 = tmk.read(a, 0..128).slice().iter().sum();
             tmk.finish();
             sum
         });
@@ -1832,8 +1729,7 @@ mod tests {
                 let x = tmk.read_one(a, 0);
                 tmk.write_one(a, 32, x + 1.0);
                 tmk.join();
-                let r = tmk.read(a, 32..36);
-                let v: Vec<f64> = r.slice().to_vec();
+                let v: Vec<f64> = tmk.read(a, 32..36).slice().to_vec();
                 tmk.shutdown_workers();
                 tmk.finish();
                 v
@@ -2191,8 +2087,10 @@ mod tests {
                 tmk.push_at_next_sync(1, a, 0..8);
             }
             tmk.barrier(4);
-            let r = tmk.read(a, 0..8);
-            let v = (r[0], r[1], r[2]);
+            let v = {
+                let r = tmk.read(a, 0..8);
+                (r[0], r[1], r[2])
+            };
             tmk.finish();
             v
         });
@@ -2213,8 +2111,10 @@ mod tests {
                 drop(w);
             }
             tmk.bcast_pages(2, a, 0..600);
-            let r = tmk.read(a, 0..600);
-            let ok = (0..600).all(|i| r[i] == i as f64);
+            let ok = {
+                let r = tmk.read(a, 0..600);
+                (0..600).all(|i| r[i] == i as f64)
+            };
             let faults = tmk.stats_snapshot().faults;
             tmk.barrier(0);
             tmk.finish();
@@ -2241,8 +2141,7 @@ mod tests {
                 drop(w);
             }
             tmk.barrier(0);
-            let r = tmk.read(a, 10..20);
-            let v: Vec<f64> = r.slice().to_vec();
+            let v: Vec<f64> = tmk.read(a, 10..20).slice().to_vec();
             let stats = tmk.finish();
             (v, stats)
         });
@@ -2426,8 +2325,7 @@ mod tests {
                     drop(w);
                 }
                 tmk.barrier(epoch);
-                let r = tmk.read(a, 0..8);
-                seen.push(r[0]);
+                seen.push(tmk.read(a, 0..8)[0]);
                 tmk.barrier(100 + epoch);
             }
             tmk.finish();
@@ -2454,8 +2352,7 @@ mod tests {
                     drop(w);
                 }
                 tmk.barrier(epoch);
-                let r = tmk.read(a, 0..8);
-                seen.push(r[0]);
+                seen.push(tmk.read(a, 0..8)[0]);
                 tmk.barrier(100 + epoch);
             }
             tmk.finish();

@@ -32,7 +32,9 @@
 //!   [`dsm::WriteView`] handles whose creation performs the access check at
 //!   page granularity and triggers the same protocol transitions; the cost
 //!   model charges the same fault/twin/diff overheads the paper measures.
-//!   This substitution is documented in `DESIGN.md`.
+//!   The views are windows onto the page frames, not copies — loads and
+//!   stores happen in place, as behind `mprotect` — under the invariants
+//!   stated in [`page`]. This substitution is documented in `DESIGN.md`.
 //! * **Synchronization.** Barriers have a centralized manager (node 0):
 //!   `2 (n - 1)` messages per barrier. Locks have statically assigned
 //!   managers (`lock % n`); acquire requests go to the manager and are
@@ -90,8 +92,9 @@
 //!     }
 //!     tmk.barrier(0);
 //!     // Everyone reads the data written by node 0 on demand.
-//!     let r = tmk.read(a, 512..516);
-//!     let x = r[514];
+//!     // (A view is a window onto the page frames: it must be gone
+//!     // before the next barrier, so it lives in this one expression.)
+//!     let x = tmk.read(a, 512..516)[514];
 //!     tmk.barrier(1);
 //!     tmk.finish();
 //!     x

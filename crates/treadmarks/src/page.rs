@@ -1,52 +1,109 @@
-//! Pages and per-node page frames.
+//! Pages, extent-backed page frames, and the in-place views over them.
+//!
+//! A node's cached pages live in **extents**: contiguous runs of page
+//! frames backed by one allocation each, kept in a table sorted by first
+//! page ([`FrameStore`]). Touching a single page no extent covers (a push
+//! receipt, a validate, a broadcast, an HLRC fetch install) creates a
+//! one-page extent. Opening a view over pages `p0..=p1` needs one extent
+//! covering them all: every extent the range intersects is replaced by
+//! one extent over their hull, words and bookkeeping carried over, gaps
+//! left as the zero page. Access ranges repeat from epoch to epoch, so
+//! merging stops after the first one and memory stays touched-pages-only.
+//!
+//! [`ReadView`] and [`WriteView`] are **windows**, not snapshots: they
+//! point at the words where they live, a store through a `WriteView`
+//! lands in the frame at once, and dropping a view copies nothing. The
+//! original system got the same effect from `mprotect`; here the page
+//! faults are the explicit [`Tmk::read`](crate::dsm::Tmk::read) /
+//! [`Tmk::write`](crate::dsm::Tmk::write) calls that open a view.
+//!
+//! ## Invariants
+//!
+//! All `unsafe` of the DSM is in this module and rests on four
+//! invariants. The first three are checked at run time, in release
+//! builds too — each check is O(open views), and no application holds
+//! more than three views at once:
+//!
+//! 1. **Pinning.** An open view pins the extent under it. Replacing a
+//!    pinned extent (a merge) panics, naming both ranges; so an extent's
+//!    allocation outlives, unmoved, every view into it.
+//! 2. **No aliasing.** A `WriteView`'s word range overlaps the word range
+//!    of no other open view ([`FrameStore::open_view`] panics otherwise).
+//!    Two views may share a *page* as long as they share no word.
+//! 3. **No view across a consistency action.** Whatever integrates
+//!    intervals, receives pushes or publishes asserts that no view is
+//!    open ([`FrameStore::assert_quiescent`]), and a protocol update of a
+//!    single page — diff apply, page install — refuses a page that lies
+//!    under an open view ([`FrameStore::frame_mut`]). Protocol code
+//!    therefore never *writes* words a view can see; while views are
+//!    open it only reads (twin and published-image copies when another
+//!    view on the same page is write-enabled).
+//! 4. **Threaded engine.** The service thread takes the state lock and
+//!    touches frames only in `DsmState::serve_diffs`. There it reads a
+//!    page's words only when the page has no published image, which
+//!    means the page has not been write-enabled since its last flush:
+//!    write-enabling a flushed page snapshots the image under the state
+//!    lock *before* the view is handed out, and invariant 3 forbids a
+//!    `WriteView` that survives a flush. So application stores to a page
+//!    and service reads of it are ordered by the lock and never overlap
+//!    in time. The service side never forms a `&mut [u64]` over extent
+//!    memory.
+//!
+//! One rule the run time cannot see is left to callers: a `&mut [f64]`
+//! borrowed from [`WriteView::slice_mut`] must not be held while another
+//! view that shares a page with it is *opened*, because write-enabling
+//! copies the whole page into its twin. Indexing and short-lived slices
+//! never do that; no application here does.
+
+use std::ops::{Index, IndexMut};
+use std::ptr::NonNull;
+
+use parking_lot::Mutex;
 
 use crate::diff::Diff;
-use std::sync::Arc;
+use crate::state::DsmState;
 
 /// Global page number in the shared address space.
 pub type PageId = usize;
 
-/// A node's cached copy of one shared page, with the multiple-writer
-/// protocol bookkeeping.
-///
-/// The "base" of a frame that has never received data is the zero page —
-/// shared memory is zero-initialized, and every write anywhere is captured
-/// by some diff, so zero-base plus all missing diffs always reconstructs
-/// the consistent content.
-#[derive(Debug)]
-pub struct Frame {
-    /// Current content (zero page until first touch).
-    pub data: Vec<u64>,
+/// Multiple-writer bookkeeping buffers of one page frame.
+#[derive(Debug, Default)]
+pub struct PageMeta {
     /// Copy saved before the first local modification; present while the
     /// node has unpublished or un-diffed local writes.
     pub twin: Option<Vec<u64>>,
     /// Published image: the page content as of this node's most recent
     /// flush covering the page, kept while the page is re-written with
     /// its diff still open. `serve_diffs` materializes the open range
-    /// against this image (falling back to `data` when absent), so diff
-    /// content always matches the virtual-time release point even when
-    /// the request is served at an arbitrary wall-clock moment on the
-    /// threaded engine — the live frame may already hold the *next*
-    /// epoch's writes, and leaking them backward diverges readers that
-    /// are virtually ordered before those writes.
+    /// against this image (falling back to the frame's words when
+    /// absent), so diff content always matches the virtual-time release
+    /// point even when the request is served at an arbitrary wall-clock
+    /// moment on the threaded engine — the live frame may already hold
+    /// the *next* epoch's writes, and leaking them backward diverges
+    /// readers that are virtually ordered before those writes.
     pub published: Option<Vec<u64>>,
+}
+
+/// A node's cached copy of one shared page: a page-sized window into its
+/// extent plus the bookkeeping kept beside it. Protocol code works at
+/// this granularity.
+///
+/// The "base" of a frame that has never received data is the zero page —
+/// shared memory is zero-initialized, and every write anywhere is captured
+/// by some diff, so zero-base plus all missing diffs always reconstructs
+/// the consistent content.
+pub struct Frame<'a> {
+    /// Current content (zero page until first touch).
+    pub data: &'a mut [u64],
+    /// Twin and published image.
+    pub meta: &'a mut PageMeta,
     /// Highest interval sequence number applied, per writer node.
     /// `applied[w] >= seq` means the write notice `(w, seq)` for this page
     /// is already reflected in `data`.
-    pub applied: Vec<u32>,
+    pub applied: &'a mut [u32],
 }
 
-impl Frame {
-    /// A fresh zero frame.
-    pub fn new(page_words: usize, nprocs: usize) -> Frame {
-        Frame {
-            data: vec![0; page_words],
-            twin: None,
-            published: None,
-            applied: vec![0; nprocs],
-        }
-    }
-
+impl Frame<'_> {
     /// Apply an incoming diff. If the frame is twinned (has local
     /// modifications in progress), the diff is applied to the twin too so
     /// that a later local diff does not re-attribute the remote words; the
@@ -54,29 +111,519 @@ impl Frame {
     /// same reason — a twin-vs-published diff must cover exactly the
     /// local writes.
     pub fn apply_diff(&mut self, diff: &Diff) {
-        diff.apply(&mut self.data);
-        if let Some(twin) = &mut self.twin {
+        diff.apply(self.data);
+        if let Some(twin) = &mut self.meta.twin {
             diff.apply(twin);
         }
-        if let Some(published) = &mut self.published {
+        if let Some(published) = &mut self.meta.published {
             diff.apply(published);
+        }
+    }
+
+    /// Raise the per-writer watermarks to at least `other`.
+    pub fn raise_applied(&mut self, other: &[u32]) {
+        for (a, &b) in self.applied.iter_mut().zip(other) {
+            if b > *a {
+                *a = b;
+            }
         }
     }
 }
 
-/// A contiguous range of diffed intervals by one writer for one page.
-///
-/// Delayed diff creation coalesces all of a sole writer's un-requested
-/// intervals for a page into a single diff: `diff` covers the writer's
-/// intervals `lo..=hi`.
-#[derive(Clone, Debug)]
-pub struct DiffRange {
-    /// First covered sequence number.
-    pub lo: u32,
-    /// Last covered sequence number.
-    pub hi: u32,
-    /// The materialized diff.
-    pub diff: Arc<Diff>,
+/// A contiguous run of page frames in one allocation.
+struct Extent {
+    first_page: PageId,
+    /// `len` zero-initialized words, owned: allocated as a boxed slice in
+    /// [`Extent::new`], freed in `Drop`. Held as a raw pointer so that the
+    /// views' pointers and the per-page slices all derive from one
+    /// provenance and none invalidates another.
+    words: NonNull<u64>,
+    len: usize,
+    /// One entry per page.
+    meta: Vec<PageMeta>,
+    /// `npages × nprocs` watermarks, one row per page.
+    applied: Vec<u32>,
+}
+
+// SAFETY: an `Extent` owns its allocation exclusively, exactly as the
+// `Box<[u64]>` it was made from did; `words` is never shared outside the
+// store except through views, which are `!Send` and bounded by the
+// invariants in the module docs. The remaining fields are `Send`.
+unsafe impl Send for Extent {}
+
+impl Extent {
+    fn new(first_page: PageId, npages: usize, page_words: usize, nprocs: usize) -> Extent {
+        let boxed = vec![0u64; npages * page_words].into_boxed_slice();
+        let len = boxed.len();
+        let words = NonNull::new(Box::into_raw(boxed).cast::<u64>()).expect("Box is non-null");
+        Extent {
+            first_page,
+            words,
+            len,
+            meta: std::iter::repeat_with(PageMeta::default)
+                .take(npages)
+                .collect(),
+            applied: vec![0; npages * nprocs],
+        }
+    }
+
+    fn end_page(&self) -> PageId {
+        self.first_page + self.meta.len()
+    }
+
+    /// Move `old`'s pages (words, twins, images, watermarks) into this
+    /// extent, which must span them.
+    fn absorb(&mut self, mut old: Extent, page_words: usize, nprocs: usize) {
+        let at = old.first_page - self.first_page;
+        assert!(old.first_page >= self.first_page && old.end_page() <= self.end_page());
+        // SAFETY: both allocations are live and distinct; the assert above
+        // puts `at * page_words + old.len` within `self.len`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                old.words.as_ptr(),
+                self.words.as_ptr().add(at * page_words),
+                old.len,
+            );
+        }
+        for (dst, src) in self.meta[at..].iter_mut().zip(old.meta.drain(..)) {
+            *dst = src;
+        }
+        self.applied[at * nprocs..at * nprocs + old.applied.len()].copy_from_slice(&old.applied);
+    }
+}
+
+impl Drop for Extent {
+    fn drop(&mut self) {
+        // SAFETY: `words`/`len` are exactly the boxed slice leaked in
+        // `Extent::new`, and nothing else frees it.
+        unsafe {
+            drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
+                self.words.as_ptr(),
+                self.len,
+            )));
+        }
+    }
+}
+
+/// One open view, as the store sees it: a global word range.
+#[derive(Clone, Copy, Debug)]
+struct OpenView {
+    id: u64,
+    wlo: usize,
+    whi: usize,
+    write: bool,
+}
+
+/// A node's page frames: the sorted extent table plus the registry of
+/// open views (see the module docs for the invariants it enforces).
+pub struct FrameStore {
+    page_words: usize,
+    nprocs: usize,
+    /// Disjoint, ascending by `first_page`.
+    extents: Vec<Extent>,
+    views: Vec<OpenView>,
+    next_view: u64,
+}
+
+impl FrameStore {
+    /// An empty store for pages of `page_words` words on `nprocs` nodes.
+    pub fn new(page_words: usize, nprocs: usize) -> FrameStore {
+        FrameStore {
+            page_words,
+            nprocs,
+            extents: Vec::new(),
+            views: Vec::new(),
+            next_view: 1,
+        }
+    }
+
+    /// True when no page has a frame.
+    pub fn is_empty(&self) -> bool {
+        self.extents.is_empty()
+    }
+
+    #[cfg(test)]
+    fn extent_count(&self) -> usize {
+        self.extents.len()
+    }
+
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
+        self.extents.iter().map(|e| e.meta.len()).sum()
+    }
+
+    /// Where `page` lives — `Ok((extent index, page index in it))` — or
+    /// where in the table a new extent for it belongs.
+    fn locate(&self, page: PageId) -> Result<(usize, usize), usize> {
+        let i = self.extents.partition_point(|e| e.first_page <= page);
+        match i.checked_sub(1).map(|prev| (prev, &self.extents[prev])) {
+            Some((prev, e)) if page < e.end_page() => Ok((prev, page - e.first_page)),
+            _ => Err(i),
+        }
+    }
+
+    /// Index of the extent holding `page`, and the page's index in it.
+    fn find(&self, page: PageId) -> Option<(usize, usize)> {
+        self.locate(page).ok()
+    }
+
+    /// Like [`FrameStore::find`], creating a one-page extent when no
+    /// extent holds `page`. Never moves an existing extent.
+    fn find_or_create(&mut self, page: PageId) -> (usize, usize) {
+        self.locate(page).unwrap_or_else(|at| {
+            self.extents
+                .insert(at, Extent::new(page, 1, self.page_words, self.nprocs));
+            (at, 0)
+        })
+    }
+
+    /// The open view, if any, whose page span includes `page`.
+    fn view_over(&self, page: PageId) -> Option<&OpenView> {
+        let pw = self.page_words;
+        self.views
+            .iter()
+            .find(|v| v.wlo / pw <= page && page <= (v.whi - 1) / pw)
+    }
+
+    /// The words of `page`, if it has a frame.
+    pub fn data(&self, page: PageId) -> Option<&[u64]> {
+        let (i, k) = self.find(page)?;
+        let e = &self.extents[i];
+        // SAFETY: `k` is a page index inside the extent, so the range is
+        // inside its live allocation, and the borrow of `self` keeps the
+        // extent from being replaced. Nothing writes these words while
+        // the slice lives: protocol writers need `&mut self`; a
+        // `WriteView` stores only between protocol calls on its own
+        // thread, and on the threaded engine the service thread gets here
+        // only for a page without a published image (invariant 4).
+        Some(unsafe {
+            std::slice::from_raw_parts(e.words.as_ptr().add(k * self.page_words), self.page_words)
+        })
+    }
+
+    /// The per-writer applied watermarks of `page`, if it has a frame.
+    pub fn applied(&self, page: PageId) -> Option<&[u32]> {
+        let (i, k) = self.find(page)?;
+        Some(&self.extents[i].applied[k * self.nprocs..(k + 1) * self.nprocs])
+    }
+
+    /// Twin and published image of `page`, if it has a frame.
+    #[cfg(test)]
+    pub(crate) fn meta(&self, page: PageId) -> Option<&PageMeta> {
+        let (i, k) = self.find(page)?;
+        Some(&self.extents[i].meta[k])
+    }
+
+    /// Mutable twin and published image of `page` — no access to its
+    /// words, so the service thread may use it at any time.
+    pub fn meta_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
+        let (i, k) = self.find(page)?;
+        Some(&mut self.extents[i].meta[k])
+    }
+
+    /// Read-only words plus mutable bookkeeping of `page` — what a write
+    /// fault needs to save a twin or a published image. Unlike
+    /// [`FrameStore::frame_mut`] this is allowed under an open view: the
+    /// copies only read.
+    pub fn snapshot_parts(&mut self, page: PageId) -> Option<(&[u64], &mut PageMeta)> {
+        let (i, k) = self.find(page)?;
+        let pw = self.page_words;
+        let e = &mut self.extents[i];
+        // SAFETY: in bounds and kept alive as in `data`. Another open view
+        // may cover words of this page, but a shared slice only conflicts
+        // with a live `&mut [f64]` of a `WriteView`, which callers do not
+        // hold across a view open (module docs, last paragraph).
+        let data = unsafe { std::slice::from_raw_parts(e.words.as_ptr().add(k * pw), pw) };
+        Some((data, &mut e.meta[k]))
+    }
+
+    /// The frame of `page` for a protocol update (diff apply, page
+    /// install, flush), created as a one-page extent of zeroes when
+    /// absent.
+    ///
+    /// # Panics
+    /// When `page` lies under an open view (invariant 3).
+    pub fn frame_mut(&mut self, page: PageId) -> Frame<'_> {
+        if let Some(v) = self.view_over(page) {
+            panic!(
+                "protocol update of page {page} under an open view over words {}..{}: \
+                 drop the view before the consistency action",
+                v.wlo, v.whi
+            );
+        }
+        let (i, k) = self.find_or_create(page);
+        let (pw, n) = (self.page_words, self.nprocs);
+        let e = &mut self.extents[i];
+        // SAFETY: in bounds and kept alive as in `data`; `&mut self` rules
+        // out every other protocol borrow, and the check above rules out
+        // a view over any word of this page, so the slice is exclusive.
+        let data = unsafe { std::slice::from_raw_parts_mut(e.words.as_ptr().add(k * pw), pw) };
+        Frame {
+            data,
+            meta: &mut e.meta[k],
+            applied: &mut e.applied[k * n..(k + 1) * n],
+        }
+    }
+
+    /// Make one extent cover pages `p0..=p1`, merging every extent the
+    /// range intersects into a new one over their hull (gaps zero).
+    ///
+    /// # Panics
+    /// When an extent that would be replaced is pinned by an open view
+    /// (invariant 1).
+    pub fn cover(&mut self, p0: PageId, p1: PageId) {
+        let lo = self.extents.partition_point(|e| e.end_page() <= p0);
+        let hi = self.extents.partition_point(|e| e.first_page <= p1);
+        let (mut first, mut end) = (p0, p1 + 1);
+        if lo < hi {
+            let (head, tail) = (&self.extents[lo], &self.extents[hi - 1]);
+            if lo + 1 == hi && head.first_page <= p0 && p1 < head.end_page() {
+                return;
+            }
+            first = first.min(head.first_page);
+            end = end.max(tail.end_page());
+        }
+        let pw = self.page_words;
+        for e in &self.extents[lo..hi] {
+            let pinned = self
+                .views
+                .iter()
+                .find(|v| v.wlo / pw < e.end_page() && e.first_page <= (v.whi - 1) / pw);
+            if let Some(v) = pinned {
+                panic!(
+                    "view over pages {p0}..={p1} needs the extent of pages {}..{} moved, \
+                     which an open view over words {}..{} pins: open the wider view first",
+                    e.first_page,
+                    e.end_page(),
+                    v.wlo,
+                    v.whi
+                );
+            }
+        }
+        let mut merged = Extent::new(first, end - first, pw, self.nprocs);
+        for old in self.extents.drain(lo..hi) {
+            merged.absorb(old, pw, self.nprocs);
+        }
+        self.extents.insert(lo, merged);
+    }
+
+    /// Register a view over global words `wlo..whi` (non-empty, inside
+    /// one extent — call [`FrameStore::cover`] first) and return the
+    /// address of word `wlo` with the view's id.
+    ///
+    /// # Panics
+    /// When the range overlaps an open view and either is a write view
+    /// (invariant 2).
+    fn open_view(&mut self, wlo: usize, whi: usize, write: bool) -> (NonNull<u64>, u64) {
+        assert!(wlo < whi);
+        if let Some(v) = self
+            .views
+            .iter()
+            .find(|v| (write || v.write) && wlo < v.whi && v.wlo < whi)
+        {
+            panic!(
+                "{} view over words {wlo}..{whi} overlaps the open {} view over words {}..{}",
+                if write { "write" } else { "read" },
+                if v.write { "write" } else { "read" },
+                v.wlo,
+                v.whi
+            );
+        }
+        let pw = self.page_words;
+        let (i, _) = self
+            .find(wlo / pw)
+            .expect("cover() ran before the view is opened");
+        let e = &self.extents[i];
+        let off = wlo - e.first_page * pw;
+        assert!(
+            off + (whi - wlo) <= e.len,
+            "view must lie inside one extent"
+        );
+        // SAFETY: `off` is inside the extent's allocation (assert above).
+        let ptr = unsafe { NonNull::new_unchecked(e.words.as_ptr().add(off)) };
+        let id = self.next_view;
+        self.next_view += 1;
+        self.views.push(OpenView {
+            id,
+            wlo,
+            whi,
+            write,
+        });
+        (ptr, id)
+    }
+
+    fn close_view(&mut self, id: u64) {
+        if let Some(i) = self.views.iter().position(|v| v.id == id) {
+            self.views.swap_remove(i);
+        }
+    }
+
+    /// Invariant 3: panic if a view is open at consistency action `what`.
+    pub fn assert_quiescent(&self, what: &str) {
+        if let Some(v) = self.views.first() {
+            panic!(
+                "{what} with a {} view open over words {}..{}: a view is a window onto the \
+                 frames, drop it before any consistency action",
+                if v.write { "write" } else { "read" },
+                v.wlo,
+                v.whi
+            );
+        }
+    }
+}
+
+/// The part shared by both view types: where the words are, and how to
+/// unpin them.
+struct Window<'t> {
+    state: &'t Mutex<DsmState>,
+    ptr: NonNull<f64>,
+    len: usize,
+    /// First global element index covered.
+    lo: usize,
+    /// Registry id; 0 for an empty view, which pins nothing.
+    id: u64,
+}
+
+impl<'t> Window<'t> {
+    /// Open a window onto global words `wlo..whi` of `st`, the state
+    /// behind `state` (locked by the caller), indexed from element `lo`.
+    fn open(
+        state: &'t Mutex<DsmState>,
+        st: &mut DsmState,
+        wlo: usize,
+        whi: usize,
+        lo: usize,
+        write: bool,
+    ) -> Window<'t> {
+        let (ptr, id) = if wlo == whi {
+            (NonNull::dangling(), 0)
+        } else {
+            // Shared words are stored as the bit patterns of f64s; the
+            // two types have the same size and alignment.
+            let (p, id) = st.frames.open_view(wlo, whi, write);
+            (p.cast::<f64>(), id)
+        };
+        Window {
+            state,
+            ptr,
+            len: whi - wlo,
+            lo,
+            id,
+        }
+    }
+
+    fn slice(&self) -> &[f64] {
+        // SAFETY: `ptr` addresses `len` words inside an extent that stays
+        // allocated and unmoved while this view is registered (invariant
+        // 1), or is dangling with `len == 0`. Every bit pattern is a
+        // valid f64. No `WriteView` overlaps these words unless `self` is
+        // that view (invariant 2), and protocol code does not write them
+        // while the view is open (invariants 3 and 4).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl Drop for Window<'_> {
+    fn drop(&mut self) {
+        if self.id != 0 {
+            self.state.lock().frames.close_view(self.id);
+        }
+    }
+}
+
+/// A read-only window onto an index range of a shared array, indexed by
+/// **global** element index. The pages under it were made consistent
+/// when it was opened; it must be dropped before the next consistency
+/// action (barrier, lock operation, fork/join, validate, broadcast).
+pub struct ReadView<'t>(Window<'t>);
+
+impl<'t> ReadView<'t> {
+    /// See [`Window::open`]; the fault engine in `dsm.rs` is the caller.
+    pub(crate) fn open(
+        state: &'t Mutex<DsmState>,
+        st: &mut DsmState,
+        wlo: usize,
+        whi: usize,
+        lo: usize,
+    ) -> ReadView<'t> {
+        ReadView(Window::open(state, st, wlo, whi, lo, false))
+    }
+
+    /// First global index covered.
+    pub fn start(&self) -> usize {
+        self.0.lo
+    }
+
+    /// The data as a slice (element `i` of the slice is global index
+    /// `start() + i`).
+    pub fn slice(&self) -> &[f64] {
+        self.0.slice()
+    }
+}
+
+impl Index<usize> for ReadView<'_> {
+    type Output = f64;
+    #[inline]
+    fn index(&self, i: usize) -> &f64 {
+        &self.slice()[i - self.0.lo]
+    }
+}
+
+/// A writable window onto an index range of a shared array, indexed by
+/// **global** element index. The pages were write-enabled (twinned) when
+/// the view was opened, exactly like a write fault; stores land in the
+/// page frames directly and dropping the view copies nothing. It must be
+/// dropped before the next consistency action, and its range may overlap
+/// no other open view.
+pub struct WriteView<'t>(Window<'t>);
+
+impl<'t> WriteView<'t> {
+    /// See [`Window::open`]; the fault engine in `dsm.rs` is the caller.
+    pub(crate) fn open(
+        state: &'t Mutex<DsmState>,
+        st: &mut DsmState,
+        wlo: usize,
+        whi: usize,
+        lo: usize,
+    ) -> WriteView<'t> {
+        WriteView(Window::open(state, st, wlo, whi, lo, true))
+    }
+
+    /// First global index covered.
+    pub fn start(&self) -> usize {
+        self.0.lo
+    }
+
+    /// Mutable slice access (element `i` is global index `start() + i`).
+    /// Do not keep the borrow across opening another view that shares a
+    /// page with this one (see the module docs).
+    pub fn slice_mut(&mut self) -> &mut [f64] {
+        // SAFETY: as in `Window::slice`; in addition no other view
+        // overlaps these words at all (invariant 2) and `&mut self` makes
+        // this the only slice of this view, so the borrow is exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.0.ptr.as_ptr(), self.0.len) }
+    }
+
+    /// Read-only slice access.
+    pub fn slice(&self) -> &[f64] {
+        self.0.slice()
+    }
+}
+
+impl Index<usize> for WriteView<'_> {
+    type Output = f64;
+    #[inline]
+    fn index(&self, i: usize) -> &f64 {
+        &self.slice()[i - self.0.lo]
+    }
+}
+
+impl IndexMut<usize> for WriteView<'_> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut f64 {
+        let lo = self.0.lo;
+        &mut self.slice_mut()[i - lo]
+    }
 }
 
 #[cfg(test)]
@@ -84,44 +631,153 @@ mod tests {
     use super::*;
     use crate::diff::Diff;
 
+    const PW: usize = 8;
+
+    fn store() -> FrameStore {
+        FrameStore::new(PW, 2)
+    }
+
     #[test]
     fn fresh_frame_is_zero() {
-        let f = Frame::new(8, 4);
-        assert_eq!(f.data, vec![0; 8]);
-        assert!(f.twin.is_none());
-        assert_eq!(f.applied, vec![0; 4]);
+        let mut s = store();
+        let f = s.frame_mut(5);
+        assert_eq!(f.data, &[0; PW]);
+        assert!(f.meta.twin.is_none());
+        assert_eq!(f.applied, &[0; 2]);
+        assert_eq!((s.extent_count(), s.resident_pages()), (1, 1));
+        assert!(s.data(4).is_none());
     }
 
     #[test]
-    fn apply_diff_updates_twin_too() {
-        let mut f = Frame::new(8, 2);
-        f.twin = Some(f.data.clone());
-        let mut newer = f.data.clone();
-        newer[2] = 42;
-        let d = Diff::create(&[0; 8], &newer);
-        f.apply_diff(&d);
-        assert_eq!(f.data[2], 42);
-        assert_eq!(f.twin.as_ref().unwrap()[2], 42);
-    }
-
-    #[test]
-    fn apply_diff_updates_published_image_too() {
-        let mut f = Frame::new(8, 2);
-        f.twin = Some(f.data.clone());
-        f.published = Some(f.data.clone());
-        let d = Diff::create(&[0; 8], &[0, 7, 0, 0, 0, 0, 0, 0]);
+    fn apply_diff_updates_twin_and_published_image_too() {
+        let mut s = store();
+        let mut f = s.frame_mut(0);
+        f.meta.twin = Some(f.data.to_vec());
+        f.meta.published = Some(f.data.to_vec());
+        let d = Diff::create(&[0; PW], &[0, 7, 0, 0, 0, 0, 0, 0]);
         f.apply_diff(&d);
         assert_eq!(f.data[1], 7);
-        assert_eq!(f.twin.as_ref().unwrap()[1], 7);
-        assert_eq!(f.published.as_ref().unwrap()[1], 7);
+        assert_eq!(f.meta.twin.as_ref().unwrap()[1], 7);
+        assert_eq!(f.meta.published.as_ref().unwrap()[1], 7);
     }
 
     #[test]
     fn apply_diff_without_twin() {
-        let mut f = Frame::new(4, 2);
-        let d = Diff::create(&[0; 4], &[9, 0, 0, 9]);
-        f.apply_diff(&d);
-        assert_eq!(f.data, vec![9, 0, 0, 9]);
-        assert!(f.twin.is_none());
+        let mut s = store();
+        let mut f = s.frame_mut(0);
+        f.apply_diff(&Diff::create(&[0; PW], &[9, 0, 0, 9, 0, 0, 0, 0]));
+        assert_eq!(f.data, &[9, 0, 0, 9, 0, 0, 0, 0]);
+        assert!(f.meta.twin.is_none());
+    }
+
+    #[test]
+    fn single_page_touches_make_one_page_extents_in_page_order() {
+        let mut s = store();
+        for p in [9, 3, 6, 3] {
+            s.frame_mut(p).data[0] = p as u64;
+        }
+        assert_eq!(s.extent_count(), 3);
+        let firsts: Vec<_> = s.extents.iter().map(|e| e.first_page).collect();
+        assert_eq!(firsts, vec![3, 6, 9]);
+        assert_eq!(s.data(6).unwrap()[0], 6);
+    }
+
+    #[test]
+    fn cover_merges_the_hull_keeps_content_and_zero_fills_gaps() {
+        let mut s = store();
+        // Pages 2 and 5 exist with content and bookkeeping; 3, 4, 6 do not.
+        {
+            let f = s.frame_mut(2);
+            f.data[1] = 21;
+            f.applied[1] = 4;
+            f.meta.twin = Some(vec![1; PW]);
+        }
+        {
+            let f = s.frame_mut(5);
+            f.data[7] = 57;
+            f.meta.published = Some(vec![2; PW]);
+        }
+        s.frame_mut(9).data[0] = 90; // outside the range: untouched
+        s.cover(3, 6);
+        // Only page 5 intersects 3..=6: hull is 3..7; page 2 stays apart.
+        assert_eq!(s.extent_count(), 3);
+        s.cover(2, 4);
+        assert_eq!(s.extent_count(), 2, "2 and 3..7 merged into 2..7");
+        assert_eq!(s.resident_pages(), 5 + 1);
+        assert_eq!(s.data(2).unwrap()[1], 21);
+        assert_eq!(s.applied(2).unwrap(), &[0, 4]);
+        assert_eq!(s.meta(2).unwrap().twin.as_deref(), Some(&[1; PW][..]));
+        assert_eq!(s.data(5).unwrap()[7], 57);
+        assert_eq!(s.meta(5).unwrap().published.as_deref(), Some(&[2; PW][..]));
+        for gap in [3, 4, 6] {
+            assert_eq!(s.data(gap).unwrap(), &[0; PW], "gap page {gap} is zero");
+            assert_eq!(s.applied(gap).unwrap(), &[0, 0]);
+            assert!(s.meta(gap).unwrap().twin.is_none());
+        }
+        assert_eq!(s.data(9).unwrap()[0], 90);
+        // Covered already: nothing moves.
+        let before = s.extents[0].words;
+        s.cover(2, 6);
+        assert_eq!(s.extents[0].words, before);
+        // Frames re-point into the merged extent: a store through one page
+        // handle is visible through the extent-wide view pointer.
+        s.frame_mut(4).data[0] = 44;
+        let (ptr, id) = s.open_view(2 * PW, 7 * PW, false);
+        // SAFETY: the view spans the extent just covered; test only.
+        let words = unsafe { std::slice::from_raw_parts(ptr.as_ptr(), 5 * PW) };
+        assert_eq!((words[1], words[2 * PW], words[3 * PW + 7]), (21, 44, 57));
+        s.close_view(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "pins")]
+    fn merging_a_pinned_extent_panics() {
+        let mut s = store();
+        s.cover(0, 1);
+        let _v = s.open_view(0, PW, false);
+        s.cover(1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps the open read view")]
+    fn write_view_over_an_open_views_words_panics() {
+        let mut s = store();
+        s.cover(0, 0);
+        let _r = s.open_view(0, 4, false);
+        s.open_view(3, 6, true);
+    }
+
+    #[test]
+    fn views_on_one_page_with_disjoint_words_and_overlapping_reads_are_fine() {
+        let mut s = store();
+        s.cover(0, 0);
+        let (_, a) = s.open_view(0, 4, true);
+        let (_, b) = s.open_view(4, 8, true);
+        s.close_view(a);
+        let (_, c) = s.open_view(0, 4, false);
+        let (_, d) = s.open_view(2, 4, false);
+        assert_eq!(s.views.len(), 3);
+        for id in [b, c, d] {
+            s.close_view(id);
+        }
+        s.assert_quiescent("test");
+    }
+
+    #[test]
+    #[should_panic(expected = "barrier with a write view open")]
+    fn quiescence_check_names_the_action() {
+        let mut s = store();
+        s.cover(0, 0);
+        s.open_view(0, 4, true);
+        s.assert_quiescent("barrier");
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol update of page 1 under an open view")]
+    fn protocol_update_under_a_view_panics() {
+        let mut s = store();
+        s.cover(0, 2);
+        s.open_view(PW + 2, PW + 3, false);
+        s.frame_mut(1);
     }
 }

@@ -124,14 +124,14 @@ fn serve_page_req(
 ) {
     let (req_id, requester, entries) = protocol::decode_diff_req(r);
     let mut st = state.lock();
-    let cost = ep.cost().clone();
+    let cost = ep.cost();
     // Diff creation for a multi-page (aggregated) request is pipelined
     // with transmission: only the first page's materialization delays the
     // response; the rest overlaps serialization.
     let mut first_us: f64 = 0.0;
     let mut out = Vec::new();
     for e in entries {
-        let (ranges, us) = st.serve_diffs(e.page, e.first_needed, &cost);
+        let (ranges, us) = st.serve_diffs(e.page, e.first_needed, cost);
         first_us = first_us.max(us);
         for rg in ranges {
             out.push((e.page, rg));
@@ -249,11 +249,11 @@ fn serve_page_fetch(
     arrival: VTime,
     cause_seq: u64,
 ) {
-    let cost = ep.cost().clone();
+    let cost = ep.cost();
     let mut first_us: f64 = 0.0;
     let mut out = Vec::with_capacity(entries.len());
     for e in entries {
-        let (data, applied, us) = st.home_serve(e.page, &e.required, &cost);
+        let (data, applied, us) = st.home_serve(e.page, &e.required, cost);
         first_us = first_us.max(us);
         out.push(protocol::PageRespEntry {
             page: e.page,

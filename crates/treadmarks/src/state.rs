@@ -37,7 +37,7 @@ use crate::config::TmkConfig;
 use crate::diff::Diff;
 use crate::fxhash::FxHashMap;
 use crate::interval::Interval;
-use crate::page::{Frame, PageId};
+use crate::page::{FrameStore, PageId};
 use crate::race::{IntervalWrites, RaceLog};
 use crate::stats::DsmStats;
 use crate::vc::Vc;
@@ -136,6 +136,24 @@ impl PageNotices {
         let list = self.seqs.get(writer)?;
         let i = list.partition_point(|&s| s <= done);
         list.get(i).copied()
+    }
+
+    /// Notices not yet reflected in a frame whose per-writer watermarks
+    /// are `applied` (`None`: no frame, nothing applied), skipping `me`'s
+    /// own: `(writer, first missing seq)`, ascending by writer.
+    pub fn missing<'a>(
+        &'a self,
+        me: usize,
+        applied: Option<&'a [u32]>,
+    ) -> impl Iterator<Item = (usize, u32)> + 'a {
+        self.seqs
+            .iter()
+            .enumerate()
+            .filter(move |(w, _)| *w != me)
+            .filter_map(move |(w, _)| {
+                let done = applied.map_or(0, |a| a[w]);
+                self.first_after(w, done).map(|first| (w, first))
+            })
     }
 
     /// True if `writer` has a recorded sequence in the open interval
@@ -442,8 +460,8 @@ pub struct DsmState {
     pub log: Vec<Vec<Arc<Interval>>>,
     /// Write notices per page, per writer (see [`PageNotices`]).
     pub notices: FxHashMap<PageId, PageNotices>,
-    /// Cached page frames.
-    pub frames: FxHashMap<PageId, Frame>,
+    /// Cached page frames, in extents (see [`crate::page`]).
+    pub frames: FrameStore,
     /// Pages written since the last flush (BTreeSet: deterministic order).
     pub dirty: BTreeSet<PageId>,
     /// Diff storage for pages we have written.
@@ -503,6 +521,7 @@ impl DsmState {
     /// Fresh state for node `me` of `n`.
     pub fn new(me: usize, n: usize, cfg: TmkConfig) -> DsmState {
         let detect_races = cfg.detect_races;
+        let frames = FrameStore::new(cfg.page_words, n);
         DsmState {
             me,
             n,
@@ -511,7 +530,7 @@ impl DsmState {
             lamport: 0,
             log: (0..n).map(|_| Vec::new()).collect(),
             notices: FxHashMap::default(),
-            frames: FxHashMap::default(),
+            frames,
             dirty: BTreeSet::new(),
             diffs: FxHashMap::default(),
             unreported_seq: 0,
@@ -838,31 +857,26 @@ impl DsmState {
         }
     }
 
-    /// Get or create the frame for `page`.
-    pub fn frame_mut(&mut self, page: PageId) -> &mut Frame {
-        let (pw, n) = (self.cfg.page_words, self.n);
-        self.frames.entry(page).or_insert_with(|| Frame::new(pw, n))
+    /// Write notices for `page` that are not yet applied to our frame,
+    /// grouped by writer: `(writer, first missing seq)`, ascending by
+    /// writer. Borrows only `notices` and `frames`, so callers holding
+    /// the state by `&mut` can update other fields while iterating.
+    pub fn missing_by_writer<'a>(
+        notices: &'a FxHashMap<PageId, PageNotices>,
+        frames: &'a FrameStore,
+        me: usize,
+        page: PageId,
+    ) -> impl Iterator<Item = (usize, u32)> + 'a {
+        notices
+            .get(&page)
+            .into_iter()
+            .flat_map(move |pn| pn.missing(me, frames.applied(page)))
     }
 
-    /// Write notices for `page` that are not yet applied to our frame.
-    /// Returned grouped by writer: `(writer, first missing seq)`,
-    /// ascending by writer.
-    pub fn missing_by_writer(&self, page: PageId) -> Vec<(usize, u32)> {
-        let Some(pn) = self.notices.get(&page) else {
-            return Vec::new();
-        };
-        let applied = self.frames.get(&page).map(|f| f.applied.as_slice());
-        let mut v = Vec::new();
-        for w in 0..self.n {
-            if w == self.me {
-                continue;
-            }
-            let done = applied.map_or(0, |a| a[w]);
-            if let Some(first) = pn.first_after(w, done) {
-                v.push((w, first));
-            }
-        }
-        v
+    /// Highest interval of `writer` already reflected in our frame of
+    /// `page` (0 without a frame).
+    pub fn applied_seq(&self, page: PageId, writer: usize) -> u32 {
+        self.frames.applied(page).map_or(0, |a| a[writer])
     }
 
     /// Release operation: publish one interval carrying write notices for
@@ -882,8 +896,8 @@ impl DsmState {
         let pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
         let mut race_writes: Vec<(PageId, Vec<u32>)> = Vec::new();
         for &p in &pages {
-            let frame = self.frames.get_mut(&p).expect("dirty page has a frame");
-            debug_assert!(frame.twin.is_some(), "dirty page has a twin");
+            let frame = self.frames.frame_mut(p);
+            debug_assert!(frame.meta.twin.is_some(), "dirty page has a twin");
             if self.race.is_some() {
                 // Exactly this interval's writes: the delta against the
                 // content at the previous flush (the published image), or
@@ -891,20 +905,21 @@ impl DsmState {
                 // write fault. Remote diffs cancel — they land on both
                 // sides (`Frame::apply_diff`).
                 let base = frame
+                    .meta
                     .published
                     .as_deref()
-                    .or(frame.twin.as_deref())
+                    .or(frame.meta.twin.as_deref())
                     .expect("dirty page has a twin");
-                race_writes.push((p, Diff::create(base, &frame.data).changed_positions()));
+                race_writes.push((p, Diff::create(base, frame.data).changed_positions()));
             }
             // Re-anchor the published image at this release point so a
             // later wall-clock-time serve excludes the *next* epoch's
             // writes. With detection on the image is created eagerly
             // (per-interval deltas need a per-flush base); otherwise it
             // only exists once a re-dirty fault created it lazily.
-            match frame.published.as_mut() {
-                Some(shot) => shot.copy_from_slice(&frame.data),
-                None if self.race.is_some() => frame.published = Some(frame.data.clone()),
+            match frame.meta.published.as_mut() {
+                Some(shot) => shot.copy_from_slice(frame.data),
+                None if self.race.is_some() => frame.meta.published = Some(frame.data.to_vec()),
                 None => {}
             }
             let entry = self.diffs.entry(p).or_default();
@@ -1030,46 +1045,55 @@ impl DsmState {
         if let Some(open) = entry.open {
             if open.hi >= first_needed {
                 entry.open = None;
-                let frame = self.frames.get_mut(&page).expect("open range has a frame");
-                let twin = frame.twin.as_ref().expect("open range has a twin");
-                let src = frame.published.as_deref().unwrap_or(&frame.data);
-                let diff = Diff::create(twin, src);
+                // Take both buffers out of the frame: the words themselves
+                // are read only when there is no published image, i.e. the
+                // page has not been write-enabled since its last flush — on
+                // the threaded engine that is what keeps this read apart
+                // from the application's in-place stores (`crate::page`,
+                // invariant 4).
+                let meta = self.frames.meta_mut(page).expect("open range has a frame");
+                let twin = meta.twin.take().expect("open range has a twin");
+                let published = meta.published.take();
+                let diff = match &published {
+                    Some(image) => Diff::create(&twin, image),
+                    None => Diff::create(
+                        &twin,
+                        self.frames.data(page).expect("open range has a frame"),
+                    ),
+                };
                 us += cost.diff_create_us(diff.changed_words());
                 self.stats.diffs_created += 1;
                 self.stats.diff_words_created += diff.changed_words() as u64;
                 let pp = self.page_prof.entry(page).or_default();
                 pp.diffs_created += 1;
                 pp.diff_words_created += diff.changed_words() as u64;
-                if !self.dirty.contains(&page) {
-                    // Re-protect: the next write takes a fresh fault+twin.
-                    // The retired twin goes back to the scratch arena; the
-                    // published image retires with it (they are a pair —
-                    // the image is only meaningful against its twin).
-                    if let Some(t) = frame.twin.take() {
-                        self.scratch.put(t, &mut self.stats);
-                    }
-                    frame.published = None;
-                } else {
-                    // The page is mid-epoch, so the twin must survive —
-                    // but its baseline just moved: everything up to
-                    // `open.hi` is frozen into the served range now, and
-                    // the next freeze must diff against *this* snapshot,
-                    // not the original fault-time twin. Re-anchoring by
-                    // promoting the published image (== `src`) to be the
-                    // new twin is what keeps ranges disjoint: a twin left
-                    // stale would make the next freeze re-include every
-                    // word served here, and re-applying those at a
-                    // concurrent writer would clobber that writer's own
-                    // newer values (the lost-warm-up divergence the
-                    // threaded engine exposed about once in 10^3 runs).
-                    let shot = frame
-                        .published
-                        .take()
-                        .expect("a dirty page with an open range was re-faulted, which snapshots the published image");
-                    if let Some(t) = frame.twin.replace(shot) {
-                        self.scratch.put(t, &mut self.stats);
-                    }
+                // Re-protect a clean page: the next write takes a fresh
+                // fault+twin, and the published image retires with the
+                // twin (they are a pair — the image is only meaningful
+                // against its twin).
+                //
+                // A dirty page is mid-epoch, so a twin must survive — but
+                // its baseline just moved: everything up to `open.hi` is
+                // frozen into the served range now, and the next freeze
+                // must diff against *this* snapshot, not the original
+                // fault-time twin. Re-anchoring by promoting the published
+                // image to be the new twin is what keeps ranges disjoint:
+                // a twin left stale would make the next freeze re-include
+                // every word served here, and re-applying those at a
+                // concurrent writer would clobber that writer's own newer
+                // values (the lost-warm-up divergence the threaded engine
+                // exposed about once in 10^3 runs).
+                if self.dirty.contains(&page) {
+                    let image = published.expect(
+                        "a dirty page with an open range was re-faulted, which snapshots the published image",
+                    );
+                    self.frames
+                        .meta_mut(page)
+                        .expect("open range has a frame")
+                        .twin = Some(image);
                 }
+                // The retired twin goes back to the scratch arena.
+                self.scratch.put(twin, &mut self.stats);
                 let entry = self.diffs.entry(page).or_default();
                 entry.frozen.push(DiffRange {
                     lo: open.lo,
@@ -1092,7 +1116,7 @@ impl DsmState {
     /// Apply a fetched diff range from `writer` to our frame of `page`.
     /// Caller is responsible for ordering by `(lamport, writer)`.
     pub fn apply_range(&mut self, page: PageId, writer: usize, hi: u32, diff: &Diff) {
-        let frame = self.frame_mut(page);
+        let mut frame = self.frames.frame_mut(page);
         frame.apply_diff(diff);
         if hi > frame.applied[writer] {
             frame.applied[writer] = hi;
@@ -1111,9 +1135,9 @@ mod tests {
     }
 
     fn write_words(s: &mut DsmState, page: PageId, vals: &[(usize, u64)]) {
-        let frame = s.frame_mut(page);
-        if frame.twin.is_none() {
-            frame.twin = Some(frame.data.clone());
+        let frame = s.frames.frame_mut(page);
+        if frame.meta.twin.is_none() {
+            frame.meta.twin = Some(frame.data.to_vec());
         }
         for &(i, v) in vals {
             frame.data[i] = v;
@@ -1133,9 +1157,9 @@ mod tests {
         assert!(s.dirty.is_empty());
         // Lazy diffing: the twin survives the release; it is dropped only
         // when the diff is materialized by a request.
-        assert!(s.frames[&7].twin.is_some());
+        assert!(s.frames.meta(7).unwrap().twin.is_some());
         // Our own write is considered applied locally.
-        assert_eq!(s.frames[&7].applied[1], 1);
+        assert_eq!(s.frames.applied(7).unwrap()[1], 1);
     }
 
     #[test]
@@ -1159,13 +1183,16 @@ mod tests {
         assert_eq!((open.lo, open.hi), (1, 5));
         // No diff materialized yet, and the single twin is retained.
         assert_eq!(s.stats.diffs_created, 0);
-        assert!(s.frames[&3].twin.is_some());
+        assert!(s.frames.meta(3).unwrap().twin.is_some());
         // Materializing covers all five writes at once.
         let (ranges, us) = s.serve_diffs(3, 1, &CostModel::sp2());
         assert!(us > 0.0);
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0].diff.changed_words(), 5);
-        assert!(s.frames[&3].twin.is_none(), "page re-protected after serve");
+        assert!(
+            s.frames.meta(3).unwrap().twin.is_none(),
+            "page re-protected after serve"
+        );
     }
 
     #[test]
@@ -1202,8 +1229,8 @@ mod tests {
         // an open range exists (dsm.rs does this), before the next
         // epoch's writes land.
         {
-            let frame = s.frames.get_mut(&3).unwrap();
-            frame.published = Some(frame.data.clone());
+            let (data, meta) = s.frames.snapshot_parts(3).unwrap();
+            meta.published = Some(data.to_vec());
         }
         write_words(&mut s, 3, &[(1, 2)]);
         // A wall-clock-time serve while the next epoch is mid-write must
@@ -1214,8 +1241,12 @@ mod tests {
         assert_eq!(ranges[0].diff.changed_positions(), vec![0]);
         // Dirty page: the twin survives the freeze, re-anchored at the
         // served snapshot (the published image is consumed by that).
-        assert!(s.frames[&3].published.is_none());
-        assert_eq!(s.frames[&3].twin.as_ref().unwrap()[0], 1, "re-anchored");
+        assert!(s.frames.meta(3).unwrap().published.is_none());
+        assert_eq!(
+            s.frames.meta(3).unwrap().twin.as_ref().unwrap()[0],
+            1,
+            "re-anchored"
+        );
         // Once the open epoch flushes, its word is served normally — and
         // ONLY its word: the re-anchored baseline keeps the new range
         // disjoint from the one already frozen, so applying it elsewhere
@@ -1225,8 +1256,8 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0].diff.changed_positions(), vec![1]);
         // Clean page after the serve: both buffers retire together.
-        assert!(s.frames[&3].twin.is_none());
-        assert!(s.frames[&3].published.is_none());
+        assert!(s.frames.meta(3).unwrap().twin.is_none());
+        assert!(s.frames.meta(3).unwrap().published.is_none());
     }
 
     #[test]
@@ -1276,12 +1307,15 @@ mod tests {
                 pages: vec![5],
             });
         }
-        assert_eq!(s.missing_by_writer(5), vec![(1, 1)]);
+        let missing = |s: &DsmState| -> Vec<(usize, u32)> {
+            DsmState::missing_by_writer(&s.notices, &s.frames, s.me, 5).collect()
+        };
+        assert_eq!(missing(&s), vec![(1, 1)]);
         // Apply up to seq 2: only seq 3 is missing.
-        s.frame_mut(5).applied[1] = 2;
-        assert_eq!(s.missing_by_writer(5), vec![(1, 3)]);
-        s.frame_mut(5).applied[1] = 3;
-        assert!(s.missing_by_writer(5).is_empty());
+        s.frames.frame_mut(5).applied[1] = 2;
+        assert_eq!(missing(&s), vec![(1, 3)]);
+        s.frames.frame_mut(5).applied[1] = 3;
+        assert!(missing(&s).is_empty());
     }
 
     #[test]
@@ -1462,7 +1496,7 @@ mod tests {
         for r in &ranges {
             s0.apply_range(4, 1, r.hi, &r.diff);
         }
-        assert_eq!(s0.frames[&4].data[2], 77);
-        assert_eq!(s0.frames[&4].applied[1], 1);
+        assert_eq!(s0.frames.data(4).unwrap()[2], 77);
+        assert_eq!(s0.frames.applied(4).unwrap()[1], 1);
     }
 }

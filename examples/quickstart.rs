@@ -30,9 +30,10 @@ fn main() {
         tmk.barrier(0);
 
         // Every node now sums the *whole* array: remote pages fault in
-        // on demand and are cached afterwards.
-        let r = tmk.read(data, 0..N);
-        let total: f64 = r.slice().iter().sum();
+        // on demand and are cached afterwards. The view is a window onto
+        // the cached pages, not a copy — it must be dropped before the
+        // next barrier, so it lives in this one expression.
+        let total: f64 = tmk.read(data, 0..N).slice().iter().sum();
 
         tmk.barrier(1);
         let stats = tmk.finish();

@@ -31,20 +31,16 @@ proptest! {
                     }
                 }
             }
-            // Undo our own non-owned slots (write view commits the whole
-            // range, so restore them to the fetched content): instead,
-            // write only our slots via narrow views.
             tmk.barrier(0);
-            let r = tmk.read(a, 0..len);
-            let v: Vec<f64> = r.slice().to_vec();
+            let v: Vec<f64> = tmk.read(a, 0..len).slice().to_vec();
             tmk.barrier(1);
             tmk.finish();
             v
         });
         // NOTE: each node's write view covered the whole range but only
-        // modified its own slots; untouched words committed their fetched
-        // (zero) values, which diff against the twin as "unchanged" and
-        // do not propagate — the multiple-writer guarantee.
+        // stored to its own slots; untouched words still equal the twin,
+        // so they diff as "unchanged" and do not propagate — the
+        // multiple-writer guarantee.
         let expect: Vec<f64> = (0..len)
             .map(|i| {
                 let owner = (i + seed as usize) % nprocs;
@@ -135,8 +131,10 @@ proptest! {
                 tmk.push_at_next_sync(target, a, 0..len);
             }
             tmk.barrier(0);
-            let r = tmk.read(a, 0..len);
-            let ok = (0..len).all(|i| r[i] == i as f64 + 0.5);
+            let ok = {
+                let r = tmk.read(a, 0..len);
+                (0..len).all(|i| r[i] == i as f64 + 0.5)
+            };
             tmk.barrier(1);
             tmk.finish();
             ok

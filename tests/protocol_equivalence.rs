@@ -43,10 +43,14 @@ fn pipeline_bits(
                     let round = ctl.args[0] as usize;
                     let lo = r.start.saturating_sub(17);
                     let hi = (r.end + 17).min(len);
-                    let input = tmk.read(a, lo..hi);
+                    // Views are windows onto the page frames, and a write
+                    // view may overlap no other open view: touch the
+                    // ghost-extended region (its faults are the point),
+                    // then update the own block in place.
+                    drop(tmk.read(a, lo..hi));
                     let mut w = tmk.write(a, r.clone());
                     for i in r {
-                        w[i] = input[i] + (round * 1000 + i) as f64 * 0.5;
+                        w[i] += (round * 1000 + i) as f64 * 0.5;
                     }
                 }
             };
@@ -57,8 +61,9 @@ fn pipeline_bits(
                 }
             });
             tmk.barrier(0);
-            let r = tmk.read(a, 0..len);
-            let bits: Vec<u64> = r.slice().iter().map(|v| v.to_bits()).collect();
+            let view = tmk.read(a, 0..len);
+            let bits: Vec<u64> = view.slice().iter().map(|v| v.to_bits()).collect();
+            drop(view);
             tmk.finish();
             bits
         }
