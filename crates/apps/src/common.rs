@@ -36,16 +36,11 @@ impl Slab {
             data: vec![0.0; rows * ncols],
         }
     }
-
-    /// Slab wrapping an existing buffer (must be `rows * ncols` long).
-    pub fn from_vec(rows: usize, col0: usize, data: Vec<f64>) -> Slab {
-        Slab::over(rows, col0, data)
-    }
 }
 
 impl<D: Deref<Target = [f64]>> Slab<D> {
-    /// Slab over existing storage (must be `rows * ncols` long) — in
-    /// particular over the slice of a DSM view, without copying it.
+    /// Slab over existing storage (must be `rows * ncols` long): an owned
+    /// buffer, or the slice of a DSM view, which is not copied.
     pub fn over(rows: usize, col0: usize, data: D) -> Slab<D> {
         debug_assert_eq!(data.len() % rows, 0);
         Slab { rows, col0, data }

@@ -412,7 +412,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         for part in parts {
             full.extend_from_slice(&part);
         }
-        checksum(&Slab::from_vec(n, 0, full), n)
+        checksum(&Slab::over(n, 0, full), n)
     });
     NodeOut {
         elapsed_us,

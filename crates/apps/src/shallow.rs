@@ -462,11 +462,21 @@ impl DsmShallow {
 
     /// The sequential column wrap: col 0 <- col n for `arrs` (done by the
     /// processor owning column 0 — the master under SPF).
+    ///
+    /// The one place that needs two columns of one array: the source
+    /// column is copied out and its view dropped before the destination
+    /// is opened. Column 0 shares a page with column 1, so opening it
+    /// may merge the owner's block extent — and on one node that extent
+    /// also holds column `n`, which a source view kept open would pin.
     fn col_wrap(&self, tmk: &Tmk, which: &[usize]) {
         for &w in which {
-            let src = self.read(tmk, w, &(self.np1 - 1..self.np1));
-            let mut dst = self.write(tmk, w, &(0..1));
-            dst.slice_mut().copy_from_slice(src.slice());
+            let last = self
+                .read(tmk, w, &(self.np1 - 1..self.np1))
+                .slice()
+                .to_vec();
+            self.write(tmk, w, &(0..1))
+                .slice_mut()
+                .copy_from_slice(&last);
         }
     }
 
@@ -1151,26 +1161,26 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
                 &mut u,
                 &mut v,
                 &mut pp,
-                &Slab::from_vec(
+                &Slab::over(
                     st.np1,
                     jr3.start,
                     (jr3.clone())
                         .flat_map(|j| st.slabs[UNEW].col(j).to_vec())
-                        .collect(),
+                        .collect::<Vec<_>>(),
                 ),
-                &Slab::from_vec(
+                &Slab::over(
                     st.np1,
                     jr3.start,
                     (jr3.clone())
                         .flat_map(|j| st.slabs[VNEW].col(j).to_vec())
-                        .collect(),
+                        .collect::<Vec<_>>(),
                 ),
-                &Slab::from_vec(
+                &Slab::over(
                     st.np1,
                     jr3.start,
                     (jr3.clone())
                         .flat_map(|j| st.slabs[PNEW].col(j).to_vec())
-                        .collect(),
+                        .collect::<Vec<_>>(),
                 ),
                 &mut uo,
                 &mut vo,

@@ -18,6 +18,7 @@ use sp2sim::{MsgKind, Node, Port, ServiceHandle, SpanKind, WordReader, WordWrite
 
 use crate::config::{ProtocolMode, TmkConfig};
 use crate::diff::Diff;
+use crate::page::Window;
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag, DiffReqEntry};
 use crate::service::{forward_reduce, service_loop};
@@ -335,22 +336,40 @@ impl<'n> Tmk<'n> {
     /// pages in the range fault: missing diffs are fetched from their
     /// writers and applied, with all costs charged as the paper describes.
     /// The view is a window onto the page frames and must be dropped
-    /// before this node's next consistency action.
+    /// before this node's next consistency action. While it is held,
+    /// views of other arrays open freely; for a second view of the same
+    /// array see "Invariants" in [`crate::page`] — open the view over
+    /// both ranges first, or copy this one out and drop it.
     pub fn read(&self, arr: SharedArray, range: Range<usize>) -> ReadView<'_> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         let mut st = self.fault_range(wlo, whi, false);
-        ReadView::open(&self.state, &mut st, wlo, whi, range.start)
+        ReadView(Window::open(
+            &self.state,
+            &mut st,
+            wlo,
+            whi,
+            range.start,
+            false,
+        ))
     }
 
     /// Open a write view of `range`. Pages are made consistent first (a
     /// write fault fetches the current content, like the original system),
     /// then write-enabled: a twin is saved per page for later diffing.
     /// Stores through the view land in the page frames directly; its
-    /// range may overlap no other open view.
+    /// range may overlap no other open view, and like a read view it
+    /// pins its extent (see [`Tmk::read`]).
     pub fn write(&self, arr: SharedArray, range: Range<usize>) -> WriteView<'_> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         let mut st = self.fault_range(wlo, whi, true);
-        WriteView::open(&self.state, &mut st, wlo, whi, range.start)
+        WriteView(Window::open(
+            &self.state,
+            &mut st,
+            wlo,
+            whi,
+            range.start,
+            true,
+        ))
     }
 
     /// Invariant 3 of [`crate::page`]: no view may be open across the
@@ -619,27 +638,24 @@ impl<'n> Tmk<'n> {
         }
         if write {
             for p in p0..=p1 {
-                let has_open = st.diffs.get(&p).is_some_and(|d| d.open.is_some());
-                let (data, meta) = st
+                // A page without a twin takes a write fault: the twin is
+                // saved for later diffing, in a pooled buffer when the
+                // arena has one. Re-dirtying a twinned page whose
+                // un-materialized diff range is still open snapshots the
+                // published image instead, before this epoch's writes
+                // land, so a wall-clock-time `serve_diffs` on the service
+                // thread serves exactly the flushed content — host
+                // bookkeeping only: the simulated fault already paid for
+                // this page, so no virtual time charge.
+                let diff_open = st.diffs.get(&p).is_some_and(|d| d.open.is_some());
+                let (scratch, stats) = (&mut st.scratch, &mut st.stats);
+                let twinned = st
                     .frames
-                    .snapshot_parts(p)
-                    .expect("phase 1 covered every page in range");
-                if meta.twin.is_none() {
-                    // Write fault: save a twin for later diffing,
-                    // reusing a pooled buffer when the arena has one.
-                    meta.twin = Some(st.scratch.take_copy(data, &mut st.stats));
+                    .write_enable(p, diff_open, |words| scratch.take_copy(words, stats));
+                if twinned {
                     us += cost.page_fault_us + cost.twin_us;
                     st.stats.faults += 1;
                     st.stats.twins += 1;
-                } else if has_open && meta.published.is_none() {
-                    // Re-dirtying a page whose un-materialized diff
-                    // range is still open: snapshot the published
-                    // image now, before this epoch's writes land, so
-                    // a wall-clock-time `serve_diffs` on the service
-                    // thread serves exactly the flushed content. Host
-                    // bookkeeping only — the simulated fault already
-                    // paid for this page, so no virtual time charge.
-                    meta.published = Some(data.to_vec());
                 }
                 st.dirty.insert(p);
             }

@@ -21,14 +21,15 @@
 //!
 //! All `unsafe` of the DSM is in this module and rests on four
 //! invariants. The first three are checked at run time, in release
-//! builds too — each check is O(open views), and no application holds
-//! more than three views at once:
+//! builds too. Each check scans the open views: about ten in the
+//! applications' timed loops (Shallow's second step holds ten), and one
+//! per column in the MGS checksum after them:
 //!
 //! 1. **Pinning.** An open view pins the extent under it. Replacing a
 //!    pinned extent (a merge) panics, naming both ranges; so an extent's
 //!    allocation outlives, unmoved, every view into it.
 //! 2. **No aliasing.** A `WriteView`'s word range overlaps the word range
-//!    of no other open view ([`FrameStore::open_view`] panics otherwise).
+//!    of no other open view (`FrameStore::open_view` panics otherwise).
 //!    Two views may share a *page* as long as they share no word.
 //! 3. **No view across a consistency action.** Whatever integrates
 //!    intervals, receives pushes or publishes asserts that no view is
@@ -49,11 +50,24 @@
 //!    in time. The service side never forms a `&mut [u64]` over extent
 //!    memory.
 //!
-//! One rule the run time cannot see is left to callers: a `&mut [f64]`
-//! borrowed from [`WriteView::slice_mut`] must not be held while another
-//! view that shares a page with it is *opened*, because write-enabling
-//! copies the whole page into its twin. Indexing and short-lived slices
-//! never do that; no application here does.
+//! Invariant 1 makes the order of opens matter when two views of **one
+//! array** are held together. Views of different arrays never interact
+//! (arrays start on page boundaries, and no extent spans two). A second
+//! view of the same array is safe when its pages already lie in one
+//! extent — a view spanning them was opened before — or touch no extent
+//! that an open view pins. When it shares a page with a pinned extent
+//! and reaches beyond it, the extent would have to move, and which
+//! extents earlier accesses left behind depends on the partition and on
+//! the page size. So a program that needs two such ranges opens the view
+//! over both first, or copies the smaller range out and drops its view
+//! (Shallow's column wrap does); `tests/view_semantics.rs` runs every
+//! application version across node counts and page sizes to hold that.
+//!
+//! Opening a view may copy a page that a held view shares — the twin or
+//! the published image of a write fault ([`FrameStore::write_enable`]).
+//! The copy reads the page only when no held `WriteView` covers any of
+//! it, so a `&mut [f64]` still borrowed from
+//! [`WriteView::slice_mut`] is never read behind its back.
 
 use std::ops::{Index, IndexMut};
 use std::ptr::NonNull;
@@ -262,12 +276,7 @@ impl FrameStore {
         }
     }
 
-    /// Index of the extent holding `page`, and the page's index in it.
-    fn find(&self, page: PageId) -> Option<(usize, usize)> {
-        self.locate(page).ok()
-    }
-
-    /// Like [`FrameStore::find`], creating a one-page extent when no
+    /// Like [`FrameStore::locate`], creating a one-page extent when no
     /// extent holds `page`. Never moves an existing extent.
     fn find_or_create(&mut self, page: PageId) -> (usize, usize) {
         self.locate(page).unwrap_or_else(|at| {
@@ -277,17 +286,17 @@ impl FrameStore {
         })
     }
 
-    /// The open view, if any, whose page span includes `page`.
-    fn view_over(&self, page: PageId) -> Option<&OpenView> {
+    /// The open views whose page span includes `page`.
+    fn views_over(&self, page: PageId) -> impl Iterator<Item = &OpenView> {
         let pw = self.page_words;
         self.views
             .iter()
-            .find(|v| v.wlo / pw <= page && page <= (v.whi - 1) / pw)
+            .filter(move |v| v.wlo / pw <= page && page <= (v.whi - 1) / pw)
     }
 
     /// The words of `page`, if it has a frame.
     pub fn data(&self, page: PageId) -> Option<&[u64]> {
-        let (i, k) = self.find(page)?;
+        let (i, k) = self.locate(page).ok()?;
         let e = &self.extents[i];
         // SAFETY: `k` is a page index inside the extent, so the range is
         // inside its live allocation, and the borrow of `self` keeps the
@@ -303,38 +312,69 @@ impl FrameStore {
 
     /// The per-writer applied watermarks of `page`, if it has a frame.
     pub fn applied(&self, page: PageId) -> Option<&[u32]> {
-        let (i, k) = self.find(page)?;
+        let (i, k) = self.locate(page).ok()?;
         Some(&self.extents[i].applied[k * self.nprocs..(k + 1) * self.nprocs])
     }
 
     /// Twin and published image of `page`, if it has a frame.
     #[cfg(test)]
     pub(crate) fn meta(&self, page: PageId) -> Option<&PageMeta> {
-        let (i, k) = self.find(page)?;
+        let (i, k) = self.locate(page).ok()?;
         Some(&self.extents[i].meta[k])
     }
 
     /// Mutable twin and published image of `page` — no access to its
     /// words, so the service thread may use it at any time.
     pub fn meta_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
-        let (i, k) = self.find(page)?;
+        let (i, k) = self.locate(page).ok()?;
         Some(&mut self.extents[i].meta[k])
     }
 
-    /// Read-only words plus mutable bookkeeping of `page` — what a write
-    /// fault needs to save a twin or a published image. Unlike
-    /// [`FrameStore::frame_mut`] this is allowed under an open view: the
-    /// copies only read.
-    pub fn snapshot_parts(&mut self, page: PageId) -> Option<(&[u64], &mut PageMeta)> {
-        let (i, k) = self.find(page)?;
+    /// Write-enable `page`, which must have a frame, at a write fault:
+    /// save a twin — made by `copy`, which may reuse a pooled buffer — if
+    /// the page has none, and say so by returning true; or else, when
+    /// `diff_open` says its un-materialized diff range is still open and
+    /// no published image exists yet, save that image. Unlike
+    /// [`FrameStore::frame_mut`] this is allowed on a page under an open
+    /// view: it only reads the words, and only in the two cases that
+    /// copy.
+    ///
+    /// # Panics
+    /// When it has to copy a page that an open `WriteView` covers.
+    /// That view's own write fault saved the twin — and the image, if the
+    /// range was open — and invariant 3 rules out a flush since, so this
+    /// is unreachable unless the bookkeeping is broken.
+    pub fn write_enable(
+        &mut self,
+        page: PageId,
+        diff_open: bool,
+        copy: impl FnOnce(&[u64]) -> Vec<u64>,
+    ) -> bool {
+        let (i, k) = self.locate(page).expect("a write fault covers its pages");
+        let meta = &self.extents[i].meta[k];
+        let twinned = meta.twin.is_some();
+        if twinned && !(diff_open && meta.published.is_none()) {
+            return false;
+        }
+        if let Some(v) = self.views_over(page).find(|v| v.write) {
+            panic!(
+                "write fault copies page {page} under the open write view over words {}..{}",
+                v.wlo, v.whi
+            );
+        }
         let pw = self.page_words;
         let e = &mut self.extents[i];
-        // SAFETY: in bounds and kept alive as in `data`. Another open view
-        // may cover words of this page, but a shared slice only conflicts
-        // with a live `&mut [f64]` of a `WriteView`, which callers do not
-        // hold across a view open (module docs, last paragraph).
+        // SAFETY: in bounds and kept alive as in `data`. Read views may
+        // cover words of this page — shared with shared is fine; no
+        // write view does (checked above), so no `&mut [f64]` over these
+        // words exists, and protocol writers need `&mut self`.
         let data = unsafe { std::slice::from_raw_parts(e.words.as_ptr().add(k * pw), pw) };
-        Some((data, &mut e.meta[k]))
+        if twinned {
+            e.meta[k].published = Some(data.to_vec());
+        } else {
+            e.meta[k].twin = Some(copy(data));
+        }
+        !twinned
     }
 
     /// The frame of `page` for a protocol update (diff apply, page
@@ -344,7 +384,7 @@ impl FrameStore {
     /// # Panics
     /// When `page` lies under an open view (invariant 3).
     pub fn frame_mut(&mut self, page: PageId) -> Frame<'_> {
-        if let Some(v) = self.view_over(page) {
+        if let Some(v) = self.views_over(page).next() {
             panic!(
                 "protocol update of page {page} under an open view over words {}..{}: \
                  drop the view before the consistency action",
@@ -392,7 +432,8 @@ impl FrameStore {
             if let Some(v) = pinned {
                 panic!(
                     "view over pages {p0}..={p1} needs the extent of pages {}..{} moved, \
-                     which an open view over words {}..{} pins: open the wider view first",
+                     which an open view over words {}..{} pins: open the wider view first, \
+                     or copy the held range out and drop its view",
                     e.first_page,
                     e.end_page(),
                     v.wlo,
@@ -431,7 +472,7 @@ impl FrameStore {
         }
         let pw = self.page_words;
         let (i, _) = self
-            .find(wlo / pw)
+            .locate(wlo / pw)
             .expect("cover() ran before the view is opened");
         let e = &self.extents[i];
         let off = wlo - e.first_page * pw;
@@ -472,9 +513,8 @@ impl FrameStore {
     }
 }
 
-/// The part shared by both view types: where the words are, and how to
-/// unpin them.
-struct Window<'t> {
+/// What both view types are: where the words are, and how to unpin them.
+pub(crate) struct Window<'t> {
     state: &'t Mutex<DsmState>,
     ptr: NonNull<f64>,
     len: usize,
@@ -487,7 +527,9 @@ struct Window<'t> {
 impl<'t> Window<'t> {
     /// Open a window onto global words `wlo..whi` of `st`, the state
     /// behind `state` (locked by the caller), indexed from element `lo`.
-    fn open(
+    /// The fault engine in `dsm.rs` is the caller, after it has made the
+    /// pages consistent and, for `write`, write-enabled them.
+    pub(crate) fn open(
         state: &'t Mutex<DsmState>,
         st: &mut DsmState,
         wlo: usize,
@@ -535,20 +577,9 @@ impl Drop for Window<'_> {
 /// **global** element index. The pages under it were made consistent
 /// when it was opened; it must be dropped before the next consistency
 /// action (barrier, lock operation, fork/join, validate, broadcast).
-pub struct ReadView<'t>(Window<'t>);
+pub struct ReadView<'t>(pub(crate) Window<'t>);
 
-impl<'t> ReadView<'t> {
-    /// See [`Window::open`]; the fault engine in `dsm.rs` is the caller.
-    pub(crate) fn open(
-        state: &'t Mutex<DsmState>,
-        st: &mut DsmState,
-        wlo: usize,
-        whi: usize,
-        lo: usize,
-    ) -> ReadView<'t> {
-        ReadView(Window::open(state, st, wlo, whi, lo, false))
-    }
-
+impl ReadView<'_> {
     /// First global index covered.
     pub fn start(&self) -> usize {
         self.0.lo
@@ -575,20 +606,9 @@ impl Index<usize> for ReadView<'_> {
 /// page frames directly and dropping the view copies nothing. It must be
 /// dropped before the next consistency action, and its range may overlap
 /// no other open view.
-pub struct WriteView<'t>(Window<'t>);
+pub struct WriteView<'t>(pub(crate) Window<'t>);
 
-impl<'t> WriteView<'t> {
-    /// See [`Window::open`]; the fault engine in `dsm.rs` is the caller.
-    pub(crate) fn open(
-        state: &'t Mutex<DsmState>,
-        st: &mut DsmState,
-        wlo: usize,
-        whi: usize,
-        lo: usize,
-    ) -> WriteView<'t> {
-        WriteView(Window::open(state, st, wlo, whi, lo, true))
-    }
-
+impl WriteView<'_> {
     /// First global index covered.
     pub fn start(&self) -> usize {
         self.0.lo
@@ -770,6 +790,40 @@ mod tests {
         s.cover(0, 0);
         s.open_view(0, 4, true);
         s.assert_quiescent("barrier");
+    }
+
+    #[test]
+    fn write_enable_twins_once_and_reads_nothing_of_a_twinned_page() {
+        let mut s = store();
+        s.frame_mut(0).data[2] = 5;
+        assert!(s.write_enable(0, false, |words| words.to_vec()));
+        assert_eq!(s.meta(0).unwrap().twin.as_ref().unwrap()[2], 5);
+        // Twinned, nothing open: no copy — and so no read of the page,
+        // which a second write view sharing it relies on.
+        let _w = s.open_view(0, 4, true);
+        assert!(!s.write_enable(0, false, |_| unreachable!("twinned")));
+        assert!(s.meta(0).unwrap().published.is_none());
+    }
+
+    #[test]
+    fn write_enable_saves_the_published_image_while_the_diff_range_is_open() {
+        let mut s = store();
+        s.frame_mut(0).data[2] = 5;
+        assert!(s.write_enable(0, true, |words| words.to_vec()));
+        assert!(s.meta(0).unwrap().published.is_none(), "the twin is enough");
+        assert!(!s.write_enable(0, true, |_| unreachable!("twinned")));
+        assert_eq!(s.meta(0).unwrap().published.as_ref().unwrap()[2], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "write fault copies page 0 under the open write view")]
+    fn a_write_fault_copy_under_a_write_view_panics() {
+        let mut s = store();
+        s.cover(0, 0);
+        // A write view registered without its write fault: bookkeeping
+        // the fault engine never produces.
+        s.open_view(0, 4, true);
+        s.write_enable(0, false, |words| words.to_vec());
     }
 
     #[test]

@@ -1228,10 +1228,7 @@ mod tests {
         // Re-dirty fault: the write-enable path snapshots the page while
         // an open range exists (dsm.rs does this), before the next
         // epoch's writes land.
-        {
-            let (data, meta) = s.frames.snapshot_parts(3).unwrap();
-            meta.published = Some(data.to_vec());
-        }
+        assert!(!s.frames.write_enable(3, true, |_| unreachable!("twinned")));
         write_words(&mut s, 3, &[(1, 2)]);
         // A wall-clock-time serve while the next epoch is mid-write must
         // not leak word 1 backward through virtual time.
