@@ -437,7 +437,20 @@ pub fn run_on(
     scale: f64,
     cfg: TmkConfig,
 ) -> RunResult {
-    let p = params(scale);
+    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
+}
+
+/// Like [`run_on`], with the grid edge and iteration count given
+/// directly instead of derived from `scale` (which is only recorded):
+/// lets a test vary the iteration count at a fixed grid.
+pub fn run_params_on(
+    engine: EngineKind,
+    version: Version,
+    nprocs: usize,
+    scale: f64,
+    p: Params,
+    cfg: TmkConfig,
+) -> RunResult {
     let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
     let (outs, trace) = match version {
         Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),

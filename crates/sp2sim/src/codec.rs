@@ -60,6 +60,13 @@ impl WordWriter {
         self
     }
 
+    /// Append a word slice as is (no length prefix): for payloads whose
+    /// own framing says where they end.
+    pub fn put_raw(&mut self, ws: &[u64]) -> &mut Self {
+        self.buf.extend_from_slice(ws);
+        self
+    }
+
     /// Number of words written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -76,7 +83,10 @@ impl WordWriter {
     }
 }
 
-/// Sequential reader over a word-encoded message.
+/// Sequential reader over a word-encoded message. Cloning it gives a
+/// second cursor at the same position (a decoder can scan ahead on the
+/// clone and then consume what it measured).
+#[derive(Clone)]
 pub struct WordReader<'a> {
     buf: &'a [u64],
     pos: usize,
@@ -116,6 +126,15 @@ impl<'a> WordReader<'a> {
         s
     }
 
+    /// The next `n` words (borrowed, zero-copy): the inverse of
+    /// [`WordWriter::put_raw`]. Panics if fewer remain, like
+    /// [`WordReader::get`] on an exhausted message.
+    pub fn take(&mut self, n: usize) -> &'a [u64] {
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        s
+    }
+
     /// Words remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -148,6 +167,29 @@ mod tests {
         assert_eq!(r.get_f64(), 2.5);
         assert_eq!(r.get_words(), &[9, 8, 7]);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn raw_words_roundtrip_without_a_prefix() {
+        let mut w = WordWriter::new();
+        w.put(1).put_raw(&[9, 8, 7]).put(2);
+        let buf = w.finish();
+        assert_eq!(buf, vec![1, 9, 8, 7, 2]);
+        let mut r = WordReader::new(&buf);
+        assert_eq!(r.get(), 1);
+        let mut ahead = r.clone();
+        assert_eq!(ahead.take(3), &[9, 8, 7]);
+        assert_eq!(r.remaining(), 4, "the clone is its own cursor");
+        assert_eq!(r.take(3), &[9, 8, 7]);
+        assert_eq!(r.get(), 2);
+        assert!(r.take(0).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn take_past_the_end_panics() {
+        let buf = vec![1u64, 2];
+        WordReader::new(&buf).take(3);
     }
 
     #[test]

@@ -19,8 +19,14 @@
 //! checked when the fiber completes, turning a silent overflow into a
 //! loud panic. The default stack is 1 MiB, overridable through the
 //! `SP2SIM_FIBER_STACK_KIB` environment variable.
+//!
+//! A sweep runs thousands of short clusters on one thread, each wanting
+//! the same 16 stacks, so completed fibers park their stacks in a
+//! thread-local list ([`Fiber::recycle`]) and [`Fiber::new`] takes from
+//! it before asking the allocator.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::mem::MaybeUninit;
 
 /// Stack size fallback (bytes).
 const DEFAULT_STACK_BYTES: usize = 1 << 20;
@@ -30,6 +36,32 @@ const CANARY: u128 = 0xDEAD_FACE_CAFE_F00D_DEAD_FACE_CAFE_F00D;
 
 /// Number of canary words guarding the stack end.
 const CANARY_WORDS: usize = 4;
+
+/// A fiber's backing store.
+type Stack = Box<[MaybeUninit<u128>]>;
+
+/// Most stacks a thread keeps parked: the nodes and service loops of a
+/// 16-node cluster.
+const MAX_SPARE_STACKS: usize = 32;
+
+thread_local! {
+    /// Stacks of completed fibers, ready for this thread's next cluster.
+    static SPARE_STACKS: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A stack of `words` words: a parked one when there is one, else a
+/// fresh allocation. Parked stacks of another size — the configured
+/// size changed between runs — are freed on the way.
+fn take_stack(words: usize) -> Stack {
+    SPARE_STACKS.with_borrow_mut(|spare| {
+        while let Some(stack) = spare.pop() {
+            if stack.len() == words {
+                return stack;
+            }
+        }
+        Box::new_uninit_slice(words)
+    })
+}
 
 /// Configured stack size in bytes.
 pub(crate) fn stack_bytes() -> usize {
@@ -52,7 +84,7 @@ pub(crate) struct Fiber {
     /// canary words and the initial context are written): the pages are
     /// faulted in lazily by actual stack use, so a deep stack reserve
     /// costs nothing per fiber.
-    stack: Box<[std::mem::MaybeUninit<u128>]>,
+    stack: Stack,
     /// Saved stack pointer while the fiber is suspended.
     sp: Cell<*mut u8>,
 }
@@ -74,7 +106,8 @@ impl Fiber {
     /// engine teardown — before the borrowed data goes away).
     pub(crate) unsafe fn new(body: Box<dyn FnOnce()>) -> Fiber {
         let words = stack_bytes() / std::mem::size_of::<u128>();
-        let mut stack = Box::new_uninit_slice(words);
+        let mut stack = take_stack(words);
+        // A recycled stack gets its canary rewritten like a fresh one.
         for w in stack.iter_mut().take(CANARY_WORDS) {
             w.write(CANARY);
         }
@@ -109,6 +142,18 @@ impl Fiber {
     /// Must be called from code currently running *on this fiber*.
     pub(crate) unsafe fn suspend_into(&self, to: &ContextSlot) {
         arch::fiber_switch(self.sp.as_ptr(), to.sp.get());
+    }
+
+    /// Park a completed fiber's stack for this thread's next
+    /// [`Fiber::new`] (or free it, when enough are parked already).
+    /// Only for fibers that ran to completion: nothing lives on the
+    /// stack any more.
+    pub(crate) fn recycle(self) {
+        SPARE_STACKS.with_borrow_mut(|spare| {
+            if spare.len() < MAX_SPARE_STACKS {
+                spare.push(self.stack);
+            }
+        });
     }
 
     /// Verify the stack canary; called when the fiber has completed.
@@ -310,6 +355,12 @@ mod arch {
     }
 }
 
+/// Addresses of this thread's parked stacks (test observability).
+#[cfg(test)]
+pub(crate) fn spare_stack_addrs() -> Vec<usize> {
+    SPARE_STACKS.with_borrow(|spare| spare.iter().map(|s| s.as_ptr() as usize).collect())
+}
+
 #[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod tests {
     use super::*;
@@ -373,5 +424,60 @@ mod tests {
         }
         unsafe { fiber.borrow().as_ref().expect("set").resume(&main) };
         assert_eq!(*out.borrow(), expect);
+    }
+
+    /// A fiber whose body did nothing but switch out for good.
+    fn spent_fiber() -> Fiber {
+        let main = Rc::new(ContextSlot::new());
+        // The body finds its own fiber through a pointer (not a
+        // `RefCell` borrow, which it would hold forever once suspended).
+        let this: Rc<Cell<*const Fiber>> = Rc::new(Cell::new(std::ptr::null()));
+        let (main2, this2) = (Rc::clone(&main), Rc::clone(&this));
+        let body = Box::new(move || unsafe { (*this2.get()).suspend_into(&main2) });
+        let fiber = Box::new(unsafe { Fiber::new(body) });
+        this.set(&*fiber);
+        unsafe { fiber.resume(&main) };
+        fiber.check_canary();
+        *fiber
+    }
+
+    #[test]
+    fn recycled_stack_is_reused_with_a_fresh_canary() {
+        // Own thread: the spare list is thread-local and other tests
+        // of this binary park stacks too.
+        std::thread::spawn(|| {
+            let first = spent_fiber();
+            let addr = first.stack.as_ptr() as usize;
+            first.recycle();
+            assert_eq!(spare_stack_addrs(), vec![addr]);
+            // Clobber the parked canary: reuse must rewrite it.
+            SPARE_STACKS.with_borrow_mut(|spare| {
+                spare[0][0].write(0);
+            });
+            let second = spent_fiber();
+            assert_eq!(second.stack.as_ptr() as usize, addr, "same allocation");
+            assert!(spare_stack_addrs().is_empty());
+            second.recycle();
+
+            // A parked stack of another size is discarded, not reused.
+            SPARE_STACKS.with_borrow_mut(|spare| {
+                spare[0] = Box::new_uninit_slice(1024);
+            });
+            let third = spent_fiber();
+            assert_eq!(third.stack.len() * 16, stack_bytes());
+            assert!(spare_stack_addrs().is_empty());
+
+            // The list is bounded.
+            for _ in 0..MAX_SPARE_STACKS + 3 {
+                Fiber {
+                    stack: Box::new_uninit_slice(64),
+                    sp: Cell::new(std::ptr::null_mut()),
+                }
+                .recycle();
+            }
+            assert_eq!(spare_stack_addrs().len(), MAX_SPARE_STACKS);
+        })
+        .join()
+        .expect("test thread");
     }
 }

@@ -484,9 +484,14 @@ where
     let finals: Vec<VTime> = s.finals.iter().map(|&b| VTime::from_bits(b)).collect();
     drop(s);
     let elapsed = finals.iter().copied().fold(VTime::ZERO, VTime::max);
-    // All fibers completed: verify no stack overflowed silently.
-    for fiber in unsafe { &*fabric.fibers.get() }.iter().flatten() {
+    // All fibers completed: verify no stack overflowed silently, then
+    // park the stacks for this thread's next run. (On the panic path
+    // above, unfinished fibers' stacks are never handed back.)
+    // SAFETY: the scheduler loop has returned, so nothing else touches
+    // the fiber table, and this is the engine's thread.
+    for fiber in unsafe { &mut *fabric.fibers.get() }.drain(..).flatten() {
         fiber.check_canary();
+        fiber.recycle();
     }
     let trace = fabric
         .trace
@@ -497,5 +502,40 @@ where
         elapsed,
         stats: fabric.stats.snapshot(),
         trace,
+    }
+}
+
+#[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
+mod tests {
+    use super::super::fiber::spare_stack_addrs;
+    use crate::{Cluster, ClusterConfig, EngineKind};
+
+    /// Two runs on one thread: the second takes its fiber stacks — node
+    /// closures and service loops alike — from the ones the first
+    /// parked, and hands the same allocations back.
+    #[test]
+    fn cluster_runs_on_one_thread_reuse_their_fiber_stacks() {
+        let run = || {
+            Cluster::run(ClusterConfig::sp2_on(3, EngineKind::Sequential), |node| {
+                let h = node.spawn_service(|| {});
+                node.join_service(h);
+                node.id()
+            })
+        };
+        // Own thread: the spare list is thread-local, and the harness
+        // may have run other clusters on this one.
+        std::thread::spawn(move || {
+            assert!(spare_stack_addrs().is_empty());
+            run();
+            let mut first = spare_stack_addrs();
+            assert_eq!(first.len(), 6, "3 nodes + 3 service loops parked");
+            run();
+            let mut second = spare_stack_addrs();
+            first.sort_unstable();
+            second.sort_unstable();
+            assert_eq!(first, second, "no stack was allocated for the second run");
+        })
+        .join()
+        .expect("test thread");
     }
 }

@@ -280,22 +280,22 @@ impl<'n> Tmk<'n> {
         // forever (the NBF/HLRC threaded deadlock).
         let flush_us = {
             let mut st = self.state.lock();
-            let pages: Vec<usize> = if self.hlrc() {
-                st.dirty.iter().copied().collect()
-            } else {
-                Vec::new()
+            let (flush_us, interval) = st.flush(cost);
+            // Under HLRC every page of the new interval goes to its home.
+            let flushed = match &interval {
+                Some(iv) if self.hlrc() => &iv.pages[..],
+                _ => &[],
             };
-            let flush_us = st.flush(cost);
             let seq = st.vc[me];
-            for p in pages {
+            for &p in flushed {
                 let home = st.home_of(p);
-                let (ranges, f_us) = st.serve_diffs(p, seq, cost);
-                us += f_us;
+                us += st.freeze(p, seq, cost);
+                let newest = st.newest_frozen(p, seq).cloned();
                 trace!(
-                    "[{me}] publish: page {p} seq {seq} home {home} ranges {:?}",
-                    ranges.iter().map(|r| (r.lo, r.hi)).collect::<Vec<_>>()
+                    "[{me}] publish: page {p} seq {seq} home {home} range {:?}",
+                    newest.as_ref().map(|r| (r.lo, r.hi))
                 );
-                if let Some(r) = ranges.into_iter().next_back() {
+                if let Some(r) = newest {
                     if home == me {
                         // We are the home: buffer our own published range
                         // into the home copy locally — no message. (The
@@ -443,11 +443,14 @@ impl<'n> Tmk<'n> {
             let st = &mut *guard;
             st.stats.validates += 1;
             for &p in &pages {
-                let mut missing =
-                    DsmState::missing_by_writer(&st.notices, &st.frames, st.me, p).peekable();
+                // No row: no notice names the page.
+                let Some(row) = st.pages.get_mut(p) else {
+                    continue;
+                };
+                let mut missing = row.notices.missing(st.me, st.frames.applied(p)).peekable();
                 if missing.peek().is_some() {
                     missing_pages += 1;
-                    st.page_prof.entry(p).or_default().faults += 1;
+                    row.prof.faults += 1;
                     if self.hlrc() {
                         hlrc_pages.push(p);
                         continue;
@@ -555,11 +558,14 @@ impl<'n> Tmk<'n> {
             st.frames.cover(p0, p1);
             let mut faulted_pages = 0u64;
             for p in p0..=p1 {
-                let mut missing =
-                    DsmState::missing_by_writer(&st.notices, &st.frames, st.me, p).peekable();
+                // No row: no notice names the page.
+                let Some(row) = st.pages.get_mut(p) else {
+                    continue;
+                };
+                let mut missing = row.notices.missing(st.me, st.frames.applied(p)).peekable();
                 if missing.peek().is_some() {
                     faulted_pages += 1;
-                    st.page_prof.entry(p).or_default().faults += 1;
+                    row.prof.faults += 1;
                     if self.hlrc() {
                         missing_pages.push(p);
                     } else {
@@ -643,11 +649,11 @@ impl<'n> Tmk<'n> {
                 // arena has one. Re-dirtying a twinned page whose
                 // un-materialized diff range is still open snapshots the
                 // published image instead, before this epoch's writes
-                // land, so a wall-clock-time `serve_diffs` on the service
+                // land, so a wall-clock-time `freeze` on the service
                 // thread serves exactly the flushed content — host
                 // bookkeeping only: the simulated fault already paid for
                 // this page, so no virtual time charge.
-                let diff_open = st.diffs.get(&p).is_some_and(|d| d.open.is_some());
+                let diff_open = st.pages.get(p).is_some_and(|r| r.diffs.open.is_some());
                 let (scratch, stats) = (&mut st.scratch, &mut st.stats);
                 let twinned = st
                     .frames
@@ -680,35 +686,33 @@ impl<'n> Tmk<'n> {
             .trace_span(SpanKind::HomeFetch, pages.len() as u32);
         let cost = self.node.cost();
         let pw = self.cfg.page_words;
-        let groups: BTreeMap<usize, Vec<protocol::PageReqEntry>> = {
+        let groups: BTreeMap<usize, protocol::PageReqEntries> = {
             let st = self.state.lock();
-            let mut g: BTreeMap<usize, Vec<protocol::PageReqEntry>> = BTreeMap::new();
+            let mut g: BTreeMap<usize, protocol::PageReqEntries> = BTreeMap::new();
             for &p in pages {
-                g.entry(st.home_of(p))
-                    .or_default()
-                    .push(protocol::PageReqEntry {
-                        page: p,
-                        required: st.required_watermarks(p),
-                    });
+                let entries = g
+                    .entry(st.home_of(p))
+                    .or_insert_with(|| protocol::PageReqEntries::new(st.n));
+                st.required_watermarks(p, entries.push(p));
             }
             g
         };
         let mut outstanding: Vec<(usize, u32)> = Vec::new();
         for (home, entries) in &groups {
-            for e in entries {
+            for (page, required) in entries.iter() {
                 trace!(
                     "[{}] page-req plan: page {} home {} required {:?}",
                     self.proc_id(),
-                    e.page,
+                    page,
                     home,
-                    e.required
+                    required
                 );
             }
             if aggregated {
-                outstanding.push((*home, self.send_page_req(*home, entries)));
+                outstanding.push((*home, self.send_page_req(*home, entries.iter())));
             } else {
-                for e in entries {
-                    outstanding.push((*home, self.send_page_req(*home, std::slice::from_ref(e))));
+                for e in entries.iter() {
+                    outstanding.push((*home, self.send_page_req(*home, std::iter::once(e))));
                 }
             }
         }
@@ -741,7 +745,7 @@ impl<'n> Tmk<'n> {
             }
             frame.raise_applied(&e.applied);
             st.stats.page_fetches += 1;
-            st.page_prof.entry(e.page).or_default().page_fetches += 1;
+            st.pages.row(e.page).prof.page_fetches += 1;
             us += cost.diff_apply_us(pw);
         }
         drop(guard);
@@ -751,7 +755,11 @@ impl<'n> Tmk<'n> {
         }
     }
 
-    fn send_page_req(&self, home: usize, entries: &[protocol::PageReqEntry]) -> u32 {
+    fn send_page_req<'a>(
+        &self,
+        home: usize,
+        entries: impl ExactSizeIterator<Item = (usize, &'a [u32])>,
+    ) -> u32 {
         let id = self.req_seq.get();
         self.req_seq.set(id.wrapping_add(1));
         let payload = protocol::encode_page_fetch_req(id, self.proc_id(), entries);
@@ -1110,46 +1118,49 @@ impl<'n> Tmk<'n> {
         let hlrc = self.hlrc();
         for (target, pages) in groups {
             let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
-            let mut copies: Vec<protocol::PageRespEntry> = Vec::new();
             let mut us = 0.0;
-            {
+            let payload = {
                 let mut st = self.state.lock();
                 for p in pages {
                     let last = st.vc[st.me];
-                    let (ranges, f_us) = st.serve_diffs(p, last, cost);
-                    us += f_us;
-                    if let Some(r) = ranges.into_iter().next_back() {
+                    us += st.freeze(p, last, cost);
+                    if let Some(r) = st.newest_frozen(p, last).cloned() {
                         st.stats.pages_pushed += 1;
                         diffs.push((p, r));
-                        if hlrc {
-                            let frames = &st.frames;
-                            copies.push(protocol::PageRespEntry {
-                                page: p,
-                                applied: frames
-                                    .applied(p)
-                                    .expect("pushed page has a frame")
-                                    .to_vec(),
-                                data: frames.data(p).expect("pushed page has a frame").to_vec(),
-                            });
-                        }
                     }
                 }
-            }
+                // The page copies go from the frames straight into the
+                // message, in the same critical section that froze them.
+                (!diffs.is_empty()).then(|| {
+                    let mut words = 1 + protocol::diff_entries_words(&diffs);
+                    if hlrc {
+                        words += protocol::page_resp_words(diffs.len(), n, self.cfg.page_words);
+                    }
+                    let mut w = WordWriter::with_capacity(words);
+                    w.put(if hlrc {
+                        PUSH_MODE_PAGES
+                    } else {
+                        PUSH_MODE_DIFFS
+                    });
+                    protocol::encode_diff_entries(&mut w, &diffs);
+                    if hlrc {
+                        w.put_usize(diffs.len());
+                        for &(p, _) in &diffs {
+                            protocol::encode_page_entry(
+                                &mut w,
+                                p,
+                                st.frames.applied(p).expect("pushed page has a frame"),
+                                st.frames.data(p).expect("pushed page has a frame"),
+                            );
+                        }
+                    }
+                    w.finish()
+                })
+            };
             self.node.advance(us);
-            if diffs.is_empty() {
+            let Some(payload) = payload else {
                 continue;
-            }
-            let mut w = WordWriter::with_capacity(1 + protocol::diff_entries_words(&diffs));
-            w.put(if hlrc {
-                PUSH_MODE_PAGES
-            } else {
-                PUSH_MODE_DIFFS
-            });
-            protocol::encode_diff_entries(&mut w, &diffs);
-            let mut payload = w.finish();
-            if hlrc {
-                payload.extend(protocol::encode_page_resp(&copies));
-            }
+            };
             trace!("[{}] push-send -> {target}", self.proc_id());
             self.node
                 .endpoint()
@@ -1218,9 +1229,9 @@ impl<'n> Tmk<'n> {
                 // drop it — the page stays invalid and the next access
                 // fetches the full set.
                 let gap = st
-                    .notices
-                    .get(&e.page)
-                    .is_some_and(|pn| pn.any_between(*writer, applied, e.lo));
+                    .pages
+                    .get(e.page)
+                    .is_some_and(|r| r.notices.any_between(*writer, applied, e.lo));
                 if gap {
                     trace!(
                         "[{}] push-recv: dropping gapped range for page {}",
@@ -1269,17 +1280,9 @@ impl<'n> Tmk<'n> {
                 !st.dirty.contains(&e.page),
                 "page pushes are consumed at a rendezvous, after the flush"
             );
-            if st
-                .diffs
-                .get(&e.page)
-                .and_then(|d| d.open.as_ref())
-                .is_some()
-            {
-                // Materialize our pending diff against the pre-push
-                // frame (this also drops the twin).
-                let (_, f_us) = st.serve_diffs(e.page, 0, cost);
-                us += f_us;
-            }
+            // Materialize our pending diff, if any, against the pre-push
+            // frame (this also drops the twin).
+            us += st.freeze(e.page, 0, cost);
             let mut frame = st.frames.frame_mut(e.page);
             if let Some(t) = frame.meta.twin.take() {
                 st.scratch.put(t, &mut st.stats);
@@ -1498,13 +1501,7 @@ impl<'n> Tmk<'n> {
                 let applied = st.frames.applied(p).expect("root owns the pages");
                 let data = st.frames.data(p).expect("root owns the pages");
                 debug_assert!(!st.dirty.contains(&p), "root must not have open writes");
-                w.put_usize(p);
-                for &a in applied {
-                    w.put(a as u64);
-                }
-                for &x in data {
-                    w.put(x);
-                }
+                protocol::encode_page_entry(&mut w, p, applied, data);
             }
             w.finish()
         } else {
@@ -1545,9 +1542,7 @@ impl<'n> Tmk<'n> {
                 let applied: Vec<u32> = (0..n).map(|_| r.get() as u32).collect();
                 let mut frame = st.frames.frame_mut(p);
                 debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
-                for x in frame.data.iter_mut() {
-                    *x = r.get();
-                }
+                frame.data.copy_from_slice(r.take(pw));
                 frame.raise_applied(&applied);
                 st.stats.pages_broadcast += 1;
                 us += cost.diff_apply_us(pw);
@@ -1588,12 +1583,16 @@ impl<'n> Tmk<'n> {
     /// fold over all nodes.
     pub fn take_sharing(&self) -> crate::profile::SharingProfile {
         let mut st = self.state.lock();
-        let mut pages: Vec<(usize, crate::profile::PageProfile)> =
-            std::mem::take(&mut st.page_prof).into_iter().collect();
-        pages.sort_by_key(|e| e.0);
-        for (_, p) in &mut pages {
-            p.finalize();
-        }
+        let pages = st
+            .pages
+            .iter_mut()
+            .filter(|(_, row)| !row.prof.is_untouched())
+            .map(|(page, row)| {
+                let mut prof = std::mem::take(&mut row.prof);
+                prof.finalize();
+                (page, prof)
+            })
+            .collect();
         let locks: Vec<(u32, crate::profile::LockProfile)> =
             std::mem::take(&mut st.lock_prof).into_iter().collect();
         crate::profile::SharingProfile { pages, locks }
@@ -2014,6 +2013,59 @@ mod tests {
         // The page's home pruned ranges as barriers certified them.
         let total: u64 = out.results.iter().sum();
         assert!(total >= rounds as u64 - 2, "pruned {total} ranges");
+    }
+
+    #[test]
+    fn hlrc_writer_keeps_one_frozen_range_and_its_pushes_still_deliver() {
+        // Node 0 rewrites two pages every round and pushes them to node
+        // 2. Each release freezes a range per page (the home flush);
+        // under HLRC only the newest is kept — nobody asks an HLRC
+        // writer for history — and the push, which ships that newest
+        // range plus the page, keeps node 2's reads fault-free for all
+        // 200 rounds. Under LRC the same program keeps every range.
+        let rounds = 200u32;
+        let body = move |tmk: &Tmk| {
+            let a = tmk.malloc_f64(1024);
+            let (mut ok, mut faults) = (true, 0);
+            for r in 0..rounds {
+                if tmk.proc_id() == 0 {
+                    let mut w = tmk.write(a, 0..1024);
+                    w[3] = f64::from(r);
+                    w[700] = f64::from(r) + 0.5;
+                    drop(w);
+                    tmk.push_at_next_sync(2, a, 0..1024);
+                }
+                tmk.barrier(r);
+                if tmk.proc_id() == 2 {
+                    let before = tmk.stats_snapshot().faults;
+                    ok &= tmk.read_one(a, 3) == f64::from(r);
+                    ok &= tmk.read_one(a, 700) == f64::from(r) + 0.5;
+                    faults += tmk.stats_snapshot().faults - before;
+                }
+            }
+            let frozen: Vec<usize> = {
+                let st = tmk.state.lock();
+                tmk.page_span(a, &(0..1024))
+                    .map(|p| st.pages.get(p).map_or(0, |row| row.diffs.frozen.len()))
+                    .collect()
+            };
+            tmk.finish();
+            (ok, faults, frozen)
+        };
+        let hlrc = run_hlrc(3, body);
+        assert_eq!(hlrc.results[0].2, vec![1, 1], "newest range only");
+        let lrc = run(3, body);
+        assert_eq!(
+            lrc.results[0].2,
+            vec![rounds as usize; 2],
+            "LRC keeps history"
+        );
+        for out in [&hlrc, &lrc] {
+            let (ok, faults, _) = &out.results[2];
+            assert!(ok, "every round's values arrived");
+            assert_eq!(*faults, 0, "the pushes made every read local");
+            assert_eq!(out.stats.messages(MsgKind::Push), u64::from(rounds));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!    open it only reads (twin and published-image copies when another
 //!    view on the same page is write-enabled).
 //! 4. **Threaded engine.** The service thread takes the state lock and
-//!    touches frames only in `DsmState::serve_diffs`. There it reads a
+//!    touches frames only in `DsmState::freeze`. There it reads a
 //!    page's words only when the page has no published image, which
 //!    means the page has not been write-enabled since its last flush:
 //!    write-enabling a flushed page snapshots the image under the state
@@ -88,7 +88,7 @@ pub struct PageMeta {
     pub twin: Option<Vec<u64>>,
     /// Published image: the page content as of this node's most recent
     /// flush covering the page, kept while the page is re-written with
-    /// its diff still open. `serve_diffs` materializes the open range
+    /// its diff still open. `DsmState::freeze` materializes the open range
     /// against this image (falling back to the frame's words when
     /// absent), so diff content always matches the virtual-time release
     /// point even when the request is served at an arbitrary wall-clock

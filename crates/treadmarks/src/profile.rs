@@ -53,6 +53,16 @@ impl PageProfile {
         self.epoch_mask |= bit;
     }
 
+    /// True while nothing was ever recorded for the page (every
+    /// recording site bumps one of these).
+    pub(crate) fn is_untouched(&self) -> bool {
+        self.faults == 0
+            && self.page_fetches == 0
+            && self.diffs_created == 0
+            && self.diffs_applied == 0
+            && self.writer_mask == 0
+    }
+
     /// Close the open epoch window (call once, when the run ends).
     pub(crate) fn finalize(&mut self) {
         self.roll_epoch();

@@ -164,24 +164,35 @@ pub struct DiffRespEntry {
     pub diff: Diff,
 }
 
+/// Words [`encode_diff_entry`] produces for `range`.
+pub fn diff_entry_words(range: &DiffRange) -> usize {
+    4 + range.diff.encoded_words()
+}
+
 /// Words [`encode_diff_entries`] produces — callers pre-size their
 /// writer with this instead of growing it a word at a time.
 pub fn diff_entries_words(entries: &[(PageId, DiffRange)]) -> usize {
     1 + entries
         .iter()
-        .map(|(_, r)| 4 + r.diff.encoded_words())
+        .map(|(_, r)| diff_entry_words(r))
         .sum::<usize>()
+}
+
+/// Encode one diff-response/push entry. A message is the entry count
+/// followed by that many of these.
+pub fn encode_diff_entry(w: &mut WordWriter, page: PageId, range: &DiffRange) {
+    w.put_usize(page)
+        .put(range.lo as u64)
+        .put(range.hi as u64)
+        .put(range.lamport);
+    range.diff.encode(w);
 }
 
 /// Encode diff-response/push entries (count-prefixed).
 pub fn encode_diff_entries(w: &mut WordWriter, entries: &[(PageId, DiffRange)]) {
     w.put_usize(entries.len());
     for (page, r) in entries {
-        w.put_usize(*page)
-            .put(r.lo as u64)
-            .put(r.hi as u64)
-            .put(r.lamport);
-        r.diff.encode(w);
+        encode_diff_entry(w, *page, r);
     }
 }
 
@@ -499,28 +510,73 @@ pub fn decode_home_flush(r: &mut WordReader) -> (usize, Vec<DiffRespEntry>) {
     (writer, entries)
 }
 
-/// One entry of an HLRC page request: fetch `page`, which is consistent
-/// at the home once it has applied interval `required[w]` of every
-/// writer `w` (the requester's per-writer notice watermarks).
+/// The entries of an HLRC page request: fetch each of `pages`, which is
+/// consistent at its home once the home has applied interval
+/// `required[w]` of every writer `w` (the requester's per-writer notice
+/// watermarks). The watermarks of all pages share one vector, a row of
+/// `n` per page, so a request costs two allocations however many pages
+/// it names.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageReqEntry {
-    /// Page to fetch (the destination is its home).
-    pub page: PageId,
-    /// Required interval watermark per writer node.
-    pub required: Vec<u32>,
+pub struct PageReqEntries {
+    n: usize,
+    pages: Vec<PageId>,
+    required: Vec<u32>,
 }
 
-/// Encode an HLRC page request.
-pub fn encode_page_fetch_req(req_id: u32, requester: usize, entries: &[PageReqEntry]) -> Vec<u64> {
-    let n = entries.first().map_or(0, |e| e.required.len());
+impl PageReqEntries {
+    /// No entries yet, for a cluster of `n` nodes.
+    pub fn new(n: usize) -> PageReqEntries {
+        PageReqEntries {
+            n,
+            pages: Vec::new(),
+            required: Vec::new(),
+        }
+    }
+
+    /// Add `page` and return its watermark row, zeroed, for the caller
+    /// to fill.
+    pub fn push(&mut self, page: PageId) -> &mut [u32] {
+        self.pages.push(page);
+        let at = self.required.len();
+        self.required.resize(at + self.n, 0);
+        &mut self.required[at..]
+    }
+
+    /// Number of pages requested.
+    pub fn len(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// True when no page is requested.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// `(page, required watermark per writer node)`, in request order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PageId, &[u32])> {
+        self.pages
+            .iter()
+            .copied()
+            .zip(self.required.chunks_exact(self.n))
+    }
+}
+
+/// Encode an HLRC page request for the entries `(page, required)`.
+pub fn encode_page_fetch_req<'a>(
+    req_id: u32,
+    requester: usize,
+    entries: impl ExactSizeIterator<Item = (PageId, &'a [u32])>,
+) -> Vec<u64> {
+    let mut entries = entries.peekable();
+    let n = entries.peek().map_or(0, |(_, required)| required.len());
     let mut w = WordWriter::with_capacity(4 + entries.len() * (1 + n));
     w.put(op::PAGE_REQ)
         .put(req_id as u64)
         .put_usize(requester)
         .put_usize(entries.len());
-    for e in entries {
-        w.put_usize(e.page);
-        for &s in &e.required {
+    for (page, required) in entries {
+        w.put_usize(page);
+        for &s in required {
             w.put(s as u64);
         }
     }
@@ -529,16 +585,16 @@ pub fn encode_page_fetch_req(req_id: u32, requester: usize, entries: &[PageReqEn
 
 /// Decode the body of a page request (after the opcode word), for a
 /// cluster of `n` nodes.
-pub fn decode_page_fetch_req(r: &mut WordReader, n: usize) -> (u32, usize, Vec<PageReqEntry>) {
+pub fn decode_page_fetch_req(r: &mut WordReader, n: usize) -> (u32, usize, PageReqEntries) {
     let req_id = r.get() as u32;
     let requester = r.get_usize();
     let k = r.get_usize();
-    let entries = (0..k)
-        .map(|_| PageReqEntry {
-            page: r.get_usize(),
-            required: (0..n).map(|_| r.get() as u32).collect(),
-        })
-        .collect();
+    let mut entries = PageReqEntries::new(n);
+    for _ in 0..k {
+        for s in entries.push(r.get_usize()) {
+            *s = r.get() as u32;
+        }
+    }
     (req_id, requester, entries)
 }
 
@@ -554,23 +610,20 @@ pub struct PageRespEntry {
     pub data: Vec<u64>,
 }
 
-/// Encode a page response (count-prefixed entries).
-pub fn encode_page_resp(entries: &[PageRespEntry]) -> Vec<u64> {
-    let per = entries
-        .first()
-        .map_or(0, |e| 1 + e.applied.len() + e.data.len());
-    let mut w = WordWriter::with_capacity(1 + entries.len() * per);
-    w.put_usize(entries.len());
-    for e in entries {
-        w.put_usize(e.page);
-        for &a in &e.applied {
-            w.put(a as u64);
-        }
-        for &x in &e.data {
-            w.put(x);
-        }
+/// Words a page response of `pages` entries takes, for `n` nodes and
+/// `page_words`-word pages.
+pub fn page_resp_words(pages: usize, n: usize, page_words: usize) -> usize {
+    1 + pages * (1 + n + page_words)
+}
+
+/// Encode one page-response entry. A response is the entry count
+/// followed by that many of these.
+pub fn encode_page_entry(w: &mut WordWriter, page: PageId, applied: &[u32], data: &[u64]) {
+    w.put_usize(page);
+    for &a in applied {
+        w.put(a as u64);
     }
-    w.finish()
+    w.put_raw(data);
 }
 
 /// Decode a page response for a cluster of `n` nodes with `page_words`
@@ -581,7 +634,7 @@ pub fn decode_page_resp(r: &mut WordReader, n: usize, page_words: usize) -> Vec<
         .map(|_| PageRespEntry {
             page: r.get_usize(),
             applied: (0..n).map(|_| r.get() as u32).collect(),
-            data: (0..page_words).map(|_| r.get()).collect(),
+            data: r.take(page_words).to_vec(),
         })
         .collect()
 }
@@ -722,7 +775,7 @@ mod tests {
             lo: 2,
             hi: 3,
             lamport: 9,
-            diff: Arc::new(diff.clone()),
+            diff: diff.clone(),
         };
         let buf = encode_home_flush(4, &[(11usize, range)]);
         let mut r = WordReader::new(&buf);
@@ -738,29 +791,38 @@ mod tests {
 
     #[test]
     fn page_req_and_resp_roundtrip() {
-        let entries = vec![
-            PageReqEntry {
-                page: 3,
-                required: vec![0, 2, 1],
-            },
-            PageReqEntry {
-                page: 9,
-                required: vec![1, 0, 0],
-            },
-        ];
-        let buf = encode_page_fetch_req(17, 2, &entries);
+        let mut entries = PageReqEntries::new(3);
+        entries.push(3).copy_from_slice(&[0, 2, 1]);
+        entries.push(9).copy_from_slice(&[1, 0, 0]);
+        let buf = encode_page_fetch_req(17, 2, entries.iter());
+        assert_eq!(buf.len(), 4 + 2 * (1 + 3));
         let mut r = WordReader::new(&buf);
         assert_eq!(r.get(), op::PAGE_REQ);
         let (id, who, got) = decode_page_fetch_req(&mut r, 3);
         assert_eq!((id, who), (17, 2));
         assert_eq!(got, entries);
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            vec![(3, &[0, 2, 1][..]), (9, &[1, 0, 0][..])]
+        );
+        // One entry of many goes out as a request of its own.
+        let one = encode_page_fetch_req(18, 2, entries.iter().skip(1).take(1));
+        let (_, _, got) = decode_page_fetch_req(&mut WordReader::new(&one[1..]), 3);
+        assert_eq!(got.iter().collect::<Vec<_>>(), vec![(9, &[1, 0, 0][..])]);
 
         let resp = vec![PageRespEntry {
             page: 3,
             applied: vec![0, 2, 1],
             data: vec![7, 8, 9, 10],
         }];
-        let buf = encode_page_resp(&resp);
+        let mut w = WordWriter::with_capacity(page_resp_words(1, 3, 4));
+        w.put_usize(resp.len());
+        for e in &resp {
+            encode_page_entry(&mut w, e.page, &e.applied, &e.data);
+        }
+        let buf = w.finish();
+        assert_eq!(buf, vec![1, 3, 0, 2, 1, 7, 8, 9, 10]);
+        assert_eq!(buf.len(), page_resp_words(1, 3, 4));
         let got = decode_page_resp(&mut WordReader::new(&buf), 3, 4);
         assert_eq!(got, resp);
     }
@@ -772,7 +834,7 @@ mod tests {
             lo: 1,
             hi: 4,
             lamport: 10,
-            diff: Arc::new(diff.clone()),
+            diff: diff.clone(),
         };
         let mut w = WordWriter::new();
         encode_diff_entries(&mut w, &[(7usize, range)]);

@@ -124,23 +124,37 @@ fn serve_page_req(
 ) {
     let (req_id, requester, entries) = protocol::decode_diff_req(r);
     let mut st = state.lock();
+    // Only LRC nodes send diff requests, and a cluster runs one protocol
+    // — which is what lets an HLRC writer drop its frozen history (see
+    // `DsmState::freeze`).
+    debug_assert_ne!(
+        st.cfg.protocol,
+        ProtocolMode::Hlrc,
+        "diff request at an HLRC node"
+    );
     let cost = ep.cost();
     // Diff creation for a multi-page (aggregated) request is pipelined
     // with transmission: only the first page's materialization delays the
     // response; the rest overlaps serialization.
     let mut first_us: f64 = 0.0;
-    let mut out = Vec::new();
-    for e in entries {
-        let (ranges, us) = st.serve_diffs(e.page, e.first_needed, cost);
-        first_us = first_us.max(us);
-        for rg in ranges {
-            out.push((e.page, rg));
+    let (mut ranges, mut words) = (0, 1);
+    for e in &entries {
+        first_us = first_us.max(st.freeze(e.page, e.first_needed, cost));
+        for range in st.frozen_from(e.page, e.first_needed) {
+            ranges += 1;
+            words += protocol::diff_entry_words(range);
+        }
+    }
+    // The response is written straight out of the frozen lists.
+    let mut w = sp2sim::WordWriter::with_capacity(words);
+    w.put_usize(ranges);
+    for e in &entries {
+        for range in st.frozen_from(e.page, e.first_needed) {
+            protocol::encode_diff_entry(&mut w, e.page, range);
         }
     }
     let service_us = cost.service_us + first_us;
     drop(st);
-    let mut w = sp2sim::WordWriter::with_capacity(protocol::diff_entries_words(&out));
-    protocol::encode_diff_entries(&mut w, &out);
     let out_seq = ep.send_at(
         requester,
         Port::App,
@@ -174,7 +188,7 @@ fn handle_home_flush(
                 lo: e.lo,
                 hi: e.hi,
                 lamport: e.lamport,
-                diff: Arc::new(e.diff),
+                diff: e.diff,
             },
         );
     }
@@ -197,7 +211,9 @@ fn handle_page_req(
 ) {
     let (req_id, requester, entries) = protocol::decode_page_fetch_req(r, ep.nprocs());
     let mut st = state.lock();
-    let ready = entries.iter().all(|e| st.home_covers(e.page, &e.required));
+    let ready = entries
+        .iter()
+        .all(|(page, required)| st.home_covers(page, required));
     if ready {
         serve_page_fetch(ep, &mut st, req_id, requester, &entries, arrival, seq);
     } else {
@@ -221,7 +237,7 @@ fn serve_ready_page_reqs(ep: &Endpoint, st: &mut DsmState, now: VTime, flush_seq
         let idx = st.waiting_page_reqs.iter().position(|wr| {
             wr.entries
                 .iter()
-                .all(|e| st.home_covers(e.page, &e.required))
+                .all(|(page, required)| st.home_covers(page, required))
         });
         let Some(i) = idx else { return };
         let wr = st.waiting_page_reqs.remove(i);
@@ -245,28 +261,26 @@ fn serve_page_fetch(
     st: &mut DsmState,
     req_id: u32,
     requester: usize,
-    entries: &[protocol::PageReqEntry],
+    entries: &protocol::PageReqEntries,
     arrival: VTime,
     cause_seq: u64,
 ) {
     let cost = ep.cost();
     let mut first_us: f64 = 0.0;
-    let mut out = Vec::with_capacity(entries.len());
-    for e in entries {
-        let (data, applied, us) = st.home_serve(e.page, &e.required, cost);
+    let words = protocol::page_resp_words(entries.len(), st.n, st.cfg.page_words);
+    let mut w = sp2sim::WordWriter::with_capacity(words);
+    w.put_usize(entries.len());
+    for (page, required) in entries.iter() {
+        let (data, applied, us) = st.home_serve(page, required, cost);
+        protocol::encode_page_entry(&mut w, page, applied, data);
         first_us = first_us.max(us);
-        out.push(protocol::PageRespEntry {
-            page: e.page,
-            applied,
-            data,
-        });
     }
     let out_seq = ep.send_at(
         requester,
         Port::App,
         tag::PAGE_RESP | (req_id & 0xFFFF),
         MsgKind::PageResp,
-        protocol::encode_page_resp(&out),
+        w.finish(),
         arrival + cost.service_us + first_us,
     );
     ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, arrival);

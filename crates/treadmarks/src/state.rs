@@ -33,11 +33,12 @@ use std::sync::Arc;
 
 use sp2sim::{CostModel, VTime};
 
-use crate::config::TmkConfig;
+use crate::config::{ProtocolMode, TmkConfig};
 use crate::diff::Diff;
 use crate::fxhash::FxHashMap;
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId};
+use crate::profile::PageProfile;
 use crate::race::{IntervalWrites, RaceLog};
 use crate::stats::DsmStats;
 use crate::vc::Vc;
@@ -68,14 +69,15 @@ pub struct DiffRange {
     pub hi: u32,
     /// Lamport stamp of the `hi` interval.
     pub lamport: u64,
-    /// The diff.
-    pub diff: Arc<Diff>,
+    /// The diff (cloning it is a reference-count bump).
+    pub diff: Diff,
 }
 
 /// Diff storage for one page this node has written.
 #[derive(Debug, Default)]
 pub struct PageDiffs {
-    /// Frozen ranges in increasing `lo` order.
+    /// Frozen ranges in increasing `lo` order. Under HLRC only the
+    /// newest one (see [`DsmState::freeze`]).
     pub frozen: Vec<DiffRange>,
     /// The open (unmaterialized) range, if any interval since the last
     /// freeze wrote this page.
@@ -360,7 +362,7 @@ pub struct WaitingPageReq {
     /// Requesting node.
     pub requester: usize,
     /// Requested pages with their per-writer required watermarks.
-    pub entries: Vec<crate::protocol::PageReqEntry>,
+    pub entries: crate::protocol::PageReqEntries,
     /// Virtual arrival time of the request.
     pub arrival: VTime,
     /// Correlation id of the request packet (causal anchor when the
@@ -389,19 +391,123 @@ pub struct WaitingPageReq {
 /// buffered history mirrors what LRC's writers retain as frozen diffs.
 #[derive(Debug, Default)]
 pub struct HomePage {
-    /// Buffered published diff ranges, `(writer, range)`, arrival order.
-    pub ranges: Vec<(usize, DiffRange)>,
-    /// Promoted base `(data, applied)`: the folded image of every range
-    /// the rendezvous min-VC proved all nodes have passed (home-copy
-    /// pruning). Every future request's watermarks are ≥ the base's, so
-    /// constructions start here instead of the zero page and the folded
-    /// ranges are dropped from `ranges`.
-    base: Option<(Vec<u64>, Vec<u32>)>,
-    /// Memoized last construction `(required, data, applied)`: a request
-    /// with component-wise ≥ watermarks extends it by applying only the
-    /// newly covered ranges, so steady-state serving is O(new diffs) like
-    /// an LRC fault, not O(history).
-    cache: Option<(Vec<u32>, Vec<u64>, Vec<u32>)>,
+    /// Buffered published diff ranges, `(writer, range)`, kept in
+    /// `(lamport, writer)` order — the order constructions and the
+    /// prune apply them in, so neither sorts or copies the list.
+    ranges: Vec<(usize, DiffRange)>,
+    /// Promoted base: the folded image of every range the rendezvous
+    /// min-VC proved all nodes have passed (home-copy pruning). Every
+    /// future request's watermarks are ≥ the base's, so constructions
+    /// start here instead of the zero page and the folded ranges are
+    /// dropped from `ranges`.
+    base: Option<HomeImage>,
+    /// Memoized last construction: a request with component-wise ≥
+    /// watermarks extends it in place by applying only the newly covered
+    /// ranges, so steady-state serving is O(new diffs) like an LRC
+    /// fault, not O(history). Responses are encoded straight out of it.
+    cache: Option<HomeCopy>,
+}
+
+/// A page image and the per-writer watermarks it reflects.
+#[derive(Debug)]
+struct HomeImage {
+    data: Vec<u64>,
+    applied: Vec<u32>,
+}
+
+/// The memoized construction of a [`HomePage`].
+#[derive(Debug)]
+struct HomeCopy {
+    /// The watermarks the image was constructed at.
+    required: Vec<u32>,
+    image: HomeImage,
+    /// Set when a flush or a prune invalidated the image: the next
+    /// construction starts over from the base, into the same buffers.
+    stale: bool,
+}
+
+impl HomePage {
+    /// Buffer `range` of `writer` at its `(lamport, writer)` position
+    /// (the end, unless flushes of concurrent writers arrive out of
+    /// stamp order) and invalidate the memoized construction.
+    fn insert(&mut self, writer: usize, range: DiffRange) {
+        let key = (range.lamport, writer);
+        let at = self.ranges.partition_point(|(w, r)| (r.lamport, *w) <= key);
+        self.ranges.insert(at, (writer, range));
+        self.invalidate();
+    }
+
+    fn invalidate(&mut self) {
+        if let Some(copy) = &mut self.cache {
+            copy.stale = true;
+        }
+    }
+}
+
+/// Everything the protocol keeps per page.
+#[derive(Debug, Default)]
+pub struct PageRow {
+    /// Write notices, per writer.
+    pub notices: PageNotices,
+    /// Diff storage, if this node has written the page.
+    pub diffs: PageDiffs,
+    /// HLRC home-side state, if the page is homed here: fed only by
+    /// *published* diffs (remote writers' eager flushes, and our own
+    /// frozen diffs buffered at release) — deliberately separate from
+    /// [`DsmState::frames`], whose content includes local unpublished
+    /// writes that must never be served.
+    pub home: HomePage,
+    /// Sharing profile (always on; host-side only — see
+    /// [`crate::profile`]).
+    pub prof: PageProfile,
+}
+
+/// The page table: one [`PageRow`] per page, indexed by page id.
+///
+/// `Tmk::malloc_f64` hands page ids out densely from 0 and every node
+/// integrates a notice for every page anyone writes, so a vector
+/// indexed by id replaces what were four hash maps keyed by it. It
+/// grows on demand to the highest page touched; a row nothing has
+/// touched is all empty vectors and zeros and owns no heap memory.
+#[derive(Debug, Default)]
+pub struct PageTable {
+    rows: Vec<PageRow>,
+}
+
+impl PageTable {
+    /// The row of `page`, if the table has grown that far. A missing
+    /// row and an untouched one mean the same: nothing known.
+    pub fn get(&self, page: PageId) -> Option<&PageRow> {
+        self.rows.get(page)
+    }
+
+    /// Mutable [`PageTable::get`] (does not grow the table).
+    pub fn get_mut(&mut self, page: PageId) -> Option<&mut PageRow> {
+        self.rows.get_mut(page)
+    }
+
+    /// The row of `page`, growing the table to hold it.
+    pub fn row(&mut self, page: PageId) -> &mut PageRow {
+        if page >= self.rows.len() {
+            self.rows.resize_with(page + 1, PageRow::default);
+        }
+        &mut self.rows[page]
+    }
+
+    /// Rows the table holds (one past the highest page touched).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True before any page was touched.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Every row with its page id, ascending.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (PageId, &mut PageRow)> {
+        self.rows.iter_mut().enumerate()
+    }
 }
 
 /// One recorded barrier/worker arrival at the manager.
@@ -458,14 +564,12 @@ pub struct DsmState {
     pub lamport: u64,
     /// Interval log, indexed by creator, ascending sequence numbers.
     pub log: Vec<Vec<Arc<Interval>>>,
-    /// Write notices per page, per writer (see [`PageNotices`]).
-    pub notices: FxHashMap<PageId, PageNotices>,
+    /// Per-page protocol state: notices, diffs, home copy, profile.
+    pub pages: PageTable,
     /// Cached page frames, in extents (see [`crate::page`]).
     pub frames: FrameStore,
     /// Pages written since the last flush (BTreeSet: deterministic order).
     pub dirty: BTreeSet<PageId>,
-    /// Diff storage for pages we have written.
-    pub diffs: FxHashMap<PageId, PageDiffs>,
     /// Our own intervals not yet reported to the barrier manager.
     pub unreported_seq: u32,
     /// Lock state where we are (or were) the holder.
@@ -491,12 +595,6 @@ pub struct DsmState {
     /// Every node must install identical overrides, before the page's
     /// first write notice exists — see [`DsmState::set_home`].
     pub home_override: FxHashMap<PageId, usize>,
-    /// HLRC home-side: the home copies of pages homed here, fed only by
-    /// *published* diffs (remote writers' eager flushes, and our own
-    /// frozen diffs buffered at release) — deliberately separate from
-    /// [`DsmState::frames`], whose content includes local unpublished
-    /// writes that must never be served.
-    pub homed: FxHashMap<PageId, HomePage>,
     /// HLRC home-side: page requests deferred until the flushes they
     /// require arrive.
     pub waiting_page_reqs: Vec<WaitingPageReq>,
@@ -510,9 +608,6 @@ pub struct DsmState {
     /// [`crate::race`]). Host-side only — never touches the wire or the
     /// virtual clock.
     pub race: Option<RaceLog>,
-    /// Per-page sharing profile (always on; host-side only — see
-    /// [`crate::profile`]).
-    pub page_prof: FxHashMap<PageId, crate::profile::PageProfile>,
     /// Per-lock contention profile (always on; host-side only).
     pub lock_prof: BTreeMap<u32, crate::profile::LockProfile>,
 }
@@ -529,10 +624,9 @@ impl DsmState {
             vc: vec![0; n],
             lamport: 0,
             log: (0..n).map(|_| Vec::new()).collect(),
-            notices: FxHashMap::default(),
+            pages: PageTable::default(),
             frames,
             dirty: BTreeSet::new(),
-            diffs: FxHashMap::default(),
             unreported_seq: 0,
             locks: FxHashMap::default(),
             lock_owner: FxHashMap::default(),
@@ -542,7 +636,6 @@ impl DsmState {
             reduces: BTreeMap::new(),
             reduce_lists: BTreeMap::new(),
             home_override: FxHashMap::default(),
-            homed: FxHashMap::default(),
             waiting_page_reqs: Vec::new(),
             scratch: DiffScratch::default(),
             stats: DsmStats::default(),
@@ -550,7 +643,6 @@ impl DsmState {
                 node: me,
                 intervals: Vec::new(),
             }),
-            page_prof: FxHashMap::default(),
             lock_prof: BTreeMap::new(),
         }
     }
@@ -585,7 +677,7 @@ impl DsmState {
     /// sets agree at loop boundaries.
     pub fn set_home(&mut self, page: PageId, home: usize) -> bool {
         debug_assert!(home < self.n);
-        if self.notices.contains_key(&page) {
+        if self.pages.get(page).is_some_and(|r| !r.notices.is_empty()) {
             return false;
         }
         self.home_override.insert(page, home);
@@ -595,15 +687,12 @@ impl DsmState {
     /// The requester-side watermark vector for a page request: the
     /// highest interval sequence number this node has a write notice for,
     /// per writer. The home must have applied at least these before its
-    /// copy is consistent for us.
-    pub fn required_watermarks(&self, page: PageId) -> Vec<u32> {
-        let mut req = vec![0u32; self.n];
-        if let Some(pn) = self.notices.get(&page) {
-            for (w, r) in req.iter_mut().enumerate() {
-                *r = pn.max_seq(w);
-            }
+    /// copy is consistent for us. Fills `row` (one slot per node).
+    pub fn required_watermarks(&self, page: PageId, row: &mut [u32]) {
+        let notices = self.pages.get(page).map(|r| &r.notices);
+        for (w, r) in row.iter_mut().enumerate() {
+            *r = notices.map_or(0, |pn| pn.max_seq(w));
         }
-        req
     }
 
     /// Home-side: buffer one published diff range from `writer` (a
@@ -614,11 +703,11 @@ impl DsmState {
     /// would overwrite newer words with old values. Returns `true` if
     /// the range was buffered.
     pub fn home_flush_in(&mut self, writer: usize, page: PageId, range: DiffRange) -> bool {
-        let hp = self.homed.entry(page).or_default();
+        let hp = &mut self.pages.row(page).home;
         let in_base = hp
             .base
             .as_ref()
-            .is_some_and(|(_, applied)| applied[writer] >= range.hi);
+            .is_some_and(|base| base.applied[writer] >= range.hi);
         if in_base
             || hp
                 .ranges
@@ -628,8 +717,7 @@ impl DsmState {
             self.stats.stale_flush_drops += 1;
             return false;
         }
-        hp.cache = None;
-        hp.ranges.push((writer, range));
+        hp.insert(writer, range);
         true
     }
 
@@ -639,9 +727,7 @@ impl DsmState {
     /// serve others).
     pub fn home_buffer_own(&mut self, page: PageId, range: DiffRange) {
         let me = self.me;
-        let hp = self.homed.entry(page).or_default();
-        hp.cache = None;
-        hp.ranges.push((me, range));
+        self.pages.row(page).home.insert(me, range);
     }
 
     /// Home-side: can a copy of `page` satisfying `required` be
@@ -650,11 +736,11 @@ impl DsmState {
     /// release that publishes its notice, before the notice can reach
     /// any requester) and the request must wait.
     pub fn home_covers(&self, page: PageId, required: &[u32]) -> bool {
-        let hp = self.homed.get(&page);
+        let hp = self.pages.get(page).map(|r| &r.home);
         required.iter().enumerate().all(|(w, &need)| {
             need == 0
                 || hp.is_some_and(|hp| {
-                    hp.base.as_ref().is_some_and(|(_, a)| a[w] >= need)
+                    hp.base.as_ref().is_some_and(|b| b.applied[w] >= need)
                         || hp.ranges.iter().any(|(wr, r)| *wr == w && r.hi >= need)
                 })
         })
@@ -664,50 +750,68 @@ impl DsmState {
     /// watermarks — the zero base plus every buffered range with
     /// `hi <= required[w]`, applied in `(lamport, writer)` order (a
     /// linear extension of happens-before, the same order the LRC fault
-    /// path applies diffs). Returns `(data, applied, time to charge)`.
+    /// path applies diffs). Returns `(data, applied, time to charge)`,
+    /// the first two borrowed from the memoized construction.
     /// Monotonically growing watermarks (the common case: every consumer
-    /// of an epoch, then the next epoch) extend the memoized previous
-    /// construction instead of replaying history.
+    /// of an epoch, then the next epoch) extend that construction in
+    /// place instead of replaying history.
     pub fn home_serve(
         &mut self,
         page: PageId,
         required: &[u32],
         cost: &CostModel,
-    ) -> (Vec<u64>, Vec<u32>, f64) {
+    ) -> (&[u64], &[u32], f64) {
         let pw = self.cfg.page_words;
         let n = self.n;
-        let hp = self.homed.entry(page).or_default();
-        let (floor, mut data, mut applied) = match &hp.cache {
-            Some((req, data, applied)) if req == required => {
-                return (data.clone(), applied.clone(), 0.0);
-            }
-            Some((req, data, applied)) if req.iter().zip(required).all(|(c, r)| c <= r) => {
-                (req.clone(), data.clone(), applied.clone())
-            }
+        let HomePage {
+            ranges,
+            base,
+            cache,
+        } = &mut self.pages.row(page).home;
+        let copy = cache.get_or_insert_with(|| HomeCopy {
+            required: vec![0; n],
+            image: HomeImage {
+                data: vec![0; pw],
+                applied: vec![0; n],
+            },
+            stale: true,
+        });
+        if copy.stale || copy.required.iter().zip(required).any(|(c, r)| c > r) {
             // Fresh construction: start from the promoted base (every
             // requester's watermarks are ≥ the base's — see
             // `prune_home_copies`), or the zero page before any prune.
-            _ => match &hp.base {
-                Some((data, applied)) => (applied.clone(), data.clone(), applied.clone()),
-                None => (vec![0u32; n], vec![0u64; pw], vec![0u32; n]),
-            },
-        };
-        let mut batch: Vec<&(usize, DiffRange)> = hp
-            .ranges
+            match base {
+                Some(base) => {
+                    copy.image.data.copy_from_slice(&base.data);
+                    copy.image.applied.copy_from_slice(&base.applied);
+                }
+                None => {
+                    copy.image.data.fill(0);
+                    copy.image.applied.fill(0);
+                }
+            }
+            copy.required.copy_from_slice(&copy.image.applied);
+            copy.stale = false;
+        }
+        // `copy.required` is the floor: what the image already holds.
+        let HomeCopy {
+            required: floor,
+            image,
+            ..
+        } = copy;
+        let mut us = 0.0;
+        for (w, r) in ranges
             .iter()
             .filter(|(w, r)| r.hi > floor[*w] && r.hi <= required[*w])
-            .collect();
-        batch.sort_by_key(|(w, r)| (r.lamport, *w));
-        let mut us = 0.0;
-        for (w, r) in batch {
-            r.diff.apply(&mut data);
-            if r.hi > applied[*w] {
-                applied[*w] = r.hi;
+        {
+            r.diff.apply(&mut image.data);
+            if r.hi > image.applied[*w] {
+                image.applied[*w] = r.hi;
             }
             us += cost.diff_apply_us(r.diff.encoded_words());
         }
-        hp.cache = Some((required.to_vec(), data.clone(), applied.clone()));
-        (data, applied, us)
+        floor.copy_from_slice(required);
+        (&image.data, &image.applied, us)
     }
 
     /// HLRC home-copy pruning: fold every buffered range all nodes have
@@ -722,38 +826,38 @@ impl DsmState {
     /// construction will ever need to start below the folded image.
     /// Deferred requests cannot be outstanding at a rendezvous (their
     /// requesters would still be blocked, and the rendezvous would not
-    /// have completed), so folding is safe. Returns ranges dropped.
+    /// have completed), so folding is safe. The fold happens in place:
+    /// `retain` visits the ranges in their stored `(lamport, writer)`
+    /// order and applies each one it drops straight onto the base.
+    /// Returns ranges dropped.
     pub fn prune_home_copies(&mut self, min_vc: &[u32]) -> u64 {
         let pw = self.cfg.page_words;
         let n = self.n;
         let mut dropped = 0;
-        for hp in self.homed.values_mut() {
+        for (_, row) in self.pages.iter_mut() {
+            let hp = &mut row.home;
             if hp.ranges.iter().all(|(w, r)| r.hi > min_vc[*w]) {
                 continue;
             }
-            let mut fold: Vec<(usize, DiffRange)> = Vec::new();
-            hp.ranges.retain(|(w, r)| {
-                if r.hi <= min_vc[*w] {
-                    fold.push((*w, r.clone()));
-                    false
-                } else {
-                    true
-                }
+            let base = hp.base.get_or_insert_with(|| HomeImage {
+                data: vec![0; pw],
+                applied: vec![0; n],
             });
-            fold.sort_by_key(|(w, r)| (r.lamport, *w));
-            let (data, applied) = hp
-                .base
-                .get_or_insert_with(|| (vec![0u64; pw], vec![0u32; n]));
-            for (w, r) in &fold {
-                r.diff.apply(data);
-                if r.hi > applied[*w] {
-                    applied[*w] = r.hi;
+            let before = hp.ranges.len();
+            hp.ranges.retain(|(w, r)| {
+                if r.hi > min_vc[*w] {
+                    return true;
                 }
-            }
+                r.diff.apply(&mut base.data);
+                if r.hi > base.applied[*w] {
+                    base.applied[*w] = r.hi;
+                }
+                false
+            });
+            dropped += (before - hp.ranges.len()) as u64;
             // The memoized construction may now sit below the base
             // floor; drop it rather than reason about mixed floors.
-            hp.cache = None;
-            dropped += fold.len() as u64;
+            hp.invalidate();
         }
         self.stats.home_ranges_pruned += dropped;
         dropped
@@ -857,22 +961,6 @@ impl DsmState {
         }
     }
 
-    /// Write notices for `page` that are not yet applied to our frame,
-    /// grouped by writer: `(writer, first missing seq)`, ascending by
-    /// writer. Borrows only `notices` and `frames`, so callers holding
-    /// the state by `&mut` can update other fields while iterating.
-    pub fn missing_by_writer<'a>(
-        notices: &'a FxHashMap<PageId, PageNotices>,
-        frames: &'a FrameStore,
-        me: usize,
-        page: PageId,
-    ) -> impl Iterator<Item = (usize, u32)> + 'a {
-        notices
-            .get(&page)
-            .into_iter()
-            .flat_map(move |pn| pn.missing(me, frames.applied(page)))
-    }
-
     /// Highest interval of `writer` already reflected in our frame of
     /// `page` (0 without a frame).
     pub fn applied_seq(&self, page: PageId, writer: usize) -> u32 {
@@ -884,15 +972,18 @@ impl DsmState {
     /// twin and stays writable, and only the open-range metadata is
     /// extended — per real TreadMarks, a page nobody requests costs
     /// nothing per interval. Returns the (small) bookkeeping time to
-    /// charge to the releasing thread.
-    pub fn flush(&mut self, cost: &CostModel) -> f64 {
+    /// charge to the releasing thread and the interval it created, if
+    /// anything was dirty.
+    pub fn flush(&mut self, cost: &CostModel) -> (f64, Option<Arc<Interval>>) {
         if self.dirty.is_empty() {
-            return 0.0;
+            return (0.0, None);
         }
-        let seq = self.vc[self.me] + 1;
-        self.vc[self.me] = seq;
+        let (me, n) = (self.me, self.n);
+        let seq = self.vc[me] + 1;
+        self.vc[me] = seq;
         self.lamport += 1;
         let lamport = self.lamport;
+        let epoch = self.epoch_proxy();
         let pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
         let mut race_writes: Vec<(PageId, Vec<u32>)> = Vec::new();
         for &p in &pages {
@@ -922,44 +1013,37 @@ impl DsmState {
                 None if self.race.is_some() => frame.meta.published = Some(frame.data.to_vec()),
                 None => {}
             }
-            let entry = self.diffs.entry(p).or_default();
-            let open = entry.open.get_or_insert(OpenRange {
+            frame.applied[me] = seq;
+            let row = self.pages.row(p);
+            let open = row.diffs.open.get_or_insert(OpenRange {
                 lo: seq,
                 hi: seq,
                 lamport_hi: lamport,
             });
             open.hi = seq;
             open.lamport_hi = lamport;
-            frame.applied[self.me] = seq;
-            let n = self.n;
-            self.notices.entry(p).or_default().push(n, self.me, seq);
+            row.notices.push(n, me, seq);
+            row.prof.record_writer(me, epoch);
         }
         let us = pages.len() as f64 * cost.manager_us * 0.1;
-        let epoch = self.epoch_proxy();
-        for &p in &pages {
-            self.page_prof
-                .entry(p)
-                .or_default()
-                .record_writer(self.me, epoch);
-        }
         let iv = Arc::new(Interval {
-            node: self.me,
+            node: me,
             seq,
             lamport,
             pages,
         });
-        self.log[self.me].push(iv);
+        self.log[me].push(Arc::clone(&iv));
         self.stats.intervals_created += 1;
         if let Some(log) = &mut self.race {
             log.intervals.push(IntervalWrites {
-                node: self.me,
+                node: me,
                 seq,
                 lamport,
                 vc: self.vc.clone(),
                 writes: race_writes,
             });
         }
-        us
+        (us, Some(iv))
     }
 
     /// Integrate an interval received from elsewhere. Idempotent; returns
@@ -980,11 +1064,9 @@ impl DsmState {
         let n = self.n;
         let epoch = self.epoch_proxy();
         for &p in &iv.pages {
-            self.notices.entry(p).or_default().push(n, iv.node, iv.seq);
-            self.page_prof
-                .entry(p)
-                .or_default()
-                .record_writer(iv.node, epoch);
+            let row = self.pages.row(p);
+            row.notices.push(n, iv.node, iv.seq);
+            row.prof.record_writer(iv.node, epoch);
         }
         self.log[iv.node].push(Arc::new(iv));
         true
@@ -1016,14 +1098,14 @@ impl DsmState {
             .collect()
     }
 
-    /// Serve a diff request for `page`, intervals `first_needed..`.
-    ///
-    /// Materializes (freezes) the open range if it is needed — this is
-    /// where the twin comparison actually happens and is charged — then
-    /// returns every frozen range with `hi >= first_needed`. After a
-    /// freeze the twin is dropped (unless the page is dirty again), so
-    /// the next local write re-faults and re-twins, exactly like the
-    /// original system re-protecting a diffed page.
+    /// Materialize (freeze) the open range of `page` if it reaches
+    /// `first_needed` — the first half of serving a diff request, a home
+    /// flush or a push; [`DsmState::frozen_from`] and
+    /// [`DsmState::newest_frozen`] then read the result. This is where
+    /// the twin comparison actually happens; returns its time to charge.
+    /// After a freeze the twin is dropped (unless the page is dirty
+    /// again), so the next local write re-faults and re-twins, exactly
+    /// like the original system re-protecting a diffed page.
     ///
     /// The materialization compares the twin against the **published
     /// image** when one exists, never the live frame: on the threaded
@@ -1034,83 +1116,91 @@ impl DsmState {
     /// time is the divergence this image exists to prevent; `data` is a
     /// correct fallback only while the page has not been re-written
     /// since its last flush (then the two are identical).
-    pub fn serve_diffs(
-        &mut self,
-        page: PageId,
-        first_needed: u32,
-        cost: &CostModel,
-    ) -> (Vec<DiffRange>, f64) {
-        let mut us = 0.0;
-        let entry = self.diffs.entry(page).or_default();
-        if let Some(open) = entry.open {
-            if open.hi >= first_needed {
-                entry.open = None;
-                // Take both buffers out of the frame: the words themselves
-                // are read only when there is no published image, i.e. the
-                // page has not been write-enabled since its last flush — on
-                // the threaded engine that is what keeps this read apart
-                // from the application's in-place stores (`crate::page`,
-                // invariant 4).
-                let meta = self.frames.meta_mut(page).expect("open range has a frame");
-                let twin = meta.twin.take().expect("open range has a twin");
-                let published = meta.published.take();
-                let diff = match &published {
-                    Some(image) => Diff::create(&twin, image),
-                    None => Diff::create(
-                        &twin,
-                        self.frames.data(page).expect("open range has a frame"),
-                    ),
-                };
-                us += cost.diff_create_us(diff.changed_words());
-                self.stats.diffs_created += 1;
-                self.stats.diff_words_created += diff.changed_words() as u64;
-                let pp = self.page_prof.entry(page).or_default();
-                pp.diffs_created += 1;
-                pp.diff_words_created += diff.changed_words() as u64;
-                // Re-protect a clean page: the next write takes a fresh
-                // fault+twin, and the published image retires with the
-                // twin (they are a pair — the image is only meaningful
-                // against its twin).
-                //
-                // A dirty page is mid-epoch, so a twin must survive — but
-                // its baseline just moved: everything up to `open.hi` is
-                // frozen into the served range now, and the next freeze
-                // must diff against *this* snapshot, not the original
-                // fault-time twin. Re-anchoring by promoting the published
-                // image to be the new twin is what keeps ranges disjoint:
-                // a twin left stale would make the next freeze re-include
-                // every word served here, and re-applying those at a
-                // concurrent writer would clobber that writer's own newer
-                // values (the lost-warm-up divergence the threaded engine
-                // exposed about once in 10^3 runs).
-                if self.dirty.contains(&page) {
-                    let image = published.expect(
-                        "a dirty page with an open range was re-faulted, which snapshots the published image",
-                    );
-                    self.frames
-                        .meta_mut(page)
-                        .expect("open range has a frame")
-                        .twin = Some(image);
-                }
-                // The retired twin goes back to the scratch arena.
-                self.scratch.put(twin, &mut self.stats);
-                let entry = self.diffs.entry(page).or_default();
-                entry.frozen.push(DiffRange {
-                    lo: open.lo,
-                    hi: open.hi,
-                    lamport: open.lamport_hi,
-                    diff: Arc::new(diff),
-                });
-            }
+    pub fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
+        let Some(row) = self.pages.get_mut(page) else {
+            return 0.0;
+        };
+        let Some(open) = row.diffs.open.filter(|open| open.hi >= first_needed) else {
+            return 0.0;
+        };
+        row.diffs.open = None;
+        // Take both buffers out of the frame: the words themselves are
+        // read only when there is no published image, i.e. the page has
+        // not been write-enabled since its last flush — on the threaded
+        // engine that is what keeps this read apart from the
+        // application's in-place stores (`crate::page`, invariant 4).
+        let meta = self.frames.meta_mut(page).expect("open range has a frame");
+        let twin = meta.twin.take().expect("open range has a twin");
+        let published = meta.published.take();
+        let diff = match &published {
+            Some(image) => Diff::create(&twin, image),
+            None => Diff::create(
+                &twin,
+                self.frames.data(page).expect("open range has a frame"),
+            ),
+        };
+        let us = cost.diff_create_us(diff.changed_words());
+        self.stats.diffs_created += 1;
+        self.stats.diff_words_created += diff.changed_words() as u64;
+        row.prof.diffs_created += 1;
+        row.prof.diff_words_created += diff.changed_words() as u64;
+        // Re-protect a clean page: the next write takes a fresh
+        // fault+twin, and the published image retires with the twin
+        // (they are a pair — the image is only meaningful against its
+        // twin).
+        //
+        // A dirty page is mid-epoch, so a twin must survive — but its
+        // baseline just moved: everything up to `open.hi` is frozen into
+        // the served range now, and the next freeze must diff against
+        // *this* snapshot, not the original fault-time twin. Re-anchoring
+        // by promoting the published image to be the new twin is what
+        // keeps ranges disjoint: a twin left stale would make the next
+        // freeze re-include every word served here, and re-applying
+        // those at a concurrent writer would clobber that writer's own
+        // newer values (the lost-warm-up divergence the threaded engine
+        // exposed about once in 10^3 runs).
+        if self.dirty.contains(&page) {
+            let image = published.expect(
+                "a dirty page with an open range was re-faulted, which snapshots the published image",
+            );
+            self.frames
+                .meta_mut(page)
+                .expect("open range has a frame")
+                .twin = Some(image);
         }
-        let entry = self.diffs.entry(page).or_default();
-        let ranges: Vec<DiffRange> = entry
-            .frozen
-            .iter()
-            .filter(|r| r.hi >= first_needed)
-            .cloned()
-            .collect();
-        (ranges, us)
+        // The retired twin goes back to the scratch arena.
+        self.scratch.put(twin, &mut self.stats);
+        // An HLRC writer keeps only its newest frozen range: nobody ever
+        // asks it for history. Faults and validates fetch whole pages
+        // from the homes, which buffered every range at the release that
+        // froze it; a push ships the newest range (plus the page); and
+        // `receive_pushes` freezes only to retire the twin. All nodes of
+        // a cluster run one protocol, so no diff request can arrive
+        // (asserted in `service::serve_page_req`) — and without this the
+        // list grows by a diff per page per release for the whole run.
+        if self.cfg.protocol == ProtocolMode::Hlrc {
+            row.diffs.frozen.clear();
+        }
+        row.diffs.frozen.push(DiffRange {
+            lo: open.lo,
+            hi: open.hi,
+            lamport: open.lamport_hi,
+            diff,
+        });
+        us
+    }
+
+    /// Frozen ranges of `page` covering intervals `first_needed..`, in
+    /// increasing order. Call [`DsmState::freeze`] first.
+    pub fn frozen_from(&self, page: PageId, first_needed: u32) -> &[DiffRange] {
+        let frozen = self.pages.get(page).map_or(&[][..], |r| &r.diffs.frozen);
+        &frozen[frozen.partition_point(|r| r.hi < first_needed)..]
+    }
+
+    /// The newest frozen range of `page`, if it reaches `first_needed`
+    /// — what a home flush or a push ships.
+    pub fn newest_frozen(&self, page: PageId, first_needed: u32) -> Option<&DiffRange> {
+        self.frozen_from(page, first_needed).last()
     }
 
     /// Apply a fetched diff range from `writer` to our frame of `page`.
@@ -1122,7 +1212,7 @@ impl DsmState {
             frame.applied[writer] = hi;
         }
         self.stats.diffs_applied += 1;
-        self.page_prof.entry(page).or_default().diffs_applied += 1;
+        self.pages.row(page).prof.diffs_applied += 1;
     }
 }
 
@@ -1132,6 +1222,12 @@ mod tests {
 
     fn state(me: usize, n: usize) -> DsmState {
         DsmState::new(me, n, TmkConfig::default())
+    }
+
+    /// Freeze, then the ranges a request for `first_needed..` is served.
+    fn serve(s: &mut DsmState, page: PageId, first_needed: u32) -> (Vec<DiffRange>, f64) {
+        let us = s.freeze(page, first_needed, &CostModel::sp2());
+        (s.frozen_from(page, first_needed).to_vec(), us)
     }
 
     fn write_words(s: &mut DsmState, page: PageId, vals: &[(usize, u64)]) {
@@ -1146,6 +1242,73 @@ mod tests {
     }
 
     #[test]
+    fn page_table_grows_on_demand_and_iterates_ascending() {
+        let mut t = PageTable::default();
+        assert!(t.is_empty());
+        assert!(t.get(5).is_none(), "reading never grows the table");
+        assert!(t.get_mut(5).is_none());
+        assert!(t.is_empty());
+        t.row(5).prof.faults = 1;
+        assert_eq!(t.len(), 6, "grown to the highest page touched");
+        t.row(2).notices.push(2, 1, 1);
+        assert_eq!(t.len(), 6, "a lower page needs no growth");
+        assert_eq!(t.get(5).unwrap().prof.faults, 1, "rows survive growth");
+        t.row(9);
+        assert_eq!(t.get(5).unwrap().prof.faults, 1);
+        let ids: Vec<PageId> = t.iter_mut().map(|(p, _)| p).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        // Rows nothing touched own no heap memory.
+        for (p, row) in t.iter_mut().filter(|(p, _)| ![2, 5].contains(p)) {
+            assert!(row.notices.is_empty() && row.notices.seqs.capacity() == 0);
+            assert!(row.diffs.open.is_none() && row.diffs.frozen.capacity() == 0);
+            assert_eq!(row.home.ranges.capacity(), 0, "page {p}");
+            assert!(row.home.base.is_none() && row.home.cache.is_none());
+            assert!(row.prof.is_untouched());
+        }
+    }
+
+    #[test]
+    fn hlrc_freeze_keeps_only_the_newest_range() {
+        for (cfg, kept) in [(TmkConfig::default(), 5), (TmkConfig::hlrc(), 1)] {
+            let mut s = DsmState::new(0, 2, cfg);
+            for k in 0..5u64 {
+                write_words(&mut s, 3, &[(k as usize, k + 1)]);
+                s.flush(&CostModel::sp2());
+                let seq = s.vc[0];
+                assert!(s.freeze(3, seq, &CostModel::sp2()) > 0.0);
+                let newest = s.newest_frozen(3, seq).expect("just frozen");
+                assert_eq!((newest.lo, newest.hi), (seq, seq));
+                assert_eq!(newest.diff.changed_positions(), vec![k as u32]);
+            }
+            assert_eq!(s.pages.get(3).unwrap().diffs.frozen.len(), kept);
+            assert_eq!(s.frozen_from(3, 1).len(), kept);
+            assert!(s.newest_frozen(3, 6).is_none(), "nothing reaches seq 6");
+            assert!(s.frozen_from(99, 1).is_empty(), "page never seen");
+        }
+    }
+
+    #[test]
+    fn prune_folds_in_lamport_order_whatever_the_arrival_order() {
+        let mut s = state(0, 3);
+        let range = |lamport, diff: &Diff| DiffRange {
+            lo: 1,
+            hi: 1,
+            lamport,
+            diff: diff.clone(),
+        };
+        // Writer 2 (lamport 5) overwrites writer 1's word (lamport 3);
+        // its flush arrives first.
+        s.home_flush_in(2, 0, range(5, &Diff::create(&[7, 7], &[9, 7])));
+        s.home_flush_in(1, 0, range(3, &Diff::create(&[0, 0], &[7, 7])));
+        assert_eq!(s.prune_home_copies(&[0, 1, 1]), 2);
+        assert_eq!(s.stats.home_ranges_pruned, 2);
+        let (data, applied, us) = s.home_serve(0, &[0, 1, 1], &CostModel::sp2());
+        assert_eq!((data[0], data[1]), (9, 7), "later stamp wins");
+        assert_eq!(applied, [0, 1, 1]);
+        assert_eq!(us, 0.0, "served from the base, nothing to apply");
+    }
+
+    #[test]
     fn flush_creates_interval_and_notice() {
         let mut s = state(1, 4);
         write_words(&mut s, 7, &[(0, 42)]);
@@ -1153,7 +1316,7 @@ mod tests {
         assert_eq!(s.vc[1], 1);
         assert_eq!(s.log[1].len(), 1);
         assert_eq!(s.log[1][0].pages, vec![7]);
-        assert_eq!(s.notices[&7].len(), 1);
+        assert_eq!(s.pages.get(7).unwrap().notices.len(), 1);
         assert!(s.dirty.is_empty());
         // Lazy diffing: the twin survives the release; it is dropped only
         // when the diff is materialized by a request.
@@ -1165,7 +1328,9 @@ mod tests {
     #[test]
     fn empty_flush_is_free_and_silent() {
         let mut s = state(0, 2);
-        assert_eq!(s.flush(&CostModel::sp2()), 0.0);
+        let (us, iv) = s.flush(&CostModel::sp2());
+        assert_eq!(us, 0.0);
+        assert!(iv.is_none());
         assert_eq!(s.vc[0], 0);
         assert!(s.log[0].is_empty());
     }
@@ -1177,7 +1342,7 @@ mod tests {
             write_words(&mut s, 3, &[(k as usize, k + 1)]);
             s.flush(&CostModel::sp2());
         }
-        let pd = &s.diffs[&3];
+        let pd = &s.pages.get(3).unwrap().diffs;
         assert!(pd.frozen.is_empty());
         let open = pd.open.as_ref().unwrap();
         assert_eq!((open.lo, open.hi), (1, 5));
@@ -1185,7 +1350,7 @@ mod tests {
         assert_eq!(s.stats.diffs_created, 0);
         assert!(s.frames.meta(3).unwrap().twin.is_some());
         // Materializing covers all five writes at once.
-        let (ranges, us) = s.serve_diffs(3, 1, &CostModel::sp2());
+        let (ranges, us) = serve(&mut s, 3, 1);
         assert!(us > 0.0);
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0].diff.changed_words(), 5);
@@ -1200,23 +1365,23 @@ mod tests {
         let mut s = state(0, 2);
         write_words(&mut s, 3, &[(0, 1)]);
         s.flush(&CostModel::sp2());
-        let (ranges, _) = s.serve_diffs(3, 1, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s, 3, 1);
         assert_eq!(ranges.len(), 1);
         assert_eq!((ranges[0].lo, ranges[0].hi), (1, 1));
         assert_eq!(ranges[0].diff.changed_words(), 1);
         // New write after the serve goes to a fresh accumulator.
         write_words(&mut s, 3, &[(1, 2)]);
         s.flush(&CostModel::sp2());
-        let pd = &s.diffs[&3];
+        let pd = &s.pages.get(3).unwrap().diffs;
         assert_eq!(pd.frozen.len(), 1);
         let open = pd.open.as_ref().unwrap();
         assert_eq!((open.lo, open.hi), (2, 2));
         // A requester that already has seq 1 only gets the new range.
-        let (ranges, _) = s.serve_diffs(3, 2, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s, 3, 2);
         assert_eq!(ranges.len(), 1);
         assert_eq!((ranges[0].lo, ranges[0].hi), (2, 2));
         // A brand-new requester gets both.
-        let (ranges, _) = s.serve_diffs(3, 1, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s, 3, 1);
         assert_eq!(ranges.len(), 2);
     }
 
@@ -1232,7 +1397,7 @@ mod tests {
         write_words(&mut s, 3, &[(1, 2)]);
         // A wall-clock-time serve while the next epoch is mid-write must
         // not leak word 1 backward through virtual time.
-        let (ranges, _) = s.serve_diffs(3, 1, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s, 3, 1);
         assert_eq!(ranges.len(), 1);
         assert_eq!((ranges[0].lo, ranges[0].hi), (1, 1));
         assert_eq!(ranges[0].diff.changed_positions(), vec![0]);
@@ -1249,7 +1414,7 @@ mod tests {
         // disjoint from the one already frozen, so applying it elsewhere
         // can never roll back a concurrent writer's word 0.
         s.flush(&CostModel::sp2());
-        let (ranges, _) = s.serve_diffs(3, 2, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s, 3, 2);
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0].diff.changed_positions(), vec![1]);
         // Clean page after the serve: both buffers retire together.
@@ -1290,11 +1455,11 @@ mod tests {
         assert!(!s.integrate_interval(iv));
         assert_eq!(s.vc[2], 1);
         assert_eq!(s.lamport, 4);
-        assert_eq!(s.notices[&11].len(), 1);
+        assert_eq!(s.pages.get(11).unwrap().notices.len(), 1);
     }
 
     #[test]
-    fn missing_by_writer_reports_unapplied() {
+    fn missing_notices_report_unapplied() {
         let mut s = state(0, 3);
         for seq in 1..=3 {
             s.integrate_interval(Interval {
@@ -1305,7 +1470,8 @@ mod tests {
             });
         }
         let missing = |s: &DsmState| -> Vec<(usize, u32)> {
-            DsmState::missing_by_writer(&s.notices, &s.frames, s.me, 5).collect()
+            let notices = &s.pages.get(5).unwrap().notices;
+            notices.missing(s.me, s.frames.applied(5)).collect()
         };
         assert_eq!(missing(&s), vec![(1, 1)]);
         // Apply up to seq 2: only seq 3 is missing.
@@ -1408,7 +1574,12 @@ mod tests {
     #[test]
     fn required_watermarks_track_notices() {
         let mut s = state(0, 3);
-        assert_eq!(s.required_watermarks(4), vec![0, 0, 0]);
+        let watermarks = |s: &DsmState| {
+            let mut row = [9u32; 3];
+            s.required_watermarks(4, &mut row);
+            row
+        };
+        assert_eq!(watermarks(&s), [0, 0, 0]);
         for seq in 1..=2 {
             s.integrate_interval(Interval {
                 node: 2,
@@ -1417,7 +1588,7 @@ mod tests {
                 pages: vec![4],
             });
         }
-        assert_eq!(s.required_watermarks(4), vec![0, 0, 2]);
+        assert_eq!(watermarks(&s), [0, 0, 2]);
     }
 
     #[test]
@@ -1435,7 +1606,7 @@ mod tests {
                 lo: 1,
                 hi: 1,
                 lamport: 5,
-                diff: Arc::new(d2),
+                diff: d2,
             },
         );
         s.home_flush_in(
@@ -1445,7 +1616,7 @@ mod tests {
                 lo: 1,
                 hi: 1,
                 lamport: 3,
-                diff: Arc::new(d1.clone()),
+                diff: d1.clone(),
             },
         );
         assert!(s.home_covers(0, &[0, 1, 1]));
@@ -1454,7 +1625,7 @@ mod tests {
         assert!(us > 0.0);
         // Lamport order: writer 1 first, then writer 2's overwrite wins.
         assert_eq!((data[0], data[1]), (9, 7));
-        assert_eq!(applied, vec![0, 1, 1]);
+        assert_eq!(applied, [0, 1, 1]);
         // Memoized: identical watermarks replay nothing.
         let (again, _, us2) = s.home_serve(0, &[0, 1, 1], &cost);
         assert_eq!(again[0], 9);
@@ -1463,7 +1634,7 @@ mod tests {
         // see its interval — the construction is exact, never ahead.
         let (old, old_applied, _) = s.home_serve(0, &[0, 1, 0], &cost);
         assert_eq!(old[0], 7, "unsynchronized interval stays invisible");
-        assert_eq!(old_applied, vec![0, 1, 0]);
+        assert_eq!(old_applied, [0, 1, 0]);
         // A duplicate flush is dropped at arrival — the stale-flush
         // guard (re-applying it during a later construction would
         // resurrect 7 over 9).
@@ -1474,7 +1645,7 @@ mod tests {
                 lo: 1,
                 hi: 1,
                 lamport: 3,
-                diff: Arc::new(d1),
+                diff: d1,
             },
         ));
         assert_eq!(s.stats.stale_flush_drops, 1);
@@ -1489,7 +1660,7 @@ mod tests {
         // Node 1 writes and flushes; node 0 fetches.
         write_words(&mut s1, 4, &[(2, 77)]);
         s1.flush(&CostModel::sp2());
-        let (ranges, _) = s1.serve_diffs(4, 1, &CostModel::sp2());
+        let (ranges, _) = serve(&mut s1, 4, 1);
         for r in &ranges {
             s0.apply_range(4, 1, r.hi, &r.diff);
         }

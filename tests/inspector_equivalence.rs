@@ -82,7 +82,7 @@ proptest! {
     ///
     /// The threaded cells run straight, no retry: the load-sensitive
     /// value divergence this suite used to paper over (a wall-clock-time
-    /// `serve_diffs` materializing open-epoch words into diffs tagged
+    /// `freeze` materializing open-epoch words into diffs tagged
     /// with older watermarks) is fixed — served content is anchored to
     /// the published image at the release point — so a threaded failure
     /// here is a real regression. `tests/threaded_stress.rs` hammers the

@@ -66,7 +66,7 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
 #[test]
 fn flush_arriving_after_the_home_served_the_page_is_dropped() {
     use treadmarks::diff::Diff;
-    use treadmarks::protocol::{self, tag, PageReqEntry};
+    use treadmarks::protocol::{self, tag, PageReqEntries};
     use treadmarks::state::DiffRange;
 
     for engine in EngineKind::ALL {
@@ -81,7 +81,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                 });
                 node.join_service(h);
                 let st = state.lock();
-                // The home copy lives in `homed`, not in the working
+                // The home copy lives in the page table, not in the working
                 // frames: serving must never have touched a frame.
                 assert!(st.frames.is_empty(), "home copy leaked into frames");
                 st.stats.stale_flush_drops
@@ -97,7 +97,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         lo: hi,
                         hi,
                         lamport,
-                        diff: Arc::new(diff),
+                        diff,
                     };
                     node.endpoint().send_to_port(
                         0,
@@ -108,16 +108,14 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                     );
                 };
                 let fetch = |req_id: u32, required: u32| {
-                    let entries = [PageReqEntry {
-                        page: 3,
-                        required: vec![0, required],
-                    }];
+                    let mut entries = PageReqEntries::new(2);
+                    entries.push(3).copy_from_slice(&[0, required]);
                     node.endpoint().send_to_port(
                         0,
                         Port::Service,
                         0,
                         MsgKind::PageReq,
-                        protocol::encode_page_fetch_req(req_id, 1, &entries),
+                        protocol::encode_page_fetch_req(req_id, 1, entries.iter()),
                     );
                     let t = tag::PAGE_RESP | (req_id & 0xFFFF);
                     let pkt = node.recv_match(|p| p.src == 0 && p.tag == t);

@@ -7,7 +7,7 @@
 //! and a diff served while the page was dirty left the twin anchored
 //! at a stale baseline, so the next freeze re-included already-served
 //! words and rolled a concurrent writer's values back (fixed by
-//! re-anchoring the twin in `DsmState::serve_diffs`). Separately,
+//! re-anchoring the twin in `DsmState::freeze`). Separately,
 //! about one NBF/HLRC run in three hundred deadlocked: `Tmk::publish`
 //! dropped the state lock between the flush and the home-copy
 //! buffering, so the service thread could ship the interval before
