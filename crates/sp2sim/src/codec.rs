@@ -67,6 +67,12 @@ impl WordWriter {
         self
     }
 
+    /// [`WordWriter::put_raw`] for a slice of `usize`s.
+    pub fn put_raw_usizes(&mut self, xs: &[usize]) -> &mut Self {
+        self.buf.extend(xs.iter().map(|&x| x as u64));
+        self
+    }
+
     /// Number of words written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -172,7 +178,7 @@ mod tests {
     #[test]
     fn raw_words_roundtrip_without_a_prefix() {
         let mut w = WordWriter::new();
-        w.put(1).put_raw(&[9, 8, 7]).put(2);
+        w.put(1).put_raw(&[9, 8]).put_raw_usizes(&[7]).put(2);
         let buf = w.finish();
         assert_eq!(buf, vec![1, 9, 8, 7, 2]);
         let mut r = WordReader::new(&buf);

@@ -437,36 +437,13 @@ impl<'n> Tmk<'n> {
         let cost = self.node.cost();
         let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
         let mut hlrc_pages: Vec<usize> = Vec::new();
-        let mut missing_pages = 0u64;
+        let missing_pages;
         {
             let mut guard = self.state.lock();
             let st = &mut *guard;
             st.stats.validates += 1;
-            for &p in &pages {
-                // No row: no notice names the page.
-                let Some(row) = st.pages.get_mut(p) else {
-                    continue;
-                };
-                let mut missing = row.notices.missing(st.me, st.frames.applied(p)).peekable();
-                if missing.peek().is_some() {
-                    missing_pages += 1;
-                    row.prof.faults += 1;
-                    if self.hlrc() {
-                        hlrc_pages.push(p);
-                        continue;
-                    }
-                    for (writer, first_needed) in missing {
-                        trace!(
-                            "[{}] validate: page {p} writer {writer} from seq {first_needed}",
-                            self.proc_id()
-                        );
-                        by_writer.entry(writer).or_default().push(DiffReqEntry {
-                            page: p,
-                            first_needed,
-                        });
-                    }
-                }
-            }
+            missing_pages =
+                self.plan_fetch(st, pages.iter().copied(), &mut by_writer, &mut hlrc_pages);
             st.stats.validate_pages += missing_pages;
             if missing_pages > 0 {
                 st.stats.faults += 1;
@@ -526,6 +503,50 @@ impl<'n> Tmk<'n> {
         missing_pages
     }
 
+    /// Phase 1 of a fault or a validate: which of `pages` does a write
+    /// notice of another node invalidate — one above what the frame has
+    /// applied for that writer? Counts them (and a fault in each one's
+    /// profile) and plans their fetch: under HLRC the pages themselves
+    /// go to `whole`, each to be fetched from its home; under LRC the
+    /// diff requests go to `by_writer`, from the first unapplied notice
+    /// of each writer on.
+    fn plan_fetch(
+        &self,
+        st: &mut DsmState,
+        pages: impl Iterator<Item = usize>,
+        by_writer: &mut BTreeMap<usize, Vec<DiffReqEntry>>,
+        whole: &mut Vec<usize>,
+    ) -> u64 {
+        let me = self.proc_id();
+        let mut invalid = 0;
+        for page in pages {
+            let applied = st.frames.applied(page);
+            if !st.notices.any_missing(page, me, applied) {
+                continue;
+            }
+            invalid += 1;
+            st.pages.row(page).prof.faults += 1;
+            if self.hlrc() {
+                whole.push(page);
+                continue;
+            }
+            for writer in (0..st.n).filter(|&w| w != me) {
+                let done = applied.map_or(0, |a| a[writer]);
+                let first = st.notices.first_after(page, writer, done, &st.log[writer]);
+                if let Some(first_needed) = first {
+                    trace!(
+                        "[{me}] fetch plan: page {page} writer {writer} from seq {first_needed}"
+                    );
+                    by_writer
+                        .entry(writer)
+                        .or_default()
+                        .push(DiffReqEntry { page, first_needed });
+                }
+            }
+        }
+        invalid
+    }
+
     /// The fault engine: make global words `[wlo, whi)` consistent and
     /// optionally write-enable their pages. Returns the state still
     /// locked, so the caller registers its view in the same critical
@@ -556,28 +577,7 @@ impl<'n> Tmk<'n> {
             // The view needs its pages side by side: one extent under the
             // whole range (a merge the first time, a lookup afterwards).
             st.frames.cover(p0, p1);
-            let mut faulted_pages = 0u64;
-            for p in p0..=p1 {
-                // No row: no notice names the page.
-                let Some(row) = st.pages.get_mut(p) else {
-                    continue;
-                };
-                let mut missing = row.notices.missing(st.me, st.frames.applied(p)).peekable();
-                if missing.peek().is_some() {
-                    faulted_pages += 1;
-                    row.prof.faults += 1;
-                    if self.hlrc() {
-                        missing_pages.push(p);
-                    } else {
-                        for (writer, first_needed) in missing {
-                            by_writer.entry(writer).or_default().push(DiffReqEntry {
-                                page: p,
-                                first_needed,
-                            });
-                        }
-                    }
-                }
-            }
+            let faulted_pages = self.plan_fetch(st, p0..=p1, &mut by_writer, &mut missing_pages);
             let faults = if self.cfg.aggregation {
                 u64::from(faulted_pages > 0)
             } else {
@@ -1229,9 +1229,9 @@ impl<'n> Tmk<'n> {
                 // drop it — the page stays invalid and the next access
                 // fetches the full set.
                 let gap = st
-                    .pages
-                    .get(e.page)
-                    .is_some_and(|r| r.notices.any_between(*writer, applied, e.lo));
+                    .notices
+                    .first_after(e.page, *writer, applied, &st.log[*writer])
+                    .is_some_and(|first| first < e.lo);
                 if gap {
                     trace!(
                         "[{}] push-recv: dropping gapped range for page {}",
@@ -1582,15 +1582,20 @@ impl<'n> Tmk<'n> {
     /// [`SharingProfile::merge_from`](crate::profile::SharingProfile::merge_from)
     /// fold over all nodes.
     pub fn take_sharing(&self) -> crate::profile::SharingProfile {
-        let mut st = self.state.lock();
-        let pages = st
-            .pages
-            .iter_mut()
-            .filter(|(_, row)| !row.prof.is_untouched())
-            .map(|(page, row)| {
-                let mut prof = std::mem::take(&mut row.prof);
-                prof.finalize();
-                (page, prof)
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let writers = st.notices.writers_mut();
+        let pages = (0..st.pages.len().max(writers.len()))
+            .filter_map(|page| {
+                let mut prof = st
+                    .pages
+                    .get_mut(page)
+                    .map(|row| std::mem::take(&mut row.prof))
+                    .unwrap_or_default();
+                if let Some(window) = writers.get_mut(page) {
+                    std::mem::take(window).fold_into(&mut prof);
+                }
+                (!prof.is_untouched()).then_some((page, prof))
             })
             .collect();
         let locks: Vec<(u32, crate::profile::LockProfile)> =

@@ -34,18 +34,18 @@ impl Interval {
         w.put(self.seq as u64);
         w.put(self.lamport);
         w.put_usize(self.pages.len());
-        for &p in &self.pages {
-            w.put_usize(p);
-        }
+        w.put_raw_usizes(&self.pages);
     }
 
-    /// Inverse of [`Interval::encode`].
+    /// Inverse of [`Interval::encode`]. The page count is checked
+    /// against the message (by [`WordReader::take`]) before it sizes the
+    /// list: a corrupted count panics like any other over-read.
     pub fn decode(r: &mut WordReader) -> Interval {
         let node = r.get_usize();
         let seq = r.get() as u32;
         let lamport = r.get();
         let npages = r.get_usize();
-        let pages = (0..npages).map(|_| r.get_usize()).collect();
+        let pages = r.take(npages).iter().map(|&p| p as usize).collect();
         Interval {
             node,
             seq,
@@ -79,9 +79,16 @@ pub fn intervals_words<T: std::borrow::Borrow<Interval>>(intervals: &[T]) -> usi
         .sum::<usize>()
 }
 
-/// Inverse of [`encode_intervals`].
+/// Inverse of [`encode_intervals`]. Panics, before allocating anything,
+/// on a count the rest of the message cannot hold (an interval is at
+/// least four words).
 pub fn decode_intervals(r: &mut WordReader) -> Vec<Interval> {
     let n = r.get_usize();
+    assert!(
+        n <= r.remaining() / 4,
+        "interval count {n} out of range for the {} words left",
+        r.remaining()
+    );
     (0..n).map(|_| Interval::decode(r)).collect()
 }
 
@@ -126,5 +133,27 @@ mod tests {
         let buf = w.finish();
         let got = decode_intervals(&mut WordReader::new(&buf));
         assert_eq!(ivs, got);
+        assert_eq!(buf.len(), intervals_words(&ivs));
+    }
+
+    /// An interval whose page count claims `npages`, with three pages
+    /// actually behind it.
+    fn interval_claiming(npages: u64) -> Vec<u64> {
+        vec![0, 1, 1, npages, 10, 11, 12]
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lying_page_count_is_an_overread_not_an_allocation() {
+        // 2^40 pages would be an 8 TB list if the count sized it.
+        Interval::decode(&mut WordReader::new(&interval_claiming(1 << 40)));
+    }
+
+    #[test]
+    #[should_panic(expected = "interval count")]
+    fn lying_interval_count_is_rejected_before_any_allocation() {
+        let mut buf = vec![1 << 40];
+        buf.extend(interval_claiming(3));
+        decode_intervals(&mut WordReader::new(&buf));
     }
 }

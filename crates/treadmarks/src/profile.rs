@@ -34,25 +34,9 @@ pub struct PageProfile {
     /// page inside a synchronization interval (false sharing when their
     /// word ranges are disjoint; see [`crate::race`]).
     pub max_epoch_writers: u32,
-    /// Epoch the open writer window belongs to (internal).
-    epoch_last: u64,
-    /// Writers seen in the open epoch window (internal).
-    epoch_mask: u64,
 }
 
 impl PageProfile {
-    /// Record that `writer` published writes to this page during local
-    /// epoch `epoch` (a per-node epoch proxy: completed barriers+forks).
-    pub(crate) fn record_writer(&mut self, writer: usize, epoch: u64) {
-        let bit = 1u64 << writer.min(63);
-        self.writer_mask |= bit;
-        if epoch != self.epoch_last {
-            self.roll_epoch();
-            self.epoch_last = epoch;
-        }
-        self.epoch_mask |= bit;
-    }
-
     /// True while nothing was ever recorded for the page (every
     /// recording site bumps one of these).
     pub(crate) fn is_untouched(&self) -> bool {
@@ -61,19 +45,6 @@ impl PageProfile {
             && self.diffs_created == 0
             && self.diffs_applied == 0
             && self.writer_mask == 0
-    }
-
-    /// Close the open epoch window (call once, when the run ends).
-    pub(crate) fn finalize(&mut self) {
-        self.roll_epoch();
-    }
-
-    fn roll_epoch(&mut self) {
-        let w = self.epoch_mask.count_ones();
-        if w > self.max_epoch_writers {
-            self.max_epoch_writers = w;
-        }
-        self.epoch_mask = 0;
     }
 
     /// Distinct writers over the whole run.
@@ -90,6 +61,57 @@ impl PageProfile {
         self.diffs_applied += other.diffs_applied;
         self.writer_mask |= other.writer_mask;
         self.max_epoch_writers = self.max_epoch_writers.max(other.max_epoch_writers);
+    }
+}
+
+/// The writer statistics of one page while the run is in progress.
+///
+/// Recorded for every write notice a node integrates — once per page per
+/// interval, whether or not the node ever touches the page — so the
+/// windows live in a dense array of their own beside the notice
+/// watermarks ([`crate::state::NoticeTable`]), not in the page rows, and
+/// [`WriterWindow::fold_into`] hands them to the [`PageProfile`] when
+/// the run ends.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WriterWindow {
+    /// See [`PageProfile::writer_mask`].
+    writer_mask: u64,
+    /// Writers seen in the open epoch window.
+    epoch_mask: u64,
+    /// Epoch the open window belongs to.
+    epoch_last: u64,
+    /// See [`PageProfile::max_epoch_writers`] (closed windows only).
+    max_epoch_writers: u32,
+}
+
+impl WriterWindow {
+    /// Record that `writer` published writes to this page during local
+    /// epoch `epoch` (a per-node epoch proxy: completed barriers+forks).
+    #[inline]
+    pub(crate) fn record(&mut self, writer: usize, epoch: u64) {
+        let bit = 1u64 << writer.min(63);
+        self.writer_mask |= bit;
+        if epoch != self.epoch_last {
+            self.roll_epoch();
+            self.epoch_last = epoch;
+        }
+        self.epoch_mask |= bit;
+    }
+
+    fn roll_epoch(&mut self) {
+        let w = self.epoch_mask.count_ones();
+        if w > self.max_epoch_writers {
+            self.max_epoch_writers = w;
+        }
+        self.epoch_mask = 0;
+    }
+
+    /// Close the open epoch window and write the page's writer
+    /// statistics into `prof` (call once, when the run ends).
+    pub(crate) fn fold_into(mut self, prof: &mut PageProfile) {
+        self.roll_epoch();
+        prof.writer_mask = self.writer_mask;
+        prof.max_epoch_writers = self.max_epoch_writers;
     }
 }
 
@@ -174,12 +196,15 @@ mod tests {
 
     #[test]
     fn epoch_writer_window_rolls_per_epoch() {
-        let mut p = PageProfile::default();
+        let mut w = WriterWindow::default();
         // Epoch 0: two concurrent writers; epoch 1: one.
-        p.record_writer(0, 0);
-        p.record_writer(3, 0);
-        p.record_writer(3, 1);
+        w.record(0, 0);
+        w.record(3, 0);
+        w.record(3, 1);
         // The open window only folds into the max when it closes.
+        assert_eq!(w.max_epoch_writers, 2);
+        let mut p = PageProfile::default();
+        w.fold_into(&mut p);
         assert_eq!(p.max_epoch_writers, 2);
         assert_eq!(p.writers(), 2);
         assert_eq!(p.writer_mask, 0b1001);

@@ -38,7 +38,7 @@ use crate::diff::Diff;
 use crate::fxhash::FxHashMap;
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId};
-use crate::profile::PageProfile;
+use crate::profile::{PageProfile, WriterWindow};
 use crate::race::{IntervalWrites, RaceLog};
 use crate::stats::DsmStats;
 use crate::vc::Vc;
@@ -84,84 +84,142 @@ pub struct PageDiffs {
     pub open: Option<OpenRange>,
 }
 
-/// Write-notice history for one page, stored per writer.
+/// Write notices, as two watermarks per (page, writer).
 ///
-/// Kept as per-writer ascending sequence-number lists rather than one
-/// flat arrival-order vector: the fault path asks "first sequence above
-/// my applied watermark" for every writer on every view construction,
-/// and a flat list makes that O(all notices ever) — quadratic over a
-/// run as epochs accumulate. Per-creator intervals integrate in order,
-/// so each list is sorted by construction and every query is a binary
-/// search. The stored Lamport stamps were never consumed (ordering uses
-/// the stamps carried by diff ranges), so only sequence numbers remain.
-#[derive(Clone, Debug, Default)]
-pub struct PageNotices {
-    /// `seqs[w]`: interval sequence numbers of writer `w` that wrote
-    /// this page, ascending. Sized lazily on first push.
-    seqs: Vec<Vec<u32>>,
+/// A write notice does one thing: it invalidates a page. What the
+/// protocol asks afterwards compares how far a writer's notices reach
+/// with how far the frame has applied them, so the table keeps no
+/// history: per (page, writer) the **latest** notice sequence and a
+/// **first-unapplied hint**, in two flat arrays indexed `page * n +
+/// writer`, and per page the sharing profile's writer window.
+///
+/// * *Is anything missing?* `latest > applied` for some writer other
+///   than this node ([`NoticeTable::any_missing`]).
+/// * *What is the highest notice, was the page ever named?* The
+///   [`NoticeTable::latest`] row ([`NoticeTable::is_named`]).
+/// * *What is the first notice above `applied`?*
+///   [`NoticeTable::first_after`] — the one question that needs
+///   history, which the interval log holds: interval `s` of writer `w`
+///   is `log[w][s - 1]`, its pages sorted.
+///
+/// The hint answers the last one without the log in the steady state:
+/// [`NoticeTable::push`] sets it when it is 0; a query with `latest <=
+/// applied` clears it; one with `hint > applied` returns it; otherwise
+/// (`applied` passed the hint with no query in between) the log is
+/// scanned from `applied` and the result stored. It is exact because
+/// `applied` only grows and the hint is only ever set to the first
+/// notice above the `applied` of the moment (DESIGN.md, "Write
+/// notices").
+#[derive(Debug)]
+pub struct NoticeTable {
+    /// Cluster size: the row stride of `latest` and `first`.
+    n: usize,
+    /// `latest[page * n + w]`: highest interval of `w` naming the page
+    /// (0: none).
+    latest: Vec<u32>,
+    /// `first[page * n + w]`: the hint (0: not known).
+    first: Vec<u32>,
+    /// Sharing-profile writer windows, one per page (always on;
+    /// host-side only — see [`crate::profile`]).
+    writers: Vec<WriterWindow>,
 }
 
-impl PageNotices {
-    /// Record that interval `seq` of `node` wrote this page (`n` nodes).
-    pub fn push(&mut self, n: usize, node: usize, seq: u32) {
-        if self.seqs.is_empty() {
-            self.seqs = vec![Vec::new(); n];
+impl NoticeTable {
+    /// Empty table for a cluster of `n`.
+    pub fn new(n: usize) -> NoticeTable {
+        NoticeTable {
+            n,
+            latest: Vec::new(),
+            first: Vec::new(),
+            writers: Vec::new(),
         }
-        let list = &mut self.seqs[node];
+    }
+
+    fn grow(&mut self, pages: usize) {
+        if pages > self.writers.len() {
+            self.latest.resize(pages * self.n, 0);
+            self.first.resize(pages * self.n, 0);
+            self.writers.resize(pages, WriterWindow::default());
+        }
+    }
+
+    /// Record that interval `seq` of `writer`, integrated during local
+    /// epoch `epoch`, named `pages` (ascending; per writer, intervals
+    /// arrive in ascending `seq` order).
+    pub fn push(&mut self, pages: &[PageId], writer: usize, seq: u32, epoch: u64) {
         debug_assert!(
-            !list.iter().any(|&s| s >= seq),
-            "per-creator notices arrive in ascending order"
+            pages.windows(2).all(|w| w[0] < w[1]),
+            "an interval's page list is sorted"
         );
-        list.push(seq);
+        let Some(&last) = pages.last() else {
+            return;
+        };
+        self.grow(last + 1);
+        for &p in pages {
+            let at = p * self.n + writer;
+            debug_assert!(
+                self.latest[at] < seq,
+                "per-creator notices arrive in ascending order"
+            );
+            self.latest[at] = seq;
+            if self.first[at] == 0 {
+                self.first[at] = seq;
+            }
+            self.writers[p].record(writer, epoch);
+        }
     }
 
-    /// Total notices recorded for this page.
-    pub fn len(&self) -> usize {
-        self.seqs.iter().map(Vec::len).sum()
+    /// The highest notice per writer for `page` (`None`: never named).
+    pub fn latest(&self, page: PageId) -> Option<&[u32]> {
+        self.latest.get(page * self.n..(page + 1) * self.n)
     }
 
-    /// True when no notice has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// True if any notice names `page`.
+    pub fn is_named(&self, page: PageId) -> bool {
+        self.latest(page)
+            .is_some_and(|row| row.iter().any(|&s| s > 0))
     }
 
-    /// Highest recorded sequence number of `writer` (0 if none).
-    pub fn max_seq(&self, writer: usize) -> u32 {
-        self.seqs
-            .get(writer)
-            .and_then(|l| l.last().copied())
-            .unwrap_or(0)
+    /// True if some writer other than `me` has a notice for `page` above
+    /// the frame's `applied` watermarks (`None`: no frame, nothing
+    /// applied) — the page is invalid.
+    pub fn any_missing(&self, page: PageId, me: usize, applied: Option<&[u32]>) -> bool {
+        self.latest(page).is_some_and(|latest| {
+            (0..self.n).any(|w| w != me && latest[w] > applied.map_or(0, |a| a[w]))
+        })
     }
 
-    /// First recorded sequence of `writer` strictly above `done`.
-    pub fn first_after(&self, writer: usize, done: u32) -> Option<u32> {
-        let list = self.seqs.get(writer)?;
-        let i = list.partition_point(|&s| s <= done);
-        list.get(i).copied()
+    /// First notice of `writer` for `page` strictly above `applied`,
+    /// which must be the frame's own watermark for that writer: the hint
+    /// is exact only because successive calls see it grow. `log` is the
+    /// writer's interval log, read only when the hint is stale.
+    pub fn first_after(
+        &mut self,
+        page: PageId,
+        writer: usize,
+        applied: u32,
+        log: &[Arc<Interval>],
+    ) -> Option<u32> {
+        let at = page * self.n + writer;
+        let latest = *self.latest.get(at)?;
+        let hint = &mut self.first[at];
+        if latest <= applied {
+            *hint = 0;
+            return None;
+        }
+        if *hint <= applied {
+            *hint = log[applied as usize..latest as usize]
+                .iter()
+                .find(|iv| iv.pages.binary_search(&page).is_ok())
+                .expect("the interval of the latest notice names the page")
+                .seq;
+        }
+        Some(*hint)
     }
 
-    /// Notices not yet reflected in a frame whose per-writer watermarks
-    /// are `applied` (`None`: no frame, nothing applied), skipping `me`'s
-    /// own: `(writer, first missing seq)`, ascending by writer.
-    pub fn missing<'a>(
-        &'a self,
-        me: usize,
-        applied: Option<&'a [u32]>,
-    ) -> impl Iterator<Item = (usize, u32)> + 'a {
-        self.seqs
-            .iter()
-            .enumerate()
-            .filter(move |(w, _)| *w != me)
-            .filter_map(move |(w, _)| {
-                let done = applied.map_or(0, |a| a[w]);
-                self.first_after(w, done).map(|first| (w, first))
-            })
-    }
-
-    /// True if `writer` has a recorded sequence in the open interval
-    /// `(lo, hi)` — the push gap check.
-    pub fn any_between(&self, writer: usize, lo: u32, hi: u32) -> bool {
-        self.first_after(writer, lo).is_some_and(|s| s < hi)
+    /// The writer windows, by page (for `take_sharing`).
+    pub(crate) fn writers_mut(&mut self) -> &mut [WriterWindow] {
+        &mut self.writers
     }
 }
 
@@ -429,12 +487,15 @@ struct HomeCopy {
 impl HomePage {
     /// Buffer `range` of `writer` at its `(lamport, writer)` position
     /// (the end, unless flushes of concurrent writers arrive out of
-    /// stamp order) and invalidate the memoized construction.
-    fn insert(&mut self, writer: usize, range: DiffRange) {
+    /// stamp order) and invalidate the memoized construction. Returns
+    /// `true` if it is the only buffered range: the page joins the
+    /// prune work list.
+    fn insert(&mut self, writer: usize, range: DiffRange) -> bool {
         let key = (range.lamport, writer);
         let at = self.ranges.partition_point(|(w, r)| (r.lamport, *w) <= key);
         self.ranges.insert(at, (writer, range));
         self.invalidate();
+        self.ranges.len() == 1
     }
 
     fn invalidate(&mut self) {
@@ -444,31 +505,36 @@ impl HomePage {
     }
 }
 
-/// Everything the protocol keeps per page.
+/// What the protocol keeps per page this node wrote, homes or faulted
+/// on.
 #[derive(Debug, Default)]
 pub struct PageRow {
-    /// Write notices, per writer.
-    pub notices: PageNotices,
     /// Diff storage, if this node has written the page.
     pub diffs: PageDiffs,
-    /// HLRC home-side state, if the page is homed here: fed only by
-    /// *published* diffs (remote writers' eager flushes, and our own
-    /// frozen diffs buffered at release) — deliberately separate from
-    /// [`DsmState::frames`], whose content includes local unpublished
-    /// writes that must never be served.
-    pub home: HomePage,
-    /// Sharing profile (always on; host-side only — see
-    /// [`crate::profile`]).
+    /// HLRC home-side state, once a published diff of the page reached
+    /// this node as its home: fed only by *published* diffs (remote
+    /// writers' eager flushes, and our own frozen diffs buffered at
+    /// release) — deliberately separate from [`DsmState::frames`],
+    /// whose content includes local unpublished writes that must never
+    /// be served.
+    pub home: Option<Box<HomePage>>,
+    /// Sharing-profile event counters (always on; host-side only — see
+    /// [`crate::profile`]). The writer statistics are filled in when
+    /// the run ends, from [`NoticeTable`]'s writer windows.
     pub prof: PageProfile,
 }
 
 /// The page table: one [`PageRow`] per page, indexed by page id.
 ///
-/// `Tmk::malloc_f64` hands page ids out densely from 0 and every node
-/// integrates a notice for every page anyone writes, so a vector
-/// indexed by id replaces what were four hash maps keyed by it. It
-/// grows on demand to the highest page touched; a row nothing has
-/// touched is all empty vectors and zeros and owns no heap memory.
+/// `Tmk::malloc_f64` hands page ids out densely from 0, so a vector
+/// indexed by id serves. A row holds the diffs this node made of the
+/// page, the home copy if the page is homed here, and the profile's
+/// event counters. It does not hold write notices: every node
+/// integrates a notice for every page anyone writes, and those go to
+/// the [`NoticeTable`], so the rows are touched only for pages this
+/// node writes, homes or faults on. The table grows on demand to the
+/// highest such page; a row nothing has touched is an empty vector, a
+/// null pointer and zeros and owns no heap memory.
 #[derive(Debug, Default)]
 pub struct PageTable {
     rows: Vec<PageRow>,
@@ -502,11 +568,6 @@ impl PageTable {
     /// True before any page was touched.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Every row with its page id, ascending.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (PageId, &mut PageRow)> {
-        self.rows.iter_mut().enumerate()
     }
 }
 
@@ -564,8 +625,14 @@ pub struct DsmState {
     pub lamport: u64,
     /// Interval log, indexed by creator, ascending sequence numbers.
     pub log: Vec<Vec<Arc<Interval>>>,
-    /// Per-page protocol state: notices, diffs, home copy, profile.
+    /// Write notices: the latest and first-unapplied watermarks per
+    /// (page, writer).
+    pub notices: NoticeTable,
+    /// Per-page protocol state: diffs, home copy, profile counters.
     pub pages: PageTable,
+    /// HLRC home-side: the pages homed here that hold buffered ranges —
+    /// the work list of [`DsmState::prune_home_copies`].
+    home_buffered: Vec<PageId>,
     /// Cached page frames, in extents (see [`crate::page`]).
     pub frames: FrameStore,
     /// Pages written since the last flush (BTreeSet: deterministic order).
@@ -624,7 +691,9 @@ impl DsmState {
             vc: vec![0; n],
             lamport: 0,
             log: (0..n).map(|_| Vec::new()).collect(),
+            notices: NoticeTable::new(n),
             pages: PageTable::default(),
+            home_buffered: Vec::new(),
             frames,
             dirty: BTreeSet::new(),
             unreported_seq: 0,
@@ -677,7 +746,7 @@ impl DsmState {
     /// sets agree at loop boundaries.
     pub fn set_home(&mut self, page: PageId, home: usize) -> bool {
         debug_assert!(home < self.n);
-        if self.pages.get(page).is_some_and(|r| !r.notices.is_empty()) {
+        if self.notices.is_named(page) {
             return false;
         }
         self.home_override.insert(page, home);
@@ -689,9 +758,9 @@ impl DsmState {
     /// per writer. The home must have applied at least these before its
     /// copy is consistent for us. Fills `row` (one slot per node).
     pub fn required_watermarks(&self, page: PageId, row: &mut [u32]) {
-        let notices = self.pages.get(page).map(|r| &r.notices);
-        for (w, r) in row.iter_mut().enumerate() {
-            *r = notices.map_or(0, |pn| pn.max_seq(w));
+        match self.notices.latest(page) {
+            Some(latest) => row.copy_from_slice(latest),
+            None => row.fill(0),
         }
     }
 
@@ -703,7 +772,7 @@ impl DsmState {
     /// would overwrite newer words with old values. Returns `true` if
     /// the range was buffered.
     pub fn home_flush_in(&mut self, writer: usize, page: PageId, range: DiffRange) -> bool {
-        let hp = &mut self.pages.row(page).home;
+        let hp = self.pages.row(page).home.get_or_insert_with(Box::default);
         let in_base = hp
             .base
             .as_ref()
@@ -717,7 +786,9 @@ impl DsmState {
             self.stats.stale_flush_drops += 1;
             return false;
         }
-        hp.insert(writer, range);
+        if hp.insert(writer, range) {
+            self.home_buffered.push(page);
+        }
         true
     }
 
@@ -726,8 +797,10 @@ impl DsmState {
     /// the working copy; the home copy still needs the published range to
     /// serve others).
     pub fn home_buffer_own(&mut self, page: PageId, range: DiffRange) {
-        let me = self.me;
-        self.pages.row(page).home.insert(me, range);
+        let hp = self.pages.row(page).home.get_or_insert_with(Box::default);
+        if hp.insert(self.me, range) {
+            self.home_buffered.push(page);
+        }
     }
 
     /// Home-side: can a copy of `page` satisfying `required` be
@@ -736,7 +809,7 @@ impl DsmState {
     /// release that publishes its notice, before the notice can reach
     /// any requester) and the request must wait.
     pub fn home_covers(&self, page: PageId, required: &[u32]) -> bool {
-        let hp = self.pages.get(page).map(|r| &r.home);
+        let hp = self.pages.get(page).and_then(|r| r.home.as_deref());
         required.iter().enumerate().all(|(w, &need)| {
             need == 0
                 || hp.is_some_and(|hp| {
@@ -767,7 +840,7 @@ impl DsmState {
             ranges,
             base,
             cache,
-        } = &mut self.pages.row(page).home;
+        } = &mut **self.pages.row(page).home.get_or_insert_with(Box::default);
         let copy = cache.get_or_insert_with(|| HomeCopy {
             required: vec![0; n],
             image: HomeImage {
@@ -829,15 +902,21 @@ impl DsmState {
     /// have completed), so folding is safe. The fold happens in place:
     /// `retain` visits the ranges in their stored `(lamport, writer)`
     /// order and applies each one it drops straight onto the base.
+    /// Only the pages on the work list — those with buffered ranges —
+    /// are visited; a page leaves the list when its last range folds.
     /// Returns ranges dropped.
     pub fn prune_home_copies(&mut self, min_vc: &[u32]) -> u64 {
         let pw = self.cfg.page_words;
         let n = self.n;
         let mut dropped = 0;
-        for (_, row) in self.pages.iter_mut() {
-            let hp = &mut row.home;
+        let pages = &mut self.pages;
+        self.home_buffered.retain(|&page| {
+            let hp = pages
+                .get_mut(page)
+                .and_then(|row| row.home.as_deref_mut())
+                .expect("a page on the prune work list has a home copy");
             if hp.ranges.iter().all(|(w, r)| r.hi > min_vc[*w]) {
-                continue;
+                return true;
             }
             let base = hp.base.get_or_insert_with(|| HomeImage {
                 data: vec![0; pw],
@@ -858,7 +937,8 @@ impl DsmState {
             // The memoized construction may now sit below the base
             // floor; drop it rather than reason about mixed floors.
             hp.invalidate();
-        }
+            !hp.ranges.is_empty()
+        });
         self.stats.home_ranges_pruned += dropped;
         dropped
     }
@@ -978,7 +1058,7 @@ impl DsmState {
         if self.dirty.is_empty() {
             return (0.0, None);
         }
-        let (me, n) = (self.me, self.n);
+        let me = self.me;
         let seq = self.vc[me] + 1;
         self.vc[me] = seq;
         self.lamport += 1;
@@ -1022,9 +1102,8 @@ impl DsmState {
             });
             open.hi = seq;
             open.lamport_hi = lamport;
-            row.notices.push(n, me, seq);
-            row.prof.record_writer(me, epoch);
         }
+        self.notices.push(&pages, me, seq, epoch);
         let us = pages.len() as f64 * cost.manager_us * 0.1;
         let iv = Arc::new(Interval {
             node: me,
@@ -1061,13 +1140,8 @@ impl DsmState {
         if iv.lamport > self.lamport {
             self.lamport = iv.lamport;
         }
-        let n = self.n;
         let epoch = self.epoch_proxy();
-        for &p in &iv.pages {
-            let row = self.pages.row(p);
-            row.notices.push(n, iv.node, iv.seq);
-            row.prof.record_writer(iv.node, epoch);
-        }
+        self.notices.push(&iv.pages, iv.node, iv.seq, epoch);
         self.log[iv.node].push(Arc::new(iv));
         true
     }
@@ -1220,6 +1294,267 @@ impl DsmState {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
+    /// The representation [`NoticeTable`] replaced: per page, per writer,
+    /// the ascending list of every notice sequence, each query a binary
+    /// search. Kept as the reference the watermarks must agree with.
+    #[derive(Clone, Debug, Default)]
+    struct PageNotices {
+        seqs: Vec<Vec<u32>>,
+    }
+
+    impl PageNotices {
+        fn push(&mut self, n: usize, node: usize, seq: u32) {
+            if self.seqs.is_empty() {
+                self.seqs = vec![Vec::new(); n];
+            }
+            let list = &mut self.seqs[node];
+            assert!(!list.iter().any(|&s| s >= seq), "ascending per creator");
+            list.push(seq);
+        }
+
+        fn is_empty(&self) -> bool {
+            self.seqs.iter().all(Vec::is_empty)
+        }
+
+        fn max_seq(&self, writer: usize) -> u32 {
+            self.seqs
+                .get(writer)
+                .and_then(|l| l.last().copied())
+                .unwrap_or(0)
+        }
+
+        fn first_after(&self, writer: usize, done: u32) -> Option<u32> {
+            let list = self.seqs.get(writer)?;
+            let i = list.partition_point(|&s| s <= done);
+            list.get(i).copied()
+        }
+
+        fn missing(&self, me: usize, applied: &[u32]) -> Vec<(usize, u32)> {
+            (0..self.seqs.len())
+                .filter(|&w| w != me)
+                .filter_map(|w| self.first_after(w, applied[w]).map(|first| (w, first)))
+                .collect()
+        }
+
+        fn any_between(&self, writer: usize, lo: u32, hi: u32) -> bool {
+            self.first_after(writer, lo).is_some_and(|s| s < hi)
+        }
+    }
+
+    /// A [`NoticeTable`] beside the reference lists, with the interval
+    /// logs and `applied` watermarks both are queried against (node 0's
+    /// view of `N` nodes and `PAGES` pages).
+    struct Model {
+        table: NoticeTable,
+        lists: Vec<PageNotices>,
+        log: Vec<Vec<Arc<Interval>>>,
+        applied: Vec<[u32; Model::N]>,
+    }
+
+    impl Model {
+        const N: usize = 3;
+        const PAGES: usize = 4;
+
+        fn new() -> Model {
+            Model {
+                table: NoticeTable::new(Model::N),
+                lists: vec![PageNotices::default(); Model::PAGES],
+                log: vec![Vec::new(); Model::N],
+                applied: vec![[0; Model::N]; Model::PAGES],
+            }
+        }
+
+        /// The next interval of `writer` names `pages` (ascending).
+        fn push(&mut self, writer: usize, pages: Vec<PageId>) {
+            let seq = self.log[writer].len() as u32 + 1;
+            self.table.push(&pages, writer, seq, 0);
+            for &p in &pages {
+                self.lists[p].push(Model::N, writer, seq);
+            }
+            self.log[writer].push(Arc::new(Interval {
+                node: writer,
+                seq,
+                lamport: 0,
+                pages,
+            }));
+        }
+
+        /// The questions that leave the hint alone, for every page.
+        fn check_watermarks(&self) {
+            for (p, list) in self.lists.iter().enumerate() {
+                let latest = self.table.latest(p);
+                for w in 0..Model::N {
+                    assert_eq!(latest.map_or(0, |l| l[w]), list.max_seq(w), "page {p}");
+                }
+                assert_eq!(self.table.is_named(p), !list.is_empty(), "page {p}");
+                assert_eq!(
+                    self.table.any_missing(p, 0, Some(&self.applied[p])),
+                    !list.missing(0, &self.applied[p]).is_empty(),
+                    "page {p}"
+                );
+                assert_eq!(
+                    self.table.any_missing(p, 0, None),
+                    !list.missing(0, &[0; Model::N]).is_empty(),
+                    "page {p}, no frame"
+                );
+            }
+        }
+
+        /// The question that needs history — `missing` and the push gap
+        /// check — for `page`, at its real `applied` watermarks.
+        fn check_first_after(&mut self, page: PageId, hi: u32) {
+            let applied = self.applied[page];
+            let mut missing = Vec::new();
+            for w in 1..Model::N {
+                let first = self.table.first_after(page, w, applied[w], &self.log[w]);
+                missing.extend(first.map(|first| (w, first)));
+                assert_eq!(
+                    first.is_some_and(|first| first < hi),
+                    self.lists[page].any_between(w, applied[w], hi),
+                    "page {page} writer {w} gap below {hi}"
+                );
+            }
+            assert_eq!(
+                missing,
+                self.lists[page].missing(0, &applied),
+                "page {page}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random programs of pushes, `applied` raises and queries: the
+        /// watermarks answer every question the lists did. Raises are
+        /// not followed by a query, so hints go stale on the way.
+        #[test]
+        fn prop_notice_table_matches_the_lists(
+            ops in prop::collection::vec((0u32..8, 0usize..4, 1usize..3, 0u32..16), 1..120),
+        ) {
+            let mut m = Model::new();
+            for (kind, page, writer, arg) in ops {
+                match kind {
+                    // An interval naming the pages in `arg`'s bits
+                    // (none: a gap in every page's notices).
+                    0..=3 => {
+                        let pages = (0..Model::PAGES).filter(|p| arg >> p & 1 == 1).collect();
+                        m.push(writer, pages);
+                    }
+                    // Raise `applied`: to the next notice, to between
+                    // notices, or past the latest.
+                    4 | 5 => {
+                        let a = &mut m.applied[page][writer];
+                        let latest = m.lists[page].max_seq(writer);
+                        *a = match arg % 3 {
+                            0 => m.lists[page].first_after(writer, *a).unwrap_or(*a),
+                            1 => *a + 1,
+                            _ => (*a).max(latest + arg / 3),
+                        };
+                    }
+                    _ => m.check_first_after(page, arg),
+                }
+                m.check_watermarks();
+            }
+            for page in 0..Model::PAGES {
+                m.check_first_after(page, u32::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn stale_hint_is_rebuilt_from_the_interval_log() {
+        let mut m = Model::new();
+        // Seq 1 becomes the hint; seq 2 names another page; seq 3.
+        m.push(1, vec![2]);
+        m.push(1, vec![0]);
+        m.push(1, vec![2]);
+        // `applied` passes the hint with no query in between, then
+        // another notice arrives.
+        m.applied[2][1] = 1;
+        m.push(1, vec![2, 3]);
+        m.check_first_after(2, u32::MAX);
+        assert_eq!(m.table.first_after(2, 1, 1, &m.log[1]), Some(3));
+        // Answered from the stored hint now: an empty log is never read.
+        assert_eq!(m.table.first_after(2, 1, 2, &[]), Some(3));
+        // Everything applied clears the hint; the next push sets it.
+        assert_eq!(m.table.first_after(2, 1, 4, &[]), None);
+        m.push(1, vec![2]);
+        assert_eq!(m.table.first_after(2, 1, 4, &[]), Some(5));
+        // `applied` beyond every notice (a served range may reach past
+        // the notices we hold).
+        assert_eq!(m.table.first_after(2, 1, 9, &[]), None);
+        assert_eq!(
+            m.table.first_after(0, 2, 0, &[]),
+            None,
+            "writer without notices"
+        );
+        assert_eq!(m.table.first_after(77, 1, 0, &[]), None, "page never named");
+    }
+
+    /// MGS: column `j`'s only notice is its owner's `j`-th interval, and
+    /// a reader arrives with nothing applied. The hint answers without
+    /// walking the `j` intervals before it (the log is not even passed).
+    #[test]
+    fn one_notice_deep_in_a_long_log_is_found_without_a_scan() {
+        let mut table = NoticeTable::new(2);
+        for j in 0..500usize {
+            table.push(&[j], 1, j as u32 + 1, 0);
+        }
+        for j in 0..500usize {
+            assert!(table.any_missing(j, 0, None));
+            assert_eq!(table.first_after(j, 1, 0, &[]), Some(j as u32 + 1));
+        }
+    }
+
+    #[test]
+    fn a_notice_for_a_page_beyond_the_table_grows_it() {
+        let mut table = NoticeTable::new(3);
+        assert!(table.latest(0).is_none());
+        assert!(table.latest(4).is_none() && !table.is_named(4));
+        assert!(!table.any_missing(4, 0, None));
+        table.push(&[1, 4], 2, 1, 0);
+        assert!(table.latest(4).is_some() && table.latest(5).is_none());
+        assert_eq!(table.latest(4).unwrap(), [0, 0, 1]);
+        assert_eq!(table.latest(1).unwrap(), [0, 0, 1]);
+        assert!(!table.is_named(3), "grown over, never named");
+        table.push(&[9], 1, 1, 0);
+        assert!(table.latest(9).is_some() && table.latest(10).is_none());
+        assert_eq!(table.latest(4).unwrap(), [0, 0, 1], "rows survive growth");
+        table.push(&[], 1, 2, 0);
+        assert!(table.latest(10).is_none(), "an interval naming nothing");
+        // Our own notices never invalidate our frame.
+        assert!(table.any_missing(4, 0, None) && !table.any_missing(4, 2, None));
+    }
+
+    #[test]
+    fn prune_visits_only_pages_with_buffered_ranges() {
+        let mut s = state(0, 2);
+        let range = |hi, lamport| DiffRange {
+            lo: hi,
+            hi,
+            lamport,
+            diff: Diff::create(&[0], &[lamport]),
+        };
+        assert!(s.home_flush_in(1, 6, range(1, 1)));
+        assert!(s.home_flush_in(1, 6, range(2, 2)));
+        s.home_buffer_own(2, range(1, 3));
+        assert_eq!(s.home_buffered, [6, 2], "listed once, when first buffered");
+        assert_eq!(s.prune_home_copies(&[0, 1]), 1);
+        assert_eq!(s.home_buffered, [6, 2], "both still hold a range");
+        assert_eq!(s.prune_home_copies(&[1, 2]), 2);
+        assert!(s.home_buffered.is_empty(), "folded pages leave the list");
+        assert_eq!(s.prune_home_copies(&[9, 9]), 0);
+        // Buffering again re-lists the page; the base survived.
+        assert!(s.home_flush_in(1, 6, range(3, 4)));
+        assert_eq!(s.home_buffered, [6]);
+        let (data, applied, _) = s.home_serve(6, &[0, 3], &CostModel::sp2());
+        assert_eq!((data[0], applied), (4, &[0, 3][..]));
+        assert_eq!(s.stats.home_ranges_pruned, 3);
+    }
+
     fn state(me: usize, n: usize) -> DsmState {
         DsmState::new(me, n, TmkConfig::default())
     }
@@ -1242,7 +1577,7 @@ mod tests {
     }
 
     #[test]
-    fn page_table_grows_on_demand_and_iterates_ascending() {
+    fn page_table_grows_on_demand() {
         let mut t = PageTable::default();
         assert!(t.is_empty());
         assert!(t.get(5).is_none(), "reading never grows the table");
@@ -1250,21 +1585,22 @@ mod tests {
         assert!(t.is_empty());
         t.row(5).prof.faults = 1;
         assert_eq!(t.len(), 6, "grown to the highest page touched");
-        t.row(2).notices.push(2, 1, 1);
+        t.row(2).diffs.frozen.reserve(1);
         assert_eq!(t.len(), 6, "a lower page needs no growth");
         assert_eq!(t.get(5).unwrap().prof.faults, 1, "rows survive growth");
         t.row(9);
         assert_eq!(t.get(5).unwrap().prof.faults, 1);
-        let ids: Vec<PageId> = t.iter_mut().map(|(p, _)| p).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        assert_eq!(t.len(), 10);
         // Rows nothing touched own no heap memory.
-        for (p, row) in t.iter_mut().filter(|(p, _)| ![2, 5].contains(p)) {
-            assert!(row.notices.is_empty() && row.notices.seqs.capacity() == 0);
+        for p in (0..10).filter(|p| ![2, 5].contains(p)) {
+            let row = t.get(p).unwrap();
             assert!(row.diffs.open.is_none() && row.diffs.frozen.capacity() == 0);
-            assert_eq!(row.home.ranges.capacity(), 0, "page {p}");
-            assert!(row.home.base.is_none() && row.home.cache.is_none());
+            assert!(row.home.is_none(), "page {p}");
             assert!(row.prof.is_untouched());
         }
+        // A row is a few words now that the notices and the home copy
+        // live elsewhere.
+        assert!(std::mem::size_of::<PageRow>() <= 128);
     }
 
     #[test]
@@ -1316,7 +1652,7 @@ mod tests {
         assert_eq!(s.vc[1], 1);
         assert_eq!(s.log[1].len(), 1);
         assert_eq!(s.log[1][0].pages, vec![7]);
-        assert_eq!(s.pages.get(7).unwrap().notices.len(), 1);
+        assert_eq!(s.notices.latest(7).unwrap(), [0, 1, 0, 0]);
         assert!(s.dirty.is_empty());
         // Lazy diffing: the twin survives the release; it is dropped only
         // when the diff is materialized by a request.
@@ -1455,7 +1791,11 @@ mod tests {
         assert!(!s.integrate_interval(iv));
         assert_eq!(s.vc[2], 1);
         assert_eq!(s.lamport, 4);
-        assert_eq!(s.pages.get(11).unwrap().notices.len(), 1);
+        assert_eq!(s.notices.latest(11).unwrap(), [0, 0, 1]);
+        assert!(
+            s.pages.get(11).is_none(),
+            "a notice for a page this node never touches makes no row"
+        );
     }
 
     #[test]
@@ -1469,16 +1809,28 @@ mod tests {
                 pages: vec![5],
             });
         }
-        let missing = |s: &DsmState| -> Vec<(usize, u32)> {
-            let notices = &s.pages.get(5).unwrap().notices;
-            notices.missing(s.me, s.frames.applied(5)).collect()
+        let missing = |s: &mut DsmState| -> Vec<(usize, u32)> {
+            let applied = s.frames.applied(5);
+            let out: Vec<(usize, u32)> = (1..3)
+                .filter_map(|w| {
+                    let done = applied.map_or(0, |a| a[w]);
+                    let first = s.notices.first_after(5, w, done, &s.log[w]);
+                    first.map(|first| (w, first))
+                })
+                .collect();
+            assert_eq!(s.notices.any_missing(5, 0, applied), !out.is_empty());
+            out
         };
-        assert_eq!(missing(&s), vec![(1, 1)]);
+        assert_eq!(missing(&mut s), vec![(1, 1)]);
         // Apply up to seq 2: only seq 3 is missing.
         s.frames.frame_mut(5).applied[1] = 2;
-        assert_eq!(missing(&s), vec![(1, 3)]);
+        assert_eq!(missing(&mut s), vec![(1, 3)]);
         s.frames.frame_mut(5).applied[1] = 3;
-        assert!(missing(&s).is_empty());
+        assert!(missing(&mut s).is_empty());
+        assert!(
+            !s.notices.any_missing(4, 0, s.frames.applied(4)),
+            "a page no notice names is valid"
+        );
     }
 
     #[test]

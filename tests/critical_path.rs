@@ -130,6 +130,59 @@ fn seeded_false_sharing_is_flagged_with_exact_pair() {
     );
 }
 
+/// The sharing profile of the same seeded program, per node, exactly:
+/// pages ascending, the page nobody touched omitted, and the writer
+/// statistics present for a page a node holds only notices for (node 0
+/// never touches page 1). Pinned because the writer windows are kept
+/// apart from the event counters during the run and joined here.
+#[test]
+fn seeded_false_sharing_profile_is_exact() {
+    let out = Cluster::run(ClusterConfig::sp2_on(2, EngineKind::Sequential), |node| {
+        let tmk = Tmk::new(node, TmkConfig::default());
+        let a = tmk.malloc_f64(8);
+        let b = tmk.malloc_f64(8);
+        let _untouched = tmk.malloc_f64(8);
+        let me = tmk.proc_id();
+        tmk.write_one(a, me, (me + 1) as f64);
+        tmk.barrier(0);
+        if me == 1 {
+            tmk.write_one(b, 0, 5.0);
+        }
+        tmk.barrier(1);
+        let seen = if me == 0 { tmk.read_one(a, 1) } else { 0.0 };
+        tmk.finish();
+        (seen, tmk.take_sharing())
+    });
+    assert_eq!(out.results[0].0, 2.0);
+    // (page, faults, diffs created, diff words, diffs applied, writer
+    // mask, max writers in one epoch)
+    let rows = |node: usize| -> Vec<(usize, u64, u64, u64, u64, u64, u32)> {
+        let pages = &out.results[node].1.pages;
+        pages
+            .iter()
+            .map(|(p, f)| {
+                (
+                    *p,
+                    f.faults,
+                    f.diffs_created,
+                    f.diff_words_created,
+                    f.diffs_applied,
+                    f.writer_mask,
+                    f.max_epoch_writers,
+                )
+            })
+            .collect()
+    };
+    assert_eq!(
+        rows(0),
+        [(0, 1, 0, 0, 1, 0b11, 2), (1, 0, 0, 0, 0, 0b10, 1)]
+    );
+    assert_eq!(
+        rows(1),
+        [(0, 0, 1, 1, 0, 0b11, 2), (1, 0, 0, 0, 0, 0b10, 1)]
+    );
+}
+
 /// A lossy trace is rejected by the validator: truncated data can
 /// never silently pass for complete.
 #[test]

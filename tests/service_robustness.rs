@@ -1,7 +1,8 @@
 //! Regression tests for the unknown-service-opcode graceful-shutdown
 //! path (`DsmStats::service_errors`): a malformed request must not
 //! abort a whole parameter sweep — it is logged, counted, and shuts
-//! only that node's service loop down, on both execution engines.
+//! only that node's service loop down, on both execution engines. And
+//! for the arrival decoder: a damaged message fails as an over-read.
 
 use std::sync::Arc;
 
@@ -221,5 +222,53 @@ fn unknown_opcode_leaves_other_nodes_running() {
         });
         assert_eq!(out.results[1], 9.0, "engine {engine}");
         assert_eq!(out.results[2], 9.0, "engine {engine} consumer progress");
+    }
+}
+
+/// A barrier arrival cut short, or with a count word that lies, fails
+/// in the decoder as a bounds panic before the count sizes anything:
+/// were the count trusted, the last two cases would ask the allocator
+/// for terabytes (an abort, which no test survives) or overflow a
+/// capacity.
+#[test]
+fn damaged_arrival_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::interval::Interval;
+    use treadmarks::protocol;
+
+    let ivs = [Arc::new(Interval {
+        node: 1,
+        seq: 1,
+        lamport: 1,
+        pages: (0..40).collect(),
+    })];
+    let whole = protocol::encode_arrival(op::BARRIER_ARRIVE, 0, 1, &[0, 0], &vec![0, 1], &ivs);
+    let decode = |buf: &[u64]| {
+        std::panic::catch_unwind(|| {
+            let mut r = sp2sim::WordReader::new(buf);
+            assert_eq!(r.get(), op::BARRIER_ARRIVE);
+            protocol::decode_arrival(&mut r, 2).intervals.len()
+        })
+        .map_err(|e| match e.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(_) => String::from("not a formatted panic"),
+        })
+    };
+    assert_eq!(decode(&whole), Ok(1));
+    // Layout: opcode, epoch, src, 2 push counts, 2 clock entries, the
+    // interval count, then node, seq, lamport, page count, pages.
+    let (n_at, npages_at) = (7, 11);
+    assert_eq!((whole[n_at], whole[npages_at]), (1, 40), "layout moved");
+    let truncated = &whole[..whole.len() - 7];
+    let mut lying_pages = whole.clone();
+    lying_pages[npages_at] = 1 << 40;
+    let mut lying_count = whole.clone();
+    lying_count[n_at] = 1 << 40;
+    for (what, buf) in [
+        ("truncated", truncated),
+        ("page count", &lying_pages[..]),
+        ("interval count", &lying_count[..]),
+    ] {
+        let msg = decode(buf).expect_err(what);
+        assert!(msg.contains("out of range"), "{what}: {msg}");
     }
 }
