@@ -66,8 +66,17 @@ impl<D: Deref<Target = [f64]>> Slab<D> {
 
     /// Column `j` as a slice.
     pub fn col(&self, j: usize) -> &[f64] {
-        let o = (j - self.col0) * self.rows;
-        &self.data[o..o + self.rows]
+        self.col_block(j..j + 1)
+    }
+
+    /// Storage range of the (held, contiguous) columns `cols`.
+    fn span(&self, cols: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        (cols.start - self.col0) * self.rows..(cols.end - self.col0) * self.rows
+    }
+
+    /// Columns `cols` as one column-major slice.
+    pub fn col_block(&self, cols: std::ops::Range<usize>) -> &[f64] {
+        &self.data[self.span(cols)]
     }
 }
 
@@ -82,17 +91,19 @@ impl<D: DerefMut<Target = [f64]>> Slab<D> {
 
     /// Column `j`, mutable.
     pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        let o = (j - self.col0) * self.rows;
-        let rows = self.rows;
-        &mut self.data[o..o + rows]
+        self.col_block_mut(j..j + 1)
     }
 
-    /// Copy columns `cols` out of `other` (which must hold them).
-    pub fn copy_cols_from(&mut self, other: &Slab, cols: std::ops::Range<usize>) {
-        for j in cols {
-            let src = other.col(j).to_vec();
-            self.col_mut(j).copy_from_slice(&src);
-        }
+    /// Columns `cols` as one column-major slice, mutable.
+    pub fn col_block_mut(&mut self, cols: std::ops::Range<usize>) -> &mut [f64] {
+        let span = self.span(cols);
+        &mut self.data[span]
+    }
+
+    /// Copy column `from` onto column `to` of this slab.
+    pub fn copy_col_within(&mut self, from: usize, to: usize) {
+        let (src, dst) = (self.span(from..from + 1), self.span(to..to + 1));
+        self.data.copy_within(src, dst.start);
     }
 
     /// Copy rows `rows` of columns `cols` out of `other` (which must hold
@@ -186,15 +197,19 @@ mod tests {
     }
 
     #[test]
-    fn copy_cols_between_slabs() {
-        let mut a = Slab::new(2, 0, 4);
-        for j in 0..4 {
-            a.col_mut(j).copy_from_slice(&[j as f64, j as f64]);
+    fn column_blocks_and_copies() {
+        let mut a = Slab::new(2, 1, 4);
+        for j in 1..5 {
+            a.col_mut(j).copy_from_slice(&[j as f64, -(j as f64)]);
         }
-        let mut b = Slab::new(2, 1, 2);
-        b.copy_cols_from(&a, 1..3);
-        assert_eq!(b.at(0, 1), 1.0);
-        assert_eq!(b.at(1, 2), 2.0);
+        assert_eq!(a.col_block(2..4), &[2.0, -2.0, 3.0, -3.0]);
+        a.copy_col_within(4, 1);
+        assert_eq!(a.col(1), &[4.0, -4.0]);
+        a.col_block_mut(2..4).fill(0.5);
+        assert_eq!(a.data, [4.0, -4.0, 0.5, 0.5, 0.5, 0.5, 4.0, -4.0]);
+        let mut b = Slab::new(2, 2, 2);
+        b.copy_block_from(&a, 1..2, 2..4);
+        assert_eq!(b.data, [0.0, 0.5, 0.0, 0.5]);
     }
 
     #[test]

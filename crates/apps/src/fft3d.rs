@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf, SpfReduction};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
@@ -685,6 +685,41 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
 // Message passing: explicit all-to-all transpose
 // ---------------------------------------------------------------------
 
+/// Store the interleaved `(re, im)` words of `vals` at the element
+/// offsets `dsts` yields, one offset per pair: the scatter half of the
+/// transpose, straight from a payload (or from our own planes).
+fn scatter(
+    vals: impl IntoIterator<Item = u64>,
+    dsts: &mut impl Iterator<Item = usize>,
+    out: &mut [f64],
+) {
+    let mut vals = vals.into_iter().map(f64::from_bits);
+    while let Some(re) = vals.next() {
+        let dst = dsts.next().expect("a destination per element");
+        out[dst] = re;
+        out[dst + 1] = vals.next().expect("complex values come in pairs");
+    }
+}
+
+/// What the owner of `i2` block `qb2` gets of the plane buffer `a`: per
+/// plane held, that block's rows — one contiguous run.
+fn share_of<'a>(
+    a: &'a [f64],
+    p: &Params,
+    qb2: Range<usize>,
+) -> impl Iterator<Item = &'a [f64]> + 'a {
+    let n1 = p.n1;
+    a.chunks_exact(2 * p.n1 * p.n2)
+        .map(move |plane| &plane[2 * qb2.start * n1..2 * qb2.end * n1])
+}
+
+/// Where the share sent by the holder of planes `qb3` lands in the
+/// transposed block of `b2`: element offsets, in packing order.
+fn landing(p: &Params, b2: Range<usize>, qb3: Range<usize>) -> impl Iterator<Item = usize> {
+    let (n1, n3) = (p.n1, p.n3);
+    qb3.flat_map(move |i3| (0..b2.len() * n1).map(move |line| 2 * (line * n3 + i3)))
+}
+
 fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
@@ -695,10 +730,17 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let b2 = block_range(me, np, 0..p.n2);
     let plane_elems = p.n1 * p.n2;
     let mut a = vec![0.0; 2 * b3.len() * plane_elems];
+    // Both layouts live across iterations; a transpose overwrites every
+    // element of the transposed block.
+    let mut t = TransposedBlock::new(p, b2.clone());
     let (mut acc_re, mut acc_im) = (0.0, 0.0);
     let mut probe = (0.0, 0.0);
+    let peers = || (0..np).filter(move |&q| q != me);
+    let b2_of = |q: usize| block_range(q, np, 0..p.n2);
+    let words_to = |q: usize| 2 * b3.len() * b2_of(q).len() * p.n1;
+    let landing_from = |q: usize| landing(p, b2.clone(), block_range(q, np, 0..p.n3));
 
-    let mut one = |a: &mut Vec<f64>, it: usize| -> (f64, f64) {
+    let mut one = |a: &mut Vec<f64>, t: &mut TransposedBlock, it: usize| -> (f64, f64) {
         if !b3.is_empty() {
             init_elems(
                 a,
@@ -715,76 +757,33 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         if xhpf_mode {
             x.loop_sync();
         }
-        // Explicit transpose: pack per destination, exchange, unpack.
-        let mut sendbufs: Vec<Vec<f64>> = Vec::with_capacity(np);
-        for q in 0..np {
-            let qb2 = block_range(q, np, 0..p.n2);
-            let mut buf = Vec::with_capacity(2 * b3.len() * qb2.len() * p.n1);
-            for i3 in b3.clone() {
-                for i2 in qb2.clone() {
-                    for i1 in 0..p.n1 {
-                        let e = (i3 - b3.start) * plane_elems + i2 * p.n1 + i1;
-                        buf.push(a[2 * e]);
-                        buf.push(a[2 * e + 1]);
-                    }
-                }
-            }
-            sendbufs.push(buf);
-        }
-        let received: Vec<Vec<f64>> = if xhpf_mode {
+        // Explicit transpose: every share is packed straight from `a`
+        // and scattered straight into `t`, our own without a message.
+        if xhpf_mode {
             // The XHPF run-time sends fragmented point-to-point packets.
-            let mut out: Vec<Vec<f64>> = vec![Vec::new(); np];
-            out[me] = sendbufs[me].clone();
-            #[allow(clippy::needless_range_loop)] // q is a peer rank
-            for q in 0..np {
-                if q == me {
-                    continue;
-                }
-                let buf = &sendbufs[q];
-                let mut off = 0;
-                loop {
-                    let len = xhpf::FRAGMENT_ELEMS.min(buf.len() - off);
-                    comm.send_f64s(q, 400, &buf[off..off + len]);
-                    off += len;
-                    if off >= buf.len() {
-                        break;
-                    }
+            for q in peers() {
+                x.send_fragmented(q, 400, words_to(q), share_of(a, p, b2_of(q)));
+            }
+            for q in peers() {
+                let mut dsts = landing_from(q).peekable();
+                while dsts.peek().is_some() {
+                    scatter(comm.recv(q, 400), &mut dsts, &mut t.data);
                 }
             }
-            #[allow(clippy::needless_range_loop)] // q is a peer rank
-            for q in 0..np {
-                if q == me {
-                    continue;
-                }
-                let qb3 = block_range(q, np, 0..p.n3);
-                let total = 2 * qb3.len() * b2.len() * p.n1;
-                let mut buf = Vec::with_capacity(total);
-                while buf.len() < total {
-                    buf.extend(comm.recv_f64s(q, 400));
-                }
-                out[q] = buf;
-            }
-            out
         } else {
-            comm.alltoall_f64s(&sendbufs)
-        };
-        let mut t = TransposedBlock::new(p, b2.clone());
-        #[allow(clippy::needless_range_loop)] // q is a peer rank
-        for q in 0..np {
-            let qb3 = block_range(q, np, 0..p.n3);
-            let buf = &received[q];
-            let mut idx = 0;
-            for i3 in qb3 {
-                for i2 in b2.clone() {
-                    for i1 in 0..p.n1 {
-                        let dst = 2 * (t.line_base(p, i1, i2) + i3);
-                        t.data[dst] = buf[idx];
-                        t.data[dst + 1] = buf[idx + 1];
-                        idx += 2;
-                    }
-                }
-            }
+            comm.alltoall_packed(
+                |q| {
+                    let mut w = WordWriter::with_capacity(words_to(q));
+                    share_of(a, p, b2_of(q)).for_each(|run| {
+                        w.put_f64s(run);
+                    });
+                    w.finish()
+                },
+                |q, payload| scatter(payload, &mut landing_from(q), &mut t.data),
+            );
         }
+        let own = share_of(a, p, b2.clone()).flatten().map(|x| x.to_bits());
+        scatter(own, &mut landing_from(me), &mut t.data);
         if xhpf_mode {
             x.loop_sync();
         }
@@ -815,10 +814,10 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         sums
     };
 
-    one(&mut a, 0); // warm-up
+    one(&mut a, &mut t, 0); // warm-up
     let m = meter_start(node);
     for it in 1..=p.iters {
-        let (re, im) = one(&mut a, it);
+        let (re, im) = one(&mut a, &mut t, it);
         acc_re += re;
         acc_im += im;
     }
@@ -829,9 +828,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 

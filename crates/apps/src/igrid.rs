@@ -652,19 +652,18 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         blk.col_mut(j).copy_from_slice(src_full.col(j));
     }
 
-    let one = |src_full: &mut Slab, dst_full: &mut Slab, blk: &mut xhpf::BlockArray2| {
+    // The hand-coded step reads and writes `blk`, so it keeps a double
+    // buffer for its interior columns, allocated once.
+    let mut out = Slab::new(n, jr.start, if xhpf_mode { 0 } else { jr.len() });
+    let mut one = |src_full: &mut Slab, dst_full: &mut Slab, blk: &mut xhpf::BlockArray2| {
+        let rc = blk.readable_cols();
         if xhpf_mode {
             // Compute into the local partition of dst, then broadcast the
             // whole partition to everyone (the unknown-pattern fallback).
             if !jr.is_empty() {
-                let mut out = Slab::new(n, jr.start, jr.len());
-                step(src_full, &mapx, &mapy, &mut out, n, jr.clone());
+                let mut part = Slab::over(n, rc.start, blk.readable_mut());
+                step(src_full, &mapx, &mapy, &mut part, n, jr.clone());
                 charge_step(node, jr.len(), n);
-                for j in jr.clone() {
-                    for i in 1..n - 1 {
-                        *blk.at_mut(i, j) = out.at(i, j);
-                    }
-                }
             }
             x.broadcast_partition(blk, &mut dst_full.data);
             // Row 0 / n-1 are never written; keep them from src.
@@ -675,19 +674,14 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             // exchange one ghost column per neighbour, like Jacobi.
             x.exchange_ghost(blk, false);
             if !jr.is_empty() {
-                let rc = blk.readable_cols();
-                let mut src = Slab::new(n, rc.start, rc.end - rc.start);
-                for j in rc.clone() {
-                    src.col_mut(j).copy_from_slice(blk.col(j));
-                }
-                let mut out = Slab::new(n, jr.start, jr.len());
+                let src = Slab::over(n, rc.start, blk.readable());
                 step(&src, &mapx, &mapy, &mut out, n, jr.clone());
                 charge_step(node, jr.len(), n);
-                for j in jr.clone() {
-                    for i in 1..n - 1 {
-                        *blk.at_mut(i, j) = out.at(i, j);
-                    }
-                }
+                Slab::over(n, rc.start, blk.readable_mut()).copy_block_from(
+                    &out,
+                    1..n - 1,
+                    jr.clone(),
+                );
             }
         }
     };
@@ -729,29 +723,18 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let (elapsed_us, stats) = meter_stop(node, m);
 
     // Gather for validation (untimed).
-    let mut own = Vec::new();
-    for j in blk.owned_cols() {
-        if xhpf_mode {
-            own.extend_from_slice(src_full.col(j));
-        } else {
-            own.extend_from_slice(blk.col(j));
-        }
-    }
-    let gathered = comm.gather_f64s(0, &own);
-    let cs = gathered.map(|parts| {
-        let mut full = Vec::with_capacity(n * n);
-        for part in parts {
-            full.extend_from_slice(&part);
-        }
-        checksum(&Slab::over(n, 0, full), n, p.square, red)
-    });
+    let own = if xhpf_mode {
+        src_full.col_block(blk.owned_cols())
+    } else {
+        blk.owned()
+    };
+    let gathered = comm.gather_f64s(0, own);
+    let cs = gathered.map(|parts| checksum(&Slab::over(n, 0, parts.concat()), n, p.square, red));
     NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 

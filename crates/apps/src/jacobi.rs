@@ -353,42 +353,41 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
 
 fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let n = p.n;
-    let _me = node.id();
-    let _np = node.nprocs();
     let comm = Comm::new(node);
     let x = Xhpf::new(&comm);
     let mut a = x.block_array(n, n, 1);
-    {
-        // SPMD init: everyone initializes its own partition.
-        let full = init_full(n);
-        for j in a.owned_cols() {
-            a.col_mut(j).copy_from_slice(full.col(j));
-        }
+    // SPMD init: everyone initializes its own partition (the grid of
+    // `init_full`: ones on the edges, zeroes inside).
+    for j in a.owned_cols() {
+        let col = a.col_mut(j);
+        col.fill(if j == 0 || j == n - 1 { 1.0 } else { 0.0 });
+        col[0] = 1.0;
+        col[n - 1] = 1.0;
     }
     let jr = {
         let owned = a.owned_cols();
         owned.start.max(1)..owned.end.min(n - 1)
     };
+    // Phase 1 reads `a` and phase 2 writes it, so the scratch array stays
+    // as the double buffer; both live across iterations and the kernel
+    // runs on `a`'s own storage, ghost columns included.
     let mut scratch = Slab::new(n, jr.start.max(1), jr.len());
     let one = |a: &mut xhpf::BlockArray2, scratch: &mut Slab| {
         x.exchange_ghost(a, false);
+        let rc = a.readable_cols();
         if !jr.is_empty() {
-            let rc = a.readable_cols();
-            let mut input = Slab::new(n, rc.start, rc.end - rc.start);
-            for j in rc.clone() {
-                input.col_mut(j).copy_from_slice(a.col(j));
-            }
-            phase1(&input, scratch, n, jr.clone());
+            phase1(
+                &Slab::over(n, rc.start, a.readable()),
+                scratch,
+                n,
+                jr.clone(),
+            );
             charge_phase1(node, jr.len(), n);
         }
         if xhpf_mode {
             x.loop_sync();
         }
-        for j in jr.clone() {
-            for i in 1..n - 1 {
-                *a.at_mut(i, j) = scratch.at(i, j);
-            }
-        }
+        Slab::over(n, rc.start, a.readable_mut()).copy_block_from(scratch, 1..n - 1, jr.clone());
         charge_phase2(node, jr.len(), n);
         if xhpf_mode {
             x.loop_sync();
@@ -402,25 +401,13 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let (elapsed_us, stats) = meter_stop(node, m);
 
     // Gather for validation (untimed).
-    let mut own = Vec::with_capacity(a.owned_cols().len() * n);
-    for j in a.owned_cols() {
-        own.extend_from_slice(a.col(j));
-    }
-    let gathered = comm.gather_f64s(0, &own);
-    let cs = gathered.map(|parts| {
-        let mut full = Vec::with_capacity(n * n);
-        for part in parts {
-            full.extend_from_slice(&part);
-        }
-        checksum(&Slab::over(n, 0, full), n)
-    });
+    let gathered = comm.gather_f64s(0, a.owned());
+    let cs = gathered.map(|parts| checksum(&Slab::over(n, 0, parts.concat()), n));
     NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 

@@ -393,45 +393,35 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         .map(|j| (j % np == me).then(|| init_col(n, j)))
         .collect();
 
+    // Where a pivot owned elsewhere lands: the broadcast hands over the
+    // buffer of the message it arrived in, so nothing is copied.
+    let mut remote = Vec::new();
+
     let m = meter_start(node);
     for i in 0..n {
         let owner = i % np;
-        let mut pivot;
+        // The owner's pivot is its column, used where it is.
+        let (head, rest) = cols.split_at_mut(i + 1);
+        let pivot = head[i].as_mut().unwrap_or(&mut remote);
         if xhpf_mode {
             // SPMD: the owner distributes the raw vector; everyone then
             // redundantly executes the normalization loop.
-            pivot = if owner == me {
-                cols[i].clone().expect("own column")
-            } else {
-                Vec::new()
-            };
-            comm.bcast_flat_f64s(owner, &mut pivot);
-            normalize(&mut pivot);
+            comm.bcast_flat_f64s(owner, pivot);
+            normalize(pivot);
             node.advance(n as f64 * NORM_US); // redundant on every proc
-            if owner == me {
-                cols[i] = Some(pivot.clone());
-            }
             x.loop_sync();
         } else {
             // Hand-coded: the owner normalizes; the tree broadcast is the
             // only synchronization.
-            pivot = if owner == me {
-                let mut c = cols[i].take().expect("own column");
-                normalize(&mut c);
-                node.advance(n as f64 * NORM_US);
-                c
-            } else {
-                Vec::new()
-            };
-            comm.bcast_f64s(owner, &mut pivot);
             if owner == me {
-                cols[i] = Some(pivot.clone());
+                normalize(pivot);
+                node.advance(n as f64 * NORM_US);
             }
+            comm.bcast_f64s(owner, pivot);
         }
         let mut updated = 0;
-        for j in ((i + 1)..n).filter(|j| j % np == me) {
-            let col = cols[j].as_mut().expect("own column");
-            orthogonalize(&pivot, col);
+        for col in rest.iter_mut().flatten() {
+            orthogonalize(pivot, col);
             updated += 1;
         }
         node.advance(updated as f64 * n as f64 * UPD_US);
@@ -448,10 +438,10 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     }
     let gathered = comm.gather_f64s(0, &flat);
     let cs = gathered.map(|parts| {
-        let mut all: Vec<Vec<f64>> = vec![Vec::new(); n];
+        let mut all: Vec<&[f64]> = vec![&[]; n];
         for (rank, part) in parts.iter().enumerate() {
-            for (k, j) in (rank..n).step_by(np).enumerate() {
-                all[j] = part[k * n..(k + 1) * n].to_vec();
+            for (j, col) in (rank..n).step_by(np).zip(part.chunks_exact(n)) {
+                all[j] = col;
             }
         }
         checksum(&all)
@@ -460,9 +450,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 

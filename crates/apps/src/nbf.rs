@@ -29,7 +29,7 @@ use std::ops::{DerefMut, Range};
 use cri::{Access, Section};
 use inspector::Inspector;
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, SplitMix64};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, SplitMix64, WordReader, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
@@ -613,14 +613,29 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     // via the per-iteration broadcasts (XHPF).
     let (mut cx, mut cy, mut cz) = init_coords(p.m);
 
+    // Scratch that lives across iterations: the contribution buffer (the
+    // three dimensions back to back, the layout it travels in), the net
+    // forces on our block, and under XHPF everyone's broadcast buffers
+    // plus the staging of our coordinate partition.
+    let mut buf = vec![0.0; 3 * span.len()];
+    let mut f = [(); 3].map(|()| vec![0.0; block.len()]);
+    let mut all: Vec<Vec<f64>> = vec![Vec::new(); np];
+    let mut coords = Vec::new();
+    // Overlap of `a` and `b`, if any.
+    let overlap = |a: &Range<usize>, b: &Range<usize>| {
+        let (lo, hi) = (a.start.max(b.start), a.end.min(b.end));
+        (lo < hi).then_some(lo..hi)
+    };
+    let peers = || (0..np).filter(move |&q| q != me);
+    let block_of = |q: usize| block_range(q, np, 0..p.m);
+    let span_of = |q: usize| buf_span(&block_of(q), p.w, p.m);
+
     let m = meter_start(node);
     for _ in 0..p.iters {
-        let mut buf = [
-            vec![0.0; span.len()],
-            vec![0.0; span.len()],
-            vec![0.0; span.len()],
-        ];
+        buf.fill(0.0);
         if !block.is_empty() {
+            let (bx, byz) = buf.split_at_mut(span.len());
+            let (by, bz) = byz.split_at_mut(span.len());
             force_kernel(
                 block.clone(),
                 &partners,
@@ -629,41 +644,26 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
                 &cy[span.clone()],
                 &cz[span.clone()],
                 span.start,
-                &mut buf,
+                &mut [bx, by, bz],
                 span.start,
             );
             charge_force(node, block.len(), p.k);
         }
-
-        let mut f = [
-            vec![0.0; block.len()],
-            vec![0.0; block.len()],
-            vec![0.0; block.len()],
-        ];
+        f.iter_mut().for_each(|fd| fd.fill(0.0));
         if xhpf_mode {
             // XHPF: broadcast the whole contribution buffer (all three
             // dimensions concatenated) and the coordinate partition.
-            let mine: Vec<f64> = buf.iter().flat_map(|b| b.iter().copied()).collect();
-            let mut all: Vec<Vec<f64>> = vec![Vec::new(); np];
-            x.broadcast_buffers(&mine, &mut all);
+            x.broadcast_buffers(&buf, &mut all);
             let mut reads = 0;
-            #[allow(clippy::needless_range_loop)] // q is a peer rank
-            for q in 0..np {
-                let qspan = buf_span(&block_range(q, np, 0..p.m), p.w, p.m);
-                if qspan.is_empty() {
+            for (q, qbuf) in all.iter().enumerate() {
+                let qspan = span_of(q);
+                let Some(mine) = overlap(&block, &qspan) else {
                     continue;
-                }
-                let lo = block.start.max(qspan.start);
-                let hi = block.end.min(qspan.end);
-                if lo >= hi {
-                    continue;
-                }
+                };
                 reads += 1;
-                let qlen = qspan.len();
-                for d in 0..3 {
-                    let qbuf = &all[q][d * qlen..(d + 1) * qlen];
-                    for i in lo..hi {
-                        f[d][i - block.start] += qbuf[i - qspan.start];
+                for (fd, qd) in f.iter_mut().zip(qbuf.chunks_exact(qspan.len())) {
+                    for i in mine.clone() {
+                        fd[i - block.start] += qd[i - qspan.start];
                     }
                 }
             }
@@ -671,75 +671,68 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             update_kernel(block.clone(), &f, block.start, &mut cx, &mut cy, &mut cz, 0);
             node.advance(block.len() as f64 * UPD_US);
             // Broadcast updated coordinates of all our molecules.
-            let mine: Vec<f64> = [&cx, &cy, &cz]
-                .into_iter()
-                .flat_map(|c| c[block.clone()].iter().copied())
-                .collect();
-            let mut all: Vec<Vec<f64>> = vec![Vec::new(); np];
-            x.broadcast_buffers(&mine, &mut all);
-            #[allow(clippy::needless_range_loop)] // q is a peer rank
-            for q in 0..np {
-                let qb = block_range(q, np, 0..p.m);
-                for d in 0..3 {
-                    let part = &all[q][d * qb.len()..(d + 1) * qb.len()];
-                    let dst = match d {
-                        0 => &mut cx,
-                        1 => &mut cy,
-                        _ => &mut cz,
-                    };
-                    dst[qb.clone()].copy_from_slice(part);
+            coords.clear();
+            for c in [&cx, &cy, &cz] {
+                coords.extend_from_slice(&c[block.clone()]);
+            }
+            x.broadcast_buffers(&coords, &mut all);
+            for (q, qall) in all.iter().enumerate() {
+                let qb = block_of(q);
+                if qb.is_empty() {
+                    continue;
+                }
+                for (c, part) in [&mut cx, &mut cy, &mut cz]
+                    .into_iter()
+                    .zip(qall.chunks_exact(qb.len()))
+                {
+                    c[qb.clone()].copy_from_slice(part);
                 }
             }
             x.loop_sync();
         } else {
             // Hand-coded PVMe: exchange only the overlapping windows, in
-            // one aggregated message per neighbour per direction.
+            // one aggregated message per neighbour per direction: the
+            // window's bounds, then its three dimensions packed straight
+            // from the arrays.
             const TAG_C: u32 = 31;
             const TAG_X: u32 = 32;
+            let send_window = |q: usize, tag: u32, win: Range<usize>, dims: [&[f64]; 3]| {
+                let mut w = WordWriter::with_capacity(2 + 3 * win.len());
+                w.put_f64(win.start as f64).put_f64(win.end as f64);
+                for d in dims {
+                    w.put_f64s(d);
+                }
+                comm.send_packed(q, tag, w);
+            };
             let mut reads = 1;
             // Contributions we computed for other processors' blocks.
-            for q in 0..np {
-                if q == me {
-                    continue;
+            for q in peers() {
+                if let Some(win) = overlap(&block_of(q), &span) {
+                    let local = win.start - span.start..win.end - span.start;
+                    let dim = |d: usize| &buf[d * span.len()..][local.clone()];
+                    send_window(q, TAG_C, win, [dim(0), dim(1), dim(2)]);
                 }
-                let qb = block_range(q, np, 0..p.m);
-                let lo = qb.start.max(span.start);
-                let hi = qb.end.min(span.end);
-                if lo >= hi {
-                    continue;
-                }
-                let msg: Vec<f64> = (0..3)
-                    .flat_map(|d| buf[d][lo - span.start..hi - span.start].to_vec())
-                    .collect();
-                let mut hdr = vec![lo as f64, hi as f64];
-                hdr.extend_from_slice(&msg);
-                comm.send_f64s(q, TAG_C, &hdr);
             }
             // Our own contributions to our block.
-            for d in 0..3 {
+            for (fd, bd) in f.iter_mut().zip(buf.chunks_exact(span.len().max(1))) {
                 for i in block.clone() {
-                    f[d][i - block.start] += buf[d][i - span.start];
+                    fd[i - block.start] += bd[i - span.start];
                 }
             }
-            // Receive whatever others computed for us.
-            for q in 0..np {
-                if q == me {
-                    continue;
-                }
-                let qspan = buf_span(&block_range(q, np, 0..p.m), p.w, p.m);
-                let lo = block.start.max(qspan.start);
-                let hi = block.end.min(qspan.end);
-                if lo >= hi {
+            // Receive whatever others computed for us, accumulating
+            // straight from the payload.
+            for q in peers() {
+                if overlap(&block, &span_of(q)).is_none() {
                     continue;
                 }
                 reads += 1;
-                let got = comm.recv_f64s(q, TAG_C);
-                let (glo, ghi) = (got[0] as usize, got[1] as usize);
-                let glen = ghi - glo;
-                for d in 0..3 {
-                    let part = &got[2 + d * glen..2 + (d + 1) * glen];
+                let payload = comm.recv(q, TAG_C);
+                let mut r = WordReader::new(&payload);
+                let (glo, ghi) = (r.get_f64() as usize, r.get_f64() as usize);
+                for fd in f.iter_mut() {
+                    let part = r.take(ghi - glo);
                     for i in glo.max(block.start)..ghi.min(block.end) {
-                        f[d][i - block.start] += part[i - glo];
+                        fd[i - block.start] += f64::from_bits(part[i - glo]);
                     }
                 }
             }
@@ -748,45 +741,21 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             node.advance(block.len() as f64 * UPD_US);
             // Exchange boundary coordinate windows with the processors
             // whose force loops read them (the inverse overlap relation).
-            for q in 0..np {
-                if q == me {
-                    continue;
+            for q in peers() {
+                if let Some(win) = overlap(&block, &span_of(q)) {
+                    let dims = [&cx[win.clone()], &cy[win.clone()], &cz[win.clone()]];
+                    send_window(q, TAG_X, win, dims);
                 }
-                let qspan = buf_span(&block_range(q, np, 0..p.m), p.w, p.m);
-                let lo = block.start.max(qspan.start);
-                let hi = block.end.min(qspan.end);
-                if lo >= hi {
-                    continue;
-                }
-                let msg: Vec<f64> = [&cx, &cy, &cz]
-                    .into_iter()
-                    .flat_map(|c| c[lo..hi].iter().copied())
-                    .collect();
-                let mut hdr = vec![lo as f64, hi as f64];
-                hdr.extend_from_slice(&msg);
-                comm.send_f64s(q, TAG_X, &hdr);
             }
-            for q in 0..np {
-                if q == me {
+            for q in peers() {
+                if overlap(&block_of(q), &span).is_none() {
                     continue;
                 }
-                let qb = block_range(q, np, 0..p.m);
-                let lo = qb.start.max(span.start);
-                let hi = qb.end.min(span.end);
-                if lo >= hi {
-                    continue;
-                }
-                let got = comm.recv_f64s(q, TAG_X);
-                let (glo, ghi) = (got[0] as usize, got[1] as usize);
-                let glen = ghi - glo;
-                for d in 0..3 {
-                    let part = &got[2 + d * glen..2 + (d + 1) * glen];
-                    let dst = match d {
-                        0 => &mut cx,
-                        1 => &mut cy,
-                        _ => &mut cz,
-                    };
-                    dst[glo..ghi].copy_from_slice(part);
+                let payload = comm.recv(q, TAG_X);
+                let mut r = WordReader::new(&payload);
+                let win = r.get_f64() as usize..r.get_f64() as usize;
+                for c in [&mut cx, &mut cy, &mut cz] {
+                    r.take_f64s_into(&mut c[win.clone()]);
                 }
             }
         }
@@ -794,10 +763,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let (elapsed_us, stats) = meter_stop(node, m);
 
     // Gather coordinates for validation (untimed).
-    let mine: Vec<f64> = [&cx, &cy, &cz]
-        .into_iter()
-        .flat_map(|c| c[block.clone()].iter().copied())
-        .collect();
+    let mine = [&cx[block.clone()], &cy[block.clone()], &cz[block.clone()]].concat();
     let gathered = comm.gather_f64s(0, &mine);
     let cs = gathered.map(|parts| {
         let (mut gx, mut gy, mut gz) = (vec![0.0; p.m], vec![0.0; p.m], vec![0.0; p.m]);
@@ -813,9 +779,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 

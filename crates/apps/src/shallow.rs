@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, WordReader, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
@@ -950,11 +950,15 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
 
 struct MpShallow {
     /// Local slabs with one ghost column on each side: columns
-    /// `jr.start-1 ..= jr.end` (clamped to the array).
+    /// `jr.start-1 ..= jr.end` (clamped to the array). They live for
+    /// the whole run: the kernels compute in place on them, and ghost
+    /// columns are packed from and received straight into them.
     slabs: Vec<Slab>,
     jr: Range<usize>,
     jr3: Range<usize>,
     np1: usize,
+    /// The processor owning column `n`, the source of the column wrap.
+    last_owner: usize,
 }
 
 impl MpShallow {
@@ -963,68 +967,71 @@ impl MpShallow {
         let (jr, jr3) = col_parts(me, np, n);
         let lo = jr3.start.saturating_sub(1);
         let hi = (jr.end + 1).min(np1);
-        let slabs = (0..NARR).map(|_| Slab::new(np1, lo, hi - lo)).collect();
-        let mut s = MpShallow {
+        let mut slabs: Vec<Slab> = (0..NARR).map(|_| Slab::new(np1, lo, hi - lo)).collect();
+        for which in [U, V, P, UOLD, VOLD, POLD] {
+            for j in jr3.clone() {
+                for i in 0..=n {
+                    slabs[which].set(i, j, init_at(n, which, i, j));
+                }
+            }
+        }
+        let last_owner = (0..np)
+            .find(|&q| col_parts(q, np, n).0.contains(&n))
+            .unwrap_or(0);
+        MpShallow {
             slabs,
             jr,
             jr3,
             np1,
-        };
-        let n = np1 - 1;
-        for which in [U, V, P, UOLD, VOLD, POLD] {
-            for j in s.jr3.clone() {
-                for i in 0..=n {
-                    s.slabs[which].set(i, j, init_at(n, which, i, j));
-                }
-            }
+            last_owner,
         }
-        s
+    }
+
+    /// The message groups of one exchange point: all of `which` in one
+    /// message per neighbour (the hand-coded PVMe style), or one message
+    /// per array (XHPF).
+    fn groups(which: &[usize], aggregate: bool) -> std::slice::Chunks<'_, usize> {
+        which.chunks(if aggregate { which.len() } else { 1 })
+    }
+
+    /// Pack column `j` of each array in `group` into one message.
+    fn send_cols(&self, comm: &Comm, dst: usize, tag: u32, group: &[usize], j: usize) {
+        let mut w = WordWriter::with_capacity(group.len() * self.np1);
+        for &a in group {
+            w.put_f64s(self.slabs[a].col(j));
+        }
+        comm.send_packed(dst, tag, w);
+    }
+
+    /// Unpack such a message into column `j` of each array in `group`.
+    fn recv_cols(&mut self, comm: &Comm, src: usize, tag: u32, group: &[usize], j: usize) {
+        let payload = comm.recv(src, tag);
+        let mut r = WordReader::new(&payload);
+        for &a in group {
+            r.take_f64s_into(self.slabs[a].col_mut(j));
+        }
+        debug_assert!(r.is_exhausted());
     }
 
     /// Exchange ghost columns of `which` arrays with both neighbours.
-    /// `aggregate` packs all arrays into one message per neighbour (the
-    /// hand-coded PVMe style); otherwise one message per array (XHPF).
     fn exchange(&mut self, comm: &Comm, which: &[usize], aggregate: bool) {
         let me = comm.rank();
         let np = comm.size();
-        let np1 = self.np1;
-        let groups: Vec<Vec<usize>> = if aggregate {
-            vec![which.to_vec()]
-        } else {
-            which.iter().map(|&w| vec![w]).collect()
-        };
-        for group in groups {
+        let jr = self.jr.clone();
+        for group in Self::groups(which, aggregate) {
             // Send own boundary columns; receive into ghosts.
             let tag = 60 + group[0] as u32;
-            if me > 0 && !self.jr.is_empty() {
-                let buf: Vec<f64> = group
-                    .iter()
-                    .flat_map(|&w| self.slabs[w].col(self.jr.start).to_vec())
-                    .collect();
-                comm.send_f64s(me - 1, tag, &buf);
+            if me > 0 && !jr.is_empty() {
+                self.send_cols(comm, me - 1, tag, group, jr.start);
             }
-            if me + 1 < np && !self.jr.is_empty() {
-                let buf: Vec<f64> = group
-                    .iter()
-                    .flat_map(|&w| self.slabs[w].col(self.jr.end - 1).to_vec())
-                    .collect();
-                comm.send_f64s(me + 1, tag + 20, &buf);
+            if me + 1 < np && !jr.is_empty() {
+                self.send_cols(comm, me + 1, tag + 20, group, jr.end - 1);
             }
-            if me + 1 < np && self.jr.end < np1 {
-                let buf = comm.recv_f64s(me + 1, tag);
-                for (k, &w) in group.iter().enumerate() {
-                    self.slabs[w]
-                        .col_mut(self.jr.end)
-                        .copy_from_slice(&buf[k * np1..(k + 1) * np1]);
-                }
+            if me + 1 < np && jr.end < self.np1 {
+                self.recv_cols(comm, me + 1, tag, group, jr.end);
             }
             if me > 0 {
-                let buf = comm.recv_f64s(me - 1, tag + 20);
-                for (k, &w) in group.iter().enumerate() {
-                    self.slabs[w]
-                        .col_mut(self.jr.start - 1)
-                        .copy_from_slice(&buf[k * np1..(k + 1) * np1]);
-                }
+                self.recv_cols(comm, me - 1, tag + 20, group, jr.start - 1);
             }
         }
     }
@@ -1033,42 +1040,30 @@ impl MpShallow {
     /// column 0 (processor 0).
     fn col_wrap(&mut self, comm: &Comm, which: &[usize], aggregate: bool) {
         let me = comm.rank();
-        let np = comm.size();
-        let np1 = self.np1;
-        let last_owner = (0..np)
-            .find(|&q| col_parts(q, np, np1 - 1).0.contains(&(np1 - 1)))
-            .unwrap_or(0);
-        if np == 1 || last_owner == 0 {
+        let n = self.np1 - 1;
+        if self.last_owner == 0 {
             if me == 0 {
                 for &w in which {
-                    let src = self.slabs[w].col(np1 - 1).to_vec();
-                    self.slabs[w].col_mut(0).copy_from_slice(&src);
+                    self.slabs[w].copy_col_within(n, 0);
                 }
             }
             return;
         }
-        let groups: Vec<Vec<usize>> = if aggregate {
-            vec![which.to_vec()]
-        } else {
-            which.iter().map(|&w| vec![w]).collect()
-        };
-        for group in groups {
+        for group in Self::groups(which, aggregate) {
             let tag = 90 + group[0] as u32;
-            if me == last_owner {
-                let buf: Vec<f64> = group
-                    .iter()
-                    .flat_map(|&w| self.slabs[w].col(np1 - 1).to_vec())
-                    .collect();
-                comm.send_f64s(0, tag, &buf);
+            if me == self.last_owner {
+                self.send_cols(comm, 0, tag, group, n);
             } else if me == 0 {
-                let buf = comm.recv_f64s(last_owner, tag);
-                for (k, &w) in group.iter().enumerate() {
-                    self.slabs[w]
-                        .col_mut(0)
-                        .copy_from_slice(&buf[k * np1..(k + 1) * np1]);
-                }
+                self.recv_cols(comm, self.last_owner, tag, group, 0);
             }
         }
+    }
+
+    /// The arrays at `which`, borrowed together for one kernel call.
+    fn arrays<const K: usize>(&mut self, which: [usize; K]) -> [&mut Slab; K] {
+        self.slabs
+            .get_disjoint_mut(which)
+            .expect("distinct arrays of the thirteen")
     }
 }
 
@@ -1080,31 +1075,16 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let x = Xhpf::new(&comm);
     let mut st = MpShallow::new(n, me, np);
     let aggregate = !xhpf_mode;
+    let (jr, jr3) = (st.jr.clone(), st.jr3.clone());
 
     let one = |st: &mut MpShallow, first: bool, tdt: f64| {
         st.exchange(&comm, &[P, U, V], aggregate);
-        let jr = st.jr.clone();
         if !jr.is_empty() {
-            let np1 = st.np1;
-            let mut cu = Slab::new(np1, jr.start, jr.len());
-            let mut cv = Slab::new(np1, jr.start, jr.len());
-            let mut z = Slab::new(np1, jr.start, jr.len());
-            let mut h = Slab::new(np1, jr.start, jr.len());
-            step1(
-                &st.slabs[P],
-                &st.slabs[U],
-                &st.slabs[V],
-                &mut cu,
-                &mut cv,
-                &mut z,
-                &mut h,
-                n,
-                jr.clone(),
-            );
+            let [pp, u, v, cu, cv, z, h] = st.arrays([P, U, V, CU, CV, Z, H]);
+            step1(pp, u, v, cu, cv, z, h, n, jr.clone());
             node.advance((jr.len() * n) as f64 * S1_US);
-            for (w, s) in [(CU, &mut cu), (CV, &mut cv), (Z, &mut z), (H, &mut h)] {
+            for s in [cu, cv, z, h] {
                 row_wrap(s, n, jr.clone());
-                st.slabs[w].copy_cols_from(s, jr.clone());
             }
         }
         if xhpf_mode {
@@ -1113,93 +1093,23 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         st.col_wrap(&comm, &[CU, CV, Z, H], aggregate);
         st.exchange(&comm, &[CU, CV, Z, H], aggregate);
         if !jr.is_empty() {
-            let np1 = st.np1;
-            let mut un = Slab::new(np1, jr.start, jr.len());
-            let mut vn = Slab::new(np1, jr.start, jr.len());
-            let mut pn = Slab::new(np1, jr.start, jr.len());
-            step2(
-                &st.slabs[CU],
-                &st.slabs[CV],
-                &st.slabs[Z],
-                &st.slabs[H],
-                &st.slabs[UOLD],
-                &st.slabs[VOLD],
-                &st.slabs[POLD],
-                &mut un,
-                &mut vn,
-                &mut pn,
-                tdt,
-                n,
-                jr.clone(),
-            );
+            let [cu, cv, z, h, uo, vo, po, un, vn, pn] =
+                st.arrays([CU, CV, Z, H, UOLD, VOLD, POLD, UNEW, VNEW, PNEW]);
+            step2(cu, cv, z, h, uo, vo, po, un, vn, pn, tdt, n, jr.clone());
             node.advance((jr.len() * n) as f64 * S2_US);
-            for (w, s) in [(UNEW, &mut un), (VNEW, &mut vn), (PNEW, &mut pn)] {
+            for s in [un, vn, pn] {
                 row_wrap(s, n, jr.clone());
-                st.slabs[w].copy_cols_from(s, jr.clone());
             }
         }
         if xhpf_mode {
             x.loop_sync();
         }
         st.col_wrap(&comm, &[UNEW, VNEW, PNEW], aggregate);
-        let jr3 = st.jr3.clone();
         if !jr3.is_empty() {
-            let np1 = st.np1;
-            let mut u = Slab::new(np1, jr3.start, jr3.len());
-            let mut v = Slab::new(np1, jr3.start, jr3.len());
-            let mut pp = Slab::new(np1, jr3.start, jr3.len());
-            let mut uo = Slab::new(np1, jr3.start, jr3.len());
-            let mut vo = Slab::new(np1, jr3.start, jr3.len());
-            let mut po = Slab::new(np1, jr3.start, jr3.len());
-            u.copy_cols_from(&st.slabs[U], jr3.clone());
-            v.copy_cols_from(&st.slabs[V], jr3.clone());
-            pp.copy_cols_from(&st.slabs[P], jr3.clone());
-            uo.copy_cols_from(&st.slabs[UOLD], jr3.clone());
-            vo.copy_cols_from(&st.slabs[VOLD], jr3.clone());
-            po.copy_cols_from(&st.slabs[POLD], jr3.clone());
-            step3(
-                &mut u,
-                &mut v,
-                &mut pp,
-                &Slab::over(
-                    st.np1,
-                    jr3.start,
-                    (jr3.clone())
-                        .flat_map(|j| st.slabs[UNEW].col(j).to_vec())
-                        .collect::<Vec<_>>(),
-                ),
-                &Slab::over(
-                    st.np1,
-                    jr3.start,
-                    (jr3.clone())
-                        .flat_map(|j| st.slabs[VNEW].col(j).to_vec())
-                        .collect::<Vec<_>>(),
-                ),
-                &Slab::over(
-                    st.np1,
-                    jr3.start,
-                    (jr3.clone())
-                        .flat_map(|j| st.slabs[PNEW].col(j).to_vec())
-                        .collect::<Vec<_>>(),
-                ),
-                &mut uo,
-                &mut vo,
-                &mut po,
-                first,
-                n,
-                jr3.clone(),
-            );
+            let [u, v, pp, un, vn, pn, uo, vo, po] =
+                st.arrays([U, V, P, UNEW, VNEW, PNEW, UOLD, VOLD, POLD]);
+            step3(u, v, pp, un, vn, pn, uo, vo, po, first, n, jr3.clone());
             node.advance((jr3.len() * (n + 1)) as f64 * S3_US);
-            for (w, s) in [
-                (U, &u),
-                (V, &v),
-                (P, &pp),
-                (UOLD, &uo),
-                (VOLD, &vo),
-                (POLD, &po),
-            ] {
-                st.slabs[w].copy_cols_from(s, jr3.clone());
-            }
         }
         if xhpf_mode {
             x.loop_sync();
@@ -1214,12 +1124,11 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let (elapsed_us, stats) = meter_stop(node, m);
 
     // Gather p and u for validation (untimed).
-    let flat: Vec<f64> = st
-        .jr3
-        .clone()
-        .flat_map(|j| st.slabs[P].col(j).to_vec())
-        .chain(st.jr3.clone().flat_map(|j| st.slabs[U].col(j).to_vec()))
-        .collect();
+    let flat = [
+        st.slabs[P].col_block(jr3.clone()),
+        st.slabs[U].col_block(jr3.clone()),
+    ]
+    .concat();
     let gathered = comm.gather_f64s(0, &flat);
     let cs = gathered.map(|parts| {
         let np1 = n + 1;
@@ -1227,12 +1136,9 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         let mut uf = Slab::new(np1, 0, np1);
         for (q, part) in parts.iter().enumerate() {
             let (_, jr3) = col_parts(q, np, n);
-            let half = part.len() / 2;
-            for (k, j) in jr3.clone().enumerate() {
-                pf.col_mut(j).copy_from_slice(&part[k * np1..(k + 1) * np1]);
-                uf.col_mut(j)
-                    .copy_from_slice(&part[half + k * np1..half + (k + 1) * np1]);
-            }
+            let (p_cols, u_cols) = part.split_at(part.len() / 2);
+            pf.col_block_mut(jr3.clone()).copy_from_slice(p_cols);
+            uf.col_block_mut(jr3).copy_from_slice(u_cols);
         }
         checksum(&pf, &uf, n)
     });
@@ -1240,9 +1146,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         elapsed_us,
         stats,
         checksum: cs,
-        dsm: None,
-        races: None,
-        sharing: None,
+        ..NodeOut::default()
     }
 }
 
@@ -1259,7 +1163,20 @@ pub fn run_on(
     scale: f64,
     cfg: TmkConfig,
 ) -> RunResult {
-    let p = params(scale);
+    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
+}
+
+/// Like [`run_on`], with the grid edge and iteration count given
+/// directly instead of derived from `scale` (which is only recorded):
+/// lets a test vary the iteration count at a fixed grid.
+pub fn run_params_on(
+    engine: EngineKind,
+    version: Version,
+    nprocs: usize,
+    scale: f64,
+    p: Params,
+    cfg: TmkConfig,
+) -> RunResult {
     let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
     let (outs, trace) = match version {
         Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),

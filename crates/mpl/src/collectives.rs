@@ -12,96 +12,93 @@
 //! | `gather`/`allgather` | `n - 1` / `2 (n - 1)` |
 //! | `alltoall`        | `n (n - 1)` pairwise |
 
-use sp2sim::{f64s_to_words, words_to_f64s, MsgKind, SpanKind};
+use sp2sim::{MsgKind, SpanKind};
 
-use crate::comm::{Comm, ReduceOp};
+use crate::comm::{into_f64s, pack_f64s, Comm, ReduceOp};
 
 impl<'a> Comm<'a> {
+    /// This rank's place in the binomial tree rooted at `root`: its
+    /// parent (`None` at the root) and its children in the order a
+    /// broadcast sends to them; a reduction gathers in the reverse order.
+    fn tree(
+        &self,
+        root: usize,
+    ) -> (
+        Option<usize>,
+        impl DoubleEndedIterator<Item = usize> + Clone,
+    ) {
+        let n = self.size();
+        // Re-rank so the root is virtual rank 0. Clearing our lowest set
+        // bit gives the parent; our children set one of the bits below it.
+        let vrank = (self.rank() + n - root) % n;
+        let bits = match vrank {
+            0 => n.next_power_of_two().trailing_zeros(),
+            _ => vrank.trailing_zeros(),
+        };
+        let parent = (vrank != 0).then(|| ((vrank & (vrank - 1)) + root) % n);
+        let children = (0..bits)
+            .rev()
+            .map(move |b| vrank | 1 << b)
+            .filter(move |&vchild| vchild < n)
+            .map(move |vchild| (vchild + root) % n);
+        (parent, children)
+    }
+
     /// Tree barrier: gather to rank 0 up a binomial tree, release down it.
     pub fn barrier(&self) {
         let tag = self.next_coll_tag();
-        let me = self.rank();
-        let n = self.size();
-        if n == 1 {
+        if self.size() == 1 {
             return;
         }
         let _s = self.node.trace_span(SpanKind::BarrierWait, tag);
+        let (parent, children) = self.tree(0);
         // Gather phase: receive from each child, then report to the parent.
-        let mut mask = 1;
-        while mask < n {
-            if me & mask != 0 {
-                self.node.send(me & !mask, tag, MsgKind::Sync, Vec::new());
-                break;
-            }
-            let child = me | mask;
-            if child < n {
-                self.node.recv_from(child, tag);
-            }
-            mask <<= 1;
+        for child in children.clone().rev() {
+            self.node.recv_from(child, tag);
         }
         // Release phase: wait for the parent, then release our subtree.
-        // A node's children carry masks strictly below its lowest set bit.
-        let lsb = if me == 0 {
-            n.next_power_of_two()
-        } else {
-            me & me.wrapping_neg()
-        };
-        if me != 0 {
-            self.node.recv_from(me - lsb, tag + 1);
+        if let Some(parent) = parent {
+            self.node.send(parent, tag, MsgKind::Sync, Vec::new());
+            self.node.recv_from(parent, tag + 1);
         }
-        let mut m = lsb >> 1;
-        while m > 0 {
-            let child = me | m;
-            if child < n {
-                self.node.send(child, tag + 1, MsgKind::Sync, Vec::new());
-            }
-            m >>= 1;
+        for child in children {
+            self.node.send(child, tag + 1, MsgKind::Sync, Vec::new());
         }
     }
 
     /// Binomial-tree broadcast of raw words from `root`.
     pub fn bcast(&self, root: usize, data: &mut Vec<u64>) {
         let tag = self.next_coll_tag();
-        let n = self.size();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        // Re-rank so the root is virtual rank 0.
-        let vrank = (self.rank() + n - root) % n;
-        let mut mask = 1;
-        // Find our parent (first set bit of vrank).
-        while mask < n {
-            if vrank & mask != 0 {
-                let vparent = vrank & !mask;
-                let parent = (vparent + root) % n;
-                *data = self.node.recv_from(parent, tag).payload;
-                break;
-            }
-            mask <<= 1;
+        let (parent, children) = self.tree(root);
+        if let Some(parent) = parent {
+            *data = self.node.recv_from(parent, tag).payload;
         }
-        if vrank == 0 {
-            mask = n.next_power_of_two();
-        }
-        // Forward to children (bits below our first set bit).
-        let mut child_mask = mask >> 1;
-        while child_mask > 0 {
-            let vchild = vrank | child_mask;
-            if vchild < n && vchild != vrank {
-                let child = (vchild + root) % n;
-                self.node.send(child, tag, MsgKind::Data, data.clone());
-            }
-            child_mask >>= 1;
+        for child in children {
+            self.node.send(child, tag, MsgKind::Data, data.clone());
         }
     }
 
-    /// Broadcast a slice of `f64`s from `root` (tree).
+    /// Broadcast a vector of `f64`s from `root` (tree). The root packs
+    /// each child's payload straight from `data`; everyone else forwards
+    /// the payload it received and keeps that buffer as its `data`.
     pub fn bcast_f64s(&self, root: usize, data: &mut Vec<f64>) {
-        let mut words = if self.rank() == root {
-            f64s_to_words(data)
-        } else {
-            Vec::new()
-        };
-        self.bcast(root, &mut words);
-        if self.rank() != root {
-            *data = words_to_f64s(&words);
+        let tag = self.next_coll_tag();
+        let _s = self.node.trace_span(SpanKind::RecvWait, tag);
+        let (parent, children) = self.tree(root);
+        match parent {
+            None => {
+                for child in children {
+                    self.node.send(child, tag, MsgKind::Data, pack_f64s(data));
+                }
+            }
+            Some(parent) => {
+                let words = self.node.recv_from(parent, tag).payload;
+                for child in children {
+                    self.node.send(child, tag, MsgKind::Data, words.clone());
+                }
+                *data = into_f64s(words);
+            }
         }
     }
 
@@ -113,43 +110,33 @@ impl<'a> Comm<'a> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         if self.rank() == root {
-            let words = f64s_to_words(data);
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.node.send(dst, tag, MsgKind::Data, words.clone());
-                }
+            for dst in (0..self.size()).filter(|&dst| dst != root) {
+                self.node.send(dst, tag, MsgKind::Data, pack_f64s(data));
             }
         } else {
-            *data = words_to_f64s(&self.node.recv_from(root, tag).payload);
+            *data = into_f64s(self.node.recv_from(root, tag).payload);
         }
     }
 
     /// Binomial-tree reduction of `f64` vectors to `root`. Returns the
-    /// reduced vector on the root, `None` elsewhere.
+    /// reduced vector on the root, `None` elsewhere. The accumulator is
+    /// the one buffer a rank allocates: it leaves as the payload of the
+    /// message to the parent, or is the root's result.
     pub fn reduce_f64s(&self, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::ReduceWait, tag);
-        let n = self.size();
-        let vrank = (self.rank() + n - root) % n;
+        let (parent, children) = self.tree(root);
         let mut acc = data.to_vec();
-        let mut mask = 1;
-        while mask < n {
-            if vrank & mask != 0 {
-                let vparent = vrank & !mask;
-                let parent = (vparent + root) % n;
-                self.node
-                    .send(parent, tag, MsgKind::Data, f64s_to_words(&acc));
-                return None;
-            }
-            let vchild = vrank | mask;
-            if vchild < n {
-                let child = (vchild + root) % n;
-                let got = words_to_f64s(&self.node.recv_from(child, tag).payload);
-                op.fold(&mut acc, &got);
-            }
-            mask <<= 1;
+        for child in children.rev() {
+            let got = into_f64s(self.node.recv_from(child, tag).payload);
+            op.fold(&mut acc, &got);
         }
-        Some(acc)
+        let Some(parent) = parent else {
+            return Some(acc);
+        };
+        let words = acc.into_iter().map(f64::to_bits).collect();
+        self.node.send(parent, tag, MsgKind::Data, words);
+        None
     }
 
     /// Reduce to rank 0 then tree-broadcast the result: `2 (n - 1)`
@@ -172,75 +159,84 @@ impl<'a> Comm<'a> {
     }
 
     /// Gather variable-length word vectors to `root` (flat, `n - 1`
-    /// messages). Returns `Some(vec indexed by rank)` at the root.
-    pub fn gather(&self, root: usize, data: &[u64]) -> Option<Vec<Vec<u64>>> {
+    /// messages). `data` is handed over: it is the message, or the
+    /// root's own entry. Returns `Some(vec indexed by rank)` at the root.
+    pub fn gather(&self, root: usize, data: Vec<u64>) -> Option<Vec<Vec<u64>>> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         if self.rank() == root {
             let mut out: Vec<Vec<u64>> = (0..self.size()).map(|_| Vec::new()).collect();
-            out[root] = data.to_vec();
+            out[root] = data;
             for _ in 0..self.size() - 1 {
                 let p = self.node.recv_match(|p| p.tag == tag);
                 out[p.src] = p.payload;
             }
             Some(out)
         } else {
-            self.node.send(root, tag, MsgKind::Data, data.to_vec());
+            self.node.send(root, tag, MsgKind::Data, data);
             None
         }
     }
 
     /// Gather `f64` vectors to `root`.
     pub fn gather_f64s(&self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.gather(root, &f64s_to_words(data))
-            .map(|vs| vs.iter().map(|v| words_to_f64s(v)).collect())
+        self.gather(root, pack_f64s(data))
+            .map(|vs| vs.into_iter().map(into_f64s).collect())
     }
 
     /// All-gather: gather to rank 0, then broadcast the concatenation.
     pub fn allgather_f64s(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        let gathered = self.gather(0, &f64s_to_words(data));
-        let mut flat: Vec<u64> = Vec::new();
-        let mut lens: Vec<u64> = Vec::new();
-        if let Some(vs) = gathered {
-            for v in &vs {
-                lens.push(v.len() as u64);
-                flat.extend_from_slice(v);
-            }
+        let (mut lens, mut flat) = (Vec::new(), Vec::new());
+        for v in self.gather(0, pack_f64s(data)).into_iter().flatten() {
+            lens.push(v.len() as u64);
+            flat.extend_from_slice(&v);
         }
         self.bcast(0, &mut lens);
         self.bcast(0, &mut flat);
-        let mut out = Vec::with_capacity(self.size());
-        let mut off = 0usize;
-        for &l in &lens {
-            let l = l as usize;
-            out.push(words_to_f64s(&flat[off..off + l]));
-            off += l;
-        }
-        out
+        let mut rest = flat.as_slice();
+        lens.iter()
+            .map(|&l| {
+                let (part, tail) = rest.split_at(l as usize);
+                rest = tail;
+                part.iter().map(|&w| f64::from_bits(w)).collect()
+            })
+            .collect()
     }
 
-    /// Pairwise all-to-all exchange: `bufs[r]` is sent to rank `r`; the
-    /// returned vector holds what each rank sent us. `n (n - 1)` messages
-    /// cluster-wide.
-    pub fn alltoall_f64s(&self, bufs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert_eq!(bufs.len(), self.size());
+    /// Pairwise all-to-all exchange of packed payloads: `pack(r)` builds
+    /// what rank `r` is sent, `unpack(r, payload)` consumes what it sent
+    /// us, so a transpose can gather from and scatter into its arrays
+    /// with no per-peer staging vectors. The exchange with oneself is the
+    /// caller's (a local copy). `n (n - 1)` messages cluster-wide.
+    pub fn alltoall_packed(
+        &self,
+        mut pack: impl FnMut(usize) -> Vec<u64>,
+        mut unpack: impl FnMut(usize, Vec<u64>),
+    ) {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         let me = self.rank();
         let n = self.size();
-        let mut out: Vec<Vec<f64>> = (0..n).map(|_| Vec::new()).collect();
-        out[me] = bufs[me].clone();
         // Symmetric pairwise schedule: in round r exchange with me ^ r.
-        for r in 1..n.next_power_of_two() {
-            let peer = me ^ r;
+        for peer in (1..n.next_power_of_two()).map(|r| me ^ r) {
             if peer >= n {
                 continue;
             }
-            self.node
-                .send(peer, tag, MsgKind::Data, f64s_to_words(&bufs[peer]));
-            let p = self.node.recv_from(peer, tag);
-            out[peer] = words_to_f64s(&p.payload);
+            self.node.send(peer, tag, MsgKind::Data, pack(peer));
+            unpack(peer, self.node.recv_from(peer, tag).payload);
         }
+    }
+
+    /// [`Comm::alltoall_packed`] over owned vectors: `bufs[r]` is sent to
+    /// rank `r`; the returned vector holds what each rank sent us.
+    pub fn alltoall_f64s(&self, bufs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        assert_eq!(bufs.len(), self.size());
+        let mut out: Vec<Vec<f64>> = (0..self.size()).map(|_| Vec::new()).collect();
+        out[self.rank()] = bufs[self.rank()].clone();
+        self.alltoall_packed(
+            |peer| pack_f64s(&bufs[peer]),
+            |peer, payload| out[peer] = into_f64s(payload),
+        );
         out
     }
 }

@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 
-use sp2sim::{f64s_to_words, words_to_f64s, MsgKind, Node, SpanKind};
+use sp2sim::{MsgKind, Node, SpanKind, WordReader, WordWriter};
 
 /// Reduction operators over `f64` vectors (elementwise).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -26,6 +26,19 @@ impl ReduceOp {
             ReduceOp::Min => a.iter_mut().zip(b).for_each(|(x, y)| *x = x.min(*y)),
         }
     }
+}
+
+/// Pack a slice of `f64`s into a fresh payload: the one copy a message
+/// costs on its way out.
+pub(crate) fn pack_f64s(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A received payload as `f64`s, in the buffer the packet already owns:
+/// `u64` and `f64` have one layout, so the collect reuses the allocation
+/// and the receiver is handed the message's own buffer.
+pub(crate) fn into_f64s(payload: Vec<u64>) -> Vec<f64> {
+    payload.into_iter().map(f64::from_bits).collect()
 }
 
 /// Tag space layout: user tags must stay below this; collectives use a
@@ -82,16 +95,38 @@ impl<'a> Comm<'a> {
         self.node.recv_from(src, tag).payload
     }
 
-    /// Send a slice of `f64`s.
+    /// Send a slice of `f64`s (packed straight from it).
     pub fn send_f64s(&self, dst: usize, tag: u32, data: &[f64]) {
         debug_assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^20");
-        self.node.send(dst, tag, MsgKind::Data, f64s_to_words(data));
+        self.node.send(dst, tag, MsgKind::Data, pack_f64s(data));
     }
 
-    /// Receive a slice of `f64`s.
+    /// Send a payload the caller packed — a header and several array
+    /// sections in one message, PVM's `pvm_pk*` idiom. The writer's
+    /// buffer becomes the packet's payload; nothing is copied.
+    pub fn send_packed(&self, dst: usize, tag: u32, packed: WordWriter) {
+        debug_assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^20");
+        self.node.send(dst, tag, MsgKind::Data, packed.finish());
+    }
+
+    /// Receive a vector of `f64`s (the message's own buffer, converted
+    /// in place).
     pub fn recv_f64s(&self, src: usize, tag: u32) -> Vec<f64> {
-        let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        words_to_f64s(&self.node.recv_from(src, tag).payload)
+        into_f64s(self.recv(src, tag))
+    }
+
+    /// Receive `f64`s straight into `out` (a ghost column, a replica
+    /// range). The message must be exactly `out.len()` words long.
+    pub fn recv_f64s_into(&self, src: usize, tag: u32, out: &mut [f64]) {
+        let payload = self.recv(src, tag);
+        assert_eq!(
+            payload.len(),
+            out.len(),
+            "message from {src} with tag {tag} has {} words, its destination {}",
+            payload.len(),
+            out.len()
+        );
+        WordReader::new(&payload).take_f64s_into(out);
     }
 
     /// Combined send+receive (both directions in flight at once), the
@@ -150,6 +185,61 @@ mod tests {
         });
         assert_eq!(out.results[0], vec![4.0]);
         assert_eq!(out.results[1], vec![1.5, 2.5]);
+    }
+
+    #[test]
+    fn packed_sections_land_in_place() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let comm = Comm::new(node);
+            if comm.rank() == 0 {
+                let mut w = WordWriter::with_capacity(5);
+                w.put_usize(2).put_f64s(&[1.5, -0.0]).put_f64s(&[9.0, 8.0]);
+                comm.send_packed(1, 5, w);
+                comm.send_f64s(1, 6, &[4.0, 5.0]);
+                vec![]
+            } else {
+                let mut grid = vec![0.0; 6];
+                let payload = comm.recv(0, 5);
+                let mut r = WordReader::new(&payload);
+                let n = r.get_usize();
+                r.take_f64s_into(&mut grid[..n]);
+                r.take_f64s_into(&mut grid[4..]);
+                grid.push(r.remaining() as f64);
+                comm.recv_f64s_into(0, 6, &mut grid[2..4]);
+                grid
+            }
+        });
+        assert_eq!(out.results[1], vec![1.5, -0.0, 4.0, 5.0, 9.0, 8.0, 0.0]);
+        assert!(out.results[1][1].is_sign_negative());
+        assert_eq!(out.stats.total_bytes(), (5 + 2) * 8);
+    }
+
+    /// A destination shorter or longer than the message is a panic
+    /// naming both lengths, never a partial copy.
+    fn recv_three_words_into(len: usize) {
+        Cluster::run(
+            ClusterConfig::sp2_on(2, sp2sim::EngineKind::Sequential),
+            |node| {
+                let comm = Comm::new(node);
+                if comm.rank() == 0 {
+                    comm.send_f64s(1, 5, &[1.0, 2.0, 3.0]);
+                } else {
+                    comm.recv_f64s_into(0, 5, &mut vec![0.0; len]);
+                }
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "has 3 words, its destination 2")]
+    fn recv_into_a_short_destination_panics() {
+        recv_three_words_into(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "has 3 words, its destination 4")]
+    fn recv_into_a_long_destination_panics() {
+        recv_three_words_into(4);
     }
 
     #[test]

@@ -2,18 +2,10 @@
 //!
 //! Every payload in the simulator is a `Vec<u64>`. Protocol layers encode
 //! structured messages with [`WordWriter`]/[`WordReader`]; numeric data
-//! moves through the bit-exact `f64 <-> u64` conversions below (free at
-//! runtime, and fully safe Rust).
-
-/// Convert a slice of `f64` to their bit patterns.
-pub fn f64s_to_words(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Convert bit patterns back to `f64`s.
-pub fn words_to_f64s(ws: &[u64]) -> Vec<f64> {
-    ws.iter().map(|&w| f64::from_bits(w)).collect()
-}
+//! is packed from and unpacked into the arrays it lives in through the
+//! bit-exact `f64 <-> u64` conversions ([`WordWriter::put_f64s`],
+//! [`WordReader::take_f64s_into`]: one pass each way, fully safe Rust —
+//! the element-wise loops compile to a `memcpy`).
 
 /// Append-only writer of word-encoded messages.
 #[derive(Default)]
@@ -70,6 +62,13 @@ impl WordWriter {
     /// [`WordWriter::put_raw`] for a slice of `usize`s.
     pub fn put_raw_usizes(&mut self, xs: &[usize]) -> &mut Self {
         self.buf.extend(xs.iter().map(|&x| x as u64));
+        self
+    }
+
+    /// Append the bit patterns of a slice of `f64`s (no length prefix):
+    /// packs an array section straight into the payload.
+    pub fn put_f64s(&mut self, xs: &[f64]) -> &mut Self {
+        self.buf.extend(xs.iter().map(|x| x.to_bits()));
         self
     }
 
@@ -141,6 +140,17 @@ impl<'a> WordReader<'a> {
         s
     }
 
+    /// Unpack the next `out.len()` words into `out` as `f64`s: the
+    /// inverse of [`WordWriter::put_f64s`], straight into the array
+    /// section the data belongs in. Panics if fewer words remain (naming
+    /// both lengths), before anything is copied.
+    pub fn take_f64s_into(&mut self, out: &mut [f64]) {
+        let words = self.take(out.len());
+        for (o, &w) in out.iter_mut().zip(words) {
+            *o = f64::from_bits(w);
+        }
+    }
+
     /// Words remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -157,9 +167,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f64_roundtrip() {
-        let xs = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 3.25];
-        assert_eq!(words_to_f64s(&f64s_to_words(&xs)), xs);
+    fn f64_sections_roundtrip_bit_exactly() {
+        // A NaN with payload bits, -0.0 and subnormals must survive.
+        let odd_nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let xs = [
+            0.0,
+            -0.0,
+            -1.5,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            odd_nan,
+            f64::NEG_INFINITY,
+        ];
+        let mut w = WordWriter::with_capacity(xs.len() + 1);
+        w.put(7).put_f64s(&xs[..4]).put_f64s(&xs[4..]);
+        let buf = w.finish();
+        assert_eq!(buf.len(), xs.len() + 1);
+        let mut r = WordReader::new(&buf);
+        assert_eq!(r.get(), 7);
+        let mut out = [1.0; 9];
+        let (a, b) = out.split_at_mut(6);
+        r.take_f64s_into(a);
+        r.take_f64s_into(b);
+        assert!(r.is_exhausted());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&xs));
+        r.take_f64s_into(&mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 out of range for slice of length 2")]
+    fn unpacking_into_a_longer_destination_panics() {
+        let buf = vec![1u64, 2];
+        let mut out = [0.0; 3];
+        WordReader::new(&buf).take_f64s_into(&mut out);
     }
 
     #[test]

@@ -125,12 +125,26 @@ pub(crate) struct SequentialFabric {
     fibers: UnsafeCell<Vec<Option<Box<Fiber>>>>,
     /// The scheduler loop's own (OS thread) context.
     main: ContextSlot,
-    /// The OS thread the engine runs on.
-    engine_thread: std::thread::ThreadId,
+    /// The OS thread the engine runs on (see [`thread_token`]).
+    engine_thread: usize,
+}
+
+/// A token identifying the calling OS thread: the address of a
+/// thread-local byte, distinct among live threads. The engine captures
+/// its thread's token at construction and compares it on every blocking
+/// operation; unlike `std::thread::current().id()` that is a plain TLS
+/// address computation, with no `Arc<thread::Inner>` clone and drop.
+/// Address reuse cannot fool the check where it matters: the engine's
+/// thread is alive for as long as `run` executes, and once `run` has
+/// returned no fiber is current, so every blocking operation panics on
+/// that before it could reach a context switch.
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|t| t as *const u8 as usize)
 }
 
 // SAFETY: `fibers` and `main` are only accessed from `engine_thread`
-// (checked at run time in debug builds); everything else is behind the
+// (checked at run time, in every build); everything else is behind the
 // mutex. `Endpoint`s holding this fabric can be moved into service
 // closures, but those closures execute as fibers of the engine thread.
 unsafe impl Send for SequentialFabric {}
@@ -141,13 +155,13 @@ impl SequentialFabric {
     /// switch happens on the engine's own OS thread. This is checked
     /// unconditionally (not just in debug builds): `Endpoint` is
     /// `Send`, so safe user code could otherwise smuggle a handle into
-    /// a real thread and corrupt fiber stacks. The check is a TLS read
-    /// — noise next to the scheduler lock on every blocking operation.
+    /// a real thread and corrupt fiber stacks. The check is a TLS
+    /// address compare — noise next to the scheduler lock on every
+    /// blocking operation.
     #[inline]
     fn assert_engine_thread(&self) {
-        assert_eq!(
-            std::thread::current().id(),
-            self.engine_thread,
+        assert!(
+            thread_token() == self.engine_thread,
             "sequential-engine handle used from a foreign OS thread \
              (node closures must not move endpoints to std::thread; \
              use Node::spawn_service)"
@@ -457,7 +471,7 @@ where
         }),
         fibers: UnsafeCell::new(Vec::new()),
         main: ContextSlot::new(),
-        engine_thread: std::thread::current().id(),
+        engine_thread: thread_token(),
     });
     let dyn_fabric: Arc<dyn Fabric> = Arc::clone(&fabric) as Arc<dyn Fabric>;
 
@@ -509,6 +523,20 @@ where
 mod tests {
     use super::super::fiber::spare_stack_addrs;
     use crate::{Cluster, ClusterConfig, EngineKind};
+
+    /// `Endpoint` is `Send`, so safe code can carry one to a real
+    /// thread; using it there must panic before any context switch.
+    #[test]
+    fn a_handle_on_a_foreign_thread_panics() {
+        let out = Cluster::run(ClusterConfig::sp2_on(1, EngineKind::Sequential), |node| {
+            let ep = node.take_service_endpoint();
+            let payload = std::thread::spawn(move || ep.recv_any_raw())
+                .join()
+                .expect_err("a foreign-thread receive must panic");
+            *payload.downcast::<&str>().expect("a literal message")
+        });
+        assert!(out.results[0].contains("used from a foreign OS thread"));
+    }
 
     /// Two runs on one thread: the second takes its fiber stacks — node
     /// closures and service loops alike — from the ones the first

@@ -69,7 +69,7 @@ pub mod stats;
 pub mod time;
 
 pub use cluster::{Cluster, ClusterConfig, RunOutput};
-pub use codec::{f64s_to_words, words_to_f64s, WordReader, WordWriter};
+pub use codec::{WordReader, WordWriter};
 pub use cost::CostModel;
 pub use engine::{EngineKind, ServiceHandle};
 pub use node::{Endpoint, Node, TraceSpanGuard};

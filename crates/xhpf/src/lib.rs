@@ -55,6 +55,7 @@
 use std::ops::Range;
 
 use mpl::Comm;
+use sp2sim::WordWriter;
 
 /// Contiguous block decomposition of `0..len` for processor `me` of `n`
 /// (same convention as the SPF run-time).
@@ -155,6 +156,30 @@ impl BlockArray2 {
         let rows = self.rows;
         &mut self.data[o..o + rows]
     }
+
+    /// Local storage range of the (held, contiguous) columns `cols`.
+    fn span(&self, cols: Range<usize>) -> Range<usize> {
+        (cols.start + self.ghost - self.col_lo) * self.rows
+            ..(cols.end + self.ghost - self.col_lo) * self.rows
+    }
+
+    /// The owned columns as one column-major slice.
+    pub fn owned(&self) -> &[f64] {
+        &self.data[self.span(self.owned_cols())]
+    }
+
+    /// The readable columns (owned plus ghosts) as one column-major
+    /// slice, column `readable_cols().start` first: what a stencil
+    /// kernel reads in place.
+    pub fn readable(&self) -> &[f64] {
+        &self.data[self.span(self.readable_cols())]
+    }
+
+    /// [`BlockArray2::readable`], mutably.
+    pub fn readable_mut(&mut self) -> &mut [f64] {
+        let span = self.span(self.readable_cols());
+        &mut self.data[span]
+    }
 }
 
 /// Transport fragment size of the XHPF run-time broadcasts, in f64
@@ -220,12 +245,60 @@ impl<'c, 'n> Xhpf<'c, 'n> {
             self.comm.send_f64s(me + 1, TAG_R, a.col(a.col_hi - 1));
         }
         if me + 1 < n && a.col_hi < a.cols {
-            let col = self.comm.recv_f64s(me + 1, TAG_L);
-            a.col_mut(a.col_hi).copy_from_slice(&col);
+            self.comm.recv_f64s_into(me + 1, TAG_L, a.col_mut(a.col_hi));
         }
         if me > 0 && a.col_lo > 0 {
-            let col = self.comm.recv_f64s(me - 1, TAG_R);
-            a.col_mut(a.col_lo - 1).copy_from_slice(&col);
+            self.comm
+                .recv_f64s_into(me - 1, TAG_R, a.col_mut(a.col_lo - 1));
+        }
+    }
+
+    /// Send `total` elements to `dst` the way the run-time moves bulk
+    /// data, in fragments of at most [`FRAGMENT_ELEMS`], each packed
+    /// straight from the `runs` of the array it is cut from (the compiled
+    /// FFT transpose). An empty transfer is one empty message.
+    pub fn send_fragmented<'r>(
+        &self,
+        dst: usize,
+        tag: u32,
+        total: usize,
+        runs: impl Iterator<Item = &'r [f64]>,
+    ) {
+        let fragment = |left: usize| WordWriter::with_capacity(left.min(FRAGMENT_ELEMS));
+        let mut left = total;
+        let mut w = fragment(left);
+        for mut run in runs {
+            while !run.is_empty() {
+                let room = FRAGMENT_ELEMS - w.len();
+                let (head, tail) = run.split_at(room.min(run.len()));
+                w.put_f64s(head);
+                run = tail;
+                if w.len() == FRAGMENT_ELEMS {
+                    left -= FRAGMENT_ELEMS;
+                    self.comm
+                        .send_packed(dst, tag, std::mem::replace(&mut w, fragment(left)));
+                }
+            }
+        }
+        if !w.is_empty() || total == 0 {
+            self.comm.send_packed(dst, tag, w);
+        }
+    }
+
+    /// Flat fragmented broadcast of `buf` from `root`: the root packs
+    /// each [`FRAGMENT_ELEMS`]-sized fragment once per destination,
+    /// everyone else receives it into place.
+    fn bcast_fragments(&self, root: usize, tag_base: u32, buf: &mut [f64]) {
+        let me = self.rank();
+        for (k, frag) in buf.chunks_mut(FRAGMENT_ELEMS).enumerate() {
+            let tag = tag_base + k as u32 % 64;
+            if me == root {
+                for dst in (0..self.size()).filter(|&dst| dst != me) {
+                    self.comm.send_f64s(dst, tag, frag);
+                }
+            } else {
+                self.comm.recv_f64s_into(root, tag, frag);
+            }
         }
     }
 
@@ -237,7 +310,6 @@ impl<'c, 'n> Xhpf<'c, 'n> {
     pub fn broadcast_partition(&self, a: &BlockArray2, full: &mut [f64]) {
         assert_eq!(full.len(), a.rows * a.cols);
         let n = self.size();
-        let me = self.rank();
         // Copy our own block in.
         for j in a.owned_cols() {
             full[j * a.rows..(j + 1) * a.rows].copy_from_slice(a.col(j));
@@ -245,60 +317,28 @@ impl<'c, 'n> Xhpf<'c, 'n> {
         // Flat fragmented broadcast from every process in rank order.
         for root in 0..n {
             let r = block_range(root, n, a.cols);
-            let elems = (r.end - r.start) * a.rows;
-            let base = r.start * a.rows;
-            let mut off = 0;
-            while off < elems {
-                let len = FRAGMENT_ELEMS.min(elems - off);
-                let tag = 200 + (off / FRAGMENT_ELEMS) as u32 % 64;
-                if me == root {
-                    let frag = &full[base + off..base + off + len];
-                    for dst in 0..n {
-                        if dst != me {
-                            self.comm.send_f64s(dst, tag, frag);
-                        }
-                    }
-                } else {
-                    let frag = self.comm.recv_f64s(root, tag);
-                    full[base + off..base + off + len].copy_from_slice(&frag);
-                }
-                off += len;
-            }
+            self.bcast_fragments(root, 200, &mut full[r.start * a.rows..r.end * a.rows]);
         }
     }
 
     /// Broadcast a plain buffer from every rank (used by the compiled NBF
     /// code for the force buffers): rank `r`'s `mine` ends up in
-    /// `all[r]`. Fragmented like [`Xhpf::broadcast_partition`].
+    /// `all[r]`. Fragmented like [`Xhpf::broadcast_partition`]. The
+    /// vectors of `all` are resized and received into, so a caller that
+    /// keeps them across calls allocates them once.
     pub fn broadcast_buffers(&self, mine: &[f64], all: &mut [Vec<f64>]) {
-        let n = self.size();
         let me = self.rank();
-        all[me] = mine.to_vec();
-        #[allow(clippy::needless_range_loop)] // root is a rank, not an index
-        for root in 0..n {
-            let len_msg = if me == root { mine.len() } else { 0 };
-            let mut total = vec![len_msg as f64];
-            self.comm.bcast_f64s(root, &mut total);
-            let total = total[0] as usize;
-            if me != root {
-                all[root] = vec![0.0; total];
-            }
-            let mut off = 0;
-            while off < total {
-                let len = FRAGMENT_ELEMS.min(total - off);
-                let tag = 300 + (off / FRAGMENT_ELEMS) as u32 % 64;
-                if me == root {
-                    for dst in 0..n {
-                        if dst != me {
-                            self.comm.send_f64s(dst, tag, &mine[off..off + len]);
-                        }
-                    }
-                } else {
-                    let frag = self.comm.recv_f64s(root, tag);
-                    all[root][off..off + len].copy_from_slice(&frag);
-                }
-                off += len;
-            }
+        all[me].clear();
+        all[me].extend_from_slice(mine);
+        // The length message's buffer: a non-root's is the payload it
+        // received, which it packs from again when its turn comes.
+        let mut len_msg = Vec::new();
+        for (root, buf) in all.iter_mut().enumerate() {
+            len_msg.clear();
+            len_msg.push(if me == root { mine.len() } else { 0 } as f64);
+            self.comm.bcast_f64s(root, &mut len_msg);
+            buf.resize(len_msg[0] as usize, 0.0);
+            self.bcast_fragments(root, 300, buf);
         }
     }
 
@@ -372,6 +412,29 @@ mod tests {
         assert_eq!(out.results[0], vec![42.0]);
         // Proc 3 has only a left ghost (col 11).
         assert_eq!(out.results[3], vec![112.0]);
+    }
+
+    #[test]
+    fn owned_and_readable_slices_are_column_major() {
+        let out = Cluster::run(ClusterConfig::sp2(3), |node| {
+            let comm = Comm::new(node);
+            let x = Xhpf::new(&comm);
+            let mut a = x.block_array(2, 9, 1);
+            for j in a.owned_cols() {
+                a.col_mut(j).fill(j as f64);
+            }
+            x.exchange_ghost(&mut a, false);
+            (a.owned().to_vec(), a.readable_mut().to_vec())
+        });
+        // Edge processes have no slot for the missing neighbour's column.
+        let cols = |r: Range<usize>| r.flat_map(|j| [j as f64; 2]).collect::<Vec<_>>();
+        for (me, (owned, readable)) in out.results.into_iter().enumerate() {
+            assert_eq!(owned, cols(3 * me..3 * me + 3));
+            assert_eq!(
+                readable,
+                cols((3 * me).saturating_sub(1)..(3 * me + 4).min(9))
+            );
+        }
     }
 
     #[test]

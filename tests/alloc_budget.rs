@@ -21,18 +21,31 @@
 //! list and `Arc` per receiver, the messages around it) and the diffs
 //! its boundary pages are asked for.
 //!
-//! One test per binary: the counter is process-wide.
+//! The message-passing versions get the same treatment, per message:
+//! Jacobi and Shallow, XHPF and PVMe, for `k` and `2k` iterations. A
+//! message is packed from the arrays into the payload `Vec` its packet
+//! owns and unpacked from there into the arrays, and every buffer a
+//! node computes on lives across iterations — so the extra heap bytes
+//! are the extra payload bytes (plus slack for queue growth) and the
+//! extra allocation calls at most two per extra message. Before the
+//! pack/unpack rework Jacobi XHPF allocated about nine times the bytes
+//! it sent, 116 KB per allocation: fresh slabs and copies every sweep.
+//!
+//! One test per binary: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use apps::jacobi::{self, Params};
-use apps::Version;
-use sp2sim::EngineKind;
+use apps::{shallow, RunResult, Version};
+use mpl::Comm;
+use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::TmkConfig;
 
 /// Allocation calls so far (`realloc` counts as one).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for so far (a `realloc` counts its whole new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -42,12 +55,14 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -59,6 +74,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size as u64, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -97,8 +113,111 @@ fn jacobi_spf(iters: usize, cfg: TmkConfig) -> (u64, u64, u64) {
     )
 }
 
+/// An 8-node message-passing run on the sequential engine, by version
+/// and iteration count.
+type MpRun = fn(Version, usize) -> RunResult;
+
+fn jacobi_mp(version: Version, iters: usize) -> RunResult {
+    let p = Params { n: 512, iters };
+    jacobi::run_params_on(
+        EngineKind::Sequential,
+        version,
+        8,
+        0.25,
+        p,
+        TmkConfig::default(),
+    )
+}
+
+fn shallow_mp(version: Version, iters: usize) -> RunResult {
+    let p = shallow::Params { n: 256, iters };
+    shallow::run_params_on(
+        EngineKind::Sequential,
+        version,
+        8,
+        0.25,
+        p,
+        TmkConfig::default(),
+    )
+}
+
+/// `[allocation calls, bytes allocated, messages, payload bytes]` of one
+/// run; the last two cover the timed iterations.
+fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
+    let before = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+    let r = run();
+    [
+        ALLOCS.load(Relaxed) - before.0,
+        BYTES.load(Relaxed) - before.1,
+        r.stats.total_messages(),
+        r.stats.total_bytes(),
+    ]
+}
+
+/// Extra heap bytes allowed per extra payload byte sent.
+const HEAP_PER_PAYLOAD_BYTE: f64 = 1.25;
+/// Extra allocation calls allowed per extra message.
+const ALLOCS_PER_MESSAGE: f64 = 2.0;
+
+/// Allocation calls of a 2-node run in which rank 0 sends `msgs`
+/// 64-word messages that rank 1 takes with the owned `recv_f64s`, each
+/// acknowledged by an empty signal.
+fn owned_receives(msgs: usize) -> u64 {
+    let before = ALLOCS.load(Relaxed);
+    Cluster::run(ClusterConfig::sp2_on(2, EngineKind::Sequential), |node| {
+        let comm = Comm::new(node);
+        for i in 0..msgs {
+            if comm.rank() == 0 {
+                comm.send_f64s(1, 7, &[i as f64; 64]);
+                comm.recv_signal(1, 8);
+            } else {
+                assert_eq!(comm.recv_f64s(0, 7)[63], i as f64);
+                comm.send_signal(0, 8);
+            }
+        }
+    });
+    ALLOCS.load(Relaxed) - before
+}
+
+fn message_passing_iterations_allocate_only_their_payloads() {
+    // `recv_f64s` hands over the buffer the packet owns: the sender's
+    // payload is the one allocation of a message, the `u64 -> f64`
+    // collect reuses it.
+    owned_receives(10);
+    let extra = owned_receives(300) - owned_receives(100);
+    assert!(extra <= 200, "{extra} allocations for 200 more messages");
+
+    let k = 6;
+    let apps: [(&str, MpRun); 2] = [("Jacobi", jacobi_mp), ("Shallow", shallow_mp)];
+    for (app, run) in apps {
+        for version in [Version::Xhpf, Version::Pvme] {
+            run(version, 2);
+            let short = measure(|| run(version, k));
+            let long = measure(|| run(version, 2 * k));
+            let [allocs, heap, msgs, payload] = [0, 1, 2, 3].map(|i| long[i] - short[i]);
+            assert!(msgs > 0 && payload > 0, "the longer run sends more");
+            let (per_byte, per_msg) = (heap as f64 / payload as f64, allocs as f64 / msgs as f64);
+            eprintln!(
+                "{app} {version:?}: {k} more iterations send {msgs} messages, {payload} payload \
+                 bytes; they allocate {allocs} times, {heap} bytes: {per_byte:.2} heap bytes \
+                 per payload byte, {per_msg:.2} allocations per message"
+            );
+            assert!(
+                per_byte <= HEAP_PER_PAYLOAD_BYTE,
+                "{app} {version:?}: {per_byte:.2} heap bytes per payload byte"
+            );
+            assert!(
+                per_msg <= ALLOCS_PER_MESSAGE,
+                "{app} {version:?}: {per_msg:.2} allocations per message"
+            );
+        }
+    }
+}
+
 #[test]
 fn release_paths_stay_within_their_allocation_budgets() {
+    message_passing_iterations_allocate_only_their_payloads();
+
     // Warm-up: one-time allocations (the fiber stacks this thread
     // parks, lazily initialized statics) land outside the measurement.
     jacobi_spf(2, TmkConfig::hlrc());
