@@ -183,7 +183,7 @@ mod tests {
         let mut s = Slab::new(4, 10, 3);
         s.set(2, 11, 7.0);
         assert_eq!(s.at(2, 11), 7.0);
-        assert_eq!(s.data[1 * 4 + 2], 7.0);
+        assert_eq!(s.data[4 + 2], 7.0); // row 2 of the second 4-row column
         assert_eq!(s.cols(), 10..13);
         assert_eq!(s.ncols(), 3);
     }

@@ -529,13 +529,15 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             }
             let mapx = maps[0].local(tmk);
             let mapy = maps[1].local(tmk);
-            let reads = insp.gather(jr.clone().flat_map(|j| {
+            // Nine stencil reads per point: three words of each of three
+            // rows, gathered a row segment at a time.
+            let reads = insp.gather_spans(jr.clone().flat_map(|j| {
                 let (mapx, mapy) = (&mapx, &mapy);
                 (1..n - 1).flat_map(move |i| {
                     let k = j * n + i;
                     let mi = mapx[k] as usize % n;
                     let mj = mapy[k] as usize % n;
-                    (0..9).map(move |s| (mj + s / 3 - 1) * n + mi + s % 3 - 1)
+                    (mj - 1..mj + 2).map(move |row| row * n + mi - 1..row * n + mi + 2)
                 })
             }));
             vec![

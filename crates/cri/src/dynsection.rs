@@ -38,34 +38,35 @@ impl DynSection {
             }
             bits[w] |= 1 << (i % 64);
         }
-        let mut runs = Vec::new();
-        // Start of the run of set bits still open at the scan position.
-        let mut open: Option<usize> = None;
-        for (w, &word) in bits.iter().enumerate() {
-            let base = w * 64;
-            let mut pos = 0;
-            while pos < 64 {
-                let rest = word >> pos;
-                match open {
-                    None if rest == 0 => break,
-                    None => {
-                        pos += rest.trailing_zeros();
-                        open = Some(base + pos as usize);
-                    }
-                    Some(start) => {
-                        pos += rest.trailing_ones();
-                        if pos < 64 {
-                            runs.push(start..base + pos as usize);
-                            open = None;
-                        }
-                    }
-                }
+        DynSection {
+            runs: runs_of_set_bits(&bits),
+        }
+    }
+
+    /// [`DynSection::from_indices`] for a walk that meets its indices a
+    /// few neighbours at a time (the three row segments of a stencil
+    /// point): the same section as the spans' indices one by one would
+    /// give, painted a span at a time.
+    pub fn from_spans(spans: impl IntoIterator<Item = Range<usize>>) -> DynSection {
+        let mut bits: Vec<u64> = Vec::new();
+        for r in spans.into_iter().filter(|r| r.start < r.end) {
+            let (first, last) = (r.start / 64, (r.end - 1) / 64);
+            if last >= bits.len() {
+                bits.resize((last + 1).max(2 * bits.len()), 0);
+            }
+            let from_start = !0u64 << (r.start % 64);
+            let to_end = !0u64 >> (63 - (r.end - 1) % 64);
+            if first == last {
+                bits[first] |= from_start & to_end;
+            } else {
+                bits[first] |= from_start;
+                bits[first + 1..last].fill(!0);
+                bits[last] |= to_end;
             }
         }
-        if let Some(start) = open {
-            runs.push(start..bits.len() * 64);
+        DynSection {
+            runs: runs_of_set_bits(&bits),
         }
-        DynSection { runs }
     }
 
     /// The previous implementation — one unit range per index, sorted
@@ -110,7 +111,7 @@ impl DynSection {
     /// the regular part the compiler *could* describe).
     pub fn union(&mut self, other: &SectionSet) {
         let mut runs = std::mem::take(&mut self.runs);
-        runs.extend(other.word_ranges());
+        other.for_each_range(|r| runs.push(r));
         self.runs = merge_ranges(runs);
     }
 }
@@ -121,6 +122,39 @@ impl From<&Section> for DynSection {
             runs: s.word_ranges(),
         }
     }
+}
+
+/// The maximal runs of set bits of a bitmap, ascending (bit `i` of word
+/// `w` stands for index `64 w + i`).
+fn runs_of_set_bits(bits: &[u64]) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    // Start of the run of set bits still open at the scan position.
+    let mut open: Option<usize> = None;
+    for (w, &word) in bits.iter().enumerate() {
+        let base = w * 64;
+        let mut pos = 0;
+        while pos < 64 {
+            let rest = word >> pos;
+            match open {
+                None if rest == 0 => break,
+                None => {
+                    pos += rest.trailing_zeros();
+                    open = Some(base + pos as usize);
+                }
+                Some(start) => {
+                    pos += rest.trailing_ones();
+                    if pos < 64 {
+                        runs.push(start..base + pos as usize);
+                        open = None;
+                    }
+                }
+            }
+        }
+    }
+    if let Some(start) = open {
+        runs.push(start..bits.len() * 64);
+    }
+    runs
 }
 
 /// Any of the three descriptor shapes a loop access can carry: the
@@ -161,6 +195,17 @@ impl SectionSet {
             SectionSet::Regular(s) => s.word_ranges(),
             SectionSet::Tri(s) => s.word_ranges(),
             SectionSet::Dyn(s) => s.word_ranges(),
+        }
+    }
+
+    /// Call `f` with every range of [`SectionSet::word_ranges`], in
+    /// order, without building the vector: what the hint engine's page-run
+    /// construction iterates.
+    pub fn for_each_range(&self, f: impl FnMut(Range<usize>)) {
+        match self {
+            SectionSet::Regular(s) => s.for_each_range(f),
+            SectionSet::Tri(s) => s.for_each_range(f),
+            SectionSet::Dyn(s) => s.runs().iter().cloned().for_each(f),
         }
     }
 }
@@ -231,13 +276,26 @@ mod tests {
             prop_assert_eq!(got.runs(), want.runs());
             prop_assert_eq!(got.words(), want.words());
         }
+
+        /// Painting spans gives the section of their indices one by one:
+        /// spans inside a bitmap word, across one boundary, over whole
+        /// words, empty, overlapping.
+        #[test]
+        fn painted_spans_equal_their_indices(
+            spans in prop::collection::vec((0usize..3000, 0usize..200), 0..20),
+        ) {
+            let spans: Vec<Range<usize>> = spans.iter().map(|&(lo, len)| lo..lo + len).collect();
+            let got = DynSection::from_spans(spans.iter().cloned());
+            let want = DynSection::from_indices(spans.iter().cloned().flatten());
+            prop_assert_eq!(got.runs(), want.runs());
+        }
     }
 
     #[test]
     fn union_merges_with_regular_sections() {
         let mut d = DynSection::from_indices([0, 1, 2]);
         d.union(&Section::range(3..10).into());
-        assert_eq!(d.runs(), &[0..10]);
+        assert_eq!(d.word_ranges(), vec![0..10]);
     }
 
     #[test]

@@ -19,6 +19,42 @@
 //! compiler's runtime would evaluate its symbolic sections with the
 //! loop bounds of the current dispatch.
 //!
+//! ## Hint plans
+//!
+//! A loop that is dispatched again over the same iteration range asks
+//! for the same validate, the same pushes and the same home candidates,
+//! so the engine compiles each registered loop **once** into a plan of
+//! three flat lists and replays them:
+//!
+//! * what [`HintEngine::before_loop`] validates — the section count and
+//!   the merged page runs handed to [`Tmk::validate_pages`];
+//! * what [`HintEngine::after_loop`] registers — every `(target, page)`
+//!   push, *before* the HLRC "the consumer is the page's home" filter,
+//!   which stays a check at replay because homes change;
+//! * the `(page, producer)` home candidates of
+//!   [`HintEngine::planned_homes`] (HLRC, master only).
+//!
+//! Each third is built the first time its own call site runs, not ahead
+//! of it: building evaluates descriptors, and a dynamic descriptor's
+//! inspection charges virtual time where it runs. There is one plan per
+//! loop id, replaced when the loop comes with another range (MGS
+//! dispatches `i+1..n`: it never replays, and must not pile up a plan per
+//! pivot). Every plan is dropped by [`HintEngine::set`],
+//! [`HintEngine::register_dynamic`] and
+//! [`HintEngine::invalidate_schedules`] — a producer's plan embeds its
+//! consumers' descriptors, so any re-registration invalidates all of
+//! them — which are exactly the events that drop cached schedules: a
+//! replay therefore stands for evaluations that would all have hit the
+//! schedule cache, and adds their number to `schedule_reuse`.
+//!
+//! The one contract plans lean on: a static [`AccessFn`] is a **pure
+//! function of `(iters, q, np)`** — as a dynamic one already had to be
+//! between two invalidations.
+//!
+//! Page sets are sorted, disjoint **page runs** (`Vec<Range<usize>>`)
+//! throughout: a section's word ranges map to runs in order, unions go
+//! through [`merge_ranges`], overlaps through a two-pointer sweep.
+//!
 //! ## Dynamic descriptors (the inspector/executor split)
 //!
 //! When a loop's subscripts go through a run-time indirection map, no
@@ -28,26 +64,26 @@
 //! such a function through [`HintEngine::register_dynamic`] makes the
 //! engine memoize every evaluation in a **schedule cache** keyed by
 //! `(loop, iteration range, node)`: the walk runs once per key per
-//! epoch, and every later dispatch of the same loop — the executor
-//! path — replays the cached sections straight into the validate /
-//! push / home-placement machinery at zero inspection cost. Cache
-//! effectiveness is observable as
-//! [`DsmStats::inspections`](treadmarks::DsmStats) (cache misses, with
-//! the walk's virtual time in `inspect_us`) versus
-//! [`DsmStats::schedule_reuse`](treadmarks::DsmStats) (hits). An
+//! epoch, and every later evaluation — the executor path — is served
+//! from the cache at zero inspection cost. Cache effectiveness is
+//! observable as [`DsmStats::inspections`](treadmarks::DsmStats) (cache
+//! misses, with the walk's virtual time in `inspect_us`) versus
+//! [`DsmStats::schedule_reuse`](treadmarks::DsmStats) (hits, counted
+//! one by one or by the plan replay that stands for them). An
 //! epoch-invalidating event — the application rebuilt the map — clears
 //! the cache through [`HintEngine::invalidate_schedules`] (the `spf`
 //! runtime broadcasts the invalidation inside the next dispatch, so
 //! every node re-inspects at the same loop boundary).
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
 use treadmarks::{ProtocolMode, SharedArray, Tmk};
 
 use crate::dynsection::SectionSet;
+use crate::section::merge_ranges;
 
 /// Whether an access reads or writes its section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,11 +166,36 @@ impl Access {
 
 /// A loop's access descriptor: evaluated with the dispatched iteration
 /// range and a `(proc id, nprocs)` pair — for this node before/after the
-/// body, and for every peer when computing push targets.
+/// body, and for every peer when computing push targets. It must be a
+/// pure function of those three arguments (for an inspector: between two
+/// invalidations): the engine evaluates it once per loop and range and
+/// replays the result (see "Hint plans" in the module doc).
 pub type AccessFn<'t> = Rc<dyn Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't>;
 
 /// Schedule-cache key: `(loop id, iters.start, iters.end, node)`.
 type ScheduleKey = (usize, usize, usize, usize);
+
+/// One third of a [`Plan`]: the list its call site replays, and how many
+/// dynamic-descriptor evaluations building it took — schedule-cache hits,
+/// every one, by the time it is replayed.
+struct Third<L> {
+    list: L,
+    dyn_evals: u64,
+}
+
+/// What a registered loop's hints come to over one iteration range.
+#[derive(Default)]
+struct Plan {
+    iters: Range<usize>,
+    /// `before_loop`: how many sections the body touches, and their
+    /// pages as merged runs.
+    validate: Option<Third<(usize, Vec<Range<usize>>)>>,
+    /// `after_loop`: the `(target, page)` pushes in registration order,
+    /// HLRC home filter not yet applied.
+    pushes: Option<Third<Vec<(usize, usize)>>>,
+    /// `planned_homes`: the `(page, producer)` candidates, by page.
+    homes: Option<Third<Vec<(usize, usize)>>>,
+}
 
 /// The per-node hint engine, layered on one [`Tmk`] instance.
 pub struct HintEngine<'t, 'n> {
@@ -145,6 +206,11 @@ pub struct HintEngine<'t, 'n> {
     /// Schedule cache for dynamic descriptors:
     /// `(loop id, iters.start, iters.end, node) -> evaluated accesses`.
     schedules: RefCell<HashMap<ScheduleKey, Rc<Vec<Access>>>>,
+    /// The compiled plan of each loop id, for the range it last ran over.
+    plans: RefCell<Vec<Option<Plan>>>,
+    /// Dynamic-descriptor evaluations so far (hits and misses): a plan
+    /// under construction reads its own share off this counter.
+    dyn_evals: Cell<u64>,
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
@@ -155,6 +221,8 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             fns: RefCell::new(Vec::new()),
             dynamic: RefCell::new(Vec::new()),
             schedules: RefCell::new(HashMap::new()),
+            plans: RefCell::new(Vec::new()),
+            dyn_evals: Cell::new(0),
         }
     }
 
@@ -177,8 +245,10 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         dynamic[id] = false;
         // Re-registration replaces the descriptor: any schedules cached
-        // from the previous one are stale.
+        // from the previous one are stale, and so is every plan — this
+        // loop's own and those of the loops it consumes from.
         self.schedules.borrow_mut().retain(|k, _| k.0 != id);
+        self.plans.borrow_mut().clear();
     }
 
     /// Attach a **dynamic** (inspector) descriptor to loop `id`: the
@@ -201,52 +271,105 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         self.fns.borrow().get(id).is_some_and(|f| f.is_some())
     }
 
-    /// Drop every cached schedule: an epoch-invalidating event (the
-    /// application rebuilt an indirection map). The next evaluation of
-    /// each dynamic descriptor re-inspects. Every node must invalidate
-    /// at the same loop boundary — the `spf` runtime ships the
+    /// Drop every cached schedule and every plan: an epoch-invalidating
+    /// event (the application rebuilt an indirection map). The next
+    /// evaluation of each dynamic descriptor re-inspects. Every node must
+    /// invalidate at the same loop boundary — the `spf` runtime ships the
     /// invalidation inside the dispatch so workers and master agree.
     pub fn invalidate_schedules(&self) {
         self.schedules.borrow_mut().clear();
+        self.plans.borrow_mut().clear();
     }
 
     fn get(&self, id: usize) -> Option<AccessFn<'t>> {
         self.fns.borrow().get(id).and_then(|f| f.clone())
     }
 
-    /// Evaluate loop `id`'s descriptor for node `q` over `iters`. Static
-    /// descriptors evaluate directly (they are cheap symbolic sections);
-    /// dynamic descriptors go through the schedule cache.
-    fn eval(
+    /// Evaluate loop `id`'s descriptor for node `q` over `iters` and hand
+    /// the accesses to `with`; `None` when the loop has no descriptor.
+    /// Static descriptors evaluate directly (they are cheap symbolic
+    /// sections); dynamic descriptors go through the schedule cache.
+    fn eval<R>(
         &self,
         id: usize,
         iters: &Range<usize>,
         q: usize,
         np: usize,
-    ) -> Option<Rc<Vec<Access>>> {
+        with: impl FnOnce(&[Access]) -> R,
+    ) -> Option<R> {
         let f = self.get(id)?;
         if !self.dynamic.borrow().get(id).copied().unwrap_or(false) {
-            return Some(Rc::new(f(iters, q, np)));
+            return Some(with(&f(iters, q, np)));
         }
+        self.dyn_evals.set(self.dyn_evals.get() + 1);
         let key = (id, iters.start, iters.end, q);
-        if let Some(hit) = self.schedules.borrow().get(&key) {
-            self.tmk.note_schedule_reuse();
-            return Some(Rc::clone(hit));
+        let hit = self.schedules.borrow().get(&key).cloned();
+        let accesses = match hit {
+            Some(hit) => {
+                self.tmk.note_schedule_reuse(1);
+                hit
+            }
+            None => {
+                // Inspection: run the walk and charge it as inspector
+                // cost (the walk advances virtual time itself; the delta
+                // is the cost).
+                let _s = self
+                    .tmk
+                    .node()
+                    .trace_span(sp2sim::SpanKind::Inspect, id as u32);
+                let t0 = self.tmk.node().now().us();
+                let accesses = Rc::new(f(iters, q, np));
+                let us = self.tmk.node().now().us() - t0;
+                self.tmk.note_inspection(us);
+                self.schedules
+                    .borrow_mut()
+                    .insert(key, Rc::clone(&accesses));
+                accesses
+            }
+        };
+        Some(with(&accesses))
+    }
+
+    /// Replay one third of loop `id`'s plan over `iters` — `build`ing it
+    /// first if this is the call site's first run since the plan was
+    /// dropped or the range changed. A replay counts the schedule-cache
+    /// hits it stands for.
+    fn third<L, R>(
+        &self,
+        id: usize,
+        iters: &Range<usize>,
+        slot: fn(&mut Plan) -> &mut Option<Third<L>>,
+        build: impl FnOnce() -> L,
+        replay: impl FnOnce(&L) -> R,
+    ) -> R {
+        let mut plans = self.plans.borrow_mut();
+        if plans.len() <= id {
+            plans.resize_with(id + 1, || None);
         }
-        // Inspection: run the walk and charge it as inspector cost (the
-        // walk advances virtual time itself; the delta is the cost).
-        let _s = self
-            .tmk
-            .node()
-            .trace_span(sp2sim::SpanKind::Inspect, id as u32);
-        let t0 = self.tmk.node().now().us();
-        let accesses = Rc::new(f(iters, q, np));
-        let us = self.tmk.node().now().us() - t0;
-        self.tmk.note_inspection(us);
-        self.schedules
-            .borrow_mut()
-            .insert(key, Rc::clone(&accesses));
-        Some(accesses)
+        let plan = match &mut plans[id] {
+            Some(plan) if plan.iters == *iters => plan,
+            stale => stale.insert(Plan {
+                iters: iters.clone(),
+                ..Plan::default()
+            }),
+        };
+        let third = match slot(plan) {
+            Some(third) => {
+                if third.dyn_evals > 0 {
+                    self.tmk.note_schedule_reuse(third.dyn_evals);
+                }
+                third
+            }
+            unbuilt => {
+                let before = self.dyn_evals.get();
+                let list = build();
+                unbuilt.insert(Third {
+                    list,
+                    dyn_evals: self.dyn_evals.get() - before,
+                })
+            }
+        };
+        replay(&third.list)
     }
 
     /// Pre-loop hint: an aggregated validate of every section the body
@@ -260,21 +383,24 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// time — see [`HintEngine::planned_homes`] and the `spf` crate —
     /// and ships the accepted overrides with the dispatch.
     pub fn before_loop(&self, id: usize, iters: &Range<usize>) -> u64 {
-        let me = self.tmk.proc_id();
-        let np = self.tmk.nprocs();
-        let Some(accesses) = self.eval(id, iters, me, np) else {
+        if !self.has(id) {
             return 0;
+        }
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let build = || {
+            let (mut sections, mut pages) = (0, Vec::new());
+            self.eval(id, iters, me, np, |accesses| {
+                for a in accesses {
+                    sections += self.add_pages(a.arr, &a.section, &mut pages);
+                }
+            });
+            (sections, merge_ranges(pages))
         };
-        let mut sections: Vec<(SharedArray, Range<usize>)> = Vec::new();
-        for a in accesses.iter() {
-            for r in a.section.word_ranges() {
-                sections.push((a.arr, r));
-            }
-        }
-        if sections.is_empty() {
-            return 0;
-        }
-        self.tmk.validate(&sections)
+        let validate = |(sections, pages): &(usize, Vec<Range<usize>>)| match sections {
+            0 => 0,
+            _ => self.tmk.validate_pages(*sections, pages),
+        };
+        self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
 
     /// HLRC home-placement candidates from loop `id`'s descriptor: every
@@ -286,33 +412,29 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// decision state is cluster-complete) and ships the accepted list
     /// with the dispatch for the workers to install verbatim.
     pub fn planned_homes(&self, id: usize, iters: &Range<usize>) -> Vec<(usize, usize)> {
-        if self.tmk.config().protocol != ProtocolMode::Hlrc {
+        if self.tmk.config().protocol != ProtocolMode::Hlrc || !self.has(id) {
             return Vec::new();
         }
-        if !self.has(id) {
-            return Vec::new();
-        }
-        let np = self.tmk.nprocs();
-        let mut writers: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for q in 0..np {
-            let Some(accesses) = self.eval(id, iters, q, np) else {
-                continue;
-            };
-            for a in accesses.iter() {
-                if a.mode != AccessMode::Write {
-                    continue;
-                }
-                for p in self.pages_of(a.arr, &a.section) {
-                    writers.entry(p).or_default().insert(q);
-                }
+        let build = || {
+            let np = self.tmk.nprocs();
+            let mut written = Vec::new();
+            // One `(page, writer)` per page a node's write sections cover.
+            let mut writes = Vec::new();
+            for q in 0..np {
+                written.clear();
+                self.eval(id, iters, q, np, |accesses| {
+                    for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
+                        self.add_pages(a.arr, &a.section, &mut written);
+                    }
+                });
+                written = merge_ranges(written);
+                writes.extend(written.iter().cloned().flatten().map(|p| (p, q)));
             }
-        }
-        writers
-            .into_iter()
-            .filter_map(|(p, ws)| {
-                (ws.len() == 1).then(|| (p, *ws.iter().next().expect("single writer")))
-            })
-            .collect()
+            writes.sort_unstable();
+            let by_page = writes.chunk_by(|a, b| a.0 == b.0);
+            by_page.filter(|w| w.len() == 1).map(|w| w[0]).collect()
+        };
+        self.third(id, iters, |plan| &mut plan.homes, build, Vec::clone)
     }
 
     /// Install the producer-home candidates of loop `id` directly, each
@@ -343,12 +465,19 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// a hinted body chooses push vs home-flush per `(consumer, page)`.
     /// Returns the number of `(target, page)` registrations.
     pub fn after_loop(&self, id: usize, iters: &Range<usize>) -> u64 {
-        let me = self.tmk.proc_id();
-        let np = self.tmk.nprocs();
-        let Some(accesses) = self.eval(id, iters, me, np) else {
+        if !self.has(id) {
             return 0;
+        }
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let build = || {
+            let mut pushes = Vec::new();
+            self.eval(id, iters, me, np, |accesses| {
+                self.push_list(accesses, &mut pushes)
+            });
+            pushes
         };
-        self.register_pushes(&accesses)
+        let register = |pushes: &Vec<(usize, usize)>| self.register_pushes(pushes);
+        self.third(id, iters, |plan| &mut plan.pushes, build, register)
     }
 
     /// Declare sections *sequential* code on this node just wrote,
@@ -360,70 +489,430 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// the consumer's registered descriptor. Returns the number of
     /// `(target, page)` registrations.
     pub fn declare_produce(&self, accesses: &[Access]) -> u64 {
-        self.register_pushes(accesses)
+        let mut pushes = Vec::new();
+        self.push_list(accesses, &mut pushes);
+        self.register_pushes(&pushes)
     }
 
-    fn register_pushes(&self, accesses: &[Access]) -> u64 {
+    /// Every `(target, page)` the written sections of `accesses` owe
+    /// their consumers, in registration order: per access, per consumer,
+    /// targets then pages ascending.
+    fn push_list(&self, accesses: &[Access], pushes: &mut Vec<(usize, usize)>) {
         let me = self.tmk.proc_id();
         let np = self.tmk.nprocs();
-        let hlrc = self.tmk.config().protocol == ProtocolMode::Hlrc;
-        let flushed_to = |q: usize, p: usize| hlrc && self.tmk.page_home(p) == q;
-        let mut registered = 0;
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
         for a in accesses {
             if a.mode != AccessMode::Write || a.consumers.is_empty() {
                 continue;
             }
-            let mine = self.pages_of(a.arr, &a.section);
+            mine.clear();
+            self.add_pages(a.arr, &a.section, &mut mine);
             if mine.is_empty() {
                 continue;
             }
             for c in &a.consumers {
                 match c {
-                    Consumer::Loop { id: cid, iters: ci } => {
+                    Consumer::Loop { id, iters } => {
                         for q in (0..np).filter(|&q| q != me) {
-                            let Some(theirs) = self.eval(*cid, ci, q, np) else {
-                                continue;
-                            };
                             // Union of q's accesses on this array — reads
                             // and writes alike, since a write view fetches
                             // the current content too.
-                            let mut pages = BTreeSet::new();
-                            for ca in theirs.iter() {
-                                if ca.arr == a.arr {
-                                    pages.extend(self.pages_of(ca.arr, &ca.section));
+                            theirs.clear();
+                            self.eval(*id, iters, q, np, |accesses| {
+                                for ca in accesses.iter().filter(|ca| ca.arr == a.arr) {
+                                    self.add_pages(ca.arr, &ca.section, &mut theirs);
                                 }
-                            }
-                            for &p in mine.intersection(&pages) {
-                                if flushed_to(q, p) {
-                                    continue;
-                                }
-                                self.tmk.push_page_at_next_sync(q, p);
-                                registered += 1;
-                            }
+                            });
+                            theirs = merge_ranges(theirs);
+                            for_each_overlap(&mine, &theirs, |run| {
+                                pushes.extend(run.map(|p| (q, p)));
+                            });
                         }
                     }
-                    Consumer::Node(q) => {
-                        if *q != me {
-                            for &p in &mine {
-                                if flushed_to(*q, p) {
-                                    continue;
-                                }
-                                self.tmk.push_page_at_next_sync(*q, p);
-                                registered += 1;
-                            }
-                        }
+                    Consumer::Node(q) if *q != me => {
+                        pushes.extend(mine.iter().cloned().flatten().map(|p| (*q, p)));
                     }
+                    Consumer::Node(_) => {}
                 }
             }
+        }
+    }
+
+    /// Register `pushes` for the next rendezvous, minus (HLRC) those
+    /// whose target is the page's home *now* — homes move between two
+    /// replays of one list. Returns the number registered.
+    fn register_pushes(&self, pushes: &[(usize, usize)]) -> u64 {
+        let hlrc = self.tmk.config().protocol == ProtocolMode::Hlrc;
+        let mut registered = 0;
+        for &(q, p) in pushes {
+            if hlrc && self.tmk.page_home(p) == q {
+                continue;
+            }
+            self.tmk.push_page_at_next_sync(q, p);
+            registered += 1;
         }
         registered
     }
 
-    fn pages_of(&self, arr: SharedArray, section: &SectionSet) -> BTreeSet<usize> {
+    /// Append the pages of `section` to `runs` and return how many word
+    /// ranges it has. A section's ranges ascend, so its pages come out as
+    /// sorted, merged runs; what `runs` held before is left alone (the
+    /// caller merges across sections).
+    fn add_pages(
+        &self,
+        arr: SharedArray,
+        section: &SectionSet,
+        runs: &mut Vec<Range<usize>>,
+    ) -> usize {
+        let (first, mut ranges) = (runs.len(), 0);
+        section.for_each_range(|r| {
+            ranges += 1;
+            let span = self.tmk.page_span(arr, &r);
+            match runs[first..].last_mut() {
+                Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
+                _ => runs.push(span),
+            }
+        });
+        ranges
+    }
+}
+
+/// Call `f` with every run of pages two sorted, disjoint run lists share,
+/// ascending: a two-pointer sweep.
+fn for_each_overlap(a: &[Range<usize>], b: &[Range<usize>], mut f: impl FnMut(Range<usize>)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let run = a[i].start.max(b[j].start)..a[i].end.min(b[j].end);
+        if run.start < run.end {
+            f(run);
+        }
+        if a[i].end <= b[j].end {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+    use sp2sim::{Cluster, ClusterConfig};
+    use treadmarks::TmkConfig;
+
+    use super::*;
+    use crate::{AffineBound, Dim, DynSection, Section, TriSection};
+
+    // The per-page `BTreeSet` formulation the page runs replaced, kept as
+    // the reference they are tested against.
+
+    fn pages_reference(tmk: &Tmk, arr: SharedArray, section: &SectionSet) -> BTreeSet<usize> {
         let mut pages = BTreeSet::new();
         for r in section.word_ranges() {
-            pages.extend(self.tmk.page_span(arr, &r));
+            pages.extend(tmk.page_span(arr, &r));
         }
         pages
+    }
+
+    fn push_list_reference(hints: &HintEngine, accesses: &[Access]) -> Vec<(usize, usize)> {
+        let (me, np) = (hints.tmk.proc_id(), hints.tmk.nprocs());
+        let mut pushes = Vec::new();
+        for a in accesses {
+            if a.mode != AccessMode::Write || a.consumers.is_empty() {
+                continue;
+            }
+            let mine = pages_reference(hints.tmk, a.arr, &a.section);
+            for c in &a.consumers {
+                match c {
+                    Consumer::Loop { id, iters } => {
+                        for q in (0..np).filter(|&q| q != me) {
+                            let mut pages = BTreeSet::new();
+                            hints.eval(*id, iters, q, np, |theirs| {
+                                for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
+                                    pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
+                                }
+                            });
+                            pushes.extend(mine.intersection(&pages).map(|&p| (q, p)));
+                        }
+                    }
+                    Consumer::Node(q) if *q != me => pushes.extend(mine.iter().map(|&p| (*q, p))),
+                    Consumer::Node(_) => {}
+                }
+            }
+        }
+        pushes
+    }
+
+    fn homes_reference(hints: &HintEngine, id: usize, iters: &Range<usize>) -> Vec<(usize, usize)> {
+        let np = hints.tmk.nprocs();
+        let mut writers: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        for q in 0..np {
+            hints.eval(id, iters, q, np, |accesses| {
+                for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
+                    for p in pages_reference(hints.tmk, a.arr, &a.section) {
+                        writers.entry(p).or_default().insert(q);
+                    }
+                }
+            });
+        }
+        writers
+            .into_iter()
+            .filter(|(_, ws)| ws.len() == 1)
+            .map(|(p, ws)| (p, *ws.iter().next().expect("single writer")))
+            .collect()
+    }
+
+    /// Words every generated section stays below.
+    const WORDS: usize = 1024;
+
+    /// A section of one of the three shapes from eight small numbers.
+    fn section_from(shape: usize, p: &[usize]) -> SectionSet {
+        match shape {
+            0 => {
+                let dim = |k: usize, stride| Dim {
+                    lo: p[2 * k] % 4,
+                    hi: p[2 * k] % 4 + p[2 * k + 1] % 5,
+                    stride,
+                };
+                let inner = dim(0, 1 + p[6] % 2);
+                let dims = match p[7] % 3 {
+                    0 => vec![inner],
+                    1 => vec![dim(1, 1 + p[6]), inner],
+                    _ => vec![dim(2, 1 + p[7]), dim(1, 1 + p[6]), inner],
+                };
+                Section { dims }.into()
+            }
+            1 => TriSection {
+                outer: p[0] % 4..p[0] % 4 + p[1] % 8,
+                stride: p[2],
+                lo: AffineBound::affine(p[3] as i64 - 10, p[4] as i64 % 9 - 4),
+                hi: AffineBound::affine(p[5] as i64, p[6] as i64 % 9 - 4),
+            }
+            .into(),
+            _ => DynSection::from_indices(p.iter().map(|&x| x * 13 % WORDS)).into(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        /// Page runs against per-page sets, over random sections of all
+        /// three shapes and several page sizes: a section's runs are its
+        /// pages, a merge is the union, the sweep is the intersection,
+        /// and the push list and home candidates built from runs are the
+        /// ones built from sets.
+        #[test]
+        fn page_runs_equal_the_per_page_sets(
+            specs in prop::collection::vec((0usize..3, prop::collection::vec(0usize..40, 8..9)), 6..7),
+            page_words in 0usize..4,
+        ) {
+            let sections: Vec<SectionSet> =
+                specs.iter().map(|(shape, p)| section_from(*shape, p)).collect();
+            for s in &sections {
+                prop_assert!(s.word_ranges().last().is_none_or(|r| r.end <= WORDS));
+            }
+            let sections = &sections;
+            let cfg = TmkConfig {
+                page_words: [4, 16, 64, 512][page_words],
+                ..TmkConfig::hlrc()
+            };
+            let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
+                let tmk = Tmk::new(node, cfg.clone());
+                let hints = HintEngine::new(&tmk);
+                let arr = [tmk.malloc_f64(WORDS), tmk.malloc_f64(WORDS)];
+                // Loop 0: node q writes section q of array q % 2 for loop
+                // 1 and for node 0; loop 1: node q reads section 3 + q of
+                // the same array.
+                hints.set(0, move |_, q, _| {
+                    vec![Access::write(arr[q % 2], sections[q].clone())
+                        .consumed_by_loop(1, 0..1)
+                        .consumed_by_node(0)]
+                });
+                hints.set(1, move |_, q, _| {
+                    vec![
+                        Access::read(arr[0], sections[3 + q].clone()),
+                        Access::write(arr[1], sections[3 + (q + 1) % 3].clone()),
+                        Access::read(arr[1], sections[q].clone()),
+                    ]
+                });
+                let runs_of = |s: &SectionSet| {
+                    let mut runs = Vec::new();
+                    hints.add_pages(arr[1], s, &mut runs);
+                    runs
+                };
+                let pages = |runs: &[Range<usize>]| -> Vec<usize> {
+                    runs.iter().cloned().flatten().collect()
+                };
+                let mut ok = true;
+                for (a, b) in sections.iter().zip(&sections[1..]) {
+                    let (ra, rb) = (runs_of(a), runs_of(b));
+                    let (sa, sb) = (pages_reference(&tmk, arr[1], a), pages_reference(&tmk, arr[1], b));
+                    ok &= pages(&ra) == sa.iter().copied().collect::<Vec<_>>();
+                    ok &= ra.windows(2).all(|w| w[0].end < w[1].start);
+                    let mut both = Vec::new();
+                    for_each_overlap(&ra, &rb, |run| both.push(run));
+                    ok &= pages(&both) == sa.intersection(&sb).copied().collect::<Vec<_>>();
+                    let either = merge_ranges(ra.into_iter().chain(rb).collect());
+                    ok &= pages(&either) == sa.union(&sb).copied().collect::<Vec<_>>();
+                    ok &= either.windows(2).all(|w| w[0].end < w[1].start);
+                }
+                let me = tmk.proc_id();
+                let written = [Access::write(arr[me % 2], sections[me].clone())
+                    .consumed_by_loop(1, 0..1)
+                    .consumed_by_node(0)];
+                let mut pushes = Vec::new();
+                hints.push_list(&written, &mut pushes);
+                ok &= pushes == push_list_reference(&hints, &written);
+                ok &= hints.planned_homes(1, &(0..1)) == homes_reference(&hints, 1, &(0..1));
+                tmk.finish();
+                ok
+            });
+            prop_assert!(out.results.iter().all(|&ok| ok));
+        }
+    }
+
+    /// The descriptors of a producer (loop 0: node `q` writes page `q`,
+    /// read next by loop 1) and its consumer (loop 1: everyone reads
+    /// everything), each evaluation counted in `calls`.
+    fn counted_pipeline<'t>(
+        hints: &HintEngine<'t, '_>,
+        a: SharedArray,
+        calls: &'t Cell<usize>,
+        dynamic_consumer: bool,
+    ) {
+        hints.set(0, move |iters, q, _| {
+            calls.set(calls.get() + 1);
+            let page = q * 512..(q + 1) * 512;
+            vec![Access::write(a, Section::range(page)).consumed_by_loop(1, iters.clone())]
+        });
+        let consumer = move |_: &Range<usize>, _, np| {
+            calls.set(calls.get() + 1);
+            vec![Access::read(a, Section::range(0..np * 512))]
+        };
+        if dynamic_consumer {
+            hints.register_dynamic(1, consumer);
+        } else {
+            hints.set(1, consumer);
+        }
+    }
+
+    /// A repeated dispatch replays the plan without calling a descriptor;
+    /// another range, a re-registered *consumer* and an invalidation each
+    /// build it again; and there is one plan per loop, not one per range.
+    #[test]
+    fn plans_replay_until_something_they_embed_changes() {
+        let out = Cluster::run(ClusterConfig::sp2(3), |node| {
+            let calls = Cell::new(0);
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 3);
+            counted_pipeline(&hints, a, &calls, false);
+            // One dispatch of loop 0: its own descriptor before and after
+            // the body, the consumer's once per peer.
+            let dispatch = |iters: Range<usize>| {
+                let before = calls.get();
+                hints.before_loop(0, &iters);
+                let registered = hints.after_loop(0, &iters);
+                tmk.barrier(0);
+                (calls.get() - before, registered)
+            };
+            let mut seen = vec![dispatch(0..8), dispatch(0..8), dispatch(0..8)];
+            seen.push(dispatch(0..4));
+            seen.push(dispatch(0..8));
+            counted_pipeline(&hints, a, &calls, false);
+            seen.push(dispatch(0..8));
+            seen.push(dispatch(0..8));
+            hints.invalidate_schedules();
+            seen.push(dispatch(0..8));
+            seen.push(dispatch(0..8));
+            tmk.finish();
+            seen
+        });
+        // Every dispatch registers this node's page with both peers.
+        let built = (4, 2);
+        let replayed = (0, 2);
+        let want = [
+            built, replayed, replayed, // same range
+            built, built, // another range and back
+            built, replayed, // consumer re-registered
+            built, replayed, // invalidated
+        ];
+        for seen in &out.results {
+            assert_eq!(seen[..], want);
+        }
+    }
+
+    /// A replay counts the schedule-cache hits it stands for: the
+    /// per-evaluation accounting of `inspections` and `schedule_reuse`
+    /// does not change when the evaluations stop happening.
+    #[test]
+    fn a_replay_counts_the_hits_it_stands_for() {
+        let out = Cluster::run(ClusterConfig::sp2(3), |node| {
+            let calls = Cell::new(0);
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 3);
+            counted_pipeline(&hints, a, &calls, true);
+            let mut seen = Vec::new();
+            for _ in 0..3 {
+                hints.before_loop(0, &(0..8));
+                hints.after_loop(0, &(0..8));
+                hints.before_loop(1, &(0..8));
+                hints.after_loop(1, &(0..8));
+                tmk.barrier(0);
+                let s = tmk.stats_snapshot();
+                seen.push((calls.get(), s.inspections, s.schedule_reuse));
+            }
+            tmk.finish();
+            seen
+        });
+        for seen in &out.results {
+            // First dispatches: loop 0 twice, loop 1 inspected for the two
+            // peers (after loop 0) and for this node (before loop 1), then
+            // found in the cache after loop 1. Later ones: the same four
+            // evaluations of loop 1, all hits, none of them made.
+            assert_eq!(seen[..], [(5, 3, 1), (5, 3, 5), (5, 3, 9)]);
+        }
+    }
+
+    /// The HLRC "consumer is the home" filter is applied when a push
+    /// list is replayed, not when it is built: moving a page's home
+    /// between two dispatches changes what the same plan registers.
+    #[test]
+    fn the_home_filter_is_applied_at_replay() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let calls = &Cell::new(0);
+            let tmk = Tmk::new(node, TmkConfig::hlrc());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 2);
+            hints.set(0, move |_, q, _| {
+                calls.set(calls.get() + 1);
+                if q != 0 {
+                    return vec![];
+                }
+                vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_node(1)]
+            });
+            let pages = [a.first_page(), a.first_page() + 1];
+            // Nothing is written, so no notice pins a home and the
+            // registrations carry no diff.
+            let mut registered = Vec::new();
+            for home in [None, Some(1), Some(0)] {
+                if let Some(home) = home {
+                    for p in pages {
+                        assert!(tmk.set_page_home(p, home));
+                    }
+                }
+                registered.push(hints.after_loop(0, &(0..1)));
+                tmk.barrier(0);
+            }
+            tmk.finish();
+            (registered, calls.get())
+        });
+        let (registered, calls) = &out.results[0];
+        assert_eq!(registered[1..], [0, 2], "all at the consumer, then none");
+        assert!(registered[0] < 2, "block-cyclic homes put a page at node 1");
+        assert_eq!(*calls, 1, "one build, two replays");
     }
 }

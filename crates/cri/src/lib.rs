@@ -18,12 +18,14 @@
 //! * [`Access`] / [`AccessFn`] — a loop's touched sections, evaluated
 //!   per node from the dispatched iteration range, with read/write mode
 //!   and (for writes) the known [`Consumer`]s;
-//! * [`HintEngine`] — evaluates descriptors around every loop body:
-//!   an **aggregated validate** (one round trip per writer for all pages
-//!   the phase will fault — [`treadmarks::Tmk::validate`]) before the
-//!   body, and **barrier-time push** registrations (producer pushes the
-//!   page overlap to each consumer with the next rendezvous —
-//!   [`treadmarks::Tmk::push_page_at_next_sync`]) after it.
+//! * [`HintEngine`] — turns descriptors into actions around every loop
+//!   body: an **aggregated validate** (one round trip per writer for all
+//!   pages the phase will fault — [`treadmarks::Tmk::validate`]) before
+//!   the body, and **barrier-time push** registrations (producer pushes
+//!   the page overlap to each consumer with the next rendezvous —
+//!   [`treadmarks::Tmk::push_page_at_next_sync`]) after it. Each loop is
+//!   compiled once per iteration range into a plan of flat page lists
+//!   that later dispatches replay (see [`hints`]).
 //!
 //! The third mechanism, **direct reductions**, lives on the DSM handle
 //! itself ([`treadmarks::Tmk::reduce`]): partials combine up a binomial

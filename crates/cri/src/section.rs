@@ -95,36 +95,93 @@ impl Section {
     }
 
     /// Enumerate the section as maximal contiguous word ranges (sorted,
-    /// merged). This is what the hint engine hands to
-    /// [`treadmarks::Tmk::validate`] and the page-overlap computation.
+    /// merged) — what the hint engine turns into page runs for validates
+    /// and pushes.
     pub fn word_ranges(&self) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        self.for_each_range(|r| runs.push(r));
+        runs
+    }
+
+    /// Call `f` with every range of [`Section::word_ranges`], in order,
+    /// without building the vector. A section whose dimensions nest —
+    /// every stride at least the extent of the dimensions inside it, the
+    /// shape subscript analysis produces — enumerates in ascending order
+    /// and is merged on the fly; any other shape is sorted first.
+    pub fn for_each_range(&self, f: impl FnMut(Range<usize>)) {
         if self.is_empty() {
-            return Vec::new();
+            return;
         }
-        let (outer, last) = self.dims.split_at(self.dims.len() - 1);
-        let last = &last[0];
-        let mut bases = vec![0usize];
-        for d in outer {
-            let mut next = Vec::with_capacity(bases.len() * (d.hi - d.lo));
-            for b in &bases {
-                for i in d.lo..d.hi {
-                    next.push(b + i * d.stride);
-                }
+        if self.nests() {
+            merged(|run| walk(&self.dims, 0, run), f);
+        } else {
+            self.sorted_ranges().into_iter().for_each(f);
+        }
+    }
+
+    /// True when enumerating the dimensions outermost first yields run
+    /// starts in nondecreasing order.
+    fn nests(&self) -> bool {
+        // Largest offset the dimensions inside the current one add to a
+        // run's start (a unit-stride innermost dimension is the run).
+        let mut inner = 0;
+        self.dims.iter().rev().enumerate().all(|(k, d)| {
+            let ok = d.stride >= inner;
+            if k > 0 || d.stride != 1 {
+                inner += (d.hi - d.lo - 1) * d.stride;
             }
-            bases = next;
-        }
-        let mut runs: Vec<Range<usize>> = Vec::new();
-        for b in bases {
-            if last.stride == 1 {
-                runs.push(b + last.lo..b + last.hi);
-            } else {
-                for i in last.lo..last.hi {
-                    let w = b + i * last.stride;
-                    runs.push(w..w + 1);
-                }
-            }
-        }
+            ok
+        })
+    }
+
+    /// The ranges by enumerating every run and sorting: the general path,
+    /// and the reference the in-order walk is tested against.
+    fn sorted_ranges(&self) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        walk(&self.dims, 0, &mut |r| runs.push(r));
         merge_ranges(runs)
+    }
+}
+
+/// Enumerate the runs of `dims` (none empty) displaced by `base`,
+/// outermost index slowest.
+fn walk(dims: &[Dim], base: usize, run: &mut dyn FnMut(Range<usize>)) {
+    let (d, inner) = dims.split_first().expect("a section has dimensions");
+    if !inner.is_empty() {
+        for i in d.lo..d.hi {
+            walk(inner, base + i * d.stride, run);
+        }
+    } else if d.stride == 1 {
+        run(base + d.lo..base + d.hi);
+    } else {
+        for i in d.lo..d.hi {
+            let w = base + i * d.stride;
+            run(w..w + 1);
+        }
+    }
+}
+
+/// Hand `emit` the maximal ranges of the runs `walk` produces in
+/// nondecreasing start order: empty runs dropped, overlapping and adjacent
+/// ones joined — [`merge_ranges`] of a sorted stream, with nothing stored.
+fn merged(walk: impl FnOnce(&mut dyn FnMut(Range<usize>)), mut emit: impl FnMut(Range<usize>)) {
+    // The range still growing; empty until the first run arrives.
+    let mut open = 0..0;
+    walk(&mut |r| {
+        if r.start >= r.end {
+            return;
+        }
+        if open.start < open.end && r.start <= open.end {
+            open.end = open.end.max(r.end);
+            return;
+        }
+        let done = std::mem::replace(&mut open, r);
+        if done.start < done.end {
+            emit(done);
+        }
+    });
+    if open.start < open.end {
+        emit(open);
     }
 }
 
@@ -203,9 +260,19 @@ impl TriSection {
         }
     }
 
-    /// True when no outer index contributes any words.
+    /// True when no outer index contributes any words. Both "the inner
+    /// range is not empty" (`hi(i) > lo(i)`) and "it ends above word zero"
+    /// (`hi(i) > 0`, the clamp) are affine in `i`, so the contributing
+    /// indices are an interval found without visiting them.
     pub fn is_empty(&self) -> bool {
-        self.words() == 0
+        let all = self.outer.start as i64..self.outer.end as i64;
+        let above_zero = where_positive(self.hi.base, self.hi.coef, all);
+        let live = where_positive(
+            self.hi.base - self.lo.base,
+            self.hi.coef - self.lo.coef,
+            above_zero,
+        );
+        live.start >= live.end
     }
 
     /// Number of words described.
@@ -218,35 +285,109 @@ impl TriSection {
 
     /// Enumerate as maximal contiguous word ranges (sorted, merged).
     pub fn word_ranges(&self) -> Vec<Range<usize>> {
-        let runs = self
-            .outer
-            .clone()
-            .map(|i| {
-                let b = i * self.stride;
-                b + self.lo.eval(i)..b + self.hi.eval(i).max(self.lo.eval(i))
-            })
-            .collect();
-        merge_ranges(runs)
+        let mut runs = Vec::new();
+        self.for_each_range(|r| runs.push(r));
+        runs
+    }
+
+    /// Call `f` with every range of [`TriSection::word_ranges`], in
+    /// order, without building the vector — unless the lower bound falls
+    /// faster than the stride climbs, the one shape whose runs do not
+    /// start in ascending order and have to be sorted.
+    pub fn for_each_range(&self, f: impl FnMut(Range<usize>)) {
+        let runs = self.outer.clone().map(|i| {
+            let b = i * self.stride;
+            b + self.lo.eval(i)..b + self.hi.eval(i)
+        });
+        if self.stride as i64 + self.lo.coef >= 0 {
+            merged(|run| runs.for_each(run), f);
+        } else {
+            merge_ranges(runs.collect()).into_iter().for_each(f);
+        }
     }
 }
 
-/// Sort and merge overlapping or adjacent ranges.
+/// The part of `within` on which `base + coef * i` is positive.
+fn where_positive(base: i64, coef: i64, within: Range<i64>) -> Range<i64> {
+    match coef {
+        0 if base > 0 => within,
+        0 => within.start..within.start,
+        // i > -base / coef
+        c if c > 0 => within.start.max((-base).div_euclid(c) + 1)..within.end,
+        // i < base / -coef
+        c => within.start..within.end.min(-(-base).div_euclid(-c)),
+    }
+}
+
+/// Sort and merge overlapping or adjacent ranges (in place: the result
+/// reuses the argument's buffer).
 pub fn merge_ranges(mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
     runs.retain(|r| r.start < r.end);
-    runs.sort_by_key(|r| r.start);
-    let mut out: Vec<Range<usize>> = Vec::with_capacity(runs.len());
-    for r in runs {
-        match out.last_mut() {
-            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
-            _ => out.push(r),
+    // Which of two runs with one start comes first does not matter: the
+    // merged run ends at the larger end either way.
+    runs.sort_unstable_by_key(|r| r.start);
+    runs.dedup_by(|next, run| {
+        let joins = next.start <= run.end;
+        if joins {
+            run.end = run.end.max(next.end);
         }
-    }
-    out
+        joins
+    });
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The in-order walk and the sorting path enumerate the same
+        /// ranges, whether or not the dimensions nest (small strides
+        /// under wide inner dimensions, non-unit innermost strides,
+        /// empty dimensions).
+        #[test]
+        fn section_walk_equals_the_sorting_reference(
+            dims in prop::collection::vec((0usize..4, 0usize..5, 1usize..12), 1..4),
+        ) {
+            let s = Section {
+                dims: dims
+                    .iter()
+                    .map(|&(lo, len, stride)| Dim { lo, hi: lo + len, stride })
+                    .collect(),
+            };
+            let want = if s.is_empty() { Vec::new() } else { s.sorted_ranges() };
+            prop_assert_eq!(s.word_ranges(), want);
+        }
+
+        /// A triangular section enumerates the merge of its per-index
+        /// runs and knows in O(1) whether there are any — rising and
+        /// falling bounds, bounds clamped at zero, runs that overlap
+        /// their neighbours or start below them.
+        #[test]
+        fn triangular_walk_and_emptiness_equal_the_per_index_reference(
+            outer in (0usize..6, 0usize..8),
+            stride in 0usize..12,
+            lo in (0u8..30, 0u8..9),
+            hi in (0u8..30, 0u8..9),
+        ) {
+            let bound = |(base, coef): (u8, u8)| AffineBound::affine(base as i64 - 8, coef as i64 - 4);
+            let t = TriSection {
+                outer: outer.0..outer.0 + outer.1,
+                stride,
+                lo: bound(lo),
+                hi: bound(hi),
+            };
+            let runs = t.outer.clone().map(|i| {
+                let b = i * t.stride;
+                b + t.lo.eval(i)..b + t.hi.eval(i)
+            });
+            prop_assert_eq!(t.word_ranges(), merge_ranges(runs.collect()));
+            prop_assert_eq!(t.is_empty(), t.words() == 0);
+        }
+    }
 
     #[test]
     fn contiguous_range_is_one_run() {

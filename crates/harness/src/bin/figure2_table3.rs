@@ -49,7 +49,7 @@ fn main() {
     println!("Table 3: Message Totals and Data Totals (KB), Irregular Applications\n");
     let mut t = Table::new(
         std::iter::once(String::new())
-            .chain(header.into_iter())
+            .chain(header)
             .collect::<Vec<_>>(),
     );
     for (k, row) in rows.iter().enumerate() {

@@ -90,6 +90,22 @@ impl<'n> Inspector<'n> {
         section
     }
 
+    /// [`Inspector::gather`] for a walk that meets its indices a few
+    /// neighbours at a time (a stencil point's row segments): the same
+    /// section and the same charge — [`INSPECT_ENTRY_US`] per index the
+    /// spans cover, since the walk still visits every subscript — with
+    /// each span compacted in one step instead of index by index.
+    pub fn gather_spans(
+        &self,
+        spans: impl IntoIterator<Item = std::ops::Range<usize>>,
+    ) -> DynSection {
+        let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
+        let mut count = 0usize;
+        let section = DynSection::from_spans(spans.into_iter().inspect(|r| count += r.len()));
+        self.node.advance(count as f64 * INSPECT_ENTRY_US);
+        section
+    }
+
     /// Walk a stream of touched index *runs* (an inspector that can see
     /// contiguity directly pays per run, not per element).
     pub fn gather_runs(

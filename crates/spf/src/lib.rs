@@ -101,18 +101,19 @@ pub enum Schedule {
 /// inside the fork departure; under the original interface they are read
 /// from shared memory.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LoopCtl {
+pub struct LoopCtl<'a> {
     /// Registered loop (subroutine) id.
     pub id: usize,
     /// Global iteration space.
     pub range: Range<usize>,
     /// Iteration schedule.
     pub sched: Schedule,
-    /// Extra arguments to the loop subroutine.
-    pub args: Vec<u64>,
+    /// Extra arguments to the loop subroutine (the caller's slice on the
+    /// master, the dispatch's words on a worker).
+    pub args: &'a [u64],
 }
 
-impl LoopCtl {
+impl LoopCtl<'_> {
     /// This processor's contiguous block of the iteration space
     /// (empty for processors beyond the remainder).
     pub fn my_block(&self, me: usize, n: usize) -> Range<usize> {
@@ -126,12 +127,14 @@ impl LoopCtl {
     /// shrinking lower bound (MGS's `DO J = I+1, N`), each iteration stays
     /// on the same processor across dispatches, preserving locality — the
     /// behaviour of the original compiler's run-time.
-    pub fn my_iters(&self, me: usize, n: usize) -> Box<dyn Iterator<Item = usize>> {
+    pub fn my_iters(&self, me: usize, n: usize) -> std::iter::StepBy<Range<usize>> {
         match self.sched {
-            Schedule::Block => Box::new(self.my_block(me, n)),
+            Schedule::Block => self.my_block(me, n).step_by(1),
             Schedule::Cyclic => {
-                let r = self.range.clone();
-                Box::new(r.filter(move |i| i % n == me))
+                // The first iteration at or after the lower bound that is
+                // congruent to `me`, then every `n`-th.
+                let first = self.range.start + (me + n - self.range.start % n) % n;
+                (first..self.range.end).step_by(n)
             }
         }
     }
@@ -148,8 +151,8 @@ pub fn block_range(me: usize, n: usize, range: Range<usize>) -> Range<usize> {
     lo..hi.min(range.end)
 }
 
-fn encode_ctl(ctl: &LoopCtl) -> Vec<u64> {
-    let mut v = Vec::with_capacity(4 + ctl.args.len());
+/// Append the loop-control words (`4 + args`) to `v`.
+fn encode_ctl(ctl: &LoopCtl, v: &mut Vec<u64>) {
     v.push(ctl.id as u64);
     v.push(ctl.range.start as u64);
     v.push(ctl.range.end as u64);
@@ -157,8 +160,7 @@ fn encode_ctl(ctl: &LoopCtl) -> Vec<u64> {
         Schedule::Block => 0,
         Schedule::Cyclic => 1,
     });
-    v.extend_from_slice(&ctl.args);
-    v
+    v.extend_from_slice(ctl.args);
 }
 
 /// Dispatch flag: the master declared an epoch-invalidating event (an
@@ -179,7 +181,7 @@ fn encode_dispatch(flags: u64, homes: &[(usize, usize)], ctl: &LoopCtl) -> Vec<u
         v.push(page as u64);
         v.push(home as u64);
     }
-    v.extend_from_slice(&encode_ctl(ctl));
+    encode_ctl(ctl, &mut v);
     v
 }
 
@@ -194,7 +196,7 @@ fn decode_dispatch(words: &[u64]) -> (u64, Vec<(usize, usize)>, &[u64]) {
     (flags, homes, &words[2 + 2 * n..])
 }
 
-fn decode_ctl(words: &[u64]) -> LoopCtl {
+fn decode_ctl(words: &[u64]) -> LoopCtl<'_> {
     LoopCtl {
         id: words[0] as usize,
         range: words[1] as usize..words[2] as usize,
@@ -203,7 +205,7 @@ fn decode_ctl(words: &[u64]) -> LoopCtl {
         } else {
             Schedule::Cyclic
         },
-        args: words[4..].to_vec(),
+        args: &words[4..],
     }
 }
 
@@ -435,7 +437,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             id,
             range,
             sched,
-            args: args.to_vec(),
+            args,
         };
         if self.spf.improved() {
             let mut flags = 0;
@@ -454,7 +456,8 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             // Original interface: write the control variables to the two
             // shared control pages, then a full barrier releases the
             // workers; a second barrier joins them.
-            let words = encode_ctl(&ctl);
+            let mut words = Vec::with_capacity(4 + args.len());
+            encode_ctl(&ctl, &mut words);
             self.spf.tmk.write_one(self.spf.ctl_idx, 0, words[0] as f64);
             {
                 let mut w = self.spf.tmk.write(self.spf.ctl_args, 0..64);
@@ -546,13 +549,14 @@ mod tests {
             id: 0,
             range: 3..40,
             sched: Schedule::Cyclic,
-            args: vec![],
+            args: &[],
         };
         let n = 5;
-        let mut seen = vec![0u32; 40];
+        let mut seen = [0u32; 40];
         for me in 0..n {
             for i in ctl.my_iters(me, n) {
                 assert!((3..40).contains(&i));
+                assert_eq!(i % n, me, "assignment is by iteration value");
                 seen[i] += 1;
             }
         }
@@ -565,9 +569,11 @@ mod tests {
             id: 3,
             range: 5..77,
             sched: Schedule::Cyclic,
-            args: vec![9, 1],
+            args: &[9, 1],
         };
-        assert_eq!(decode_ctl(&encode_ctl(&ctl)), ctl);
+        let mut words = Vec::new();
+        encode_ctl(&ctl, &mut words);
+        assert_eq!(decode_ctl(&words), ctl);
     }
 
     fn run_sum(cfg: TmkConfig) -> (f64, sp2sim::StatsSnapshot) {

@@ -8,7 +8,7 @@
 //! access checks that `mprotect` performed in the original system.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -190,10 +190,11 @@ impl<'n> Tmk<'n> {
         st.stats.inspect_us += us.ceil() as u64;
     }
 
-    /// Record one schedule-cache hit (a dynamic-descriptor evaluation
-    /// served from the cached communication schedule).
-    pub fn note_schedule_reuse(&self) {
-        self.state.lock().stats.schedule_reuse += 1;
+    /// Record `hits` schedule-cache hits (dynamic-descriptor evaluations
+    /// served from the cached communication schedule — one at a time, or
+    /// all the evaluations a replayed hint plan stands for).
+    pub fn note_schedule_reuse(&self, hits: u64) {
+        self.state.lock().stats.schedule_reuse += hits;
     }
 
     /// True when this instance runs the home-based protocol.
@@ -422,18 +423,31 @@ impl<'n> Tmk<'n> {
     /// regular sections a loop will touch before it runs, so the runtime
     /// can fetch everything the phase will fault in a single exchange.
     pub fn validate(&self, sections: &[(SharedArray, Range<usize>)]) -> u64 {
-        self.quiescent("validate");
-        let _s = self
-            .node
-            .trace_span(SpanKind::Validate, sections.len() as u32);
-        let pw = self.cfg.page_words;
-        let mut pages: BTreeSet<usize> = BTreeSet::new();
-        for (arr, range) in sections {
-            let (wlo, whi) = self.word_bounds(*arr, range);
-            if wlo < whi {
-                pages.extend(wlo / pw..=(whi - 1) / pw);
+        let mut runs: Vec<Range<usize>> = sections
+            .iter()
+            .map(|(arr, range)| self.page_span(*arr, range))
+            .filter(|run| !run.is_empty())
+            .collect();
+        runs.sort_unstable_by_key(|run| run.start);
+        runs.dedup_by(|next, run| {
+            let joins = next.start <= run.end;
+            if joins {
+                run.end = run.end.max(next.end);
             }
-        }
+            joins
+        });
+        self.validate_pages(sections.len(), &runs)
+    }
+
+    /// [`Tmk::validate`] for a caller that already holds the phase's
+    /// pages as sorted, disjoint runs of global page ids — the CRI hint
+    /// engine computes them once per loop and replays them at every
+    /// dispatch. `sections` is the number of sections the runs came from
+    /// (what the `Validate` trace span reports).
+    pub fn validate_pages(&self, sections: usize, runs: &[Range<usize>]) -> u64 {
+        self.quiescent("validate");
+        let _s = self.node.trace_span(SpanKind::Validate, sections as u32);
+        let pages = runs.iter().cloned().flatten();
         let cost = self.node.cost();
         let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
         let mut hlrc_pages: Vec<usize> = Vec::new();
@@ -442,8 +456,7 @@ impl<'n> Tmk<'n> {
             let mut guard = self.state.lock();
             let st = &mut *guard;
             st.stats.validates += 1;
-            missing_pages =
-                self.plan_fetch(st, pages.iter().copied(), &mut by_writer, &mut hlrc_pages);
+            missing_pages = self.plan_fetch(st, pages, &mut by_writer, &mut hlrc_pages);
             st.stats.validate_pages += missing_pages;
             if missing_pages > 0 {
                 st.stats.faults += 1;
@@ -1102,26 +1115,26 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let n = self.nprocs();
         let mut counts = vec![0u64; n];
-        let groups: BTreeMap<usize, BTreeSet<usize>> = {
+        let mut pending = {
             let mut st = self.state.lock();
             if st.pending_push.is_empty() {
                 return counts;
             }
-            // Deduplicate: several hinted accesses may name one page.
-            let mut g: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-            for (t, p) in std::mem::take(&mut st.pending_push) {
-                g.entry(t).or_default().insert(p);
-            }
-            g
+            std::mem::take(&mut st.pending_push)
         };
+        // Group by target, pages ascending; several hinted accesses may
+        // name one page.
+        pending.sort_unstable();
+        pending.dedup();
         let cost = self.node.cost();
         let hlrc = self.hlrc();
-        for (target, pages) in groups {
+        for group in pending.chunk_by(|a, b| a.0 == b.0) {
+            let target = group[0].0;
             let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
             let mut us = 0.0;
             let payload = {
                 let mut st = self.state.lock();
-                for p in pages {
+                for &(_, p) in group {
                     let last = st.vc[st.me];
                     us += st.freeze(p, last, cost);
                     if let Some(r) = st.newest_frozen(p, last).cloned() {
@@ -1167,6 +1180,10 @@ impl<'n> Tmk<'n> {
                 .send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload);
             counts[target] += 1;
         }
+        // Only this thread registers pushes: hand the buffer back for the
+        // next phase's registrations.
+        pending.clear();
+        self.state.lock().pending_push = pending;
         counts
     }
 
@@ -1943,8 +1960,8 @@ mod tests {
             for q in 0..n {
                 let lo = (q * 2).min(len - 1);
                 let hi = (lo + 8).min(len);
-                for i in lo..hi {
-                    expect[i] += (q * 100 + i) as f64 + 0.5;
+                for (i, x) in expect.iter_mut().enumerate().take(hi).skip(lo) {
+                    *x += (q * 100 + i) as f64 + 0.5;
                 }
             }
             for t in &out.results {

@@ -1407,12 +1407,12 @@ mod tests {
         fn check_first_after(&mut self, page: PageId, hi: u32) {
             let applied = self.applied[page];
             let mut missing = Vec::new();
-            for w in 1..Model::N {
-                let first = self.table.first_after(page, w, applied[w], &self.log[w]);
+            for (w, &done) in applied.iter().enumerate().skip(1) {
+                let first = self.table.first_after(page, w, done, &self.log[w]);
                 missing.extend(first.map(|first| (w, first)));
                 assert_eq!(
                     first.is_some_and(|first| first < hi),
-                    self.lists[page].any_between(w, applied[w], hi),
+                    self.lists[page].any_between(w, done, hi),
                     "page {page} writer {w} gap below {hi}"
                 );
             }

@@ -31,6 +31,15 @@
 //! pack/unpack rework Jacobi XHPF allocated about nine times the bytes
 //! it sent, 116 KB per allocation: fresh slabs and copies every sweep.
 //!
+//! The hinted path gets a budget per *dispatch*: Shallow SPF+CRI for `k`
+//! and `2k` iterations. Its loops come back with the same range every
+//! iteration, so every hint is a plan replay — three flat lists, no
+//! descriptor evaluated, no page set built — and what an extra dispatch
+//! allocates is what its messages, intervals and diffs allocate. Before
+//! hint plans each dispatch evaluated its loop's descriptor once per
+//! consumer and peer and built a `BTreeSet` of pages for each: fifteen
+//! times the allocations, nearly all of them hint-side.
+//!
 //! One test per binary: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -154,6 +163,49 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
     ]
 }
 
+/// Allocation budget per dispatched loop of hinted Shallow, cluster-wide
+/// (measured: about 545, the protocol's own; before hint plans: about
+/// 8100).
+const ALLOCS_PER_HINTED_DISPATCH: f64 = 700.0;
+
+/// `(allocations, loops dispatched)` of one 8-node Shallow SPF+CRI run
+/// on a 256 x 256 grid.
+fn shallow_cri(iters: usize) -> (u64, u64) {
+    let before = ALLOCS.load(Relaxed);
+    let r = shallow::run_params_on(
+        EngineKind::Sequential,
+        Version::SpfCri,
+        8,
+        0.25,
+        shallow::Params { n: 256, iters },
+        TmkConfig::default(),
+    );
+    (ALLOCS.load(Relaxed) - before, r.dsm.forks)
+}
+
+fn hinted_dispatches_replay_their_plans() {
+    shallow_cri(2);
+    let k = 6;
+    let (allocs_k, forks_k) = shallow_cri(k);
+    let (allocs_2k, forks_2k) = shallow_cri(2 * k);
+    let forks = forks_2k - forks_k;
+    assert!(
+        forks >= 5 * k as u64,
+        "the longer run dispatches more loops"
+    );
+    let per_dispatch = (allocs_2k - allocs_k) as f64 / forks as f64;
+    eprintln!(
+        "Shallow SPF+CRI allocations: {allocs_k} for {k} iterations, {allocs_2k} for {}; \
+         loops dispatched: {forks_k}, {forks_2k}; {per_dispatch:.1} allocations per extra dispatch",
+        2 * k
+    );
+    assert!(
+        per_dispatch <= ALLOCS_PER_HINTED_DISPATCH,
+        "{per_dispatch:.1} allocations per hinted dispatch exceed the budget of \
+         {ALLOCS_PER_HINTED_DISPATCH}"
+    );
+}
+
 /// Extra heap bytes allowed per extra payload byte sent.
 const HEAP_PER_PAYLOAD_BYTE: f64 = 1.25;
 /// Extra allocation calls allowed per extra message.
@@ -217,6 +269,7 @@ fn message_passing_iterations_allocate_only_their_payloads() {
 #[test]
 fn release_paths_stay_within_their_allocation_budgets() {
     message_passing_iterations_allocate_only_their_payloads();
+    hinted_dispatches_replay_their_plans();
 
     // Warm-up: one-time allocations (the fiber stacks this thread
     // parks, lazily initialized statics) land outside the measurement.
