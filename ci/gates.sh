@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# The harness gates, as CI's `gates` job runs them: every `dsm`
+# invocation and release test suite of the former cri-, irregular-,
+# sweep-, hlrc-, race-, trace- and analyze-smoke jobs, each once, with
+# the same arguments and artifact names. Run from anywhere inside a
+# checkout: `bash ci/gates.sh`. Leaves bench_sweep_smoke.json,
+# trace_smoke.json and analyze_*.json (git-ignored) in the root.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo build --release -p harness
+dsm="${CARGO_TARGET_DIR:-target}/release/dsm"
+step() { printf '\n== %s\n' "$*"; }
+
+step "cri: hinted Jacobi messages <= baseline, >= 30% below SPF"
+"$dsm" compiler_opt 0.08 8 --check-baseline ci/cri_jacobi_baseline.txt
+
+step "irregular: hinted IGrid gate, inspector equivalence, hinted cells' golden columns"
+"$dsm" compiler_opt --gate igrid --check-baseline ci/cri_igrid_baseline.txt
+cargo test -q --release --test inspector_equivalence
+cargo test -q --release --test cri_golden
+
+step "sweep: smoke grid, schema validation (smoke run, committed trajectory), sweep gates"
+"$dsm" sweep --smoke --out bench_sweep_smoke.json
+"$dsm" sweep --check bench_sweep_smoke.json
+"$dsm" sweep --check BENCH_sweep.json
+cargo test -q --release -p harness --test bench_sweep
+
+step "hlrc: HLRC Jacobi round trips <= baseline and < LRC's, protocol equivalence suites"
+"$dsm" protocol_compare 0.08 8 --check-baseline ci/hlrc_jacobi_baseline.txt
+cargo test -q --release --test protocol_equivalence --test cri_equivalence --test service_robustness
+
+step "race: seeded race is detected, applications are race-free, race detection suite"
+"$dsm" races --seeded
+"$dsm" races
+cargo test -q --release --test race_detection
+
+step "trace: record a traced run, validate the export, trace invariant suite"
+"$dsm" trace 0.08 8 --app jacobi --protocol hlrc --out trace_smoke.json --breakdown
+"$dsm" trace --validate trace_smoke.json
+cargo test -q --release --test trace_invariants
+
+step "analyze: identity gates, schema validation of the reports, critical-path suite"
+"$dsm" analyze 0.08 8 --app igrid --version cri --json analyze_igrid_cri.json --gate-identity
+"$dsm" analyze 0.08 8 --app jacobi --protocol hlrc --json analyze_jacobi_hlrc.json --gate-identity
+"$dsm" analyze --check analyze_igrid_cri.json
+"$dsm" analyze --check analyze_jacobi_hlrc.json
+cargo test -q --release --test critical_path
+
+step "all gates passed"

@@ -1,6 +1,6 @@
-//! The quickstart demo workload, shared by the quickstart example, the
-//! engine-equivalence tests and the engine benchmarks — one definition,
-//! so what is benchmarked is exactly what is correctness-pinned.
+//! The quickstart demo workload, shared by the quickstart example and
+//! the engine-equivalence tests — one definition, so what the example
+//! shows is exactly what is correctness-pinned.
 
 use sp2sim::{Cluster, ClusterConfig, EngineKind, RunOutput};
 use treadmarks::{Tmk, TmkConfig};

@@ -283,15 +283,7 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
         acc_re += re;
         acc_im += im;
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(vec![acc_re, acc_im, a[0], a[1]]),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(meter_stop(node, m), Some(vec![acc_re, acc_im, a[0], a[1]]))
 }
 
 // ---------------------------------------------------------------------
@@ -427,20 +419,12 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         acc_re += re;
         acc_im += im;
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| {
         let probe = tmk.read(arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -669,16 +653,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let probe = mr.tmk().read(arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -821,15 +797,10 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         acc_re += re;
         acc_im += im;
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     // Element 0 lives on the owner of i2 = 0 (rank 0).
     let cs = (me == 0).then(|| vec![acc_re, acc_im, probe.0, probe.1]);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run 3-D FFT in `version` on `nprocs` processors at `scale`.

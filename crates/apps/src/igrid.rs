@@ -189,15 +189,7 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
     }
     let red = reductions(&a, n, p.square);
     node.advance((p.square * p.square) as f64 * RED_US);
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(checksum(&a, n, p.square, red)),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(meter_stop(node, m), Some(checksum(&a, n, p.square, red)))
 }
 
 // ---------------------------------------------------------------------
@@ -329,17 +321,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     } else {
         red
     };
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| dsm_checksum(&tmk, arrs[cur], n, p.square, red));
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -453,16 +437,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur as usize], n, p.square, red)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -614,16 +590,8 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur], n, p.square, red)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -722,7 +690,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         x.reduce_max(red.1),
         x.reduce_sum(red.2),
     );
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
 
     // Gather for validation (untimed).
     let own = if xhpf_mode {
@@ -732,12 +700,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     };
     let gathered = comm.gather_f64s(0, own);
     let cs = gathered.map(|parts| checksum(&Slab::over(n, 0, parts.concat()), n, p.square, red));
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run IGrid in `version` on `nprocs` processors at `scale`.

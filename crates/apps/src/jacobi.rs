@@ -143,15 +143,7 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
     for _ in 0..p.iters {
         one(&mut data, &mut scratch);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(checksum(&data, n)),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(meter_stop(node, m), Some(checksum(&data, n)))
 }
 
 // ---------------------------------------------------------------------
@@ -198,20 +190,12 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     for _ in 0..p.iters {
         one(&mut scratch);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| {
         let full = tmk.read(arr, 0..n * n);
         checksum(&Slab::over(n, 0, full.slice()), n)
     });
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -335,16 +319,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let full = m.tmk().read(data, 0..n * n);
         checksum(&Slab::over(n, 0, full.slice()), n)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -398,17 +374,12 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     for _ in 0..p.iters {
         one(&mut a, &mut scratch);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
 
     // Gather for validation (untimed).
     let gathered = comm.gather_f64s(0, a.owned());
     let cs = gathered.map(|parts| checksum(&Slab::over(n, 0, parts.concat()), n));
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run Jacobi in `version` on `nprocs` processors at `scale`.

@@ -108,15 +108,7 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
         }
         node.advance((n - i - 1) as f64 * n as f64 * UPD_US);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(checksum(&cols)),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(meter_stop(node, m), Some(checksum(&cols)))
 }
 
 // ---------------------------------------------------------------------
@@ -218,17 +210,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
         let updated = a.orthogonalize_cols(&tmk, i, ((i + 1)..n).filter(|j| j % np == me));
         node.advance(updated as f64 * n as f64 * UPD_US);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| dsm_checksum(&tmk, &a));
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -366,16 +350,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &a)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -429,7 +405,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             x.loop_sync();
         }
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
 
     // Gather columns to rank 0 for validation (untimed).
     let mut flat = Vec::new();
@@ -446,12 +422,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         }
         checksum(&all)
     });
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run MGS in `version` on `nprocs` processors at `scale`.

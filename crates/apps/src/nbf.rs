@@ -203,15 +203,7 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
         update_kernel(0..p.m, &buf, 0, &mut x, &mut y, &mut z, 0);
         node.advance(p.m as f64 * (UPD_US + MERGE_US));
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(checksum(&x, &y, &z)),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(meter_stop(node, m), Some(checksum(&x, &y, &z)))
 }
 
 // ---------------------------------------------------------------------
@@ -351,17 +343,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         it.merge_update(node, &tmk, &sh, np);
         tmk.barrier(2);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| dsm_checksum(&tmk, &sh, p.m));
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
@@ -414,16 +398,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -585,16 +561,8 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -760,7 +728,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             }
         }
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
 
     // Gather coordinates for validation (untimed).
     let mine = [&cx[block.clone()], &cy[block.clone()], &cz[block.clone()]].concat();
@@ -775,12 +743,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         }
         checksum(&gx, &gy, &gz)
     });
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run NBF in `version` on `nprocs` processors at `scale`.

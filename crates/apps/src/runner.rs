@@ -2,7 +2,7 @@
 
 use sp2sim::{EngineKind, MsgKind, StatsSnapshot, TraceData};
 use treadmarks::{
-    DsmStats, FalseSharingReport, ProtocolMode, RaceLog, RaceReport, SharingProfile, TmkConfig,
+    DsmStats, FalseSharingReport, ProtocolMode, RaceLog, RaceReport, SharingProfile, Tmk, TmkConfig,
 };
 
 /// The six applications of the paper.
@@ -127,6 +127,42 @@ pub struct NodeOut {
     /// contention; shared-memory versions, taken via
     /// `Tmk::take_sharing` after `finish`).
     pub sharing: Option<SharingProfile>,
+}
+
+impl NodeOut {
+    /// What a sequential or message-passing node reports: the timed
+    /// region as [`crate::common::meter_stop`] returned it and the
+    /// checksum, no DSM instruments.
+    pub fn plain(
+        (elapsed_us, stats): (f64, Option<StatsSnapshot>),
+        checksum: Option<Vec<f64>>,
+    ) -> NodeOut {
+        NodeOut {
+            elapsed_us,
+            stats,
+            checksum,
+            ..NodeOut::default()
+        }
+    }
+
+    /// What a shared-memory node reports: shuts `tmk` down and collects
+    /// every instrument it carries — `finish` first, whose final barrier
+    /// flushes the intervals the race log and the profile still miss.
+    pub fn shared(
+        tmk: &Tmk,
+        (elapsed_us, stats): (f64, Option<StatsSnapshot>),
+        checksum: Option<Vec<f64>>,
+    ) -> NodeOut {
+        let dsm = tmk.finish();
+        NodeOut {
+            elapsed_us,
+            stats,
+            checksum,
+            dsm: Some(dsm),
+            races: tmk.take_race_log(),
+            sharing: Some(tmk.take_sharing()),
+        }
+    }
 }
 
 /// Result of one experiment run.
@@ -287,7 +323,7 @@ pub fn run_protocol_on(
 /// (1.0 = the paper's problem sizes), on the default execution engine.
 /// `Version::Seq` ignores `nprocs`.
 pub fn run(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunResult {
-    run_with_cfg(app, version, nprocs, scale, tmk_config_for(version))
+    run_on(EngineKind::default(), app, version, nprocs, scale)
 }
 
 /// Like [`run`] on an explicit execution engine. The sequential engine
@@ -301,18 +337,6 @@ pub fn run_on(
     scale: f64,
 ) -> RunResult {
     run_with_cfg_on(engine, app, version, nprocs, scale, tmk_config_for(version))
-}
-
-/// Like [`run`] but with an explicit DSM configuration — used by the
-/// §2.3 fork-join interface ablation and the aggregation studies.
-pub fn run_with_cfg(
-    app: AppId,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    run_with_cfg_on(EngineKind::default(), app, version, nprocs, scale, cfg)
 }
 
 /// The fully explicit entry point: engine + DSM configuration.

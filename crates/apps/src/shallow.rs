@@ -391,15 +391,10 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
     for _ in 0..p.iters {
         st.iterate(node, false, tdt);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: Some(checksum(&st.arr[P], &st.arr[U], n)),
-        dsm: None,
-        races: None,
-        sharing: None,
-    }
+    NodeOut::plain(
+        meter_stop(node, m),
+        Some(checksum(&st.arr[P], &st.arr[U], n)),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -656,21 +651,13 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     for _ in 0..p.iters {
         one(false, 2.0 * DT);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| {
         let all = 0..n + 1;
         let (pf, uf) = (sh.read(&tmk, P, &all), sh.read(&tmk, U, &all));
         checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
     });
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 /// SPF-generated version; `fused` selects the §5.2 hand-optimized shape
@@ -932,16 +919,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
         let (pf, uf) = (sh.read(mr.tmk(), P, &all), sh.read(mr.tmk(), U, &all));
         checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
     });
-    let (elapsed_us, stats) = measured.borrow_mut().take().expect("meter ran");
-    let dsm = tmk.finish();
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        dsm: Some(dsm),
-        races: tmk.take_race_log(),
-        sharing: Some(tmk.take_sharing()),
-    }
+    let timed = measured.borrow_mut().take().expect("meter ran");
+    NodeOut::shared(&tmk, timed, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -1121,7 +1100,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     for _ in 0..p.iters {
         one(&mut st, false, 2.0 * DT);
     }
-    let (elapsed_us, stats) = meter_stop(node, m);
+    let timed = meter_stop(node, m);
 
     // Gather p and u for validation (untimed).
     let flat = [
@@ -1142,12 +1121,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         }
         checksum(&pf, &uf, n)
     });
-    NodeOut {
-        elapsed_us,
-        stats,
-        checksum: cs,
-        ..NodeOut::default()
-    }
+    NodeOut::plain(timed, cs)
 }
 
 /// Run Shallow in `version` on `nprocs` processors at `scale`.

@@ -1,14 +1,15 @@
 //! Shared `--check-baseline` machinery for the CI regression-gate
-//! binaries (`compiler_opt`, `protocol_compare`).
+//! subcommands (`compiler_opt`, `protocol_compare`).
 //!
 //! A baseline file records `scale nprocs max_count` — the configuration
 //! a deterministic (sequential-engine) sweep was recorded at and the
 //! count it must not exceed there. What the count bounds (messages,
-//! access-miss round trips, ...) is the binary's business; the parsing
-//! and the recorded-config-wins rule are shared so both gates keep one
-//! contract. Exit status 2 signals an unreadable or malformed baseline.
+//! access-miss round trips, ...) is the subcommand's business; the
+//! parsing and the recorded-config-wins rule are shared so both gates
+//! keep one contract. Exit status 2 signals an unreadable or malformed
+//! baseline.
 
-use crate::cli::{self, Cli};
+use crate::cli::{Cli, Exit, Flags};
 
 /// Parsed `scale nprocs max_count` baseline record.
 pub struct Baseline {
@@ -20,11 +21,16 @@ pub struct Baseline {
     pub max_count: u64,
 }
 
-fn read_baseline(path: &str, what: &str) -> Baseline {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2);
-    });
+/// The baseline `--check-baseline FILE` names, if the flag was given;
+/// `what` names the count field in error messages (e.g. `max_msgs`).
+pub fn from_flags(flags: &Flags, what: &str) -> Result<Option<Baseline>, Exit> {
+    let path = flags.value("--check-baseline");
+    path.map(|p| read(&p, what)).transpose()
+}
+
+fn read(path: &str, what: &str) -> Result<Baseline, Exit> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Exit::error(format!("cannot read baseline {path}: {e}")))?;
     let fields: Vec<&str> = text.split_whitespace().collect();
     let parsed = (|| -> Option<Baseline> {
         let [scale, nprocs, max_count] = fields.as_slice() else {
@@ -36,45 +42,11 @@ fn read_baseline(path: &str, what: &str) -> Baseline {
             max_count: max_count.parse().ok()?,
         })
     })();
-    parsed.unwrap_or_else(|| {
-        eprintln!("baseline {path} must contain `scale nprocs {what}`, got {text:?}");
-        std::process::exit(2);
+    parsed.ok_or_else(|| {
+        Exit::error(format!(
+            "baseline {path} must contain `scale nprocs {what}`, got {text:?}"
+        ))
     })
-}
-
-/// Parse the common CLI plus an optional `--check-baseline FILE` flag,
-/// reading FILE when present. `what` names the count field in error
-/// messages (e.g. `max_msgs`).
-pub fn parse_cli(default_scale: f64, default_nprocs: usize, what: &str) -> (Cli, Option<Baseline>) {
-    parse_cli_with(default_scale, default_nprocs, what, |_, _| false)
-}
-
-/// Like [`parse_cli`], additionally offering binary-specific flags the
-/// same way [`cli::parse_with`] does (`compiler_opt` adds `--gate APP`
-/// to select which application's row the baseline bounds).
-pub fn parse_cli_with(
-    default_scale: f64,
-    default_nprocs: usize,
-    what: &str,
-    mut extra: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> bool,
-) -> (Cli, Option<Baseline>) {
-    let mut baseline_path = None;
-    let cli = cli::parse_with(default_scale, default_nprocs, |flag, args| {
-        if flag == "--check-baseline" {
-            match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => {
-                    eprintln!("error: missing file after --check-baseline");
-                    std::process::exit(2);
-                }
-            }
-            true
-        } else {
-            extra(flag, args)
-        }
-    });
-    let baseline = baseline_path.as_deref().map(|p| read_baseline(p, what));
-    (cli, baseline)
 }
 
 /// The configuration the gated sweep must run at. Counts are only

@@ -1,6 +1,6 @@
 //! The `sweep` product: a machine-readable perf trajectory.
 //!
-//! The `sweep` binary runs the full benchmark grid — every application ×
+//! The `sweep` subcommand runs the full benchmark grid — every application ×
 //! both coherence protocols × both execution engines × several problem
 //! scales × several page sizes — and emits `BENCH_sweep.json`. Each cell
 //! records the *simulated* quantities (virtual time, messages, bytes),
@@ -10,7 +10,7 @@
 //! turns "the simulator got faster" into a reviewable diff: simulated
 //! columns must not move, wall-clock columns should.
 //!
-//! This module holds everything the binary, the tests and CI share: the
+//! This module holds everything the subcommand, the tests and CI share: the
 //! grid definition, the per-cell runner, and the document's JSON schema
 //! (versioned as `bench_sweep/v2`, parsed back by [`SweepDoc::parse`]).
 //!

@@ -1,10 +1,13 @@
-//! Shared command-line parsing for the figure/table binaries.
+//! Shared command-line grammar of the `dsm` subcommands.
 //!
-//! Every binary accepts the same shape:
+//! Every subcommand accepts the same shape:
 //!
 //! ```text
-//! <bin> [scale] [nprocs] [--engine threaded|sequential] [--protocol lrc|hlrc]
+//! dsm <subcommand> [scale] [nprocs] [--engine threaded|sequential] [--protocol lrc|hlrc]
 //! ```
+//!
+//! plus the flags its [`Spec`] declares (see [`crate::cmd::COMMANDS`]).
+//! A value-taking flag may be spelled `--flag V` or `--flag=V`.
 //!
 //! The default engine is **sequential**: the regenerated tables are then
 //! deterministic (identical on every invocation) and the sweep fans out
@@ -13,14 +16,61 @@
 //!
 //! The default protocol is **lrc** (the original TreadMarks protocol);
 //! `--protocol hlrc` runs the shared-memory versions under home-based
-//! LRC instead. The `protocol_compare` binary sweeps both sides itself
-//! and ignores the flag's default.
+//! LRC instead. The `protocol_compare` subcommand sweeps both sides
+//! itself and ignores the flag's default.
+//!
+//! Nothing here touches `std::env` or exits the process: parsing takes
+//! the argument iterator and returns `Result`, and only the binary's
+//! `main` turns an [`Exit`] into a status.
 
 use sp2sim::EngineKind;
 use treadmarks::ProtocolMode;
 
+/// A subcommand's arguments: everything after its name.
+pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
+
+/// The common usage line, printed with every grammar error.
+pub const USAGE: &str = "usage: dsm <subcommand> [scale] [nprocs] \
+     [--engine threaded|sequential] [--protocol lrc|hlrc] (see `dsm help`)";
+
+/// Why a subcommand stopped early: the process status and what to print
+/// on stderr first. Status 2 is a bad invocation or an unreadable
+/// input, status 1 a gate or check that ran and failed.
+#[derive(Debug, PartialEq)]
+pub struct Exit {
+    /// Process exit status.
+    pub code: u8,
+    /// Text for stderr (printed as is).
+    pub message: String,
+}
+
+impl Exit {
+    /// A command-line grammar error: status 2, the message and the
+    /// usage line.
+    pub fn usage(msg: impl std::fmt::Display) -> Exit {
+        Exit::error(format!("{msg}\n{USAGE}"))
+    }
+
+    /// Bad or unreadable input: status 2.
+    pub fn error(msg: impl std::fmt::Display) -> Exit {
+        Exit {
+            code: 2,
+            message: format!("error: {msg}"),
+        }
+    }
+
+    /// A gate or check that ran and failed: status 1, the message
+    /// verbatim.
+    pub fn failure(msg: impl std::fmt::Display) -> Exit {
+        Exit {
+            code: 1,
+            message: msg.to_string(),
+        }
+    }
+}
+
 /// Parsed common arguments.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Cli {
     /// Problem scale (1.0 = the paper's sizes).
     pub scale: f64,
@@ -32,80 +82,128 @@ pub struct Cli {
     pub protocol: ProtocolMode,
 }
 
-/// Parse `std::env::args()` with the given defaults. Unknown flags
-/// abort with a usage message; extra positionals beyond two are
-/// rejected.
-pub fn parse(default_scale: f64, default_nprocs: usize) -> Cli {
-    parse_with(default_scale, default_nprocs, |_, _| false)
+/// What one subcommand accepts: its positional defaults and the flags
+/// it takes beyond `--engine` / `--protocol`.
+pub struct Spec {
+    /// Default problem scale and processor count.
+    pub defaults: (f64, usize),
+    /// Flags that take a value.
+    pub values: &'static [&'static str],
+    /// Flags that take none.
+    pub switches: &'static [&'static str],
 }
 
-/// Like [`parse`], but a binary-specific flag handler sees every flag
-/// the common parser does not recognize first: return `true` to claim
-/// it (consuming its value from `args` if needed), `false` to fall
-/// through to the usage error. Keeps one argument grammar across all
-/// harness binaries (`compiler_opt` adds `--check-baseline` this way).
-pub fn parse_with(
-    default_scale: f64,
-    default_nprocs: usize,
-    mut extra_flag: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> bool,
-) -> Cli {
-    let mut cli = Cli {
-        scale: default_scale,
-        nprocs: default_nprocs,
-        engine: EngineKind::Sequential,
-        protocol: ProtocolMode::Lrc,
-    };
-    let mut positional = 0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--engine" {
-            let v = args
-                .next()
-                .unwrap_or_else(|| usage("missing value after --engine"));
-            cli.engine = v.parse().unwrap_or_else(|e: String| usage(&e));
-        } else if let Some(v) = a.strip_prefix("--engine=") {
-            cli.engine = v.parse().unwrap_or_else(|e: String| usage(&e));
-        } else if a == "--protocol" {
-            let v = args
-                .next()
-                .unwrap_or_else(|| usage("missing value after --protocol"));
-            cli.protocol = v.parse().unwrap_or_else(|e: String| usage(&e));
-        } else if let Some(v) = a.strip_prefix("--protocol=") {
-            cli.protocol = v.parse().unwrap_or_else(|e: String| usage(&e));
-        } else if a == "--help" || a == "-h" {
-            usage("");
-        } else if a.starts_with("--") {
-            if !extra_flag(&a, &mut args) {
-                usage(&format!("unknown flag {a}"));
-            }
-        } else {
-            match positional {
-                0 => {
-                    cli.scale = a
-                        .parse()
-                        .unwrap_or_else(|_| usage(&format!("bad scale {a}")))
+/// The subcommand's own flags as given on the command line.
+#[derive(Debug, PartialEq)]
+pub struct Flags {
+    declared: Vec<&'static str>,
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Flags {
+    fn find(&self, flag: &str) -> Option<&Option<String>> {
+        assert!(self.declared.contains(&flag), "{flag} is not in the Spec");
+        let given = self.given.iter().rev().find(|(name, _)| *name == flag);
+        given.map(|(_, value)| value)
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.find(flag).is_some()
+    }
+
+    /// The (last) value given for `flag`.
+    pub fn value(&self, flag: &str) -> Option<String> {
+        self.find(flag).cloned().flatten()
+    }
+
+    /// The value given for `flag` run through `parse`, whose error
+    /// becomes the usage error.
+    pub fn parsed<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, Exit> {
+        let value = self.value(flag);
+        value.map(|v| parse(&v).map_err(Exit::usage)).transpose()
+    }
+}
+
+impl Spec {
+    /// Parse `args`. Unknown flags, a value flag without its value, a
+    /// switch with one and positionals beyond two are usage errors.
+    pub fn parse(&self, args: Args) -> Result<(Cli, Flags), Exit> {
+        let mut cli = Cli {
+            scale: self.defaults.0,
+            nprocs: self.defaults.1,
+            engine: EngineKind::Sequential,
+            protocol: ProtocolMode::Lrc,
+        };
+        let mut given = Vec::new();
+        let mut positional = 0;
+        while let Some(a) = args.next() {
+            if a == "--help" || a == "-h" {
+                return Err(Exit {
+                    code: 0,
+                    message: USAGE.to_string(),
+                });
+            } else if a.starts_with("--") {
+                let (name, inline) = match a.split_once('=') {
+                    Some((name, v)) => (name, Some(v)),
+                    None => (a.as_str(), None),
+                };
+                let unknown = || Exit::usage(format!("unknown flag {a}"));
+                if let Some(switch) = self.switches.iter().find(|s| **s == name) {
+                    if inline.is_some() {
+                        return Err(unknown());
+                    }
+                    given.push((*switch, None));
+                    continue;
                 }
-                1 => {
-                    cli.nprocs = a
-                        .parse()
-                        .unwrap_or_else(|_| usage(&format!("bad nprocs {a}")))
+                // Every value-taking flag, common or not, is read here.
+                let mut valued = ["--engine", "--protocol"].iter().chain(self.values);
+                let flag = *valued.find(|v| **v == name).ok_or_else(unknown)?;
+                let value = match inline {
+                    Some(v) => v.to_string(),
+                    None => args
+                        .next()
+                        .ok_or_else(|| Exit::usage(format!("missing value after {flag}")))?,
+                };
+                match flag {
+                    "--engine" => cli.engine = value.parse().map_err(Exit::usage)?,
+                    "--protocol" => cli.protocol = value.parse().map_err(Exit::usage)?,
+                    _ => given.push((flag, Some(value))),
                 }
-                _ => usage(&format!("unexpected argument {a}")),
+            } else {
+                match positional {
+                    0 => {
+                        cli.scale = a
+                            .parse()
+                            .map_err(|_| Exit::usage(format!("bad scale {a}")))?
+                    }
+                    1 => {
+                        cli.nprocs = a
+                            .parse()
+                            .map_err(|_| Exit::usage(format!("bad nprocs {a}")))?
+                    }
+                    _ => return Err(Exit::usage(format!("unexpected argument {a}"))),
+                }
+                positional += 1;
             }
-            positional += 1;
         }
+        if cli.nprocs == 0 {
+            return Err(Exit::usage("nprocs must be at least 1"));
+        }
+        if cli.scale.is_nan() || cli.scale <= 0.0 {
+            return Err(Exit::usage("scale must be a positive number"));
+        }
+        let declared = self.values.iter().chain(self.switches).copied().collect();
+        Ok((cli, Flags { declared, given }))
     }
-    if cli.nprocs == 0 {
-        usage("nprocs must be at least 1");
-    }
-    if cli.scale.is_nan() || cli.scale <= 0.0 {
-        usage("scale must be a positive number");
-    }
-    cli
 }
 
 /// Parse an application name as accepted by the `trace` and `analyze`
-/// binaries' `--app` flag.
+/// subcommands' `--app` flag.
 pub fn parse_app(s: &str) -> Result<apps::AppId, String> {
     use apps::AppId;
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -134,10 +232,105 @@ pub fn parse_version(s: &str) -> Result<apps::Version, String> {
     })
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
+/// Owned arguments from string literals (tests).
+#[cfg(test)]
+pub(crate) fn argv(words: &[&str]) -> std::vec::IntoIter<String> {
+    let words: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+    words.into_iter()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMON: Spec = Spec {
+        defaults: (0.1, 8),
+        values: &[],
+        switches: &[],
+    };
+    const SWEEP: Spec = Spec {
+        defaults: (1.0, 8),
+        values: &["--out", "--check"],
+        switches: &["--smoke"],
+    };
+
+    fn common(words: &[&str]) -> Result<Cli, Exit> {
+        let parsed = COMMON.parse(&mut argv(words));
+        parsed.map(|(cli, _)| cli)
     }
-    eprintln!("usage: <bin> [scale] [nprocs] [--engine threaded|sequential] [--protocol lrc|hlrc]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+
+    /// `words` must be a usage error (status 2) that names `needle`.
+    fn rejected(spec: &Spec, words: &[&str], needle: &str) {
+        let e = spec.parse(&mut argv(words)).expect_err(needle);
+        assert_eq!(e.code, 2, "{words:?}");
+        assert!(
+            e.message.contains(needle) && e.message.contains(USAGE),
+            "{words:?}: {}",
+            e.message
+        );
+    }
+
+    #[test]
+    fn defaults_positionals_and_common_flags_in_both_spellings() {
+        let cli = common(&[]).unwrap();
+        assert_eq!((cli.scale, cli.nprocs), (0.1, 8));
+        assert_eq!(cli.engine, EngineKind::Sequential);
+        assert_eq!(cli.protocol, ProtocolMode::Lrc);
+        let spaced = common(&["--engine", "threaded", "0.2", "--protocol", "hlrc", "3"]).unwrap();
+        let joined = common(&["--engine=threaded", "0.2", "--protocol=hlrc", "3"]).unwrap();
+        assert_eq!(spaced, joined);
+        assert_eq!((spaced.scale, spaced.nprocs), (0.2, 3));
+        assert_eq!(spaced.engine, EngineKind::Threaded);
+        assert_eq!(spaced.protocol, ProtocolMode::Hlrc);
+    }
+
+    #[test]
+    fn grammar_errors_name_the_argument() {
+        rejected(&COMMON, &["--engine"], "missing value after --engine");
+        rejected(&COMMON, &["--engine", "warp"], "warp");
+        rejected(&COMMON, &["--protocol=mesi"], "mesi");
+        rejected(&COMMON, &["--nosuch"], "unknown flag --nosuch");
+        rejected(&COMMON, &["--out", "f"], "unknown flag --out");
+        rejected(&COMMON, &["0.1", "8", "9"], "unexpected argument 9");
+        rejected(&COMMON, &["x"], "bad scale x");
+        rejected(&COMMON, &["0.1", "many"], "bad nprocs many");
+        rejected(&COMMON, &["0.1", "0"], "nprocs must be at least 1");
+        rejected(&COMMON, &["0"], "scale must be a positive number");
+        rejected(&COMMON, &["-1"], "scale must be a positive number");
+        rejected(&COMMON, &["NaN"], "scale must be a positive number");
+        rejected(&SWEEP, &["--check"], "missing value after --check");
+        // A switch does not swallow a value.
+        rejected(&SWEEP, &["--smoke=1"], "unknown flag --smoke=1");
+    }
+
+    #[test]
+    fn help_stops_with_status_zero() {
+        for h in ["--help", "-h"] {
+            let e = common(&["0.1", h]).unwrap_err();
+            assert_eq!((e.code, e.message.as_str()), (0, USAGE));
+        }
+    }
+
+    #[test]
+    fn declared_flags_are_collected() {
+        let words = ["--out", "a.json", "2.0", "--smoke", "--out=b=c.json"];
+        let (cli, flags) = SWEEP.parse(&mut argv(&words)).unwrap();
+        assert_eq!(cli.scale, 2.0);
+        assert!(flags.has("--smoke"));
+        assert_eq!(flags.value("--out").as_deref(), Some("b=c.json"));
+        assert_eq!(flags.value("--check"), None);
+        let as_len = |v: &str| Ok::<usize, String>(v.len());
+        assert_eq!(flags.parsed("--out", as_len), Ok(Some(8)));
+        let refuse = |v: &str| Err::<usize, String>(format!("bad {v}"));
+        let e = flags.parsed("--out", refuse).unwrap_err();
+        assert!(e.message.contains("bad b=c.json") && e.code == 2);
+    }
+
+    #[test]
+    fn app_and_version_names() {
+        assert_eq!(parse_app("FFT"), Ok(apps::AppId::Fft3d));
+        assert_eq!(parse_version("cri"), Ok(apps::Version::SpfCri));
+        assert!(parse_app("linpack").unwrap_err().contains("linpack"));
+        assert!(parse_version("mpi").unwrap_err().contains("mpi"));
+    }
 }

@@ -37,27 +37,15 @@
 //! length, exactness vs the recorded final clock) — the CI validation
 //! mode, exit non-zero on any violation.
 
+use crate::cli::{parse_app, parse_version, Cli, Exit, Flags};
+use crate::critical_path::{self, CriticalPath, DagCheck};
+use crate::json::{num, obj};
+use crate::report::{f1 as us, pct, render_table, Table};
+use crate::{Json, SegmentKind};
 use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
-use harness::cli::{parse_app, parse_version};
-use harness::critical_path::{self, CriticalPath, DagCheck};
-use harness::report::{render_table, Table};
-use harness::{Json, SegmentKind};
 use sp2sim::stats::ALL_KINDS;
 use sp2sim::Category;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn us(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-fn pct(part: f64, whole: f64) -> String {
-    format!("{:.1}%", 100.0 * part / whole.max(f64::MIN_POSITIVE))
-}
 
 fn msg_label(code: u8) -> &'static str {
     ALL_KINDS
@@ -66,79 +54,26 @@ fn msg_label(code: u8) -> &'static str {
         .unwrap_or("?")
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-fn num(x: impl Into<f64>) -> Json {
-    Json::Num(x.into())
-}
-
-fn main() {
-    let mut app = AppId::Jacobi;
-    let mut version = Version::Spf;
-    let mut json_out: Option<String> = None;
-    let mut top = 8usize;
-    let mut gate = false;
-    let mut check: Option<String> = None;
-    let cli = harness::cli::parse_with(0.1, 8, |flag, args| match flag {
-        "--app" => {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail("missing value after --app"));
-            app = parse_app(&v).unwrap_or_else(|e| fail(&e));
-            true
-        }
-        "--version" => {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail("missing value after --version"));
-            version = parse_version(&v).unwrap_or_else(|e| fail(&e));
-            true
-        }
-        "--json" => {
-            json_out = Some(
-                args.next()
-                    .unwrap_or_else(|| fail("missing value after --json")),
-            );
-            true
-        }
-        "--top" => {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail("missing value after --top"));
-            top = v
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("bad --top {v}")));
-            true
-        }
-        "--gate-identity" => {
-            gate = true;
-            true
-        }
-        "--check" => {
-            check = Some(
-                args.next()
-                    .unwrap_or_else(|| fail("missing value after --check")),
-            );
-            true
-        }
-        _ => false,
-    });
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let app = flags.parsed("--app", parse_app)?.unwrap_or(AppId::Jacobi);
+    let version = flags
+        .parsed("--version", parse_version)?
+        .unwrap_or(Version::Spf);
+    let json_out = flags.value("--json");
+    let top = |v: &str| v.parse::<usize>().map_err(|_| format!("bad --top {v}"));
+    let top = flags.parsed("--top", top)?.unwrap_or(8);
+    let gate = flags.has("--gate-identity");
+    let check = flags.value("--check");
 
     // Validation mode: re-parse a written report, check the schema
     // shape and internal consistency, exit nonzero on any violation.
     if let Some(path) = check {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let doc = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        match check_report(&doc) {
-            Ok(summary) => {
-                println!("{path}: valid analyze/v1 report ({summary})");
-                return;
-            }
-            Err(e) => fail(&format!("{path}: {e}")),
-        }
+            .map_err(|e| Exit::error(format!("cannot read {path}: {e}")))?;
+        let doc = Json::parse(&text).map_err(|e| Exit::error(format!("{path}: {e}")))?;
+        let summary = check_report(&doc).map_err(|e| Exit::error(format!("{path}: {e}")))?;
+        println!("{path}: valid analyze/v1 report ({summary})");
+        return Ok(());
     }
 
     let cfg = tmk_config_for_protocol(version, cli.protocol)
@@ -148,7 +83,7 @@ fn main() {
     let trace = r
         .trace
         .as_ref()
-        .unwrap_or_else(|| fail("run produced no trace (engine returned none)"));
+        .ok_or_else(|| Exit::error("run produced no trace (engine returned none)"))?;
     let dropped: u64 = trace.tracks.iter().map(|t| t.dropped).sum();
     if dropped > 0 {
         eprintln!(
@@ -156,7 +91,7 @@ fn main() {
              the analysis is a lower bound"
         );
     }
-    let cp = critical_path::compute(trace).unwrap_or_else(|| fail("empty trace"));
+    let cp = critical_path::compute(trace).ok_or_else(|| Exit::error("empty trace"))?;
     let dag = critical_path::check_dag(trace);
     let t_max = trace
         .final_us
@@ -322,20 +257,20 @@ fn main() {
     if let Some(path) = json_out {
         let doc = to_json(app, version, cli, &r, &cp, &dag, t_max, dropped, exact, top);
         std::fs::write(&path, doc.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            .map_err(|e| Exit::error(format!("cannot write {path}: {e}")))?;
         println!("\nwrote {path}");
     }
 
     if gate && (!exact || !dag.ok() || dropped > 0) {
-        eprintln!(
+        return Err(Exit::failure(format!(
             "analyze --gate-identity: FAILED (exact={exact} dag_ok={} dropped={dropped})",
             dag.ok()
-        );
-        std::process::exit(1);
+        )));
     }
     if gate {
         println!("analyze --gate-identity: ok (path length == max final clock, bitwise)");
     }
+    Ok(())
 }
 
 /// Validate a written `analyze/v1` report: every field the schema
@@ -449,7 +384,7 @@ fn check_report(doc: &Json) -> Result<String, String> {
 fn to_json(
     app: AppId,
     version: Version,
-    cli: harness::cli::Cli,
+    cli: Cli,
     r: &apps::RunResult,
     cp: &CriticalPath,
     dag: &DagCheck,

@@ -10,7 +10,7 @@
 //! Usage: `compiler_opt [scale] [nprocs] [--engine E] [--gate APP]
 //! [--check-baseline FILE]` (defaults 0.1 and 8).
 //!
-//! With `--check-baseline FILE`, the binary additionally asserts the CI
+//! With `--check-baseline FILE`, the subcommand additionally asserts the CI
 //! regression gate: FILE records `scale nprocs max_msgs`, and the gated
 //! application's hinted run — `--gate` selects it, default jacobi; run
 //! at exactly the recorded configuration, overriding any conflicting
@@ -18,28 +18,17 @@
 //! ≥ 30% below the SPF baseline. Exit status 1 on regression, 2 on an
 //! unreadable or malformed baseline file.
 
-use harness::report::{f2, render_table};
-use harness::Table;
+use crate::baseline;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 
-fn main() {
-    let mut gate = String::from("jacobi");
-    let (cli, baseline) = harness::baseline::parse_cli_with(0.1, 8, "max_msgs", |flag, args| {
-        if flag == "--gate" {
-            match args.next() {
-                Some(app) => gate = app,
-                None => {
-                    eprintln!("error: missing application after --gate");
-                    std::process::exit(2);
-                }
-            }
-            true
-        } else {
-            false
-        }
-    });
-    let (scale, nprocs) = harness::baseline::gate_config(&cli, baseline.as_ref());
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let gate = flags.value("--gate").unwrap_or_else(|| "jacobi".into());
+    let baseline = baseline::from_flags(flags, "max_msgs")?;
+    let (scale, nprocs) = baseline::gate_config(&cli, baseline.as_ref());
     println!("Compiler-runtime interface: closing the SPF gap (scale {scale}, {nprocs} procs)\n");
-    let rows = harness::compiler_opt(nprocs, scale, cli.engine, cli.protocol);
+    let rows = crate::compiler_opt(nprocs, scale, cli.engine, cli.protocol);
     let mut t = Table::new(vec![
         "Program", "Version", "Time (s)", "Speedup", "Msgs", "KBytes", "Insp", "Reuse", "Insp (s)",
     ]);
@@ -88,10 +77,7 @@ fn main() {
         let row = rows
             .iter()
             .find(|r| r.app.name().eq_ignore_ascii_case(&gate))
-            .unwrap_or_else(|| {
-                eprintln!("unknown --gate application {gate:?}");
-                std::process::exit(2);
-            });
+            .ok_or_else(|| Exit::error(format!("unknown --gate application {gate:?}")))?;
         let msgs = row.cri.messages;
         let reduction = row.message_reduction();
         println!(
@@ -104,12 +90,12 @@ fn main() {
             100.0 * reduction
         );
         if msgs > b.max_count || reduction < 0.30 {
-            eprintln!(
+            return Err(Exit::failure(format!(
                 "REGRESSION: hinted {} message count above baseline",
                 row.app.name()
-            );
-            std::process::exit(1);
+            )));
         }
         println!("baseline check passed");
     }
+    Ok(())
 }

@@ -4,11 +4,11 @@
 //! Usage: `figure1 [scale] [nprocs] [--engine threaded|sequential]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
-use harness::report::{f2, render_table};
-use harness::Table;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!(
         "Figure 1: {nprocs}-Processor Speedups, Regular Applications (scale {scale}, {} engine, {} protocol)\n",
@@ -16,7 +16,7 @@ fn main() {
         cli.protocol
     );
     let mut t = Table::new(vec!["Program", "SPF/Tmk", "Tmk", "XHPF", "PVMe"]);
-    for row in harness::figure1(nprocs, scale, cli.engine, cli.protocol) {
+    for row in crate::figure1(nprocs, scale, cli.engine, cli.protocol) {
         t.row(vec![
             row.app.name().to_string(),
             f2(row.speedup(0)),
@@ -26,4 +26,5 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -9,32 +9,16 @@
 //! trace JSON; `--analyze` prints a compact causal summary of the same
 //! run (critical-path length, wait share, hottest sharing sites).
 
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 use apps::Version;
-use harness::report::{f2, render_table};
-use harness::Table;
 
-fn main() {
-    let mut trace_out: Option<String> = None;
-    let mut do_analyze = false;
-    let cli = harness::cli::parse_with(0.1, 8, |flag, args| match flag {
-        "--trace-out" => {
-            match args.next() {
-                Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("error: missing file after --trace-out");
-                    std::process::exit(2);
-                }
-            }
-            true
-        }
-        "--analyze" => {
-            do_analyze = true;
-            true
-        }
-        _ => false,
-    });
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let trace_out = flags.value("--trace-out");
+    let do_analyze = flags.has("--analyze");
     let (scale, nprocs) = (cli.scale, cli.nprocs);
-    let rows = harness::figure2_table3(nprocs, scale, cli.engine, cli.protocol);
+    let rows = crate::figure2_table3(nprocs, scale, cli.engine, cli.protocol);
     let header: Vec<String> = std::iter::once("Program".to_string())
         .chain(Version::SWEEP.iter().map(|v| v.name().to_string()))
         .collect();
@@ -86,7 +70,7 @@ fn main() {
     // A separate traced run, so the table numbers above come from
     // tracing-free executions.
     if let Some(path) = trace_out {
-        match harness::trace_analysis::export_traced_run(
+        let n = crate::trace_analysis::export_traced_run(
             &path,
             cli.engine,
             cli.protocol,
@@ -94,31 +78,24 @@ fn main() {
             Version::SpfCri,
             nprocs,
             scale,
-        ) {
-            Ok(n) => println!("\nwrote IGrid SPF+CRI trace to {path} ({n} events)"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        )
+        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        println!("\nwrote IGrid SPF+CRI trace to {path} ({n} events)");
     }
 
     // Compact causal summary of the headline configuration, from its
     // own traced side run (the tables stay tracing-free).
     if do_analyze {
-        match harness::critical_path::summarize_traced_run(
+        let s = crate::critical_path::summarize_traced_run(
             cli.engine,
             cli.protocol,
             apps::AppId::IGrid,
             Version::SpfCri,
             nprocs,
             scale,
-        ) {
-            Ok(s) => println!("\n{s}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        )
+        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        println!("\n{s}");
     }
+    Ok(())
 }

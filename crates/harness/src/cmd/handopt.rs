@@ -3,11 +3,11 @@
 //!
 //! Usage: `handopt [scale] [nprocs]` (defaults 0.1 and 8).
 
-use harness::report::{f2, render_table};
-use harness::Table;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Section 5: Results of Hand Optimizations (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec![
@@ -18,7 +18,7 @@ fn main() {
         "Reference",
         "(vs)",
     ]);
-    for r in harness::handopt(nprocs, scale, cli.engine, cli.protocol) {
+    for r in crate::handopt(nprocs, scale, cli.engine, cli.protocol) {
         t.row(vec![
             r.app.name().to_string(),
             r.what.to_string(),
@@ -29,4 +29,5 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -5,11 +5,11 @@
 //!
 //! Usage: `interface_ablation [scale] [nprocs]` (defaults 0.1 and 8).
 
-use harness::report::{f2, render_table};
-use harness::Table;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Section 2.3: Fork-Join Interface Ablation (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec![
@@ -20,7 +20,7 @@ fn main() {
         "Original time(s)",
         "Slowdown",
     ]);
-    for (app, imp, orig) in harness::interface_ablation(nprocs, scale, cli.engine, cli.protocol) {
+    for (app, imp, orig) in crate::interface_ablation(nprocs, scale, cli.engine, cli.protocol) {
         t.row(vec![
             app.name().to_string(),
             imp.messages.to_string(),
@@ -31,4 +31,5 @@ fn main() {
         ]);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -6,13 +6,13 @@
 //!
 //! Usage: `page_size [scale] [nprocs]` (defaults 0.1 and 8).
 
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 use apps::{AppId, Version};
-use harness::report::{f2, render_table};
-use harness::Table;
 use treadmarks::TmkConfig;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Page-size ablation, hand-coded TreadMarks (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec!["Program", "Page", "Speedup", "Messages", "Data KB"]);
@@ -36,4 +36,5 @@ fn main() {
         }
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -12,7 +12,7 @@
 //! summaries of Jacobi under *both* protocols, so the bottleneck shift
 //! (LRC diff traffic vs HLRC page fetches) is visible side by side.
 //!
-//! With `--check-baseline FILE`, the binary additionally asserts the CI
+//! With `--check-baseline FILE`, the subcommand additionally asserts the CI
 //! regression gate: FILE records `scale nprocs max_round_trips`, and
 //! HLRC Jacobi — run at exactly that recorded configuration, overriding
 //! any conflicting command-line scale/nprocs — must not exceed
@@ -20,33 +20,18 @@
 //! below the LRC baseline's. Exit status 1 on regression, 2 on an
 //! unreadable or malformed baseline file.
 
-use harness::report::{f2, render_table};
-use harness::Table;
+use crate::baseline;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 
-fn main() {
-    let mut trace_out: Option<String> = None;
-    let mut do_analyze = false;
-    let (cli, baseline) =
-        harness::baseline::parse_cli_with(0.1, 8, "max_round_trips", |flag, args| match flag {
-            "--trace-out" => {
-                match args.next() {
-                    Some(p) => trace_out = Some(p),
-                    None => {
-                        eprintln!("error: missing file after --trace-out");
-                        std::process::exit(2);
-                    }
-                }
-                true
-            }
-            "--analyze" => {
-                do_analyze = true;
-                true
-            }
-            _ => false,
-        });
-    let (scale, nprocs) = harness::baseline::gate_config(&cli, baseline.as_ref());
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let trace_out = flags.value("--trace-out");
+    let do_analyze = flags.has("--analyze");
+    let baseline = baseline::from_flags(flags, "max_round_trips")?;
+    let (scale, nprocs) = baseline::gate_config(&cli, baseline.as_ref());
     println!("Protocol comparison: LRC vs home-based LRC (scale {scale}, {nprocs} procs)\n");
-    let rows = harness::protocol_compare(nprocs, scale, cli.engine);
+    let rows = crate::protocol_compare(nprocs, scale, cli.engine);
     let mut t = Table::new(vec![
         "Program", "Protocol", "Time (s)", "Speedup", "Msgs", "KBytes", "Miss RTs", "Flush KB",
     ]);
@@ -90,8 +75,9 @@ fn main() {
             b.scale, b.nprocs, b.max_count
         );
         if hlrc_rts > b.max_count || hlrc_rts >= lrc_rts {
-            eprintln!("REGRESSION: HLRC Jacobi access-miss round trips above baseline");
-            std::process::exit(1);
+            return Err(Exit::failure(
+                "REGRESSION: HLRC Jacobi access-miss round trips above baseline",
+            ));
         }
         println!("baseline check passed");
     }
@@ -99,7 +85,7 @@ fn main() {
     // A separate traced run, so the table numbers above come from
     // tracing-free executions.
     if let Some(path) = trace_out {
-        match harness::trace_analysis::export_traced_run(
+        let n = crate::trace_analysis::export_traced_run(
             &path,
             cli.engine,
             treadmarks::ProtocolMode::Hlrc,
@@ -107,13 +93,9 @@ fn main() {
             apps::Version::Spf,
             nprocs,
             scale,
-        ) {
-            Ok(n) => println!("\nwrote HLRC Jacobi trace to {path} ({n} events)"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        )
+        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        println!("\nwrote HLRC Jacobi trace to {path} ({n} events)");
     }
 
     // Compact causal summaries of Jacobi under both protocols, each
@@ -123,20 +105,17 @@ fn main() {
             treadmarks::ProtocolMode::Lrc,
             treadmarks::ProtocolMode::Hlrc,
         ] {
-            match harness::critical_path::summarize_traced_run(
+            let s = crate::critical_path::summarize_traced_run(
                 cli.engine,
                 protocol,
                 apps::AppId::Jacobi,
                 apps::Version::Spf,
                 nprocs,
                 scale,
-            ) {
-                Ok(s) => println!("\n{s}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
+            )
+            .map_err(|e| Exit::failure(format!("error: {e}")))?;
+            println!("\n{s}");
         }
     }
+    Ok(())
 }

@@ -13,20 +13,14 @@
 //! writer pair, guarding against a detector that rots into a silent
 //! yes-man.
 
-use std::process::ExitCode;
-
+use crate::cli::{Cli, Exit, Flags};
 use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::{race, ProtocolMode, RaceLog, Tmk, TmkConfig};
 
-fn main() -> ExitCode {
-    let mut seeded = false;
-    let cli = harness::cli::parse_with(0.035, 4, |flag, _| {
-        seeded = flag == "--seeded";
-        seeded
-    });
-    if seeded {
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    if flags.has("--seeded") {
         return run_seeded(cli.engine);
     }
     let mut races = 0usize;
@@ -54,17 +48,18 @@ fn main() -> ExitCode {
         }
     }
     if races > 0 {
-        eprintln!("races: {races} racing interval pair(s) found");
-        return ExitCode::FAILURE;
+        return Err(Exit::failure(format!(
+            "races: {races} racing interval pair(s) found"
+        )));
     }
     println!("races: all applications race-free under both protocols");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Two nodes write word 0 of the same page inside the same barrier
 /// epoch — a race by construction. The detector must name page 0,
 /// word 0, writers (0, 1).
-fn run_seeded(engine: EngineKind) -> ExitCode {
+fn run_seeded(engine: EngineKind) -> Result<(), Exit> {
     let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
         let tmk = Tmk::new(node, TmkConfig::default().with_race_detection(true));
         let a = tmk.malloc_f64(8);
@@ -83,9 +78,10 @@ fn run_seeded(engine: EngineKind) -> ExitCode {
         .any(|r| r.page == 0 && r.word == 0 && r.writers == (0, 1));
     if hit {
         println!("races --seeded: detector flagged the seeded race");
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!("races --seeded: seeded race NOT detected ({report:?})");
-        ExitCode::FAILURE
+        Err(Exit::failure(format!(
+            "races --seeded: seeded race NOT detected ({report:?})"
+        )))
     }
 }

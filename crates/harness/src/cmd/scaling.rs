@@ -3,18 +3,18 @@
 //!
 //! Usage: `scaling [scale] [max_procs]` (defaults 0.1 and 8).
 
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f2, render_table};
+use crate::Table;
 use apps::AppId;
-use harness::report::{f2, render_table};
-use harness::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, maxp) = (cli.scale, cli.nprocs);
     println!(
         "Scaling study (scale {scale}, up to {maxp} procs, {} protocol)\n",
         cli.protocol
     );
-    let rows = harness::scaling(maxp, scale, &AppId::ALL, cli.engine, cli.protocol);
+    let rows = crate::scaling(maxp, scale, &AppId::ALL, cli.engine, cli.protocol);
     let mut header = vec!["Program".to_string(), "Version".to_string()];
     let mut np = 1;
     while np <= maxp {
@@ -30,4 +30,5 @@ fn main() {
         t.row(cells);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! `sweep` — run the benchmark grid and emit the perf trajectory.
 //!
 //! Runs every application × protocol × engine × scale × page-size cell
-//! (see [`harness::bench_sweep`]) and writes `BENCH_sweep.json`: per
+//! (see [`crate::bench_sweep`]) and writes `BENCH_sweep.json`: per
 //! cell the deterministic simulated quantities (virtual time, messages,
 //! bytes) next to the host quantities (wall-clock µs, scratch-arena
 //! counters), plus aggregate simulated-seconds-per-host-second. The
@@ -20,33 +20,17 @@
 //! across cores, longest-expected first; threaded-engine cells run one
 //! after another (each already uses a thread per simulated node).
 
-use std::process::ExitCode;
-
-use harness::bench_sweep::{full_grid, smoke_grid, CellSpec};
-use harness::{longest_first, sweep_map, SweepDoc};
+use crate::bench_sweep::{full_grid, smoke_grid, CellSpec};
+use crate::cli::{Cli, Exit, Flags};
+use crate::{longest_first, sweep_map, SweepDoc};
 use sp2sim::EngineKind;
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_sweep.json");
-    let mut check: Option<String> = None;
-    let cli = harness::cli::parse_with(1.0, 8, |flag, args| {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: missing value after {name}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--smoke" => smoke = true,
-            "--out" => out = value("--out"),
-            "--check" => check = Some(value("--check")),
-            _ if flag.starts_with("--out=") => out = flag["--out=".len()..].to_string(),
-            _ if flag.starts_with("--check=") => check = Some(flag["--check=".len()..].to_string()),
-            _ => return false,
-        }
-        true
-    });
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let smoke = flags.has("--smoke");
+    let out = flags
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_sweep.json".into());
+    let check = flags.value("--check");
 
     if let Some(path) = check {
         return check_file(&path);
@@ -73,11 +57,11 @@ fn main() -> ExitCode {
         .partition(|c| c.engine == EngineKind::Sequential);
     let mut tagged: Vec<(usize, CellSpec)> = seq.into_iter().enumerate().collect();
     longest_first(&mut tagged, |&(_, c)| c.expected_cost());
-    let mut done: Vec<Option<harness::SweepCell>> = vec![None; tagged.len()];
+    let mut done: Vec<Option<crate::SweepCell>> = vec![None; tagged.len()];
     for (i, cell) in sweep_map(EngineKind::Sequential, tagged, |(i, spec)| (i, spec.run())) {
         done[i] = Some(cell);
     }
-    let mut all: Vec<harness::SweepCell> = done.into_iter().map(Option::unwrap).collect();
+    let mut all: Vec<crate::SweepCell> = done.into_iter().map(Option::unwrap).collect();
     for spec in thr {
         all.push(spec.run());
     }
@@ -98,37 +82,22 @@ fn main() -> ExitCode {
 
     let doc = SweepDoc { cells: all };
     let text = doc.render();
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
+    std::fs::write(&out, &text).map_err(|e| Exit::error(format!("cannot write {out}: {e}")))?;
     print_summary(&doc);
     eprintln!("sweep: wrote {out}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn check_file(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match SweepDoc::parse(&text) {
-        Ok(doc) => {
-            eprintln!(
-                "sweep: {path} is a valid {} document",
-                harness::bench_sweep::SCHEMA
-            );
-            print_summary(&doc);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn check_file(path: &str) -> Result<(), Exit> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Exit::error(format!("cannot read {path}: {e}")))?;
+    let doc = SweepDoc::parse(&text).map_err(|e| Exit::failure(format!("error: {path}: {e}")))?;
+    eprintln!(
+        "sweep: {path} is a valid {} document",
+        crate::bench_sweep::SCHEMA
+    );
+    print_summary(&doc);
+    Ok(())
 }
 
 fn print_summary(doc: &SweepDoc) {

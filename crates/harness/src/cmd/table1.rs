@@ -3,16 +3,17 @@
 //! Usage: `table1 [scale] [--engine threaded|sequential]`
 //! (defaults 0.1 and the deterministic sequential engine).
 
-use harness::report::{f1, render_table};
-use harness::Table;
+use crate::cli::{Cli, Exit, Flags};
+use crate::report::{f1, render_table};
+use crate::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 1);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let scale = cli.scale;
     println!("Table 1: Data Set Sizes and Sequential Execution Time (scale {scale})\n");
     let mut t = Table::new(vec!["Program", "Problem Size", "Time (sec.)"]);
-    for row in harness::table1(scale, cli.engine) {
+    for row in crate::table1(scale, cli.engine) {
         t.row(vec![row.app.name().to_string(), row.size, f1(row.secs)]);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

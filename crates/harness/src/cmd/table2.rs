@@ -6,13 +6,13 @@
 //! Usage: `table2 [scale] [nprocs] [--engine threaded|sequential]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
+use crate::cli::{Cli, Exit, Flags};
+use crate::experiments::speedup_rows;
+use crate::report::render_table;
+use crate::Table;
 use apps::{AppId, Version};
-use harness::experiments::speedup_rows;
-use harness::report::render_table;
-use harness::Table;
 
-fn main() {
-    let cli = harness::cli::parse(0.1, 8);
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!(
         "Table 2: {nprocs}-Processor Message Totals and Data Totals (KB), Regular Applications (scale {scale}, {} protocol)\n",
@@ -49,4 +49,5 @@ fn main() {
         t.row(cells);
     }
     println!("{}", render_table(&t));
+    Ok(())
 }

@@ -14,81 +14,35 @@
 //! <https://ui.perfetto.dev>. `--validate` re-parses a previously
 //! exported file and checks the Perfetto invariants (used by CI).
 
+use crate::cli::{parse_app, parse_version, Cli, Exit, Flags};
+use crate::report::{f1 as us, render_table, Table};
+use crate::trace_analysis::{analyze, to_chrome_trace_with_path, validate_chrome_trace};
+use crate::Json;
 use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
-use harness::cli::{parse_app, parse_version};
-use harness::report::{render_table, Table};
-use harness::trace_analysis::{analyze, to_chrome_trace_with_path, validate_chrome_trace};
-use harness::Json;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn us(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-fn main() {
-    let mut app = AppId::Jacobi;
-    let mut version = Version::Spf;
-    let mut out: Option<String> = None;
-    let mut breakdown = false;
-    let mut validate: Option<String> = None;
-    let cli = harness::cli::parse_with(0.1, 8, |flag, args| match flag {
-        "--app" => {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail("missing value after --app"));
-            app = parse_app(&v).unwrap_or_else(|e| fail(&e));
-            true
-        }
-        "--version" => {
-            let v = args
-                .next()
-                .unwrap_or_else(|| fail("missing value after --version"));
-            version = parse_version(&v).unwrap_or_else(|e| fail(&e));
-            true
-        }
-        "--out" => {
-            out = Some(
-                args.next()
-                    .unwrap_or_else(|| fail("missing value after --out")),
-            );
-            true
-        }
-        "--breakdown" => {
-            breakdown = true;
-            true
-        }
-        "--validate" => {
-            validate = Some(
-                args.next()
-                    .unwrap_or_else(|| fail("missing value after --validate")),
-            );
-            true
-        }
-        _ => false,
-    });
+pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
+    let app = flags.parsed("--app", parse_app)?.unwrap_or(AppId::Jacobi);
+    let version = flags
+        .parsed("--version", parse_version)?
+        .unwrap_or(Version::Spf);
+    let out = flags.value("--out");
+    let breakdown = flags.has("--breakdown");
+    let validate = flags.value("--validate");
 
     // Validation mode: re-parse an exported file, check the Perfetto
     // invariants, exit nonzero on any violation.
     if let Some(path) = validate {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        match validate_chrome_trace(&json) {
-            Ok(()) => {
-                let n = json
-                    .get("traceEvents")
-                    .and_then(Json::as_arr)
-                    .map_or(0, <[Json]>::len);
-                println!("{path}: ok ({n} events)");
-                return;
-            }
-            Err(e) => fail(&format!("{path}: {e}")),
-        }
+            .map_err(|e| Exit::error(format!("cannot read {path}: {e}")))?;
+        let json = Json::parse(&text).map_err(|e| Exit::error(format!("{path}: {e}")))?;
+        validate_chrome_trace(&json).map_err(|e| Exit::error(format!("{path}: {e}")))?;
+        let n = json
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .map_or(0, <[Json]>::len);
+        println!("{path}: ok ({n} events)");
+        return Ok(());
     }
 
     let cfg = tmk_config_for_protocol(version, cli.protocol).with_trace(true);
@@ -96,7 +50,7 @@ fn main() {
     let trace = r
         .trace
         .as_ref()
-        .unwrap_or_else(|| fail("run produced no trace (engine returned none)"));
+        .ok_or_else(|| Exit::error("run produced no trace (engine returned none)"))?;
     let a = analyze(trace);
     println!(
         "{} / {} / {:?}: {} nodes, {} events, virtual time {:.1} us{}",
@@ -156,7 +110,7 @@ fn main() {
     }
 
     if let Some(path) = out {
-        let cp = harness::critical_path::compute(trace);
+        let cp = crate::critical_path::compute(trace);
         let json = to_chrome_trace_with_path(trace, cp.as_ref());
         match validate_chrome_trace(&json) {
             Ok(()) => {}
@@ -166,10 +120,15 @@ fn main() {
             Err(e) if a.lossy() && e.contains("dropped") => {
                 eprintln!("warning: {e}");
             }
-            Err(e) => fail(&format!("exported trace failed validation: {e}")),
+            Err(e) => {
+                return Err(Exit::error(format!(
+                    "exported trace failed validation: {e}"
+                )))
+            }
         }
         std::fs::write(&path, json.render())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            .map_err(|e| Exit::error(format!("cannot write {path}: {e}")))?;
         println!("wrote {path} (load in chrome://tracing or https://ui.perfetto.dev)");
     }
+    Ok(())
 }

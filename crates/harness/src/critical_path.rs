@@ -692,10 +692,10 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
 
 /// Run one *extra* traced execution with race detection enabled and
 /// render a compact causal summary — the `--analyze` implementation
-/// shared by the experiment binaries (`figure2_table3`,
+/// shared by the experiment subcommands (`figure2_table3`,
 /// `protocol_compare`). The side run keeps the tables' own numbers
 /// tracing-free, mirroring [`crate::trace_analysis::export_traced_run`].
-/// The full report lives in the `analyze` binary; this surfaces just
+/// The full report lives in the `analyze` subcommand; this surfaces just
 /// the headline: path length (and whether the sequential identity
 /// held), wait share, the top path contributor, and the hottest
 /// page/false-sharing/lock sites.

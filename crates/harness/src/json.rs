@@ -25,6 +25,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// An object from `(key, value)` pairs, in the order given.
+pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A number from anything that widens to `f64` without loss.
+pub fn num(x: impl Into<f64>) -> Json {
+    Json::Num(x.into())
+}
+
 impl Json {
     /// Object field lookup (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -331,18 +341,9 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn obj(fields: &[(&str, Json)]) -> Json {
-        Json::Obj(
-            fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        )
-    }
-
     #[test]
     fn round_trip_nested() {
-        let v = obj(&[
+        let v = obj(vec![
             ("schema", Json::Str("bench_sweep/v1".into())),
             ("n", Json::Num(8.0)),
             ("scale", Json::Num(0.05)),
@@ -351,9 +352,9 @@ mod tests {
             (
                 "cells",
                 Json::Arr(vec![
-                    obj(&[("t", Json::Num(161321.0))]),
+                    obj(vec![("t", Json::Num(161321.0))]),
                     Json::Arr(vec![]),
-                    obj(&[]),
+                    obj(vec![]),
                 ]),
             ),
         ]);

@@ -1,22 +1,14 @@
 //! # harness — regenerates every table and figure of the paper
 //!
-//! | entry point | paper artifact |
-//! |---|---|
-//! | [`experiments::table1`] | Table 1: data-set sizes and sequential times |
-//! | [`experiments::figure1`] | Figure 1: 8-processor speedups, regular apps |
-//! | `table2` (binary) | Table 2: message/data totals, regular apps |
-//! | [`experiments::figure2_table3`] | Figure 2 + Table 3: irregular apps |
-//! | [`experiments::handopt`] | §5 "Results of Hand Optimizations" |
-//! | [`experiments::interface_ablation`] | §2.3 fork-join interface ablation |
-//! | [`experiments::compiler_opt`] | conclusion: SPF vs SPF+CRI vs hand-coded MPL |
-//! | [`experiments::protocol_compare`] | LRC vs HLRC protocol comparison (extension) |
-//! | [`experiments::scaling`] | 1..8-processor scaling study (extension) |
-//! | `sweep` (binary) | simulator-throughput trajectory (`BENCH_sweep.json`) |
-//!
-//! Each function returns structured rows; the `report` module renders
-//! them as aligned text tables (and CSV) so the binaries under
-//! `src/bin/` print paper-shaped output. The full sweep is wired into
-//! `cargo run --release -p harness --bin all`.
+//! One binary, `dsm`: each table, figure and tool is a subcommand, listed
+//! with its summary, defaults and flags in [`cmd::COMMANDS`] (`dsm help`
+//! prints that table; `dsm all` runs its ten paper artifacts in order).
+//! The artifacts are backed by the functions of [`experiments`], which
+//! return structured rows; the `report` module renders them as aligned
+//! text tables (and CSV). `sweep` is [`bench_sweep`], `trace` is
+//! [`trace_analysis`], `analyze` is [`critical_path`], `races` is
+//! `treadmarks::race`. The full suite is
+//! `cargo run --release -p harness -- all`.
 //!
 //! Problem scale: experiments accept a `scale` (1.0 = paper sizes).
 //! Because virtual time is simulated, speedups are deterministic; small
@@ -26,6 +18,7 @@
 pub mod baseline;
 pub mod bench_sweep;
 pub mod cli;
+pub mod cmd;
 pub mod critical_path;
 pub mod experiments;
 pub mod json;

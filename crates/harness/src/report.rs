@@ -1,5 +1,5 @@
 //! Minimal aligned-text table rendering (plus CSV) for the experiment
-//! binaries.
+//! subcommands.
 
 /// A simple table: header plus rows of strings.
 #[derive(Clone, Debug, Default)]
@@ -83,6 +83,11 @@ pub fn f2(x: f64) -> String {
 /// Format a float with one decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
+}
+
+/// Format `part` as a percentage of `whole`, one decimal.
+pub fn pct(part: f64, whole: f64) -> String {
+    format!("{:.1}%", 100.0 * part / whole.max(f64::MIN_POSITIVE))
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use sp2sim::stats::ALL_KINDS;
 use sp2sim::{Category, EventKind, SpanKind, TraceData, TracePort, TrackTrace};
 
 use crate::critical_path::CriticalPath;
-use crate::json::Json;
+use crate::json::{obj, Json};
 
 /// Per-node four-way time attribution over the whole run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -286,10 +286,6 @@ fn op_label(op: u32) -> &'static str {
         op::REDUCE_LIST => "reduce-list",
         _ => "op?",
     }
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 fn base_event(name: String, ph: &str, ts: f64, pid: u32, tid: u32) -> Vec<(&'static str, Json)> {
@@ -576,7 +572,7 @@ pub fn validate_chrome_trace(v: &Json) -> Result<(), String> {
 
 /// Run one *extra* traced execution and write its Chrome trace to
 /// `path` — the `--trace-out` implementation shared by the experiment
-/// binaries. Tracing is enabled only on this side run, so the tables'
+/// subcommands. Tracing is enabled only on this side run, so the tables'
 /// wall-clock numbers stay tracing-free; the simulated numbers are
 /// identical either way (pinned by the trace-overhead gate test).
 /// Returns the exported event count.
