@@ -123,6 +123,22 @@ impl<'a> WordReader<'a> {
         f64::from_bits(self.get())
     }
 
+    /// Next word as the count of a count-prefixed list whose items take
+    /// at least `min_words` words each. A count is the one word of a
+    /// message that sizes an allocation, so it is held against what the
+    /// message can still carry before anything is reserved: a damaged
+    /// count panics here, like any over-read, instead of asking the
+    /// allocator for terabytes.
+    pub fn get_count(&mut self, min_words: usize) -> usize {
+        let k = self.get();
+        let left = self.remaining();
+        assert!(
+            k <= (left / min_words.max(1)) as u64,
+            "count {k} out of range for the {left} words left ({min_words} a piece)"
+        );
+        k as usize
+    }
+
     /// Next length-prefixed word slice (borrowed, zero-copy).
     pub fn get_words(&mut self) -> &'a [u64] {
         let n = self.get_usize();
@@ -232,6 +248,30 @@ mod tests {
         assert_eq!(r.take(3), &[9, 8, 7]);
         assert_eq!(r.get(), 2);
         assert!(r.take(0).is_empty());
+    }
+
+    #[test]
+    fn a_count_is_held_against_the_words_left() {
+        let buf = vec![2u64, 10, 11, 12, 13, 0];
+        let mut r = WordReader::new(&buf);
+        assert_eq!(r.get_count(2), 2, "two items of two words fit in five");
+        r.take(4);
+        assert_eq!(r.get_count(3), 0, "an empty list at the end of a message");
+        // Three items of two words do not fit in five.
+        let buf = vec![3u64, 10, 11, 12, 13, 14];
+        assert_eq!(WordReader::new(&buf).get_count(1), 3);
+        let lying = std::panic::catch_unwind(|| WordReader::new(&buf).get_count(2));
+        let msg = *lying.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            msg.contains("count 3 out of range for the 5 words"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_count_no_message_could_hold_panics_before_it_sizes_anything() {
+        WordReader::new(&[1 << 40, 7]).get_count(1);
     }
 
     #[test]

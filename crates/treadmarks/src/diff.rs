@@ -6,26 +6,129 @@
 //! words, so runs are word-granular — the same encoding at the granularity
 //! the applications actually write.
 //!
-//! The in-memory form **is** the wire form: one shared buffer
-//! `[nruns, (start << 32 | len), words…, (start << 32 | len), words…]`
-//! that [`Diff::create`] builds, [`Diff::encode`] appends to a message
-//! as is, [`Diff::decode`] copies back out of one, and [`Diff::apply`]
-//! walks. Cloning a diff — into a response, a home copy, a push — is a
-//! reference-count bump.
+//! A [`Diff`] is a **window**, not a copy: `(shared word buffer, offset,
+//! len)` over the wire encoding
+//! `[nruns, (start << 32 | len), words…, (start << 32 | len), words…]`,
+//! in a buffer it shares with its neighbours. Cloning one — into a
+//! response, a home copy, a push — is a reference-count bump; the words
+//! are written once where they are made and read where they land.
+//!
+//! ## Life cycle
+//!
+//! *twin → scratch → release buffer → message → window at the home →
+//! folded into the base at prune.*
+//!
+//! 1. **Twin → scratch.** A site that freezes pages opens a
+//!    [`DiffBatch`] and [`DiffBatch::push`]es each page against its twin.
+//!    The encodings are built side by side in one growing vector, the
+//!    per-thread scratch the batch took on opening.
+//! 2. **Scratch → release buffer.** [`DiffBatch::seal`] copies the
+//!    scratch into **one** exact-size shared allocation and hands the
+//!    scratch back; [`Sealed::window`] makes each page's `Diff` a window
+//!    onto it. A release (`publish`: every page of the new interval), a
+//!    push group (`do_pushes`: one target's pages) and a diff request
+//!    (`serve_page_req`: one request's entries) are one batch each; a
+//!    single page ([`Diff::create`]) is a batch of one; an unchanged
+//!    page is the process-wide empty diff and a batch of unchanged pages
+//!    allocates nothing.
+//! 3. **Release buffer → message.** [`Diff::encode`] appends the window's
+//!    words to a message as they are.
+//! 4. **Message → window.** The receiver wraps the payload it was handed
+//!    in a [`Landed`] (no copy: the `Vec` moves) and [`Diff::window`]
+//!    measures each diff in place — every header hop bounds-checked
+//!    against the message — yielding windows onto the payload. A diff
+//!    response, a validate response and a push apply them straight from
+//!    there and drop the message; a home keeps a flush's windows in
+//!    `HomePage::ranges`.
+//! 5. **Folded at prune.** `prune_home_copies` applies a range onto the
+//!    page's base image and drops the window; the last window gone frees
+//!    the message.
+//!
+//! ## What a window retains
+//!
+//! A window pins its **whole** buffer, so who holds windows for how long
+//! bounds memory:
+//!
+//! * an HLRC writer keeps one range per page, the newest
+//!   (`DsmState::freeze`), so at most the release buffers of the last
+//!   intervals that wrote each page stay alive — for a page written
+//!   every release, one;
+//! * the ranges of one home flush come from one interval of one writer:
+//!   they share one `hi`, so the rendezvous minimum clock that folds one
+//!   folds them all and the message dies whole;
+//! * an LRC response dies at apply (`apply_range` copies the words into
+//!   the frame); an LRC writer keeps its frozen history, as it always
+//!   did — one buffer per request served instead of one per page.
+//!
+//! ## Fibers
+//!
+//! The scratch is per OS thread, and all fibers of the sequential engine
+//! run on one: **seal before anything that can switch fibers** (a
+//! blocking receive, a rendezvous, a service join — sends do not
+//! switch). Every freeze site builds and seals inside one critical
+//! section of the state lock, which contains none of those. Breaking the
+//! rule costs speed, never words: an open batch *owns* the scratch
+//! vector (it took it out of the thread-local), so a second batch opened
+//! meanwhile starts on a fresh one.
 
-use std::cell::RefCell;
-use std::ops::Range;
+use std::cell::Cell;
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 use sp2sim::{WordReader, WordWriter};
 
+/// A received message's payload, shared by the windows decoded out of
+/// it. Wrapping moves the payload; nothing is copied.
+#[derive(Clone, Debug)]
+pub struct Landed(Arc<Vec<u64>>);
+
+impl Landed {
+    /// Take over `payload` (a packet's, handed over by value).
+    pub fn new(payload: Vec<u64>) -> Landed {
+        assert!(payload.len() <= u32::MAX as usize, "message too large");
+        Landed(Arc::new(payload))
+    }
+
+    /// A reader at the start of the payload.
+    pub fn reader(&self) -> WordReader<'_> {
+        WordReader::new(&self.0)
+    }
+}
+
+/// The buffer a window looks into.
+#[derive(Clone)]
+enum Words {
+    /// A release buffer: the diffs of one batch, sealed side by side
+    /// into one exact-size allocation.
+    Sealed(Arc<[u64]>),
+    /// A message, where it landed.
+    Landed(Landed),
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Sealed(words) => words,
+            Words::Landed(msg) => &msg.0,
+        }
+    }
+}
+
 /// A run-length encoding of the modifications made to one page: runs of
 /// consecutive modified words in increasing `start` order, non-adjacent.
-#[derive(Clone, Debug, PartialEq)]
+/// A window onto a buffer shared with the diffs made or received beside
+/// it (see the module docs).
+#[derive(Clone)]
 pub struct Diff {
-    /// The wire encoding. Always well formed: `enc[0]` run headers
-    /// follow, each with its `len` data words, and nothing else.
-    enc: Arc<[u64]>,
+    words: Words,
+    /// The window `words[off..off + len]` is the wire encoding. Always
+    /// well formed: `enc[0]` run headers follow, each with its `len`
+    /// data words, and nothing else.
+    off: u32,
+    len: u32,
 }
 
 impl Default for Diff {
@@ -35,16 +138,32 @@ impl Default for Diff {
         static EMPTY: OnceLock<Diff> = OnceLock::new();
         EMPTY
             .get_or_init(|| Diff {
-                enc: Arc::from([0u64]),
+                words: Words::Sealed(Arc::from([0u64])),
+                off: 0,
+                len: 1,
             })
             .clone()
     }
 }
 
+/// Diffs are equal when their encodings are, whatever buffers hold them.
+impl PartialEq for Diff {
+    fn eq(&self, other: &Diff) -> bool {
+        self.enc() == other.enc()
+    }
+}
+
+/// The window's own words, not the buffer around them.
+impl fmt::Debug for Diff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Diff").field("enc", &self.enc()).finish()
+    }
+}
+
 thread_local! {
-    /// Where [`Diff::create`] builds an encoding before it knows its
-    /// size; the finished diff is one exact-size copy of it.
-    static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Where a [`DiffBatch`] builds its encodings before their total
+    /// size is known. An open batch holds the vector; sealing returns it.
+    static SCRATCH: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 fn header(start: usize, len: usize) -> u64 {
@@ -108,37 +227,166 @@ fn next_run(old: &[u64], new: &[u64], from: usize) -> Option<Range<usize>> {
     Some(start..i)
 }
 
-impl Diff {
-    /// Compare `new` against its twin `old` and encode the changed words.
+/// Diffs under construction, side by side in the per-thread scratch: the
+/// write half of the life cycle in the module docs. Open one per freeze
+/// site, [`push`](DiffBatch::push) every page, [`seal`](DiffBatch::seal)
+/// before anything that can switch fibers.
+pub struct DiffBatch {
+    words: Vec<u64>,
+}
+
+/// Where one pushed diff sits in its batch; [`Sealed::window`] of the
+/// same batch turns it into the [`Diff`].
+#[derive(Clone, Copy, Debug)]
+pub struct Pending {
+    off: u32,
+    /// Encoded words; 0 for an unchanged page, which takes no room.
+    len: u32,
+    changed: u32,
+}
+
+impl Pending {
+    /// Total number of modified words ([`Diff::changed_words`] of the
+    /// diff this will be).
+    pub fn changed_words(&self) -> usize {
+        self.changed as usize
+    }
+}
+
+impl Default for DiffBatch {
+    fn default() -> DiffBatch {
+        DiffBatch::new()
+    }
+}
+
+impl DiffBatch {
+    /// An empty batch over this thread's scratch vector.
+    pub fn new() -> DiffBatch {
+        let mut words = SCRATCH.take();
+        words.clear();
+        DiffBatch { words }
+    }
+
+    /// Compare `new` against its twin `old` and encode the changed words
+    /// behind the diffs already in the batch.
     ///
     /// Both slices must be the same length (one page). The run structure
     /// produced by the chunked scan ([`next_run`]) is identical to a
     /// word-by-word scan — disjoint, ordered, non-adjacent runs — which
-    /// the property tests below pin.
-    pub fn create(old: &[u64], new: &[u64]) -> Diff {
+    /// the property tests below pin. Runs need a word between them, so a
+    /// page's encoding is at most `page words + 2` words (every other
+    /// word changed).
+    pub fn push(&mut self, old: &[u64], new: &[u64]) -> Pending {
         debug_assert_eq!(old.len(), new.len());
-        let Some(first) = next_run(old, new, 0) else {
-            return Diff::default();
-        };
-        SCRATCH.with_borrow_mut(|enc| {
-            enc.clear();
+        let enc = &mut self.words;
+        let at = enc.len();
+        let mut changed = 0;
+        let mut next = next_run(old, new, 0);
+        if next.is_some() {
             enc.push(0); // the run count, known at the end
-            let mut next = Some(first);
-            while let Some(run) = next {
-                enc[0] += 1;
-                enc.push(header(run.start, run.len()));
-                enc.extend_from_slice(&new[run.clone()]);
-                next = next_run(old, new, run.end);
-            }
-            Diff {
-                enc: Arc::from(&enc[..]),
-            }
-        })
+        }
+        while let Some(run) = next {
+            enc[at] += 1;
+            changed += run.len();
+            enc.push(header(run.start, run.len()));
+            enc.extend_from_slice(&new[run.clone()]);
+            next = next_run(old, new, run.end);
+        }
+        assert!(enc.len() <= u32::MAX as usize, "diff batch too large");
+        Pending {
+            off: at as u32,
+            len: (enc.len() - at) as u32,
+            changed: changed as u32,
+        }
+    }
+
+    /// Copy the batch into one exact-size shared allocation (none if no
+    /// page changed) and hand the scratch back to the thread.
+    pub fn seal(self) -> Sealed {
+        let words = (!self.words.is_empty()).then(|| Arc::from(&self.words[..]));
+        SCRATCH.set(self.words);
+        Sealed(words)
+    }
+}
+
+/// A sealed batch: the release buffer its diffs are windows onto.
+pub struct Sealed(Option<Arc<[u64]>>);
+
+impl Sealed {
+    /// The diff `pending` stood for, which must come from the batch that
+    /// was sealed into `self`.
+    pub fn window(&self, pending: Pending) -> Diff {
+        match &self.0 {
+            Some(words) if pending.len > 0 => Diff {
+                words: Words::Sealed(Arc::clone(words)),
+                off: pending.off,
+                len: pending.len,
+            },
+            _ => Diff::default(),
+        }
+    }
+}
+
+impl Diff {
+    /// Compare `new` against its twin `old` and encode the changed
+    /// words: a [`DiffBatch`] of one.
+    pub fn create(old: &[u64], new: &[u64]) -> Diff {
+        let mut batch = DiffBatch::new();
+        let pending = batch.push(old, new);
+        // The only window there will be takes the buffer over.
+        match batch.seal().0 {
+            Some(words) => Diff {
+                words: Words::Sealed(words),
+                off: pending.off,
+                len: pending.len,
+            },
+            None => Diff::default(),
+        }
+    }
+
+    /// The window onto the next diff of `msg`, which `r` must be reading
+    /// (the inverse of [`Diff::encode`], without the copy). The encoding
+    /// says where it ends only through its headers, so the decoder hops
+    /// them on a second cursor — every hop bounds-checked against the
+    /// message, so a truncated or lying payload panics there like any
+    /// over-read — and then steps `r` over the measured words.
+    pub fn window(msg: &Landed, r: &mut WordReader) -> Diff {
+        let off = msg.0.len() - r.remaining();
+        let mut ahead = r.clone();
+        let nruns = ahead.get();
+        for _ in 0..nruns {
+            let len = (ahead.get() & 0xFFFF_FFFF) as usize;
+            ahead.take(len);
+        }
+        let enc = r.take(r.remaining() - ahead.remaining());
+        assert!(
+            std::ptr::eq(enc, &msg.0[off..off + enc.len()]),
+            "the reader reads another message"
+        );
+        if nruns == 0 {
+            return Diff::default();
+        }
+        Diff {
+            words: Words::Landed(msg.clone()),
+            off: off as u32,
+            len: enc.len() as u32,
+        }
+    }
+
+    /// Do the two windows look into one buffer?
+    #[cfg(test)]
+    pub(crate) fn shares_buffer_with(&self, other: &Diff) -> bool {
+        std::ptr::eq(self.words.as_ptr(), other.words.as_ptr())
+    }
+
+    /// The wire encoding.
+    fn enc(&self) -> &[u64] {
+        &self.words[self.off as usize..][..self.len as usize]
     }
 
     /// The runs, in order: `(start, new values)`.
     fn runs(&self) -> impl Iterator<Item = (usize, &[u64])> {
-        let mut rest = &self.enc[1..];
+        let mut rest = &self.enc()[1..];
         std::iter::from_fn(move || {
             let (&header, tail) = rest.split_first()?;
             let (words, tail) = tail.split_at((header & 0xFFFF_FFFF) as usize);
@@ -156,12 +404,12 @@ impl Diff {
 
     /// Total number of modified words.
     pub fn changed_words(&self) -> usize {
-        self.enc.len() - 1 - self.enc[0] as usize
+        self.len as usize - 1 - self.enc()[0] as usize
     }
 
     /// `true` when nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.enc[0] == 0
+        self.enc()[0] == 0
     }
 
     /// Ascending page-relative indices of every modified word — the
@@ -178,34 +426,13 @@ impl Diff {
     /// Size of the wire encoding in words: one count word plus, per run,
     /// a header word and the data words.
     pub fn encoded_words(&self) -> usize {
-        self.enc.len()
+        self.len as usize
     }
 
     /// Serialize into a word stream. The encoding packs `(start, len)`
     /// into the run header word.
     pub fn encode(&self, w: &mut WordWriter) {
-        w.put_raw(&self.enc);
-    }
-
-    /// Inverse of [`Diff::encode`]. The encoding says where it ends only
-    /// through its headers, so the decoder hops them on a second cursor
-    /// — every hop bounds-checked against the message, so a truncated or
-    /// lying payload panics there like any over-read — and then takes
-    /// the measured words in one piece.
-    pub fn decode(r: &mut WordReader) -> Diff {
-        let mut ahead = r.clone();
-        let nruns = ahead.get();
-        for _ in 0..nruns {
-            let len = (ahead.get() & 0xFFFF_FFFF) as usize;
-            ahead.take(len);
-        }
-        let enc = r.take(r.remaining() - ahead.remaining());
-        if nruns == 0 {
-            return Diff::default();
-        }
-        Diff {
-            enc: Arc::from(enc),
-        }
+        w.put_raw(self.enc());
     }
 }
 
@@ -308,6 +535,22 @@ mod tests {
         w.finish()
     }
 
+    /// `buf` as a received message.
+    fn landed(buf: &[u64]) -> Landed {
+        Landed::new(buf.to_vec())
+    }
+
+    /// The first diff of the message `buf`, as a window onto it.
+    fn first_window(buf: &[u64]) -> Diff {
+        let msg = landed(buf);
+        let mut r = msg.reader();
+        Diff::window(&msg, &mut r)
+    }
+
+    fn share_a_buffer(a: &Diff, b: &Diff) -> bool {
+        a.shares_buffer_with(b)
+    }
+
     /// Everything the flat diff must share with the reference for one
     /// `(old, new)` pair.
     fn assert_matches_reference(old: &[u64], new: &[u64]) {
@@ -321,9 +564,10 @@ mod tests {
         assert_eq!(d.changed_words(), want.changed_words());
         assert_eq!(d.changed_positions(), want.changed_positions());
         assert_eq!(d.is_empty(), want.runs.is_empty());
-        // Either decoder reads the other's stream; decode(encode(d)) == d.
-        let mut r = WordReader::new(&stream);
-        assert_eq!(Diff::decode(&mut r), d);
+        // Either decoder reads the other's stream; window(encode(d)) == d.
+        let msg = landed(&stream);
+        let mut r = msg.reader();
+        assert_eq!(Diff::window(&msg, &mut r), d);
         assert!(r.is_exhausted());
         assert_eq!(RunDiff::decode(&mut WordReader::new(&encoded(&d))), want);
         // And both turn `old` into `new`.
@@ -377,8 +621,12 @@ mod tests {
         assert_eq!(d.changed_words(), 0);
         assert_eq!(d, Diff::default());
         assert!(
-            Arc::ptr_eq(&d.enc, &Diff::default().enc),
+            share_a_buffer(&d, &Diff::default()),
             "every empty diff is the one shared buffer"
+        );
+        assert!(
+            share_a_buffer(&first_window(&[0, 9]), &d),
+            "a received one too: it pins no message"
         );
     }
 
@@ -403,24 +651,34 @@ mod tests {
         let d = Diff::create(&old, &new);
         let buf = encoded(&d);
         assert_eq!(buf.len(), d.encoded_words());
-        let d2 = Diff::decode(&mut WordReader::new(&buf));
-        assert_eq!(d, d2);
+        assert_eq!(d, first_window(&buf));
     }
 
     #[test]
-    fn decode_consumes_exactly_one_diff() {
+    fn a_window_covers_exactly_one_diff() {
         let a = Diff::create(&[0, 0, 0], &[1, 0, 2]);
         let mut w = WordWriter::new();
         a.encode(&mut w);
         Diff::default().encode(&mut w);
         a.encode(&mut w);
         w.put(77);
-        let buf = w.finish();
-        let mut r = WordReader::new(&buf);
-        assert_eq!(Diff::decode(&mut r), a);
-        assert!(Diff::decode(&mut r).is_empty());
-        assert_eq!(Diff::decode(&mut r), a);
+        let msg = Landed::new(w.finish());
+        let mut r = msg.reader();
+        let first = Diff::window(&msg, &mut r);
+        assert_eq!(first, a);
+        assert!(Diff::window(&msg, &mut r).is_empty());
+        let third = Diff::window(&msg, &mut r);
+        assert_eq!(third, a);
         assert_eq!(r.get(), 77);
+        assert!(share_a_buffer(&first, &third) && !share_a_buffer(&first, &a));
+        assert_eq!((first.off, third.off), (0, first.len + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "another message")]
+    fn a_window_through_a_reader_of_another_message_panics() {
+        let buf = encoded(&Diff::create(&[0, 0], &[1, 0]));
+        Diff::window(&landed(&buf), &mut landed(&buf).reader());
     }
 
     #[test]
@@ -453,26 +711,80 @@ mod tests {
         assert_matches_reference(&[4], &[5]);
     }
 
+    /// Alternating words are the worst case: a run per changed word, a
+    /// header per run, and an odd page's extra run — `page words + 2`.
+    #[test]
+    fn the_longest_encoding_is_the_page_plus_two_words() {
+        for page in [1usize, 2, 7, 8, 511, 512] {
+            let old = vec![0u64; page];
+            let mut alt = old.clone();
+            for x in alt.iter_mut().step_by(2) {
+                *x = 1;
+            }
+            let d = Diff::create(&old, &alt);
+            assert_eq!(
+                d.encoded_words(),
+                1 + 2 * page.div_ceil(2),
+                "page of {page}"
+            );
+            assert!(d.encoded_words() <= page + 2);
+            let full = Diff::create(&old, &vec![1u64; page]);
+            assert_eq!(full.encoded_words(), page + 2);
+            // Equality is of encodings, not of buffers or places in them.
+            let mut batch = DiffBatch::new();
+            batch.push(&old, &alt);
+            let pending = batch.push(&old, &vec![1u64; page]);
+            let batched = batch.seal().window(pending);
+            assert!(batched == full && !share_a_buffer(&batched, &full));
+            assert_ne!(batched.off, full.off);
+            assert!(page == 1 || batched != d, "page of {page}");
+        }
+    }
+
+    /// An open batch owns the scratch: one opened meanwhile (another
+    /// fiber of the thread, were the seal-before-switching rule broken)
+    /// builds on a vector of its own, and neither sees the other's words.
+    #[test]
+    fn interleaved_batches_keep_their_words_apart() {
+        let (old, a, b) = ([0u64; 4], [1u64, 0, 0, 0], [0u64, 0, 2, 2]);
+        let mut first = DiffBatch::new();
+        let pa = first.push(&old, &a);
+        let mut second = DiffBatch::new();
+        let pb = second.push(&old, &b);
+        let pa2 = first.push(&old, &b);
+        let (first, second) = (first.seal(), second.seal());
+        assert_eq!(first.window(pa), Diff::create(&old, &a));
+        assert_eq!(first.window(pa2), Diff::create(&old, &b));
+        assert_eq!(second.window(pb), Diff::create(&old, &b));
+        // A batch of unchanged pages seals into nothing at all.
+        let mut idle = DiffBatch::new();
+        let p = idle.push(&old, &old);
+        assert_eq!(p.changed_words(), 0);
+        let sealed = idle.seal();
+        assert!(sealed.0.is_none());
+        assert!(share_a_buffer(&sealed.window(p), &Diff::default()));
+    }
+
     #[test]
     #[should_panic]
-    fn decode_of_a_truncated_payload_panics() {
+    fn a_window_onto_a_truncated_payload_panics() {
         let mut buf = encoded(&Diff::create(&[0; 8], &[0, 1, 1, 0, 0, 0, 2, 2]));
         buf.pop();
-        Diff::decode(&mut WordReader::new(&buf));
+        first_window(&buf);
     }
 
     #[test]
     #[should_panic]
-    fn decode_of_a_run_length_past_the_message_panics() {
+    fn a_run_length_past_the_message_panics() {
         // One run claiming five words; two follow.
-        Diff::decode(&mut WordReader::new(&[1, 5, 11, 12]));
+        first_window(&[1, 5, 11, 12]);
     }
 
     #[test]
     #[should_panic]
-    fn decode_of_a_run_count_past_the_message_panics() {
+    fn a_run_count_past_the_message_panics() {
         // Three runs claimed; the message ends after the first.
-        Diff::decode(&mut WordReader::new(&[3, 2 << 32 | 1, 7]));
+        first_window(&[3, 2 << 32 | 1, 7]);
     }
 
     #[test]
@@ -505,8 +817,7 @@ mod tests {
             // Encoding round-trips too.
             let buf = encoded(&d);
             prop_assert_eq!(buf.len(), d.encoded_words());
-            let d2 = Diff::decode(&mut WordReader::new(&buf));
-            prop_assert_eq!(d, d2);
+            prop_assert_eq!(d, first_window(&buf));
         }
 
         /// The flat diff and the run-by-run reference agree on the word
@@ -538,6 +849,86 @@ mod tests {
                     prop_assert!(start > e);
                 }
                 prev_end = Some(start + words.len());
+            }
+        }
+
+        /// A batch of pages frozen side by side: every window equals the
+        /// diff made on its own — and the reference — word for word;
+        /// the windows share one exact-size buffer; the same diffs
+        /// decoded as windows out of one message equal the originals;
+        /// and a window that outlives its neighbours keeps its words.
+        #[test]
+        fn prop_batched_and_landed_windows_match_standalone_diffs(
+            pages in prop::collection::vec(
+                (
+                    prop::collection::vec(0u64..4, 1..200),
+                    prop::collection::vec((0usize..200, 1u64..4), 0..80),
+                ),
+                1..8,
+            ),
+            keep in 0usize..8,
+        ) {
+            let pages: Vec<(Vec<u64>, Vec<u64>)> = pages
+                .into_iter()
+                .map(|(old, flips)| {
+                    let new = flipped(&old, flips);
+                    (old, new)
+                })
+                .collect();
+            let mut batch = DiffBatch::new();
+            let pending: Vec<Pending> =
+                pages.iter().map(|(old, new)| batch.push(old, new)).collect();
+            let sealed = batch.seal();
+            let mut windows: Vec<Diff> = pending.iter().map(|&p| sealed.window(p)).collect();
+            drop(sealed);
+            let mut message = WordWriter::new();
+            for (((old, new), d), p) in pages.iter().zip(&windows).zip(&pending) {
+                let alone = Diff::create(old, new);
+                let want = RunDiff::create(old, new);
+                let mut w = WordWriter::new();
+                want.encode(&mut w);
+                prop_assert_eq!(encoded(d), w.finish());
+                prop_assert_eq!(d, &alone);
+                prop_assert_eq!(d.encoded_words(), alone.encoded_words());
+                prop_assert!(d.encoded_words() <= old.len() + 2);
+                prop_assert_eq!(d.changed_words(), want.changed_words());
+                prop_assert_eq!(p.changed_words(), want.changed_words());
+                prop_assert_eq!(d.changed_positions(), want.changed_positions());
+                prop_assert_eq!(d.is_empty(), want.runs.is_empty());
+                let mut page = old.clone();
+                d.apply(&mut page);
+                prop_assert_eq!(&page, new);
+                d.encode(&mut message);
+            }
+            // One buffer for the batch, exactly as long as its diffs (an
+            // unchanged page is the shared empty diff and takes no room).
+            let changed: Vec<&Diff> = windows.iter().filter(|d| !d.is_empty()).collect();
+            for d in &changed {
+                prop_assert!(share_a_buffer(d, changed[0]));
+                prop_assert_eq!(
+                    d.words.len(),
+                    changed.iter().map(|d| d.encoded_words()).sum::<usize>()
+                );
+            }
+            for d in windows.iter().filter(|d| d.is_empty()) {
+                prop_assert!(share_a_buffer(d, &Diff::default()));
+            }
+            // The same diffs, read where one message landed.
+            let msg = Landed::new(message.finish());
+            let mut r = msg.reader();
+            let landed: Vec<Diff> = pages.iter().map(|_| Diff::window(&msg, &mut r)).collect();
+            prop_assert!(r.is_exhausted());
+            drop(msg);
+            prop_assert_eq!(&landed, &windows);
+            // Drop every window but one, on both sides: its words stay.
+            let keep = keep % windows.len();
+            let (kept, kept_landed) = (windows.swap_remove(keep), landed[keep].clone());
+            drop((windows, landed));
+            let (old, new) = &pages[keep];
+            for d in [kept, kept_landed] {
+                let mut page = old.clone();
+                d.apply(&mut page);
+                prop_assert_eq!(&page, new);
             }
         }
     }

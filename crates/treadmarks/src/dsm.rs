@@ -17,7 +17,7 @@ use parking_lot::{Mutex, MutexGuard};
 use sp2sim::{MsgKind, Node, Port, ServiceHandle, SpanKind, WordReader, WordWriter};
 
 use crate::config::{ProtocolMode, TmkConfig};
-use crate::diff::Diff;
+use crate::diff::{Diff, Landed};
 use crate::page::Window;
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag, DiffReqEntry};
@@ -77,6 +77,39 @@ impl SharedArray {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
+
+/// Add the entries of the diff (or validate) response `payload` from
+/// `writer` to `entries`: the payload moves into a [`Landed`] and every
+/// entry's diff is a window onto it.
+fn collect_diff_entries(
+    writer: usize,
+    payload: Vec<u64>,
+    entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
+) {
+    let msg = Landed::new(payload);
+    let mut r = msg.reader();
+    entries.extend(protocol::decode_diff_entries(&msg, &mut r).map(|e| (writer, e)));
+}
+
+/// Apply fetched diff ranges `(writer, entry)` in `(lamport, writer)`
+/// order — a linear extension of happens-before — skipping what the
+/// frame already holds. Returns the time to charge.
+fn apply_fetched(
+    st: &mut DsmState,
+    entries: &mut [(usize, protocol::DiffRespEntry)],
+    cost: &sp2sim::CostModel,
+) -> f64 {
+    entries.sort_by_key(|(w, e)| (e.lamport, *w));
+    let mut us = 0.0;
+    for (writer, e) in entries.iter() {
+        if e.hi <= st.applied_seq(e.page, *writer) {
+            continue; // stale range overlap; already incorporated
+        }
+        st.apply_range(e.page, *writer, e.hi, &e.diff);
+        us += cost.diff_apply_us(e.diff.encoded_words());
+    }
+    us
 }
 
 /// One node's TreadMarks instance.
@@ -233,7 +266,7 @@ impl<'n> Tmk<'n> {
         let mut st = self.state.lock();
         let mut installed = Vec::new();
         for &(page, home) in candidates {
-            if st.dirty.contains(&page) {
+            if st.is_dirty(page) {
                 continue;
             }
             if st.set_home(page, home) {
@@ -288,9 +321,13 @@ impl<'n> Tmk<'n> {
                 _ => &[],
             };
             let seq = st.vc[me];
+            // One batch, one buffer for the whole release; the charges
+            // add up page by page as they always did.
+            st.freeze_all(flushed.iter().map(|&p| (p, seq)), cost, |page_us| {
+                us += page_us
+            });
             for &p in flushed {
                 let home = st.home_of(p);
-                us += st.freeze(p, seq, cost);
                 let newest = st.newest_frozen(p, seq).cloned();
                 trace!(
                     "[{me}] publish: page {p} seq {seq} home {home} range {:?}",
@@ -493,21 +530,10 @@ impl<'n> Tmk<'n> {
         for (writer, req_id) in outstanding {
             let t = tag::VALIDATE_RESP | (req_id & 0xFFFF);
             let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
-            let mut r = WordReader::new(&pkt.payload);
-            for e in protocol::decode_diff_entries(&mut r) {
-                entries.push((writer, e));
-            }
+            collect_diff_entries(writer, pkt.payload, &mut entries);
         }
-        entries.sort_by_key(|(w, e)| (e.lamport, *w));
         let mut st = self.state.lock();
-        let mut us = 0.0;
-        for (writer, e) in &entries {
-            if e.hi <= st.applied_seq(e.page, *writer) {
-                continue;
-            }
-            st.apply_range(e.page, *writer, e.hi, &e.diff);
-            us += cost.diff_apply_us(e.diff.encoded_words());
-        }
+        let us = apply_fetched(&mut st, &mut entries, cost);
         drop(st);
         if us > 0.0 {
             let _a = self.node.trace_span(SpanKind::DiffApply, 0);
@@ -635,26 +661,15 @@ impl<'n> Tmk<'n> {
                 );
                 let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
                 trace!("[{}] diff-req {} got", self.proc_id(), req_id);
-                let mut r = WordReader::new(&pkt.payload);
-                for e in protocol::decode_diff_entries(&mut r) {
-                    entries.push((writer, e));
-                }
+                collect_diff_entries(writer, pkt.payload, &mut entries);
             }
         }
 
         // Phase 3: apply in (lamport, writer) order — a linear extension
         // of happens-before — then write-enable.
-        entries.sort_by_key(|(w, e)| (e.lamport, *w));
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let mut us = 0.0;
-        for (writer, e) in &entries {
-            if e.hi <= st.applied_seq(e.page, *writer) {
-                continue; // stale range overlap; already incorporated
-            }
-            st.apply_range(e.page, *writer, e.hi, &e.diff);
-            us += cost.diff_apply_us(e.diff.encoded_words());
-        }
+        let mut us = apply_fetched(st, &mut entries, cost);
         if write {
             for p in p0..=p1 {
                 // A page without a twin takes a write fault: the twin is
@@ -676,7 +691,7 @@ impl<'n> Tmk<'n> {
                     st.stats.faults += 1;
                     st.stats.twins += 1;
                 }
-                st.dirty.insert(p);
+                st.mark_dirty(p);
             }
         }
         if us > 0.0 {
@@ -729,37 +744,42 @@ impl<'n> Tmk<'n> {
                 }
             }
         }
-        let mut incoming: Vec<protocol::PageRespEntry> = Vec::new();
-        for (home, req_id) in outstanding {
-            let t = tag::PAGE_RESP | (req_id & 0xFFFF);
-            trace!("[{}] page-req {} -> {} wait", self.proc_id(), req_id, home);
-            let pkt = self.node.recv_match(|p| p.src == home && p.tag == t);
-            trace!("[{}] page-req {} got", self.proc_id(), req_id);
-            let mut r = WordReader::new(&pkt.payload);
-            incoming.extend(protocol::decode_page_resp(&mut r, self.nprocs(), pw));
-        }
+        // The responses stay where they landed until every one is in;
+        // each page is then copied once, from its payload into the frame.
+        let responses: Vec<sp2sim::Packet> = outstanding
+            .into_iter()
+            .map(|(home, req_id)| {
+                let t = tag::PAGE_RESP | (req_id & 0xFFFF);
+                trace!("[{}] page-req {} -> {} wait", self.proc_id(), req_id, home);
+                let pkt = self.node.recv_match(|p| p.src == home && p.tag == t);
+                trace!("[{}] page-req {} got", self.proc_id(), req_id);
+                pkt
+            })
+            .collect();
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mut us = 0.0;
-        for e in incoming {
-            let mut frame = st.frames.frame_mut(e.page);
-            if let Some(twin) = frame.meta.twin.take() {
-                // The page is write-enabled with local in-progress
-                // modifications: reinstall them on top of the home's
-                // copy, and re-twin at the home's copy so the eventual
-                // diff still captures exactly the local delta.
-                let local = Diff::create(&twin, frame.data);
-                st.scratch.put(twin, &mut st.stats);
-                frame.data.copy_from_slice(&e.data);
-                frame.meta.twin = Some(e.data);
-                local.apply(frame.data);
-            } else {
-                frame.data.copy_from_slice(&e.data);
+        for pkt in &responses {
+            let mut r = WordReader::new(&pkt.payload);
+            for e in protocol::decode_page_resp(&mut r, self.nprocs(), pw) {
+                let mut frame = st.frames.frame_mut(e.page);
+                if let Some(twin) = &mut frame.meta.twin {
+                    // The page is write-enabled with local in-progress
+                    // modifications: reinstall them on top of the home's
+                    // copy, and re-twin at the home's copy so the eventual
+                    // diff still captures exactly the local delta.
+                    let local = Diff::create(twin, frame.data);
+                    frame.data.copy_from_slice(e.data);
+                    twin.copy_from_slice(e.data);
+                    local.apply(frame.data);
+                } else {
+                    frame.data.copy_from_slice(e.data);
+                }
+                frame.raise_applied(e.applied());
+                st.stats.page_fetches += 1;
+                st.pages.row(e.page).prof.page_fetches += 1;
+                us += cost.diff_apply_us(pw);
             }
-            frame.raise_applied(&e.applied);
-            st.stats.page_fetches += 1;
-            st.pages.row(e.page).prof.page_fetches += 1;
-            us += cost.diff_apply_us(pw);
         }
         drop(guard);
         if us > 0.0 {
@@ -812,22 +832,7 @@ impl<'n> Tmk<'n> {
 
         // Send registered pushes before arriving.
         let push_counts = self.do_pushes();
-
-        let (vc, ivs) = {
-            let mut st = self.state.lock();
-            (st.vc.clone(), st.take_unreported())
-        };
-        let payload = protocol::encode_arrival(
-            op::BARRIER_ARRIVE,
-            epoch,
-            self.proc_id(),
-            &push_counts,
-            &vc,
-            &ivs,
-        );
-        self.node
-            .endpoint()
-            .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
+        self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
 
         let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
         trace!("[{}] barrier {} wait-dep", self.proc_id(), e);
@@ -849,6 +854,27 @@ impl<'n> Tmk<'n> {
         self.mark_trace_epoch();
     }
 
+    /// Arrive at the manager for `epoch`: this node's clock and the
+    /// intervals it has not yet reported, encoded from the state where
+    /// they live, under one lock.
+    fn send_arrival(&self, opcode: u64, epoch: u64, push_counts: &[u64]) {
+        let payload = {
+            let mut st = self.state.lock();
+            let unreported = st.take_unreported();
+            protocol::encode_arrival(
+                opcode,
+                epoch,
+                st.me,
+                push_counts,
+                &st.vc,
+                &st.log[st.me][unreported],
+            )
+        };
+        self.node
+            .endpoint()
+            .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
+    }
+
     /// Acquire a lock (`Tmk_lock_acquire`). Managed by node `lock % n`;
     /// the request is forwarded to the last holder, whose grant carries
     /// the write notices the acquirer has not seen.
@@ -857,11 +883,12 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::LockWait, lock);
         let me = self.proc_id();
         let mgr = lock as usize % self.nprocs();
-        let target = {
+        let t0 = self.node.now();
+        let dst = {
             let mut st = self.state.lock();
             st.stats.lock_acquires += 1;
             st.lock_prof.entry(lock).or_default().acquires += 1;
-            if mgr == me {
+            let dst = if mgr == me {
                 // Manager-local request: consult the ownership table
                 // directly (no message to ourselves).
                 let owner = *st.lock_owner.get(&lock).unwrap_or(&me);
@@ -879,32 +906,38 @@ impl<'n> Tmk<'n> {
                     lp.record_rest();
                     return;
                 }
-                Some((owner, st.vc.clone()))
+                owner
             } else {
-                Some((mgr, st.vc.clone()))
-            }
-        };
-        if let Some((dst, vc)) = target {
-            let t0 = self.node.now();
-            let payload = protocol::encode_lock_req(lock, me, &vc);
+                mgr
+            };
+            // Sent under the lock that read the ownership table: the
+            // manager's service thread forwards requests under it too
+            // (`service::handle_lock_req`), so the requests the manager
+            // node directs at one holder reach it in the order the table
+            // serialized them. Were our request to overtake a request of
+            // the holder's own, forwarded back to it a moment earlier,
+            // the holder would grant us the token and then find its own
+            // request "self-directed" without one.
+            let payload = protocol::encode_lock_req(lock, me, &st.vc);
             self.node
                 .endpoint()
                 .send_to_port(dst, Port::Service, 0, MsgKind::LockReq, payload);
-            let t = tag::LOCK_GRANT | lock;
-            trace!("[{me}] acquire {lock} -> {dst} wait-grant");
-            let pkt = self.node.recv_match(|p| p.tag == t);
-            trace!("[{me}] acquire {lock} granted");
-            let mut r = WordReader::new(&pkt.payload);
-            let intervals = crate::interval::decode_intervals(&mut r);
-            let mut st = self.state.lock();
-            st.lock_prof.entry(lock).or_default().wait_us += self.node.now() - t0;
-            for iv in intervals {
-                st.integrate_interval(iv);
-            }
-            let lk = st.lock_entry(lock);
-            lk.has_token = true;
-            lk.held = true;
+            dst
+        };
+        let t = tag::LOCK_GRANT | lock;
+        trace!("[{me}] acquire {lock} -> {dst} wait-grant");
+        let pkt = self.node.recv_match(|p| p.tag == t);
+        trace!("[{me}] acquire {lock} granted");
+        let mut r = WordReader::new(&pkt.payload);
+        let intervals = crate::interval::decode_intervals(&mut r);
+        let mut st = self.state.lock();
+        st.lock_prof.entry(lock).or_default().wait_us += self.node.now() - t0;
+        for iv in intervals {
+            st.integrate_interval(iv);
         }
+        let lk = st.lock_entry(lock);
+        lk.has_token = true;
+        lk.held = true;
     }
 
     /// Release a lock (`Tmk_lock_release`). Performs the release-side
@@ -961,11 +994,9 @@ impl<'n> Tmk<'n> {
         // Registered pushes ride the dispatch: the workers learn how many
         // to expect from the fork departure.
         let push_counts = self.do_pushes();
-        let mut w = WordWriter::with_capacity(4 + push_counts.len() + ctl.len());
+        let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
         w.put(op::MASTER_FORK).put(e).put(flag_bits);
-        for &c in &push_counts {
-            w.put(c);
-        }
+        protocol::put_push_counts(&mut w, &push_counts, self.nprocs());
         w.put_words(ctl);
         self.node
             .endpoint()
@@ -1021,21 +1052,7 @@ impl<'n> Tmk<'n> {
         // Pushes registered after the previous loop body ride the
         // rendezvous, exactly like the barrier-time pushes.
         let push_counts = self.do_pushes();
-        let (vc, ivs) = {
-            let mut st = self.state.lock();
-            (st.vc.clone(), st.take_unreported())
-        };
-        let payload = protocol::encode_arrival(
-            op::WORKER_ARRIVE,
-            e,
-            self.proc_id(),
-            &push_counts,
-            &vc,
-            &ivs,
-        );
-        self.node
-            .endpoint()
-            .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
+        self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
         let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
         trace!("[{}] worker_wait {} wait-dep", self.proc_id(), e);
         let pkt = self.node.recv_match(|p| p.tag == t);
@@ -1097,7 +1114,9 @@ impl<'n> Tmk<'n> {
 
     /// Execute registered pushes (called at the synchronization
     /// rendezvous, after the flush). Returns the per-destination message
-    /// counts for the arrival.
+    /// counts for the arrival — no vector at all when nothing was
+    /// registered, which the encoders write as a zero per node
+    /// ([`protocol::put_push_counts`]).
     ///
     /// Under LRC a push carries the producer's newest frozen diff range
     /// per page. Under HLRC that range alone is useless to a consumer
@@ -1114,29 +1133,33 @@ impl<'n> Tmk<'n> {
     fn do_pushes(&self) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let n = self.nprocs();
-        let mut counts = vec![0u64; n];
         let mut pending = {
             let mut st = self.state.lock();
             if st.pending_push.is_empty() {
-                return counts;
+                return Vec::new();
             }
             std::mem::take(&mut st.pending_push)
         };
+        let mut counts = vec![0u64; n];
         // Group by target, pages ascending; several hinted accesses may
         // name one page.
         pending.sort_unstable();
         pending.dedup();
         let cost = self.node.cost();
         let hlrc = self.hlrc();
+        let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
         for group in pending.chunk_by(|a, b| a.0 == b.0) {
             let target = group[0].0;
-            let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
+            diffs.clear();
             let mut us = 0.0;
             let payload = {
                 let mut st = self.state.lock();
+                let last = st.vc[st.me];
+                // One batch, one buffer for the target's pages.
+                st.freeze_all(group.iter().map(|&(_, p)| (p, last)), cost, |page_us| {
+                    us += page_us
+                });
                 for &(_, p) in group {
-                    let last = st.vc[st.me];
-                    us += st.freeze(p, last, cost);
                     if let Some(r) = st.newest_frozen(p, last).cloned() {
                         st.stats.pages_pushed += 1;
                         diffs.push((p, r));
@@ -1196,20 +1219,24 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::PushRecv, expected as u32);
         let cost = self.node.cost();
         let pw = self.cfg.page_words;
+        // The messages stay where they landed until the last page is
+        // installed: the diffs are windows onto them, the page copies
+        // borrowed walks over their tails.
+        let pushes: Vec<(usize, Landed)> = (0..expected)
+            .map(|_| {
+                let pkt = self.node.recv_match(|p| p.tag == tag::PUSH);
+                (pkt.src, Landed::new(pkt.payload))
+            })
+            .collect();
         let mut all: Vec<(usize, protocol::DiffRespEntry)> = Vec::new();
         let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
-        for _ in 0..expected {
-            let pkt = self.node.recv_match(|p| p.tag == tag::PUSH);
-            let mut r = WordReader::new(&pkt.payload);
+        for (src, msg) in &pushes {
+            let mut r = msg.reader();
             let mode = r.get();
-            for e in protocol::decode_diff_entries(&mut r) {
-                all.push((pkt.src, e));
-            }
+            all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (*src, e)));
             if mode == PUSH_MODE_PAGES {
                 page_pushes.extend(
-                    protocol::decode_page_resp(&mut r, self.nprocs(), pw)
-                        .into_iter()
-                        .map(|e| (pkt.src, e)),
+                    protocol::decode_page_resp(&mut r, self.nprocs(), pw).map(|e| (*src, e)),
                 );
             }
         }
@@ -1284,7 +1311,7 @@ impl<'n> Tmk<'n> {
             if st
                 .frames
                 .applied(e.page)
-                .is_some_and(|mine| mine.iter().zip(&e.applied).any(|(mine, p)| p < mine))
+                .is_some_and(|mine| mine.iter().zip(e.applied()).any(|(mine, p)| p < *mine))
             {
                 trace!(
                     "[{}] push-recv: dropping dominated page push {}",
@@ -1294,7 +1321,7 @@ impl<'n> Tmk<'n> {
                 continue;
             }
             debug_assert!(
-                !st.dirty.contains(&e.page),
+                !st.is_dirty(e.page),
                 "page pushes are consumed at a rendezvous, after the flush"
             );
             // Materialize our pending diff, if any, against the pre-push
@@ -1304,8 +1331,8 @@ impl<'n> Tmk<'n> {
             if let Some(t) = frame.meta.twin.take() {
                 st.scratch.put(t, &mut st.stats);
             }
-            frame.data.copy_from_slice(&e.data);
-            frame.raise_applied(&e.applied);
+            frame.data.copy_from_slice(e.data);
+            frame.raise_applied(e.applied());
             us += cost.diff_apply_us(pw);
         }
         drop(guard);
@@ -1517,7 +1544,7 @@ impl<'n> Tmk<'n> {
             for p in p0..=p1 {
                 let applied = st.frames.applied(p).expect("root owns the pages");
                 let data = st.frames.data(p).expect("root owns the pages");
-                debug_assert!(!st.dirty.contains(&p), "root must not have open writes");
+                debug_assert!(!st.is_dirty(p), "root must not have open writes");
                 protocol::encode_page_entry(&mut w, p, applied, data);
             }
             w.finish()
@@ -1551,16 +1578,13 @@ impl<'n> Tmk<'n> {
 
         if me != root {
             let mut r = WordReader::new(&payload);
-            let npages = r.get_usize();
             let mut st = self.state.lock();
             let mut us = 0.0;
-            for _ in 0..npages {
-                let p = r.get_usize();
-                let applied: Vec<u32> = (0..n).map(|_| r.get() as u32).collect();
-                let mut frame = st.frames.frame_mut(p);
+            for e in protocol::decode_page_resp(&mut r, n, pw) {
+                let mut frame = st.frames.frame_mut(e.page);
                 debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
-                frame.data.copy_from_slice(r.take(pw));
-                frame.raise_applied(&applied);
+                frame.data.copy_from_slice(e.data);
+                frame.raise_applied(e.applied());
                 st.stats.pages_broadcast += 1;
                 us += cost.diff_apply_us(pw);
             }

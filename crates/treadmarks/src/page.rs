@@ -96,6 +96,10 @@ pub struct PageMeta {
     /// the *next* epoch's writes, and leaking them backward diverges
     /// readers that are virtually ordered before those writes.
     pub published: Option<Vec<u64>>,
+    /// Written since the node's last flush: the page is on
+    /// `DsmState`'s dirty list, once. Raised by `DsmState::mark_dirty`
+    /// at a write fault, lowered by `DsmState::flush`.
+    pub dirty: bool,
 }
 
 /// A node's cached copy of one shared page: a page-sized window into its
@@ -135,8 +139,8 @@ impl Frame<'_> {
     }
 
     /// Raise the per-writer watermarks to at least `other`.
-    pub fn raise_applied(&mut self, other: &[u32]) {
-        for (a, &b) in self.applied.iter_mut().zip(other) {
+    pub fn raise_applied(&mut self, other: impl IntoIterator<Item = u32>) {
+        for (a, b) in self.applied.iter_mut().zip(other) {
             if b > *a {
                 *a = b;
             }
@@ -316,8 +320,7 @@ impl FrameStore {
         Some(&self.extents[i].applied[k * self.nprocs..(k + 1) * self.nprocs])
     }
 
-    /// Twin and published image of `page`, if it has a frame.
-    #[cfg(test)]
+    /// Twin, published image and dirty flag of `page`, if it has a frame.
     pub(crate) fn meta(&self, page: PageId) -> Option<&PageMeta> {
         let (i, k) = self.locate(page).ok()?;
         Some(&self.extents[i].meta[k])

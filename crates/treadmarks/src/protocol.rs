@@ -6,7 +6,7 @@
 
 use sp2sim::{WordReader, WordWriter};
 
-use crate::diff::Diff;
+use crate::diff::{Diff, Landed};
 use crate::interval::{decode_intervals, encode_intervals, intervals_words, Interval};
 use crate::page::PageId;
 use crate::state::DiffRange;
@@ -133,21 +133,29 @@ pub fn encode_page_req(
     w.finish()
 }
 
-/// Decode the body of a diff request (after the opcode word).
-pub fn decode_diff_req(r: &mut WordReader) -> (u32, usize, Vec<DiffReqEntry>) {
+/// Decode the body of a diff request (after the opcode word):
+/// `(req_id, requester, entries)`, the entries read where they landed —
+/// the server walks them once to freeze and once to answer, so the
+/// iterator is `Clone`.
+pub fn decode_diff_req<'a>(
+    r: &mut WordReader<'a>,
+) -> (
+    u32,
+    usize,
+    impl ExactSizeIterator<Item = DiffReqEntry> + Clone + 'a,
+) {
     let req_id = r.get() as u32;
     let requester = r.get_usize();
-    let n = r.get_usize();
-    let entries = (0..n)
-        .map(|_| DiffReqEntry {
-            page: r.get_usize(),
-            first_needed: r.get() as u32,
-        })
-        .collect();
+    let n = r.get_count(2);
+    let entries = r.take(2 * n).chunks_exact(2).map(|e| DiffReqEntry {
+        page: e[0] as usize,
+        first_needed: e[1] as u32,
+    });
     (req_id, requester, entries)
 }
 
-/// One entry of a diff response or push: a frozen diff range for a page.
+/// One entry of a diff response, push or home flush: a frozen diff range
+/// for a page, its diff a window onto the message it came in.
 #[derive(Clone, Debug)]
 pub struct DiffRespEntry {
     /// The page.
@@ -196,25 +204,23 @@ pub fn encode_diff_entries(w: &mut WordWriter, entries: &[(PageId, DiffRange)]) 
     }
 }
 
-/// Decode diff-response/push entries.
-pub fn decode_diff_entries(r: &mut WordReader) -> Vec<DiffRespEntry> {
-    let n = r.get_usize();
-    (0..n)
-        .map(|_| {
-            let page = r.get_usize();
-            let lo = r.get() as u32;
-            let hi = r.get() as u32;
-            let lamport = r.get();
-            let diff = Diff::decode(r);
-            DiffRespEntry {
-                page,
-                lo,
-                hi,
-                lamport,
-                diff,
-            }
-        })
-        .collect()
+/// Walk the diff-response/push/home-flush entries of `msg`, which `r`
+/// is reading: nothing is copied, every diff is a window onto `msg`
+/// ([`Diff::window`]). The one decode path of every message that
+/// carries diffs. The count is held against the words left (an entry is
+/// at least five) before the walk starts.
+pub fn decode_diff_entries<'r, 'a>(
+    msg: &'r Landed,
+    r: &'r mut WordReader<'a>,
+) -> impl Iterator<Item = DiffRespEntry> + use<'r, 'a> {
+    let n = r.get_count(5);
+    (0..n).map(move |_| DiffRespEntry {
+        page: r.get_usize(),
+        lo: r.get() as u32,
+        hi: r.get() as u32,
+        lamport: r.get(),
+        diff: Diff::window(msg, r),
+    })
 }
 
 /// Encode a lock request.
@@ -231,8 +237,19 @@ pub fn encode_lock_req(lock: u32, requester: usize, vc: &Vc) -> Vec<u64> {
 pub fn decode_lock_req(r: &mut WordReader, n: usize) -> (u32, usize, Vc) {
     let lock = r.get() as u32;
     let requester = r.get_usize();
-    let vc = (0..n).map(|_| r.get() as u32).collect();
-    (lock, requester, vc)
+    (lock, requester, take_u32s(r, n))
+}
+
+/// The next `n` words as `u32`s (a vector clock, a watermark row): taken
+/// from the message in one bounds-checked piece before the vector is
+/// sized.
+fn take_u32s(r: &mut WordReader, n: usize) -> Vec<u32> {
+    r.take(n).iter().map(|&x| x as u32).collect()
+}
+
+/// The next `n` words as `f64` bit patterns, taken like [`take_u32s`].
+fn take_f64s(r: &mut WordReader, n: usize) -> Vec<f64> {
+    r.take(n).iter().map(|&x| f64::from_bits(x)).collect()
 }
 
 /// Encode a lock grant: the intervals the requester has not seen.
@@ -242,26 +259,39 @@ pub fn encode_lock_grant(intervals: &[std::sync::Arc<Interval>]) -> Vec<u64> {
     w.finish()
 }
 
-/// Encode a barrier/worker arrival.
+/// Encode a barrier/worker arrival. `push_counts` holds one count per
+/// node, or nothing at all when the node pushed nothing: the wire
+/// carries a zero per node either way.
 pub fn encode_arrival(
     opcode: u64,
     epoch: u64,
     src: usize,
     push_counts: &[u64],
-    vc: &Vc,
+    vc: &[u32],
     intervals: &[std::sync::Arc<Interval>],
 ) -> Vec<u64> {
-    let mut w =
-        WordWriter::with_capacity(3 + push_counts.len() + vc.len() + intervals_words(intervals));
+    debug_assert!(push_counts.is_empty() || push_counts.len() == vc.len());
+    let mut w = WordWriter::with_capacity(3 + 2 * vc.len() + intervals_words(intervals));
     w.put(opcode).put(epoch).put_usize(src);
-    for &c in push_counts {
-        w.put(c);
-    }
+    put_push_counts(&mut w, push_counts, vc.len());
     for &x in vc {
         w.put(x as u64);
     }
     encode_intervals(&mut w, intervals);
     w.finish()
+}
+
+/// Append the per-destination push counts of an arrival or a fork: the
+/// `n` counts, or `n` zeros for the empty slice of a node that pushed
+/// nothing (which then never builds the all-zero vector).
+pub fn put_push_counts(w: &mut WordWriter, push_counts: &[u64], n: usize) {
+    if push_counts.is_empty() {
+        for _ in 0..n {
+            w.put(0);
+        }
+    } else {
+        w.put_raw(push_counts);
+    }
 }
 
 /// Decoded arrival.
@@ -282,8 +312,8 @@ pub struct Arrival {
 pub fn decode_arrival(r: &mut WordReader, n: usize) -> Arrival {
     let epoch = r.get();
     let src = r.get_usize();
-    let push_counts = (0..n).map(|_| r.get()).collect();
-    let vc = (0..n).map(|_| r.get() as u32).collect();
+    let push_counts = r.take(n).to_vec();
+    let vc = take_u32s(r, n);
     let intervals = decode_intervals(r);
     Arrival {
         epoch,
@@ -305,8 +335,8 @@ pub fn encode_vc_words(w: &mut WordWriter, vc: &[u32]) {
 
 /// Decode a count-prefixed watermark list.
 pub fn decode_vc_words(r: &mut WordReader) -> Vec<u32> {
-    let k = r.get_usize();
-    (0..k).map(|_| r.get() as u32).collect()
+    let k = r.get_count(1);
+    take_u32s(r, k)
 }
 
 /// Encode a departure (barrier or fork). `min_vc` is the componentwise
@@ -386,9 +416,8 @@ pub fn decode_reduce_part(r: &mut WordReader) -> (u32, usize, u64, Vec<f64>) {
     let seq = r.get() as u32;
     let src = r.get_usize();
     let op_code = r.get();
-    let k = r.get_usize();
-    let vals = (0..k).map(|_| f64::from_bits(r.get())).collect();
-    (seq, src, op_code, vals)
+    let k = r.get_count(1);
+    (seq, src, op_code, take_f64s(r, k))
 }
 
 /// Encode a reduction result (application-port message: the combined
@@ -405,8 +434,8 @@ pub fn encode_reduce_vals(vals: &[f64]) -> Vec<u64> {
 
 /// Decode a reduction result.
 pub fn decode_reduce_vals(r: &mut WordReader) -> Vec<f64> {
-    let k = r.get_usize();
-    (0..k).map(|_| f64::from_bits(r.get())).collect()
+    let k = r.get_count(1);
+    take_f64s(r, k)
 }
 
 /// One node's contribution to a windowed ordered reduction: the element
@@ -454,18 +483,18 @@ pub fn encode_reduce_list(seq: u32, src: usize, windows: &[ReduceWindow]) -> Vec
 pub fn decode_reduce_list(r: &mut WordReader) -> (u32, usize, Vec<ReduceWindow>) {
     let seq = r.get() as u32;
     let src = r.get_usize();
-    let k = r.get_usize();
+    let k = r.get_count(5);
     let windows = (0..k)
         .map(|_| {
             let node = r.get_usize();
             let lo = r.get_usize();
             let need_lo = r.get_usize();
             let need_hi = r.get_usize();
-            let len = r.get_usize();
+            let len = r.get_count(1);
             ReduceWindow {
                 node,
                 lo,
-                vals: (0..len).map(|_| f64::from_bits(r.get())).collect(),
+                vals: take_f64s(r, len),
                 need_lo,
                 need_hi,
             }
@@ -488,8 +517,8 @@ pub fn encode_reduce_slice(lo: usize, vals: &[f64]) -> Vec<u64> {
 /// Decode a windowed-reduction result slice: `(lo, vals)`.
 pub fn decode_reduce_slice(r: &mut WordReader) -> (usize, Vec<f64>) {
     let lo = r.get_usize();
-    let k = r.get_usize();
-    (lo, (0..k).map(|_| f64::from_bits(r.get())).collect())
+    let k = r.get_count(1);
+    (lo, take_f64s(r, k))
 }
 
 /// Encode an HLRC home flush: the writer's identity followed by the
@@ -502,12 +531,15 @@ pub fn encode_home_flush(writer: usize, entries: &[(PageId, DiffRange)]) -> Vec<
     w.finish()
 }
 
-/// Decode the body of a home flush (after the opcode word):
-/// `(writer, entries)`.
-pub fn decode_home_flush(r: &mut WordReader) -> (usize, Vec<DiffRespEntry>) {
+/// Walk the body of the home flush `msg` (`r` stands after its opcode
+/// word): `(writer, entries)`, the entries' diffs windows onto `msg` —
+/// what the home keeps of a flush is the message itself.
+pub fn decode_home_flush<'r, 'a>(
+    msg: &'r Landed,
+    r: &'r mut WordReader<'a>,
+) -> (usize, impl Iterator<Item = DiffRespEntry> + use<'r, 'a>) {
     let writer = r.get_usize();
-    let entries = decode_diff_entries(r);
-    (writer, entries)
+    (writer, decode_diff_entries(msg, r))
 }
 
 /// The entries of an HLRC page request: fetch each of `pages`, which is
@@ -588,7 +620,7 @@ pub fn encode_page_fetch_req<'a>(
 pub fn decode_page_fetch_req(r: &mut WordReader, n: usize) -> (u32, usize, PageReqEntries) {
     let req_id = r.get() as u32;
     let requester = r.get_usize();
-    let k = r.get_usize();
+    let k = r.get_count(1 + n);
     let mut entries = PageReqEntries::new(n);
     for _ in 0..k {
         for s in entries.push(r.get_usize()) {
@@ -598,16 +630,25 @@ pub fn decode_page_fetch_req(r: &mut WordReader, n: usize) -> (u32, usize, PageR
     (req_id, requester, entries)
 }
 
-/// One entry of an HLRC page response: the home's current copy of a page
-/// plus its per-writer applied watermarks.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PageRespEntry {
+/// One entry of an HLRC page response, a page push or a page broadcast,
+/// read where the message landed: a page copy plus the per-writer
+/// applied watermarks it reflects. The receiver installs the page with
+/// one copy, from the payload into the frame.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PageRespEntry<'a> {
     /// The page.
     pub page: PageId,
-    /// The home's applied interval watermark per writer node.
-    pub applied: Vec<u32>,
+    /// The applied interval watermark per writer node, a wire word each.
+    applied: &'a [u64],
     /// The full page content.
-    pub data: Vec<u64>,
+    pub data: &'a [u64],
+}
+
+impl PageRespEntry<'_> {
+    /// The applied interval watermark per writer node.
+    pub fn applied(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.applied.iter().map(|&a| a as u32)
+    }
 }
 
 /// Words a page response of `pages` entries takes, for `n` nodes and
@@ -626,17 +667,21 @@ pub fn encode_page_entry(w: &mut WordWriter, page: PageId, applied: &[u32], data
     w.put_raw(data);
 }
 
-/// Decode a page response for a cluster of `n` nodes with `page_words`
-/// words per page.
-pub fn decode_page_resp(r: &mut WordReader, n: usize, page_words: usize) -> Vec<PageRespEntry> {
-    let k = r.get_usize();
-    (0..k)
-        .map(|_| PageRespEntry {
-            page: r.get_usize(),
-            applied: (0..n).map(|_| r.get() as u32).collect(),
-            data: r.take(page_words).to_vec(),
-        })
-        .collect()
+/// Walk a page response (or the page section of a push, or a page
+/// broadcast) for a cluster of `n` nodes with `page_words` words per
+/// page. The entries borrow the payload; the count is held against the
+/// words left before the walk starts.
+pub fn decode_page_resp<'r, 'a>(
+    r: &'r mut WordReader<'a>,
+    n: usize,
+    page_words: usize,
+) -> impl Iterator<Item = PageRespEntry<'a>> + 'r {
+    let k = r.get_count(1 + n + page_words);
+    (0..k).map(move |_| PageRespEntry {
+        page: r.get_usize(),
+        applied: r.take(n),
+        data: r.take(page_words),
+    })
 }
 
 #[cfg(test)]
@@ -662,7 +707,10 @@ mod tests {
         let (id, who, got) = decode_diff_req(&mut r);
         assert_eq!(id, 33);
         assert_eq!(who, 5);
-        assert_eq!(got, entries);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got.clone().collect::<Vec<_>>(), entries);
+        assert_eq!(got.collect::<Vec<_>>(), entries, "walked twice");
+        assert!(r.is_exhausted());
     }
 
     #[test]
@@ -684,7 +732,7 @@ mod tests {
             lamport: 8,
             pages: vec![2, 3],
         })];
-        let buf = encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[0, 2], &vec![4, 3], &ivs);
+        let buf = encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[0, 2], &[4, 3], &ivs);
         let mut r = WordReader::new(&buf);
         assert_eq!(r.get(), op::BARRIER_ARRIVE);
         let a = decode_arrival(&mut r, 2);
@@ -694,6 +742,12 @@ mod tests {
         assert_eq!(a.vc, vec![4, 3]);
         assert_eq!(a.intervals.len(), 1);
         assert_eq!(a.intervals[0].pages, vec![2, 3]);
+        // A node that pushed nothing passes no counts; the wire words are
+        // those of the all-zero vector.
+        assert_eq!(
+            encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[], &[4, 3], &ivs),
+            encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[0, 0], &[4, 3], &ivs)
+        );
 
         let buf = encode_departure(12, flags::SHUTDOWN, 1, &[9, 9], &ivs, &[4, 2]);
         let d = decode_departure(&mut WordReader::new(&buf));
@@ -751,7 +805,7 @@ mod tests {
         assert_eq!(r.get(), op::VALIDATE_REQ);
         let (id, who, got) = decode_diff_req(&mut r);
         assert_eq!((id, who), (7, 1));
-        assert_eq!(got, entries);
+        assert_eq!(got.collect::<Vec<_>>(), entries);
     }
 
     #[test]
@@ -777,10 +831,12 @@ mod tests {
             lamport: 9,
             diff: diff.clone(),
         };
-        let buf = encode_home_flush(4, &[(11usize, range)]);
-        let mut r = WordReader::new(&buf);
+        let msg = Landed::new(encode_home_flush(4, &[(11usize, range)]));
+        let mut r = msg.reader();
         assert_eq!(r.get(), op::HOME_FLUSH);
-        let (writer, entries) = decode_home_flush(&mut r);
+        let (writer, entries) = decode_home_flush(&msg, &mut r);
+        let entries: Vec<DiffRespEntry> = entries.collect();
+        assert!(r.is_exhausted());
         assert_eq!(writer, 4);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].page, 11);
@@ -810,21 +866,22 @@ mod tests {
         let (_, _, got) = decode_page_fetch_req(&mut WordReader::new(&one[1..]), 3);
         assert_eq!(got.iter().collect::<Vec<_>>(), vec![(9, &[1, 0, 0][..])]);
 
-        let resp = vec![PageRespEntry {
-            page: 3,
-            applied: vec![0, 2, 1],
-            data: vec![7, 8, 9, 10],
-        }];
         let mut w = WordWriter::with_capacity(page_resp_words(1, 3, 4));
-        w.put_usize(resp.len());
-        for e in &resp {
-            encode_page_entry(&mut w, e.page, &e.applied, &e.data);
-        }
+        w.put_usize(1);
+        encode_page_entry(&mut w, 3, &[0, 2, 1], &[7, 8, 9, 10]);
         let buf = w.finish();
         assert_eq!(buf, vec![1, 3, 0, 2, 1, 7, 8, 9, 10]);
         assert_eq!(buf.len(), page_resp_words(1, 3, 4));
-        let got = decode_page_resp(&mut WordReader::new(&buf), 3, 4);
-        assert_eq!(got, resp);
+        let mut r = WordReader::new(&buf);
+        let got: Vec<PageRespEntry> = decode_page_resp(&mut r, 3, 4).collect();
+        assert!(r.is_exhausted());
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].page, got[0].data), (3, &[7, 8, 9, 10][..]));
+        assert_eq!(got[0].applied().collect::<Vec<_>>(), [0, 2, 1]);
+        assert!(
+            std::ptr::eq(got[0].data, &buf[5..]),
+            "the entry is the payload's own words"
+        );
     }
 
     #[test]
@@ -838,8 +895,10 @@ mod tests {
         };
         let mut w = WordWriter::new();
         encode_diff_entries(&mut w, &[(7usize, range)]);
-        let buf = w.finish();
-        let got = decode_diff_entries(&mut WordReader::new(&buf));
+        let msg = Landed::new(w.finish());
+        let mut r = msg.reader();
+        let got: Vec<DiffRespEntry> = decode_diff_entries(&msg, &mut r).collect();
+        assert!(r.is_exhausted());
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].page, 7);
         assert_eq!(got[0].lo, 1);

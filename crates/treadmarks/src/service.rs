@@ -19,6 +19,7 @@ use parking_lot::Mutex;
 use sp2sim::{EdgeKind, Endpoint, MsgKind, Port, VTime, WordReader};
 
 use crate::config::ProtocolMode;
+use crate::diff::Landed;
 use crate::protocol::{self, op, tag};
 use crate::state::DsmState;
 
@@ -45,7 +46,9 @@ pub fn service_loop(ep: Endpoint, state: Arc<Mutex<DsmState>>) {
         match opcode {
             op::DIFF_REQ => handle_diff_req(&ep, &state, &mut r, arrival, seq),
             op::VALIDATE_REQ => handle_validate_req(&ep, &state, &mut r, arrival, seq),
-            op::HOME_FLUSH => handle_home_flush(&ep, &state, &mut r, arrival, seq),
+            // A flush is kept where it landed: the home's buffered ranges
+            // are windows onto the payload, handed over by value.
+            op::HOME_FLUSH => handle_home_flush(&ep, &state, pkt.payload, arrival, seq),
             op::PAGE_REQ => handle_page_req(&ep, &state, &mut r, arrival, seq),
             op::REDUCE_PART => handle_reduce_part(&ep, &state, &mut r, arrival, seq),
             op::REDUCE_LIST => handle_reduce_list(&ep, &state, &mut r, arrival, seq),
@@ -135,11 +138,16 @@ fn serve_page_req(
     let cost = ep.cost();
     // Diff creation for a multi-page (aggregated) request is pipelined
     // with transmission: only the first page's materialization delays the
-    // response; the rest overlaps serialization.
+    // response; the rest overlaps serialization. The diffs the request
+    // materializes are one batch in one buffer.
     let mut first_us: f64 = 0.0;
+    st.freeze_all(
+        entries.clone().map(|e| (e.page, e.first_needed)),
+        cost,
+        |page_us| first_us = first_us.max(page_us),
+    );
     let (mut ranges, mut words) = (0, 1);
-    for e in &entries {
-        first_us = first_us.max(st.freeze(e.page, e.first_needed, cost));
+    for e in entries.clone() {
         for range in st.frozen_from(e.page, e.first_needed) {
             ranges += 1;
             words += protocol::diff_entry_words(range);
@@ -148,7 +156,7 @@ fn serve_page_req(
     // The response is written straight out of the frozen lists.
     let mut w = sp2sim::WordWriter::with_capacity(words);
     w.put_usize(ranges);
-    for e in &entries {
+    for e in entries {
         for range in st.frozen_from(e.page, e.first_needed) {
             protocol::encode_diff_entry(&mut w, e.page, range);
         }
@@ -174,11 +182,14 @@ fn serve_page_req(
 fn handle_home_flush(
     ep: &Endpoint,
     state: &Mutex<DsmState>,
-    r: &mut WordReader,
+    payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
 ) {
-    let (writer, entries) = protocol::decode_home_flush(r);
+    let msg = Landed::new(payload);
+    let mut r = msg.reader();
+    r.get(); // the opcode the service loop dispatched on
+    let (writer, entries) = protocol::decode_home_flush(&msg, &mut r);
     let mut st = state.lock();
     for e in entries {
         st.home_flush_in(
@@ -408,8 +419,10 @@ fn handle_lock_req(
         let owner = *st.lock_owner.get(&lock).unwrap_or(&mgr);
         st.lock_owner.insert(lock, requester);
         if owner != me {
-            // Forward to the (possibly future) holder.
-            drop(st);
+            // Forward to the (possibly future) holder — still under the
+            // state lock, so that forwards and the manager application's
+            // own requests (`Tmk::acquire`) leave in the order the
+            // ownership table serialized them.
             let out_seq = ep.send_at(
                 owner,
                 Port::Service,
@@ -517,9 +530,9 @@ fn handle_arrival(
     let entry = st.epochs.entry(epoch).or_default();
     entry.arrivals.push(crate::state::Arrival {
         src: a.src,
-        vc: a.vc.clone(),
+        vc: a.vc,
         at: arrival,
-        push_counts: a.push_counts.clone(),
+        push_counts: a.push_counts,
         seq,
     });
     // Stash intervals alongside (keyed by src) for integration later.
@@ -536,7 +549,7 @@ fn handle_master_fork(
 ) {
     let epoch = r.get();
     let flag_bits = r.get();
-    let push_counts: Vec<u64> = (0..ep.nprocs()).map(|_| r.get()).collect();
+    let push_counts = r.take(ep.nprocs()).to_vec();
     let ctl = {
         let words = r.get_words();
         let mut v = Vec::with_capacity(words.len() + 1);

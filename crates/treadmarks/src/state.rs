@@ -28,13 +28,13 @@
 //! bookkeeping refetches the final values afterwards (validated by the
 //! bitwise cross-version application tests).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use sp2sim::{CostModel, VTime};
 
 use crate::config::{ProtocolMode, TmkConfig};
-use crate::diff::Diff;
+use crate::diff::{Diff, DiffBatch, Pending};
 use crate::fxhash::FxHashMap;
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId};
@@ -69,7 +69,9 @@ pub struct DiffRange {
     pub hi: u32,
     /// Lamport stamp of the `hi` interval.
     pub lamport: u64,
-    /// The diff (cloning it is a reference-count bump).
+    /// The diff: a window onto the release buffer of the batch that
+    /// froze it, or onto the message it arrived in (cloning it is a
+    /// reference-count bump).
     pub diff: Diff,
 }
 
@@ -635,8 +637,16 @@ pub struct DsmState {
     home_buffered: Vec<PageId>,
     /// Cached page frames, in extents (see [`crate::page`]).
     pub frames: FrameStore,
-    /// Pages written since the last flush (BTreeSet: deterministic order).
-    pub dirty: BTreeSet<PageId>,
+    /// Pages written since the last flush, in first-write order, each
+    /// once: a page is listed when its frame's `dirty` flag goes up
+    /// ([`DsmState::mark_dirty`]), and the flag answers "is it dirty?".
+    /// [`DsmState::flush`] sorts the list once, into the interval's page
+    /// list.
+    dirty: Vec<PageId>,
+    /// The ranges whose diffs sit in the open batch of
+    /// [`DsmState::freeze_all`], with where; empty between calls (kept
+    /// for its capacity).
+    freezing: Vec<(PageId, OpenRange, Pending)>,
     /// Our own intervals not yet reported to the barrier manager.
     pub unreported_seq: u32,
     /// Lock state where we are (or were) the holder.
@@ -695,7 +705,8 @@ impl DsmState {
             pages: PageTable::default(),
             home_buffered: Vec::new(),
             frames,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
+            freezing: Vec::new(),
             unreported_seq: 0,
             locks: FxHashMap::default(),
             lock_owner: FxHashMap::default(),
@@ -1064,11 +1075,17 @@ impl DsmState {
         self.lamport += 1;
         let lamport = self.lamport;
         let epoch = self.epoch_proxy();
-        let pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
+        // The list becomes the interval's, ascending (`NoticeTable::push`
+        // and every binary search of a page list rely on it); the next
+        // interval's starts out as long.
+        let fresh = Vec::with_capacity(self.dirty.len());
+        let mut pages = std::mem::replace(&mut self.dirty, fresh);
+        pages.sort_unstable();
         let mut race_writes: Vec<(PageId, Vec<u32>)> = Vec::new();
         for &p in &pages {
             let frame = self.frames.frame_mut(p);
             debug_assert!(frame.meta.twin.is_some(), "dirty page has a twin");
+            frame.meta.dirty = false;
             if self.race.is_some() {
                 // Exactly this interval's writes: the delta against the
                 // content at the previous flush (the published image), or
@@ -1161,25 +1178,47 @@ impl DsmState {
         out
     }
 
-    /// Our own intervals not yet reported via a barrier arrival.
-    pub fn take_unreported(&mut self) -> Vec<Arc<Interval>> {
-        let from = self.unreported_seq;
-        self.unreported_seq = self.vc[self.me];
-        self.log[self.me]
-            .iter()
-            .skip(from as usize)
-            .cloned()
-            .collect()
+    /// Our own intervals not yet reported via a barrier arrival, as a
+    /// range of `log[me]`, now counted as reported. The arrival is
+    /// encoded straight from the log under the lock that took the range.
+    pub fn take_unreported(&mut self) -> std::ops::Range<usize> {
+        let to = self.vc[self.me];
+        std::mem::replace(&mut self.unreported_seq, to) as usize..to as usize
     }
 
-    /// Materialize (freeze) the open range of `page` if it reaches
-    /// `first_needed` — the first half of serving a diff request, a home
-    /// flush or a push; [`DsmState::frozen_from`] and
-    /// [`DsmState::newest_frozen`] then read the result. This is where
-    /// the twin comparison actually happens; returns its time to charge.
-    /// After a freeze the twin is dropped (unless the page is dirty
-    /// again), so the next local write re-faults and re-twins, exactly
-    /// like the original system re-protecting a diffed page.
+    /// Has `page` been written since the last flush?
+    pub fn is_dirty(&self, page: PageId) -> bool {
+        self.frames.meta(page).is_some_and(|meta| meta.dirty)
+    }
+
+    /// Note a write to `page`, which must have a frame: list it for the
+    /// next flush unless it already is.
+    pub fn mark_dirty(&mut self, page: PageId) {
+        let meta = self
+            .frames
+            .meta_mut(page)
+            .expect("written page has a frame");
+        if !std::mem::replace(&mut meta.dirty, true) {
+            self.dirty.push(page);
+        }
+    }
+
+    /// Materialize (freeze) the open range of every `(page,
+    /// first_needed)` of `reqs` that reaches its `first_needed` — the
+    /// first half of serving a diff request, a home flush or a push;
+    /// [`DsmState::frozen_from`] and [`DsmState::newest_frozen`] then
+    /// read the result. This is where the twin comparison actually
+    /// happens; `charge` is handed each page's time to charge, in `reqs`
+    /// order (pages with nothing to freeze charge 0 — callers sum or
+    /// maximize in the order they always did, so no simulated float
+    /// moves). After a freeze the twin is dropped (unless the page is
+    /// dirty again), so the next local write re-faults and re-twins,
+    /// exactly like the original system re-protecting a diffed page.
+    ///
+    /// The diffs of one call are one [`DiffBatch`]: built side by side,
+    /// sealed into one shared buffer, each range's diff a window onto it
+    /// (`crate::diff`, "Life cycle"). Nothing between opening the batch
+    /// and sealing it can switch fibers.
     ///
     /// The materialization compares the twin against the **published
     /// image** when one exists, never the live frame: on the threaded
@@ -1190,7 +1229,58 @@ impl DsmState {
     /// time is the divergence this image exists to prevent; `data` is a
     /// correct fallback only while the page has not been re-written
     /// since its last flush (then the two are identical).
+    pub fn freeze_all(
+        &mut self,
+        reqs: impl IntoIterator<Item = (PageId, u32)>,
+        cost: &CostModel,
+        mut charge: impl FnMut(f64),
+    ) {
+        debug_assert!(self.freezing.is_empty());
+        let mut batch = DiffBatch::new();
+        for (page, first_needed) in reqs {
+            charge(self.freeze_into(&mut batch, page, first_needed, cost));
+        }
+        let sealed = batch.seal();
+        // An HLRC writer keeps only its newest frozen range: nobody ever
+        // asks it for history. Faults and validates fetch whole pages
+        // from the homes, which buffered every range at the release that
+        // froze it; a push ships the newest range (plus the page); and
+        // `receive_pushes` freezes only to retire the twin. All nodes of
+        // a cluster run one protocol, so no diff request can arrive
+        // (asserted in `service::serve_page_req`) — and without this the
+        // list grows by a diff per page per release for the whole run.
+        let newest_only = self.cfg.protocol == ProtocolMode::Hlrc;
+        for (page, open, pending) in self.freezing.drain(..) {
+            let frozen = &mut self.pages.rows[page].diffs.frozen;
+            if newest_only {
+                frozen.clear();
+            }
+            frozen.push(DiffRange {
+                lo: open.lo,
+                hi: open.hi,
+                lamport: open.lamport_hi,
+                diff: sealed.window(pending),
+            });
+        }
+    }
+
+    /// [`DsmState::freeze_all`] of one page; returns its time to charge.
     pub fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
+        let mut us = 0.0;
+        self.freeze_all([(page, first_needed)], cost, |page_us| us = page_us);
+        us
+    }
+
+    /// One page of [`DsmState::freeze_all`]: diff it into `batch` and
+    /// note its range in `freezing`, to be pushed once the batch is
+    /// sealed.
+    fn freeze_into(
+        &mut self,
+        batch: &mut DiffBatch,
+        page: PageId,
+        first_needed: u32,
+        cost: &CostModel,
+    ) -> f64 {
         let Some(row) = self.pages.get_mut(page) else {
             return 0.0;
         };
@@ -1206,18 +1296,6 @@ impl DsmState {
         let meta = self.frames.meta_mut(page).expect("open range has a frame");
         let twin = meta.twin.take().expect("open range has a twin");
         let published = meta.published.take();
-        let diff = match &published {
-            Some(image) => Diff::create(&twin, image),
-            None => Diff::create(
-                &twin,
-                self.frames.data(page).expect("open range has a frame"),
-            ),
-        };
-        let us = cost.diff_create_us(diff.changed_words());
-        self.stats.diffs_created += 1;
-        self.stats.diff_words_created += diff.changed_words() as u64;
-        row.prof.diffs_created += 1;
-        row.prof.diff_words_created += diff.changed_words() as u64;
         // Re-protect a clean page: the next write takes a fresh
         // fault+twin, and the published image retires with the twin
         // (they are a pair — the image is only meaningful against its
@@ -1233,35 +1311,31 @@ impl DsmState {
         // those at a concurrent writer would clobber that writer's own
         // newer values (the lost-warm-up divergence the threaded engine
         // exposed about once in 10^3 runs).
-        if self.dirty.contains(&page) {
+        let pending = if meta.dirty {
             let image = published.expect(
                 "a dirty page with an open range was re-faulted, which snapshots the published image",
             );
-            self.frames
-                .meta_mut(page)
-                .expect("open range has a frame")
-                .twin = Some(image);
-        }
+            let pending = batch.push(&twin, &image);
+            meta.twin = Some(image);
+            pending
+        } else {
+            match &published {
+                Some(image) => batch.push(&twin, image),
+                None => batch.push(
+                    &twin,
+                    self.frames.data(page).expect("open range has a frame"),
+                ),
+            }
+        };
+        let changed = pending.changed_words();
+        self.stats.diffs_created += 1;
+        self.stats.diff_words_created += changed as u64;
+        row.prof.diffs_created += 1;
+        row.prof.diff_words_created += changed as u64;
         // The retired twin goes back to the scratch arena.
         self.scratch.put(twin, &mut self.stats);
-        // An HLRC writer keeps only its newest frozen range: nobody ever
-        // asks it for history. Faults and validates fetch whole pages
-        // from the homes, which buffered every range at the release that
-        // froze it; a push ships the newest range (plus the page); and
-        // `receive_pushes` freezes only to retire the twin. All nodes of
-        // a cluster run one protocol, so no diff request can arrive
-        // (asserted in `service::serve_page_req`) — and without this the
-        // list grows by a diff per page per release for the whole run.
-        if self.cfg.protocol == ProtocolMode::Hlrc {
-            row.diffs.frozen.clear();
-        }
-        row.diffs.frozen.push(DiffRange {
-            lo: open.lo,
-            hi: open.hi,
-            lamport: open.lamport_hi,
-            diff,
-        });
-        us
+        self.freezing.push((page, open, pending));
+        cost.diff_create_us(changed)
     }
 
     /// Frozen ranges of `page` covering intervals `first_needed..`, in
@@ -1573,7 +1647,7 @@ mod tests {
         for &(i, v) in vals {
             frame.data[i] = v;
         }
-        s.dirty.insert(page);
+        s.mark_dirty(page);
     }
 
     #[test]
@@ -1620,6 +1694,63 @@ mod tests {
             assert_eq!(s.frozen_from(3, 1).len(), kept);
             assert!(s.newest_frozen(3, 6).is_none(), "nothing reaches seq 6");
             assert!(s.frozen_from(99, 1).is_empty(), "page never seen");
+        }
+    }
+
+    /// A batch freeze is the single freezes it stands for — same
+    /// ranges, same charges in request order, zero for a page with
+    /// nothing to freeze — with the diffs in one buffer.
+    #[test]
+    fn freeze_all_is_the_single_freezes_in_one_buffer() {
+        let cost = CostModel::sp2();
+        let written = |cfg: TmkConfig| {
+            let mut s = DsmState::new(0, 2, cfg);
+            write_words(&mut s, 3, &[(0, 1), (5, 2)]);
+            write_words(&mut s, 4, &[(7, 3)]);
+            write_words(&mut s, 6, &[(0, 0)]); // written, not changed
+            s.flush(&cost);
+            write_words(&mut s, 5, &[(1, 4)]);
+            s.flush(&cost);
+            s
+        };
+        // Page 9 was never written; page 4 is asked from interval 2 on,
+        // which its open range (1..=1) does not reach; page 3 twice.
+        let reqs = [(3, 1), (9, 1), (4, 2), (5, 1), (6, 1), (3, 1)];
+        for cfg in [TmkConfig::default(), TmkConfig::hlrc()] {
+            let (mut batched, mut single) = (written(cfg.clone()), written(cfg));
+            let mut charges = Vec::new();
+            batched.freeze_all(reqs, &cost, |us| charges.push(us));
+            let alone: Vec<f64> = reqs
+                .iter()
+                .map(|&(page, first)| single.freeze(page, first, &cost))
+                .collect();
+            assert_eq!(charges, alone);
+            assert!(charges[0] > 0.0 && charges[3] > 0.0 && charges[4] > 0.0);
+            assert_eq!((charges[1], charges[2], charges[5]), (0.0, 0.0, 0.0));
+            assert!(batched.freezing.is_empty());
+            assert!(batched.pages.get(4).unwrap().diffs.open.is_some());
+            for page in [3, 5, 6] {
+                let (b, s) = (batched.frozen_from(page, 1), single.frozen_from(page, 1));
+                assert_eq!(b.len(), 1);
+                assert_eq!(
+                    (b[0].lo, b[0].hi, b[0].lamport),
+                    (s[0].lo, s[0].hi, s[0].lamport)
+                );
+                assert_eq!(b[0].diff, s[0].diff, "page {page}");
+                assert!(batched.frames.meta(page).unwrap().twin.is_none());
+            }
+            assert_eq!(batched.stats.diffs_created, 3);
+            assert_eq!(
+                batched.stats.diff_words_created,
+                single.stats.diff_words_created
+            );
+            let diff = |s: &DsmState, page| s.frozen_from(page, 1)[0].diff.clone();
+            assert!(diff(&batched, 3).shares_buffer_with(&diff(&batched, 5)));
+            assert!(!diff(&single, 3).shares_buffer_with(&diff(&single, 5)));
+            assert!(
+                diff(&batched, 6).shares_buffer_with(&Diff::default()),
+                "an unchanged page is the shared empty diff"
+            );
         }
     }
 
@@ -1850,13 +1981,13 @@ mod tests {
         let mut s = state(0, 2);
         write_words(&mut s, 1, &[(0, 1)]);
         s.flush(&CostModel::sp2());
-        assert_eq!(s.take_unreported().len(), 1);
-        assert_eq!(s.take_unreported().len(), 0);
+        assert_eq!(s.take_unreported(), 0..1);
+        assert_eq!(s.take_unreported(), 1..1);
         write_words(&mut s, 1, &[(1, 1)]);
         s.flush(&CostModel::sp2());
         write_words(&mut s, 1, &[(2, 1)]);
         s.flush(&CostModel::sp2());
-        assert_eq!(s.take_unreported().len(), 2);
+        assert_eq!(s.take_unreported(), 1..3);
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! run, an `Arc` around the diff, a cloned range list per served page,
 //! per-page watermark vectors, two page clones per home construction).
 //! With the diff as one shared buffer and the per-page containers gone
-//! it costs about three. This test keeps it from creeping back: it runs
-//! Jacobi SPF under HLRC for `k` and `2k` iterations on the sequential
-//! engine under a counting allocator and bounds the *extra* allocations
-//! per *extra* diff created, which cancels everything a run allocates
-//! once (stacks, frames, tables, the reference arrays).
+//! it cost about three, two of them private copies of the diff itself:
+//! the writer's exact-size buffer and the home's decode. Now a diff is
+//! a window: the pages of a release are frozen side by side into one
+//! buffer, the home keeps the flush message it was handed and a fetched
+//! page is copied from its payload into the frame, so a diff costs
+//! about one allocation — its share of the release buffer, of the flush
+//! messages and of the dirty list, plus the fetches it causes. This
+//! test keeps it from creeping back: it runs Jacobi SPF under HLRC for
+//! `k` and `2k` iterations on the sequential engine under a counting
+//! allocator and bounds the *extra* allocations per *extra* diff
+//! created, which cancels everything a run allocates once (stacks,
+//! frames, tables, the reference arrays).
 //!
 //! Under LRC the same pair of runs bounds the extra allocations per
 //! extra *interval* created. Every node integrates every interval, and
@@ -19,7 +26,10 @@
 //! lists' growth on top of its decode. With notices as watermarks in a
 //! dense table an interval allocates only what carries it (its page
 //! list and `Arc` per receiver, the messages around it) and the diffs
-//! its boundary pages are asked for.
+//! its boundary pages are asked for — one buffer per request served,
+//! read at the requester as windows onto the response — and the
+//! arrival that reports it is encoded from the clock and the log where
+//! they live.
 //!
 //! The message-passing versions get the same treatment, per message:
 //! Jacobi and Shallow, XHPF and PVMe, for `k` and `2k` iterations. A
@@ -92,14 +102,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocation budget per diff created (measured: about 3; with
+/// Allocation budget per diff created (measured: 1.02; with a private
+/// buffer per diff at the writer and another at the home: 3.14; with
 /// per-writer notice lists: about 4.5; before the flat diff and the
 /// dense page table: about 12).
-const ALLOCS_PER_DIFF: f64 = 4.5;
+const ALLOCS_PER_DIFF: f64 = 2.0;
 
-/// Allocation budget per interval created under LRC (measured: about
-/// 49; with per-writer notice lists: about 134).
-const ALLOCS_PER_INTERVAL: f64 = 65.0;
+/// Allocation budget per interval created under LRC (measured: 32.3;
+/// before diffs were windows and arrivals encoded in place: 49.3; with
+/// per-writer notice lists: about 134).
+const ALLOCS_PER_INTERVAL: f64 = 52.0;
 
 /// `(allocations, diffs created, intervals created)` of one 8-node
 /// Jacobi SPF run on a 512 x 512 grid (one page per column, so every
@@ -164,9 +176,9 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
 }
 
 /// Allocation budget per dispatched loop of hinted Shallow, cluster-wide
-/// (measured: about 545, the protocol's own; before hint plans: about
-/// 8100).
-const ALLOCS_PER_HINTED_DISPATCH: f64 = 700.0;
+/// (measured: about 317, the protocol's own; with a buffer per pushed
+/// and per received diff: about 545; before hint plans: about 8100).
+const ALLOCS_PER_HINTED_DISPATCH: f64 = 570.0;
 
 /// `(allocations, loops dispatched)` of one 8-node Shallow SPF+CRI run
 /// on a 256 x 256 grid.

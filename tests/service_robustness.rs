@@ -2,7 +2,9 @@
 //! path (`DsmStats::service_errors`): a malformed request must not
 //! abort a whole parameter sweep — it is logged, counted, and shuts
 //! only that node's service loop down, on both execution engines. And
-//! for the arrival decoder: a damaged message fails as an over-read.
+//! for the decoders: a damaged message — an arrival, a home flush, a
+//! diff response, a page response, a diff request — fails as an
+//! over-read, before any count in it sizes an allocation.
 
 use std::sync::Arc;
 
@@ -121,7 +123,8 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                     let t = tag::PAGE_RESP | (req_id & 0xFFFF);
                     let pkt = node.recv_match(|p| p.src == 0 && p.tag == t);
                     let mut r = sp2sim::WordReader::new(&pkt.payload);
-                    protocol::decode_page_resp(&mut r, 2, pw)[0].data[0]
+                    let first = protocol::decode_page_resp(&mut r, 2, pw).next();
+                    first.expect("one page asked for").data[0]
                 };
                 // Interval 1 flushes, the home serves it (fold applies).
                 send_flush(1, 1, 41);
@@ -225,6 +228,241 @@ fn unknown_opcode_leaves_other_nodes_running() {
     }
 }
 
+/// Run a decoder; `Err` holds the message of the panic it ended in.
+fn caught<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Result<T, String> {
+    std::panic::catch_unwind(f).map_err(|e| match e.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(_) => String::from("not a formatted panic"),
+    })
+}
+
+/// Every damaged form of a message must end its decoder in a bounds
+/// panic — a count held against the words left, a slice or an index
+/// past the end of the payload. Anything else (a capacity overflow, an
+/// allocation failure the test would not even survive) means a count
+/// was trusted.
+fn assert_bounds_panics<T: std::fmt::Debug>(
+    decode: impl Fn(&[u64]) -> Result<T, String>,
+    damaged: &[(&str, Vec<u64>)],
+) {
+    for (what, buf) in damaged {
+        let msg = decode(buf).expect_err(what);
+        assert!(
+            msg.contains("out of range") || msg.contains("out of bounds"),
+            "{what}: {msg}"
+        );
+    }
+}
+
+/// `whole` with word `at` replaced.
+fn with_word(whole: &[u64], at: usize, word: u64) -> Vec<u64> {
+    let mut buf = whole.to_vec();
+    buf[at] = word;
+    buf
+}
+
+/// Two frozen ranges whose diffs have two runs each, for the messages
+/// that carry diffs: `(page, range)`, eight-word pages.
+fn two_ranges() -> Vec<(usize, treadmarks::state::DiffRange)> {
+    use treadmarks::diff::Diff;
+    [
+        (3usize, [0, 7, 7, 0, 0, 9, 0, 0]),
+        (5, [1, 0, 0, 0, 0, 0, 2, 2]),
+    ]
+    .into_iter()
+    .map(|(page, new)| {
+        let range = treadmarks::state::DiffRange {
+            lo: 2,
+            hi: 4,
+            lamport: 11,
+            diff: Diff::create(&[0; 8], &new),
+        };
+        (page, range)
+    })
+    .collect()
+}
+
+/// What a walk over diff entries saw: `(page, hi, the page the diff
+/// makes of zeroes)` per entry.
+type SeenDiffs = Vec<(usize, u32, [u64; 8])>;
+
+fn seen(entries: impl Iterator<Item = treadmarks::protocol::DiffRespEntry>) -> SeenDiffs {
+    entries
+        .map(|e| {
+            let mut page = [0; 8];
+            e.diff.apply(&mut page);
+            (e.page, e.hi, page)
+        })
+        .collect()
+}
+
+const TWO_RANGES_SEEN: [(usize, u32, [u64; 8]); 2] = [
+    (3, 4, [0, 7, 7, 0, 0, 9, 0, 0]),
+    (5, 4, [1, 0, 0, 0, 0, 0, 2, 2]),
+];
+
+/// A home flush is kept where it landed, so its decoder is the one that
+/// must not trust it: truncated, or lying about its entry count, a run
+/// count or a run length, it fails as an over-read.
+#[test]
+fn damaged_home_flush_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::diff::Landed;
+    use treadmarks::protocol;
+
+    let whole = protocol::encode_home_flush(1, &two_ranges());
+    let decode = |buf: &[u64]| {
+        let buf = buf.to_vec();
+        caught(move || {
+            let msg = Landed::new(buf);
+            let mut r = msg.reader();
+            assert_eq!(r.get(), op::HOME_FLUSH);
+            let (writer, entries) = protocol::decode_home_flush(&msg, &mut r);
+            (writer, seen(entries))
+        })
+    };
+    assert_eq!(decode(&whole), Ok((1, TWO_RANGES_SEEN.to_vec())));
+    // Layout: opcode, writer, the entry count, then per entry page, lo,
+    // hi, lamport, the run count and per run a header and its words.
+    let (count_at, runs_at, header_at) = (2, 7, 8);
+    assert_eq!(
+        (whole[count_at], whole[runs_at], whole[header_at]),
+        (2, 2, 1 << 32 | 2),
+        "layout moved"
+    );
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 2].to_vec()),
+            ("cut inside the first entry", whole[..6].to_vec()),
+            ("entry count", with_word(&whole, count_at, 1 << 40)),
+            ("entry count, just too many", with_word(&whole, count_at, 5)),
+            ("run count", with_word(&whole, runs_at, 1 << 40)),
+            (
+                "run length",
+                with_word(&whole, header_at, 1 << 32 | 1 << 31),
+            ),
+        ],
+    );
+}
+
+/// The same walk reads diff responses, validate responses and pushes:
+/// the entry list without the flush's two leading words.
+#[test]
+fn damaged_diff_response_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::diff::Landed;
+    use treadmarks::protocol;
+
+    let mut w = sp2sim::WordWriter::new();
+    protocol::encode_diff_entries(&mut w, &two_ranges());
+    let whole = w.finish();
+    assert_eq!(whole.len(), protocol::diff_entries_words(&two_ranges()));
+    let decode = |buf: &[u64]| {
+        let buf = buf.to_vec();
+        caught(move || {
+            let msg = Landed::new(buf);
+            let mut r = msg.reader();
+            let entries = seen(protocol::decode_diff_entries(&msg, &mut r));
+            assert!(r.is_exhausted());
+            entries
+        })
+    };
+    assert_eq!(decode(&whole), Ok(TWO_RANGES_SEEN.to_vec()));
+    let (count_at, runs_at, header_at) = (0, 5, 6);
+    assert_eq!(
+        (whole[count_at], whole[runs_at], whole[header_at]),
+        (2, 2, 1 << 32 | 2),
+        "layout moved"
+    );
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("entry count", with_word(&whole, count_at, u64::MAX)),
+            ("run count", with_word(&whole, runs_at, 1 << 40)),
+            (
+                "run length",
+                with_word(&whole, header_at, 1 << 32 | 0xFFFF_FFFF),
+            ),
+        ],
+    );
+}
+
+/// A page response is walked in place and each page copied once into
+/// its frame; the walk holds the count against the words left.
+#[test]
+fn damaged_page_response_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::protocol;
+
+    let (n, pw) = (3, 4);
+    let mut w = sp2sim::WordWriter::with_capacity(protocol::page_resp_words(2, n, pw));
+    w.put_usize(2);
+    protocol::encode_page_entry(&mut w, 6, &[0, 2, 1], &[7, 8, 9, 10]);
+    protocol::encode_page_entry(&mut w, 9, &[1, 0, 0], &[0, 0, 5, 0]);
+    let whole = w.finish();
+    let decode = |buf: &[u64]| {
+        caught(|| {
+            let mut r = sp2sim::WordReader::new(buf);
+            protocol::decode_page_resp(&mut r, n, pw)
+                .map(|e| (e.page, e.applied().collect::<Vec<u32>>(), e.data.to_vec()))
+                .collect::<Vec<_>>()
+        })
+    };
+    assert_eq!(
+        decode(&whole),
+        Ok(vec![
+            (6, vec![0, 2, 1], vec![7, 8, 9, 10]),
+            (9, vec![1, 0, 0], vec![0, 0, 5, 0]),
+        ])
+    );
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("entry count", with_word(&whole, 0, 1 << 40)),
+            ("entry count, one too many", with_word(&whole, 0, 3)),
+        ],
+    );
+}
+
+/// A diff (or validate) request: the server walks its entries where
+/// they landed, twice; the count is checked once, before either walk.
+#[test]
+fn damaged_diff_request_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::protocol::{self, DiffReqEntry};
+
+    let entries: Vec<DiffReqEntry> = (0..5)
+        .map(|i| DiffReqEntry {
+            page: 10 + i,
+            first_needed: i as u32,
+        })
+        .collect();
+    let whole = protocol::encode_diff_req(33, 2, &entries);
+    let decode = |buf: &[u64]| {
+        caught(|| {
+            let mut r = sp2sim::WordReader::new(buf);
+            assert_eq!(r.get(), op::DIFF_REQ);
+            let (req_id, requester, got) = protocol::decode_diff_req(&mut r);
+            (req_id, requester, got.collect::<Vec<_>>())
+        })
+    };
+    assert_eq!(decode(&whole), Ok((33, 2, entries)));
+    // Layout: opcode, request id, requester, the entry count, entries.
+    let count_at = 3;
+    assert_eq!(whole[count_at], 5, "layout moved");
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("cut before the count", whole[..3].to_vec()),
+            ("entry count", with_word(&whole, count_at, 1 << 40)),
+            (
+                "entry count past the sign bit",
+                with_word(&whole, count_at, u64::MAX),
+            ),
+        ],
+    );
+}
+
 /// A barrier arrival cut short, or with a count word that lies, fails
 /// in the decoder as a bounds panic before the count sizes anything:
 /// were the count trusted, the last two cases would ask the allocator
@@ -241,16 +479,12 @@ fn damaged_arrival_is_a_bounds_panic_not_an_allocation() {
         lamport: 1,
         pages: (0..40).collect(),
     })];
-    let whole = protocol::encode_arrival(op::BARRIER_ARRIVE, 0, 1, &[0, 0], &vec![0, 1], &ivs);
+    let whole = protocol::encode_arrival(op::BARRIER_ARRIVE, 0, 1, &[0, 0], &[0, 1], &ivs);
     let decode = |buf: &[u64]| {
-        std::panic::catch_unwind(|| {
+        caught(|| {
             let mut r = sp2sim::WordReader::new(buf);
             assert_eq!(r.get(), op::BARRIER_ARRIVE);
             protocol::decode_arrival(&mut r, 2).intervals.len()
-        })
-        .map_err(|e| match e.downcast::<String>() {
-            Ok(msg) => *msg,
-            Err(_) => String::from("not a formatted panic"),
         })
     };
     assert_eq!(decode(&whole), Ok(1));
