@@ -3,9 +3,11 @@
 //! meter (the paper times only the steady-state iterations), and checksum
 //! comparison helpers.
 
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
 use sp2sim::{Node, StatsSnapshot};
+use spf::{LoopCtl, Spf};
 
 /// A column-major 2-D slab: columns `col0 .. col0 + ncols`, `rows` rows.
 ///
@@ -149,11 +151,43 @@ pub fn meter_stop(node: &Node, m: Meter) -> (f64, Option<StatsSnapshot>) {
     (node.now().us() - m.t0, delta)
 }
 
-/// Split a finished cluster run into its per-node outputs and the
-/// (optional) event trace, so the apps' `run_on` dispatchers can match
-/// over versions without repeating the destructuring.
-pub(crate) fn split_run<R>(out: sp2sim::RunOutput<R>) -> (Vec<R>, Option<sp2sim::TraceData>) {
-    (out.results, out.trace)
+/// The timed region of an SPF program. The master opens and closes it
+/// by dispatching two empty parallel loops, so every node meters at the
+/// same program point; the loop bodies borrow this, so declare it
+/// before the [`Spf`] that stores them.
+pub(crate) struct SpfMeter<'n> {
+    node: &'n Node,
+    started: RefCell<Option<Meter>>,
+    measured: RefCell<Option<(f64, Option<StatsSnapshot>)>>,
+}
+
+impl<'n> SpfMeter<'n> {
+    pub(crate) fn new(node: &'n Node) -> SpfMeter<'n> {
+        SpfMeter {
+            node,
+            started: RefCell::new(None),
+            measured: RefCell::new(None),
+        }
+    }
+
+    /// Register the `(start, stop)` loops. Call before registering any
+    /// other loop: they are loop ids 0 and 1 in every dispatch message
+    /// and trace span of every SPF program.
+    pub(crate) fn register<'t>(&'t self, spf: &Spf<'t, '_>) -> (usize, usize) {
+        let start = spf.register(|_: &LoopCtl| {
+            *self.started.borrow_mut() = Some(meter_start(self.node));
+        });
+        let stop = spf.register(|_: &LoopCtl| {
+            let m = self.started.borrow_mut().take().expect("meter started");
+            *self.measured.borrow_mut() = Some(meter_stop(self.node, m));
+        });
+        (start, stop)
+    }
+
+    /// What [`meter_stop`] returned when the stop loop ran.
+    pub(crate) fn take(&self) -> (f64, Option<StatsSnapshot>) {
+        self.measured.borrow_mut().take().expect("meter ran")
+    }
 }
 
 /// Relative comparison of checksum vectors: every component must agree to

@@ -26,13 +26,13 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, WordWriter};
+use sp2sim::{Node, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf, SpfReduction};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{hash01, meter_start, meter_stop, split_run};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters (all dimensions powers of two).
 #[derive(Clone, Copy, Debug)]
@@ -355,7 +355,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
     let elems = p.elems();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let arr = tmk.malloc_f64(2 * elems);
     let partials = tmk.malloc_f64(np * 512);
     let b3 = block_range(me, np, 0..p.n3);
@@ -439,8 +439,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
     let elems = p.elems();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
+    let meter = SpfMeter::new(node);
     // The transposed block persists between the dim-3/normalize/checksum
     // loops of one iteration (SPF keeps it in shared memory; we keep the
     // local copy and write through, which is equivalent traffic-wise
@@ -451,20 +450,14 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     // tree-combined total is returned on every node; the master's copy
     // feeds the sequential accumulation.
     let red_tot = RefCell::new((0.0, 0.0));
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let spf = Spf::new(&tmk);
     let arr = tmk.malloc_f64(2 * elems);
     let r_re = SpfReduction::new(&tmk, 1);
     let r_im = SpfReduction::new(&tmk, 2);
     let plane_elems = p.n1 * p.n2;
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
@@ -653,8 +646,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let probe = mr.tmk().read(arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -803,40 +795,29 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run 3-D FFT in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    let p = params(scale);
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk => split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg))),
-        Version::Spf | Version::HandOpt => {
-            split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, false)))
-        }
-        Version::SpfCri => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, true))),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::Fft3d, version, nprocs, scale, outs).with_trace(trace)
+/// One node of 3-D FFT in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk => tmk_node(node, p, cfg),
+        Version::Spf | Version::HandOpt => spf_node(node, p, cfg, false),
+        Version::SpfCri => spf_node(node, p, cfg, true),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::checksums_close;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.05; // 8 x 8 x 8
+
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::Fft3d, version, nprocs, SCALE).run()
+    }
 
     #[test]
     fn fft_line_roundtrip() {
@@ -887,9 +868,9 @@ mod tests {
 
     #[test]
     fn all_versions_match_sequential() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [Version::Tmk, Version::Spf, Version::Xhpf, Version::Pvme] {
-            let r = crate::runner::run(AppId::Fft3d, v, 4, SCALE);
+            let r = run(v, 4);
             assert!(
                 checksums_close(&r.checksum, &seq.checksum, 1e-9),
                 "version {v:?}: {:?} vs {:?}",
@@ -903,9 +884,9 @@ mod tests {
 
     #[test]
     fn cri_matches_sequential_and_cuts_messages() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
-        let spf = run(Version::Spf, 4, SCALE, TmkConfig::default());
-        let cri = run(Version::SpfCri, 4, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
+        let spf = run(Version::Spf, 4);
+        let cri = run(Version::SpfCri, 4);
         // The direct reduction combines in tree order, so the checksum
         // accumulators match to tolerance; the element-0 probe is
         // reduction-free and stays bit-exact.
@@ -929,8 +910,8 @@ mod tests {
 
     #[test]
     fn dsm_transpose_uses_many_more_messages_than_alltoall() {
-        let tmk = run(Version::Tmk, 4, SCALE, TmkConfig::default());
-        let pvme = run(Version::Pvme, 4, SCALE, TmkConfig::default());
+        let tmk = run(Version::Tmk, 4);
+        let pvme = run(Version::Pvme, 4);
         assert!(
             tmk.messages > 3 * pvme.messages,
             "tmk {} vs pvme {}",

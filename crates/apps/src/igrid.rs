@@ -26,13 +26,13 @@ use std::ops::{Deref, DerefMut, Range};
 use cri::{Access, Section};
 use inspector::{Inspector, SharedMap};
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
+use sp2sim::Node;
 use spf::{block_range, LoopCtl, Schedule, Spf, SpfReduction};
 use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{meter_start, meter_stop, split_run, Slab};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{meter_start, meter_stop, Slab, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -263,7 +263,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
     // The map is established at run time; each node computes it locally
     // (hand coders know it is replicable).
@@ -334,12 +334,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
+    let meter = SpfMeter::new(node);
     // Local caches of the shared map (faulted in on first touch);
     // declared before the run-time so loop bodies may borrow them.
     let maps = RefCell::new(None::<(Vec<u32>, Vec<u32>)>);
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let spf = Spf::new(&tmk);
     let arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
     // SPF allocates the map arrays in shared memory too (they are
@@ -349,13 +348,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let r_max = SpfReduction::new(&tmk, 2);
     let r_sum = SpfReduction::new(&tmk, 3);
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l_step = spf.register({
         let tmk = &tmk;
         let maps = &maps;
@@ -437,8 +430,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur as usize], n, p.square, red)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -459,22 +451,15 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
+    let meter = SpfMeter::new(node);
     let red_out = RefCell::new((f64::INFINITY, f64::NEG_INFINITY, 0.0));
     let insp = Inspector::new(node);
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
     let maps = [SharedMap::alloc(&tmk, n * n), SharedMap::alloc(&tmk, n * n)];
     let spf = Spf::new(&tmk);
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let step_body = |src_arr: SharedArray, dst_arr: SharedArray| {
         let (tmk, maps) = (&tmk, &maps);
         move |ctl: &LoopCtl| {
@@ -590,8 +575,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur], n, p.square, red)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -703,63 +687,39 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run IGrid in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
-}
-
-/// Like [`run_on`] with explicit workload parameters — tests use this to
-/// vary the iteration count alone (inspector-amortization pins need two
-/// runs that differ only in epochs).
-pub fn run_params_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    p: Params,
-    cfg: TmkConfig,
-) -> RunResult {
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk | Version::HandOpt => {
-            split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg)))
-        }
+/// One node of IGrid in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk | Version::HandOpt => tmk_node(node, p, cfg),
         // Irregular subscripts (run-time indirection map): the compiler
         // emits no regular-section descriptors. Plain SPF runs unhinted;
         // SPF+CRI runs the inspector/executor version, which materializes
         // the map once and reuses the communication schedule.
-        Version::Spf => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg))),
-        Version::SpfCri => split_run(Cluster::run(c, |node| spf_cri_node(node, &p, &cfg))),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::IGrid, version, nprocs, scale, outs).with_trace(trace)
+        Version::Spf => spf_node(node, p, cfg),
+        Version::SpfCri => spf_cri_node(node, p, cfg),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::checksums_close;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.08; // 40x40 grid, 3 iterations
 
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::IGrid, version, nprocs, SCALE).run()
+    }
+
     #[test]
     fn all_versions_match_sequential() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [Version::Tmk, Version::Spf, Version::Xhpf, Version::Pvme] {
-            let r = crate::runner::run(AppId::IGrid, v, 4, SCALE);
+            let r = run(v, 4);
             // Grid values are bit-exact; the square-sum reduction order
             // differs, so compare with tolerance.
             assert!(
@@ -777,8 +737,8 @@ mod tests {
         // Volume shape holds at any scale; the *time* ordering needs a
         // realistic problem size and is asserted in
         // tests/experiment_shape.rs.
-        let spf = run(Version::Spf, 4, SCALE, TmkConfig::default());
-        let xhpf = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
+        let spf = run(Version::Spf, 4);
+        let xhpf = run(Version::Xhpf, 4);
         assert!(
             xhpf.kbytes > 3 * spf.kbytes,
             "xhpf {} KB vs spf {} KB",
@@ -789,20 +749,8 @@ mod tests {
 
     #[test]
     fn inspector_cri_cuts_messages_with_identical_grid() {
-        let spf = run_on(
-            EngineKind::Sequential,
-            Version::Spf,
-            8,
-            0.08,
-            TmkConfig::default(),
-        );
-        let cri = run_on(
-            EngineKind::Sequential,
-            Version::SpfCri,
-            8,
-            0.08,
-            TmkConfig::default(),
-        );
+        let spf = run(Version::Spf, 8);
+        let cri = run(Version::SpfCri, 8);
         // Grid state (total, probes, min, max) is bitwise identical; the
         // square-sum reduction folds under a lock, so its order is
         // timing-dependent and compared with tolerance.
@@ -829,8 +777,8 @@ mod tests {
 
     #[test]
     fn pvme_is_lean() {
-        let pvme = run(Version::Pvme, 4, SCALE, TmkConfig::default());
-        let xhpf = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
+        let pvme = run(Version::Pvme, 4);
+        let xhpf = run(Version::Xhpf, 4);
         assert!(
             xhpf.kbytes > 3 * pvme.kbytes,
             "xhpf {} KB vs pvme {} KB",

@@ -20,17 +20,16 @@
 //! * **Hand-opt** (§5.1) is the SPF version with communication
 //!   aggregation, which the paper measures at 7.23 vs 7.55 for PVMe.
 
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
+use sp2sim::Node;
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{meter_start, meter_stop, split_run, Slab};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{meter_start, meter_stop, Slab, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -154,7 +153,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let arr = tmk.malloc_f64(n * n);
     if me == 0 {
         let full = init_full(n);
@@ -210,22 +209,13 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    // Declared before the run-time so registered loop bodies may borrow
-    // them (they must outlive the `Spf` that stores the closures).
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
-    let tmk = Tmk::new(node, cfg.clone());
+    let meter = SpfMeter::new(node);
+    let tmk = Tmk::new(node, *cfg);
     let spf = Spf::new(&tmk);
     let data = tmk.malloc_f64(n * n);
     // SPF allocates the scratch array in shared memory.
     let scr = tmk.malloc_f64(n * n);
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l1 = spf.register({
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
@@ -319,8 +309,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let full = m.tmk().read(data, 0..n * n);
         checksum(&Slab::over(n, 0, full.slice()), n)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -382,56 +371,32 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run Jacobi in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
-}
-
-/// Like [`run_on`], with the grid edge and iteration count given
-/// directly instead of derived from `scale` (which is only recorded):
-/// lets a test vary the iteration count at a fixed grid.
-pub fn run_params_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    p: Params,
-    cfg: TmkConfig,
-) -> RunResult {
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk => split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg))),
-        Version::Spf | Version::HandOpt => {
-            split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, false)))
-        }
-        Version::SpfCri => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, true))),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::Jacobi, version, nprocs, scale, outs).with_trace(trace)
+/// One node of Jacobi in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk => tmk_node(node, p, cfg),
+        Version::Spf | Version::HandOpt => spf_node(node, p, cfg, false),
+        Version::SpfCri => spf_node(node, p, cfg, true),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.03; // 61x61 grid, 3 iterations
 
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::Jacobi, version, nprocs, SCALE).run()
+    }
+
     #[test]
     fn all_versions_match_sequential_bitwise() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [
             Version::Tmk,
             Version::Spf,
@@ -439,34 +404,34 @@ mod tests {
             Version::Pvme,
             Version::HandOpt,
         ] {
-            let r = crate::runner::run(AppId::Jacobi, v, 4, SCALE);
+            let r = run(v, 4);
             assert_eq!(r.checksum, seq.checksum, "version {v:?}");
         }
     }
 
     #[test]
     fn parallel_versions_communicate() {
-        let r = run(Version::Pvme, 4, SCALE, TmkConfig::default());
+        let r = run(Version::Pvme, 4);
         // 3 boundary pairs, 2 messages each, 3 iterations; no sync.
         assert_eq!(r.messages, 3 * 2 * 3);
-        let x = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
+        let x = run(Version::Xhpf, 4);
         assert!(x.messages > r.messages, "XHPF adds per-loop syncs");
     }
 
     #[test]
     fn single_proc_parallel_versions_work() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [Version::Tmk, Version::Spf, Version::Xhpf, Version::Pvme] {
-            let r = crate::runner::run(AppId::Jacobi, v, 1, SCALE);
+            let r = run(v, 1);
             assert_eq!(r.checksum, seq.checksum, "version {v:?} on 1 proc");
         }
     }
 
     #[test]
     fn cri_matches_sequential_bitwise_and_cuts_messages() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
-        let spf = run(Version::Spf, 8, SCALE, TmkConfig::default());
-        let cri = run(Version::SpfCri, 8, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
+        let spf = run(Version::Spf, 8);
+        let cri = run(Version::SpfCri, 8);
         // Hints are performance-only: byte-identical results.
         assert_eq!(cri.checksum, seq.checksum);
         assert_eq!(cri.checksum, spf.checksum);
@@ -484,8 +449,8 @@ mod tests {
 
     #[test]
     fn spf_scratch_in_shared_memory_costs_twins() {
-        let spf = run(Version::Spf, 4, SCALE, TmkConfig::default());
-        let tmk = run(Version::Tmk, 4, SCALE, TmkConfig::default());
+        let spf = run(Version::Spf, 4);
+        let tmk = run(Version::Tmk, 4);
         // SPF twins both data and scratch pages; hand-coded only data.
         assert!(spf.dsm.twins > tmk.dsm.twins);
     }

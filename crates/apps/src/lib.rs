@@ -34,10 +34,23 @@
 //! across versions except where reduction order legitimately differs
 //! (NBF, checksum reductions), where validation uses a relative tolerance.
 //!
+//! A run is a [`RunSpec`] — application, version, processors, scale,
+//! engine and DSM configuration as one `Copy` value;
+//! `RunSpec::new(app, version, nprocs, scale).run()` is the paper's run
+//! on the deterministic engine, `.on(engine)` / `.protocol(p)` adjust
+//! it. Each application module exports its `Params`, `params(scale)`
+//! and one `node` function holding the version dispatch;
+//! [`RunSpec::launch`] is the only place that builds a cluster for
+//! them. `runner::run_with_cfg_on`, the same six values as positional
+//! arguments, stays because the out-of-workspace `benchmark/` package
+//! binds to it.
+//!
 //! Virtual time: kernels charge a calibrated per-point cost to the node
 //! clock (constants in each module, calibrated against the sequential
 //! times of Table 1); communication costs come from the [`sp2sim`] cost
 //! model.
+
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod demo;
@@ -49,4 +62,4 @@ pub mod nbf;
 pub mod runner;
 pub mod shallow;
 
-pub use runner::{run, run_on, run_protocol_on, AppId, RunResult, Version};
+pub use runner::{AppId, RunResult, RunSpec, Version};

@@ -23,17 +23,15 @@
 //! Shared-memory versions pad each column to a page boundary (SPF pads
 //! shared arrays anyway; it also keeps the broadcast page-safe).
 
-use std::cell::RefCell;
-
 use cri::{Access, Section, TriSection};
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node};
+use sp2sim::Node;
 use spf::{LoopCtl, Schedule, Spf};
 use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
 
-use crate::common::{hash01, meter_start, meter_stop, split_run};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -189,7 +187,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let a = PaddedMatrix::alloc(&tmk, n);
     dsm_init(&tmk, &a, me, np);
     tmk.barrier(0);
@@ -232,19 +230,12 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
-    let tmk = Tmk::new(node, cfg.clone());
+    let meter = SpfMeter::new(node);
+    let tmk = Tmk::new(node, *cfg);
     let a = PaddedMatrix::alloc(&tmk, n);
     let spf = Spf::new(&tmk);
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     // The orthogonalization loop SPF encapsulates: iteration space
     // i+1..n, cyclic; args[0] carries the pivot index.
     let l_upd = spf.register({
@@ -350,8 +341,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &a)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -425,44 +415,35 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run MGS in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    let p = params(scale);
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk => split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg, false))),
-        Version::HandOpt => split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg, true))),
+/// One node of MGS in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk => tmk_node(node, p, cfg, false),
+        Version::HandOpt => tmk_node(node, p, cfg, true),
         // MGS's loops are regular but triangular: the CRI version hints
         // them through `cri::TriSection` and the master's `produce`.
-        Version::Spf => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, false))),
-        Version::SpfCri => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg, true))),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::Mgs, version, nprocs, scale, outs).with_trace(trace)
+        Version::Spf => spf_node(node, p, cfg, false),
+        Version::SpfCri => spf_node(node, p, cfg, true),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.04; // 40 vectors of dimension 40
 
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::Mgs, version, nprocs, SCALE).run()
+    }
+
     #[test]
     fn all_versions_match_sequential_bitwise() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [
             Version::Tmk,
             Version::Spf,
@@ -470,34 +451,22 @@ mod tests {
             Version::Pvme,
             Version::HandOpt,
         ] {
-            let r = crate::runner::run(AppId::Mgs, v, 4, SCALE);
+            let r = run(v, 4);
             assert_eq!(r.checksum, seq.checksum, "version {v:?}");
         }
     }
 
     #[test]
     fn result_is_orthonormal() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         // Third checksum component is an off-diagonal inner product.
         assert!(seq.checksum[2].abs() < 1e-9);
     }
 
     #[test]
     fn triangular_cri_is_bitwise_identical_and_cheaper() {
-        let spf = run_on(
-            EngineKind::Sequential,
-            Version::Spf,
-            4,
-            SCALE,
-            TmkConfig::default(),
-        );
-        let cri = run_on(
-            EngineKind::Sequential,
-            Version::SpfCri,
-            4,
-            SCALE,
-            TmkConfig::default(),
-        );
+        let spf = run(Version::Spf, 4);
+        let cri = run(Version::SpfCri, 4);
         // Hints only move data: the basis is bitwise identical.
         assert_eq!(
             spf.checksum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -516,17 +485,17 @@ mod tests {
 
     #[test]
     fn pvme_uses_fewest_messages() {
-        let pvme = run(Version::Pvme, 4, SCALE, TmkConfig::default());
-        let xhpf = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
-        let tmk = run(Version::Tmk, 4, SCALE, TmkConfig::default());
+        let pvme = run(Version::Pvme, 4);
+        let xhpf = run(Version::Xhpf, 4);
+        let tmk = run(Version::Tmk, 4);
         assert!(pvme.messages < xhpf.messages);
         assert!(pvme.messages < tmk.messages);
     }
 
     #[test]
     fn bcast_handopt_cuts_traffic_vs_plain_tmk() {
-        let tmk = run(Version::Tmk, 4, SCALE, TmkConfig::default());
-        let opt = run(Version::HandOpt, 4, SCALE, TmkConfig::aggregated());
+        let tmk = run(Version::Tmk, 4);
+        let opt = run(Version::HandOpt, 4);
         assert!(opt.messages < tmk.messages);
         assert!(opt.time_us < tmk.time_us);
     }

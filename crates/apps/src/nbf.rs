@@ -23,19 +23,18 @@
 //!   contribution windows and boundary coordinate windows, in single
 //!   aggregated messages.
 
-use std::cell::RefCell;
 use std::ops::{DerefMut, Range};
 
 use cri::{Access, Section};
 use inspector::Inspector;
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, SplitMix64, WordReader, WordWriter};
+use sp2sim::{Node, SplitMix64, WordReader, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{hash01, meter_start, meter_stop, split_run};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -323,7 +322,7 @@ fn dsm_checksum(tmk: &Tmk, sh: &SharedNbf, m: usize) -> Vec<f64> {
 fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let sh = SharedNbf::alloc(&tmk, p.m, np);
     let partners = build_partners(p);
     // Each processor initializes its own coordinate block.
@@ -351,21 +350,14 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
-    let tmk = Tmk::new(node, cfg.clone());
+    let meter = SpfMeter::new(node);
+    let tmk = Tmk::new(node, *cfg);
     let sh = SharedNbf::alloc(&tmk, p.m, np);
     let partners = build_partners(p);
     let it = DsmIter::new(p, &partners, me, np);
     let spf = Spf::new(&tmk);
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l_force = spf.register({
         let (tmk, sh, it) = (&tmk, &sh, &it);
         move |_ctl: &LoopCtl| it.force(node, tmk, sh, me)
@@ -398,8 +390,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -426,22 +417,15 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
     let m = p.m;
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
+    let meter = SpfMeter::new(node);
     let insp = Inspector::new(node);
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let sh = SharedNbf::alloc(&tmk, p.m, np);
     let partners = build_partners(p);
     let it = DsmIter::new(p, &partners, me, np);
     let spf = Spf::new(&tmk);
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let (tmk, sh, it) = (&tmk, &sh, &it);
         move |_ctl: &LoopCtl| {
@@ -561,8 +545,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -746,56 +729,33 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run NBF in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
-}
-
-/// Like [`run_on`] with explicit workload parameters — tests use this to
-/// vary the iteration count alone (inspector-amortization pins).
-pub fn run_params_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    p: Params,
-    cfg: TmkConfig,
-) -> RunResult {
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk | Version::HandOpt => {
-            split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg)))
-        }
+/// One node of NBF in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk | Version::HandOpt => tmk_node(node, p, cfg),
         // Irregular interaction lists: no regular-section descriptors.
         // Plain SPF runs unhinted; SPF+CRI walks the partner lists with
         // an inspector and routes the force merge through the windowed
         // ordered reduction.
-        Version::Spf => split_run(Cluster::run(c, |node| spf_node(node, &p, &cfg))),
-        Version::SpfCri => split_run(Cluster::run(c, |node| spf_cri_node(node, &p, &cfg))),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::Nbf, version, nprocs, scale, outs).with_trace(trace)
+        Version::Spf => spf_node(node, p, cfg),
+        Version::SpfCri => spf_cri_node(node, p, cfg),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::checksums_close;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.02; // 655 molecules, 3 iterations
+
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::Nbf, version, nprocs, SCALE).run()
+    }
 
     #[test]
     fn partners_are_within_window_and_distinct_from_self() {
@@ -813,9 +773,9 @@ mod tests {
 
     #[test]
     fn all_versions_match_sequential_within_tolerance() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         for v in [Version::Tmk, Version::Spf, Version::Xhpf, Version::Pvme] {
-            let r = crate::runner::run(AppId::Nbf, v, 4, SCALE);
+            let r = run(v, 4);
             assert!(
                 checksums_close(&r.checksum, &seq.checksum, 1e-9),
                 "version {v:?}: {:?} vs {:?}",
@@ -827,20 +787,8 @@ mod tests {
 
     #[test]
     fn inspector_cri_is_bitwise_identical_and_cheaper() {
-        let spf = run_on(
-            EngineKind::Sequential,
-            Version::Spf,
-            8,
-            SCALE,
-            TmkConfig::default(),
-        );
-        let cri = run_on(
-            EngineKind::Sequential,
-            Version::SpfCri,
-            8,
-            SCALE,
-            TmkConfig::default(),
-        );
+        let spf = run(Version::Spf, 8);
+        let cri = run(Version::SpfCri, 8);
         // The windowed ordered reduction preserves the unhinted merge's
         // addition sequence exactly: coordinates are bitwise identical.
         assert_eq!(
@@ -864,9 +812,9 @@ mod tests {
         // byte counts, so only the ordering is asserted here; the
         // paper-shape factors are checked at a larger scale in the
         // integration suite and reproduced by the harness.
-        let tmk = run(Version::Tmk, 4, SCALE, TmkConfig::default());
-        let xhpf = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
-        let pvme = run(Version::Pvme, 4, SCALE, TmkConfig::default());
+        let tmk = run(Version::Tmk, 4);
+        let xhpf = run(Version::Xhpf, 4);
+        let pvme = run(Version::Pvme, 4);
         assert!(
             xhpf.kbytes > tmk.kbytes,
             "{} vs {}",

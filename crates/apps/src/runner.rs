@@ -1,6 +1,16 @@
 //! Application/version dispatch and result assembly.
+//!
+//! A run is a [`RunSpec`]: a `Copy` value naming the application, the
+//! version, the processor count, the scale, the engine and the DSM
+//! configuration. [`RunSpec::new`] fills in the two policies a caller
+//! would otherwise have to know (the default engine is the
+//! deterministic one; `HandOpt` means aggregation), `.on(..)` and
+//! `.protocol(..)` adjust it, [`RunSpec::run`] runs it, and
+//! [`RunSpec::launch`] is the only place that builds a cluster for an
+//! application. [`run_with_cfg_on`] survives as the positional
+//! spelling the out-of-workspace `benchmark/` package binds to.
 
-use sp2sim::{EngineKind, MsgKind, StatsSnapshot, TraceData};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind, Node, StatsSnapshot, TraceData};
 use treadmarks::{
     DsmStats, FalseSharingReport, ProtocolMode, RaceLog, RaceReport, SharingProfile, Tmk, TmkConfig,
 };
@@ -256,8 +266,8 @@ impl RunResult {
         }
     }
 
-    /// Attach the cluster's event trace (the apps' `run_on` entry
-    /// points call this with [`sp2sim::RunOutput::trace`]).
+    /// Attach the cluster's event trace ([`RunSpec::launch`] calls this
+    /// with [`sp2sim::RunOutput::trace`]).
     pub fn with_trace(mut self, trace: Option<TraceData>) -> RunResult {
         self.trace = trace;
         self
@@ -284,62 +294,99 @@ impl RunResult {
     }
 }
 
-/// The TreadMarks configuration a version runs with.
-pub fn tmk_config_for(version: Version) -> TmkConfig {
-    match version {
-        Version::HandOpt => TmkConfig::aggregated(),
-        _ => TmkConfig::default(),
+/// One simulation, as a value: which application in which version, on
+/// how many simulated processors at which problem scale, carried by
+/// which engine under which DSM configuration. Every run in the
+/// workspace starts from one of these.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunSpec {
+    /// Application.
+    pub app: AppId,
+    /// Program version.
+    pub version: Version,
+    /// Simulated processors ([`Version::Seq`] runs on one regardless).
+    pub nprocs: usize,
+    /// Problem scale (1.0 = the paper's sizes).
+    pub scale: f64,
+    /// Execution engine.
+    pub engine: EngineKind,
+    /// DSM configuration; message-passing versions and the sequential
+    /// baseline read only its `trace` flag.
+    pub cfg: TmkConfig,
+}
+
+impl RunSpec {
+    /// The run as the paper describes it: the default (deterministic)
+    /// engine, and the version's own DSM configuration —
+    /// [`Version::HandOpt`] is the §5 variant *with* communication
+    /// aggregation, every other version runs the defaults.
+    pub fn new(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunSpec {
+        let cfg = match version {
+            Version::HandOpt => TmkConfig::aggregated(),
+            _ => TmkConfig::default(),
+        };
+        RunSpec {
+            app,
+            version,
+            nprocs,
+            scale,
+            engine: EngineKind::default(),
+            cfg,
+        }
+    }
+
+    /// This run on `engine`.
+    pub fn on(self, engine: EngineKind) -> RunSpec {
+        RunSpec { engine, ..self }
+    }
+
+    /// This run under `protocol`.
+    pub fn protocol(self, protocol: ProtocolMode) -> RunSpec {
+        RunSpec {
+            cfg: self.cfg.with_protocol(protocol),
+            ..self
+        }
+    }
+
+    /// Run it, at the workload [`RunSpec::scale`] stands for.
+    pub fn run(&self) -> RunResult {
+        use crate::{fft3d, igrid, jacobi, mgs, nbf, shallow};
+        let s = self.scale;
+        match self.app {
+            AppId::Jacobi => self.launch(&jacobi::params(s), jacobi::node),
+            AppId::Shallow => self.launch(&shallow::params(s), shallow::node),
+            AppId::Mgs => self.launch(&mgs::params(s), mgs::node),
+            AppId::Fft3d => self.launch(&fft3d::params(s), fft3d::node),
+            AppId::IGrid => self.launch(&igrid::params(s), igrid::node),
+            AppId::Nbf => self.launch(&nbf::params(s), nbf::node),
+        }
+    }
+
+    /// The one place a spec becomes a cluster: `node` — the app module's
+    /// `node` function, which must be [`RunSpec::app`]'s — runs on every
+    /// simulated processor with workload `params`. [`RunSpec::run`]
+    /// derives `params` from the scale; a test that varies the
+    /// iteration count at a fixed grid passes its own (the scale is
+    /// then only recorded).
+    pub fn launch<P: Sync>(
+        &self,
+        params: &P,
+        node: impl Fn(&Node, Version, &P, &TmkConfig) -> NodeOut + Sync,
+    ) -> RunResult {
+        let nprocs = match self.version {
+            Version::Seq => 1,
+            _ => self.nprocs,
+        };
+        let c = ClusterConfig::sp2_on(nprocs, self.engine).with_tracing(self.cfg.trace);
+        let out = Cluster::run(c, |n| node(n, self.version, params, &self.cfg));
+        RunResult::assemble(self.app, self.version, nprocs, self.scale, out.results)
+            .with_trace(out.trace)
     }
 }
 
-/// The version's configuration under an explicit coherence protocol.
-/// Message-passing versions and the sequential baseline ignore it.
-pub fn tmk_config_for_protocol(version: Version, protocol: ProtocolMode) -> TmkConfig {
-    tmk_config_for(version).with_protocol(protocol)
-}
-
-/// Run `app` in `version` under an explicit engine **and** coherence
-/// protocol — the full (engine × protocol × version) cross product the
-/// harness sweeps.
-pub fn run_protocol_on(
-    engine: EngineKind,
-    protocol: ProtocolMode,
-    app: AppId,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-) -> RunResult {
-    run_with_cfg_on(
-        engine,
-        app,
-        version,
-        nprocs,
-        scale,
-        tmk_config_for_protocol(version, protocol),
-    )
-}
-
-/// Run `app` in `version` on `nprocs` simulated processors at `scale`
-/// (1.0 = the paper's problem sizes), on the default execution engine.
-/// `Version::Seq` ignores `nprocs`.
-pub fn run(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunResult {
-    run_on(EngineKind::default(), app, version, nprocs, scale)
-}
-
-/// Like [`run`] on an explicit execution engine. The sequential engine
-/// gives deterministic results and is what the harness's parallel sweep
-/// runner uses.
-pub fn run_on(
-    engine: EngineKind,
-    app: AppId,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-) -> RunResult {
-    run_with_cfg_on(engine, app, version, nprocs, scale, tmk_config_for(version))
-}
-
-/// The fully explicit entry point: engine + DSM configuration.
+/// [`RunSpec`]'s fields as positional arguments. `benchmark/` — a
+/// package of its own that a pull request to the workspace may not
+/// edit — binds to this signature; nothing in the workspace calls it.
 pub fn run_with_cfg_on(
     engine: EngineKind,
     app: AppId,
@@ -348,15 +395,15 @@ pub fn run_with_cfg_on(
     scale: f64,
     cfg: TmkConfig,
 ) -> RunResult {
-    let nprocs = if version == Version::Seq { 1 } else { nprocs };
-    match app {
-        AppId::Jacobi => crate::jacobi::run_on(engine, version, nprocs, scale, cfg),
-        AppId::Shallow => crate::shallow::run_on(engine, version, nprocs, scale, cfg),
-        AppId::Mgs => crate::mgs::run_on(engine, version, nprocs, scale, cfg),
-        AppId::Fft3d => crate::fft3d::run_on(engine, version, nprocs, scale, cfg),
-        AppId::IGrid => crate::igrid::run_on(engine, version, nprocs, scale, cfg),
-        AppId::Nbf => crate::nbf::run_on(engine, version, nprocs, scale, cfg),
-    }
+    let spec = RunSpec {
+        app,
+        version,
+        nprocs,
+        scale,
+        engine,
+        cfg,
+    };
+    spec.run()
 }
 
 #[cfg(test)]
@@ -394,6 +441,50 @@ mod tests {
         assert_eq!(r.checksum, vec![1.0]);
         assert_eq!(r.dsm.faults, 5);
         assert_eq!(r.speedup_vs(300.0), 2.0);
+    }
+
+    #[test]
+    fn new_fills_in_the_engine_and_the_versions_configuration() {
+        for v in [Version::Seq, Version::HandOpt]
+            .into_iter()
+            .chain(Version::SWEEP)
+        {
+            let spec = RunSpec::new(AppId::Mgs, v, 4, 0.04);
+            assert_eq!(spec.engine, EngineKind::Sequential, "{v:?}");
+            let expect = match v {
+                Version::HandOpt => TmkConfig::aggregated(),
+                _ => TmkConfig::default(),
+            };
+            assert_eq!(spec.cfg, expect, "{v:?}");
+            for p in ProtocolMode::ALL {
+                let cfg = TmkConfig {
+                    protocol: p,
+                    ..expect
+                };
+                assert_eq!(spec.protocol(p), RunSpec { cfg, ..spec }, "{v:?}/{p}");
+            }
+        }
+    }
+
+    #[test]
+    fn seq_runs_on_one_node_whatever_nprocs_says() {
+        let r = RunSpec::new(AppId::Jacobi, Version::Seq, 8, 0.03).run();
+        assert_eq!((r.nprocs, r.messages), (1, 0));
+    }
+
+    #[test]
+    fn run_equals_the_positional_form_to_the_bit() {
+        for p in ProtocolMode::ALL {
+            let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 4, 0.03).protocol(p);
+            let (a, b) = (
+                spec.run(),
+                run_with_cfg_on(spec.engine, spec.app, spec.version, 4, 0.03, spec.cfg),
+            );
+            assert_eq!(a.time_us.to_bits(), b.time_us.to_bits(), "{p}");
+            assert_eq!(a.stats, b.stats, "{p}");
+            assert_eq!(a.checksum, b.checksum, "{p}");
+            assert_eq!(a.dsm, b.dsm, "{p}");
+        }
     }
 
     #[test]

@@ -23,17 +23,16 @@
 //! * **PVMe (hand)**: one aggregated boundary message per neighbour per
 //!   exchange point.
 
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, Node, WordReader, WordWriter};
+use sp2sim::{Node, WordReader, WordWriter};
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
 
-use crate::common::{meter_start, meter_stop, split_run, Slab};
-use crate::runner::{AppId, NodeOut, RunResult, Version};
+use crate::common::{meter_start, meter_stop, Slab, SpfMeter};
+use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -626,7 +625,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let tmk = Tmk::new(node, cfg.clone());
+    let tmk = Tmk::new(node, *cfg);
     let sh = DsmShallow::alloc(&tmk, n);
     let (jr, jr3) = col_parts(me, np, n);
     sh.init_own(&tmk, n, jr3.clone());
@@ -669,9 +668,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
     let n = p.n;
     let me = node.id();
     let np = node.nprocs();
-    let meter = RefCell::new(None);
-    let measured = RefCell::new(None);
-    let tmk = Tmk::new(node, cfg.clone());
+    let meter = SpfMeter::new(node);
+    let tmk = Tmk::new(node, *cfg);
     let sh = DsmShallow::alloc(&tmk, n);
     let spf = Spf::new(&tmk);
 
@@ -685,13 +683,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
         (jr, jr3)
     };
 
-    let l_start = spf.register(|_ctl: &LoopCtl| {
-        *meter.borrow_mut() = Some(meter_start(node));
-    });
-    let l_stop = spf.register(|_ctl: &LoopCtl| {
-        let m = meter.borrow_mut().take().expect("meter started");
-        *measured.borrow_mut() = Some(meter_stop(node, m));
-    });
+    let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let (tmk, sh) = (&tmk, &sh);
         move |ctl: &LoopCtl| {
@@ -919,8 +911,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
         let (pf, uf) = (sh.read(mr.tmk(), P, &all), sh.read(mr.tmk(), U, &all));
         checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
     });
-    let timed = measured.borrow_mut().take().expect("meter ran");
-    NodeOut::shared(&tmk, timed, cs)
+    NodeOut::shared(&tmk, meter.take(), cs)
 }
 
 // ---------------------------------------------------------------------
@@ -1124,61 +1115,33 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     NodeOut::plain(timed, cs)
 }
 
-/// Run Shallow in `version` on `nprocs` processors at `scale`.
-pub fn run(version: Version, nprocs: usize, scale: f64, cfg: TmkConfig) -> RunResult {
-    run_on(EngineKind::default(), version, nprocs, scale, cfg)
-}
-
-/// Like [`run`], on an explicit execution engine.
-pub fn run_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    cfg: TmkConfig,
-) -> RunResult {
-    run_params_on(engine, version, nprocs, scale, params(scale), cfg)
-}
-
-/// Like [`run_on`], with the grid edge and iteration count given
-/// directly instead of derived from `scale` (which is only recorded):
-/// lets a test vary the iteration count at a fixed grid.
-pub fn run_params_on(
-    engine: EngineKind,
-    version: Version,
-    nprocs: usize,
-    scale: f64,
-    p: Params,
-    cfg: TmkConfig,
-) -> RunResult {
-    let c = ClusterConfig::sp2_on(nprocs, engine).with_tracing(cfg.trace);
-    let (outs, trace) = match version {
-        Version::Seq => split_run(Cluster::run(c, |node| seq_node(node, &p))),
-        Version::Tmk => split_run(Cluster::run(c, |node| tmk_node(node, &p, &cfg))),
-        Version::Spf => split_run(Cluster::run(c, |node| {
-            spf_node(node, &p, &cfg, false, false)
-        })),
-        Version::SpfCri => split_run(Cluster::run(c, |node| {
-            spf_node(node, &p, &cfg, false, true)
-        })),
-        Version::HandOpt => split_run(Cluster::run(c, |node| {
-            spf_node(node, &p, &cfg, true, false)
-        })),
-        Version::Xhpf => split_run(Cluster::run(c, |node| mp_node(node, &p, true))),
-        Version::Pvme => split_run(Cluster::run(c, |node| mp_node(node, &p, false))),
-    };
-    RunResult::assemble(AppId::Shallow, version, nprocs, scale, outs).with_trace(trace)
+/// One node of Shallow in `version`.
+pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeOut {
+    match version {
+        Version::Seq => seq_node(node, p),
+        Version::Tmk => tmk_node(node, p, cfg),
+        Version::Spf => spf_node(node, p, cfg, false, false),
+        Version::SpfCri => spf_node(node, p, cfg, false, true),
+        Version::HandOpt => spf_node(node, p, cfg, true, false),
+        Version::Xhpf => mp_node(node, p, true),
+        Version::Pvme => mp_node(node, p, false),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{AppId, RunResult, RunSpec};
 
     const SCALE: f64 = 0.03; // 30x30 grid, 3 iterations
 
+    fn run(version: Version, nprocs: usize) -> RunResult {
+        RunSpec::new(AppId::Shallow, version, nprocs, SCALE).run()
+    }
+
     #[test]
     fn all_versions_match_sequential_bitwise() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
         assert!(seq.checksum[0].is_finite());
         for v in [
             Version::Tmk,
@@ -1187,16 +1150,16 @@ mod tests {
             Version::Pvme,
             Version::HandOpt,
         ] {
-            let r = crate::runner::run(AppId::Shallow, v, 4, SCALE);
+            let r = run(v, 4);
             assert_eq!(r.checksum, seq.checksum, "version {v:?}");
         }
     }
 
     #[test]
     fn cri_matches_sequential_bitwise_and_cuts_messages() {
-        let seq = run(Version::Seq, 1, SCALE, TmkConfig::default());
-        let spf = run(Version::Spf, 4, SCALE, TmkConfig::default());
-        let cri = run(Version::SpfCri, 4, SCALE, TmkConfig::default());
+        let seq = run(Version::Seq, 1);
+        let spf = run(Version::Spf, 4);
+        let cri = run(Version::SpfCri, 4);
         assert_eq!(cri.checksum, seq.checksum);
         assert_eq!(cri.checksum, spf.checksum);
         assert!(
@@ -1210,15 +1173,15 @@ mod tests {
 
     #[test]
     fn pvme_aggregation_beats_xhpf_messages() {
-        let pvme = run(Version::Pvme, 4, SCALE, TmkConfig::default());
-        let xhpf = run(Version::Xhpf, 4, SCALE, TmkConfig::default());
+        let pvme = run(Version::Pvme, 4);
+        let xhpf = run(Version::Xhpf, 4);
         assert!(pvme.messages < xhpf.messages);
     }
 
     #[test]
     fn fused_handopt_reduces_sync_vs_spf() {
-        let spf = run(Version::Spf, 4, SCALE, TmkConfig::default());
-        let opt = run(Version::HandOpt, 4, SCALE, TmkConfig::aggregated());
+        let spf = run(Version::Spf, 4);
+        let opt = run(Version::HandOpt, 4);
         assert!(opt.dsm.forks < spf.dsm.forks);
         assert!(opt.time_us < spf.time_us);
     }

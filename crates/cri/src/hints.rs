@@ -719,7 +719,7 @@ mod tests {
                 ..TmkConfig::hlrc()
             };
             let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
-                let tmk = Tmk::new(node, cfg.clone());
+                let tmk = Tmk::new(node, cfg);
                 let hints = HintEngine::new(&tmk);
                 let arr = [tmk.malloc_f64(WORDS), tmk.malloc_f64(WORDS)];
                 // Loop 0: node q writes section q of array q % 2 for loop

@@ -77,6 +77,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dynsection;
 pub mod hints;
 pub mod section;

@@ -54,18 +54,18 @@ fn read(path: &str, what: &str) -> Result<Baseline, Exit> {
 /// silently comparing across scales would flag phantom regressions —
 /// so the recorded `(scale, nprocs)` win over the command line, and a
 /// mismatch is reported.
-pub fn gate_config(cli: &Cli, baseline: Option<&Baseline>) -> (f64, usize) {
-    match baseline {
-        Some(b) => {
-            if b.scale != cli.scale || b.nprocs != cli.nprocs {
-                eprintln!(
-                    "note: baseline recorded at scale {} / {} procs; \
-                     running the gate there (command line said {} / {})",
-                    b.scale, b.nprocs, cli.scale, cli.nprocs
-                );
-            }
-            (b.scale, b.nprocs)
-        }
-        None => (cli.scale, cli.nprocs),
+pub fn gate_config(cli: Cli, baseline: Option<&Baseline>) -> Cli {
+    let Some(b) = baseline else { return cli };
+    if b.scale != cli.scale || b.nprocs != cli.nprocs {
+        eprintln!(
+            "note: baseline recorded at scale {} / {} procs; \
+             running the gate there (command line said {} / {})",
+            b.scale, b.nprocs, cli.scale, cli.nprocs
+        );
+    }
+    Cli {
+        scale: b.scale,
+        nprocs: b.nprocs,
+        ..cli
     }
 }

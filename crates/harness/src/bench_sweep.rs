@@ -33,125 +33,114 @@
 
 use std::time::Instant;
 
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use sp2sim::EngineKind;
 use treadmarks::{ProtocolMode, TmkConfig};
 
 use crate::json::Json;
+use crate::sweep::sweep_map;
 
 /// Schema tag of the emitted document.
 pub const SCHEMA: &str = "bench_sweep/v3";
 
-/// One grid point, before it runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CellSpec {
-    pub app: AppId,
-    pub version: Version,
-    pub protocol: ProtocolMode,
-    pub engine: EngineKind,
-    pub nprocs: usize,
-    pub scale: f64,
-    pub page_words: usize,
+/// Relative expected cost of a grid point, the longest-job-first sort
+/// key. Only the ordering matters: scheduling expensive cells first
+/// keeps workers busy at the tail of the sweep. Weights are rough
+/// per-app virtual work at scale 1.0; simulation cost grows
+/// superlinearly with scale, and smaller pages mean more faults to
+/// simulate.
+pub fn expected_cost(spec: &RunSpec) -> u64 {
+    let app = match spec.app {
+        AppId::Jacobi => 4,
+        AppId::Shallow => 6,
+        AppId::Mgs => 5,
+        AppId::Fft3d => 8,
+        AppId::IGrid => 3,
+        AppId::Nbf => 3,
+    };
+    let pages = (2048 / spec.cfg.page_words.max(1)).max(1) as u64;
+    (spec.scale * spec.scale * 1e9) as u64 * app * pages
 }
 
-impl CellSpec {
-    /// Relative expected cost, the longest-job-first sort key. Only the
-    /// ordering matters: scheduling expensive cells first keeps workers
-    /// busy at the tail of the sweep. Weights are rough per-app virtual
-    /// work at scale 1.0; simulation cost grows superlinearly with
-    /// scale, and smaller pages mean more faults to simulate.
-    pub fn expected_cost(&self) -> u64 {
-        let app = match self.app {
-            AppId::Jacobi => 4,
-            AppId::Shallow => 6,
-            AppId::Mgs => 5,
-            AppId::Fft3d => 8,
-            AppId::IGrid => 3,
-            AppId::Nbf => 3,
-        };
-        let pages = (2048 / self.page_words.max(1)).max(1) as u64;
-        (self.scale * self.scale * 1e9) as u64 * app * pages
-    }
+/// Canonical grid order (app, protocol, engine, scale, page size) — the
+/// order [`grid`] emits and [`run_grid`] returns, independent of the
+/// longest-job-first execution order.
+pub fn canon_key(spec: &RunSpec) -> (usize, usize, usize, u64, usize) {
+    let app = AppId::ALL.iter().position(|&a| a == spec.app).unwrap_or(0);
+    (
+        app,
+        spec.cfg.protocol as usize,
+        (spec.engine == EngineKind::Threaded) as usize,
+        spec.scale.to_bits(),
+        spec.cfg.page_words,
+    )
+}
 
-    /// Run the cell and measure it. Tracing is enabled so the breakdown
-    /// columns can be derived; `wall_us` therefore includes the
-    /// recorder's host overhead, uniformly across the grid.
-    pub fn run(&self) -> SweepCell {
-        let cfg = TmkConfig {
-            page_words: self.page_words,
-            ..TmkConfig::default()
+/// Run one grid point and measure it. The grid's specs have tracing on
+/// so the breakdown columns can be derived; `wall_us` therefore
+/// includes the recorder's host overhead, uniformly across the grid.
+pub fn measure(spec: &RunSpec) -> SweepCell {
+    let started = Instant::now();
+    let r = spec.run();
+    let wall_us = started.elapsed().as_micros() as u64;
+    let (wait_us, service_us, critical_path_us, cp_wait_share) = match r.trace.as_ref() {
+        Some(t) => {
+            let a = crate::trace_analysis::analyze(t);
+            let (cp_us, cp_share) = crate::critical_path::compute(t)
+                .map(|cp| (cp.length_us(), cp.wait_share()))
+                .unwrap_or((0.0, 0.0));
+            (a.wait_us(), a.service_us(), cp_us, cp_share)
         }
-        .with_protocol(self.protocol)
-        .with_trace(true);
-        let started = Instant::now();
-        let r = apps::runner::run_with_cfg_on(
-            self.engine,
-            self.app,
-            self.version,
-            self.nprocs,
-            self.scale,
-            cfg,
-        );
-        let wall_us = started.elapsed().as_micros() as u64;
-        let (wait_us, service_us, critical_path_us, cp_wait_share) = match r.trace.as_ref() {
-            Some(t) => {
-                let a = crate::trace_analysis::analyze(t);
-                let (cp_us, cp_share) = crate::critical_path::compute(t)
-                    .map(|cp| (cp.length_us(), cp.wait_share()))
-                    .unwrap_or((0.0, 0.0));
-                (a.wait_us(), a.service_us(), cp_us, cp_share)
-            }
-            None => (0.0, 0.0, 0.0, 0.0),
-        };
-        let hot_page = r
-            .sharing
-            .pages
-            .iter()
-            .max_by(|a, b| a.1.faults.cmp(&b.1.faults).then(b.0.cmp(&a.0)))
-            .map_or(-1, |(p, _)| *p as i64);
-        let hot_lock = r
-            .sharing
-            .locks
-            .iter()
-            .max_by(|a, b| a.1.wait_us.total_cmp(&b.1.wait_us).then(b.0.cmp(&a.0)))
-            .map_or(-1, |(l, _)| *l as i64);
-        SweepCell {
-            app: self.app.name().to_string(),
-            version: self.version.name().to_string(),
-            protocol: self.protocol,
-            engine: self.engine,
-            nprocs: self.nprocs,
-            scale: self.scale,
-            page_words: self.page_words,
-            time_us: r.time_us,
-            messages: r.messages,
-            bytes: r.stats.total_bytes(),
-            wait_us,
-            service_us,
-            critical_path_us,
-            cp_wait_share,
-            hot_page,
-            hot_lock,
-            wall_us,
-            arena_hits: r.dsm.arena_hits,
-            arena_misses: r.dsm.arena_misses,
-            arena_peak_bytes: r.dsm.arena_peak_bytes,
-        }
+        None => (0.0, 0.0, 0.0, 0.0),
+    };
+    let hot_page = r
+        .sharing
+        .pages
+        .iter()
+        .max_by(|a, b| a.1.faults.cmp(&b.1.faults).then(b.0.cmp(&a.0)))
+        .map_or(-1, |(p, _)| *p as i64);
+    let hot_lock = r
+        .sharing
+        .locks
+        .iter()
+        .max_by(|a, b| a.1.wait_us.total_cmp(&b.1.wait_us).then(b.0.cmp(&a.0)))
+        .map_or(-1, |(l, _)| *l as i64);
+    SweepCell {
+        app: spec.app.name().to_string(),
+        version: spec.version.name().to_string(),
+        protocol: spec.cfg.protocol,
+        engine: spec.engine,
+        nprocs: spec.nprocs,
+        scale: spec.scale,
+        page_words: spec.cfg.page_words,
+        time_us: r.time_us,
+        messages: r.messages,
+        bytes: r.stats.total_bytes(),
+        wait_us,
+        service_us,
+        critical_path_us,
+        cp_wait_share,
+        hot_page,
+        hot_lock,
+        wall_us,
+        arena_hits: r.dsm.arena_hits,
+        arena_misses: r.dsm.arena_misses,
+        arena_peak_bytes: r.dsm.arena_peak_bytes,
     }
+}
 
-    /// Canonical grid order (app, protocol, engine, scale, page size) —
-    /// the order cells appear in the emitted file, independent of the
-    /// longest-job-first execution order.
-    pub fn canon_key(&self) -> (usize, usize, usize, u64, usize) {
-        let app = AppId::ALL.iter().position(|&a| a == self.app).unwrap_or(0);
-        (
-            app,
-            self.protocol as usize,
-            (self.engine == EngineKind::Threaded) as usize,
-            self.scale.to_bits(),
-            self.page_words,
-        )
-    }
+/// Run `specs` and return their cells in canonical order. The schedule
+/// is greedy longest-expected-first, the classic makespan heuristic for
+/// [`sweep_map`]'s shared queue: the expensive cells go first, so no
+/// worker is left grinding a giant cell after the others drained the
+/// queue. The sort is stable, so the schedule is deterministic.
+pub fn run_grid(specs: &[RunSpec]) -> Vec<SweepCell> {
+    let mut scheduled = specs.to_vec();
+    scheduled.sort_by_key(|spec| std::cmp::Reverse(expected_cost(spec)));
+    let cells = sweep_map(&scheduled, measure);
+    let mut ran: Vec<_> = scheduled.iter().zip(cells).collect();
+    ran.sort_by_key(|(spec, _)| canon_key(spec));
+    ran.into_iter().map(|(_, cell)| cell).collect()
 }
 
 /// One measured grid point of the trajectory file.
@@ -465,29 +454,29 @@ impl SweepDoc {
 
 /// The full grid: six applications × both protocols × both engines ×
 /// `scales` × `page_words`, the compiler-parallelized shared-memory
-/// version ([`Version::Spf`]) throughout. Cells come out in canonical
-/// order; the caller reorders for scheduling.
+/// version ([`Version::Spf`]) throughout, tracing on (see [`measure`]).
+/// Cells come out in canonical order; [`run_grid`] reorders for
+/// scheduling.
 pub fn grid(
     nprocs: usize,
     engines: &[EngineKind],
     scales: &[f64],
     page_words: &[usize],
-) -> Vec<CellSpec> {
+) -> Vec<RunSpec> {
     let mut cells = Vec::new();
     for &app in &AppId::ALL {
         for &protocol in &ProtocolMode::ALL {
             for &engine in engines {
                 for &scale in scales {
-                    for &pw in page_words {
-                        cells.push(CellSpec {
-                            app,
-                            version: Version::Spf,
+                    for &page_words in page_words {
+                        let cfg = TmkConfig {
+                            page_words,
                             protocol,
-                            engine,
-                            nprocs,
-                            scale,
-                            page_words: pw,
-                        });
+                            trace: true,
+                            ..TmkConfig::default()
+                        };
+                        let spec = RunSpec::new(app, Version::Spf, nprocs, scale).on(engine);
+                        cells.push(RunSpec { cfg, ..spec });
                     }
                 }
             }
@@ -497,7 +486,7 @@ pub fn grid(
 }
 
 /// Default full-sweep shape: both engines, two scales, two page sizes.
-pub fn full_grid(nprocs: usize, scale_mult: f64) -> Vec<CellSpec> {
+pub fn full_grid(nprocs: usize, scale_mult: f64) -> Vec<RunSpec> {
     grid(
         nprocs,
         &[EngineKind::Sequential, EngineKind::Threaded],
@@ -508,7 +497,7 @@ pub fn full_grid(nprocs: usize, scale_mult: f64) -> Vec<CellSpec> {
 
 /// CI smoke shape: sequential engine only (deterministic, flake-free),
 /// one small scale, one page size — still every app × protocol.
-pub fn smoke_grid(nprocs: usize, scale_mult: f64) -> Vec<CellSpec> {
+pub fn smoke_grid(nprocs: usize, scale_mult: f64) -> Vec<RunSpec> {
     grid(
         nprocs,
         &[EngineKind::Sequential],
@@ -600,7 +589,7 @@ mod tests {
         assert_eq!(cells.len(), 6 * 2 * 2 * 2 * 2);
         // Canonical order is already sorted.
         let mut sorted = cells.clone();
-        sorted.sort_by_key(CellSpec::canon_key);
+        sorted.sort_by_key(canon_key);
         assert_eq!(sorted, cells);
     }
 
@@ -616,10 +605,10 @@ mod tests {
         let mut a = smoke_grid(8, 1.0)[0];
         let mut b = a;
         b.scale *= 2.0;
-        assert!(b.expected_cost() > a.expected_cost());
-        a.page_words = 256;
-        b.page_words = 512;
+        assert!(expected_cost(&b) > expected_cost(&a));
+        a.cfg.page_words = 256;
+        b.cfg.page_words = 512;
         b.scale = a.scale;
-        assert!(a.expected_cost() > b.expected_cost());
+        assert!(expected_cost(&a) > expected_cost(&b));
     }
 }

@@ -82,6 +82,15 @@ pub struct Cli {
     pub protocol: ProtocolMode,
 }
 
+impl Cli {
+    /// The run of `app` in `version` this command line asks for.
+    pub fn spec(&self, app: apps::AppId, version: apps::Version) -> apps::RunSpec {
+        apps::RunSpec::new(app, version, self.nprocs, self.scale)
+            .on(self.engine)
+            .protocol(self.protocol)
+    }
+}
+
 /// What one subcommand accepts: its positional defaults and the flags
 /// it takes beyond `--engine` / `--protocol`.
 pub struct Spec {

@@ -42,7 +42,6 @@ use crate::critical_path::{self, CriticalPath, DagCheck};
 use crate::json::{num, obj};
 use crate::report::{f1 as us, pct, render_table, Table};
 use crate::{Json, SegmentKind};
-use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
 use sp2sim::stats::ALL_KINDS;
 use sp2sim::Category;
@@ -76,10 +75,9 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         return Ok(());
     }
 
-    let cfg = tmk_config_for_protocol(version, cli.protocol)
-        .with_trace(true)
-        .with_race_detection(true);
-    let r = run_with_cfg_on(cli.engine, app, version, cli.nprocs, cli.scale, cfg);
+    let mut spec = cli.spec(app, version);
+    spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
+    let r = spec.run();
     let trace = r
         .trace
         .as_ref()

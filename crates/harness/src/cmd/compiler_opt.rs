@@ -26,9 +26,10 @@ use crate::Table;
 pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let gate = flags.value("--gate").unwrap_or_else(|| "jacobi".into());
     let baseline = baseline::from_flags(flags, "max_msgs")?;
-    let (scale, nprocs) = baseline::gate_config(&cli, baseline.as_ref());
+    let cli = baseline::gate_config(cli, baseline.as_ref());
+    let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Compiler-runtime interface: closing the SPF gap (scale {scale}, {nprocs} procs)\n");
-    let rows = crate::compiler_opt(nprocs, scale, cli.engine, cli.protocol);
+    let rows = crate::compiler_opt(&cli);
     let mut t = Table::new(vec![
         "Program", "Version", "Time (s)", "Speedup", "Msgs", "KBytes", "Insp", "Reuse", "Insp (s)",
     ]);

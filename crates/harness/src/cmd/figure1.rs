@@ -16,7 +16,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         cli.protocol
     );
     let mut t = Table::new(vec!["Program", "SPF/Tmk", "Tmk", "XHPF", "PVMe"]);
-    for row in crate::figure1(nprocs, scale, cli.engine, cli.protocol) {
+    for row in crate::figure1(&cli) {
         t.row(vec![
             row.app.name().to_string(),
             f2(row.speedup(0)),

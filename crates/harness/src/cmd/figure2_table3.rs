@@ -18,7 +18,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let trace_out = flags.value("--trace-out");
     let do_analyze = flags.has("--analyze");
     let (scale, nprocs) = (cli.scale, cli.nprocs);
-    let rows = crate::figure2_table3(nprocs, scale, cli.engine, cli.protocol);
+    let rows = crate::figure2_table3(&cli);
     let header: Vec<String> = std::iter::once("Program".to_string())
         .chain(Version::SWEEP.iter().map(|v| v.name().to_string()))
         .collect();
@@ -70,31 +70,18 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     // A separate traced run, so the table numbers above come from
     // tracing-free executions.
     if let Some(path) = trace_out {
-        let n = crate::trace_analysis::export_traced_run(
-            &path,
-            cli.engine,
-            cli.protocol,
-            apps::AppId::IGrid,
-            Version::SpfCri,
-            nprocs,
-            scale,
-        )
-        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        let spec = cli.spec(apps::AppId::IGrid, Version::SpfCri);
+        let n = crate::trace_analysis::export_traced_run(&path, spec)
+            .map_err(|e| Exit::failure(format!("error: {e}")))?;
         println!("\nwrote IGrid SPF+CRI trace to {path} ({n} events)");
     }
 
     // Compact causal summary of the headline configuration, from its
     // own traced side run (the tables stay tracing-free).
     if do_analyze {
-        let s = crate::critical_path::summarize_traced_run(
-            cli.engine,
-            cli.protocol,
-            apps::AppId::IGrid,
-            Version::SpfCri,
-            nprocs,
-            scale,
-        )
-        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        let spec = cli.spec(apps::AppId::IGrid, Version::SpfCri);
+        let s = crate::critical_path::summarize_traced_run(spec)
+            .map_err(|e| Exit::failure(format!("error: {e}")))?;
         println!("\n{s}");
     }
     Ok(())

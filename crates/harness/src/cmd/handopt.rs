@@ -18,7 +18,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         "Reference",
         "(vs)",
     ]);
-    for r in crate::handopt(nprocs, scale, cli.engine, cli.protocol) {
+    for r in crate::handopt(&cli) {
         t.row(vec![
             r.app.name().to_string(),
             r.what.to_string(),

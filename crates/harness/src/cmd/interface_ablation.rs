@@ -20,7 +20,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         "Original time(s)",
         "Slowdown",
     ]);
-    for (app, imp, orig) in crate::interface_ablation(nprocs, scale, cli.engine, cli.protocol) {
+    for (app, imp, orig) in crate::interface_ablation(&cli) {
         t.row(vec![
             app.name().to_string(),
             imp.messages.to_string(),

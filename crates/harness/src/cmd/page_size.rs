@@ -10,22 +10,17 @@ use crate::cli::{Cli, Exit, Flags};
 use crate::report::{f2, render_table};
 use crate::Table;
 use apps::{AppId, Version};
-use treadmarks::TmkConfig;
 
 pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Page-size ablation, hand-coded TreadMarks (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec!["Program", "Page", "Speedup", "Messages", "Data KB"]);
     for app in [AppId::Jacobi, AppId::IGrid] {
-        let seq = apps::runner::run_on(cli.engine, app, Version::Seq, 1, scale).time_us;
+        let seq = cli.spec(app, Version::Seq).run().time_us;
         for page_words in [128usize, 256, 512, 1024, 2048] {
-            let cfg = TmkConfig {
-                page_words,
-                ..TmkConfig::default()
-            }
-            .with_protocol(cli.protocol);
-            let r =
-                apps::runner::run_with_cfg_on(cli.engine, app, Version::Tmk, nprocs, scale, cfg);
+            let mut spec = cli.spec(app, Version::Tmk);
+            spec.cfg.page_words = page_words;
+            let r = spec.run();
             t.row(vec![
                 app.name().to_string(),
                 format!("{} B", page_words * 8),

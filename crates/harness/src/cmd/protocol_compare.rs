@@ -24,14 +24,16 @@ use crate::baseline;
 use crate::cli::{Cli, Exit, Flags};
 use crate::report::{f2, render_table};
 use crate::Table;
+use treadmarks::ProtocolMode;
 
 pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let trace_out = flags.value("--trace-out");
     let do_analyze = flags.has("--analyze");
     let baseline = baseline::from_flags(flags, "max_round_trips")?;
-    let (scale, nprocs) = baseline::gate_config(&cli, baseline.as_ref());
+    let cli = baseline::gate_config(cli, baseline.as_ref());
+    let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Protocol comparison: LRC vs home-based LRC (scale {scale}, {nprocs} procs)\n");
-    let rows = crate::protocol_compare(nprocs, scale, cli.engine);
+    let rows = crate::protocol_compare(&cli);
     let mut t = Table::new(vec![
         "Program", "Protocol", "Time (s)", "Speedup", "Msgs", "KBytes", "Miss RTs", "Flush KB",
     ]);
@@ -84,36 +86,20 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
 
     // A separate traced run, so the table numbers above come from
     // tracing-free executions.
+    let jacobi = cli.spec(apps::AppId::Jacobi, apps::Version::Spf);
     if let Some(path) = trace_out {
-        let n = crate::trace_analysis::export_traced_run(
-            &path,
-            cli.engine,
-            treadmarks::ProtocolMode::Hlrc,
-            apps::AppId::Jacobi,
-            apps::Version::Spf,
-            nprocs,
-            scale,
-        )
-        .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        let n =
+            crate::trace_analysis::export_traced_run(&path, jacobi.protocol(ProtocolMode::Hlrc))
+                .map_err(|e| Exit::failure(format!("error: {e}")))?;
         println!("\nwrote HLRC Jacobi trace to {path} ({n} events)");
     }
 
     // Compact causal summaries of Jacobi under both protocols, each
     // from its own traced side run (the table stays tracing-free).
     if do_analyze {
-        for protocol in [
-            treadmarks::ProtocolMode::Lrc,
-            treadmarks::ProtocolMode::Hlrc,
-        ] {
-            let s = crate::critical_path::summarize_traced_run(
-                cli.engine,
-                protocol,
-                apps::AppId::Jacobi,
-                apps::Version::Spf,
-                nprocs,
-                scale,
-            )
-            .map_err(|e| Exit::failure(format!("error: {e}")))?;
+        for protocol in ProtocolMode::ALL {
+            let s = crate::critical_path::summarize_traced_run(jacobi.protocol(protocol))
+                .map_err(|e| Exit::failure(format!("error: {e}")))?;
             println!("\n{s}");
         }
     }

@@ -14,7 +14,6 @@
 //! yes-man.
 
 use crate::cli::{Cli, Exit, Flags};
-use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::{race, ProtocolMode, RaceLog, Tmk, TmkConfig};
@@ -26,8 +25,9 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let mut races = 0usize;
     for app in AppId::ALL {
         for protocol in ProtocolMode::ALL {
-            let cfg = tmk_config_for_protocol(Version::Spf, protocol).with_race_detection(true);
-            let r = run_with_cfg_on(cli.engine, app, Version::Spf, cli.nprocs, cli.scale, cfg);
+            let mut spec = cli.spec(app, Version::Spf).protocol(protocol);
+            spec.cfg.detect_races = true;
+            let r = spec.run();
             let verdict = if r.race_report.is_empty() {
                 "race-free"
             } else {

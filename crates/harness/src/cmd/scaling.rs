@@ -14,7 +14,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         "Scaling study (scale {scale}, up to {maxp} procs, {} protocol)\n",
         cli.protocol
     );
-    let rows = crate::scaling(maxp, scale, &AppId::ALL, cli.engine, cli.protocol);
+    let rows = crate::scaling(&cli, &AppId::ALL);
     let mut header = vec!["Program".to_string(), "Version".to_string()];
     let mut np = 1;
     while np <= maxp {

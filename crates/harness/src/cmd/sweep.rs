@@ -20,10 +20,9 @@
 //! across cores, longest-expected first; threaded-engine cells run one
 //! after another (each already uses a thread per simulated node).
 
-use crate::bench_sweep::{full_grid, smoke_grid, CellSpec};
+use crate::bench_sweep::{full_grid, run_grid, smoke_grid};
 use crate::cli::{Cli, Exit, Flags};
-use crate::{longest_first, sweep_map, SweepDoc};
-use sp2sim::EngineKind;
+use crate::SweepDoc;
 
 pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let smoke = flags.has("--smoke");
@@ -49,22 +48,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         cli.scale,
     );
 
-    // Sequential-engine cells are safe to fan out; threaded-engine
-    // cells each spawn a thread per node already and run serially.
-    // Either way the results scatter back into canonical grid order.
-    let (seq, thr): (Vec<CellSpec>, Vec<CellSpec>) = cells
-        .iter()
-        .partition(|c| c.engine == EngineKind::Sequential);
-    let mut tagged: Vec<(usize, CellSpec)> = seq.into_iter().enumerate().collect();
-    longest_first(&mut tagged, |&(_, c)| c.expected_cost());
-    let mut done: Vec<Option<crate::SweepCell>> = vec![None; tagged.len()];
-    for (i, cell) in sweep_map(EngineKind::Sequential, tagged, |(i, spec)| (i, spec.run())) {
-        done[i] = Some(cell);
-    }
-    let mut all: Vec<crate::SweepCell> = done.into_iter().map(Option::unwrap).collect();
-    for spec in thr {
-        all.push(spec.run());
-    }
+    let mut all = run_grid(&cells);
     // Canonical file order: paper app order, then protocol, engine,
     // scale, page size — independent of the execution schedule.
     all.sort_by_key(|c| {

@@ -11,7 +11,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let scale = cli.scale;
     println!("Table 1: Data Set Sizes and Sequential Execution Time (scale {scale})\n");
     let mut t = Table::new(vec!["Program", "Problem Size", "Time (sec.)"]);
-    for row in crate::table1(scale, cli.engine) {
+    for row in crate::table1(&cli) {
         t.row(vec![row.app.name().to_string(), row.size, f1(row.secs)]);
     }
     println!("{}", render_table(&t));

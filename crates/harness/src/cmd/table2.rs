@@ -18,14 +18,7 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         "Table 2: {nprocs}-Processor Message Totals and Data Totals (KB), Regular Applications (scale {scale}, {} protocol)\n",
         cli.protocol
     );
-    let rows = speedup_rows(
-        &AppId::REGULAR,
-        &Version::SWEEP,
-        nprocs,
-        scale,
-        cli.engine,
-        cli.protocol,
-    );
+    let rows = speedup_rows(&cli, &AppId::REGULAR, &Version::SWEEP);
     let header: Vec<String> = ["", "Program"]
         .into_iter()
         .map(str::to_string)

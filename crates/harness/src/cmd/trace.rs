@@ -18,7 +18,6 @@ use crate::cli::{parse_app, parse_version, Cli, Exit, Flags};
 use crate::report::{f1 as us, render_table, Table};
 use crate::trace_analysis::{analyze, to_chrome_trace_with_path, validate_chrome_trace};
 use crate::Json;
-use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
 use apps::{AppId, Version};
 
 pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
@@ -45,8 +44,9 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         return Ok(());
     }
 
-    let cfg = tmk_config_for_protocol(version, cli.protocol).with_trace(true);
-    let r = run_with_cfg_on(cli.engine, app, version, cli.nprocs, cli.scale, cfg);
+    let mut spec = cli.spec(app, version);
+    spec.cfg.trace = true;
+    let r = spec.run();
     let trace = r
         .trace
         .as_ref()

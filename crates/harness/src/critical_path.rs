@@ -699,27 +699,18 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
 /// the headline: path length (and whether the sequential identity
 /// held), wait share, the top path contributor, and the hottest
 /// page/false-sharing/lock sites.
-pub fn summarize_traced_run(
-    engine: sp2sim::EngineKind,
-    protocol: treadmarks::ProtocolMode,
-    app: apps::AppId,
-    version: apps::Version,
-    nprocs: usize,
-    scale: f64,
-) -> Result<String, String> {
-    let cfg = apps::runner::tmk_config_for_protocol(version, protocol)
-        .with_trace(true)
-        .with_race_detection(true);
-    let r = apps::runner::run_with_cfg_on(engine, app, version, nprocs, scale, cfg);
+pub fn summarize_traced_run(mut spec: apps::RunSpec) -> Result<String, String> {
+    spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
+    let r = spec.run();
     let trace = r.trace.as_ref().ok_or("run produced no trace")?;
     let cp = compute(trace).ok_or("trace has no app tracks")?;
     let t_max = trace.final_us.iter().fold(0.0f64, |a, &b| a.max(b));
     let exact = cp.exact() && cp.length_us().to_bits() == t_max.to_bits();
     let mut out = format!(
         "causal summary ({} / {} / {:?}): critical path {:.1} us ({}), wait share {:.1}%\n",
-        app.name(),
-        version.name(),
-        protocol,
+        spec.app.name(),
+        spec.version.name(),
+        spec.cfg.protocol,
         cp.length_us(),
         if exact {
             "exact identity"

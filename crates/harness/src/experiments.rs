@@ -2,11 +2,10 @@
 
 use std::collections::HashMap;
 
-use apps::runner::{run_on, run_protocol_on, run_with_cfg_on};
-use apps::{AppId, RunResult, Version};
-use sp2sim::EngineKind;
-use treadmarks::{ProtocolMode, TmkConfig};
+use apps::{AppId, RunResult, RunSpec, Version};
+use treadmarks::ProtocolMode;
 
+use crate::cli::Cli;
 use crate::sweep::sweep_map;
 
 /// A Table 1 row: workload description and sequential execution time.
@@ -78,42 +77,28 @@ fn size_desc(app: AppId, scale: f64) -> String {
 }
 
 /// Table 1: data-set sizes and sequential execution times.
-pub fn table1(scale: f64, engine: EngineKind) -> Vec<SeqRow> {
-    sweep_map(engine, AppId::ALL.to_vec(), |app| {
-        let r = run_on(engine, app, Version::Seq, 1, scale);
-        SeqRow {
-            app,
-            size: size_desc(app, scale),
-            secs: r.time_us / 1e6,
-        }
+pub fn table1(cli: &Cli) -> Vec<SeqRow> {
+    let specs = AppId::ALL.map(|app| cli.spec(app, Version::Seq));
+    sweep_map(&specs, |spec| SeqRow {
+        app: spec.app,
+        size: size_desc(spec.app, spec.scale),
+        secs: spec.run().time_us / 1e6,
     })
 }
 
-/// Run `versions` of `apps` on `nprocs` processors.
+/// Run `versions` of `apps` as `cli` asks.
 ///
 /// The whole (app, version) cross product — sequential baselines
 /// included — is one flat job list handed to the parallel sweep runner:
 /// on the sequential engine every job is an independent single-threaded
 /// simulation, so the sweep saturates the machine's cores.
-pub fn speedup_rows(
-    app_list: &[AppId],
-    versions: &[Version],
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<SpeedupRow> {
-    let mut jobs: Vec<(AppId, Version, usize)> = Vec::new();
+pub fn speedup_rows(cli: &Cli, app_list: &[AppId], versions: &[Version]) -> Vec<SpeedupRow> {
+    let mut jobs = Vec::new();
     for &app in app_list {
-        jobs.push((app, Version::Seq, 1));
-        for &v in versions {
-            jobs.push((app, v, nprocs));
-        }
+        jobs.push(cli.spec(app, Version::Seq));
+        jobs.extend(versions.iter().map(|&v| cli.spec(app, v)));
     }
-    let mut results = sweep_map(engine, jobs, |(app, v, np)| {
-        run_protocol_on(engine, protocol, app, v, np, scale)
-    })
-    .into_iter();
+    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
     app_list
         .iter()
         .map(|&app| {
@@ -130,43 +115,19 @@ pub fn speedup_rows(
         .collect()
 }
 
-/// Figure 1 + Table 2: the regular applications. `protocol` selects the
-/// coherence protocol of the shared-memory versions (the message-passing
-/// columns are unaffected), making the whole sweep a (version ×
-/// protocol) grid.
-pub fn figure1(
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<SpeedupRow> {
-    speedup_rows(
-        &AppId::REGULAR,
-        &Version::FIGURE,
-        nprocs,
-        scale,
-        engine,
-        protocol,
-    )
+/// Figure 1 + Table 2: the regular applications. `cli.protocol` selects
+/// the coherence protocol of the shared-memory versions (the
+/// message-passing columns are unaffected), making the whole sweep a
+/// (version × protocol) grid.
+pub fn figure1(cli: &Cli) -> Vec<SpeedupRow> {
+    speedup_rows(cli, &AppId::REGULAR, &Version::FIGURE)
 }
 
 /// Figure 2 + Table 3: the irregular applications, grown with the
 /// SPF+CRI (inspector/executor) column — the paper's figure versions
 /// plus the one this repository adds to move its worst-case apps.
-pub fn figure2_table3(
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<SpeedupRow> {
-    speedup_rows(
-        &AppId::IRREGULAR,
-        &Version::SWEEP,
-        nprocs,
-        scale,
-        engine,
-        protocol,
-    )
+pub fn figure2_table3(cli: &Cli) -> Vec<SpeedupRow> {
+    speedup_rows(cli, &AppId::IRREGULAR, &Version::SWEEP)
 }
 
 /// A §5 hand-optimization row.
@@ -188,110 +149,101 @@ pub struct HandOptRow {
 
 /// §5 "Results of Hand Optimizations": per-application hand-optimized
 /// shared-memory variants vs their baselines and references.
-pub fn handopt(
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<HandOptRow> {
-    let run = |app, v, np, scale| run_protocol_on(engine, protocol, app, v, np, scale);
-    let mut rows = Vec::new();
-    // Jacobi: SPF + data aggregation, compared against PVMe (7.23/7.55).
-    {
-        let seq = run(AppId::Jacobi, Version::Seq, 1, scale).time_us;
-        let base = run(AppId::Jacobi, Version::Spf, nprocs, scale);
-        let opt = run(AppId::Jacobi, Version::HandOpt, nprocs, scale);
-        let pvme = run(AppId::Jacobi, Version::Pvme, nprocs, scale);
-        rows.push(HandOptRow {
-            app: AppId::Jacobi,
-            what: "SPF + data aggregation",
-            base: base.speedup_vs(seq),
-            opt: opt.speedup_vs(seq),
-            reference: pvme.speedup_vs(seq),
-            ref_name: "PVMe",
-        });
-    }
-    // Shallow: SPF + merged loops + aggregation, vs hand-coded Tmk
-    // (5.96/6.21).
-    {
-        let seq = run(AppId::Shallow, Version::Seq, 1, scale).time_us;
-        let base = run(AppId::Shallow, Version::Spf, nprocs, scale);
-        let opt = run(AppId::Shallow, Version::HandOpt, nprocs, scale);
-        let tmk = run(AppId::Shallow, Version::Tmk, nprocs, scale);
-        rows.push(HandOptRow {
-            app: AppId::Shallow,
-            what: "SPF + merged loops + aggregation",
-            base: base.speedup_vs(seq),
-            opt: opt.speedup_vs(seq),
-            reference: tmk.speedup_vs(seq),
-            ref_name: "Tmk",
-        });
-    }
-    // MGS: hand-coded Tmk + broadcast / merged sync+data (5.09 from 4.19).
-    {
-        let seq = run(AppId::Mgs, Version::Seq, 1, scale).time_us;
-        let base = run(AppId::Mgs, Version::Tmk, nprocs, scale);
-        let opt = run(AppId::Mgs, Version::HandOpt, nprocs, scale);
-        let pvme = run(AppId::Mgs, Version::Pvme, nprocs, scale);
-        rows.push(HandOptRow {
-            app: AppId::Mgs,
-            what: "Tmk + broadcast, merged sync+data",
-            base: base.speedup_vs(seq),
-            opt: opt.speedup_vs(seq),
-            reference: pvme.speedup_vs(seq),
-            ref_name: "PVMe",
-        });
+pub fn handopt(cli: &Cli) -> Vec<HandOptRow> {
+    use Version::{HandOpt, Pvme, Spf, SpfCri, Tmk};
+    // (application, what the optimization is, the version the paper
+    // optimized, the optimized one, the reference and its name).
+    let rows = [
+        // Jacobi: SPF + data aggregation, compared against PVMe (7.23/7.55).
+        (
+            AppId::Jacobi,
+            "SPF + data aggregation",
+            Spf,
+            HandOpt,
+            Pvme,
+            "PVMe",
+        ),
+        // Shallow: SPF + merged loops + aggregation, vs hand-coded Tmk
+        // (5.96/6.21).
+        (
+            AppId::Shallow,
+            "SPF + merged loops + aggregation",
+            Spf,
+            HandOpt,
+            Tmk,
+            "Tmk",
+        ),
+        // MGS: hand-coded Tmk + broadcast / merged sync+data (5.09 from 4.19).
+        (
+            AppId::Mgs,
+            "Tmk + broadcast, merged sync+data",
+            Tmk,
+            HandOpt,
+            Pvme,
+            "PVMe",
+        ),
         // Compiler-described counterpart of the same §5.3 idea: the CRI
         // triangular sections + the master's sequential-producer
         // declaration push the pivot with the rendezvous. Compared
         // against the hand broadcast it imitates.
-        let spf = run(AppId::Mgs, Version::Spf, nprocs, scale);
-        let cri = run(AppId::Mgs, Version::SpfCri, nprocs, scale);
-        rows.push(HandOptRow {
-            app: AppId::Mgs,
-            what: "SPF + CRI pivot push (triangular sections)",
-            base: spf.speedup_vs(seq),
-            opt: cri.speedup_vs(seq),
-            reference: opt.speedup_vs(seq),
-            ref_name: "Tmk+bcast",
-        });
+        (
+            AppId::Mgs,
+            "SPF + CRI pivot push (triangular sections)",
+            Spf,
+            SpfCri,
+            HandOpt,
+            "Tmk+bcast",
+        ),
+        // 3-D FFT: SPF + data aggregation, vs PVMe (5.05/5.12).
+        (
+            AppId::Fft3d,
+            "SPF + data aggregation",
+            Spf,
+            HandOpt,
+            Pvme,
+            "PVMe",
+        ),
+    ];
+    let mut jobs: Vec<RunSpec> = Vec::new();
+    for &(app, _, base, opt, reference, _) in &rows {
+        for v in [Version::Seq, base, opt, reference] {
+            let spec = cli.spec(app, v);
+            if !jobs.contains(&spec) {
+                jobs.push(spec);
+            }
+        }
     }
-    // 3-D FFT: SPF + data aggregation, vs PVMe (5.05/5.12).
-    {
-        let seq = run(AppId::Fft3d, Version::Seq, 1, scale).time_us;
-        let base = run(AppId::Fft3d, Version::Spf, nprocs, scale);
-        let opt = run(AppId::Fft3d, Version::HandOpt, nprocs, scale);
-        let pvme = run(AppId::Fft3d, Version::Pvme, nprocs, scale);
-        rows.push(HandOptRow {
-            app: AppId::Fft3d,
-            what: "SPF + data aggregation",
-            base: base.speedup_vs(seq),
-            opt: opt.speedup_vs(seq),
-            reference: pvme.speedup_vs(seq),
-            ref_name: "PVMe",
-        });
-    }
-    rows
+    let times = sweep_map(&jobs, |spec| spec.run().time_us);
+    let time = |app, v| {
+        let ran = jobs.iter().position(|s| s.app == app && s.version == v);
+        times[ran.expect("every row's versions are jobs")]
+    };
+    let filled = rows.map(|(app, what, base, opt, reference, ref_name)| {
+        let speedup = |v| time(app, Version::Seq) / time(app, v);
+        HandOptRow {
+            app,
+            what,
+            base: speedup(base),
+            opt: speedup(opt),
+            reference: speedup(reference),
+            ref_name,
+        }
+    });
+    filled.to_vec()
 }
 
 /// §2.3: the improved vs original compiler/run-time interface, measured
 /// on the SPF versions. Returns `(app, improved result, original result)`.
-pub fn interface_ablation(
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<(AppId, RunResult, RunResult)> {
+pub fn interface_ablation(cli: &Cli) -> Vec<(AppId, RunResult, RunResult)> {
     let apps = [AppId::Jacobi, AppId::Fft3d];
-    let mut jobs: Vec<(AppId, TmkConfig)> = Vec::new();
+    let mut jobs = Vec::new();
     for &app in &apps {
-        jobs.push((app, TmkConfig::default().with_protocol(protocol)));
-        jobs.push((app, TmkConfig::legacy_forkjoin().with_protocol(protocol)));
+        let improved = cli.spec(app, Version::Spf);
+        let mut original = improved;
+        original.cfg.improved_forkjoin = false;
+        jobs.extend([improved, original]);
     }
-    let mut results = sweep_map(engine, jobs, |(app, cfg)| {
-        run_with_cfg_on(engine, app, Version::Spf, nprocs, scale, cfg)
-    })
-    .into_iter();
+    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
     apps.iter()
         .map(|&app| {
             let improved = results.next().expect("improved run present");
@@ -346,32 +298,15 @@ impl CompilerOptRow {
 /// the inspector/executor subsystem (dynamic sections with a cached
 /// communication schedule; the amortized inspector cost is reported per
 /// row).
-pub fn compiler_opt(
-    nprocs: usize,
-    scale: f64,
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<CompilerOptRow> {
-    let apps = [
-        AppId::Jacobi,
-        AppId::Shallow,
-        AppId::Mgs,
-        AppId::Fft3d,
-        AppId::IGrid,
-        AppId::Nbf,
-    ];
-    let mut jobs: Vec<(AppId, Version, usize)> = Vec::new();
-    for &app in &apps {
-        jobs.push((app, Version::Seq, 1));
-        for v in [Version::Spf, Version::SpfCri, Version::Pvme] {
-            jobs.push((app, v, nprocs));
-        }
+pub fn compiler_opt(cli: &Cli) -> Vec<CompilerOptRow> {
+    let versions = [Version::Seq, Version::Spf, Version::SpfCri, Version::Pvme];
+    let mut jobs = Vec::new();
+    for app in AppId::ALL {
+        jobs.extend(versions.map(|v| cli.spec(app, v)));
     }
-    let mut results = sweep_map(engine, jobs, |(app, v, np)| {
-        run_protocol_on(engine, protocol, app, v, np, scale)
-    })
-    .into_iter();
-    apps.iter()
+    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
+    AppId::ALL
+        .iter()
         .map(|&app| {
             let seq = results.next().expect("sequential baseline present");
             let spf = results.next().expect("spf run present");
@@ -422,19 +357,14 @@ impl ProtocolCompareRow {
 /// round trips (one whole-page fetch per miss instead of one diff
 /// exchange per writer) and pays for it in update traffic (flush and
 /// whole-page bytes).
-pub fn protocol_compare(nprocs: usize, scale: f64, engine: EngineKind) -> Vec<ProtocolCompareRow> {
+pub fn protocol_compare(cli: &Cli) -> Vec<ProtocolCompareRow> {
     let version = Version::Spf;
-    let mut jobs: Vec<(AppId, Version, usize, ProtocolMode)> = Vec::new();
+    let mut jobs = Vec::new();
     for &app in &AppId::REGULAR {
-        jobs.push((app, Version::Seq, 1, ProtocolMode::Lrc));
-        for protocol in ProtocolMode::ALL {
-            jobs.push((app, version, nprocs, protocol));
-        }
+        jobs.push(cli.spec(app, Version::Seq));
+        jobs.extend(ProtocolMode::ALL.map(|p| cli.spec(app, version).protocol(p)));
     }
-    let mut results = sweep_map(engine, jobs, |(app, v, np, protocol)| {
-        run_protocol_on(engine, protocol, app, v, np, scale)
-    })
-    .into_iter();
+    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
     AppId::REGULAR
         .iter()
         .map(|&app| {
@@ -463,52 +393,47 @@ pub struct ScaleRow {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Extension: 1..=`max_procs` scaling for every app and sweep version
+/// Extension: 1..=`cli.nprocs` scaling for every app and sweep version
 /// (the paper's figure versions plus the hinted SPF+CRI column — the
 /// sweep-level CRI report), under the selected coherence protocol.
-pub fn scaling(
-    max_procs: usize,
-    scale: f64,
-    app_list: &[AppId],
-    engine: EngineKind,
-    protocol: ProtocolMode,
-) -> Vec<ScaleRow> {
+pub fn scaling(cli: &Cli, app_list: &[AppId]) -> Vec<ScaleRow> {
     // Baselines first (one per app), then the full cross product — the
     // largest sweep of the suite, and the reason the sweep runner exists.
-    let seq_times = sweep_map(engine, app_list.to_vec(), |app| {
-        run_on(engine, app, Version::Seq, 1, scale).time_us
-    });
+    let baselines: Vec<_> = app_list
+        .iter()
+        .map(|&a| cli.spec(a, Version::Seq))
+        .collect();
+    let seq_times = sweep_map(&baselines, |spec| spec.run().time_us);
     let seq_us: HashMap<&'static str, f64> = app_list
         .iter()
         .zip(&seq_times)
         .map(|(app, &t)| (app.name(), t))
         .collect();
 
-    let mut jobs: Vec<(AppId, Version, usize)> = Vec::new();
+    let mut jobs = Vec::new();
     for &app in app_list {
         for &v in &Version::SWEEP {
-            let mut np = 1;
-            while np <= max_procs {
-                jobs.push((app, v, np));
-                np *= 2;
+            let mut nprocs = 1;
+            while nprocs <= cli.nprocs {
+                jobs.push(RunSpec {
+                    nprocs,
+                    ..cli.spec(app, v)
+                });
+                nprocs *= 2;
             }
         }
     }
-    let results = sweep_map(engine, jobs.clone(), |(app, v, np)| {
-        run_protocol_on(engine, protocol, app, v, np, scale)
-    });
+    let results = sweep_map(&jobs, RunSpec::run);
 
     let mut rows: Vec<ScaleRow> = Vec::new();
-    for ((app, v, np), r) in jobs.into_iter().zip(results) {
-        let seq = seq_us[app.name()];
+    for r in results {
+        let point = (r.nprocs, r.speedup_vs(seq_us[r.app.name()]));
         match rows.last_mut() {
-            Some(row) if row.app == app && row.version == v => {
-                row.points.push((np, r.speedup_vs(seq)))
-            }
+            Some(row) if row.app == r.app && row.version == r.version => row.points.push(point),
             _ => rows.push(ScaleRow {
-                app,
-                version: v,
-                points: vec![(np, r.speedup_vs(seq))],
+                app: r.app,
+                version: r.version,
+                points: vec![point],
             }),
         }
     }
@@ -519,11 +444,18 @@ pub fn scaling(
 mod tests {
     use super::*;
 
-    const SCALE: f64 = 0.03;
+    fn cli(nprocs: usize, protocol: ProtocolMode) -> Cli {
+        Cli {
+            scale: 0.03,
+            nprocs,
+            engine: sp2sim::EngineKind::Sequential,
+            protocol,
+        }
+    }
 
     #[test]
     fn table1_covers_all_apps() {
-        let rows = table1(SCALE, EngineKind::Sequential);
+        let rows = table1(&cli(1, ProtocolMode::Lrc));
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.secs > 0.0, "{:?} has positive sequential time", r.app);
@@ -534,7 +466,7 @@ mod tests {
     #[test]
     fn compiler_opt_covers_all_apps_and_reduces_messages() {
         for protocol in ProtocolMode::ALL {
-            let rows = compiler_opt(4, SCALE, EngineKind::Sequential, protocol);
+            let rows = compiler_opt(&cli(4, protocol));
             assert_eq!(rows.len(), 6);
             for r in &rows {
                 assert!(r.seq_us > 0.0);
@@ -558,7 +490,7 @@ mod tests {
 
     #[test]
     fn speedup_row_accessors() {
-        let rows = figure2_table3(2, SCALE, EngineKind::Sequential, ProtocolMode::Lrc);
+        let rows = figure2_table3(&cli(2, ProtocolMode::Lrc));
         assert_eq!(rows.len(), 2);
         let r = &rows[0];
         assert_eq!(r.get(Version::Spf).version, Version::Spf);
@@ -567,7 +499,7 @@ mod tests {
 
     #[test]
     fn protocol_compare_shape() {
-        let rows = protocol_compare(4, SCALE, EngineKind::Sequential);
+        let rows = protocol_compare(&cli(4, ProtocolMode::Lrc));
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(

@@ -15,6 +15,8 @@
 //! scales run in seconds and preserve the paper's qualitative shape,
 //! while `scale = 1.0` reproduces the calibrated magnitudes.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod bench_sweep;
 pub mod cli;
@@ -26,7 +28,7 @@ pub mod report;
 pub mod sweep;
 pub mod trace_analysis;
 
-pub use bench_sweep::{CellSpec, SweepCell, SweepDoc};
+pub use bench_sweep::{SweepCell, SweepDoc};
 pub use critical_path::{check_dag, CriticalPath, DagCheck, Segment, SegmentKind};
 pub use experiments::{
     compiler_opt, figure1, figure2_table3, handopt, interface_ablation, protocol_compare, scaling,
@@ -35,7 +37,7 @@ pub use experiments::{
 };
 pub use json::Json;
 pub use report::{render_table, Table};
-pub use sweep::{longest_first, sweep_map};
+pub use sweep::sweep_map;
 pub use trace_analysis::{
     analyze, to_chrome_trace, validate_chrome_trace, EpochBreakdown, NodeBreakdown, TraceAnalysis,
 };

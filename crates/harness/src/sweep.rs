@@ -5,168 +5,96 @@
 //! is only safe and profitable when each simulation runs on the
 //! sequential engine (single-threaded, deterministic, no oversubscription).
 //! With the threaded engine every simulation already spawns a thread per
-//! simulated node, so the sweep runs them one after another instead.
+//! simulated node, so the sweep runs those one after another instead.
 
+use std::sync::Mutex;
+
+use apps::RunSpec;
 use sp2sim::EngineKind;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// True when sweep items should fan out across OS threads for `engine`.
-pub fn parallel(engine: EngineKind) -> bool {
-    engine == EngineKind::Sequential
-}
-
-/// Sort items longest-expected-first. Greedy longest-job-first is the
-/// classic makespan heuristic for [`sweep_map`]'s work-stealing loop:
-/// scheduling the expensive cells first keeps every worker busy through
-/// the tail of the sweep instead of leaving one worker grinding a giant
-/// cell after the others drained the queue. The sort is stable and
-/// descending, so equal-cost items keep their canonical order and the
-/// schedule is deterministic.
-pub fn longest_first<T>(items: &mut [T], cost: impl Fn(&T) -> u64) {
-    items.sort_by_key(|t| std::cmp::Reverse(cost(t)));
-}
-
-/// Map `f` over `items`, in parallel when `engine` allows it (see
-/// [`parallel`]); preserves item order in the result either way, and
-/// propagates the first worker panic.
-pub fn sweep_map<T, R, F>(engine: EngineKind, items: Vec<T>, f: F) -> Vec<R>
+/// Map `f` over `specs`; the results come back in `specs`' order, and
+/// the first worker panic propagates. Sequential-engine specs fan out
+/// across OS threads, each worker pulling the next one off a shared
+/// queue — so `specs`' order is also the schedule; threaded-engine
+/// specs then run one after another on the calling thread.
+pub fn sweep_map<R, F>(specs: &[RunSpec], f: F) -> Vec<R>
 where
-    T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&RunSpec) -> R + Sync,
 {
-    if !parallel(engine) || items.len() < 2 {
-        return items.into_iter().map(f).collect();
-    }
+    let (fan_out, serial): (Vec<_>, Vec<_>) = specs
+        .iter()
+        .enumerate()
+        .partition(|(_, spec)| spec.engine == EngineKind::Sequential);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(items.len());
-    let jobs: Vec<Slot<T>> = items.into_iter().map(Slot::full).collect();
-    let results: Vec<Slot<R>> = (0..jobs.len()).map(|_| Slot::empty()).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                // SAFETY: `fetch_add` hands index `i` to exactly one
-                // worker, so this thread has exclusive access to both
-                // slots at `i` for the lifetime of the scope.
-                let item = unsafe { jobs[i].take() }.expect("job claimed once");
-                let r = f(item);
-                unsafe { results[i].put(r) };
-            }));
+        .min(fan_out.len());
+    // A job is a whole simulation: the lock around the queue is noise.
+    let queue = Mutex::new(fan_out.into_iter());
+    let drain = || {
+        let next = || queue.lock().expect("no job runs under the lock").next();
+        std::iter::from_fn(next)
+            .map(|(i, spec)| (i, f(spec)))
+            .collect::<Vec<_>>()
+    };
+    // The calling thread is the first worker.
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-        for h in handles {
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
+        done
     });
+    done.extend(serial.into_iter().map(|(i, spec)| (i, f(spec))));
 
-    // All workers joined above: the slots are quiescent again.
-    results
-        .into_iter()
-        .map(|c| c.into_inner().expect("worker filled every slot"))
-        .collect()
-}
-
-/// A `Sync` slot with no lock and no allocation. The sweep's invariant —
-/// each index is claimed by exactly one worker through the shared atomic
-/// counter, and every worker is joined before the results are read —
-/// means slot accesses never race; earlier revisions encoded that
-/// through a mutex per slot, which bought nothing but an atomic RMW on
-/// the hot claim path. The invariant is now carried by the two `unsafe`
-/// call sites in [`sweep_map`] instead.
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: a Slot is only ever touched by one thread at a time (see the
-// invariant above); `T: Send` is all that transfer needs.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-impl<T> Slot<T> {
-    fn full(t: T) -> Slot<T> {
-        Slot(UnsafeCell::new(Some(t)))
-    }
-
-    fn empty() -> Slot<T> {
-        Slot(UnsafeCell::new(None))
-    }
-
-    /// SAFETY: caller must have exclusive access to this slot.
-    unsafe fn take(&self) -> Option<T> {
-        (*self.0.get()).take()
-    }
-
-    /// SAFETY: caller must have exclusive access to this slot.
-    unsafe fn put(&self, t: T) {
-        *self.0.get() = Some(t);
-    }
-
-    fn into_inner(self) -> Option<T> {
-        self.0.into_inner()
-    }
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apps::{AppId, Version};
 
-    #[test]
-    fn sweep_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = sweep_map(EngineKind::Sequential, items, |i| i * 3);
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+    /// `n` distinct specs on `engine`, told apart by their `nprocs`.
+    fn specs(n: usize, engine: EngineKind) -> Vec<RunSpec> {
+        let spec = |np| RunSpec::new(AppId::Jacobi, Version::Pvme, np, 0.03).on(engine);
+        (1..=n).map(spec).collect()
     }
 
     #[test]
-    fn threaded_engine_runs_serially_but_correctly() {
-        let out = sweep_map(EngineKind::Threaded, vec![1, 2, 3], |i| i + 1);
-        assert_eq!(out, vec![2, 3, 4]);
+    fn sweep_preserves_order() {
+        let out = sweep_map(&specs(100, EngineKind::Sequential), |s| s.nprocs * 3);
+        assert_eq!(out, (1..=100).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn threaded_engine_specs_run_serially_and_keep_their_places() {
+        let mut mixed = specs(6, EngineKind::Sequential);
+        mixed[1].engine = EngineKind::Threaded;
+        mixed[4].engine = EngineKind::Threaded;
+        let caller = std::thread::current().id();
+        let out = sweep_map(&mixed, |s| {
+            let serial = s.engine == EngineKind::Threaded;
+            assert!(!serial || std::thread::current().id() == caller);
+            s.nprocs + 1
+        });
+        assert_eq!(out, vec![2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "spec 3 failed")]
+    fn first_worker_panic_propagates() {
+        sweep_map(&specs(8, EngineKind::Sequential), |s| {
+            assert!(s.nprocs != 3, "spec 3 failed");
+        });
     }
 
     #[test]
     fn sweep_runs_real_simulations() {
-        use sp2sim::{Cluster, ClusterConfig};
-        let out = sweep_map(EngineKind::Sequential, vec![2usize, 3, 4], |np| {
-            Cluster::run(ClusterConfig::sp2_on(np, EngineKind::Sequential), |node| {
-                node.id()
-            })
-            .results
-            .len()
-        });
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn longest_first_is_stable_descending() {
-        let mut items = vec![(1u64, 'a'), (3, 'b'), (2, 'c'), (3, 'd'), (1, 'e')];
-        longest_first(&mut items, |&(c, _)| c);
-        assert_eq!(
-            items,
-            vec![(3, 'b'), (3, 'd'), (2, 'c'), (1, 'a'), (1, 'e')]
-        );
-    }
-
-    #[test]
-    fn ljf_schedule_round_trips_through_sweep_map() {
-        // The sweep-bin pattern: tag with the canonical index, sort by
-        // cost, run, scatter back. The result must be independent of
-        // the schedule.
-        let costs: Vec<u64> = vec![5, 1, 9, 3, 7, 2];
-        let mut tagged: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
-        longest_first(&mut tagged, |&(_, c)| c);
-        assert_eq!(tagged[0], (2, 9), "most expensive first");
-        let mut out = vec![0u64; costs.len()];
-        for (i, r) in sweep_map(EngineKind::Sequential, tagged, |(i, c)| (i, c * 10)) {
-            out[i] = r;
-        }
-        assert_eq!(out, vec![50, 10, 90, 30, 70, 20]);
+        let out = sweep_map(&specs(3, EngineKind::Sequential), |s| s.run().nprocs);
+        assert_eq!(out, vec![1, 2, 3]);
     }
 }

@@ -576,17 +576,9 @@ pub fn validate_chrome_trace(v: &Json) -> Result<(), String> {
 /// wall-clock numbers stay tracing-free; the simulated numbers are
 /// identical either way (pinned by the trace-overhead gate test).
 /// Returns the exported event count.
-pub fn export_traced_run(
-    path: &str,
-    engine: sp2sim::EngineKind,
-    protocol: treadmarks::ProtocolMode,
-    app: apps::AppId,
-    version: apps::Version,
-    nprocs: usize,
-    scale: f64,
-) -> Result<usize, String> {
-    let cfg = apps::runner::tmk_config_for_protocol(version, protocol).with_trace(true);
-    let r = apps::runner::run_with_cfg_on(engine, app, version, nprocs, scale, cfg);
+pub fn export_traced_run(path: &str, mut spec: apps::RunSpec) -> Result<usize, String> {
+    spec.cfg.trace = true;
+    let r = spec.run();
     let trace = r.trace.as_ref().ok_or("run produced no trace")?;
     let dropped: u64 = trace.tracks.iter().map(|t| t.dropped).sum();
     if dropped > 0 {

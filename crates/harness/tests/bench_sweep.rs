@@ -12,30 +12,21 @@
 //!    not the simulation, and the split can vary with interleaving on
 //!    the threaded engine.
 
-use harness::bench_sweep::{grid, CellSpec, SCHEMA};
-use harness::{longest_first, sweep_map, SweepCell, SweepDoc};
+use apps::RunSpec;
+use harness::bench_sweep::{grid, measure, run_grid, SCHEMA};
+use harness::SweepDoc;
 use sp2sim::EngineKind;
 
 /// A tiny all-sequential grid: every app × both protocols at a small
 /// scale — the smoke grid's shape, scaled to test budget.
-fn tiny_grid() -> Vec<CellSpec> {
+fn tiny_grid() -> Vec<RunSpec> {
     grid(8, &[EngineKind::Sequential], &[0.02], &[512])
-}
-
-fn run_grid(cells: Vec<CellSpec>) -> Vec<SweepCell> {
-    let mut tagged: Vec<(usize, CellSpec)> = cells.into_iter().enumerate().collect();
-    longest_first(&mut tagged, |&(_, c)| c.expected_cost());
-    let mut done: Vec<Option<SweepCell>> = vec![None; tagged.len()];
-    for (i, cell) in sweep_map(EngineKind::Sequential, tagged, |(i, spec)| (i, spec.run())) {
-        done[i] = Some(cell);
-    }
-    done.into_iter().map(Option::unwrap).collect()
 }
 
 #[test]
 fn real_sweep_round_trips_through_json() {
     let doc = SweepDoc {
-        cells: run_grid(tiny_grid()),
+        cells: run_grid(&tiny_grid()),
     };
     assert_eq!(doc.cells.len(), 12, "6 apps x 2 protocols");
     let text = doc.render();
@@ -78,8 +69,8 @@ fn real_sweep_round_trips_through_json() {
 
 #[test]
 fn sequential_sweep_is_deterministic() {
-    let a = run_grid(tiny_grid());
-    let b = run_grid(tiny_grid());
+    let a = run_grid(&tiny_grid());
+    let b = run_grid(&tiny_grid());
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.app, y.app);
@@ -124,11 +115,10 @@ fn arena_recycles_at_steady_state() {
     // still warming), while hits grow with every epoch after that. A
     // multi-epoch Jacobi run must therefore recycle more twins than it
     // allocates.
-    let spec = CellSpec {
+    let cell = measure(&RunSpec {
         scale: 0.1,
         ..tiny_grid()[0]
-    };
-    let cell = spec.run();
+    });
     assert!(
         cell.arena_hits > cell.arena_misses,
         "recycling should dominate allocation: {} hits vs {} misses",

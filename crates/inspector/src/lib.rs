@@ -53,6 +53,8 @@
 //! });
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -31,6 +31,8 @@
 //! assert!(out.results.iter().all(|&s| s == 6.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod comm;
 

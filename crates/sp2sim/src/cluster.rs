@@ -23,7 +23,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// The paper's default platform: `n` nodes of an IBM SP/2, on the
-    /// default (threaded) engine.
+    /// default (sequential, deterministic) engine.
     pub fn sp2(nprocs: usize) -> ClusterConfig {
         ClusterConfig {
             nprocs,
@@ -77,9 +77,9 @@ impl Cluster {
     /// Run `f` on every node of a fresh cluster and collect the results.
     ///
     /// `f` is invoked once per node with a [`Node`] handle; the selected
-    /// [`EngineKind`] decides whether the nodes are OS threads (the
-    /// default) or deterministically scheduled fibers of the calling
-    /// thread. Panics in any node propagate to the caller.
+    /// [`EngineKind`] decides whether the nodes are deterministically
+    /// scheduled fibers of the calling thread (the default) or OS
+    /// threads. Panics in any node propagate to the caller.
     pub fn run<R, F>(cfg: ClusterConfig, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -166,6 +166,12 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = Cluster::run(ClusterConfig::sp2(0), |_| ());
+    }
+
+    #[test]
+    fn default_engine_is_the_deterministic_one() {
+        assert_eq!(EngineKind::default(), EngineKind::Sequential);
+        assert_eq!(ClusterConfig::sp2(4).engine, EngineKind::Sequential);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! pointer, then restores another context's. Supported targets are
 //! x86-64 (System V, tested) and aarch64 (AAPCS64); on other
 //! architectures the sequential engine is unavailable and reports so at
-//! run time (the threaded engine — the default — is unaffected).
+//! run time (the threaded engine is unaffected).
 //!
 //! Stacks are heap allocations (the build environment provides no
 //! `mmap` guard pages); each stack ends in a canary word that is

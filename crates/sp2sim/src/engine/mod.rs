@@ -7,20 +7,20 @@
 //! spawn — goes through the [`Fabric`] trait defined here, so the two
 //! engines are interchangeable:
 //!
-//! * [`EngineKind::Threaded`] — the original backend: one OS thread per
-//!   simulated node (plus one per DSM service loop), packets over
-//!   channels. Exercises the protocol under true concurrency, which
-//!   makes it the right engine for race-hunting, but wall-clock
-//!   performance is dominated by synchronization, and wall-clock
-//!   scheduling leaks into tie-breaking decisions.
-//! * [`EngineKind::Sequential`] — a deterministic backend that runs
-//!   every node closure and service loop as a cooperatively scheduled
-//!   fiber on **one** OS thread. No thread spawns, no channels, no
-//!   nondeterminism: the same program produces byte-for-byte identical
-//!   virtual times and statistics on every run, and many independent
-//!   simulations can safely run in parallel (one engine per sweep
-//!   worker thread), which is what the harness's parallel sweep runner
-//!   does.
+//! * [`EngineKind::Sequential`] — the default: a deterministic backend
+//!   that runs every node closure and service loop as a cooperatively
+//!   scheduled fiber on **one** OS thread. No thread spawns, no
+//!   channels, no nondeterminism: the same program produces
+//!   byte-for-byte identical virtual times and statistics on every run,
+//!   and many independent simulations can safely run in parallel (one
+//!   engine per sweep worker thread), which is what the harness's
+//!   parallel sweep runner does.
+//! * [`EngineKind::Threaded`] — the original backend, asked for by
+//!   name: one OS thread per simulated node (plus one per DSM service
+//!   loop), packets over channels. Exercises the protocol under true
+//!   concurrency, which makes it the right engine for race-hunting, but
+//!   wall-clock performance is dominated by synchronization, and
+//!   wall-clock scheduling leaks into tie-breaking decisions.
 //!
 //! Virtual time is computed identically by construction — both engines
 //! share every cost-model code path; only *who runs the node code when*
@@ -29,7 +29,9 @@
 //! with per-source matching), the two engines produce identical
 //! `elapsed` and statistics; the engine-equivalence tests pin this.
 
+#[allow(unsafe_code)]
 pub(crate) mod fiber;
+#[allow(unsafe_code)]
 pub(crate) mod sequential;
 pub(crate) mod threaded;
 
@@ -45,10 +47,11 @@ use crate::time::VTime;
 /// Which execution engine carries a cluster run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// One OS thread per node; packets over channels (the default).
-    #[default]
+    /// One OS thread per node; packets over channels.
     Threaded,
-    /// All nodes as fibers on one OS thread; deterministic.
+    /// All nodes as fibers on one OS thread; deterministic (the
+    /// default: what every recorded table, baseline and sweep uses).
+    #[default]
     Sequential,
 }
 

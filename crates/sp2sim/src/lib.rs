@@ -28,11 +28,11 @@
 //! ## Execution engines
 //!
 //! The simulated machine is carried by one of two pluggable execution
-//! engines (see [`engine`]): the default **threaded** engine (one OS
-//! thread per node, packets over channels) and the deterministic
-//! **sequential** engine (all nodes as cooperatively scheduled fibers
-//! of one OS thread — byte-for-byte reproducible and much faster in
-//! wall-clock terms). Select with [`ClusterConfig::with_engine`].
+//! engines (see [`engine`]): the default, deterministic **sequential**
+//! engine (all nodes as cooperatively scheduled fibers of one OS
+//! thread — byte-for-byte reproducible and much faster in wall-clock
+//! terms) and the **threaded** engine (one OS thread per node, packets
+//! over channels). Select with [`ClusterConfig::with_engine`].
 //!
 //! ## Example
 //!
@@ -57,6 +57,8 @@
 //! assert_eq!(out.results[0], 1 + 2 + 3);
 //! assert_eq!(out.stats.total_messages(), 3);
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod cluster;
 pub mod codec;

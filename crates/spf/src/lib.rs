@@ -80,6 +80,8 @@
 //! assert_eq!(out.results[0], Some((0..1000).sum::<usize>() as f64));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -578,7 +580,7 @@ mod tests {
 
     fn run_sum(cfg: TmkConfig) -> (f64, sp2sim::StatsSnapshot) {
         let out = Cluster::run(ClusterConfig::sp2(4), move |node| {
-            let tmk = Tmk::new(node, cfg.clone());
+            let tmk = Tmk::new(node, cfg);
             let spf = Spf::new(&tmk);
             let a = tmk.malloc_f64(256);
             let body = spf.register({

@@ -22,6 +22,8 @@
 //! so a traced run is bit-identical to an untraced one in every
 //! simulated observable.
 
+#![forbid(unsafe_code)]
+
 /// Configuration for a trace recording: today just the per-track ring
 /// capacity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -19,7 +19,7 @@ use std::str::FromStr;
 ///   from its home in a single round trip, regardless of how many writers
 ///   modified it. HLRC trades update traffic (the eager flushes, and
 ///   whole-page responses) for fault round trips.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolMode {
     /// Distributed (writer-held) diffs — the original TreadMarks
     /// protocol of Amza et al.
@@ -62,7 +62,7 @@ impl FromStr for ProtocolMode {
 
 /// Configuration of one TreadMarks instance. All nodes of a cluster must
 /// construct their instance with identical configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TmkConfig {
     /// Page size in 64-bit words. The default, 512 words = 4 KB, matches
     /// the AIX page size of the paper's platform.

@@ -138,11 +138,7 @@ impl<'n> Tmk<'n> {
     /// engine. Every node of the cluster must do this with identical
     /// `cfg`.
     pub fn new(node: &'n Node, cfg: TmkConfig) -> Tmk<'n> {
-        let state = Arc::new(Mutex::new(DsmState::new(
-            node.id(),
-            node.nprocs(),
-            cfg.clone(),
-        )));
+        let state = Arc::new(Mutex::new(DsmState::new(node.id(), node.nprocs(), cfg)));
         let svc_ep = node.take_service_endpoint();
         let svc_state = Arc::clone(&state);
         let svc = node.spawn_service(move || service_loop(svc_ep, svc_state));
@@ -1676,18 +1672,37 @@ impl Drop for Tmk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2sim::{Cluster, ClusterConfig};
+    use sp2sim::{Cluster, ClusterConfig, EngineKind, RunOutput};
+    use std::fmt::Debug;
 
-    fn run<R: Send>(n: usize, f: impl Fn(&Tmk) -> R + Sync) -> sp2sim::RunOutput<R> {
-        Cluster::run(ClusterConfig::sp2(n), move |node| {
-            f(&Tmk::new(node, TmkConfig::default()))
-        })
+    /// Run `f` over `cfg` on `n` nodes of each engine in turn — the
+    /// protocol's unit tests keep real threads whatever the default
+    /// engine is. The per-node values must agree across the two; the
+    /// output returned (traffic, virtual time) is the deterministic
+    /// engine's.
+    fn run_cfg<R>(n: usize, cfg: TmkConfig, f: impl Fn(&Tmk) -> R + Sync) -> RunOutput<R>
+    where
+        R: Send + PartialEq + Debug,
+    {
+        let run = |engine| {
+            Cluster::run(ClusterConfig::sp2_on(n, engine), |node| {
+                f(&Tmk::new(node, cfg))
+            })
+        };
+        let [threaded, sequential] = EngineKind::ALL.map(run);
+        assert_eq!(threaded.results, sequential.results, "engines disagree");
+        sequential
     }
 
-    fn run_hlrc<R: Send>(n: usize, f: impl Fn(&Tmk) -> R + Sync) -> sp2sim::RunOutput<R> {
-        Cluster::run(ClusterConfig::sp2(n), move |node| {
-            f(&Tmk::new(node, TmkConfig::hlrc()))
-        })
+    fn run<R: Send + PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R + Sync) -> RunOutput<R> {
+        run_cfg(n, TmkConfig::default(), f)
+    }
+
+    fn run_hlrc<R: Send + PartialEq + Debug>(
+        n: usize,
+        f: impl Fn(&Tmk) -> R + Sync,
+    ) -> RunOutput<R> {
+        run_cfg(n, TmkConfig::hlrc(), f)
     }
 
     #[test]
@@ -2293,17 +2308,20 @@ mod tests {
                 }
             }
             tmk.barrier(0);
-            let snap = tmk.node().stats().snapshot();
-            let sum: f64 = if me == 4 {
-                let r = tmk.read(a, 0..128);
-                r.slice().iter().sum()
+            // The reader's `[diff, page]` requests: the snapshot is
+            // cluster-wide, so only the reader brackets its own read.
+            let seen = if me == 4 {
+                let snap = tmk.node().stats().snapshot();
+                let sum: f64 = tmk.read(a, 0..128).slice().iter().sum();
+                let delta = tmk.node().stats().snapshot().delta(&snap);
+                let requests = [MsgKind::DiffReq, MsgKind::PageReq].map(|k| delta.messages(k));
+                (sum, requests)
             } else {
-                0.0
+                (0.0, [0, 0])
             };
-            let delta = tmk.node().stats().snapshot().delta(&snap);
             tmk.barrier(1);
             tmk.finish();
-            (sum, delta)
+            seen
         };
         let expect: f64 = (0..4)
             .flat_map(|m| (m * 32..m * 32 + 32).map(move |i| (1000 * m + i) as f64))
@@ -2312,11 +2330,8 @@ mod tests {
         let hlrc = run_hlrc(5, body);
         assert_eq!(lrc.results[4].0, expect);
         assert_eq!(hlrc.results[4].0, expect);
-        let (_, lrc_d) = &lrc.results[4];
-        let (_, hlrc_d) = &hlrc.results[4];
-        assert_eq!(lrc_d.messages(MsgKind::DiffReq), 4, "one per writer");
-        assert_eq!(hlrc_d.messages(MsgKind::PageReq), 1, "one per page");
-        assert_eq!(hlrc_d.messages(MsgKind::DiffReq), 0);
+        assert_eq!(lrc.results[4].1, [4, 0], "one diff request per writer");
+        assert_eq!(hlrc.results[4].1, [0, 1], "one page request per page");
     }
 
     #[test]

@@ -102,11 +102,14 @@
 //! assert!(out.results.iter().all(|&x| x == 514.0));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod diff;
 pub mod dsm;
 pub mod fxhash;
 pub mod interval;
+#[allow(unsafe_code)]
 pub mod page;
 pub mod profile;
 pub mod protocol;

@@ -1717,7 +1717,7 @@ mod tests {
         // which its open range (1..=1) does not reach; page 3 twice.
         let reqs = [(3, 1), (9, 1), (4, 2), (5, 1), (6, 1), (3, 1)];
         for cfg in [TmkConfig::default(), TmkConfig::hlrc()] {
-            let (mut batched, mut single) = (written(cfg.clone()), written(cfg));
+            let (mut batched, mut single) = (written(cfg), written(cfg));
             let mut charges = Vec::new();
             batched.freeze_all(reqs, &cost, |us| charges.push(us));
             let alone: Vec<f64> = reqs

@@ -52,6 +52,8 @@
 //! assert_eq!(out.results[1], 3.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 use mpl::Comm;

@@ -8,7 +8,7 @@
 //! Table 2 row, demonstrating the paper's regular-application result:
 //! message passing wins, but the DSM versions are close behind.
 
-use apps::{run, AppId, Version};
+use apps::{AppId, RunSpec, Version};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -17,7 +17,7 @@ fn main() {
         .unwrap_or(0.1);
     let nprocs = 8;
 
-    let seq = run(AppId::Jacobi, Version::Seq, 1, scale);
+    let seq = RunSpec::new(AppId::Jacobi, Version::Seq, 1, scale).run();
     println!(
         "Jacobi, sequential time {:.2}s (scale {scale})\n",
         seq.time_us / 1e6
@@ -27,7 +27,7 @@ fn main() {
         "version", "speedup", "messages", "data KB"
     );
     for v in Version::FIGURE {
-        let r = run(AppId::Jacobi, v, nprocs, scale);
+        let r = RunSpec::new(AppId::Jacobi, v, nprocs, scale).run();
         assert_eq!(r.checksum, seq.checksum, "all versions agree bitwise");
         println!(
             "{:<12} {:>8.2} {:>10} {:>10}",

@@ -13,7 +13,7 @@
 //! amortized walk cost is printed alongside). The data volumes make
 //! the mechanism obvious.
 
-use apps::{run, AppId, Version};
+use apps::{AppId, RunSpec, Version};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -23,7 +23,7 @@ fn main() {
     let nprocs = 8;
 
     for app in AppId::IRREGULAR {
-        let seq = run(app, Version::Seq, 1, scale);
+        let seq = RunSpec::new(app, Version::Seq, 1, scale).run();
         println!(
             "{}, sequential time {:.2}s (scale {scale})",
             app.name(),
@@ -36,7 +36,7 @@ fn main() {
         let mut spf_t = 0.0;
         let mut xhpf_t = 0.0;
         for v in Version::SWEEP {
-            let r = run(app, v, nprocs, scale);
+            let r = RunSpec::new(app, v, nprocs, scale).run();
             if v == Version::Spf {
                 spf_t = r.time_us;
             }

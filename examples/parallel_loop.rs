@@ -18,7 +18,7 @@ const N: usize = 8192;
 
 fn dot_product(cfg: TmkConfig) -> (f64, u64, f64) {
     let out = Cluster::run(ClusterConfig::sp2(8), move |node| {
-        let tmk = Tmk::new(node, cfg.clone());
+        let tmk = Tmk::new(node, cfg);
         let spf = Spf::new(&tmk);
         let a = tmk.malloc_f64(N);
         let b = tmk.malloc_f64(N);

@@ -19,6 +19,8 @@
 //! * [`apps`] — the six applications in five versions each
 //! * [`harness`] — experiment driver for every table/figure in the paper
 
+#![forbid(unsafe_code)]
+
 pub use apps;
 pub use cri;
 pub use harness;

@@ -50,13 +50,17 @@
 //! consumer and peer and built a `BTreeSet` of pages for each: fifteen
 //! times the allocations, nearly all of them hint-side.
 //!
-//! One test per binary: the counters are process-wide.
+//! One test per binary: the counters are process-wide. They count the
+//! measuring thread only — every measured run is on the sequential
+//! engine, i.e. on the thread that calls it — so what libtest's own
+//! thread allocates beside a measurement is not in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use apps::jacobi::{self, Params};
-use apps::{shallow, RunResult, Version};
+use apps::{shallow, AppId, RunResult, RunSpec, Version};
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::TmkConfig;
@@ -66,6 +70,20 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes asked for so far (a `realloc` counts its whole new size).
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations count. `const`-initialized
+    /// and without a destructor, so reading it inside the allocator
+    /// neither allocates nor recurses.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if MEASURED.get() {
+        ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(bytes as u64, Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -73,15 +91,13 @@ struct Counting;
 // effect that never touches the allocation.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -92,8 +108,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size as u64, Relaxed);
+        count(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -101,6 +116,17 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the `(allocation calls, bytes)` of this thread
+/// while it ran.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+    MEASURED.set(true);
+    let r = f();
+    MEASURED.set(false);
+    let (allocs, bytes) = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+    (r, allocs - before.0, bytes - before.1)
+}
 
 /// Allocation budget per diff created (measured: 1.02; with a private
 /// buffer per diff at the writer and another at the home: 3.14; with
@@ -118,58 +144,33 @@ const ALLOCS_PER_INTERVAL: f64 = 52.0;
 /// node's block has boundary pages its neighbours fetch every
 /// iteration).
 fn jacobi_spf(iters: usize, cfg: TmkConfig) -> (u64, u64, u64) {
-    let before = ALLOCS.load(Relaxed);
-    let r = jacobi::run_params_on(
-        EngineKind::Sequential,
-        Version::Spf,
-        8,
-        0.25,
-        Params { n: 512, iters },
-        cfg,
-    );
-    (
-        ALLOCS.load(Relaxed) - before,
-        r.dsm.diffs_created,
-        r.dsm.intervals_created,
-    )
-}
-
-/// An 8-node message-passing run on the sequential engine, by version
-/// and iteration count.
-type MpRun = fn(Version, usize) -> RunResult;
-
-fn jacobi_mp(version: Version, iters: usize) -> RunResult {
+    let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.25);
     let p = Params { n: 512, iters };
-    jacobi::run_params_on(
-        EngineKind::Sequential,
-        version,
-        8,
-        0.25,
-        p,
-        TmkConfig::default(),
-    )
+    let (r, allocs, _) = counted(|| RunSpec { cfg, ..spec }.launch(&p, jacobi::node));
+    (allocs, r.dsm.diffs_created, r.dsm.intervals_created)
 }
 
-fn shallow_mp(version: Version, iters: usize) -> RunResult {
+/// An 8-node run on the sequential engine, by version and iteration
+/// count.
+type Run = fn(Version, usize) -> RunResult;
+
+fn jacobi_run(version: Version, iters: usize) -> RunResult {
+    let p = Params { n: 512, iters };
+    RunSpec::new(AppId::Jacobi, version, 8, 0.25).launch(&p, jacobi::node)
+}
+
+fn shallow_run(version: Version, iters: usize) -> RunResult {
     let p = shallow::Params { n: 256, iters };
-    shallow::run_params_on(
-        EngineKind::Sequential,
-        version,
-        8,
-        0.25,
-        p,
-        TmkConfig::default(),
-    )
+    RunSpec::new(AppId::Shallow, version, 8, 0.25).launch(&p, shallow::node)
 }
 
 /// `[allocation calls, bytes allocated, messages, payload bytes]` of one
 /// run; the last two cover the timed iterations.
 fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
-    let before = (ALLOCS.load(Relaxed), BYTES.load(Relaxed));
-    let r = run();
+    let (r, allocs, bytes) = counted(run);
     [
-        ALLOCS.load(Relaxed) - before.0,
-        BYTES.load(Relaxed) - before.1,
+        allocs,
+        bytes,
         r.stats.total_messages(),
         r.stats.total_bytes(),
     ]
@@ -183,16 +184,8 @@ const ALLOCS_PER_HINTED_DISPATCH: f64 = 570.0;
 /// `(allocations, loops dispatched)` of one 8-node Shallow SPF+CRI run
 /// on a 256 x 256 grid.
 fn shallow_cri(iters: usize) -> (u64, u64) {
-    let before = ALLOCS.load(Relaxed);
-    let r = shallow::run_params_on(
-        EngineKind::Sequential,
-        Version::SpfCri,
-        8,
-        0.25,
-        shallow::Params { n: 256, iters },
-        TmkConfig::default(),
-    );
-    (ALLOCS.load(Relaxed) - before, r.dsm.forks)
+    let (r, allocs, _) = counted(|| shallow_run(Version::SpfCri, iters));
+    (allocs, r.dsm.forks)
 }
 
 fn hinted_dispatches_replay_their_plans() {
@@ -227,20 +220,21 @@ const ALLOCS_PER_MESSAGE: f64 = 2.0;
 /// 64-word messages that rank 1 takes with the owned `recv_f64s`, each
 /// acknowledged by an empty signal.
 fn owned_receives(msgs: usize) -> u64 {
-    let before = ALLOCS.load(Relaxed);
-    Cluster::run(ClusterConfig::sp2_on(2, EngineKind::Sequential), |node| {
-        let comm = Comm::new(node);
-        for i in 0..msgs {
-            if comm.rank() == 0 {
-                comm.send_f64s(1, 7, &[i as f64; 64]);
-                comm.recv_signal(1, 8);
-            } else {
-                assert_eq!(comm.recv_f64s(0, 7)[63], i as f64);
-                comm.send_signal(0, 8);
+    let run = || {
+        Cluster::run(ClusterConfig::sp2_on(2, EngineKind::Sequential), |node| {
+            let comm = Comm::new(node);
+            for i in 0..msgs {
+                if comm.rank() == 0 {
+                    comm.send_f64s(1, 7, &[i as f64; 64]);
+                    comm.recv_signal(1, 8);
+                } else {
+                    assert_eq!(comm.recv_f64s(0, 7)[63], i as f64);
+                    comm.send_signal(0, 8);
+                }
             }
-        }
-    });
-    ALLOCS.load(Relaxed) - before
+        })
+    };
+    counted(run).1
 }
 
 fn message_passing_iterations_allocate_only_their_payloads() {
@@ -252,7 +246,7 @@ fn message_passing_iterations_allocate_only_their_payloads() {
     assert!(extra <= 200, "{extra} allocations for 200 more messages");
 
     let k = 6;
-    let apps: [(&str, MpRun); 2] = [("Jacobi", jacobi_mp), ("Shallow", shallow_mp)];
+    let apps: [(&str, Run); 2] = [("Jacobi", jacobi_run), ("Shallow", shallow_run)];
     for (app, run) in apps {
         for version in [Version::Xhpf, Version::Pvme] {
             run(version, 2);

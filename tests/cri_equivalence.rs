@@ -12,7 +12,7 @@
 
 use std::ops::Range;
 
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use cri::{Access, Section};
 use proptest::prelude::*;
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
@@ -132,32 +132,12 @@ proptest! {
 /// one memory image.
 #[test]
 fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
-    let reference = apps::run_protocol_on(
-        EngineKind::Sequential,
-        ProtocolMode::Lrc,
-        AppId::Jacobi,
-        Version::Spf,
-        8,
-        0.08,
-    );
+    let jacobi = |version| RunSpec::new(AppId::Jacobi, version, 8, 0.08);
+    let reference = jacobi(Version::Spf).run();
     let ref_bits: Vec<u64> = reference.checksum.iter().map(|v| v.to_bits()).collect();
     for protocol in ProtocolMode::ALL {
-        let spf = apps::run_protocol_on(
-            EngineKind::Sequential,
-            protocol,
-            AppId::Jacobi,
-            Version::Spf,
-            8,
-            0.08,
-        );
-        let cri = apps::run_protocol_on(
-            EngineKind::Sequential,
-            protocol,
-            AppId::Jacobi,
-            Version::SpfCri,
-            8,
-            0.08,
-        );
+        let spf = jacobi(Version::Spf).protocol(protocol).run();
+        let cri = jacobi(Version::SpfCri).protocol(protocol).run();
         let spf_bits: Vec<u64> = spf.checksum.iter().map(|v| v.to_bits()).collect();
         let cri_bits: Vec<u64> = cri.checksum.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
@@ -181,20 +161,8 @@ fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
 /// equals unhinted bitwise, fewer messages.
 #[test]
 fn shallow_cri_identical_state_fewer_messages() {
-    let spf = apps::runner::run_on(
-        EngineKind::Sequential,
-        AppId::Shallow,
-        Version::Spf,
-        8,
-        0.03,
-    );
-    let cri = apps::runner::run_on(
-        EngineKind::Sequential,
-        AppId::Shallow,
-        Version::SpfCri,
-        8,
-        0.03,
-    );
+    let spf = RunSpec::new(AppId::Shallow, Version::Spf, 8, 0.03).run();
+    let cri = RunSpec::new(AppId::Shallow, Version::SpfCri, 8, 0.03).run();
     let spf_bits: Vec<u64> = spf.checksum.iter().map(|v| v.to_bits()).collect();
     let cri_bits: Vec<u64> = cri.checksum.iter().map(|v| v.to_bits()).collect();
     assert_eq!(spf_bits, cri_bits);
@@ -207,14 +175,8 @@ fn shallow_cri_identical_state_fewer_messages() {
 /// transpose moves in far fewer messages.
 #[test]
 fn fft3d_cri_equivalent_results_fewer_messages() {
-    let spf = apps::runner::run_on(EngineKind::Sequential, AppId::Fft3d, Version::Spf, 8, 0.05);
-    let cri = apps::runner::run_on(
-        EngineKind::Sequential,
-        AppId::Fft3d,
-        Version::SpfCri,
-        8,
-        0.05,
-    );
+    let spf = RunSpec::new(AppId::Fft3d, Version::Spf, 8, 0.05).run();
+    let cri = RunSpec::new(AppId::Fft3d, Version::SpfCri, 8, 0.05).run();
     assert!(apps::common::checksums_close(
         &cri.checksum,
         &spf.checksum,
@@ -239,15 +201,7 @@ fn fft3d_cri_equivalent_results_fewer_messages() {
 /// repeated executions are byte-for-byte identical (traffic and state).
 #[test]
 fn hinted_runs_are_deterministic() {
-    let run = || {
-        apps::runner::run_on(
-            EngineKind::Sequential,
-            AppId::Jacobi,
-            Version::SpfCri,
-            4,
-            0.03,
-        )
-    };
+    let run = || RunSpec::new(AppId::Jacobi, Version::SpfCri, 4, 0.03).run();
     let a = run();
     let b = run();
     assert_eq!(a.time_us.to_bits(), b.time_us.to_bits());

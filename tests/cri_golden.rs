@@ -18,9 +18,8 @@
 //! the PR): `cargo test --release --test cri_golden -- --ignored
 //! --nocapture print_golden_table` and paste the rows.
 
-use apps::{run_protocol_on, AppId, RunResult, Version};
+use apps::{AppId, RunResult, RunSpec, Version};
 use sp2sim::stats::ALL_KINDS;
-use sp2sim::EngineKind;
 use treadmarks::ProtocolMode::{self, Hlrc, Lrc};
 
 const NPROCS: usize = 8;
@@ -75,14 +74,8 @@ impl Golden {
 }
 
 fn measure(app: AppId, protocol: ProtocolMode, scale: f64) -> Golden {
-    Golden::of(&run_protocol_on(
-        EngineKind::Sequential,
-        protocol,
-        app,
-        Version::SpfCri,
-        NPROCS,
-        scale,
-    ))
+    let spec = RunSpec::new(app, Version::SpfCri, NPROCS, scale);
+    Golden::of(&spec.protocol(protocol).run())
 }
 
 const fn g(

@@ -18,25 +18,16 @@
 //! * **Drop surfacing** — a trace with ring-overflow loss fails the
 //!   Chrome-trace validator instead of passing for complete.
 
-use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use harness::critical_path::{self, check_dag};
 use harness::{to_chrome_trace, validate_chrome_trace};
 use sp2sim::{Cluster, ClusterConfig, EngineKind, TraceData};
 use treadmarks::{race, ProtocolMode, RaceLog, Tmk, TmkConfig};
 
 fn traced(app: AppId, protocol: ProtocolMode, nprocs: usize, scale: f64) -> TraceData {
-    let cfg = tmk_config_for_protocol(Version::Spf, protocol).with_trace(true);
-    run_with_cfg_on(
-        EngineKind::Sequential,
-        app,
-        Version::Spf,
-        nprocs,
-        scale,
-        cfg,
-    )
-    .trace
-    .expect("traced run carries a trace")
+    let mut spec = RunSpec::new(app, Version::Spf, nprocs, scale).protocol(protocol);
+    spec.cfg.trace = true;
+    spec.run().trace.expect("traced run carries a trace")
 }
 
 /// The falsifiable tentpole invariant: path length == max final clock,

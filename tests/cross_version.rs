@@ -3,14 +3,18 @@
 //! the paper's platform; 1 degenerates every protocol path).
 
 use apps::common::checksums_close;
-use apps::{run, AppId, Version};
+use apps::{AppId, RunResult, RunSpec, Version};
 
 const SCALE: f64 = 0.035;
 
+fn run(app: AppId, version: Version, nprocs: usize) -> RunResult {
+    RunSpec::new(app, version, nprocs, SCALE).run()
+}
+
 fn check(app: AppId, nprocs: usize, tol: Option<f64>) {
-    let seq = run(app, Version::Seq, 1, SCALE);
+    let seq = run(app, Version::Seq, 1);
     for v in [Version::Spf, Version::Tmk, Version::Xhpf, Version::Pvme] {
-        let r = run(app, v, nprocs, SCALE);
+        let r = run(app, v, nprocs);
         match tol {
             None => assert_eq!(
                 r.checksum,
@@ -72,9 +76,9 @@ fn nbf_on_odd_and_paper_counts() {
 #[test]
 fn single_processor_degenerate_case() {
     for app in AppId::ALL {
-        let seq = run(app, Version::Seq, 1, SCALE);
+        let seq = run(app, Version::Seq, 1);
         for v in [Version::Spf, Version::Tmk, Version::Xhpf, Version::Pvme] {
-            let r = run(app, v, 1, SCALE);
+            let r = run(app, v, 1);
             assert!(
                 checksums_close(&r.checksum, &seq.checksum, 1e-9),
                 "{} {:?} on 1 proc",
@@ -88,8 +92,8 @@ fn single_processor_degenerate_case() {
 #[test]
 fn handopt_variants_are_correct() {
     for app in [AppId::Jacobi, AppId::Shallow, AppId::Mgs, AppId::Fft3d] {
-        let seq = run(app, Version::Seq, 1, SCALE);
-        let r = run(app, Version::HandOpt, 8, SCALE);
+        let seq = run(app, Version::Seq, 1);
+        let r = run(app, Version::HandOpt, 8);
         assert!(
             checksums_close(&r.checksum, &seq.checksum, 1e-9),
             "{} HandOpt on 8 procs",

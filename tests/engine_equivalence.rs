@@ -17,7 +17,7 @@
 //!    wall-clock scheduling would tie-break virtual-time races
 //!    differently run to run.
 
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use sp2sim::EngineKind;
 
 /// The quickstart workload (shared definition in `apps::demo`), plus
@@ -69,7 +69,11 @@ fn quickstart_wider_runs_agree_on_traffic_and_results() {
 /// queues — bitwise engine-equivalent.
 #[test]
 fn mini_jacobi_dsm_bitwise_equal_across_engines() {
-    let run = |engine| apps::runner::run_on(engine, AppId::Jacobi, Version::Tmk, 2, 0.03);
+    let run = |engine| {
+        RunSpec::new(AppId::Jacobi, Version::Tmk, 2, 0.03)
+            .on(engine)
+            .run()
+    };
     let t = run(EngineKind::Threaded);
     let s = run(EngineKind::Sequential);
     assert_eq!(t.time_us.to_bits(), s.time_us.to_bits(), "elapsed VTime");
@@ -84,7 +88,7 @@ fn mini_jacobi_dsm_bitwise_equal_across_engines() {
 #[test]
 fn mini_jacobi_message_passing_bitwise_equal_across_engines() {
     for v in [Version::Pvme, Version::Xhpf] {
-        let run = |engine| apps::runner::run_on(engine, AppId::Jacobi, v, 8, 0.03);
+        let run = |engine| RunSpec::new(AppId::Jacobi, v, 8, 0.03).on(engine).run();
         let t = run(EngineKind::Threaded);
         let s = run(EngineKind::Sequential);
         assert_eq!(t.time_us.to_bits(), s.time_us.to_bits(), "{v:?} elapsed");
@@ -108,7 +112,7 @@ fn sequential_engine_repeated_runs_are_bitwise_identical() {
     let rb: Vec<u64> = b.results.iter().map(|r| r.to_bits()).collect();
     assert_eq!(ra, rb);
 
-    let run = || apps::runner::run_on(EngineKind::Sequential, AppId::Jacobi, Version::Spf, 4, 0.03);
+    let run = || RunSpec::new(AppId::Jacobi, Version::Spf, 4, 0.03).run();
     let x = run();
     let y = run();
     assert_eq!(x.time_us.to_bits(), y.time_us.to_bits());

@@ -8,15 +8,14 @@
 //! passing [...] and only slightly underperforms the hand-coded message
 //! passing."
 
-use apps::{AppId, RunResult, Version};
-use sp2sim::EngineKind;
+use apps::{AppId, RunResult, RunSpec, Version};
 
-/// All shape assertions run on the deterministic sequential engine:
-/// the asserted quantities are virtual-time ratios, and the threaded
+/// All shape assertions run on the default, deterministic engine: the
+/// asserted quantities are virtual-time ratios, and the threaded
 /// engine's wall-clock scheduling perturbs DSM virtual times by a few
 /// percent run-to-run — enough to flap thresholds this tight.
 fn run(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunResult {
-    apps::runner::run_on(EngineKind::Sequential, app, version, nprocs, scale)
+    RunSpec::new(app, version, nprocs, scale).run()
 }
 
 const SCALE: f64 = 0.06;

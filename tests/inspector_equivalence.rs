@@ -20,7 +20,7 @@
 //!   epoch-invalidating event (map rebuild) re-inspects exactly once,
 //!   cluster-wide, without changing results.
 
-use apps::{AppId, RunResult, Version};
+use apps::{AppId, RunResult, RunSpec, Version};
 use cri::Access;
 use inspector::{Inspector, SharedMap};
 use proptest::prelude::*;
@@ -36,7 +36,8 @@ fn run(
     nprocs: usize,
     scale: f64,
 ) -> RunResult {
-    apps::runner::run_protocol_on(engine, protocol, app, version, nprocs, scale)
+    let spec = RunSpec::new(app, version, nprocs, scale).on(engine);
+    spec.protocol(protocol).run()
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -156,24 +157,11 @@ fn igrid_cri_cuts_30_percent_at_8_nodes_with_identical_state() {
 #[test]
 fn second_epoch_performs_zero_inspections() {
     // IGrid.
+    let spec = RunSpec::new(AppId::IGrid, Version::SpfCri, 8, 0.08);
     let mut p = apps::igrid::params(0.08);
-    let short = apps::igrid::run_params_on(
-        EngineKind::Sequential,
-        Version::SpfCri,
-        8,
-        0.08,
-        p,
-        TmkConfig::default(),
-    );
+    let short = spec.launch(&p, apps::igrid::node);
     p.iters += 4;
-    let long = apps::igrid::run_params_on(
-        EngineKind::Sequential,
-        Version::SpfCri,
-        8,
-        0.08,
-        p,
-        TmkConfig::default(),
-    );
+    let long = spec.launch(&p, apps::igrid::node);
     assert_eq!(
         short.dsm.inspections, long.dsm.inspections,
         "IGrid: extra epochs must not re-inspect"
@@ -182,24 +170,11 @@ fn second_epoch_performs_zero_inspections() {
     assert_eq!(short.dsm.inspect_us, long.dsm.inspect_us);
 
     // NBF.
+    let spec = RunSpec::new(AppId::Nbf, Version::SpfCri, 8, 0.03);
     let mut p = apps::nbf::params(0.03);
-    let short = apps::nbf::run_params_on(
-        EngineKind::Sequential,
-        Version::SpfCri,
-        8,
-        0.03,
-        p,
-        TmkConfig::default(),
-    );
+    let short = spec.launch(&p, apps::nbf::node);
     p.iters += 4;
-    let long = apps::nbf::run_params_on(
-        EngineKind::Sequential,
-        Version::SpfCri,
-        8,
-        0.03,
-        p,
-        TmkConfig::default(),
-    );
+    let long = spec.launch(&p, apps::nbf::node);
     assert_eq!(
         short.dsm.inspections, long.dsm.inspections,
         "NBF: extra epochs must not re-inspect"

@@ -14,7 +14,7 @@ use treadmarks::{Tmk, TmkConfig};
 /// teardown barrier).
 fn run_loops(cfg: TmkConfig, nprocs: usize, loops: usize) -> u64 {
     let out = Cluster::run(ClusterConfig::sp2(nprocs), move |node| {
-        let tmk = Tmk::new(node, cfg.clone());
+        let tmk = Tmk::new(node, cfg);
         let spf = Spf::new(&tmk);
         let body = spf.register(|_ctl: &LoopCtl| {});
         spf.run(|m| {
@@ -34,7 +34,7 @@ fn run_loops(cfg: TmkConfig, nprocs: usize, loops: usize) -> u64 {
 /// Marginal messages per loop, excluding the first loop's startup
 /// traffic (worker registration, control-page cold faults).
 fn per_loop(cfg: TmkConfig, nprocs: usize) -> u64 {
-    let one = run_loops(cfg.clone(), nprocs, 1);
+    let one = run_loops(cfg, nprocs, 1);
     let many = run_loops(cfg, nprocs, 5);
     (many - one) / 4
 }
@@ -65,7 +65,7 @@ fn original_interface_costs_8n_minus_8_per_loop() {
 fn improved_interface_is_faster() {
     let t = |cfg: TmkConfig| {
         Cluster::run(ClusterConfig::sp2(8), move |node| {
-            let tmk = Tmk::new(node, cfg.clone());
+            let tmk = Tmk::new(node, cfg);
             let spf = Spf::new(&tmk);
             let body = spf.register(|_ctl: &LoopCtl| {});
             spf.run(|m| {

@@ -15,8 +15,8 @@
 //! the PR): `cargo test --release --test mp_equivalence -- --ignored
 //! --nocapture print_golden_table` and paste the rows.
 
-use apps::{run_on, AppId, RunResult, Version};
-use sp2sim::{EngineKind, MsgKind};
+use apps::{AppId, RunResult, RunSpec, Version};
+use sp2sim::MsgKind;
 
 const SCALE: f64 = 0.05;
 
@@ -62,7 +62,7 @@ fn cells() -> impl Iterator<Item = (AppId, Version, usize)> {
 }
 
 fn measure(app: AppId, v: Version, np: usize) -> Golden {
-    Golden::of(&run_on(EngineKind::Sequential, app, v, np, SCALE))
+    Golden::of(&RunSpec::new(app, v, np, SCALE).run())
 }
 
 const fn g(

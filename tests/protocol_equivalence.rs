@@ -12,7 +12,7 @@
 //! flush bytes. This extends the `tests/cri_equivalence.rs` pattern
 //! (hinted vs unhinted) to the protocol axis (LRC vs HLRC).
 
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use proptest::prelude::*;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
 use spf::{LoopCtl, Schedule, Spf};
@@ -123,10 +123,9 @@ fn all_six_apps_byte_identical_across_protocols_and_engines() {
     const NPROCS: usize = 4;
     for app in AppId::ALL {
         for engine in EngineKind::ALL {
-            let lrc =
-                apps::run_protocol_on(engine, ProtocolMode::Lrc, app, Version::Spf, NPROCS, SCALE);
-            let hlrc =
-                apps::run_protocol_on(engine, ProtocolMode::Hlrc, app, Version::Spf, NPROCS, SCALE);
+            let spec = RunSpec::new(app, Version::Spf, NPROCS, SCALE).on(engine);
+            let lrc = spec.protocol(ProtocolMode::Lrc).run();
+            let hlrc = spec.protocol(ProtocolMode::Hlrc).run();
             let (bitwise, tol) = comparison_mode(app);
             let n = lrc.checksum.len();
             assert_eq!(n, hlrc.checksum.len());
@@ -161,22 +160,9 @@ fn all_six_apps_byte_identical_across_protocols_and_engines() {
 fn hand_coded_versions_byte_identical_across_protocols() {
     const SCALE: f64 = 0.03;
     for app in AppId::ALL {
-        let lrc = apps::run_protocol_on(
-            EngineKind::Sequential,
-            ProtocolMode::Lrc,
-            app,
-            Version::Tmk,
-            3,
-            SCALE,
-        );
-        let hlrc = apps::run_protocol_on(
-            EngineKind::Sequential,
-            ProtocolMode::Hlrc,
-            app,
-            Version::Tmk,
-            3,
-            SCALE,
-        );
+        let spec = RunSpec::new(app, Version::Tmk, 3, SCALE);
+        let lrc = spec.protocol(ProtocolMode::Lrc).run();
+        let hlrc = spec.protocol(ProtocolMode::Hlrc).run();
         let (bitwise, tol) = comparison_mode(app);
         for (i, (l, h)) in lrc.checksum.iter().zip(&hlrc.checksum).enumerate() {
             if bitwise.contains(&i) {
@@ -198,16 +184,8 @@ fn hand_coded_versions_byte_identical_across_protocols() {
 /// (eager flush bytes, which LRC does not send at all).
 #[test]
 fn jacobi_8_nodes_hlrc_trades_round_trips_for_flush_bytes() {
-    let run = |protocol| {
-        apps::run_protocol_on(
-            EngineKind::Sequential,
-            protocol,
-            AppId::Jacobi,
-            Version::Spf,
-            8,
-            0.08,
-        )
-    };
+    let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.08);
+    let run = |protocol| spec.protocol(protocol).run();
     let lrc = run(ProtocolMode::Lrc);
     let hlrc = run(ProtocolMode::Hlrc);
     assert_eq!(
@@ -245,16 +223,8 @@ fn jacobi_8_nodes_hlrc_trades_round_trips_for_flush_bytes() {
 /// executions are byte-for-byte identical in time, traffic and state.
 #[test]
 fn hlrc_runs_are_deterministic() {
-    let run = || {
-        apps::run_protocol_on(
-            EngineKind::Sequential,
-            ProtocolMode::Hlrc,
-            AppId::Jacobi,
-            Version::Spf,
-            4,
-            0.03,
-        )
-    };
+    let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 4, 0.03);
+    let run = || spec.protocol(ProtocolMode::Hlrc).run();
     let a = run();
     let b = run();
     assert_eq!(a.time_us.to_bits(), b.time_us.to_bits());

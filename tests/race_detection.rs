@@ -14,8 +14,7 @@
 //! * detection is a pure observer: turning it on changes no simulated
 //!   observable (memory bytes, virtual time, traffic, DSM statistics).
 
-use apps::runner::{run_protocol_on, run_with_cfg_on, tmk_config_for_protocol};
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::{race, ProtocolMode, RaceLog, Tmk, TmkConfig};
 
@@ -98,8 +97,9 @@ fn six_apps_report_zero_races_under_both_protocols_and_engines() {
     for app in AppId::ALL {
         for protocol in ProtocolMode::ALL {
             for engine in EngineKind::ALL {
-                let cfg = tmk_config_for_protocol(Version::Spf, protocol).with_race_detection(true);
-                let r = run_with_cfg_on(engine, app, Version::Spf, 4, SCALE, cfg);
+                let mut spec = RunSpec::new(app, Version::Spf, 4, SCALE).on(engine);
+                spec.cfg.detect_races = true;
+                let r = spec.protocol(protocol).run();
                 assert!(
                     r.race_report.is_empty(),
                     "{app:?}/{protocol}/{engine}: {:?}",
@@ -119,16 +119,10 @@ fn six_apps_report_zero_races_under_both_protocols_and_engines() {
 #[test]
 fn detection_is_zero_overhead_on_simulated_observables() {
     for protocol in ProtocolMode::ALL {
-        let base = tmk_config_for_protocol(Version::Tmk, protocol);
         let run = |engine, detect: bool| {
-            run_with_cfg_on(
-                engine,
-                AppId::Jacobi,
-                Version::Tmk,
-                4,
-                SCALE,
-                base.clone().with_race_detection(detect),
-            )
+            let mut spec = RunSpec::new(AppId::Jacobi, Version::Tmk, 4, SCALE).on(engine);
+            spec.cfg.detect_races = detect;
+            spec.protocol(protocol).run()
         };
         let on = run(EngineKind::Sequential, true);
         let off = run(EngineKind::Sequential, false);
@@ -159,24 +153,12 @@ fn detection_is_zero_overhead_on_simulated_observables() {
 /// with detection off carries nothing.
 #[test]
 fn run_result_surfaces_the_report() {
-    let cfg = tmk_config_for_protocol(Version::Spf, ProtocolMode::Lrc).with_race_detection(true);
-    let r = run_with_cfg_on(
-        EngineKind::Sequential,
-        AppId::Jacobi,
-        Version::Spf,
-        4,
-        SCALE,
-        cfg,
-    );
+    let off = RunSpec::new(AppId::Jacobi, Version::Spf, 4, SCALE);
+    let mut on = off;
+    on.cfg.detect_races = true;
+    let r = on.run();
     assert!(r.race_report.is_empty(), "Jacobi is race-free");
     assert_eq!(r.dsm.races_detected, 0);
-    let off = run_protocol_on(
-        EngineKind::Sequential,
-        ProtocolMode::Lrc,
-        AppId::Jacobi,
-        Version::Spf,
-        4,
-        SCALE,
-    );
+    let off = off.run();
     assert!(off.race_report.is_empty());
 }

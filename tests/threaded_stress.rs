@@ -21,7 +21,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use apps::{AppId, Version};
+use apps::{AppId, RunSpec, Version};
 use sp2sim::EngineKind;
 use treadmarks::ProtocolMode;
 
@@ -49,6 +49,12 @@ fn bounded(label: String, secs: u64, f: impl FnOnce() + Send + 'static) {
     }
 }
 
+/// The run on the engine this suite is about.
+fn threaded(app: AppId, v: Version, nprocs: usize, scale: f64, p: ProtocolMode) -> RunSpec {
+    let spec = RunSpec::new(app, v, nprocs, scale);
+    spec.on(EngineKind::Threaded).protocol(p)
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
@@ -58,9 +64,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// Equivalence mirrors `tests/inspector_equivalence.rs`: NBF bitwise,
 /// IGrid bitwise except the tree-folded square-sum component.
 fn one_shot(app: AppId, protocol: ProtocolMode, nprocs: usize, scale: f64, ctx: &str) {
-    let run = |version| {
-        apps::runner::run_protocol_on(EngineKind::Threaded, protocol, app, version, nprocs, scale)
-    };
+    let run = |version| threaded(app, version, nprocs, scale, protocol).run();
     let spf = run(Version::Spf);
     let cri = run(Version::SpfCri);
     let mismatch = match app {
@@ -109,16 +113,25 @@ fn threaded_fft3d_runs_complete_in_bounded_time() {
         for protocol in ProtocolMode::ALL {
             let ctx = format!("iter {i}: Fft3d/{protocol}");
             bounded(ctx.clone(), 120, move || {
-                let r = apps::runner::run_protocol_on(
-                    EngineKind::Threaded,
-                    protocol,
-                    AppId::Fft3d,
-                    Version::Spf,
-                    4,
-                    0.035,
-                );
+                let r = threaded(AppId::Fft3d, Version::Spf, 4, 0.035, protocol).run();
                 assert!(r.time_us > 0.0, "{ctx}: empty run");
             });
         }
     }
+}
+
+/// Every FFT version on the thread-per-node engine, against the
+/// sequential program — what CI's `threaded-stress` job loops 50 times.
+#[test]
+fn threaded_fft3d_version_matrix() {
+    bounded("Fft3d version matrix".into(), 120, || {
+        let seq = RunSpec::new(AppId::Fft3d, Version::Seq, 1, 0.05).run();
+        for v in [Version::HandOpt].into_iter().chain(Version::SWEEP) {
+            let r = threaded(AppId::Fft3d, v, 4, 0.05, ProtocolMode::Lrc).run();
+            let close = apps::common::checksums_close(&r.checksum, &seq.checksum, 1e-9);
+            assert!(close, "{v:?}: {:?} vs {:?}", r.checksum, seq.checksum);
+            // The element-0 probe is reduction-free: bit-exact.
+            assert_eq!(r.checksum[2..], seq.checksum[2..], "probe {v:?}");
+        }
+    });
 }

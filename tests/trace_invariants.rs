@@ -17,16 +17,16 @@
 //!   render/parse round trip and passes the validator (monotone
 //!   per-track timestamps, balanced B/E nesting).
 
-use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
-use apps::{AppId, RunResult, Version};
+use apps::{AppId, RunResult, RunSpec, Version};
 use harness::trace_analysis::{analyze, to_chrome_trace, validate_chrome_trace};
 use harness::Json;
 use sp2sim::{EngineKind, TraceData};
 use treadmarks::ProtocolMode;
 
 fn run_jacobi(engine: EngineKind, protocol: ProtocolMode, trace: bool) -> RunResult {
-    let cfg = tmk_config_for_protocol(Version::Spf, protocol).with_trace(trace);
-    run_with_cfg_on(engine, AppId::Jacobi, Version::Spf, 4, 0.05, cfg)
+    let mut spec = RunSpec::new(AppId::Jacobi, Version::Spf, 4, 0.05).on(engine);
+    spec.cfg.trace = trace;
+    spec.protocol(protocol).run()
 }
 
 /// Strip host wall-clock stamps, leaving only simulated content.
@@ -156,16 +156,11 @@ fn breakdown_identity_holds_per_node_on_both_protocols() {
 /// SPF+CRI run (which exercises the Inspect spans and service tracks).
 #[test]
 fn exported_chrome_traces_validate_and_round_trip() {
+    let mut igrid = RunSpec::new(AppId::IGrid, Version::SpfCri, 4, 0.05);
+    igrid.cfg.trace = true;
     let runs = [
         run_jacobi(EngineKind::Sequential, ProtocolMode::Hlrc, true),
-        run_with_cfg_on(
-            EngineKind::Sequential,
-            AppId::IGrid,
-            Version::SpfCri,
-            4,
-            0.05,
-            tmk_config_for_protocol(Version::SpfCri, ProtocolMode::Lrc).with_trace(true),
-        ),
+        igrid.run(),
     ];
     for r in &runs {
         let json = to_chrome_trace(r.trace.as_ref().unwrap());

@@ -361,11 +361,10 @@ fn a_merge_that_would_move_a_pinned_extent_panics() {
 #[test]
 fn every_app_version_runs_at_every_node_count_and_page_geometry() {
     use apps::common::checksums_close;
-    use apps::runner::{run_with_cfg_on, tmk_config_for_protocol};
-    use apps::{AppId, Version};
+    use apps::{AppId, RunSpec, Version};
     const SCALE: f64 = 0.035;
     for app in AppId::ALL {
-        let seq = apps::run(app, Version::Seq, 1, SCALE);
+        let seq = RunSpec::new(app, Version::Seq, 1, SCALE).run();
         for version in [
             Version::Spf,
             Version::SpfCri,
@@ -375,12 +374,9 @@ fn every_app_version_runs_at_every_node_count_and_page_geometry() {
             for protocol in [ProtocolMode::Lrc, ProtocolMode::Hlrc] {
                 for page_words in [16, 512] {
                     for np in [1, 2, 3, 8] {
-                        let cfg = TmkConfig {
-                            page_words,
-                            ..tmk_config_for_protocol(version, protocol)
-                        };
-                        let r =
-                            run_with_cfg_on(EngineKind::Sequential, app, version, np, SCALE, cfg);
+                        let mut spec = RunSpec::new(app, version, np, SCALE).protocol(protocol);
+                        spec.cfg.page_words = page_words;
+                        let r = spec.run();
                         // ROADMAP's carried-over finding, older than the
                         // views: hinted IGrid under LRC diverges at some
                         // grid-edge/page-size pairs. It must still run.
