@@ -3,30 +3,34 @@
 # one (the box drifts 10-25 % between phases, benchmark/baseline/
 # noise.md): build the benchmark of a parent revision and of the
 # working tree, run them alternately on one workload, and print every
-# pair, the wins, both sides' medians and quartiles, and whether the
-# columns that must not move did not. A gain counts when the tree wins
-# at least nine pairs in ten and the medians differ by more than the
-# distance between the parent's quartiles.
+# pair, the wins, both sides' medians and quartiles, whether the three
+# simulated columns (which must not move) did, the two memory columns
+# as parent -> tree (a change to what is allocated moves them on
+# purpose) and, from one traced run per side at the end, each side's
+# host.allocs (an exactly repeatable count). A gain counts when the
+# tree wins at least nine pairs in ten and the medians differ by more
+# than the distance between the parent's quartiles.
 #
-#   bash ci/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10]
+#   bash ci/ab.sh <parent-rev> <workload> [pairs=10] [seconds=10] [seed=1]
 #   e.g. bash ci/ab.sh HEAD~1 dense-hlrc
 #
 # The parent is checked out with `git archive` into $AB_DIR/<sha>
 # (default .bench_build/ab, git-ignored; nothing is registered in .git)
 # and each side builds into a target directory of its own beside it, so
 # a second call with the same revision only rebuilds the working tree.
-# Each run is `--seed 1 --seconds S --trace 0` from its own checkout
+# Each run is `--seed N --seconds S --trace 0` from its own checkout
 # root; which side goes first flips every pair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ $# -lt 2 ]; then
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 rev=$(git rev-parse --verify "$1^{commit}")
 workload=$2
 pairs=${3:-10}
 seconds=${4:-10}
+seed=${5:-1}
 ab=${AB_DIR:-.bench_build/ab}
 mkdir -p "$ab"
 ab=$(cd "$ab" && pwd)
@@ -44,19 +48,20 @@ build() { # <checkout root> <target dir>
 build "$parent" "$ab/target-$rev"
 build "$here" "$ab/target-tree"
 
-run() { # <checkout root> <target dir> -> the report's JSON line
-    (cd "$1" && "$2/release/benchmark" --workload "$workload" --seed 1 \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
+run() { # <checkout root> <target dir> [seconds] [trace] -> the report's JSON line
+    (cd "$1" && "$2/release/benchmark" --workload "$workload" --seed "$seed" \
+        --seconds "${3:-$seconds}" --trace "${4:-0}" 2>/dev/null | tail -n 1)
 }
 metric() { # <json line> <name> -> value
     printf '%s' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
 }
-exact="sim_time_s sim_messages sim_mbytes alloc_mb peak_live_mb"
+exact="sim_time_s sim_messages sim_mbytes"
+memory="alloc_mb peak_live_mb"
 
 slow_p=() slow_c=() wins=0 ties=0
 declare -A moved
-printf '%s: parent %s vs working tree, %s pairs of %s s\n' \
-    "$workload" "${rev:0:7}" "$pairs" "$seconds"
+printf '%s (seed %s): parent %s vs working tree, %s pairs of %s s\n' \
+    "$workload" "$seed" "${rev:0:7}" "$pairs" "$seconds"
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         p=$(run "$parent" "$ab/target-$rev")
@@ -86,6 +91,7 @@ for i in $(seq 1 "$pairs"); do
         [ "$vp" = "$vc" ] || moved[$m]="$vp -> $vc"
     done
 done
+last_p=$p last_c=$c
 
 quartiles() { # values... -> "q1 median q3" (linear interpolation)
     printf '%s\n' "$@" | sort -g | awk '
@@ -111,3 +117,12 @@ for m in $exact; do
         printf '%-13s equal in every pair\n' "$m"
     fi
 done
+signed() { # <name> <parent value> <tree value>
+    awk -v m="$1" -v p="$2" -v c="$3" 'BEGIN {
+        printf "%-13s %s -> %s (%+.2f %%)\n", m, p, c, p ? 100 * (c - p) / p : 0 }'
+}
+for m in $memory; do
+    signed "$m" "$(metric "$last_p" "$m")" "$(metric "$last_c" "$m")"
+done
+signed host.allocs "$(metric "$(run "$parent" "$ab/target-$rev" 3 1)" host.allocs)" \
+    "$(metric "$(run "$here" "$ab/target-tree" 3 1)" host.allocs)"

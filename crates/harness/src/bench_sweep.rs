@@ -81,7 +81,7 @@ pub fn canon_key(spec: &RunSpec) -> (usize, usize, usize, u64, usize) {
 /// includes the recorder's host overhead, uniformly across the grid.
 pub fn measure(spec: &RunSpec) -> SweepCell {
     let started = Instant::now();
-    let r = spec.run();
+    let r = crate::oracle::run(spec);
     let wall_us = started.elapsed().as_micros() as u64;
     let (wait_us, service_us, critical_path_us, cp_wait_share) = match r.trace.as_ref() {
         Some(t) => {

@@ -77,7 +77,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
 
     let mut spec = cli.spec(app, version);
     spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
-    let r = spec.run();
+    let r = crate::oracle::run(&spec);
     let trace = r
         .trace
         .as_ref()

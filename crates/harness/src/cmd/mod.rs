@@ -176,7 +176,9 @@ fn find(name: &str) -> Option<&'static Command> {
 impl Command {
     fn invoke(&self, args: Args) -> Result<(), Exit> {
         let (cli, flags) = self.spec.parse(args)?;
-        (self.run)(cli, &flags)
+        (self.run)(cli, &flags)?;
+        // Whatever it printed, it printed right: status 1 otherwise.
+        crate::oracle::verdict()
     }
 }
 

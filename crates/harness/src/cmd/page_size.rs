@@ -16,11 +16,11 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     println!("Page-size ablation, hand-coded TreadMarks (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec!["Program", "Page", "Speedup", "Messages", "Data KB"]);
     for app in [AppId::Jacobi, AppId::IGrid] {
-        let seq = cli.spec(app, Version::Seq).run().time_us;
+        let seq = crate::oracle::run(&cli.spec(app, Version::Seq)).time_us;
         for page_words in [128usize, 256, 512, 1024, 2048] {
             let mut spec = cli.spec(app, Version::Tmk);
             spec.cfg.page_words = page_words;
-            let r = spec.run();
+            let r = crate::oracle::run(&spec);
             t.row(vec![
                 app.name().to_string(),
                 format!("{} B", page_words * 8),

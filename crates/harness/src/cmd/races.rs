@@ -27,7 +27,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         for protocol in ProtocolMode::ALL {
             let mut spec = cli.spec(app, Version::Spf).protocol(protocol);
             spec.cfg.detect_races = true;
-            let r = spec.run();
+            let r = crate::oracle::run(&spec);
             let verdict = if r.race_report.is_empty() {
                 "race-free"
             } else {

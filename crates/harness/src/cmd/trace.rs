@@ -46,7 +46,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
 
     let mut spec = cli.spec(app, version);
     spec.cfg.trace = true;
-    let r = spec.run();
+    let r = crate::oracle::run(&spec);
     let trace = r
         .trace
         .as_ref()

@@ -701,7 +701,7 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
 /// page/false-sharing/lock sites.
 pub fn summarize_traced_run(mut spec: apps::RunSpec) -> Result<String, String> {
     spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
-    let r = spec.run();
+    let r = crate::oracle::run(&spec);
     let trace = r.trace.as_ref().ok_or("run produced no trace")?;
     let cp = compute(trace).ok_or("trace has no app tracks")?;
     let t_max = trace.final_us.iter().fold(0.0f64, |a, &b| a.max(b));

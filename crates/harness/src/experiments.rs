@@ -6,6 +6,7 @@ use apps::{AppId, RunResult, RunSpec, Version};
 use treadmarks::ProtocolMode;
 
 use crate::cli::Cli;
+use crate::oracle;
 use crate::sweep::sweep_map;
 
 /// A Table 1 row: workload description and sequential execution time.
@@ -82,7 +83,7 @@ pub fn table1(cli: &Cli) -> Vec<SeqRow> {
     sweep_map(&specs, |spec| SeqRow {
         app: spec.app,
         size: size_desc(spec.app, spec.scale),
-        secs: spec.run().time_us / 1e6,
+        secs: oracle::run(spec).time_us / 1e6,
     })
 }
 
@@ -98,7 +99,7 @@ pub fn speedup_rows(cli: &Cli, app_list: &[AppId], versions: &[Version]) -> Vec<
         jobs.push(cli.spec(app, Version::Seq));
         jobs.extend(versions.iter().map(|&v| cli.spec(app, v)));
     }
-    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
+    let mut results = sweep_map(&jobs, oracle::run).into_iter();
     app_list
         .iter()
         .map(|&app| {
@@ -213,7 +214,7 @@ pub fn handopt(cli: &Cli) -> Vec<HandOptRow> {
             }
         }
     }
-    let times = sweep_map(&jobs, |spec| spec.run().time_us);
+    let times = sweep_map(&jobs, |spec| oracle::run(spec).time_us);
     let time = |app, v| {
         let ran = jobs.iter().position(|s| s.app == app && s.version == v);
         times[ran.expect("every row's versions are jobs")]
@@ -243,7 +244,7 @@ pub fn interface_ablation(cli: &Cli) -> Vec<(AppId, RunResult, RunResult)> {
         original.cfg.improved_forkjoin = false;
         jobs.extend([improved, original]);
     }
-    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
+    let mut results = sweep_map(&jobs, oracle::run).into_iter();
     apps.iter()
         .map(|&app| {
             let improved = results.next().expect("improved run present");
@@ -304,7 +305,7 @@ pub fn compiler_opt(cli: &Cli) -> Vec<CompilerOptRow> {
     for app in AppId::ALL {
         jobs.extend(versions.map(|v| cli.spec(app, v)));
     }
-    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
+    let mut results = sweep_map(&jobs, oracle::run).into_iter();
     AppId::ALL
         .iter()
         .map(|&app| {
@@ -364,7 +365,7 @@ pub fn protocol_compare(cli: &Cli) -> Vec<ProtocolCompareRow> {
         jobs.push(cli.spec(app, Version::Seq));
         jobs.extend(ProtocolMode::ALL.map(|p| cli.spec(app, version).protocol(p)));
     }
-    let mut results = sweep_map(&jobs, RunSpec::run).into_iter();
+    let mut results = sweep_map(&jobs, oracle::run).into_iter();
     AppId::REGULAR
         .iter()
         .map(|&app| {
@@ -403,7 +404,7 @@ pub fn scaling(cli: &Cli, app_list: &[AppId]) -> Vec<ScaleRow> {
         .iter()
         .map(|&a| cli.spec(a, Version::Seq))
         .collect();
-    let seq_times = sweep_map(&baselines, |spec| spec.run().time_us);
+    let seq_times = sweep_map(&baselines, |spec| oracle::run(spec).time_us);
     let seq_us: HashMap<&'static str, f64> = app_list
         .iter()
         .zip(&seq_times)
@@ -423,7 +424,7 @@ pub fn scaling(cli: &Cli, app_list: &[AppId]) -> Vec<ScaleRow> {
             }
         }
     }
-    let results = sweep_map(&jobs, RunSpec::run);
+    let results = sweep_map(&jobs, oracle::run);
 
     let mut rows: Vec<ScaleRow> = Vec::new();
     for r in results {

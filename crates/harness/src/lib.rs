@@ -7,7 +7,9 @@
 //! return structured rows; the `report` module renders them as aligned
 //! text tables (and CSV). `sweep` is [`bench_sweep`], `trace` is
 //! [`trace_analysis`], `analyze` is [`critical_path`], `races` is
-//! `treadmarks::race`. The full suite is
+//! `treadmarks::race`. Every cell any of them runs goes through [`oracle`],
+//! which holds its checksum against the sequential program's and fails
+//! the subcommand on a wrong result. The full suite is
 //! `cargo run --release -p harness -- all`.
 //!
 //! Problem scale: experiments accept a `scale` (1.0 = paper sizes).
@@ -24,6 +26,7 @@ pub mod cmd;
 pub mod critical_path;
 pub mod experiments;
 pub mod json;
+pub mod oracle;
 pub mod report;
 pub mod sweep;
 pub mod trace_analysis;

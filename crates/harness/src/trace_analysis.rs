@@ -578,7 +578,7 @@ pub fn validate_chrome_trace(v: &Json) -> Result<(), String> {
 /// Returns the exported event count.
 pub fn export_traced_run(path: &str, mut spec: apps::RunSpec) -> Result<usize, String> {
     spec.cfg.trace = true;
-    let r = spec.run();
+    let r = crate::oracle::run(&spec);
     let trace = r.trace.as_ref().ok_or("run produced no trace")?;
     let dropped: u64 = trace.tracks.iter().map(|t| t.dropped).sum();
     if dropped > 0 {

@@ -59,12 +59,6 @@ impl WordWriter {
         self
     }
 
-    /// [`WordWriter::put_raw`] for a slice of `usize`s.
-    pub fn put_raw_usizes(&mut self, xs: &[usize]) -> &mut Self {
-        self.buf.extend(xs.iter().map(|&x| x as u64));
-        self
-    }
-
     /// Append the bit patterns of a slice of `f64`s (no length prefix):
     /// packs an array section straight into the payload.
     pub fn put_f64s(&mut self, xs: &[f64]) -> &mut Self {
@@ -237,7 +231,7 @@ mod tests {
     #[test]
     fn raw_words_roundtrip_without_a_prefix() {
         let mut w = WordWriter::new();
-        w.put(1).put_raw(&[9, 8]).put_raw_usizes(&[7]).put(2);
+        w.put(1).put_raw(&[9, 8]).put_raw(&[7]).put(2);
         let buf = w.finish();
         assert_eq!(buf, vec![1, 9, 8, 7, 2]);
         let mut r = WordReader::new(&buf);

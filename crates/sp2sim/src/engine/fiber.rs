@@ -18,7 +18,8 @@
 //! `mmap` guard pages); each stack ends in a canary word that is
 //! checked when the fiber completes, turning a silent overflow into a
 //! loud panic. The default stack is 1 MiB, overridable through the
-//! `SP2SIM_FIBER_STACK_KIB` environment variable.
+//! `SP2SIM_FIBER_STACK_KIB` environment variable (read once per
+//! process).
 //!
 //! A sweep runs thousands of short clusters on one thread, each wanting
 //! the same 16 stacks, so completed fibers park their stacks in a
@@ -27,6 +28,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
+use std::sync::OnceLock;
 
 /// Stack size fallback (bytes).
 const DEFAULT_STACK_BYTES: usize = 1 << 20;
@@ -49,27 +51,26 @@ thread_local! {
     static SPARE_STACKS: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A stack of `words` words: a parked one when there is one, else a
-/// fresh allocation. Parked stacks of another size — the configured
-/// size changed between runs — are freed on the way.
-fn take_stack(words: usize) -> Stack {
-    SPARE_STACKS.with_borrow_mut(|spare| {
-        while let Some(stack) = spare.pop() {
-            if stack.len() == words {
-                return stack;
-            }
-        }
-        Box::new_uninit_slice(words)
-    })
+/// A stack: a parked one when there is one, else a fresh allocation.
+/// Every stack of a process is [`stack_bytes`] long.
+fn take_stack() -> Stack {
+    SPARE_STACKS
+        .with_borrow_mut(Vec::pop)
+        .unwrap_or_else(|| Box::new_uninit_slice(stack_bytes() / std::mem::size_of::<u128>()))
 }
 
-/// Configured stack size in bytes.
+/// Configured stack size in bytes. The environment is read once: the
+/// lookup takes its lock and builds a `String`, and every fiber of every
+/// cluster asks.
 pub(crate) fn stack_bytes() -> usize {
-    std::env::var("SP2SIM_FIBER_STACK_KIB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .map(|kib| (kib * 1024).max(64 * 1024))
-        .unwrap_or(DEFAULT_STACK_BYTES)
+    static BYTES: OnceLock<usize> = OnceLock::new();
+    *BYTES.get_or_init(|| {
+        std::env::var("SP2SIM_FIBER_STACK_KIB")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .map(|kib| (kib * 1024).max(64 * 1024))
+            .unwrap_or(DEFAULT_STACK_BYTES)
+    })
 }
 
 /// True when this build can run fibers at all.
@@ -105,8 +106,7 @@ impl Fiber {
     /// completion — or leaks their stacks deliberately on abnormal
     /// engine teardown — before the borrowed data goes away).
     pub(crate) unsafe fn new(body: Box<dyn FnOnce()>) -> Fiber {
-        let words = stack_bytes() / std::mem::size_of::<u128>();
-        let mut stack = take_stack(words);
+        let mut stack = take_stack();
         // A recycled stack gets its canary rewritten like a fresh one.
         for w in stack.iter_mut().take(CANARY_WORDS) {
             w.write(CANARY);
@@ -457,15 +457,8 @@ mod tests {
             let second = spent_fiber();
             assert_eq!(second.stack.as_ptr() as usize, addr, "same allocation");
             assert!(spare_stack_addrs().is_empty());
+            assert_eq!(second.stack.len() * 16, stack_bytes());
             second.recycle();
-
-            // A parked stack of another size is discarded, not reused.
-            SPARE_STACKS.with_borrow_mut(|spare| {
-                spare[0] = Box::new_uninit_slice(1024);
-            });
-            let third = spent_fiber();
-            assert_eq!(third.stack.len() * 16, stack_bytes());
-            assert!(spare_stack_addrs().is_empty());
 
             // The list is bounded.
             for _ in 0..MAX_SPARE_STACKS + 3 {

@@ -94,11 +94,35 @@ impl Landed {
     pub fn reader(&self) -> WordReader<'_> {
         WordReader::new(&self.0)
     }
+
+    /// The payload.
+    pub fn words(&self) -> &[u64] {
+        &self.0
+    }
+
+    /// Where `r` stands in the payload, which it must be reading: a
+    /// window measured through the reader of another message would look
+    /// at other words.
+    pub(crate) fn offset_of(&self, r: &mut WordReader) -> usize {
+        let off = self.0.len() - r.remaining();
+        assert!(
+            std::ptr::eq(r.take(0).as_ptr(), self.0[off..].as_ptr()),
+            "the reader reads another message"
+        );
+        off
+    }
+
+    /// Handles on the payload: this one, its clones and every window.
+    #[cfg(test)]
+    pub(crate) fn refs(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
 }
 
-/// The buffer a window looks into.
+/// The buffer a window looks into — a [`Diff`]'s or an
+/// [`Interval`](crate::interval::Interval)'s.
 #[derive(Clone)]
-enum Words {
+pub(crate) enum Words {
     /// A release buffer: the diffs of one batch, sealed side by side
     /// into one exact-size allocation.
     Sealed(Arc<[u64]>),
@@ -351,7 +375,7 @@ impl Diff {
     /// message, so a truncated or lying payload panics there like any
     /// over-read — and then steps `r` over the measured words.
     pub fn window(msg: &Landed, r: &mut WordReader) -> Diff {
-        let off = msg.0.len() - r.remaining();
+        let off = msg.offset_of(r);
         let mut ahead = r.clone();
         let nruns = ahead.get();
         for _ in 0..nruns {
@@ -359,10 +383,6 @@ impl Diff {
             ahead.take(len);
         }
         let enc = r.take(r.remaining() - ahead.remaining());
-        assert!(
-            std::ptr::eq(enc, &msg.0[off..off + enc.len()]),
-            "the reader reads another message"
-        );
         if nruns == 0 {
             return Diff::default();
         }

@@ -7,8 +7,7 @@
 //! (see [`crate::page`]) whose opening performs the page-granularity
 //! access checks that `mprotect` performed in the original system.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -18,7 +17,8 @@ use sp2sim::{MsgKind, Node, Port, ServiceHandle, SpanKind, WordReader, WordWrite
 
 use crate::config::{ProtocolMode, TmkConfig};
 use crate::diff::{Diff, Landed};
-use crate::page::Window;
+use crate::interval::Intervals;
+use crate::page::{PageId, Window};
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag, DiffReqEntry};
 use crate::service::{forward_reduce, service_loop};
@@ -94,22 +94,57 @@ fn collect_diff_entries(
 
 /// Apply fetched diff ranges `(writer, entry)` in `(lamport, writer)`
 /// order — a linear extension of happens-before — skipping what the
-/// frame already holds. Returns the time to charge.
+/// frame already holds, and leave `entries` empty (the messages its
+/// windows kept alive go with them). Returns the time to charge.
 fn apply_fetched(
     st: &mut DsmState,
-    entries: &mut [(usize, protocol::DiffRespEntry)],
+    entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
     cost: &sp2sim::CostModel,
 ) -> f64 {
     entries.sort_by_key(|(w, e)| (e.lamport, *w));
     let mut us = 0.0;
-    for (writer, e) in entries.iter() {
-        if e.hi <= st.applied_seq(e.page, *writer) {
+    for (writer, e) in entries.drain(..) {
+        if e.hi <= st.applied_seq(e.page, writer) {
             continue; // stale range overlap; already incorporated
         }
-        st.apply_range(e.page, *writer, e.hi, &e.diff);
+        st.apply_range(e.page, writer, e.hi, &e.diff);
         us += cost.diff_apply_us(e.diff.encoded_words());
     }
     us
+}
+
+/// The containers the fault, fetch and publish planners fill and drain
+/// on every call: kept for their capacity, cleared where they are
+/// consumed, never freed. One application fiber per node uses them (`Tmk`
+/// is `!Send`), one planner at a time.
+#[derive(Default)]
+struct Scratch {
+    /// LRC: the diff requests of a fault or a validate, per writer.
+    by_writer: Vec<Vec<DiffReqEntry>>,
+    /// HLRC: the invalid pages of a fault or a validate…
+    whole: Vec<PageId>,
+    /// …and the same pages per home.
+    by_home: Vec<Vec<PageId>>,
+    /// HLRC: the frozen ranges of a release, per home.
+    flushes: Vec<Vec<(PageId, DiffRange)>>,
+    /// Requests sent and not yet answered: `(server, request id)`.
+    outstanding: Vec<(usize, u32)>,
+    /// Fetched or pushed diff ranges: `(writer, entry)`.
+    entries: Vec<(usize, protocol::DiffRespEntry)>,
+    /// Page responses, where they landed.
+    responses: Vec<sp2sim::Packet>,
+}
+
+impl Scratch {
+    /// Empty containers for a cluster of `n`.
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            by_writer: vec![Vec::new(); n],
+            by_home: vec![Vec::new(); n],
+            flushes: vec![Vec::new(); n],
+            ..Scratch::default()
+        }
+    }
 }
 
 /// One node's TreadMarks instance.
@@ -130,6 +165,7 @@ pub struct Tmk<'n> {
     /// the trace analyzer can bin spans per epoch. Only advances when
     /// the cluster records a trace.
     trace_epoch: Cell<u32>,
+    scratch: RefCell<Scratch>,
 }
 
 impl<'n> Tmk<'n> {
@@ -155,6 +191,7 @@ impl<'n> Tmk<'n> {
             reduce_seq: Cell::new(0),
             reduce_list_seq: Cell::new(0),
             trace_epoch: Cell::new(0),
+            scratch: RefCell::new(Scratch::new(node.nprocs())),
         }
     }
 
@@ -298,7 +335,8 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::Publish, 0);
         let cost = self.node.cost();
         let me = self.proc_id();
-        let mut groups: BTreeMap<usize, Vec<(usize, DiffRange)>> = BTreeMap::new();
+        let mut scratch = self.scratch.borrow_mut();
+        let groups = &mut scratch.flushes;
         let mut us = 0.0;
         // One critical section from flush through home buffering. The
         // service thread ships the flushed interval cluster-wide the
@@ -308,21 +346,22 @@ impl<'n> Tmk<'n> {
         // them in that window — and a deferred request for our *own*
         // pages has no incoming flush to retry it: it would wait
         // forever (the NBF/HLRC threaded deadlock).
-        let flush_us = {
+        let (flush_us, homes) = {
             let mut st = self.state.lock();
             let (flush_us, interval) = st.flush(cost);
             // Under HLRC every page of the new interval goes to its home.
             let flushed = match &interval {
-                Some(iv) if self.hlrc() => &iv.pages[..],
+                Some(iv) if self.hlrc() => iv.pages(),
                 _ => &[],
             };
+            let flushed = flushed.iter().map(|&p| p as PageId);
             let seq = st.vc[me];
             // One batch, one buffer for the whole release; the charges
             // add up page by page as they always did.
-            st.freeze_all(flushed.iter().map(|&p| (p, seq)), cost, |page_us| {
+            st.freeze_all(flushed.clone().map(|p| (p, seq)), cost, |page_us| {
                 us += page_us
             });
-            for &p in flushed {
+            for p in flushed {
                 let home = st.home_of(p);
                 let newest = st.newest_frozen(p, seq).cloned();
                 trace!(
@@ -339,23 +378,27 @@ impl<'n> Tmk<'n> {
                         st.home_buffer_own(p, r);
                     } else {
                         st.stats.home_flush_pages += 1;
-                        groups.entry(home).or_default().push((p, r));
+                        groups[home].push((p, r));
                     }
                 }
             }
-            if !groups.is_empty() {
-                st.stats.home_flushes += groups.len() as u64;
-            }
-            flush_us
+            let homes = groups.iter().filter(|g| !g.is_empty()).count();
+            st.stats.home_flushes += homes as u64;
+            (flush_us, homes)
         };
         self.node.advance(flush_us);
-        if us == 0.0 && groups.is_empty() {
+        if us == 0.0 && homes == 0 {
             return;
         }
         self.node.advance(us);
-        for (home, entries) in groups {
+        // Ascending home order.
+        for (home, entries) in groups.iter_mut().enumerate() {
+            if entries.is_empty() {
+                continue;
+            }
             trace!("[{me}] home-flush -> {home}: {} pages", entries.len());
-            let payload = protocol::encode_home_flush(me, &entries);
+            let payload = protocol::encode_home_flush(me, entries);
+            entries.clear();
             self.node
                 .endpoint()
                 .send_to_port(home, Port::Service, 0, MsgKind::HomeFlush, payload);
@@ -482,54 +525,57 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::Validate, sections as u32);
         let pages = runs.iter().cloned().flatten();
         let cost = self.node.cost();
-        let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
-        let mut hlrc_pages: Vec<usize> = Vec::new();
+        let mut scratch = self.scratch.borrow_mut();
+        let sc = &mut *scratch;
         let missing_pages;
         {
             let mut guard = self.state.lock();
             let st = &mut *guard;
             st.stats.validates += 1;
-            missing_pages = self.plan_fetch(st, pages, &mut by_writer, &mut hlrc_pages);
+            missing_pages = self.plan_fetch(st, pages, sc);
             st.stats.validate_pages += missing_pages;
             if missing_pages > 0 {
                 st.stats.faults += 1;
             }
         }
-        if self.hlrc() {
-            // Home-based validate: one whole-page round trip per home
-            // covering everything the phase will touch.
-            if !hlrc_pages.is_empty() {
-                self.node.advance(cost.page_fault_us);
-                self.fetch_pages_from_homes(&hlrc_pages, true);
-            }
-            return missing_pages;
-        }
-        if by_writer.is_empty() {
+        // An invalid page plans a fetch — itself under HLRC, a diff
+        // request to at least one writer under LRC — so this is "nothing
+        // planned".
+        if missing_pages == 0 {
             return 0;
         }
         self.node.advance(cost.page_fault_us);
-        let mut outstanding: Vec<(usize, u32)> = Vec::new();
-        for (writer, reqs) in &by_writer {
+        if self.hlrc() {
+            // Home-based validate: one whole-page round trip per home
+            // covering everything the phase will touch.
+            self.fetch_pages_from_homes(sc, true);
+            return missing_pages;
+        }
+        // Ascending writer order.
+        for (writer, reqs) in sc.by_writer.iter_mut().enumerate() {
+            if reqs.is_empty() {
+                continue;
+            }
             let id = self.req_seq.get();
             self.req_seq.set(id.wrapping_add(1));
             let payload = protocol::encode_page_req(op::VALIDATE_REQ, id, self.proc_id(), reqs);
+            reqs.clear();
             self.node.endpoint().send_to_port(
-                *writer,
+                writer,
                 Port::Service,
                 0,
                 MsgKind::ValidateReq,
                 payload,
             );
-            outstanding.push((*writer, id));
+            sc.outstanding.push((writer, id));
         }
-        let mut entries: Vec<(usize, protocol::DiffRespEntry)> = Vec::new();
-        for (writer, req_id) in outstanding {
+        for (writer, req_id) in sc.outstanding.drain(..) {
             let t = tag::VALIDATE_RESP | (req_id & 0xFFFF);
             let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
-            collect_diff_entries(writer, pkt.payload, &mut entries);
+            collect_diff_entries(writer, pkt.payload, &mut sc.entries);
         }
         let mut st = self.state.lock();
-        let us = apply_fetched(&mut st, &mut entries, cost);
+        let us = apply_fetched(&mut st, &mut sc.entries, cost);
         drop(st);
         if us > 0.0 {
             let _a = self.node.trace_span(SpanKind::DiffApply, 0);
@@ -542,15 +588,14 @@ impl<'n> Tmk<'n> {
     /// notice of another node invalidate — one above what the frame has
     /// applied for that writer? Counts them (and a fault in each one's
     /// profile) and plans their fetch: under HLRC the pages themselves
-    /// go to `whole`, each to be fetched from its home; under LRC the
-    /// diff requests go to `by_writer`, from the first unapplied notice
-    /// of each writer on.
+    /// go to `sc.whole`, each to be fetched from its home; under LRC the
+    /// diff requests go to `sc.by_writer`, from the first unapplied
+    /// notice of each writer on.
     fn plan_fetch(
         &self,
         st: &mut DsmState,
         pages: impl Iterator<Item = usize>,
-        by_writer: &mut BTreeMap<usize, Vec<DiffReqEntry>>,
-        whole: &mut Vec<usize>,
+        sc: &mut Scratch,
     ) -> u64 {
         let me = self.proc_id();
         let mut invalid = 0;
@@ -562,7 +607,7 @@ impl<'n> Tmk<'n> {
             invalid += 1;
             st.pages.row(page).prof.faults += 1;
             if self.hlrc() {
-                whole.push(page);
+                sc.whole.push(page);
                 continue;
             }
             for writer in (0..st.n).filter(|&w| w != me) {
@@ -572,10 +617,7 @@ impl<'n> Tmk<'n> {
                     trace!(
                         "[{me}] fetch plan: page {page} writer {writer} from seq {first_needed}"
                     );
-                    by_writer
-                        .entry(writer)
-                        .or_default()
-                        .push(DiffReqEntry { page, first_needed });
+                    sc.by_writer[writer].push(DiffReqEntry { page, first_needed });
                 }
             }
         }
@@ -604,15 +646,15 @@ impl<'n> Tmk<'n> {
         // fault (the integrated compile-time/run-time scheme of
         // Dwarkadas et al.); otherwise each invalidated page faults
         // separately, like the original mprotect-driven system.
-        let mut by_writer: BTreeMap<usize, Vec<DiffReqEntry>> = BTreeMap::new();
-        let mut missing_pages: Vec<usize> = Vec::new();
+        let mut scratch = self.scratch.borrow_mut();
+        let sc = &mut *scratch;
         {
             let mut guard = self.state.lock();
             let st = &mut *guard;
             // The view needs its pages side by side: one extent under the
             // whole range (a merge the first time, a lookup afterwards).
             st.frames.cover(p0, p1);
-            let faulted_pages = self.plan_fetch(st, p0..=p1, &mut by_writer, &mut missing_pages);
+            let faulted_pages = self.plan_fetch(st, p0..=p1, sc);
             let faults = if self.cfg.aggregation {
                 u64::from(faulted_pages > 0)
             } else {
@@ -626,46 +668,39 @@ impl<'n> Tmk<'n> {
         // Phase 2 (HLRC): fetch every invalid page whole from its home —
         // one round trip per page (or per home, under aggregation),
         // independent of how many writers modified it.
-        if !missing_pages.is_empty() {
-            self.fetch_pages_from_homes(&missing_pages, self.cfg.aggregation);
+        if !sc.whole.is_empty() {
+            self.fetch_pages_from_homes(sc, self.cfg.aggregation);
         }
 
-        // Phase 2 (LRC): fetch diffs. One request per writer (aggregation
-        // on) or one per page per writer (default TreadMarks behaviour).
-        let mut entries: Vec<(usize, protocol::DiffRespEntry)> = Vec::new();
-        if !by_writer.is_empty() {
-            let mut outstanding: Vec<(usize, u32)> = Vec::new();
-            for (writer, reqs) in &by_writer {
-                if self.cfg.aggregation {
-                    outstanding.push((*writer, self.send_diff_req(*writer, reqs)));
-                } else {
-                    for e in reqs {
-                        outstanding.push((
-                            *writer,
-                            self.send_diff_req(*writer, std::slice::from_ref(e)),
-                        ));
-                    }
-                }
+        // Phase 2 (LRC): fetch diffs, writers ascending. One request per
+        // writer (aggregation on) or one per page per writer (default
+        // TreadMarks behaviour).
+        for (writer, reqs) in sc.by_writer.iter_mut().enumerate() {
+            let per_req = if self.cfg.aggregation { reqs.len() } else { 1 };
+            for reqs in reqs.chunks(per_req.max(1)) {
+                sc.outstanding
+                    .push((writer, self.send_diff_req(writer, reqs)));
             }
-            for (writer, req_id) in outstanding {
-                let t = tag::DIFF_RESP | (req_id & 0xFFFF);
-                trace!(
-                    "[{}] diff-req {} -> {} wait",
-                    self.proc_id(),
-                    req_id,
-                    writer
-                );
-                let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
-                trace!("[{}] diff-req {} got", self.proc_id(), req_id);
-                collect_diff_entries(writer, pkt.payload, &mut entries);
-            }
+            reqs.clear();
+        }
+        for (writer, req_id) in sc.outstanding.drain(..) {
+            let t = tag::DIFF_RESP | (req_id & 0xFFFF);
+            trace!(
+                "[{}] diff-req {} -> {} wait",
+                self.proc_id(),
+                req_id,
+                writer
+            );
+            let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
+            trace!("[{}] diff-req {} got", self.proc_id(), req_id);
+            collect_diff_entries(writer, pkt.payload, &mut sc.entries);
         }
 
         // Phase 3: apply in (lamport, writer) order — a linear extension
         // of happens-before — then write-enable.
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let mut us = apply_fetched(st, &mut entries, cost);
+        let mut us = apply_fetched(st, &mut sc.entries, cost);
         if write {
             for p in p0..=p1 {
                 // A page without a twin takes a write fault: the twin is
@@ -703,59 +738,43 @@ impl<'n> Tmk<'n> {
     /// (deferring while a required flush is still in flight), so the
     /// result is exactly as consistent as the LRC diff fetch would have
     /// been. `aggregated` groups all pages of one home into one round
-    /// trip; otherwise each page is its own request.
-    fn fetch_pages_from_homes(&self, pages: &[usize], aggregated: bool) {
+    /// trip; otherwise each page is its own request. The pages are
+    /// `sc.whole`, which is left empty.
+    fn fetch_pages_from_homes(&self, sc: &mut Scratch, aggregated: bool) {
         let _s = self
             .node
-            .trace_span(SpanKind::HomeFetch, pages.len() as u32);
+            .trace_span(SpanKind::HomeFetch, sc.whole.len() as u32);
         let cost = self.node.cost();
         let pw = self.cfg.page_words;
-        let groups: BTreeMap<usize, protocol::PageReqEntries> = {
+        {
+            // The requests leave under the lock their watermarks are
+            // read under, homes ascending.
             let st = self.state.lock();
-            let mut g: BTreeMap<usize, protocol::PageReqEntries> = BTreeMap::new();
-            for &p in pages {
-                let entries = g
-                    .entry(st.home_of(p))
-                    .or_insert_with(|| protocol::PageReqEntries::new(st.n));
-                st.required_watermarks(p, entries.push(p));
+            for p in sc.whole.drain(..) {
+                sc.by_home[st.home_of(p)].push(p);
             }
-            g
-        };
-        let mut outstanding: Vec<(usize, u32)> = Vec::new();
-        for (home, entries) in &groups {
-            for (page, required) in entries.iter() {
-                trace!(
-                    "[{}] page-req plan: page {} home {} required {:?}",
-                    self.proc_id(),
-                    page,
-                    home,
-                    required
-                );
-            }
-            if aggregated {
-                outstanding.push((*home, self.send_page_req(*home, entries.iter())));
-            } else {
-                for e in entries.iter() {
-                    outstanding.push((*home, self.send_page_req(*home, std::iter::once(e))));
+            for (home, pages) in sc.by_home.iter_mut().enumerate() {
+                let per_req = if aggregated { pages.len() } else { 1 };
+                for pages in pages.chunks(per_req.max(1)) {
+                    let id = self.send_page_req(&st, home, pages);
+                    sc.outstanding.push((home, id));
                 }
+                pages.clear();
             }
         }
         // The responses stay where they landed until every one is in;
         // each page is then copied once, from its payload into the frame.
-        let responses: Vec<sp2sim::Packet> = outstanding
-            .into_iter()
-            .map(|(home, req_id)| {
-                let t = tag::PAGE_RESP | (req_id & 0xFFFF);
-                trace!("[{}] page-req {} -> {} wait", self.proc_id(), req_id, home);
-                let pkt = self.node.recv_match(|p| p.src == home && p.tag == t);
-                trace!("[{}] page-req {} got", self.proc_id(), req_id);
-                pkt
-            })
-            .collect();
+        for (home, req_id) in sc.outstanding.drain(..) {
+            let t = tag::PAGE_RESP | (req_id & 0xFFFF);
+            trace!("[{}] page-req {} -> {} wait", self.proc_id(), req_id, home);
+            let pkt = self.node.recv_match(|p| p.src == home && p.tag == t);
+            trace!("[{}] page-req {} got", self.proc_id(), req_id);
+            sc.responses.push(pkt);
+        }
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mut us = 0.0;
-        for pkt in &responses {
+        for pkt in sc.responses.drain(..) {
             let mut r = WordReader::new(&pkt.payload);
             for e in protocol::decode_page_resp(&mut r, self.nprocs(), pw) {
                 let mut frame = st.frames.frame_mut(e.page);
@@ -784,14 +803,19 @@ impl<'n> Tmk<'n> {
         }
     }
 
-    fn send_page_req<'a>(
-        &self,
-        home: usize,
-        entries: impl ExactSizeIterator<Item = (usize, &'a [u32])>,
-    ) -> u32 {
+    /// Ask `home` for `pages`, each at the watermarks `st` holds for it.
+    fn send_page_req(&self, st: &DsmState, home: usize, pages: &[PageId]) -> u32 {
         let id = self.req_seq.get();
         self.req_seq.set(id.wrapping_add(1));
-        let payload = protocol::encode_page_fetch_req(id, self.proc_id(), entries);
+        let rows = pages.iter().map(|&p| {
+            trace!(
+                "[{}] page-req plan: page {p} home {home} required {:?}",
+                self.proc_id(),
+                st.required_watermarks(p).collect::<Vec<_>>()
+            );
+            (p, st.required_watermarks(p))
+        });
+        let payload = protocol::encode_page_fetch_req(id, self.proc_id(), st.n, rows);
         self.node
             .endpoint()
             .send_to_port(home, Port::Service, 0, MsgKind::PageReq, payload);
@@ -834,7 +858,8 @@ impl<'n> Tmk<'n> {
         trace!("[{}] barrier {} wait-dep", self.proc_id(), e);
         let pkt = self.node.recv_match(|p| p.tag == t);
         trace!("[{}] barrier {} done", self.proc_id(), e);
-        let dep = protocol::decode_departure(&mut WordReader::new(&pkt.payload));
+        let msg = Landed::new(pkt.payload);
+        let dep = protocol::decode_departure(&msg);
         {
             let mut st = self.state.lock();
             for iv in dep.intervals {
@@ -842,7 +867,7 @@ impl<'n> Tmk<'n> {
             }
             st.stats.barriers += 1;
             if self.hlrc() && !dep.min_vc.is_empty() {
-                st.prune_home_copies(&dep.min_vc);
+                st.prune_home_copies(dep.min_vc);
             }
         }
         self.receive_pushes(dep.expected_push);
@@ -924,8 +949,8 @@ impl<'n> Tmk<'n> {
         trace!("[{me}] acquire {lock} -> {dst} wait-grant");
         let pkt = self.node.recv_match(|p| p.tag == t);
         trace!("[{me}] acquire {lock} granted");
-        let mut r = WordReader::new(&pkt.payload);
-        let intervals = crate::interval::decode_intervals(&mut r);
+        let msg = Landed::new(pkt.payload);
+        let intervals = Intervals::window(&msg, &mut msg.reader());
         let mut st = self.state.lock();
         st.lock_prof.entry(lock).or_default().wait_us += self.node.now() - t0;
         for iv in intervals {
@@ -954,8 +979,8 @@ impl<'n> Tmk<'n> {
                 st.lock_prof.entry(lock).or_default().record_handoff();
             }
             next.map(|req| {
-                let ivs = st.intervals_since(&req.vc);
-                (req.requester, protocol::encode_lock_grant(&ivs))
+                let ivs = st.intervals_since(req.vc.iter().copied());
+                (req.requester, protocol::encode_lock_grant(ivs))
             })
         };
         if let Some((dst, payload)) = grant {
@@ -1026,7 +1051,7 @@ impl<'n> Tmk<'n> {
         let expected_push = r.get();
         let min_vc = protocol::decode_vc_words(&mut r);
         if self.hlrc() && !min_vc.is_empty() {
-            self.state.lock().prune_home_copies(&min_vc);
+            self.state.lock().prune_home_copies(min_vc);
         }
         self.receive_pushes(expected_push);
         drop(_s);
@@ -1053,14 +1078,15 @@ impl<'n> Tmk<'n> {
         trace!("[{}] worker_wait {} wait-dep", self.proc_id(), e);
         let pkt = self.node.recv_match(|p| p.tag == t);
         trace!("[{}] worker_wait {} got-dep", self.proc_id(), e);
-        let dep = protocol::decode_departure(&mut WordReader::new(&pkt.payload));
+        let msg = Landed::new(pkt.payload);
+        let dep = protocol::decode_departure(&msg);
         {
             let mut st = self.state.lock();
             for iv in dep.intervals {
                 st.integrate_interval(iv);
             }
             if self.hlrc() && !dep.min_vc.is_empty() {
-                st.prune_home_copies(&dep.min_vc);
+                st.prune_home_copies(dep.min_vc);
             }
         }
         trace!(
@@ -1075,7 +1101,7 @@ impl<'n> Tmk<'n> {
         if dep.flag_bits & flags::SHUTDOWN != 0 {
             None
         } else {
-            Some(dep.ctl)
+            Some(dep.ctl.to_vec())
         }
     }
 
@@ -1224,7 +1250,8 @@ impl<'n> Tmk<'n> {
                 (pkt.src, Landed::new(pkt.payload))
             })
             .collect();
-        let mut all: Vec<(usize, protocol::DiffRespEntry)> = Vec::new();
+        let mut scratch = self.scratch.borrow_mut();
+        let all = &mut scratch.entries;
         let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
         for (src, msg) in &pushes {
             let mut r = msg.reader();
@@ -1244,7 +1271,7 @@ impl<'n> Tmk<'n> {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mut us = 0.0;
-        for (writer, e) in &all {
+        for (writer, e) in all.iter() {
             let applied = st.applied_seq(e.page, *writer);
             trace!(
                 "[{}] push-recv: page {} writer {writer} range {}..={} applied {applied}",
@@ -1284,6 +1311,7 @@ impl<'n> Tmk<'n> {
             st.apply_range(e.page, *writer, e.hi, &e.diff);
             us += cost.diff_apply_us(e.diff.encoded_words());
         }
+        all.clear();
         // HLRC whole-page pushes: install only where the pushed
         // watermarks dominate ours componentwise — after the diff merge
         // above, so a concurrent-writer page whose diffs both applied

@@ -7,7 +7,7 @@
 use sp2sim::{WordReader, WordWriter};
 
 use crate::diff::{Diff, Landed};
-use crate::interval::{decode_intervals, encode_intervals, intervals_words, Interval};
+use crate::interval::{encode_intervals, intervals_words, Interval, Intervals};
 use crate::page::PageId;
 use crate::state::DiffRange;
 use crate::vc::Vc;
@@ -253,8 +253,8 @@ fn take_f64s(r: &mut WordReader, n: usize) -> Vec<f64> {
 }
 
 /// Encode a lock grant: the intervals the requester has not seen.
-pub fn encode_lock_grant(intervals: &[std::sync::Arc<Interval>]) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(intervals_words(intervals));
+pub fn encode_lock_grant<'a>(intervals: impl Iterator<Item = &'a Interval> + Clone) -> Vec<u64> {
+    let mut w = WordWriter::with_capacity(intervals_words(intervals.clone()));
     encode_intervals(&mut w, intervals);
     w.finish()
 }
@@ -268,16 +268,16 @@ pub fn encode_arrival(
     src: usize,
     push_counts: &[u64],
     vc: &[u32],
-    intervals: &[std::sync::Arc<Interval>],
+    intervals: &[Interval],
 ) -> Vec<u64> {
     debug_assert!(push_counts.is_empty() || push_counts.len() == vc.len());
-    let mut w = WordWriter::with_capacity(3 + 2 * vc.len() + intervals_words(intervals));
+    let mut w = WordWriter::with_capacity(3 + 2 * vc.len() + intervals_words(intervals.iter()));
     w.put(opcode).put(epoch).put_usize(src);
     put_push_counts(&mut w, push_counts, vc.len());
     for &x in vc {
         w.put(x as u64);
     }
-    encode_intervals(&mut w, intervals);
+    encode_intervals(&mut w, intervals.iter());
     w.finish()
 }
 
@@ -294,32 +294,48 @@ pub fn put_push_counts(w: &mut WordWriter, push_counts: &[u64], n: usize) {
     }
 }
 
-/// Decoded arrival.
+/// An arrival, read where it landed: the manager keeps the message
+/// until the epoch completes instead of copies of its parts.
+#[derive(Debug)]
 pub struct Arrival {
     /// Epoch number.
     pub epoch: u64,
     /// Arriving node.
     pub src: usize,
-    /// Push messages this node sent, per destination.
-    pub push_counts: Vec<u64>,
-    /// The node's vector clock.
-    pub vc: Vc,
+    msg: Landed,
+    /// Cluster size: the length of the two rows behind the three header
+    /// words of `msg`.
+    n: usize,
     /// The node's new intervals.
-    pub intervals: Vec<Interval>,
+    pub intervals: Intervals,
 }
 
-/// Decode the body of an arrival (after the opcode word).
-pub fn decode_arrival(r: &mut WordReader, n: usize) -> Arrival {
+impl Arrival {
+    /// Push messages this node sent, per destination.
+    pub fn push_counts(&self) -> &[u64] {
+        &self.msg.words()[3..3 + self.n]
+    }
+
+    /// The node's vector clock.
+    pub fn vc(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        let clock = &self.msg.words()[3 + self.n..3 + 2 * self.n];
+        clock.iter().map(|&x| x as u32)
+    }
+}
+
+/// Decode the arrival `msg`, for a cluster of `n` nodes.
+pub fn decode_arrival(msg: Landed, n: usize) -> Arrival {
+    let mut r = msg.reader();
+    r.get(); // the opcode the service loop dispatched on
     let epoch = r.get();
     let src = r.get_usize();
-    let push_counts = r.take(n).to_vec();
-    let vc = take_u32s(r, n);
-    let intervals = decode_intervals(r);
+    r.take(2 * n);
+    let intervals = Intervals::window(&msg, &mut r);
     Arrival {
         epoch,
         src,
-        push_counts,
-        vc,
+        msg,
+        n,
         intervals,
     }
 }
@@ -333,25 +349,26 @@ pub fn encode_vc_words(w: &mut WordWriter, vc: &[u32]) {
     }
 }
 
-/// Decode a count-prefixed watermark list.
-pub fn decode_vc_words(r: &mut WordReader) -> Vec<u32> {
+/// The next count-prefixed watermark list, a wire word per entry, read
+/// in place.
+pub fn decode_vc_words<'a>(r: &mut WordReader<'a>) -> &'a [u64] {
     let k = r.get_count(1);
-    take_u32s(r, k)
+    r.take(k)
 }
 
 /// Encode a departure (barrier or fork). `min_vc` is the componentwise
 /// minimum of every participant's vector clock at the rendezvous — the
 /// HLRC home-copy pruning piggyback (empty slice to omit).
-pub fn encode_departure(
+pub fn encode_departure<'a>(
     epoch: u64,
     flag_bits: u64,
     expected_push: u64,
     ctl: &[u64],
-    intervals: &[std::sync::Arc<Interval>],
+    intervals: impl Iterator<Item = &'a Interval> + Clone,
     min_vc: &[u32],
 ) -> Vec<u64> {
-    let mut w =
-        WordWriter::with_capacity(5 + min_vc.len() + ctl.len() + intervals_words(intervals));
+    let words = 5 + min_vc.len() + ctl.len() + intervals_words(intervals.clone());
+    let mut w = WordWriter::with_capacity(words);
     w.put(epoch).put(flag_bits).put(expected_push);
     encode_vc_words(&mut w, min_vc);
     w.put_words(ctl);
@@ -359,8 +376,8 @@ pub fn encode_departure(
     w.finish()
 }
 
-/// Decoded departure.
-pub struct Departure {
+/// A departure, read where it landed.
+pub struct Departure<'a> {
     /// Epoch number.
     pub epoch: u64,
     /// Flag bits (see [`flags`]).
@@ -369,21 +386,22 @@ pub struct Departure {
     pub expected_push: u64,
     /// Componentwise minimum of all participants' vector clocks at the
     /// rendezvous (HLRC home-copy pruning; empty when not piggybacked).
-    pub min_vc: Vec<u32>,
+    pub min_vc: &'a [u64],
     /// Loop-control words (improved fork-join interface, §2.3).
-    pub ctl: Vec<u64>,
+    pub ctl: &'a [u64],
     /// Intervals this node has not yet seen.
-    pub intervals: Vec<Interval>,
+    pub intervals: Intervals,
 }
 
-/// Decode a departure.
-pub fn decode_departure(r: &mut WordReader) -> Departure {
+/// Decode the departure `msg`.
+pub fn decode_departure(msg: &Landed) -> Departure<'_> {
+    let mut r = msg.reader();
     let epoch = r.get();
     let flag_bits = r.get();
     let expected_push = r.get();
-    let min_vc = decode_vc_words(r);
-    let ctl = r.get_words().to_vec();
-    let intervals = decode_intervals(r);
+    let min_vc = decode_vc_words(&mut r);
+    let ctl = r.get_words();
+    let intervals = Intervals::window(msg, &mut r);
     Departure {
         epoch,
         flag_bits,
@@ -542,73 +560,25 @@ pub fn decode_home_flush<'r, 'a>(
     (writer, decode_diff_entries(msg, r))
 }
 
-/// The entries of an HLRC page request: fetch each of `pages`, which is
-/// consistent at its home once the home has applied interval
-/// `required[w]` of every writer `w` (the requester's per-writer notice
-/// watermarks). The watermarks of all pages share one vector, a row of
-/// `n` per page, so a request costs two allocations however many pages
-/// it names.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageReqEntries {
-    n: usize,
-    pages: Vec<PageId>,
-    required: Vec<u32>,
-}
-
-impl PageReqEntries {
-    /// No entries yet, for a cluster of `n` nodes.
-    pub fn new(n: usize) -> PageReqEntries {
-        PageReqEntries {
-            n,
-            pages: Vec::new(),
-            required: Vec::new(),
-        }
-    }
-
-    /// Add `page` and return its watermark row, zeroed, for the caller
-    /// to fill.
-    pub fn push(&mut self, page: PageId) -> &mut [u32] {
-        self.pages.push(page);
-        let at = self.required.len();
-        self.required.resize(at + self.n, 0);
-        &mut self.required[at..]
-    }
-
-    /// Number of pages requested.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// True when no page is requested.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// `(page, required watermark per writer node)`, in request order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PageId, &[u32])> {
-        self.pages
-            .iter()
-            .copied()
-            .zip(self.required.chunks_exact(self.n))
-    }
-}
-
-/// Encode an HLRC page request for the entries `(page, required)`.
-pub fn encode_page_fetch_req<'a>(
+/// Encode an HLRC page request for a cluster of `n` nodes: one row
+/// `(page, required…)` per page, which is consistent at its home once
+/// the home has applied interval `required[w]` of every writer `w` (the
+/// requester's per-writer notice watermarks, written straight from where
+/// the requester keeps them).
+pub fn encode_page_fetch_req<R: Iterator<Item = u32>>(
     req_id: u32,
     requester: usize,
-    entries: impl ExactSizeIterator<Item = (PageId, &'a [u32])>,
+    n: usize,
+    rows: impl ExactSizeIterator<Item = (PageId, R)>,
 ) -> Vec<u64> {
-    let mut entries = entries.peekable();
-    let n = entries.peek().map_or(0, |(_, required)| required.len());
-    let mut w = WordWriter::with_capacity(4 + entries.len() * (1 + n));
+    let mut w = WordWriter::with_capacity(4 + rows.len() * (1 + n));
     w.put(op::PAGE_REQ)
         .put(req_id as u64)
         .put_usize(requester)
-        .put_usize(entries.len());
-    for (page, required) in entries {
+        .put_usize(rows.len());
+    for (page, required) in rows {
         w.put_usize(page);
-        for &s in required {
+        for s in required {
             w.put(s as u64);
         }
     }
@@ -616,18 +586,28 @@ pub fn encode_page_fetch_req<'a>(
 }
 
 /// Decode the body of a page request (after the opcode word), for a
-/// cluster of `n` nodes.
-pub fn decode_page_fetch_req(r: &mut WordReader, n: usize) -> (u32, usize, PageReqEntries) {
+/// cluster of `n` nodes: `(req_id, requester, rows)`, the rows `(page,
+/// required watermark per writer node, a wire word each)` read where
+/// they landed — the home walks them once to check and once to serve
+/// (and again at every retry of a deferred request), so the iterator is
+/// `Clone`.
+pub fn decode_page_fetch_req<'a>(
+    r: &mut WordReader<'a>,
+    n: usize,
+) -> (
+    u32,
+    usize,
+    impl ExactSizeIterator<Item = (PageId, &'a [u64])> + Clone,
+) {
     let req_id = r.get() as u32;
     let requester = r.get_usize();
     let k = r.get_count(1 + n);
-    let mut entries = PageReqEntries::new(n);
-    for _ in 0..k {
-        for s in entries.push(r.get_usize()) {
-            *s = r.get() as u32;
-        }
-    }
-    (req_id, requester, entries)
+    let rows = r.take(k * (1 + n)).chunks_exact(1 + n);
+    (
+        req_id,
+        requester,
+        rows.map(|row| (row[0] as usize, &row[1..])),
+    )
 }
 
 /// One entry of an HLRC page response, a page push or a page broadcast,
@@ -687,7 +667,6 @@ pub fn decode_page_resp<'r, 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn diff_req_roundtrip() {
@@ -726,22 +705,15 @@ mod tests {
 
     #[test]
     fn arrival_departure_roundtrip() {
-        let ivs = vec![Arc::new(Interval {
-            node: 1,
-            seq: 3,
-            lamport: 8,
-            pages: vec![2, 3],
-        })];
+        let ivs = [Interval::seal(1, 3, 8, &[2, 3])];
         let buf = encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[0, 2], &[4, 3], &ivs);
-        let mut r = WordReader::new(&buf);
-        assert_eq!(r.get(), op::BARRIER_ARRIVE);
-        let a = decode_arrival(&mut r, 2);
+        assert_eq!(buf[0], op::BARRIER_ARRIVE);
+        let a = decode_arrival(Landed::new(buf), 2);
         assert_eq!(a.epoch, 12);
         assert_eq!(a.src, 1);
-        assert_eq!(a.push_counts, vec![0, 2]);
-        assert_eq!(a.vc, vec![4, 3]);
-        assert_eq!(a.intervals.len(), 1);
-        assert_eq!(a.intervals[0].pages, vec![2, 3]);
+        assert_eq!(a.push_counts(), [0, 2]);
+        assert_eq!(a.vc().collect::<Vec<_>>(), [4, 3]);
+        assert_eq!(a.intervals.collect::<Vec<_>>(), ivs);
         // A node that pushed nothing passes no counts; the wire words are
         // those of the all-zero vector.
         assert_eq!(
@@ -749,19 +721,31 @@ mod tests {
             encode_arrival(op::BARRIER_ARRIVE, 12, 1, &[0, 0], &[4, 3], &ivs)
         );
 
-        let buf = encode_departure(12, flags::SHUTDOWN, 1, &[9, 9], &ivs, &[4, 2]);
-        let d = decode_departure(&mut WordReader::new(&buf));
+        let msg = Landed::new(encode_departure(
+            12,
+            flags::SHUTDOWN,
+            1,
+            &[9, 9],
+            ivs.iter(),
+            &[4, 2],
+        ));
+        let d = decode_departure(&msg);
         assert_eq!(d.epoch, 12);
         assert_eq!(d.flag_bits, flags::SHUTDOWN);
         assert_eq!(d.expected_push, 1);
-        assert_eq!(d.min_vc, vec![4, 2]);
-        assert_eq!(d.ctl, vec![9, 9]);
-        assert_eq!(d.intervals.len(), 1);
+        assert_eq!(d.min_vc, [4, 2]);
+        assert_eq!(d.ctl, [9, 9]);
+        assert_eq!(d.intervals.collect::<Vec<_>>(), ivs);
+        assert!(
+            std::ptr::eq(d.ctl, &msg.words()[7..9]),
+            "read where it landed"
+        );
 
-        let buf = encode_departure(3, 0, 0, &[], &[], &[]);
-        let d = decode_departure(&mut WordReader::new(&buf));
+        let msg = Landed::new(encode_departure(3, 0, 0, &[], [].iter(), &[]));
+        let d = decode_departure(&msg);
         assert!(d.min_vc.is_empty());
         assert!(d.ctl.is_empty());
+        assert_eq!(d.intervals.count(), 0);
     }
 
     #[test]
@@ -847,24 +831,23 @@ mod tests {
 
     #[test]
     fn page_req_and_resp_roundtrip() {
-        let mut entries = PageReqEntries::new(3);
-        entries.push(3).copy_from_slice(&[0, 2, 1]);
-        entries.push(9).copy_from_slice(&[1, 0, 0]);
-        let buf = encode_page_fetch_req(17, 2, entries.iter());
+        let rows = [(3usize, [0u32, 2, 1]), (9, [1, 0, 0])];
+        let buf =
+            encode_page_fetch_req(17, 2, 3, rows.iter().map(|(p, r)| (*p, r.iter().copied())));
         assert_eq!(buf.len(), 4 + 2 * (1 + 3));
         let mut r = WordReader::new(&buf);
         assert_eq!(r.get(), op::PAGE_REQ);
         let (id, who, got) = decode_page_fetch_req(&mut r, 3);
-        assert_eq!((id, who), (17, 2));
-        assert_eq!(got, entries);
-        assert_eq!(
-            got.iter().collect::<Vec<_>>(),
-            vec![(3, &[0, 2, 1][..]), (9, &[1, 0, 0][..])]
+        assert!(r.is_exhausted());
+        assert_eq!((id, who, got.len()), (17, 2, 2));
+        let want = vec![(3, &[0u64, 2, 1][..]), (9, &[1, 0, 0][..])];
+        assert_eq!(got.clone().collect::<Vec<_>>(), want);
+        let again: Vec<_> = got.collect();
+        assert_eq!(again, want, "walked twice");
+        assert!(
+            std::ptr::eq(again[1].1, &buf[9..]),
+            "a row is the payload's own words"
         );
-        // One entry of many goes out as a request of its own.
-        let one = encode_page_fetch_req(18, 2, entries.iter().skip(1).take(1));
-        let (_, _, got) = decode_page_fetch_req(&mut WordReader::new(&one[1..]), 3);
-        assert_eq!(got.iter().collect::<Vec<_>>(), vec![(9, &[1, 0, 0][..])]);
 
         let mut w = WordWriter::with_capacity(page_resp_words(1, 3, 4));
         w.put_usize(1);

@@ -46,16 +46,20 @@ pub fn service_loop(ep: Endpoint, state: Arc<Mutex<DsmState>>) {
         match opcode {
             op::DIFF_REQ => handle_diff_req(&ep, &state, &mut r, arrival, seq),
             op::VALIDATE_REQ => handle_validate_req(&ep, &state, &mut r, arrival, seq),
-            // A flush is kept where it landed: the home's buffered ranges
-            // are windows onto the payload, handed over by value.
+            // A flush, an arrival, a fork and a page request are kept
+            // where they landed — the home's buffered ranges and the
+            // manager's interval log are windows onto the payload, a
+            // fork waits for the workers, a deferred request is read again
+            // at every retry — so the payload is handed over by value.
             op::HOME_FLUSH => handle_home_flush(&ep, &state, pkt.payload, arrival, seq),
-            op::PAGE_REQ => handle_page_req(&ep, &state, &mut r, arrival, seq),
+            op::PAGE_REQ => handle_page_req(&ep, &state, pkt.payload, arrival, seq),
             op::REDUCE_PART => handle_reduce_part(&ep, &state, &mut r, arrival, seq),
             op::REDUCE_LIST => handle_reduce_list(&ep, &state, &mut r, arrival, seq),
             op::LOCK_REQ => handle_lock_req(&ep, &state, &mut r, arrival, seq),
-            op::BARRIER_ARRIVE => handle_arrival(&ep, &state, &mut r, arrival, seq, false),
-            op::WORKER_ARRIVE => handle_arrival(&ep, &state, &mut r, arrival, seq, true),
-            op::MASTER_FORK => handle_master_fork(&ep, &state, &mut r, arrival, seq),
+            op::BARRIER_ARRIVE | op::WORKER_ARRIVE => {
+                handle_arrival(&ep, &state, pkt.payload, arrival, seq)
+            }
+            op::MASTER_FORK => handle_master_fork(&ep, &state, pkt.payload, arrival, seq),
             op::MASTER_JOIN => handle_master_join(&ep, &state, &mut r, arrival, seq),
             op::SHUTDOWN => break,
             other => {
@@ -216,22 +220,14 @@ fn handle_home_flush(
 fn handle_page_req(
     ep: &Endpoint,
     state: &Mutex<DsmState>,
-    r: &mut WordReader,
+    payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
 ) {
-    let (req_id, requester, entries) = protocol::decode_page_fetch_req(r, ep.nprocs());
     let mut st = state.lock();
-    let ready = entries
-        .iter()
-        .all(|(page, required)| st.home_covers(page, required));
-    if ready {
-        serve_page_fetch(ep, &mut st, req_id, requester, &entries, arrival, seq);
-    } else {
+    if !serve_page_fetch(ep, &mut st, &payload, arrival, seq) {
         st.waiting_page_reqs.push(crate::state::WaitingPageReq {
-            req_id,
-            requester,
-            entries,
+            payload,
             arrival,
             seq,
         });
@@ -244,44 +240,47 @@ fn handle_page_req(
 /// for has arrived. A response that waited is causally anchored on the
 /// flush (`flush_seq`) that unblocked it, not on its own request.
 fn serve_ready_page_reqs(ep: &Endpoint, st: &mut DsmState, now: VTime, flush_seq: u64) {
-    loop {
-        let idx = st.waiting_page_reqs.iter().position(|wr| {
-            wr.entries
-                .iter()
-                .all(|(page, required)| st.home_covers(page, required))
-        });
-        let Some(i) = idx else { return };
-        let wr = st.waiting_page_reqs.remove(i);
+    // One pass in list order: serving a request changes no page's
+    // coverage, so none becomes ready behind the cursor.
+    let mut waiting = std::mem::take(&mut st.waiting_page_reqs);
+    waiting.retain(|wr| {
         let (at, cause) = if wr.arrival > now {
             (wr.arrival, wr.seq)
         } else {
             (now, flush_seq)
         };
-        serve_page_fetch(ep, st, wr.req_id, wr.requester, &wr.entries, at, cause);
-    }
+        !serve_page_fetch(ep, st, &wr.payload, at, cause)
+    });
+    debug_assert!(st.waiting_page_reqs.is_empty());
+    st.waiting_page_reqs = waiting;
 }
 
-/// Construct every requested page at exactly the requester's watermarks
-/// (see [`DsmState::home_serve`]) and reply with the full pages.
-/// Construction of a multi-page response is pipelined with transmission
-/// like an aggregated diff response: only the costliest page's
-/// construction delays the reply.
-#[allow(clippy::too_many_arguments)]
+/// Answer the page request `payload`, its rows read where they landed,
+/// if the buffered ranges cover every row (`false`: not yet — the caller
+/// keeps the request): construct every requested page at exactly the
+/// requester's watermarks (see [`DsmState::home_serve`]) and reply with
+/// the full pages. Construction of a multi-page response is pipelined
+/// with transmission like an aggregated diff response: only the
+/// costliest page's construction delays the reply.
 fn serve_page_fetch(
     ep: &Endpoint,
     st: &mut DsmState,
-    req_id: u32,
-    requester: usize,
-    entries: &protocol::PageReqEntries,
+    payload: &[u64],
     arrival: VTime,
     cause_seq: u64,
-) {
+) -> bool {
+    let mut r = WordReader::new(payload);
+    r.get(); // the opcode the service loop dispatched on
+    let (req_id, requester, rows) = protocol::decode_page_fetch_req(&mut r, st.n);
+    if !(rows.clone()).all(|(page, required)| st.home_covers(page, required)) {
+        return false;
+    }
     let cost = ep.cost();
     let mut first_us: f64 = 0.0;
-    let words = protocol::page_resp_words(entries.len(), st.n, st.cfg.page_words);
+    let words = protocol::page_resp_words(rows.len(), st.n, st.cfg.page_words);
     let mut w = sp2sim::WordWriter::with_capacity(words);
-    w.put_usize(entries.len());
-    for (page, required) in entries.iter() {
+    w.put_usize(rows.len());
+    for (page, required) in rows {
         let (data, applied, us) = st.home_serve(page, required, cost);
         protocol::encode_page_entry(&mut w, page, applied, data);
         first_us = first_us.max(us);
@@ -295,6 +294,7 @@ fn serve_page_fetch(
         arrival + cost.service_us + first_us,
     );
     ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, arrival);
+    true
 }
 
 /// CRI direct reduction: a child subtree's partial arrives; combine it
@@ -478,7 +478,7 @@ fn holder_grant_or_queue(
             Port::App,
             tag::LOCK_GRANT | lock,
             MsgKind::Control,
-            protocol::encode_lock_grant(&[]),
+            protocol::encode_lock_grant(std::iter::empty()),
             ready.max(release_vt),
         );
         // A grant gated by our own last release (`release_vt > ready`)
@@ -499,13 +499,12 @@ fn holder_grant_or_queue(
     lk.has_token = false;
     let release_vt = lk.release_vt;
     st.lock_prof.entry(lock).or_default().record_handoff();
-    let intervals = st.intervals_since(&vc);
     let out_seq = ep.send_at(
         requester,
         Port::App,
         tag::LOCK_GRANT | lock,
         MsgKind::LockGrant,
-        protocol::encode_lock_grant(&intervals),
+        protocol::encode_lock_grant(st.intervals_since(vc.iter().copied())),
         ready.max(release_vt) + service_us,
     );
     let cause = if release_vt > ready { 0 } else { req_seq };
@@ -515,52 +514,38 @@ fn holder_grant_or_queue(
 fn handle_arrival(
     ep: &Endpoint,
     state: &Mutex<DsmState>,
-    r: &mut WordReader,
+    payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
-    _worker: bool,
 ) {
-    let a = protocol::decode_arrival(r, ep.nprocs());
+    let msg = protocol::decode_arrival(Landed::new(payload), ep.nprocs());
     let mut st = state.lock();
     // Intervals are NOT integrated yet: the manager's application thread
     // may still be computing in the previous epoch and must not observe
-    // future write notices. They are integrated at epoch completion, when
-    // the local application is guaranteed to be blocked in the barrier.
-    let epoch = a.epoch;
+    // future write notices. They stay in the message, which the epoch
+    // keeps, and are integrated at epoch completion, when the local
+    // application is guaranteed to be blocked in the barrier.
+    let epoch = msg.epoch;
     let entry = st.epochs.entry(epoch).or_default();
     entry.arrivals.push(crate::state::Arrival {
-        src: a.src,
-        vc: a.vc,
+        msg,
         at: arrival,
-        push_counts: a.push_counts,
         seq,
     });
-    // Stash intervals alongside (keyed by src) for integration later.
-    st.pending_intervals(epoch, a.intervals);
     try_complete_epoch(ep, &mut st, epoch);
 }
 
 fn handle_master_fork(
     ep: &Endpoint,
     state: &Mutex<DsmState>,
-    r: &mut WordReader,
+    payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
 ) {
-    let epoch = r.get();
-    let flag_bits = r.get();
-    let push_counts = r.take(ep.nprocs()).to_vec();
-    let ctl = {
-        let words = r.get_words();
-        let mut v = Vec::with_capacity(words.len() + 1);
-        v.push(flag_bits);
-        v.extend_from_slice(words);
-        v
-    };
+    let epoch = payload[1];
     let mut st = state.lock();
     let entry = st.epochs.entry(epoch).or_default();
-    entry.fork_push = push_counts;
-    entry.fork_ctl = Some(ctl);
+    entry.fork_msg = Some(payload);
     entry.fork_vt = arrival;
     entry.fork_seq = seq;
     try_complete_epoch(ep, &mut st, epoch);
@@ -593,7 +578,7 @@ fn sort_arrivals(arrivals: &mut [crate::state::Arrival]) {
     arrivals.sort_by(|a, b| {
         a.at.partial_cmp(&b.at)
             .expect("virtual times are never NaN")
-            .then(a.src.cmp(&b.src))
+            .then(a.msg.src.cmp(&b.msg.src))
     });
 }
 
@@ -607,7 +592,7 @@ fn critical_arrival(arrivals: &[crate::state::Arrival]) -> Option<u64> {
         .max_by(|a, b| {
             a.at.partial_cmp(&b.at)
                 .expect("virtual times are never NaN")
-                .then(a.src.cmp(&b.src))
+                .then(a.msg.src.cmp(&b.msg.src))
         })
         .map(|a| a.seq)
 }
@@ -632,7 +617,7 @@ fn min_arrival_vc(
     }
     let mut min = vec![u32::MAX; n];
     for a in arrivals {
-        for (m, &x) in min.iter_mut().zip(&a.vc) {
+        for (m, x) in min.iter_mut().zip(a.msg.vc()) {
             *m = (*m).min(x);
         }
     }
@@ -642,6 +627,11 @@ fn min_arrival_vc(
         }
     }
     min
+}
+
+/// Pushes announced in `arrivals` for destination `dst`.
+fn pushes_to(arrivals: &[crate::state::Arrival], dst: usize) -> u64 {
+    arrivals.iter().map(|a| a.msg.push_counts()[dst]).sum()
 }
 
 /// Check whether `epoch` has everything it needs, and serve it.
@@ -670,21 +660,15 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
             .map(|a| a.at)
             .fold(VTime::ZERO, VTime::max);
         let dep_time = max_at + n as f64 * manager_us;
-        st.integrate_pending(epoch);
-        // Total pushes headed to each destination.
-        let mut push_to = vec![0u64; n];
-        for a in &entry.arrivals {
-            for (d, c) in a.push_counts.iter().enumerate() {
-                push_to[d] += c;
-            }
-        }
+        st.integrate_arrivals(&entry.arrivals);
         let e16 = (epoch & 0xFFFF) as u32;
         let min_vc = min_arrival_vc(&entry.arrivals, None, n, st.cfg.protocol);
         for a in &entry.arrivals {
-            let src = a.src;
-            let intervals = st.intervals_since(&a.vc);
+            let src = a.msg.src;
+            let intervals = st.intervals_since(a.msg.vc());
+            let expected_push = pushes_to(&entry.arrivals, src);
             let payload =
-                protocol::encode_departure(epoch, 0, push_to[src], &[], &intervals, &min_vc);
+                protocol::encode_departure(epoch, 0, expected_push, &[], intervals, &min_vc);
             let kind = if src == me {
                 MsgKind::Control
             } else {
@@ -716,26 +700,25 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
     let crit_seq = critical_arrival(&entry.arrivals);
     let e16 = (epoch & 0xFFFF) as u32;
 
-    // Pushes announced in this epoch's worker arrivals, per destination.
-    let mut push_to = vec![0u64; n];
-    for a in &entry.arrivals {
-        for (d, c) in a.push_counts.iter().enumerate() {
-            push_to[d] += c;
-        }
-    }
-
     let joined = entry.joined && !entry.join_served;
     let join_vt = entry.join_vt;
     let join_seq = entry.join_seq;
     if joined {
-        st.integrate_pending(epoch);
-        let entry = st.epochs.get(&epoch).expect("epoch exists");
-        let min_vc = min_arrival_vc(&entry.arrivals, Some(&st.vc), n, st.cfg.protocol);
+        // The arrivals leave the epoch for the moment the state is
+        // borrowed whole; the fork below integrates them again, which
+        // changes nothing.
+        let entry = st.epochs.get_mut(&epoch).expect("epoch exists");
+        let arrivals = std::mem::take(&mut entry.arrivals);
+        st.integrate_arrivals(&arrivals);
+        let min_vc = min_arrival_vc(&arrivals, Some(&st.vc), n, st.cfg.protocol);
         let dep_time = max_at.max(join_vt) + (n as f64 - 1.0) * manager_us;
         let mut w = sp2sim::WordWriter::with_capacity(3 + min_vc.len());
-        w.put(epoch).put(push_to[me]);
+        w.put(epoch).put(pushes_to(&arrivals, me));
         protocol::encode_vc_words(&mut w, &min_vc);
         let payload = w.finish();
+        let entry = st.epochs.get_mut(&epoch).expect("epoch exists");
+        entry.arrivals = arrivals;
+        entry.join_served = true;
         let out_seq = ep.send_at(
             me,
             Port::App,
@@ -752,23 +735,23 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
             crit_seq.unwrap_or(join_seq)
         };
         ep.trace_edge(EdgeKind::Join, out_seq, cause, max_at.max(join_vt));
-        st.epochs.get_mut(&epoch).expect("epoch exists").join_served = true;
     }
 
     let entry = st.epochs.get(&epoch).expect("epoch exists");
-    if let Some(ctl) = entry.fork_ctl.clone() {
+    if entry.fork_msg.is_some() {
         let fork_vt = entry.fork_vt;
         let fork_seq = entry.fork_seq;
         let mut entry = st.epochs.remove(&epoch).expect("epoch exists");
         sort_arrivals(&mut entry.arrivals);
-        st.integrate_pending(epoch);
-        // The master's own pushes ride the fork and are expected by the
-        // workers along with their peers' arrival-time pushes.
-        for (d, c) in entry.fork_push.iter().enumerate() {
-            push_to[d] += c;
-        }
-        let flag_bits = ctl[0];
-        let ctl_words = &ctl[1..];
+        st.integrate_arrivals(&entry.arrivals);
+        // The fork, read where it landed (behind the opcode and the
+        // epoch). The master's own pushes ride it and are expected by
+        // the workers along with their peers' arrival-time pushes.
+        let fork = entry.fork_msg.take().expect("checked above");
+        let mut r = WordReader::new(&fork[2..]);
+        let flag_bits = r.get();
+        let fork_push = r.take(n);
+        let ctl_words = r.get_words();
         let min_vc = min_arrival_vc(&entry.arrivals, Some(&st.vc), n, st.cfg.protocol);
         let dep_time = max_at.max(fork_vt) + (n as f64 - 1.0) * manager_us;
         // A fork departure waits on the master's MASTER_FORK and on the
@@ -779,17 +762,16 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
             crit_seq.unwrap_or(fork_seq)
         };
         for a in &entry.arrivals {
-            let intervals = st.intervals_since(&a.vc);
             let payload = protocol::encode_departure(
                 epoch,
                 flag_bits,
-                push_to[a.src],
+                pushes_to(&entry.arrivals, a.msg.src) + fork_push[a.msg.src],
                 ctl_words,
-                &intervals,
+                st.intervals_since(a.msg.vc()),
                 &min_vc,
             );
             let out_seq = ep.send_at(
-                a.src,
+                a.msg.src,
                 Port::App,
                 tag::FORK_DEP | e16,
                 MsgKind::BarrierDepart,

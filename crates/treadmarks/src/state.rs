@@ -29,7 +29,6 @@
 //! bitwise cross-version application tests).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use sp2sim::{CostModel, VTime};
 
@@ -146,9 +145,9 @@ impl NoticeTable {
     }
 
     /// Record that interval `seq` of `writer`, integrated during local
-    /// epoch `epoch`, named `pages` (ascending; per writer, intervals
-    /// arrive in ascending `seq` order).
-    pub fn push(&mut self, pages: &[PageId], writer: usize, seq: u32, epoch: u64) {
+    /// epoch `epoch`, named `pages` (ascending, the interval's own wire
+    /// words; per writer, intervals arrive in ascending `seq` order).
+    pub fn push(&mut self, pages: &[u64], writer: usize, seq: u32, epoch: u64) {
         debug_assert!(
             pages.windows(2).all(|w| w[0] < w[1]),
             "an interval's page list is sorted"
@@ -156,8 +155,8 @@ impl NoticeTable {
         let Some(&last) = pages.last() else {
             return;
         };
-        self.grow(last + 1);
-        for &p in pages {
+        self.grow(last as usize + 1);
+        for p in pages.iter().map(|&p| p as usize) {
             let at = p * self.n + writer;
             debug_assert!(
                 self.latest[at] < seq,
@@ -200,7 +199,7 @@ impl NoticeTable {
         page: PageId,
         writer: usize,
         applied: u32,
-        log: &[Arc<Interval>],
+        log: &[Interval],
     ) -> Option<u32> {
         let at = page * self.n + writer;
         let latest = *self.latest.get(at)?;
@@ -212,9 +211,9 @@ impl NoticeTable {
         if *hint <= applied {
             *hint = log[applied as usize..latest as usize]
                 .iter()
-                .find(|iv| iv.pages.binary_search(&page).is_ok())
+                .find(|iv| iv.pages().binary_search(&(page as u64)).is_ok())
                 .expect("the interval of the latest notice names the page")
-                .seq;
+                .seq();
         }
         Some(*hint)
     }
@@ -417,12 +416,10 @@ pub fn reduce_parent(rank: usize) -> usize {
 /// every incoming home flush.
 #[derive(Debug)]
 pub struct WaitingPageReq {
-    /// Request id (echoed in the response tag).
-    pub req_id: u32,
-    /// Requesting node.
-    pub requester: usize,
-    /// Requested pages with their per-writer required watermarks.
-    pub entries: crate::protocol::PageReqEntries,
+    /// The request where it landed: id, requester and the requested
+    /// pages with their per-writer required watermarks are read from it
+    /// again at every retry.
+    pub payload: Vec<u64>,
     /// Virtual arrival time of the request.
     pub arrival: VTime,
     /// Correlation id of the request packet (causal anchor when the
@@ -576,14 +573,13 @@ impl PageTable {
 /// One recorded barrier/worker arrival at the manager.
 #[derive(Debug)]
 pub struct Arrival {
-    /// Arriving node.
-    pub src: usize,
-    /// Its vector clock at the arrival.
-    pub vc: Vc,
+    /// The arrival where it landed: the arriving node, its vector clock,
+    /// the pushes to expect per destination and its new intervals, which
+    /// wait here until the epoch completes (the local application must
+    /// not observe future write notices mid-epoch).
+    pub msg: crate::protocol::Arrival,
     /// Virtual arrival time at the manager.
     pub at: VTime,
-    /// Pushes to expect per destination.
-    pub push_counts: Vec<u64>,
     /// Correlation id of the arrival packet (the causal anchor of the
     /// epoch's departures when this arrival is the critical one).
     pub seq: u64,
@@ -594,11 +590,11 @@ pub struct Arrival {
 pub struct EpochState {
     /// Arrivals received so far.
     pub arrivals: Vec<Arrival>,
-    /// Push counts carried by the master's fork (pushes the master sent
-    /// right before dispatching this epoch's loop).
-    pub fork_push: Vec<u64>,
-    /// Master fork control payload, once `fork` was called this epoch.
-    pub fork_ctl: Option<Vec<u64>>,
+    /// The master's fork message where it landed, once `fork` was called
+    /// this epoch: flag bits, the push counts of the pushes the master
+    /// sent right before dispatching the loop, and the loop's control
+    /// words.
+    pub fork_msg: Option<Vec<u64>>,
     /// Virtual time of the master's fork call.
     pub fork_vt: VTime,
     /// Correlation id of the master's fork packet.
@@ -625,8 +621,10 @@ pub struct DsmState {
     pub vc: Vc,
     /// Highest Lamport stamp seen.
     pub lamport: u64,
-    /// Interval log, indexed by creator, ascending sequence numbers.
-    pub log: Vec<Vec<Arc<Interval>>>,
+    /// Interval log, indexed by creator, ascending sequence numbers:
+    /// windows onto this node's own sealed intervals and onto the
+    /// messages that carried everybody else's, which it keeps alive.
+    pub log: Vec<Vec<Interval>>,
     /// Write notices: the latest and first-unapplied watermarks per
     /// (page, writer).
     pub notices: NoticeTable,
@@ -640,8 +638,8 @@ pub struct DsmState {
     /// Pages written since the last flush, in first-write order, each
     /// once: a page is listed when its frame's `dirty` flag goes up
     /// ([`DsmState::mark_dirty`]), and the flag answers "is it dirty?".
-    /// [`DsmState::flush`] sorts the list once, into the interval's page
-    /// list.
+    /// [`DsmState::flush`] sorts the list once, seals the interval from
+    /// it and clears it.
     dirty: Vec<PageId>,
     /// The ranges whose diffs sit in the open batch of
     /// [`DsmState::freeze_all`], with where; empty between calls (kept
@@ -655,10 +653,6 @@ pub struct DsmState {
     pub lock_owner: FxHashMap<u32, usize>,
     /// Manager-side barrier state per epoch.
     pub epochs: BTreeMap<u64, EpochState>,
-    /// Manager-side: intervals received in arrivals, buffered until epoch
-    /// completion (the local application must not observe future write
-    /// notices mid-epoch).
-    pub pending_ivs: BTreeMap<u64, Vec<Interval>>,
     /// Pushes registered for the next synchronization rendezvous
     /// (barrier, worker arrival or master fork): `(target, page)`.
     pub pending_push: Vec<(usize, PageId)>,
@@ -711,7 +705,6 @@ impl DsmState {
             locks: FxHashMap::default(),
             lock_owner: FxHashMap::default(),
             epochs: BTreeMap::new(),
-            pending_ivs: BTreeMap::new(),
             pending_push: Vec::new(),
             reduces: BTreeMap::new(),
             reduce_lists: BTreeMap::new(),
@@ -767,12 +760,11 @@ impl DsmState {
     /// The requester-side watermark vector for a page request: the
     /// highest interval sequence number this node has a write notice for,
     /// per writer. The home must have applied at least these before its
-    /// copy is consistent for us. Fills `row` (one slot per node).
-    pub fn required_watermarks(&self, page: PageId, row: &mut [u32]) {
-        match self.notices.latest(page) {
-            Some(latest) => row.copy_from_slice(latest),
-            None => row.fill(0),
-        }
+    /// copy is consistent for us. One per node, for the request encoder
+    /// to write straight into the payload.
+    pub fn required_watermarks(&self, page: PageId) -> impl Iterator<Item = u32> + '_ {
+        let latest = self.notices.latest(page);
+        (0..self.n).map(move |w| latest.map_or(0, |row| row[w]))
     }
 
     /// Home-side: buffer one published diff range from `writer` (a
@@ -819,9 +811,10 @@ impl DsmState {
     /// flush is still in flight (writers flush every interval at the
     /// release that publishes its notice, before the notice can reach
     /// any requester) and the request must wait.
-    pub fn home_covers(&self, page: PageId, required: &[u32]) -> bool {
+    pub fn home_covers(&self, page: PageId, required: &[u64]) -> bool {
         let hp = self.pages.get(page).and_then(|r| r.home.as_deref());
         required.iter().enumerate().all(|(w, &need)| {
+            let need = need as u32;
             need == 0
                 || hp.is_some_and(|hp| {
                     hp.base.as_ref().is_some_and(|b| b.applied[w] >= need)
@@ -831,7 +824,8 @@ impl DsmState {
     }
 
     /// Home-side: construct the copy of `page` at exactly the `required`
-    /// watermarks — the zero base plus every buffered range with
+    /// watermarks (a wire word each, as the request carries them) — the
+    /// zero base plus every buffered range with
     /// `hi <= required[w]`, applied in `(lamport, writer)` order (a
     /// linear extension of happens-before, the same order the LRC fault
     /// path applies diffs). Returns `(data, applied, time to charge)`,
@@ -842,7 +836,7 @@ impl DsmState {
     pub fn home_serve(
         &mut self,
         page: PageId,
-        required: &[u32],
+        required: &[u64],
         cost: &CostModel,
     ) -> (&[u64], &[u32], f64) {
         let pw = self.cfg.page_words;
@@ -860,7 +854,8 @@ impl DsmState {
             },
             stale: true,
         });
-        if copy.stale || copy.required.iter().zip(required).any(|(c, r)| c > r) {
+        let required = |w: usize| required[w] as u32;
+        if copy.stale || (0..n).any(|w| copy.required[w] > required(w)) {
             // Fresh construction: start from the promoted base (every
             // requester's watermarks are ≥ the base's — see
             // `prune_home_copies`), or the zero page before any prune.
@@ -886,7 +881,7 @@ impl DsmState {
         let mut us = 0.0;
         for (w, r) in ranges
             .iter()
-            .filter(|(w, r)| r.hi > floor[*w] && r.hi <= required[*w])
+            .filter(|(w, r)| r.hi > floor[*w] && r.hi <= required(*w))
         {
             r.diff.apply(&mut image.data);
             if r.hi > image.applied[*w] {
@@ -894,7 +889,9 @@ impl DsmState {
             }
             us += cost.diff_apply_us(r.diff.encoded_words());
         }
-        floor.copy_from_slice(required);
+        for (w, f) in floor.iter_mut().enumerate() {
+            *f = required(w);
+        }
         (&image.data, &image.applied, us)
     }
 
@@ -902,7 +899,8 @@ impl DsmState {
     /// provably passed into the promoted base and drop it.
     ///
     /// `min_vc` is the componentwise minimum of every participant's
-    /// vector clock at a rendezvous (piggybacked on the departure). A
+    /// vector clock at a rendezvous (piggybacked on the departure, read
+    /// in place: a wire word per node). A
     /// range `(w, r)` with `r.hi <= min_vc[w]` is foldable: every node
     /// has integrated interval `r.hi` of `w`, and since that interval
     /// named this page, every node holds its write notice — so every
@@ -916,7 +914,8 @@ impl DsmState {
     /// Only the pages on the work list — those with buffered ranges —
     /// are visited; a page leaves the list when its last range folds.
     /// Returns ranges dropped.
-    pub fn prune_home_copies(&mut self, min_vc: &[u32]) -> u64 {
+    pub fn prune_home_copies(&mut self, min_vc: &[u64]) -> u64 {
+        let min_vc = |w: usize| min_vc[w] as u32;
         let pw = self.cfg.page_words;
         let n = self.n;
         let mut dropped = 0;
@@ -926,7 +925,7 @@ impl DsmState {
                 .get_mut(page)
                 .and_then(|row| row.home.as_deref_mut())
                 .expect("a page on the prune work list has a home copy");
-            if hp.ranges.iter().all(|(w, r)| r.hi > min_vc[*w]) {
+            if hp.ranges.iter().all(|(w, r)| r.hi > min_vc(*w)) {
                 return true;
             }
             let base = hp.base.get_or_insert_with(|| HomeImage {
@@ -935,7 +934,7 @@ impl DsmState {
             });
             let before = hp.ranges.len();
             hp.ranges.retain(|(w, r)| {
-                if r.hi > min_vc[*w] {
+                if r.hi > min_vc(*w) {
                     return true;
                 }
                 r.diff.apply(&mut base.data);
@@ -1032,22 +1031,18 @@ impl DsmState {
         })
     }
 
-    /// Buffer arrival intervals for `epoch` (manager side).
-    pub fn pending_intervals(&mut self, epoch: u64, intervals: Vec<Interval>) {
-        if !intervals.is_empty() {
-            self.pending_ivs.entry(epoch).or_default().extend(intervals);
-        }
-    }
-
-    /// Integrate everything buffered for `epoch` (manager side, called at
-    /// epoch completion while the local application is blocked in the
-    /// rendezvous). Per-creator sequence order is restored before
-    /// integration. Idempotent.
-    pub fn integrate_pending(&mut self, epoch: u64) {
-        if let Some(mut ivs) = self.pending_ivs.remove(&epoch) {
-            ivs.sort_by_key(|iv| (iv.node, iv.seq));
-            for iv in ivs {
-                self.integrate_interval(iv);
+    /// Integrate the intervals `arrivals` carried (manager side, called
+    /// at epoch completion while the local application is blocked in the
+    /// rendezvous), in `(creator, sequence)` order whatever order the
+    /// arrivals came in: an arrival carries its sender's own intervals,
+    /// ascending. Idempotent.
+    pub fn integrate_arrivals(&mut self, arrivals: &[Arrival]) {
+        for src in 0..self.n {
+            for a in arrivals.iter().filter(|a| a.msg.src == src) {
+                for iv in a.msg.intervals.clone() {
+                    debug_assert_eq!(iv.node(), src, "an arrival reports its sender's intervals");
+                    self.integrate_interval(iv);
+                }
             }
         }
     }
@@ -1065,7 +1060,7 @@ impl DsmState {
     /// nothing per interval. Returns the (small) bookkeeping time to
     /// charge to the releasing thread and the interval it created, if
     /// anything was dirty.
-    pub fn flush(&mut self, cost: &CostModel) -> (f64, Option<Arc<Interval>>) {
+    pub fn flush(&mut self, cost: &CostModel) -> (f64, Option<Interval>) {
         if self.dirty.is_empty() {
             return (0.0, None);
         }
@@ -1075,11 +1070,10 @@ impl DsmState {
         self.lamport += 1;
         let lamport = self.lamport;
         let epoch = self.epoch_proxy();
-        // The list becomes the interval's, ascending (`NoticeTable::push`
-        // and every binary search of a page list rely on it); the next
-        // interval's starts out as long.
-        let fresh = Vec::with_capacity(self.dirty.len());
-        let mut pages = std::mem::replace(&mut self.dirty, fresh);
+        // The interval's pages are the list, ascending (`NoticeTable::push`
+        // and every binary search of a page list rely on it); the list
+        // itself is handed back below, cleared, for the next interval.
+        let mut pages = std::mem::take(&mut self.dirty);
         pages.sort_unstable();
         let mut race_writes: Vec<(PageId, Vec<u32>)> = Vec::new();
         for &p in &pages {
@@ -1120,15 +1114,12 @@ impl DsmState {
             open.hi = seq;
             open.lamport_hi = lamport;
         }
-        self.notices.push(&pages, me, seq, epoch);
         let us = pages.len() as f64 * cost.manager_us * 0.1;
-        let iv = Arc::new(Interval {
-            node: me,
-            seq,
-            lamport,
-            pages,
-        });
-        self.log[me].push(Arc::clone(&iv));
+        let iv = Interval::seal(me, seq, lamport, &pages);
+        pages.clear();
+        self.dirty = pages;
+        self.notices.push(iv.pages(), me, seq, epoch);
+        self.log[me].push(iv.clone());
         self.stats.intervals_created += 1;
         if let Some(log) = &mut self.race {
             log.intervals.push(IntervalWrites {
@@ -1145,37 +1136,33 @@ impl DsmState {
     /// Integrate an interval received from elsewhere. Idempotent; returns
     /// `true` if it was new.
     pub fn integrate_interval(&mut self, iv: Interval) -> bool {
-        if iv.seq <= self.vc[iv.node] {
+        let (node, seq) = (iv.node(), iv.seq());
+        if seq <= self.vc[node] {
             return false;
         }
         debug_assert_eq!(
-            iv.seq,
-            self.vc[iv.node] + 1,
+            seq,
+            self.vc[node] + 1,
             "intervals from one creator integrate in order"
         );
-        self.vc[iv.node] = iv.seq;
-        if iv.lamport > self.lamport {
-            self.lamport = iv.lamport;
-        }
+        self.vc[node] = seq;
+        self.lamport = self.lamport.max(iv.lamport());
         let epoch = self.epoch_proxy();
-        self.notices.push(&iv.pages, iv.node, iv.seq, epoch);
-        self.log[iv.node].push(Arc::new(iv));
+        self.notices.push(iv.pages(), node, seq, epoch);
+        self.log[node].push(iv);
         true
     }
 
-    /// All intervals in our log that `their_vc` has not seen.
-    pub fn intervals_since(&self, their_vc: &Vc) -> Vec<Arc<Interval>> {
-        let mut out = Vec::new();
-        for (creator, ivs) in self.log.iter().enumerate() {
-            let known = their_vc[creator];
-            // Sequence numbers are 1-based and dense: skip the first
-            // `known` entries.
-            for iv in ivs.iter().skip(known as usize) {
-                debug_assert!(iv.seq > known);
-                out.push(Arc::clone(iv));
-            }
-        }
-        out
+    /// All intervals in our log that the clock `their_vc` has not seen,
+    /// by creator and sequence number: what a departure or a grant
+    /// encodes straight from the log, under the lock that holds it.
+    pub fn intervals_since(
+        &self,
+        their_vc: impl Iterator<Item = u32> + Clone,
+    ) -> impl Iterator<Item = &Interval> + Clone {
+        // Sequence numbers are 1-based and dense: skip the first `known`
+        // entries.
+        (self.log.iter().zip(their_vc)).flat_map(|(ivs, known)| ivs.iter().skip(known as usize))
     }
 
     /// Our own intervals not yet reported via a barrier arrival, as a
@@ -1423,7 +1410,7 @@ mod tests {
     struct Model {
         table: NoticeTable,
         lists: Vec<PageNotices>,
-        log: Vec<Vec<Arc<Interval>>>,
+        log: Vec<Vec<Interval>>,
         applied: Vec<[u32; Model::N]>,
     }
 
@@ -1443,16 +1430,12 @@ mod tests {
         /// The next interval of `writer` names `pages` (ascending).
         fn push(&mut self, writer: usize, pages: Vec<PageId>) {
             let seq = self.log[writer].len() as u32 + 1;
-            self.table.push(&pages, writer, seq, 0);
+            let iv = Interval::seal(writer, seq, 0, &pages);
+            self.table.push(iv.pages(), writer, seq, 0);
             for &p in &pages {
                 self.lists[p].push(Model::N, writer, seq);
             }
-            self.log[writer].push(Arc::new(Interval {
-                node: writer,
-                seq,
-                lamport: 0,
-                pages,
-            }));
+            self.log[writer].push(iv);
         }
 
         /// The questions that leave the hint alone, for every page.
@@ -1574,7 +1557,7 @@ mod tests {
     #[test]
     fn one_notice_deep_in_a_long_log_is_found_without_a_scan() {
         let mut table = NoticeTable::new(2);
-        for j in 0..500usize {
+        for j in 0..500u64 {
             table.push(&[j], 1, j as u32 + 1, 0);
         }
         for j in 0..500usize {
@@ -1782,9 +1765,13 @@ mod tests {
         s.flush(&CostModel::sp2());
         assert_eq!(s.vc[1], 1);
         assert_eq!(s.log[1].len(), 1);
-        assert_eq!(s.log[1][0].pages, vec![7]);
+        assert_eq!(s.log[1][0], Interval::seal(1, 1, 1, &[7]));
+        assert_eq!(s.log[1][0].pages(), [7]);
         assert_eq!(s.notices.latest(7).unwrap(), [0, 1, 0, 0]);
-        assert!(s.dirty.is_empty());
+        assert!(
+            s.dirty.is_empty() && s.dirty.capacity() > 0,
+            "cleared, kept"
+        );
         // Lazy diffing: the twin survives the release; it is dropped only
         // when the diff is materialized by a request.
         assert!(s.frames.meta(7).unwrap().twin.is_some());
@@ -1912,12 +1899,7 @@ mod tests {
     #[test]
     fn integrate_interval_is_idempotent_and_ordered() {
         let mut s = state(0, 3);
-        let iv = Interval {
-            node: 2,
-            seq: 1,
-            lamport: 4,
-            pages: vec![11],
-        };
+        let iv = Interval::seal(2, 1, 4, &[11]);
         assert!(s.integrate_interval(iv.clone()));
         assert!(!s.integrate_interval(iv));
         assert_eq!(s.vc[2], 1);
@@ -1929,16 +1911,43 @@ mod tests {
         );
     }
 
+    /// What keeps a departure alive is the interval log: a window per
+    /// integrated interval, nothing else, and it dies with the log.
+    #[test]
+    fn the_log_keeps_a_departure_payload_alive_until_it_is_dropped() {
+        use crate::diff::Landed;
+        use crate::protocol::{decode_departure, encode_departure};
+
+        let ivs = [
+            Interval::seal(1, 1, 3, &[5, 6]),
+            Interval::seal(2, 1, 4, &[]),
+            Interval::seal(1, 2, 5, &[6]),
+        ];
+        let msg = Landed::new(encode_departure(7, 0, 0, &[1, 2], ivs.iter(), &[]));
+        assert_eq!(msg.refs(), 1);
+        let mut s = state(0, 3);
+        // Node 2's interval is old news here: integrated from a sealed
+        // copy, so the departure's window onto it is not kept.
+        assert!(s.integrate_interval(ivs[1].clone()));
+        for iv in decode_departure(&msg).intervals {
+            s.integrate_interval(iv);
+        }
+        assert_eq!(msg.refs(), 3, "this handle and two log entries");
+        assert_eq!(s.log[1], [ivs[0].clone(), ivs[2].clone()]);
+        assert_eq!(s.log[1][1].message_refs(), Some(3));
+        assert_eq!(s.log[2][0].message_refs(), None, "the sealed copy");
+        assert_eq!(s.notices.latest(6).unwrap(), [0, 2, 0]);
+        // The words are the message's own, not a copy of them.
+        assert!(std::ptr::eq(s.log[1][1].words(), &msg.words()[18..23]));
+        drop(s);
+        assert_eq!(msg.refs(), 1, "dropping the log frees the payload");
+    }
+
     #[test]
     fn missing_notices_report_unapplied() {
         let mut s = state(0, 3);
         for seq in 1..=3 {
-            s.integrate_interval(Interval {
-                node: 1,
-                seq,
-                lamport: seq as u64,
-                pages: vec![5],
-            });
+            s.integrate_interval(Interval::seal(1, seq, seq as u64, &[5]));
         }
         let missing = |s: &mut DsmState| -> Vec<(usize, u32)> {
             let applied = s.frames.applied(5);
@@ -1971,9 +1980,13 @@ mod tests {
         s.flush(&CostModel::sp2());
         write_words(&mut s, 2, &[(0, 9)]);
         s.flush(&CostModel::sp2());
-        assert_eq!(s.intervals_since(&vec![0, 0]).len(), 2);
-        assert_eq!(s.intervals_since(&vec![1, 0]).len(), 1);
-        assert_eq!(s.intervals_since(&vec![2, 0]).len(), 0);
+        assert_eq!(s.intervals_since([0, 0].into_iter()).count(), 2);
+        let unseen: Vec<&Interval> = s.intervals_since([1, 0].into_iter()).collect();
+        assert_eq!(unseen, [&s.log[0][1]]);
+        assert_eq!(s.intervals_since([2, 0].into_iter()).count(), 0);
+        // A clock ahead of this log (a lock requester may know more of a
+        // third node than the granter) is owed nothing.
+        assert_eq!(s.intervals_since([3, 1].into_iter()).count(), 0);
     }
 
     #[test]
@@ -2044,12 +2057,7 @@ mod tests {
         assert!(s.set_home(7, 2), "no notices yet: override accepted");
         assert_eq!(s.home_of(7), 2);
         // Once a notice names the page, rehoming is refused.
-        s.integrate_interval(Interval {
-            node: 1,
-            seq: 1,
-            lamport: 1,
-            pages: vec![5],
-        });
+        s.integrate_interval(Interval::seal(1, 1, 1, &[5]));
         assert!(!s.set_home(5, 0));
         assert_eq!(s.home_of(5), 1);
     }
@@ -2057,19 +2065,10 @@ mod tests {
     #[test]
     fn required_watermarks_track_notices() {
         let mut s = state(0, 3);
-        let watermarks = |s: &DsmState| {
-            let mut row = [9u32; 3];
-            s.required_watermarks(4, &mut row);
-            row
-        };
+        let watermarks = |s: &DsmState| s.required_watermarks(4).collect::<Vec<u32>>();
         assert_eq!(watermarks(&s), [0, 0, 0]);
         for seq in 1..=2 {
-            s.integrate_interval(Interval {
-                node: 2,
-                seq,
-                lamport: seq as u64,
-                pages: vec![4],
-            });
+            s.integrate_interval(Interval::seal(2, seq, seq as u64, &[4]));
         }
         assert_eq!(watermarks(&s), [0, 0, 2]);
     }

@@ -1,5 +1,5 @@
 //! Allocation budgets of the HLRC release → home → fetch path, per diff,
-//! and of an LRC interval.
+//! of an LRC interval, and of an access fault under both protocols.
 //!
 //! A diff used to cost about twelve heap allocations on its way from
 //! the twin to the home and back out in a page response (a vector per
@@ -24,12 +24,26 @@
 //! a write notice used to be a `push` onto a per-page, per-writer list:
 //! an interval cost each of the other seven nodes a share of those
 //! lists' growth on top of its decode. With notices as watermarks in a
-//! dense table an interval allocates only what carries it (its page
-//! list and `Arc` per receiver, the messages around it) and the diffs
-//! its boundary pages are asked for — one buffer per request served,
-//! read at the requester as windows onto the response — and the
-//! arrival that reports it is encoded from the clock and the log where
-//! they live.
+//! dense table, and an interval a window onto its wire words — sealed
+//! once by its creator, read by everybody else in the message that
+//! carried it, which the interval log keeps alive — an interval
+//! allocates only the messages that carry it (each one's payload and
+//! the handle its windows share) and the diffs its boundary pages are
+//! asked for: one buffer per request served, read at the requester as
+//! windows onto the response. The arrival that reports it and the
+//! departures that spread it are encoded from the clock and the log
+//! where they live, and read where they land.
+//!
+//! The same pair of runs, under each protocol, bounds the extra
+//! allocations per extra access *fault*. The fault, fetch and publish
+//! planners fill containers the `Tmk` keeps (per writer, per home,
+//! outstanding requests, fetched entries, responses), and a home reads
+//! a page request's rows where they landed, so what a steady-state
+//! fault allocates is its messages: under LRC the request, the served
+//! batch's buffer, the response and the handle its windows share; under
+//! HLRC the request and the response, plus its share of the releases'
+//! flushes. A `BTreeMap` of entry vectors per fault, as the planners
+//! used to build, would show here at once.
 //!
 //! The message-passing versions get the same treatment, per message:
 //! Jacobi and Shallow, XHPF and PVMe, for `k` and `2k` iterations. A
@@ -128,26 +142,45 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     (r, allocs - before.0, bytes - before.1)
 }
 
-/// Allocation budget per diff created (measured: 1.02; with a private
-/// buffer per diff at the writer and another at the home: 3.14; with
+/// Allocation budget per diff created (measured: 0.37; with a rebuilt
+/// entry list per page request and the planners' maps: 1.02; with a
+/// private buffer per diff at the writer and another at the home: 3.14; with
 /// per-writer notice lists: about 4.5; before the flat diff and the
 /// dense page table: about 12).
-const ALLOCS_PER_DIFF: f64 = 2.0;
+const ALLOCS_PER_DIFF: f64 = 1.0;
 
-/// Allocation budget per interval created under LRC (measured: 32.3;
-/// before diffs were windows and arrivals encoded in place: 49.3; with
-/// per-writer notice lists: about 134).
-const ALLOCS_PER_INTERVAL: f64 = 52.0;
+/// Allocation budget per interval created under LRC (measured: 10.4;
+/// with an owned page list and an `Arc` per interval per receiver and
+/// `BTreeMap` planners: 32.3; before diffs were windows and arrivals
+/// encoded in place: 49.3; with per-writer notice lists: about 134).
+const ALLOCS_PER_INTERVAL: f64 = 15.0;
 
-/// `(allocations, diffs created, intervals created)` of one 8-node
-/// Jacobi SPF run on a 512 x 512 grid (one page per column, so every
-/// node's block has boundary pages its neighbours fetch every
+/// Allocation budgets per fault, `DsmStats::faults`: access misses and
+/// write faults alike. Everything the extra iterations allocate is
+/// counted against their faults, the releases' and rendezvous' share
+/// included. Under LRC a twin outlives the release, so most faults are
+/// misses with their round trips (measured: 5.96; with the planners'
+/// maps and owned intervals: 18.5). Under HLRC every release freezes
+/// the page and the next iteration's store faults again, which
+/// allocates nothing — the twin comes from the arena — so the misses
+/// are a small share of the faults (measured: 0.37; before: 1.01).
+const ALLOCS_PER_FAULT_LRC: f64 = 9.0;
+const ALLOCS_PER_FAULT_HLRC: f64 = 0.55;
+
+/// `[allocations, diffs created, intervals created, access faults]` of
+/// one 8-node Jacobi SPF run on a 512 x 512 grid (one page per column,
+/// so every node's block has boundary pages its neighbours fetch every
 /// iteration).
-fn jacobi_spf(iters: usize, cfg: TmkConfig) -> (u64, u64, u64) {
+fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 4] {
     let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.25);
     let p = Params { n: 512, iters };
     let (r, allocs, _) = counted(|| RunSpec { cfg, ..spec }.launch(&p, jacobi::node));
-    (allocs, r.dsm.diffs_created, r.dsm.intervals_created)
+    [
+        allocs,
+        r.dsm.diffs_created,
+        r.dsm.intervals_created,
+        r.dsm.faults,
+    ]
 }
 
 /// An 8-node run on the sequential engine, by version and iteration
@@ -177,9 +210,10 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
 }
 
 /// Allocation budget per dispatched loop of hinted Shallow, cluster-wide
-/// (measured: about 317, the protocol's own; with a buffer per pushed
-/// and per received diff: about 545; before hint plans: about 8100).
-const ALLOCS_PER_HINTED_DISPATCH: f64 = 570.0;
+/// (measured: about 133, the protocol's own; with owned intervals and
+/// the planners' maps: about 317; with a buffer per pushed and per
+/// received diff: about 545; before hint plans: about 8100).
+const ALLOCS_PER_HINTED_DISPATCH: f64 = 200.0;
 
 /// `(allocations, loops dispatched)` of one 8-node Shallow SPF+CRI run
 /// on a 256 x 256 grid.
@@ -281,8 +315,8 @@ fn release_paths_stay_within_their_allocation_budgets() {
     // parks, lazily initialized statics) land outside the measurement.
     jacobi_spf(2, TmkConfig::hlrc());
     let k = 6;
-    let (allocs_k, diffs_k, _) = jacobi_spf(k, TmkConfig::hlrc());
-    let (allocs_2k, diffs_2k, _) = jacobi_spf(2 * k, TmkConfig::hlrc());
+    let [allocs_k, diffs_k, _, faults_k] = jacobi_spf(k, TmkConfig::hlrc());
+    let [allocs_2k, diffs_2k, _, faults_2k] = jacobi_spf(2 * k, TmkConfig::hlrc());
     let diffs = diffs_2k - diffs_k;
     assert!(
         diffs > 1000,
@@ -298,9 +332,15 @@ fn release_paths_stay_within_their_allocation_budgets() {
         per_diff <= ALLOCS_PER_DIFF,
         "{per_diff:.2} allocations per diff created exceed the budget of {ALLOCS_PER_DIFF}"
     );
+    within_fault_budget(
+        "HLRC",
+        allocs_2k - allocs_k,
+        faults_2k - faults_k,
+        ALLOCS_PER_FAULT_HLRC,
+    );
 
-    let (allocs_k, _, intervals_k) = jacobi_spf(k, TmkConfig::default());
-    let (allocs_2k, _, intervals_2k) = jacobi_spf(2 * k, TmkConfig::default());
+    let [allocs_k, _, intervals_k, faults_k] = jacobi_spf(k, TmkConfig::default());
+    let [allocs_2k, _, intervals_2k, faults_2k] = jacobi_spf(2 * k, TmkConfig::default());
     let intervals = intervals_2k - intervals_k;
     assert!(
         intervals >= 8 * k as u64,
@@ -316,5 +356,26 @@ fn release_paths_stay_within_their_allocation_budgets() {
         per_interval <= ALLOCS_PER_INTERVAL,
         "{per_interval:.2} allocations per interval created exceed the budget of \
          {ALLOCS_PER_INTERVAL}"
+    );
+    within_fault_budget(
+        "LRC",
+        allocs_2k - allocs_k,
+        faults_2k - faults_k,
+        ALLOCS_PER_FAULT_LRC,
+    );
+}
+
+/// The extra iterations' `allocs` over their access `faults`, held
+/// against `budget`.
+fn within_fault_budget(protocol: &str, allocs: u64, faults: u64, budget: f64) {
+    assert!(faults > 100, "{protocol}: the longer run faults more");
+    let per_fault = allocs as f64 / faults as f64;
+    eprintln!(
+        "{protocol}: {allocs} more allocations, {faults} more faults; {per_fault:.2} \
+         allocations per extra fault"
+    );
+    assert!(
+        per_fault <= budget,
+        "{protocol}: {per_fault:.2} allocations per access fault exceed the budget of {budget}"
     );
 }

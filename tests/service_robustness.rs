@@ -3,8 +3,8 @@
 //! abort a whole parameter sweep — it is logged, counted, and shuts
 //! only that node's service loop down, on both execution engines. And
 //! for the decoders: a damaged message — an arrival, a home flush, a
-//! diff response, a page response, a diff request — fails as an
-//! over-read, before any count in it sizes an allocation.
+//! diff response, a page response, a diff request, a page request —
+//! fails as an over-read, before any count in it sizes an allocation.
 
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
 #[test]
 fn flush_arriving_after_the_home_served_the_page_is_dropped() {
     use treadmarks::diff::Diff;
-    use treadmarks::protocol::{self, tag, PageReqEntries};
+    use treadmarks::protocol::{self, tag};
     use treadmarks::state::DiffRange;
 
     for engine in EngineKind::ALL {
@@ -111,14 +111,13 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                     );
                 };
                 let fetch = |req_id: u32, required: u32| {
-                    let mut entries = PageReqEntries::new(2);
-                    entries.push(3).copy_from_slice(&[0, required]);
+                    let rows = [(3usize, [0, required].into_iter())];
                     node.endpoint().send_to_port(
                         0,
                         Port::Service,
                         0,
                         MsgKind::PageReq,
-                        protocol::encode_page_fetch_req(req_id, 1, entries.iter()),
+                        protocol::encode_page_fetch_req(req_id, 1, 2, rows.into_iter()),
                     );
                     let t = tag::PAGE_RESP | (req_id & 0xFFFF);
                     let pkt = node.recv_match(|p| p.src == 0 && p.tag == t);
@@ -463,31 +462,68 @@ fn damaged_diff_request_is_a_bounds_panic_not_an_allocation() {
     );
 }
 
-/// A barrier arrival cut short, or with a count word that lies, fails
-/// in the decoder as a bounds panic before the count sizes anything:
-/// were the count trusted, the last two cases would ask the allocator
-/// for terabytes (an abort, which no test survives) or overflow a
-/// capacity.
+/// A page request: the home walks its rows where they landed — to check
+/// coverage, to serve, and again at every retry of a deferred request —
+/// after the count was held against the words left.
 #[test]
-fn damaged_arrival_is_a_bounds_panic_not_an_allocation() {
-    use treadmarks::interval::Interval;
+fn damaged_page_request_is_a_bounds_panic_not_an_allocation() {
     use treadmarks::protocol;
 
-    let ivs = [Arc::new(Interval {
-        node: 1,
-        seq: 1,
-        lamport: 1,
-        pages: (0..40).collect(),
-    })];
-    let whole = protocol::encode_arrival(op::BARRIER_ARRIVE, 0, 1, &[0, 0], &[0, 1], &ivs);
+    let rows = [(6usize, [0u32, 2, 1]), (9, [1, 0, 0])];
+    let whole = protocol::encode_page_fetch_req(
+        17,
+        2,
+        3,
+        rows.iter().map(|(p, r)| (*p, r.iter().copied())),
+    );
     let decode = |buf: &[u64]| {
         caught(|| {
             let mut r = sp2sim::WordReader::new(buf);
-            assert_eq!(r.get(), op::BARRIER_ARRIVE);
-            protocol::decode_arrival(&mut r, 2).intervals.len()
+            assert_eq!(r.get(), op::PAGE_REQ);
+            let (req_id, requester, rows) = protocol::decode_page_fetch_req(&mut r, 3);
+            let rows: Vec<(usize, Vec<u64>)> = rows.map(|(p, r)| (p, r.to_vec())).collect();
+            (req_id, requester, rows)
         })
     };
-    assert_eq!(decode(&whole), Ok(1));
+    assert_eq!(
+        decode(&whole),
+        Ok((17, 2, vec![(6, vec![0, 2, 1]), (9, vec![1, 0, 0])]))
+    );
+    // Layout: opcode, request id, requester, the row count, rows.
+    let count_at = 3;
+    assert_eq!(whole[count_at], 2, "layout moved");
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("row count", with_word(&whole, count_at, 1 << 40)),
+            ("row count, one too many", with_word(&whole, count_at, 3)),
+        ],
+    );
+}
+
+/// A barrier arrival cut short, or with a count word that lies, fails
+/// in the decoder as a bounds panic — when the message is taken in,
+/// before the manager keeps it or integrates one interval of it. Nothing
+/// in it sizes an allocation: its intervals are windows onto it.
+#[test]
+fn damaged_arrival_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::diff::Landed;
+    use treadmarks::interval::Interval;
+    use treadmarks::protocol;
+
+    let pages: Vec<usize> = (0..40).collect();
+    let ivs = [Interval::seal(1, 1, 1, &pages)];
+    let whole = protocol::encode_arrival(op::BARRIER_ARRIVE, 0, 1, &[0, 0], &[0, 1], &ivs);
+    let decode = |buf: &[u64]| {
+        let buf = buf.to_vec();
+        caught(move || {
+            assert_eq!(buf[0], op::BARRIER_ARRIVE);
+            let a = protocol::decode_arrival(Landed::new(buf), 2);
+            (a.src, a.vc().collect(), a.intervals.collect::<Vec<_>>())
+        })
+    };
+    assert_eq!(decode(&whole), Ok((1, vec![0, 1], ivs.to_vec())));
     // Layout: opcode, epoch, src, 2 push counts, 2 clock entries, the
     // interval count, then node, seq, lamport, page count, pages.
     let (n_at, npages_at) = (7, 11);
