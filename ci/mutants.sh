@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# The three historic protocol bugs as mutants: each patch under
+# ci/mutants/ re-breaks one fix (PR 9's stale twin, PR 9's publish
+# window, PR 18's lock send order) in a scratch copy of the tree, and
+# the schedule-exploration suite, in release at CI's seed budget, must
+# fail on it and name the seed that did it. A mutant that survives means
+# the explorer lacks a preemption point; a patch that no longer applies
+# means the code it re-breaks moved — both fail this script.
+#
+# The copy lives in $MUTANTS_DIR (default .bench_build/mutants,
+# git-ignored) and is reused from mutant to mutant with one
+# CARGO_TARGET_DIR beside it, so each mutant rebuilds `treadmarks` and
+# what depends on it, nothing else. Run from anywhere inside a checkout:
+# `bash ci/mutants.sh`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+root=$PWD
+work="${MUTANTS_DIR:-.bench_build/mutants}"
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+tree="$work/tree"
+export CARGO_TARGET_DIR="$work/target"
+
+rm -rf "$tree"
+mkdir -p "$tree"
+git ls-files -co --exclude-standard -z |
+    while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+    xargs -0 cp --parents -t "$tree"
+
+survivors=0
+for patch in ci/mutants/*.patch; do
+    name=$(basename "$patch" .patch)
+    printf '\n== mutant %s\n' "$name"
+    if ! (cd "$tree" && patch -p1 --forward --silent <"$root/$patch"); then
+        echo "mutants: $patch no longer applies: re-derive it from the fix it reverts" >&2
+        exit 2
+    fi
+    if out=$(cd "$tree" && cargo test -q --release --offline \
+        --test schedule_exploration -- --include-ignored 2>&1); then
+        echo "SURVIVED: the exploration suite passed on $name"
+        survivors=$((survivors + 1))
+    else
+        # The lines that name a cell and a seed: an assertion of the
+        # suite, or an engine diagnostic it re-raised with the cell.
+        where=$(grep -E 'seeded:[0-9]+' <<<"$out" | grep -v '^simulated cluster' |
+            cut -c1-150 | sort -u | head -n 4 || true)
+        if [ -z "$where" ]; then
+            printf '%s\n' "$out" | tail -n 40
+            echo "mutants: $name failed the suite without naming a seed" >&2
+            exit 1
+        fi
+        printf 'killed:\n%s\n' "$where"
+    fi
+    (cd "$tree" && patch -p1 --reverse --silent <"$root/$patch")
+done
+
+if [ "$survivors" -ne 0 ]; then
+    echo "mutants: $survivors of the historic bugs went unnoticed" >&2
+    exit 1
+fi
+printf '\n== all mutants killed\n'

@@ -15,7 +15,7 @@ pub fn quickstart_expected() -> f64 {
 
 /// Run the quickstart workload — every node writes its partition
 /// (`data[i] = i²`), barriers, reads and sums the whole array, barriers,
-/// finishes — on `nprocs` nodes of the given engine.
+/// finishes — on `nprocs` nodes under the given schedule.
 pub fn quickstart(engine: EngineKind, nprocs: usize) -> RunOutput<f64> {
     Cluster::run(ClusterConfig::sp2_on(nprocs, engine), |node| {
         let tmk = Tmk::new(node, TmkConfig::default());
@@ -44,8 +44,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quickstart_sums_correctly_on_both_engines() {
-        for engine in EngineKind::ALL {
+    fn quickstart_sums_correctly_on_every_schedule() {
+        for engine in EngineKind::explore(8) {
             let out = quickstart(engine, 4);
             let expect = quickstart_expected();
             assert!(out.results.iter().all(|&s| s == expect), "engine {engine}");

@@ -35,9 +35,9 @@
 //! (NBF, checksum reductions), where validation uses a relative tolerance.
 //!
 //! A run is a [`RunSpec`] — application, version, processors, scale,
-//! engine and DSM configuration as one `Copy` value;
+//! schedule and DSM configuration as one `Copy` value;
 //! `RunSpec::new(app, version, nprocs, scale).run()` is the paper's run
-//! on the deterministic engine, `.on(engine)` / `.protocol(p)` adjust
+//! under the FIFO schedule, `.on(engine)` / `.protocol(p)` adjust
 //! it. Each application module exports its `Params`, `params(scale)`
 //! and one `node` function holding the version dispatch;
 //! [`RunSpec::launch`] is the only place that builds a cluster for

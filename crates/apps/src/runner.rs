@@ -1,10 +1,10 @@
 //! Application/version dispatch and result assembly.
 //!
 //! A run is a [`RunSpec`]: a `Copy` value naming the application, the
-//! version, the processor count, the scale, the engine and the DSM
+//! version, the processor count, the scale, the schedule and the DSM
 //! configuration. [`RunSpec::new`] fills in the two policies a caller
-//! would otherwise have to know (the default engine is the
-//! deterministic one; `HandOpt` means aggregation), `.on(..)` and
+//! would otherwise have to know (the default schedule is the FIFO
+//! one; `HandOpt` means aggregation), `.on(..)` and
 //! `.protocol(..)` adjust it, [`RunSpec::run`] runs it, and
 //! [`RunSpec::launch`] is the only place that builds a cluster for an
 //! application. [`run_with_cfg_on`] survives as the positional
@@ -295,8 +295,8 @@ impl RunResult {
 }
 
 /// One simulation, as a value: which application in which version, on
-/// how many simulated processors at which problem scale, carried by
-/// which engine under which DSM configuration. Every run in the
+/// how many simulated processors at which problem scale, under which
+/// schedule and which DSM configuration. Every run in the
 /// workspace starts from one of these.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunSpec {
@@ -308,7 +308,7 @@ pub struct RunSpec {
     pub nprocs: usize,
     /// Problem scale (1.0 = the paper's sizes).
     pub scale: f64,
-    /// Execution engine.
+    /// Schedule the engine runs the cluster under.
     pub engine: EngineKind,
     /// DSM configuration; message-passing versions and the sequential
     /// baseline read only its `trace` flag.
@@ -316,8 +316,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The run as the paper describes it: the default (deterministic)
-    /// engine, and the version's own DSM configuration —
+    /// The run as the paper describes it: the default (FIFO) schedule,
+    /// and the version's own DSM configuration —
     /// [`Version::HandOpt`] is the §5 variant *with* communication
     /// aggregation, every other version runs the defaults.
     pub fn new(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunSpec {
@@ -335,7 +335,7 @@ impl RunSpec {
         }
     }
 
-    /// This run on `engine`.
+    /// This run under the schedule `engine`.
     pub fn on(self, engine: EngineKind) -> RunSpec {
         RunSpec { engine, ..self }
     }
@@ -368,10 +368,10 @@ impl RunSpec {
     /// derives `params` from the scale; a test that varies the
     /// iteration count at a fixed grid passes its own (the scale is
     /// then only recorded).
-    pub fn launch<P: Sync>(
+    pub fn launch<P>(
         &self,
         params: &P,
-        node: impl Fn(&Node, Version, &P, &TmkConfig) -> NodeOut + Sync,
+        node: impl Fn(&Node, Version, &P, &TmkConfig) -> NodeOut,
     ) -> RunResult {
         let nprocs = match self.version {
             Version::Seq => 1,

@@ -1,18 +1,18 @@
 //! The `sweep` product: a machine-readable perf trajectory.
 //!
 //! The `sweep` subcommand runs the full benchmark grid — every application ×
-//! both coherence protocols × both execution engines × several problem
-//! scales × several page sizes — and emits `BENCH_sweep.json`. Each cell
-//! records the *simulated* quantities (virtual time, messages, bytes),
-//! which are deterministic on the sequential engine, alongside the *host*
-//! quantities (wall-clock microseconds, scratch-arena counters), which
-//! track simulator throughput. Committing the file after a perf change
+//! both coherence protocols × several problem scales × several page
+//! sizes, under the FIFO schedule — and emits `BENCH_sweep.json`. Each
+//! cell records the *simulated* quantities (virtual time, messages,
+//! bytes), which are deterministic, alongside the *host* quantities
+//! (wall-clock microseconds, scratch-arena counters), which track
+//! simulator throughput. Committing the file after a perf change
 //! turns "the simulator got faster" into a reviewable diff: simulated
 //! columns must not move, wall-clock columns should.
 //!
 //! This module holds everything the subcommand, the tests and CI share: the
 //! grid definition, the per-cell runner, and the document's JSON schema
-//! (versioned as `bench_sweep/v2`, parsed back by [`SweepDoc::parse`]).
+//! (versioned as `bench_sweep/v4`, parsed back by [`SweepDoc::parse`]).
 //!
 //! Since v2, every cell runs with event tracing on and carries two
 //! breakdown columns derived from the trace — `wait_us`
@@ -24,24 +24,26 @@
 //!
 //! v3 adds the causal columns: `critical_path_us` (the longest
 //! dependence chain through the correlation-id DAG — equals `time_us`'s
-//! whole-run counterpart bitwise on the sequential engine) and
-//! `cp_wait_share` (the fraction of that path *not* spent computing),
+//! whole-run counterpart bitwise) and `cp_wait_share` (the fraction of
+//! that path *not* spent computing),
 //! plus the hottest sharing sites — `hot_page` (most-faulted page) and
 //! `hot_lock` (most-waited lock), `-1` when none. A perf change that
 //! shifts the bottleneck now shows up as a reviewable diff in *which
 //! page* and *what share* moved, not just aggregate microseconds.
+//!
+//! v4 drops the `engine` column with the thread-per-node engine whose
+//! cells it told apart: every cell is the FIFO schedule's.
 
 use std::time::Instant;
 
 use apps::{AppId, RunSpec, Version};
-use sp2sim::EngineKind;
 use treadmarks::{ProtocolMode, TmkConfig};
 
 use crate::json::Json;
 use crate::sweep::sweep_map;
 
 /// Schema tag of the emitted document.
-pub const SCHEMA: &str = "bench_sweep/v3";
+pub const SCHEMA: &str = "bench_sweep/v4";
 
 /// Relative expected cost of a grid point, the longest-job-first sort
 /// key. Only the ordering matters: scheduling expensive cells first
@@ -62,15 +64,14 @@ pub fn expected_cost(spec: &RunSpec) -> u64 {
     (spec.scale * spec.scale * 1e9) as u64 * app * pages
 }
 
-/// Canonical grid order (app, protocol, engine, scale, page size) — the
-/// order [`grid`] emits and [`run_grid`] returns, independent of the
+/// Canonical grid order (app, protocol, scale, page size) — the order
+/// [`grid`] emits and [`run_grid`] returns, independent of the
 /// longest-job-first execution order.
-pub fn canon_key(spec: &RunSpec) -> (usize, usize, usize, u64, usize) {
+pub fn canon_key(spec: &RunSpec) -> (usize, usize, u64, usize) {
     let app = AppId::ALL.iter().position(|&a| a == spec.app).unwrap_or(0);
     (
         app,
         spec.cfg.protocol as usize,
-        (spec.engine == EngineKind::Threaded) as usize,
         spec.scale.to_bits(),
         spec.cfg.page_words,
     )
@@ -109,7 +110,6 @@ pub fn measure(spec: &RunSpec) -> SweepCell {
         app: spec.app.name().to_string(),
         version: spec.version.name().to_string(),
         protocol: spec.cfg.protocol,
-        engine: spec.engine,
         nprocs: spec.nprocs,
         scale: spec.scale,
         page_words: spec.cfg.page_words,
@@ -149,7 +149,6 @@ pub struct SweepCell {
     pub app: String,
     pub version: String,
     pub protocol: ProtocolMode,
-    pub engine: EngineKind,
     pub nprocs: usize,
     pub scale: f64,
     pub page_words: usize,
@@ -168,7 +167,7 @@ pub struct SweepCell {
     pub service_us: f64,
     /// Length of the causal critical path through the whole run's
     /// correlation-id DAG (µs) — equals the max final virtual clock
-    /// bitwise on the sequential engine — deterministic.
+    /// bitwise — deterministic.
     pub critical_path_us: f64,
     /// Fraction of the critical path not spent in Compute (wire +
     /// service + residual waits) — deterministic.
@@ -181,9 +180,8 @@ pub struct SweepCell {
     pub hot_lock: i64,
     /// Host wall-clock for the whole run (µs) — the throughput column.
     pub wall_us: u64,
-    /// Scratch-arena twin-buffer recycles (host-side observability; the
-    /// hit/miss split can vary with interleaving on the threaded
-    /// engine, so nothing deterministic may compare these).
+    /// Scratch-arena twin-buffer recycles (host-side observability, not
+    /// a simulated quantity).
     pub arena_hits: u64,
     pub arena_misses: u64,
     pub arena_peak_bytes: u64,
@@ -195,7 +193,6 @@ impl SweepCell {
             ("app".into(), Json::Str(self.app.clone())),
             ("version".into(), Json::Str(self.version.clone())),
             ("protocol".into(), Json::Str(self.protocol.name().into())),
-            ("engine".into(), Json::Str(self.engine.name().into())),
             ("nprocs".into(), Json::Num(self.nprocs as f64)),
             ("scale".into(), Json::Num(self.scale)),
             ("page_words".into(), Json::Num(self.page_words as f64)),
@@ -239,7 +236,6 @@ impl SweepCell {
             app: str_field("app")?,
             version: str_field("version")?,
             protocol: str_field("protocol")?.parse()?,
-            engine: str_field("engine")?.parse()?,
             nprocs: u64_field("nprocs")? as usize,
             scale: f64_field("scale")?,
             page_words: u64_field("page_words")? as usize,
@@ -284,7 +280,6 @@ impl CellTotals {
             app: _,
             version: _,
             protocol: _,
-            engine: _,
             nprocs: _,
             scale: _,
             page_words: _,
@@ -330,9 +325,9 @@ impl SweepDoc {
         t
     }
 
-    /// Total host wall-clock across cells (µs). The sweep runs
-    /// sequential-engine cells concurrently, so this exceeds the
-    /// sweep's own elapsed time — it is the single-core cost.
+    /// Total host wall-clock across cells (µs). The sweep runs cells
+    /// concurrently, so this exceeds the sweep's own elapsed time — it
+    /// is the single-core cost.
     pub fn total_wall_us(&self) -> u64 {
         self.totals().wall_us
     }
@@ -452,32 +447,24 @@ impl SweepDoc {
     }
 }
 
-/// The full grid: six applications × both protocols × both engines ×
-/// `scales` × `page_words`, the compiler-parallelized shared-memory
-/// version ([`Version::Spf`]) throughout, tracing on (see [`measure`]).
-/// Cells come out in canonical order; [`run_grid`] reorders for
-/// scheduling.
-pub fn grid(
-    nprocs: usize,
-    engines: &[EngineKind],
-    scales: &[f64],
-    page_words: &[usize],
-) -> Vec<RunSpec> {
+/// The grid: six applications × both protocols × `scales` ×
+/// `page_words`, the compiler-parallelized shared-memory version
+/// ([`Version::Spf`]) throughout, tracing on (see [`measure`]). Cells
+/// come out in canonical order; [`run_grid`] reorders for scheduling.
+pub fn grid(nprocs: usize, scales: &[f64], page_words: &[usize]) -> Vec<RunSpec> {
     let mut cells = Vec::new();
     for &app in &AppId::ALL {
         for &protocol in &ProtocolMode::ALL {
-            for &engine in engines {
-                for &scale in scales {
-                    for &page_words in page_words {
-                        let cfg = TmkConfig {
-                            page_words,
-                            protocol,
-                            trace: true,
-                            ..TmkConfig::default()
-                        };
-                        let spec = RunSpec::new(app, Version::Spf, nprocs, scale).on(engine);
-                        cells.push(RunSpec { cfg, ..spec });
-                    }
+            for &scale in scales {
+                for &page_words in page_words {
+                    let cfg = TmkConfig {
+                        page_words,
+                        protocol,
+                        trace: true,
+                        ..TmkConfig::default()
+                    };
+                    let spec = RunSpec::new(app, Version::Spf, nprocs, scale);
+                    cells.push(RunSpec { cfg, ..spec });
                 }
             }
         }
@@ -485,25 +472,15 @@ pub fn grid(
     cells
 }
 
-/// Default full-sweep shape: both engines, two scales, two page sizes.
+/// Default full-sweep shape: two scales, two page sizes.
 pub fn full_grid(nprocs: usize, scale_mult: f64) -> Vec<RunSpec> {
-    grid(
-        nprocs,
-        &[EngineKind::Sequential, EngineKind::Threaded],
-        &[0.05 * scale_mult, 0.1 * scale_mult],
-        &[256, 512],
-    )
+    grid(nprocs, &[0.05 * scale_mult, 0.1 * scale_mult], &[256, 512])
 }
 
-/// CI smoke shape: sequential engine only (deterministic, flake-free),
-/// one small scale, one page size — still every app × protocol.
+/// CI smoke shape: one small scale, one page size — still every app ×
+/// protocol.
 pub fn smoke_grid(nprocs: usize, scale_mult: f64) -> Vec<RunSpec> {
-    grid(
-        nprocs,
-        &[EngineKind::Sequential],
-        &[0.04 * scale_mult],
-        &[512],
-    )
+    grid(nprocs, &[0.04 * scale_mult], &[512])
 }
 
 #[cfg(test)]
@@ -515,7 +492,6 @@ mod tests {
             app: app.into(),
             version: "SPF/Tmk".into(),
             protocol: ProtocolMode::Lrc,
-            engine: EngineKind::Sequential,
             nprocs: 8,
             scale: 0.05,
             page_words: 512,
@@ -586,7 +562,7 @@ mod tests {
     #[test]
     fn full_grid_covers_the_matrix() {
         let cells = full_grid(8, 1.0);
-        assert_eq!(cells.len(), 6 * 2 * 2 * 2 * 2);
+        assert_eq!(cells.len(), 6 * 2 * 2 * 2);
         // Canonical order is already sorted.
         let mut sorted = cells.clone();
         sorted.sort_by_key(canon_key);
@@ -594,10 +570,8 @@ mod tests {
     }
 
     #[test]
-    fn smoke_grid_is_sequential_only() {
-        let cells = smoke_grid(8, 1.0);
-        assert_eq!(cells.len(), 6 * 2);
-        assert!(cells.iter().all(|c| c.engine == EngineKind::Sequential));
+    fn smoke_grid_is_every_app_under_both_protocols() {
+        assert_eq!(smoke_grid(8, 1.0).len(), 6 * 2);
     }
 
     #[test]

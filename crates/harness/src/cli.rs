@@ -3,16 +3,18 @@
 //! Every subcommand accepts the same shape:
 //!
 //! ```text
-//! dsm <subcommand> [scale] [nprocs] [--engine threaded|sequential] [--protocol lrc|hlrc]
+//! dsm <subcommand> [scale] [nprocs] [--engine sequential|seeded:N] [--protocol lrc|hlrc]
 //! ```
 //!
 //! plus the flags its [`Spec`] declares (see [`crate::cmd::COMMANDS`]).
 //! A value-taking flag may be spelled `--flag V` or `--flag=V`.
 //!
-//! The default engine is **sequential**: the regenerated tables are then
-//! deterministic (identical on every invocation) and the sweep fans out
-//! across CPU cores, one single-threaded simulation per worker. Pass
-//! `--engine threaded` to run on the original thread-per-node backend.
+//! The default engine schedule is **sequential** (strict FIFO): it is
+//! what every recorded table and baseline uses. `--engine seeded:N`
+//! runs the same simulation under the random, preempting schedule seed
+//! `N` stands for — how a failure the schedule explorer printed a seed
+//! for is replayed, traced (`dsm trace`) and analyzed (`dsm analyze`).
+//! Either way the output is identical on every invocation.
 //!
 //! The default protocol is **lrc** (the original TreadMarks protocol);
 //! `--protocol hlrc` runs the shared-memory versions under home-based
@@ -31,7 +33,7 @@ pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
 
 /// The common usage line, printed with every grammar error.
 pub const USAGE: &str = "usage: dsm <subcommand> [scale] [nprocs] \
-     [--engine threaded|sequential] [--protocol lrc|hlrc] (see `dsm help`)";
+     [--engine sequential|seeded:N] [--protocol lrc|hlrc] (see `dsm help`)";
 
 /// Why a subcommand stopped early: the process status and what to print
 /// on stderr first. Status 2 is a bad invocation or an unreadable
@@ -76,7 +78,7 @@ pub struct Cli {
     pub scale: f64,
     /// Simulated processor count.
     pub nprocs: usize,
-    /// Execution engine for every simulation of the sweep.
+    /// Engine schedule for every simulation of the subcommand.
     pub engine: EngineKind,
     /// Coherence protocol for the shared-memory versions.
     pub protocol: ProtocolMode,
@@ -285,11 +287,11 @@ mod tests {
         assert_eq!((cli.scale, cli.nprocs), (0.1, 8));
         assert_eq!(cli.engine, EngineKind::Sequential);
         assert_eq!(cli.protocol, ProtocolMode::Lrc);
-        let spaced = common(&["--engine", "threaded", "0.2", "--protocol", "hlrc", "3"]).unwrap();
-        let joined = common(&["--engine=threaded", "0.2", "--protocol=hlrc", "3"]).unwrap();
+        let spaced = common(&["--engine", "seeded:7", "0.2", "--protocol", "hlrc", "3"]).unwrap();
+        let joined = common(&["--engine=seeded:7", "0.2", "--protocol=hlrc", "3"]).unwrap();
         assert_eq!(spaced, joined);
         assert_eq!((spaced.scale, spaced.nprocs), (0.2, 3));
-        assert_eq!(spaced.engine, EngineKind::Threaded);
+        assert_eq!(spaced.engine, EngineKind::Seeded(7));
         assert_eq!(spaced.protocol, ProtocolMode::Hlrc);
     }
 
@@ -297,6 +299,7 @@ mod tests {
     fn grammar_errors_name_the_argument() {
         rejected(&COMMON, &["--engine"], "missing value after --engine");
         rejected(&COMMON, &["--engine", "warp"], "warp");
+        rejected(&COMMON, &["--engine", "threaded"], "seeded:N");
         rejected(&COMMON, &["--protocol=mesi"], "mesi");
         rejected(&COMMON, &["--nosuch"], "unknown flag --nosuch");
         rejected(&COMMON, &["--out", "f"], "unknown flag --out");

@@ -8,7 +8,7 @@
 //! ```text
 //! analyze [scale] [nprocs] [--app jacobi] [--version spf] [--top N]
 //!         [--json FILE] [--gate-identity]
-//!         [--engine threaded|sequential] [--protocol lrc|hlrc]
+//!         [--engine sequential|seeded:N] [--protocol lrc|hlrc]
 //! analyze --check report.json
 //! ```
 //!

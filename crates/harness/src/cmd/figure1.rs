@@ -1,7 +1,7 @@
 //! Regenerates Figure 1: 8-processor speedups for the regular
 //! applications (SPF/Tmk, hand-coded TreadMarks, XHPF, PVMe).
 //!
-//! Usage: `figure1 [scale] [nprocs] [--engine threaded|sequential]`
+//! Usage: `figure1 [scale] [nprocs] [--engine sequential|seeded:N]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
 use crate::cli::{Cli, Exit, Flags};

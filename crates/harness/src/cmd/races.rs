@@ -1,7 +1,7 @@
 //! Race-detection gate over the applications, plus a seeded
 //! self-check of the detector.
 //!
-//! Usage: `races [scale] [nprocs] [--engine threaded|sequential] [--seeded]`
+//! Usage: `races [scale] [nprocs] [--engine sequential|seeded:N] [--seeded]`
 //! (defaults 0.035 and 4; like `protocol_compare`, both protocols are
 //! always swept, so `--protocol` only changes the flag's default).
 //!

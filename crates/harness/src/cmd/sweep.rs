@@ -1,6 +1,6 @@
 //! `sweep` — run the benchmark grid and emit the perf trajectory.
 //!
-//! Runs every application × protocol × engine × scale × page-size cell
+//! Runs every application × protocol × scale × page-size cell
 //! (see [`crate::bench_sweep`]) and writes `BENCH_sweep.json`: per
 //! cell the deterministic simulated quantities (virtual time, messages,
 //! bytes) next to the host quantities (wall-clock µs, scratch-arena
@@ -10,15 +10,15 @@
 //!
 //! Usage: `sweep [scale-mult] [nprocs] [--smoke] [--out FILE] [--check FILE]`
 //!
-//! * `--smoke` — the reduced CI grid (sequential engine only).
+//! * `--smoke` — the reduced CI grid (one scale, one page size).
 //! * `--out FILE` — where to write the document (default `BENCH_sweep.json`).
 //! * `--check FILE` — don't run anything; parse and schema-validate an
 //!   existing document, print its summary, exit non-zero on failure.
 //!
-//! The common `--engine`/`--protocol` flags are accepted but ignored:
-//! the grid covers both sides of each. Sequential-engine cells fan out
-//! across cores, longest-expected first; threaded-engine cells run one
-//! after another (each already uses a thread per simulated node).
+//! The common `--protocol` flag is accepted but ignored: the grid covers
+//! both protocols. `--engine seeded:N` is refused: the trajectory is the
+//! FIFO schedule's. The cells fan out across cores, longest-expected
+//! first.
 
 use crate::bench_sweep::{full_grid, run_grid, smoke_grid};
 use crate::cli::{Cli, Exit, Flags};
@@ -33,6 +33,11 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
 
     if let Some(path) = check {
         return check_file(&path);
+    }
+    if cli.engine != sp2sim::EngineKind::Sequential {
+        return Err(Exit::usage(
+            "sweep records the sequential schedule only; explore seeds with another subcommand",
+        ));
     }
 
     let cells = if smoke {
@@ -49,8 +54,8 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     );
 
     let mut all = run_grid(&cells);
-    // Canonical file order: paper app order, then protocol, engine,
-    // scale, page size — independent of the execution schedule.
+    // Canonical file order: paper app order, then protocol, scale,
+    // page size — independent of the execution schedule.
     all.sort_by_key(|c| {
         (
             apps::AppId::ALL
@@ -58,7 +63,6 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
                 .position(|a| a.name() == c.app)
                 .unwrap_or(usize::MAX),
             c.protocol.name(),
-            c.engine.name(),
             c.scale.to_bits(),
             c.page_words,
         )

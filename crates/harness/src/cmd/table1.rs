@@ -1,6 +1,6 @@
 //! Regenerates Table 1: data-set sizes and sequential execution times.
 //!
-//! Usage: `table1 [scale] [--engine threaded|sequential]`
+//! Usage: `table1 [scale] [--engine sequential|seeded:N]`
 //! (defaults 0.1 and the deterministic sequential engine).
 
 use crate::cli::{Cli, Exit, Flags};

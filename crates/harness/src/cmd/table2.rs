@@ -3,7 +3,7 @@
 //! column folded in — the sweep-level view of the gap-closing claim
 //! (`compiler_opt` shows one point; this shows the whole row).
 //!
-//! Usage: `table2 [scale] [nprocs] [--engine threaded|sequential]`
+//! Usage: `table2 [scale] [nprocs] [--engine sequential|seeded:N]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
 use crate::cli::{Cli, Exit, Flags};

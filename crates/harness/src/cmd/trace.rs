@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! trace [scale] [nprocs] [--app jacobi] [--version spf] [--out trace.json]
-//!       [--breakdown] [--engine threaded|sequential] [--protocol lrc|hlrc]
+//!       [--breakdown] [--engine sequential|seeded:N] [--protocol lrc|hlrc]
 //! trace --validate trace.json
 //! ```
 //!

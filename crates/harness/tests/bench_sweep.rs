@@ -5,22 +5,19 @@
 //! 1. **Schema round-trip** — a document built from real runs renders
 //!    to JSON and parses back identically, so CI's `--check` validation
 //!    and the committed artifact can never drift apart.
-//! 2. **Determinism** — on the sequential engine the *simulated*
-//!    columns (virtual time, messages, bytes) of every cell are
-//!    identical across runs. Host columns (wall-clock) and the arena
-//!    hit/miss split are explicitly excluded: they measure the host,
-//!    not the simulation, and the split can vary with interleaving on
-//!    the threaded engine.
+//! 2. **Determinism** — the *simulated* columns (virtual time,
+//!    messages, bytes) of every cell are identical across runs. Host
+//!    columns (wall-clock) and the arena hit/miss split are explicitly
+//!    excluded: they measure the host, not the simulation.
 
 use apps::RunSpec;
 use harness::bench_sweep::{grid, measure, run_grid, SCHEMA};
 use harness::SweepDoc;
-use sp2sim::EngineKind;
 
-/// A tiny all-sequential grid: every app × both protocols at a small
-/// scale — the smoke grid's shape, scaled to test budget.
+/// A tiny grid: every app × both protocols at a small scale — the
+/// smoke grid's shape, scaled to test budget.
 fn tiny_grid() -> Vec<RunSpec> {
-    grid(8, &[EngineKind::Sequential], &[0.02], &[512])
+    grid(8, &[0.02], &[512])
 }
 
 #[test]
@@ -84,7 +81,7 @@ fn sequential_sweep_is_deterministic() {
         assert_eq!(x.messages, y.messages, "{}/{} messages", x.app, x.protocol);
         assert_eq!(x.bytes, y.bytes, "{}/{} bytes", x.app, x.protocol);
         // The trace-derived breakdown columns are simulated quantities
-        // too: virtual-time sums, bit-stable on the sequential engine.
+        // too: virtual-time sums, bit-stable.
         assert_eq!(x.wait_us, y.wait_us, "{}/{} wait", x.app, x.protocol);
         assert_eq!(
             x.service_us, y.service_us,

@@ -75,7 +75,7 @@ fn committed_sweep_document_passes_check_in_both_spellings() {
     let spaced = dsm(&["sweep", "--check", doc]);
     assert!(spaced.status.success(), "{}", stderr(&spaced));
     assert!(
-        stdout(&spaced).starts_with("cells 96 "),
+        stdout(&spaced).starts_with("cells 48 "),
         "{}",
         stdout(&spaced)
     );

@@ -13,7 +13,8 @@ pub struct ClusterConfig {
     pub nprocs: usize,
     /// Communication/protocol cost model.
     pub cost: CostModel,
-    /// Execution engine carrying the run (see [`crate::engine`]).
+    /// The schedule the engine runs the cluster under (see
+    /// [`crate::engine`]).
     pub engine: EngineKind,
     /// Event tracing (see the `trace` crate). `None` (the default)
     /// records nothing and adds no cost; tracing never changes any
@@ -22,8 +23,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's default platform: `n` nodes of an IBM SP/2, on the
-    /// default (sequential, deterministic) engine.
+    /// The paper's default platform: `n` nodes of an IBM SP/2, under the
+    /// default (sequential, FIFO) schedule.
     pub fn sp2(nprocs: usize) -> ClusterConfig {
         ClusterConfig {
             nprocs,
@@ -33,12 +34,12 @@ impl ClusterConfig {
         }
     }
 
-    /// Same platform on an explicit engine.
+    /// Same platform under an explicit schedule.
     pub fn sp2_on(nprocs: usize, engine: EngineKind) -> ClusterConfig {
         ClusterConfig::sp2(nprocs).with_engine(engine)
     }
 
-    /// Select the execution engine.
+    /// Select the schedule.
     pub fn with_engine(mut self, engine: EngineKind) -> ClusterConfig {
         self.engine = engine;
         self
@@ -76,20 +77,16 @@ pub struct Cluster;
 impl Cluster {
     /// Run `f` on every node of a fresh cluster and collect the results.
     ///
-    /// `f` is invoked once per node with a [`Node`] handle; the selected
-    /// [`EngineKind`] decides whether the nodes are deterministically
-    /// scheduled fibers of the calling thread (the default) or OS
-    /// threads. Panics in any node propagate to the caller.
+    /// `f` is invoked once per node with a [`Node`] handle; the nodes
+    /// are fibers of the calling thread, scheduled as the selected
+    /// [`EngineKind`] says. Panics in any node propagate to the caller
+    /// (under a seeded schedule the seed is printed on stderr first).
     pub fn run<R, F>(cfg: ClusterConfig, f: F) -> RunOutput<R>
     where
-        R: Send,
-        F: Fn(&Node) -> R + Sync,
+        F: Fn(&Node) -> R,
     {
         assert!(cfg.nprocs >= 1, "cluster needs at least one node");
-        match cfg.engine {
-            EngineKind::Threaded => engine::threaded::run(cfg, f),
-            EngineKind::Sequential => engine::sequential::run(cfg, f),
-        }
+        engine::sequential::run(cfg, f)
     }
 }
 
@@ -98,9 +95,9 @@ mod tests {
     use super::*;
     use crate::stats::MsgKind;
 
-    /// Engines under test (everything in this module must hold on both).
-    fn engines() -> [EngineKind; 2] {
-        EngineKind::ALL
+    /// Schedules under test (everything in this module must hold on all).
+    fn engines() -> impl Iterator<Item = EngineKind> {
+        EngineKind::explore(8)
     }
 
     #[test]
@@ -177,9 +174,26 @@ mod tests {
     #[test]
     fn engine_kind_parses() {
         assert_eq!("seq".parse::<EngineKind>(), Ok(EngineKind::Sequential));
-        assert_eq!("Threaded".parse::<EngineKind>(), Ok(EngineKind::Threaded));
+        assert_eq!(
+            "Seeded:42".parse::<EngineKind>(),
+            Ok(EngineKind::Seeded(42))
+        );
         assert!("warp".parse::<EngineKind>().is_err());
+        assert!("seeded:x".parse::<EngineKind>().is_err());
+        // The deleted engine's name says what replaced it.
+        assert!("threaded"
+            .parse::<EngineKind>()
+            .unwrap_err()
+            .contains("seeded:N"));
         assert_eq!(EngineKind::Sequential.to_string(), "sequential");
+        assert_eq!(EngineKind::Seeded(7).to_string(), "seeded:7");
+        let all: Vec<_> = EngineKind::explore(2).collect();
+        let want = [
+            EngineKind::Sequential,
+            EngineKind::Seeded(1),
+            EngineKind::Seeded(2),
+        ];
+        assert_eq!(all, want);
     }
 
     #[test]
@@ -269,32 +283,5 @@ mod tests {
                 assert_eq!(tr.dropped, 0);
             }
         }
-    }
-
-    #[test]
-    fn sequential_engine_is_deterministic_repeated() {
-        let run_once = || {
-            Cluster::run(ClusterConfig::sp2_on(4, EngineKind::Sequential), |node| {
-                // All-to-all exchange with unequal payloads.
-                for d in 0..node.nprocs() {
-                    if d != node.id() {
-                        node.send(d, 7, MsgKind::Data, vec![0; 1 + node.id() * 3]);
-                    }
-                }
-                for _ in 0..node.nprocs() - 1 {
-                    node.recv_match(|p| p.tag == 7);
-                }
-                node.now().to_bits()
-            })
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(
-            a.results, b.results,
-            "per-node clocks must be bitwise equal"
-        );
-        assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits());
-        assert_eq!(a.stats.msgs, b.stats.msgs);
-        assert_eq!(a.stats.bytes, b.stats.bytes);
     }
 }

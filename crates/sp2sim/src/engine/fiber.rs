@@ -1,18 +1,17 @@
-//! Minimal stackful coroutines ("fibers") for the sequential engine.
+//! Minimal stackful coroutines ("fibers") for the engine.
 //!
-//! The deterministic sequential engine runs every simulated node — and
-//! every DSM service loop — as a cooperatively scheduled fiber on a
-//! single OS thread. Fibers are what let the engine keep `sp2sim`'s
-//! blocking programming model (`recv_match` just blocks) without OS
-//! threads: a blocking operation saves the fiber's full call stack and
-//! switches to the scheduler in a few dozen nanoseconds.
+//! The engine runs every simulated node — and every DSM service loop —
+//! as a cooperatively scheduled fiber on a single OS thread. Fibers are
+//! what let the engine keep `sp2sim`'s blocking programming model
+//! (`recv_match` just blocks) without OS threads: a blocking operation
+//! saves the fiber's full call stack and switches to the scheduler in a
+//! few dozen nanoseconds.
 //!
 //! The implementation is the classic boost-context design: a tiny
 //! assembly routine saves the callee-saved register set and the stack
 //! pointer, then restores another context's. Supported targets are
-//! x86-64 (System V, tested) and aarch64 (AAPCS64); on other
-//! architectures the sequential engine is unavailable and reports so at
-//! run time (the threaded engine is unaffected).
+//! x86-64 (System V, tested) and aarch64 (AAPCS64); there is no other
+//! engine, so any other architecture is a compile error.
 //!
 //! Stacks are heap allocations (the build environment provides no
 //! `mmap` guard pages); each stack ends in a canary word that is
@@ -73,11 +72,6 @@ pub(crate) fn stack_bytes() -> usize {
     })
 }
 
-/// True when this build can run fibers at all.
-pub(crate) const fn supported() -> bool {
-    cfg!(any(target_arch = "x86_64", target_arch = "aarch64"))
-}
-
 /// A suspended or running fiber: its stack plus the saved stack pointer.
 pub(crate) struct Fiber {
     /// 16-byte aligned backing store; the stack grows downwards from
@@ -102,7 +96,7 @@ impl Fiber {
     /// # Safety
     ///
     /// The caller must guarantee that everything `body` captures
-    /// outlives the fiber (the sequential engine runs all fibers to
+    /// outlives the fiber (the engine runs all fibers to
     /// completion — or leaks their stacks deliberately on abnormal
     /// engine teardown — before the borrowed data goes away).
     pub(crate) unsafe fn new(body: Box<dyn FnOnce()>) -> Fiber {
@@ -189,7 +183,7 @@ impl ContextSlot {
 /// architecture trampoline with `start` as its argument). Runs the body
 /// and then aborts: the scheduler must never resume a completed fiber,
 /// and the body itself is responsible for switching out one final time
-/// (the sequential engine's fiber bodies end with exactly that switch).
+/// (the engine's fiber bodies end with exactly that switch).
 extern "C" fn fiber_entry(start: *mut u8) -> ! {
     {
         let start = unsafe { Box::from_raw(start as *mut FiberStart) };
@@ -341,19 +335,10 @@ mod arch {
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    //! Unsupported architecture: fibers cannot run. `supported()` is
-    //! false here, and the sequential engine refuses to start before
-    //! any of these could be reached.
-
-    pub(super) unsafe extern "C" fn fiber_switch(_save: *mut *mut u8, _target: *mut u8) {
-        unreachable!("fibers are not supported on this architecture");
-    }
-
-    pub(super) unsafe fn prepare_stack(_top: *mut u8, _start: *mut u8) -> *mut u8 {
-        unreachable!("fibers are not supported on this architecture");
-    }
-}
+compile_error!(
+    "sp2sim runs every simulated node as a fiber and has context-switch code for x86-64 and \
+     aarch64 only; porting means adding an `arch` module to crates/sp2sim/src/engine/fiber.rs"
+);
 
 /// Addresses of this thread's parked stacks (test observability).
 #[cfg(test)]
@@ -361,7 +346,7 @@ pub(crate) fn spare_stack_addrs() -> Vec<usize> {
     SPARE_STACKS.with_borrow(|spare| spare.iter().map(|s| s.as_ptr() as usize).collect())
 }
 
-#[cfg(all(test, any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::RefCell;

@@ -7,7 +7,7 @@
 //! user-level MPL as the message-passing layer. We do not have that machine,
 //! so we simulate it:
 //!
-//! * Every simulated **node** is an OS thread with a private **virtual
+//! * Every simulated **node** is a fiber with a private **virtual
 //!   clock** measured in microseconds.
 //! * Nodes exchange **packets** over reliable FIFO channels. Each packet is
 //!   priced by a LogGP-style [`CostModel`]: the sender pays a fixed send
@@ -25,14 +25,16 @@
 //! and on the relative composition of compute, communication and
 //! synchronization time, all of which this model captures.
 //!
-//! ## Execution engines
+//! ## The engine and its schedules
 //!
-//! The simulated machine is carried by one of two pluggable execution
-//! engines (see [`engine`]): the default, deterministic **sequential**
-//! engine (all nodes as cooperatively scheduled fibers of one OS
-//! thread — byte-for-byte reproducible and much faster in wall-clock
-//! terms) and the **threaded** engine (one OS thread per node, packets
-//! over channels). Select with [`ClusterConfig::with_engine`].
+//! One engine carries the simulated machine (see [`engine`]): all nodes
+//! and service loops are cooperatively scheduled fibers of one OS
+//! thread. The default **sequential** schedule is strict FIFO —
+//! byte-for-byte reproducible, what every recorded number uses; a
+//! **seeded** schedule ([`EngineKind::Seeded`]) picks fibers at random
+//! and preempts them at sends and around [`StateCell`] sections, to
+//! explore the interleavings a protocol must survive, replayably.
+//! Select with [`ClusterConfig::with_engine`].
 //!
 //! ## Example
 //!
@@ -60,6 +62,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod cell;
 pub mod cluster;
 pub mod codec;
 pub mod cost;
@@ -70,6 +73,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use cell::{StateCell, StateGuard};
 pub use cluster::{Cluster, ClusterConfig, RunOutput};
 pub use codec::{WordReader, WordWriter};
 pub use cost::CostModel;

@@ -1,27 +1,28 @@
 //! Node endpoints: per-node handles for sending/receiving packets and
 //! advancing virtual time.
 //!
-//! Endpoints are engine-agnostic: all transport, scheduling and
-//! synchronization goes through the [`Fabric`] trait implemented by the
-//! execution engines (see [`crate::engine`]). An endpoint owns only
-//! what is private to its consumer — the virtual clock and the buffer
-//! of received-but-unmatched packets.
+//! All transport, scheduling and synchronization goes through the
+//! engine (see [`crate::engine`]). An endpoint owns only what is
+//! private to its consumer — the virtual clock and the buffer of
+//! received-but-unmatched packets. Handles share the engine through an
+//! `Rc`, so none of them can leave the OS thread that runs the cluster.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use trace::{EdgeKind, Event, EventKind, SpanKind, TraceBuf, TracePort, TrackTrace};
 
 use crate::cost::CostModel;
-use crate::engine::{Fabric, ServiceHandle};
+use crate::engine::sequential::Engine;
+use crate::engine::ServiceHandle;
 use crate::packet::{Packet, Port};
 use crate::stats::{MsgKind, NetStats};
 use crate::time::VTime;
 
 /// Per-endpoint trace recorder: a private single-writer ring plus the
-/// run's wall-clock origin. Present only when the fabric traces.
+/// run's wall-clock origin. Present only when the engine traces.
 struct Tracer {
     buf: RefCell<TraceBuf>,
     start: Instant,
@@ -36,7 +37,7 @@ pub struct Endpoint {
     port: Port,
     clock: Cell<f64>,
     pending: RefCell<VecDeque<Packet>>,
-    fabric: Arc<dyn Fabric>,
+    engine: Rc<Engine>,
     tracer: Option<Tracer>,
     /// Packets sent from this endpoint so far — the low bits of the
     /// correlation ids it stamps (see [`Packet::seq`]).
@@ -44,8 +45,8 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    pub(crate) fn new(id: usize, n: usize, port: Port, fabric: Arc<dyn Fabric>) -> Endpoint {
-        let tracer = fabric.tracing().map(|ts| Tracer {
+    pub(crate) fn new(id: usize, n: usize, port: Port, engine: Rc<Engine>) -> Endpoint {
+        let tracer = engine.trace.as_ref().map(|ts| Tracer {
             buf: RefCell::new(TraceBuf::new(ts.spec.capacity)),
             start: ts.start,
         });
@@ -55,7 +56,7 @@ impl Endpoint {
             port,
             clock: Cell::new(0.0),
             pending: RefCell::new(VecDeque::new()),
-            fabric,
+            engine,
             tracer,
             sent: Cell::new(0),
         }
@@ -185,13 +186,13 @@ impl Endpoint {
     /// The cluster cost model.
     #[inline]
     pub fn cost(&self) -> &CostModel {
-        self.fabric.cost()
+        &self.engine.cost
     }
 
     /// The cluster-wide statistics.
     #[inline]
     pub fn stats(&self) -> &NetStats {
-        self.fabric.stats()
+        &self.engine.stats
     }
 
     /// Send a packet to `dst`'s `port`, stamping the arrival time from this
@@ -213,8 +214,8 @@ impl Endpoint {
             self.now()
         } else {
             let bytes = payload.len() * 8;
-            self.fabric.stats().record(kind, bytes);
-            let occ = self.fabric.cost().occupancy_us(bytes);
+            self.engine.stats.record(kind, bytes);
+            let occ = self.engine.cost.occupancy_us(bytes);
             if self.tracer.is_some() {
                 self.trace_record(
                     self.clock.get(),
@@ -228,7 +229,7 @@ impl Endpoint {
                 );
             }
             self.advance(occ);
-            self.now() + self.fabric.cost().latency_us
+            self.now() + self.engine.cost.latency_us
         };
         self.deliver(dst, port, tag, kind, payload, arrival, seq);
         seq
@@ -254,9 +255,9 @@ impl Endpoint {
             at
         } else {
             let bytes = payload.len() * 8;
-            self.fabric.stats().record(kind, bytes);
+            self.engine.stats.record(kind, bytes);
             let t0 = at.max(self.now());
-            let occ = self.fabric.cost().occupancy_us(bytes);
+            let occ = self.engine.cost.occupancy_us(bytes);
             if self.tracer.is_some() {
                 self.trace_record(
                     t0.us(),
@@ -271,7 +272,7 @@ impl Endpoint {
             }
             let done = t0 + occ;
             self.clock.set(done.us());
-            done + self.fabric.cost().latency_us
+            done + self.engine.cost.latency_us
         };
         self.deliver(dst, port, tag, kind, payload, arrival, seq);
         seq
@@ -296,7 +297,10 @@ impl Endpoint {
             arrival,
             payload,
         };
-        self.fabric.deliver(dst, port, pkt);
+        // The packet is stamped; when it joins `dst`'s queue relative
+        // to other senders' packets is the schedule's to decide.
+        self.engine.preempt();
+        self.engine.deliver(dst, port, pkt);
     }
 
     /// Shorthand for [`Endpoint::send_to_port`] to the application port.
@@ -312,7 +316,7 @@ impl Endpoint {
         let pkt = self.wait_match(pred);
         let before = self.clock.get();
         self.advance_to(pkt.arrival);
-        self.advance(self.fabric.cost().recv_overhead_us);
+        self.advance(self.engine.cost.recv_overhead_us);
         if self.tracer.is_some() {
             self.trace_record(
                 self.clock.get(),
@@ -340,7 +344,7 @@ impl Endpoint {
         if let Some(p) = self.pending.borrow_mut().pop_front() {
             return Some(p);
         }
-        self.fabric.recv(self.id, self.port)
+        self.engine.recv(self.id, self.port)
     }
 
     fn wait_match(&self, pred: impl Fn(&Packet) -> bool) -> Packet {
@@ -352,7 +356,7 @@ impl Endpoint {
         }
         loop {
             let pkt = self
-                .fabric
+                .engine
                 .recv(self.id, self.port)
                 .expect("cluster torn down while a receive was outstanding");
             if pred(&pkt) {
@@ -382,7 +386,7 @@ impl Endpoint {
     }
 
     pub(crate) fn record_final_clock(&self) {
-        self.fabric.record_final(self.id, self.now());
+        self.engine.record_final(self.id, self.now());
     }
 }
 
@@ -400,15 +404,15 @@ impl Drop for TraceSpanGuard<'_> {
 }
 
 impl Drop for Endpoint {
-    /// Hand the finished event stream to the fabric. Every endpoint
-    /// drops before the engines assemble their run output (node
+    /// Hand the finished event stream to the engine. Every endpoint
+    /// drops before the engine assembles its run output (node
     /// endpoints at the end of the node body, service endpoints when
     /// their service loop returns — which `Tmk` joins before its own
     /// node body ends), so the sink is complete by collection time.
     fn drop(&mut self) {
-        if let (Some(t), Some(ts)) = (self.tracer.take(), self.fabric.tracing()) {
+        if let (Some(t), Some(ts)) = (self.tracer.take(), self.engine.trace.as_ref()) {
             let (events, dropped) = t.buf.into_inner().into_events();
-            ts.sink.lock().push(TrackTrace {
+            ts.sink.borrow_mut().push(TrackTrace {
                 node: self.id as u32,
                 port: match self.port {
                     Port::App => TracePort::App,
@@ -430,21 +434,20 @@ impl Drop for Endpoint {
 pub struct Node {
     ep: Endpoint,
     service: RefCell<Option<Endpoint>>,
-    fabric: Arc<dyn Fabric>,
 }
 
 impl Node {
-    pub(crate) fn new(id: usize, n: usize, fabric: Arc<dyn Fabric>) -> Node {
+    pub(crate) fn new(id: usize, n: usize, engine: Rc<Engine>) -> Node {
         Node {
-            ep: Endpoint::new(id, n, Port::App, Arc::clone(&fabric)),
-            service: RefCell::new(Some(Endpoint::new(
-                id,
-                n,
-                Port::Service,
-                Arc::clone(&fabric),
-            ))),
-            fabric,
+            ep: Endpoint::new(id, n, Port::App, Rc::clone(&engine)),
+            service: RefCell::new(Some(Endpoint::new(id, n, Port::Service, engine))),
         }
+    }
+
+    /// The engine carrying this node (what a [`crate::StateCell`] parks
+    /// and preempts fibers through).
+    pub(crate) fn engine(&self) -> &Rc<Engine> {
+        &self.ep.engine
     }
 
     /// This node's id in `0..nprocs`.
@@ -471,18 +474,17 @@ impl Node {
             .expect("service endpoint already taken")
     }
 
-    /// Run `f` concurrently with this node's application code: an OS
-    /// thread on the threaded engine, a cooperatively scheduled fiber on
-    /// the sequential engine. The DSM layer runs its protocol service
-    /// loop this way. Join with [`Node::join_service`].
-    pub fn spawn_service(&self, f: impl FnOnce() + Send + 'static) -> ServiceHandle {
-        self.fabric.spawn_service(Box::new(f))
+    /// Run `f` concurrently with this node's application code, as a
+    /// fiber of its own. The DSM layer runs its protocol service loop
+    /// this way. Join with [`Node::join_service`].
+    pub fn spawn_service(&self, f: impl FnOnce() + 'static) -> ServiceHandle {
+        self.ep.engine.spawn_service(Box::new(f))
     }
 
     /// Wait for a spawned service context to finish; panics if it
     /// panicked (like joining a thread).
     pub fn join_service(&self, h: ServiceHandle) {
-        self.fabric.join_service(h)
+        self.ep.engine.join_service(h)
     }
 
     /// Current virtual time.
@@ -558,7 +560,7 @@ impl Node {
     /// boundaries of the timed region, mirroring the paper's exclusion of
     /// startup iterations.
     pub fn rendezvous(&self) {
-        self.fabric.rendezvous();
+        self.ep.engine.rendezvous();
     }
 }
 
@@ -606,7 +608,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        for engine in EngineKind::ALL {
+        for engine in EngineKind::explore(8) {
             let out = Cluster::run(cfg(2).with_engine(engine), |node| {
                 if node.id() == 0 {
                     node.send(1, 10, MsgKind::Data, vec![10]);

@@ -1,13 +1,14 @@
 //! Global message statistics, the raw material for the paper's Tables 2
 //! and 3 ("8-Processor Message Totals and Data Totals").
 //!
-//! Counters are process-global atomics keyed by [`MsgKind`]; additions are
-//! order-insensitive so the totals are deterministic even though node
-//! threads run concurrently. Local deliveries (a node messaging itself,
-//! e.g. the barrier manager's own arrival) are *not* counted, matching the
-//! paper's `2 x (n - 1)` message accounting for barriers.
+//! Counters are per-cluster cells keyed by [`MsgKind`] (every fiber of a
+//! cluster runs on one OS thread); additions are order-insensitive, so
+//! the totals do not depend on the schedule. Local deliveries (a node
+//! messaging itself, e.g. the barrier manager's own arrival) are *not*
+//! counted, matching the paper's `2 x (n - 1)` message accounting for
+//! barriers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Message categories. `Data` and the two `Diff*` kinds carry application
 /// data; the rest is synchronization and control traffic.
@@ -131,11 +132,11 @@ impl MsgKind {
     }
 }
 
-/// Process-global network counters for one cluster run.
+/// Cluster-wide network counters for one cluster run.
 #[derive(Default)]
 pub struct NetStats {
-    msgs: [AtomicU64; NKINDS],
-    bytes: [AtomicU64; NKINDS],
+    msgs: [Cell<u64>; NKINDS],
+    bytes: [Cell<u64>; NKINDS],
 }
 
 impl NetStats {
@@ -147,20 +148,19 @@ impl NetStats {
     /// Record one message of `kind` with `payload_bytes` of payload.
     #[inline]
     pub fn record(&self, kind: MsgKind, payload_bytes: usize) {
-        self.msgs[kind as usize].fetch_add(1, Ordering::Relaxed);
-        self.bytes[kind as usize].fetch_add(payload_bytes as u64, Ordering::Relaxed);
+        let (msgs, bytes) = (&self.msgs[kind as usize], &self.bytes[kind as usize]);
+        msgs.set(msgs.get() + 1);
+        bytes.set(bytes.get() + payload_bytes as u64);
     }
 
-    /// Consistent copy of the counters. Callers are responsible for
-    /// quiescing the cluster (e.g. via a rendezvous) if they need an exact
-    /// cut; totals-at-end are always exact.
+    /// Copy of the counters. Callers are responsible for quiescing the
+    /// cluster (e.g. via a rendezvous) if they need a cut that means
+    /// something; totals-at-end are always exact.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for k in 0..NKINDS {
-            s.msgs[k] = self.msgs[k].load(Ordering::Relaxed);
-            s.bytes[k] = self.bytes[k].load(Ordering::Relaxed);
+        StatsSnapshot {
+            msgs: std::array::from_fn(|k| self.msgs[k].get()),
+            bytes: std::array::from_fn(|k| self.bytes[k].get()),
         }
-        s
     }
 }
 

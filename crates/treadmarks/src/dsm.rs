@@ -1,7 +1,7 @@
 //! The application-facing DSM interface.
 //!
 //! [`Tmk`] is the per-node handle: it owns the node's protocol state
-//! (shared with the service thread), the shared-memory allocator mirror,
+//! (shared with the service loop), the shared-memory allocator mirror,
 //! and the synchronization entry points. Shared data is accessed through
 //! [`ReadView`]/[`WriteView`] handles — windows onto the page frames
 //! (see [`crate::page`]) whose opening performs the page-granularity
@@ -10,10 +10,12 @@
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
-use parking_lot::{Mutex, MutexGuard};
-use sp2sim::{MsgKind, Node, Port, ServiceHandle, SpanKind, WordReader, WordWriter};
+use sp2sim::{
+    MsgKind, Node, Port, ServiceHandle, SpanKind, StateCell, StateGuard, WordReader, WordWriter,
+};
 
 use crate::config::{ProtocolMode, TmkConfig};
 use crate::diff::{Diff, Landed};
@@ -150,7 +152,7 @@ impl Scratch {
 /// One node's TreadMarks instance.
 pub struct Tmk<'n> {
     node: &'n Node,
-    state: Arc<Mutex<DsmState>>,
+    state: Rc<StateCell<DsmState>>,
     cfg: TmkConfig,
     svc: Cell<Option<ServiceHandle>>,
     next_page: Cell<usize>,
@@ -169,14 +171,14 @@ pub struct Tmk<'n> {
 }
 
 impl<'n> Tmk<'n> {
-    /// Create this node's DSM instance and start its service loop — an
-    /// OS thread or a fiber, depending on the cluster's execution
-    /// engine. Every node of the cluster must do this with identical
-    /// `cfg`.
+    /// Create this node's DSM instance and start its service loop, a
+    /// fiber of its own. Every node of the cluster must do this with
+    /// identical `cfg`.
     pub fn new(node: &'n Node, cfg: TmkConfig) -> Tmk<'n> {
-        let state = Arc::new(Mutex::new(DsmState::new(node.id(), node.nprocs(), cfg)));
+        let state = DsmState::new(node.id(), node.nprocs(), cfg);
+        let state = Rc::new(StateCell::new(node, state));
         let svc_ep = node.take_service_endpoint();
-        let svc_state = Arc::clone(&state);
+        let svc_state = Rc::clone(&state);
         let svc = node.spawn_service(move || service_loop(svc_ep, svc_state));
         Tmk {
             node,
@@ -338,14 +340,14 @@ impl<'n> Tmk<'n> {
         let mut scratch = self.scratch.borrow_mut();
         let groups = &mut scratch.flushes;
         let mut us = 0.0;
-        // One critical section from flush through home buffering. The
-        // service thread ships the flushed interval cluster-wide the
-        // moment it can take this lock (fork/join departures, grants);
-        // if it could observe the interval closed but the home copy not
-        // yet holding its ranges, a requester could ask this home for
-        // them in that window — and a deferred request for our *own*
-        // pages has no incoming flush to retry it: it would wait
-        // forever (the NBF/HLRC threaded deadlock).
+        // One section from flush through home buffering. The service
+        // loop ships the flushed interval cluster-wide the moment it can
+        // enter the state cell (fork/join departures, grants); if it
+        // could observe the interval closed but the home copy not yet
+        // holding its ranges, a requester could ask this home for them
+        // in that window — and a deferred request for our *own* pages
+        // has no incoming flush to retry it: it would wait forever (the
+        // NBF/HLRC deadlock; `ci/mutants/pr9_publish_window.patch`).
         let (flush_us, homes) = {
             let mut st = self.state.lock();
             let (flush_us, interval) = st.flush(cost);
@@ -626,11 +628,11 @@ impl<'n> Tmk<'n> {
 
     /// The fault engine: make global words `[wlo, whi)` consistent and
     /// optionally write-enable their pages. Returns the state still
-    /// locked, so the caller registers its view in the same critical
-    /// section that write-enabled the pages: on the threaded engine no
-    /// service request can slip between the published-image snapshot and
-    /// the first in-place store (invariant 4 of [`crate::page`]).
-    fn fault_range(&self, wlo: usize, whi: usize, write: bool) -> MutexGuard<'_, DsmState> {
+    /// locked, so the caller registers its view in the same section
+    /// that write-enabled the pages: under no schedule can a service
+    /// request slip between the published-image snapshot and the
+    /// view's registration (invariant 4 of [`crate::page`]).
+    fn fault_range(&self, wlo: usize, whi: usize, write: bool) -> StateGuard<'_, DsmState> {
         if wlo == whi {
             return self.state.lock();
         }
@@ -708,8 +710,8 @@ impl<'n> Tmk<'n> {
                 // arena has one. Re-dirtying a twinned page whose
                 // un-materialized diff range is still open snapshots the
                 // published image instead, before this epoch's writes
-                // land, so a wall-clock-time `freeze` on the service
-                // thread serves exactly the flushed content — host
+                // land, so a `freeze` the service loop runs whenever the
+                // schedule lets it serves exactly the flushed content — host
                 // bookkeeping only: the simulated fault already paid for
                 // this page, so no virtual time charge.
                 let diff_open = st.pages.get(p).is_some_and(|r| r.diffs.open.is_some());
@@ -932,7 +934,7 @@ impl<'n> Tmk<'n> {
                 mgr
             };
             // Sent under the lock that read the ownership table: the
-            // manager's service thread forwards requests under it too
+            // manager's service loop forwards requests under it too
             // (`service::handle_lock_req`), so the requests the manager
             // node directs at one holder reach it in the order the table
             // serialized them. Were our request to overtake a request of
@@ -1265,7 +1267,7 @@ impl<'n> Tmk<'n> {
         }
         all.sort_by_key(|(w, e)| (e.lamport, *w));
         // Deterministic install order for the page copies, independent
-        // of message arrival order (the threaded engine may deliver
+        // of message arrival order (a seeded schedule may deliver
         // pushes in any order).
         page_pushes.sort_by_key(|(src, e)| (e.page, *src));
         let mut guard = self.state.lock();
@@ -1622,7 +1624,7 @@ impl<'n> Tmk<'n> {
     // ------------------------------------------------------------------
 
     /// Shut this node's DSM down. Performs a final global barrier (so no
-    /// node can still need this node's diffs), stops the service thread,
+    /// node can still need this node's diffs), stops the service loop,
     /// and returns this node's protocol statistics. Every node must call
     /// it; the instance is unusable afterwards.
     pub fn finish(&self) -> DsmStats {
@@ -1668,7 +1670,7 @@ impl<'n> Tmk<'n> {
         crate::profile::SharingProfile { pages, locks }
     }
 
-    /// Stop the protocol service thread: send it the shutdown opcode and
+    /// Stop the protocol service loop: send it the shutdown opcode and
     /// join it. Idempotent (the handle is taken on first call); `finish`
     /// and `Drop` both route through here. Public because the join is
     /// also a synchronization point — once this returns, every service
@@ -1692,7 +1694,7 @@ impl<'n> Tmk<'n> {
 impl Drop for Tmk<'_> {
     fn drop(&mut self) {
         // `finish` is the orderly path; this is the safety net that keeps
-        // a panicking test from leaking the service thread.
+        // a panicking test from leaking the service loop.
         self.stop_service();
     }
 }
@@ -1703,33 +1705,32 @@ mod tests {
     use sp2sim::{Cluster, ClusterConfig, EngineKind, RunOutput};
     use std::fmt::Debug;
 
-    /// Run `f` over `cfg` on `n` nodes of each engine in turn — the
-    /// protocol's unit tests keep real threads whatever the default
-    /// engine is. The per-node values must agree across the two; the
-    /// output returned (traffic, virtual time) is the deterministic
-    /// engine's.
-    fn run_cfg<R>(n: usize, cfg: TmkConfig, f: impl Fn(&Tmk) -> R + Sync) -> RunOutput<R>
+    /// Run `f` over `cfg` on `n` nodes under the FIFO schedule and eight
+    /// seeded ones — the protocol's unit tests meet preemption whatever
+    /// the default schedule is. The per-node values must agree across
+    /// all of them; the output returned (traffic, virtual time) is the
+    /// FIFO schedule's.
+    fn run_cfg<R>(n: usize, cfg: TmkConfig, f: impl Fn(&Tmk) -> R) -> RunOutput<R>
     where
-        R: Send + PartialEq + Debug,
+        R: PartialEq + Debug,
     {
         let run = |engine| {
             Cluster::run(ClusterConfig::sp2_on(n, engine), |node| {
                 f(&Tmk::new(node, cfg))
             })
         };
-        let [threaded, sequential] = EngineKind::ALL.map(run);
-        assert_eq!(threaded.results, sequential.results, "engines disagree");
-        sequential
+        let fifo = run(EngineKind::Sequential);
+        for engine in EngineKind::explore(8).skip(1) {
+            assert_eq!(run(engine).results, fifo.results, "{engine} disagrees");
+        }
+        fifo
     }
 
-    fn run<R: Send + PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R + Sync) -> RunOutput<R> {
+    fn run<R: PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R) -> RunOutput<R> {
         run_cfg(n, TmkConfig::default(), f)
     }
 
-    fn run_hlrc<R: Send + PartialEq + Debug>(
-        n: usize,
-        f: impl Fn(&Tmk) -> R + Sync,
-    ) -> RunOutput<R> {
+    fn run_hlrc<R: PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R) -> RunOutput<R> {
         run_cfg(n, TmkConfig::hlrc(), f)
     }
 

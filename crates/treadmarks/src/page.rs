@@ -39,16 +39,24 @@
 //!    therefore never *writes* words a view can see; while views are
 //!    open it only reads (twin and published-image copies when another
 //!    view on the same page is write-enabled).
-//! 4. **Threaded engine.** The service thread takes the state lock and
-//!    touches frames only in `DsmState::freeze`. There it reads a
-//!    page's words only when the page has no published image, which
-//!    means the page has not been write-enabled since its last flush:
-//!    write-enabling a flushed page snapshots the image under the state
-//!    lock *before* the view is handed out, and invariant 3 forbids a
-//!    `WriteView` that survives a flush. So application stores to a page
-//!    and service reads of it are ordered by the lock and never overlap
-//!    in time. The service side never forms a `&mut [u64]` over extent
-//!    memory.
+//! 4. **One OS thread.** The application and the service loop of a
+//!    node are fibers of one OS thread (`sp2sim::engine`; every handle
+//!    to the engine is `!Send`), and a fiber switches only inside
+//!    `sp2sim` calls — a send, a blocking receive, an end of a
+//!    `StateCell` section. A slice borrowed from a view is plain memory
+//!    access with no such call in it, so no store through a view is ever
+//!    *concurrent* with protocol code: what the service loop can observe
+//!    is the frame between two application statements, never a torn
+//!    word. Which statement it lands between is the schedule's choice,
+//!    and the protocol must not care: the service side touches frames
+//!    only in `DsmState::freeze`, inside the state cell, and reads a
+//!    page's words there only when the page has no published image —
+//!    i.e. it has not been write-enabled since its last flush
+//!    (write-enabling a flushed page snapshots the image in the section
+//!    that hands out the view, and invariant 3 forbids a `WriteView`
+//!    that survives a flush). So what it serves is the flushed content
+//!    on every schedule. The service side never forms a `&mut [u64]`
+//!    over extent memory.
 //!
 //! Invariant 1 makes the order of opens matter when two views of **one
 //! array** are held together. Views of different arrays never interact
@@ -72,7 +80,7 @@
 use std::ops::{Index, IndexMut};
 use std::ptr::NonNull;
 
-use parking_lot::Mutex;
+use sp2sim::StateCell;
 
 use crate::diff::Diff;
 use crate::state::DsmState;
@@ -91,8 +99,8 @@ pub struct PageMeta {
     /// its diff still open. `DsmState::freeze` materializes the open range
     /// against this image (falling back to the frame's words when
     /// absent), so diff content always matches the virtual-time release
-    /// point even when the request is served at an arbitrary wall-clock
-    /// moment on the threaded engine — the live frame may already hold
+    /// point even when the request is served at whatever moment the
+    /// schedule runs the service loop — the live frame may already hold
     /// the *next* epoch's writes, and leaking them backward diverges
     /// readers that are virtually ordered before those writes.
     pub published: Option<Vec<u64>>,
@@ -162,12 +170,6 @@ struct Extent {
     /// `npages × nprocs` watermarks, one row per page.
     applied: Vec<u32>,
 }
-
-// SAFETY: an `Extent` owns its allocation exclusively, exactly as the
-// `Box<[u64]>` it was made from did; `words` is never shared outside the
-// store except through views, which are `!Send` and bounded by the
-// invariants in the module docs. The remaining fields are `Send`.
-unsafe impl Send for Extent {}
 
 impl Extent {
     fn new(first_page: PageId, npages: usize, page_words: usize, nprocs: usize) -> Extent {
@@ -305,10 +307,10 @@ impl FrameStore {
         // SAFETY: `k` is a page index inside the extent, so the range is
         // inside its live allocation, and the borrow of `self` keeps the
         // extent from being replaced. Nothing writes these words while
-        // the slice lives: protocol writers need `&mut self`; a
-        // `WriteView` stores only between protocol calls on its own
-        // thread, and on the threaded engine the service thread gets here
-        // only for a page without a published image (invariant 4).
+        // the slice lives: protocol writers need `&mut self`, and a
+        // `WriteView` stores only between protocol calls of its own
+        // fiber, which cannot run while this one holds the slice
+        // (invariant 4).
         Some(unsafe {
             std::slice::from_raw_parts(e.words.as_ptr().add(k * self.page_words), self.page_words)
         })
@@ -327,7 +329,7 @@ impl FrameStore {
     }
 
     /// Mutable twin and published image of `page` — no access to its
-    /// words, so the service thread may use it at any time.
+    /// words, so the service loop may use it at any time.
     pub fn meta_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
         let (i, k) = self.locate(page).ok()?;
         Some(&mut self.extents[i].meta[k])
@@ -518,7 +520,7 @@ impl FrameStore {
 
 /// What both view types are: where the words are, and how to unpin them.
 pub(crate) struct Window<'t> {
-    state: &'t Mutex<DsmState>,
+    state: &'t StateCell<DsmState>,
     ptr: NonNull<f64>,
     len: usize,
     /// First global element index covered.
@@ -533,7 +535,7 @@ impl<'t> Window<'t> {
     /// The fault engine in `dsm.rs` is the caller, after it has made the
     /// pages consistent and, for `write`, write-enabled them.
     pub(crate) fn open(
-        state: &'t Mutex<DsmState>,
+        state: &'t StateCell<DsmState>,
         st: &mut DsmState,
         wlo: usize,
         whi: usize,

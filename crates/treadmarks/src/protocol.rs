@@ -26,7 +26,7 @@ pub mod op {
     pub const MASTER_FORK: u64 = 5;
     /// Master waits for workers (all-to-one arrival collection).
     pub const MASTER_JOIN: u64 = 6;
-    /// Shut the service thread down (local, at `finish`).
+    /// Shut the service loop down (local, at `finish`).
     pub const SHUTDOWN: u64 = 7;
     /// CRI aggregated validate: like `DIFF_REQ`, but the entry list covers
     /// every page a compiler-described phase will fault — one round trip

@@ -1,22 +1,21 @@
-//! The protocol service thread.
+//! The protocol service loop.
 //!
-//! One service thread runs per node, playing the role of TreadMarks'
-//! SIGIO-driven request handlers: it serves diff requests, participates in
-//! the distributed lock protocol, and (on the manager node) collects
-//! barrier arrivals and issues departures. It shares the node's
-//! [`DsmState`] with the application thread under a mutex and never blocks
-//! on remote operations, which makes the protocol deadlock-free by
-//! construction.
+//! One service loop runs per node — a fiber of its own beside the
+//! application's — playing the role of TreadMarks' SIGIO-driven request
+//! handlers: it serves diff requests, participates in the distributed
+//! lock protocol, and (on the manager node) collects barrier arrivals
+//! and issues departures. It shares the node's [`DsmState`] with the
+//! application through a [`StateCell`] and never blocks on remote
+//! operations, which makes the protocol deadlock-free by construction.
 //!
 //! Virtual-time model: a response becomes available at
 //! `request arrival + service cost` — the service processor is modelled as
 //! interrupt-driven and not contended, which is also why the resulting
 //! virtual times are deterministic.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
-use sp2sim::{EdgeKind, Endpoint, MsgKind, Port, VTime, WordReader};
+use sp2sim::{EdgeKind, Endpoint, MsgKind, Port, StateCell, VTime, WordReader};
 
 use crate::config::ProtocolMode;
 use crate::diff::Landed;
@@ -31,7 +30,7 @@ use crate::state::DsmState;
 /// down gracefully — subsequent remote requests to this node will stall
 /// their senders, but the local application, and every other
 /// simulation of the sweep, keeps running.
-pub fn service_loop(ep: Endpoint, state: Arc<Mutex<DsmState>>) {
+pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>) {
     while let Some(pkt) = ep.recv_any_raw() {
         let arrival = pkt.arrival;
         let mut r = WordReader::new(&pkt.payload);
@@ -81,7 +80,7 @@ pub fn service_loop(ep: Endpoint, state: Arc<Mutex<DsmState>>) {
 
 fn handle_diff_req(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     seq: u64,
@@ -103,7 +102,7 @@ fn handle_diff_req(
 /// tables can attribute it.
 fn handle_validate_req(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     seq: u64,
@@ -122,7 +121,7 @@ fn handle_validate_req(
 #[allow(clippy::too_many_arguments)]
 fn serve_page_req(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     seq: u64,
@@ -185,7 +184,7 @@ fn serve_page_req(
 /// answered.
 fn handle_home_flush(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
@@ -219,7 +218,7 @@ fn handle_home_flush(
 /// requester.
 fn handle_page_req(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
@@ -299,12 +298,12 @@ fn serve_page_fetch(
 
 /// CRI direct reduction: a child subtree's partial arrives; combine it
 /// into the slot and forward the subtree total when complete. The
-/// application thread's own deposit uses the same slot (see
+/// application's own deposit uses the same slot (see
 /// [`Tmk::reduce`](crate::Tmk::reduce)), so whichever contribution
 /// arrives last triggers the forwarding.
 fn handle_reduce_part(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     pkt_seq: u64,
@@ -329,7 +328,7 @@ fn handle_reduce_part(
 /// Send a completed subtree total one hop: up to the parent's service
 /// (interior node) or to the root's own application port (the total).
 /// `edge` is the causal anchor when the forwarding was triggered by an
-/// incoming `REDUCE_PART` on the service thread; `None` when the local
+/// incoming `REDUCE_PART` on the service loop; `None` when the local
 /// application's own deposit completed the slot (the send then sits on
 /// the app track, which is its own causal anchor).
 pub(crate) fn forward_reduce(
@@ -375,7 +374,7 @@ pub(crate) fn forward_reduce(
 /// the whole mechanism exists to preserve.
 fn handle_reduce_list(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     pkt_seq: u64,
@@ -401,7 +400,7 @@ fn handle_reduce_list(
 
 fn handle_lock_req(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     seq: u64,
@@ -513,14 +512,14 @@ fn holder_grant_or_queue(
 
 fn handle_arrival(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
 ) {
     let msg = protocol::decode_arrival(Landed::new(payload), ep.nprocs());
     let mut st = state.lock();
-    // Intervals are NOT integrated yet: the manager's application thread
+    // Intervals are NOT integrated yet: the manager's application fiber
     // may still be computing in the previous epoch and must not observe
     // future write notices. They stay in the message, which the epoch
     // keeps, and are integrated at epoch completion, when the local
@@ -537,7 +536,7 @@ fn handle_arrival(
 
 fn handle_master_fork(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     payload: Vec<u64>,
     arrival: VTime,
     seq: u64,
@@ -553,7 +552,7 @@ fn handle_master_fork(
 
 fn handle_master_join(
     ep: &Endpoint,
-    state: &Mutex<DsmState>,
+    state: &StateCell<DsmState>,
     r: &mut WordReader,
     arrival: VTime,
     seq: u64,
@@ -568,12 +567,12 @@ fn handle_master_join(
 }
 
 /// Order epoch arrivals by (virtual arrival time, node id) before the
-/// departures are serialized through the manager's link. The wall-clock
-/// order in which the service loop happened to process the arrivals is
-/// scheduling noise; sorting makes the departure sequence — and with it
-/// each node's departure time — a pure function of virtual time, which
-/// keeps the threaded engine's results reproducible wherever virtual
-/// arrival times themselves are.
+/// departures are serialized through the manager's link. The order in
+/// which the service loop happened to process the arrivals is the
+/// schedule's; sorting makes the departure sequence — and with it each
+/// node's departure time — a pure function of virtual time, which keeps
+/// results schedule-independent wherever virtual arrival times
+/// themselves are.
 fn sort_arrivals(arrivals: &mut [crate::state::Arrival]) {
     arrivals.sort_by(|a, b| {
         a.at.partial_cmp(&b.at)
@@ -791,14 +790,15 @@ mod tests {
 
     /// A malformed request must end the service loop through the logged
     /// error path (not a panic), observable as `service_errors == 1` and
-    /// a joinable service context — on both execution engines.
+    /// a joinable service context — on every schedule.
     #[test]
     fn unknown_opcode_shuts_down_gracefully() {
-        for engine in EngineKind::ALL {
+        for engine in EngineKind::explore(8) {
             let out = Cluster::run(ClusterConfig::sp2_on(1, engine), |node| {
-                let state = Arc::new(Mutex::new(DsmState::new(0, 1, TmkConfig::default())));
+                let state = DsmState::new(0, 1, TmkConfig::default());
+                let state = Rc::new(StateCell::new(node, state));
                 let ep = node.take_service_endpoint();
-                let svc_state = Arc::clone(&state);
+                let svc_state = Rc::clone(&state);
                 let h = node.spawn_service(move || service_loop(ep, svc_state));
                 node.endpoint().send_to_port(
                     0,

@@ -1,5 +1,5 @@
-//! The per-node DSM state machine, shared between the application thread
-//! and the protocol service thread under a mutex.
+//! The per-node DSM state machine, shared between the application and
+//! the protocol service loop through a `sp2sim::StateCell`.
 //!
 //! ## Diff lifecycle (lazy creation, like the original system)
 //!
@@ -356,8 +356,8 @@ impl ReduceOp {
 }
 
 /// One in-flight direct reduction at a combine-tree node: the children's
-/// partials (combined by the service thread) plus the local partial
-/// (deposited by the application thread). Whichever side completes the
+/// partials (combined by the service loop) plus the local partial
+/// (deposited by the application). Whichever side completes the
 /// slot forwards the combined value up the tree.
 #[derive(Debug, Default)]
 pub struct ReduceSlot {
@@ -1095,7 +1095,7 @@ impl DsmState {
                 race_writes.push((p, Diff::create(base, frame.data).changed_positions()));
             }
             // Re-anchor the published image at this release point so a
-            // later wall-clock-time serve excludes the *next* epoch's
+            // later serve, whenever it is scheduled, excludes the *next* epoch's
             // writes. With detection on the image is created eagerly
             // (per-interval deltas need a per-flush base); otherwise it
             // only exists once a re-dirty fault created it lazily.
@@ -1208,9 +1208,9 @@ impl DsmState {
     /// and sealing it can switch fibers.
     ///
     /// The materialization compares the twin against the **published
-    /// image** when one exists, never the live frame: on the threaded
-    /// engine this call runs on the protocol service thread at an
-    /// arbitrary wall-clock moment, and the live frame may already hold
+    /// image** when one exists, never the live frame: this call runs on
+    /// the protocol service loop at whatever moment the schedule gives
+    /// it, and the live frame may already hold
     /// writes of the *next* open epoch — virtually ordered after the
     /// requester's read. Serving those words backward through virtual
     /// time is the divergence this image exists to prevent; `data` is a
@@ -1277,9 +1277,9 @@ impl DsmState {
         row.diffs.open = None;
         // Take both buffers out of the frame: the words themselves are
         // read only when there is no published image, i.e. the page has
-        // not been write-enabled since its last flush — on the threaded
-        // engine that is what keeps this read apart from the
-        // application's in-place stores (`crate::page`, invariant 4).
+        // not been write-enabled since its last flush — which is what
+        // makes this read schedule-independent: no in-place store of the
+        // application is in it (`crate::page`, invariant 4).
         let meta = self.frames.meta_mut(page).expect("open range has a frame");
         let twin = meta.twin.take().expect("open range has a twin");
         let published = meta.published.take();
@@ -1296,8 +1296,9 @@ impl DsmState {
         // keeps ranges disjoint: a twin left stale would make the next
         // freeze re-include every word served here, and re-applying
         // those at a concurrent writer would clobber that writer's own
-        // newer values (the lost-warm-up divergence the threaded engine
-        // exposed about once in 10^3 runs).
+        // newer values (the lost-warm-up divergence a thread-per-node
+        // engine exposed about once in 10^3 runs;
+        // `ci/mutants/pr9_stale_twin.patch`).
         let pending = if meta.dirty {
             let image = published.expect(
                 "a dirty page with an open range was re-faulted, which snapshots the published image",
@@ -1849,7 +1850,7 @@ mod tests {
         // epoch's writes land.
         assert!(!s.frames.write_enable(3, true, |_| unreachable!("twinned")));
         write_words(&mut s, 3, &[(1, 2)]);
-        // A wall-clock-time serve while the next epoch is mid-write must
+        // A serve scheduled while the next epoch is mid-write must
         // not leak word 1 backward through virtual time.
         let (ranges, _) = serve(&mut s, 3, 1);
         assert_eq!(ranges.len(), 1);

@@ -1,0 +1,175 @@
+//! Schedule exploration of the protocol's historical failure cells:
+//! irregular apps hinted vs unhinted, and the transpose-heavy FFT, under
+//! seeded schedules that preempt a fiber at every send and around every
+//! state-cell section.
+//!
+//! Three real bugs lived here, all found by OS-timing luck on a
+//! thread-per-node engine this repository no longer has. Roughly one
+//! run in two hundred diverged: a lazy diff could materialize from the
+//! writer's *live* frame (fixed by serving the published image), and a
+//! diff served while the page was dirty left the twin anchored at a
+//! stale baseline, so the next freeze re-included already-served words
+//! and rolled a concurrent writer's values back (fixed by re-anchoring
+//! the twin in `DsmState::freeze`). About one NBF/HLRC run in three
+//! hundred deadlocked: `Tmk::publish` dropped the state lock between
+//! the flush and the home-copy buffering, so the service loop could
+//! ship the interval before its own-home ranges existed, permanently
+//! deferring page requests (fixed by making publish one section). And
+//! the manager node's two contexts sent lock requests after the section
+//! that ordered them (fixed by sending inside it). `ci/mutants.sh`
+//! re-breaks each of the three and requires this suite to fail.
+//!
+//! A failure here is replayable: every assertion and every engine
+//! diagnostic (deadlock, node panic) names the schedule seed, and
+//! `RunSpec::on(EngineKind::Seeded(seed))` — `--engine seeded:N` on the
+//! `dsm` command line — runs that schedule again, bit for bit. A wedge
+//! is the engine's deadlock panic, at once; nothing here waits on a
+//! clock.
+
+use std::ops::RangeInclusive;
+
+use apps::common::checksums_close;
+use apps::{AppId, RunResult, RunSpec, Version};
+use sp2sim::EngineKind;
+use treadmarks::ProtocolMode;
+
+/// Tier-1's seed budget per cell.
+const TIER1: RangeInclusive<u64> = 1..=8;
+/// The budget of CI's `explore` job: 8× tier-1's.
+const CI: RangeInclusive<u64> = 1..=64;
+
+/// `app` in `version` on `nprocs` processors at `scale` under
+/// `protocol`, on schedule `engine`. A panic out of the cluster — the
+/// engine's deadlock diagnostic, a node's assertion — names the seed;
+/// it is raised again with the cell in front, so that it says what to
+/// replay.
+fn run(
+    app: AppId,
+    version: Version,
+    nprocs: usize,
+    scale: f64,
+    protocol: ProtocolMode,
+    engine: EngineKind,
+) -> RunResult {
+    let spec = RunSpec::new(app, version, nprocs, scale);
+    let spec = spec.on(engine).protocol(protocol);
+    std::panic::catch_unwind(|| spec.run()).unwrap_or_else(|payload| {
+        let said = match payload.downcast_ref::<String>() {
+            Some(said) => said,
+            None => *payload.downcast_ref::<&str>().unwrap_or(&"(no message)"),
+        };
+        panic!("{app:?} {version:?}/{protocol}/{nprocs}p/{scale}: {said}")
+    })
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// One irregular cell under every seed of `seeds`: the hinted run
+/// against the unhinted run of the same schedule — NBF bitwise, IGrid
+/// bitwise except the tree-folded square-sum component, as in
+/// `tests/inspector_equivalence.rs` — and both against the sequential
+/// program.
+fn irregular_cell(
+    app: AppId,
+    protocol: ProtocolMode,
+    nprocs: usize,
+    scale: f64,
+    seeds: RangeInclusive<u64>,
+) {
+    let seq = RunSpec::new(app, Version::Seq, 1, scale).run().checksum;
+    for engine in seeds.map(EngineKind::Seeded) {
+        let run = |version| run(app, version, nprocs, scale, protocol, engine).checksum;
+        let (spf, cri) = (run(Version::Spf), run(Version::SpfCri));
+        let ctx = format!("{app:?}/{protocol}/{nprocs}p/{scale} on {engine}");
+        let same = match app {
+            AppId::Nbf => bits(&spf) == bits(&cri),
+            AppId::IGrid => {
+                bits(&spf[..5]) == bits(&cri[..5]) && checksums_close(&spf, &cri, 1e-12)
+            }
+            _ => unreachable!("irregular apps only"),
+        };
+        assert!(same, "{ctx}: hinted {cri:?} vs unhinted {spf:?}");
+        for (version, got) in [("SPF", &spf), ("SPF+CRI", &cri)] {
+            let close = checksums_close(got, &seq, 1e-9);
+            assert!(close, "{ctx}: {version} {got:?} vs sequential {seq:?}");
+        }
+    }
+}
+
+/// Both irregular apps × 3–5 nodes × three scales, under both
+/// protocols: every combination when `all`, else the six that the
+/// thread-per-node stress loop this suite replaces cycled through
+/// (iteration `i`: app `i % 2` on `3 + i % 3` nodes at scale
+/// `(i / 2) % 3`).
+fn irregular_cells(seeds: RangeInclusive<u64>, all: bool) {
+    for (a, app) in AppId::IRREGULAR.into_iter().enumerate() {
+        for n in 0..3 {
+            for (s, scale) in [0.02, 0.03, 0.04].into_iter().enumerate() {
+                let cycled = (0..6).any(|i| (i % 2, i % 3, i / 2 % 3) == (a, n, s));
+                for protocol in ProtocolMode::ALL {
+                    if all || cycled {
+                        irregular_cell(app, protocol, 3 + n, scale, seeds.clone());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The transpose-heavy 3-D FFT (the heaviest barrier/serve traffic per
+/// unit of compute) under both protocols: any wedge in the serve/flush
+/// window is a deadlock panic naming its seed.
+fn fft3d_cells(seeds: RangeInclusive<u64>) {
+    let seq = RunSpec::new(AppId::Fft3d, Version::Seq, 1, 0.035).run();
+    for protocol in ProtocolMode::ALL {
+        for engine in seeds.clone().map(EngineKind::Seeded) {
+            let r = run(AppId::Fft3d, Version::Spf, 4, 0.035, protocol, engine);
+            let close = checksums_close(&r.checksum, &seq.checksum, 1e-9);
+            let ctx = format!("Fft3d/{protocol} on {engine}");
+            assert!(close, "{ctx}: {:?} vs {:?}", r.checksum, seq.checksum);
+        }
+    }
+}
+
+/// Every FFT version — its lock-folded reduction is where PR 18's
+/// send-order race surfaced — against the sequential program.
+fn fft3d_version_matrix(seeds: RangeInclusive<u64>) {
+    let seq = RunSpec::new(AppId::Fft3d, Version::Seq, 1, 0.05).run();
+    for v in [Version::HandOpt].into_iter().chain(Version::SWEEP) {
+        for engine in seeds.clone().map(EngineKind::Seeded) {
+            let r = run(AppId::Fft3d, v, 4, 0.05, ProtocolMode::Lrc, engine);
+            let close = checksums_close(&r.checksum, &seq.checksum, 1e-9);
+            let ctx = format!("Fft3d {v:?} on {engine}");
+            assert!(close, "{ctx}: {:?} vs {:?}", r.checksum, seq.checksum);
+            // The element-0 probe is reduction-free: bit-exact.
+            assert_eq!(r.checksum[2..], seq.checksum[2..], "{ctx}: probe");
+        }
+    }
+}
+
+#[test]
+fn irregular_cells_stay_equivalent_on_every_explored_schedule() {
+    irregular_cells(TIER1, false);
+}
+
+#[test]
+fn fft3d_runs_complete_on_every_explored_schedule() {
+    fft3d_cells(TIER1);
+}
+
+#[test]
+fn fft3d_version_matrix_on_every_explored_schedule() {
+    fft3d_version_matrix(TIER1);
+}
+
+/// CI's `explore` job (`-- --include-ignored`), and what
+/// `ci/mutants.sh` requires to fail on each re-broken fix.
+#[test]
+#[ignore = "CI's explore job: every combination, 8x tier-1's seed budget"]
+fn every_cell_on_the_ci_seed_budget() {
+    irregular_cells(CI, true);
+    fft3d_cells(CI);
+    fft3d_version_matrix(CI);
+}

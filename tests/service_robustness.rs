@@ -1,15 +1,14 @@
 //! Regression tests for the unknown-service-opcode graceful-shutdown
 //! path (`DsmStats::service_errors`): a malformed request must not
 //! abort a whole parameter sweep — it is logged, counted, and shuts
-//! only that node's service loop down, on both execution engines. And
+//! only that node's service loop down, on every explored schedule. And
 //! for the decoders: a damaged message — an arrival, a home flush, a
 //! diff response, a page response, a diff request, a page request —
 //! fails as an over-read, before any count in it sizes an allocation.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
-use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind, Port};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind, Port, StateCell};
 use treadmarks::protocol::op;
 use treadmarks::service::service_loop;
 use treadmarks::state::DsmState;
@@ -27,13 +26,14 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
     // PAGE_REQ and REDUCE_LIST are the two highest assigned opcodes;
     // the boundary sits one past REDUCE_LIST.
     assert_eq!(op::REDUCE_LIST, op::PAGE_REQ + 1, "opcode map moved");
-    for engine in EngineKind::ALL {
+    for engine in EngineKind::explore(8) {
         let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
             if node.id() == 0 {
-                let state = Arc::new(Mutex::new(DsmState::new(0, 2, TmkConfig::default())));
+                let state = DsmState::new(0, 2, TmkConfig::default());
+                let state = Rc::new(StateCell::new(node, state));
                 let ep = node.take_service_endpoint();
                 let h = node.spawn_service({
-                    let state = Arc::clone(&state);
+                    let state = Rc::clone(&state);
                     move || service_loop(ep, state)
                 });
                 node.join_service(h);
@@ -72,14 +72,14 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
     use treadmarks::protocol::{self, tag};
     use treadmarks::state::DiffRange;
 
-    for engine in EngineKind::ALL {
+    for engine in EngineKind::explore(8) {
         let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
             if node.id() == 0 {
                 // The home: a bare service loop over HLRC state.
-                let state = Arc::new(Mutex::new(DsmState::new(0, 2, TmkConfig::hlrc())));
+                let state = Rc::new(StateCell::new(node, DsmState::new(0, 2, TmkConfig::hlrc())));
                 let ep = node.take_service_endpoint();
                 let h = node.spawn_service({
-                    let state = Arc::clone(&state);
+                    let state = Rc::clone(&state);
                     move || service_loop(ep, state)
                 });
                 node.join_service(h);
@@ -162,7 +162,8 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
 #[test]
 fn unknown_opcode_leaves_other_nodes_running() {
     const DONE: u32 = 7;
-    for engine in EngineKind::ALL {
+    const PRODUCED: u32 = 8;
+    for engine in EngineKind::explore(8) {
         let out = Cluster::run(ClusterConfig::sp2_on(3, engine), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
             let a = tmk.malloc_f64(64);
@@ -184,6 +185,7 @@ fn unknown_opcode_leaves_other_nodes_running() {
                     }
                     drop(w);
                     tmk.release(1);
+                    node.send(2, PRODUCED, MsgKind::Data, vec![1]);
                     // Stay alive (serving diffs) until the consumer is
                     // done, then let node 0 wind down before `Tmk::drop`
                     // stops the service.
@@ -192,17 +194,12 @@ fn unknown_opcode_leaves_other_nodes_running() {
                     9.0
                 }
                 2 => {
-                    // Consume: retry under the lock until the producer's
-                    // release has propagated the interval.
-                    let mut v = 0.0;
-                    for _ in 0..10_000 {
-                        tmk.acquire(1);
-                        v = tmk.read_one(a, 3);
-                        tmk.release(1);
-                        if v == 9.0 {
-                            break;
-                        }
-                    }
+                    // Consume, once the producer has released: the grant
+                    // carries its interval.
+                    let _ = node.recv_from(1, PRODUCED);
+                    tmk.acquire(1);
+                    let v = tmk.read_one(a, 3);
+                    tmk.release(1);
                     node.send(1, DONE, MsgKind::Data, vec![1]);
                     v
                 }
@@ -210,9 +207,9 @@ fn unknown_opcode_leaves_other_nodes_running() {
                     // Wait for the producer's all-done signal, then stop
                     // our own (already-dead) service loop: the join
                     // inside `stop_service` is the happens-before edge
-                    // that makes everything the service thread recorded
+                    // that makes everything the service loop recorded
                     // — including the poison opcode — visible here, on
-                    // both engines, with no wall-clock spinning.
+                    // every schedule.
                     let _ = node.recv_from(1, DONE);
                     tmk.stop_service();
                     let stats = tmk.stats_snapshot();
