@@ -47,4 +47,16 @@ step "analyze: identity gates, schema validation of the reports, critical-path s
 "$dsm" analyze --check analyze_jacobi_hlrc.json
 cargo test -q --release --test critical_path
 
+step "seam: no protocol comparison outside lrc.rs, hlrc.rs and the dispatchers in coherence.rs"
+# Non-test code only: each file is cut at its `#[cfg(test)]` line.
+leaks=$(for f in crates/treadmarks/src/{dsm,state,service,protocol,page,diff,interval}.rs \
+    crates/cri/src/*.rs crates/spf/src/lib.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.hlrc\(\)|ProtocolMode::(Lrc|Hlrc)' | sed "s|^|$f:|" || true
+done)
+if [ -n "$leaks" ]; then
+    printf '%s\n' "$leaks"
+    echo "gates: a protocol branch outside the seam: move it into lrc.rs / hlrc.rs" >&2
+    exit 1
+fi
+
 step "all gates passed"

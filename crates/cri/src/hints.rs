@@ -80,7 +80,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use treadmarks::{ProtocolMode, SharedArray, Tmk};
+use treadmarks::{SharedArray, Tmk};
 
 use crate::dynsection::SectionSet;
 use crate::section::merge_ranges;
@@ -410,9 +410,12 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// no-notice guard on the master at fork time (when every worker is
     /// parked in its dispatch wait and no interval is in flight, so the
     /// decision state is cluster-complete) and ships the accepted list
-    /// with the dispatch for the workers to install verbatim.
+    /// with the dispatch for the workers to install verbatim. It asks
+    /// for them through [`Tmk::adopt_page_homes`], which evaluates
+    /// nothing under a protocol without homes: building the list
+    /// evaluates descriptors, and an inspection charges virtual time.
     pub fn planned_homes(&self, id: usize, iters: &Range<usize>) -> Vec<(usize, usize)> {
-        if self.tmk.config().protocol != ProtocolMode::Hlrc || !self.has(id) {
+        if !self.has(id) {
             return Vec::new();
         }
         let build = || {
@@ -538,14 +541,14 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
     }
 
-    /// Register `pushes` for the next rendezvous, minus (HLRC) those
-    /// whose target is the page's home *now* — homes move between two
-    /// replays of one list. Returns the number registered.
+    /// Register `pushes` for the next rendezvous, minus those the
+    /// release already delivers to their target *now* (HLRC: the page's
+    /// home) — homes move between two replays of one list. Returns the
+    /// number registered.
     fn register_pushes(&self, pushes: &[(usize, usize)]) -> u64 {
-        let hlrc = self.tmk.config().protocol == ProtocolMode::Hlrc;
         let mut registered = 0;
         for &(q, p) in pushes {
-            if hlrc && self.tmk.page_home(p) == q {
+            if self.tmk.release_delivers(p, q) {
                 continue;
             }
             self.tmk.push_page_at_next_sync(q, p);

@@ -20,7 +20,7 @@
 //!   and (for writes) the known [`Consumer`]s;
 //! * [`HintEngine`] — turns descriptors into actions around every loop
 //!   body: an **aggregated validate** (one round trip per writer for all
-//!   pages the phase will fault — [`treadmarks::Tmk::validate`]) before
+//!   pages the phase will fault — [`treadmarks::Tmk::validate_pages`]) before
 //!   the body, and **barrier-time push** registrations (producer pushes
 //!   the page overlap to each consumer with the next rendezvous —
 //!   [`treadmarks::Tmk::push_page_at_next_sync`]) after it. Each loop is
@@ -32,7 +32,7 @@
 //! tree in `2 (n - 1)` messages instead of folding into a lock-guarded
 //! shared page.
 //!
-//! Under the home-based protocol ([`treadmarks::ProtocolMode::Hlrc`])
+//! Under the home-based protocol (HLRC, [`treadmarks::hlrc`])
 //! the descriptors additionally drive **home placement**: before a
 //! hinted body runs, every page exactly one node's write section covers
 //! is re-homed at that node ([`HintEngine::declare_homes`]), so the

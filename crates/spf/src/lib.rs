@@ -37,8 +37,8 @@
 //! pages the body will fault in one aggregated exchange, and registers
 //! producer→consumer pushes that ride the next rendezvous. This is the
 //! compiler–DSM interface the paper's conclusion calls for. The same
-//! bracketing carries the protocol axis: under
-//! [`treadmarks::ProtocolMode::Hlrc`] a hinted body re-homes its
+//! bracketing carries the protocol axis: under the home-based protocol
+//! (HLRC, [`treadmarks::hlrc`]) a hinted body re-homes its
 //! single-writer pages at the declared producer and chooses, per
 //! `(consumer, page)`, between a direct push and the home flush that is
 //! already travelling — so hinted HLRC runs avoid both the consumer's
@@ -449,8 +449,8 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
                 self.spf.hints.invalidate_schedules();
                 flags |= DISPATCH_INVALIDATE;
             }
-            let planned = self.spf.hints.planned_homes(id, &ctl.range);
-            let homes = self.spf.tmk.adopt_page_homes(&planned);
+            let planned = || self.spf.hints.planned_homes(id, &ctl.range);
+            let homes = self.spf.tmk.adopt_page_homes(planned);
             self.spf.tmk.fork(&encode_dispatch(flags, &homes, &ctl));
             self.spf.execute(&ctl);
             self.spf.tmk.join();

@@ -27,7 +27,7 @@
 //!    scratch back; [`Sealed::window`] makes each page's `Diff` a window
 //!    onto it. A release (`publish`: every page of the new interval), a
 //!    push group (`do_pushes`: one target's pages) and a diff request
-//!    (`serve_page_req`: one request's entries) are one batch each; a
+//!    (`lrc::serve`: one request's entries) are one batch each; a
 //!    single page ([`Diff::create`]) is a batch of one; an unchanged
 //!    page is the process-wide empty diff and a batch of unchanged pages
 //!    allocates nothing.

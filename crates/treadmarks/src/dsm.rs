@@ -14,15 +14,17 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 use sp2sim::{
-    MsgKind, Node, Port, ServiceHandle, SpanKind, StateCell, StateGuard, WordReader, WordWriter,
+    MsgKind, Node, Port, ServiceHandle, SpanKind, StateCell, StateGuard, TraceSpanGuard,
+    WordReader, WordWriter,
 };
 
-use crate::config::{ProtocolMode, TmkConfig};
-use crate::diff::{Diff, Landed};
+use crate::coherence::{Miss, Scratch};
+use crate::config::TmkConfig;
+use crate::diff::Landed;
 use crate::interval::Intervals;
-use crate::page::{PageId, Window};
+use crate::page::Window;
 pub use crate::page::{ReadView, WriteView};
-use crate::protocol::{self, flags, op, tag, DiffReqEntry};
+use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
 use crate::state::{reduce_children, DiffRange, DsmState, ReduceOp};
 use crate::stats::DsmStats;
@@ -30,23 +32,19 @@ use crate::stats::DsmStats;
 /// `TMK_TRACE` in the environment turns on protocol chatter on stderr.
 /// Read once: the lookup takes the environment lock and scans, and
 /// `trace!` sits on every publish page, diff request and fetch.
-fn chatter() -> bool {
+pub(crate) fn chatter() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("TMK_TRACE").is_some())
 }
 
 macro_rules! trace {
     ($($arg:tt)*) => {
-        if chatter() {
+        if $crate::dsm::chatter() {
             eprintln!($($arg)*);
         }
     };
 }
-
-/// Push payload mode words (first payload word of a `tag::PUSH`
-/// message): LRC pushes carry diff entries, HLRC pushes whole pages.
-const PUSH_MODE_DIFFS: u64 = 0;
-const PUSH_MODE_PAGES: u64 = 1;
+pub(crate) use trace;
 
 /// Handle to an allocation in the global shared address space.
 ///
@@ -81,79 +79,51 @@ impl SharedArray {
     }
 }
 
-/// Add the entries of the diff (or validate) response `payload` from
-/// `writer` to `entries`: the payload moves into a [`Landed`] and every
-/// entry's diff is a window onto it.
-fn collect_diff_entries(
-    writer: usize,
-    payload: Vec<u64>,
-    entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
-) {
-    let msg = Landed::new(payload);
-    let mut r = msg.reader();
-    entries.extend(protocol::decode_diff_entries(&msg, &mut r).map(|e| (writer, e)));
-}
-
-/// Apply fetched diff ranges `(writer, entry)` in `(lamport, writer)`
-/// order — a linear extension of happens-before — skipping what the
-/// frame already holds, and leave `entries` empty (the messages its
+/// Apply fetched or pushed diff ranges `(writer, entry)` in `(lamport,
+/// writer)` order — a linear extension of happens-before — skipping what
+/// the frame already holds, and leave `entries` empty (the messages its
 /// windows kept alive go with them). Returns the time to charge.
-fn apply_fetched(
+pub(crate) fn apply_fetched(
     st: &mut DsmState,
     entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
     cost: &sp2sim::CostModel,
 ) -> f64 {
-    entries.sort_by_key(|(w, e)| (e.lamport, *w));
+    entries.sort_by_key(|(w, e)| (e.range.lamport, *w));
     let mut us = 0.0;
-    for (writer, e) in entries.drain(..) {
-        if e.hi <= st.applied_seq(e.page, writer) {
+    for (writer, protocol::DiffRespEntry { page, range }) in entries.drain(..) {
+        let applied = st.applied_seq(page, writer);
+        if range.hi <= applied {
             continue; // stale range overlap; already incorporated
         }
-        st.apply_range(e.page, writer, e.hi, &e.diff);
-        us += cost.diff_apply_us(e.diff.encoded_words());
+        // A range that starts beyond our watermark (only a pushed one
+        // can: a fetch asks from the first unapplied notice on) has a
+        // real gap below it only if some *unapplied notice for this
+        // page* falls in between — interval numbers are per-node, so a
+        // writer's intervening intervals that touched other pages leave
+        // no hole here. (The rendezvous integrated all of the writer's
+        // intervals up to the pushed one before the pushes are consumed,
+        // so the notice list is complete.) On a real gap, accepting the
+        // diff would leave older words stale behind an advanced `applied`
+        // watermark: drop it — the page stays invalid and the next
+        // access fetches the full set.
+        if range.lo > applied + 1 {
+            let first = (st.notices).first_after(page, writer, applied, &st.log[writer]);
+            if first.is_some_and(|first| first < range.lo) {
+                trace!("[{}] dropping gapped range for page {page}", st.me);
+                continue;
+            }
+        }
+        st.apply_range(page, writer, range.hi, &range.diff);
+        us += cost.diff_apply_us(range.diff.encoded_words());
     }
     us
 }
 
-/// The containers the fault, fetch and publish planners fill and drain
-/// on every call: kept for their capacity, cleared where they are
-/// consumed, never freed. One application fiber per node uses them (`Tmk`
-/// is `!Send`), one planner at a time.
-#[derive(Default)]
-struct Scratch {
-    /// LRC: the diff requests of a fault or a validate, per writer.
-    by_writer: Vec<Vec<DiffReqEntry>>,
-    /// HLRC: the invalid pages of a fault or a validate…
-    whole: Vec<PageId>,
-    /// …and the same pages per home.
-    by_home: Vec<Vec<PageId>>,
-    /// HLRC: the frozen ranges of a release, per home.
-    flushes: Vec<Vec<(PageId, DiffRange)>>,
-    /// Requests sent and not yet answered: `(server, request id)`.
-    outstanding: Vec<(usize, u32)>,
-    /// Fetched or pushed diff ranges: `(writer, entry)`.
-    entries: Vec<(usize, protocol::DiffRespEntry)>,
-    /// Page responses, where they landed.
-    responses: Vec<sp2sim::Packet>,
-}
-
-impl Scratch {
-    /// Empty containers for a cluster of `n`.
-    fn new(n: usize) -> Scratch {
-        Scratch {
-            by_writer: vec![Vec::new(); n],
-            by_home: vec![Vec::new(); n],
-            flushes: vec![Vec::new(); n],
-            ..Scratch::default()
-        }
-    }
-}
-
 /// One node's TreadMarks instance.
 pub struct Tmk<'n> {
-    node: &'n Node,
-    state: Rc<StateCell<DsmState>>,
-    cfg: TmkConfig,
+    pub(crate) node: &'n Node,
+    pub(crate) state: Rc<StateCell<DsmState>>,
+    pub(crate) cfg: TmkConfig,
     svc: Cell<Option<ServiceHandle>>,
     next_page: Cell<usize>,
     req_seq: Cell<u32>,
@@ -167,7 +137,7 @@ pub struct Tmk<'n> {
     /// the trace analyzer can bin spans per epoch. Only advances when
     /// the cluster records a trace.
     trace_epoch: Cell<u32>,
-    scratch: RefCell<Scratch>,
+    pub(crate) scratch: RefCell<Scratch>,
 }
 
 impl<'n> Tmk<'n> {
@@ -179,7 +149,7 @@ impl<'n> Tmk<'n> {
         let state = Rc::new(StateCell::new(node, state));
         let svc_ep = node.take_service_endpoint();
         let svc_state = Rc::clone(&state);
-        let svc = node.spawn_service(move || service_loop(svc_ep, svc_state));
+        let svc = node.spawn_service(move || service_loop(svc_ep, svc_state, cfg.protocol));
         Tmk {
             node,
             state,
@@ -194,16 +164,6 @@ impl<'n> Tmk<'n> {
             reduce_list_seq: Cell::new(0),
             trace_epoch: Cell::new(0),
             scratch: RefCell::new(Scratch::new(node.nprocs())),
-        }
-    }
-
-    /// Emit the epoch-boundary marker: every span of the epoch that
-    /// just completed has already ended.
-    fn mark_trace_epoch(&self) {
-        if self.node.tracing() {
-            let e = self.trace_epoch.get();
-            self.trace_epoch.set(e + 1);
-            self.node.trace_epoch(e);
         }
     }
 
@@ -265,14 +225,9 @@ impl<'n> Tmk<'n> {
         self.state.lock().stats.schedule_reuse += hits;
     }
 
-    /// True when this instance runs the home-based protocol.
-    fn hlrc(&self) -> bool {
-        self.cfg.protocol == ProtocolMode::Hlrc
-    }
-
     /// The home node of a global page (block-cyclic unless overridden).
-    /// Meaningful under [`ProtocolMode::Hlrc`]; under LRC it reports what
-    /// the assignment *would* be.
+    /// Meaningful under the home-based protocol; under LRC it reports
+    /// what the assignment *would* be.
     pub fn page_home(&self, page: usize) -> usize {
         self.state.lock().home_of(page)
     }
@@ -288,27 +243,32 @@ impl<'n> Tmk<'n> {
         self.state.lock().set_home(page, home)
     }
 
-    /// Decision side of coordinated home placement (HLRC): filter
-    /// `candidates` through the no-notice guard — additionally refusing
-    /// pages that are locally dirty, whose diffs the next release will
-    /// still send to the *old* home — and install the survivors.
+    /// Does this node's release already deliver `page` to node `q`
+    /// (under HLRC: is `q` its home)? The CRI hint engine asks before it
+    /// registers a push, which would only arrive as a duplicate.
+    pub fn release_delivers(&self, page: usize, q: usize) -> bool {
+        self.cfg.protocol.release_delivers(self, page, q)
+    }
+
+    /// Decision side of coordinated home placement: filter the `(page,
+    /// producer)` `candidates` — asked for only where a release delivers
+    /// pages to homes (HLRC; otherwise there is nothing to adopt) —
+    /// through the no-notice guard, additionally refusing pages that are
+    /// locally dirty, whose diffs the next release will still send to
+    /// the *old* home, and install the survivors.
     /// Returns the installed list, which the caller must deliver to
     /// every other node for [`Tmk::install_page_homes`] verbatim. Only
     /// meaningful at a point where this node's interval view is
     /// cluster-complete (the SPF master at fork time: all workers are
     /// parked in their dispatch wait, so nothing is in flight).
-    pub fn adopt_page_homes(&self, candidates: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    pub fn adopt_page_homes(
+        &self,
+        candidates: impl FnOnce() -> Vec<(usize, usize)>,
+    ) -> Vec<(usize, usize)> {
+        let mut homes = self.cfg.protocol.home_candidates(candidates);
         let mut st = self.state.lock();
-        let mut installed = Vec::new();
-        for &(page, home) in candidates {
-            if st.is_dirty(page) {
-                continue;
-            }
-            if st.set_home(page, home) {
-                installed.push((page, home));
-            }
-        }
-        installed
+        homes.retain(|&(page, home)| !st.is_dirty(page) && st.set_home(page, home));
+        homes
     }
 
     /// Apply home overrides decided elsewhere (the master's fork-time
@@ -318,93 +278,20 @@ impl<'n> Tmk<'n> {
     /// master's post-body interval leaking into the same departure — so
     /// re-checking the guard here could diverge from the decision.
     pub fn install_page_homes(&self, homes: &[(usize, usize)]) {
-        if homes.is_empty() {
-            return;
-        }
-        let mut st = self.state.lock();
-        for &(page, home) in homes {
-            debug_assert!(home < st.n);
-            st.home_override.insert(page, home);
+        if !homes.is_empty() {
+            let mut st = self.state.lock();
+            debug_assert!(homes.iter().all(|&(_, home)| home < st.n));
+            st.home.overrides.extend(homes.iter().copied());
         }
     }
 
     /// Release-side publication: create the interval covering all dirty
-    /// pages and, under HLRC, eagerly materialize each page's diff and
-    /// send it to the page's home. Called at every rendezvous (barrier,
-    /// fork, join, worker arrival), lock release and broadcast root —
-    /// every point where [`DsmState::flush`] used to run bare.
+    /// pages and send what the protocol sends at a release. Called at
+    /// every rendezvous (barrier, fork, join, worker arrival), lock
+    /// release and broadcast root.
     fn publish(&self) {
         let _s = self.node.trace_span(SpanKind::Publish, 0);
-        let cost = self.node.cost();
-        let me = self.proc_id();
-        let mut scratch = self.scratch.borrow_mut();
-        let groups = &mut scratch.flushes;
-        let mut us = 0.0;
-        // One section from flush through home buffering. The service
-        // loop ships the flushed interval cluster-wide the moment it can
-        // enter the state cell (fork/join departures, grants); if it
-        // could observe the interval closed but the home copy not yet
-        // holding its ranges, a requester could ask this home for them
-        // in that window — and a deferred request for our *own* pages
-        // has no incoming flush to retry it: it would wait forever (the
-        // NBF/HLRC deadlock; `ci/mutants/pr9_publish_window.patch`).
-        let (flush_us, homes) = {
-            let mut st = self.state.lock();
-            let (flush_us, interval) = st.flush(cost);
-            // Under HLRC every page of the new interval goes to its home.
-            let flushed = match &interval {
-                Some(iv) if self.hlrc() => iv.pages(),
-                _ => &[],
-            };
-            let flushed = flushed.iter().map(|&p| p as PageId);
-            let seq = st.vc[me];
-            // One batch, one buffer for the whole release; the charges
-            // add up page by page as they always did.
-            st.freeze_all(flushed.clone().map(|p| (p, seq)), cost, |page_us| {
-                us += page_us
-            });
-            for p in flushed {
-                let home = st.home_of(p);
-                let newest = st.newest_frozen(p, seq).cloned();
-                trace!(
-                    "[{me}] publish: page {p} seq {seq} home {home} range {:?}",
-                    newest.as_ref().map(|r| (r.lo, r.hi))
-                );
-                if let Some(r) = newest {
-                    if home == me {
-                        // We are the home: buffer our own published range
-                        // into the home copy locally — no message. (The
-                        // working frame is NOT the home copy: it would
-                        // leak unpublished or unsynchronized content to
-                        // requesters; see `state::HomePage`.)
-                        st.home_buffer_own(p, r);
-                    } else {
-                        st.stats.home_flush_pages += 1;
-                        groups[home].push((p, r));
-                    }
-                }
-            }
-            let homes = groups.iter().filter(|g| !g.is_empty()).count();
-            st.stats.home_flushes += homes as u64;
-            (flush_us, homes)
-        };
-        self.node.advance(flush_us);
-        if us == 0.0 && homes == 0 {
-            return;
-        }
-        self.node.advance(us);
-        // Ascending home order.
-        for (home, entries) in groups.iter_mut().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            trace!("[{me}] home-flush -> {home}: {} pages", entries.len());
-            let payload = protocol::encode_home_flush(me, entries);
-            entries.clear();
-            self.node
-                .endpoint()
-                .send_to_port(home, Port::Service, 0, MsgKind::HomeFlush, payload);
-        }
+        self.cfg.protocol.on_release(self);
     }
 
     // ------------------------------------------------------------------
@@ -420,16 +307,7 @@ impl<'n> Tmk<'n> {
     /// array see "Invariants" in [`crate::page`] — open the view over
     /// both ranges first, or copy this one out and drop it.
     pub fn read(&self, arr: SharedArray, range: Range<usize>) -> ReadView<'_> {
-        let (wlo, whi) = self.word_bounds(arr, &range);
-        let mut st = self.fault_range(wlo, whi, false);
-        ReadView(Window::open(
-            &self.state,
-            &mut st,
-            wlo,
-            whi,
-            range.start,
-            false,
-        ))
+        ReadView(self.open(arr, range, false))
     }
 
     /// Open a write view of `range`. Pages are made consistent first (a
@@ -439,16 +317,14 @@ impl<'n> Tmk<'n> {
     /// range may overlap no other open view, and like a read view it
     /// pins its extent (see [`Tmk::read`]).
     pub fn write(&self, arr: SharedArray, range: Range<usize>) -> WriteView<'_> {
+        WriteView(self.open(arr, range, true))
+    }
+
+    /// Fault `range` in and register the view in the section that did.
+    fn open(&self, arr: SharedArray, range: Range<usize>, write: bool) -> Window<'_> {
         let (wlo, whi) = self.word_bounds(arr, &range);
-        let mut st = self.fault_range(wlo, whi, true);
-        WriteView(Window::open(
-            &self.state,
-            &mut st,
-            wlo,
-            whi,
-            range.start,
-            true,
-        ))
+        let mut st = self.fault_range(wlo, whi, write);
+        Window::open(&self.state, &mut st, wlo, whi, range.start, write)
     }
 
     /// Invariant 3 of [`crate::page`]: no view may be open across the
@@ -490,140 +366,123 @@ impl<'n> Tmk<'n> {
         wlo / pw..(whi - 1) / pw + 1
     }
 
-    /// CRI aggregated validate: make every page of `sections` consistent
+    /// CRI aggregated validate: make every page of `runs` — sorted,
+    /// disjoint runs of global page ids, which the CRI hint engine
+    /// computes once per loop and replays at every dispatch — consistent
     /// up front, with **one** access fault and **one** request round trip
-    /// per writer for the whole phase — instead of one fault and one
-    /// round trip per page as the loop body's views would take. Returns
-    /// the number of pages that actually needed diffs.
+    /// per writer (or home) for the whole phase, instead of one of each
+    /// per page as the loop body's views would take. Returns the number
+    /// of pages that needed fetching. `sections` is the number of
+    /// sections the runs came from (the `Validate` trace span's).
     ///
     /// This is the compiler-described counterpart of the per-view
     /// aggregation of [`TmkConfig::aggregation`]: the compiler knows the
     /// regular sections a loop will touch before it runs, so the runtime
     /// can fetch everything the phase will fault in a single exchange.
-    pub fn validate(&self, sections: &[(SharedArray, Range<usize>)]) -> u64 {
-        let mut runs: Vec<Range<usize>> = sections
-            .iter()
-            .map(|(arr, range)| self.page_span(*arr, range))
-            .filter(|run| !run.is_empty())
-            .collect();
-        runs.sort_unstable_by_key(|run| run.start);
-        runs.dedup_by(|next, run| {
-            let joins = next.start <= run.end;
-            if joins {
-                run.end = run.end.max(next.end);
-            }
-            joins
-        });
-        self.validate_pages(sections.len(), &runs)
-    }
-
-    /// [`Tmk::validate`] for a caller that already holds the phase's
-    /// pages as sorted, disjoint runs of global page ids — the CRI hint
-    /// engine computes them once per loop and replays them at every
-    /// dispatch. `sections` is the number of sections the runs came from
-    /// (what the `Validate` trace span reports).
     pub fn validate_pages(&self, sections: usize, runs: &[Range<usize>]) -> u64 {
         self.quiescent("validate");
         let _s = self.node.trace_span(SpanKind::Validate, sections as u32);
-        let pages = runs.iter().cloned().flatten();
-        let cost = self.node.cost();
         let mut scratch = self.scratch.borrow_mut();
         let sc = &mut *scratch;
-        let missing_pages;
-        {
-            let mut guard = self.state.lock();
-            let st = &mut *guard;
+        let miss = Miss {
+            runs,
+            aggregated: true,
+            validate: true,
+        };
+        let missing = self.cfg.protocol.resolve_miss(self, sc, &miss);
+        if !sc.entries.is_empty() {
+            let us = apply_fetched(&mut self.state.lock(), &mut sc.entries, self.node.cost());
+            self.charge_apply(us);
+        }
+        missing
+    }
+
+    /// Phase 1 of a miss, one section: count the invalid pages — `plan`
+    /// does ([`DsmState::faults_on`]), while it plans their fetch — and
+    /// take the access faults: one per invalid page, or one for all of
+    /// them when the miss is aggregated.
+    pub(crate) fn plan_miss(
+        &self,
+        miss: &Miss<'_>,
+        plan: impl FnOnce(&mut DsmState) -> u64,
+    ) -> u64 {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if miss.validate {
             st.stats.validates += 1;
-            missing_pages = self.plan_fetch(st, pages, sc);
-            st.stats.validate_pages += missing_pages;
-            if missing_pages > 0 {
-                st.stats.faults += 1;
+        } else {
+            // The view needs its pages side by side: one extent under the
+            // whole range (a merge the first time, a lookup afterwards).
+            let run = &miss.runs[0];
+            st.frames.cover(run.start, run.end - 1);
+        }
+        let invalid = plan(st);
+        if miss.validate {
+            st.stats.validate_pages += invalid;
+        }
+        let faults = if miss.aggregated {
+            u64::from(invalid > 0)
+        } else {
+            invalid
+        };
+        st.stats.faults += faults;
+        drop(guard);
+        self.node
+            .advance(faults as f64 * self.node.cost().page_fault_us);
+        invalid
+    }
+
+    /// Phase 2 of a miss, first half: send the requests of `groups` (what
+    /// to ask of each node), destinations ascending, one per destination
+    /// when `aggregated`, else one per item, and note each in
+    /// `outstanding`. The groups are left empty.
+    pub(crate) fn send_requests<T>(
+        &self,
+        groups: &mut [Vec<T>],
+        aggregated: bool,
+        kind: MsgKind,
+        outstanding: &mut Vec<(usize, u32)>,
+        encode: impl Fn(u32, &[T]) -> Vec<u64>,
+    ) {
+        for (dst, items) in groups.iter_mut().enumerate() {
+            let per_req = if aggregated { items.len() } else { 1 };
+            for items in items.chunks(per_req.max(1)) {
+                let id = self.req_seq.get();
+                self.req_seq.set(id.wrapping_add(1));
+                self.node
+                    .endpoint()
+                    .send_to_port(dst, Port::Service, 0, kind, encode(id, items));
+                outstanding.push((dst, id));
             }
+            items.clear();
         }
-        // An invalid page plans a fetch — itself under HLRC, a diff
-        // request to at least one writer under LRC — so this is "nothing
-        // planned".
-        if missing_pages == 0 {
-            return 0;
+    }
+
+    /// Phase 2 of a miss, second half: await the response to every
+    /// request of `outstanding`, in the order they were sent, and hand
+    /// each to `land` with the node it came from.
+    pub(crate) fn await_responses(
+        &self,
+        outstanding: &mut Vec<(usize, u32)>,
+        resp_tag: u32,
+        mut land: impl FnMut(usize, sp2sim::Packet),
+    ) {
+        for (dst, req_id) in outstanding.drain(..) {
+            let t = resp_tag | (req_id & 0xFFFF);
+            trace!("[{}] req {req_id} -> {dst} wait", self.proc_id());
+            let pkt = self.node.recv_match(|p| p.src == dst && p.tag == t);
+            trace!("[{}] req {req_id} got", self.proc_id());
+            land(dst, pkt);
         }
-        self.node.advance(cost.page_fault_us);
-        if self.hlrc() {
-            // Home-based validate: one whole-page round trip per home
-            // covering everything the phase will touch.
-            self.fetch_pages_from_homes(sc, true);
-            return missing_pages;
-        }
-        // Ascending writer order.
-        for (writer, reqs) in sc.by_writer.iter_mut().enumerate() {
-            if reqs.is_empty() {
-                continue;
-            }
-            let id = self.req_seq.get();
-            self.req_seq.set(id.wrapping_add(1));
-            let payload = protocol::encode_page_req(op::VALIDATE_REQ, id, self.proc_id(), reqs);
-            reqs.clear();
-            self.node.endpoint().send_to_port(
-                writer,
-                Port::Service,
-                0,
-                MsgKind::ValidateReq,
-                payload,
-            );
-            sc.outstanding.push((writer, id));
-        }
-        for (writer, req_id) in sc.outstanding.drain(..) {
-            let t = tag::VALIDATE_RESP | (req_id & 0xFFFF);
-            let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
-            collect_diff_entries(writer, pkt.payload, &mut sc.entries);
-        }
-        let mut st = self.state.lock();
-        let us = apply_fetched(&mut st, &mut sc.entries, cost);
-        drop(st);
+    }
+
+    /// Charge the time of applying fetched or pushed data, as its own
+    /// trace span.
+    pub(crate) fn charge_apply(&self, us: f64) {
         if us > 0.0 {
             let _a = self.node.trace_span(SpanKind::DiffApply, 0);
             self.node.advance(us);
         }
-        missing_pages
-    }
-
-    /// Phase 1 of a fault or a validate: which of `pages` does a write
-    /// notice of another node invalidate — one above what the frame has
-    /// applied for that writer? Counts them (and a fault in each one's
-    /// profile) and plans their fetch: under HLRC the pages themselves
-    /// go to `sc.whole`, each to be fetched from its home; under LRC the
-    /// diff requests go to `sc.by_writer`, from the first unapplied
-    /// notice of each writer on.
-    fn plan_fetch(
-        &self,
-        st: &mut DsmState,
-        pages: impl Iterator<Item = usize>,
-        sc: &mut Scratch,
-    ) -> u64 {
-        let me = self.proc_id();
-        let mut invalid = 0;
-        for page in pages {
-            let applied = st.frames.applied(page);
-            if !st.notices.any_missing(page, me, applied) {
-                continue;
-            }
-            invalid += 1;
-            st.pages.row(page).prof.faults += 1;
-            if self.hlrc() {
-                sc.whole.push(page);
-                continue;
-            }
-            for writer in (0..st.n).filter(|&w| w != me) {
-                let done = applied.map_or(0, |a| a[writer]);
-                let first = st.notices.first_after(page, writer, done, &st.log[writer]);
-                if let Some(first_needed) = first {
-                    trace!(
-                        "[{me}] fetch plan: page {page} writer {writer} from seq {first_needed}"
-                    );
-                    sc.by_writer[writer].push(DiffReqEntry { page, first_needed });
-                }
-            }
-        }
-        invalid
     }
 
     /// The fault engine: make global words `[wlo, whi)` consistent and
@@ -641,62 +500,17 @@ impl<'n> Tmk<'n> {
         let (p0, p1) = (wlo / pw, (whi - 1) / pw);
         let _s = self.node.trace_span(SpanKind::Fault, p0 as u32);
 
-        // Phase 1: find missing write notices. Under LRC they are grouped
-        // by writer (the nodes that hold the diffs); under HLRC only the
-        // set of invalid pages matters — each is fetched whole from its
-        // home. Under aggregation the whole view takes a single access
-        // fault (the integrated compile-time/run-time scheme of
-        // Dwarkadas et al.); otherwise each invalidated page faults
-        // separately, like the original mprotect-driven system.
+        // Phases 1 and 2: find the pages a write notice invalidates and
+        // fetch what makes them consistent — the protocol's business.
         let mut scratch = self.scratch.borrow_mut();
         let sc = &mut *scratch;
-        {
-            let mut guard = self.state.lock();
-            let st = &mut *guard;
-            // The view needs its pages side by side: one extent under the
-            // whole range (a merge the first time, a lookup afterwards).
-            st.frames.cover(p0, p1);
-            let faulted_pages = self.plan_fetch(st, p0..=p1, sc);
-            let faults = if self.cfg.aggregation {
-                u64::from(faulted_pages > 0)
-            } else {
-                faulted_pages
-            };
-            st.stats.faults += faults;
-            drop(guard);
-            self.node.advance(faults as f64 * cost.page_fault_us);
-        }
-
-        // Phase 2 (HLRC): fetch every invalid page whole from its home —
-        // one round trip per page (or per home, under aggregation),
-        // independent of how many writers modified it.
-        if !sc.whole.is_empty() {
-            self.fetch_pages_from_homes(sc, self.cfg.aggregation);
-        }
-
-        // Phase 2 (LRC): fetch diffs, writers ascending. One request per
-        // writer (aggregation on) or one per page per writer (default
-        // TreadMarks behaviour).
-        for (writer, reqs) in sc.by_writer.iter_mut().enumerate() {
-            let per_req = if self.cfg.aggregation { reqs.len() } else { 1 };
-            for reqs in reqs.chunks(per_req.max(1)) {
-                sc.outstanding
-                    .push((writer, self.send_diff_req(writer, reqs)));
-            }
-            reqs.clear();
-        }
-        for (writer, req_id) in sc.outstanding.drain(..) {
-            let t = tag::DIFF_RESP | (req_id & 0xFFFF);
-            trace!(
-                "[{}] diff-req {} -> {} wait",
-                self.proc_id(),
-                req_id,
-                writer
-            );
-            let pkt = self.node.recv_match(|p| p.src == writer && p.tag == t);
-            trace!("[{}] diff-req {} got", self.proc_id(), req_id);
-            collect_diff_entries(writer, pkt.payload, &mut sc.entries);
-        }
+        let run = p0..p1 + 1;
+        let miss = Miss {
+            runs: std::slice::from_ref(&run),
+            aggregated: self.cfg.aggregation,
+            validate: false,
+        };
+        self.cfg.protocol.resolve_miss(self, sc, &miss);
 
         // Phase 3: apply in (lamport, writer) order — a linear extension
         // of happens-before — then write-enable.
@@ -727,111 +541,8 @@ impl<'n> Tmk<'n> {
                 st.mark_dirty(p);
             }
         }
-        if us > 0.0 {
-            let _a = self.node.trace_span(SpanKind::DiffApply, 0);
-            self.node.advance(us);
-        }
+        self.charge_apply(us);
         guard
-    }
-
-    /// HLRC fetch engine: retrieve `pages` whole from their homes and
-    /// install them. Each request carries the requester's per-writer
-    /// notice watermarks; the home answers once its copy covers them
-    /// (deferring while a required flush is still in flight), so the
-    /// result is exactly as consistent as the LRC diff fetch would have
-    /// been. `aggregated` groups all pages of one home into one round
-    /// trip; otherwise each page is its own request. The pages are
-    /// `sc.whole`, which is left empty.
-    fn fetch_pages_from_homes(&self, sc: &mut Scratch, aggregated: bool) {
-        let _s = self
-            .node
-            .trace_span(SpanKind::HomeFetch, sc.whole.len() as u32);
-        let cost = self.node.cost();
-        let pw = self.cfg.page_words;
-        {
-            // The requests leave under the lock their watermarks are
-            // read under, homes ascending.
-            let st = self.state.lock();
-            for p in sc.whole.drain(..) {
-                sc.by_home[st.home_of(p)].push(p);
-            }
-            for (home, pages) in sc.by_home.iter_mut().enumerate() {
-                let per_req = if aggregated { pages.len() } else { 1 };
-                for pages in pages.chunks(per_req.max(1)) {
-                    let id = self.send_page_req(&st, home, pages);
-                    sc.outstanding.push((home, id));
-                }
-                pages.clear();
-            }
-        }
-        // The responses stay where they landed until every one is in;
-        // each page is then copied once, from its payload into the frame.
-        for (home, req_id) in sc.outstanding.drain(..) {
-            let t = tag::PAGE_RESP | (req_id & 0xFFFF);
-            trace!("[{}] page-req {} -> {} wait", self.proc_id(), req_id, home);
-            let pkt = self.node.recv_match(|p| p.src == home && p.tag == t);
-            trace!("[{}] page-req {} got", self.proc_id(), req_id);
-            sc.responses.push(pkt);
-        }
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let mut us = 0.0;
-        for pkt in sc.responses.drain(..) {
-            let mut r = WordReader::new(&pkt.payload);
-            for e in protocol::decode_page_resp(&mut r, self.nprocs(), pw) {
-                let mut frame = st.frames.frame_mut(e.page);
-                if let Some(twin) = &mut frame.meta.twin {
-                    // The page is write-enabled with local in-progress
-                    // modifications: reinstall them on top of the home's
-                    // copy, and re-twin at the home's copy so the eventual
-                    // diff still captures exactly the local delta.
-                    let local = Diff::create(twin, frame.data);
-                    frame.data.copy_from_slice(e.data);
-                    twin.copy_from_slice(e.data);
-                    local.apply(frame.data);
-                } else {
-                    frame.data.copy_from_slice(e.data);
-                }
-                frame.raise_applied(e.applied());
-                st.stats.page_fetches += 1;
-                st.pages.row(e.page).prof.page_fetches += 1;
-                us += cost.diff_apply_us(pw);
-            }
-        }
-        drop(guard);
-        if us > 0.0 {
-            let _a = self.node.trace_span(SpanKind::DiffApply, 0);
-            self.node.advance(us);
-        }
-    }
-
-    /// Ask `home` for `pages`, each at the watermarks `st` holds for it.
-    fn send_page_req(&self, st: &DsmState, home: usize, pages: &[PageId]) -> u32 {
-        let id = self.req_seq.get();
-        self.req_seq.set(id.wrapping_add(1));
-        let rows = pages.iter().map(|&p| {
-            trace!(
-                "[{}] page-req plan: page {p} home {home} required {:?}",
-                self.proc_id(),
-                st.required_watermarks(p).collect::<Vec<_>>()
-            );
-            (p, st.required_watermarks(p))
-        });
-        let payload = protocol::encode_page_fetch_req(id, self.proc_id(), st.n, rows);
-        self.node
-            .endpoint()
-            .send_to_port(home, Port::Service, 0, MsgKind::PageReq, payload);
-        id
-    }
-
-    fn send_diff_req(&self, writer: usize, entries: &[DiffReqEntry]) -> u32 {
-        let id = self.req_seq.get();
-        self.req_seq.set(id.wrapping_add(1));
-        let payload = protocol::encode_diff_req(id, self.proc_id(), entries);
-        self.node
-            .endpoint()
-            .send_to_port(writer, Port::Service, 0, MsgKind::DiffReq, payload);
-        id
     }
 
     // ------------------------------------------------------------------
@@ -846,7 +557,7 @@ impl<'n> Tmk<'n> {
         let e = self.barrier_epoch.get();
         self.barrier_epoch.set(e + 1);
         let epoch = e | protocol::BARRIER_EPOCH_BIT;
-        let _s = self
+        let wait = self
             .node
             .trace_span(SpanKind::BarrierWait, (e & 0xFFFF) as u32);
 
@@ -862,19 +573,45 @@ impl<'n> Tmk<'n> {
         trace!("[{}] barrier {} done", self.proc_id(), e);
         let msg = Landed::new(pkt.payload);
         let dep = protocol::decode_departure(&msg);
-        {
+        self.depart(
+            wait,
+            Some(dep.intervals),
+            true,
+            dep.min_vc,
+            dep.expected_push,
+        );
+    }
+
+    /// The tail of every rendezvous, once the departure is in: integrate
+    /// its intervals (a join has none — the manager's service loop
+    /// integrated the arrivals into this very state — and enters the
+    /// state only for a floor), let the protocol prune at the floor and
+    /// consume the pushes. That ends the `wait` span and the trace epoch.
+    fn depart(
+        &self,
+        wait: TraceSpanGuard<'_>,
+        intervals: Option<Intervals>,
+        barrier: bool,
+        floor: &[u64],
+        pushes: u64,
+    ) {
+        if intervals.is_some() || !floor.is_empty() {
             let mut st = self.state.lock();
-            for iv in dep.intervals {
+            for iv in intervals.into_iter().flatten() {
                 st.integrate_interval(iv);
             }
-            st.stats.barriers += 1;
-            if self.hlrc() && !dep.min_vc.is_empty() {
-                st.prune_home_copies(dep.min_vc);
-            }
+            st.stats.barriers += u64::from(barrier);
+            self.cfg.protocol.on_rendezvous(&mut st, floor);
         }
-        self.receive_pushes(dep.expected_push);
-        drop(_s);
-        self.mark_trace_epoch();
+        self.receive_pushes(pushes);
+        drop(wait);
+        // The epoch-boundary marker: every span of the epoch that just
+        // completed has already ended.
+        if self.node.tracing() {
+            let e = self.trace_epoch.get();
+            self.trace_epoch.set(e + 1);
+            self.node.trace_epoch(e);
+        }
     }
 
     /// Arrive at the manager for `epoch`: this node's clock and the
@@ -1032,7 +769,7 @@ impl<'n> Tmk<'n> {
         assert_eq!(self.proc_id(), 0, "only the master joins");
         self.quiescent("join");
         let e = self.fork_epoch.get();
-        let _s = self
+        let wait = self
             .node
             .trace_span(SpanKind::JoinWait, (e & 0xFFFF) as u32);
         self.publish();
@@ -1051,13 +788,8 @@ impl<'n> Tmk<'n> {
         let mut r = WordReader::new(&pkt.payload);
         let _epoch = r.get();
         let expected_push = r.get();
-        let min_vc = protocol::decode_vc_words(&mut r);
-        if self.hlrc() && !min_vc.is_empty() {
-            self.state.lock().prune_home_copies(min_vc);
-        }
-        self.receive_pushes(expected_push);
-        drop(_s);
-        self.mark_trace_epoch();
+        let floor = protocol::decode_vc_words(&mut r);
+        self.depart(wait, None, false, floor, expected_push);
     }
 
     /// Worker: report arrival at the rendezvous and wait for the next
@@ -1068,7 +800,7 @@ impl<'n> Tmk<'n> {
         self.quiescent("worker arrival");
         let e = self.fork_epoch.get();
         self.fork_epoch.set(e + 1);
-        let _s = self
+        let wait = self
             .node
             .trace_span(SpanKind::ForkWait, (e & 0xFFFF) as u32);
         self.publish();
@@ -1082,24 +814,19 @@ impl<'n> Tmk<'n> {
         trace!("[{}] worker_wait {} got-dep", self.proc_id(), e);
         let msg = Landed::new(pkt.payload);
         let dep = protocol::decode_departure(&msg);
-        {
-            let mut st = self.state.lock();
-            for iv in dep.intervals {
-                st.integrate_interval(iv);
-            }
-            if self.hlrc() && !dep.min_vc.is_empty() {
-                st.prune_home_copies(dep.min_vc);
-            }
-        }
         trace!(
             "[{}] worker_wait {} expects {} pushes",
             self.proc_id(),
             e,
             dep.expected_push
         );
-        self.receive_pushes(dep.expected_push);
-        drop(_s);
-        self.mark_trace_epoch();
+        self.depart(
+            wait,
+            Some(dep.intervals),
+            false,
+            dep.min_vc,
+            dep.expected_push,
+        );
         if dep.flag_bits & flags::SHUTDOWN != 0 {
             None
         } else {
@@ -1142,18 +869,9 @@ impl<'n> Tmk<'n> {
     /// registered, which the encoders write as a zero per node
     /// ([`protocol::put_push_counts`]).
     ///
-    /// Under LRC a push carries the producer's newest frozen diff range
-    /// per page. Under HLRC that range alone is useless to a consumer
-    /// that has not tracked the page: every release eagerly flushed
-    /// (and froze) a per-epoch fragment, so the newest range starts far
-    /// above such a consumer's watermark and the gap guard would drop
-    /// it. An HLRC push therefore also ships the **whole page** at the
-    /// producer's publication state plus its per-writer applied
-    /// watermarks — the page-grained analogue of the diff push,
-    /// matching the protocol's whole-page fetches. The receiver merges
-    /// the diffs first (which resolves concurrent multi-writer pages,
-    /// where no single frame dominates) and then installs the page copy
-    /// only where its watermarks dominate.
+    /// A push carries the producer's newest frozen diff range per page
+    /// and whatever else the protocol's consumers need to use it (see
+    /// [`crate::hlrc::push_payload`]).
     fn do_pushes(&self) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let n = self.nprocs();
@@ -1170,7 +888,6 @@ impl<'n> Tmk<'n> {
         pending.sort_unstable();
         pending.dedup();
         let cost = self.node.cost();
-        let hlrc = self.hlrc();
         let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
         for group in pending.chunk_by(|a, b| a.0 == b.0) {
             let target = group[0].0;
@@ -1189,33 +906,9 @@ impl<'n> Tmk<'n> {
                         diffs.push((p, r));
                     }
                 }
-                // The page copies go from the frames straight into the
-                // message, in the same critical section that froze them.
-                (!diffs.is_empty()).then(|| {
-                    let mut words = 1 + protocol::diff_entries_words(&diffs);
-                    if hlrc {
-                        words += protocol::page_resp_words(diffs.len(), n, self.cfg.page_words);
-                    }
-                    let mut w = WordWriter::with_capacity(words);
-                    w.put(if hlrc {
-                        PUSH_MODE_PAGES
-                    } else {
-                        PUSH_MODE_DIFFS
-                    });
-                    protocol::encode_diff_entries(&mut w, &diffs);
-                    if hlrc {
-                        w.put_usize(diffs.len());
-                        for &(p, _) in &diffs {
-                            protocol::encode_page_entry(
-                                &mut w,
-                                p,
-                                st.frames.applied(p).expect("pushed page has a frame"),
-                                st.frames.data(p).expect("pushed page has a frame"),
-                            );
-                        }
-                    }
-                    w.finish()
-                })
+                // The payload is written in the critical section that
+                // froze the ranges.
+                (!diffs.is_empty()).then(|| self.cfg.protocol.push_payload(&st, &diffs))
             };
             self.node.advance(us);
             let Some(payload) = payload else {
@@ -1227,8 +920,8 @@ impl<'n> Tmk<'n> {
                 .send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload);
             counts[target] += 1;
         }
-        // Only this thread registers pushes: hand the buffer back for the
-        // next phase's registrations.
+        // Only the application fiber registers pushes: hand the buffer
+        // back for the next phase's registrations.
         pending.clear();
         self.state.lock().pending_push = pending;
         counts
@@ -1259,62 +952,20 @@ impl<'n> Tmk<'n> {
             let mut r = msg.reader();
             let mode = r.get();
             all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (*src, e)));
-            if mode == PUSH_MODE_PAGES {
+            if mode == protocol::PUSH_MODE_PAGES {
                 page_pushes.extend(
                     protocol::decode_page_resp(&mut r, self.nprocs(), pw).map(|e| (*src, e)),
                 );
             }
         }
-        all.sort_by_key(|(w, e)| (e.lamport, *w));
         // Deterministic install order for the page copies, independent
         // of message arrival order (a seeded schedule may deliver
         // pushes in any order).
         page_pushes.sort_by_key(|(src, e)| (e.page, *src));
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let mut us = 0.0;
-        for (writer, e) in all.iter() {
-            let applied = st.applied_seq(e.page, *writer);
-            trace!(
-                "[{}] push-recv: page {} writer {writer} range {}..={} applied {applied}",
-                self.proc_id(),
-                e.page,
-                e.lo,
-                e.hi
-            );
-            if e.hi <= applied {
-                continue;
-            }
-            if e.lo > applied + 1 {
-                // The pushed range starts beyond our watermark. That is a
-                // real gap only if some *unapplied notice for this page*
-                // falls in between — interval numbers are per-node, so a
-                // writer's intervening intervals that touched other pages
-                // leave no hole here. (The rendezvous integrated all of
-                // the writer's intervals up to the pushed one before the
-                // pushes are consumed, so the notice list is complete.)
-                // On a real gap, accepting the diff would leave older
-                // words stale behind an advanced `applied` watermark:
-                // drop it — the page stays invalid and the next access
-                // fetches the full set.
-                let gap = st
-                    .notices
-                    .first_after(e.page, *writer, applied, &st.log[*writer])
-                    .is_some_and(|first| first < e.lo);
-                if gap {
-                    trace!(
-                        "[{}] push-recv: dropping gapped range for page {}",
-                        self.proc_id(),
-                        e.page
-                    );
-                    continue;
-                }
-            }
-            st.apply_range(e.page, *writer, e.hi, &e.diff);
-            us += cost.diff_apply_us(e.diff.encoded_words());
-        }
-        all.clear();
-        // HLRC whole-page pushes: install only where the pushed
+        let mut us = apply_fetched(st, all, cost);
+        // Whole-page pushes: install only where the pushed
         // watermarks dominate ours componentwise — after the diff merge
         // above, so a concurrent-writer page whose diffs both applied
         // simply drops both (now dominated) copies. A stale push (we
@@ -1357,15 +1008,11 @@ impl<'n> Tmk<'n> {
             if let Some(t) = frame.meta.twin.take() {
                 st.scratch.put(t, &mut st.stats);
             }
-            frame.data.copy_from_slice(e.data);
-            frame.raise_applied(e.applied());
+            frame.install(e.data, e.applied());
             us += cost.diff_apply_us(pw);
         }
         drop(guard);
-        if us > 0.0 {
-            let _a = self.node.trace_span(SpanKind::DiffApply, 0);
-            self.node.advance(us);
-        }
+        self.charge_apply(us);
     }
 
     /// CRI direct reduction: combine `vals` elementwise across all nodes
@@ -1609,8 +1256,7 @@ impl<'n> Tmk<'n> {
             for e in protocol::decode_page_resp(&mut r, n, pw) {
                 let mut frame = st.frames.frame_mut(e.page);
                 debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
-                frame.data.copy_from_slice(e.data);
-                frame.raise_applied(e.applied());
+                frame.install(e.data, e.applied());
                 st.stats.pages_broadcast += 1;
                 us += cost.diff_apply_us(pw);
             }
@@ -1700,8 +1346,9 @@ impl Drop for Tmk<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ProtocolMode;
     use sp2sim::{Cluster, ClusterConfig, EngineKind, RunOutput};
     use std::fmt::Debug;
 
@@ -1710,7 +1357,7 @@ mod tests {
     /// the default schedule is. The per-node values must agree across
     /// all of them; the output returned (traffic, virtual time) is the
     /// FIFO schedule's.
-    fn run_cfg<R>(n: usize, cfg: TmkConfig, f: impl Fn(&Tmk) -> R) -> RunOutput<R>
+    pub(crate) fn run_cfg<R>(n: usize, cfg: TmkConfig, f: impl Fn(&Tmk) -> R) -> RunOutput<R>
     where
         R: PartialEq + Debug,
     {
@@ -1728,10 +1375,6 @@ mod tests {
 
     fn run<R: PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R) -> RunOutput<R> {
         run_cfg(n, TmkConfig::default(), f)
-    }
-
-    fn run_hlrc<R: PartialEq + Debug>(n: usize, f: impl Fn(&Tmk) -> R) -> RunOutput<R> {
-        run_cfg(n, TmkConfig::hlrc(), f)
     }
 
     #[test]
@@ -1800,21 +1443,23 @@ mod tests {
     #[test]
     fn lock_transfers_data_and_order() {
         // A shared counter incremented under a lock by every node.
-        let out = run(4, |tmk| {
-            let a = tmk.malloc_f64(1);
-            for _round in 0..3 {
-                tmk.acquire(7);
-                let cur = tmk.read_one(a, 0);
-                tmk.write_one(a, 0, cur + 1.0);
-                tmk.release(7);
+        for protocol in ProtocolMode::ALL {
+            let out = run_cfg(4, TmkConfig::default().with_protocol(protocol), |tmk| {
+                let a = tmk.malloc_f64(1);
+                for _round in 0..3 {
+                    tmk.acquire(7);
+                    let cur = tmk.read_one(a, 0);
+                    tmk.write_one(a, 0, cur + 1.0);
+                    tmk.release(7);
+                }
+                tmk.barrier(0);
+                let v = tmk.read_one(a, 0);
+                tmk.finish();
+                v
+            });
+            for v in out.results {
+                assert_eq!(v, 12.0, "{protocol}");
             }
-            tmk.barrier(0);
-            let v = tmk.read_one(a, 0);
-            tmk.finish();
-            v
-        });
-        for v in out.results {
-            assert_eq!(v, 12.0);
         }
     }
 
@@ -1934,7 +1579,8 @@ mod tests {
             let mut probe = (0.0, 0.0, 0, 0);
             if tmk.proc_id() == 1 {
                 let before = tmk.stats_snapshot();
-                let pages = tmk.validate(&[(a, 0..512 * 8), (b, 0..512 * 4)]);
+                let runs = [a, b].map(|arr| tmk.page_span(arr, &(0..arr.len())));
+                let pages = tmk.validate_pages(2, &runs);
                 assert_eq!(pages, 12);
                 let ra = tmk.read(a, 0..512 * 8);
                 let rb = tmk.read(b, 0..512 * 4);
@@ -1965,7 +1611,7 @@ mod tests {
         let out = run(2, |tmk| {
             let a = tmk.malloc_f64(64);
             tmk.barrier(0);
-            let missing = tmk.validate(&[(a, 0..64)]);
+            let missing = tmk.validate_pages(1, &[tmk.page_span(a, &(0..64))]);
             tmk.barrier(1);
             tmk.finish();
             missing
@@ -2073,89 +1719,6 @@ mod tests {
             out.stats.bytes_of(MsgKind::ReduceResult),
             full
         );
-    }
-
-    #[test]
-    fn hlrc_home_copies_prune_at_barriers() {
-        // Node 1 writes the same page every epoch; the page's home
-        // buffers one range per epoch. The min-VC piggyback on each
-        // barrier departure folds fully-passed ranges into the promoted
-        // base, so the buffered history stays bounded and reads still
-        // see the latest values.
-        let rounds = 6u32;
-        let out = run_hlrc(3, move |tmk| {
-            let a = tmk.malloc_f64(64);
-            for r in 0..rounds {
-                if tmk.proc_id() == 1 {
-                    let mut w = tmk.write(a, 0..8);
-                    for i in 0..8 {
-                        w[i] = (r * 10 + i as u32) as f64;
-                    }
-                }
-                tmk.barrier(r);
-                let v = tmk.read_one(a, 3);
-                assert_eq!(v, (r * 10 + 3) as f64, "round {r}");
-            }
-            let pruned = tmk.stats_snapshot().home_ranges_pruned;
-            tmk.finish();
-            pruned
-        });
-        // The page's home pruned ranges as barriers certified them.
-        let total: u64 = out.results.iter().sum();
-        assert!(total >= rounds as u64 - 2, "pruned {total} ranges");
-    }
-
-    #[test]
-    fn hlrc_writer_keeps_one_frozen_range_and_its_pushes_still_deliver() {
-        // Node 0 rewrites two pages every round and pushes them to node
-        // 2. Each release freezes a range per page (the home flush);
-        // under HLRC only the newest is kept — nobody asks an HLRC
-        // writer for history — and the push, which ships that newest
-        // range plus the page, keeps node 2's reads fault-free for all
-        // 200 rounds. Under LRC the same program keeps every range.
-        let rounds = 200u32;
-        let body = move |tmk: &Tmk| {
-            let a = tmk.malloc_f64(1024);
-            let (mut ok, mut faults) = (true, 0);
-            for r in 0..rounds {
-                if tmk.proc_id() == 0 {
-                    let mut w = tmk.write(a, 0..1024);
-                    w[3] = f64::from(r);
-                    w[700] = f64::from(r) + 0.5;
-                    drop(w);
-                    tmk.push_at_next_sync(2, a, 0..1024);
-                }
-                tmk.barrier(r);
-                if tmk.proc_id() == 2 {
-                    let before = tmk.stats_snapshot().faults;
-                    ok &= tmk.read_one(a, 3) == f64::from(r);
-                    ok &= tmk.read_one(a, 700) == f64::from(r) + 0.5;
-                    faults += tmk.stats_snapshot().faults - before;
-                }
-            }
-            let frozen: Vec<usize> = {
-                let st = tmk.state.lock();
-                tmk.page_span(a, &(0..1024))
-                    .map(|p| st.pages.get(p).map_or(0, |row| row.diffs.frozen.len()))
-                    .collect()
-            };
-            tmk.finish();
-            (ok, faults, frozen)
-        };
-        let hlrc = run_hlrc(3, body);
-        assert_eq!(hlrc.results[0].2, vec![1, 1], "newest range only");
-        let lrc = run(3, body);
-        assert_eq!(
-            lrc.results[0].2,
-            vec![rounds as usize; 2],
-            "LRC keeps history"
-        );
-        for out in [&hlrc, &lrc] {
-            let (ok, faults, _) = &out.results[2];
-            assert!(ok, "every round's values arrived");
-            assert_eq!(*faults, 0, "the pushes made every read local");
-            assert_eq!(out.stats.messages(MsgKind::Push), u64::from(rounds));
-        }
     }
 
     #[test]
@@ -2288,236 +1851,31 @@ mod tests {
     }
 
     #[test]
-    fn hlrc_single_writer_propagates_via_home() {
-        let out = run_hlrc(3, |tmk| {
-            let a = tmk.malloc_f64(100);
-            if tmk.proc_id() == 1 {
-                let mut w = tmk.write(a, 10..20);
-                for i in 10..20 {
-                    w[i] = (i * 2) as f64;
-                }
-                drop(w);
-            }
-            tmk.barrier(0);
-            let v: Vec<f64> = tmk.read(a, 10..20).slice().to_vec();
-            let stats = tmk.finish();
-            (v, stats)
-        });
-        for (res, _) in &out.results {
-            assert_eq!(res, &(10..20).map(|i| (i * 2) as f64).collect::<Vec<_>>());
-        }
-        // Page 0 of the array is homed at node 0 (block-cyclic): the
-        // writer (node 1) flushed its diff there, and the readers fetched
-        // the whole page from the home instead of diffing with the writer.
-        assert!(out.stats.messages(MsgKind::HomeFlush) >= 1);
-        assert!(out.stats.messages(MsgKind::PageReq) >= 1);
-        assert_eq!(
-            out.stats.messages(MsgKind::PageReq),
-            out.stats.messages(MsgKind::PageResp)
-        );
-        assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
-        let dsm = DsmStats::total(out.results.iter().map(|(_, s)| s));
-        assert!(dsm.home_flush_pages >= 1);
-        assert!(dsm.page_fetches >= 1);
-    }
-
-    #[test]
-    fn hlrc_multi_writer_page_takes_one_round_trip() {
-        // Four nodes write disjoint quarters of one page. Under LRC a
-        // fifth-party reader pays one diff round trip per writer; under
-        // HLRC the merged page comes from the home in a single round trip.
-        let body = |tmk: &Tmk| {
-            let a = tmk.malloc_f64(128);
-            let me = tmk.proc_id();
-            if me < 4 {
-                let lo = me * 32;
-                let mut w = tmk.write(a, lo..lo + 32);
-                for i in lo..lo + 32 {
-                    w[i] = (1000 * me + i) as f64;
-                }
-            }
-            tmk.barrier(0);
-            // The reader's `[diff, page]` requests: the snapshot is
-            // cluster-wide, so only the reader brackets its own read.
-            let seen = if me == 4 {
-                let snap = tmk.node().stats().snapshot();
-                let sum: f64 = tmk.read(a, 0..128).slice().iter().sum();
-                let delta = tmk.node().stats().snapshot().delta(&snap);
-                let requests = [MsgKind::DiffReq, MsgKind::PageReq].map(|k| delta.messages(k));
-                (sum, requests)
-            } else {
-                (0.0, [0, 0])
-            };
-            tmk.barrier(1);
-            tmk.finish();
-            seen
-        };
-        let expect: f64 = (0..4)
-            .flat_map(|m| (m * 32..m * 32 + 32).map(move |i| (1000 * m + i) as f64))
-            .sum();
-        let lrc = run(5, body);
-        let hlrc = run_hlrc(5, body);
-        assert_eq!(lrc.results[4].0, expect);
-        assert_eq!(hlrc.results[4].0, expect);
-        assert_eq!(lrc.results[4].1, [4, 0], "one diff request per writer");
-        assert_eq!(hlrc.results[4].1, [0, 1], "one page request per page");
-    }
-
-    #[test]
-    fn hlrc_lock_counter_round_robin() {
-        let out = run_hlrc(4, |tmk| {
-            let a = tmk.malloc_f64(1);
-            for _round in 0..3 {
-                tmk.acquire(7);
-                let cur = tmk.read_one(a, 0);
-                tmk.write_one(a, 0, cur + 1.0);
-                tmk.release(7);
-            }
-            tmk.barrier(0);
-            let v = tmk.read_one(a, 0);
-            tmk.finish();
-            v
-        });
-        for v in out.results {
-            assert_eq!(v, 12.0);
-        }
-    }
-
-    #[test]
-    fn hlrc_home_override_silences_producer_flushes() {
-        // Node 1 writes page 2 of the array, block-cyclically homed at
-        // node 2. Overriding the home to the producer (node 1, before
-        // any notice names the page) makes the producer's eager flush a
-        // local no-op; a later override attempt is refused.
-        let out = run_hlrc(3, |tmk| {
-            let a = tmk.malloc_f64(512 * 3); // pages 0, 1, 2
-            let page = a.first_page + 2;
-            assert_eq!(tmk.page_home(page), 2, "block-cyclic default");
-            let accepted = tmk.set_page_home(page, 1);
-            assert_eq!(tmk.page_home(page), 1);
-            tmk.barrier(0);
-            if tmk.proc_id() == 1 {
-                let mut w = tmk.write(a, 512 * 2..512 * 3);
-                for x in w.slice_mut().iter_mut() {
-                    *x = 4.0;
-                }
-            }
-            tmk.barrier(1);
-            let refused = tmk.set_page_home(page, 2);
-            let v = tmk.read_one(a, 512 * 2 + 88);
-            tmk.barrier(2);
-            let stats = tmk.finish();
-            (accepted, refused, v, stats)
-        });
-        for (accepted, refused, v, _) in &out.results {
-            assert!(*accepted, "pre-notice override accepted");
-            assert!(!*refused, "post-notice override refused");
-            assert_eq!(*v, 4.0);
-        }
-        // The producer is the home: its writes flush nowhere.
-        assert_eq!(out.stats.messages(MsgKind::HomeFlush), 0);
-        let dsm = DsmStats::total(out.results.iter().map(|(_, _, _, s)| s));
-        assert_eq!(dsm.home_flushes, 0);
-        // Consumers still fetch the page — from the producer-home.
-        assert_eq!(out.stats.messages(MsgKind::PageReq), 2);
-    }
-
-    #[test]
-    fn hlrc_push_and_flush_to_the_same_home_coexist() {
-        // Node 1 writes a page homed at node 0 and *also* registers a
-        // push to node 0. The pushed diff feeds node 0's *working* frame
-        // (so its own read takes no fault) while the eager flush feeds
-        // the *home copy* (so node 2's whole-page fetch is served) — two
-        // separate copies by design, so neither delivery is a duplicate
-        // of the other and nothing is dropped. Sequential engine: the
-        // message ordering this asserts is virtual-time deterministic.
-        let out = Cluster::run(
-            ClusterConfig::sp2_on(3, sp2sim::EngineKind::Sequential),
-            |node| {
-                let tmk = Tmk::new(node, TmkConfig::hlrc());
-                let a = tmk.malloc_f64(16); // page 0, homed at node 0
-                if tmk.proc_id() == 1 {
-                    let mut w = tmk.write(a, 0..16);
-                    for i in 0..16 {
-                        w[i] = 6.0;
-                    }
-                    drop(w);
-                    tmk.push_at_next_sync(0, a, 0..16);
-                }
-                tmk.barrier(0);
-                let faults_before = tmk.stats_snapshot().faults;
-                // Node 2 did not get a push: its read fetches the page
-                // whole from the home copy. Node 0's read is satisfied
-                // by the pushed diff, fault-free.
-                let v = tmk.read_one(a, 3);
-                let faulted = tmk.stats_snapshot().faults > faults_before;
-                tmk.barrier(1);
-                let stats = tmk.finish();
-                (v, faulted, stats)
-            },
-        );
-        for (v, _, _) in &out.results {
-            assert_eq!(*v, 6.0);
-        }
-        assert!(!out.results[0].1, "the push made the home's read local");
-        assert!(out.results[2].1, "node 2 faulted and fetched");
-        let dsm = DsmStats::total(out.results.iter().map(|(_, _, s)| s));
-        assert_eq!(dsm.stale_flush_drops, 0, "push and flush are not dupes");
-        assert!(
-            dsm.page_fetches >= 1,
-            "node 2 was served from the home copy"
-        );
-    }
-
-    #[test]
-    fn sequential_consistency_of_epochs_hlrc() {
-        let out = run_hlrc(3, |tmk| {
-            let a = tmk.malloc_f64(8);
-            let mut seen = Vec::new();
-            for epoch in 0..5u32 {
-                if tmk.proc_id() == 0 {
-                    let mut w = tmk.write(a, 0..8);
-                    for i in 0..8 {
-                        w[i] = f64::from(epoch);
-                    }
-                    drop(w);
-                }
-                tmk.barrier(epoch);
-                seen.push(tmk.read(a, 0..8)[0]);
-                tmk.barrier(100 + epoch);
-            }
-            tmk.finish();
-            seen
-        });
-        for r in out.results {
-            assert_eq!(r, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        }
-    }
-
-    #[test]
     fn sequential_consistency_of_epochs() {
         // Writer updates the same page every epoch; readers must see
         // exactly the epoch-consistent values, never future ones.
-        let out = run(3, |tmk| {
-            let a = tmk.malloc_f64(8);
-            let mut seen = Vec::new();
-            for epoch in 0..5u32 {
-                if tmk.proc_id() == 0 {
-                    let mut w = tmk.write(a, 0..8);
-                    for i in 0..8 {
-                        w[i] = f64::from(epoch);
+        for protocol in ProtocolMode::ALL {
+            let out = run_cfg(3, TmkConfig::default().with_protocol(protocol), |tmk| {
+                let a = tmk.malloc_f64(8);
+                let mut seen = Vec::new();
+                for epoch in 0..5u32 {
+                    if tmk.proc_id() == 0 {
+                        let mut w = tmk.write(a, 0..8);
+                        for i in 0..8 {
+                            w[i] = f64::from(epoch);
+                        }
+                        drop(w);
                     }
-                    drop(w);
+                    tmk.barrier(epoch);
+                    seen.push(tmk.read(a, 0..8)[0]);
+                    tmk.barrier(100 + epoch);
                 }
-                tmk.barrier(epoch);
-                seen.push(tmk.read(a, 0..8)[0]);
-                tmk.barrier(100 + epoch);
+                tmk.finish();
+                seen
+            });
+            for r in out.results {
+                assert_eq!(r, vec![0.0, 1.0, 2.0, 3.0, 4.0], "{protocol}");
             }
-            tmk.finish();
-            seen
-        });
-        for r in out.results {
-            assert_eq!(r, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         }
     }
 

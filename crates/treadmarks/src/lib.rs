@@ -57,17 +57,19 @@
 //!   the release that publishes them (`HOME_FLUSH`); an access miss then
 //!   fetches the whole page from its home in one round trip (`PAGE_REQ`),
 //!   however many writers modified it. The home keeps a dedicated home
-//!   copy per page ([`state::HomePage`], separate from its working
+//!   copy per page ([`hlrc::HomePage`], separate from its working
 //!   frame) and constructs every response at *exactly* the requester's
 //!   notice watermarks, applying buffered ranges in `(lamport, writer)`
 //!   order — never local unpublished words, never intervals the
 //!   requester has not synchronized with; requests the buffered history
 //!   cannot cover yet are deferred until the in-flight flush arrives.
 //!   HLRC trades update traffic for fault round trips — the second
-//!   protocol axis of the harness.
+//!   protocol axis of the harness. Each protocol is one module
+//!   ([`lrc`], [`hlrc`]); the rest of the crate reaches them through
+//!   the four hooks of [`coherence`] and never compares the mode.
 //! * **Compiler–runtime interface services.** Three entry points the
 //!   `cri` crate's hint engine drives from compiler-provided
-//!   regular-section descriptors: [`dsm::Tmk::validate`] (aggregated
+//!   regular-section descriptors: [`dsm::Tmk::validate_pages`] (aggregated
 //!   validate — one round trip per writer for every page a phase will
 //!   fault), [`dsm::Tmk::push_page_at_next_sync`] (producer→consumer
 //!   pushes riding every rendezvous, barriers and fork-join alike), and
@@ -104,11 +106,14 @@
 
 #![deny(unsafe_code)]
 
+pub mod coherence;
 pub mod config;
 pub mod diff;
 pub mod dsm;
 pub mod fxhash;
+pub mod hlrc;
 pub mod interval;
+pub mod lrc;
 #[allow(unsafe_code)]
 pub mod page;
 pub mod profile;

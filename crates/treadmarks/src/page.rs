@@ -146,6 +146,22 @@ impl Frame<'_> {
         }
     }
 
+    /// Install a whole-page copy (fetched, pushed or broadcast) that
+    /// reflects the `applied` watermarks. A write-enabled frame keeps its
+    /// local in-progress modifications: reinstalled on top, with the twin
+    /// reset to the copy so the eventual diff is exactly the local delta.
+    pub fn install(&mut self, data: &[u64], applied: impl IntoIterator<Item = u32>) {
+        if let Some(twin) = &mut self.meta.twin {
+            let local = Diff::create(twin, self.data);
+            self.data.copy_from_slice(data);
+            twin.copy_from_slice(data);
+            local.apply(self.data);
+        } else {
+            self.data.copy_from_slice(data);
+        }
+        self.raise_applied(applied);
+    }
+
     /// Raise the per-writer watermarks to at least `other`.
     pub fn raise_applied(&mut self, other: impl IntoIterator<Item = u32>) {
         for (a, b) in self.applied.iter_mut().zip(other) {

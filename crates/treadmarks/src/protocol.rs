@@ -95,64 +95,16 @@ pub mod flags {
     pub const SHUTDOWN: u64 = 1;
 }
 
+/// Mode word of a `tag::PUSH` message (its first payload word): diff
+/// entries only.
+pub const PUSH_MODE_DIFFS: u64 = 0;
+/// Mode word of a `tag::PUSH` message whose diff entries are followed by
+/// whole pages ([`decode_page_resp`]).
+pub const PUSH_MODE_PAGES: u64 = 1;
+
 /// Epoch-key bit distinguishing plain barriers from fork-join epochs in
 /// the manager's epoch map (both counters start at 0).
 pub const BARRIER_EPOCH_BIT: u64 = 1 << 62;
-
-/// One entry of a diff request: fetch `page` from the destination writer,
-/// intervals `first_needed` and beyond.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DiffReqEntry {
-    /// Page to fetch.
-    pub page: PageId,
-    /// First missing interval sequence number.
-    pub first_needed: u32,
-}
-
-/// Encode a diff request.
-pub fn encode_diff_req(req_id: u32, requester: usize, entries: &[DiffReqEntry]) -> Vec<u64> {
-    encode_page_req(op::DIFF_REQ, req_id, requester, entries)
-}
-
-/// Encode a page-set request under `opcode` (`DIFF_REQ` or
-/// `VALIDATE_REQ` — both share the entry format).
-pub fn encode_page_req(
-    opcode: u64,
-    req_id: u32,
-    requester: usize,
-    entries: &[DiffReqEntry],
-) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(4 + entries.len() * 2);
-    w.put(opcode)
-        .put(req_id as u64)
-        .put_usize(requester)
-        .put_usize(entries.len());
-    for e in entries {
-        w.put_usize(e.page).put(e.first_needed as u64);
-    }
-    w.finish()
-}
-
-/// Decode the body of a diff request (after the opcode word):
-/// `(req_id, requester, entries)`, the entries read where they landed —
-/// the server walks them once to freeze and once to answer, so the
-/// iterator is `Clone`.
-pub fn decode_diff_req<'a>(
-    r: &mut WordReader<'a>,
-) -> (
-    u32,
-    usize,
-    impl ExactSizeIterator<Item = DiffReqEntry> + Clone + 'a,
-) {
-    let req_id = r.get() as u32;
-    let requester = r.get_usize();
-    let n = r.get_count(2);
-    let entries = r.take(2 * n).chunks_exact(2).map(|e| DiffReqEntry {
-        page: e[0] as usize,
-        first_needed: e[1] as u32,
-    });
-    (req_id, requester, entries)
-}
 
 /// One entry of a diff response, push or home flush: a frozen diff range
 /// for a page, its diff a window onto the message it came in.
@@ -160,16 +112,8 @@ pub fn decode_diff_req<'a>(
 pub struct DiffRespEntry {
     /// The page.
     pub page: PageId,
-    /// Lowest interval sequence covered (receivers use it to detect
-    /// gaps: a pushed range that skips unapplied intervals must not be
-    /// applied, or older words would silently stay stale).
-    pub lo: u32,
-    /// Highest interval sequence covered.
-    pub hi: u32,
-    /// Lamport stamp of that interval (application order).
-    pub lamport: u64,
-    /// The diff itself.
-    pub diff: Diff,
+    /// The range.
+    pub range: DiffRange,
 }
 
 /// Words [`encode_diff_entry`] produces for `range`.
@@ -216,10 +160,12 @@ pub fn decode_diff_entries<'r, 'a>(
     let n = r.get_count(5);
     (0..n).map(move |_| DiffRespEntry {
         page: r.get_usize(),
-        lo: r.get() as u32,
-        hi: r.get() as u32,
-        lamport: r.get(),
-        diff: Diff::window(msg, r),
+        range: DiffRange {
+            lo: r.get() as u32,
+            hi: r.get() as u32,
+            lamport: r.get(),
+            diff: Diff::window(msg, r),
+        },
     })
 }
 
@@ -539,77 +485,6 @@ pub fn decode_reduce_slice(r: &mut WordReader) -> (usize, Vec<f64>) {
     (lo, take_f64s(r, k))
 }
 
-/// Encode an HLRC home flush: the writer's identity followed by the
-/// frozen diff ranges destined for this home (same entry format as diff
-/// responses and pushes).
-pub fn encode_home_flush(writer: usize, entries: &[(PageId, DiffRange)]) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(2 + diff_entries_words(entries));
-    w.put(op::HOME_FLUSH).put_usize(writer);
-    encode_diff_entries(&mut w, entries);
-    w.finish()
-}
-
-/// Walk the body of the home flush `msg` (`r` stands after its opcode
-/// word): `(writer, entries)`, the entries' diffs windows onto `msg` —
-/// what the home keeps of a flush is the message itself.
-pub fn decode_home_flush<'r, 'a>(
-    msg: &'r Landed,
-    r: &'r mut WordReader<'a>,
-) -> (usize, impl Iterator<Item = DiffRespEntry> + use<'r, 'a>) {
-    let writer = r.get_usize();
-    (writer, decode_diff_entries(msg, r))
-}
-
-/// Encode an HLRC page request for a cluster of `n` nodes: one row
-/// `(page, required…)` per page, which is consistent at its home once
-/// the home has applied interval `required[w]` of every writer `w` (the
-/// requester's per-writer notice watermarks, written straight from where
-/// the requester keeps them).
-pub fn encode_page_fetch_req<R: Iterator<Item = u32>>(
-    req_id: u32,
-    requester: usize,
-    n: usize,
-    rows: impl ExactSizeIterator<Item = (PageId, R)>,
-) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(4 + rows.len() * (1 + n));
-    w.put(op::PAGE_REQ)
-        .put(req_id as u64)
-        .put_usize(requester)
-        .put_usize(rows.len());
-    for (page, required) in rows {
-        w.put_usize(page);
-        for s in required {
-            w.put(s as u64);
-        }
-    }
-    w.finish()
-}
-
-/// Decode the body of a page request (after the opcode word), for a
-/// cluster of `n` nodes: `(req_id, requester, rows)`, the rows `(page,
-/// required watermark per writer node, a wire word each)` read where
-/// they landed — the home walks them once to check and once to serve
-/// (and again at every retry of a deferred request), so the iterator is
-/// `Clone`.
-pub fn decode_page_fetch_req<'a>(
-    r: &mut WordReader<'a>,
-    n: usize,
-) -> (
-    u32,
-    usize,
-    impl ExactSizeIterator<Item = (PageId, &'a [u64])> + Clone,
-) {
-    let req_id = r.get() as u32;
-    let requester = r.get_usize();
-    let k = r.get_count(1 + n);
-    let rows = r.take(k * (1 + n)).chunks_exact(1 + n);
-    (
-        req_id,
-        requester,
-        rows.map(|row| (row[0] as usize, &row[1..])),
-    )
-}
-
 /// One entry of an HLRC page response, a page push or a page broadcast,
 /// read where the message landed: a page copy plus the per-writer
 /// applied watermarks it reflects. The receiver installs the page with
@@ -667,30 +542,6 @@ pub fn decode_page_resp<'r, 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn diff_req_roundtrip() {
-        let entries = vec![
-            DiffReqEntry {
-                page: 4,
-                first_needed: 2,
-            },
-            DiffReqEntry {
-                page: 9,
-                first_needed: 1,
-            },
-        ];
-        let buf = encode_diff_req(33, 5, &entries);
-        let mut r = WordReader::new(&buf);
-        assert_eq!(r.get(), op::DIFF_REQ);
-        let (id, who, got) = decode_diff_req(&mut r);
-        assert_eq!(id, 33);
-        assert_eq!(who, 5);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got.clone().collect::<Vec<_>>(), entries);
-        assert_eq!(got.collect::<Vec<_>>(), entries, "walked twice");
-        assert!(r.is_exhausted());
-    }
 
     #[test]
     fn lock_req_roundtrip() {
@@ -779,20 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_req_shares_entry_format_with_diff_req() {
-        let entries = vec![DiffReqEntry {
-            page: 12,
-            first_needed: 3,
-        }];
-        let buf = encode_page_req(op::VALIDATE_REQ, 7, 1, &entries);
-        let mut r = WordReader::new(&buf);
-        assert_eq!(r.get(), op::VALIDATE_REQ);
-        let (id, who, got) = decode_diff_req(&mut r);
-        assert_eq!((id, who), (7, 1));
-        assert_eq!(got.collect::<Vec<_>>(), entries);
-    }
-
-    #[test]
     fn reduce_part_and_vals_roundtrip() {
         let buf = encode_reduce_part(9, 3, 1, &[1.5, -2.25]);
         let mut r = WordReader::new(&buf);
@@ -807,48 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn home_flush_roundtrip() {
-        let diff = Diff::create(&[0, 0, 0, 0], &[0, 5, 5, 0]);
-        let range = DiffRange {
-            lo: 2,
-            hi: 3,
-            lamport: 9,
-            diff: diff.clone(),
-        };
-        let msg = Landed::new(encode_home_flush(4, &[(11usize, range)]));
-        let mut r = msg.reader();
-        assert_eq!(r.get(), op::HOME_FLUSH);
-        let (writer, entries) = decode_home_flush(&msg, &mut r);
-        let entries: Vec<DiffRespEntry> = entries.collect();
-        assert!(r.is_exhausted());
-        assert_eq!(writer, 4);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].page, 11);
-        assert_eq!((entries[0].lo, entries[0].hi), (2, 3));
-        assert_eq!(entries[0].lamport, 9);
-        assert_eq!(entries[0].diff, diff);
-    }
-
-    #[test]
-    fn page_req_and_resp_roundtrip() {
-        let rows = [(3usize, [0u32, 2, 1]), (9, [1, 0, 0])];
-        let buf =
-            encode_page_fetch_req(17, 2, 3, rows.iter().map(|(p, r)| (*p, r.iter().copied())));
-        assert_eq!(buf.len(), 4 + 2 * (1 + 3));
-        let mut r = WordReader::new(&buf);
-        assert_eq!(r.get(), op::PAGE_REQ);
-        let (id, who, got) = decode_page_fetch_req(&mut r, 3);
-        assert!(r.is_exhausted());
-        assert_eq!((id, who, got.len()), (17, 2, 2));
-        let want = vec![(3, &[0u64, 2, 1][..]), (9, &[1, 0, 0][..])];
-        assert_eq!(got.clone().collect::<Vec<_>>(), want);
-        let again: Vec<_> = got.collect();
-        assert_eq!(again, want, "walked twice");
-        assert!(
-            std::ptr::eq(again[1].1, &buf[9..]),
-            "a row is the payload's own words"
-        );
-
+    fn page_resp_roundtrip() {
         let mut w = WordWriter::with_capacity(page_resp_words(1, 3, 4));
         w.put_usize(1);
         encode_page_entry(&mut w, 3, &[0, 2, 1], &[7, 8, 9, 10]);
@@ -884,9 +680,8 @@ mod tests {
         assert!(r.is_exhausted());
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].page, 7);
-        assert_eq!(got[0].lo, 1);
-        assert_eq!(got[0].hi, 4);
-        assert_eq!(got[0].lamport, 10);
-        assert_eq!(got[0].diff, diff);
+        let range = &got[0].range;
+        assert_eq!((range.lo, range.hi, range.lamport), (1, 4, 10));
+        assert_eq!(range.diff, diff);
     }
 }

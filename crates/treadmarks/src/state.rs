@@ -32,9 +32,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use sp2sim::{CostModel, VTime};
 
-use crate::config::{ProtocolMode, TmkConfig};
+use crate::config::TmkConfig;
 use crate::diff::{Diff, DiffBatch, Pending};
 use crate::fxhash::FxHashMap;
+use crate::hlrc::{HomePage, HomeState};
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId};
 use crate::profile::{PageProfile, WriterWindow};
@@ -62,7 +63,9 @@ pub struct OpenRange {
 /// for one page.
 #[derive(Clone, Debug)]
 pub struct DiffRange {
-    /// First covered sequence number.
+    /// First covered sequence number (receivers use it to detect gaps:
+    /// a pushed range that skips unapplied intervals must not be
+    /// applied, or older words would silently stay stale).
     pub lo: u32,
     /// Last covered sequence number.
     pub hi: u32,
@@ -77,8 +80,8 @@ pub struct DiffRange {
 /// Diff storage for one page this node has written.
 #[derive(Debug, Default)]
 pub struct PageDiffs {
-    /// Frozen ranges in increasing `lo` order. Under HLRC only the
-    /// newest one (see [`DsmState::freeze`]).
+    /// Frozen ranges in increasing `lo` order: the whole history under
+    /// LRC, only the newest one under HLRC ([`crate::hlrc::on_release`]).
     pub frozen: Vec<DiffRange>,
     /// The open (unmaterialized) range, if any interval since the last
     /// freeze wrote this page.
@@ -411,111 +414,18 @@ pub fn reduce_parent(rank: usize) -> usize {
     rank & (rank - 1)
 }
 
-/// An HLRC page request the home could not yet answer: some flush it
-/// needs (per the requester's watermarks) has not arrived. Retried on
-/// every incoming home flush.
-#[derive(Debug)]
-pub struct WaitingPageReq {
-    /// The request where it landed: id, requester and the requested
-    /// pages with their per-writer required watermarks are read from it
-    /// again at every retry.
-    pub payload: Vec<u64>,
-    /// Virtual arrival time of the request.
-    pub arrival: VTime,
-    /// Correlation id of the request packet (causal anchor when the
-    /// deferred response ends up bounded by its own request, not by the
-    /// flush that completed it).
-    pub seq: u64,
-}
-
-/// HLRC home-side state of one page homed at this node.
-///
-/// The home copy is deliberately **not** the node's working frame: the
-/// frame contains local writes the moment they commit, published or
-/// not, while a served page must reflect *exactly* the publication
-/// state the requester's watermarks demand. The paper's applications
-/// exploit LRC's laziness (e.g. the Shallow master rewrites boundary
-/// columns concurrently with the workers' interior sweeps, relying on
-/// those writes staying invisible until the next barrier), so serving
-/// anything newer than requested — unpublished words, or published
-/// intervals the requester has no notice for — silently changes what a
-/// concurrent reader computes. Instead the home buffers every
-/// published diff range (remote flushes and its own release-frozen
-/// diffs alike) and constructs each response by applying, onto the
-/// zero base, the ranges with `hi <= required[w]`, in `(lamport,
-/// writer)` order — making the response a pure function of the
-/// requester's happens-before, independent of message timing. The
-/// buffered history mirrors what LRC's writers retain as frozen diffs.
-#[derive(Debug, Default)]
-pub struct HomePage {
-    /// Buffered published diff ranges, `(writer, range)`, kept in
-    /// `(lamport, writer)` order — the order constructions and the
-    /// prune apply them in, so neither sorts or copies the list.
-    ranges: Vec<(usize, DiffRange)>,
-    /// Promoted base: the folded image of every range the rendezvous
-    /// min-VC proved all nodes have passed (home-copy pruning). Every
-    /// future request's watermarks are ≥ the base's, so constructions
-    /// start here instead of the zero page and the folded ranges are
-    /// dropped from `ranges`.
-    base: Option<HomeImage>,
-    /// Memoized last construction: a request with component-wise ≥
-    /// watermarks extends it in place by applying only the newly covered
-    /// ranges, so steady-state serving is O(new diffs) like an LRC
-    /// fault, not O(history). Responses are encoded straight out of it.
-    cache: Option<HomeCopy>,
-}
-
-/// A page image and the per-writer watermarks it reflects.
-#[derive(Debug)]
-struct HomeImage {
-    data: Vec<u64>,
-    applied: Vec<u32>,
-}
-
-/// The memoized construction of a [`HomePage`].
-#[derive(Debug)]
-struct HomeCopy {
-    /// The watermarks the image was constructed at.
-    required: Vec<u32>,
-    image: HomeImage,
-    /// Set when a flush or a prune invalidated the image: the next
-    /// construction starts over from the base, into the same buffers.
-    stale: bool,
-}
-
-impl HomePage {
-    /// Buffer `range` of `writer` at its `(lamport, writer)` position
-    /// (the end, unless flushes of concurrent writers arrive out of
-    /// stamp order) and invalidate the memoized construction. Returns
-    /// `true` if it is the only buffered range: the page joins the
-    /// prune work list.
-    fn insert(&mut self, writer: usize, range: DiffRange) -> bool {
-        let key = (range.lamport, writer);
-        let at = self.ranges.partition_point(|(w, r)| (r.lamport, *w) <= key);
-        self.ranges.insert(at, (writer, range));
-        self.invalidate();
-        self.ranges.len() == 1
-    }
-
-    fn invalidate(&mut self) {
-        if let Some(copy) = &mut self.cache {
-            copy.stale = true;
-        }
-    }
-}
-
 /// What the protocol keeps per page this node wrote, homes or faulted
 /// on.
 #[derive(Debug, Default)]
 pub struct PageRow {
     /// Diff storage, if this node has written the page.
     pub diffs: PageDiffs,
-    /// HLRC home-side state, once a published diff of the page reached
-    /// this node as its home: fed only by *published* diffs (remote
-    /// writers' eager flushes, and our own frozen diffs buffered at
-    /// release) — deliberately separate from [`DsmState::frames`],
-    /// whose content includes local unpublished writes that must never
-    /// be served.
+    /// HLRC home-side state (only [`crate::hlrc`] writes it), once a
+    /// published diff of the page reached this node as its home: fed
+    /// only by *published* diffs (remote writers' eager flushes, and our
+    /// own frozen diffs buffered at release) — deliberately separate from
+    /// [`DsmState::frames`], whose content includes local unpublished
+    /// writes that must never be served.
     pub home: Option<Box<HomePage>>,
     /// Sharing-profile event counters (always on; host-side only — see
     /// [`crate::profile`]). The writer statistics are filled in when
@@ -630,9 +540,6 @@ pub struct DsmState {
     pub notices: NoticeTable,
     /// Per-page protocol state: diffs, home copy, profile counters.
     pub pages: PageTable,
-    /// HLRC home-side: the pages homed here that hold buffered ranges —
-    /// the work list of [`DsmState::prune_home_copies`].
-    home_buffered: Vec<PageId>,
     /// Cached page frames, in extents (see [`crate::page`]).
     pub frames: FrameStore,
     /// Pages written since the last flush, in first-write order, each
@@ -662,13 +569,10 @@ pub struct DsmState {
     /// by sequence number (a separate number space from
     /// [`DsmState::reduces`]).
     pub reduce_lists: BTreeMap<u64, ReduceListSlot>,
-    /// HLRC: per-page home overrides (block-cyclic `page % n` otherwise).
-    /// Every node must install identical overrides, before the page's
-    /// first write notice exists — see [`DsmState::set_home`].
-    pub home_override: FxHashMap<PageId, usize>,
-    /// HLRC home-side: page requests deferred until the flushes they
-    /// require arrive.
-    pub waiting_page_reqs: Vec<WaitingPageReq>,
+    /// What HLRC keeps beside the per-page home copies: the prune work
+    /// list, the home overrides and the deferred page requests. Only
+    /// [`crate::hlrc`] touches it; under LRC it stays empty.
+    pub(crate) home: HomeState,
     /// Recycled page buffers for the twin/diff path.
     pub scratch: DiffScratch,
     /// Per-node protocol statistics.
@@ -697,7 +601,6 @@ impl DsmState {
             log: (0..n).map(|_| Vec::new()).collect(),
             notices: NoticeTable::new(n),
             pages: PageTable::default(),
-            home_buffered: Vec::new(),
             frames,
             dirty: Vec::new(),
             freezing: Vec::new(),
@@ -708,8 +611,7 @@ impl DsmState {
             pending_push: Vec::new(),
             reduces: BTreeMap::new(),
             reduce_lists: BTreeMap::new(),
-            home_override: FxHashMap::default(),
-            waiting_page_reqs: Vec::new(),
+            home: HomeState::default(),
             scratch: DiffScratch::default(),
             stats: DsmStats::default(),
             race: detect_races.then(|| RaceLog {
@@ -726,231 +628,6 @@ impl DsmState {
     /// nodes.
     pub(crate) fn epoch_proxy(&self) -> u64 {
         self.stats.barriers + self.stats.forks
-    }
-
-    // ------------------------------------------------------------------
-    // HLRC home machinery
-    // ------------------------------------------------------------------
-
-    /// The home node of `page`: block-cyclic by default, overridden by
-    /// [`DsmState::set_home`].
-    pub fn home_of(&self, page: PageId) -> usize {
-        self.home_override
-            .get(&page)
-            .copied()
-            .unwrap_or(page % self.n)
-    }
-
-    /// Install a home override for `page`. Refused (returns `false`)
-    /// once any write notice names the page: by then diffs may already
-    /// live at the old home, and rehoming would lose them. Callers must
-    /// install identical overrides on every node (the CRI hint engine
-    /// evaluates the same descriptors everywhere, which guarantees it);
-    /// the no-notice guard is consistent across nodes because notice
-    /// sets agree at loop boundaries.
-    pub fn set_home(&mut self, page: PageId, home: usize) -> bool {
-        debug_assert!(home < self.n);
-        if self.notices.is_named(page) {
-            return false;
-        }
-        self.home_override.insert(page, home);
-        true
-    }
-
-    /// The requester-side watermark vector for a page request: the
-    /// highest interval sequence number this node has a write notice for,
-    /// per writer. The home must have applied at least these before its
-    /// copy is consistent for us. One per node, for the request encoder
-    /// to write straight into the payload.
-    pub fn required_watermarks(&self, page: PageId) -> impl Iterator<Item = u32> + '_ {
-        let latest = self.notices.latest(page);
-        (0..self.n).map(move |w| latest.map_or(0, |row| row[w]))
-    }
-
-    /// Home-side: buffer one published diff range from `writer` (a
-    /// remote `HOME_FLUSH`, or our own release-frozen diff via
-    /// [`DsmState::home_buffer_own`]). A range the home copy already
-    /// holds — a duplicate delivery — is dropped and counted, the
-    /// stale-flush guard: re-applying it during a later construction
-    /// would overwrite newer words with old values. Returns `true` if
-    /// the range was buffered.
-    pub fn home_flush_in(&mut self, writer: usize, page: PageId, range: DiffRange) -> bool {
-        let hp = self.pages.row(page).home.get_or_insert_with(Box::default);
-        let in_base = hp
-            .base
-            .as_ref()
-            .is_some_and(|base| base.applied[writer] >= range.hi);
-        if in_base
-            || hp
-                .ranges
-                .iter()
-                .any(|(w, r)| *w == writer && r.hi >= range.hi)
-        {
-            self.stats.stale_flush_drops += 1;
-            return false;
-        }
-        if hp.insert(writer, range) {
-            self.home_buffered.push(page);
-        }
-        true
-    }
-
-    /// Home-side: buffer one of our *own* frozen diff ranges at release —
-    /// the local leg of the eager flush, no message needed (our frame is
-    /// the working copy; the home copy still needs the published range to
-    /// serve others).
-    pub fn home_buffer_own(&mut self, page: PageId, range: DiffRange) {
-        let hp = self.pages.row(page).home.get_or_insert_with(Box::default);
-        if hp.insert(self.me, range) {
-            self.home_buffered.push(page);
-        }
-    }
-
-    /// Home-side: can a copy of `page` satisfying `required` be
-    /// constructed from the buffered ranges? When it cannot, the missing
-    /// flush is still in flight (writers flush every interval at the
-    /// release that publishes its notice, before the notice can reach
-    /// any requester) and the request must wait.
-    pub fn home_covers(&self, page: PageId, required: &[u64]) -> bool {
-        let hp = self.pages.get(page).and_then(|r| r.home.as_deref());
-        required.iter().enumerate().all(|(w, &need)| {
-            let need = need as u32;
-            need == 0
-                || hp.is_some_and(|hp| {
-                    hp.base.as_ref().is_some_and(|b| b.applied[w] >= need)
-                        || hp.ranges.iter().any(|(wr, r)| *wr == w && r.hi >= need)
-                })
-        })
-    }
-
-    /// Home-side: construct the copy of `page` at exactly the `required`
-    /// watermarks (a wire word each, as the request carries them) — the
-    /// zero base plus every buffered range with
-    /// `hi <= required[w]`, applied in `(lamport, writer)` order (a
-    /// linear extension of happens-before, the same order the LRC fault
-    /// path applies diffs). Returns `(data, applied, time to charge)`,
-    /// the first two borrowed from the memoized construction.
-    /// Monotonically growing watermarks (the common case: every consumer
-    /// of an epoch, then the next epoch) extend that construction in
-    /// place instead of replaying history.
-    pub fn home_serve(
-        &mut self,
-        page: PageId,
-        required: &[u64],
-        cost: &CostModel,
-    ) -> (&[u64], &[u32], f64) {
-        let pw = self.cfg.page_words;
-        let n = self.n;
-        let HomePage {
-            ranges,
-            base,
-            cache,
-        } = &mut **self.pages.row(page).home.get_or_insert_with(Box::default);
-        let copy = cache.get_or_insert_with(|| HomeCopy {
-            required: vec![0; n],
-            image: HomeImage {
-                data: vec![0; pw],
-                applied: vec![0; n],
-            },
-            stale: true,
-        });
-        let required = |w: usize| required[w] as u32;
-        if copy.stale || (0..n).any(|w| copy.required[w] > required(w)) {
-            // Fresh construction: start from the promoted base (every
-            // requester's watermarks are ≥ the base's — see
-            // `prune_home_copies`), or the zero page before any prune.
-            match base {
-                Some(base) => {
-                    copy.image.data.copy_from_slice(&base.data);
-                    copy.image.applied.copy_from_slice(&base.applied);
-                }
-                None => {
-                    copy.image.data.fill(0);
-                    copy.image.applied.fill(0);
-                }
-            }
-            copy.required.copy_from_slice(&copy.image.applied);
-            copy.stale = false;
-        }
-        // `copy.required` is the floor: what the image already holds.
-        let HomeCopy {
-            required: floor,
-            image,
-            ..
-        } = copy;
-        let mut us = 0.0;
-        for (w, r) in ranges
-            .iter()
-            .filter(|(w, r)| r.hi > floor[*w] && r.hi <= required(*w))
-        {
-            r.diff.apply(&mut image.data);
-            if r.hi > image.applied[*w] {
-                image.applied[*w] = r.hi;
-            }
-            us += cost.diff_apply_us(r.diff.encoded_words());
-        }
-        for (w, f) in floor.iter_mut().enumerate() {
-            *f = required(w);
-        }
-        (&image.data, &image.applied, us)
-    }
-
-    /// HLRC home-copy pruning: fold every buffered range all nodes have
-    /// provably passed into the promoted base and drop it.
-    ///
-    /// `min_vc` is the componentwise minimum of every participant's
-    /// vector clock at a rendezvous (piggybacked on the departure, read
-    /// in place: a wire word per node). A
-    /// range `(w, r)` with `r.hi <= min_vc[w]` is foldable: every node
-    /// has integrated interval `r.hi` of `w`, and since that interval
-    /// named this page, every node holds its write notice — so every
-    /// future request's `required[w]` is at least `r.hi`, and no
-    /// construction will ever need to start below the folded image.
-    /// Deferred requests cannot be outstanding at a rendezvous (their
-    /// requesters would still be blocked, and the rendezvous would not
-    /// have completed), so folding is safe. The fold happens in place:
-    /// `retain` visits the ranges in their stored `(lamport, writer)`
-    /// order and applies each one it drops straight onto the base.
-    /// Only the pages on the work list — those with buffered ranges —
-    /// are visited; a page leaves the list when its last range folds.
-    /// Returns ranges dropped.
-    pub fn prune_home_copies(&mut self, min_vc: &[u64]) -> u64 {
-        let min_vc = |w: usize| min_vc[w] as u32;
-        let pw = self.cfg.page_words;
-        let n = self.n;
-        let mut dropped = 0;
-        let pages = &mut self.pages;
-        self.home_buffered.retain(|&page| {
-            let hp = pages
-                .get_mut(page)
-                .and_then(|row| row.home.as_deref_mut())
-                .expect("a page on the prune work list has a home copy");
-            if hp.ranges.iter().all(|(w, r)| r.hi > min_vc(*w)) {
-                return true;
-            }
-            let base = hp.base.get_or_insert_with(|| HomeImage {
-                data: vec![0; pw],
-                applied: vec![0; n],
-            });
-            let before = hp.ranges.len();
-            hp.ranges.retain(|(w, r)| {
-                if r.hi > min_vc(*w) {
-                    return true;
-                }
-                r.diff.apply(&mut base.data);
-                if r.hi > base.applied[*w] {
-                    base.applied[*w] = r.hi;
-                }
-                false
-            });
-            dropped += (before - hp.ranges.len()) as u64;
-            // The memoized construction may now sit below the base
-            // floor; drop it rather than reason about mixed floors.
-            hp.invalidate();
-            !hp.ranges.is_empty()
-        });
-        self.stats.home_ranges_pruned += dropped;
-        dropped
     }
 
     /// Record one contribution to windowed ordered reduction `seq` at
@@ -1045,6 +722,17 @@ impl DsmState {
                 }
             }
         }
+    }
+
+    /// Does a write notice of another node invalidate `page` — one above
+    /// what the frame has applied for that writer? Phase 1 of a miss; a
+    /// `true` is counted as a fault in the page's profile.
+    pub fn faults_on(&mut self, page: PageId) -> bool {
+        let invalid = (self.notices).any_missing(page, self.me, self.frames.applied(page));
+        if invalid {
+            self.pages.row(page).prof.faults += 1;
+        }
+        invalid
     }
 
     /// Highest interval of `writer` already reflected in our frame of
@@ -1228,21 +916,8 @@ impl DsmState {
             charge(self.freeze_into(&mut batch, page, first_needed, cost));
         }
         let sealed = batch.seal();
-        // An HLRC writer keeps only its newest frozen range: nobody ever
-        // asks it for history. Faults and validates fetch whole pages
-        // from the homes, which buffered every range at the release that
-        // froze it; a push ships the newest range (plus the page); and
-        // `receive_pushes` freezes only to retire the twin. All nodes of
-        // a cluster run one protocol, so no diff request can arrive
-        // (asserted in `service::serve_page_req`) — and without this the
-        // list grows by a diff per page per release for the whole run.
-        let newest_only = self.cfg.protocol == ProtocolMode::Hlrc;
         for (page, open, pending) in self.freezing.drain(..) {
-            let frozen = &mut self.pages.rows[page].diffs.frozen;
-            if newest_only {
-                frozen.clear();
-            }
-            frozen.push(DiffRange {
+            self.pages.rows[page].diffs.frozen.push(DiffRange {
                 lo: open.lo,
                 hi: open.hi,
                 lamport: open.lamport_hi,
@@ -1587,32 +1262,6 @@ mod tests {
         assert!(table.any_missing(4, 0, None) && !table.any_missing(4, 2, None));
     }
 
-    #[test]
-    fn prune_visits_only_pages_with_buffered_ranges() {
-        let mut s = state(0, 2);
-        let range = |hi, lamport| DiffRange {
-            lo: hi,
-            hi,
-            lamport,
-            diff: Diff::create(&[0], &[lamport]),
-        };
-        assert!(s.home_flush_in(1, 6, range(1, 1)));
-        assert!(s.home_flush_in(1, 6, range(2, 2)));
-        s.home_buffer_own(2, range(1, 3));
-        assert_eq!(s.home_buffered, [6, 2], "listed once, when first buffered");
-        assert_eq!(s.prune_home_copies(&[0, 1]), 1);
-        assert_eq!(s.home_buffered, [6, 2], "both still hold a range");
-        assert_eq!(s.prune_home_copies(&[1, 2]), 2);
-        assert!(s.home_buffered.is_empty(), "folded pages leave the list");
-        assert_eq!(s.prune_home_copies(&[9, 9]), 0);
-        // Buffering again re-lists the page; the base survived.
-        assert!(s.home_flush_in(1, 6, range(3, 4)));
-        assert_eq!(s.home_buffered, [6]);
-        let (data, applied, _) = s.home_serve(6, &[0, 3], &CostModel::sp2());
-        assert_eq!((data[0], applied), (4, &[0, 3][..]));
-        assert_eq!(s.stats.home_ranges_pruned, 3);
-    }
-
     fn state(me: usize, n: usize) -> DsmState {
         DsmState::new(me, n, TmkConfig::default())
     }
@@ -1662,23 +1311,23 @@ mod tests {
     }
 
     #[test]
-    fn hlrc_freeze_keeps_only_the_newest_range() {
-        for (cfg, kept) in [(TmkConfig::default(), 5), (TmkConfig::hlrc(), 1)] {
-            let mut s = DsmState::new(0, 2, cfg);
-            for k in 0..5u64 {
-                write_words(&mut s, 3, &[(k as usize, k + 1)]);
-                s.flush(&CostModel::sp2());
-                let seq = s.vc[0];
-                assert!(s.freeze(3, seq, &CostModel::sp2()) > 0.0);
-                let newest = s.newest_frozen(3, seq).expect("just frozen");
-                assert_eq!((newest.lo, newest.hi), (seq, seq));
-                assert_eq!(newest.diff.changed_positions(), vec![k as u32]);
-            }
-            assert_eq!(s.pages.get(3).unwrap().diffs.frozen.len(), kept);
-            assert_eq!(s.frozen_from(3, 1).len(), kept);
-            assert!(s.newest_frozen(3, 6).is_none(), "nothing reaches seq 6");
-            assert!(s.frozen_from(99, 1).is_empty(), "page never seen");
+    fn each_freeze_appends_a_range_and_the_newest_is_the_last() {
+        let mut s = state(0, 2);
+        for k in 0..5u64 {
+            write_words(&mut s, 3, &[(k as usize, k + 1)]);
+            s.flush(&CostModel::sp2());
+            let seq = s.vc[0];
+            assert!(s.freeze(3, seq, &CostModel::sp2()) > 0.0);
+            let newest = s.newest_frozen(3, seq).expect("just frozen");
+            assert_eq!((newest.lo, newest.hi), (seq, seq));
+            assert_eq!(newest.diff.changed_positions(), vec![k as u32]);
         }
+        // The history stays: which of it a writer keeps is its protocol's
+        // business (`hlrc::on_release` drops all but the newest).
+        assert_eq!(s.pages.get(3).unwrap().diffs.frozen.len(), 5);
+        assert_eq!(s.frozen_from(3, 1).len(), 5);
+        assert!(s.newest_frozen(3, 6).is_none(), "nothing reaches seq 6");
+        assert!(s.frozen_from(99, 1).is_empty(), "page never seen");
     }
 
     /// A batch freeze is the single freezes it stands for — same
@@ -1687,8 +1336,8 @@ mod tests {
     #[test]
     fn freeze_all_is_the_single_freezes_in_one_buffer() {
         let cost = CostModel::sp2();
-        let written = |cfg: TmkConfig| {
-            let mut s = DsmState::new(0, 2, cfg);
+        let written = || {
+            let mut s = state(0, 2);
             write_words(&mut s, 3, &[(0, 1), (5, 2)]);
             write_words(&mut s, 4, &[(7, 3)]);
             write_words(&mut s, 6, &[(0, 0)]); // written, not changed
@@ -1700,63 +1349,40 @@ mod tests {
         // Page 9 was never written; page 4 is asked from interval 2 on,
         // which its open range (1..=1) does not reach; page 3 twice.
         let reqs = [(3, 1), (9, 1), (4, 2), (5, 1), (6, 1), (3, 1)];
-        for cfg in [TmkConfig::default(), TmkConfig::hlrc()] {
-            let (mut batched, mut single) = (written(cfg), written(cfg));
-            let mut charges = Vec::new();
-            batched.freeze_all(reqs, &cost, |us| charges.push(us));
-            let alone: Vec<f64> = reqs
-                .iter()
-                .map(|&(page, first)| single.freeze(page, first, &cost))
-                .collect();
-            assert_eq!(charges, alone);
-            assert!(charges[0] > 0.0 && charges[3] > 0.0 && charges[4] > 0.0);
-            assert_eq!((charges[1], charges[2], charges[5]), (0.0, 0.0, 0.0));
-            assert!(batched.freezing.is_empty());
-            assert!(batched.pages.get(4).unwrap().diffs.open.is_some());
-            for page in [3, 5, 6] {
-                let (b, s) = (batched.frozen_from(page, 1), single.frozen_from(page, 1));
-                assert_eq!(b.len(), 1);
-                assert_eq!(
-                    (b[0].lo, b[0].hi, b[0].lamport),
-                    (s[0].lo, s[0].hi, s[0].lamport)
-                );
-                assert_eq!(b[0].diff, s[0].diff, "page {page}");
-                assert!(batched.frames.meta(page).unwrap().twin.is_none());
-            }
-            assert_eq!(batched.stats.diffs_created, 3);
+        let (mut batched, mut single) = (written(), written());
+        let mut charges = Vec::new();
+        batched.freeze_all(reqs, &cost, |us| charges.push(us));
+        let alone: Vec<f64> = reqs
+            .iter()
+            .map(|&(page, first)| single.freeze(page, first, &cost))
+            .collect();
+        assert_eq!(charges, alone);
+        assert!(charges[0] > 0.0 && charges[3] > 0.0 && charges[4] > 0.0);
+        assert_eq!((charges[1], charges[2], charges[5]), (0.0, 0.0, 0.0));
+        assert!(batched.freezing.is_empty());
+        assert!(batched.pages.get(4).unwrap().diffs.open.is_some());
+        for page in [3, 5, 6] {
+            let (b, s) = (batched.frozen_from(page, 1), single.frozen_from(page, 1));
+            assert_eq!(b.len(), 1);
             assert_eq!(
-                batched.stats.diff_words_created,
-                single.stats.diff_words_created
+                (b[0].lo, b[0].hi, b[0].lamport),
+                (s[0].lo, s[0].hi, s[0].lamport)
             );
-            let diff = |s: &DsmState, page| s.frozen_from(page, 1)[0].diff.clone();
-            assert!(diff(&batched, 3).shares_buffer_with(&diff(&batched, 5)));
-            assert!(!diff(&single, 3).shares_buffer_with(&diff(&single, 5)));
-            assert!(
-                diff(&batched, 6).shares_buffer_with(&Diff::default()),
-                "an unchanged page is the shared empty diff"
-            );
+            assert_eq!(b[0].diff, s[0].diff, "page {page}");
+            assert!(batched.frames.meta(page).unwrap().twin.is_none());
         }
-    }
-
-    #[test]
-    fn prune_folds_in_lamport_order_whatever_the_arrival_order() {
-        let mut s = state(0, 3);
-        let range = |lamport, diff: &Diff| DiffRange {
-            lo: 1,
-            hi: 1,
-            lamport,
-            diff: diff.clone(),
-        };
-        // Writer 2 (lamport 5) overwrites writer 1's word (lamport 3);
-        // its flush arrives first.
-        s.home_flush_in(2, 0, range(5, &Diff::create(&[7, 7], &[9, 7])));
-        s.home_flush_in(1, 0, range(3, &Diff::create(&[0, 0], &[7, 7])));
-        assert_eq!(s.prune_home_copies(&[0, 1, 1]), 2);
-        assert_eq!(s.stats.home_ranges_pruned, 2);
-        let (data, applied, us) = s.home_serve(0, &[0, 1, 1], &CostModel::sp2());
-        assert_eq!((data[0], data[1]), (9, 7), "later stamp wins");
-        assert_eq!(applied, [0, 1, 1]);
-        assert_eq!(us, 0.0, "served from the base, nothing to apply");
+        assert_eq!(batched.stats.diffs_created, 3);
+        assert_eq!(
+            batched.stats.diff_words_created,
+            single.stats.diff_words_created
+        );
+        let diff = |s: &DsmState, page| s.frozen_from(page, 1)[0].diff.clone();
+        assert!(diff(&batched, 3).shares_buffer_with(&diff(&batched, 5)));
+        assert!(!diff(&single, 3).shares_buffer_with(&diff(&single, 5)));
+        assert!(
+            diff(&batched, 6).shares_buffer_with(&Diff::default()),
+            "an unchanged page is the shared empty diff"
+        );
     }
 
     #[test]
@@ -2047,93 +1673,6 @@ mod tests {
             .is_none());
         let total = s.reduce_contribute(0, None, vec![7.0], ReduceOp::Min);
         assert_eq!(total, Some(vec![3.0]));
-    }
-
-    #[test]
-    fn home_default_is_block_cyclic_and_override_guarded() {
-        let mut s = state(0, 4);
-        assert_eq!(s.home_of(0), 0);
-        assert_eq!(s.home_of(5), 1);
-        assert_eq!(s.home_of(7), 3);
-        assert!(s.set_home(7, 2), "no notices yet: override accepted");
-        assert_eq!(s.home_of(7), 2);
-        // Once a notice names the page, rehoming is refused.
-        s.integrate_interval(Interval::seal(1, 1, 1, &[5]));
-        assert!(!s.set_home(5, 0));
-        assert_eq!(s.home_of(5), 1);
-    }
-
-    #[test]
-    fn required_watermarks_track_notices() {
-        let mut s = state(0, 3);
-        let watermarks = |s: &DsmState| s.required_watermarks(4).collect::<Vec<u32>>();
-        assert_eq!(watermarks(&s), [0, 0, 0]);
-        for seq in 1..=2 {
-            s.integrate_interval(Interval::seal(2, seq, seq as u64, &[4]));
-        }
-        assert_eq!(watermarks(&s), [0, 0, 2]);
-    }
-
-    #[test]
-    fn home_serve_constructs_at_watermarks_in_lamport_order() {
-        let mut s = state(0, 3); // home side
-        let cost = CostModel::sp2();
-        // Writer 2's interval (lamport 5) causally follows writer 1's
-        // (lamport 3) and overwrites its word; buffer them out of order.
-        let d1 = Diff::create(&[0, 0], &[7, 7]); // writer 1 writes both
-        let d2 = Diff::create(&[7, 7], &[9, 7]); // writer 2 overwrites [0]
-        s.home_flush_in(
-            2,
-            0,
-            DiffRange {
-                lo: 1,
-                hi: 1,
-                lamport: 5,
-                diff: d2,
-            },
-        );
-        s.home_flush_in(
-            1,
-            0,
-            DiffRange {
-                lo: 1,
-                hi: 1,
-                lamport: 3,
-                diff: d1.clone(),
-            },
-        );
-        assert!(s.home_covers(0, &[0, 1, 1]));
-        assert!(!s.home_covers(0, &[0, 2, 1]), "writer 1 seq 2 not flushed");
-        let (data, applied, us) = s.home_serve(0, &[0, 1, 1], &cost);
-        assert!(us > 0.0);
-        // Lamport order: writer 1 first, then writer 2's overwrite wins.
-        assert_eq!((data[0], data[1]), (9, 7));
-        assert_eq!(applied, [0, 1, 1]);
-        // Memoized: identical watermarks replay nothing.
-        let (again, _, us2) = s.home_serve(0, &[0, 1, 1], &cost);
-        assert_eq!(again[0], 9);
-        assert_eq!(us2, 0.0);
-        // A requester that has not synchronized with writer 2 must not
-        // see its interval — the construction is exact, never ahead.
-        let (old, old_applied, _) = s.home_serve(0, &[0, 1, 0], &cost);
-        assert_eq!(old[0], 7, "unsynchronized interval stays invisible");
-        assert_eq!(old_applied, [0, 1, 0]);
-        // A duplicate flush is dropped at arrival — the stale-flush
-        // guard (re-applying it during a later construction would
-        // resurrect 7 over 9).
-        assert!(!s.home_flush_in(
-            1,
-            0,
-            DiffRange {
-                lo: 1,
-                hi: 1,
-                lamport: 3,
-                diff: d1,
-            },
-        ));
-        assert_eq!(s.stats.stale_flush_drops, 1);
-        let (data, _, _) = s.home_serve(0, &[0, 1, 1], &cost);
-        assert_eq!(data[0], 9, "stale flush must not re-apply");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use apps::{AppId, RunResult, RunSpec, Version};
 
-/// All shape assertions run on the default, deterministic engine: the
-/// asserted quantities are virtual-time ratios, and the threaded
-/// engine's wall-clock scheduling perturbs DSM virtual times by a few
-/// percent run-to-run — enough to flap thresholds this tight.
+/// All shape assertions run on the default FIFO schedule: the asserted
+/// quantities are virtual-time ratios, and a seeded schedule moves DSM
+/// virtual times by a few percent from seed to seed — enough to flap
+/// thresholds this tight.
 fn run(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunResult {
     RunSpec::new(app, version, nprocs, scale).run()
 }

@@ -21,42 +21,73 @@ use treadmarks::{Tmk, TmkConfig};
 /// not as a sweep-wide `unreachable!`. `join_service` returning at all
 /// *is* the graceful-exit assertion — the loop left through the error
 /// path, not a panic.
+///
+/// So must a well-formed request of the protocol the node does *not*
+/// run, in every build profile: each protocol's *serve* hook owns only
+/// its opcodes. (Served anyway, a diff request at an HLRC node is
+/// answered from a history its releases truncated, a page request at an
+/// LRC node with a constructed zero page — or never — and a home flush
+/// there feeds a home copy nobody prunes.)
 #[test]
 fn first_unassigned_opcode_is_rejected_gracefully() {
+    use treadmarks::{hlrc, lrc, ProtocolMode};
+
     // PAGE_REQ and REDUCE_LIST are the two highest assigned opcodes;
     // the boundary sits one past REDUCE_LIST.
     assert_eq!(op::REDUCE_LIST, op::PAGE_REQ + 1, "opcode map moved");
-    for engine in EngineKind::explore(8) {
-        let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
-            if node.id() == 0 {
-                let state = DsmState::new(0, 2, TmkConfig::default());
-                let state = Rc::new(StateCell::new(node, state));
-                let ep = node.take_service_endpoint();
-                let h = node.spawn_service({
-                    let state = Rc::clone(&state);
-                    move || service_loop(ep, state)
-                });
-                node.join_service(h);
-                let st = state.lock();
-                (st.stats.service_errors, st.stats.last_bad_opcode)
-            } else {
-                node.endpoint().send_to_port(
-                    0,
-                    Port::Service,
-                    0,
-                    MsgKind::Control,
-                    vec![op::REDUCE_LIST + 1],
-                );
-                (0, None)
-            }
-        });
-        // Counted once, and the offending opcode itself is recorded for
-        // the post-mortem (the shutdown log line carries it too).
-        assert_eq!(
-            out.results[0],
-            (1, Some(op::REDUCE_LIST + 1)),
-            "engine {engine}"
-        );
+    let diff_req = lrc::DiffReqEntry {
+        page: 3,
+        first_needed: 1,
+    };
+    let zero_watermarks = [(3usize, [0u32, 0].into_iter())];
+    let bad: [(ProtocolMode, Vec<u64>); 5] = [
+        (ProtocolMode::Lrc, vec![op::REDUCE_LIST + 1]),
+        (ProtocolMode::Hlrc, vec![0xBAAD_F00D]),
+        (
+            ProtocolMode::Hlrc,
+            lrc::encode_diff_req(op::DIFF_REQ, 7, 1, &[diff_req]),
+        ),
+        (
+            ProtocolMode::Lrc,
+            hlrc::encode_page_fetch_req(7, 1, 2, zero_watermarks.into_iter()),
+        ),
+        (ProtocolMode::Lrc, hlrc::encode_home_flush(1, &two_ranges())),
+    ];
+    for (protocol, request) in &bad {
+        for engine in EngineKind::explore(8) {
+            let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
+                if node.id() == 0 {
+                    let cfg = TmkConfig::default().with_protocol(*protocol);
+                    let state = Rc::new(StateCell::new(node, DsmState::new(0, 2, cfg)));
+                    let ep = node.take_service_endpoint();
+                    let h = node.spawn_service({
+                        let state = Rc::clone(&state);
+                        move || service_loop(ep, state, cfg.protocol)
+                    });
+                    node.join_service(h);
+                    let st = state.lock();
+                    assert!(st.frames.is_empty() && st.pages.is_empty(), "served");
+                    (st.stats.service_errors, st.stats.last_bad_opcode)
+                } else {
+                    node.endpoint().send_to_port(
+                        0,
+                        Port::Service,
+                        0,
+                        MsgKind::Control,
+                        request.clone(),
+                    );
+                    (0, None)
+                }
+            });
+            // Counted once, and the offending opcode itself is recorded for
+            // the post-mortem (the shutdown log line carries it too).
+            assert_eq!(
+                out.results[0],
+                (1, Some(request[0])),
+                "opcode {} under {protocol}, engine {engine}",
+                request[0]
+            );
+        }
     }
 }
 
@@ -69,6 +100,7 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
 #[test]
 fn flush_arriving_after_the_home_served_the_page_is_dropped() {
     use treadmarks::diff::Diff;
+    use treadmarks::hlrc;
     use treadmarks::protocol::{self, tag};
     use treadmarks::state::DiffRange;
 
@@ -76,11 +108,12 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
         let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
             if node.id() == 0 {
                 // The home: a bare service loop over HLRC state.
-                let state = Rc::new(StateCell::new(node, DsmState::new(0, 2, TmkConfig::hlrc())));
+                let cfg = TmkConfig::hlrc();
+                let state = Rc::new(StateCell::new(node, DsmState::new(0, 2, cfg)));
                 let ep = node.take_service_endpoint();
                 let h = node.spawn_service({
                     let state = Rc::clone(&state);
-                    move || service_loop(ep, state)
+                    move || service_loop(ep, state, cfg.protocol)
                 });
                 node.join_service(h);
                 let st = state.lock();
@@ -107,7 +140,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         Port::Service,
                         0,
                         MsgKind::HomeFlush,
-                        protocol::encode_home_flush(1, &[(3usize, range)]),
+                        hlrc::encode_home_flush(1, &[(3usize, range)]),
                     );
                 };
                 let fetch = |req_id: u32, required: u32| {
@@ -117,7 +150,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         Port::Service,
                         0,
                         MsgKind::PageReq,
-                        protocol::encode_page_fetch_req(req_id, 1, 2, rows.into_iter()),
+                        hlrc::encode_page_fetch_req(req_id, 1, 2, rows.into_iter()),
                     );
                     let t = tag::PAGE_RESP | (req_id & 0xFFFF);
                     let pkt = node.recv_match(|p| p.src == 0 && p.tag == t);
@@ -286,8 +319,8 @@ fn seen(entries: impl Iterator<Item = treadmarks::protocol::DiffRespEntry>) -> S
     entries
         .map(|e| {
             let mut page = [0; 8];
-            e.diff.apply(&mut page);
-            (e.page, e.hi, page)
+            e.range.diff.apply(&mut page);
+            (e.page, e.range.hi, page)
         })
         .collect()
 }
@@ -303,16 +336,16 @@ const TWO_RANGES_SEEN: [(usize, u32, [u64; 8]); 2] = [
 #[test]
 fn damaged_home_flush_is_a_bounds_panic_not_an_allocation() {
     use treadmarks::diff::Landed;
-    use treadmarks::protocol;
+    use treadmarks::hlrc;
 
-    let whole = protocol::encode_home_flush(1, &two_ranges());
+    let whole = hlrc::encode_home_flush(1, &two_ranges());
     let decode = |buf: &[u64]| {
         let buf = buf.to_vec();
         caught(move || {
             let msg = Landed::new(buf);
             let mut r = msg.reader();
             assert_eq!(r.get(), op::HOME_FLUSH);
-            let (writer, entries) = protocol::decode_home_flush(&msg, &mut r);
+            let (writer, entries) = hlrc::decode_home_flush(&msg, &mut r);
             (writer, seen(entries))
         })
     };
@@ -424,7 +457,7 @@ fn damaged_page_response_is_a_bounds_panic_not_an_allocation() {
 /// they landed, twice; the count is checked once, before either walk.
 #[test]
 fn damaged_diff_request_is_a_bounds_panic_not_an_allocation() {
-    use treadmarks::protocol::{self, DiffReqEntry};
+    use treadmarks::lrc::{self, DiffReqEntry};
 
     let entries: Vec<DiffReqEntry> = (0..5)
         .map(|i| DiffReqEntry {
@@ -432,12 +465,12 @@ fn damaged_diff_request_is_a_bounds_panic_not_an_allocation() {
             first_needed: i as u32,
         })
         .collect();
-    let whole = protocol::encode_diff_req(33, 2, &entries);
+    let whole = lrc::encode_diff_req(op::DIFF_REQ, 33, 2, &entries);
     let decode = |buf: &[u64]| {
         caught(|| {
             let mut r = sp2sim::WordReader::new(buf);
             assert_eq!(r.get(), op::DIFF_REQ);
-            let (req_id, requester, got) = protocol::decode_diff_req(&mut r);
+            let (req_id, requester, got) = lrc::decode_diff_req(&mut r);
             (req_id, requester, got.collect::<Vec<_>>())
         })
     };
@@ -464,20 +497,16 @@ fn damaged_diff_request_is_a_bounds_panic_not_an_allocation() {
 /// after the count was held against the words left.
 #[test]
 fn damaged_page_request_is_a_bounds_panic_not_an_allocation() {
-    use treadmarks::protocol;
+    use treadmarks::hlrc;
 
     let rows = [(6usize, [0u32, 2, 1]), (9, [1, 0, 0])];
-    let whole = protocol::encode_page_fetch_req(
-        17,
-        2,
-        3,
-        rows.iter().map(|(p, r)| (*p, r.iter().copied())),
-    );
+    let whole =
+        hlrc::encode_page_fetch_req(17, 2, 3, rows.iter().map(|(p, r)| (*p, r.iter().copied())));
     let decode = |buf: &[u64]| {
         caught(|| {
             let mut r = sp2sim::WordReader::new(buf);
             assert_eq!(r.get(), op::PAGE_REQ);
-            let (req_id, requester, rows) = protocol::decode_page_fetch_req(&mut r, 3);
+            let (req_id, requester, rows) = hlrc::decode_page_fetch_req(&mut r, 3);
             let rows: Vec<(usize, Vec<u64>)> = rows.map(|(p, r)| (p, r.to_vec())).collect();
             (req_id, requester, rows)
         })
