@@ -23,7 +23,7 @@
 //! Shared-memory versions pad each column to a page boundary (SPF pads
 //! shared arrays anyway; it also keeps the broadcast page-safe).
 
-use cri::{Access, Section, TriSection};
+use cri::{Access, Section};
 use mpl::Comm;
 use sp2sim::Node;
 use spf::{LoopCtl, Schedule, Spf};
@@ -219,8 +219,8 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
 
 /// The SPF version; with `cri` the compiler's descriptors hint the
 /// broadcast-producing structure of §5.3: the orthogonalize loop's
-/// cyclic column sets are **triangular sections** (`DO J = I+1, N` —
-/// regular but not rectangular, [`TriSection`]), the next pivot's owner
+/// cyclic column sets over a triangular iteration space (`DO J = I+1, N`,
+/// [`Section::cyclic_cols`]), the next pivot's owner
 /// pushes it to the master's sequential normalization
 /// (`consumed_by_node(0)`), and the master declares its normalize write
 /// through [`spf::Master::produce`] so the pivot rides the next fork to
@@ -262,8 +262,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let (arr, stride, len) = (a.arr, a.stride, a.n);
         // Orthogonalize loop over `i+1 .. n` at pivot `i = iters.start-1`:
         // reads the pivot column; reads+writes the node's cyclic column
-        // set — a triangular section (affine base, one column per outer
-        // step of `np` columns). Written columns feed the next dispatch
+        // set (one column in every `np`, from the first owned column at or
+        // after `i+1`). Written columns feed the next dispatch
         // of the same loop; the next pivot additionally feeds the
         // master's sequential normalization.
         spf.hints().set(l_upd, {
@@ -281,9 +281,9 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
                     arr,
                     Section::range(i * stride..i * stride + len),
                 )];
-                let tri = TriSection::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
-                if !tri.is_empty() {
-                    let mut w = Access::write(arr, tri);
+                let owned = Section::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
+                if !owned.is_empty() {
+                    let mut w = Access::write(arr, owned);
                     if iters.start + 1 < n {
                         w = w.consumed_by_loop(l_upd, iters.start + 1..n);
                     }
@@ -307,11 +307,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         // first orthogonalize dispatch reads column 0 as its pivot.
         spf.hints().set(l_init, {
             move |iters: &std::ops::Range<usize>, q: usize, nprocs: usize| {
-                let tri = TriSection::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
-                if tri.is_empty() {
+                let owned = Section::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
+                if owned.is_empty() {
                     return vec![];
                 }
-                vec![Access::write(arr, tri).consumed_by_loop(l_upd, 1..n)]
+                vec![Access::write(arr, owned).consumed_by_loop(l_upd, 1..n)]
             }
         });
     }
@@ -422,7 +422,8 @@ pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeO
         Version::Tmk => tmk_node(node, p, cfg, false),
         Version::HandOpt => tmk_node(node, p, cfg, true),
         // MGS's loops are regular but triangular: the CRI version hints
-        // them through `cri::TriSection` and the master's `produce`.
+        // them through `cri::Section::cyclic_cols` and the master's
+        // `produce`.
         Version::Spf => spf_node(node, p, cfg, false),
         Version::SpfCri => spf_node(node, p, cfg, true),
         Version::Xhpf => mp_node(node, p, true),

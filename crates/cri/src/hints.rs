@@ -52,15 +52,15 @@
 //! between two invalidations.
 //!
 //! Page sets are sorted, disjoint **page runs** (`Vec<Range<usize>>`)
-//! throughout: a section's word ranges map to runs in order, unions go
-//! through [`merge_ranges`], overlaps through a two-pointer sweep.
+//! throughout: a section's word runs map to page runs in order, unions
+//! are sorted and merged, overlaps found by a two-pointer sweep.
 //!
 //! ## Dynamic descriptors (the inspector/executor split)
 //!
 //! When a loop's subscripts go through a run-time indirection map, no
 //! static section exists — the descriptor *function* must walk the map
 //! (an inspector loop) to discover the touched words, which it returns
-//! as [`DynSection`](crate::DynSection)-backed accesses. Registering
+//! as [`Section`]s built from the walk. Registering
 //! such a function through [`HintEngine::register_dynamic`] makes the
 //! engine memoize every evaluation in a **schedule cache** keyed by
 //! `(loop, iteration range, node)`: the walk runs once per key per
@@ -82,8 +82,7 @@ use std::rc::Rc;
 
 use treadmarks::{SharedArray, Tmk};
 
-use crate::dynsection::SectionSet;
-use crate::section::merge_ranges;
+use crate::section::{merge_ranges, Section};
 
 /// Whether an access reads or writes its section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,15 +112,14 @@ pub enum Consumer {
     Node(usize),
 }
 
-/// One access of a loop: a section of a shared array (regular,
-/// triangular or dynamic), its mode, and (for writes) the known
-/// consumers.
+/// One access of a loop: a section of a shared array, its mode, and
+/// (for writes) the known consumers.
 #[derive(Clone, Debug)]
 pub struct Access {
     /// The shared array.
     pub arr: SharedArray,
     /// The section touched.
-    pub section: SectionSet,
+    pub section: Section,
     /// Read or write.
     pub mode: AccessMode,
     /// Consumers of a written section (ignored for reads).
@@ -130,20 +128,20 @@ pub struct Access {
 
 impl Access {
     /// A read access.
-    pub fn read(arr: SharedArray, section: impl Into<SectionSet>) -> Access {
+    pub fn read(arr: SharedArray, section: Section) -> Access {
         Access {
             arr,
-            section: section.into(),
+            section,
             mode: AccessMode::Read,
             consumers: Vec::new(),
         }
     }
 
     /// A write access.
-    pub fn write(arr: SharedArray, section: impl Into<SectionSet>) -> Access {
+    pub fn write(arr: SharedArray, section: Section) -> Access {
         Access {
             arr,
-            section: section.into(),
+            section,
             mode: AccessMode::Write,
             consumers: Vec::new(),
         }
@@ -440,23 +438,6 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         self.third(id, iters, |plan| &mut plan.homes, build, Vec::clone)
     }
 
-    /// Install the producer-home candidates of loop `id` directly, each
-    /// through the runtime's no-notice guard. Only safe at a globally
-    /// quiescent point (same call on every node with no unintegrated
-    /// intervals anywhere — e.g. right after startup, or between two
-    /// barriers with no writes in between); inside the fork-join flow
-    /// use the master-decides path instead (see
-    /// [`HintEngine::planned_homes`]). Returns the overrides accepted.
-    pub fn declare_homes(&self, id: usize, iters: &Range<usize>) -> u64 {
-        let mut accepted = 0;
-        for (p, producer) in self.planned_homes(id, iters) {
-            if self.tmk.set_page_home(p, producer) {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
     /// Post-loop hint: register pushes for every written section with
     /// known consumers. A consumer's pages are computed from *its* read
     /// descriptor; only the page-level overlap with the producer's writes
@@ -558,25 +539,24 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 
     /// Append the pages of `section` to `runs` and return how many word
-    /// ranges it has. A section's ranges ascend, so its pages come out as
+    /// runs it has. A section's runs ascend, so its pages come out as
     /// sorted, merged runs; what `runs` held before is left alone (the
     /// caller merges across sections).
     fn add_pages(
         &self,
         arr: SharedArray,
-        section: &SectionSet,
+        section: &Section,
         runs: &mut Vec<Range<usize>>,
     ) -> usize {
-        let (first, mut ranges) = (runs.len(), 0);
-        section.for_each_range(|r| {
-            ranges += 1;
-            let span = self.tmk.page_span(arr, &r);
+        let first = runs.len();
+        for r in section.runs() {
+            let span = self.tmk.page_span(arr, r);
             match runs[first..].last_mut() {
                 Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
                 _ => runs.push(span),
             }
-        });
-        ranges
+        }
+        section.runs().len()
     }
 }
 
@@ -606,15 +586,14 @@ mod tests {
     use treadmarks::TmkConfig;
 
     use super::*;
-    use crate::{AffineBound, Dim, DynSection, Section, TriSection};
 
     // The per-page `BTreeSet` formulation the page runs replaced, kept as
     // the reference they are tested against.
 
-    fn pages_reference(tmk: &Tmk, arr: SharedArray, section: &SectionSet) -> BTreeSet<usize> {
+    fn pages_reference(tmk: &Tmk, arr: SharedArray, section: &Section) -> BTreeSet<usize> {
         let mut pages = BTreeSet::new();
-        for r in section.word_ranges() {
-            pages.extend(tmk.page_span(arr, &r));
+        for r in section.runs() {
+            pages.extend(tmk.page_span(arr, r));
         }
         pages
     }
@@ -670,51 +649,49 @@ mod tests {
     /// Words every generated section stays below.
     const WORDS: usize = 1024;
 
-    /// A section of one of the three shapes from eight small numbers.
-    fn section_from(shape: usize, p: &[usize]) -> SectionSet {
+    /// A section from one of the six constructors and eight small numbers.
+    fn section_from(shape: usize, p: &[usize]) -> Section {
+        let spans = || p.chunks(2).map(|s| s[0] * 25..s[0] * 25 + s[1]);
         match shape {
-            0 => {
-                let dim = |k: usize, stride| Dim {
-                    lo: p[2 * k] % 4,
-                    hi: p[2 * k] % 4 + p[2 * k + 1] % 5,
-                    stride,
-                };
-                let inner = dim(0, 1 + p[6] % 2);
-                let dims = match p[7] % 3 {
-                    0 => vec![inner],
-                    1 => vec![dim(1, 1 + p[6]), inner],
-                    _ => vec![dim(2, 1 + p[7]), dim(1, 1 + p[6]), inner],
-                };
-                Section { dims }.into()
+            0 => Section::range(p[0] * 13..p[0] * 13 + p[1] * 12),
+            1 => Section::strided(
+                p[0] % 4..p[0] % 4 + p[1] % 8,
+                p[2],
+                p[3] % 20..p[3] % 20 + p[4] % 25,
+            ),
+            2 => {
+                let np = 1 + p[3] % 4;
+                Section::cyclic_cols(
+                    p[0] % 10..p[0] % 10 + p[1],
+                    p[2] % np,
+                    np,
+                    p[4] % 20,
+                    p[5] % 20..p[5] % 20 + p[6] % 21,
+                )
             }
-            1 => TriSection {
-                outer: p[0] % 4..p[0] % 4 + p[1] % 8,
-                stride: p[2],
-                lo: AffineBound::affine(p[3] as i64 - 10, p[4] as i64 % 9 - 4),
-                hi: AffineBound::affine(p[5] as i64, p[6] as i64 % 9 - 4),
-            }
-            .into(),
-            _ => DynSection::from_indices(p.iter().map(|&x| x * 13 % WORDS)).into(),
+            3 => Section::from_indices(p.iter().map(|&x| x * 13 % WORDS)),
+            4 => Section::from_spans(spans()),
+            _ => Section::from_runs(spans().collect()),
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(150))]
 
-        /// Page runs against per-page sets, over random sections of all
-        /// three shapes and several page sizes: a section's runs are its
-        /// pages, a merge is the union, the sweep is the intersection,
+        /// Page runs against per-page sets, over random sections from
+        /// every constructor and several page sizes: a section's runs are
+        /// its pages, a merge is the union, the sweep is the intersection,
         /// and the push list and home candidates built from runs are the
         /// ones built from sets.
         #[test]
         fn page_runs_equal_the_per_page_sets(
-            specs in prop::collection::vec((0usize..3, prop::collection::vec(0usize..40, 8..9)), 6..7),
+            specs in prop::collection::vec((0usize..6, prop::collection::vec(0usize..40, 8..9)), 6..7),
             page_words in 0usize..4,
         ) {
-            let sections: Vec<SectionSet> =
+            let sections: Vec<Section> =
                 specs.iter().map(|(shape, p)| section_from(*shape, p)).collect();
             for s in &sections {
-                prop_assert!(s.word_ranges().last().is_none_or(|r| r.end <= WORDS));
+                prop_assert!(s.runs().last().is_none_or(|r| r.end <= WORDS));
             }
             let sections = &sections;
             let cfg = TmkConfig {
@@ -740,7 +717,7 @@ mod tests {
                         Access::read(arr[1], sections[q].clone()),
                     ]
                 });
-                let runs_of = |s: &SectionSet| {
+                let runs_of = |s: &Section| {
                     let mut runs = Vec::new();
                     hints.add_pages(arr[1], s, &mut runs);
                     runs

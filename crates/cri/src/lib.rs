@@ -7,12 +7,11 @@
 //! interface, following the integrated compile-time/run-time approach of
 //! Dwarkadas, Cox & Zwaenepoel:
 //!
-//! * [`Section`] — **regular-section access descriptors** (lo/hi/stride
-//!   per dimension) the compiler attaches to each parallelized loop,
-//!   extended by [`TriSection`] (triangular: inner bounds affine in the
-//!   outer index, for `DO J = I+1, N`-shaped nests) and [`DynSection`]
-//!   (dynamic: the run-length-compacted image of an inspector's
-//!   indirection-map walk, registered through
+//! * [`Section`] — **section access descriptors**: the words a
+//!   parallelized loop touches, held as sorted word runs. The compiler
+//!   builds them from its subscript analysis (a contiguous range, a
+//!   strided block, a cyclic column set), an inspector from its
+//!   indirection-map walk (registered through
 //!   [`HintEngine::register_dynamic`] and memoized in a per-`(loop,
 //!   range, node)` schedule cache — see the `inspector` crate);
 //! * [`Access`] / [`AccessFn`] — a loop's touched sections, evaluated
@@ -33,13 +32,16 @@
 //! shared page.
 //!
 //! Under the home-based protocol (HLRC, [`treadmarks::hlrc`])
-//! the descriptors additionally drive **home placement**: before a
-//! hinted body runs, every page exactly one node's write section covers
-//! is re-homed at that node ([`HintEngine::declare_homes`]), so the
-//! declared producer's eager flushes become local no-ops; and a push to
-//! a consumer that *is* the page's home is skipped — the regular home
-//! flush already carries the same diff there. This is the per-page
-//! push-vs-home-flush choice of a hinted body.
+//! the descriptors additionally drive **home placement**: every page
+//! exactly one node's write section covers is re-homed at that node, so
+//! the declared producer's eager flushes become local no-ops. The
+//! candidates come from [`HintEngine::planned_homes`]; the fork-join
+//! runtime decides once, on the master at fork time, through
+//! [`treadmarks::Tmk::adopt_page_homes`], and ships the accepted list
+//! with the dispatch for every worker to install. A push to a consumer
+//! that *is* the page's home is skipped — the regular home flush already
+//! carries the same diff there. This is the per-page push-vs-home-flush
+//! choice of a hinted body.
 //!
 //! Hints are *performance-only*: every validate fetches exactly the
 //! diffs a fault would have fetched, every push delivers diffs the
@@ -79,13 +81,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dynsection;
 pub mod hints;
 pub mod section;
 
-pub use dynsection::{DynSection, SectionSet};
 pub use hints::{Access, AccessFn, AccessMode, Consumer, HintEngine};
-pub use section::{merge_ranges, AffineBound, Dim, Section, TriSection};
+pub use section::Section;
 
 #[cfg(test)]
 mod tests {
@@ -226,9 +226,11 @@ mod tests {
 
     /// HLRC: the declared producer of a single-writer page becomes its
     /// home, so the producer's eager flushes are local no-ops; the push
-    /// to the (non-home) consumer still rides the barrier.
+    /// to the (non-home) consumer still rides the barrier. Every node
+    /// adopts the planned homes itself, which is safe here — nothing has
+    /// been written yet — and agrees with the master's fork-time decision.
     #[test]
-    fn declare_homes_makes_the_producer_the_home() {
+    fn planned_homes_make_the_producer_the_home() {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
             let hints = HintEngine::new(&tmk);
@@ -247,7 +249,9 @@ mod tests {
                     vec![]
                 }
             });
-            let accepted = hints.declare_homes(0, &(0..1));
+            let accepted = tmk
+                .adopt_page_homes(|| hints.planned_homes(0, &(0..1)))
+                .len();
             // Page 1 would be homed at node 1 block-cyclically; the
             // descriptor re-homes both pages at the producer, node 0.
             assert_eq!(tmk.page_home(a.first_page()), 0);
@@ -306,7 +310,9 @@ mod tests {
                     vec![]
                 }
             });
-            let accepted = hints.declare_homes(0, &(0..1));
+            let accepted = tmk
+                .adopt_page_homes(|| hints.planned_homes(0, &(0..1)))
+                .len();
             assert_eq!(tmk.page_home(a.first_page() + 1), 1, "re-home refused");
             let mut registered = 0;
             if tmk.proc_id() == 0 {

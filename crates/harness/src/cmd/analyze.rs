@@ -43,15 +43,8 @@ use crate::json::{num, obj};
 use crate::report::{f1 as us, pct, render_table, Table};
 use crate::{Json, SegmentKind};
 use apps::{AppId, Version};
-use sp2sim::stats::ALL_KINDS;
+use sp2sim::stats::msg_label;
 use sp2sim::Category;
-
-fn msg_label(code: u8) -> &'static str {
-    ALL_KINDS
-        .get(code as usize)
-        .map(|k| k.label())
-        .unwrap_or("?")
-}
 
 pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let app = flags.parsed("--app", parse_app)?.unwrap_or(AppId::Jacobi);

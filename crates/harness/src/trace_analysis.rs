@@ -32,7 +32,7 @@
 //! and [`validate_chrome_trace`] checks the invariants Perfetto needs
 //! (per-track monotone timestamps, balanced begin/end nesting).
 
-use sp2sim::stats::ALL_KINDS;
+use sp2sim::stats::msg_label;
 use sp2sim::{Category, EventKind, SpanKind, TraceData, TracePort, TrackTrace};
 
 use crate::critical_path::CriticalPath;
@@ -261,13 +261,6 @@ fn walk_app_track(t: &TrackTrace, b: &mut NodeBreakdown, epochs: &mut Vec<EpochB
 // ---------------------------------------------------------------------
 // Chrome/Perfetto trace-event export
 // ---------------------------------------------------------------------
-
-fn msg_label(code: u8) -> &'static str {
-    ALL_KINDS
-        .get(code as usize)
-        .map(|k| k.label())
-        .unwrap_or("?")
-}
 
 fn op_label(op: u32) -> &'static str {
     use treadmarks::protocol::op;

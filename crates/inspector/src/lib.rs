@@ -13,13 +13,14 @@
 //!   every following iteration at zero inspection cost.
 //!
 //! This crate is the inspector half. It turns map walks into
-//! [`DynSection`]-backed [`cri::Access`] lists — run-length-compacted
-//! sorted index runs — while charging the walk's virtual time to the
-//! inspecting node, so the "inspector cost" column of the experiment
-//! tables is real. The executor half lives in `cri::HintEngine`: a
-//! descriptor registered through `HintEngine::register_dynamic` (or
-//! `spf::Spf::register_with_inspector`) has each `(loop, range, node)`
-//! evaluation memoized in the engine's schedule cache, and the cached
+//! [`Section`]s for [`cri::Access`] lists — the touched words as sorted
+//! runs — while charging the walk's virtual time to the inspecting
+//! node, so the "inspector cost" column of the experiment tables is
+//! real. The executor half lives in `cri::HintEngine`: a descriptor
+//! registered through `HintEngine::register_dynamic` (the application
+//! registers the loop body with `spf::Spf::register` and its inspector
+//! under the same id) has each `(loop, range, node)` evaluation
+//! memoized in the engine's schedule cache, and the cached
 //! accesses feed straight into the existing CRI machinery — aggregated
 //! validate before the body, rendezvous-time pushes after it, and HLRC
 //! producer-home placement at fork quiescence. Cache behaviour is
@@ -58,7 +59,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cri::DynSection;
+use cri::Section;
 use sp2sim::Node;
 use treadmarks::{SharedArray, Tmk};
 
@@ -70,7 +71,7 @@ use treadmarks::{SharedArray, Tmk};
 pub const INSPECT_ENTRY_US: f64 = 0.02;
 
 /// A node-bound inspector: compacts walked index streams into
-/// [`DynSection`]s and charges the walk's virtual time.
+/// [`Section`]s and charges the walk's virtual time.
 pub struct Inspector<'n> {
     node: &'n Node,
 }
@@ -82,12 +83,12 @@ impl<'n> Inspector<'n> {
     }
 
     /// Walk a stream of touched word indices (duplicates welcome) into a
-    /// compacted dynamic section, charging [`INSPECT_ENTRY_US`] per
-    /// index produced.
-    pub fn gather(&self, touched: impl IntoIterator<Item = usize>) -> DynSection {
+    /// compacted section, charging [`INSPECT_ENTRY_US`] per index
+    /// produced.
+    pub fn gather(&self, touched: impl IntoIterator<Item = usize>) -> Section {
         let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
         let mut count = 0usize;
-        let section = DynSection::from_indices(touched.into_iter().inspect(|_| count += 1));
+        let section = Section::from_indices(touched.into_iter().inspect(|_| count += 1));
         self.node.advance(count as f64 * INSPECT_ENTRY_US);
         section
     }
@@ -97,26 +98,10 @@ impl<'n> Inspector<'n> {
     /// section and the same charge — [`INSPECT_ENTRY_US`] per index the
     /// spans cover, since the walk still visits every subscript — with
     /// each span compacted in one step instead of index by index.
-    pub fn gather_spans(
-        &self,
-        spans: impl IntoIterator<Item = std::ops::Range<usize>>,
-    ) -> DynSection {
+    pub fn gather_spans(&self, spans: impl IntoIterator<Item = std::ops::Range<usize>>) -> Section {
         let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
         let mut count = 0usize;
-        let section = DynSection::from_spans(spans.into_iter().inspect(|r| count += r.len()));
-        self.node.advance(count as f64 * INSPECT_ENTRY_US);
-        section
-    }
-
-    /// Walk a stream of touched index *runs* (an inspector that can see
-    /// contiguity directly pays per run, not per element).
-    pub fn gather_runs(
-        &self,
-        runs: impl IntoIterator<Item = std::ops::Range<usize>>,
-    ) -> DynSection {
-        let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
-        let mut count = 0usize;
-        let section = DynSection::from_runs(runs.into_iter().inspect(|_| count += 1).collect());
+        let section = Section::from_spans(spans.into_iter().inspect(|r| count += r.len()));
         self.node.advance(count as f64 * INSPECT_ENTRY_US);
         section
     }
@@ -213,22 +198,6 @@ mod tests {
         let (runs, us) = out.results[0].clone();
         assert_eq!(runs, vec![3..6, 7..8]);
         assert!((us - 5.0 * INSPECT_ENTRY_US).abs() < 1e-9, "charged {us}");
-    }
-
-    #[test]
-    fn gather_runs_charges_per_run() {
-        let out = Cluster::run(ClusterConfig::sp2(1), |node| {
-            let tmk = Tmk::new(node, TmkConfig::default());
-            let t0 = node.now().us();
-            let insp = Inspector::new(node);
-            let s = insp.gather_runs([0..100, 100..200, 500..600]);
-            let us = node.now().us() - t0;
-            tmk.finish();
-            (s.runs().to_vec(), us)
-        });
-        let (runs, us) = out.results[0].clone();
-        assert_eq!(runs, vec![0..200, 500..600]);
-        assert!((us - 3.0 * INSPECT_ENTRY_US).abs() < 1e-9);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The execution engine of the simulated cluster, and its schedules.
 //!
-//! There is one engine ([`sequential`]): every node closure and every
+//! There is one engine (`sequential`): every node closure and every
 //! service loop runs as a cooperatively scheduled fiber on the **one**
 //! OS thread that called [`Cluster::run`](crate::Cluster::run) — so
 //! [`Node`](crate::Node), [`Endpoint`](crate::Endpoint) and

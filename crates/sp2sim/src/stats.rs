@@ -85,6 +85,12 @@ pub const ALL_KINDS: [MsgKind; NKINDS] = [
     MsgKind::PageResp,
 ];
 
+/// The [`MsgKind::label`] of a kind's discriminant (as trace events
+/// record it), `"?"` for a code no kind has.
+pub fn msg_label(code: u8) -> &'static str {
+    ALL_KINDS.get(code as usize).map_or("?", |k| k.label())
+}
+
 impl MsgKind {
     /// True for categories that represent application data movement
     /// rather than synchronization.

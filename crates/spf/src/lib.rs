@@ -31,8 +31,8 @@
 //!   two shared pages and releases the workers through a full barrier;
 //!   workers fault the control pages in — `8 (n - 1)` messages per loop.
 //!
-//! When a loop is registered through [`Spf::register_with_access`], its
-//! regular-section descriptor (see the [`cri`] crate) is evaluated
+//! When a loop has a section descriptor (see the [`cri`] crate; attached
+//! through [`Spf::hints`] under the loop's id), it is evaluated
 //! around every execution of the body: the run-time pre-validates all
 //! pages the body will fault in one aggregated exchange, and registers
 //! producer→consumer pushes that ride the next rendezvous. This is the
@@ -250,8 +250,10 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk
     }
 
-    /// The CRI hint engine (descriptors registered through
-    /// [`Spf::register_with_access`]).
+    /// The CRI hint engine: a loop's descriptor is attached under the id
+    /// [`Spf::register`] returned, with [`HintEngine::set`] (or
+    /// [`HintEngine::register_dynamic`] for an inspector, whose
+    /// evaluations are memoized until [`Spf::invalidate_schedules`]).
     pub fn hints(&self) -> &HintEngine<'t, 'n> {
         &self.hints
     }
@@ -262,42 +264,6 @@ impl<'t, 'n> Spf<'t, 'n> {
         let mut loops = self.loops.borrow_mut();
         loops.push(Box::new(body));
         loops.len() - 1
-    }
-
-    /// Register a loop *with* its regular-section access descriptor —
-    /// what a compiler that performed subscript analysis emits. When a
-    /// descriptor is present the run-time brackets every execution of
-    /// the body with CRI hints: an aggregated validate of everything the
-    /// body will touch before it runs, and barrier-time push
-    /// registrations for the declared consumers after it.
-    pub fn register_with_access(
-        &self,
-        body: impl Fn(&LoopCtl) + 't,
-        access: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
-    ) -> usize {
-        let id = self.register(body);
-        self.hints.set(id, access);
-        id
-    }
-
-    /// Register a loop whose subscripts go through a **run-time
-    /// indirection map**, together with its inspector: `inspect` walks
-    /// the map and returns the materialized (dynamic-section) accesses.
-    /// The run-time brackets the body exactly like
-    /// [`Spf::register_with_access`], but evaluations are memoized in
-    /// the hint engine's schedule cache — the inspector runs once per
-    /// `(loop, range, node)` per epoch; every later dispatch is pure
-    /// executor. An application that rebuilds the map calls
-    /// [`Spf::invalidate_schedules`] (master, sequential code) and the
-    /// next dispatch re-inspects cluster-wide.
-    pub fn register_with_inspector(
-        &self,
-        body: impl Fn(&LoopCtl) + 't,
-        inspect: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
-    ) -> usize {
-        let id = self.register(body);
-        self.hints.register_dynamic(id, inspect);
-        id
     }
 
     /// Master-side (sequential code): declare an epoch-invalidating
@@ -655,20 +621,18 @@ mod tests {
                         assert!((0..len).all(|i| r[i] == i as f64));
                     }
                 };
-                let (prod, sum) = if hinted {
-                    let prod = spf.register_with_access(body_prod, move |iters, me, np| {
+                let (prod, sum) = (spf.register(body_prod), spf.register(body_sum));
+                if hinted {
+                    spf.hints().set(prod, move |iters, me, np| {
                         vec![
                             Access::write(a, Section::range(block_range(me, np, iters.clone())))
                                 .consumed_by_loop(1, 0..len),
                         ]
                     });
-                    let sum = spf.register_with_access(body_sum, move |_iters, _me, _np| {
+                    spf.hints().set(sum, move |_iters, _me, _np| {
                         vec![Access::read(a, Section::range(0..len))]
                     });
-                    (prod, sum)
-                } else {
-                    (spf.register(body_prod), spf.register(body_sum))
-                };
+                }
                 let r = spf.run(|m| {
                     m.par_loop(prod, 0..len, Schedule::Block, &[]);
                     m.par_loop(sum, 0..len, Schedule::Block, &[]);
@@ -728,13 +692,14 @@ mod tests {
                         assert!((0..len).all(|i| r[i] == (7 * i) as f64));
                     }
                 };
-                let prod = spf.register_with_access(body_prod, move |iters, me, np| {
+                let (prod, sum) = (spf.register(body_prod), spf.register(body_sum));
+                spf.hints().set(prod, move |iters, me, np| {
                     vec![
                         Access::write(a, Section::range(block_range(me, np, iters.clone())))
                             .consumed_by_loop(1, 0..len),
                     ]
                 });
-                let sum = spf.register_with_access(body_sum, move |_iters, _me, _np| {
+                spf.hints().set(sum, move |_iters, _me, _np| {
                     vec![Access::read(a, Section::range(0..len))]
                 });
                 let r = spf.run(|m| {

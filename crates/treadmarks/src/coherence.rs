@@ -15,8 +15,8 @@
 //! | on-rendezvous | manager, pusher, participant | diffs in a push | a floor on the departures, pages in a push, the prune |
 //!
 //! On-release is also asked as a question — where does a release
-//! deliver? ([`ProtocolMode::release_delivers`],
-//! [`ProtocolMode::home_candidates`]) — and on-rendezvous by each of a
+//! deliver? (`ProtocolMode::release_delivers`,
+//! `ProtocolMode::home_candidates`) — and on-rendezvous by each of a
 //! rendezvous' three parties.
 
 use std::ops::Range;

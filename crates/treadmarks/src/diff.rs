@@ -295,7 +295,7 @@ impl DiffBatch {
     /// behind the diffs already in the batch.
     ///
     /// Both slices must be the same length (one page). The run structure
-    /// produced by the chunked scan ([`next_run`]) is identical to a
+    /// produced by the chunked scan (`next_run`) is identical to a
     /// word-by-word scan — disjoint, ordered, non-adjacent runs — which
     /// the property tests below pin. Runs need a word between them, so a
     /// page's encoding is at most `page words + 2` words (every other

@@ -9,11 +9,11 @@
 //! exactly the requester's notice watermarks.
 //!
 //! This module is the protocol's half of the seam in
-//! [`crate::coherence`]: its hooks — [`on_release`], [`resolve_miss`],
-//! [`serve`] and, of the rendezvous, [`rendezvous_floor`],
-//! [`push_payload`] and the prune ([`DsmState::prune_home_copies`]) —
+//! [`crate::coherence`]: its hooks — `on_release`, `resolve_miss`,
+//! `serve` and, of the rendezvous, `rendezvous_floor`,
+//! `push_payload` and the prune ([`DsmState::prune_home_copies`]) —
 //! its service handlers, its wire codecs (`HOME_FLUSH`, `PAGE_REQ`) and
-//! the state only it writes: [`DsmState::home`] and the
+//! the state only it writes: `DsmState::home` and the
 //! [`PageRow::home`](crate::state::PageRow) copies.
 
 use sp2sim::{

@@ -8,8 +8,8 @@
 //! every writer that has an unapplied notice for the page.
 //!
 //! This module is the protocol's half of the seam in
-//! [`crate::coherence`]: its hooks — [`on_release`], [`resolve_miss`],
-//! [`serve`] and, of the rendezvous, [`push_payload`] (no floor rides
+//! [`crate::coherence`]: its hooks — `on_release`, `resolve_miss`,
+//! `serve` and, of the rendezvous, `push_payload` (no floor rides
 //! LRC's departures and nothing is pruned) — and its wire codec
 //! (`DIFF_REQ` / `VALIDATE_REQ`). It owns no [`DsmState`] field: the
 //! frozen history in [`crate::state::PageDiffs`] is all it keeps.

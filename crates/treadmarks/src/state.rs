@@ -81,7 +81,7 @@ pub struct DiffRange {
 #[derive(Debug, Default)]
 pub struct PageDiffs {
     /// Frozen ranges in increasing `lo` order: the whole history under
-    /// LRC, only the newest one under HLRC ([`crate::hlrc::on_release`]).
+    /// LRC, only the newest one under HLRC (`hlrc::on_release`).
     pub frozen: Vec<DiffRange>,
     /// The open (unmaterialized) range, if any interval since the last
     /// freeze wrote this page.

@@ -69,12 +69,11 @@ fn pipeline_bits(
                     Access::write(a, Section::range(r)).consumed_by_loop(0, 0..len),
                 ]
             };
-            let prod = if hinted {
-                spf.register_with_access(body_prod, access_prod)
-            } else {
-                spf.register(body_prod)
-            };
+            let prod = spf.register(body_prod);
             assert_eq!(prod, 0, "descriptor self-reference assumes id 0");
+            if hinted {
+                spf.hints().set(prod, access_prod);
+            }
             spf.run(|m| {
                 for round in 0..rounds {
                     m.par_loop(prod, 0..len, Schedule::Block, &[round as u64]);

@@ -209,7 +209,8 @@ fn map_rebuild_reinspects_once_and_stays_correct() {
                     }
                 }
             };
-            let gather = spf.register_with_inspector(body, {
+            let gather = spf.register(body);
+            spf.hints().register_dynamic(gather, {
                 let (tmk, map, insp) = (&tmk, &map, &insp);
                 move |iters, q, nprocs| {
                     let r = block_range(q, nprocs, iters.clone());
