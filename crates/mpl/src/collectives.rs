@@ -72,7 +72,7 @@ impl<'a> Comm<'a> {
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         let (parent, children) = self.tree(root);
         if let Some(parent) = parent {
-            *data = self.node.recv_from(parent, tag).payload;
+            *data = self.node.recv_from(parent, tag).payload.into_vec();
         }
         for child in children {
             self.node.send(child, tag, MsgKind::Data, data.clone());
@@ -93,7 +93,7 @@ impl<'a> Comm<'a> {
                 }
             }
             Some(parent) => {
-                let words = self.node.recv_from(parent, tag).payload;
+                let words = self.node.recv_from(parent, tag).payload.into_vec();
                 for child in children {
                     self.node.send(child, tag, MsgKind::Data, words.clone());
                 }
@@ -114,7 +114,7 @@ impl<'a> Comm<'a> {
                 self.node.send(dst, tag, MsgKind::Data, pack_f64s(data));
             }
         } else {
-            *data = into_f64s(self.node.recv_from(root, tag).payload);
+            *data = into_f64s(self.node.recv_from(root, tag).payload.into_vec());
         }
     }
 
@@ -128,13 +128,13 @@ impl<'a> Comm<'a> {
         let (parent, children) = self.tree(root);
         let mut acc = data.to_vec();
         for child in children.rev() {
-            let got = into_f64s(self.node.recv_from(child, tag).payload);
+            let got = into_f64s(self.node.recv_from(child, tag).payload.into_vec());
             op.fold(&mut acc, &got);
         }
         let Some(parent) = parent else {
             return Some(acc);
         };
-        let words = acc.into_iter().map(f64::to_bits).collect();
+        let words: Vec<u64> = acc.into_iter().map(f64::to_bits).collect();
         self.node.send(parent, tag, MsgKind::Data, words);
         None
     }
@@ -169,7 +169,7 @@ impl<'a> Comm<'a> {
             out[root] = data;
             for _ in 0..self.size() - 1 {
                 let p = self.node.recv_match(|p| p.tag == tag);
-                out[p.src] = p.payload;
+                out[p.src] = p.payload.into_vec();
             }
             Some(out)
         } else {
@@ -223,7 +223,7 @@ impl<'a> Comm<'a> {
                 continue;
             }
             self.node.send(peer, tag, MsgKind::Data, pack(peer));
-            unpack(peer, self.node.recv_from(peer, tag).payload);
+            unpack(peer, self.node.recv_from(peer, tag).payload.into_vec());
         }
     }
 

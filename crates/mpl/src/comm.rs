@@ -92,7 +92,7 @@ impl<'a> Comm<'a> {
     /// Receive raw words from `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        self.node.recv_from(src, tag).payload
+        self.node.recv_from(src, tag).payload.into_vec()
     }
 
     /// Send a slice of `f64`s (packed straight from it).

@@ -1,6 +1,6 @@
 //! Word-level encoding helpers for protocol messages.
 //!
-//! Every payload in the simulator is a `Vec<u64>`. Protocol layers encode
+//! Every payload in the simulator is a word vector. Protocol layers encode
 //! structured messages with [`WordWriter`]/[`WordReader`]; numeric data
 //! is packed from and unpacked into the arrays it lives in through the
 //! bit-exact `f64 <-> u64` conversions ([`WordWriter::put_f64s`],
@@ -24,6 +24,20 @@ impl WordWriter {
         WordWriter {
             buf: Vec::with_capacity(words),
         }
+    }
+
+    /// Writer into `buf`, emptied first: a kept buffer's capacity is
+    /// reused instead of allocated again.
+    pub fn reuse(mut buf: Vec<u64>) -> WordWriter {
+        buf.clear();
+        WordWriter { buf }
+    }
+
+    /// Overwrite word `at`, already written: a count known only once
+    /// what it counts is behind it.
+    #[inline]
+    pub fn set(&mut self, at: usize, w: u64) {
+        self.buf[at] = w;
     }
 
     /// Append a raw word.
@@ -74,6 +88,11 @@ impl WordWriter {
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The words written so far.
+    pub fn words(&self) -> &[u64] {
+        &self.buf
     }
 
     /// Finish and take the payload.
@@ -226,6 +245,17 @@ mod tests {
         assert_eq!(r.get_f64(), 2.5);
         assert_eq!(r.get_words(), &[9, 8, 7]);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn a_reused_writer_keeps_its_capacity_and_patches_in_place() {
+        let mut w = WordWriter::reuse(Vec::with_capacity(8));
+        w.put(0).put(7);
+        w.set(0, 1);
+        assert_eq!(w.words(), [1, 7]);
+        let w = WordWriter::reuse(w.finish());
+        assert!(w.is_empty());
+        assert_eq!(w.finish().capacity(), 8);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use codec::{WordReader, WordWriter};
 pub use cost::CostModel;
 pub use engine::{EngineKind, ServiceHandle};
 pub use node::{Endpoint, Node, TraceSpanGuard};
-pub use packet::{seq_sender, Packet, Port};
+pub use packet::{seq_sender, Packet, Payload, Port};
 pub use rng::SplitMix64;
 pub use stats::{MsgKind, NetStats, StatsSnapshot};
 pub use time::VTime;

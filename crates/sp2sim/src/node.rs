@@ -17,7 +17,7 @@ use trace::{EdgeKind, Event, EventKind, SpanKind, TraceBuf, TracePort, TrackTrac
 use crate::cost::CostModel;
 use crate::engine::sequential::Engine;
 use crate::engine::ServiceHandle;
-use crate::packet::{Packet, Port};
+use crate::packet::{Packet, Payload, Port};
 use crate::stats::{MsgKind, NetStats};
 use crate::time::VTime;
 
@@ -207,8 +207,9 @@ impl Endpoint {
         port: Port,
         tag: u32,
         kind: MsgKind,
-        payload: Vec<u64>,
+        payload: impl Into<Payload>,
     ) -> u64 {
+        let payload = payload.into();
         let seq = self.next_seq();
         let arrival = if dst == self.id {
             self.now()
@@ -247,9 +248,10 @@ impl Endpoint {
         port: Port,
         tag: u32,
         kind: MsgKind,
-        payload: Vec<u64>,
+        payload: impl Into<Payload>,
         at: VTime,
     ) -> u64 {
+        let payload = payload.into();
         let seq = self.next_seq();
         let arrival = if dst == self.id {
             at
@@ -285,7 +287,7 @@ impl Endpoint {
         port: Port,
         tag: u32,
         kind: MsgKind,
-        payload: Vec<u64>,
+        payload: Payload,
         arrival: VTime,
         seq: u64,
     ) {
@@ -304,7 +306,7 @@ impl Endpoint {
     }
 
     /// Shorthand for [`Endpoint::send_to_port`] to the application port.
-    pub fn send(&self, dst: usize, tag: u32, kind: MsgKind, payload: Vec<u64>) -> u64 {
+    pub fn send(&self, dst: usize, tag: u32, kind: MsgKind, payload: impl Into<Payload>) -> u64 {
         self.send_to_port(dst, Port::App, tag, kind, payload)
     }
 
@@ -509,7 +511,7 @@ impl Node {
 
     /// Send to `dst`'s application port. Returns the packet's
     /// correlation id.
-    pub fn send(&self, dst: usize, tag: u32, kind: MsgKind, payload: Vec<u64>) -> u64 {
+    pub fn send(&self, dst: usize, tag: u32, kind: MsgKind, payload: impl Into<Payload>) -> u64 {
         self.ep.send(dst, tag, kind, payload)
     }
 
@@ -582,7 +584,7 @@ mod tests {
                 node.now().us()
             } else {
                 let p = node.recv_from(0, 1);
-                assert_eq!(p.payload, vec![42]);
+                assert_eq!(*p.payload, [42]);
                 node.now().us()
             }
         });
@@ -598,7 +600,7 @@ mod tests {
         let out = Cluster::run(cfg(1), |node| {
             node.send(0, 3, MsgKind::Data, vec![1, 2]);
             let p = node.recv_from(0, 3);
-            assert_eq!(p.payload, vec![1, 2]);
+            assert_eq!(*p.payload, [1, 2]);
             node.now().us()
         });
         // Receive overhead is still charged, but no send/transit cost.

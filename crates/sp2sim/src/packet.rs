@@ -1,7 +1,66 @@
 //! Packets: the unit of communication between simulated nodes.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::stats::MsgKind;
 use crate::time::VTime;
+
+/// A packet's words. All shared data in this reproduction is
+/// word-oriented (f64 bit patterns or integer-encoded metadata), which
+/// keeps the payloads fully safe Rust while matching TreadMarks' word
+/// granularity diffs.
+///
+/// A payload is either the packet's own — what every `Vec` send is, and
+/// what a receiver gets back by value ([`Payload::into_vec`]) — or
+/// shared with windows its sender keeps onto the message it built: a
+/// receiver that keeps windows too takes the same buffer over
+/// ([`Payload::into_shared`]), so the words exist once.
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// Owned by the packet.
+    Owned(Vec<u64>),
+    /// Shared with the sender's windows onto it.
+    Shared(Arc<Vec<u64>>),
+}
+
+impl Payload {
+    /// The words as a vector of the caller's: the packet's own, moved; a
+    /// shared buffer's, moved if nobody else holds it, else copied.
+    pub fn into_vec(self) -> Vec<u64> {
+        match self {
+            Payload::Owned(words) => words,
+            Payload::Shared(words) => Arc::unwrap_or_clone(words),
+        }
+    }
+
+    /// The words as a shared buffer: an owned payload moves into one (the
+    /// handle is allocated, the words are not copied), a shared one is
+    /// handed over as it is.
+    pub fn into_shared(self) -> Arc<Vec<u64>> {
+        match self {
+            Payload::Owned(words) => Arc::new(words),
+            Payload::Shared(words) => words,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Payload::Owned(words) => words,
+            Payload::Shared(words) => words,
+        }
+    }
+}
+
+impl From<Vec<u64>> for Payload {
+    fn from(words: Vec<u64>) -> Payload {
+        Payload::Owned(words)
+    }
+}
 
 /// Destination port on a node.
 ///
@@ -40,11 +99,8 @@ pub struct Packet {
     pub kind: MsgKind,
     /// Virtual time at which the packet is available at the receiver.
     pub arrival: VTime,
-    /// Payload, in 64-bit words. All shared data in this reproduction is
-    /// word-oriented (f64 bit patterns or integer-encoded metadata), which
-    /// keeps the payloads fully safe Rust while matching TreadMarks' word
-    /// granularity diffs.
-    pub payload: Vec<u64>,
+    /// Payload, in 64-bit words.
+    pub payload: Payload,
 }
 
 impl Packet {
@@ -81,8 +137,21 @@ mod tests {
             tag: 1,
             kind: MsgKind::Data,
             arrival: VTime::ZERO,
-            payload: vec![1, 2, 3],
+            payload: vec![1, 2, 3].into(),
         };
         assert_eq!(p.payload_bytes(), 24);
+    }
+
+    #[test]
+    fn a_shared_payload_is_the_senders_buffer() {
+        let words = Arc::new(vec![4, 5]);
+        let shared = Payload::Shared(Arc::clone(&words));
+        assert_eq!(*shared, [4, 5]);
+        assert!(Arc::ptr_eq(&shared.clone().into_shared(), &words));
+        // Held elsewhere too: the caller's vector is a copy.
+        assert_eq!(shared.into_vec(), [4, 5]);
+        let owned = Payload::from(vec![6]);
+        let at = owned.as_ptr();
+        assert_eq!(owned.into_shared().as_ptr(), at, "moved, not copied");
     }
 }

@@ -21,13 +21,13 @@
 
 use std::ops::Range;
 
-use sp2sim::{Endpoint, Packet, StateCell, VTime};
+use sp2sim::{CostModel, Endpoint, Packet, Payload, StateCell, VTime};
 
 use crate::config::ProtocolMode::{self, Hlrc, Lrc};
 use crate::dsm::Tmk;
 use crate::page::PageId;
 use crate::protocol::DiffRespEntry;
-use crate::state::{Arrival, DiffRange, DsmState};
+use crate::state::{Arrival, DsmState};
 use crate::vc::Vc;
 use crate::{hlrc, lrc};
 
@@ -62,10 +62,11 @@ pub(crate) struct Scratch {
     pub(crate) by_writer: Vec<Vec<lrc::DiffReqEntry>>,
     /// HLRC: the invalid pages of a miss…
     pub(crate) whole: Vec<PageId>,
-    /// …and the same pages per home.
+    /// …and the same pages per home; the pages of a release, per home.
     pub(crate) by_home: Vec<Vec<PageId>>,
-    /// HLRC: the frozen ranges of a release, per home.
-    pub(crate) flushes: Vec<Vec<(PageId, DiffRange)>>,
+    /// HLRC: a release's `HOME_FLUSH` messages, built under the state
+    /// lock and sent after it, homes ascending.
+    pub(crate) flushes: Vec<(usize, Payload)>,
     /// HLRC: page responses, where they landed.
     pub(crate) responses: Vec<Packet>,
     /// Requests sent and not yet answered: `(server, request id)`.
@@ -81,7 +82,7 @@ impl Scratch {
             by_writer: vec![Vec::new(); n],
             whole: Vec::new(),
             by_home: vec![Vec::new(); n],
-            flushes: vec![Vec::new(); n],
+            flushes: Vec::new(),
             responses: Vec::new(),
             outstanding: Vec::new(),
             entries: Vec::new(),
@@ -143,7 +144,7 @@ impl ProtocolMode {
         ep: &Endpoint,
         state: &StateCell<DsmState>,
         opcode: u64,
-        payload: Vec<u64>,
+        payload: Payload,
         arrival: VTime,
         seq: u64,
     ) -> bool {
@@ -169,12 +170,20 @@ impl ProtocolMode {
         }
     }
 
-    /// On-rendezvous, pusher: the payload of a push of `diffs`, each
-    /// page's newest frozen range.
-    pub(crate) fn push_payload(self, st: &DsmState, diffs: &[(PageId, DiffRange)]) -> Vec<u64> {
+    /// On-rendezvous, pusher: the payload of a push of `pages`, each
+    /// page's newest range reaching interval `last`, frozen into the push
+    /// if it was still open; `charge` is handed each page's freeze time.
+    pub(crate) fn push_payload(
+        self,
+        st: &mut DsmState,
+        pages: &[PageId],
+        last: u32,
+        cost: &CostModel,
+        charge: impl FnMut(f64),
+    ) -> Payload {
         match self {
-            Lrc => lrc::push_payload(diffs),
-            Hlrc => hlrc::push_payload(st, diffs),
+            Lrc => lrc::push_payload(st, pages, last, cost, charge),
+            Hlrc => hlrc::push_payload(st, pages, last, cost, charge),
         }
     }
 

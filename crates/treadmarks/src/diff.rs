@@ -15,26 +15,38 @@
 //!
 //! ## Life cycle
 //!
-//! *twin → scratch → release buffer → message → window at the home →
-//! folded into the base at prune.*
+//! *twin → the message that carries it → a window at the writer and one
+//! at every receiver that keeps it → folded into the base at prune.*
 //!
-//! 1. **Twin → scratch.** A site that freezes pages opens a
-//!    [`DiffBatch`] and [`DiffBatch::push`]es each page against its twin.
-//!    The encodings are built side by side in one growing vector, the
-//!    per-thread scratch the batch took on opening.
-//! 2. **Scratch → release buffer.** [`DiffBatch::seal`] copies the
-//!    scratch into **one** exact-size shared allocation and hands the
-//!    scratch back; [`Sealed::window`] makes each page's `Diff` a window
-//!    onto it. A release (`publish`: every page of the new interval), a
-//!    push group (`do_pushes`: one target's pages) and a diff request
-//!    (`lrc::serve`: one request's entries) are one batch each; a
-//!    single page ([`Diff::create`]) is a batch of one; an unchanged
-//!    page is the process-wide empty diff and a batch of unchanged pages
-//!    allocates nothing.
-//! 3. **Release buffer → message.** [`Diff::encode`] appends the window's
-//!    words to a message as they are.
+//! 1. **Twin → batch.** A site that freezes pages opens a [`DiffBatch`]
+//!    and [`DiffBatch::push`]es each page against its twin. A batch is a
+//!    [`WordWriter`]: the encodings are written side by side with
+//!    whatever else the buffer carries.
+//! 2. **A sent batch is its message.** Every batch of frozen diffs that
+//!    leaves a node is built inside the message that carries it — an
+//!    HLRC release's `HOME_FLUSH` per home, a diff or validate response
+//!    (`lrc::serve`), a push group (`Tmk::do_pushes`).
+//!    [`DiffBatch::message`] opens the batch on the per-thread scratch;
+//!    the caller writes the message's own words around the diffs —
+//!    opcode, entry headers, copies of ranges frozen earlier — and
+//!    [`DiffBatch::into_message`] copies it out at its exact size as a
+//!    shared payload, keeping the scratch for the next batch. A sent
+//!    diff's words then exist once, in the message: [`Sealed::window`]
+//!    makes each frozen page's `Diff` a window onto it. (An unchanged
+//!    page is on the wire as the one word `[0]`; its window is the
+//!    process-wide empty diff, which pins nothing.) A message that also
+//!    carries copies — older ranges, whole pages — is not what its diffs
+//!    pin: they are gathered into an exact-size buffer of their own
+//!    (see "What a window retains").
+//! 3. **A batch that stays seals.** The pages of an HLRC release homed
+//!    at their writer, a page frozen to retire its twin (`freeze`) and
+//!    [`Diff::create`] never leave: [`DiffBatch::seal`] copies them into
+//!    **one** exact-size shared allocation and hands the scratch back. An
+//!    unchanged page is the process-wide empty diff, and a batch of
+//!    unchanged pages seals into nothing.
 //! 4. **Message → window.** The receiver wraps the payload it was handed
-//!    in a [`Landed`] (no copy: the `Vec` moves) and [`Diff::window`]
+//!    in a [`Landed`] — an owned payload moves in, a shared one is the
+//!    sender's buffer itself: no copy either way — and [`Diff::window`]
 //!    measures each diff in place — every header hop bounds-checked
 //!    against the message — yielding windows onto the payload. A diff
 //!    response, a validate response and a push apply them straight from
@@ -49,45 +61,59 @@
 //! A window pins its **whole** buffer, so who holds windows for how long
 //! bounds memory:
 //!
-//! * an HLRC writer keeps one range per page, the newest
-//!   (`DsmState::freeze`), so at most the release buffers of the last
-//!   intervals that wrote each page stay alive — for a page written
-//!   every release, one;
+//! * an HLRC writer keeps one range per page, the newest, and it is a
+//!   window onto the `HOME_FLUSH` that carried it — the message the home
+//!   keeps its own windows onto. A flush lives until the writer's later
+//!   releases have replaced the newest range of every page in it *and*
+//!   the home's prune has folded them: for pages written at every
+//!   release, one flush per home and writer beyond what the home buffers
+//!   anyway. (A page homed at its writer pins a sealed buffer instead.)
 //! * the ranges of one home flush come from one interval of one writer:
 //!   they share one `hi`, so the rendezvous minimum clock that folds one
-//!   folds them all and the message dies whole;
-//! * an LRC response dies at apply (`apply_range` copies the words into
-//!   the frame); an LRC writer keeps its frozen history, as it always
-//!   did — one buffer per request served instead of one per page.
+//!   folds them all;
+//! * an LRC response dies at apply at its requester (`apply_range`
+//!   copies the words into the frame), but an LRC writer keeps every
+//!   range it froze, as it always did, for the rest of the run. A range
+//!   frozen into a response or push that carries nothing else is a
+//!   window onto it (the message's own words are its entry headers). One
+//!   that also carries copies of older ranges — a reader that lags, an
+//!   aggregated validate — or whole pages (an HLRC push) would pin those
+//!   copies for as long as the history lives, growing with every lagging
+//!   request: its fresh diffs are gathered into an exact-size buffer
+//!   beside the message, which then dies at its receiver.
 //!
 //! ## Fibers
 //!
 //! The scratch is per OS thread, and all fibers of the sequential engine
-//! run on one: **seal before anything that can switch fibers** (a
-//! blocking receive, a rendezvous, a service join — sends do not
-//! switch). Every freeze site builds and seals inside one critical
-//! section of the state lock, which contains none of those. Breaking the
-//! rule costs speed, never words: an open batch *owns* the scratch
-//! vector (it took it out of the thread-local), so a second batch opened
-//! meanwhile starts on a fresh one.
+//! run on one: **seal or send before anything that can switch fibers**
+//! (a blocking receive, a rendezvous, a service join — sends do not
+//! switch). Every freeze site builds and finishes its batch inside one
+//! critical section of the state lock, which contains none of those.
+//! Breaking the rule costs speed, never words: an open batch *owns* the
+//! scratch vector (it took it out of the thread-local), so a second
+//! batch opened meanwhile starts on a fresh one.
 
 use std::cell::Cell;
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::{Arc, OnceLock};
 
-use sp2sim::{WordReader, WordWriter};
+use sp2sim::{Payload, WordReader, WordWriter};
 
-/// A received message's payload, shared by the windows decoded out of
-/// it. Wrapping moves the payload; nothing is copied.
+/// A message's payload, shared by the windows into it: at a receiver,
+/// the windows decoded out of it; at a sender that built diffs into it
+/// ([`DiffBatch::into_message`]), the windows onto those. Nothing is
+/// copied.
 #[derive(Clone, Debug)]
 pub struct Landed(Arc<Vec<u64>>);
 
 impl Landed {
-    /// Take over `payload` (a packet's, handed over by value).
-    pub fn new(payload: Vec<u64>) -> Landed {
-        assert!(payload.len() <= u32::MAX as usize, "message too large");
-        Landed(Arc::new(payload))
+    /// Take over `payload` (a packet's, handed over by value): an owned
+    /// one moves into the handle, a shared one already is one.
+    pub fn new(payload: impl Into<Payload>) -> Landed {
+        let words = payload.into().into_shared();
+        assert!(words.len() <= u32::MAX as usize, "message too large");
+        Landed(words)
     }
 
     /// A reader at the start of the payload.
@@ -123,10 +149,10 @@ impl Landed {
 /// [`Interval`](crate::interval::Interval)'s.
 #[derive(Clone)]
 pub(crate) enum Words {
-    /// A release buffer: the diffs of one batch, sealed side by side
-    /// into one exact-size allocation.
+    /// Words that never left their node: the diffs of one batch sealed
+    /// side by side into one exact-size allocation, or an interval.
     Sealed(Arc<[u64]>),
-    /// A message, where it landed.
+    /// A message: where it landed, or the one its sender built.
     Landed(Landed),
 }
 
@@ -185,8 +211,8 @@ impl fmt::Debug for Diff {
 }
 
 thread_local! {
-    /// Where a [`DiffBatch`] builds its encodings before their total
-    /// size is known. An open batch holds the vector; sealing returns it.
+    /// The buffer a [`DiffBatch`] writes into. An open batch holds the
+    /// vector; finishing the batch returns it.
     static SCRATCH: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
@@ -251,12 +277,20 @@ fn next_run(old: &[u64], new: &[u64], from: usize) -> Option<Range<usize>> {
     Some(start..i)
 }
 
-/// Diffs under construction, side by side in the per-thread scratch: the
-/// write half of the life cycle in the module docs. Open one per freeze
-/// site, [`push`](DiffBatch::push) every page, [`seal`](DiffBatch::seal)
-/// before anything that can switch fibers.
+/// Diffs under construction, in the buffer that will hold them: the
+/// write half of the life cycle in the module docs. A batch is a
+/// [`WordWriter`] (it dereferences to one) that
+/// [`push`](DiffBatch::push) appends a page's diff to. Open one per
+/// freeze site and [`into_message`](DiffBatch::into_message) or
+/// [`seal`](DiffBatch::seal) it before anything that can switch fibers.
 pub struct DiffBatch {
-    words: Vec<u64>,
+    w: WordWriter,
+    /// A message carries every diff, an unchanged page's as the one word
+    /// `[0]`; a sealed batch leaves those out.
+    message: bool,
+    /// The message also carries words kept elsewhere
+    /// ([`DiffBatch::note_copies`]).
+    copies: bool,
 }
 
 /// Where one pushed diff sits in its batch; [`Sealed::window`] of the
@@ -264,7 +298,8 @@ pub struct DiffBatch {
 #[derive(Clone, Copy, Debug)]
 pub struct Pending {
     off: u32,
-    /// Encoded words; 0 for an unchanged page, which takes no room.
+    /// Encoded words; 0 for an unchanged page, whose window is the
+    /// shared empty diff.
     len: u32,
     changed: u32,
 }
@@ -284,15 +319,34 @@ impl Default for DiffBatch {
 }
 
 impl DiffBatch {
-    /// An empty batch over this thread's scratch vector.
+    /// An empty batch over this thread's scratch vector, for diffs that
+    /// stay on this node ([`DiffBatch::seal`]).
     pub fn new() -> DiffBatch {
-        let mut words = SCRATCH.take();
-        words.clear();
-        DiffBatch { words }
+        DiffBatch {
+            w: WordWriter::reuse(SCRATCH.take()),
+            message: false,
+            copies: false,
+        }
+    }
+
+    /// An empty batch over this thread's scratch vector, for a message
+    /// ([`DiffBatch::into_message`]).
+    pub fn message() -> DiffBatch {
+        let mut batch = DiffBatch::new();
+        batch.message = true;
+        batch
+    }
+
+    /// Note that the message also carries words kept elsewhere — copies
+    /// of ranges frozen earlier, whole pages — which the windows onto its
+    /// diffs must not keep alive ([`DiffBatch::into_message`]).
+    pub fn note_copies(&mut self) {
+        self.copies = true;
     }
 
     /// Compare `new` against its twin `old` and encode the changed words
-    /// behind the diffs already in the batch.
+    /// behind what the batch already holds — in a message, an unchanged
+    /// page too, as the empty diff's one word.
     ///
     /// Both slices must be the same length (one page). The run structure
     /// produced by the chunked scan (`next_run`) is identical to a
@@ -302,47 +356,107 @@ impl DiffBatch {
     /// word changed).
     pub fn push(&mut self, old: &[u64], new: &[u64]) -> Pending {
         debug_assert_eq!(old.len(), new.len());
-        let enc = &mut self.words;
-        let at = enc.len();
-        let mut changed = 0;
+        let w = &mut self.w;
+        let at = w.len();
+        let (mut runs, mut changed) = (0, 0);
         let mut next = next_run(old, new, 0);
-        if next.is_some() {
-            enc.push(0); // the run count, known at the end
+        if next.is_some() || self.message {
+            w.put(0); // the run count, known at the end
         }
         while let Some(run) = next {
-            enc[at] += 1;
+            runs += 1;
             changed += run.len();
-            enc.push(header(run.start, run.len()));
-            enc.extend_from_slice(&new[run.clone()]);
+            w.put(header(run.start, run.len()));
+            w.put_raw(&new[run.clone()]);
             next = next_run(old, new, run.end);
         }
-        assert!(enc.len() <= u32::MAX as usize, "diff batch too large");
+        if runs > 0 {
+            w.set(at, runs);
+        }
+        assert!(w.len() <= u32::MAX as usize, "diff batch too large");
         Pending {
             off: at as u32,
-            len: (enc.len() - at) as u32,
+            len: if runs > 0 { (w.len() - at) as u32 } else { 0 },
             changed: changed as u32,
         }
     }
 
-    /// Copy the batch into one exact-size shared allocation (none if no
-    /// page changed) and hand the scratch back to the thread.
+    /// Copy the batch into one exact-size shared allocation (none if it
+    /// is empty: no page changed) and hand the scratch back to the
+    /// thread.
     pub fn seal(self) -> Sealed {
-        let words = (!self.words.is_empty()).then(|| Arc::from(&self.words[..]));
-        SCRATCH.set(self.words);
-        Sealed(words)
+        let words = self.w.words();
+        Sealed((!words.is_empty()).then(|| Words::Sealed(Arc::from(words))))
+    }
+
+    /// The batch as the message that carries it: the payload to send, its
+    /// words copied out at their exact size (the buffer stays this
+    /// thread's scratch), and the buffer that the diffs of `pending` —
+    /// this batch's pushes, in push order — are windows onto. That buffer
+    /// is the message itself, unless the message carries copies
+    /// ([`DiffBatch::note_copies`]): a window would keep those alive as
+    /// long as its diff, so the diffs are gathered into one exact-size
+    /// buffer of their own, as [`DiffBatch::seal`] makes, and every
+    /// `pending` is re-pointed into it.
+    pub fn into_message<'p>(
+        mut self,
+        pending: impl IntoIterator<Item = &'p mut Pending>,
+    ) -> (Sealed, Payload) {
+        let msg = Landed::new(self.w.words().to_vec());
+        if !self.copies {
+            return (
+                Sealed(Some(Words::Landed(msg.clone()))),
+                Payload::Shared(msg.0),
+            );
+        }
+        // The message is out: gather the diffs at the front of the scratch.
+        let mut words = std::mem::take(&mut self.w).finish();
+        let mut at = 0;
+        for p in pending {
+            let off = p.off as usize;
+            debug_assert!(at <= off, "pending out of push order");
+            words.copy_within(off..off + p.len as usize, at);
+            p.off = at as u32;
+            at += p.len as usize;
+        }
+        let sealed = Sealed((at > 0).then(|| Words::Sealed(Arc::from(&words[..at]))));
+        self.w = WordWriter::reuse(words);
+        (sealed, Payload::Shared(msg.0))
     }
 }
 
-/// A sealed batch: the release buffer its diffs are windows onto.
-pub struct Sealed(Option<Arc<[u64]>>);
+impl Drop for DiffBatch {
+    /// The buffer goes back to the thread, for the next batch.
+    fn drop(&mut self) {
+        SCRATCH.set(std::mem::take(&mut self.w).finish());
+    }
+}
+
+impl Deref for DiffBatch {
+    type Target = WordWriter;
+
+    fn deref(&self) -> &WordWriter {
+        &self.w
+    }
+}
+
+impl DerefMut for DiffBatch {
+    fn deref_mut(&mut self) -> &mut WordWriter {
+        &mut self.w
+    }
+}
+
+/// A finished batch: the buffer its diffs are windows onto — the message
+/// that carried them, or the exact-size copy of a batch that stayed.
+pub struct Sealed(Option<Words>);
 
 impl Sealed {
     /// The diff `pending` stood for, which must come from the batch that
-    /// was sealed into `self`.
+    /// was finished into `self`.
     pub fn window(&self, pending: Pending) -> Diff {
         match &self.0 {
             Some(words) if pending.len > 0 => Diff {
-                words: Words::Sealed(Arc::clone(words)),
+                words: words.clone(),
                 off: pending.off,
                 len: pending.len,
             },
@@ -360,7 +474,7 @@ impl Diff {
         // The only window there will be takes the buffer over.
         match batch.seal().0 {
             Some(words) => Diff {
-                words: Words::Sealed(words),
+                words,
                 off: pending.off,
                 len: pending.len,
             },
@@ -783,6 +897,59 @@ mod tests {
         let sealed = idle.seal();
         assert!(sealed.0.is_none());
         assert!(share_a_buffer(&sealed.window(p), &Diff::default()));
+    }
+
+    /// A sent batch is its message: copied out of the scratch at its
+    /// exact size, it is the one buffer of the sender's windows, the
+    /// payload and the receiver's windows, and the scratch stays this
+    /// thread's. A message that also carries copies is not what its diffs
+    /// pin: they are gathered apart.
+    #[test]
+    fn a_sent_batch_is_its_message() {
+        let old = [0u64; 8];
+        let (sparse, full) = ([0u64, 1, 1, 0, 0, 0, 0, 2], [1u64; 8]);
+        let mut msg = DiffBatch::message();
+        msg.put(77);
+        let mut p = [msg.push(&old, &sparse), msg.push(&old, &old)];
+        let scratch = msg.words().as_ptr();
+        let (sealed, payload) = msg.into_message(&mut p);
+        // The opcode; two runs (count, two headers, three words); the
+        // unchanged page.
+        assert_eq!(payload.len(), 1 + 6 + 1);
+        assert_eq!(payload[7], 0, "an unchanged page is on the wire too");
+        assert!(matches!(payload, Payload::Shared(_)));
+        assert_ne!(payload.as_ptr(), scratch, "an exact-size copy");
+        let mine = sealed.window(p[0]);
+        assert_eq!(mine, Diff::create(&old, &sparse));
+        let empty = sealed.window(p[1]);
+        assert!(empty.is_empty() && share_a_buffer(&empty, &Diff::default()));
+        let landed = Landed::new(payload);
+        let mut r = landed.reader();
+        assert_eq!(r.get(), 77);
+        let theirs = Diff::window(&landed, &mut r);
+        assert!(share_a_buffer(&mine, &theirs) && mine == theirs);
+        assert_eq!(DiffBatch::new().words().as_ptr(), scratch, "kept");
+
+        // An older diff copied in ahead of the fresh ones.
+        let mut msg = DiffBatch::message();
+        let copied = Diff::create(&old, &full);
+        copied.encode(&mut msg);
+        msg.note_copies();
+        let mut p = [msg.push(&old, &old), msg.push(&old, &sparse)];
+        let (sealed, payload) = msg.into_message(&mut p);
+        let landed = Landed::new(payload);
+        let mut r = landed.reader();
+        assert_eq!(Diff::window(&landed, &mut r), copied);
+        assert!(Diff::window(&landed, &mut r).is_empty());
+        let theirs = Diff::window(&landed, &mut r);
+        let mine = sealed.window(p[1]);
+        assert!(mine == theirs && !share_a_buffer(&mine, &theirs));
+        assert!(sealed.window(p[0]).is_empty());
+        let apart = match &sealed.0 {
+            Some(Words::Sealed(words)) => words.len(),
+            _ => panic!("the fresh diffs are sealed apart"),
+        };
+        assert_eq!(apart, mine.encoded_words(), "at their exact size");
     }
 
     #[test]

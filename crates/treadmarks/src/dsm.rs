@@ -14,7 +14,7 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 use sp2sim::{
-    MsgKind, Node, Port, ServiceHandle, SpanKind, StateCell, StateGuard, TraceSpanGuard,
+    MsgKind, Node, Payload, Port, ServiceHandle, SpanKind, StateCell, StateGuard, TraceSpanGuard,
     WordReader, WordWriter,
 };
 
@@ -22,11 +22,11 @@ use crate::coherence::{Miss, Scratch};
 use crate::config::TmkConfig;
 use crate::diff::Landed;
 use crate::interval::Intervals;
-use crate::page::Window;
+use crate::page::{PageId, Window};
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
-use crate::state::{reduce_children, DiffRange, DsmState, ReduceOp};
+use crate::state::{reduce_children, DsmState, ReduceOp};
 use crate::stats::DsmStats;
 
 /// `TMK_TRACE` in the environment turns on protocol chatter on stderr.
@@ -794,8 +794,9 @@ impl<'n> Tmk<'n> {
 
     /// Worker: report arrival at the rendezvous and wait for the next
     /// loop dispatch. Returns the control words of the dispatched loop,
-    /// or `None` when the master shut the computation down.
-    pub fn worker_wait(&self) -> Option<Vec<u64>> {
+    /// where the departure landed, or `None` when the master shut the
+    /// computation down.
+    pub fn worker_wait(&self) -> Option<protocol::LoopControl> {
         assert_ne!(self.proc_id(), 0, "workers only");
         self.quiescent("worker arrival");
         let e = self.fork_epoch.get();
@@ -820,6 +821,7 @@ impl<'n> Tmk<'n> {
             e,
             dep.expected_push
         );
+        let ctl = (dep.flag_bits & flags::SHUTDOWN == 0).then(|| dep.control());
         self.depart(
             wait,
             Some(dep.intervals),
@@ -827,11 +829,7 @@ impl<'n> Tmk<'n> {
             dep.min_vc,
             dep.expected_push,
         );
-        if dep.flag_bits & flags::SHUTDOWN != 0 {
-            None
-        } else {
-            Some(dep.ctl.to_vec())
-        }
+        ctl
     }
 
     /// Master: release the workers from their dispatch loop.
@@ -888,27 +886,24 @@ impl<'n> Tmk<'n> {
         pending.sort_unstable();
         pending.dedup();
         let cost = self.node.cost();
-        let mut diffs: Vec<(usize, DiffRange)> = Vec::new();
+        let mut pages: Vec<PageId> = Vec::new();
         for group in pending.chunk_by(|a, b| a.0 == b.0) {
             let target = group[0].0;
-            diffs.clear();
             let mut us = 0.0;
             let payload = {
                 let mut st = self.state.lock();
                 let last = st.vc[st.me];
-                // One batch, one buffer for the target's pages.
-                st.freeze_all(group.iter().map(|&(_, p)| (p, last)), cost, |page_us| {
-                    us += page_us
-                });
-                for &(_, p) in group {
-                    if let Some(r) = st.newest_frozen(p, last).cloned() {
-                        st.stats.pages_pushed += 1;
-                        diffs.push((p, r));
-                    }
-                }
-                // The payload is written in the critical section that
-                // froze the ranges.
-                (!diffs.is_empty()).then(|| self.cfg.protocol.push_payload(&st, &diffs))
+                // The pages with a range of the last interval to push.
+                pages.clear();
+                let pushable = group.iter().map(|&(_, p)| p);
+                pages.extend(pushable.filter(|&p| st.has_range_from(p, last)));
+                st.stats.pages_pushed += pages.len() as u64;
+                // One message for the target's pages, written in the
+                // critical section that freezes the ranges into it.
+                (!pages.is_empty()).then(|| {
+                    let charge = |page_us| us += page_us;
+                    (self.cfg.protocol).push_payload(&mut st, &pages, last, cost, charge)
+                })
             };
             self.node.advance(us);
             let Some(payload) = payload else {
@@ -1207,7 +1202,7 @@ impl<'n> Tmk<'n> {
 
         // Binomial-tree topology with `root` as virtual rank 0.
         let vrank = (me + n - root) % n;
-        let payload: Vec<u64> = if me == root {
+        let payload: Payload = if me == root {
             // Publish local writes first so the broadcast content matches
             // the interval state observers are entitled to.
             self.publish();
@@ -1220,7 +1215,7 @@ impl<'n> Tmk<'n> {
                 debug_assert!(!st.is_dirty(p), "root must not have open writes");
                 protocol::encode_page_entry(&mut w, p, applied, data);
             }
-            w.finish()
+            w.finish().into()
         } else {
             let parent = ((vrank & (vrank.wrapping_sub(1))) + root) % n;
             let pkt = self.node.recv_match(|p| p.src == parent && p.tag == t);
@@ -1486,7 +1481,7 @@ pub(crate) mod tests {
             } else {
                 let mut got = Vec::new();
                 while let Some(ctl) = tmk.worker_wait() {
-                    assert_eq!(ctl, vec![42, 7]);
+                    assert_eq!(*ctl, [42, 7]);
                     let me = tmk.proc_id();
                     let x = tmk.read_one(a, me);
                     tmk.write_one(a, 32 + me, x + 1.0);

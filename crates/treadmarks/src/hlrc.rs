@@ -17,17 +17,17 @@
 //! [`PageRow::home`](crate::state::PageRow) copies.
 
 use sp2sim::{
-    CostModel, EdgeKind, Endpoint, MsgKind, Port, SpanKind, StateCell, VTime, WordReader,
+    CostModel, EdgeKind, Endpoint, MsgKind, Payload, Port, SpanKind, StateCell, VTime, WordReader,
     WordWriter,
 };
 
 use crate::coherence::{Miss, Scratch};
-use crate::diff::Landed;
+use crate::diff::{DiffBatch, Landed};
 use crate::dsm::{trace, Tmk};
 use crate::fxhash::FxHashMap;
 use crate::page::PageId;
 use crate::protocol::{self, op, tag, DiffRespEntry};
-use crate::state::{Arrival, DiffRange, DsmState};
+use crate::state::{Arrival, Carry, DiffRange, DsmState};
 use crate::vc::Vc;
 
 /// What a node keeps under HLRC beside the per-page home copies: the
@@ -54,7 +54,7 @@ pub struct WaitingPageReq {
     /// The request where it landed: id, requester and the requested
     /// pages with their per-writer required watermarks are read from it
     /// again at every retry.
-    pub payload: Vec<u64>,
+    pub payload: Payload,
     /// Virtual arrival time of the request.
     pub arrival: VTime,
     /// Correlation id of the request packet (causal anchor when the
@@ -147,12 +147,16 @@ impl HomePage {
 }
 
 /// On-release: create the interval covering all dirty pages, eagerly
-/// materialize each page's diff and send it to the page's home.
+/// materialize each page's diff and send it to the page's home — frozen
+/// straight into one `HOME_FLUSH` per home, which the writer's newest
+/// range and the home's buffered range are then two windows onto.
 pub(crate) fn on_release(tmk: &Tmk<'_>) {
     let cost = tmk.node.cost();
     let me = tmk.proc_id();
     let mut scratch = tmk.scratch.borrow_mut();
-    let groups = &mut scratch.flushes;
+    let Scratch {
+        by_home, flushes, ..
+    } = &mut *scratch;
     let mut us = 0.0;
     // One section from flush through home buffering. The service
     // loop ships the flushed interval cluster-wide the moment it can
@@ -162,20 +166,45 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
     // in that window — and a deferred request for our *own* pages
     // has no incoming flush to retry it: it would wait forever (the
     // NBF/HLRC deadlock; `ci/mutants/pr9_publish_window.patch`).
-    let (flush_us, homes) = {
+    let flush_us = {
         let mut st = tmk.state.lock();
         let (flush_us, interval) = st.flush(cost);
-        // Every page of the new interval goes to its home.
+        // Every page of the new interval goes to its home: each one
+        // has an open range reaching `seq`, frozen here.
         let flushed = interval.as_ref().map_or(&[][..], |iv| iv.pages());
-        let flushed = flushed.iter().map(|&p| p as PageId);
         let seq = st.vc[me];
-        // One batch, one buffer for the whole release; the charges
-        // add up page by page as they always did.
-        st.freeze_all(flushed.clone().map(|p| (p, seq)), cost, |page_us| {
-            us += page_us
-        });
-        for p in flushed {
-            let home = st.home_of(p);
+        for &p in flushed {
+            by_home[st.home_of(p as PageId)].push(p as PageId);
+        }
+        for (home, pages) in by_home.iter_mut().enumerate() {
+            if pages.is_empty() {
+                continue;
+            }
+            let reqs = pages.iter().map(|&p| (p, seq));
+            if home == me {
+                // We are the home: buffer our own published ranges
+                // into the home copy locally — no message. (The
+                // working frame is NOT the home copy: it would leak
+                // unpublished or unsynchronized content to
+                // requesters; see [`HomePage`].)
+                st.freeze_all(reqs, cost, |_| {});
+                for &p in pages.iter() {
+                    let r = st.newest_frozen(p, seq).expect("just frozen").clone();
+                    st.home_flush_in(me, p, r);
+                }
+            } else {
+                trace!("[{me}] home-flush -> {home}: {} pages", pages.len());
+                let mut msg = DiffBatch::message();
+                msg.put(op::HOME_FLUSH).put_usize(me);
+                st.put_entries(&mut msg, reqs, Carry::Newest, cost, |_| {});
+                st.stats.home_flush_pages += pages.len() as u64;
+                flushes.push((home, st.finish_message(msg)));
+            }
+            pages.clear();
+        }
+        st.stats.home_flushes += flushes.len() as u64;
+        for &p in flushed {
+            let p = p as PageId;
             // The writer keeps only the range it just froze: nobody ever
             // asks it for history. Faults and validates fetch whole pages
             // from the homes, which buffer every range at the release
@@ -184,43 +213,29 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
             // release for the whole run.
             let row = st.pages.get_mut(p).expect("a flushed page has a row");
             let frozen = &mut row.diffs.frozen;
-            frozen.drain(..frozen.len().saturating_sub(1));
-            let newest = frozen.last().filter(|r| r.hi >= seq).cloned();
+            frozen.drain(..frozen.len() - 1);
+            let newest = &frozen[0];
+            debug_assert_eq!(newest.hi, seq, "frozen at this release");
+            // The freezes' charges add up in page order, whatever order
+            // the homes were built in — a float sum the virtual clock
+            // depends on; a freeze charges for the words it found
+            // changed.
+            us += cost.diff_create_us(newest.diff.changed_words());
+            let range = (newest.lo, newest.hi);
             trace!(
-                "[{me}] publish: page {p} seq {seq} home {home} range {:?}",
-                newest.as_ref().map(|r| (r.lo, r.hi))
+                "[{me}] publish: page {p} seq {seq} home {} range {range:?}",
+                st.home_of(p)
             );
-            if let Some(r) = newest {
-                if home == me {
-                    // We are the home: buffer our own published range
-                    // into the home copy locally — no message. (The
-                    // working frame is NOT the home copy: it would
-                    // leak unpublished or unsynchronized content to
-                    // requesters; see [`HomePage`].)
-                    st.home_flush_in(me, p, r);
-                } else {
-                    st.stats.home_flush_pages += 1;
-                    groups[home].push((p, r));
-                }
-            }
         }
-        let homes = groups.iter().filter(|g| !g.is_empty()).count();
-        st.stats.home_flushes += homes as u64;
-        (flush_us, homes)
+        flush_us
     };
     tmk.node.advance(flush_us);
-    if us == 0.0 && homes == 0 {
+    if us == 0.0 && flushes.is_empty() {
         return;
     }
     tmk.node.advance(us);
     // Ascending home order.
-    for (home, entries) in groups.iter_mut().enumerate() {
-        if entries.is_empty() {
-            continue;
-        }
-        trace!("[{me}] home-flush -> {home}: {} pages", entries.len());
-        let payload = encode_home_flush(me, entries);
-        entries.clear();
+    for (home, payload) in flushes.drain(..) {
         tmk.node
             .endpoint()
             .send_to_port(home, Port::Service, 0, MsgKind::HomeFlush, payload);
@@ -316,34 +331,44 @@ pub(crate) fn rendezvous_floor(arrivals: &[Arrival], extra: Option<&Vc>, n: usiz
     min
 }
 
-/// On-rendezvous, pusher: the payload of a push of `diffs`, each page's
-/// newest frozen range. That range alone is useless to a consumer that
-/// has not tracked the page: every release eagerly flushed (and froze)
-/// a per-epoch fragment, so the newest range starts far above such a
-/// consumer's watermark and the gap guard would drop it. An HLRC push
-/// therefore also ships the **whole page** at the producer's
-/// publication state plus its per-writer applied watermarks — the
-/// page-grained analogue of the diff push, matching the protocol's
-/// whole-page fetches — copied from the frames straight into the
-/// message, in the critical section that froze them. The receiver
-/// merges the diffs first (which resolves concurrent multi-writer
-/// pages, where no single frame dominates) and then installs the page
-/// copy only where its watermarks dominate.
-pub(crate) fn push_payload(st: &DsmState, diffs: &[(PageId, DiffRange)]) -> Vec<u64> {
-    let pages = protocol::page_resp_words(diffs.len(), st.n, st.cfg.page_words);
-    let mut w = WordWriter::with_capacity(1 + protocol::diff_entries_words(diffs) + pages);
-    w.put(protocol::PUSH_MODE_PAGES);
-    protocol::encode_diff_entries(&mut w, diffs);
-    w.put_usize(diffs.len());
-    for &(p, _) in diffs {
+/// On-rendezvous, pusher: the payload of a push of `pages` (each with a
+/// range reaching interval `last`), each page's newest range. That range
+/// alone is useless to a consumer that has not tracked the page: every
+/// release eagerly flushed (and froze) a per-epoch fragment, so the
+/// newest range starts far above such a consumer's watermark and the gap
+/// guard would drop it. An HLRC push therefore also ships the **whole
+/// page** at the producer's publication state plus its per-writer
+/// applied watermarks — the page-grained analogue of the diff push,
+/// matching the protocol's whole-page fetches — copied from the frames
+/// straight into the message, in the critical section that froze them
+/// (a copy the writer's newest range must not pin: a range frozen into
+/// the push is sealed apart, [`DiffBatch::note_copies`]).
+/// The receiver merges the diffs first (which resolves concurrent
+/// multi-writer pages, where no single frame dominates) and then
+/// installs the page copy only where its watermarks dominate. `charge`
+/// as in [`DsmState::put_entries`].
+pub(crate) fn push_payload(
+    st: &mut DsmState,
+    pages: &[PageId],
+    last: u32,
+    cost: &CostModel,
+    charge: impl FnMut(f64),
+) -> Payload {
+    let reqs = pages.iter().map(|&p| (p, last));
+    let mut msg = DiffBatch::message();
+    msg.put(protocol::PUSH_MODE_PAGES);
+    st.put_entries(&mut msg, reqs, Carry::Newest, cost, charge);
+    msg.note_copies();
+    msg.put_usize(pages.len());
+    for &p in pages {
         protocol::encode_page_entry(
-            &mut w,
+            &mut msg,
             p,
             st.frames.applied(p).expect("pushed page has a frame"),
             st.frames.data(p).expect("pushed page has a frame"),
         );
     }
-    w.finish()
+    st.finish_message(msg)
 }
 
 /// Serve: a writer's flush or a page request (`false`: not this
@@ -354,7 +379,7 @@ pub(crate) fn serve(
     ep: &Endpoint,
     state: &StateCell<DsmState>,
     opcode: u64,
-    payload: Vec<u64>,
+    payload: Payload,
     arrival: VTime,
     seq: u64,
 ) -> bool {
@@ -660,19 +685,11 @@ impl DsmState {
     }
 }
 
-/// Encode an HLRC home flush: the writer's identity followed by the
-/// frozen diff ranges destined for this home (same entry format as diff
-/// responses and pushes).
-pub fn encode_home_flush(writer: usize, entries: &[(PageId, DiffRange)]) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(2 + protocol::diff_entries_words(entries));
-    w.put(op::HOME_FLUSH).put_usize(writer);
-    protocol::encode_diff_entries(&mut w, entries);
-    w.finish()
-}
-
 /// Walk the body of the home flush `msg` (`r` stands after its opcode
 /// word): `(writer, entries)`, the entries' diffs windows onto `msg` —
-/// what the home keeps of a flush is the message itself.
+/// what the home keeps of a flush is the message itself. A flush is
+/// `[HOME_FLUSH, writer]` and the count-prefixed entries of diff
+/// responses and pushes, written by `on_release` as it freezes them.
 pub fn decode_home_flush<'r, 'a>(
     msg: &'r Landed,
     r: &'r mut WordReader<'a>,
@@ -860,7 +877,10 @@ mod tests {
             lamport: 9,
             diff: diff.clone(),
         };
-        let msg = Landed::new(encode_home_flush(4, &[(11usize, range)]));
+        let mut w = WordWriter::new();
+        w.put(op::HOME_FLUSH).put_usize(4).put(1);
+        protocol::encode_diff_entry(&mut w, 11, &range);
+        let msg = Landed::new(w.finish());
         let mut r = msg.reader();
         assert_eq!(r.get(), op::HOME_FLUSH);
         let (writer, entries) = decode_home_flush(&msg, &mut r);
@@ -872,6 +892,40 @@ mod tests {
         let range = &entries[0].range;
         assert_eq!((range.lo, range.hi, range.lamport), (2, 3, 9));
         assert_eq!(range.diff, diff);
+    }
+
+    /// A flushed diff is written once: the writer's newest range and the
+    /// home's buffered range are two windows onto the `HOME_FLUSH` that
+    /// carried it.
+    #[test]
+    fn writer_and_home_keep_windows_onto_one_flush() {
+        let out = run_cfg(2, TmkConfig::hlrc(), |tmk| {
+            let a = tmk.malloc_f64(1024); // two pages, one homed at each node
+            let page = (a.first_page..a.first_page + 2)
+                .find(|&p| tmk.page_home(p) == 0)
+                .expect("block-cyclic homes");
+            if tmk.proc_id() == 1 {
+                let mut w = tmk.write(a, 0..1024);
+                w[3] = 7.0;
+                w[600] = 8.0;
+            }
+            tmk.barrier(0);
+            let kept = {
+                let st = tmk.state.lock();
+                let row = st.pages.get(page).expect("written or homed here");
+                match tmk.proc_id() {
+                    0 => row.home.as_ref().map(|hp| hp.ranges[0].1.diff.clone()),
+                    _ => row.diffs.frozen.last().map(|r| r.diff.clone()),
+                }
+            };
+            tmk.finish();
+            kept.expect("a range of the flushed page")
+        });
+        let [home, writer] = &out.results[..] else {
+            unreachable!()
+        };
+        assert_eq!(home, writer);
+        assert!(home.shares_buffer_with(writer), "one message, two windows");
     }
 
     #[test]

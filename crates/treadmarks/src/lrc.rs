@@ -2,10 +2,11 @@
 //! **writer**.
 //!
 //! A release publishes write notices only; the diff of a page is
-//! materialized the first time somebody asks its writer for it
-//! ([`DsmState::freeze_all`]) and every frozen range is kept, because
-//! any node may still ask for history. A miss sends one diff request to
-//! every writer that has an unapplied notice for the page.
+//! materialized the first time somebody asks its writer for it, straight
+//! into the response ([`DsmState::put_entries`]), and every frozen range
+//! is kept, because any node may still ask for history. A miss sends one
+//! diff request to every writer that has an unapplied notice for the
+//! page.
 //!
 //! This module is the protocol's half of the seam in
 //! [`crate::coherence`]: its hooks — `on_release`, `resolve_miss`,
@@ -14,14 +15,16 @@
 //! (`DIFF_REQ` / `VALIDATE_REQ`). It owns no [`DsmState`] field: the
 //! frozen history in [`crate::state::PageDiffs`] is all it keeps.
 
-use sp2sim::{EdgeKind, Endpoint, MsgKind, Port, StateCell, VTime, WordReader, WordWriter};
+use sp2sim::{
+    CostModel, EdgeKind, Endpoint, MsgKind, Payload, Port, StateCell, VTime, WordReader, WordWriter,
+};
 
 use crate::coherence::{Miss, Scratch};
-use crate::diff::Landed;
+use crate::diff::{DiffBatch, Landed};
 use crate::dsm::{trace, Tmk};
 use crate::page::PageId;
 use crate::protocol::{self, op, tag};
-use crate::state::{DiffRange, DsmState};
+use crate::state::{Carry, DsmState};
 
 /// On-release: create the interval covering all dirty pages. The diffs
 /// stay where they are — unmaterialized, with their writer.
@@ -85,14 +88,23 @@ pub(crate) fn resolve_miss(tmk: &Tmk<'_>, sc: &mut Scratch, miss: &Miss<'_>) -> 
     invalid
 }
 
-/// On-rendezvous, pusher: the payload of a push of `diffs` — each page's
-/// newest frozen range, which a consumer that tracked the page applies
-/// like a fetched one.
-pub(crate) fn push_payload(diffs: &[(PageId, DiffRange)]) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(1 + protocol::diff_entries_words(diffs));
-    w.put(protocol::PUSH_MODE_DIFFS);
-    protocol::encode_diff_entries(&mut w, diffs);
-    w.finish()
+/// On-rendezvous, pusher: the payload of a push of `pages` (each with a
+/// range reaching interval `last`) — each page's newest range, frozen
+/// into the push if it was still open, which a consumer that tracked the
+/// page applies like a fetched one. `charge` as in
+/// [`DsmState::put_entries`].
+pub(crate) fn push_payload(
+    st: &mut DsmState,
+    pages: &[PageId],
+    last: u32,
+    cost: &CostModel,
+    charge: impl FnMut(f64),
+) -> Payload {
+    let reqs = pages.iter().map(|&p| (p, last));
+    let mut msg = DiffBatch::message();
+    msg.put(protocol::PUSH_MODE_DIFFS);
+    st.put_entries(&mut msg, reqs, Carry::Newest, cost, charge);
+    st.finish_message(msg)
 }
 
 /// Serve: a diff request, or a CRI aggregated validate — the same
@@ -103,7 +115,7 @@ pub(crate) fn serve(
     ep: &Endpoint,
     state: &StateCell<DsmState>,
     opcode: u64,
-    payload: Vec<u64>,
+    payload: Payload,
     arrival: VTime,
     seq: u64,
 ) -> bool {
@@ -115,33 +127,21 @@ pub(crate) fn serve(
     let mut r = WordReader::new(&payload);
     r.get(); // the opcode the service loop dispatched on
     let (req_id, requester, entries) = decode_diff_req(&mut r);
+    let reqs = entries.map(|e| (e.page, e.first_needed));
     let mut st = state.lock();
     let cost = ep.cost();
     // Diff creation for a multi-page (aggregated) request is pipelined
     // with transmission: only the first page's materialization delays the
-    // response; the rest overlaps serialization. The diffs the request
-    // materializes are one batch in one buffer.
+    // response; the rest overlaps serialization. The response is one
+    // batch: the ranges frozen earlier are copied in, the open ones
+    // frozen straight into it (and kept sealed apart from any copy: the
+    // history outlives the response).
     let mut first_us: f64 = 0.0;
-    st.freeze_all(
-        entries.clone().map(|e| (e.page, e.first_needed)),
-        cost,
-        |page_us| first_us = first_us.max(page_us),
-    );
-    let (mut ranges, mut words) = (0, 1);
-    for e in entries.clone() {
-        for range in st.frozen_from(e.page, e.first_needed) {
-            ranges += 1;
-            words += protocol::diff_entry_words(range);
-        }
-    }
-    // The response is written straight out of the frozen lists.
-    let mut w = WordWriter::with_capacity(words);
-    w.put_usize(ranges);
-    for e in entries {
-        for range in st.frozen_from(e.page, e.first_needed) {
-            protocol::encode_diff_entry(&mut w, e.page, range);
-        }
-    }
+    let mut msg = DiffBatch::message();
+    st.put_entries(&mut msg, reqs, Carry::History, cost, |page_us| {
+        first_us = first_us.max(page_us)
+    });
+    let payload = st.finish_message(msg);
     let service_us = cost.service_us + first_us;
     drop(st);
     let out_seq = ep.send_at(
@@ -149,7 +149,7 @@ pub(crate) fn serve(
         Port::App,
         resp_tag | (req_id & 0xFFFF),
         resp_kind,
-        w.finish(),
+        payload,
         arrival + service_us,
     );
     ep.trace_edge(EdgeKind::Response, out_seq, seq, arrival);

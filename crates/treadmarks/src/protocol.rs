@@ -4,6 +4,8 @@
 //! departures and data pushes travel to the **application port**. All
 //! payloads are word streams built with [`sp2sim::WordWriter`].
 
+use std::ops::{Deref, Range};
+
 use sp2sim::{WordReader, WordWriter};
 
 use crate::diff::{Diff, Landed};
@@ -121,31 +123,17 @@ pub fn diff_entry_words(range: &DiffRange) -> usize {
     4 + range.diff.encoded_words()
 }
 
-/// Words [`encode_diff_entries`] produces — callers pre-size their
-/// writer with this instead of growing it a word at a time.
-pub fn diff_entries_words(entries: &[(PageId, DiffRange)]) -> usize {
-    1 + entries
-        .iter()
-        .map(|(_, r)| diff_entry_words(r))
-        .sum::<usize>()
+/// Encode the header of a diff-response/push/home-flush entry for the
+/// range `lo..=hi` of `page` stamped `lamport`; its diff follows.
+pub fn encode_diff_entry_head(w: &mut WordWriter, page: PageId, lo: u32, hi: u32, lamport: u64) {
+    w.put_usize(page).put(lo as u64).put(hi as u64).put(lamport);
 }
 
 /// Encode one diff-response/push entry. A message is the entry count
 /// followed by that many of these.
 pub fn encode_diff_entry(w: &mut WordWriter, page: PageId, range: &DiffRange) {
-    w.put_usize(page)
-        .put(range.lo as u64)
-        .put(range.hi as u64)
-        .put(range.lamport);
+    encode_diff_entry_head(w, page, range.lo, range.hi, range.lamport);
     range.diff.encode(w);
-}
-
-/// Encode diff-response/push entries (count-prefixed).
-pub fn encode_diff_entries(w: &mut WordWriter, entries: &[(PageId, DiffRange)]) {
-    w.put_usize(entries.len());
-    for (page, r) in entries {
-        encode_diff_entry(w, *page, r);
-    }
 }
 
 /// Walk the diff-response/push/home-flush entries of `msg`, which `r`
@@ -337,6 +325,36 @@ pub struct Departure<'a> {
     pub ctl: &'a [u64],
     /// Intervals this node has not yet seen.
     pub intervals: Intervals,
+    msg: &'a Landed,
+    /// Where `ctl` starts in `msg`.
+    ctl_at: usize,
+}
+
+impl Departure<'_> {
+    /// The loop-control words as a window that keeps the message alive.
+    pub fn control(&self) -> LoopControl {
+        LoopControl {
+            msg: self.msg.clone(),
+            words: self.ctl_at..self.ctl_at + self.ctl.len(),
+        }
+    }
+}
+
+/// The loop-control words of a fork departure, where they landed: a
+/// window onto the message, which the worker's dispatch loop reads in
+/// place (it dereferences to the words).
+#[derive(Clone, Debug)]
+pub struct LoopControl {
+    msg: Landed,
+    words: Range<usize>,
+}
+
+impl Deref for LoopControl {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.msg.words()[self.words.clone()]
+    }
 }
 
 /// Decode the departure `msg`.
@@ -346,6 +364,8 @@ pub fn decode_departure(msg: &Landed) -> Departure<'_> {
     let flag_bits = r.get();
     let expected_push = r.get();
     let min_vc = decode_vc_words(&mut r);
+    // Behind the control words' length prefix.
+    let ctl_at = msg.offset_of(&mut r) + 1;
     let ctl = r.get_words();
     let intervals = Intervals::window(msg, &mut r);
     Departure {
@@ -355,6 +375,8 @@ pub fn decode_departure(msg: &Landed) -> Departure<'_> {
         min_vc,
         ctl,
         intervals,
+        msg,
+        ctl_at,
     }
 }
 
@@ -586,11 +608,15 @@ mod tests {
         assert_eq!(d.expected_push, 1);
         assert_eq!(d.min_vc, [4, 2]);
         assert_eq!(d.ctl, [9, 9]);
+        let ctl = d.control();
+        assert!(std::ptr::eq(&*ctl, d.ctl), "a window, not a copy");
         assert_eq!(d.intervals.collect::<Vec<_>>(), ivs);
         assert!(
             std::ptr::eq(d.ctl, &msg.words()[7..9]),
             "read where it landed"
         );
+        drop(msg);
+        assert_eq!(*ctl, [9, 9], "the window keeps the message");
 
         let msg = Landed::new(encode_departure(3, 0, 0, &[], [].iter(), &[]));
         let d = decode_departure(&msg);
@@ -673,7 +699,9 @@ mod tests {
             diff: diff.clone(),
         };
         let mut w = WordWriter::new();
-        encode_diff_entries(&mut w, &[(7usize, range)]);
+        w.put(1);
+        encode_diff_entry(&mut w, 7, &range);
+        assert_eq!(w.len(), 1 + diff_entry_words(&range));
         let msg = Landed::new(w.finish());
         let mut r = msg.reader();
         let got: Vec<DiffRespEntry> = decode_diff_entries(&msg, &mut r).collect();

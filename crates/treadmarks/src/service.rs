@@ -16,7 +16,7 @@
 
 use std::rc::Rc;
 
-use sp2sim::{EdgeKind, Endpoint, MsgKind, Port, StateCell, VTime, WordReader};
+use sp2sim::{EdgeKind, Endpoint, MsgKind, Payload, Port, StateCell, VTime, WordReader};
 
 use crate::config::ProtocolMode;
 use crate::diff::Landed;
@@ -294,7 +294,7 @@ fn holder_grant_or_queue(
 fn handle_arrival(
     ep: &Endpoint,
     state: &StateCell<DsmState>,
-    payload: Vec<u64>,
+    payload: Payload,
     arrival: VTime,
     seq: u64,
 ) {
@@ -318,7 +318,7 @@ fn handle_arrival(
 fn handle_master_fork(
     ep: &Endpoint,
     state: &StateCell<DsmState>,
-    payload: Vec<u64>,
+    payload: Payload,
     arrival: VTime,
     seq: u64,
 ) {

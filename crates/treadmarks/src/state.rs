@@ -30,15 +30,16 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sp2sim::{CostModel, VTime};
+use sp2sim::{CostModel, Payload, VTime};
 
 use crate::config::TmkConfig;
-use crate::diff::{Diff, DiffBatch, Pending};
+use crate::diff::{Diff, DiffBatch, Pending, Sealed};
 use crate::fxhash::FxHashMap;
 use crate::hlrc::{HomePage, HomeState};
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId};
 use crate::profile::{PageProfile, WriterWindow};
+use crate::protocol;
 use crate::race::{IntervalWrites, RaceLog};
 use crate::stats::DsmStats;
 use crate::vc::Vc;
@@ -75,6 +76,16 @@ pub struct DiffRange {
     /// froze it, or onto the message it arrived in (cloning it is a
     /// reference-count bump).
     pub diff: Diff,
+}
+
+/// Which of a page's ranges a message of diff entries carries
+/// ([`DsmState::put_entries`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Carry {
+    /// Every range from the interval asked for on: a diff response.
+    History,
+    /// The newest range reaching it: a home flush, a push.
+    Newest,
 }
 
 /// Diff storage for one page this node has written.
@@ -504,7 +515,7 @@ pub struct EpochState {
     /// this epoch: flag bits, the push counts of the pushes the master
     /// sent right before dispatching the loop, and the loop's control
     /// words.
-    pub fork_msg: Option<Vec<u64>>,
+    pub fork_msg: Option<Payload>,
     /// Virtual time of the master's fork call.
     pub fork_vt: VTime,
     /// Correlation id of the master's fork packet.
@@ -549,8 +560,8 @@ pub struct DsmState {
     /// it and clears it.
     dirty: Vec<PageId>,
     /// The ranges whose diffs sit in the open batch of
-    /// [`DsmState::freeze_all`], with where; empty between calls (kept
-    /// for its capacity).
+    /// [`DsmState::freeze_all`] or [`DsmState::put_entries`], with where;
+    /// empty between batches (kept for its capacity).
     freezing: Vec<(PageId, OpenRange, Pending)>,
     /// Our own intervals not yet reported to the barrier manager.
     pub unreported_seq: u32,
@@ -879,31 +890,15 @@ impl DsmState {
     }
 
     /// Materialize (freeze) the open range of every `(page,
-    /// first_needed)` of `reqs` that reaches its `first_needed` — the
-    /// first half of serving a diff request, a home flush or a push;
-    /// [`DsmState::frozen_from`] and [`DsmState::newest_frozen`] then
-    /// read the result. This is where the twin comparison actually
-    /// happens; `charge` is handed each page's time to charge, in `reqs`
-    /// order (pages with nothing to freeze charge 0 — callers sum or
-    /// maximize in the order they always did, so no simulated float
-    /// moves). After a freeze the twin is dropped (unless the page is
-    /// dirty again), so the next local write re-faults and re-twins,
-    /// exactly like the original system re-protecting a diffed page.
-    ///
-    /// The diffs of one call are one [`DiffBatch`]: built side by side,
-    /// sealed into one shared buffer, each range's diff a window onto it
-    /// (`crate::diff`, "Life cycle"). Nothing between opening the batch
-    /// and sealing it can switch fibers.
-    ///
-    /// The materialization compares the twin against the **published
-    /// image** when one exists, never the live frame: this call runs on
-    /// the protocol service loop at whatever moment the schedule gives
-    /// it, and the live frame may already hold
-    /// writes of the *next* open epoch — virtually ordered after the
-    /// requester's read. Serving those words backward through virtual
-    /// time is the divergence this image exists to prevent; `data` is a
-    /// correct fallback only while the page has not been re-written
-    /// since its last flush (then the two are identical).
+    /// first_needed)` of `reqs` that reaches its `first_needed`, into one
+    /// batch that stays on this node (the pages of a release homed here,
+    /// a twin retired by a page push): built side by side, sealed into
+    /// one shared buffer, each range's diff a window onto it
+    /// (`crate::diff`, "Life cycle"). [`DsmState::frozen_from`] and
+    /// [`DsmState::newest_frozen`] then read the result. `charge` is
+    /// handed each page's time to charge, in `reqs` order (pages with
+    /// nothing to freeze charge 0 — callers sum or maximize in the order
+    /// they always did, so no simulated float moves).
     pub fn freeze_all(
         &mut self,
         reqs: impl IntoIterator<Item = (PageId, u32)>,
@@ -915,7 +910,99 @@ impl DsmState {
         for (page, first_needed) in reqs {
             charge(self.freeze_into(&mut batch, page, first_needed, cost));
         }
-        let sealed = batch.seal();
+        self.keep_frozen(&batch.seal());
+    }
+
+    /// [`DsmState::freeze_all`] of one page; returns its time to charge.
+    pub fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
+        let mut us = 0.0;
+        self.freeze_all([(page, first_needed)], cost, |page_us| us = page_us);
+        us
+    }
+
+    /// Write the count-prefixed diff entries
+    /// (`protocol::encode_diff_entry`) of every `(page, first_needed)` of
+    /// `reqs` into `msg`, a message under construction — a diff
+    /// response, a home flush, a push. Per page, in `reqs` order: copies
+    /// of its frozen ranges that reach `first_needed`, then its open
+    /// range, frozen straight into the message if it reaches
+    /// `first_needed` (`carry` says whether a page's whole history from
+    /// there goes, or its newest range only — then a page with such an
+    /// open range sends no copy). `charge` is handed each page's freeze
+    /// time, as in [`DsmState::freeze_all`]. Each page must appear once:
+    /// a range frozen into the message is only kept when
+    /// [`DsmState::finish_message`] hands the message over.
+    pub fn put_entries(
+        &mut self,
+        msg: &mut DiffBatch,
+        reqs: impl IntoIterator<Item = (PageId, u32)>,
+        carry: Carry,
+        cost: &CostModel,
+        mut charge: impl FnMut(f64),
+    ) {
+        debug_assert!(self.freezing.is_empty());
+        let count_at = msg.len();
+        msg.put(0);
+        let mut entries = 0;
+        for (page, first_needed) in reqs {
+            let (copies, open) = self.entries_of(page, first_needed, carry);
+            for range in copies {
+                protocol::encode_diff_entry(msg, page, range);
+                msg.note_copies();
+            }
+            entries += copies.len() as u64;
+            let Some(open) = open else {
+                charge(0.0);
+                continue;
+            };
+            protocol::encode_diff_entry_head(msg, page, open.lo, open.hi, open.lamport_hi);
+            entries += 1;
+            charge(self.freeze_into(msg, page, first_needed, cost));
+        }
+        msg.set(count_at, entries);
+    }
+
+    /// Does `page` have a range reaching interval `first_needed`, frozen
+    /// or open — an entry of [`DsmState::put_entries`] to carry?
+    pub fn has_range_from(&self, page: PageId, first_needed: u32) -> bool {
+        let (copies, open) = self.entries_of(page, first_needed, Carry::Newest);
+        open.is_some() || !copies.is_empty()
+    }
+
+    /// What [`DsmState::put_entries`] writes for `page`: the frozen
+    /// ranges it copies, and the open range it freezes.
+    fn entries_of(
+        &self,
+        page: PageId,
+        first_needed: u32,
+        carry: Carry,
+    ) -> (&[DiffRange], Option<OpenRange>) {
+        let open = (self.pages.get(page))
+            .and_then(|row| row.diffs.open)
+            .filter(|open| open.hi >= first_needed);
+        let frozen = self.frozen_from(page, first_needed);
+        let copies = match carry {
+            Carry::History => frozen,
+            Carry::Newest if open.is_some() => &[],
+            Carry::Newest => &frozen[frozen.len().saturating_sub(1)..],
+        };
+        (copies, open)
+    }
+
+    /// The payload of `msg`, whose entries [`DsmState::put_entries`]
+    /// wrote: the batch becomes the message, and every range frozen into
+    /// it is kept in its page's frozen list, a window onto that message —
+    /// or, if the message carries copies too, onto its fresh diffs sealed
+    /// apart ([`DiffBatch::into_message`]).
+    pub fn finish_message(&mut self, msg: DiffBatch) -> Payload {
+        let (sealed, payload) = msg.into_message(self.freezing.iter_mut().map(|(_, _, p)| p));
+        self.keep_frozen(&sealed);
+        payload
+    }
+
+    /// Keep the ranges of `freezing` in their pages' frozen lists, their
+    /// diffs windows onto `sealed`, the batch they were frozen into.
+    fn keep_frozen(&mut self, sealed: &Sealed) {
         for (page, open, pending) in self.freezing.drain(..) {
             self.pages.rows[page].diffs.frozen.push(DiffRange {
                 lo: open.lo,
@@ -926,16 +1013,24 @@ impl DsmState {
         }
     }
 
-    /// [`DsmState::freeze_all`] of one page; returns its time to charge.
-    pub fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
-        let mut us = 0.0;
-        self.freeze_all([(page, first_needed)], cost, |page_us| us = page_us);
-        us
-    }
-
-    /// One page of [`DsmState::freeze_all`]: diff it into `batch` and
-    /// note its range in `freezing`, to be pushed once the batch is
-    /// sealed.
+    /// Freeze one page: diff its open range, if it reaches
+    /// `first_needed`, into `batch` and note it in `freezing`, to be kept
+    /// once the batch is finished; returns its time to charge. This is
+    /// where the twin comparison actually happens. After a freeze the
+    /// twin is dropped (unless the page is dirty again), so the next
+    /// local write re-faults and re-twins, exactly like the original
+    /// system re-protecting a diffed page. Nothing between opening a
+    /// batch and finishing it can switch fibers.
+    ///
+    /// The materialization compares the twin against the **published
+    /// image** when one exists, never the live frame: this call runs on
+    /// the protocol service loop at whatever moment the schedule gives
+    /// it, and the live frame may already hold
+    /// writes of the *next* open epoch — virtually ordered after the
+    /// requester's read. Serving those words backward through virtual
+    /// time is the divergence this image exists to prevent; `data` is a
+    /// correct fallback only while the page has not been re-written
+    /// since its last flush (then the two are identical).
     fn freeze_into(
         &mut self,
         batch: &mut DiffBatch,
@@ -1383,6 +1478,79 @@ mod tests {
             diff(&batched, 6).shares_buffer_with(&Diff::default()),
             "an unchanged page is the shared empty diff"
         );
+    }
+
+    /// A message of diff entries is the wire form of the ranges it
+    /// carries — the ones frozen earlier copied in, the open one frozen
+    /// straight into it. What the writer keeps of that freeze is a window
+    /// onto the message, unless the message carries copies: those the
+    /// window must not pin, as LRC keeps every range for the whole run.
+    #[test]
+    fn put_entries_freezes_into_the_message_it_writes() {
+        use crate::diff::Landed;
+
+        let cost = CostModel::sp2();
+        let written = || {
+            let mut s = state(0, 2);
+            // Page 3: interval 1 frozen by an earlier request, interval 2
+            // still open; page 4 written but not changed (interval 3).
+            write_words(&mut s, 3, &[(0, 1)]);
+            s.flush(&cost);
+            s.freeze(3, 1, &cost);
+            write_words(&mut s, 3, &[(1, 2)]);
+            s.flush(&cost);
+            write_words(&mut s, 4, &[(0, 0)]);
+            s.flush(&cost);
+            s
+        };
+        let entries = |s: &mut DsmState, reqs: &[(PageId, u32)], carry| {
+            let mut msg = DiffBatch::message();
+            let mut charges = Vec::new();
+            s.put_entries(&mut msg, reqs.iter().copied(), carry, &cost, |us| {
+                charges.push(us)
+            });
+            let msg = Landed::new(s.finish_message(msg));
+            let mut r = msg.reader();
+            let got: Vec<_> = protocol::decode_diff_entries(&msg, &mut r)
+                .map(|e| (e.page, e.range.lo, e.range.hi, e.range.diff))
+                .collect();
+            assert!(r.is_exhausted());
+            (got, charges)
+        };
+
+        let mut s = written();
+        let (got, charges) = entries(&mut s, &[(3, 1), (4, 1), (9, 1)], Carry::History);
+        let spans: Vec<_> = got
+            .iter()
+            .map(|&(page, lo, hi, _)| (page, lo, hi))
+            .collect();
+        assert_eq!(spans, [(3, 1, 1), (3, 2, 2), (4, 3, 3)]);
+        assert!(charges[0] > 0.0 && charges[2] == 0.0, "{charges:?}");
+        let kept = s.frozen_from(3, 1);
+        assert_eq!(kept.len(), 2);
+        let pins = |i: usize| kept[i].diff.shares_buffer_with(&got[i].3);
+        assert!(!pins(0), "copied into it");
+        assert!(!pins(1), "frozen into it, but sealed apart from the copy");
+        assert_eq!(
+            (kept[0].diff.clone(), kept[1].diff.clone()),
+            (got[0].3.clone(), got[1].3.clone())
+        );
+        let unchanged = &s.frozen_from(4, 1)[0].diff;
+        assert!(unchanged.is_empty() && unchanged.shares_buffer_with(&Diff::default()));
+
+        // The newest range only: page 3's open one, nothing copied.
+        let mut s = written();
+        let (got, _) = entries(&mut s, &[(3, 1)], Carry::Newest);
+        assert_eq!((got.len(), got[0].1), (1, 2));
+        let newest = &s.newest_frozen(3, 2).unwrap().diff;
+        assert!(newest.shares_buffer_with(&got[0].3), "a window onto it");
+        // Once frozen, the newest is a copy.
+        let (again, charges) = entries(&mut s, &[(3, 1)], Carry::Newest);
+        assert_eq!(
+            (again[0].1, again[0].3.clone(), charges),
+            (2, got[0].3.clone(), vec![0.0])
+        );
+        assert!(s.has_range_from(3, 2) && !s.has_range_from(3, 3));
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //! With the diff as one shared buffer and the per-page containers gone
 //! it cost about three, two of them private copies of the diff itself:
 //! the writer's exact-size buffer and the home's decode. Now a diff is
-//! a window: the pages of a release are frozen side by side into one
-//! buffer, the home keeps the flush message it was handed and a fetched
-//! page is copied from its payload into the frame, so a diff costs
-//! about one allocation — its share of the release buffer, of the flush
+//! a window: the pages of a release are frozen straight into one flush
+//! message per home, which the writer and the home both keep windows
+//! onto, and a fetched page is copied from its payload into the frame,
+//! so a diff costs less than one allocation — its share of the flush
 //! messages and of the dirty list, plus the fetches it causes. This
 //! test keeps it from creeping back: it runs Jacobi SPF under HLRC for
 //! `k` and `2k` iterations on the sequential engine under a counting
 //! allocator and bounds the *extra* allocations per *extra* diff
 //! created, which cancels everything a run allocates once (stacks,
-//! frames, tables, the reference arrays).
+//! frames, tables, the reference arrays). The same pair of runs bounds
+//! the extra heap *bytes* per extra diff *word* created: a flushed word
+//! is allocated once, in its message (8 bytes), where a sealed release
+//! buffer beside the flushes used to hold it a second time.
 //!
 //! Under LRC the same pair of runs bounds the extra allocations per
 //! extra *interval* created. Every node integrates every interval, and
@@ -29,8 +32,8 @@
 //! carried it, which the interval log keeps alive — an interval
 //! allocates only the messages that carry it (each one's payload and
 //! the handle its windows share) and the diffs its boundary pages are
-//! asked for: one buffer per request served, read at the requester as
-//! windows onto the response. The arrival that reports it and the
+//! asked for, frozen straight into the response that carries them and
+//! read at the requester as windows onto it. The arrival that reports it and the
 //! departures that spread it are encoded from the clock and the log
 //! where they live, and read where they land.
 //!
@@ -39,8 +42,8 @@
 //! planners fill containers the `Tmk` keeps (per writer, per home,
 //! outstanding requests, fetched entries, responses), and a home reads
 //! a page request's rows where they landed, so what a steady-state
-//! fault allocates is its messages: under LRC the request, the served
-//! batch's buffer, the response and the handle its windows share; under
+//! fault allocates is its messages: under LRC the request, the response
+//! the served diffs are frozen into and the handle its windows share; under
 //! HLRC the request and the response, plus its share of the releases'
 //! flushes. A `BTreeMap` of entry vectors per fault, as the planners
 //! used to build, would show here at once.
@@ -142,15 +145,18 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     (r, allocs - before.0, bytes - before.1)
 }
 
-/// Allocation budget per diff created (measured: 0.37; with a rebuilt
+/// Allocation budget per diff created (measured: 0.36; with a sealed
+/// release buffer beside the flush messages: 0.37; with a rebuilt
 /// entry list per page request and the planners' maps: 1.02; with a
 /// private buffer per diff at the writer and another at the home: 3.14; with
 /// per-writer notice lists: about 4.5; before the flat diff and the
 /// dense page table: about 12).
 const ALLOCS_PER_DIFF: f64 = 1.0;
 
-/// Allocation budget per interval created under LRC (measured: 10.4;
-/// with an owned page list and an `Arc` per interval per receiver and
+/// Allocation budget per interval created under LRC (measured: 8.69;
+/// with a sealed buffer beside each diff response and a copy of every
+/// dispatch's control words: 10.4; with an owned
+/// page list and an `Arc` per interval per receiver and
 /// `BTreeMap` planners: 32.3; before diffs were windows and arrivals
 /// encoded in place: 49.3; with per-writer notice lists: about 134).
 const ALLOCS_PER_INTERVAL: f64 = 15.0;
@@ -159,25 +165,35 @@ const ALLOCS_PER_INTERVAL: f64 = 15.0;
 /// write faults alike. Everything the extra iterations allocate is
 /// counted against their faults, the releases' and rendezvous' share
 /// included. Under LRC a twin outlives the release, so most faults are
-/// misses with their round trips (measured: 5.96; with the planners'
-/// maps and owned intervals: 18.5). Under HLRC every release freezes
+/// misses with their round trips (measured: 4.96; with a sealed buffer
+/// beside each diff response and a copy of every dispatch's control
+/// words: 5.96; with the planners' maps and owned
+/// intervals: 18.5). Under HLRC every release freezes
 /// the page and the next iteration's store faults again, which
 /// allocates nothing — the twin comes from the arena — so the misses
-/// are a small share of the faults (measured: 0.37; before: 1.01).
+/// are a small share of the faults (measured: 0.35; before: 1.01).
 const ALLOCS_PER_FAULT_LRC: f64 = 9.0;
 const ALLOCS_PER_FAULT_HLRC: f64 = 0.55;
 
-/// `[allocations, diffs created, intervals created, access faults]` of
-/// one 8-node Jacobi SPF run on a 512 x 512 grid (one page per column,
-/// so every node's block has boundary pages its neighbours fetch every
-/// iteration).
-fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 4] {
+/// Heap bytes budget per diff word created on the HLRC release path
+/// (measured: 12.9, each flushed word in one message that the writer's
+/// and the home's windows share; with the release's sealed buffer beside
+/// each home's flush, every flushed word allocated twice: 20.8).
+const HEAP_PER_DIFF_WORD: f64 = 16.0;
+
+/// `[allocations, heap bytes, diffs created, diff words created,
+/// intervals created, access faults]` of one 8-node Jacobi SPF run on a
+/// 512 x 512 grid (one page per column, so every node's block has
+/// boundary pages its neighbours fetch every iteration).
+fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 6] {
     let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.25);
     let p = Params { n: 512, iters };
-    let (r, allocs, _) = counted(|| RunSpec { cfg, ..spec }.launch(&p, jacobi::node));
+    let (r, allocs, bytes) = counted(|| RunSpec { cfg, ..spec }.launch(&p, jacobi::node));
     [
         allocs,
+        bytes,
         r.dsm.diffs_created,
+        r.dsm.diff_words_created,
         r.dsm.intervals_created,
         r.dsm.faults,
     ]
@@ -210,7 +226,9 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
 }
 
 /// Allocation budget per dispatched loop of hinted Shallow, cluster-wide
-/// (measured: about 133, the protocol's own; with owned intervals and
+/// (measured: about 112, the protocol's own; with a sealed buffer beside
+/// each diff response and push and a copy of the control words: about
+/// 133; with owned intervals and
 /// the planners' maps: about 317; with a buffer per pushed and per
 /// received diff: about 545; before hint plans: about 8100).
 const ALLOCS_PER_HINTED_DISPATCH: f64 = 200.0;
@@ -315,8 +333,9 @@ fn release_paths_stay_within_their_allocation_budgets() {
     // parks, lazily initialized statics) land outside the measurement.
     jacobi_spf(2, TmkConfig::hlrc());
     let k = 6;
-    let [allocs_k, diffs_k, _, faults_k] = jacobi_spf(k, TmkConfig::hlrc());
-    let [allocs_2k, diffs_2k, _, faults_2k] = jacobi_spf(2 * k, TmkConfig::hlrc());
+    let [allocs_k, bytes_k, diffs_k, words_k, _, faults_k] = jacobi_spf(k, TmkConfig::hlrc());
+    let [allocs_2k, bytes_2k, diffs_2k, words_2k, _, faults_2k] =
+        jacobi_spf(2 * k, TmkConfig::hlrc());
     let diffs = diffs_2k - diffs_k;
     assert!(
         diffs > 1000,
@@ -332,6 +351,16 @@ fn release_paths_stay_within_their_allocation_budgets() {
         per_diff <= ALLOCS_PER_DIFF,
         "{per_diff:.2} allocations per diff created exceed the budget of {ALLOCS_PER_DIFF}"
     );
+    let per_word = (bytes_2k - bytes_k) as f64 / (words_2k - words_k) as f64;
+    eprintln!(
+        "heap bytes: {bytes_k} for {k} iterations, {bytes_2k} for {}; diff words created: \
+         {words_k}, {words_2k}; {per_word:.1} heap bytes per extra diff word",
+        2 * k
+    );
+    assert!(
+        per_word <= HEAP_PER_DIFF_WORD,
+        "{per_word:.1} heap bytes per diff word created exceed the budget of {HEAP_PER_DIFF_WORD}"
+    );
     within_fault_budget(
         "HLRC",
         allocs_2k - allocs_k,
@@ -339,8 +368,8 @@ fn release_paths_stay_within_their_allocation_budgets() {
         ALLOCS_PER_FAULT_HLRC,
     );
 
-    let [allocs_k, _, intervals_k, faults_k] = jacobi_spf(k, TmkConfig::default());
-    let [allocs_2k, _, intervals_2k, faults_2k] = jacobi_spf(2 * k, TmkConfig::default());
+    let [allocs_k, _, _, _, intervals_k, faults_k] = jacobi_spf(k, TmkConfig::default());
+    let [allocs_2k, _, _, _, intervals_2k, faults_2k] = jacobi_spf(2 * k, TmkConfig::default());
     let intervals = intervals_2k - intervals_k;
     assert!(
         intervals >= 8 * k as u64,

@@ -51,7 +51,7 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
             ProtocolMode::Lrc,
             hlrc::encode_page_fetch_req(7, 1, 2, zero_watermarks.into_iter()),
         ),
-        (ProtocolMode::Lrc, hlrc::encode_home_flush(1, &two_ranges())),
+        (ProtocolMode::Lrc, home_flush(1, &two_ranges())),
     ];
     for (protocol, request) in &bad {
         for engine in EngineKind::explore(8) {
@@ -140,7 +140,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         Port::Service,
                         0,
                         MsgKind::HomeFlush,
-                        hlrc::encode_home_flush(1, &[(3usize, range)]),
+                        home_flush(1, &[(3usize, range)]),
                     );
                 };
                 let fetch = |req_id: u32, required: u32| {
@@ -311,6 +311,23 @@ fn two_ranges() -> Vec<(usize, treadmarks::state::DiffRange)> {
     .collect()
 }
 
+/// `ranges` as the count-prefixed diff entries of a message, behind the
+/// words `head`.
+fn entries_message(head: &[u64], ranges: &[(usize, treadmarks::state::DiffRange)]) -> Vec<u64> {
+    let mut w = sp2sim::WordWriter::new();
+    w.put_raw(head).put_usize(ranges.len());
+    for (page, range) in ranges {
+        treadmarks::protocol::encode_diff_entry(&mut w, *page, range);
+    }
+    w.finish()
+}
+
+/// A home flush of `ranges` from `writer`, word for word what a release
+/// writes.
+fn home_flush(writer: u64, ranges: &[(usize, treadmarks::state::DiffRange)]) -> Vec<u64> {
+    entries_message(&[op::HOME_FLUSH, writer], ranges)
+}
+
 /// What a walk over diff entries saw: `(page, hi, the page the diff
 /// makes of zeroes)` per entry.
 type SeenDiffs = Vec<(usize, u32, [u64; 8])>;
@@ -338,7 +355,7 @@ fn damaged_home_flush_is_a_bounds_panic_not_an_allocation() {
     use treadmarks::diff::Landed;
     use treadmarks::hlrc;
 
-    let whole = hlrc::encode_home_flush(1, &two_ranges());
+    let whole = home_flush(1, &two_ranges());
     let decode = |buf: &[u64]| {
         let buf = buf.to_vec();
         caught(move || {
@@ -381,10 +398,11 @@ fn damaged_diff_response_is_a_bounds_panic_not_an_allocation() {
     use treadmarks::diff::Landed;
     use treadmarks::protocol;
 
-    let mut w = sp2sim::WordWriter::new();
-    protocol::encode_diff_entries(&mut w, &two_ranges());
-    let whole = w.finish();
-    assert_eq!(whole.len(), protocol::diff_entries_words(&two_ranges()));
+    let whole = entries_message(&[], &two_ranges());
+    let entry_words = two_ranges()
+        .into_iter()
+        .map(|(_, r)| protocol::diff_entry_words(&r));
+    assert_eq!(whole.len(), 1 + entry_words.sum::<usize>());
     let decode = |buf: &[u64]| {
         let buf = buf.to_vec();
         caught(move || {
