@@ -64,14 +64,15 @@ pub fn expected_cost(spec: &RunSpec) -> u64 {
     (spec.scale * spec.scale * 1e9) as u64 * app * pages
 }
 
-/// Canonical grid order (app, protocol, scale, page size) — the order
-/// [`grid`] emits and [`run_grid`] returns, independent of the
-/// longest-job-first execution order.
-pub fn canon_key(spec: &RunSpec) -> (usize, usize, u64, usize) {
+/// Canonical grid order — paper app order, then protocol name (`hlrc`
+/// before `lrc`), scale, page size: the order of `BENCH_sweep.json`,
+/// which [`run_grid`] returns independent of the longest-job-first
+/// execution order.
+pub fn canon_key(spec: &RunSpec) -> (usize, &'static str, u64, usize) {
     let app = AppId::ALL.iter().position(|&a| a == spec.app).unwrap_or(0);
     (
         app,
-        spec.cfg.protocol as usize,
+        spec.cfg.protocol.name(),
         spec.scale.to_bits(),
         spec.cfg.page_words,
     )
@@ -96,16 +97,10 @@ pub fn measure(spec: &RunSpec) -> SweepCell {
     };
     let hot_page = r
         .sharing
-        .pages
-        .iter()
-        .max_by(|a, b| a.1.faults.cmp(&b.1.faults).then(b.0.cmp(&a.0)))
+        .hottest_pages()
+        .first()
         .map_or(-1, |(p, _)| *p as i64);
-    let hot_lock = r
-        .sharing
-        .locks
-        .iter()
-        .max_by(|a, b| a.1.wait_us.total_cmp(&b.1.wait_us).then(b.0.cmp(&a.0)))
-        .map_or(-1, |(l, _)| *l as i64);
+    let hot_lock = r.sharing.hottest_lock().map_or(-1, i64::from);
     SweepCell {
         app: spec.app.name().to_string(),
         version: spec.version.name().to_string(),
@@ -449,8 +444,9 @@ impl SweepDoc {
 
 /// The grid: six applications × both protocols × `scales` ×
 /// `page_words`, the compiler-parallelized shared-memory version
-/// ([`Version::Spf`]) throughout, tracing on (see [`measure`]). Cells
-/// come out in canonical order; [`run_grid`] reorders for scheduling.
+/// ([`Version::Spf`]) throughout, tracing on (see [`measure`]).
+/// [`run_grid`] reorders the cells for scheduling and returns them in
+/// [`canon_key`] order.
 pub fn grid(nprocs: usize, scales: &[f64], page_words: &[usize]) -> Vec<RunSpec> {
     let mut cells = Vec::new();
     for &app in &AppId::ALL {
@@ -561,12 +557,27 @@ mod tests {
 
     #[test]
     fn full_grid_covers_the_matrix() {
-        let cells = full_grid(8, 1.0);
-        assert_eq!(cells.len(), 6 * 2 * 2 * 2);
-        // Canonical order is already sorted.
-        let mut sorted = cells.clone();
-        sorted.sort_by_key(canon_key);
-        assert_eq!(sorted, cells);
+        assert_eq!(full_grid(8, 1.0).len(), 6 * 2 * 2 * 2);
+    }
+
+    /// The committed trajectory lists the full grid's cells in
+    /// canonical order.
+    #[test]
+    fn canonical_order_is_the_committed_files() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
+        let doc = SweepDoc::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let mut grid = full_grid(8, 1.0);
+        grid.sort_by_key(canon_key);
+        let want: Vec<_> = grid
+            .iter()
+            .map(|s| (s.app.name(), s.cfg.protocol, s.scale, s.cfg.page_words))
+            .collect();
+        let got: Vec<_> = doc
+            .cells
+            .iter()
+            .map(|c| (c.app.as_str(), c.protocol, c.scale, c.page_words))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -176,8 +176,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     }
 
     // ---- sharing diagnostics ------------------------------------------
-    let mut pages: Vec<_> = r.sharing.pages.iter().collect();
-    pages.sort_by(|a, b| b.1.faults.cmp(&a.1.faults).then(a.0.cmp(&b.0)));
+    let pages = r.sharing.hottest_pages();
     if !pages.is_empty() {
         let mut t = Table::new(vec![
             "page", "faults", "fetches", "diffs", "dwords", "applied", "writers", "epoch_w",
@@ -423,10 +422,9 @@ fn to_json(
         .iter()
         .filter(|s| matches!(s.kind, SegmentKind::Wire { .. }))
         .count();
-    let mut pages: Vec<_> = r.sharing.pages.iter().collect();
-    pages.sort_by(|a, b| b.1.faults.cmp(&a.1.faults).then(a.0.cmp(&b.0)));
     let pages = Json::Arr(
-        pages
+        r.sharing
+            .hottest_pages()
             .iter()
             .take(top)
             .map(|(page, p)| {

@@ -3,20 +3,16 @@
 //! (inspector/executor) column and its amortized inspector cost split
 //! out — the repository's answer to the paper's §6 conclusion.
 //!
-//! Usage: `figure2_table3 [scale] [nprocs] [--trace-out FILE]
-//! [--analyze]` (defaults 0.1 and 8). `--trace-out` additionally
-//! records a traced IGrid SPF+CRI run and writes it as Chrome/Perfetto
-//! trace JSON; `--analyze` prints a compact causal summary of the same
-//! run (critical-path length, wait share, hottest sharing sites).
+//! Usage: `figure2_table3 [scale] [nprocs]` (defaults 0.1 and 8). The
+//! headline cell's trace and causal report are `dsm trace` / `dsm
+//! analyze --app igrid --version cri`.
 
 use crate::cli::{Cli, Exit, Flags};
 use crate::report::{f2, render_table};
 use crate::Table;
 use apps::Version;
 
-pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
-    let trace_out = flags.value("--trace-out");
-    let do_analyze = flags.has("--analyze");
+pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     let rows = crate::figure2_table3(&cli);
     let header: Vec<String> = std::iter::once("Program".to_string())
@@ -65,24 +61,6 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
             cri.dsm.inspections,
             100.0 * (1.0 - cri.messages as f64 / spf.messages.max(1) as f64),
         );
-    }
-
-    // A separate traced run, so the table numbers above come from
-    // tracing-free executions.
-    if let Some(path) = trace_out {
-        let spec = cli.spec(apps::AppId::IGrid, Version::SpfCri);
-        let n = crate::trace_analysis::export_traced_run(&path, spec)
-            .map_err(|e| Exit::failure(format!("error: {e}")))?;
-        println!("\nwrote IGrid SPF+CRI trace to {path} ({n} events)");
-    }
-
-    // Compact causal summary of the headline configuration, from its
-    // own traced side run (the tables stay tracing-free).
-    if do_analyze {
-        let spec = cli.spec(apps::AppId::IGrid, Version::SpfCri);
-        let s = crate::critical_path::summarize_traced_run(spec)
-            .map_err(|e| Exit::failure(format!("error: {e}")))?;
-        println!("\n{s}");
     }
     Ok(())
 }

@@ -70,11 +70,7 @@ pub static COMMANDS: [Command; 15] = [
     Command {
         name: "figure2_table3",
         summary: "Figure 2 + Table 3: irregular applications",
-        spec: Spec {
-            defaults: (0.1, 8),
-            values: &["--trace-out"],
-            switches: &["--analyze"],
-        },
+        spec: COMMON,
         run: figure2_table3::run,
     },
     Command {
@@ -91,22 +87,14 @@ pub static COMMANDS: [Command; 15] = [
     },
     Command {
         name: "compiler_opt",
-        summary: "SPF vs SPF+CRI vs PVMe, and its message-count gate",
-        spec: Spec {
-            defaults: (0.1, 8),
-            values: &["--gate", "--check-baseline"],
-            switches: &[],
-        },
+        summary: "SPF vs SPF+CRI vs PVMe",
+        spec: COMMON,
         run: compiler_opt::run,
     },
     Command {
         name: "protocol_compare",
-        summary: "LRC vs HLRC, and its round-trip gate",
-        spec: Spec {
-            defaults: (0.1, 8),
-            values: &["--check-baseline", "--trace-out"],
-            switches: &["--analyze"],
-        },
+        summary: "LRC vs HLRC",
+        spec: COMMON,
         run: protocol_compare::run,
     },
     Command {

@@ -53,22 +53,9 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         cli.scale,
     );
 
-    let mut all = run_grid(&cells);
-    // Canonical file order: paper app order, then protocol, scale,
-    // page size — independent of the execution schedule.
-    all.sort_by_key(|c| {
-        (
-            apps::AppId::ALL
-                .iter()
-                .position(|a| a.name() == c.app)
-                .unwrap_or(usize::MAX),
-            c.protocol.name(),
-            c.scale.to_bits(),
-            c.page_words,
-        )
-    });
-
-    let doc = SweepDoc { cells: all };
+    let doc = SweepDoc {
+        cells: run_grid(&cells),
+    };
     let text = doc.render();
     std::fs::write(&out, &text).map_err(|e| Exit::error(format!("cannot write {out}: {e}")))?;
     print_summary(&doc);

@@ -690,80 +690,6 @@ pub fn check_dag(data: &TraceData) -> DagCheck {
     c
 }
 
-/// Run one *extra* traced execution with race detection enabled and
-/// render a compact causal summary — the `--analyze` implementation
-/// shared by the experiment subcommands (`figure2_table3`,
-/// `protocol_compare`). The side run keeps the tables' own numbers
-/// tracing-free, mirroring [`crate::trace_analysis::export_traced_run`].
-/// The full report lives in the `analyze` subcommand; this surfaces just
-/// the headline: path length (and whether the sequential identity
-/// held), wait share, the top path contributor, and the hottest
-/// page/false-sharing/lock sites.
-pub fn summarize_traced_run(mut spec: apps::RunSpec) -> Result<String, String> {
-    spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
-    let r = crate::oracle::run(&spec);
-    let trace = r.trace.as_ref().ok_or("run produced no trace")?;
-    let cp = compute(trace).ok_or("trace has no app tracks")?;
-    let t_max = trace.final_us.iter().fold(0.0f64, |a, &b| a.max(b));
-    let exact = cp.exact() && cp.length_us().to_bits() == t_max.to_bits();
-    let mut out = format!(
-        "causal summary ({} / {} / {:?}): critical path {:.1} us ({}), wait share {:.1}%\n",
-        spec.app.name(),
-        spec.version.name(),
-        spec.cfg.protocol,
-        cp.length_us(),
-        if exact {
-            "exact identity"
-        } else {
-            "INEXACT vs max final clock"
-        },
-        100.0 * cp.wait_share(),
-    );
-    if let Some((label, us)) = cp.by_label().first() {
-        out.push_str(&format!(
-            "  top path contributor: {} ({:.1} us, {:.1}% of path)\n",
-            label,
-            us,
-            100.0 * us / cp.length_us().max(f64::MIN_POSITIVE),
-        ));
-    }
-    match r
-        .sharing
-        .pages
-        .iter()
-        .max_by(|a, b| a.1.faults.cmp(&b.1.faults).then(b.0.cmp(&a.0)))
-    {
-        Some((p, prof)) => out.push_str(&format!(
-            "  hottest page: {} ({} faults, {} diffs applied, {} writers)\n",
-            p,
-            prof.faults,
-            prof.diffs_applied,
-            prof.writers(),
-        )),
-        None => out.push_str("  hottest page: none (no page faults recorded)\n"),
-    }
-    match r.false_sharing.iter().max_by_key(|f| f.pairs) {
-        Some(f) => out.push_str(&format!(
-            "  false sharing: page {} writers {} & {} ({} concurrent disjoint-word pairs)\n",
-            f.page, f.writers.0, f.writers.1, f.pairs,
-        )),
-        None => out.push_str("  false sharing: none detected\n"),
-    }
-    match r
-        .sharing
-        .locks
-        .iter()
-        .max_by(|a, b| a.1.wait_us.total_cmp(&b.1.wait_us).then(b.0.cmp(&a.0)))
-    {
-        Some((l, prof)) => out.push_str(&format!(
-            "  top lock: {} ({} acquires, {:.1} us waited, max handoff chain {})",
-            l, prof.acquires, prof.wait_us, prof.max_chain,
-        )),
-        None => out.push_str("  top lock: none (no lock traffic)"),
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod bench_sweep;
 pub mod cli;
 pub mod cmd;

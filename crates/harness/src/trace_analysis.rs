@@ -563,36 +563,6 @@ pub fn validate_chrome_trace(v: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Run one *extra* traced execution and write its Chrome trace to
-/// `path` — the `--trace-out` implementation shared by the experiment
-/// subcommands. Tracing is enabled only on this side run, so the tables'
-/// wall-clock numbers stay tracing-free; the simulated numbers are
-/// identical either way (pinned by the trace-overhead gate test).
-/// Returns the exported event count.
-pub fn export_traced_run(path: &str, mut spec: apps::RunSpec) -> Result<usize, String> {
-    spec.cfg.trace = true;
-    let r = crate::oracle::run(&spec);
-    let trace = r.trace.as_ref().ok_or("run produced no trace")?;
-    let dropped: u64 = trace.tracks.iter().map(|t| t.dropped).sum();
-    if dropped > 0 {
-        eprintln!(
-            "warning: trace dropped {dropped} events (ring-buffer overflow); \
-             the export is a lower bound and will fail --validate"
-        );
-    }
-    let cp = crate::critical_path::compute(trace);
-    let json = to_chrome_trace_with_path(trace, cp.as_ref());
-    match validate_chrome_trace(&json) {
-        Ok(()) => {}
-        // A lossy trace fails validation by design (the dropped-events
-        // instant); still write it out so the partial data is usable.
-        Err(e) if dropped > 0 && e.contains("dropped") => {}
-        Err(e) => return Err(format!("exported trace failed validation: {e}")),
-    }
-    std::fs::write(path, json.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(trace.event_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

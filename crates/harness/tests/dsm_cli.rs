@@ -69,6 +69,35 @@ fn dispatcher_names_the_subcommands() {
     assert!(unknown.stdout.is_empty());
 }
 
+/// The experiment subcommands take the common flags only: bounds live in
+/// the test suites, traced and analyzed runs in `trace` and `analyze`.
+#[test]
+fn experiment_subcommands_refuse_gate_trace_and_analyze_flags() {
+    let removed: [&[&str]; 7] = [
+        &["compiler_opt", "--check-baseline", "f"],
+        &["compiler_opt", "--gate", "igrid"],
+        &["figure2_table3", "--trace-out", "f"],
+        &["figure2_table3", "--analyze"],
+        &["protocol_compare", "--check-baseline", "f"],
+        &["protocol_compare", "--trace-out", "f"],
+        &["protocol_compare", "--analyze"],
+    ];
+    let help = stdout(&dsm(&["help"]));
+    for args in removed {
+        let out = dsm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let text = stderr(&out);
+        assert!(
+            text.contains(&format!("unknown flag {}", args[1])),
+            "{text}"
+        );
+        // How `dsm help` lists a value flag and a switch.
+        let listed = if args.len() == 3 { " V]" } else { "]" };
+        let listed = format!("[{}{listed}", args[1]);
+        assert!(!help.contains(&listed), "help lists {listed}: {help}");
+    }
+}
+
 #[test]
 fn committed_sweep_document_passes_check_in_both_spellings() {
     let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");

@@ -16,10 +16,10 @@ pub struct ClusterConfig {
     /// The schedule the engine runs the cluster under (see
     /// [`crate::engine`]).
     pub engine: EngineKind,
-    /// Event tracing (see the `trace` crate). `None` (the default)
+    /// Event tracing (see the `trace` crate). `false` (the default)
     /// records nothing and adds no cost; tracing never changes any
     /// simulated observable either way.
-    pub trace: Option<trace::TraceSpec>,
+    pub trace: bool,
 }
 
 impl ClusterConfig {
@@ -30,7 +30,7 @@ impl ClusterConfig {
             nprocs,
             cost: CostModel::sp2(),
             engine: EngineKind::default(),
-            trace: None,
+            trace: false,
         }
     }
 
@@ -45,15 +45,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Record an event trace with an explicit spec.
-    pub fn with_trace(mut self, spec: trace::TraceSpec) -> ClusterConfig {
-        self.trace = Some(spec);
-        self
-    }
-
-    /// Turn default-spec tracing on or off.
+    /// Turn event tracing on or off.
     pub fn with_tracing(mut self, enabled: bool) -> ClusterConfig {
-        self.trace = enabled.then(trace::TraceSpec::default);
+        self.trace = enabled;
         self
     }
 }

@@ -91,19 +91,17 @@ impl FromStr for EngineKind {
 #[derive(Debug)]
 pub struct ServiceHandle(pub(crate) usize);
 
-/// Shared state of a traced run, owned by the engine: the spec, the
-/// run's wall-clock origin (every event's `host_ns` is relative to it),
-/// and the sink endpoint buffers drain into when they drop.
+/// Shared state of a traced run, owned by the engine: the run's
+/// wall-clock origin (every event's `host_ns` is relative to it), and
+/// the sink endpoint buffers drain into when they drop.
 pub(crate) struct TraceShared {
-    pub(crate) spec: trace::TraceSpec,
     pub(crate) start: std::time::Instant,
     pub(crate) sink: RefCell<Vec<trace::TrackTrace>>,
 }
 
 impl TraceShared {
-    pub(crate) fn new(spec: trace::TraceSpec) -> TraceShared {
+    pub(crate) fn new() -> TraceShared {
         TraceShared {
-            spec,
             start: std::time::Instant::now(),
             sink: RefCell::new(Vec::new()),
         }

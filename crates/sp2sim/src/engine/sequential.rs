@@ -496,7 +496,7 @@ where
     let engine = Rc::new(Engine {
         cost: cfg.cost,
         stats: NetStats::new(),
-        trace: cfg.trace.map(TraceShared::new),
+        trace: cfg.trace.then(TraceShared::new),
         seed,
         sched: RefCell::new(Sched {
             n,

@@ -87,6 +87,5 @@ pub use time::VTime;
 // The tracing event model lives in the dependency-free `trace` crate;
 // re-export it so upper layers spell everything `sp2sim::...`.
 pub use trace::{
-    Category, EdgeKind, Event, EventKind, SpanKind, TraceBuf, TraceData, TracePort, TraceSpec,
-    TrackTrace,
+    Category, EdgeKind, Event, EventKind, SpanKind, TraceBuf, TraceData, TracePort, TrackTrace,
 };

@@ -47,7 +47,7 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn new(id: usize, n: usize, port: Port, engine: Rc<Engine>) -> Endpoint {
         let tracer = engine.trace.as_ref().map(|ts| Tracer {
-            buf: RefCell::new(TraceBuf::new(ts.spec.capacity)),
+            buf: RefCell::new(TraceBuf::new(trace::RING_CAPACITY)),
             start: ts.start,
         });
         Endpoint {

@@ -24,25 +24,14 @@
 
 #![forbid(unsafe_code)]
 
-/// Configuration for a trace recording: today just the per-track ring
-/// capacity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceSpec {
-    /// Maximum events retained per track (per endpoint). When a track
-    /// overflows, the *oldest* events are overwritten and
-    /// [`TrackTrace::dropped`] counts the loss; analyzers must refuse to
-    /// claim exact breakdowns over a lossy track.
-    pub capacity: usize,
-}
-
-impl Default for TraceSpec {
-    fn default() -> TraceSpec {
-        // Generous: a full Jacobi run at harness scales records a few
-        // hundred thousand events per node. The buffer grows on demand
-        // (amortized doubling, no per-event allocation) up to this cap.
-        TraceSpec { capacity: 1 << 20 }
-    }
-}
+/// Maximum events a traced run retains per track (per endpoint). When a
+/// track overflows, the *oldest* events are overwritten and
+/// [`TrackTrace::dropped`] counts the loss; analyzers must refuse to
+/// claim exact breakdowns over a lossy track. Generous: a full Jacobi
+/// run at harness scales records a few hundred thousand events per
+/// node, and the buffer grows on demand (amortized doubling, no
+/// per-event allocation) up to this cap.
+pub const RING_CAPACITY: usize = 1 << 20;
 
 /// Which of a node's two endpoints a track belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -11,7 +11,6 @@ use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use sp2sim::{
     MsgKind, Node, Payload, Port, ServiceHandle, SpanKind, StateCell, StateGuard, TraceSpanGuard,
@@ -28,23 +27,6 @@ use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
 use crate::state::{reduce_children, DsmState, ReduceOp};
 use crate::stats::DsmStats;
-
-/// `TMK_TRACE` in the environment turns on protocol chatter on stderr.
-/// Read once: the lookup takes the environment lock and scans, and
-/// `trace!` sits on every publish page, diff request and fetch.
-pub(crate) fn chatter() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TMK_TRACE").is_some())
-}
-
-macro_rules! trace {
-    ($($arg:tt)*) => {
-        if $crate::dsm::chatter() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-pub(crate) use trace;
 
 /// Handle to an allocation in the global shared address space.
 ///
@@ -109,7 +91,6 @@ pub(crate) fn apply_fetched(
         if range.lo > applied + 1 {
             let first = (st.notices).first_after(page, writer, applied, &st.log[writer]);
             if first.is_some_and(|first| first < range.lo) {
-                trace!("[{}] dropping gapped range for page {page}", st.me);
                 continue;
             }
         }
@@ -469,9 +450,7 @@ impl<'n> Tmk<'n> {
     ) {
         for (dst, req_id) in outstanding.drain(..) {
             let t = resp_tag | (req_id & 0xFFFF);
-            trace!("[{}] req {req_id} -> {dst} wait", self.proc_id());
             let pkt = self.node.recv_match(|p| p.src == dst && p.tag == t);
-            trace!("[{}] req {req_id} got", self.proc_id());
             land(dst, pkt);
         }
     }
@@ -568,9 +547,7 @@ impl<'n> Tmk<'n> {
         self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
 
         let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
-        trace!("[{}] barrier {} wait-dep", self.proc_id(), e);
         let pkt = self.node.recv_match(|p| p.tag == t);
-        trace!("[{}] barrier {} done", self.proc_id(), e);
         let msg = Landed::new(pkt.payload);
         let dep = protocol::decode_departure(&msg);
         self.depart(
@@ -644,7 +621,7 @@ impl<'n> Tmk<'n> {
         let me = self.proc_id();
         let mgr = lock as usize % self.nprocs();
         let t0 = self.node.now();
-        let dst = {
+        {
             let mut st = self.state.lock();
             st.stats.lock_acquires += 1;
             st.lock_prof.entry(lock).or_default().acquires += 1;
@@ -682,12 +659,9 @@ impl<'n> Tmk<'n> {
             self.node
                 .endpoint()
                 .send_to_port(dst, Port::Service, 0, MsgKind::LockReq, payload);
-            dst
-        };
+        }
         let t = tag::LOCK_GRANT | lock;
-        trace!("[{me}] acquire {lock} -> {dst} wait-grant");
         let pkt = self.node.recv_match(|p| p.tag == t);
-        trace!("[{me}] acquire {lock} granted");
         let msg = Landed::new(pkt.payload);
         let intervals = Intervals::window(&msg, &mut msg.reader());
         let mut st = self.state.lock();
@@ -779,9 +753,7 @@ impl<'n> Tmk<'n> {
             .endpoint()
             .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
         let t = tag::JOIN_DEP | (e & 0xFFFF) as u32;
-        trace!("[0] join {} wait", e);
         let pkt = self.node.recv_match(|p| p.tag == t);
-        trace!("[0] join {} done", e);
         // Interval integration happened inside the manager service at
         // epoch completion (our own state); only the workers' pushes to
         // the master remain to be consumed.
@@ -810,17 +782,9 @@ impl<'n> Tmk<'n> {
         let push_counts = self.do_pushes();
         self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
         let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
-        trace!("[{}] worker_wait {} wait-dep", self.proc_id(), e);
         let pkt = self.node.recv_match(|p| p.tag == t);
-        trace!("[{}] worker_wait {} got-dep", self.proc_id(), e);
         let msg = Landed::new(pkt.payload);
         let dep = protocol::decode_departure(&msg);
-        trace!(
-            "[{}] worker_wait {} expects {} pushes",
-            self.proc_id(),
-            e,
-            dep.expected_push
-        );
         let ctl = (dep.flag_bits & flags::SHUTDOWN == 0).then(|| dep.control());
         self.depart(
             wait,
@@ -909,7 +873,6 @@ impl<'n> Tmk<'n> {
             let Some(payload) = payload else {
                 continue;
             };
-            trace!("[{}] push-send -> {target}", self.proc_id());
             self.node
                 .endpoint()
                 .send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload);
@@ -985,11 +948,6 @@ impl<'n> Tmk<'n> {
                 .applied(e.page)
                 .is_some_and(|mine| mine.iter().zip(e.applied()).any(|(mine, p)| p < *mine))
             {
-                trace!(
-                    "[{}] push-recv: dropping dominated page push {}",
-                    self.proc_id(),
-                    e.page
-                );
                 continue;
             }
             debug_assert!(

@@ -23,7 +23,7 @@ use sp2sim::{
 
 use crate::coherence::{Miss, Scratch};
 use crate::diff::{DiffBatch, Landed};
-use crate::dsm::{trace, Tmk};
+use crate::dsm::Tmk;
 use crate::fxhash::FxHashMap;
 use crate::page::PageId;
 use crate::protocol::{self, op, tag, DiffRespEntry};
@@ -193,7 +193,6 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
                     st.home_flush_in(me, p, r);
                 }
             } else {
-                trace!("[{me}] home-flush -> {home}: {} pages", pages.len());
                 let mut msg = DiffBatch::message();
                 msg.put(op::HOME_FLUSH).put_usize(me);
                 st.put_entries(&mut msg, reqs, Carry::Newest, cost, |_| {});
@@ -221,11 +220,6 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
             // depends on; a freeze charges for the words it found
             // changed.
             us += cost.diff_create_us(newest.diff.changed_words());
-            let range = (newest.lo, newest.hi);
-            trace!(
-                "[{me}] publish: page {p} seq {seq} home {} range {range:?}",
-                st.home_of(p)
-            );
         }
         flush_us
     };

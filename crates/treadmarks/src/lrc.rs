@@ -21,7 +21,7 @@ use sp2sim::{
 
 use crate::coherence::{Miss, Scratch};
 use crate::diff::{DiffBatch, Landed};
-use crate::dsm::{trace, Tmk};
+use crate::dsm::Tmk;
 use crate::page::PageId;
 use crate::protocol::{self, op, tag};
 use crate::state::{Carry, DsmState};
@@ -53,9 +53,6 @@ pub(crate) fn resolve_miss(tmk: &Tmk<'_>, sc: &mut Scratch, miss: &Miss<'_>) -> 
                 let done = applied.map_or(0, |a| a[writer]);
                 let first = st.notices.first_after(page, writer, done, &st.log[writer]);
                 if let Some(first_needed) = first {
-                    trace!(
-                        "[{me}] fetch plan: page {page} writer {writer} from seq {first_needed}"
-                    );
                     by_writer[writer].push(DiffReqEntry { page, first_needed });
                 }
             }

@@ -175,6 +175,22 @@ impl SharingProfile {
         merge_sorted(&mut self.pages, &other.pages, PageProfile::merge);
         merge_sorted(&mut self.locks, &other.locks, LockProfile::merge);
     }
+
+    /// The pages hottest first: most faults, then lowest page id.
+    pub fn hottest_pages(&self) -> Vec<&(usize, PageProfile)> {
+        let mut pages: Vec<_> = self.pages.iter().collect();
+        pages.sort_by(|a, b| b.1.faults.cmp(&a.1.faults).then(a.0.cmp(&b.0)));
+        pages
+    }
+
+    /// The lock with the most blocked virtual time, then the lowest lock
+    /// id; `None` when no lock was used.
+    pub fn hottest_lock(&self) -> Option<u32> {
+        let hotter = |a: &&(u32, LockProfile), b: &&(u32, LockProfile)| {
+            a.1.wait_us.total_cmp(&b.1.wait_us).then(b.0.cmp(&a.0))
+        };
+        self.locks.iter().max_by(hotter).map(|(lock, _)| *lock)
+    }
 }
 
 fn merge_sorted<K: Ord + Copy, V: Clone>(
@@ -271,5 +287,25 @@ mod tests {
         assert_eq!(p4.max_epoch_writers, 2);
         assert_eq!(a.locks[0].1.acquires, 4);
         assert_eq!(a.locks[0].1.wait_us, 10.0);
+    }
+
+    #[test]
+    fn hottest_sites_break_ties_to_the_lowest_id() {
+        let page = |faults| PageProfile {
+            faults,
+            ..Default::default()
+        };
+        let lock = |wait_us| LockProfile {
+            wait_us,
+            ..Default::default()
+        };
+        let s = SharingProfile {
+            pages: vec![(2, page(1)), (5, page(3)), (9, page(3))],
+            locks: vec![(1, lock(2.0)), (4, lock(7.5)), (6, lock(7.5))],
+        };
+        let order: Vec<usize> = s.hottest_pages().iter().map(|(p, _)| *p).collect();
+        assert_eq!(order, [5, 9, 2]);
+        assert_eq!(s.hottest_lock(), Some(4));
+        assert_eq!(SharingProfile::default().hottest_lock(), None);
     }
 }

@@ -128,9 +128,11 @@ proptest! {
 /// covers the full grid plus probe points, all compared bitwise) —
 /// pinned **per protocol**, so the hint machinery keeps its contract on
 /// both sides of the LRC/HLRC axis, and the whole 2x2 grid converges to
-/// one memory image.
+/// one memory image. Under LRC the hinted run also stays within its
+/// recorded message count.
 #[test]
 fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
+    const LRC_CRI_MAX_MESSAGES: u64 = 494;
     let jacobi = |version| RunSpec::new(AppId::Jacobi, version, 8, 0.08);
     let reference = jacobi(Version::Spf).run();
     let ref_bits: Vec<u64> = reference.checksum.iter().map(|v| v.to_bits()).collect();
@@ -153,6 +155,13 @@ fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
             cri.messages,
             spf.messages
         );
+        if protocol == ProtocolMode::Lrc {
+            assert!(
+                cri.messages <= LRC_CRI_MAX_MESSAGES,
+                "hinted Jacobi under LRC sends {} messages, recorded bound {LRC_CRI_MAX_MESSAGES}",
+                cri.messages
+            );
+        }
     }
 }
 

@@ -25,7 +25,8 @@ use treadmarks::ProtocolMode::{self, Hlrc, Lrc};
 const NPROCS: usize = 8;
 
 /// The benchmark's five `cri-hinted` cells at a reduced scale, plus
-/// Jacobi under both protocols (the `compiler_opt` baseline's cell).
+/// Jacobi under both protocols at scale 0.1 (its message bound at 0.08
+/// is held by `tests/cri_equivalence.rs`).
 const CELLS: [(AppId, ProtocolMode, f64); 7] = [
     (AppId::IGrid, Hlrc, 0.2),
     (AppId::Nbf, Lrc, 0.2),

@@ -107,12 +107,13 @@ proptest! {
     }
 }
 
-/// The acceptance gate (also enforced in CI against a recorded
-/// baseline): IGrid SPF+CRI at 8 nodes, sequential engine, scale 0.08 —
-/// ≥ 30% fewer messages than plain SPF, byte-identical grid state, and
-/// a demonstrably amortized inspector.
+/// The acceptance gate: IGrid SPF+CRI at 8 nodes, sequential engine,
+/// scale 0.08 — ≥ 30% fewer messages than plain SPF, byte-identical
+/// grid state, a demonstrably amortized inspector and, under LRC, no
+/// more messages than recorded.
 #[test]
 fn igrid_cri_cuts_30_percent_at_8_nodes_with_identical_state() {
+    const LRC_CRI_MAX_MESSAGES: u64 = 204;
     for protocol in ProtocolMode::ALL {
         let spf = run(
             AppId::IGrid,
@@ -137,6 +138,13 @@ fn igrid_cri_cuts_30_percent_at_8_nodes_with_identical_state() {
             cri.messages,
             spf.messages
         );
+        if protocol == ProtocolMode::Lrc {
+            assert!(
+                cri.messages <= LRC_CRI_MAX_MESSAGES,
+                "hinted IGrid under LRC sends {} messages, recorded bound {LRC_CRI_MAX_MESSAGES}",
+                cri.messages
+            );
+        }
         assert!(cri.dsm.inspections > 0, "{protocol}: inspector ran");
         assert!(cri.dsm.schedule_reuse > 0, "{protocol}: schedule reused");
         assert!(cri.dsm.inspect_us > 0, "{protocol}: walk cost charged");

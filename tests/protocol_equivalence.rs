@@ -181,9 +181,11 @@ fn hand_coded_versions_byte_identical_across_protocols() {
 /// The message-shape trade HLRC makes, pinned on Jacobi at the paper's
 /// 8-node platform: fewer access-miss round trips (whole-page home
 /// fetches replace per-writer diff exchanges), more update traffic
-/// (eager flush bytes, which LRC does not send at all).
+/// (eager flush bytes, which LRC does not send at all). HLRC's round
+/// trips also stay within their recorded count.
 #[test]
 fn jacobi_8_nodes_hlrc_trades_round_trips_for_flush_bytes() {
+    const HLRC_MAX_MISS_ROUND_TRIPS: u64 = 240;
     let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.08);
     let run = |protocol| spec.protocol(protocol).run();
     let lrc = run(ProtocolMode::Lrc);
@@ -201,6 +203,11 @@ fn jacobi_8_nodes_hlrc_trades_round_trips_for_flush_bytes() {
         "HLRC {} vs LRC {} round trips",
         hlrc.miss_round_trips(),
         lrc.miss_round_trips()
+    );
+    assert!(
+        hlrc.miss_round_trips() <= HLRC_MAX_MISS_ROUND_TRIPS,
+        "HLRC {} round trips, recorded bound {HLRC_MAX_MISS_ROUND_TRIPS}",
+        hlrc.miss_round_trips()
     );
     assert_eq!(lrc.stats.messages(MsgKind::PageReq), 0);
     assert_eq!(hlrc.stats.messages(MsgKind::DiffReq), 0);
