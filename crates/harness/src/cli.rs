@@ -259,10 +259,10 @@ mod tests {
         values: &[],
         switches: &[],
     };
-    const SWEEP: Spec = Spec {
+    const TOOL: Spec = Spec {
         defaults: (1.0, 8),
         values: &["--out", "--check"],
-        switches: &["--smoke"],
+        switches: &["--breakdown"],
     };
 
     fn common(words: &[&str]) -> Result<Cli, Exit> {
@@ -310,9 +310,9 @@ mod tests {
         rejected(&COMMON, &["0"], "scale must be a positive number");
         rejected(&COMMON, &["-1"], "scale must be a positive number");
         rejected(&COMMON, &["NaN"], "scale must be a positive number");
-        rejected(&SWEEP, &["--check"], "missing value after --check");
+        rejected(&TOOL, &["--check"], "missing value after --check");
         // A switch does not swallow a value.
-        rejected(&SWEEP, &["--smoke=1"], "unknown flag --smoke=1");
+        rejected(&TOOL, &["--breakdown=1"], "unknown flag --breakdown=1");
     }
 
     #[test]
@@ -325,10 +325,10 @@ mod tests {
 
     #[test]
     fn declared_flags_are_collected() {
-        let words = ["--out", "a.json", "2.0", "--smoke", "--out=b=c.json"];
-        let (cli, flags) = SWEEP.parse(&mut argv(&words)).unwrap();
+        let words = ["--out", "a.json", "2.0", "--breakdown", "--out=b=c.json"];
+        let (cli, flags) = TOOL.parse(&mut argv(&words)).unwrap();
         assert_eq!(cli.scale, 2.0);
-        assert!(flags.has("--smoke"));
+        assert!(flags.has("--breakdown"));
         assert_eq!(flags.value("--out").as_deref(), Some("b=c.json"));
         assert_eq!(flags.value("--check"), None);
         let as_len = |v: &str| Ok::<usize, String>(v.len());

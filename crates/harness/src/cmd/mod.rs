@@ -15,7 +15,6 @@ pub mod handopt;
 pub mod interface_ablation;
 pub mod page_size;
 pub mod protocol_compare;
-pub mod races;
 pub mod scaling;
 pub mod sweep;
 pub mod table1;
@@ -44,7 +43,7 @@ const COMMON: Spec = Spec {
 
 /// Every subcommand, in `dsm help` order: the ten paper artifacts, in
 /// the order `all` runs them, then `all`, then the tools.
-pub static COMMANDS: [Command; 15] = [
+pub static COMMANDS: [Command; 14] = [
     Command {
         name: "table1",
         summary: "Table 1: data-set sizes and sequential times",
@@ -116,22 +115,11 @@ pub static COMMANDS: [Command; 15] = [
         run: all,
     },
     Command {
-        name: "races",
-        summary: "race-detection gate over the six applications, or the detector's self-check",
-        spec: Spec {
-            defaults: (0.035, 4),
-            values: &[],
-            switches: &["--seeded"],
-        },
-        run: races::run,
-    },
-    Command {
         name: "sweep",
-        summary: "the perf-trajectory grid (BENCH_sweep.json); scale multiplies the grid's scales",
+        summary: "re-record BENCH_sweep.json, the golden virtual-clock cells (no scale, nprocs)",
         spec: Spec {
-            defaults: (1.0, 8),
-            values: &["--out", "--check"],
-            switches: &["--smoke"],
+            values: &["--out"],
+            ..COMMON
         },
         run: sweep::run,
     },
@@ -273,7 +261,7 @@ mod tests {
         let before_all = COMMANDS.iter().take_while(|c| c.name != "all");
         let names: Vec<&str> = before_all.map(|c| c.name).collect();
         assert_eq!(names.len(), 10, "{names:?}");
-        for tool in ["all", "races", "sweep", "trace", "analyze"] {
+        for tool in ["all", "sweep", "trace", "analyze"] {
             assert!(find(tool).is_some() && !names.contains(&tool), "{tool}");
         }
     }

@@ -1,9 +1,10 @@
 //! Minimal JSON tree, renderer and parser.
 //!
-//! The sweep product emits a machine-readable perf trajectory
-//! (`BENCH_sweep.json`) and CI parses it back for schema validation.
-//! The workspace takes no serialization dependency, so this module
-//! hand-rolls the small JSON subset the benchmark file needs: finite
+//! The sweep writes the golden `BENCH_sweep.json`, which the test suite
+//! parses back to name the cells that moved; `trace` and `analyze`
+//! write and re-check their own documents. The workspace takes no
+//! serialization dependency, so this module hand-rolls the small JSON
+//! subset those files need: finite
 //! numbers, strings, booleans, null, arrays and (insertion-ordered)
 //! objects. The renderer and parser are exact inverses on that subset —
 //! `parse(render(v)) == v` — which the round-trip tests pin.
@@ -57,10 +58,6 @@ impl Json {
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
             _ => None,
         }
-    }
-
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|x| x as usize)
     }
 
     pub fn as_str(&self) -> Option<&str> {

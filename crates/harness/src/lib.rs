@@ -6,8 +6,8 @@
 //! The artifacts are backed by the functions of [`experiments`], which
 //! return structured rows; the `report` module renders them as aligned
 //! text tables (and CSV). `sweep` is [`bench_sweep`], `trace` is
-//! [`trace_analysis`], `analyze` is [`critical_path`], `races` is
-//! `treadmarks::race`. Every cell any of them runs goes through [`oracle`],
+//! [`trace_analysis`], `analyze` is [`critical_path`]. Every cell any of
+//! them runs goes through [`oracle`],
 //! which holds its checksum against the sequential program's and fails
 //! the subcommand on a wrong result. The full suite is
 //! `cargo run --release -p harness -- all`.
@@ -30,7 +30,6 @@ pub mod report;
 pub mod sweep;
 pub mod trace_analysis;
 
-pub use bench_sweep::{SweepCell, SweepDoc};
 pub use critical_path::{check_dag, CriticalPath, DagCheck, Segment, SegmentKind};
 pub use experiments::{
     compiler_opt, figure1, figure2_table3, handopt, interface_ablation, protocol_compare, scaling,

@@ -7,7 +7,7 @@
 //! every noted cell with the checksum of the sequential program at the
 //! same `(app, scale)`, at the tolerances of `tests/cross_version.rs`.
 //! The speedup experiments run that program anyway; a subcommand that
-//! does not (`sweep`, `trace`, `analyze`, `races`) pays for it once per
+//! does not (`sweep`, `trace`, `analyze`) pays for it once per
 //! `(app, scale)`, after its own cells. A divergent cell is named on
 //! stderr and fails the subcommand with status 1; agreeing cells print
 //! nothing.

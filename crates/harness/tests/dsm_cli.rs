@@ -1,6 +1,6 @@
 //! The `dsm` binary end to end: `all` prints every artifact of the
 //! paper, in order, from one process; the dispatcher names its
-//! subcommands; the committed sweep document passes `--check`.
+//! subcommands and refuses the ones and the flags that went.
 
 use std::process::{Command, Output};
 
@@ -71,43 +71,62 @@ fn dispatcher_names_the_subcommands() {
 
 /// The experiment subcommands take the common flags only: bounds live in
 /// the test suites, traced and analyzed runs in `trace` and `analyze`.
+/// `sweep` only re-records the golden cells, which the root golden tests
+/// check, and the race gates are `tests/race_detection.rs`.
 #[test]
-fn experiment_subcommands_refuse_gate_trace_and_analyze_flags() {
-    let removed: [&[&str]; 7] = [
-        &["compiler_opt", "--check-baseline", "f"],
-        &["compiler_opt", "--gate", "igrid"],
-        &["figure2_table3", "--trace-out", "f"],
-        &["figure2_table3", "--analyze"],
-        &["protocol_compare", "--check-baseline", "f"],
-        &["protocol_compare", "--trace-out", "f"],
-        &["protocol_compare", "--analyze"],
+fn removed_flags_and_subcommands_are_refused_and_unlisted() {
+    // (subcommand, flag without its dashes, whether it took a value)
+    let removed = [
+        ("compiler_opt", "check-baseline", true),
+        ("compiler_opt", "gate", true),
+        ("figure2_table3", "trace-out", true),
+        ("figure2_table3", "analyze", false),
+        ("protocol_compare", "check-baseline", true),
+        ("protocol_compare", "trace-out", true),
+        ("protocol_compare", "analyze", false),
+        ("sweep", "smoke", false),
+        ("sweep", "check", true),
     ];
     let help = stdout(&dsm(&["help"]));
-    for args in removed {
-        let out = dsm(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    for (command, flag, valued) in removed {
+        let flag = format!("--{flag}");
+        let out = dsm(&[command, &flag, "f"][..if valued { 3 } else { 2 }]);
+        assert_eq!(out.status.code(), Some(2), "{command} {flag}");
         let text = stderr(&out);
+        assert!(text.contains(&format!("unknown flag {flag}")), "{text}");
+        // How `dsm help` lists a value flag and a switch, on the
+        // subcommand's own line.
+        let listed = format!("[{flag}{}]", if valued { " V" } else { "" });
+        let line = help
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{command} ")));
+        let line = line.unwrap_or_else(|| panic!("help has no {command} line: {help}"));
         assert!(
-            text.contains(&format!("unknown flag {}", args[1])),
-            "{text}"
+            !line.contains(&listed),
+            "help lists {command} {listed}: {line}"
         );
-        // How `dsm help` lists a value flag and a switch.
-        let listed = if args.len() == 3 { " V]" } else { "]" };
-        let listed = format!("[{}{listed}", args[1]);
-        assert!(!help.contains(&listed), "help lists {listed}: {help}");
     }
+
+    let races = dsm(&["races"]);
+    assert_eq!(races.status.code(), Some(2));
+    assert!(stderr(&races).contains("unknown subcommand 'races'"));
+    assert!(
+        !help.contains("races") && !help.contains("seeded]"),
+        "{help}"
+    );
 }
 
+/// `sweep` writes the fixed cells or nothing.
 #[test]
-fn committed_sweep_document_passes_check_in_both_spellings() {
-    let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    let spaced = dsm(&["sweep", "--check", doc]);
-    assert!(spaced.status.success(), "{}", stderr(&spaced));
-    assert!(
-        stdout(&spaced).starts_with("cells 48 "),
-        "{}",
-        stdout(&spaced)
-    );
-    let joined = dsm(&["sweep", &format!("--check={doc}")]);
-    assert_eq!(joined.stdout, spaced.stdout);
+fn sweep_refuses_anything_but_its_fixed_cells() {
+    for args in [
+        &["sweep", "0.5"][..],
+        &["sweep", "0.1", "4"],
+        &["sweep", "--engine", "seeded:3"],
+        &["sweep", "--protocol", "hlrc"],
+    ] {
+        let out = dsm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("fixed cells"), "{}", stderr(&out));
+    }
 }

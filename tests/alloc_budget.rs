@@ -67,10 +67,10 @@
 //! consumer and peer and built a `BTreeSet` of pages for each: fifteen
 //! times the allocations, nearly all of them hint-side.
 //!
-//! One test per binary: the counters are process-wide. They count the
-//! measuring thread only — every measured run is on the sequential
+//! The budgets are one test: the counters are process-wide. They count
+//! the measuring thread only — every measured run is on the sequential
 //! engine, i.e. on the thread that calls it — so what libtest's own
-//! thread allocates beside a measurement is not in it.
+//! thread, or the twin-arena test beside it, allocates is not in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -392,6 +392,22 @@ fn release_paths_stay_within_their_allocation_budgets() {
         faults_2k - faults_k,
         ALLOCS_PER_FAULT_LRC,
     );
+}
+
+/// The scratch arena's point: misses are bounded by the peak number of
+/// concurrently-live twins (they only happen while the pool is still
+/// warming), while hits grow with every epoch after that. A multi-epoch
+/// Jacobi run must therefore recycle more twins than it allocates.
+#[test]
+fn arena_recycles_at_steady_state() {
+    let dsm = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.1).run().dsm;
+    assert!(
+        dsm.arena_hits > dsm.arena_misses,
+        "recycling should dominate allocation: {} hits vs {} misses",
+        dsm.arena_hits,
+        dsm.arena_misses
+    );
+    assert!(dsm.arena_peak_bytes > 0, "arena parked at least one twin");
 }
 
 /// The extra iterations' `allocs` over their access `faults`, held
