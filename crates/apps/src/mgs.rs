@@ -359,8 +359,8 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         .map(|j| (j % np == me).then(|| init_col(n, j)))
         .collect();
 
-    // Where a pivot owned elsewhere lands: the broadcast hands over the
-    // buffer of the message it arrived in, so nothing is copied.
+    // Where a pivot owned elsewhere lands: the broadcast refills it in
+    // place, so it is allocated once.
     let mut remote = Vec::new();
 
     let m = meter_start(node);

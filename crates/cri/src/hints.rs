@@ -649,7 +649,8 @@ mod tests {
     /// Words every generated section stays below.
     const WORDS: usize = 1024;
 
-    /// A section from one of the six constructors and eight small numbers.
+    /// A section from one of six shapes — the five constructors, spans
+    /// painted in either order — and eight small numbers.
     fn section_from(shape: usize, p: &[usize]) -> Section {
         let spans = || p.chunks(2).map(|s| s[0] * 25..s[0] * 25 + s[1]);
         match shape {
@@ -671,7 +672,7 @@ mod tests {
             }
             3 => Section::from_indices(p.iter().map(|&x| x * 13 % WORDS)),
             4 => Section::from_spans(spans()),
-            _ => Section::from_runs(spans().collect()),
+            _ => Section::from_spans(spans().rev()),
         }
     }
 

@@ -11,10 +11,15 @@
 //! | `allreduce`       | `2 (n - 1)`         |
 //! | `gather`/`allgather` | `n - 1` / `2 (n - 1)` |
 //! | `alltoall`        | `n (n - 1)` pairwise |
+//!
+//! A broadcast's words are packed once: the root builds one shared
+//! payload, every packet of the collective holds a clone of it (tree
+//! forwarders pass on the one they received), and each receiver refills
+//! the caller's vector from it.
 
 use sp2sim::{MsgKind, SpanKind};
 
-use crate::comm::{into_f64s, pack_f64s, Comm, ReduceOp};
+use crate::comm::{into_f64s, land_f64s, pack_f64s, Comm, ReduceOp};
 
 impl<'a> Comm<'a> {
     /// This rank's place in the binomial tree rooted at `root`: its
@@ -68,53 +73,55 @@ impl<'a> Comm<'a> {
 
     /// Binomial-tree broadcast of raw words from `root`.
     pub fn bcast(&self, root: usize, data: &mut Vec<u64>) {
-        let tag = self.next_coll_tag();
-        let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        let (parent, children) = self.tree(root);
-        if let Some(parent) = parent {
-            *data = self.node.recv_from(parent, tag).payload.into_vec();
-        }
-        for child in children {
-            self.node.send(child, tag, MsgKind::Data, data.clone());
-        }
+        self.tree_bcast(root, data, <[u64]>::to_vec, |words, data| {
+            data.clear();
+            data.extend_from_slice(words);
+        });
     }
 
     /// Broadcast a vector of `f64`s from `root` (tree). The root packs
-    /// each child's payload straight from `data`; everyone else forwards
-    /// the payload it received and keeps that buffer as its `data`.
+    /// `data` once; everyone else refills its `data` from the payload it
+    /// received.
     pub fn bcast_f64s(&self, root: usize, data: &mut Vec<f64>) {
+        self.tree_bcast(root, data, pack_f64s, land_f64s);
+    }
+
+    /// The tree broadcast both forms run: the root `pack`s `data` into
+    /// one payload its children share, a forwarder passes on the payload
+    /// it received, and every non-root `land`s it in `data`.
+    fn tree_bcast<T>(
+        &self,
+        root: usize,
+        data: &mut Vec<T>,
+        pack: impl FnOnce(&[T]) -> Vec<u64>,
+        land: impl FnOnce(&[u64], &mut Vec<T>),
+    ) {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         let (parent, children) = self.tree(root);
         match parent {
-            None => {
-                for child in children {
-                    self.node.send(child, tag, MsgKind::Data, pack_f64s(data));
-                }
-            }
+            None => self.multicast(children, tag, || pack(data)),
             Some(parent) => {
-                let words = self.node.recv_from(parent, tag).payload.into_vec();
-                for child in children {
-                    self.node.send(child, tag, MsgKind::Data, words.clone());
-                }
-                *data = into_f64s(words);
+                let payload = self.node.recv_from(parent, tag).payload;
+                self.forward(children, tag, &payload);
+                land(&payload, data);
             }
         }
     }
 
     /// Flat (serialized) broadcast: the root sends `n - 1` individual
-    /// messages back to back. This is how the mid-90s XHPF run-time
-    /// broadcast partitions; the serialization at the root is a real cost
-    /// the paper's XHPF numbers include.
+    /// messages back to back, all holding the one payload it packed.
+    /// This is how the mid-90s XHPF run-time broadcast partitions; the
+    /// serialization at the root is a real cost the paper's XHPF numbers
+    /// include.
     pub fn bcast_flat_f64s(&self, root: usize, data: &mut Vec<f64>) {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         if self.rank() == root {
-            for dst in (0..self.size()).filter(|&dst| dst != root) {
-                self.node.send(dst, tag, MsgKind::Data, pack_f64s(data));
-            }
+            let others = (0..self.size()).filter(|&dst| dst != root);
+            self.multicast(others, tag, || pack_f64s(data));
         } else {
-            *data = into_f64s(self.node.recv_from(root, tag).payload.into_vec());
+            land_f64s(&self.node.recv_from(root, tag).payload, data);
         }
     }
 
@@ -289,6 +296,79 @@ mod tests {
             c.bcast(0, &mut v);
         });
         assert_eq!(out.stats.total_messages(), 7);
+    }
+
+    /// A broadcast packs its words once. The ranks that only receive —
+    /// the tree's leaves, every non-root of the flat form — take their
+    /// packet themselves, and each finds the root's one shared buffer,
+    /// however many forwarders it passed; the collective still sends
+    /// `n - 1` messages of the whole vector.
+    #[test]
+    fn every_receiver_of_a_broadcast_holds_the_roots_one_buffer() {
+        use crate::comm::COLLECTIVE_TAG_BASE;
+        use sp2sim::Payload;
+        use std::sync::Arc;
+
+        const N: usize = 8;
+        let data = [3.5, -1.0, 0.25];
+        type Bcast = fn(&Comm, usize, &mut Vec<f64>);
+        let forms: [(&str, bool, Bcast); 3] = [
+            ("bcast", true, |c, root, v| {
+                let mut words = pack_f64s(v);
+                c.bcast(root, &mut words);
+                *v = into_f64s(words);
+            }),
+            ("bcast_f64s", true, |c, root, v| c.bcast_f64s(root, v)),
+            ("bcast_flat_f64s", false, |c, root, v| {
+                c.bcast_flat_f64s(root, v)
+            }),
+        ];
+        for (name, tree, bcast) in forms {
+            for root in 0..N {
+                let out = run(N, |c| {
+                    let (parent, mut children) = c.tree(root);
+                    let parent = if tree {
+                        parent
+                    } else {
+                        (c.rank() != root).then_some(root)
+                    };
+                    match parent {
+                        Some(parent) if !tree || children.next().is_none() => {
+                            let payload = c.node().recv_from(parent, COLLECTIVE_TAG_BASE).payload;
+                            let shared = match &payload {
+                                Payload::Shared(buf) => Some(Arc::clone(buf)),
+                                Payload::Owned(_) => None,
+                            };
+                            (into_f64s(payload.to_vec()), shared)
+                        }
+                        _ => {
+                            let mut v = if parent.is_none() {
+                                data.to_vec()
+                            } else {
+                                vec![]
+                            };
+                            bcast(c, root, &mut v);
+                            (v, None)
+                        }
+                    }
+                });
+                let cell = format!("{name} from {root} of {N}");
+                assert!(out.results.iter().all(|(got, _)| *got == data), "{cell}");
+                let bufs: Vec<&Arc<Vec<u64>>> = out.results.iter().flat_map(|(_, b)| b).collect();
+                let receivers = if tree { N / 2 } else { N - 1 };
+                assert_eq!(
+                    bufs.len(),
+                    receivers,
+                    "{cell}: receivers holding a shared payload"
+                );
+                assert!(
+                    bufs.iter().all(|b| Arc::ptr_eq(b, bufs[0])),
+                    "{cell}: one buffer"
+                );
+                assert_eq!(out.stats.total_messages(), N as u64 - 1, "{cell}");
+                assert_eq!(out.stats.total_bytes(), (N as u64 - 1) * 3 * 8, "{cell}");
+            }
+        }
     }
 
     #[test]

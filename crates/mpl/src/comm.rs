@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 
-use sp2sim::{MsgKind, Node, SpanKind, WordReader, WordWriter};
+use sp2sim::{MsgKind, Node, Payload, SpanKind, WordReader, WordWriter};
 
 /// Reduction operators over `f64` vectors (elementwise).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,7 +29,8 @@ impl ReduceOp {
 }
 
 /// Pack a slice of `f64`s into a fresh payload: the one copy a message
-/// costs on its way out.
+/// costs on its way out — or a multicast, however many destinations
+/// share it.
 pub(crate) fn pack_f64s(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -39,6 +40,13 @@ pub(crate) fn pack_f64s(xs: &[f64]) -> Vec<u64> {
 /// and the receiver is handed the message's own buffer.
 pub(crate) fn into_f64s(payload: Vec<u64>) -> Vec<f64> {
     payload.into_iter().map(f64::from_bits).collect()
+}
+
+/// Refill `out` with a multicast's words: the packets share one buffer,
+/// so a receiver reads it where it is, into a vector it keeps.
+pub(crate) fn land_f64s(words: &[u64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(words.iter().map(|&w| f64::from_bits(w)));
 }
 
 /// Tag space layout: user tags must stay below this; collectives use a
@@ -91,14 +99,55 @@ impl<'a> Comm<'a> {
 
     /// Receive raw words from `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> Vec<u64> {
+        self.recv_payload(src, tag).into_vec()
+    }
+
+    /// The payload of the next message from `src` with `tag`, as it
+    /// arrived.
+    fn recv_payload(&self, src: usize, tag: u32) -> Payload {
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        self.node.recv_from(src, tag).payload.into_vec()
+        self.node.recv_from(src, tag).payload
     }
 
     /// Send a slice of `f64`s (packed straight from it).
     pub fn send_f64s(&self, dst: usize, tag: u32, data: &[f64]) {
         debug_assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^20");
         self.node.send(dst, tag, MsgKind::Data, pack_f64s(data));
+    }
+
+    /// Send the same `f64`s to every rank of `dsts`, in order, one
+    /// message each: they are packed once, into a buffer all the packets
+    /// share (the XHPF run-time's flat broadcast of a fragment).
+    pub fn multicast_f64s(&self, dsts: impl IntoIterator<Item = usize>, tag: u32, data: &[f64]) {
+        debug_assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^20");
+        self.multicast(dsts, tag, || pack_f64s(data));
+    }
+
+    /// Send one payload, packed by `pack` only if there is a destination,
+    /// to every rank of `dsts` in order.
+    pub(crate) fn multicast(
+        &self,
+        dsts: impl IntoIterator<Item = usize>,
+        tag: u32,
+        pack: impl FnOnce() -> Vec<u64>,
+    ) {
+        let mut dsts = dsts.into_iter().peekable();
+        if dsts.peek().is_some() {
+            self.forward(dsts, tag, &Payload::shared(pack()));
+        }
+    }
+
+    /// Send `payload` to every rank of `dsts` in order: each packet holds
+    /// a clone, a reference-count bump when the payload is shared.
+    pub(crate) fn forward(
+        &self,
+        dsts: impl IntoIterator<Item = usize>,
+        tag: u32,
+        payload: &Payload,
+    ) {
+        for dst in dsts {
+            self.node.send(dst, tag, MsgKind::Data, payload.clone());
+        }
     }
 
     /// Send a payload the caller packed — a header and several array
@@ -116,9 +165,11 @@ impl<'a> Comm<'a> {
     }
 
     /// Receive `f64`s straight into `out` (a ghost column, a replica
-    /// range). The message must be exactly `out.len()` words long.
+    /// range), read from the packet's words where they are — a
+    /// multicast's buffer is shared with the other packets. The message
+    /// must be exactly `out.len()` words long.
     pub fn recv_f64s_into(&self, src: usize, tag: u32, out: &mut [f64]) {
-        let payload = self.recv(src, tag);
+        let payload = self.recv_payload(src, tag);
         assert_eq!(
             payload.len(),
             out.len(),

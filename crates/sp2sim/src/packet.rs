@@ -13,9 +13,13 @@ use crate::time::VTime;
 ///
 /// A payload is either the packet's own — what every `Vec` send is, and
 /// what a receiver gets back by value ([`Payload::into_vec`]) — or
-/// shared with windows its sender keeps onto the message it built: a
-/// receiver that keeps windows too takes the same buffer over
-/// ([`Payload::into_shared`]), so the words exist once.
+/// shared: with windows its sender keeps onto the message it built (a
+/// receiver that keeps windows too takes the same buffer over,
+/// [`Payload::into_shared`]), or with the other packets of one
+/// multicast, which the sender packs once and every destination's
+/// packet holds a clone of. Either way the words exist once; a receiver
+/// of a multicast reads them where they are, since taking them by value
+/// copies a buffer other packets still hold.
 #[derive(Clone, Debug)]
 pub enum Payload {
     /// Owned by the packet.
@@ -25,6 +29,13 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// One multicast's payload: `words` moved into a shared buffer (the
+    /// handle is allocated, the words are not copied), so each packet's
+    /// clone of it is a reference-count bump.
+    pub fn shared(words: Vec<u64>) -> Payload {
+        Payload::Shared(Arc::new(words))
+    }
+
     /// The words as a vector of the caller's: the packet's own, moved; a
     /// shared buffer's, moved if nobody else holds it, else copied.
     pub fn into_vec(self) -> Vec<u64> {
@@ -153,5 +164,9 @@ mod tests {
         let owned = Payload::from(vec![6]);
         let at = owned.as_ptr();
         assert_eq!(owned.into_shared().as_ptr(), at, "moved, not copied");
+        let words = vec![7, 8];
+        let at = words.as_ptr();
+        let multicast = Payload::shared(words);
+        assert_eq!(multicast.clone().as_ptr(), at, "a clone is the one buffer");
     }
 }

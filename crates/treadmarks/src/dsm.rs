@@ -1173,7 +1173,8 @@ impl<'n> Tmk<'n> {
                 debug_assert!(!st.is_dirty(p), "root must not have open writes");
                 protocol::encode_page_entry(&mut w, p, applied, data);
             }
-            w.finish().into()
+            // Built once: every packet of the tree holds this buffer.
+            Payload::shared(w.finish())
         } else {
             let parent = ((vrank & (vrank.wrapping_sub(1))) + root) % n;
             let pkt = self.node.recv_match(|p| p.src == parent && p.tag == t);

@@ -288,16 +288,16 @@ impl<'c, 'n> Xhpf<'c, 'n> {
     }
 
     /// Flat fragmented broadcast of `buf` from `root`: the root packs
-    /// each [`FRAGMENT_ELEMS`]-sized fragment once per destination,
-    /// everyone else receives it into place.
+    /// each [`FRAGMENT_ELEMS`]-sized fragment once and sends it to every
+    /// other process in rank order, one message each, all sharing that
+    /// buffer; everyone else receives it into place.
     fn bcast_fragments(&self, root: usize, tag_base: u32, buf: &mut [f64]) {
         let me = self.rank();
         for (k, frag) in buf.chunks_mut(FRAGMENT_ELEMS).enumerate() {
             let tag = tag_base + k as u32 % 64;
             if me == root {
-                for dst in (0..self.size()).filter(|&dst| dst != me) {
-                    self.comm.send_f64s(dst, tag, frag);
-                }
+                let others = (0..self.size()).filter(|&dst| dst != me);
+                self.comm.multicast_f64s(others, tag, frag);
             } else {
                 self.comm.recv_f64s_into(root, tag, frag);
             }
@@ -332,8 +332,7 @@ impl<'c, 'n> Xhpf<'c, 'n> {
         let me = self.rank();
         all[me].clear();
         all[me].extend_from_slice(mine);
-        // The length message's buffer: a non-root's is the payload it
-        // received, which it packs from again when its turn comes.
+        // The length message's buffer, refilled by every broadcast.
         let mut len_msg = Vec::new();
         for (root, buf) in all.iter_mut().enumerate() {
             len_msg.clear();

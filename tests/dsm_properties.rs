@@ -2,9 +2,11 @@
 //! randomized multi-writer patterns, lock chains and barrier schedules
 //! must always produce the sequentially-consistent result.
 
+use apps::common::checksums_close;
+use apps::{AppId, RunSpec, Version};
 use proptest::prelude::*;
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
-use treadmarks::{Tmk, TmkConfig};
+use treadmarks::{ProtocolMode, Tmk, TmkConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -248,4 +250,36 @@ fn a_word_whose_writer_changes_is_not_rolled_back_under_hlrc() {
 #[ignore = "ROADMAP direction 1(a)"]
 fn a_word_whose_writer_changes_is_not_rolled_back_under_lrc() {
     assert_no_rollback(TmkConfig::default());
+}
+
+/// ROADMAP direction 1(b), the probe grid: IGrid SPF+CRI under LRC with
+/// 512-word pages on 4 and 8 nodes, at seven scales up to the paper's,
+/// each checksum held against the sequential program's at 1e-9. Every
+/// cell runs; the failure lists each one that diverges.
+#[test]
+#[ignore = "ROADMAP direction 1(b)"]
+fn hinted_igrid_under_lrc_matches_the_sequential_program_on_the_probe_grid() {
+    let mut diverged = Vec::new();
+    for scale in [0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0] {
+        let seq = RunSpec::new(AppId::IGrid, Version::Seq, 1, scale)
+            .run()
+            .checksum;
+        for nprocs in [4, 8] {
+            let spec = RunSpec::new(AppId::IGrid, Version::SpfCri, nprocs, scale)
+                .protocol(ProtocolMode::Lrc);
+            assert_eq!(spec.cfg.page_words, 512);
+            let got = spec.run().checksum;
+            if !checksums_close(&got, &seq, 1e-9) {
+                diverged.push(format!(
+                    "{nprocs} nodes at scale {scale}: {got:?}, Seq {seq:?}"
+                ));
+            }
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "{} of 14 probe cells diverge from Seq:\n{}",
+        diverged.len(),
+        diverged.join("\n")
+    );
 }
