@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# The three historic protocol bugs as mutants: each patch under
-# ci/mutants/ re-breaks one fix (PR 9's stale twin, PR 9's publish
-# window, PR 18's lock send order) in a scratch copy of the tree, and
-# the schedule-exploration suite, in release at CI's seed budget, must
-# fail on it and name the seed that did it. A mutant that survives means
-# the explorer lacks a preemption point; a patch that no longer applies
-# means the code it re-breaks moved — both fail this script.
+# The historic protocol bugs as mutants: each patch under ci/mutants/
+# re-breaks one fix (the stale twin, the publish window, the lock send
+# order, and the three rules that order LRC's diffs: a range stamped at
+# its last interval, an open range that spans a foreign notice, a push
+# applied ahead of an older diff) in a scratch copy of
+# the tree, and the schedule-exploration suite, in release at CI's seed
+# budget, must fail on it and name the seed that did it. A mutant that
+# survives means the explorer lacks a preemption point or an input; a
+# patch that no longer applies means the code it re-breaks moved — both
+# fail this script.
 #
 # The copy lives in $MUTANTS_DIR (default .bench_build/mutants,
 # git-ignored) and is reused from mutant to mutant with one

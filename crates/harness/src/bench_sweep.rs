@@ -47,10 +47,11 @@ use crate::sweep::sweep_map;
 const SCHEMA: &str = "bench_sweep/v5";
 
 /// The hinted (SPF+CRI) cells on 8 nodes: the benchmark's five
-/// `cri-hinted` cells at reduced scales, then Jacobi under both
-/// protocols.
-const HINTED: [(AppId, ProtocolMode, f64); 7] = [
+/// `cri-hinted` cells at reduced scales with IGrid under both protocols,
+/// then Jacobi under both protocols.
+const HINTED: [(AppId, ProtocolMode, f64); 8] = [
     (AppId::IGrid, Hlrc, 0.2),
+    (AppId::IGrid, Lrc, 0.2),
     (AppId::Nbf, Lrc, 0.2),
     (AppId::Shallow, Lrc, 0.1),
     (AppId::Mgs, Lrc, 0.12),

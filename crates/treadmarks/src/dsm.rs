@@ -65,6 +65,11 @@ impl SharedArray {
 /// writer)` order — a linear extension of happens-before — skipping what
 /// the frame already holds, and leave `entries` empty (the messages its
 /// windows kept alive go with them). Returns the time to charge.
+///
+/// A range applies only if no unapplied notice for its page sorts before
+/// it ([`DsmState::notice_before`]): a push that skips an older diff, of
+/// its own writer or another, is dropped, the page stays invalid, and
+/// the next access fetches the whole set in order.
 pub(crate) fn apply_fetched(
     st: &mut DsmState,
     entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
@@ -73,26 +78,10 @@ pub(crate) fn apply_fetched(
     entries.sort_by_key(|(w, e)| (e.range.lamport, *w));
     let mut us = 0.0;
     for (writer, protocol::DiffRespEntry { page, range }) in entries.drain(..) {
-        let applied = st.applied_seq(page, writer);
-        if range.hi <= applied {
-            continue; // stale range overlap; already incorporated
-        }
-        // A range that starts beyond our watermark (only a pushed one
-        // can: a fetch asks from the first unapplied notice on) has a
-        // real gap below it only if some *unapplied notice for this
-        // page* falls in between — interval numbers are per-node, so a
-        // writer's intervening intervals that touched other pages leave
-        // no hole here. (The rendezvous integrated all of the writer's
-        // intervals up to the pushed one before the pushes are consumed,
-        // so the notice list is complete.) On a real gap, accepting the
-        // diff would leave older words stale behind an advanced `applied`
-        // watermark: drop it — the page stays invalid and the next
-        // access fetches the full set.
-        if range.lo > applied + 1 {
-            let first = (st.notices).first_after(page, writer, applied, &st.log[writer]);
-            if first.is_some_and(|first| first < range.lo) {
-                continue;
-            }
+        if range.hi <= st.applied_seq(page, writer)
+            || st.notice_before(page, (range.lamport, writer))
+        {
+            continue;
         }
         st.apply_range(page, writer, range.hi, &range.diff);
         us += cost.diff_apply_us(range.diff.encoded_words());
@@ -575,7 +564,7 @@ impl<'n> Tmk<'n> {
         if intervals.is_some() || !floor.is_empty() {
             let mut st = self.state.lock();
             for iv in intervals.into_iter().flatten() {
-                st.integrate_interval(iv);
+                st.integrate_interval(iv, self.node.cost());
             }
             st.stats.barriers += u64::from(barrier);
             self.cfg.protocol.on_rendezvous(&mut st, floor);
@@ -667,7 +656,7 @@ impl<'n> Tmk<'n> {
         let mut st = self.state.lock();
         st.lock_prof.entry(lock).or_default().wait_us += self.node.now() - t0;
         for iv in intervals {
-            st.integrate_interval(iv);
+            st.integrate_interval(iv, self.node.cost());
         }
         let lk = st.lock_entry(lock);
         lk.has_token = true;
@@ -932,16 +921,9 @@ impl<'n> Tmk<'n> {
         //
         // Unlike the home-fetch path (which serves at *our* watermarks
         // and may run mid-epoch), pushes arrive at a rendezvous: we just
-        // published, so the frame holds no unpublished modifications and
-        // nothing needs reinstalling over the pushed content. Crucially
-        // we must NOT re-apply `diff(twin, data)` here — that delta also
-        // contains *other writers'* diffs applied since the twin was
-        // taken, and re-imposing those over the strictly-newer pushed
-        // copy would hide stale words behind the advanced watermarks,
-        // permanently. Instead our own still-open (published,
-        // unmaterialized) diff is frozen first — so later requests for
-        // our intervals still serve our words — and the frame is then
-        // re-protected at the pushed content.
+        // published — under the protocol that pushes pages, every range
+        // that release made is frozen and its twin gone — so the frame
+        // holds nothing of ours that the pushed content would lose.
         for (_, e) in page_pushes {
             if st
                 .frames
@@ -950,17 +932,11 @@ impl<'n> Tmk<'n> {
             {
                 continue;
             }
-            debug_assert!(
-                !st.is_dirty(e.page),
-                "page pushes are consumed at a rendezvous, after the flush"
-            );
-            // Materialize our pending diff, if any, against the pre-push
-            // frame (this also drops the twin).
-            us += st.freeze(e.page, 0, cost);
             let mut frame = st.frames.frame_mut(e.page);
-            if let Some(t) = frame.meta.twin.take() {
-                st.scratch.put(t, &mut st.stats);
-            }
+            debug_assert!(
+                !frame.meta.dirty && frame.meta.twin.is_none(),
+                "page pushes are consumed after a release that froze every range"
+            );
             frame.install(e.data, e.applied());
             us += cost.diff_apply_us(pw);
         }

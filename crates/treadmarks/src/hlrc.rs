@@ -187,7 +187,7 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
                 // working frame is NOT the home copy: it would leak
                 // unpublished or unsynchronized content to
                 // requesters; see [`HomePage`].)
-                st.freeze_all(reqs, cost, |_| {});
+                st.freeze_all(reqs, cost, false);
                 for &p in pages.iter() {
                     let r = st.newest_frozen(p, seq).expect("just frozen").clone();
                     st.home_flush_in(me, p, r);
@@ -329,8 +329,9 @@ pub(crate) fn rendezvous_floor(arrivals: &[Arrival], extra: Option<&Vc>, n: usiz
 /// range reaching interval `last`), each page's newest range. That range
 /// alone is useless to a consumer that has not tracked the page: every
 /// release eagerly flushed (and froze) a per-epoch fragment, so the
-/// newest range starts far above such a consumer's watermark and the gap
-/// guard would drop it. An HLRC push therefore also ships the **whole
+/// newest range starts far above such a consumer's watermark and its
+/// writer's older notices sort before it: `dsm::apply_fetched` would
+/// drop it. An HLRC push therefore also ships the **whole
 /// page** at the producer's publication state plus its per-writer
 /// applied watermarks — the page-grained analogue of the diff push,
 /// matching the protocol's whole-page fetches — copied from the frames
@@ -763,6 +764,7 @@ mod tests {
             hi,
             lamport,
             diff,
+            unpaid: false,
         }
     }
 
@@ -811,7 +813,7 @@ mod tests {
         assert!(s.set_home(7, 2), "no notices yet: override accepted");
         assert_eq!(s.home_of(7), 2);
         // Once a notice names the page, rehoming is refused.
-        s.integrate_interval(Interval::seal(1, 1, 1, &[5]));
+        s.integrate_interval(Interval::seal(1, 1, 1, &[5]), &CostModel::sp2());
         assert!(!s.set_home(5, 0));
         assert_eq!(s.home_of(5), 1);
     }
@@ -822,7 +824,7 @@ mod tests {
         let watermarks = |s: &DsmState| s.required_watermarks(4).collect::<Vec<u32>>();
         assert_eq!(watermarks(&s), [0, 0, 0]);
         for seq in 1..=2 {
-            s.integrate_interval(Interval::seal(2, seq, seq as u64, &[4]));
+            s.integrate_interval(Interval::seal(2, seq, seq as u64, &[4]), &CostModel::sp2());
         }
         assert_eq!(watermarks(&s), [0, 0, 2]);
     }
@@ -870,6 +872,7 @@ mod tests {
             hi: 3,
             lamport: 9,
             diff: diff.clone(),
+            unpaid: false,
         };
         let mut w = WordWriter::new();
         w.put(op::HOME_FLUSH).put_usize(4).put(1);

@@ -69,11 +69,12 @@ impl Interval {
         self.words()[1] as u32
     }
 
-    /// Lamport stamp: any two ordered intervals have ordered stamps, so
-    /// applying diffs in `(lamport, node)` order is a linear extension of
-    /// happens-before. Concurrent intervals only ever write disjoint words
-    /// (the multiple-writer guarantee), so their relative order is
-    /// irrelevant.
+    /// Lamport stamp: any two ordered intervals have ordered stamps. A
+    /// diff range carries its opening interval's stamp and spans no
+    /// foreign notice, so applying ranges in `(lamport, node)` order
+    /// extends happens-before (DESIGN.md, "The order diffs apply in").
+    /// Concurrent intervals only ever write disjoint words, so their
+    /// order is irrelevant.
     pub fn lamport(&self) -> u64 {
         self.words()[2]
     }

@@ -153,6 +153,7 @@ pub fn decode_diff_entries<'r, 'a>(
             hi: r.get() as u32,
             lamport: r.get(),
             diff: Diff::window(msg, r),
+            unpaid: false,
         },
     })
 }
@@ -697,6 +698,7 @@ mod tests {
             hi: 4,
             lamport: 10,
             diff: diff.clone(),
+            unpaid: false,
         };
         let mut w = WordWriter::new();
         w.put(1);

@@ -412,7 +412,7 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
         // changes nothing.
         let entry = st.epochs.get_mut(&epoch).expect("epoch exists");
         let arrivals = std::mem::take(&mut entry.arrivals);
-        st.integrate_arrivals(&arrivals);
+        st.integrate_arrivals(&arrivals, ep.cost());
         let floor = protocol.rendezvous_floor(&arrivals, Some(&st.vc), n);
         let dep_time = max_at.max(join_vt) + (n as f64 - 1.0) * manager_us;
         let mut w = sp2sim::WordWriter::with_capacity(3 + floor.len());
@@ -448,7 +448,7 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
     // intervals, then tell each arrival what it has not seen.
     let mut entry = st.epochs.remove(&epoch).expect("epoch exists");
     sort_arrivals(&mut entry.arrivals);
-    st.integrate_arrivals(&entry.arrivals);
+    st.integrate_arrivals(&entry.arrivals, ep.cost());
     // A fork is read where it landed (behind the opcode and the epoch).
     // The master's own pushes ride it, expected by the workers beside
     // their peers'; its clock joins the floor, as it sends no arrival.

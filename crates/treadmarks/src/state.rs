@@ -19,14 +19,15 @@
 //! * storage stays bounded: un-requested intervals coalesce into one
 //!   open range per page.
 //!
-//! Diffs are applied in `(lamport, node)` order, a linear extension of
-//! happens-before over intervals; concurrent intervals only ever write
-//! disjoint words (the multiple-writer guarantee) so their relative
-//! order is irrelevant. A materialized diff may include words of the
-//! writer's *open* epoch; a data-race-free program never reads such
-//! words before its next synchronization, and the notice/`applied`
-//! bookkeeping refetches the final values afterwards (validated by the
-//! bitwise cross-version application tests).
+//! Ranges are applied in `(lamport, node)` order, a linear extension of
+//! happens-before (DESIGN.md, "The order diffs apply in"); concurrent
+//! intervals only ever write disjoint words (the multiple-writer
+//! guarantee) so their relative order is irrelevant. A materialized
+//! diff may include words of the writer's *open* epoch; a
+//! data-race-free program never reads such words before its next
+//! synchronization, and the notice/`applied` bookkeeping refetches the
+//! final values afterwards (validated by the bitwise cross-version
+//! application tests).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -56,22 +57,23 @@ pub struct OpenRange {
     pub lo: u32,
     /// Last interval sequence number covered.
     pub hi: u32,
-    /// Lamport stamp of the `hi` interval.
-    pub lamport_hi: u64,
+    /// Lamport stamp of the `lo` interval, the one that opened the range.
+    pub lamport: u64,
 }
 
 /// An immutable (frozen) diff covering intervals `lo..=hi` of this node
 /// for one page.
 #[derive(Clone, Debug)]
 pub struct DiffRange {
-    /// First covered sequence number (receivers use it to detect gaps:
-    /// a pushed range that skips unapplied intervals must not be
-    /// applied, or older words would silently stay stale).
+    /// First covered sequence number.
     pub lo: u32,
     /// Last covered sequence number.
     pub hi: u32,
-    /// Lamport stamp of the `hi` interval.
+    /// Lamport stamp of the `lo` interval ([`OpenRange::lamport`]).
     pub lamport: u64,
+    /// Frozen by a foreign notice, carried by no message yet: the first
+    /// message that carries it pays for its creation.
+    pub unpaid: bool,
     /// The diff: a window onto the release buffer of the batch that
     /// froze it, or onto the message it arrived in (cloning it is a
     /// reference-count bump).
@@ -724,12 +726,12 @@ impl DsmState {
     /// rendezvous), in `(creator, sequence)` order whatever order the
     /// arrivals came in: an arrival carries its sender's own intervals,
     /// ascending. Idempotent.
-    pub fn integrate_arrivals(&mut self, arrivals: &[Arrival]) {
+    pub fn integrate_arrivals(&mut self, arrivals: &[Arrival], cost: &CostModel) {
         for src in 0..self.n {
             for a in arrivals.iter().filter(|a| a.msg.src == src) {
                 for iv in a.msg.intervals.clone() {
                     debug_assert_eq!(iv.node(), src, "an arrival reports its sender's intervals");
-                    self.integrate_interval(iv);
+                    self.integrate_interval(iv, cost);
                 }
             }
         }
@@ -750,6 +752,18 @@ impl DsmState {
     /// `page` (0 without a frame).
     pub fn applied_seq(&self, page: PageId, writer: usize) -> u32 {
         self.frames.applied(page).map_or(0, |a| a[writer])
+    }
+
+    /// Does an unapplied notice for `page` sort before `stamp`, a range's
+    /// `(lamport, writer)`? Then the range must wait: applied now, it
+    /// would lie under words that happen before it.
+    pub(crate) fn notice_before(&mut self, page: PageId, stamp: (u64, usize)) -> bool {
+        let applied = self.frames.applied(page);
+        (0..self.n).filter(|&w| w != self.me).any(|w| {
+            let done = applied.map_or(0, |a| a[w]);
+            let first = self.notices.first_after(page, w, done, &self.log[w]);
+            first.is_some_and(|s| (self.log[w][s as usize - 1].lamport(), w) < stamp)
+        })
     }
 
     /// Release operation: publish one interval carrying write notices for
@@ -808,10 +822,9 @@ impl DsmState {
             let open = row.diffs.open.get_or_insert(OpenRange {
                 lo: seq,
                 hi: seq,
-                lamport_hi: lamport,
+                lamport,
             });
             open.hi = seq;
-            open.lamport_hi = lamport;
         }
         let us = pages.len() as f64 * cost.manager_us * 0.1;
         let iv = Interval::seal(me, seq, lamport, &pages);
@@ -832,9 +845,11 @@ impl DsmState {
         (us, Some(iv))
     }
 
-    /// Integrate an interval received from elsewhere. Idempotent; returns
-    /// `true` if it was new.
-    pub fn integrate_interval(&mut self, iv: Interval) -> bool {
+    /// Integrate an interval received from elsewhere, freezing this
+    /// node's open range on every page it names (no range spans a foreign
+    /// notice) for the first message that carries it to pay for
+    /// ([`DiffRange::unpaid`]). Idempotent; returns `true` if it was new.
+    pub fn integrate_interval(&mut self, iv: Interval, cost: &CostModel) -> bool {
         let (node, seq) = (iv.node(), iv.seq());
         if seq <= self.vc[node] {
             return false;
@@ -846,6 +861,7 @@ impl DsmState {
         );
         self.vc[node] = seq;
         self.lamport = self.lamport.max(iv.lamport());
+        self.freeze_all(iv.pages().iter().map(|&p| (p as PageId, 0)), cost, true);
         let epoch = self.epoch_proxy();
         self.notices.push(iv.pages(), node, seq, epoch);
         self.log[node].push(iv);
@@ -892,32 +908,23 @@ impl DsmState {
     /// Materialize (freeze) the open range of every `(page,
     /// first_needed)` of `reqs` that reaches its `first_needed`, into one
     /// batch that stays on this node (the pages of a release homed here,
-    /// a twin retired by a page push): built side by side, sealed into
-    /// one shared buffer, each range's diff a window onto it
-    /// (`crate::diff`, "Life cycle"). [`DsmState::frozen_from`] and
-    /// [`DsmState::newest_frozen`] then read the result. `charge` is
-    /// handed each page's time to charge, in `reqs` order (pages with
-    /// nothing to freeze charge 0 — callers sum or maximize in the order
-    /// they always did, so no simulated float moves).
+    /// which the release pays for; the ranges a foreign notice closes,
+    /// `unpaid`): built side by side, sealed into one shared buffer, each
+    /// range's diff a window onto it (`crate::diff`, "Life cycle").
+    /// [`DsmState::frozen_from`] and [`DsmState::newest_frozen`] then
+    /// read the result.
     pub fn freeze_all(
         &mut self,
         reqs: impl IntoIterator<Item = (PageId, u32)>,
         cost: &CostModel,
-        mut charge: impl FnMut(f64),
+        unpaid: bool,
     ) {
         debug_assert!(self.freezing.is_empty());
         let mut batch = DiffBatch::new();
         for (page, first_needed) in reqs {
-            charge(self.freeze_into(&mut batch, page, first_needed, cost));
+            self.freeze_into(&mut batch, page, first_needed, cost);
         }
-        self.keep_frozen(&batch.seal());
-    }
-
-    /// [`DsmState::freeze_all`] of one page; returns its time to charge.
-    pub fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
-        let mut us = 0.0;
-        self.freeze_all([(page, first_needed)], cost, |page_us| us = page_us);
-        us
+        self.keep_frozen(&batch.seal(), unpaid);
     }
 
     /// Write the count-prefixed diff entries
@@ -928,8 +935,9 @@ impl DsmState {
     /// range, frozen straight into the message if it reaches
     /// `first_needed` (`carry` says whether a page's whole history from
     /// there goes, or its newest range only — then a page with such an
-    /// open range sends no copy). `charge` is handed each page's freeze
-    /// time, as in [`DsmState::freeze_all`]. Each page must appear once:
+    /// open range sends no copy). `charge` is handed each page's time in
+    /// `reqs` order: its freeze, and the creation of the copies it is the
+    /// first to carry ([`DiffRange::unpaid`]). Each page must appear once:
     /// a range frozen into the message is only kept when
     /// [`DsmState::finish_message`] hands the message over.
     pub fn put_entries(
@@ -946,18 +954,28 @@ impl DsmState {
         let mut entries = 0;
         for (page, first_needed) in reqs {
             let (copies, open) = self.entries_of(page, first_needed, carry);
+            let mut unpaid = 0.0;
             for range in copies {
                 protocol::encode_diff_entry(msg, page, range);
                 msg.note_copies();
+                if range.unpaid {
+                    unpaid += cost.diff_create_us(range.diff.changed_words());
+                }
             }
-            entries += copies.len() as u64;
+            let shipped = copies.len();
+            entries += shipped as u64;
+            if unpaid > 0.0 {
+                // Paid for: the copies are the page's newest frozen ranges.
+                let frozen = self.pages.row(page).diffs.frozen.iter_mut();
+                frozen.rev().take(shipped).for_each(|r| r.unpaid = false);
+            }
             let Some(open) = open else {
-                charge(0.0);
+                charge(unpaid);
                 continue;
             };
-            protocol::encode_diff_entry_head(msg, page, open.lo, open.hi, open.lamport_hi);
+            protocol::encode_diff_entry_head(msg, page, open.lo, open.hi, open.lamport);
             entries += 1;
-            charge(self.freeze_into(msg, page, first_needed, cost));
+            charge(unpaid + self.freeze_into(msg, page, first_needed, cost));
         }
         msg.set(count_at, entries);
     }
@@ -996,19 +1014,20 @@ impl DsmState {
     /// apart ([`DiffBatch::into_message`]).
     pub fn finish_message(&mut self, msg: DiffBatch) -> Payload {
         let (sealed, payload) = msg.into_message(self.freezing.iter_mut().map(|(_, _, p)| p));
-        self.keep_frozen(&sealed);
+        self.keep_frozen(&sealed, false);
         payload
     }
 
     /// Keep the ranges of `freezing` in their pages' frozen lists, their
     /// diffs windows onto `sealed`, the batch they were frozen into.
-    fn keep_frozen(&mut self, sealed: &Sealed) {
+    fn keep_frozen(&mut self, sealed: &Sealed, unpaid: bool) {
         for (page, open, pending) in self.freezing.drain(..) {
             self.pages.rows[page].diffs.frozen.push(DiffRange {
                 lo: open.lo,
                 hi: open.hi,
-                lamport: open.lamport_hi,
+                lamport: open.lamport,
                 diff: sealed.window(pending),
+                unpaid,
             });
         }
     }
@@ -1097,7 +1116,7 @@ impl DsmState {
     }
 
     /// Frozen ranges of `page` covering intervals `first_needed..`, in
-    /// increasing order. Call [`DsmState::freeze`] first.
+    /// increasing order.
     pub fn frozen_from(&self, page: PageId, first_needed: u32) -> &[DiffRange] {
         let frozen = self.pages.get(page).map_or(&[][..], |r| &r.diffs.frozen);
         &frozen[frozen.partition_point(|r| r.hi < first_needed)..]
@@ -1361,6 +1380,17 @@ mod tests {
         DsmState::new(me, n, TmkConfig::default())
     }
 
+    impl DsmState {
+        /// Freeze one page's open range, if it reaches `first_needed`,
+        /// the way a request does; returns its time to charge.
+        fn freeze(&mut self, page: PageId, first_needed: u32, cost: &CostModel) -> f64 {
+            let mut batch = DiffBatch::new();
+            let us = self.freeze_into(&mut batch, page, first_needed, cost);
+            self.keep_frozen(&batch.seal(), false);
+            us
+        }
+    }
+
     /// Freeze, then the ranges a request for `first_needed..` is served.
     fn serve(s: &mut DsmState, page: PageId, first_needed: u32) -> (Vec<DiffRange>, f64) {
         let us = s.freeze(page, first_needed, &CostModel::sp2());
@@ -1426,8 +1456,8 @@ mod tests {
     }
 
     /// A batch freeze is the single freezes it stands for — same
-    /// ranges, same charges in request order, zero for a page with
-    /// nothing to freeze — with the diffs in one buffer.
+    /// ranges, nothing for a page with nothing to freeze — with the
+    /// diffs in one buffer.
     #[test]
     fn freeze_all_is_the_single_freezes_in_one_buffer() {
         let cost = CostModel::sp2();
@@ -1445,15 +1475,13 @@ mod tests {
         // which its open range (1..=1) does not reach; page 3 twice.
         let reqs = [(3, 1), (9, 1), (4, 2), (5, 1), (6, 1), (3, 1)];
         let (mut batched, mut single) = (written(), written());
-        let mut charges = Vec::new();
-        batched.freeze_all(reqs, &cost, |us| charges.push(us));
+        batched.freeze_all(reqs, &cost, false);
         let alone: Vec<f64> = reqs
             .iter()
             .map(|&(page, first)| single.freeze(page, first, &cost))
             .collect();
-        assert_eq!(charges, alone);
-        assert!(charges[0] > 0.0 && charges[3] > 0.0 && charges[4] > 0.0);
-        assert_eq!((charges[1], charges[2], charges[5]), (0.0, 0.0, 0.0));
+        assert!(alone[0] > 0.0 && alone[3] > 0.0 && alone[4] > 0.0);
+        assert_eq!((alone[1], alone[2], alone[5]), (0.0, 0.0, 0.0));
         assert!(batched.freezing.is_empty());
         assert!(batched.pages.get(4).unwrap().diffs.open.is_some());
         for page in [3, 5, 6] {
@@ -1695,8 +1723,8 @@ mod tests {
     fn integrate_interval_is_idempotent_and_ordered() {
         let mut s = state(0, 3);
         let iv = Interval::seal(2, 1, 4, &[11]);
-        assert!(s.integrate_interval(iv.clone()));
-        assert!(!s.integrate_interval(iv));
+        assert!(s.integrate_interval(iv.clone(), &CostModel::sp2()));
+        assert!(!s.integrate_interval(iv, &CostModel::sp2()));
         assert_eq!(s.vc[2], 1);
         assert_eq!(s.lamport, 4);
         assert_eq!(s.notices.latest(11).unwrap(), [0, 0, 1]);
@@ -1704,6 +1732,69 @@ mod tests {
             s.pages.get(11).is_none(),
             "a notice for a page this node never touches makes no row"
         );
+    }
+
+    /// A range keeps the stamp of the interval that opened it, and a
+    /// foreign notice for its page closes it: the next flush opens a
+    /// range stamped after that notice. The first message that carries
+    /// the closed range pays for its creation, once.
+    #[test]
+    fn a_foreign_notice_closes_the_open_range_it_names() {
+        let cost = CostModel::sp2();
+        let mut s = state(0, 3);
+        write_words(&mut s, 3, &[(0, 1)]);
+        s.flush(&cost);
+        write_words(&mut s, 3, &[(1, 2)]);
+        write_words(&mut s, 4, &[(0, 1)]);
+        s.flush(&cost);
+        let open = |s: &DsmState, page| s.pages.get(page).unwrap().diffs.open;
+        let stamp = |r: OpenRange| (r.lo, r.hi, r.lamport);
+        assert_eq!(open(&s, 3).map(stamp), Some((1, 2, 1)), "the opening stamp");
+        // Node 1's interval names page 3 and a page never written here.
+        assert!(s.integrate_interval(Interval::seal(1, 1, 5, &[3, 5]), &cost));
+        assert!(open(&s, 3).is_none());
+        assert!(open(&s, 4).is_some(), "a page it does not name stays open");
+        let frozen = &s.frozen_from(3, 1)[0];
+        assert_eq!((frozen.lo, frozen.hi, frozen.lamport), (1, 2, 1));
+        assert_eq!(frozen.diff.changed_positions(), [0, 1]);
+        assert!(frozen.unpaid);
+        assert_eq!(s.stats.diffs_created, 1);
+        write_words(&mut s, 3, &[(2, 3)]);
+        s.flush(&cost);
+        assert_eq!(open(&s, 3).map(stamp), Some((3, 3, 6)), "after the notice");
+        // Old news freezes nothing.
+        assert!(!s.integrate_interval(Interval::seal(1, 1, 5, &[3]), &cost));
+        assert!(open(&s, 3).is_some());
+        let serve = |s: &mut DsmState| {
+            let (mut msg, mut charges) = (DiffBatch::message(), Vec::new());
+            s.put_entries(&mut msg, [(3, 1)], Carry::History, &cost, |us| {
+                charges.push(us)
+            });
+            s.finish_message(msg);
+            charges
+        };
+        let paid = cost.diff_create_us(2) + cost.diff_create_us(1);
+        assert_eq!(serve(&mut s), [paid], "the closed range and the open one");
+        assert!(s.frozen_from(3, 1).iter().all(|r| !r.unpaid));
+        assert_eq!(serve(&mut s), [0.0], "paid once");
+    }
+
+    /// A range applies only once every unapplied notice for its page
+    /// that sorts before its `(lamport, writer)` has: another writer's,
+    /// or its own writer's older one (a gap).
+    #[test]
+    fn a_range_waits_for_every_unapplied_notice_that_sorts_before_it() {
+        let cost = CostModel::sp2();
+        let mut s = state(0, 3);
+        s.integrate_interval(Interval::seal(1, 1, 2, &[5]), &cost);
+        s.integrate_interval(Interval::seal(2, 1, 3, &[5]), &cost);
+        s.integrate_interval(Interval::seal(2, 2, 4, &[5]), &cost);
+        assert!(!s.notice_before(5, (2, 1)), "its own first notice");
+        assert!(s.notice_before(5, (3, 2)), "writer 1's notice first");
+        s.frames.frame_mut(5).applied[1] = 1;
+        assert!(!s.notice_before(5, (3, 2)));
+        assert!(s.notice_before(5, (4, 2)), "skips writer 2's interval 1");
+        assert!(!s.notice_before(6, (9, 2)), "a page no notice names");
     }
 
     /// What keeps a departure alive is the interval log: a window per
@@ -1723,9 +1814,9 @@ mod tests {
         let mut s = state(0, 3);
         // Node 2's interval is old news here: integrated from a sealed
         // copy, so the departure's window onto it is not kept.
-        assert!(s.integrate_interval(ivs[1].clone()));
+        assert!(s.integrate_interval(ivs[1].clone(), &CostModel::sp2()));
         for iv in decode_departure(&msg).intervals {
-            s.integrate_interval(iv);
+            s.integrate_interval(iv, &CostModel::sp2());
         }
         assert_eq!(msg.refs(), 3, "this handle and two log entries");
         assert_eq!(s.log[1], [ivs[0].clone(), ivs[2].clone()]);
@@ -1742,7 +1833,7 @@ mod tests {
     fn missing_notices_report_unapplied() {
         let mut s = state(0, 3);
         for seq in 1..=3 {
-            s.integrate_interval(Interval::seal(1, seq, seq as u64, &[5]));
+            s.integrate_interval(Interval::seal(1, seq, seq as u64, &[5]), &CostModel::sp2());
         }
         let missing = |s: &mut DsmState| -> Vec<(usize, u32)> {
             let applied = s.frames.applied(5);

@@ -2,7 +2,7 @@
 //!
 //! The hint engine turns a loop's descriptors into validates, pushes and
 //! home placements; how it gets from descriptor to page list is host-side
-//! work and must move nothing simulated. The seven hinted cells of
+//! work and must move nothing simulated. The eight hinted cells of
 //! `harness::bench_sweep::cells` (8 nodes, reduced scales) are rendered
 //! and compared exactly with their rows of the committed
 //! `BENCH_sweep.json`: virtual time to the bit, messages and bytes in

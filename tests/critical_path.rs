@@ -164,9 +164,11 @@ fn seeded_false_sharing_profile_is_exact() {
             })
             .collect()
     };
+    // Node 0's range on page 0 is closed by node 1's notice for it at
+    // the first barrier: one 1-word diff, created at notice time.
     assert_eq!(
         rows(0),
-        [(0, 1, 0, 0, 1, 0b11, 2), (1, 0, 0, 0, 0, 0b10, 1)]
+        [(0, 1, 1, 1, 1, 0b11, 2), (1, 0, 0, 0, 0, 0b10, 1)]
     );
     assert_eq!(
         rows(1),

@@ -2,11 +2,11 @@
 //! randomized multi-writer patterns, lock chains and barrier schedules
 //! must always produce the sequentially-consistent result.
 
-use apps::common::checksums_close;
-use apps::{AppId, RunSpec, Version};
+mod lrc_order;
+
 use proptest::prelude::*;
-use sp2sim::{Cluster, ClusterConfig, EngineKind};
-use treadmarks::{ProtocolMode, Tmk, TmkConfig};
+use sp2sim::{Cluster, ClusterConfig};
+use treadmarks::{Tmk, TmkConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -172,114 +172,27 @@ fn lock_chain_stress_no_deadlock() {
     }
 }
 
-/// ROADMAP direction 1(a), the writer of a word changes between epochs:
-/// node 1 writes words 0..8 of a page; barrier; node 1 writes 8..16
-/// while node 0 overwrites 0..8; barrier; node 2 reads the page. Node
-/// 1's twin may stay open across both epochs (a diff is made when
-/// somebody asks), and a diff of both that sorted after node 0's
-/// interval would roll words 0..8 back to node 1's values at node 2.
-/// Returns every node's view of the sixteen words on schedule `engine`.
-fn writer_change(cfg: TmkConfig, engine: EngineKind) -> Vec<Vec<f64>> {
-    let out = Cluster::run(ClusterConfig::sp2_on(3, engine), move |node| {
-        let tmk = Tmk::new(node, cfg);
-        let a = tmk.malloc_f64(16);
-        let me = tmk.proc_id();
-        let fill = |range: std::ops::Range<usize>, base: f64| {
-            let mut w = tmk.write(a, range.clone());
-            for i in range {
-                w[i] = base + i as f64;
-            }
-        };
-        if me == 1 {
-            fill(0..8, 100.0);
-        }
-        tmk.barrier(0);
-        match me {
-            0 => fill(0..8, 200.0),
-            1 => fill(8..16, 300.0),
-            _ => {}
-        }
-        tmk.barrier(1);
-        let seen = tmk.read(a, 0..16).slice().to_vec();
-        tmk.barrier(2);
-        tmk.finish();
-        seen
-    });
-    out.results
-}
-
-/// What every node must see after [`writer_change`] — node 0's words,
-/// then node 1's second epoch — on the FIFO schedule and 32 seeded
-/// ones. Every schedule runs; the failure names the ones that rolled
-/// back.
-fn assert_no_rollback(cfg: TmkConfig) {
-    let expect: Vec<f64> = (0..16)
-        .map(|i| if i < 8 { 200.0 } else { 300.0 } + i as f64)
-        .collect();
-    let rolled_back: Vec<String> = EngineKind::explore(32)
-        .filter(|&engine| {
-            writer_change(cfg, engine)
-                .iter()
-                .any(|seen| *seen != expect)
-        })
-        .map(|engine| engine.to_string())
-        .collect();
-    assert!(
-        rolled_back.is_empty(),
-        "{:?}: a node read stale words on {} of 33 schedules: {rolled_back:?}",
-        cfg.protocol,
-        rolled_back.len()
-    );
-}
-
+/// A word whose writer changes between epochs is never rolled back to
+/// an older writer's value, in either role assignment (`lrc_order`), on
+/// the FIFO schedule and 32 seeded ones.
 #[test]
 fn a_word_whose_writer_changes_is_not_rolled_back_under_hlrc() {
-    assert_no_rollback(TmkConfig::hlrc());
+    lrc_order::assert_no_rollback(TmkConfig::hlrc(), 32);
 }
 
-/// Fails as of PR 23 on 12 of the 33 schedules, the FIFO one among them.
-/// There node 1 publishes its second interval before its service loop
-/// answers node 0's write fault, so the diff that request freezes covers
-/// both of node 1's intervals under the second one's stamp, (2, node 1),
-/// and sorts after node 0's interval (2, node 0) at node 2 — which reads
-/// words 0..8 as `[100.0, 101.0, …, 107.0]`, node 1's first-epoch
-/// values, instead of `[200.0, …, 207.0]`. Nodes 0 and 1 read the right
-/// words. On the other schedules the service loop gets in before the
-/// second publish and the range splits where real TreadMarks splits it.
+/// The same under LRC, where a range spans several intervals of its
+/// writer: it keeps the stamp of the interval that opened it, and a
+/// foreign notice for its page closes it.
 #[test]
-#[ignore = "ROADMAP direction 1(a)"]
 fn a_word_whose_writer_changes_is_not_rolled_back_under_lrc() {
-    assert_no_rollback(TmkConfig::default());
+    lrc_order::assert_no_rollback(TmkConfig::default(), 32);
 }
 
-/// ROADMAP direction 1(b), the probe grid: IGrid SPF+CRI under LRC with
-/// 512-word pages on 4 and 8 nodes, at seven scales up to the paper's,
-/// each checksum held against the sequential program's at 1e-9. Every
-/// cell runs; the failure lists each one that diverges.
+/// Hinted IGrid under LRC agrees with the sequential program on tier-1's
+/// share of the probe grid, 0.2 and 0.25 × {4, 8} nodes — cells where
+/// pushes once landed ahead of another writer's older diff.
+/// `schedule_exploration`'s CI budget runs all fourteen cells.
 #[test]
-#[ignore = "ROADMAP direction 1(b)"]
 fn hinted_igrid_under_lrc_matches_the_sequential_program_on_the_probe_grid() {
-    let mut diverged = Vec::new();
-    for scale in [0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0] {
-        let seq = RunSpec::new(AppId::IGrid, Version::Seq, 1, scale)
-            .run()
-            .checksum;
-        for nprocs in [4, 8] {
-            let spec = RunSpec::new(AppId::IGrid, Version::SpfCri, nprocs, scale)
-                .protocol(ProtocolMode::Lrc);
-            assert_eq!(spec.cfg.page_words, 512);
-            let got = spec.run().checksum;
-            if !checksums_close(&got, &seq, 1e-9) {
-                diverged.push(format!(
-                    "{nprocs} nodes at scale {scale}: {got:?}, Seq {seq:?}"
-                ));
-            }
-        }
-    }
-    assert!(
-        diverged.is_empty(),
-        "{} of 14 probe cells diverge from Seq:\n{}",
-        diverged.len(),
-        diverged.join("\n")
-    );
+    lrc_order::assert_probe_grid(&[0.2, 0.25]);
 }

@@ -110,10 +110,11 @@ proptest! {
 /// The acceptance gate: IGrid SPF+CRI at 8 nodes, sequential engine,
 /// scale 0.08 — ≥ 30% fewer messages than plain SPF, byte-identical
 /// grid state, a demonstrably amortized inspector and, under LRC, no
-/// more messages than recorded.
+/// more messages than recorded (210: a push that an older unapplied
+/// notice sorts before is dropped and its page fetched on demand).
 #[test]
 fn igrid_cri_cuts_30_percent_at_8_nodes_with_identical_state() {
-    const LRC_CRI_MAX_MESSAGES: u64 = 204;
+    const LRC_CRI_MAX_MESSAGES: u64 = 210;
     for protocol in ProtocolMode::ALL {
         let spf = run(
             AppId::IGrid,

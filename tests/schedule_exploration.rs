@@ -16,8 +16,11 @@
 //! ship the interval before its own-home ranges existed, permanently
 //! deferring page requests (fixed by making publish one section). And
 //! the manager node's two contexts sent lock requests after the section
-//! that ordered them (fixed by sending inside it). `ci/mutants.sh`
-//! re-breaks each of the three and requires this suite to fail.
+//! that ordered them (fixed by sending inside it). LRC applied diffs in
+//! an order that did not extend happens-before, rolling words back,
+//! until three rules fixed it (DESIGN.md, "The order diffs apply in";
+//! `lrc_order`). `ci/mutants.sh` re-breaks each of the six fixes and
+//! requires this suite to fail.
 //!
 //! A failure here is replayable: every assertion and every engine
 //! diagnostic (deadlock, node panic) names the schedule seed, and
@@ -26,12 +29,14 @@
 //! is the engine's deadlock panic, at once; nothing here waits on a
 //! clock.
 
+mod lrc_order;
+
 use std::ops::RangeInclusive;
 
 use apps::common::checksums_close;
 use apps::{AppId, RunResult, RunSpec, Version};
 use sp2sim::EngineKind;
-use treadmarks::ProtocolMode;
+use treadmarks::{ProtocolMode, TmkConfig};
 
 /// Tier-1's seed budget per cell.
 const TIER1: RangeInclusive<u64> = 1..=8;
@@ -164,12 +169,36 @@ fn fft3d_version_matrix_on_every_explored_schedule() {
     fft3d_version_matrix(TIER1);
 }
 
+/// Hinted IGrid under LRC on 3 nodes at scale 0.05 with 16-word pages,
+/// against the sequential program: the smallest cell known where a push
+/// landed ahead of another writer's older diff, which a later fault then
+/// laid on top of it (`lrc_order`'s probe grid is the same bug at
+/// 512-word pages, on the FIFO schedule only).
+fn hinted_igrid_on_small_pages(seeds: RangeInclusive<u64>) {
+    let seq = RunSpec::new(AppId::IGrid, Version::Seq, 1, 0.05).run();
+    for engine in seeds.map(EngineKind::Seeded) {
+        let mut spec = RunSpec::new(AppId::IGrid, Version::SpfCri, 3, 0.05).on(engine);
+        spec.cfg.page_words = 16;
+        let r = spec.protocol(ProtocolMode::Lrc).run();
+        let close = checksums_close(&r.checksum, &seq.checksum, 1e-9);
+        let ctx = format!("IGrid SpfCri/lrc/3p/0.05/16-word pages on {engine}");
+        assert!(close, "{ctx}: {:?} vs {:?}", r.checksum, seq.checksum);
+    }
+}
+
 /// CI's `explore` job (`-- --include-ignored`), and what
-/// `ci/mutants.sh` requires to fail on each re-broken fix.
+/// `ci/mutants.sh` requires to fail on each re-broken fix: the seeded
+/// cells first, so that a failure names its seed, then the LRC probe
+/// grid on the FIFO schedule.
 #[test]
 #[ignore = "CI's explore job: every combination, 8x tier-1's seed budget"]
 fn every_cell_on_the_ci_seed_budget() {
+    for cfg in [TmkConfig::default(), TmkConfig::hlrc()] {
+        lrc_order::assert_no_rollback(cfg, *CI.end());
+    }
+    hinted_igrid_on_small_pages(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);
     fft3d_version_matrix(CI);
+    lrc_order::assert_probe_grid(&[0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0]);
 }

@@ -134,6 +134,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         hi,
                         lamport,
                         diff,
+                        unpaid: false,
                     };
                     node.endpoint().send_to_port(
                         0,
@@ -305,6 +306,7 @@ fn two_ranges() -> Vec<(usize, treadmarks::state::DiffRange)> {
             hi: 4,
             lamport: 11,
             diff: Diff::create(&[0; 8], &new),
+            unpaid: false,
         };
         (page, range)
     })

@@ -44,7 +44,7 @@ fn solo<R: Send>(f: impl Fn(&Tmk) -> R + Sync) -> R {
 /// belongs to node `(b + shift) % n`), so concurrent writers share pages
 /// but never words. `block` and `shift` are drawn once per program: a
 /// word keeps its writer for the whole run, as in every application
-/// here (see ROADMAP's backlog for what happens when it does not).
+/// here (`tests/dsm_properties.rs` holds words whose writer changes).
 #[derive(Clone, Debug)]
 struct Epoch {
     block: usize,
@@ -377,13 +377,8 @@ fn every_app_version_runs_at_every_node_count_and_page_geometry() {
                         let mut spec = RunSpec::new(app, version, np, SCALE).protocol(protocol);
                         spec.cfg.page_words = page_words;
                         let r = spec.run();
-                        // ROADMAP's carried-over finding, older than the
-                        // views: hinted IGrid under LRC diverges at some
-                        // grid-edge/page-size pairs. It must still run.
-                        let known = (app, version, protocol, page_words)
-                            == (AppId::IGrid, Version::SpfCri, ProtocolMode::Lrc, 16);
                         assert!(
-                            known || checksums_close(&r.checksum, &seq.checksum, 1e-9),
+                            checksums_close(&r.checksum, &seq.checksum, 1e-9),
                             "{} {version:?} {protocol} {page_words}-word pages on {np} nodes",
                             app.name()
                         );
