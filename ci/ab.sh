@@ -53,7 +53,14 @@ build() { # <checkout root> <target dir>
         --manifest-path benchmark/Cargo.toml --config ./Cargo.toml >&2)
 }
 build "$parent" "$ab/target-$rev"
-build "$here" "$ab/target-tree"
+# Building rewrites benchmark/Cargo.lock (cargo drops stale shim
+# entries); the working tree's copy is put back as it was, also when
+# the build fails.
+cp benchmark/Cargo.lock "$ab/tree-Cargo.lock"
+built=0
+build "$here" "$ab/target-tree" || built=$?
+cp "$ab/tree-Cargo.lock" benchmark/Cargo.lock
+[ "$built" -eq 0 ] || exit "$built"
 
 run() { # <checkout root> <target dir> [seconds] [trace] -> the report's JSON line
     (cd "$1" && "$2/release/benchmark" --workload "$workload" --seed "$seed" \

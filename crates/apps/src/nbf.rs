@@ -457,18 +457,21 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             // reduced vector is the xyz-interleaved force array, so the
             // window stays a single contiguous range and the exchange is
             // one round trip. Per-component addition sequences are those
-            // of the unhinted per-buffer fold — bitwise identical.
-            let mine: Vec<f64> = if b.is_empty() {
-                Vec::new()
-            } else {
-                let bufs = [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone()));
-                (0..span.len())
-                    .flat_map(|i| bufs.iter().map(move |bd| bd.slice()[i]))
-                    .collect()
+            // of the unhinted per-buffer fold — bitwise identical. The
+            // window is packed from the three buffer views straight into
+            // its message; the iterator owns them, so they close once it
+            // is drained, before the collective waits.
+            let bufs =
+                (!b.is_empty()).then(|| [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone())));
+            let (lo, words) = match bufs {
+                Some(_) => (span.start * 3, span.len() * 3),
+                None => (0, 0),
             };
-            let lo = if b.is_empty() { 0 } else { span.start * 3 };
-            let need = b.start * 3..b.end * 3;
-            let folded = tmk.reduce_windows(3 * p.m, lo, &mine, need);
+            let window = (0..words).map(move |j| {
+                let bufs = bufs.as_ref().expect("a non-empty window has views");
+                bufs[j % 3].slice()[j / 3]
+            });
+            let folded = tmk.reduce_windows(3 * p.m, lo, window, b.start * 3..b.end * 3);
             if b.is_empty() {
                 return;
             }
@@ -484,10 +487,10 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             let mut x = tmk.write(sh.coords[0], b.clone());
             let mut y = tmk.write(sh.coords[1], b.clone());
             let mut z = tmk.write(sh.coords[2], b.clone());
-            for i in b.clone() {
-                x[i] += DT * folded[i * 3];
-                y[i] += DT * folded[i * 3 + 1];
-                z[i] += DT * folded[i * 3 + 2];
+            for (i, f) in b.clone().zip(folded.chunks_exact(3)) {
+                x[i] += DT * f[0];
+                y[i] += DT * f[1];
+                z[i] += DT * f[2];
             }
             node.advance(b.len() as f64 * UPD_US);
         }

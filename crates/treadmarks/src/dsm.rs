@@ -89,6 +89,27 @@ pub(crate) fn apply_fetched(
     us
 }
 
+/// The `need` range of the windowed reduction of `windows` (ascending by
+/// node), as the result slice that carries it: each element is folded
+/// into zero, every covering window in order — the exact addition
+/// sequence of a sequential per-node merge loop.
+fn fold_windows(windows: &[protocol::ReduceWindow], need: &Range<usize>) -> Vec<u64> {
+    let mut out = vec![0; 2 + need.len()];
+    out[0] = need.start as u64;
+    out[1] = need.len() as u64;
+    for w in windows {
+        let (lo, hi) = (w.lo.max(need.start), (w.lo + w.vals.len()).min(need.end));
+        if lo >= hi {
+            continue;
+        }
+        let into = &mut out[2 + lo - need.start..2 + hi - need.start];
+        for (o, &v) in into.iter_mut().zip(&w.vals[lo - w.lo..hi - w.lo]) {
+            *o = (f64::from_bits(*o) + f64::from_bits(v)).to_bits();
+        }
+    }
+    out
+}
+
 /// One node's TreadMarks instance.
 pub struct Tmk<'n> {
     pub(crate) node: &'n Node,
@@ -1014,11 +1035,12 @@ impl<'n> Tmk<'n> {
     /// it must read back. Element `i` of the reduced vector is the sum
     /// of every covering contribution, folded in **ascending node
     /// order**. Collective: every node must call it at the same point.
-    /// The returned vector is full-length, but only the caller's `need`
-    /// range is guaranteed meaningful — the down-pass sends each
-    /// subtree only the hull of its members' needs, so a node asking
-    /// for its own block does not ship the whole vector through the
-    /// tree.
+    /// Returns the caller's `need` range of the reduced vector, element
+    /// `need.start` first: that range is all the root sends it.
+    ///
+    /// `vals` is drained into the message that carries the window, and
+    /// dropped, before anything is sent or awaited — an iterator that
+    /// owns the views it reads from closes them there.
     ///
     /// This is the segmented reduction of an inspector/executor
     /// interaction list (NBF's symmetric force merge): `2 (n - 1)`
@@ -1036,7 +1058,7 @@ impl<'n> Tmk<'n> {
         &self,
         len: usize,
         lo: usize,
-        vals: &[f64],
+        vals: impl ExactSizeIterator<Item = f64>,
         need: Range<usize>,
     ) -> Vec<f64> {
         let me = self.proc_id();
@@ -1046,66 +1068,46 @@ impl<'n> Tmk<'n> {
         let _s = self.node.trace_span(SpanKind::ReduceWait, t16);
         debug_assert!(lo + vals.len() <= len, "window exceeds the vector");
         debug_assert!(need.end <= len, "need exceeds the vector");
-        let window = protocol::ReduceWindow {
-            node: me,
-            lo,
-            vals: vals.to_vec(),
-            need_lo: need.start,
-            need_hi: need.end,
-        };
+        let window = protocol::encode_reduce_window(seq, me, lo, &need, vals);
         if me != 0 {
             self.state.lock().stats.direct_reduces += 1;
-            self.node.endpoint().send_to_port(
-                0,
-                Port::Service,
-                0,
-                MsgKind::ReducePart,
-                protocol::encode_reduce_list(seq, me, &[window]),
-            );
+            self.node
+                .endpoint()
+                .send_to_port(0, Port::Service, 0, MsgKind::ReducePart, window);
             let t = tag::REDUCE_LIST_RESULT | t16;
             let pkt = self.node.recv_match(|p| p.src == 0 && p.tag == t);
-            let (res_lo, res) = protocol::decode_reduce_slice(&mut WordReader::new(&pkt.payload));
-            let mut out = vec![0.0f64; len];
-            out[res_lo..res_lo + res.len()].copy_from_slice(&res);
-            return out;
+            return protocol::into_reduce_slice(pkt.payload.into_vec(), &need);
         }
         // Root: deposit, await the gather, fold in rank order.
         let completed = {
             let mut st = self.state.lock();
             st.stats.direct_reduces += 1;
-            st.reduce_list_contribute(seq as u64, None, vec![window])
+            st.reduce_list_contribute(seq as u64, None)
+                .then(|| st.reduce_list_take(seq as u64))
         };
-        let list = match completed {
-            Some(list) => list,
-            None => {
-                let t = tag::REDUCE_LIST_DONE | t16;
-                let pkt = self.node.recv_match(|p| p.tag == t);
-                let mut r = WordReader::new(&pkt.payload);
-                let _opcode = r.get();
-                protocol::decode_reduce_list(&mut r).2
-            }
-        };
-        // The ordered fold: windows ascending by node, elementwise into
-        // the zero vector — the exact addition sequence of a sequential
-        // per-node merge loop.
-        let mut out = vec![0.0f64; len];
-        for w in &list {
-            for (i, &v) in w.vals.iter().enumerate() {
-                out[w.lo + i] += v;
-            }
-        }
-        // Scatter: each peer receives exactly its declared result range.
-        for w in list.iter().filter(|w| w.node != 0) {
-            let slice = &out[w.need_lo..w.need_hi];
+        let parts = completed.unwrap_or_else(|| {
+            let t = tag::REDUCE_LIST_DONE | t16;
+            self.node.recv_match(|p| p.tag == t);
+            self.state.lock().reduce_list_take(seq as u64)
+        });
+        // Every window where it landed, ascending by node: the root's own
+        // first, then the peers' in the order the slot keeps them.
+        let windows: Vec<protocol::ReduceWindow> = std::iter::once(&window[..])
+            .chain(parts.values().map(|p| &p[..]))
+            .map(protocol::read_reduce_window)
+            .collect();
+        // Scatter: each peer receives exactly its declared result range,
+        // folded straight into the message that carries it.
+        for w in &windows[1..] {
             self.node.endpoint().send_to_port(
                 w.node,
                 Port::App,
                 tag::REDUCE_LIST_RESULT | t16,
                 MsgKind::ReduceResult,
-                protocol::encode_reduce_slice(w.need_lo, slice),
+                fold_windows(&windows, &w.need),
             );
         }
-        out
+        protocol::into_reduce_slice(fold_windows(&windows, &need), &need)
     }
 
     /// Broadcast the current content of `range` of `arr` from `root` to
@@ -1279,7 +1281,7 @@ impl Drop for Tmk<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::ProtocolMode;
-    use sp2sim::{Cluster, ClusterConfig, EngineKind, RunOutput};
+    use sp2sim::{Cluster, ClusterConfig, EngineKind, EventKind, RunOutput, TracePort};
     use std::fmt::Debug;
 
     /// Run `f` over `cfg` on `n` nodes under the FIFO schedule and eight
@@ -1583,72 +1585,121 @@ pub(crate) mod tests {
         }
     }
 
+    /// Node `q`'s window in the windowed-reduction tests: elements
+    /// `2q .. 2q + 8` of a `len`-element vector, clipped to it.
+    fn reduce_window_of(q: usize, len: usize) -> (usize, Vec<f64>) {
+        let lo = (q * 2).min(len - 1);
+        let hi = (lo + 8).min(len);
+        (lo, (lo..hi).map(|i| (q * 100 + i) as f64 + 0.5).collect())
+    }
+
+    /// One windowed reduction of a `len`-element vector on `n` nodes,
+    /// node `q` contributing [`reduce_window_of`]`(q, len)` and declaring
+    /// `need(q)`, traced on the FIFO schedule and 16 seeded ones. Every
+    /// node must get exactly its `need` range of the ascending-node fold,
+    /// bitwise. Returns the FIFO run's traffic, and on how many schedules
+    /// the root's own deposit completed the gather and on how many its
+    /// service loop did (and upcalled the root's application).
+    fn windowed_reduce(
+        n: usize,
+        len: usize,
+        need: impl Fn(usize) -> Range<usize>,
+    ) -> (sp2sim::StatsSnapshot, [usize; 2]) {
+        let mut expect = vec![0.0f64; len];
+        for q in 0..n {
+            let (lo, vals) = reduce_window_of(q, len);
+            for (x, v) in expect[lo..].iter_mut().zip(vals) {
+                *x += v;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut completed = [0; 2];
+        let mut fifo = None;
+        for engine in EngineKind::explore(16) {
+            let cfg = ClusterConfig {
+                trace: true,
+                ..ClusterConfig::sp2_on(n, engine)
+            };
+            let out = Cluster::run(cfg, |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let me = tmk.proc_id();
+                // Each peer sends the root a note just before its window,
+                // and the root deposits once it has every note: on some
+                // schedules every window is in by then, on others not.
+                if me == 0 {
+                    (1..n).for_each(|q| drop(node.recv_from(q, 1)));
+                } else {
+                    node.send(0, 1, MsgKind::Control, Vec::new());
+                }
+                let (lo, vals) = reduce_window_of(me, len);
+                let t = tmk.reduce_windows(len, lo, vals.into_iter(), need(me));
+                tmk.finish();
+                t
+            });
+            for (q, t) in out.results.iter().enumerate() {
+                assert_eq!(
+                    bits(t),
+                    bits(&expect[need(q)]),
+                    "{engine}, n = {n}, node {q}"
+                );
+            }
+            // The service's upcall is the one local message the root's
+            // application takes besides `finish`'s barrier departure.
+            let trace = out.trace.expect("a traced run");
+            let root = trace
+                .tracks
+                .iter()
+                .find(|t| t.node == 0 && t.port == TracePort::App);
+            let local = root.expect("the root's application track").events.iter();
+            let local = local.filter(|e| {
+                matches!(e.kind, EventKind::Recv { code, peer: 0, .. }
+                    if code == MsgKind::Control as u8)
+            });
+            completed[local.count() - 1] += 1;
+            fifo.get_or_insert(out.stats);
+        }
+        (fifo.expect("the FIFO run"), completed)
+    }
+
     #[test]
     fn windowed_reduce_folds_in_ascending_node_order() {
         for n in [1usize, 2, 3, 5, 8] {
             let len = 24;
-            let out = run(n, move |tmk| {
-                let me = tmk.proc_id();
-                let np = tmk.nprocs();
-                // Node q contributes window q*2 .. q*2+8 (clipped).
-                let lo = (me * 2).min(len - 1);
-                let hi = (lo + 8).min(len);
-                let vals: Vec<f64> = (lo..hi).map(|i| (me * 100 + i) as f64 + 0.5).collect();
-                let t = tmk.reduce_windows(len, lo, &vals, 0..len);
-                tmk.finish();
-                let _ = np;
-                t
-            });
-            // Reference: sequential ascending-node fold.
-            let mut expect = vec![0.0f64; len];
-            for q in 0..n {
-                let lo = (q * 2).min(len - 1);
-                let hi = (lo + 8).min(len);
-                for (i, x) in expect.iter_mut().enumerate().take(hi).skip(lo) {
-                    *x += (q * 100 + i) as f64 + 0.5;
+            // Odd nodes ask for a part of the vector, even ones for all.
+            let need = |q: usize| {
+                if q % 2 == 1 {
+                    q..len.min(q + 5)
+                } else {
+                    0..len
                 }
-            }
-            for t in &out.results {
-                let tb: Vec<u64> = t.iter().map(|v| v.to_bits()).collect();
-                let eb: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(tb, eb, "n = {n}: bitwise ordered fold");
-            }
+            };
+            let (stats, completed) = windowed_reduce(n, len, need);
             if n > 1 {
                 // One windowed reduction: n-1 up (ReducePart kind) and
                 // n-1 down (ReduceResult kind).
-                assert_eq!(out.stats.messages(MsgKind::ReducePart), n as u64 - 1);
-                assert_eq!(out.stats.messages(MsgKind::ReduceResult), n as u64 - 1);
+                assert_eq!(stats.messages(MsgKind::ReducePart), n as u64 - 1);
+                assert_eq!(stats.messages(MsgKind::ReduceResult), n as u64 - 1);
+                // Both completions ran: the root's deposit, and the
+                // service's last part with its upcall.
+                assert!(completed.iter().all(|&c| c > 0), "n = {n}: {completed:?}");
+            } else {
+                assert_eq!(completed, [17, 0], "a lone root completes its own gather");
             }
         }
     }
 
     #[test]
     fn windowed_reduce_trims_the_down_pass_to_declared_needs() {
-        // Each node contributes and needs only its own 8-word block; the
-        // down-pass must ship block hulls, not the whole vector.
+        // Each node contributes its 2-word-shifted window and needs only
+        // its own 8-word block; the down-pass must ship exactly the blocks,
+        // not the whole vector.
         let n = 8;
         let len = 8 * n;
-        let out = run(n, move |tmk| {
-            let me = tmk.proc_id();
-            let block = me * 8..(me + 1) * 8;
-            let vals: Vec<f64> = block.clone().map(|i| i as f64).collect();
-            let t = tmk.reduce_windows(len, block.start, &vals, block.clone());
-            tmk.finish();
-            t[block.start..block.end].to_vec()
-        });
-        for (q, t) in out.results.iter().enumerate() {
-            let expect: Vec<f64> = (q * 8..(q + 1) * 8).map(|i| i as f64).collect();
-            assert_eq!(t, &expect);
-        }
-        // Down-pass bytes stay near the needs: well under a full-vector
-        // broadcast (which would be >= (n-1) * len words of payload).
-        let full = (n as u64 - 1) * (len as u64) * 8;
-        assert!(
-            out.stats.bytes_of(MsgKind::ReduceResult) < full / 2,
-            "down bytes {} vs full-vector {}",
-            out.stats.bytes_of(MsgKind::ReduceResult),
-            full
-        );
+        let (stats, completed) = windowed_reduce(n, len, |q| q * 8..(q + 1) * 8);
+        assert!(completed.iter().all(|&c| c > 0), "{completed:?}");
+        // Per peer: lo and the count, then its eight words.
+        let words = (n as u64 - 1) * (2 + 8);
+        assert_eq!(stats.bytes_of(MsgKind::ReduceResult), words * 8);
     }
 
     #[test]

@@ -392,13 +392,15 @@ pub struct ReduceSlot {
 /// every level, so the transport is a flat gather: every node sends its
 /// window straight to the root, which folds in rank order and scatters
 /// each node exactly the result range it declared it needs. Same
-/// `2 (n - 1)` message count as the scalar tree, parallel wires.
+/// `2 (n - 1)` message count as the scalar tree, parallel wires. A
+/// peer's window stays in the message it came in
+/// ([`crate::protocol::read_reduce_window`] reads it there).
 #[derive(Debug, Default)]
 pub struct ReduceListSlot {
-    /// Windows received from peers, keyed by sender.
-    pub parts: BTreeMap<usize, Vec<crate::protocol::ReduceWindow>>,
-    /// The root's own window, once deposited.
-    pub local: Option<crate::protocol::ReduceWindow>,
+    /// The peers' messages as they landed, keyed by sender.
+    pub parts: BTreeMap<usize, Payload>,
+    /// Whether the root has deposited (its own window stays with it).
+    pub deposited: bool,
 }
 
 /// Children of `rank` in the binomial combine tree rooted at 0
@@ -644,37 +646,30 @@ impl DsmState {
     }
 
     /// Record one contribution to windowed ordered reduction `seq` at
-    /// the gather root — a peer's window (`from = Some(sender)`) or the
-    /// root's own deposit (`from = None`). When every peer's window and
-    /// the local deposit are present, returns all windows sorted by
-    /// contributing node — the fold order.
-    pub fn reduce_list_contribute(
-        &mut self,
-        seq: u64,
-        from: Option<usize>,
-        windows: Vec<crate::protocol::ReduceWindow>,
-    ) -> Option<Vec<crate::protocol::ReduceWindow>> {
+    /// the gather root — a peer's message (`part = Some((sender,
+    /// message))`) or the root's own deposit (`part = None`). True when
+    /// that completes the gather: the root's application then takes the
+    /// peers' messages, ascending by sender — the fold order — with
+    /// [`DsmState::reduce_list_take`].
+    pub fn reduce_list_contribute(&mut self, seq: u64, part: Option<(usize, Payload)>) -> bool {
         debug_assert_eq!(self.me, 0, "windowed reductions gather at node 0");
         let slot = self.reduce_lists.entry(seq).or_default();
-        match from {
-            Some(sender) => {
-                slot.parts.insert(sender, windows);
+        match part {
+            Some((sender, message)) => {
+                slot.parts.insert(sender, message);
             }
-            None => {
-                slot.local = windows.into_iter().next();
-            }
+            None => slot.deposited = true,
         }
-        let complete = slot.local.is_some() && slot.parts.len() == self.n - 1;
-        if !complete {
-            return None;
-        }
-        let slot = self.reduce_lists.remove(&seq).expect("slot exists");
-        let mut out: Vec<crate::protocol::ReduceWindow> = slot.local.into_iter().collect();
-        for (_, part) in slot.parts {
-            out.extend(part);
-        }
-        out.sort_by_key(|w| w.node);
-        Some(out)
+        slot.deposited && slot.parts.len() == self.n - 1
+    }
+
+    /// The peers' messages of the completed windowed reduction `seq`,
+    /// keyed by sender.
+    pub fn reduce_list_take(&mut self, seq: u64) -> BTreeMap<usize, Payload> {
+        self.reduce_lists
+            .remove(&seq)
+            .expect("a completed gather")
+            .parts
     }
 
     /// Record one contribution to reduction `seq` — a child subtree's

@@ -71,6 +71,15 @@
 //! consumer and peer and built a `BTreeSet` of pages for each: fifteen
 //! times the allocations, nearly all of them hint-side.
 //!
+//! Hinted NBF gets a budget per *reduced word*: its force merge is a
+//! windowed ordered reduction, windows up to the gather root and result
+//! ranges back down. A window is packed once, into the message that
+//! carries it, and the root folds it where it landed; a node gets back,
+//! and keeps, only the range it asked for. Before, every node also
+//! collected its window into a vector of its own and got a full-length
+//! result vector back, and the root decoded every window twice and
+//! re-encoded them all for its own application: 5.5 times the bytes.
+//!
 //! The budgets are one test: the counters are process-wide. They count
 //! the measuring thread only — every measured run is on the sequential
 //! engine, i.e. on the thread that calls it — so what libtest's own
@@ -83,7 +92,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use apps::jacobi::{self, Params};
 use apps::{igrid, nbf, shallow, AppId, RunResult, RunSpec, Version};
 use mpl::Comm;
-use sp2sim::{Cluster, ClusterConfig, EngineKind};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
 use treadmarks::TmkConfig;
 
 /// Allocation calls so far (`realloc` counts as one).
@@ -267,6 +276,40 @@ fn hinted_dispatches_replay_their_plans() {
     );
 }
 
+/// Heap bytes budget per reduced word of hinted NBF (measured: 14.7,
+/// each window's words in the message that carries it and each node's
+/// result its `need` range; with a full-length result vector per node, a
+/// collected window per node, the root's decoded copies of every window
+/// and its re-encoded upcall: 80.9).
+const HEAP_PER_REDUCED_WORD: f64 = 20.0;
+
+/// `(heap bytes, reduced words)` of one 8-node NBF SPF+CRI run. Its
+/// reduced words are the payload of its windowed reductions: the windows
+/// up to the gather root and the result ranges back down.
+fn nbf_cri(iters: usize) -> (u64, u64) {
+    let (r, _, bytes) = counted(|| nbf_run(Version::SpfCri, iters));
+    let payload = r.stats.bytes_of(MsgKind::ReducePart) + r.stats.bytes_of(MsgKind::ReduceResult);
+    (bytes, payload / 8)
+}
+
+fn hinted_reductions_allocate_their_windows_once() {
+    nbf_cri(2);
+    let k = 6;
+    let (bytes_k, words_k) = nbf_cri(k);
+    let (bytes_2k, words_2k) = nbf_cri(2 * k);
+    assert!(words_2k > words_k, "the longer run reduces more");
+    let per_word = (bytes_2k - bytes_k) as f64 / (words_2k - words_k) as f64;
+    eprintln!(
+        "NBF SPF+CRI heap bytes: {bytes_k} for {k} iterations, {bytes_2k} for {}; reduced \
+         words: {words_k}, {words_2k}; {per_word:.1} heap bytes per extra reduced word",
+        2 * k
+    );
+    assert!(
+        per_word <= HEAP_PER_REDUCED_WORD,
+        "{per_word:.1} heap bytes per reduced word exceed the budget of {HEAP_PER_REDUCED_WORD}"
+    );
+}
+
 /// Extra heap bytes allowed per extra payload byte sent.
 const HEAP_PER_PAYLOAD_BYTE: f64 = 1.25;
 /// Extra allocation calls allowed per extra message.
@@ -365,6 +408,7 @@ fn within_message_budget(app: &str, version: Version, run: Run, heap_per_byte: f
 fn release_paths_stay_within_their_allocation_budgets() {
     message_passing_iterations_allocate_only_their_payloads();
     hinted_dispatches_replay_their_plans();
+    hinted_reductions_allocate_their_windows_once();
 
     // Warm-up: one-time allocations (the fiber stacks this thread
     // parks, lazily initialized statics) land outside the measurement.
