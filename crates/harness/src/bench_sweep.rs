@@ -46,18 +46,25 @@ use crate::sweep::sweep_map;
 /// Schema tag of the document.
 const SCHEMA: &str = "bench_sweep/v5";
 
-/// The hinted (SPF+CRI) cells on 8 nodes: the benchmark's five
+/// The hinted (SPF+CRI) cells: on 8 nodes, the benchmark's five
 /// `cri-hinted` cells at reduced scales with IGrid under both protocols,
-/// then Jacobi under both protocols.
-const HINTED: [(AppId, ProtocolMode, f64); 8] = [
-    (AppId::IGrid, Hlrc, 0.2),
-    (AppId::IGrid, Lrc, 0.2),
-    (AppId::Nbf, Lrc, 0.2),
-    (AppId::Shallow, Lrc, 0.1),
-    (AppId::Mgs, Lrc, 0.12),
-    (AppId::Fft3d, Lrc, 0.25),
-    (AppId::Jacobi, Lrc, 0.1),
-    (AppId::Jacobi, Hlrc, 0.1),
+/// then Jacobi under both protocols; on 3 nodes, where blocks are uneven
+/// and MGS's last dispatches are empty on some nodes, the five apps whose
+/// descriptors derive from their loops' footprints.
+const HINTED: [(AppId, ProtocolMode, usize, f64); 13] = [
+    (AppId::IGrid, Hlrc, 8, 0.2),
+    (AppId::IGrid, Lrc, 8, 0.2),
+    (AppId::Nbf, Lrc, 8, 0.2),
+    (AppId::Shallow, Lrc, 8, 0.1),
+    (AppId::Mgs, Lrc, 8, 0.12),
+    (AppId::Fft3d, Lrc, 8, 0.25),
+    (AppId::Jacobi, Lrc, 8, 0.1),
+    (AppId::Jacobi, Hlrc, 8, 0.1),
+    (AppId::Jacobi, Lrc, 3, 0.1),
+    (AppId::Shallow, Lrc, 3, 0.09),
+    (AppId::Mgs, Lrc, 3, 0.12),
+    (AppId::Fft3d, Lrc, 3, 0.25),
+    (AppId::Nbf, Lrc, 3, 0.2),
 ];
 
 /// Every cell of the file, in file order, all on the FIFO schedule with
@@ -68,7 +75,10 @@ const HINTED: [(AppId, ProtocolMode, f64); 8] = [
 ///    then scale (0.05, 0.1), then page size (256, 512 words);
 /// 2. the hinted cells (`HINTED`);
 /// 3. XHPF then PVMe of every application on 8 and on 3 nodes at
-///    scale 0.05.
+///    scale 0.05;
+/// 4. the hand-coded shared-memory programs on 8 nodes under LRC at
+///    scale 0.1 — [`Version::Tmk`] of every application, then
+///    [`Version::HandOpt`] of the four that have one.
 pub fn cells() -> Vec<RunSpec> {
     let traced = |spec: RunSpec| RunSpec {
         cfg: spec.cfg.with_trace(true),
@@ -86,8 +96,8 @@ pub fn cells() -> Vec<RunSpec> {
             }
         }
     }
-    for (app, protocol, scale) in HINTED {
-        let spec = RunSpec::new(app, Version::SpfCri, 8, scale).protocol(protocol);
+    for (app, protocol, nprocs, scale) in HINTED {
+        let spec = RunSpec::new(app, Version::SpfCri, nprocs, scale).protocol(protocol);
         cells.push(traced(spec));
     }
     for app in AppId::ALL {
@@ -96,6 +106,12 @@ pub fn cells() -> Vec<RunSpec> {
                 cells.push(traced(RunSpec::new(app, version, nprocs, 0.05)));
             }
         }
+    }
+    let hand = AppId::ALL.map(|app| (app, Version::Tmk)).into_iter().chain(
+        [AppId::Jacobi, AppId::Shallow, AppId::Fft3d, AppId::Mgs].map(|app| (app, Version::HandOpt)),
+    );
+    for (app, version) in hand {
+        cells.push(traced(RunSpec::new(app, version, 8, 0.1).protocol(Lrc)));
     }
     cells
 }

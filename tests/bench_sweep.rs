@@ -4,9 +4,10 @@
 //! `harness::bench_sweep::cells` — the SPF grid, the hinted (SPF+CRI)
 //! cells and the message-passing (XHPF, PVMe) cells — with its virtual
 //! time, traffic in total and per message kind, trace breakdown, causal
-//! columns, hint counters and checksum. This file holds the SPF grid
-//! and the file's shape; `cri_golden` and `mp_equivalence` hold the
-//! other cells, each with the same comparison (`golden`). A change that
+//! columns, hint counters and checksum. This file holds the unhinted
+//! shared-memory cells (SPF, hand-coded, hand-optimized) and the file's
+//! shape; `cri_golden` and `mp_equivalence` hold the other cells, each
+//! with the same comparison (`golden`). A change that
 //! moves anything simulated — a lost push, an extra validate, a split
 //! or resized message, a bit of virtual time or of a result — fails one
 //! of them, naming each cell and key that moved.
@@ -17,11 +18,14 @@ use apps::Version;
 use harness::bench_sweep::cells;
 use harness::Json;
 
-/// The compiler-parallelized shared-memory version of every application
-/// on 8 nodes, under both protocols, at two scales and two page sizes.
+/// The unhinted shared-memory versions: the compiler-parallelized one
+/// of every application on 8 nodes, under both protocols, at two scales
+/// and two page sizes, and the hand-coded and hand-optimized ones.
 #[test]
 fn spf_cells_match_bench_sweep_json() {
-    golden::assert_cells_match(|s| s.version == Version::Spf);
+    golden::assert_cells_match(|s| {
+        matches!(s.version, Version::Spf | Version::Tmk | Version::HandOpt)
+    });
 }
 
 /// The file is `dsm sweep`'s output: its schema, one row per cell and
