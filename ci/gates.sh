@@ -54,4 +54,18 @@ if [ -n "$leaks" ]; then
     exit 1
 fi
 
+step "footprints: the applications' static descriptors derive from their loops' footprints"
+# Non-test code only, each file cut at its `#[cfg(test)]` line and its
+# whitespace dropped, so a call rustfmt splits over two lines is caught
+# too. A static descriptor is attached by `Spf::describe`; an inspector
+# by `register_dynamic`.
+sets=$(for f in crates/apps/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o '\.hints()\.set(' | sed "s|^|$f: |" || true
+done)
+if [ -n "$sets" ]; then
+    printf '%s\n' "$sets"
+    echo "gates: a hand-written descriptor: derive it from the loop's footprint with Spf::describe" >&2
+    exit 1
+fi
+
 step "all gates passed"

@@ -4,10 +4,10 @@
 //! comparison helpers.
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 
 use sp2sim::{Node, StatsSnapshot};
-use spf::{LoopCtl, Spf};
+use spf::{block_range, LoopCtl, Spf, Touch};
 
 /// A column-major 2-D slab: columns `col0 .. col0 + ncols`, `rows` rows.
 ///
@@ -46,6 +46,11 @@ impl<D: Deref<Target = [f64]>> Slab<D> {
     pub fn over(rows: usize, col0: usize, data: D) -> Slab<D> {
         debug_assert_eq!(data.len() % rows, 0);
         Slab { rows, col0, data }
+    }
+
+    /// Slab over a view of the whole columns of touch `t`.
+    pub fn of(t: &Touch, data: D) -> Slab<D> {
+        Slab::over(t.at.stride, t.cols.start, data)
     }
 
     /// Number of columns held.
@@ -188,6 +193,12 @@ impl<'n> SpfMeter<'n> {
     pub(crate) fn take(&self) -> (f64, Option<StatsSnapshot>) {
         self.measured.borrow_mut().take().expect("meter ran")
     }
+}
+
+/// Node `q`'s block of `iters` under the block schedule, `None` when it
+/// is empty: where a block-scheduled loop's footprint starts.
+pub(crate) fn share(iters: &Range<usize>, q: usize, np: usize) -> Option<Range<usize>> {
+    Some(block_range(q, np, iters.clone())).filter(|b| !b.is_empty())
 }
 
 /// Relative comparison of checksum vectors: every component must agree to

@@ -27,11 +27,12 @@ use std::ops::Range;
 
 use mpl::Comm;
 use sp2sim::{Node, WordWriter};
-use spf::{block_range, LoopCtl, Schedule, Spf, SpfReduction};
-use treadmarks::{SharedArray, Tmk, TmkConfig};
+use spf::Mode::{self, Update, Write};
+use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf, SpfReduction, Touch};
+use treadmarks::{Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
+use crate::common::{hash01, meter_start, meter_stop, share, SpfMeter};
 use crate::runner::{NodeOut, Version};
 
 /// Workload parameters (all dimensions powers of two).
@@ -290,33 +291,23 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
 // Shared-memory helpers
 // ---------------------------------------------------------------------
 
-/// Word range of planes `i3r` in the shared array.
-fn plane_words(p: &Params, i3r: &Range<usize>) -> Range<usize> {
-    let plane = 2 * p.n1 * p.n2;
-    i3r.start * plane..i3r.end * plane
+/// What a block `b2` of the second dimension is in the shared planes:
+/// the `(i2 in b2)` chunk of every plane, which the transpose reads and
+/// writes back.
+fn chunks(planes: Cols, p: &Params, b2: &Range<usize>, mode: Mode) -> Touch {
+    planes
+        .touch(0..p.n3, mode)
+        .rows(2 * b2.start * p.n1..2 * b2.end * p.n1)
 }
 
-/// Word range of the `(i2 in b2, plane i3)` chunk.
-fn chunk_words(p: &Params, b2: &Range<usize>, i3: usize) -> Range<usize> {
-    let plane = p.n1 * p.n2;
-    let lo = 2 * (i3 * plane + b2.start * p.n1);
-    let hi = 2 * (i3 * plane + b2.end * p.n1);
-    lo..hi
-}
-
-/// Fetch this node's transposed block through the DSM, one chunk per
-/// plane (this is where the shared-memory versions take ~30× the
-/// messages of the explicit all-to-all).
-fn gather_transposed(
-    tmk: &Tmk,
-    arr: SharedArray,
-    p: &Params,
-    b2: &Range<usize>,
-) -> TransposedBlock {
+/// Fetch a transposed block through the DSM, one view per chunk (this is
+/// where the shared-memory versions take ~30× the messages of the
+/// explicit all-to-all).
+fn gather_transposed(tmk: &Tmk, p: &Params, chunks: &Touch) -> TransposedBlock {
+    let b2 = chunks.rows.start / (2 * p.n1)..chunks.rows.end / (2 * p.n1);
     let mut t = TransposedBlock::new(p, b2.clone());
-    for i3 in 0..p.n3 {
-        let w = chunk_words(p, b2, i3);
-        let view = tmk.read(arr, w);
+    for i3 in chunks.columns() {
+        let view = tmk.read(chunks.at.arr, chunks.run(i3));
         let chunk = view.slice();
         for i2 in b2.clone() {
             for i1 in 0..p.n1 {
@@ -330,11 +321,10 @@ fn gather_transposed(
     t
 }
 
-/// Write a transposed block back, one chunk per plane.
-fn scatter_transposed(tmk: &Tmk, arr: SharedArray, p: &Params, t: &TransposedBlock) {
-    for i3 in 0..p.n3 {
-        let wrange = chunk_words(p, &t.b2, i3);
-        let mut w = tmk.write(arr, wrange.clone());
+/// Write a transposed block back into its chunks, one view per chunk.
+fn scatter_transposed(tmk: &Tmk, p: &Params, chunks: &Touch, t: &TransposedBlock) {
+    for i3 in chunks.columns() {
+        let mut w = tmk.write(chunks.at.arr, chunks.run(i3));
         let s = w.slice_mut();
         for i2 in t.b2.clone() {
             for i1 in 0..p.n1 {
@@ -356,7 +346,8 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let np = node.nprocs();
     let elems = p.elems();
     let tmk = Tmk::new(node, *cfg);
-    let arr = tmk.malloc_f64(2 * elems);
+    // The shared array as its planes: columns of `2 n1 n2` words.
+    let planes = Cols::new(tmk.malloc_f64(2 * elems), 2 * p.n1 * p.n2);
     let partials = tmk.malloc_f64(np * 512);
     let b3 = block_range(me, np, 0..p.n3);
     let b2 = block_range(me, np, 0..p.n2);
@@ -365,8 +356,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let one = |it: usize| -> (f64, f64) {
         // Phases 1-3 on the i3 partition, all inside one view.
         if !b3.is_empty() {
-            let wr = plane_words(p, &b3);
-            let mut w = tmk.write(arr, wr.clone());
+            let mut w = planes.touch(b3.clone(), Write).write(&tmk);
             let buf = w.slice_mut();
             init_elems(
                 buf,
@@ -383,14 +373,15 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         tmk.barrier(1); // the transpose point
         let mut partial = (0.0, 0.0, 0);
         if !b2.is_empty() {
-            let mut t = gather_transposed(&tmk, arr, p, &b2);
+            let chunks = chunks(planes, p, &b2, Update);
+            let mut t = gather_transposed(&tmk, p, &chunks);
             t.pass_dim3(p);
             node.advance((p.n1 * b2.len() * p.n3) as f64 * PASS_US);
             t.normalize(1.0 / elems as f64);
             node.advance((p.n1 * b2.len() * p.n3) as f64 * NORM_US);
             partial = t.checksum_partial(p);
             node.advance(partial.2 as f64 * CS_US);
-            scatter_transposed(&tmk, arr, p, &t);
+            scatter_transposed(&tmk, p, &chunks, &t);
         }
         {
             let mut w = tmk.write(partials, me * 512..me * 512 + 2);
@@ -421,7 +412,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     }
     let timed = meter_stop(node, m);
     let cs = (me == 0).then(|| {
-        let probe = tmk.read(arr, 0..2);
+        let probe = tmk.read(planes.arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
     NodeOut::shared(&tmk, timed, cs)
@@ -452,80 +443,72 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let red_tot = RefCell::new((0.0, 0.0));
     let tmk = Tmk::new(node, *cfg);
     let spf = Spf::new(&tmk);
-    let arr = tmk.malloc_f64(2 * elems);
+    let planes = Cols::new(tmk.malloc_f64(2 * elems), 2 * p.n1 * p.n2);
     let r_re = SpfReduction::new(&tmk, 1);
     let r_im = SpfReduction::new(&tmk, 2);
     let plane_elems = p.n1 * p.n2;
+
+    // What a node's share of each loop touches: the first passes work on
+    // a block of planes, the dim-3 pass and the normalization on a block
+    // of chunks.
+    let on_planes = move |mode| {
+        move |iters: &Range<usize>, q, np| Some([planes.touch(share(iters, q, np)?, mode)])
+    };
+    let on_chunks = move |mode| {
+        move |iters: &Range<usize>, q, np| Some([chunks(planes, p, &share(iters, q, np)?, mode)])
+    };
 
     let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
-            let b3 = ctl.my_block(me, np);
-            if b3.is_empty() {
+            let Some([t]) = on_planes(Write)(&ctl.range, me, np) else {
                 return;
-            }
-            let it = ctl.args[0] as usize;
-            let mut w = tmk.write(arr, plane_words(p, &b3));
-            init_elems(
-                w.slice_mut(),
-                b3.start * plane_elems,
-                b3.start * plane_elems..b3.end * plane_elems,
-                it,
-            );
+            };
+            let (it, b3) = (ctl.args[0] as usize, t.cols.clone());
+            let elems = b3.start * plane_elems..b3.end * plane_elems;
+            init_elems(t.write(tmk).slice_mut(), elems.start, elems, it);
             node.advance((b3.len() * plane_elems) as f64 * INIT_US);
         }
     });
-    let l_fft1 = spf.register({
+    // The two passes update their planes in place: a write view (it
+    // fetches the current content too), declared as an update.
+    let pass = |dim: fn(&mut [f64], &Params, Range<usize>)| {
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
-            let b3 = ctl.my_block(me, np);
-            if b3.is_empty() {
+            let Some([t]) = on_planes(Update)(&ctl.range, me, np) else {
                 return;
-            }
-            let mut w = tmk.write(arr, plane_words(p, &b3));
-            pass_dim1(w.slice_mut(), p, b3.clone());
-            node.advance((b3.len() * plane_elems) as f64 * PASS_US);
+            };
+            dim(t.write(tmk).slice_mut(), p, t.cols.clone());
+            node.advance((t.cols.len() * plane_elems) as f64 * PASS_US);
         }
-    });
-    let l_fft2 = spf.register({
-        let tmk = &tmk;
-        move |ctl: &LoopCtl| {
-            let b3 = ctl.my_block(me, np);
-            if b3.is_empty() {
-                return;
-            }
-            let mut w = tmk.write(arr, plane_words(p, &b3));
-            pass_dim2(w.slice_mut(), p, b3.clone());
-            node.advance((b3.len() * plane_elems) as f64 * PASS_US);
-        }
-    });
+    };
+    let l_fft1 = spf.register(pass(pass_dim1));
+    let l_fft2 = spf.register(pass(pass_dim2));
     let l_fft3 = spf.register({
         let (tmk, tblock) = (&tmk, &tblock);
         move |ctl: &LoopCtl| {
-            let b2 = ctl.my_block(me, np);
-            if b2.is_empty() {
+            let Some([chunks]) = on_chunks(Update)(&ctl.range, me, np) else {
                 return;
-            }
-            let mut t = gather_transposed(tmk, arr, p, &b2);
+            };
+            let mut t = gather_transposed(tmk, p, &chunks);
             t.pass_dim3(p);
-            node.advance((p.n1 * b2.len() * p.n3) as f64 * PASS_US);
-            scatter_transposed(tmk, arr, p, &t);
+            node.advance((p.n1 * t.b2.len() * p.n3) as f64 * PASS_US);
+            scatter_transposed(tmk, p, &chunks, &t);
             *tblock.borrow_mut() = Some(t);
         }
     });
     let l_norm = spf.register({
         let (tmk, tblock) = (&tmk, &tblock);
         move |ctl: &LoopCtl| {
-            let b2 = ctl.my_block(me, np);
-            if b2.is_empty() {
+            let Some([chunks]) = on_chunks(Write)(&ctl.range, me, np) else {
                 return;
-            }
+            };
             let mut cell = tblock.borrow_mut();
             let t = cell.as_mut().expect("dim-3 loop ran");
             t.normalize(1.0 / elems as f64);
-            node.advance((p.n1 * b2.len() * p.n3) as f64 * NORM_US);
-            scatter_transposed(tmk, arr, p, t);
+            node.advance((p.n1 * t.b2.len() * p.n3) as f64 * NORM_US);
+            scatter_transposed(tmk, p, &chunks, t);
         }
     });
     let l_cs = spf.register({
@@ -552,69 +535,19 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     });
 
     if cri {
-        use cri::{Access, Section};
-        let plane = 2 * plane_elems; // words per i3 plane
-        let arr_of = move |b3: Range<usize>| Section::range(b3.start * plane..b3.end * plane);
-        let chunks_of = move |b2: Range<usize>| {
-            Section::strided(0..p.n3, plane, 2 * b2.start * p.n1..2 * b2.end * p.n1)
+        let next = |l, over: Range<usize>| {
+            move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l, over.clone())]
         };
-        spf.hints()
-            .set(l_init, move |iters: &Range<usize>, me, np| {
-                let b3 = block_range(me, np, iters.clone());
-                if b3.is_empty() {
-                    return vec![];
-                }
-                vec![Access::write(arr, arr_of(b3)).consumed_by_loop(l_fft1, 0..p.n3)]
-            });
-        spf.hints()
-            .set(l_fft1, move |iters: &Range<usize>, me, np| {
-                let b3 = block_range(me, np, iters.clone());
-                if b3.is_empty() {
-                    return vec![];
-                }
-                let s = arr_of(b3);
-                vec![
-                    Access::read(arr, s.clone()),
-                    Access::write(arr, s).consumed_by_loop(l_fft2, 0..p.n3),
-                ]
-            });
-        spf.hints()
-            .set(l_fft2, move |iters: &Range<usize>, me, np| {
-                let b3 = block_range(me, np, iters.clone());
-                if b3.is_empty() {
-                    return vec![];
-                }
-                let s = arr_of(b3);
-                vec![
-                    Access::read(arr, s.clone()),
-                    // The transpose: consumed by the dim-3 pass, which reads
-                    // a different partition (block on i2) — the producer
-                    // pushes each consumer's chunk overlap in one message.
-                    Access::write(arr, s).consumed_by_loop(l_fft3, 0..p.n2),
-                ]
-            });
-        spf.hints()
-            .set(l_fft3, move |iters: &Range<usize>, me, np| {
-                let b2 = block_range(me, np, iters.clone());
-                if b2.is_empty() {
-                    return vec![];
-                }
-                let s = chunks_of(b2);
-                vec![
-                    Access::read(arr, s.clone()),
-                    Access::write(arr, s).consumed_by_loop(l_norm, 0..p.n2),
-                ]
-            });
-        spf.hints()
-            .set(l_norm, move |iters: &Range<usize>, me, np| {
-                let b2 = block_range(me, np, iters.clone());
-                if b2.is_empty() {
-                    return vec![];
-                }
-                // The normalized scatter is what the next iteration's init
-                // (a write over the i3 partition) makes consistent first.
-                vec![Access::write(arr, chunks_of(b2)).consumed_by_loop(l_init, 0..p.n3)]
-            });
+        spf.describe(l_init, on_planes(Write), next(l_fft1, 0..p.n3));
+        spf.describe(l_fft1, on_planes(Update), next(l_fft2, 0..p.n3));
+        // The transpose: consumed by the dim-3 pass, which reads a
+        // different partition (block on i2) — the producer pushes each
+        // consumer's chunk overlap in one message.
+        spf.describe(l_fft2, on_planes(Update), next(l_fft3, 0..p.n2));
+        spf.describe(l_fft3, on_chunks(Update), next(l_norm, 0..p.n2));
+        // The normalized scatter is what the next iteration's init (a
+        // write over the i3 partition) makes consistent first.
+        spf.describe(l_norm, on_chunks(Write), next(l_init, 0..p.n3));
     }
 
     let cs = spf.run(|mr| {
@@ -643,7 +576,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             acc_im += im;
         }
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let probe = mr.tmk().read(arr, 0..2);
+        let probe = mr.tmk().read(planes.arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
     NodeOut::shared(&tmk, meter.take(), cs)

@@ -20,7 +20,7 @@
 //! square in the middle of the grid — recognized as reductions by both
 //! compilers (locks under SPF, collective reduces under XHPF).
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::ops::{Deref, DerefMut, Range};
 
 use cri::{Access, Section};
@@ -335,15 +335,16 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
     let meter = SpfMeter::new(node);
-    // Local caches of the shared map (faulted in on first touch);
-    // declared before the run-time so loop bodies may borrow them.
-    let maps = RefCell::new(None::<(Vec<u32>, Vec<u32>)>);
     let tmk = Tmk::new(node, *cfg);
+    // The shared maps: declared before the run-time so loop bodies may
+    // borrow them, allocated after it like every array the program
+    // shares.
+    let maps = OnceCell::new();
     let spf = Spf::new(&tmk);
     let arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
     // SPF allocates the map arrays in shared memory too (they are
     // accessed in the parallel loop); the master establishes them.
-    let map_arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
+    let maps = maps.get_or_init(|| [SharedMap::alloc(&tmk, n * n), SharedMap::alloc(&tmk, n * n)]);
     let r_min = SpfReduction::new(&tmk, 1);
     let r_max = SpfReduction::new(&tmk, 2);
     let r_sum = SpfReduction::new(&tmk, 3);
@@ -351,7 +352,6 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let (l_start, l_stop) = meter.register(&spf);
     let l_step = spf.register({
         let tmk = &tmk;
-        let maps = &maps;
         move |ctl: &LoopCtl| {
             let jr = ctl.my_block(me, np);
             if jr.is_empty() {
@@ -364,17 +364,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             };
             // First touch pages the shared map in; it is cached locally
             // afterwards (read-only data never invalidates).
-            if maps.borrow().is_none() {
-                let mx = tmk.read(map_arrs[0], 0..n * n);
-                let my = tmk.read(map_arrs[1], 0..n * n);
-                *maps.borrow_mut() = Some((
-                    mx.slice().iter().map(|&v| v as u32).collect(),
-                    my.slice().iter().map(|&v| v as u32).collect(),
-                ));
-            }
-            let cache = maps.borrow();
-            let (mapx, mapy) = cache.as_ref().expect("maps cached");
-            dsm_step(tmk, (src_arr, dst_arr), (mapx, mapy), n, &jr);
+            let (mapx, mapy) = (maps[0].local(tmk), maps[1].local(tmk));
+            dsm_step(tmk, (src_arr, dst_arr), (&mapx, &mapy), n, &jr);
             charge_step(node, jr.len(), n);
         }
     });
@@ -403,12 +394,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             w.slice_mut().copy_from_slice(&full.data);
         }
         let (mapx, mapy) = split_map(&build_map(n), n);
-        for (arr, m) in map_arrs.iter().zip([&mapx, &mapy]) {
-            let mut w = mr.tmk().write(*arr, 0..n * n);
-            for (k, &v) in m.iter().enumerate() {
-                w[k] = v as f64;
-            }
-        }
+        maps[0].publish(mr.tmk(), &mapx);
+        maps[1].publish(mr.tmk(), &mapy);
         let mut cur = 0;
         mr.par_loop(l_step, 1..n - 1, Schedule::Block, &[cur]);
         cur = 1 - cur;

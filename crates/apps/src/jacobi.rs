@@ -24,11 +24,12 @@ use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
 use sp2sim::Node;
-use spf::{block_range, LoopCtl, Schedule, Spf};
+use spf::Mode::{Read, Write};
+use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf};
 use treadmarks::{Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{meter_start, meter_stop, Slab, SpfMeter};
+use crate::common::{meter_start, meter_stop, share, Slab, SpfMeter};
 use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
@@ -105,11 +106,6 @@ fn checksum<D: Deref<Target = [f64]>>(s: &Slab<D>, n: usize) -> Vec<f64> {
     ]
 }
 
-/// Interior-column block for processor `me` of `np`.
-fn my_cols(me: usize, np: usize, n: usize) -> Range<usize> {
-    block_range(me, np, 1..n - 1)
-}
-
 fn charge_phase1(node: &Node, cols: usize, n: usize) {
     node.advance(cols as f64 * (n - 2) as f64 * P1_US);
 }
@@ -162,7 +158,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     }
     tmk.barrier(0);
 
-    let jr = my_cols(me, np, n);
+    let jr = block_range(me, np, 1..n - 1);
     // Hand-coded version: the scratch array is private.
     let mut scratch = Slab::new(n, jr.start.max(1), jr.len());
     let one = |scratch: &mut Slab| {
@@ -212,89 +208,62 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let meter = SpfMeter::new(node);
     let tmk = Tmk::new(node, *cfg);
     let spf = Spf::new(&tmk);
-    let data = tmk.malloc_f64(n * n);
+    let data = Cols::new(tmk.malloc_f64(n * n), n);
     // SPF allocates the scratch array in shared memory.
-    let scr = tmk.malloc_f64(n * n);
+    let scr = Cols::new(tmk.malloc_f64(n * n), n);
+    // What a node's column block touches: the stencil reads the ghosted
+    // data block and stores the interior rows of the scratch block, like
+    // the loop nest SPF compiles; the copy goes back.
+    let stencil = move |iters: &Range<usize>, q: usize, np: usize| {
+        let jr = share(iters, q, np)?;
+        let ghosted = jr.start - 1..(jr.end + 1).min(n);
+        Some([data.touch(ghosted, Read), scr.touch(jr, Write)])
+    };
+    let copy = move |iters: &Range<usize>, q: usize, np: usize| {
+        let jr = share(iters, q, np)?;
+        Some([scr.touch(jr.clone(), Read), data.touch(jr, Write)])
+    };
     let (l_start, l_stop) = meter.register(&spf);
     let l1 = spf.register({
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
-            let jr = ctl.my_block(me, np);
-            if jr.is_empty() {
+            let Some([input, out]) = stencil(&ctl.range, me, np) else {
                 return;
-            }
-            let lo = jr.start - 1;
-            let hi = (jr.end + 1).min(n);
-            // Stencil straight from the data pages into the scratch
-            // pages: the kernel stores the interior rows only, like the
-            // loop nest SPF compiles.
-            let input = tmk.read(data, lo * n..hi * n);
-            let mut w = tmk.write(scr, jr.start * n..jr.end * n);
+            };
+            let (view, mut w) = (input.read(tmk), out.write(tmk));
             phase1(
-                &Slab::over(n, lo, input.slice()),
-                &mut Slab::over(n, jr.start, w.slice_mut()),
+                &Slab::of(&input, view.slice()),
+                &mut Slab::of(&out, w.slice_mut()),
                 n,
-                jr.clone(),
+                out.cols.clone(),
             );
-            charge_phase1(node, jr.len(), n);
+            charge_phase1(node, out.cols.len(), n);
         }
     });
     let l2 = spf.register({
         let tmk = &tmk;
         move |ctl: &LoopCtl| {
-            let jr = ctl.my_block(me, np);
-            if jr.is_empty() {
+            let Some([input, out]) = copy(&ctl.range, me, np) else {
                 return;
-            }
-            let s = tmk.read(scr, jr.start * n..jr.end * n);
-            let mut w = tmk.write(data, jr.start * n..jr.end * n);
-            Slab::over(n, jr.start, w.slice_mut()).copy_block_from(
-                &Slab::over(n, jr.start, s.slice()),
+            };
+            let (s, mut w) = (input.read(tmk), out.write(tmk));
+            Slab::of(&out, w.slice_mut()).copy_block_from(
+                &Slab::of(&input, s.slice()),
                 1..n - 1,
-                jr.clone(),
+                out.cols.clone(),
             );
-            charge_phase2(node, jr.len(), n);
+            charge_phase2(node, out.cols.len(), n);
         }
     });
-
     if cri {
-        use cri::{Access, Section};
-        let interior = 1..n - 1;
-        spf.hints().set(l1, {
-            let interior = interior.clone();
-            move |iters: &std::ops::Range<usize>, me: usize, np: usize| {
-                let jr = block_range(me, np, iters.clone());
-                if jr.is_empty() {
-                    return vec![];
-                }
-                let (lo, hi) = (jr.start - 1, (jr.end + 1).min(n));
-                vec![
-                    Access::read(data, Section::range(lo * n..hi * n)),
-                    Access::write(scr, Section::range(jr.start * n..jr.end * n))
-                        .consumed_by_loop(l2, interior.clone()),
-                ]
-            }
-        });
-        spf.hints().set(l2, {
-            let interior = interior.clone();
-            move |iters: &std::ops::Range<usize>, me: usize, np: usize| {
-                let jr = block_range(me, np, iters.clone());
-                if jr.is_empty() {
-                    return vec![];
-                }
-                vec![
-                    Access::read(scr, Section::range(jr.start * n..jr.end * n)),
-                    Access::write(data, Section::range(jr.start * n..jr.end * n))
-                        .consumed_by_loop(l1, interior.clone()),
-                ]
-            }
-        });
+        spf.describe(l1, stencil, move |_, _| vec![Next::Loop(l2, 1..n - 1)]);
+        spf.describe(l2, copy, move |_, _| vec![Next::Loop(l1, 1..n - 1)]);
     }
 
     let cs = spf.run(|m| {
         {
             let full = init_full(n);
-            let mut w = m.tmk().write(data, 0..n * n);
+            let mut w = m.tmk().write(data.arr, 0..n * n);
             w.slice_mut().copy_from_slice(&full.data);
         }
         let interior = 1..n - 1;
@@ -306,7 +275,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             m.par_loop(l2, interior.clone(), Schedule::Block, &[]);
         }
         m.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let full = m.tmk().read(data, 0..n * n);
+        let full = m.tmk().read(data.arr, 0..n * n);
         checksum(&Slab::over(n, 0, full.slice()), n)
     });
     NodeOut::shared(&tmk, meter.take(), cs)

@@ -23,11 +23,14 @@
 //! Shared-memory versions pad each column to a page boundary (SPF pads
 //! shared arrays anyway; it also keeps the broadcast page-safe).
 
+use std::ops::Range;
+
 use cri::{Access, Section};
 use mpl::Comm;
 use sp2sim::Node;
-use spf::{LoopCtl, Schedule, Spf};
-use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
+use spf::Mode::{Read, Write};
+use spf::{Cols, LoopCtl, Mode, Next, Schedule, Spf, Touch};
+use treadmarks::{ReadView, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
 
 use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
@@ -114,9 +117,8 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
 // ---------------------------------------------------------------------
 
 struct PaddedMatrix {
-    arr: SharedArray,
-    /// Words per column (multiple of the page size).
-    stride: usize,
+    /// The columns, each padded to a multiple of the page size.
+    cols: Cols,
     n: usize,
 }
 
@@ -125,19 +127,36 @@ impl PaddedMatrix {
         let pw = tmk.config().page_words;
         let stride = n.div_ceil(pw) * pw;
         PaddedMatrix {
-            arr: tmk.malloc_f64(n * stride),
-            stride,
+            cols: Cols::new(tmk.malloc_f64(n * stride), stride),
             n,
         }
     }
 
-    fn col_range(&self, j: usize) -> std::ops::Range<usize> {
-        j * self.stride..j * self.stride + self.n
+    /// The vectors of columns `cols`, in `mode`.
+    fn touch(&self, cols: Range<usize>, mode: Mode) -> Touch {
+        self.cols.touch(cols, mode).rows(0..self.n)
+    }
+
+    /// What node `q`'s share of the orthogonalization over `iters`
+    /// touches: the pivot, column `iters.start - 1`, read even when the
+    /// share is empty, and the node's columns of `iters` under the cyclic
+    /// schedule, updated where they live (declared as writes: a write
+    /// fetches the current content too).
+    fn orthogonalization(&self, iters: &Range<usize>, q: usize, np: usize) -> [Touch; 2] {
+        let i = iters.start - 1;
+        [
+            self.touch(i..i + 1, Read),
+            self.touch(iters.clone(), Write).cyclic(q, np),
+        ]
+    }
+
+    fn col_range(&self, j: usize) -> Range<usize> {
+        j * self.cols.stride..j * self.cols.stride + self.n
     }
 
     /// Column `j` as a read view: the read faults.
     fn read_col<'t>(&self, tmk: &'t Tmk, j: usize) -> ReadView<'t> {
-        tmk.read(self.arr, self.col_range(j))
+        tmk.read(self.cols.arr, self.col_range(j))
     }
 
     /// Column `j` for a read-modify-write: the loads fault first (a read
@@ -145,31 +164,28 @@ impl PaddedMatrix {
     /// through which the column is updated where it lives).
     fn update_col<'t>(&self, tmk: &'t Tmk, j: usize) -> WriteView<'t> {
         drop(self.read_col(tmk, j));
-        tmk.write(self.arr, self.col_range(j))
+        tmk.write(self.cols.arr, self.col_range(j))
     }
 
-    fn write_col(&self, tmk: &Tmk, j: usize, data: &[f64]) {
-        let mut w = tmk.write(self.arr, self.col_range(j));
-        w.slice_mut().copy_from_slice(data);
+    /// Initialize the columns of `owned` — each owner its own, locality
+    /// from the start.
+    fn init(&self, tmk: &Tmk, owned: &Touch) {
+        for j in owned.columns() {
+            let mut w = tmk.write(self.cols.arr, self.col_range(j));
+            w.slice_mut().copy_from_slice(&init_col(self.n, j));
+        }
     }
 
-    /// Orthogonalize this node's columns `js` against pivot column `i`,
-    /// in place; returns how many it updated.
-    fn orthogonalize_cols(&self, tmk: &Tmk, i: usize, js: impl Iterator<Item = usize>) -> usize {
-        let pivot = self.read_col(tmk, i);
+    /// Orthogonalize the columns of an orthogonalization footprint
+    /// against its pivot, in place; returns how many it updated.
+    fn orthogonalize_cols(&self, tmk: &Tmk, [pivot, cols]: &[Touch; 2]) -> usize {
+        let pivot = self.read_col(tmk, pivot.cols.start);
         let mut updated = 0;
-        for j in js {
+        for j in cols.columns() {
             orthogonalize(pivot.slice(), self.update_col(tmk, j).slice_mut());
             updated += 1;
         }
         updated
-    }
-}
-
-fn dsm_init(tmk: &Tmk, a: &PaddedMatrix, me: usize, np: usize) {
-    // Each owner initializes its own columns (locality from the start).
-    for j in (me..a.n).step_by(np) {
-        a.write_col(tmk, j, &init_col(a.n, j));
     }
 }
 
@@ -189,7 +205,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
     let np = node.nprocs();
     let tmk = Tmk::new(node, *cfg);
     let a = PaddedMatrix::alloc(&tmk, n);
-    dsm_init(&tmk, &a, me, np);
+    a.init(&tmk, &a.touch(0..n, Write).cyclic(me, np));
     tmk.barrier(0);
 
     let m = meter_start(node);
@@ -201,11 +217,11 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
         if use_bcast {
             // Hand-optimization: merged data + synchronization via a
             // TreadMarks broadcast of the pivot — no barrier.
-            tmk.bcast_pages(i % np, a.arr, a.col_range(i));
+            tmk.bcast_pages(i % np, a.cols.arr, a.col_range(i));
         } else {
             tmk.barrier(1);
         }
-        let updated = a.orthogonalize_cols(&tmk, i, ((i + 1)..n).filter(|j| j % np == me));
+        let updated = a.orthogonalize_cols(&tmk, &a.orthogonalization(&(i + 1..n), me, np));
         node.advance(updated as f64 * n as f64 * UPD_US);
     }
     let timed = meter_stop(node, m);
@@ -220,7 +236,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
 /// The SPF version; with `cri` the compiler's descriptors hint the
 /// broadcast-producing structure of §5.3: the orthogonalize loop's
 /// cyclic column sets over a triangular iteration space (`DO J = I+1, N`,
-/// [`Section::cyclic_cols`]), the next pivot's owner
+/// [`Touch::cyclic`]), the next pivot's owner
 /// pushes it to the master's sequential normalization
 /// (`consumed_by_node(0)`), and the master declares its normalize write
 /// through [`spf::Master::produce`] so the pivot rides the next fork to
@@ -237,83 +253,37 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
 
     let (l_start, l_stop) = meter.register(&spf);
     // The orthogonalization loop SPF encapsulates: iteration space
-    // i+1..n, cyclic; args[0] carries the pivot index.
+    // i+1..n, cyclic; args[0] carries the pivot index, which is also the
+    // range's start less one.
     let l_upd = spf.register({
-        let tmk = &tmk;
-        let a = &a;
+        let (tmk, a) = (&tmk, &a);
         move |ctl: &LoopCtl| {
-            let i = ctl.args[0] as usize;
-            let updated = a.orthogonalize_cols(tmk, i, ctl.my_iters(me, np));
+            let updated = a.orthogonalize_cols(tmk, &a.orthogonalization(&ctl.range, me, np));
             node.advance(updated as f64 * n as f64 * UPD_US);
         }
     });
     // SPF also parallelizes the initialization loop.
+    let init =
+        |iters: &Range<usize>, q: usize, np: usize| a.touch(iters.clone(), Write).cyclic(q, np);
     let l_init = spf.register({
-        let tmk = &tmk;
-        let a = &a;
-        move |ctl: &LoopCtl| {
-            for j in ctl.my_iters(me, np) {
-                a.write_col(tmk, j, &init_col(n, j));
-            }
-        }
+        let (tmk, a) = (&tmk, &a);
+        move |ctl: &LoopCtl| a.init(tmk, &init(&ctl.range, me, np))
     });
-
     if cri {
-        let (arr, stride, len) = (a.arr, a.stride, a.n);
-        // Orthogonalize loop over `i+1 .. n` at pivot `i = iters.start-1`:
-        // reads the pivot column; reads+writes the node's cyclic column
-        // set (one column in every `np`, from the first owned column at or
-        // after `i+1`). Written columns feed the next dispatch
-        // of the same loop; the next pivot additionally feeds the
-        // master's sequential normalization.
-        spf.hints().set(l_upd, {
-            move |iters: &std::ops::Range<usize>, q: usize, nprocs: usize| {
-                if iters.start == 0 {
-                    return vec![];
-                }
-                // Note the final dispatch (i = n-1 over the empty range
-                // n..n) still declares the pivot read: the encapsulated
-                // body reads column i unconditionally, before checking
-                // its own (empty) iteration set — the descriptor must
-                // match the body, not the schedule.
-                let i = iters.start - 1;
-                let mut acc = vec![Access::read(
-                    arr,
-                    Section::range(i * stride..i * stride + len),
-                )];
-                let owned = Section::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
-                if !owned.is_empty() {
-                    let mut w = Access::write(arr, owned);
-                    if iters.start + 1 < n {
-                        w = w.consumed_by_loop(l_upd, iters.start + 1..n);
-                    }
-                    acc.push(w);
-                }
-                if iters.start < n && iters.start % nprocs == q {
-                    // The next pivot: its owner pushes it to the
-                    // master's sequential code at the join.
-                    acc.push(
-                        Access::write(
-                            arr,
-                            Section::range(iters.start * stride..iters.start * stride + len),
-                        )
-                        .consumed_by_node(0),
-                    );
-                }
-                acc
+        // Written columns feed the loop's next dispatch; the next pivot,
+        // the dispatch's first column, also feeds the master's sequential
+        // normalization.
+        let a = &a;
+        let upd = move |iters: &Range<usize>, q, np| Some(a.orthogonalization(iters, q, np));
+        spf.describe(l_upd, upd, move |iters, _| {
+            let pivot = Next::Node(0, iters.start..iters.start + 1);
+            match iters.start + 1 < n {
+                true => vec![Next::Loop(l_upd, iters.start + 1..n), pivot],
+                false => vec![pivot],
             }
         });
-        // The initialization loop writes the cyclic column sets; the
-        // first orthogonalize dispatch reads column 0 as its pivot.
-        spf.hints().set(l_init, {
-            move |iters: &std::ops::Range<usize>, q: usize, nprocs: usize| {
-                let owned = Section::cyclic_cols(iters.clone(), q, nprocs, stride, 0..len);
-                if owned.is_empty() {
-                    return vec![];
-                }
-                vec![Access::write(arr, owned).consumed_by_loop(l_upd, 1..n)]
-            }
-        });
+        let init = move |iters: &Range<usize>, q, np| Some([init(iters, q, np)]);
+        spf.describe(l_init, init, move |_, _| vec![Next::Loop(l_upd, 1..n)]);
     }
 
     let cs = spf.run(|mr| {
@@ -330,11 +300,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
                 // the normalized pivot is read by every node of the next
                 // dispatch — push it with the fork (§5.3's merged data +
                 // synchronization, compiler-described).
-                mr.produce(&[Access::write(
-                    a.arr,
-                    Section::range(a.col_range(i).start..a.col_range(i).start + a.n),
-                )
-                .consumed_by_loop(l_upd, i + 1..n)]);
+                mr.produce(&[Access::write(a.cols.arr, Section::range(a.col_range(i)))
+                    .consumed_by_loop(l_upd, i + 1..n)]);
             }
             mr.par_loop(l_upd, i + 1..n, Schedule::Cyclic, &[i as u64]);
         }

@@ -29,11 +29,12 @@ use cri::{Access, Section};
 use inspector::Inspector;
 use mpl::Comm;
 use sp2sim::{Node, SplitMix64, WordReader, WordWriter};
-use spf::{block_range, LoopCtl, Schedule, Spf};
+use spf::Mode::Write;
+use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf, Touch};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{hash01, meter_start, meter_stop, SpfMeter};
+use crate::common::{hash01, meter_start, meter_stop, share, SpfMeter};
 use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
@@ -277,6 +278,38 @@ impl DsmIter<'_> {
         );
     }
 
+    /// This block's overlap with the buffer span of each processor whose
+    /// span meets it, ascending.
+    fn overlaps(&self, np: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        (0..np).filter_map(move |q| {
+            let qspan = buf_span(&block_range(q, np, 0..self.p.m), self.p.w, self.p.m);
+            let r = self.block.start.max(qspan.start)..self.block.end.min(qspan.end);
+            (!r.is_empty()).then_some((q, r))
+        })
+    }
+
+    /// Phase 3, after a merge of `reads` buffers (charged here): integrate
+    /// this block's coordinates with the merged force `f(d, i)` of
+    /// dimension `d` on molecule `i`.
+    fn integrate(
+        &self,
+        node: &Node,
+        tmk: &Tmk,
+        sh: &SharedNbf,
+        reads: usize,
+        f: impl Fn(usize, usize) -> f64,
+    ) {
+        let b = self.block.clone();
+        node.advance(b.len() as f64 * reads as f64 * MERGE_US);
+        let [mut x, mut y, mut z] = coord_block(sh, &b).map(|t| t.write(tmk));
+        for i in b.clone() {
+            x[i] += DT * f(0, i);
+            y[i] += DT * f(1, i);
+            z[i] += DT * f(2, i);
+        }
+        node.advance(b.len() as f64 * UPD_US);
+    }
+
     /// Phase 2+3: merge every overlapping processor's buffer over this
     /// block, then integrate the coordinates.
     fn merge_update(&self, node: &Node, tmk: &Tmk, sh: &SharedNbf, np: usize) {
@@ -286,32 +319,74 @@ impl DsmIter<'_> {
         let b = self.block.clone();
         let mut f = [vec![0.0; b.len()], vec![0.0; b.len()], vec![0.0; b.len()]];
         let mut reads = 0;
-        for q in 0..np {
-            let qspan = buf_span(&block_range(q, np, 0..self.p.m), self.p.w, self.p.m);
-            let lo = b.start.max(qspan.start);
-            let hi = b.end.min(qspan.end);
-            if lo >= hi {
-                continue;
-            }
+        for (q, r) in self.overlaps(np) {
             reads += 1;
             for (d, fd) in f.iter_mut().enumerate() {
-                let part = tmk.read(sh.bufs[q][d], lo..hi);
-                for i in lo..hi {
+                let part = tmk.read(sh.bufs[q][d], r.clone());
+                for i in r.clone() {
                     fd[i - b.start] += part[i];
                 }
             }
         }
-        node.advance(b.len() as f64 * reads as f64 * MERGE_US);
-        let mut x = tmk.write(sh.coords[0], b.clone());
-        let mut y = tmk.write(sh.coords[1], b.clone());
-        let mut z = tmk.write(sh.coords[2], b.clone());
-        for i in b.clone() {
-            x[i] += DT * f[0][i - b.start];
-            y[i] += DT * f[1][i - b.start];
-            z[i] += DT * f[2][i - b.start];
-        }
-        node.advance(b.len() as f64 * UPD_US);
+        self.integrate(node, tmk, sh, reads, |d, i| f[d][i - b.start]);
     }
+
+    /// Phase 2+3 with the buffer merge routed through the windowed
+    /// ordered reduction: identical numerics to
+    /// [`DsmIter::merge_update`] (the reduction folds contributions in
+    /// the same ascending node order), with the peer-buffer page fetches
+    /// replaced by the tree. Every node takes part in the collective — an
+    /// empty block contributes an empty window, exactly the unhinted
+    /// early return.
+    fn merge_reduced(&self, node: &Node, tmk: &Tmk, sh: &SharedNbf, me: usize, np: usize) {
+        let (b, span, p) = (self.block.clone(), self.span.clone(), self.p);
+        // One collective for all three dimensions: the conceptual reduced
+        // vector is the xyz-interleaved force array, so the window stays
+        // a single contiguous range and the exchange is one round trip.
+        // Per-component addition sequences are those of the unhinted
+        // per-buffer fold — bitwise identical. The window is packed from
+        // the three buffer views straight into its message; the iterator
+        // owns them, so they close once it is drained, before the
+        // collective waits.
+        let bufs =
+            (!b.is_empty()).then(|| [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone())));
+        let (lo, words) = match bufs {
+            Some(_) => (span.start * 3, span.len() * 3),
+            None => (0, 0),
+        };
+        let window = (0..words).map(move |j| {
+            let bufs = bufs.as_ref().expect("a non-empty window has views");
+            bufs[j % 3].slice()[j / 3]
+        });
+        let folded = tmk.reduce_windows(3 * p.m, lo, window, b.start * 3..b.end * 3);
+        if b.is_empty() {
+            return;
+        }
+        // Same virtual merge cost as the unhinted per-buffer fold: the
+        // summation work exists wherever it runs.
+        let reads = self.overlaps(np).count();
+        self.integrate(node, tmk, sh, reads, |d, i| folded[3 * (i - b.start) + d]);
+    }
+
+    /// Write this processor's block of the initial coordinates.
+    fn init(&self, tmk: &Tmk, sh: &SharedNbf) {
+        if self.block.is_empty() {
+            return;
+        }
+        let (x0, y0, z0) = init_coords(self.p.m);
+        for (t, src) in coord_block(sh, &self.block).iter().zip([&x0, &y0, &z0]) {
+            t.write(tmk)
+                .slice_mut()
+                .copy_from_slice(&src[t.cols.clone()]);
+        }
+    }
+}
+
+/// What a block of molecules is in the coordinates: the init and merge
+/// phases write it, and the force phase reads it next.
+fn coord_block(sh: &SharedNbf, block: &Range<usize>) -> [Touch; 3] {
+    sh.coords
+        .map(|c| Cols::new(c, 1).touch(block.clone(), Write))
 }
 
 fn dsm_checksum(tmk: &Tmk, sh: &SharedNbf, m: usize) -> Vec<f64> {
@@ -327,13 +402,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let partners = build_partners(p);
     // Each processor initializes its own coordinate block.
     let it = DsmIter::new(p, &partners, me, np);
-    if !it.block.is_empty() {
-        let (x0, y0, z0) = init_coords(p.m);
-        for (d, src) in [&x0, &y0, &z0].into_iter().enumerate() {
-            let mut w = tmk.write(sh.coords[d], it.block.clone());
-            w.slice_mut().copy_from_slice(&src[it.block.clone()]);
-        }
-    }
+    it.init(&tmk, &sh);
     tmk.barrier(0);
     let m = meter_start(node);
     for _ in 0..p.iters {
@@ -347,59 +416,8 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     NodeOut::shared(&tmk, timed, cs)
 }
 
-fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
-    let me = node.id();
-    let np = node.nprocs();
-    let meter = SpfMeter::new(node);
-    let tmk = Tmk::new(node, *cfg);
-    let sh = SharedNbf::alloc(&tmk, p.m, np);
-    let partners = build_partners(p);
-    let it = DsmIter::new(p, &partners, me, np);
-    let spf = Spf::new(&tmk);
-
-    let (l_start, l_stop) = meter.register(&spf);
-    let l_force = spf.register({
-        let (tmk, sh, it) = (&tmk, &sh, &it);
-        move |_ctl: &LoopCtl| it.force(node, tmk, sh, me)
-    });
-    let l_merge = spf.register({
-        let (tmk, sh, it) = (&tmk, &sh, &it);
-        move |_ctl: &LoopCtl| it.merge_update(node, tmk, sh, np)
-    });
-    let l_init = spf.register({
-        let (tmk, sh, it) = (&tmk, &sh, &it);
-        move |_ctl: &LoopCtl| {
-            if it.block.is_empty() {
-                return;
-            }
-            let (x0, y0, z0) = init_coords(p.m);
-            for (d, src) in [&x0, &y0, &z0].into_iter().enumerate() {
-                let mut w = tmk.write(sh.coords[d], it.block.clone());
-                w.slice_mut().copy_from_slice(&src[it.block.clone()]);
-            }
-        }
-    });
-
-    let cs = spf.run(|mr| {
-        mr.par_loop(l_init, 0..p.m, Schedule::Block, &[]);
-        mr.par_loop(l_start, 0..0, Schedule::Block, &[]);
-        for _ in 0..p.iters {
-            mr.par_loop(l_force, 0..p.m, Schedule::Block, &[]);
-            mr.par_loop(l_merge, 0..p.m, Schedule::Block, &[]);
-        }
-        mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        dsm_checksum(mr.tmk(), &sh, p.m)
-    });
-    NodeOut::shared(&tmk, meter.take(), cs)
-}
-
-// ---------------------------------------------------------------------
-// SPF + CRI: inspector over the partner lists, force merge through the
-// windowed ordered reduction
-// ---------------------------------------------------------------------
-
-/// The SPF shape of [`spf_node`] with the inspector/executor repair for
-/// the interaction lists:
+/// The SPF version. With `cri`, the inspector/executor repair for the
+/// interaction lists:
 ///
 /// * the **force loop** carries an inspector that walks each molecule's
 ///   partner list once and materializes the coordinate words it will
@@ -413,7 +431,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
 ///   the unhinted merge loop's addition sequence), and `2 (n - 1)`
 ///   messages per dimension replace one demand diff exchange per
 ///   overlapping `(reader, writer, page)` triple.
-fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
+fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();
     let m = p.m;
@@ -428,71 +446,17 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let (tmk, sh, it) = (&tmk, &sh, &it);
-        move |_ctl: &LoopCtl| {
-            if it.block.is_empty() {
-                return;
-            }
-            let (x0, y0, z0) = init_coords(p.m);
-            for (d, src) in [&x0, &y0, &z0].into_iter().enumerate() {
-                let mut w = tmk.write(sh.coords[d], it.block.clone());
-                w.slice_mut().copy_from_slice(&src[it.block.clone()]);
-            }
-        }
+        move |_ctl: &LoopCtl| it.init(tmk, sh)
     });
     let l_force = spf.register({
         let (tmk, sh, it) = (&tmk, &sh, &it);
         move |_ctl: &LoopCtl| it.force(node, tmk, sh, me)
     });
-    // The hinted merge: identical numerics to `DsmIter::merge_update`
-    // (the windowed reduce folds contributions in the same ascending
-    // node order), with the peer-buffer page fetches replaced by the
-    // tree. Every node participates in the collective — an empty block
-    // contributes an empty window, exactly the unhinted early return.
     let l_merge = spf.register({
         let (tmk, sh, it) = (&tmk, &sh, &it);
-        move |_ctl: &LoopCtl| {
-            let b = it.block.clone();
-            let span = it.span.clone();
-            // One collective for all three dimensions: the conceptual
-            // reduced vector is the xyz-interleaved force array, so the
-            // window stays a single contiguous range and the exchange is
-            // one round trip. Per-component addition sequences are those
-            // of the unhinted per-buffer fold — bitwise identical. The
-            // window is packed from the three buffer views straight into
-            // its message; the iterator owns them, so they close once it
-            // is drained, before the collective waits.
-            let bufs =
-                (!b.is_empty()).then(|| [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone())));
-            let (lo, words) = match bufs {
-                Some(_) => (span.start * 3, span.len() * 3),
-                None => (0, 0),
-            };
-            let window = (0..words).map(move |j| {
-                let bufs = bufs.as_ref().expect("a non-empty window has views");
-                bufs[j % 3].slice()[j / 3]
-            });
-            let folded = tmk.reduce_windows(3 * p.m, lo, window, b.start * 3..b.end * 3);
-            if b.is_empty() {
-                return;
-            }
-            // Same virtual merge cost as the unhinted per-buffer fold:
-            // the summation work exists wherever it runs.
-            let reads = (0..np)
-                .filter(|&q| {
-                    let qspan = buf_span(&block_range(q, np, 0..p.m), p.w, p.m);
-                    b.start.max(qspan.start) < b.end.min(qspan.end)
-                })
-                .count();
-            node.advance(b.len() as f64 * reads as f64 * MERGE_US);
-            let mut x = tmk.write(sh.coords[0], b.clone());
-            let mut y = tmk.write(sh.coords[1], b.clone());
-            let mut z = tmk.write(sh.coords[2], b.clone());
-            for (i, f) in b.clone().zip(folded.chunks_exact(3)) {
-                x[i] += DT * f[0];
-                y[i] += DT * f[1];
-                z[i] += DT * f[2];
-            }
-            node.advance(b.len() as f64 * UPD_US);
+        move |_ctl: &LoopCtl| match cri {
+            true => it.merge_reduced(node, tmk, sh, me, np),
+            false => it.merge_update(node, tmk, sh, np),
         }
     });
 
@@ -501,42 +465,37 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     // compacts the touched words; buffer writes are regular spans. The
     // init and merge loops write coordinate blocks read next by the
     // force loop (through its dynamic descriptor).
-    let coord_writes = {
+    if cri {
         let sh = &sh;
-        move |iters: &Range<usize>, q: usize, nprocs: usize| {
-            let block = block_range(q, nprocs, iters.clone());
-            if block.is_empty() {
-                return vec![];
+        let coords = move |iters: &Range<usize>, q: usize, nprocs: usize| {
+            Some(coord_block(sh, &share(iters, q, nprocs)?))
+        };
+        let to_force = move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l_force, 0..m)];
+        spf.describe(l_init, coords, to_force);
+        spf.describe(l_merge, coords, to_force);
+        spf.hints().register_dynamic(l_force, {
+            let (partners, insp) = (&partners, &insp);
+            let k = p.k;
+            move |iters: &Range<usize>, q: usize, nprocs: usize| {
+                let block = block_range(q, nprocs, iters.clone());
+                if block.is_empty() {
+                    return vec![];
+                }
+                let span = buf_span(&block, p.w, p.m);
+                let touched = insp.gather(block.clone().flat_map(|i| {
+                    std::iter::once(i)
+                        .chain(partners[i * k..(i + 1) * k].iter().map(|&j| j as usize))
+                }));
+                let mut acc: Vec<Access> = (0..3)
+                    .map(|d| Access::read(sh.coords[d], touched.clone()))
+                    .collect();
+                acc.extend(
+                    (0..3).map(|d| Access::write(sh.bufs[q][d], Section::range(span.clone()))),
+                );
+                acc
             }
-            (0..3)
-                .map(|d| {
-                    Access::write(sh.coords[d], Section::range(block.clone()))
-                        .consumed_by_loop(l_force, 0..m)
-                })
-                .collect()
-        }
-    };
-    spf.hints().set(l_init, coord_writes);
-    spf.hints().set(l_merge, coord_writes);
-    spf.hints().register_dynamic(l_force, {
-        let (partners, insp, sh) = (&partners, &insp, &sh);
-        let k = p.k;
-        move |iters: &Range<usize>, q: usize, nprocs: usize| {
-            let block = block_range(q, nprocs, iters.clone());
-            if block.is_empty() {
-                return vec![];
-            }
-            let span = buf_span(&block, p.w, p.m);
-            let touched = insp.gather(block.clone().flat_map(|i| {
-                std::iter::once(i).chain(partners[i * k..(i + 1) * k].iter().map(|&j| j as usize))
-            }));
-            let mut acc: Vec<Access> = (0..3)
-                .map(|d| Access::read(sh.coords[d], touched.clone()))
-                .collect();
-            acc.extend((0..3).map(|d| Access::write(sh.bufs[q][d], Section::range(span.clone()))));
-            acc
-        }
-    });
+        });
+    }
 
     let cs = spf.run(|mr| {
         mr.par_loop(l_init, 0..p.m, Schedule::Block, &[]);
@@ -741,8 +700,8 @@ pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeO
         // Plain SPF runs unhinted; SPF+CRI walks the partner lists with
         // an inspector and routes the force merge through the windowed
         // ordered reduction.
-        Version::Spf => spf_node(node, p, cfg),
-        Version::SpfCri => spf_cri_node(node, p, cfg),
+        Version::Spf => spf_node(node, p, cfg, false),
+        Version::SpfCri => spf_node(node, p, cfg, true),
         Version::Xhpf => mp_node(node, p, true),
         Version::Pvme => mp_node(node, p, false),
     }

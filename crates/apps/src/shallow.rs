@@ -27,11 +27,12 @@ use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
 use sp2sim::{Node, WordReader, WordWriter};
-use spf::{block_range, LoopCtl, Schedule, Spf};
-use treadmarks::{ReadView, SharedArray, Tmk, TmkConfig, WriteView};
+use spf::Mode::{self, Read, Update, Write};
+use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf, Touch};
+use treadmarks::{Tmk, TmkConfig};
 use xhpf::Xhpf;
 
-use crate::common::{meter_start, meter_stop, Slab, SpfMeter};
+use crate::common::{meter_start, meter_stop, share, Slab, SpfMeter};
 use crate::runner::{NodeOut, Version};
 
 /// Workload parameters.
@@ -400,52 +401,64 @@ fn seq_node(node: &Node, p: &Params) -> NodeOut {
 // Shared-memory versions
 // ---------------------------------------------------------------------
 
+/// The arrays the initialization writes.
+const INIT: [usize; 6] = [U, V, P, UOLD, VOLD, POLD];
+
 struct DsmShallow {
-    arrs: [SharedArray; NARR],
-    np1: usize,
+    /// The thirteen arrays, as columns of `n + 1` words.
+    arrs: [Cols; NARR],
 }
 
 impl DsmShallow {
     fn alloc(tmk: &Tmk, n: usize) -> DsmShallow {
         let np1 = n + 1;
         DsmShallow {
-            arrs: std::array::from_fn(|_| tmk.malloc_f64(np1 * np1)),
-            np1,
+            arrs: std::array::from_fn(|_| Cols::new(tmk.malloc_f64(np1 * np1), np1)),
         }
     }
 
-    /// Open a read view of columns `cols` of array `w`: the read faults.
-    fn read<'t>(&self, tmk: &'t Tmk, w: usize, cols: &Range<usize>) -> ReadView<'t> {
-        tmk.read(self.arrs[w], cols.start * self.np1..cols.end * self.np1)
+    /// Arrays `ws` over columns `cols`, in `mode`.
+    fn touch<const K: usize>(&self, ws: [usize; K], cols: &Range<usize>, mode: Mode) -> [Touch; K] {
+        ws.map(|w| self.arrs[w].touch(cols.clone(), mode))
     }
 
-    /// Open a write view of columns `cols` of array `w`: the write faults.
-    fn write<'t>(&self, tmk: &'t Tmk, w: usize, cols: &Range<usize>) -> WriteView<'t> {
-        tmk.write(self.arrs[w], cols.start * self.np1..cols.end * self.np1)
+    // The footprints of the loops over a column block, which their bodies
+    // open their views from and their descriptors declare.
+
+    /// Step 1 over `jr`: p, u, v over the ghosted block, read; cu, cv, z,
+    /// h written.
+    fn step1(&self, jr: &Range<usize>) -> [Touch; 7] {
+        let [p, u, v] = self.touch([P, U, V], &(jr.start - 1..jr.end), Read);
+        let [cu, cv, z, h] = self.touch([CU, CV, Z, H], jr, Write);
+        [p, u, v, cu, cv, z, h]
     }
 
-    /// Take the read faults of columns `cols` of array `w` — what the
-    /// loads of a read-modify-write loop do before its stores fault — and
-    /// keep no view: the write view opened next covers the same words.
-    fn touch(&self, tmk: &Tmk, w: usize, cols: &Range<usize>) {
-        drop(self.read(tmk, w, cols));
+    /// Step 2 over `jr`: cu, cv, z, h over the ghosted block and the old
+    /// values, read; the new values written.
+    fn step2(&self, jr: &Range<usize>) -> [Touch; 10] {
+        let [cu, cv, z, h] = self.touch([CU, CV, Z, H], &(jr.start - 1..jr.end), Read);
+        let [uo, vo, po] = self.touch([UOLD, VOLD, POLD], jr, Read);
+        let [un, vn, pn] = self.touch([UNEW, VNEW, PNEW], jr, Write);
+        [cu, cv, z, h, uo, vo, po, un, vn, pn]
     }
 
-    /// A kernel-input slab over a read view of columns `cols`.
-    fn input<'v>(&self, view: &'v ReadView, cols: &Range<usize>) -> Slab<&'v [f64]> {
-        Slab::over(self.np1, cols.start, view.slice())
+    /// A row wrap of arrays `ws` over `jr`: updated in place.
+    fn wrap<const K: usize>(&self, ws: [usize; K], jr: &Range<usize>) -> [Touch; K] {
+        self.touch(ws, jr, Update)
     }
 
-    /// A kernel-output slab over a write view of columns `cols`: the
-    /// kernel stores straight into the page frames.
-    fn output<'v>(&self, view: &'v mut WriteView, cols: &Range<usize>) -> Slab<&'v mut [f64]> {
-        Slab::over(self.np1, cols.start, view.slice_mut())
+    /// Step 3 over `jr3`: the new values read; the current and the old
+    /// values updated in place.
+    fn step3(&self, jr3: &Range<usize>) -> [Touch; 9] {
+        let [un, vn, pn] = self.touch([UNEW, VNEW, PNEW], jr3, Read);
+        let [u, v, p, uo, vo, po] = self.touch([U, V, P, UOLD, VOLD, POLD], jr3, Update);
+        [un, vn, pn, u, v, p, uo, vo, po]
     }
 
     fn init_own(&self, tmk: &Tmk, n: usize, jr: Range<usize>) {
-        for which in [U, V, P, UOLD, VOLD, POLD] {
-            let mut view = self.write(tmk, which, &jr);
-            let mut s = self.output(&mut view, &jr);
+        for (which, t) in INIT.into_iter().zip(self.touch(INIT, &jr, Write)) {
+            let mut view = t.write(tmk);
+            let mut s = Slab::of(&t, view.slice_mut());
             for j in jr.clone() {
                 for i in 0..=n {
                     s.set(i, j, init_at(n, which, i, j));
@@ -464,14 +477,23 @@ impl DsmShallow {
     /// also holds column `n`, which a source view kept open would pin.
     fn col_wrap(&self, tmk: &Tmk, which: &[usize]) {
         for &w in which {
-            let last = self
-                .read(tmk, w, &(self.np1 - 1..self.np1))
+            let n = self.arrs[w].stride - 1;
+            let last = self.arrs[w]
+                .touch(n..n + 1, Read)
+                .read(tmk)
                 .slice()
                 .to_vec();
-            self.write(tmk, w, &(0..1))
-                .slice_mut()
-                .copy_from_slice(&last);
+            let mut first = self.arrs[w].touch(0..1, Write).write(tmk);
+            first.slice_mut().copy_from_slice(&last);
         }
+    }
+
+    /// The checksum of p and u, read whole (the master, after the timed
+    /// part).
+    fn checksum(&self, tmk: &Tmk, n: usize) -> Vec<f64> {
+        let [p, u] = self.touch([P, U], &(0..n + 1), Read);
+        let (pf, uf) = (p.read(tmk), u.read(tmk));
+        checksum(&Slab::of(&p, pf.slice()), &Slab::of(&u, uf.slice()), n)
     }
 
     /// What follows a step kernel on each array it wrote: the fused row
@@ -501,36 +523,29 @@ impl DsmShallow {
         if jr.is_empty() {
             return;
         }
-        let gr = jr.start - 1..jr.end;
-        let [p, u, v] = [P, U, V].map(|w| self.read(tmk, w, &gr));
+        let [p, u, v, cu, cv, z, h] = self.step1(jr);
+        let ins = [&p, &u, &v].map(|t| (t, t.read(tmk)));
         node.advance((jr.len() * n) as f64 * S1_US);
-        let [mut cu, mut cv, mut z, mut h] = [CU, CV, Z, H].map(|w| self.write(tmk, w, jr));
-        let mut out = [&mut cu, &mut cv, &mut z, &mut h].map(|view| self.output(view, jr));
+        let mut outs = [&cu, &cv, &z, &h].map(|t| (t, t.write(tmk)));
+        let [p, u, v] = &ins.each_ref().map(|(t, w)| Slab::of(t, w.slice()));
+        let mut out = outs.each_mut().map(|(t, w)| Slab::of(t, w.slice_mut()));
         let [cu, cv, z, h] = &mut out;
-        step1(
-            &self.input(&p, &gr),
-            &self.input(&u, &gr),
-            &self.input(&v, &gr),
-            cu,
-            cv,
-            z,
-            h,
-            n,
-            jr.clone(),
-        );
+        step1(p, u, v, cu, cv, z, h, n, jr.clone());
         for s in &mut out {
             Self::finish_rows(s, n, jr, fuse_wrap);
         }
     }
 
-    fn do_row_wrap(&self, tmk: &Tmk, n: usize, jr: &Range<usize>, which: &[usize]) {
+    /// The row wrap of arrays `ws` over `jr`, updated in place: the loads
+    /// fault first (a read view, dropped at once), then the stores.
+    fn do_row_wrap<const K: usize>(&self, tmk: &Tmk, n: usize, jr: &Range<usize>, ws: [usize; K]) {
         if jr.is_empty() {
             return;
         }
-        for &w in which {
-            self.touch(tmk, w, jr);
-            let mut view = self.write(tmk, w, jr);
-            row_wrap(&mut self.output(&mut view, jr), n, jr.clone());
+        for t in self.wrap(ws, jr) {
+            drop(t.read(tmk));
+            let mut view = t.write(tmk);
+            row_wrap(&mut Slab::of(&t, view.slice_mut()), n, jr.clone());
         }
     }
 
@@ -546,28 +561,14 @@ impl DsmShallow {
         if jr.is_empty() {
             return;
         }
-        let gr = jr.start - 1..jr.end;
-        let [cu, cv, z, h] = [CU, CV, Z, H].map(|w| self.read(tmk, w, &gr));
-        let [uo, vo, po] = [UOLD, VOLD, POLD].map(|w| self.read(tmk, w, jr));
+        let [cu, cv, z, h, uo, vo, po, un, vn, pn] = self.step2(jr);
+        let ins = [&cu, &cv, &z, &h, &uo, &vo, &po].map(|t| (t, t.read(tmk)));
         node.advance((jr.len() * n) as f64 * S2_US);
-        let [mut un, mut vn, mut pn] = [UNEW, VNEW, PNEW].map(|w| self.write(tmk, w, jr));
-        let mut out = [&mut un, &mut vn, &mut pn].map(|view| self.output(view, jr));
+        let mut outs = [&un, &vn, &pn].map(|t| (t, t.write(tmk)));
+        let [cu, cv, z, h, uo, vo, po] = &ins.each_ref().map(|(t, w)| Slab::of(t, w.slice()));
+        let mut out = outs.each_mut().map(|(t, w)| Slab::of(t, w.slice_mut()));
         let [un, vn, pn] = &mut out;
-        step2(
-            &self.input(&cu, &gr),
-            &self.input(&cv, &gr),
-            &self.input(&z, &gr),
-            &self.input(&h, &gr),
-            &self.input(&uo, jr),
-            &self.input(&vo, jr),
-            &self.input(&po, jr),
-            un,
-            vn,
-            pn,
-            tdt,
-            n,
-            jr.clone(),
-        );
+        step2(cu, cv, z, h, uo, vo, po, un, vn, pn, tdt, n, jr.clone());
         for s in &mut out {
             Self::finish_rows(s, n, jr, fuse_wrap);
         }
@@ -575,44 +576,33 @@ impl DsmShallow {
 
     /// Step 3 updates six arrays in place. Its loads fault first, array
     /// by array, then its stores: the read faults of the arrays it also
-    /// writes are taken by [`DsmShallow::touch`], because a write view
-    /// may overlap no other open view.
+    /// writes are taken by read views dropped at once, because a write
+    /// view may overlap no other open view.
     fn do_step3(&self, node: &Node, tmk: &Tmk, n: usize, jr3: &Range<usize>, first: bool) {
         if jr3.is_empty() {
             return;
         }
-        for w in [U, V, P] {
-            self.touch(tmk, w, jr3);
+        let [un, vn, pn, u, v, p, uo, vo, po] = self.step3(jr3);
+        for t in [&u, &v, &p] {
+            drop(t.read(tmk));
         }
-        let [un, vn, pn] = [UNEW, VNEW, PNEW].map(|w| self.read(tmk, w, jr3));
-        for w in [UOLD, VOLD, POLD] {
-            self.touch(tmk, w, jr3);
+        let ins = [&un, &vn, &pn].map(|t| (t, t.read(tmk)));
+        for t in [&uo, &vo, &po] {
+            drop(t.read(tmk));
         }
         node.advance((jr3.len() * (n + 1)) as f64 * S3_US);
-        let mut views = [U, V, P, UOLD, VOLD, POLD].map(|w| self.write(tmk, w, jr3));
-        let mut slabs = views.each_mut().map(|view| self.output(view, jr3));
-        let [u, v, p, uo, vo, po] = &mut slabs;
-        step3(
-            u,
-            v,
-            p,
-            &self.input(&un, jr3),
-            &self.input(&vn, jr3),
-            &self.input(&pn, jr3),
-            uo,
-            vo,
-            po,
-            first,
-            n,
-            jr3.clone(),
-        );
+        let mut outs = [&u, &v, &p, &uo, &vo, &po].map(|t| (t, t.write(tmk)));
+        let [un, vn, pn] = &ins.each_ref().map(|(t, w)| Slab::of(t, w.slice()));
+        let [u, v, p, uo, vo, po] = &mut outs.each_mut().map(|(t, w)| Slab::of(t, w.slice_mut()));
+        step3(u, v, p, un, vn, pn, uo, vo, po, first, n, jr3.clone());
     }
 }
 
-/// Column partitions: steps 1-2 over `1..=n`; step 3 also covers column 0
-/// (assigned to the processor owning column 1).
-fn col_parts(me: usize, np: usize, n: usize) -> (Range<usize>, Range<usize>) {
-    let jr = block_range(me, np, 1..n + 1);
+/// Column partitions of `cols` for node `me` of `np`: steps 1-2 over a
+/// block; step 3 and the initialization also cover column 0 (assigned to
+/// the processor owning column 1).
+fn col_parts(me: usize, np: usize, cols: Range<usize>) -> (Range<usize>, Range<usize>) {
+    let jr = block_range(me, np, cols);
     let jr3 = if me == 0 && !jr.is_empty() {
         0..jr.end
     } else {
@@ -627,7 +617,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let np = node.nprocs();
     let tmk = Tmk::new(node, *cfg);
     let sh = DsmShallow::alloc(&tmk, n);
-    let (jr, jr3) = col_parts(me, np, n);
+    let (jr, jr3) = col_parts(me, np, 1..n + 1);
     sh.init_own(&tmk, n, jr3.clone());
     tmk.barrier(0);
 
@@ -651,11 +641,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         one(false, 2.0 * DT);
     }
     let timed = meter_stop(node, m);
-    let cs = (me == 0).then(|| {
-        let all = 0..n + 1;
-        let (pf, uf) = (sh.read(&tmk, P, &all), sh.read(&tmk, U, &all));
-        checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
-    });
+    let cs = (me == 0).then(|| sh.checksum(&tmk, n));
     NodeOut::shared(&tmk, timed, cs)
 }
 
@@ -672,216 +658,70 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
     let tmk = Tmk::new(node, *cfg);
     let sh = DsmShallow::alloc(&tmk, n);
     let spf = Spf::new(&tmk);
-
-    let parts = move |ctl: &LoopCtl| {
-        let jr = ctl.my_block(me, np);
-        let jr3 = if me == 0 && !jr.is_empty() {
-            0..jr.end
-        } else {
-            jr.clone()
-        };
-        (jr, jr3)
-    };
+    let parts = move |ctl: &LoopCtl| col_parts(me, np, ctl.range.clone());
 
     let (l_start, l_stop) = meter.register(&spf);
     let l_init = spf.register({
         let (tmk, sh) = (&tmk, &sh);
-        move |ctl: &LoopCtl| {
-            let (_, jr3) = parts(ctl);
-            sh.init_own(tmk, n, jr3);
-        }
+        move |ctl: &LoopCtl| sh.init_own(tmk, n, parts(ctl).1)
     });
     let l_s1 = spf.register({
         let (tmk, sh) = (&tmk, &sh);
-        move |ctl: &LoopCtl| {
-            let (jr, _) = parts(ctl);
-            sh.do_step1(node, tmk, n, &jr, fused);
-        }
+        move |ctl: &LoopCtl| sh.do_step1(node, tmk, n, &parts(ctl).0, fused)
     });
     let l_wrap1 = spf.register({
         let (tmk, sh) = (&tmk, &sh);
-        move |ctl: &LoopCtl| {
-            let (jr, _) = parts(ctl);
-            sh.do_row_wrap(tmk, n, &jr, &[CU, CV, Z, H]);
-        }
+        move |ctl: &LoopCtl| sh.do_row_wrap(tmk, n, &parts(ctl).0, [CU, CV, Z, H])
     });
     let l_s2 = spf.register({
         let (tmk, sh) = (&tmk, &sh);
         move |ctl: &LoopCtl| {
-            let (jr, _) = parts(ctl);
             let tdt = f64::from_bits(ctl.args[0]);
-            sh.do_step2(node, tmk, n, &jr, tdt, fused);
+            sh.do_step2(node, tmk, n, &parts(ctl).0, tdt, fused);
         }
     });
     let l_wrap2 = spf.register({
         let (tmk, sh) = (&tmk, &sh);
-        move |ctl: &LoopCtl| {
-            let (jr, _) = parts(ctl);
-            sh.do_row_wrap(tmk, n, &jr, &[UNEW, VNEW, PNEW]);
-        }
+        move |ctl: &LoopCtl| sh.do_row_wrap(tmk, n, &parts(ctl).0, [UNEW, VNEW, PNEW])
     });
     let l_s3 = spf.register({
         let (tmk, sh) = (&tmk, &sh);
-        move |ctl: &LoopCtl| {
-            let (_, jr3) = parts(ctl);
-            sh.do_step3(node, tmk, n, &jr3, ctl.args[0] != 0);
-        }
+        move |ctl: &LoopCtl| sh.do_step3(node, tmk, n, &parts(ctl).1, ctl.args[0] != 0)
     });
 
     if cri {
-        use cri::{Access, Section};
-        let whole = 1..n + 1;
-        let arrs = sh.arrs;
-        let np1 = sh.np1;
-        // Column-block helper: `cols` of one array as a word section.
-        let sec = move |w: usize, cols: Range<usize>| {
-            (arrs[w], Section::range(cols.start * np1..cols.end * np1))
+        let sh = &sh;
+        // The footprints over a node's block, `None` when it is empty.
+        let jr3 =
+            move |i: &Range<usize>, q, np| share(i, q, np).map(|_| col_parts(q, np, i.clone()).1);
+        let init = move |i: &Range<usize>, q, np| Some(sh.touch(INIT, &jr3(i, q, np)?, Write));
+        let s1 = move |i: &Range<usize>, q, np| Some(sh.step1(&share(i, q, np)?));
+        let wrap1 = move |i: &Range<usize>, q, np| Some(sh.wrap([CU, CV, Z, H], &share(i, q, np)?));
+        let s2 = move |i: &Range<usize>, q, np| Some(sh.step2(&share(i, q, np)?));
+        let wrap2 =
+            move |i: &Range<usize>, q, np| Some(sh.wrap([UNEW, VNEW, PNEW], &share(i, q, np)?));
+        let s3 = move |i: &Range<usize>, q, np| Some(sh.step3(&jr3(i, q, np)?));
+        // Who reads each array next: u, v, p feed step 1 and the old
+        // values step 2; a step's outputs feed its row wrap, and a row
+        // wrap's the next step and — column n, on the node that holds
+        // it — the master's column wrap.
+        let uvp = [U, V, P].map(|w| sh.arrs[w]);
+        let state = move |_: &Range<usize>, t: &Touch| {
+            let to = if uvp.contains(&t.at) { l_s1 } else { l_s2 };
+            vec![Next::Loop(to, 1..n + 1)]
         };
-        let my_jr =
-            move |iters: &Range<usize>, me: usize, np: usize| block_range(me, np, iters.clone());
-        let my_jr3 = move |jr: &Range<usize>, me: usize| {
-            if me == 0 && !jr.is_empty() {
-                0..jr.end
-            } else {
-                jr.clone()
+        let to = move |l| move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l, 1..n + 1)];
+        let wrapped = move |l| {
+            move |_: &Range<usize>, _: &Touch| {
+                vec![Next::Loop(l, 1..n + 1), Next::Node(0, n..n + 1)]
             }
         };
-        // Writes of one array over `cols`, with the given consuming loop;
-        // the owner of column n additionally feeds the master's
-        // sequential column wrap.
-        let wrap_feeds_master = move |w: usize, jr: &Range<usize>| {
-            let (arr, s) = sec(w, n..n + 1);
-            jr.contains(&n)
-                .then(|| Access::write(arr, s).consumed_by_node(0))
-        };
-        spf.hints().set(l_init, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                let jr3 = my_jr3(&jr, me);
-                if jr3.is_empty() {
-                    return vec![];
-                }
-                [U, V, P, UOLD, VOLD, POLD]
-                    .into_iter()
-                    .map(|w| {
-                        let (arr, s) = sec(w, jr3.clone());
-                        let consumer = if w == U || w == V || w == P {
-                            l_s1
-                        } else {
-                            l_s2
-                        };
-                        Access::write(arr, s).consumed_by_loop(consumer, whole.clone())
-                    })
-                    .collect()
-            }
-        });
-        spf.hints().set(l_s1, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                if jr.is_empty() {
-                    return vec![];
-                }
-                let gr = jr.start - 1..jr.end;
-                let mut v: Vec<Access> = [P, U, V]
-                    .into_iter()
-                    .map(|w| {
-                        let (arr, s) = sec(w, gr.clone());
-                        Access::read(arr, s)
-                    })
-                    .collect();
-                for w in [CU, CV, Z, H] {
-                    let (arr, s) = sec(w, jr.clone());
-                    v.push(Access::write(arr, s).consumed_by_loop(l_wrap1, whole.clone()));
-                }
-                v
-            }
-        });
-        spf.hints().set(l_wrap1, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                if jr.is_empty() {
-                    return vec![];
-                }
-                let mut v = Vec::new();
-                for w in [CU, CV, Z, H] {
-                    let (arr, s) = sec(w, jr.clone());
-                    v.push(Access::read(arr, s.clone()));
-                    v.push(Access::write(arr, s).consumed_by_loop(l_s2, whole.clone()));
-                    v.extend(wrap_feeds_master(w, &jr));
-                }
-                v
-            }
-        });
-        spf.hints().set(l_s2, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                if jr.is_empty() {
-                    return vec![];
-                }
-                let gr = jr.start - 1..jr.end;
-                let mut v = Vec::new();
-                for w in [CU, CV, Z, H] {
-                    let (arr, s) = sec(w, gr.clone());
-                    v.push(Access::read(arr, s));
-                }
-                for w in [UOLD, VOLD, POLD] {
-                    let (arr, s) = sec(w, jr.clone());
-                    v.push(Access::read(arr, s));
-                }
-                for w in [UNEW, VNEW, PNEW] {
-                    let (arr, s) = sec(w, jr.clone());
-                    v.push(Access::write(arr, s).consumed_by_loop(l_wrap2, whole.clone()));
-                }
-                v
-            }
-        });
-        spf.hints().set(l_wrap2, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                if jr.is_empty() {
-                    return vec![];
-                }
-                let mut v = Vec::new();
-                for w in [UNEW, VNEW, PNEW] {
-                    let (arr, s) = sec(w, jr.clone());
-                    v.push(Access::read(arr, s.clone()));
-                    v.push(Access::write(arr, s).consumed_by_loop(l_s3, whole.clone()));
-                    v.extend(wrap_feeds_master(w, &jr));
-                }
-                v
-            }
-        });
-        spf.hints().set(l_s3, {
-            let whole = whole.clone();
-            move |iters: &Range<usize>, me: usize, np: usize| {
-                let jr = my_jr(iters, me, np);
-                let jr3 = my_jr3(&jr, me);
-                if jr3.is_empty() {
-                    return vec![];
-                }
-                let mut v = Vec::new();
-                for w in [UNEW, VNEW, PNEW] {
-                    let (arr, s) = sec(w, jr3.clone());
-                    v.push(Access::read(arr, s));
-                }
-                for w in [U, V, P] {
-                    let (arr, s) = sec(w, jr3.clone());
-                    v.push(Access::read(arr, s.clone()));
-                    v.push(Access::write(arr, s).consumed_by_loop(l_s1, whole.clone()));
-                }
-                for w in [UOLD, VOLD, POLD] {
-                    let (arr, s) = sec(w, jr3.clone());
-                    v.push(Access::read(arr, s.clone()));
-                    v.push(Access::write(arr, s).consumed_by_loop(l_s2, whole.clone()));
-                }
-                v
-            }
-        });
+        spf.describe(l_init, init, state);
+        spf.describe(l_s1, s1, to(l_wrap1));
+        spf.describe(l_wrap1, wrap1, wrapped(l_s2));
+        spf.describe(l_s2, s2, to(l_wrap2));
+        spf.describe(l_wrap2, wrap2, wrapped(l_s3));
+        spf.describe(l_s3, s3, state);
     }
 
     let cs = spf.run(|mr| {
@@ -907,9 +747,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
             one(false, 2.0 * DT);
         }
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
-        let all = 0..n + 1;
-        let (pf, uf) = (sh.read(mr.tmk(), P, &all), sh.read(mr.tmk(), U, &all));
-        checksum(&sh.input(&pf, &all), &sh.input(&uf, &all), n)
+        sh.checksum(mr.tmk(), n)
     });
     NodeOut::shared(&tmk, meter.take(), cs)
 }
@@ -934,7 +772,7 @@ struct MpShallow {
 impl MpShallow {
     fn new(n: usize, me: usize, np: usize) -> MpShallow {
         let np1 = n + 1;
-        let (jr, jr3) = col_parts(me, np, n);
+        let (jr, jr3) = col_parts(me, np, 1..n + 1);
         let lo = jr3.start.saturating_sub(1);
         let hi = (jr.end + 1).min(np1);
         let mut slabs: Vec<Slab> = (0..NARR).map(|_| Slab::new(np1, lo, hi - lo)).collect();
@@ -946,7 +784,7 @@ impl MpShallow {
             }
         }
         let last_owner = (0..np)
-            .find(|&q| col_parts(q, np, n).0.contains(&n))
+            .find(|&q| col_parts(q, np, 1..n + 1).0.contains(&n))
             .unwrap_or(0);
         MpShallow {
             slabs,
@@ -1105,7 +943,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
         let mut pf = Slab::new(np1, 0, np1);
         let mut uf = Slab::new(np1, 0, np1);
         for (q, part) in parts.iter().enumerate() {
-            let (_, jr3) = col_parts(q, np, n);
+            let (_, jr3) = col_parts(q, np, 1..n + 1);
             let (p_cols, u_cols) = part.split_at(part.len() / 2);
             pf.col_block_mut(jr3.clone()).copy_from_slice(p_cols);
             uf.col_block_mut(jr3).copy_from_slice(u_cols);

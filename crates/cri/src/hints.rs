@@ -230,7 +230,10 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 
     /// Attach `access` as loop `id`'s descriptor (same registration order
-    /// on every node, like the loop bodies themselves).
+    /// on every node, like the loop bodies themselves). The fork-join
+    /// runtime's applications do not call this directly: `spf`'s
+    /// `Spf::describe` derives the function from the loop's footprint,
+    /// the one its body opens its views from.
     pub fn set(&self, id: usize, access: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't) {
         let mut fns = self.fns.borrow_mut();
         if fns.len() <= id {
@@ -649,14 +652,17 @@ mod tests {
     /// Words every generated section stays below.
     const WORDS: usize = 1024;
 
-    /// A section from one of six shapes — the five constructors, spans
-    /// painted in either order — and eight small numbers.
+    /// A section from one of six shapes — the four constructors, the
+    /// cyclic one on every column and on a cyclic set, spans painted in
+    /// either order — and eight small numbers.
     fn section_from(shape: usize, p: &[usize]) -> Section {
         let spans = || p.chunks(2).map(|s| s[0] * 25..s[0] * 25 + s[1]);
         match shape {
             0 => Section::range(p[0] * 13..p[0] * 13 + p[1] * 12),
-            1 => Section::strided(
+            1 => Section::cyclic_cols(
                 p[0] % 4..p[0] % 4 + p[1] % 8,
+                0,
+                1,
                 p[2],
                 p[3] % 20..p[3] % 20 + p[4] % 25,
             ),

@@ -10,7 +10,7 @@
 //! * [`Section`] — **section access descriptors**: the words a
 //!   parallelized loop touches, held as sorted word runs. The compiler
 //!   builds them from its subscript analysis (a contiguous range, a
-//!   strided block, a cyclic column set), an inspector from its
+//!   chunk of every plane, a cyclic column set), an inspector from its
 //!   indirection-map walk (registered through
 //!   [`HintEngine::register_dynamic`] and memoized in a per-`(loop,
 //!   range, node)` schedule cache — see the `inspector` crate);

@@ -25,16 +25,11 @@ impl Section {
         Section::ascending([r])
     }
 
-    /// An `outer`-strided section of contiguous `inner` runs: for each
-    /// `i ∈ outer`, words `i·stride + inner.start .. i·stride + inner.end`.
-    /// Runs that touch or overlap (a stride shorter than `inner`) join.
-    pub fn strided(outer: Range<usize>, stride: usize, inner: Range<usize>) -> Section {
-        Section::ascending(outer.map(|i| i * stride + inner.start..i * stride + inner.end))
-    }
-
     /// The cyclic column set `{j ∈ cols : j ≡ me (mod np)}` of a matrix
     /// with `stride` words per column, each column contributing words
-    /// `inner` — the per-node section of a cyclically scheduled loop.
+    /// `inner` — the per-node section of a cyclically scheduled loop, or,
+    /// with `np = 1`, a strided one (a chunk of every plane). Runs that
+    /// touch or overlap (a stride shorter than `inner`) join.
     pub fn cyclic_cols(
         cols: Range<usize>,
         me: usize,
@@ -203,26 +198,22 @@ mod tests {
 
         /// Every constructor yields the maximal runs of the words its
         /// definition names: reversed and empty ranges, strides shorter
-        /// than the inner run (and zero), empty outer or inner ranges,
+        /// than the inner run (and zero), empty column or inner ranges,
         /// cyclic column sets whose columns touch (`np = 1`, `inner =
         /// 0..stride`), unordered and overlapping spans in either order,
         /// duplicate indices across bitmap-word boundaries.
         #[test]
         fn every_constructor_yields_the_maximal_runs_of_its_words(
-            bounds in (0usize..40, 0usize..40, 0usize..12, 0usize..12),
+            bounds in (0usize..40, 0usize..40, 0usize..12),
             inner in (0usize..12, 0usize..12),
             cyclic in (0usize..5, 1usize..5, 0usize..3),
             spans in prop::collection::vec((0usize..300, 0usize..80), 0..12),
         ) {
-            let (lo, hi, stride, len) = bounds;
+            let (lo, hi, stride) = bounds;
             let inner = inner.0..inner.1;
             let words = |r: Range<usize>| r.collect::<BTreeSet<_>>();
 
             assert_describes(&Section::range(lo..hi), words(lo..hi));
-
-            let outer = lo % 8..lo % 8 + len % 6;
-            let strided = outer.clone().flat_map(|i| words(i * stride + inner.start..i * stride + inner.end));
-            assert_describes(&Section::strided(outer, stride, inner.clone()), strided.collect());
 
             // `touching` makes every column's inner range the whole column.
             let (me, np, touching) = cyclic;
@@ -250,11 +241,14 @@ mod tests {
         assert!(Section::range(5..5).is_empty());
         // Rows 1..4 of columns 0..3 (10 rows): three runs of three.
         assert_eq!(
-            Section::strided(0..3, 10, 1..4).runs(),
+            Section::cyclic_cols(0..3, 0, 1, 10, 1..4).runs(),
             [1..4, 11..14, 21..24]
         );
         // Whole columns are contiguous in column-major layout.
-        assert_eq!(Section::strided(2..5, 10, 0..10).runs(), vec![20..50]);
+        assert_eq!(
+            Section::cyclic_cols(2..5, 0, 1, 10, 0..10).runs(),
+            vec![20..50]
+        );
         assert_eq!(
             Section::cyclic_cols(0..4, 1, 2, 10, 0..10).runs(),
             [10..20, 30..40]

@@ -4,8 +4,9 @@
 //! The file lists a fixed set of cells — `cells` — and, per cell, only
 //! simulated quantities, which are deterministic: rendering the cells
 //! again gives the committed file byte for byte, and three root tests
-//! hold every cell to its row: `tests/bench_sweep.rs` the SPF cells and
-//! the file's layout, `tests/cri_golden.rs` the hinted cells and
+//! hold every cell to its row: `tests/bench_sweep.rs` the unhinted
+//! shared-memory cells and the file's layout, `tests/cri_golden.rs` the
+//! hinted cells and
 //! `tests/mp_equivalence.rs` the message-passing ones. A change that
 //! moves a simulated column therefore fails the test suite until the
 //! file is re-recorded (`dsm sweep`), and the diff of the file is the
@@ -108,7 +109,8 @@ pub fn cells() -> Vec<RunSpec> {
         }
     }
     let hand = AppId::ALL.map(|app| (app, Version::Tmk)).into_iter().chain(
-        [AppId::Jacobi, AppId::Shallow, AppId::Fft3d, AppId::Mgs].map(|app| (app, Version::HandOpt)),
+        [AppId::Jacobi, AppId::Shallow, AppId::Fft3d, AppId::Mgs]
+            .map(|app| (app, Version::HandOpt)),
     );
     for (app, version) in hand {
         cells.push(traced(RunSpec::new(app, version, 8, 0.1).protocol(Lrc)));

@@ -118,7 +118,7 @@ impl<'n> Inspector<'n> {
 pub struct SharedMap {
     arr: SharedArray,
     len: usize,
-    cache: RefCell<Option<Rc<Vec<u32>>>>,
+    cache: RefCell<Option<Rc<[u32]>>>,
 }
 
 impl SharedMap {
@@ -161,12 +161,12 @@ impl SharedMap {
 
     /// The local integer materialization, faulting the shared pages in
     /// on first use (the inspector loop's read of the map).
-    pub fn local(&self, tmk: &Tmk) -> Rc<Vec<u32>> {
+    pub fn local(&self, tmk: &Tmk) -> Rc<[u32]> {
         if let Some(m) = self.cache.borrow().as_ref() {
             return Rc::clone(m);
         }
         let r = tmk.read(self.arr, 0..self.len);
-        let m: Rc<Vec<u32>> = Rc::new(r.slice().iter().map(|&v| v as u32).collect());
+        let m: Rc<[u32]> = r.slice().iter().map(|&v| v as u32).collect();
         *self.cache.borrow_mut() = Some(Rc::clone(&m));
         m
     }

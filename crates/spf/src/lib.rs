@@ -31,8 +31,8 @@
 //!   two shared pages and releases the workers through a full barrier;
 //!   workers fault the control pages in — `8 (n - 1)` messages per loop.
 //!
-//! When a loop has a section descriptor (see the [`cri`] crate; attached
-//! through [`Spf::hints`] under the loop's id), it is evaluated
+//! When a loop has a section descriptor (see the [`cri`] crate; derived
+//! from the loop's [`footprint`] by [`Spf::describe`]), it is evaluated
 //! around every execution of the body: the run-time pre-validates all
 //! pages the body will fault in one aggregated exchange, and registers
 //! producer→consumer pushes that ride the next rendezvous. This is the
@@ -82,11 +82,15 @@
 
 #![forbid(unsafe_code)]
 
+pub mod footprint;
+
 use std::cell::RefCell;
 use std::ops::Range;
 
-use cri::{Access, HintEngine};
+use cri::{Access, Consumer, HintEngine};
 use treadmarks::{SharedArray, Tmk};
+
+pub use footprint::{Cols, Mode, Next, Touch};
 
 /// Loop iteration scheduling, as selected by the SPF directives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -250,12 +254,55 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk
     }
 
-    /// The CRI hint engine: a loop's descriptor is attached under the id
-    /// [`Spf::register`] returned, with [`HintEngine::set`] (or
-    /// [`HintEngine::register_dynamic`] for an inspector, whose
-    /// evaluations are memoized until [`Spf::invalidate_schedules`]).
+    /// The CRI hint engine. Static descriptors are attached through
+    /// [`Spf::describe`]; an inspector's through
+    /// [`HintEngine::register_dynamic`] (its evaluations are memoized
+    /// until [`Spf::invalidate_schedules`]).
     pub fn hints(&self) -> &HintEngine<'t, 'n> {
         &self.hints
+    }
+
+    /// Attach loop `id`'s section descriptor, derived from `footprint` —
+    /// the function of `(iters, q, np)` its body opens its views from,
+    /// `None` when node `q` has no share. Every touch is declared in its
+    /// mode, an update as a read and then a write, in footprint order;
+    /// each written one goes to the loops `next(iters, touch)` names,
+    /// and the columns a [`Next::Node`] reads follow it as a write of
+    /// their own, when the touch has any.
+    pub fn describe<T: IntoIterator<Item = Touch>>(
+        &self,
+        id: usize,
+        footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
+        next: impl Fn(&Range<usize>, &Touch) -> Vec<Next> + 't,
+    ) {
+        self.hints.set(id, move |iters, q, np| {
+            let mut acc = Vec::new();
+            for t in footprint(iters, q, np).into_iter().flatten() {
+                if t.mode != Mode::Write {
+                    acc.push(Access::read(t.at.arr, t.section()));
+                }
+                if t.mode == Mode::Read {
+                    continue;
+                }
+                let write = acc.len();
+                acc.push(Access::write(t.at.arr, t.section()));
+                for n in next(iters, &t) {
+                    match n {
+                        Next::Loop(id, iters) => {
+                            acc[write].consumers.push(Consumer::Loop { id, iters })
+                        }
+                        Next::Node(node, cols) => {
+                            let cols = cols.start.max(t.cols.start)..cols.end.min(t.cols.end);
+                            let part = Touch { cols, ..t.clone() }.section();
+                            if !part.is_empty() {
+                                acc.push(Access::write(t.at.arr, part).consumed_by_node(node));
+                            }
+                        }
+                    }
+                }
+            }
+            acc
+        });
     }
 
     /// Register the subroutine a parallel loop was encapsulated into.

@@ -91,8 +91,8 @@ pub struct TmkConfig {
     pub protocol: ProtocolMode,
     /// When true, the DSM layer asks the cluster to record a virtual-time
     /// event trace and emits protocol spans into it (see the `trace`
-    /// crate and `harness`'s `trace` bin). Off by default; tracing never
-    /// changes any simulated observable either way.
+    /// crate and `dsm trace`, the harness's exporter). Off by default;
+    /// tracing never changes any simulated observable either way.
     pub trace: bool,
     /// When true, every flush records per-word write provenance for the
     /// interval it closes (the twin-vs-published delta plus a vector
