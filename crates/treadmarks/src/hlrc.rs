@@ -6,7 +6,8 @@
 //! miss fetches the whole page from its home in one round trip, however
 //! many writers modified it. The home buffers every published range in
 //! a copy of its own ([`HomePage`]) and constructs each response at
-//! exactly the requester's notice watermarks.
+//! exactly the requester's notice watermarks; a one-page response is
+//! that construction itself, shared with the packet rather than copied.
 //!
 //! This module is the protocol's half of the seam in
 //! [`crate::coherence`]: its hooks — `on_release`, `resolve_miss`,
@@ -15,6 +16,8 @@
 //! its service handlers, its wire codecs (`HOME_FLUSH`, `PAGE_REQ`) and
 //! the state only it writes: `DsmState::home` and the
 //! [`PageRow::home`](crate::state::PageRow) copies.
+
+use std::sync::Arc;
 
 use sp2sim::{
     CostModel, EdgeKind, Endpoint, MsgKind, Payload, Port, SpanKind, StateCell, VTime, WordReader,
@@ -81,6 +84,9 @@ pub struct WaitingPageReq {
 /// writer)` order — making the response a pure function of the
 /// requester's happens-before, independent of message timing. The
 /// buffered history mirrors what LRC's writers retain as frozen diffs.
+/// The last construction is kept as the one-page response that carries
+/// it, so a page leaves its home as the home's own buffer, shared
+/// copy-on-write with the packet.
 #[derive(Debug, Default)]
 pub struct HomePage {
     /// Buffered published diff ranges, `(writer, range)`, kept in
@@ -96,26 +102,44 @@ pub struct HomePage {
     /// Memoized last construction: a request with component-wise ≥
     /// watermarks extends it in place by applying only the newly covered
     /// ranges, so steady-state serving is O(new diffs) like an LRC
-    /// fault, not O(history). Responses are encoded straight out of it.
+    /// fault, not O(history). It is laid out as the one-page response,
+    /// so a one-page request is answered with the construction itself.
     cache: Option<HomeCopy>,
 }
 
-/// A page image and the per-writer watermarks it reflects.
+/// A page image and the per-writer watermarks it reflects: the promoted
+/// base of a [`HomePage`].
 #[derive(Debug)]
 struct HomeImage {
     data: Vec<u64>,
     applied: Vec<u32>,
 }
 
-/// The memoized construction of a [`HomePage`].
+/// The memoized construction of a [`HomePage`], held as the one-page
+/// `PAGE_RESP` that carries it: `[1, page, applied[0..n], data[0..pw]]`
+/// (`protocol::page_resp_words(1, n, pw)` words, those
+/// `protocol::encode_page_entry` writes after the count). A one-page
+/// response is a second handle on the buffer, so the page is copied
+/// once on its way from the home to the requester's frame: into the
+/// frame. Extending the construction while a response still holds the
+/// buffer copies it first (copy-on-write); a rebuild of a held buffer
+/// starts a new one.
 #[derive(Debug)]
 struct HomeCopy {
     /// The watermarks the image was constructed at.
     required: Vec<u32>,
-    image: HomeImage,
+    /// The image, as the one-page response.
+    resp: Arc<Vec<u64>>,
     /// Set when a flush or a prune invalidated the image: the next
-    /// construction starts over from the base, into the same buffers.
+    /// construction starts over from the base — into the same buffer
+    /// unless a response still holds it.
     stale: bool,
+}
+
+impl HomeCopy {
+    /// Words of the response before the image's watermarks: the entry
+    /// count and the page.
+    const HEAD: usize = 2;
 }
 
 impl HomePage {
@@ -442,9 +466,7 @@ fn serve_ready_page_reqs(ep: &Endpoint, st: &mut DsmState, now: VTime, flush_seq
 /// if the buffered ranges cover every row (`false`: not yet — the caller
 /// keeps the request): construct every requested page at exactly the
 /// requester's watermarks (see [`DsmState::home_serve`]) and reply with
-/// the full pages. Construction of a multi-page response is pipelined
-/// with transmission like an aggregated diff response: only the
-/// costliest page's construction delays the reply.
+/// the full pages ([`page_resp`]).
 fn serve_page_fetch(
     ep: &Endpoint,
     st: &mut DsmState,
@@ -459,25 +481,48 @@ fn serve_page_fetch(
         return false;
     }
     let cost = ep.cost();
-    let mut first_us: f64 = 0.0;
-    let words = protocol::page_resp_words(rows.len(), st.n, st.cfg.page_words);
-    let mut w = WordWriter::with_capacity(words);
-    w.put_usize(rows.len());
-    for (page, required) in rows {
-        let (data, applied, us) = st.home_serve(page, required, cost);
-        protocol::encode_page_entry(&mut w, page, applied, data);
-        first_us = first_us.max(us);
-    }
+    let (resp, us) = page_resp(st, rows, cost);
     let out_seq = ep.send_at(
         requester,
         Port::App,
         tag::PAGE_RESP | (req_id & 0xFFFF),
         MsgKind::PageResp,
-        w.finish(),
-        arrival + cost.service_us + first_us,
+        resp,
+        arrival + cost.service_us + us,
     );
     ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, arrival);
     true
+}
+
+/// The `PAGE_RESP` answering the request rows `rows` (`(page, required
+/// watermarks)`, each covered by the buffered ranges), and the time its
+/// construction delays the reply. A one-page reply is the page's
+/// construction itself, a second handle on the home's buffer; a
+/// multi-page reply (aggregated, or a validate) copies each
+/// construction's entry into one buffer after the count. Construction
+/// of a multi-page response is pipelined with transmission like an
+/// aggregated diff response: only the costliest page's construction
+/// delays the reply.
+fn page_resp<'a>(
+    st: &mut DsmState,
+    mut rows: impl ExactSizeIterator<Item = (PageId, &'a [u64])>,
+    cost: &CostModel,
+) -> (Payload, f64) {
+    if rows.len() == 1 {
+        let (page, required) = rows.next().expect("one row");
+        let (resp, us) = st.home_serve(page, required, cost);
+        return (Payload::Shared(Arc::clone(resp)), us);
+    }
+    let words = protocol::page_resp_words(rows.len(), st.n, st.cfg.page_words);
+    let mut w = WordWriter::with_capacity(words);
+    w.put_usize(rows.len());
+    let mut first_us: f64 = 0.0;
+    for (page, required) in rows {
+        let (resp, us) = st.home_serve(page, required, cost);
+        w.put_raw(&resp[1..]);
+        first_us = first_us.max(us);
+    }
+    (w.finish().into(), first_us)
 }
 
 impl DsmState {
@@ -554,17 +599,19 @@ impl DsmState {
     /// zero base plus every buffered range with
     /// `hi <= required[w]`, applied in `(lamport, writer)` order (a
     /// linear extension of happens-before, the same order the LRC fault
-    /// path applies diffs). Returns `(data, applied, time to charge)`,
-    /// the first two borrowed from the memoized construction.
+    /// path applies diffs). Returns `(response, time to charge)`: the
+    /// memoized construction, which is the page's one-page `PAGE_RESP`
+    /// (`[1, page, applied…, data…]`, see [`HomePage`]'s `cache`).
     /// Monotonically growing watermarks (the common case: every consumer
     /// of an epoch, then the next epoch) extend that construction in
-    /// place instead of replaying history.
+    /// place instead of replaying history — after copying it, if a
+    /// response sent earlier still holds it.
     pub fn home_serve(
         &mut self,
         page: PageId,
         required: &[u64],
         cost: &CostModel,
-    ) -> (&[u64], &[u32], f64) {
+    ) -> (&Arc<Vec<u64>>, f64) {
         let pw = self.cfg.page_words;
         let n = self.n;
         let HomePage {
@@ -572,53 +619,64 @@ impl DsmState {
             base,
             cache,
         } = &mut **self.pages.row(page).home.get_or_insert_with(Box::default);
-        let copy = cache.get_or_insert_with(|| HomeCopy {
-            required: vec![0; n],
-            image: HomeImage {
-                data: vec![0; pw],
-                applied: vec![0; n],
-            },
-            stale: true,
-        });
         let required = |w: usize| required[w] as u32;
-        if copy.stale || (0..n).any(|w| copy.required[w] > required(w)) {
+        let fresh = cache
+            .as_ref()
+            .is_none_or(|c| c.stale || (0..n).any(|w| c.required[w] > required(w)));
+        if fresh {
             // Fresh construction: start from the promoted base (every
             // requester's watermarks are ≥ the base's — see
-            // `prune_home_copies`), or the zero page before any prune.
+            // `prune_home_copies`), or the zero page before any prune:
+            // in the buffer a response no longer holds, else in a new
+            // one (the held words are all overwritten: copying them
+            // first would be wasted).
+            let copy = match cache {
+                Some(c) if Arc::strong_count(&c.resp) == 1 => c,
+                _ => cache.insert(HomeCopy {
+                    required: vec![0; n],
+                    resp: Arc::new(Vec::with_capacity(protocol::page_resp_words(1, n, pw))),
+                    stale: false,
+                }),
+            };
+            let words = Arc::get_mut(&mut copy.resp).expect("held by the home alone");
+            words.clear();
+            words.extend([1, page as u64]);
             match base {
                 Some(base) => {
-                    copy.image.data.copy_from_slice(&base.data);
-                    copy.image.applied.copy_from_slice(&base.applied);
+                    words.extend(base.applied.iter().map(|&a| u64::from(a)));
+                    words.extend_from_slice(&base.data);
                 }
-                None => {
-                    copy.image.data.fill(0);
-                    copy.image.applied.fill(0);
-                }
+                None => words.resize(protocol::page_resp_words(1, n, pw), 0),
             }
-            copy.required.copy_from_slice(&copy.image.applied);
+            for (f, &a) in copy.required.iter_mut().zip(&words[HomeCopy::HEAD..]) {
+                *f = a as u32;
+            }
             copy.stale = false;
         }
-        // `copy.required` is the floor: what the image already holds.
+        // `floor` is what the image already holds.
         let HomeCopy {
             required: floor,
-            image,
+            resp,
             ..
-        } = copy;
+        } = cache.as_mut().expect("constructed above");
         let mut us = 0.0;
-        for (w, r) in ranges
-            .iter()
+        let mut todo = (ranges.iter())
             .filter(|(w, r)| r.hi > floor[*w] && r.hi <= required(*w))
-        {
-            r.diff.apply(&mut image.data);
-            if r.hi > image.applied[*w] {
-                image.applied[*w] = r.hi;
+            .peekable();
+        if todo.peek().is_some() {
+            // Copy-on-write: a response still holding the buffer keeps
+            // the words it was sent with.
+            let (applied, data) = Arc::make_mut(resp)[HomeCopy::HEAD..].split_at_mut(n);
+            for (w, r) in todo {
+                r.diff.apply(data);
+                applied[*w] = applied[*w].max(u64::from(r.hi));
+                us += cost.diff_apply_us(r.diff.encoded_words());
             }
-            us += cost.diff_apply_us(r.diff.encoded_words());
         }
         for (w, f) in floor.iter_mut().enumerate() {
             *f = required(w);
         }
-        (&image.data, &image.applied, us)
+        (resp, us)
     }
 
     /// Home-copy pruning: fold every buffered range all nodes have
@@ -756,6 +814,21 @@ mod tests {
         DsmState::new(me, n, TmkConfig::hlrc())
     }
 
+    /// `home_serve` of `page` at `required`: the construction's page,
+    /// watermarks and time, read out of the one-page response it is.
+    fn served(s: &mut DsmState, page: PageId, required: &[u64]) -> (Vec<u64>, Vec<u32>, f64) {
+        let (n, pw) = (s.n, s.cfg.page_words);
+        let (resp, us) = s.home_serve(page, required, &CostModel::sp2());
+        let mut r = WordReader::new(resp);
+        let entries: Vec<_> = protocol::decode_page_resp(&mut r, n, pw).collect();
+        assert!(r.is_exhausted(), "one page, nothing after it");
+        let [e] = &entries[..] else {
+            panic!("{} entries in a one-page response", entries.len())
+        };
+        assert_eq!(e.page, page);
+        (e.data.to_vec(), e.applied().collect(), us)
+    }
+
     /// The one-interval range `hi..=hi`.
     fn range(hi: u32, lamport: u64, diff: Diff) -> DiffRange {
         let lo = hi;
@@ -784,8 +857,8 @@ mod tests {
         // Buffering again re-lists the page; the base survived.
         assert!(s.home_flush_in(1, 6, range(3, 4)));
         assert_eq!(s.home.buffered, [6]);
-        let (data, applied, _) = s.home_serve(6, &[0, 3], &CostModel::sp2());
-        assert_eq!((data[0], applied), (4, &[0, 3][..]));
+        let (data, applied, _) = served(&mut s, 6, &[0, 3]);
+        assert_eq!((data[0], &applied[..]), (4, &[0, 3][..]));
         assert_eq!(s.stats.home_ranges_pruned, 3);
     }
 
@@ -798,7 +871,7 @@ mod tests {
         s.home_flush_in(1, 0, range(1, 3, Diff::create(&[0, 0], &[7, 7])));
         assert_eq!(s.prune_home_copies(&[0, 1, 1]), 2);
         assert_eq!(s.stats.home_ranges_pruned, 2);
-        let (data, applied, us) = s.home_serve(0, &[0, 1, 1], &CostModel::sp2());
+        let (data, applied, us) = served(&mut s, 0, &[0, 1, 1]);
         assert_eq!((data[0], data[1]), (9, 7), "later stamp wins");
         assert_eq!(applied, [0, 1, 1]);
         assert_eq!(us, 0.0, "served from the base, nothing to apply");
@@ -831,28 +904,28 @@ mod tests {
 
     #[test]
     fn home_serve_constructs_at_watermarks_in_lamport_order() {
-        let mut s = state(0, 3); // home side
-        let cost = CostModel::sp2();
+        let mut s = state(0, 3);
         // Writer 2's interval (lamport 5) causally follows writer 1's
-        // (lamport 3) and overwrites its word; buffer them out of order.
+        // (lamport 3) and overwrites its word; the home buffers them out
+        // of order.
         let d1 = Diff::create(&[0, 0], &[7, 7]); // writer 1 writes both
         let d2 = Diff::create(&[7, 7], &[9, 7]); // writer 2 overwrites [0]
         s.home_flush_in(2, 0, range(1, 5, d2));
         s.home_flush_in(1, 0, range(1, 3, d1.clone()));
         assert!(s.home_covers(0, &[0, 1, 1]));
         assert!(!s.home_covers(0, &[0, 2, 1]), "writer 1 seq 2 not flushed");
-        let (data, applied, us) = s.home_serve(0, &[0, 1, 1], &cost);
+        let (data, applied, us) = served(&mut s, 0, &[0, 1, 1]);
         assert!(us > 0.0);
         // Lamport order: writer 1 first, then writer 2's overwrite wins.
         assert_eq!((data[0], data[1]), (9, 7));
         assert_eq!(applied, [0, 1, 1]);
         // Memoized: identical watermarks replay nothing.
-        let (again, _, us2) = s.home_serve(0, &[0, 1, 1], &cost);
+        let (again, _, us2) = served(&mut s, 0, &[0, 1, 1]);
         assert_eq!(again[0], 9);
         assert_eq!(us2, 0.0);
         // A requester that has not synchronized with writer 2 must not
         // see its interval — the construction is exact, never ahead.
-        let (old, old_applied, _) = s.home_serve(0, &[0, 1, 0], &cost);
+        let (old, old_applied, _) = served(&mut s, 0, &[0, 1, 0]);
         assert_eq!(old[0], 7, "unsynchronized interval stays invisible");
         assert_eq!(old_applied, [0, 1, 0]);
         // A duplicate flush is dropped at arrival — the stale-flush
@@ -860,8 +933,92 @@ mod tests {
         // resurrect 7 over 9).
         assert!(!s.home_flush_in(1, 0, range(1, 3, d1)));
         assert_eq!(s.stats.stale_flush_drops, 1);
-        let (data, _, _) = s.home_serve(0, &[0, 1, 1], &cost);
+        let (data, _, _) = served(&mut s, 0, &[0, 1, 1]);
         assert_eq!(data[0], 9, "stale flush must not re-apply");
+    }
+
+    /// A page request's rows, `(page, required)`, as the home reads them.
+    fn rows<'a>(
+        rows: &'a [(PageId, &'a [u64])],
+    ) -> impl ExactSizeIterator<Item = (PageId, &'a [u64])> + 'a {
+        rows.iter().copied()
+    }
+
+    #[test]
+    fn one_page_response_is_the_home_construction() {
+        let mut s = state(0, 2);
+        let cost = CostModel::sp2();
+        s.home_flush_in(1, 4, range(1, 1, Diff::create(&[0, 0], &[5, 6])));
+        let (sent, us) = page_resp(&mut s, rows(&[(4, &[0, 1])]), &cost);
+        assert!(us > 0.0);
+        let Payload::Shared(sent) = sent else {
+            panic!("a one-page response shares the construction")
+        };
+        let (resp, _) = s.home_serve(4, &[0, 1], &cost);
+        assert!(Arc::ptr_eq(&sent, resp), "the response is the construction");
+        assert_eq!(sent[..4], [1, 4, 0, 1]);
+        assert_eq!(sent[4..6], [5, 6]);
+        // The same watermarks again: nothing to apply, the same buffer.
+        let (again, us) = page_resp(&mut s, rows(&[(4, &[0, 1])]), &cost);
+        assert_eq!(us, 0.0);
+        assert!(
+            Arc::ptr_eq(&sent, &again.into_shared()),
+            "sent twice, built once"
+        );
+    }
+
+    #[test]
+    fn a_held_response_keeps_the_words_it_was_sent_with() {
+        let mut s = state(0, 2);
+        let cost = CostModel::sp2();
+        s.home_flush_in(1, 4, range(1, 1, Diff::create(&[0, 0], &[5, 6])));
+        s.home_flush_in(1, 4, range(2, 2, Diff::create(&[5, 6], &[7, 6])));
+        let (first, _) = page_resp(&mut s, rows(&[(4, &[0, 1])]), &cost);
+        let words = first.to_vec();
+        // A later request at higher watermarks extends the construction:
+        // into a copy, the held buffer untouched.
+        let (data, applied, _) = served(&mut s, 4, &[0, 2]);
+        assert_eq!((data[0], &applied[..]), (7, &[0, 2][..]));
+        assert_eq!(first[..], words[..], "extension is copy-on-write");
+        let (second, _) = page_resp(&mut s, rows(&[(4, &[0, 2])]), &cost);
+        assert_ne!(first.as_ptr(), second.as_ptr(), "two buffers");
+        // A flush invalidates the construction; the rebuild starts a new
+        // buffer while the second response still holds the old one.
+        let words2 = second.to_vec();
+        s.home_flush_in(0, 4, range(1, 3, Diff::create(&[7, 6], &[7, 8])));
+        let (data, applied, _) = served(&mut s, 4, &[1, 2]);
+        assert_eq!((&data[..2], &applied[..]), (&[7, 8][..], &[1, 2][..]));
+        assert_eq!(
+            second[..],
+            words2[..],
+            "a rebuild leaves the held buffer be"
+        );
+        assert_eq!(first[..], words[..]);
+        // Nobody holds the newest construction: a rebuild reuses it.
+        drop((first, second));
+        let (resp, _) = s.home_serve(4, &[1, 2], &cost);
+        let at = Arc::as_ptr(resp);
+        s.home_flush_in(1, 4, range(3, 4, Diff::create(&[7, 8], &[9, 8])));
+        let (resp, _) = s.home_serve(4, &[1, 3], &cost);
+        assert_eq!(Arc::as_ptr(resp), at, "rebuilt in place");
+        assert_eq!(resp[4..6], [9, 8]);
+    }
+
+    #[test]
+    fn aggregated_response_concatenates_the_one_page_entries() {
+        let mut s = state(0, 3);
+        let cost = CostModel::sp2();
+        s.home_flush_in(1, 3, range(1, 1, Diff::create(&[0, 0], &[5, 6])));
+        s.home_flush_in(2, 9, range(1, 2, Diff::create(&[0, 0, 0], &[0, 0, 4])));
+        let (both, _) = page_resp(&mut s, rows(&[(3, &[0, 1, 0]), (9, &[0, 0, 1])]), &cost);
+        let mut want = vec![2];
+        for (page, required) in [(3, &[0, 1, 0]), (9, &[0, 0, 1])] {
+            let (resp, _) = s.home_serve(page, required, &cost);
+            want.extend_from_slice(&resp[1..]);
+        }
+        assert_eq!(both[..], want[..]);
+        let (pw, n) = (s.cfg.page_words, s.n);
+        assert_eq!(both.len(), protocol::page_resp_words(2, n, pw));
     }
 
     #[test]

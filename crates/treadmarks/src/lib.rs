@@ -62,7 +62,9 @@
 //!   notice watermarks, applying buffered ranges in `(lamport, writer)`
 //!   order — never local unpublished words, never intervals the
 //!   requester has not synchronized with; requests the buffered history
-//!   cannot cover yet are deferred until the in-flight flush arrives.
+//!   cannot cover yet are deferred until the in-flight flush arrives. A
+//!   one-page response is the home's memoized construction itself,
+//!   shared copy-on-write.
 //!   HLRC trades update traffic for fault round trips — the second
 //!   protocol axis of the harness. Each protocol is one module
 //!   ([`lrc`], [`hlrc`]); the rest of the crate reaches them through

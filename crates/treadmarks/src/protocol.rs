@@ -532,7 +532,10 @@ impl PageRespEntry<'_> {
 }
 
 /// Words a page response of `pages` entries takes, for `n` nodes and
-/// `page_words`-word pages.
+/// `page_words`-word pages. An HLRC home keeps each page's memoized
+/// construction as the one-page response (`pages` = 1):
+/// `[1, page, applied…, data…]`, sent as it is to a one-page request and
+/// copied after the count (`[1..]`) into a multi-page one.
 pub fn page_resp_words(pages: usize, n: usize, page_words: usize) -> usize {
     1 + pages * (1 + n + page_words)
 }

@@ -44,9 +44,14 @@
 //! a page request's rows where they landed, so what a steady-state
 //! fault allocates is its messages: under LRC the request, the response
 //! the served diffs are frozen into and the handle its windows share; under
-//! HLRC the request and the response, plus its share of the releases'
-//! flushes. A `BTreeMap` of entry vectors per fault, as the planners
-//! used to build, would show here at once.
+//! HLRC only the request, plus its share of the releases' flushes — the
+//! response is the home's memoized construction, which is laid out as
+//! the one-page response and sent as a second handle on it. A `BTreeMap`
+//! of entry vectors per fault, as the planners used to build, would
+//! show here at once. The same HLRC pair bounds the extra heap bytes per
+//! extra page fetch, net of the diff words' 8 bytes: a home that copied
+//! every page it serves into a reply buffer of its own would add a page
+//! per fetch.
 //!
 //! The message-passing versions get the same treatment, per message:
 //! Jacobi and Shallow, XHPF and PVMe, for `k` and `2k` iterations. A
@@ -184,21 +189,30 @@ const ALLOCS_PER_INTERVAL: f64 = 15.0;
 /// intervals: 18.5). Under HLRC every release freezes
 /// the page and the next iteration's store faults again, which
 /// allocates nothing — the twin comes from the arena — so the misses
-/// are a small share of the faults (measured: 0.35; before: 1.01).
+/// are a small share of the faults (measured: 0.341; with a reply buffer
+/// per served page: 0.355; earlier: 1.01).
 const ALLOCS_PER_FAULT_LRC: f64 = 9.0;
 const ALLOCS_PER_FAULT_HLRC: f64 = 0.55;
 
 /// Heap bytes budget per diff word created on the HLRC release path
-/// (measured: 12.9, each flushed word in one message that the writer's
-/// and the home's windows share; with the release's sealed buffer beside
-/// each home's flush, every flushed word allocated twice: 20.8).
+/// (measured: 11.5, each flushed word in one message that the writer's
+/// and the home's windows share; with a reply buffer per served page:
+/// 12.9; with the release's sealed buffer beside each home's flush,
+/// every flushed word allocated twice: 20.8).
 const HEAP_PER_DIFF_WORD: f64 = 16.0;
 
+/// Heap bytes budget per HLRC page fetch, net of 8 bytes per diff word
+/// created (measured: 10 609, the fault's request and its share of the
+/// releases and rendezvous, the response being a second handle on the
+/// home's construction; with a reply buffer the home copied each served
+/// page into: 14 785).
+const HEAP_PER_PAGE_FETCH: f64 = 12_000.0;
+
 /// `[allocations, heap bytes, diffs created, diff words created,
-/// intervals created, access faults]` of one 8-node Jacobi SPF run on a
-/// 512 x 512 grid (one page per column, so every node's block has
-/// boundary pages its neighbours fetch every iteration).
-fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 6] {
+/// intervals created, access faults, page fetches]` of one 8-node Jacobi
+/// SPF run on a 512 x 512 grid (one page per column, so every node's
+/// block has boundary pages its neighbours fetch every iteration).
+fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 7] {
     let spec = RunSpec::new(AppId::Jacobi, Version::Spf, 8, 0.25);
     let p = Params { n: 512, iters };
     let (r, allocs, bytes) = counted(|| RunSpec { cfg, ..spec }.launch(&p, jacobi::node));
@@ -209,6 +223,7 @@ fn jacobi_spf(iters: usize, cfg: TmkConfig) -> [u64; 6] {
         r.dsm.diff_words_created,
         r.dsm.intervals_created,
         r.dsm.faults,
+        r.dsm.page_fetches,
     ]
 }
 
@@ -414,8 +429,9 @@ fn release_paths_stay_within_their_allocation_budgets() {
     // parks, lazily initialized statics) land outside the measurement.
     jacobi_spf(2, TmkConfig::hlrc());
     let k = 6;
-    let [allocs_k, bytes_k, diffs_k, words_k, _, faults_k] = jacobi_spf(k, TmkConfig::hlrc());
-    let [allocs_2k, bytes_2k, diffs_2k, words_2k, _, faults_2k] =
+    let [allocs_k, bytes_k, diffs_k, words_k, _, faults_k, fetches_k] =
+        jacobi_spf(k, TmkConfig::hlrc());
+    let [allocs_2k, bytes_2k, diffs_2k, words_2k, _, faults_2k, fetches_2k] =
         jacobi_spf(2 * k, TmkConfig::hlrc());
     let diffs = diffs_2k - diffs_k;
     assert!(
@@ -442,6 +458,19 @@ fn release_paths_stay_within_their_allocation_budgets() {
         per_word <= HEAP_PER_DIFF_WORD,
         "{per_word:.1} heap bytes per diff word created exceed the budget of {HEAP_PER_DIFF_WORD}"
     );
+    let fetches = fetches_2k - fetches_k;
+    assert!(fetches >= 8 * k as u64, "the longer run fetches more pages");
+    let net = (bytes_2k - bytes_k) as f64 - 8.0 * (words_2k - words_k) as f64;
+    let per_fetch = net / fetches as f64;
+    eprintln!(
+        "page fetches: {fetches_k} for {k} iterations, {fetches_2k} for {}; {per_fetch:.0} \
+         heap bytes per extra page fetch, net of the diff words' 8 bytes",
+        2 * k
+    );
+    assert!(
+        per_fetch <= HEAP_PER_PAGE_FETCH,
+        "{per_fetch:.0} heap bytes per page fetch exceed the budget of {HEAP_PER_PAGE_FETCH}"
+    );
     within_fault_budget(
         "HLRC",
         allocs_2k - allocs_k,
@@ -449,8 +478,8 @@ fn release_paths_stay_within_their_allocation_budgets() {
         ALLOCS_PER_FAULT_HLRC,
     );
 
-    let [allocs_k, _, _, _, intervals_k, faults_k] = jacobi_spf(k, TmkConfig::default());
-    let [allocs_2k, _, _, _, intervals_2k, faults_2k] = jacobi_spf(2 * k, TmkConfig::default());
+    let [allocs_k, _, _, _, intervals_k, faults_k, _] = jacobi_spf(k, TmkConfig::default());
+    let [allocs_2k, _, _, _, intervals_2k, faults_2k, _] = jacobi_spf(2 * k, TmkConfig::default());
     let intervals = intervals_2k - intervals_k;
     assert!(
         intervals >= 8 * k as u64,
