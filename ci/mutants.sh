@@ -3,12 +3,14 @@
 # re-breaks one fix (the stale twin, the publish window, the lock send
 # order, and the three rules that order LRC's diffs: a range stamped at
 # its last interval, an open range that spans a foreign notice, a push
-# applied ahead of an older diff) in a scratch copy of
-# the tree, and the schedule-exploration suite, in release at CI's seed
-# budget, must fail on it and name the seed that did it. A mutant that
-# survives means the explorer lacks a preemption point or an input; a
-# patch that no longer applies means the code it re-breaks moved — both
-# fail this script.
+# applied ahead of an older diff, the windowed reduction's fold order)
+# in a scratch copy of the tree, and the schedule-exploration suite, in
+# release at CI's seed budget, must fail on it and name the seed that
+# did it. A patch whose text before its diff has a `Suite: <cargo test
+# arguments>` line is held to that suite instead, on the same terms. A
+# mutant that survives means the explorer lacks a preemption point or an
+# input; a patch that no longer applies means the code it re-breaks
+# moved — both fail this script.
 #
 # The copy lives in $MUTANTS_DIR (default .bench_build/mutants,
 # git-ignored) and is reused from mutant to mutant with one
@@ -38,9 +40,10 @@ for patch in ci/mutants/*.patch; do
         echo "mutants: $patch no longer applies: re-derive it from the fix it reverts" >&2
         exit 2
     fi
-    if out=$(cd "$tree" && cargo test -q --release --offline \
-        --test schedule_exploration -- --include-ignored 2>&1); then
-        echo "SURVIVED: the exploration suite passed on $name"
+    suite=$(sed -n '/^diff /q; s/^Suite: //p' "$patch")
+    read -r -a args <<<"${suite:---test schedule_exploration -- --include-ignored}"
+    if out=$(cd "$tree" && cargo test -q --release --offline "${args[@]}" 2>&1); then
+        echo "SURVIVED: ${suite:-the exploration suite} passed on $name"
         survivors=$((survivors + 1))
     else
         # The lines that name a cell and a seed: an assertion of the

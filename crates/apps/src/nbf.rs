@@ -335,30 +335,33 @@ impl DsmIter<'_> {
     /// ordered reduction: identical numerics to
     /// [`DsmIter::merge_update`] (the reduction folds contributions in
     /// the same ascending node order), with the peer-buffer page fetches
-    /// replaced by the tree. Every node takes part in the collective — an
-    /// empty block contributes an empty window, exactly the unhinted
-    /// early return.
+    /// replaced by one message per overlapping pair of neighbours. Every
+    /// node takes part in the collective — an empty block contributes an
+    /// empty window, exactly the unhinted early return.
     fn merge_reduced(&self, node: &Node, tmk: &Tmk, sh: &SharedNbf, me: usize, np: usize) {
         let (b, span, p) = (self.block.clone(), self.span.clone(), self.p);
         // One collective for all three dimensions: the conceptual reduced
-        // vector is the xyz-interleaved force array, so the window stays
-        // a single contiguous range and the exchange is one round trip.
-        // Per-component addition sequences are those of the unhinted
-        // per-buffer fold — bitwise identical. The window is packed from
-        // the three buffer views straight into its message; the iterator
-        // owns them, so they close once it is drained, before the
-        // collective waits.
+        // vector is the xyz-interleaved force array, so every window and
+        // every block stays a single contiguous range. Per-component
+        // addition sequences are those of the unhinted per-buffer fold —
+        // bitwise identical. The window is packed from the three buffer
+        // views straight into its messages; the iterator owns them, so
+        // they close once it is drained, before the collective waits.
+        let layout = |q: usize| {
+            let block = block_range(q, np, 0..p.m);
+            let span = match block.is_empty() {
+                true => 0..0,
+                false => buf_span(&block, p.w, p.m),
+            };
+            (span.start * 3..span.end * 3, block.start * 3..block.end * 3)
+        };
         let bufs =
             (!b.is_empty()).then(|| [0, 1, 2].map(|d| tmk.read(sh.bufs[me][d], span.clone())));
-        let (lo, words) = match bufs {
-            Some(_) => (span.start * 3, span.len() * 3),
-            None => (0, 0),
-        };
-        let window = (0..words).map(move |j| {
+        let window = (0..layout(me).0.len()).map(move |j| {
             let bufs = bufs.as_ref().expect("a non-empty window has views");
             bufs[j % 3].slice()[j / 3]
         });
-        let folded = tmk.reduce_windows(3 * p.m, lo, window, b.start * 3..b.end * 3);
+        let folded = tmk.reduce_windows(3 * p.m, window, layout);
         if b.is_empty() {
             return;
         }
@@ -424,13 +427,13 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
 ///   read as a dynamic section — validated up front, and the target of
 ///   the coordinate-update pushes;
 /// * the **merge phase**'s symmetric-contribution summation — an
-///   interaction-list reduction — is routed through the direct
-///   binomial tree as a *windowed ordered* reduction
-///   ([`Tmk::reduce_windows`]): each processor contributes its buffer
-///   window, the root folds windows in ascending node order (bitwise
-///   the unhinted merge loop's addition sequence), and `2 (n - 1)`
-///   messages per dimension replace one demand diff exchange per
-///   overlapping `(reader, writer, page)` triple.
+///   interaction-list reduction — is a *windowed ordered* reduction
+///   ([`Tmk::reduce_windows`]): each processor sends every neighbour
+///   the part of its buffer window that falls in the neighbour's
+///   block, straight to it, and folds its own block in ascending node
+///   order (bitwise the unhinted merge loop's addition sequence); one
+///   message per overlapping pair of processors replaces one demand
+///   diff exchange per overlapping `(reader, writer, page)` triple.
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let me = node.id();
     let np = node.nprocs();

@@ -276,7 +276,6 @@ fn op_label(op: u32) -> &'static str {
         op::REDUCE_PART => "reduce-part",
         op::HOME_FLUSH => "home-flush",
         op::PAGE_REQ => "page-req",
-        op::REDUCE_LIST => "reduce-list",
         _ => "op?",
     }
 }

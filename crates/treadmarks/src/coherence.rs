@@ -53,8 +53,8 @@ impl Miss<'_> {
     }
 }
 
-/// The containers the fault, fetch and publish planners fill and drain
-/// on every call: kept for their capacity, cleared where they are
+/// The containers the fault, fetch and publish planners and the windowed
+/// reduction fill and drain on every call: kept for their capacity, cleared where they are
 /// consumed, never freed. One application fiber per node uses them (`Tmk`
 /// is `!Send`), one planner at a time.
 pub(crate) struct Scratch {
@@ -73,6 +73,8 @@ pub(crate) struct Scratch {
     pub(crate) outstanding: Vec<(usize, u32)>,
     /// Fetched or pushed diff ranges: `(writer, entry)`.
     pub(crate) entries: Vec<(usize, DiffRespEntry)>,
+    /// A windowed reduction's outgoing slices: `(node, elements, words)`.
+    pub(crate) slices: Vec<(usize, Range<usize>, Vec<u64>)>,
 }
 
 impl Scratch {
@@ -86,6 +88,7 @@ impl Scratch {
             responses: Vec::new(),
             outstanding: Vec::new(),
             entries: Vec::new(),
+            slices: Vec::new(),
         }
     }
 }

@@ -89,27 +89,6 @@ pub(crate) fn apply_fetched(
     us
 }
 
-/// The `need` range of the windowed reduction of `windows` (ascending by
-/// node), as the result slice that carries it: each element is folded
-/// into zero, every covering window in order — the exact addition
-/// sequence of a sequential per-node merge loop.
-fn fold_windows(windows: &[protocol::ReduceWindow], need: &Range<usize>) -> Vec<u64> {
-    let mut out = vec![0; 2 + need.len()];
-    out[0] = need.start as u64;
-    out[1] = need.len() as u64;
-    for w in windows {
-        let (lo, hi) = (w.lo.max(need.start), (w.lo + w.vals.len()).min(need.end));
-        if lo >= hi {
-            continue;
-        }
-        let into = &mut out[2 + lo - need.start..2 + hi - need.start];
-        for (o, &v) in into.iter_mut().zip(&w.vals[lo - w.lo..hi - w.lo]) {
-            *o = (f64::from_bits(*o) + f64::from_bits(v)).to_bits();
-        }
-    }
-    out
-}
-
 /// One node's TreadMarks instance.
 pub struct Tmk<'n> {
     pub(crate) node: &'n Node,
@@ -122,7 +101,7 @@ pub struct Tmk<'n> {
     barrier_epoch: Cell<u64>,
     bcast_seq: Cell<u32>,
     reduce_seq: Cell<u32>,
-    reduce_list_seq: Cell<u32>,
+    window_seq: Cell<u32>,
     /// Trace epoch counter: bumped at every completed global
     /// synchronization point (barrier, worker dispatch, master join) so
     /// the trace analyzer can bin spans per epoch. Only advances when
@@ -152,7 +131,7 @@ impl<'n> Tmk<'n> {
             barrier_epoch: Cell::new(0),
             bcast_seq: Cell::new(0),
             reduce_seq: Cell::new(0),
-            reduce_list_seq: Cell::new(0),
+            window_seq: Cell::new(0),
             trace_epoch: Cell::new(0),
             scratch: RefCell::new(Scratch::new(node.nprocs())),
         }
@@ -1029,85 +1008,107 @@ impl<'n> Tmk<'n> {
         total
     }
 
-    /// CRI windowed **ordered** reduction: each node contributes the
-    /// element window `lo .. lo + vals.len()` of a conceptual shared
-    /// vector of `len` elements, and declares the result range `need`
-    /// it must read back. Element `i` of the reduced vector is the sum
-    /// of every covering contribution, folded in **ascending node
-    /// order**. Collective: every node must call it at the same point.
-    /// Returns the caller's `need` range of the reduced vector, element
-    /// `need.start` first: that range is all the root sends it.
+    /// CRI windowed **ordered** reduction: node `q` contributes the
+    /// element window `layout(q).0` of a conceptual shared vector of
+    /// `len` elements and reads back the result range `layout(q).1`.
+    /// Element `i` of the reduced vector is the sum of every covering
+    /// contribution, folded into +0.0 in **ascending node order**.
+    /// Collective: every node must call it at the same point, with the
+    /// same `layout`, its own window's values in `vals`. Returns the
+    /// caller's result range, its first element first.
     ///
-    /// `vals` is drained into the message that carries the window, and
-    /// dropped, before anything is sent or awaited — an iterator that
-    /// owns the views it reads from closes them there.
+    /// The exchange goes owner to owner: each node sends every peer
+    /// exactly the part of its window that peer needs, and receives
+    /// from each peer the part of the peer's window it needs. `vals` is
+    /// drained once, in ascending element order, into those messages and
+    /// the node's own slice, and dropped before anything is sent or
+    /// awaited — an iterator that owns the views it reads from closes
+    /// them there.
     ///
     /// This is the segmented reduction of an inspector/executor
-    /// interaction list (NBF's symmetric force merge): `2 (n - 1)`
-    /// messages replace one demand diff fetch per overlapping
-    /// `(reader, writer, page)` triple. Unlike [`Tmk::reduce`], windows
-    /// cannot be combined en route — pre-folding any subset would
-    /// change the addition grouping — so the binomial tree degenerates
-    /// to a flat gather at node 0 (a tree would only re-serialize the
-    /// same windows at every level); the root folds in rank order and
-    /// scatters each node exactly the slice it declared. The result is
-    /// bitwise identical to a sequential loop that adds each node's
-    /// window in rank order — which is what keeps a hinted program's
-    /// floating-point results byte-identical to the unhinted original.
+    /// interaction list (NBF's symmetric force merge): one message per
+    /// overlapping `(writer, reader)` pair replaces one demand diff
+    /// fetch per overlapping `(reader, writer, page)` triple. Unlike
+    /// [`Tmk::reduce`], no subset of windows is ever pre-folded — that
+    /// would change the addition grouping — so the result is bitwise
+    /// identical to a sequential loop that adds each node's window in
+    /// rank order, which is what keeps a hinted program's floating-point
+    /// results byte-identical to the unhinted original.
     pub fn reduce_windows(
         &self,
         len: usize,
-        lo: usize,
-        vals: impl ExactSizeIterator<Item = f64>,
-        need: Range<usize>,
+        mut vals: impl ExactSizeIterator<Item = f64>,
+        layout: impl Fn(usize) -> (Range<usize>, Range<usize>),
     ) -> Vec<f64> {
-        let me = self.proc_id();
-        let seq = self.reduce_list_seq.get();
-        self.reduce_list_seq.set(seq.wrapping_add(1));
-        let t16 = seq & 0xFFFF;
-        let _s = self.node.trace_span(SpanKind::ReduceWait, t16);
-        debug_assert!(lo + vals.len() <= len, "window exceeds the vector");
-        debug_assert!(need.end <= len, "need exceeds the vector");
-        let window = protocol::encode_reduce_window(seq, me, lo, &need, vals);
-        if me != 0 {
-            self.state.lock().stats.direct_reduces += 1;
-            self.node
-                .endpoint()
-                .send_to_port(0, Port::Service, 0, MsgKind::ReducePart, window);
-            let t = tag::REDUCE_LIST_RESULT | t16;
-            let pkt = self.node.recv_match(|p| p.src == 0 && p.tag == t);
-            return protocol::into_reduce_slice(pkt.payload.into_vec(), &need);
+        let (me, n) = (self.proc_id(), self.nprocs());
+        let seq = self.window_seq.get();
+        self.window_seq.set(seq.wrapping_add(1));
+        let t = tag::REDUCE_SLICE | (seq & 0xFFFF);
+        let _s = self.node.trace_span(SpanKind::ReduceWait, seq & 0xFFFF);
+        self.state.lock().stats.direct_reduces += 1;
+        let (window, need) = layout(me);
+        debug_assert_eq!(vals.len(), window.len(), "values are not the window");
+        debug_assert!(window.end.max(need.end) <= len, "layout exceeds the vector");
+        let overlap = |a: &Range<usize>, b: &Range<usize>| a.start.max(b.start)..a.end.min(b.end);
+        // Every node's part of our window, ours included, in one pass:
+        // segment by segment between the points where a part starts or
+        // ends, each segment into the first part that takes it and copied
+        // from there into the others.
+        let mut parts = std::mem::take(&mut self.scratch.borrow_mut().slices);
+        parts.extend((0..n).filter_map(|p| {
+            let r = overlap(&window, &layout(p).1);
+            (!r.is_empty()).then(|| (p, r.clone(), Vec::with_capacity(r.len())))
+        }));
+        let mut i = window.start;
+        while i < window.end {
+            let ends = parts.iter().flat_map(|(_, r, _)| [r.start, r.end]);
+            let next = ends.filter(|&b| b > i).fold(window.end, usize::min);
+            let seg = vals.by_ref().take(next - i).map(f64::to_bits);
+            let mut takers = parts.iter_mut().filter(|(_, r, _)| r.contains(&i));
+            match takers.next() {
+                None => seg.for_each(drop),
+                Some((_, _, first)) => {
+                    let at = first.len();
+                    first.extend(seg);
+                    takers.for_each(|(_, _, words)| words.extend_from_slice(&first[at..]));
+                }
+            }
+            i = next;
         }
-        // Root: deposit, await the gather, fold in rank order.
-        let completed = {
-            let mut st = self.state.lock();
-            st.stats.direct_reduces += 1;
-            st.reduce_list_contribute(seq as u64, None)
-                .then(|| st.reduce_list_take(seq as u64))
-        };
-        let parts = completed.unwrap_or_else(|| {
-            let t = tag::REDUCE_LIST_DONE | t16;
-            self.node.recv_match(|p| p.tag == t);
-            self.state.lock().reduce_list_take(seq as u64)
-        });
-        // Every window where it landed, ascending by node: the root's own
-        // first, then the peers' in the order the slot keeps them.
-        let windows: Vec<protocol::ReduceWindow> = std::iter::once(&window[..])
-            .chain(parts.values().map(|p| &p[..]))
-            .map(protocol::read_reduce_window)
-            .collect();
-        // Scatter: each peer receives exactly its declared result range,
-        // folded straight into the message that carries it.
-        for w in &windows[1..] {
-            self.node.endpoint().send_to_port(
-                w.node,
-                Port::App,
-                tag::REDUCE_LIST_RESULT | t16,
-                MsgKind::ReduceResult,
-                fold_windows(&windows, &w.need),
-            );
+        // The iterator, and any views it owns, close before anything is
+        // sent or awaited.
+        drop(vals);
+        let mut own = Vec::new();
+        for (p, _, words) in parts.drain(..) {
+            if p == me {
+                own = words;
+            } else {
+                let ep = self.node.endpoint();
+                ep.send_to_port(p, Port::App, t, MsgKind::ReducePart, words);
+            }
         }
-        protocol::into_reduce_slice(fold_windows(&windows, &need), &need)
+        self.scratch.borrow_mut().slices = parts;
+        // Fold our range in rank order, each peer's slice where it landed.
+        let mut out = vec![0.0; need.len()];
+        for q in 0..n {
+            let r = overlap(&layout(q).0, &need);
+            if r.is_empty() {
+                continue;
+            }
+            let pkt;
+            let words = if q == me {
+                &own[..]
+            } else {
+                pkt = self.node.recv_match(|p| p.src == q && p.tag == t);
+                &pkt.payload[..]
+            };
+            assert_eq!(words.len(), r.len(), "node {q}'s slice is not {r:?}");
+            let into = &mut out[r.start - need.start..r.end - need.start];
+            for (o, &w) in into.iter_mut().zip(words) {
+                *o += f64::from_bits(w);
+            }
+        }
+        out
     }
 
     /// Broadcast the current content of `range` of `arr` from `root` to
@@ -1281,7 +1282,7 @@ impl Drop for Tmk<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::ProtocolMode;
-    use sp2sim::{Cluster, ClusterConfig, EngineKind, EventKind, RunOutput, TracePort};
+    use sp2sim::{Cluster, ClusterConfig, EngineKind, EventKind, RunOutput};
     use std::fmt::Debug;
 
     /// Run `f` over `cfg` on `n` nodes under the FIFO schedule and eight
@@ -1585,121 +1586,133 @@ pub(crate) mod tests {
         }
     }
 
-    /// Node `q`'s window in the windowed-reduction tests: elements
-    /// `2q .. 2q + 8` of a `len`-element vector, clipped to it.
-    fn reduce_window_of(q: usize, len: usize) -> (usize, Vec<f64>) {
-        let lo = (q * 2).min(len - 1);
-        let hi = (lo + 8).min(len);
-        (lo, (lo..hi).map(|i| (q * 100 + i) as f64 + 0.5).collect())
+    /// Node `q`'s `(window, need)` in the windowed-reduction test, on a
+    /// `len`-element vector: windows `2q .. 2q + 8` (three deep and more
+    /// from node 2 on) except node 3's, which is empty; node 0 needs
+    /// `2 .. 7` (so on one or two nodes some of its window goes nowhere),
+    /// the other even nodes the whole vector, odd ones `q .. q + 5`.
+    fn window_layout(q: usize, len: usize) -> (Range<usize>, Range<usize>) {
+        let window = match q {
+            3 => 0..0,
+            _ => 2 * q..(2 * q + 8).min(len),
+        };
+        let need = match q % 2 {
+            _ if q == 0 => 2..7,
+            0 => 0..len,
+            _ => q..(q + 5).min(len),
+        };
+        (window, need)
     }
 
-    /// One windowed reduction of a `len`-element vector on `n` nodes,
-    /// node `q` contributing [`reduce_window_of`]`(q, len)` and declaring
-    /// `need(q)`, traced on the FIFO schedule and 16 seeded ones. Every
-    /// node must get exactly its `need` range of the ascending-node fold,
-    /// bitwise. Returns the FIFO run's traffic, and on how many schedules
-    /// the root's own deposit completed the gather and on how many its
-    /// service loop did (and upcalled the root's application).
-    fn windowed_reduce(
+    /// Node `q`'s value for element `i` in round `round`: inexact, so
+    /// that sums depend on their addition order.
+    fn window_value(q: usize, i: usize, round: usize) -> f64 {
+        (q as f64 + 1.0).recip() + 0.1 * i as f64 + round as f64
+    }
+
+    /// Node `p`'s result range of round `round`, folded from +0.0 over
+    /// the contributing nodes in the order `ranks` gives for `p`.
+    fn window_fold(
         n: usize,
         len: usize,
-        need: impl Fn(usize) -> Range<usize>,
-    ) -> (sp2sim::StatsSnapshot, [usize; 2]) {
-        let mut expect = vec![0.0f64; len];
-        for q in 0..n {
-            let (lo, vals) = reduce_window_of(q, len);
-            for (x, v) in expect[lo..].iter_mut().zip(vals) {
-                *x += v;
-            }
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut completed = [0; 2];
-        let mut fifo = None;
-        for engine in EngineKind::explore(16) {
-            let cfg = ClusterConfig {
-                trace: true,
-                ..ClusterConfig::sp2_on(n, engine)
-            };
-            let out = Cluster::run(cfg, |node| {
-                let tmk = Tmk::new(node, TmkConfig::default());
-                let me = tmk.proc_id();
-                // Each peer sends the root a note just before its window,
-                // and the root deposits once it has every note: on some
-                // schedules every window is in by then, on others not.
-                if me == 0 {
-                    (1..n).for_each(|q| drop(node.recv_from(q, 1)));
-                } else {
-                    node.send(0, 1, MsgKind::Control, Vec::new());
+        p: usize,
+        round: usize,
+        ranks: impl Fn(usize) -> Vec<usize>,
+    ) -> Vec<u64> {
+        let need = window_layout(p, len).1;
+        let mut out = vec![0.0f64; need.len()];
+        for q in ranks(p).into_iter().filter(|&q| q < n) {
+            for i in window_layout(q, len).0 {
+                if need.contains(&i) {
+                    out[i - need.start] += window_value(q, i, round);
                 }
-                let (lo, vals) = reduce_window_of(me, len);
-                let t = tmk.reduce_windows(len, lo, vals.into_iter(), need(me));
-                tmk.finish();
-                t
-            });
-            for (q, t) in out.results.iter().enumerate() {
-                assert_eq!(
-                    bits(t),
-                    bits(&expect[need(q)]),
-                    "{engine}, n = {n}, node {q}"
-                );
             }
-            // The service's upcall is the one local message the root's
-            // application takes besides `finish`'s barrier departure.
-            let trace = out.trace.expect("a traced run");
-            let root = trace
-                .tracks
-                .iter()
-                .find(|t| t.node == 0 && t.port == TracePort::App);
-            let local = root.expect("the root's application track").events.iter();
-            let local = local.filter(|e| {
-                matches!(e.kind, EventKind::Recv { code, peer: 0, .. }
-                    if code == MsgKind::Control as u8)
-            });
-            completed[local.count() - 1] += 1;
-            fifo.get_or_insert(out.stats);
         }
-        (fifo.expect("the FIFO run"), completed)
+        out.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn windowed_reduce_folds_in_ascending_node_order() {
+    fn windowed_reduce_goes_owner_to_owner_in_rank_order() {
+        let (len, rounds) = (24, 2);
         for n in [1usize, 2, 3, 5, 8] {
-            let len = 24;
-            // Odd nodes ask for a part of the vector, even ones for all.
-            let need = |q: usize| {
-                if q % 2 == 1 {
-                    q..len.min(q + 5)
-                } else {
-                    0..len
-                }
+            let layout = |q: usize| window_layout(q, len);
+            let ascending = |_: usize| (0..n).collect::<Vec<_>>();
+            // The data tell the rank order from one that folds a node's
+            // own slice first, wherever that can differ.
+            let own_first = |p: usize| {
+                let mut ranks = vec![p];
+                ranks.extend((0..n).filter(|&q| q != p));
+                ranks
             };
-            let (stats, completed) = windowed_reduce(n, len, need);
-            if n > 1 {
-                // One windowed reduction: n-1 up (ReducePart kind) and
-                // n-1 down (ReduceResult kind).
-                assert_eq!(stats.messages(MsgKind::ReducePart), n as u64 - 1);
-                assert_eq!(stats.messages(MsgKind::ReduceResult), n as u64 - 1);
-                // Both completions ran: the root's deposit, and the
-                // service's last part with its upcall.
-                assert!(completed.iter().all(|&c| c > 0), "n = {n}: {completed:?}");
-            } else {
-                assert_eq!(completed, [17, 0], "a lone root completes its own gather");
+            let tells = (0..n).any(|p| {
+                window_fold(n, len, p, 0, ascending) != window_fold(n, len, p, 0, own_first)
+            });
+            assert_eq!(tells, n >= 3, "n = {n}");
+            // Exactly one slice per (sender, receiver) pair whose window
+            // and need overlap, per round, carrying exactly those words.
+            let mut expect_sends: Vec<(usize, usize, u32)> = Vec::new();
+            for (q, p) in (0..n).flat_map(|q| (0..n).map(move |p| (q, p))) {
+                let (w, need) = (layout(q).0, layout(p).1);
+                let words = w.start.max(need.start)..w.end.min(need.end);
+                if q != p && !words.is_empty() {
+                    expect_sends.extend((0..rounds).map(|_| (q, p, 8 * words.len() as u32)));
+                }
             }
+            // Every schedule a result is wrong on, each named.
+            let mut wrong = Vec::new();
+            for engine in EngineKind::explore(16) {
+                let cfg = ClusterConfig {
+                    trace: true,
+                    ..ClusterConfig::sp2_on(n, engine)
+                };
+                let out = Cluster::run(cfg, |node| {
+                    let tmk = Tmk::new(node, TmkConfig::default());
+                    let me = tmk.proc_id();
+                    // Two rounds back to back: a fast node's second slice
+                    // may land before a slow node's first is taken.
+                    let got: Vec<Vec<u64>> = (0..rounds)
+                        .map(|round| {
+                            let vals = layout(me).0.map(|i| window_value(me, i, round));
+                            let t = tmk.reduce_windows(len, vals, layout);
+                            t.iter().map(|x| x.to_bits()).collect()
+                        })
+                        .collect();
+                    tmk.finish();
+                    got
+                });
+                for (p, got) in out.results.iter().enumerate() {
+                    for (round, got) in got.iter().enumerate() {
+                        if *got != window_fold(n, len, p, round, ascending) {
+                            wrong.push(format!("{engine}, n = {n}, node {p}, round {round}"));
+                        }
+                    }
+                }
+                let trace = out.trace.expect("a traced run");
+                let mut sends: Vec<(usize, usize, u32)> = (trace.tracks.iter())
+                    .flat_map(|t| t.events.iter().map(move |e| (t.node as usize, e.kind)))
+                    .filter_map(|(q, kind)| match kind {
+                        EventKind::Send {
+                            code, bytes, peer, ..
+                        } if code == MsgKind::ReducePart as u8 => Some((q, peer as usize, bytes)),
+                        _ => None,
+                    })
+                    .collect();
+                sends.sort_unstable();
+                assert_eq!(sends, expect_sends, "{engine}, n = {n}");
+                let bytes = expect_sends.iter().map(|s| s.2 as u64).sum();
+                let stats = &out.stats;
+                let traffic = [
+                    stats.messages(MsgKind::ReduceResult),
+                    stats.bytes_of(MsgKind::ReducePart),
+                ];
+                assert_eq!(traffic, [0, bytes], "{engine}, n = {n}");
+            }
+            assert!(
+                wrong.is_empty(),
+                "not the rank-order fold on:\n{}",
+                wrong.join("\n")
+            );
         }
-    }
-
-    #[test]
-    fn windowed_reduce_trims_the_down_pass_to_declared_needs() {
-        // Each node contributes its 2-word-shifted window and needs only
-        // its own 8-word block; the down-pass must ship exactly the blocks,
-        // not the whole vector.
-        let n = 8;
-        let len = 8 * n;
-        let (stats, completed) = windowed_reduce(n, len, |q| q * 8..(q + 1) * 8);
-        assert!(completed.iter().all(|&c| c > 0), "{completed:?}");
-        // Per peer: lo and the count, then its eight words.
-        let words = (n as u64 - 1) * (2 + 8);
-        assert_eq!(stats.bytes_of(MsgKind::ReduceResult), words * 8);
     }
 
     #[test]

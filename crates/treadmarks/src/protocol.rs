@@ -47,13 +47,6 @@ pub mod op {
     /// home that has not yet received a required flush defers the reply
     /// until it arrives.
     pub const PAGE_REQ: u64 = 11;
-    /// CRI windowed ordered reduction: one node's `(lo, vals)` window
-    /// travelling to the gather root, node 0. Unlike `REDUCE_PART` the
-    /// windows are *not* summed en route — the root
-    /// folds them in ascending node order, so the result is bitwise
-    /// identical to a sequential per-node fold (NBF's interaction-list
-    /// force merge).
-    pub const REDUCE_LIST: u64 = 12;
 }
 
 /// Application-port tag bases. User-level message tags (in `mpl`) stay
@@ -83,12 +76,9 @@ pub mod tag {
     pub const REDUCE_RESULT: u32 = 0x4900_0000;
     /// HLRC whole-page fetch response: `PAGE_RESP | (req_id & 0xFFFF)`.
     pub const PAGE_RESP: u32 = 0x4A00_0000;
-    /// CRI windowed-reduction gather complete, root's service to its own
-    /// application port (empty): `REDUCE_LIST_DONE | (seq & 0xFFFF)`.
-    pub const REDUCE_LIST_DONE: u32 = 0x4B00_0000;
-    /// CRI windowed-reduction result range, root to one peer:
-    /// `REDUCE_LIST_RESULT | (seq & 0xFFFF)`.
-    pub const REDUCE_LIST_RESULT: u32 = 0x4C00_0000;
+    /// CRI windowed reduction: the part of one node's window another
+    /// node needs, sent straight to it: `REDUCE_SLICE | (seq & 0xFFFF)`.
+    pub const REDUCE_SLICE: u32 = 0x4B00_0000;
 }
 
 /// Departure flag bits.
@@ -425,91 +415,6 @@ pub fn decode_reduce_vals(r: &mut WordReader) -> Vec<f64> {
     take_f64s(r, k)
 }
 
-/// One node's contribution to a windowed ordered reduction, read where
-/// its message landed: the element window `lo .. lo + vals.len()` of
-/// the reduced vector, plus the result range `need` the node declared
-/// it needs back — the root sends each node exactly that range.
-#[derive(Clone, Debug)]
-pub struct ReduceWindow<'a> {
-    /// Reduction sequence number.
-    pub seq: u32,
-    /// Contributing node.
-    pub node: usize,
-    /// First element covered by the contribution.
-    pub lo: usize,
-    /// The result range the node needs.
-    pub need: Range<usize>,
-    /// The window's values, `f64` bit patterns.
-    pub vals: &'a [u64],
-}
-
-/// Encode node `node`'s window `lo .. lo + vals.len()` of windowed
-/// reduction `seq`, packed straight from `vals` (service-port message).
-/// The words are those of a one-window list: opcode, seq, sender, the
-/// window count 1, then node, lo, the need range, the length and the
-/// values.
-pub fn encode_reduce_window(
-    seq: u32,
-    node: usize,
-    lo: usize,
-    need: &Range<usize>,
-    vals: impl ExactSizeIterator<Item = f64>,
-) -> Vec<u64> {
-    let mut w = WordWriter::with_capacity(9 + vals.len());
-    w.put(op::REDUCE_LIST)
-        .put(seq as u64)
-        .put_usize(node)
-        .put_usize(1)
-        .put_usize(node)
-        .put_usize(lo)
-        .put_usize(need.start)
-        .put_usize(need.end)
-        .put_usize(vals.len());
-    for v in vals {
-        w.put_f64(v);
-    }
-    w.finish()
-}
-
-/// Read a windowed-reduction message where it landed, opcode included.
-/// Both counts are held against the words left, and the message must
-/// carry exactly one window, from the node that sent it.
-pub fn read_reduce_window(words: &[u64]) -> ReduceWindow<'_> {
-    let mut r = WordReader::new(words);
-    assert_eq!(r.get(), op::REDUCE_LIST, "not a windowed reduction");
-    let seq = r.get() as u32;
-    let node = r.get_usize();
-    assert_eq!(r.get_count(5), 1, "a windowed reduction carries one window");
-    assert_eq!(r.get_usize(), node, "a window comes from its own node");
-    let lo = r.get_usize();
-    let need = r.get_usize()..r.get_usize();
-    let len = r.get_count(1);
-    ReduceWindow {
-        seq,
-        node,
-        lo,
-        need,
-        vals: r.take(len),
-    }
-}
-
-/// Unpack a windowed-reduction result slice (`lo`, the count `k`, then
-/// `k` values) into its values, in the buffer it landed in: the count
-/// is held against the words left, and the values must be exactly the
-/// elements `need`.
-pub fn into_reduce_slice(words: Vec<u64>, need: &Range<usize>) -> Vec<f64> {
-    let mut r = WordReader::new(&words);
-    let (lo, k) = (r.get_usize(), r.get_count(1));
-    let exact = (lo..lo + k) == *need && r.remaining() == k;
-    assert!(
-        exact,
-        "slice {lo}+{k} of {} words is not {need:?}",
-        words.len()
-    );
-    // `u64 -> f64` over the packet's own buffer: the collect reuses it.
-    words.into_iter().skip(2).map(f64::from_bits).collect()
-}
-
 /// One entry of an HLRC page response, a page push or a page broadcast,
 /// read where the message landed: a page copy plus the per-writer
 /// applied watermarks it reflects. The receiver installs the page with
@@ -629,50 +534,6 @@ mod tests {
         assert!(d.min_vc.is_empty());
         assert!(d.ctl.is_empty());
         assert_eq!(d.intervals.count(), 0);
-    }
-
-    #[test]
-    fn reduce_window_roundtrip() {
-        let buf = encode_reduce_window(5, 2, 10, &(8..14), [1.5, -2.0].into_iter());
-        // The words of a one-window list, count word included.
-        let head = [op::REDUCE_LIST, 5, 2, 1, 2, 10, 8, 14, 2];
-        assert_eq!(buf[..9], head);
-        assert_eq!(buf[9..], [1.5f64.to_bits(), (-2.0f64).to_bits()]);
-        let got = read_reduce_window(&buf);
-        assert_eq!((got.seq, got.node, got.lo, got.need), (5, 2, 10, 8..14));
-        assert!(std::ptr::eq(got.vals, &buf[9..]), "read where it landed");
-
-        let empty = encode_reduce_window(6, 3, 0, &(0..0), std::iter::empty());
-        let got = read_reduce_window(&empty);
-        assert_eq!(
-            (got.seq, got.node, got.need, got.vals),
-            (6, 3, 0..0, &[][..])
-        );
-
-        let slice = vec![7, 2, 1.0f64.to_bits(), 2.0f64.to_bits()];
-        let at = slice.as_ptr() as usize;
-        let vals = into_reduce_slice(slice, &(7..9));
-        assert_eq!(vals, [1.0, 2.0]);
-        assert_eq!(
-            vals.as_ptr() as usize,
-            at,
-            "unpacked in the buffer it landed in"
-        );
-    }
-
-    #[test]
-    fn damaged_reduce_messages_are_bounds_panics() {
-        let whole = encode_reduce_window(5, 2, 10, &(8..14), [1.5, -2.0].into_iter());
-        for (at, word) in [(3, 1 << 40), (8, 3)] {
-            let mut buf = whole.clone();
-            buf[at] = word;
-            let err = std::panic::catch_unwind(|| read_reduce_window(&buf)).unwrap_err();
-            let msg = err.downcast::<String>().unwrap();
-            assert!(msg.contains("out of range"), "word {at}: {msg}");
-        }
-        let lying = std::panic::catch_unwind(|| into_reduce_slice(vec![7, 1 << 40, 0], &(7..8)));
-        let msg = lying.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("out of range"), "{msg}");
     }
 
     #[test]

@@ -46,11 +46,9 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
         match opcode {
             op::REDUCE_PART => handle_reduce_part(&ep, &state, &mut r, arrival, seq),
             op::LOCK_REQ => handle_lock_req(&ep, &state, &mut r, arrival, seq),
-            // An arrival, a fork and a reduction window are kept where they
-            // landed (the interval log is windows onto the first, the second
-            // waits for the workers, the gather root folds the third): the
-            // payload is handed over by value.
-            op::REDUCE_LIST => handle_reduce_list(&ep, &state, pkt.payload, arrival, seq),
+            // An arrival and a fork are kept where they landed (the
+            // interval log is windows onto the first, the second waits for
+            // the workers): the payload is handed over by value.
             op::BARRIER_ARRIVE | op::WORKER_ARRIVE => {
                 handle_arrival(&ep, &state, pkt.payload, arrival, seq)
             }
@@ -144,40 +142,6 @@ pub(crate) fn forward_reduce(
     };
     if let Some((cause_seq, at)) = edge {
         ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, at);
-    }
-}
-
-/// CRI windowed ordered reduction: a peer's window arrives at the
-/// gather root; keep its message in the slot as it landed and, when the
-/// gather is complete, tell the root's application, which takes the
-/// messages from the slot, folds them in rank order and scatters (see
-/// [`Tmk::reduce_windows`](crate::Tmk::reduce_windows)). Windows are
-/// never combined here: pre-folding would change the addition grouping
-/// the whole mechanism exists to preserve.
-fn handle_reduce_list(
-    ep: &Endpoint,
-    state: &StateCell<DsmState>,
-    payload: Payload,
-    arrival: VTime,
-    pkt_seq: u64,
-) {
-    let w = protocol::read_reduce_window(&payload);
-    let (seq, src) = (w.seq, w.node);
-    let complete = state
-        .lock()
-        .reduce_list_contribute(seq as u64, Some((src, payload)));
-    if complete {
-        // Self-delivery to the root's application port: a local upcall,
-        // free and uncounted.
-        let out_seq = ep.send_at(
-            ep.id(),
-            Port::App,
-            tag::REDUCE_LIST_DONE | (seq & 0xFFFF),
-            MsgKind::Control,
-            Vec::new(),
-            arrival + ep.cost().service_us,
-        );
-        ep.trace_edge(EdgeKind::Response, out_seq, pkt_seq, arrival);
     }
 }
 

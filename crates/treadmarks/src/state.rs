@@ -383,26 +383,6 @@ pub struct ReduceSlot {
     pub local: Option<Vec<f64>>,
 }
 
-/// One in-flight *windowed ordered* reduction at the gather root (node
-/// 0): unlike [`ReduceSlot`] the contributions cannot be combined en
-/// route — folding a subtree early would change the addition grouping,
-/// and the whole point is a result bitwise identical to a sequential
-/// ascending-node fold (NBF's interaction-list force merge). With
-/// nothing to combine, a tree only re-serializes the same windows on
-/// every level, so the transport is a flat gather: every node sends its
-/// window straight to the root, which folds in rank order and scatters
-/// each node exactly the result range it declared it needs. Same
-/// `2 (n - 1)` message count as the scalar tree, parallel wires. A
-/// peer's window stays in the message it came in
-/// ([`crate::protocol::read_reduce_window`] reads it there).
-#[derive(Debug, Default)]
-pub struct ReduceListSlot {
-    /// The peers' messages as they landed, keyed by sender.
-    pub parts: BTreeMap<usize, Payload>,
-    /// Whether the root has deposited (its own window stays with it).
-    pub deposited: bool,
-}
-
 /// Children of `rank` in the binomial combine tree rooted at 0
 /// (ascending rank order — the deterministic combine order).
 pub fn reduce_children(rank: usize, n: usize) -> Vec<usize> {
@@ -580,10 +560,6 @@ pub struct DsmState {
     pub pending_push: Vec<(usize, PageId)>,
     /// In-flight direct reductions, keyed by reduction sequence number.
     pub reduces: BTreeMap<u64, ReduceSlot>,
-    /// In-flight windowed ordered reductions at the gather root, keyed
-    /// by sequence number (a separate number space from
-    /// [`DsmState::reduces`]).
-    pub reduce_lists: BTreeMap<u64, ReduceListSlot>,
     /// What HLRC keeps beside the per-page home copies: the prune work
     /// list, the home overrides and the deferred page requests. Only
     /// [`crate::hlrc`] touches it; under LRC it stays empty.
@@ -625,7 +601,6 @@ impl DsmState {
             epochs: BTreeMap::new(),
             pending_push: Vec::new(),
             reduces: BTreeMap::new(),
-            reduce_lists: BTreeMap::new(),
             home: HomeState::default(),
             scratch: DiffScratch::default(),
             stats: DsmStats::default(),
@@ -643,33 +618,6 @@ impl DsmState {
     /// nodes.
     pub(crate) fn epoch_proxy(&self) -> u64 {
         self.stats.barriers + self.stats.forks
-    }
-
-    /// Record one contribution to windowed ordered reduction `seq` at
-    /// the gather root — a peer's message (`part = Some((sender,
-    /// message))`) or the root's own deposit (`part = None`). True when
-    /// that completes the gather: the root's application then takes the
-    /// peers' messages, ascending by sender — the fold order — with
-    /// [`DsmState::reduce_list_take`].
-    pub fn reduce_list_contribute(&mut self, seq: u64, part: Option<(usize, Payload)>) -> bool {
-        debug_assert_eq!(self.me, 0, "windowed reductions gather at node 0");
-        let slot = self.reduce_lists.entry(seq).or_default();
-        match part {
-            Some((sender, message)) => {
-                slot.parts.insert(sender, message);
-            }
-            None => slot.deposited = true,
-        }
-        slot.deposited && slot.parts.len() == self.n - 1
-    }
-
-    /// The peers' messages of the completed windowed reduction `seq`,
-    /// keyed by sender.
-    pub fn reduce_list_take(&mut self, seq: u64) -> BTreeMap<usize, Payload> {
-        self.reduce_lists
-            .remove(&seq)
-            .expect("a completed gather")
-            .parts
     }
 
     /// Record one contribution to reduction `seq` — a child subtree's

@@ -14,8 +14,8 @@ use treadmarks::service::service_loop;
 use treadmarks::state::DsmState;
 use treadmarks::{Tmk, TmkConfig};
 
-/// The opcode space currently ends at `REDUCE_LIST` (the windowed
-/// ordered reduction): the next free opcode must take the graceful
+/// The opcode space currently ends at `PAGE_REQ` (the HLRC page
+/// fetch): the next free opcode must take the graceful
 /// error path. Pinning the boundary means a future opcode addition that
 /// forgets the service dispatch arm shows up here as a counted error,
 /// not as a sweep-wide `unreachable!`. `join_service` returning at all
@@ -32,16 +32,16 @@ use treadmarks::{Tmk, TmkConfig};
 fn first_unassigned_opcode_is_rejected_gracefully() {
     use treadmarks::{hlrc, lrc, ProtocolMode};
 
-    // PAGE_REQ and REDUCE_LIST are the two highest assigned opcodes;
-    // the boundary sits one past REDUCE_LIST.
-    assert_eq!(op::REDUCE_LIST, op::PAGE_REQ + 1, "opcode map moved");
+    // HOME_FLUSH and PAGE_REQ are the two highest assigned opcodes;
+    // the boundary sits one past PAGE_REQ.
+    assert_eq!(op::PAGE_REQ, op::HOME_FLUSH + 1, "opcode map moved");
     let diff_req = lrc::DiffReqEntry {
         page: 3,
         first_needed: 1,
     };
     let zero_watermarks = [(3usize, [0u32, 0].into_iter())];
     let bad: [(ProtocolMode, Vec<u64>); 5] = [
-        (ProtocolMode::Lrc, vec![op::REDUCE_LIST + 1]),
+        (ProtocolMode::Lrc, vec![op::PAGE_REQ + 1]),
         (ProtocolMode::Hlrc, vec![0xBAAD_F00D]),
         (
             ProtocolMode::Hlrc,
