@@ -91,6 +91,17 @@ impl Cli {
             .on(self.engine)
             .protocol(self.protocol)
     }
+
+    /// Every one of `versions` of every one of `apps`, as [`Cli::spec`]
+    /// asks for it.
+    pub(crate) fn grid(
+        &self,
+        apps: &[apps::AppId],
+        versions: &[apps::Version],
+    ) -> Vec<apps::RunSpec> {
+        let row = |&app| versions.iter().map(move |&v| self.spec(app, v));
+        apps.iter().flat_map(row).collect()
+    }
 }
 
 /// What one subcommand accepts: its positional defaults and the flags

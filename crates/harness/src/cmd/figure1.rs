@@ -4,11 +4,19 @@
 //! Usage: `figure1 [scale] [nprocs] [--engine sequential|seeded:N]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
-use crate::cli::{Cli, Exit, Flags};
+use apps::{AppId, RunSpec, Version};
+
+use crate::cli::Cli;
+use crate::experiments::Cells;
 use crate::report::{f2, render_table};
 use crate::Table;
 
-pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
+/// The regular applications in the four figure versions.
+pub fn cells(cli: &Cli) -> Vec<RunSpec> {
+    cli.grid(&AppId::REGULAR, &Version::FIGURE)
+}
+
+pub fn render(cli: &Cli, cells: &Cells) {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!(
         "Figure 1: {nprocs}-Processor Speedups, Regular Applications (scale {scale}, {} engine, {} protocol)\n",
@@ -16,15 +24,10 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         cli.protocol
     );
     let mut t = Table::new(vec!["Program", "SPF/Tmk", "Tmk", "XHPF", "PVMe"]);
-    for row in crate::figure1(&cli) {
-        t.row(vec![
-            row.app.name().to_string(),
-            f2(row.speedup(0)),
-            f2(row.speedup(1)),
-            f2(row.speedup(2)),
-            f2(row.speedup(3)),
-        ]);
+    for app in AppId::REGULAR {
+        let mut row = vec![app.name().to_string()];
+        row.extend(Version::FIGURE.map(|v| f2(cells.speedup(&cli.spec(app, v)))));
+        t.row(row);
     }
     println!("{}", render_table(&t));
-    Ok(())
 }

@@ -5,11 +5,28 @@
 //!
 //! Usage: `interface_ablation [scale] [nprocs]` (defaults 0.1 and 8).
 
-use crate::cli::{Cli, Exit, Flags};
+use apps::{AppId, RunSpec, Version};
+
+use crate::cli::Cli;
+use crate::experiments::Cells;
 use crate::report::{f2, render_table};
 use crate::Table;
 
-pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
+const APPS: [AppId; 2] = [AppId::Jacobi, AppId::Fft3d];
+
+/// `app`'s SPF version under the improved interface and the original.
+fn pair(cli: &Cli, app: AppId) -> [RunSpec; 2] {
+    let improved = cli.spec(app, Version::Spf);
+    let mut original = improved;
+    original.cfg.improved_forkjoin = false;
+    [improved, original]
+}
+
+pub fn cells(cli: &Cli) -> Vec<RunSpec> {
+    APPS.iter().flat_map(|&app| pair(cli, app)).collect()
+}
+
+pub fn render(cli: &Cli, cells: &Cells) {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Section 2.3: Fork-Join Interface Ablation (scale {scale}, {nprocs} procs)\n");
     let mut t = Table::new(vec![
@@ -20,7 +37,8 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         "Original time(s)",
         "Slowdown",
     ]);
-    for (app, imp, orig) in crate::interface_ablation(&cli) {
+    for app in APPS {
+        let [imp, orig] = pair(cli, app).map(|spec| cells.get(&spec));
         t.row(vec![
             app.name().to_string(),
             imp.messages.to_string(),
@@ -31,5 +49,4 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         ]);
     }
     println!("{}", render_table(&t));
-    Ok(())
 }

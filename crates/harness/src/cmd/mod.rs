@@ -1,11 +1,15 @@
-//! The subcommands of the `dsm` binary: one module per subcommand, each
-//! with a `run` taking its parsed arguments, and the one table — name,
-//! summary, grammar, entry point — that drives dispatch, `dsm help` and
-//! `dsm all`.
+//! The subcommands of the `dsm` binary: one module per subcommand, and
+//! the one table — name, summary, grammar, what it runs — that drives
+//! dispatch, `dsm help` and `dsm all`. A paper artifact's module
+//! declares the cells it needs (`cells`) and renders them (`render`);
+//! a tool's module has a `run` taking its parsed arguments.
 
 use std::process::ExitCode;
 
+use apps::RunSpec;
+
 use crate::cli::{self, Args, Cli, Exit, Flags, Spec};
+use crate::experiments::Cells;
 
 pub mod analyze;
 pub mod compiler_opt;
@@ -22,7 +26,7 @@ pub mod table2;
 pub mod trace;
 
 /// One subcommand: its name, a one-line summary for `dsm help`, the
-/// grammar it accepts and its entry point.
+/// grammar it accepts and what it runs.
 pub struct Command {
     /// What follows `dsm` on the command line.
     pub name: &'static str,
@@ -30,8 +34,30 @@ pub struct Command {
     pub summary: &'static str,
     /// Positional defaults and the flags beyond the common ones.
     pub spec: Spec,
-    /// Runs the subcommand on its parsed arguments.
-    pub run: fn(Cli, &Flags) -> Result<(), Exit>,
+    /// What the subcommand runs.
+    pub run: Run,
+}
+
+/// What a subcommand runs.
+pub enum Run {
+    /// A paper artifact: alone it runs its own cells, under `all` the
+    /// union of the ten artifacts' cells.
+    Artifact(Artifact),
+    /// A tool, or `all`: runs on its parsed arguments.
+    Tool(fn(Cli, &Flags) -> Result<(), Exit>),
+}
+
+/// A paper artifact: the cells it reads and how it prints them.
+pub struct Artifact {
+    /// The runs the artifact reads (their `Seq` baselines come along).
+    pub cells: fn(&Cli) -> Vec<RunSpec>,
+    /// Prints the artifact from cells that hold its list.
+    pub render: fn(&Cli, &Cells),
+}
+
+/// The artifact that reads `cells` and prints them with `render`.
+const fn artifact(cells: fn(&Cli) -> Vec<RunSpec>, render: fn(&Cli, &Cells)) -> Run {
+    Run::Artifact(Artifact { cells, render })
 }
 
 /// The common grammar only, at the usual defaults.
@@ -52,67 +78,67 @@ pub static COMMANDS: [Command; 14] = [
             values: &[],
             switches: &[],
         },
-        run: table1::run,
+        run: artifact(table1::cells, table1::render),
     },
     Command {
         name: "figure1",
         summary: "Figure 1: speedups, regular applications",
         spec: COMMON,
-        run: figure1::run,
+        run: artifact(figure1::cells, figure1::render),
     },
     Command {
         name: "table2",
         summary: "Table 2: message and data totals, regular applications",
         spec: COMMON,
-        run: table2::run,
+        run: artifact(table2::cells, table2::render),
     },
     Command {
         name: "figure2_table3",
         summary: "Figure 2 + Table 3: irregular applications",
         spec: COMMON,
-        run: figure2_table3::run,
+        run: artifact(figure2_table3::cells, figure2_table3::render),
     },
     Command {
         name: "handopt",
         summary: "Section 5: results of hand optimizations",
         spec: COMMON,
-        run: handopt::run,
+        run: artifact(handopt::cells, handopt::render),
     },
     Command {
         name: "interface_ablation",
         summary: "Section 2.3: fork-join interface ablation",
         spec: COMMON,
-        run: interface_ablation::run,
+        run: artifact(interface_ablation::cells, interface_ablation::render),
     },
     Command {
         name: "compiler_opt",
         summary: "SPF vs SPF+CRI vs PVMe",
         spec: COMMON,
-        run: compiler_opt::run,
+        run: artifact(compiler_opt::cells, compiler_opt::render),
     },
     Command {
         name: "protocol_compare",
         summary: "LRC vs HLRC",
         spec: COMMON,
-        run: protocol_compare::run,
+        run: artifact(protocol_compare::cells, protocol_compare::render),
     },
     Command {
         name: "scaling",
         summary: "speedups at 1, 2, 4, ... processors, every application and version",
         spec: COMMON,
-        run: scaling::run,
+        run: artifact(scaling::cells, scaling::render),
     },
     Command {
         name: "page_size",
         summary: "page-size ablation, hand-coded TreadMarks",
         spec: COMMON,
-        run: page_size::run,
+        run: artifact(page_size::cells, page_size::render),
     },
     Command {
         name: "all",
         summary: "every subcommand listed above, in that order",
         spec: COMMON,
-        run: all,
+        run: Run::Tool(all),
     },
     Command {
         name: "sweep",
@@ -121,7 +147,7 @@ pub static COMMANDS: [Command; 14] = [
             values: &["--out"],
             ..COMMON
         },
-        run: sweep::run,
+        run: Run::Tool(sweep::run),
     },
     Command {
         name: "trace",
@@ -131,7 +157,7 @@ pub static COMMANDS: [Command; 14] = [
             values: &["--app", "--version", "--out", "--validate"],
             switches: &["--breakdown"],
         },
-        run: trace::run,
+        run: Run::Tool(trace::run),
     },
     Command {
         name: "analyze",
@@ -141,7 +167,7 @@ pub static COMMANDS: [Command; 14] = [
             values: &["--app", "--version", "--top", "--json", "--check"],
             switches: &["--gate-identity"],
         },
-        run: analyze::run,
+        run: Run::Tool(analyze::run),
     },
 ];
 
@@ -152,7 +178,10 @@ fn find(name: &str) -> Option<&'static Command> {
 impl Command {
     fn invoke(&self, args: Args) -> Result<(), Exit> {
         let (cli, flags) = self.spec.parse(args)?;
-        (self.run)(cli, &flags)?;
+        match &self.run {
+            Run::Artifact(a) => (a.render)(&cli, &Cells::run(&(a.cells)(&cli))),
+            Run::Tool(run) => run(cli, &flags)?,
+        }
         // Whatever it printed, it printed right: status 1 otherwise.
         crate::oracle::verdict()
     }
@@ -183,27 +212,33 @@ pub fn help() -> String {
     out
 }
 
+/// The ten paper artifacts, in `dsm help` order.
+fn artifacts() -> impl Iterator<Item = &'static Artifact> {
+    COMMANDS.iter().filter_map(|c| match &c.run {
+        Run::Artifact(a) => Some(a),
+        Run::Tool(_) => None,
+    })
+}
+
+/// The ten artifacts' cells, one list in artifact order.
+fn all_cells(cli: &Cli) -> Vec<RunSpec> {
+    artifacts().flat_map(|a| (a.cells)(cli)).collect()
+}
+
 /// Runs the complete experiment suite, printing every table and figure
-/// of the paper in order.
+/// of the paper in order: the ten artifacts' cells are one list, whose
+/// distinct cells run once, and each artifact renders its own from
+/// them. `table1` reads `Seq` cells only, which run on one processor
+/// whatever `nprocs` says.
 ///
 /// Usage: `all [scale] [nprocs]` (defaults 0.1 and 8; use `1.0` for the
-/// paper's problem sizes — a few minutes of wall-clock time).
+/// paper's problem sizes: `all 1.0 8` takes 148 s of wall-clock time on
+/// a two-core x86-64 host, where running each artifact's cells on its
+/// own took 263 s).
 fn all(cli: Cli, _: &Flags) -> Result<(), Exit> {
-    let (scale, nprocs) = (cli.scale, cli.nprocs);
-    let engine = format!("--engine={}", cli.engine);
-    let protocol = format!("--protocol={}", cli.protocol);
-    let argv = [
-        scale.to_string(),
-        nprocs.to_string(),
-        engine.clone(),
-        protocol,
-    ];
-    for command in COMMANDS.iter().take_while(|c| c.name != "all") {
-        if command.name == "table1" {
-            command.invoke(&mut [scale.to_string(), engine.clone()].into_iter())?;
-        } else {
-            command.invoke(&mut argv.iter().cloned())?;
-        }
+    let cells = Cells::run(&all_cells(&cli));
+    for a in artifacts() {
+        (a.render)(&cli, &cells);
     }
     Ok(())
 }
@@ -241,6 +276,7 @@ pub fn main(mut args: impl Iterator<Item = String>) -> ExitCode {
 mod tests {
     use super::*;
     use crate::cli::argv;
+    use treadmarks::ProtocolMode;
 
     #[test]
     fn every_name_resolves_to_its_own_entry() {
@@ -261,8 +297,35 @@ mod tests {
         let before_all = COMMANDS.iter().take_while(|c| c.name != "all");
         let names: Vec<&str> = before_all.map(|c| c.name).collect();
         assert_eq!(names.len(), 10, "{names:?}");
+        assert_eq!(artifacts().count(), 10);
         for tool in ["all", "sweep", "trace", "analyze"] {
             assert!(find(tool).is_some() && !names.contains(&tool), "{tool}");
+            assert!(matches!(find(tool).unwrap().run, Run::Tool(_)), "{tool}");
+        }
+    }
+
+    /// `all`'s union holds each distinct cell once and every artifact's
+    /// cells: 144 at scale 0.1 on 8 processors, where the artifacts run
+    /// one by one ran 258 simulations.
+    #[test]
+    fn all_runs_each_distinct_cell_of_every_artifact_once() {
+        for protocol in ProtocolMode::ALL {
+            let cli = Cli {
+                scale: 0.1,
+                nprocs: 8,
+                engine: sp2sim::EngineKind::Sequential,
+                protocol,
+            };
+            let union = Cells::distinct(&all_cells(&cli));
+            for (i, cell) in union.iter().enumerate() {
+                assert!(!union[..i].contains(cell), "{cell:?} twice");
+            }
+            for a in artifacts() {
+                for cell in Cells::distinct(&(a.cells)(&cli)) {
+                    assert!(union.contains(&cell), "{cell:?} missing");
+                }
+            }
+            assert_eq!(union.len(), 144, "{protocol}");
         }
     }
 

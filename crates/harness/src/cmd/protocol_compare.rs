@@ -11,24 +11,41 @@
 //! Jacobi run under either protocol is `dsm trace` / `dsm analyze`
 //! `--app jacobi --protocol lrc|hlrc`.
 
-use crate::cli::{Cli, Exit, Flags};
+use apps::{AppId, RunSpec, Version};
+use treadmarks::ProtocolMode;
+
+use crate::cli::Cli;
+use crate::experiments::Cells;
 use crate::report::{f2, render_table};
 use crate::Table;
 
-pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
+/// `app`'s SPF version under LRC, then HLRC.
+fn pair(cli: &Cli, app: AppId) -> [RunSpec; 2] {
+    ProtocolMode::ALL.map(|p| cli.spec(app, Version::Spf).protocol(p))
+}
+
+/// The regular applications' SPF versions under both protocols.
+pub fn cells(cli: &Cli) -> Vec<RunSpec> {
+    AppId::REGULAR
+        .iter()
+        .flat_map(|&app| pair(cli, app))
+        .collect()
+}
+
+pub fn render(cli: &Cli, cells: &Cells) {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!("Protocol comparison: LRC vs home-based LRC (scale {scale}, {nprocs} procs)\n");
-    let rows = crate::protocol_compare(&cli);
     let mut t = Table::new(vec![
         "Program", "Protocol", "Time (s)", "Speedup", "Msgs", "KBytes", "Miss RTs", "Flush KB",
     ]);
-    for r in &rows {
-        for (name, run) in [("LRC", &r.lrc), ("HLRC", &r.hlrc)] {
+    for app in AppId::REGULAR {
+        for (name, spec) in ["LRC", "HLRC"].into_iter().zip(pair(cli, app)) {
+            let run = cells.get(&spec);
             t.row(vec![
-                r.app.name().to_string(),
+                app.name().to_string(),
                 name.to_string(),
                 f2(run.time_us / 1e6),
-                f2(run.speedup_vs(r.seq_us)),
+                f2(cells.speedup(&spec)),
                 run.messages.to_string(),
                 run.kbytes.to_string(),
                 run.miss_round_trips().to_string(),
@@ -37,16 +54,22 @@ pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
         }
     }
     println!("{}", render_table(&t));
-    for r in &rows {
+    for app in AppId::REGULAR {
+        let [lrc, hlrc] = pair(cli, app).map(|spec| cells.get(&spec));
+        // Fraction of LRC's access-miss round trips HLRC eliminated
+        // (negative if HLRC took more).
+        let reduction = match lrc.miss_round_trips() {
+            0 => 0.0,
+            rts => 1.0 - hlrc.miss_round_trips() as f64 / rts as f64,
+        };
         println!(
             "{}: HLRC eliminates {:.1}% of LRC's access-miss round trips \
              (pages flushed {}, pages fetched {}, stale flushes dropped {})",
-            r.app.name(),
-            100.0 * r.round_trip_reduction(),
-            r.hlrc.dsm.home_flush_pages,
-            r.hlrc.dsm.page_fetches,
-            r.hlrc.dsm.stale_flush_drops,
+            app.name(),
+            100.0 * reduction,
+            hlrc.dsm.home_flush_pages,
+            hlrc.dsm.page_fetches,
+            hlrc.dsm.stale_flush_drops,
         );
     }
-    Ok(())
 }

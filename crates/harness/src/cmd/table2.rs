@@ -6,41 +6,44 @@
 //! Usage: `table2 [scale] [nprocs] [--engine sequential|seeded:N]`
 //! (defaults 0.1, 8 and the deterministic sequential engine).
 
-use crate::cli::{Cli, Exit, Flags};
-use crate::experiments::speedup_rows;
+use apps::{AppId, RunResult, RunSpec, Version};
+
+use crate::cli::Cli;
+use crate::experiments::Cells;
 use crate::report::render_table;
 use crate::Table;
-use apps::{AppId, Version};
 
-pub fn run(cli: Cli, _: &Flags) -> Result<(), Exit> {
+/// The regular applications in the figure versions and SPF+CRI.
+pub fn cells(cli: &Cli) -> Vec<RunSpec> {
+    cli.grid(&AppId::REGULAR, &Version::SWEEP)
+}
+
+pub fn render(cli: &Cli, cells: &Cells) {
     let (scale, nprocs) = (cli.scale, cli.nprocs);
     println!(
         "Table 2: {nprocs}-Processor Message Totals and Data Totals (KB), Regular Applications (scale {scale}, {} protocol)\n",
         cli.protocol
     );
-    let rows = speedup_rows(&cli, &AppId::REGULAR, &Version::SWEEP);
-    let header: Vec<String> = ["", "Program"]
-        .into_iter()
-        .map(str::to_string)
-        .chain(Version::SWEEP.iter().map(|v| v.name().to_string()))
-        .collect();
-    let mut t = Table::new(header);
-    for (k, row) in rows.iter().enumerate() {
-        let mut cells = vec![
-            if k == 0 { "Message" } else { "" }.to_string(),
-            row.app.name().to_string(),
-        ];
-        cells.extend(row.results.iter().map(|r| r.messages.to_string()));
-        t.row(cells);
-    }
-    for (k, row) in rows.iter().enumerate() {
-        let mut cells = vec![
-            if k == 0 { "Data" } else { "" }.to_string(),
-            row.app.name().to_string(),
-        ];
-        cells.extend(row.results.iter().map(|r| r.kbytes.to_string()));
-        t.row(cells);
-    }
-    println!("{}", render_table(&t));
-    Ok(())
+    println!("{}", render_table(&totals(cli, cells, &AppId::REGULAR)));
+}
+
+/// Message totals, then data totals (KB), of `apps` in every sweep
+/// version: Tables 2 and 3.
+pub(super) fn totals(cli: &Cli, cells: &Cells, apps: &[AppId]) -> Table {
+    let header = ["", "Program"].into_iter().map(str::to_string);
+    let versions = Version::SWEEP.iter().map(|v| v.name().to_string());
+    let mut t = Table::new(header.chain(versions).collect());
+    let mut block = |what: &str, column: fn(&RunResult) -> u64| {
+        for (k, &app) in apps.iter().enumerate() {
+            let mut row = vec![
+                if k == 0 { what } else { "" }.to_string(),
+                app.name().to_string(),
+            ];
+            row.extend(Version::SWEEP.map(|v| column(cells.get(&cli.spec(app, v))).to_string()));
+            t.row(row);
+        }
+    };
+    block("Message", |r| r.messages);
+    block("Data", |r| r.kbytes);
+    t
 }

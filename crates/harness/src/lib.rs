@@ -2,10 +2,12 @@
 //!
 //! One binary, `dsm`: each table, figure and tool is a subcommand, listed
 //! with its summary, defaults and flags in [`cmd::COMMANDS`] (`dsm help`
-//! prints that table; `dsm all` runs its ten paper artifacts in order).
-//! The artifacts are backed by the functions of [`experiments`], which
-//! return structured rows; the `report` module renders them as aligned
-//! text tables (and CSV). `sweep` is [`bench_sweep`], `trace` is
+//! prints that table; `dsm all` prints its ten paper artifacts in order).
+//! Artifacts declare cells and render them: each artifact's module lists
+//! the runs it reads, [`experiments::Cells`] runs each distinct one once
+//! — an artifact's own list alone, the union of all ten under `all` —
+//! and the artifact renders its table from them with the `report`
+//! module's aligned text tables. `sweep` is [`bench_sweep`], `trace` is
 //! [`trace_analysis`], `analyze` is [`critical_path`]. Every cell any of
 //! them runs goes through [`oracle`],
 //! which holds its checksum against the sequential program's and fails
@@ -31,11 +33,7 @@ pub mod sweep;
 pub mod trace_analysis;
 
 pub use critical_path::{check_dag, CriticalPath, DagCheck, Segment, SegmentKind};
-pub use experiments::{
-    compiler_opt, figure1, figure2_table3, handopt, interface_ablation, protocol_compare, scaling,
-    speedup_rows, table1, CompilerOptRow, HandOptRow, ProtocolCompareRow, ScaleRow, SeqRow,
-    SpeedupRow,
-};
+pub use experiments::Cells;
 pub use json::Json;
 pub use report::{render_table, Table};
 pub use sweep::sweep_map;

@@ -6,9 +6,10 @@
 //! [`verdict`] — called once per subcommand, after its output — compares
 //! every noted cell with the checksum of the sequential program at the
 //! same `(app, scale)`, at the tolerances of `tests/cross_version.rs`.
-//! The speedup experiments run that program anyway; a subcommand that
-//! does not (`sweep`, `trace`, `analyze`) pays for it once per
-//! `(app, scale)`, after its own cells. A divergent cell is named on
+//! An artifact's cells include that program, the baseline of its
+//! speedups, so it runs beside the others; a subcommand that runs none
+//! (`sweep`, `trace`, `analyze`) pays for it once per `(app, scale)`,
+//! after its own cells. A divergent cell is named on
 //! stderr and fails the subcommand with status 1; agreeing cells print
 //! nothing.
 

@@ -1,6 +1,7 @@
 //! The `dsm` binary end to end: `all` prints every artifact of the
-//! paper, in order, from one process; the dispatcher names its
-//! subcommands and refuses the ones and the flags that went.
+//! paper, in order, from one process, exactly as the artifacts print
+//! alone; the dispatcher names its subcommands and refuses the ones and
+//! the flags that went.
 
 use std::process::{Command, Output};
 
@@ -45,6 +46,29 @@ fn all_prints_the_eleven_sections_in_order() {
     }
     // `table1` gets the scale only: it stays a one-processor table.
     assert!(text.contains("(scale 0.03)"), "{text}");
+}
+
+/// `all` reads one union of cells; what it prints is what the ten
+/// artifacts print one by one.
+#[test]
+fn all_is_the_sum_of_its_parts() {
+    let all = dsm(&["all", "0.03", "2"]);
+    assert!(all.status.success(), "{}", stderr(&all));
+    let mut parts = String::new();
+    let artifacts = harness::cmd::COMMANDS
+        .iter()
+        .take_while(|c| c.name != "all");
+    for c in artifacts {
+        // `table1` takes the scale only, as in the sections test above.
+        let nprocs = if c.name == "table1" { None } else { Some("2") };
+        let out = dsm(&[c.name, "0.03"]
+            .into_iter()
+            .chain(nprocs)
+            .collect::<Vec<_>>());
+        assert!(out.status.success(), "{}: {}", c.name, stderr(&out));
+        parts.push_str(&stdout(&out));
+    }
+    assert_eq!(stdout(&all), parts);
 }
 
 #[test]

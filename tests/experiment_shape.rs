@@ -8,43 +8,46 @@
 //! passing [...] and only slightly underperforms the hand-coded message
 //! passing."
 
-use apps::{AppId, RunResult, RunSpec, Version};
+use std::sync::OnceLock;
 
-/// All shape assertions run on the default FIFO schedule: the asserted
-/// quantities are virtual-time ratios, and a seeded schedule moves DSM
-/// virtual times by a few percent from seed to seed — enough to flap
-/// thresholds this tight.
-fn run(app: AppId, version: Version, nprocs: usize, scale: f64) -> RunResult {
-    RunSpec::new(app, version, nprocs, scale).run()
+use apps::{AppId, RunResult, RunSpec, Version};
+use harness::Cells;
+use Version::{Spf, Tmk, Xhpf};
+
+/// The figure versions of some applications at one scale on 8 nodes, on
+/// the FIFO schedule (a seeded one moves DSM virtual times by a few
+/// percent, enough to flap thresholds this tight): run by the first test
+/// that reads the scale, shared by the others.
+struct Scale(f64, &'static [AppId], OnceLock<Cells>);
+
+impl Scale {
+    fn cells(&self) -> &Cells {
+        let figure = |&app| Version::FIGURE.map(|v| RunSpec::new(app, v, 8, self.0));
+        self.2
+            .get_or_init(|| Cells::run(&self.1.iter().flat_map(figure).collect::<Vec<_>>()))
+    }
+
+    fn get(&self, app: AppId, version: Version) -> &RunResult {
+        self.cells().get(&RunSpec::new(app, version, 8, self.0))
+    }
+
+    fn speedup(&self, app: AppId, version: Version) -> f64 {
+        self.cells().speedup(&RunSpec::new(app, version, 8, self.0))
+    }
 }
 
-const SCALE: f64 = 0.06;
+static REGULAR: Scale = Scale(0.06, &AppId::REGULAR, OnceLock::new());
+/// The "same league" ratio needs per-iteration compute that dwarfs
+/// fixed synchronization latencies, as in the paper's 2048^2 runs.
+static JACOBI: Scale = Scale(0.3, &[AppId::Jacobi], OnceLock::new());
 /// The irregular-application *time* shape needs enough data volume for
 /// XHPF's partition broadcasts to hurt; smaller scales only show the
 /// traffic shape.
-const IRREGULAR_SCALE: f64 = 0.35;
-const NPROCS: usize = 8;
-
-fn speedups_at(app: AppId, scale: f64) -> (f64, f64, f64, f64) {
-    let seq = run(app, Version::Seq, 1, scale).time_us;
-    let s = |v| run(app, v, NPROCS, scale).speedup_vs(seq);
-    (
-        s(Version::Spf),
-        s(Version::Tmk),
-        s(Version::Xhpf),
-        s(Version::Pvme),
-    )
-}
-
-fn speedups(app: AppId) -> (f64, f64, f64, f64) {
-    speedups_at(app, SCALE)
-}
+static IRREGULAR: Scale = Scale(0.35, &AppId::IRREGULAR, OnceLock::new());
 
 #[test]
 fn regular_jacobi_message_passing_wins_but_dsm_is_close() {
-    // The "same league" ratio needs per-iteration compute that dwarfs
-    // fixed synchronization latencies, as in the paper's 2048^2 runs.
-    let (spf, tmk, xhpf, pvme) = speedups_at(AppId::Jacobi, 0.3);
+    let [spf, tmk, xhpf, pvme] = Version::FIGURE.map(|v| JACOBI.speedup(AppId::Jacobi, v));
     assert!(
         xhpf > spf,
         "XHPF {xhpf:.2} must beat SPF {spf:.2} on Jacobi"
@@ -64,7 +67,7 @@ fn regular_jacobi_message_passing_wins_but_dsm_is_close() {
 
 #[test]
 fn regular_fft_transpose_hurts_dsm_more() {
-    let (spf, tmk, xhpf, pvme) = speedups(AppId::Fft3d);
+    let [spf, tmk, xhpf, pvme] = Version::FIGURE.map(|v| REGULAR.speedup(AppId::Fft3d, v));
     assert!(xhpf > spf, "XHPF {xhpf:.2} vs SPF {spf:.2}");
     assert!(pvme > tmk, "PVMe {pvme:.2} vs Tmk {tmk:.2}");
     // FFT shows the largest regular-program gap in the paper (40%/49%).
@@ -76,7 +79,7 @@ fn regular_fft_transpose_hurts_dsm_more() {
 
 #[test]
 fn irregular_igrid_dsm_beats_compiled_message_passing() {
-    let (spf, _tmk, xhpf, pvme) = speedups_at(AppId::IGrid, IRREGULAR_SCALE);
+    let [spf, _tmk, xhpf, pvme] = Version::FIGURE.map(|v| IRREGULAR.speedup(AppId::IGrid, v));
     // Paper: SPF/Tmk 7.54, XHPF 3.85 (+89% for DSM), PVMe 7.88 (-4.4%).
     assert!(
         spf > xhpf * 1.3,
@@ -90,7 +93,7 @@ fn irregular_igrid_dsm_beats_compiled_message_passing() {
 
 #[test]
 fn irregular_nbf_dsm_beats_compiled_message_passing() {
-    let (spf, tmk, xhpf, pvme) = speedups_at(AppId::Nbf, IRREGULAR_SCALE);
+    let [spf, tmk, xhpf, pvme] = Version::FIGURE.map(|v| IRREGULAR.speedup(AppId::Nbf, v));
     // Paper: PVMe 6.18 > Tmk 5.86 > SPF 5.31 > XHPF 3.85.
     assert!(
         spf > xhpf * 1.2,
@@ -111,8 +114,7 @@ fn irregular_xhpf_data_explosion() {
     // Table 3: XHPF moves orders of magnitude more data because it
     // broadcasts whole partitions after unanalyzable loops.
     for app in AppId::IRREGULAR {
-        let spf = run(app, Version::Spf, NPROCS, IRREGULAR_SCALE);
-        let xhpf = run(app, Version::Xhpf, NPROCS, IRREGULAR_SCALE);
+        let (spf, xhpf) = (IRREGULAR.get(app, Spf), IRREGULAR.get(app, Xhpf));
         assert!(
             xhpf.kbytes > 3 * spf.kbytes,
             "{}: XHPF {} KB vs SPF {} KB",
@@ -128,10 +130,8 @@ fn hand_coded_dsm_beats_compiler_generated_dsm() {
     // Paper §7: "On both the regular and the irregular programs, the
     // hand-coded TreadMarks outperforms the SPF/TreadMarks combination.
     // The difference varies from 2% to 20%."
-    for app in [AppId::Jacobi, AppId::Shallow, AppId::Mgs, AppId::Fft3d] {
-        let seq = run(app, Version::Seq, 1, SCALE).time_us;
-        let spf = run(app, Version::Spf, NPROCS, SCALE).speedup_vs(seq);
-        let tmk = run(app, Version::Tmk, NPROCS, SCALE).speedup_vs(seq);
+    for app in AppId::REGULAR {
+        let (spf, tmk) = (REGULAR.speedup(app, Spf), REGULAR.speedup(app, Tmk));
         assert!(
             tmk >= spf,
             "{}: hand-coded {tmk:.2} must be at least compiler {spf:.2}",
@@ -144,9 +144,7 @@ fn hand_coded_dsm_beats_compiler_generated_dsm() {
 fn mgs_spf_pays_for_master_normalization() {
     // §5.3: the master-executed normalization costs SPF dearly
     // (3.35 vs 4.19 hand-coded).
-    let seq = run(AppId::Mgs, Version::Seq, 1, SCALE).time_us;
-    let spf = run(AppId::Mgs, Version::Spf, NPROCS, SCALE).speedup_vs(seq);
-    let tmk = run(AppId::Mgs, Version::Tmk, NPROCS, SCALE).speedup_vs(seq);
+    let [spf, tmk] = [Spf, Tmk].map(|v| REGULAR.speedup(AppId::Mgs, v));
     assert!(
         tmk > spf * 1.05,
         "MGS hand-coded {tmk:.2} must clearly beat SPF {spf:.2}"
