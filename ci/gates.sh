@@ -5,11 +5,14 @@
 # the release suites that belong to them — `cri_equivalence`,
 # `inspector_equivalence` and `protocol_equivalence` hold the recorded
 # message and round-trip bounds at 8 nodes, scale 0.08, and
-# `race_detection` is the race gate. The committed BENCH_sweep.json is
-# held by the tier-1 golden tests (`bench_sweep`, `cri_golden`,
-# `mp_equivalence`), not here. Run from
-# anywhere inside a checkout: `bash ci/gates.sh`. Leaves
-# trace_smoke.json and analyze_*.json (git-ignored) in the root.
+# `race_detection` is the race gate. The committed BENCH_sweep.json —
+# the reduced-scale SPF grid, hinted and message-passing cells, and the
+# paper's cells at `bench_sweep::PAPER_SCALE` — is held by the tier-1
+# golden tests (`bench_sweep`, `cri_golden`, `mp_equivalence`), and
+# `experiment_shape` asserts the paper's claims over its paper rows,
+# not here. Run from anywhere inside a checkout:
+# `bash ci/gates.sh`. Leaves trace_smoke.json and analyze_*.json
+# (git-ignored) in the root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

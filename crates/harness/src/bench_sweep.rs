@@ -1,17 +1,18 @@
 //! The `sweep` product: `BENCH_sweep.json`, the one committed record of
 //! the virtual clock.
 //!
-//! The file lists a fixed set of cells — `cells` — and, per cell, only
-//! simulated quantities, which are deterministic: rendering the cells
-//! again gives the committed file byte for byte, and three root tests
-//! hold every cell to its row: `tests/bench_sweep.rs` the unhinted
-//! shared-memory cells and the file's layout, `tests/cri_golden.rs` the
-//! hinted cells and
+//! The file lists a fixed set of cells — `cells`, the paper's own among
+//! them — and, per cell, only simulated quantities, which are
+//! deterministic: rendering the cells again gives the committed file byte
+//! for byte, and three root tests hold every cell to its row:
+//! `tests/bench_sweep.rs` the unhinted shared-memory and `Seq` cells and
+//! the file's layout, `tests/cri_golden.rs` the hinted cells and
 //! `tests/mp_equivalence.rs` the message-passing ones. A change that
 //! moves a simulated column therefore fails the test suite until the
 //! file is re-recorded (`dsm sweep`), and the diff of the file is the
-//! review of what moved. The host clock of these cells is the
-//! benchmark's (`BENCH_host.json`), not this file's.
+//! review of what moved. `tests/experiment_shape.rs` asserts the
+//! paper's claims over the paper's rows. The host clock of these cells
+//! is the benchmark's (`BENCH_host.json`), not this file's.
 //!
 //! Per cell, the row (`bench_sweep/v5`) holds:
 //!
@@ -39,8 +40,12 @@
 
 use apps::{AppId, RunSpec, Version};
 use sp2sim::stats::ALL_KINDS;
+use sp2sim::EngineKind;
 use treadmarks::ProtocolMode::{self, Hlrc, Lrc};
 
+use crate::cli::Cli;
+use crate::cmd::{compiler_opt, figure1, figure2_table3, handopt, table2};
+use crate::experiments::Cells;
 use crate::json::{num, obj, Json};
 use crate::sweep::sweep_map;
 
@@ -68,6 +73,12 @@ const HINTED: [(AppId, ProtocolMode, usize, f64); 13] = [
     (AppId::Nbf, Lrc, 3, 0.2),
 ];
 
+/// The scale of the paper's cells: the largest at which re-rendering
+/// them keeps `cargo build --release && cargo test -q` within 20 s of its
+/// wall time without them (on two x86-64 cores, a warm test run: +16 s
+/// at 0.5, about +20 s at 0.52, +59 s at 0.8).
+pub const PAPER_SCALE: f64 = 0.5;
+
 /// Every cell of the file, in file order, all on the FIFO schedule with
 /// tracing on:
 ///
@@ -77,9 +88,9 @@ const HINTED: [(AppId, ProtocolMode, usize, f64); 13] = [
 /// 2. the hinted cells (`HINTED`);
 /// 3. XHPF then PVMe of every application on 8 and on 3 nodes at
 ///    scale 0.05;
-/// 4. the hand-coded shared-memory programs on 8 nodes under LRC at
-///    scale 0.1 — [`Version::Tmk`] of every application, then
-///    [`Version::HandOpt`] of the four that have one.
+/// 4. the paper's cells: the distinct cells, `Seq` baselines included,
+///    that Figures 1–2, Tables 2–3, §5 and the compiler–runtime study
+///    read on 8 nodes under LRC at [`PAPER_SCALE`].
 pub fn cells() -> Vec<RunSpec> {
     let traced = |spec: RunSpec| RunSpec {
         cfg: spec.cfg.with_trace(true),
@@ -108,13 +119,21 @@ pub fn cells() -> Vec<RunSpec> {
             }
         }
     }
-    let hand = AppId::ALL.map(|app| (app, Version::Tmk)).into_iter().chain(
-        [AppId::Jacobi, AppId::Shallow, AppId::Fft3d, AppId::Mgs]
-            .map(|app| (app, Version::HandOpt)),
-    );
-    for (app, version) in hand {
-        cells.push(traced(RunSpec::new(app, version, 8, 0.1).protocol(Lrc)));
-    }
+    let paper = Cli {
+        scale: PAPER_SCALE,
+        nprocs: 8,
+        engine: EngineKind::Sequential,
+        protocol: Lrc,
+    };
+    let lists = [
+        figure1::cells,
+        table2::cells,
+        figure2_table3::cells,
+        handopt::cells,
+        compiler_opt::cells,
+    ];
+    let specs: Vec<RunSpec> = lists.iter().flat_map(|list| list(&paper)).collect();
+    cells.extend(Cells::distinct(&specs).into_iter().map(traced));
     cells
 }
 
@@ -188,4 +207,32 @@ pub fn document() -> Json {
         ("cells", num(rows.len() as f64)),
         ("grid", Json::Arr(rows)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::baseline;
+
+    /// A cell listed twice is recorded twice — at a paper scale of 0.05
+    /// or 0.1 the paper's SPF cells are grid cells — and a paper cell
+    /// without its `Seq` row has no speedup on record.
+    #[test]
+    fn cells_are_distinct_and_hold_every_paper_baseline() {
+        let untraced = |spec: RunSpec| RunSpec {
+            cfg: spec.cfg.with_trace(false),
+            ..spec
+        };
+        let cells: Vec<RunSpec> = cells().into_iter().map(untraced).collect();
+        for (i, cell) in cells.iter().enumerate() {
+            assert!(
+                !cells[..i].contains(cell),
+                "cell {i} is listed twice: {cell:?}"
+            );
+        }
+        for cell in cells.iter().filter(|c| c.scale == PAPER_SCALE) {
+            let seq = baseline(cell);
+            assert!(cells.contains(&seq), "no Seq row for {cell:?}");
+        }
+    }
 }

@@ -5,11 +5,11 @@
 //! Runs every cell [`crate::bench_sweep::document`] lists, across
 //! cores, and writes the document. The cells are fixed: a scale, a
 //! processor count, `--engine` or `--protocol` other than the defaults
-//! is a usage error.
-//! The root tests `tests/bench_sweep.rs`, `cri_golden.rs` and
-//! `mp_equivalence.rs` render the same cells and hold them against the
-//! committed file, so this is how a change that means to move a
-//! simulated column records the move.
+//! is a usage error. The root tests `tests/bench_sweep.rs`,
+//! `cri_golden.rs` and `mp_equivalence.rs` render the same cells and
+//! hold them against the committed file, and `experiment_shape.rs`
+//! asserts the paper's claims over its paper rows, so this is how a
+//! change that means to move a simulated column records the move.
 
 use sp2sim::EngineKind;
 use treadmarks::ProtocolMode;

@@ -17,17 +17,14 @@ use crate::sweep::sweep_map;
 /// (application, scale, engine) is one cell.
 fn cell(spec: &RunSpec) -> RunSpec {
     match spec.version {
-        Version::Seq => RunSpec::new(spec.app, Version::Seq, 1, spec.scale).on(spec.engine),
+        Version::Seq => baseline(spec),
         _ => *spec,
     }
 }
 
 /// The `Seq` cell `spec`'s speedup is measured against.
-fn baseline(spec: &RunSpec) -> RunSpec {
-    cell(&RunSpec {
-        version: Version::Seq,
-        ..*spec
-    })
+pub(crate) fn baseline(spec: &RunSpec) -> RunSpec {
+    RunSpec::new(spec.app, Version::Seq, 1, spec.scale).on(spec.engine)
 }
 
 /// Ran cells, each with its result: one per distinct simulation of the

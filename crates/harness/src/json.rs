@@ -95,36 +95,11 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    indent(out, depth + 1);
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                write_items(out, depth, ['[', ']'], items.iter().map(|v| (None, v)))
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
+                let fields = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_items(out, depth, ['{', '}'], fields)
             }
         }
     }
@@ -144,6 +119,34 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+/// An array's or object's items between `open` and `close`, one per line
+/// at `depth + 1`, each after its key if it has one; an empty one on a
+/// single line.
+fn write_items<'a>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(open);
+    let mut empty = true;
+    for (key, v) in items {
+        out.push_str(if empty { "\n" } else { ",\n" });
+        empty = false;
+        indent(out, depth + 1);
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(": ");
+        }
+        v.write(out, depth + 1);
+    }
+    if !empty {
+        out.push('\n');
+        indent(out, depth);
+    }
+    out.push(close);
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -208,8 +211,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.items(*b"[]", Self::value).map(Json::Arr),
+            Some(b'{') => self.items(*b"{}", Self::field).map(Json::Obj),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -271,66 +274,48 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the run up to the next quote or escape: both
+                    // are ASCII, so the run is whole UTF-8 scalars of the
+                    // &str input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&b| matches!(b, b'"' | b'\\'));
+                    let run = run.unwrap_or(rest.len());
+                    s.push_str(std::str::from_utf8(&rest[..run]).unwrap());
+                    self.pos += run;
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
+    /// The items of an array or object between `open` and `close`, each
+    /// read by `item`.
+    fn items<T>(
+        &mut self,
+        [open, close]: [u8; 2],
+        item: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.eat(open)?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+        while self.peek() != Some(close) {
+            if !items.is_empty() {
+                self.eat(b',')?;
+                self.skip_ws();
             }
+            items.push(item(self)?);
+            self.skip_ws();
         }
+        self.pos += 1;
+        Ok(items)
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
+    /// One `"key": value` field of an object.
+    fn field(&mut self) -> Result<(String, Json), String> {
+        let k = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((k, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok((k, self.value()?))
     }
 }
 
@@ -387,6 +372,19 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\\q\"").is_err());
         assert!(Json::parse("nul").is_err());
+        for bad in [
+            "[1 2]",
+            "[,1]",
+            "[1",
+            "{\"a\" 1}",
+            "{\"a\": 1,}",
+            "{1: 2}",
+            "\"ab",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(Json::parse("[ ]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse(" { } ").unwrap(), Json::Obj(vec![]));
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod sweep;
 pub mod trace_analysis;
 
 pub use critical_path::{check_dag, CriticalPath, DagCheck, Segment, SegmentKind};
-pub use experiments::Cells;
 pub use json::Json;
 pub use report::{render_table, Table};
 pub use sweep::sweep_map;
