@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The harness gates, as CI's `gates` job runs them: the experiment
 # tables (every cell held against the sequential program by
-# `harness::oracle`), a traced run, the `analyze` identity gates, and
-# the release suites that belong to them — `cri_equivalence`,
+# `harness::oracle`), the traced `analyze` runs and their identity
+# gates (each run checks the documents it writes before writing them),
+# and the release suites that belong to them — `cri_equivalence`,
 # `inspector_equivalence` and `protocol_equivalence` hold the recorded
 # message and round-trip bounds at 8 nodes, scale 0.08, and
 # `race_detection` is the race gate. The committed BENCH_sweep.json —
@@ -33,17 +34,11 @@ cargo test -q --release --test protocol_equivalence --test cri_equivalence --tes
 step "race: the seeded race is flagged, the six applications are race-free"
 cargo test -q --release --test race_detection
 
-step "trace: record a traced run, validate the export, trace invariant suite"
-"$dsm" trace 0.08 8 --app jacobi --protocol hlrc --out trace_smoke.json --breakdown
-"$dsm" trace --validate trace_smoke.json
-cargo test -q --release --test trace_invariants
-
-step "analyze: identity gates, schema validation of the reports, critical-path suite"
+step "analyze: traced runs, their checked Perfetto and analyze/v1 documents, identity gates; trace and critical-path suites"
 "$dsm" analyze 0.08 8 --app igrid --version cri --json analyze_igrid_cri.json --gate-identity
-"$dsm" analyze 0.08 8 --app jacobi --protocol hlrc --json analyze_jacobi_hlrc.json --gate-identity
-"$dsm" analyze --check analyze_igrid_cri.json
-"$dsm" analyze --check analyze_jacobi_hlrc.json
-cargo test -q --release --test critical_path
+"$dsm" analyze 0.08 8 --app jacobi --protocol hlrc --out trace_smoke.json \
+    --json analyze_jacobi_hlrc.json --gate-identity
+cargo test -q --release --test trace_invariants --test critical_path
 
 step "seam: no protocol comparison outside lrc.rs, hlrc.rs and the dispatchers in coherence.rs"
 # Non-test code only: each file is cut at its `#[cfg(test)]` line.

@@ -205,8 +205,7 @@ pub struct RunResult {
     /// Data races found by the cluster-wide post-run analysis, when the
     /// run was configured with [`TmkConfig::detect_races`]. Empty means
     /// either detection was off or — the gate the six applications must
-    /// pass — no concurrent intervals wrote the same word. Also counted
-    /// in [`DsmStats::races_detected`].
+    /// pass — no concurrent intervals wrote the same word.
     pub race_report: Vec<RaceReport>,
     /// Cluster-wide sharing-pattern profile: per-page fault/diff/writer
     /// heatmap and per-lock contention, merged over nodes. Empty for
@@ -234,7 +233,7 @@ impl RunResult {
             .iter()
             .find_map(|o| o.checksum.clone())
             .expect("some node produced a checksum");
-        let mut dsm = DsmStats::total(outs.iter().filter_map(|o| o.dsm.as_ref()));
+        let dsm = DsmStats::total(outs.iter().filter_map(|o| o.dsm.as_ref()));
         let mut sharing = SharingProfile::default();
         let mut logs: Vec<RaceLog> = Vec::new();
         for o in outs {
@@ -247,7 +246,6 @@ impl RunResult {
         }
         let race_report = treadmarks::race::detect(&logs);
         let false_sharing = treadmarks::race::detect_false_sharing(&logs);
-        dsm.races_detected = race_report.len() as u64;
         RunResult {
             app,
             version,

@@ -13,7 +13,7 @@
 //! what every recorded table and baseline uses. `--engine seeded:N`
 //! runs the same simulation under the random, preempting schedule seed
 //! `N` stands for — how a failure the schedule explorer printed a seed
-//! for is replayed, traced (`dsm trace`) and analyzed (`dsm analyze`).
+//! for is replayed, traced and analyzed (`dsm analyze`).
 //! Either way the output is identical on every invocation.
 //!
 //! The default protocol is **lrc** (the original TreadMarks protocol);
@@ -224,8 +224,8 @@ impl Spec {
     }
 }
 
-/// Parse an application name as accepted by the `trace` and `analyze`
-/// subcommands' `--app` flag.
+/// Parse an application name as accepted by the `analyze` subcommand's
+/// `--app` flag.
 pub fn parse_app(s: &str) -> Result<apps::AppId, String> {
     use apps::AppId;
     Ok(match s.to_ascii_lowercase().as_str() {

@@ -1,21 +1,25 @@
-//! Causal bottleneck analysis of one application run: the critical
-//! path through the cross-node happens-before DAG, plus the
-//! sharing-pattern diagnostics (page heatmap, false-sharing candidates,
-//! lock contention) that name *which* pages and locks the time goes to.
+//! The one traced-run tool: one application run, traced, explained by
+//! its virtual-time breakdown, the critical path through the
+//! cross-node happens-before DAG, and the sharing-pattern diagnostics
+//! (page heatmap, false-sharing candidates, lock contention) that name
+//! *which* pages and locks the time goes to.
 //!
 //! Usage:
 //!
 //! ```text
 //! analyze [scale] [nprocs] [--app jacobi] [--version spf] [--top N]
-//!         [--json FILE] [--gate-identity]
+//!         [--out FILE] [--json FILE] [--gate-identity]
 //!         [--engine sequential|seeded:N] [--protocol lrc|hlrc]
-//! analyze --check report.json
 //! ```
 //!
 //! The run is executed with tracing *and* race-detection provenance on
 //! (both are pure observers — simulated results are bit-identical
 //! either way, pinned by the trace/race overhead gates). The report:
 //!
+//! * **Breakdown** — per node and per epoch, the virtual time spent
+//!   computing, waiting, in protocol service and on the wire
+//!   ([`crate::trace_analysis`]); the service loop's time overlaps the
+//!   rest and is shown beside it.
 //! * **Critical path** — the longest dependence chain ending at the
 //!   cluster's final virtual time, attributed by category, span kind,
 //!   message kind and (node, epoch), with per-node slack. On the
@@ -29,18 +33,23 @@
 //! * **Lock contention** — per-lock acquires, blocked virtual time and
 //!   handoff chains.
 //!
-//! `--json` additionally writes the whole analysis as a stable JSON
-//! document (`schema: "analyze/v1"`) so CI and notebooks can consume
-//! the named bottlenecks machine-readably. `--check FILE` re-parses a
-//! previously written report and validates the schema shape and its
-//! internal consistency (category sums vs path length, slack vector
-//! length, exactness vs the recorded final clock) — the CI validation
-//! mode, exit non-zero on any violation.
+//! `--out` writes the trace as Chrome/Perfetto trace-event JSON, the
+//! critical path as its own lane (load it in `chrome://tracing` or
+//! <https://ui.perfetto.dev>); `--json` writes the whole analysis as a
+//! stable JSON document (`schema: "analyze/v1"`) so CI and notebooks
+//! can consume the named bottlenecks machine-readably. Each document is
+//! checked before either is written — the export's Perfetto invariants,
+//! the report's schema shape and internal consistency (category sums vs
+//! path length, slack vector length, exactness vs the recorded final
+//! clock) — and a failed check writes nothing and exits 1. A trace that
+//! dropped events fails the export's check by design: there both
+//! documents are written anyway, with a warning.
 
 use crate::cli::{parse_app, parse_version, Cli, Exit, Flags};
 use crate::critical_path::{self, CriticalPath, DagCheck};
 use crate::json::{num, obj};
 use crate::report::{f1 as us, pct, render_table, Table};
+use crate::trace_analysis::{analyze, to_chrome_trace, validate_chrome_trace, TraceAnalysis};
 use crate::{Json, SegmentKind};
 use apps::{AppId, Version};
 use sp2sim::stats::msg_label;
@@ -51,22 +60,11 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     let version = flags
         .parsed("--version", parse_version)?
         .unwrap_or(Version::Spf);
+    let out = flags.value("--out");
     let json_out = flags.value("--json");
     let top = |v: &str| v.parse::<usize>().map_err(|_| format!("bad --top {v}"));
     let top = flags.parsed("--top", top)?.unwrap_or(8);
     let gate = flags.has("--gate-identity");
-    let check = flags.value("--check");
-
-    // Validation mode: re-parse a written report, check the schema
-    // shape and internal consistency, exit nonzero on any violation.
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| Exit::error(format!("cannot read {path}: {e}")))?;
-        let doc = Json::parse(&text).map_err(|e| Exit::error(format!("{path}: {e}")))?;
-        let summary = check_report(&doc).map_err(|e| Exit::error(format!("{path}: {e}")))?;
-        println!("{path}: valid analyze/v1 report ({summary})");
-        return Ok(());
-    }
 
     let mut spec = cli.spec(app, version);
     spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
@@ -99,6 +97,7 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         cli.scale,
         t_max / 1e6,
     );
+    print_breakdown(&analyze(trace));
 
     // ---- critical path -------------------------------------------------
     let len = cp.length_us();
@@ -243,10 +242,28 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
         );
     }
 
-    // ---- machine-readable output --------------------------------------
-    if let Some(path) = json_out {
+    // ---- the documents: both checked, then both written --------------
+    type Check = fn(&Json) -> Result<(), String>;
+    let export = out.map(|path| {
+        let json = to_chrome_trace(trace, Some(&cp));
+        (path, json, validate_chrome_trace as Check)
+    });
+    let report = json_out.map(|path| {
         let doc = to_json(app, version, cli, &r, &cp, &dag, t_max, dropped, exact, top);
-        std::fs::write(&path, doc.render())
+        (path, doc, check_report as Check)
+    });
+    let docs: Vec<_> = export.into_iter().chain(report).collect();
+    for (path, doc, check) in &docs {
+        match check(doc) {
+            Ok(()) => {}
+            // A lossy trace fails the export's check by design (its
+            // dropped-events instant): its partial data is still written.
+            Err(e) if dropped > 0 => eprintln!("warning: {path}: {e}"),
+            Err(e) => return Err(Exit::failure(format!("{path}: {e}; nothing written"))),
+        }
+    }
+    for (path, doc, _) in &docs {
+        std::fs::write(path, doc.render())
             .map_err(|e| Exit::error(format!("cannot write {path}: {e}")))?;
         println!("\nwrote {path}");
     }
@@ -263,111 +280,117 @@ pub fn run(cli: Cli, flags: &Flags) -> Result<(), Exit> {
     Ok(())
 }
 
-/// Validate a written `analyze/v1` report: every field the schema
-/// promises is present and well-typed, and the redundant quantities
-/// agree (the four by-category sums telescope to the path length; the
-/// slack vector covers every node; an "exact" path length equals the
-/// recorded final clock bitwise). Returns a one-line summary.
-fn check_report(doc: &Json) -> Result<String, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing schema")?;
-    if schema != "analyze/v1" {
+/// The per-node and per-epoch virtual-time breakdown tables.
+fn print_breakdown(a: &TraceAnalysis) {
+    let mut t = Table::new(vec![
+        "node", "total_us", "compute", "covered", "wait", "service", "wire", "svc_loop",
+    ]);
+    for n in &a.nodes {
+        t.row(vec![
+            n.node.to_string(),
+            us(n.total_us),
+            us(n.compute_us()),
+            us(n.covered_compute_us),
+            us(n.wait_us),
+            us(n.service_us),
+            us(n.wire_us),
+            us(n.svc_track_us),
+        ]);
+    }
+    println!("\nPer-node breakdown (virtual us; svc_loop overlaps the rest):\n");
+    println!("{}", render_table(&t));
+    if !a.epochs.is_empty() {
+        let mut t = Table::new(vec!["epoch", "compute", "wait", "service", "wire", "spans"]);
+        for e in &a.epochs {
+            t.row(vec![
+                e.index.to_string(),
+                us(e.compute_us),
+                us(e.wait_us),
+                us(e.service_us),
+                us(e.wire_us),
+                e.spans.to_string(),
+            ]);
+        }
+        println!("Per-epoch breakdown (summed over nodes):\n");
+        println!("{}", render_table(&t));
+    }
+}
+
+/// Validate an `analyze/v1` report: every field the schema promises is
+/// present and well-typed, and the redundant quantities agree (the four
+/// by-category sums telescope to the path length; the slack vector
+/// covers every node; an "exact" path length equals the recorded final
+/// clock bitwise; the path starts on a node and crosses the wire on at
+/// most every segment).
+fn check_report(doc: &Json) -> Result<(), String> {
+    let get = |path: &str| {
+        let field = path.split('.').try_fold(doc, |j, key| j.get(key));
+        field.ok_or_else(|| format!("missing {path}"))
+    };
+    let num = |path: &str| get(path)?.as_f64().ok_or(format!("{path} is not a number"));
+    let arr = |path: &str| get(path)?.as_arr().ok_or(format!("{path} is not an array"));
+    let schema = get("schema")?.as_str();
+    if schema != Some("analyze/v1") {
         return Err(format!("schema {schema:?}, expected \"analyze/v1\""));
     }
     for key in ["app", "version", "protocol", "engine"] {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing {key}"))?;
+        get(key)?.as_str().ok_or(format!("{key} is not a string"))?;
     }
-    let field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing {k}"))
-    };
-    let nprocs = field("nprocs")?;
-    let t_max = field("max_final_us")?;
-    let dropped = field("dropped")?;
-    if nprocs < 1.0 || !t_max.is_finite() || t_max <= 0.0 || dropped < 0.0 {
-        return Err("implausible nprocs/max_final_us/dropped".into());
+    let (nprocs, scale, t_max) = (num("nprocs")?, num("scale")?, num("max_final_us")?);
+    if nprocs < 1.0 || scale <= 0.0 || !t_max.is_finite() || t_max <= 0.0 || num("dropped")? < 0.0 {
+        return Err("implausible nprocs/scale/max_final_us/dropped".into());
     }
-    let cp = doc.get("critical_path").ok_or("missing critical_path")?;
-    let cp_field = |k: &str| {
-        cp.get(k)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing critical_path.{k}"))
-    };
-    let len = cp_field("length_us")?;
-    let wait_share = cp_field("wait_share")?;
-    let segments = cp_field("segments")?;
-    let exact = match cp.get("exact") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("missing critical_path.exact".into()),
+    let len = num("critical_path.length_us")?;
+    let wait_share = num("critical_path.wait_share")?;
+    let segments = num("critical_path.segments")?;
+    let start_node = num("critical_path.start_node")?;
+    let wire_hops = num("critical_path.wire_hops")?;
+    let &Json::Bool(exact) = get("critical_path.exact")? else {
+        return Err("critical_path.exact is not a boolean".into());
     };
     if !len.is_finite() || len <= 0.0 || segments < 1.0 || !(0.0..=1.0).contains(&wait_share) {
         return Err("implausible critical_path length/segments/wait_share".into());
+    }
+    if start_node >= nprocs || wire_hops > segments {
+        return Err(format!(
+            "critical_path starts on node {start_node} of {nprocs}, \
+             {wire_hops} wire hops in {segments} segments"
+        ));
     }
     if exact && len.to_bits() != t_max.to_bits() {
         return Err(format!(
             "claims exact but length_us {len} != max_final_us {t_max}"
         ));
     }
-    let cats = cp.get("by_category").ok_or("missing by_category")?;
     let mut cat_sum = 0.0;
     for c in Category::ALL {
-        cat_sum += cats
-            .get(c.label())
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing by_category.{}", c.label()))?;
+        cat_sum += num(&format!("critical_path.by_category.{}", c.label()))?;
     }
     if (cat_sum - len).abs() > 1e-6 * len.max(1.0) {
         return Err(format!("by_category sums to {cat_sum}, path length {len}"));
     }
-    let slack = cp
-        .get("slack_us")
-        .and_then(Json::as_arr)
-        .ok_or("missing slack_us")?;
-    if slack.len() != nprocs as usize {
-        return Err(format!(
-            "slack_us has {} entries for {nprocs} nodes",
-            slack.len()
-        ));
+    let slack = arr("critical_path.slack_us")?.len();
+    if slack != nprocs as usize {
+        return Err(format!("slack_us has {slack} entries for {nprocs} nodes"));
     }
     for key in ["by_label", "by_message", "hot_node_epochs"] {
-        if cp.get(key).and_then(Json::as_arr).is_none() {
-            return Err(format!("missing critical_path.{key}"));
-        }
+        arr(&format!("critical_path.{key}"))?;
     }
-    let dag = doc.get("dag").ok_or("missing dag")?;
     for key in [
         "recvs",
         "matched_send",
         "matched_edge",
+        "self_delivered",
         "edges",
         "violations",
     ] {
-        dag.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing dag.{key}"))?;
+        num(&format!("dag.{key}"))?;
     }
-    let n_pages = doc
-        .get("pages")
-        .and_then(Json::as_arr)
-        .ok_or("missing pages")?
-        .len();
-    let n_fs = doc
-        .get("false_sharing")
-        .and_then(Json::as_arr)
-        .ok_or("missing false_sharing")?
-        .len();
-    doc.get("locks")
-        .and_then(Json::as_arr)
-        .ok_or("missing locks")?;
-    field("races")?;
-    Ok(format!(
-        "path {len:.1} us, exact={exact}, {n_pages} pages, {n_fs} false-sharing candidates"
-    ))
+    for key in ["pages", "false_sharing", "locks"] {
+        arr(key)?;
+    }
+    num("races")?;
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -383,16 +406,7 @@ fn to_json(
     exact: bool,
     top: usize,
 ) -> Json {
-    let cats = cp.by_category();
-    let cat_obj = obj(Category::ALL
-        .iter()
-        .map(|c| {
-            (
-                c.label(),
-                num(cats.iter().find(|(k, _)| k == c).map(|(_, v)| *v).unwrap()),
-            )
-        })
-        .collect());
+    let cats = cp.by_category().map(|(c, v)| (c.label(), num(v)));
     let labels = Json::Arr(
         cp.by_label()
             .iter()
@@ -494,7 +508,7 @@ fn to_json(
                 ("start_node", num(cp.start_node)),
                 ("segments", num(cp.segments.len() as u32)),
                 ("wire_hops", num(wire_hops as u32)),
-                ("by_category", cat_obj),
+                ("by_category", obj(cats.to_vec())),
                 ("by_label", labels),
                 ("by_message", msgs),
                 ("hot_node_epochs", hot),
@@ -520,4 +534,126 @@ fn to_json(
         ("locks", locks),
         ("races", num(r.race_report.len() as u32)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cli::argv;
+
+    /// The `analyze/v1` document of Jacobi SPF at scale 0.03 on two
+    /// nodes, built as `run` builds it.
+    fn report() -> Json {
+        let (cli, _) = crate::cmd::COMMON.parse(&mut argv(&["0.03", "2"])).unwrap();
+        let mut spec = cli.spec(AppId::Jacobi, Version::Spf);
+        spec.cfg = spec.cfg.with_trace(true).with_race_detection(true);
+        let r = spec.run();
+        let trace = r.trace.as_ref().expect("traced");
+        let cp = critical_path::compute(trace).expect("a path");
+        let dag = critical_path::check_dag(trace);
+        let t_max = trace.final_us.iter().copied().fold(0.0, f64::max);
+        let exact = cp.exact() && cp.length_us().to_bits() == t_max.to_bits();
+        to_json(
+            AppId::Jacobi,
+            Version::Spf,
+            cli,
+            &r,
+            &cp,
+            &dag,
+            t_max,
+            0,
+            exact,
+            8,
+        )
+    }
+
+    /// The fields of the object at `path` in `j`.
+    fn fields<'a>(j: &'a mut Json, path: &[&str]) -> &'a mut Vec<(String, Json)> {
+        let Json::Obj(fs) = j else {
+            panic!("{path:?}: not an object")
+        };
+        match path.split_first() {
+            None => fs,
+            Some((key, rest)) => {
+                let field = fs.iter_mut().find(|(k, _)| k == key).expect(key);
+                fields(&mut field.1, rest)
+            }
+        }
+    }
+
+    /// The report with field `key` of its object at `path` replaced by
+    /// what `edit` makes of it, or dropped where that is `None`.
+    fn edited(path: &[&str], key: &str, edit: impl Fn(&Json) -> Option<Json>) -> Json {
+        let mut doc = report();
+        let fs = fields(&mut doc, path);
+        let i = fs.iter().position(|(k, _)| k == key).expect(key);
+        match edit(&fs[i].1) {
+            Some(v) => fs[i].1 = v,
+            None => drop(fs.remove(i)),
+        }
+        doc
+    }
+
+    #[test]
+    fn a_real_report_passes_its_check() {
+        let doc = report();
+        assert_eq!(check_report(&doc), Ok(()));
+        let cp = doc.get("critical_path").unwrap();
+        assert_eq!(cp.get("exact"), Some(&Json::Bool(true)));
+        // What the check holds is what the file holds.
+        assert_eq!(check_report(&Json::parse(&doc.render()).unwrap()), Ok(()));
+    }
+
+    #[test]
+    fn each_broken_invariant_is_rejected() {
+        let plus_one = |j: &Json| Some(num(j.as_f64().unwrap() + 1.0));
+        let shorter = |j: &Json| Some(Json::Arr(j.as_arr().unwrap()[1..].to_vec()));
+        let path = ["critical_path"];
+        let cases = [
+            (
+                edited(&[], "schema", |_| Some(Json::Str("analyze/v0".into()))),
+                "expected \"analyze/v1\"",
+            ),
+            (
+                edited(&[path[0], "by_category"], "compute", plus_one),
+                "by_category sums to",
+            ),
+            (edited(&[], "max_final_us", plus_one), "claims exact"),
+            (
+                edited(&path, "slack_us", shorter),
+                "slack_us has 1 entries for 2 nodes",
+            ),
+            (
+                edited(&path, "start_node", |_| Some(num(2))),
+                "starts on node 2 of 2",
+            ),
+            (edited(&["dag"], "recvs", |_| None), "missing dag.recvs"),
+        ];
+        for (doc, needle) in cases {
+            let e = check_report(&doc).expect_err(needle);
+            assert!(e.contains(needle), "{needle}: {e}");
+        }
+    }
+
+    /// Every field `to_json` writes at the top level, in
+    /// `critical_path`, its `by_category` and `dag` is one the check
+    /// requires — `scale`, `start_node`, `wire_hops` and
+    /// `self_delivered` among them.
+    #[test]
+    fn every_written_field_is_required() {
+        let mut count = 0;
+        for path in [
+            &[][..],
+            &["critical_path"],
+            &["critical_path", "by_category"],
+            &["dag"],
+        ] {
+            for (key, _) in fields(&mut report(), path).clone() {
+                let e = check_report(&edited(path, &key, |_| None)).expect_err(&key);
+                assert!(e.contains("missing") && e.contains(&key), "{key}: {e}");
+                count += 1;
+            }
+        }
+        assert_eq!(count, 15 + 11 + 4 + 6);
+    }
 }

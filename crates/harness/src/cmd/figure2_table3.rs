@@ -4,8 +4,8 @@
 //! out — the repository's answer to the paper's §6 conclusion.
 //!
 //! Usage: `figure2_table3 [scale] [nprocs]` (defaults 0.1 and 8). The
-//! headline cell's trace and causal report are `dsm trace` / `dsm
-//! analyze --app igrid --version cri`.
+//! headline cell's breakdown, trace and causal report are `dsm analyze
+//! --app igrid --version cri`.
 
 use apps::{AppId, RunSpec, Version};
 

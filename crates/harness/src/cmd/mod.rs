@@ -23,7 +23,6 @@ pub mod scaling;
 pub mod sweep;
 pub mod table1;
 pub mod table2;
-pub mod trace;
 
 /// One subcommand: its name, a one-line summary for `dsm help`, the
 /// grammar it accepts and what it runs.
@@ -69,7 +68,7 @@ const COMMON: Spec = Spec {
 
 /// Every subcommand, in `dsm help` order: the ten paper artifacts, in
 /// the order `all` runs them, then `all`, then the tools.
-pub static COMMANDS: [Command; 14] = [
+pub static COMMANDS: [Command; 13] = [
     Command {
         name: "table1",
         summary: "Table 1: data-set sizes and sequential times",
@@ -150,21 +149,11 @@ pub static COMMANDS: [Command; 14] = [
         run: Run::Tool(sweep::run),
     },
     Command {
-        name: "trace",
-        summary: "traced run: Chrome/Perfetto JSON and the virtual-time breakdown",
-        spec: Spec {
-            defaults: (0.1, 8),
-            values: &["--app", "--version", "--out", "--validate"],
-            switches: &["--breakdown"],
-        },
-        run: Run::Tool(trace::run),
-    },
-    Command {
         name: "analyze",
-        summary: "critical path and sharing diagnostics (analyze/v1)",
+        summary: "traced run: time breakdown, critical path, sharing; Perfetto and analyze/v1",
         spec: Spec {
             defaults: (0.1, 8),
-            values: &["--app", "--version", "--top", "--json", "--check"],
+            values: &["--app", "--version", "--top", "--out", "--json"],
             switches: &["--gate-identity"],
         },
         run: Run::Tool(analyze::run),
@@ -298,7 +287,7 @@ mod tests {
         let names: Vec<&str> = before_all.map(|c| c.name).collect();
         assert_eq!(names.len(), 10, "{names:?}");
         assert_eq!(artifacts().count(), 10);
-        for tool in ["all", "sweep", "trace", "analyze"] {
+        for tool in ["all", "sweep", "analyze"] {
             assert!(find(tool).is_some() && !names.contains(&tool), "{tool}");
             assert!(matches!(find(tool).unwrap().run, Run::Tool(_)), "{tool}");
         }

@@ -7,9 +7,9 @@
 //!
 //! Usage: `protocol_compare [scale] [nprocs] [--engine E]` (defaults
 //! 0.1 and 8). HLRC Jacobi's round-trip bound at 8 nodes and scale 0.08
-//! is held by `tests/protocol_equivalence.rs`; a traced or analyzed
-//! Jacobi run under either protocol is `dsm trace` / `dsm analyze`
-//! `--app jacobi --protocol lrc|hlrc`.
+//! is held by `tests/protocol_equivalence.rs`; a traced and analyzed
+//! Jacobi run under either protocol is `dsm analyze --app jacobi
+//! --protocol lrc|hlrc`.
 
 use apps::{AppId, RunSpec, Version};
 use treadmarks::ProtocolMode;

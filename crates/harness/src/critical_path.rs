@@ -158,45 +158,35 @@ impl CriticalPath {
 
     /// Path time per `(node, epoch)`, descending.
     pub fn by_node_epoch(&self) -> Vec<((u32, u32), f64)> {
-        let mut acc: Vec<((u32, u32), f64)> = Vec::new();
-        for s in &self.segments {
-            let key = (s.node, s.epoch);
-            match acc.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += s.dur_us(),
-                None => acc.push((key, s.dur_us())),
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        acc
+        self.tally(|s| Some((s.node, s.epoch)))
     }
 
     /// Wire time per message kind code, descending.
     pub fn by_message(&self) -> Vec<(u8, f64)> {
-        let mut acc: Vec<(u8, f64)> = Vec::new();
-        for s in &self.segments {
-            if let SegmentKind::Wire { code, .. } = s.kind {
-                match acc.iter_mut().find(|(k, _)| *k == code) {
-                    Some((_, v)) => *v += s.dur_us(),
-                    None => acc.push((code, s.dur_us())),
-                }
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        acc
+        self.tally(|s| match s.kind {
+            SegmentKind::Wire { code, .. } => Some(code),
+            _ => None,
+        })
     }
 
     /// Path time per segment label (span kind, "service", "wire", …),
     /// descending — the analyzer's "top contributors" view.
     pub fn by_label(&self) -> Vec<(&'static str, f64)> {
-        let mut acc: Vec<(&'static str, f64)> = Vec::new();
+        self.tally(|s| Some(s.kind.label()))
+    }
+
+    /// Path time per key of the segments `key` names, summed in path
+    /// order, descending by time with ties broken by key.
+    fn tally<K: Ord>(&self, key: impl Fn(&Segment) -> Option<K>) -> Vec<(K, f64)> {
+        let mut acc: Vec<(K, f64)> = Vec::new();
         for s in &self.segments {
-            let l = s.kind.label();
-            match acc.iter_mut().find(|(k, _)| *k == l) {
+            let Some(k) = key(s) else { continue };
+            match acc.iter_mut().find(|(a, _)| *a == k) {
                 Some((_, v)) => *v += s.dur_us(),
-                None => acc.push((l, s.dur_us())),
+                None => acc.push((k, s.dur_us())),
             }
         }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
+        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         acc
     }
 }

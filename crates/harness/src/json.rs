@@ -1,8 +1,8 @@
 //! Minimal JSON tree, renderer and parser.
 //!
 //! The sweep writes the golden `BENCH_sweep.json`, which the test suite
-//! parses back to name the cells that moved; `trace` and `analyze`
-//! write and re-check their own documents. The workspace takes no
+//! parses back to name the cells that moved; `analyze` writes its two
+//! documents and checks both first. The workspace takes no
 //! serialization dependency, so this module hand-rolls the small JSON
 //! subset those files need: finite
 //! numbers, strings, booleans, null, arrays and (insertion-ordered)

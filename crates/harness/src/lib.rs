@@ -7,8 +7,8 @@
 //! the runs it reads, [`experiments::Cells`] runs each distinct one once
 //! — an artifact's own list alone, the union of all ten under `all` —
 //! and the artifact renders its table from them with the `report`
-//! module's aligned text tables. `sweep` is [`bench_sweep`], `trace` is
-//! [`trace_analysis`], `analyze` is [`critical_path`]. Every cell any of
+//! module's aligned text tables. `sweep` is [`bench_sweep`], `analyze` is
+//! [`trace_analysis`] and [`critical_path`]. Every cell any of
 //! them runs goes through [`oracle`],
 //! which holds its checksum against the sequential program's and fails
 //! the subcommand on a wrong result. The full suite is

@@ -8,7 +8,7 @@
 //! same `(app, scale)`, at the tolerances of `tests/cross_version.rs`.
 //! An artifact's cells include that program, the baseline of its
 //! speedups, so it runs beside the others; a subcommand that runs none
-//! (`sweep`, `trace`, `analyze`) pays for it once per `(app, scale)`,
+//! (`sweep`, `analyze`) pays for it once per `(app, scale)`,
 //! after its own cells. A divergent cell is named on
 //! stderr and fails the subcommand with status 1; agreeing cells print
 //! nothing.

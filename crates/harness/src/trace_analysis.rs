@@ -62,8 +62,6 @@ pub struct NodeBreakdown {
     /// runs while the app computes or waits), so it is reported
     /// separately and excluded from the identity.
     pub svc_track_us: f64,
-    /// Send occupancy on the service track (replies, forwards).
-    pub svc_wire_us: f64,
     /// Events lost to ring-buffer overflow on either track. When
     /// nonzero the breakdown is a lower bound, not an identity.
     pub dropped: u64,
@@ -162,10 +160,8 @@ pub fn analyze(data: &TraceData) -> TraceAnalysis {
         if let Some(t) = data.track(node, TracePort::Service) {
             b.dropped += t.dropped;
             for e in &t.events {
-                match e.kind {
-                    EventKind::Service { dur_us, .. } => b.svc_track_us += dur_us,
-                    EventKind::Send { wire_us, .. } => b.svc_wire_us += wire_us,
-                    _ => {}
+                if let EventKind::Service { dur_us, .. } = e.kind {
+                    b.svc_track_us += dur_us;
                 }
             }
         }
@@ -290,6 +286,14 @@ fn base_event(name: String, ph: &str, ts: f64, pid: u32, tid: u32) -> Vec<(&'sta
     ]
 }
 
+/// A thread-scoped instant event carrying `args`.
+fn instant(name: String, ts: f64, pid: u32, tid: u32, args: Vec<(&str, Json)>) -> Json {
+    let mut f = base_event(name, "i", ts, pid, tid);
+    f.push(("s", Json::Str("t".into())));
+    f.push(("args", obj(args)));
+    obj(f)
+}
+
 fn meta_event(name: &str, pid: u32, tid: Option<u32>, value: &str) -> Json {
     let mut fields = vec![
         ("name", Json::Str(name.into())),
@@ -312,19 +316,14 @@ fn meta_event(name: &str, pid: u32, tid: Option<u32>, value: &str) -> Json {
 /// timestamp rather than emission order). Message sends, receives and
 /// epoch boundaries appear as instant events. All timestamps are
 /// virtual microseconds.
-pub fn to_chrome_trace(data: &TraceData) -> Json {
-    to_chrome_trace_with_path(data, None)
-}
-
-/// Like [`to_chrome_trace`], but additionally renders a computed
-/// [`CriticalPath`] as a dedicated synthetic process (pid one past
-/// the highest node id, named "critical path") whose single thread
-/// carries one complete "X" event per path segment. Loading the file
-/// in Perfetto
-/// shows the causal chain as a contiguous lane aligned with the
-/// per-node tracks it threads through; each event's args name the
-/// node and epoch the segment was attributed to.
-pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) -> Json {
+///
+/// A computed [`CriticalPath`], when given, is rendered as a dedicated
+/// synthetic process (pid one past the highest node id, named
+/// "critical path") whose single thread carries one complete "X" event
+/// per path segment: Perfetto shows the causal chain as a contiguous
+/// lane aligned with the per-node tracks it threads through; each
+/// event's args name the node and epoch the segment was attributed to.
+pub fn to_chrome_trace(data: &TraceData, path: Option<&CriticalPath>) -> Json {
     let mut events: Vec<Json> = Vec::new();
     let mut seen_nodes: Vec<u32> = Vec::new();
     for t in &data.tracks {
@@ -358,58 +357,50 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
                     peer,
                     wire_us,
                     seq,
-                } => {
-                    let name = format!("send {} {}B -> {}", msg_label(code), bytes, peer);
-                    let mut f = base_event(name, "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("bytes", Json::Num(bytes as f64)),
-                            ("peer", Json::Num(peer as f64)),
-                            ("wire_us", Json::Num(wire_us)),
-                            ("seq", Json::Num(seq as f64)),
-                        ]),
-                    ));
-                    obj(f)
-                }
+                } => instant(
+                    format!("send {} {}B -> {}", msg_label(code), bytes, peer),
+                    ts,
+                    t.node,
+                    tid,
+                    vec![
+                        ("bytes", Json::Num(bytes as f64)),
+                        ("peer", Json::Num(peer as f64)),
+                        ("wire_us", Json::Num(wire_us)),
+                        ("seq", Json::Num(seq as f64)),
+                    ],
+                ),
                 EventKind::Recv {
                     code,
                     bytes,
                     peer,
                     seq,
                     wait_us,
-                } => {
-                    let name = format!("recv {} {}B <- {}", msg_label(code), bytes, peer);
-                    let mut f = base_event(name, "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("bytes", Json::Num(bytes as f64)),
-                            ("peer", Json::Num(peer as f64)),
-                            ("seq", Json::Num(seq as f64)),
-                            ("wait_us", Json::Num(wait_us)),
-                        ]),
-                    ));
-                    obj(f)
-                }
+                } => instant(
+                    format!("recv {} {}B <- {}", msg_label(code), bytes, peer),
+                    ts,
+                    t.node,
+                    tid,
+                    vec![
+                        ("bytes", Json::Num(bytes as f64)),
+                        ("peer", Json::Num(peer as f64)),
+                        ("seq", Json::Num(seq as f64)),
+                        ("wait_us", Json::Num(wait_us)),
+                    ],
+                ),
                 EventKind::Edge {
                     kind,
                     out_seq,
                     cause_seq,
-                } => {
-                    let mut f = base_event(format!("edge {}", kind.label()), "i", ts, t.node, tid);
-                    f.push(("s", Json::Str("t".into())));
-                    f.push((
-                        "args",
-                        obj(vec![
-                            ("out_seq", Json::Num(out_seq as f64)),
-                            ("cause_seq", Json::Num(cause_seq as f64)),
-                        ]),
-                    ));
-                    obj(f)
-                }
+                } => instant(
+                    format!("edge {}", kind.label()),
+                    ts,
+                    t.node,
+                    tid,
+                    vec![
+                        ("out_seq", Json::Num(out_seq as f64)),
+                        ("cause_seq", Json::Num(cause_seq as f64)),
+                    ],
+                ),
                 EventKind::Service { op, dur_us } => {
                     let mut f = base_event(op_label(op).into(), "X", ts, t.node, tid);
                     f.push(("dur", Json::Num(dur_us)));
@@ -436,10 +427,14 @@ pub fn to_chrome_trace_with_path(data: &TraceData, path: Option<&CriticalPath>) 
         // track gets a trailing instant that validation rejects, so a
         // truncated trace can never silently pass for a complete one.
         if t.dropped > 0 {
-            let mut f = base_event("dropped-events".into(), "i", last_ts, t.node, tid);
-            f.push(("s", Json::Str("t".into())));
-            f.push(("args", obj(vec![("count", Json::Num(t.dropped as f64))])));
-            events.push(obj(f));
+            let count = vec![("count", Json::Num(t.dropped as f64))];
+            events.push(instant(
+                "dropped-events".into(),
+                last_ts,
+                t.node,
+                tid,
+                count,
+            ));
         }
     }
     if let Some(cp) = path {
@@ -730,7 +725,7 @@ mod tests {
             tracks: vec![app, svc],
             final_us: vec![10.0],
         };
-        let json = to_chrome_trace(&data);
+        let json = to_chrome_trace(&data, None);
         validate_chrome_trace(&json).expect("valid trace");
         // Round-trips through the hand-rolled JSON layer.
         let text = json.render();

@@ -94,9 +94,10 @@ fn dispatcher_names_the_subcommands() {
 }
 
 /// The experiment subcommands take the common flags only: bounds live in
-/// the test suites, traced and analyzed runs in `trace` and `analyze`.
-/// `sweep` only re-records the golden cells, which the root golden tests
-/// check, and the race gates are `tests/race_detection.rs`.
+/// the test suites, traced runs in `analyze`, which checks the documents
+/// it writes itself. `sweep` only re-records the golden cells, which the
+/// root golden tests check, and the race gates are
+/// `tests/race_detection.rs`.
 #[test]
 fn removed_flags_and_subcommands_are_refused_and_unlisted() {
     // (subcommand, flag without its dashes, whether it took a value)
@@ -110,6 +111,7 @@ fn removed_flags_and_subcommands_are_refused_and_unlisted() {
         ("protocol_compare", "analyze", false),
         ("sweep", "smoke", false),
         ("sweep", "check", true),
+        ("analyze", "check", true),
     ];
     let help = stdout(&dsm(&["help"]));
     for (command, flag, valued) in removed {
@@ -131,13 +133,51 @@ fn removed_flags_and_subcommands_are_refused_and_unlisted() {
         );
     }
 
-    let races = dsm(&["races"]);
-    assert_eq!(races.status.code(), Some(2));
-    assert!(stderr(&races).contains("unknown subcommand 'races'"));
+    for gone in ["races", "trace"] {
+        let out = dsm(&[gone, "0.03", "2"]);
+        assert_eq!(out.status.code(), Some(2), "{gone}");
+        let text = stderr(&out);
+        assert!(
+            text.contains(&format!("unknown subcommand '{gone}'")),
+            "{text}"
+        );
+        let line = help
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{gone} ")));
+        assert!(line.is_none(), "help lists {gone}: {help}");
+    }
     assert!(
         !help.contains("races") && !help.contains("seeded]"),
         "{help}"
     );
+}
+
+/// `analyze` is the one traced-run tool: it prints the breakdown tables
+/// and writes both documents, each checked first.
+#[test]
+fn analyze_prints_the_breakdown_and_writes_both_documents() {
+    let tmp = |name| std::env::temp_dir().join(format!("dsm-{}-{name}", std::process::id()));
+    let (trace, report) = (tmp("trace.json"), tmp("analyze.json"));
+    let (t, r) = (trace.to_str().unwrap(), report.to_str().unwrap());
+    let out = dsm(&[
+        "analyze", "0.03", "2", "--app", "jacobi", "--out", t, "--json", r,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    for line in [
+        "Per-node breakdown (virtual us; svc_loop overlaps the rest):",
+        "Per-epoch breakdown (summed over nodes):",
+        "Critical path:",
+        &format!("wrote {t}"),
+        &format!("wrote {r}"),
+    ] {
+        assert!(text.contains(line), "{line:?} missing in:\n{text}");
+    }
+    let read = |path| harness::Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    harness::validate_chrome_trace(&read(t)).expect("a valid Perfetto trace");
+    let schema = read(r).get("schema").cloned();
+    assert_eq!(schema, Some(harness::Json::Str("analyze/v1".into())));
+    let _ = (std::fs::remove_file(t), std::fs::remove_file(r));
 }
 
 /// `sweep` writes the fixed cells or nothing.

@@ -91,7 +91,7 @@ pub struct TmkConfig {
     pub protocol: ProtocolMode,
     /// When true, the DSM layer asks the cluster to record a virtual-time
     /// event trace and emits protocol spans into it (see the `trace`
-    /// crate and `dsm trace`, the harness's exporter). Off by default;
+    /// crate and `dsm analyze`, the harness's traced-run tool). Off by default;
     /// tracing never changes any simulated observable either way.
     pub trace: bool,
     /// When true, every flush records per-word write provenance for the

@@ -626,7 +626,6 @@ impl<'n> Tmk<'n> {
                     debug_assert!(!lk.held, "recursive acquire");
                     debug_assert!(lk.has_token, "registered owner keeps the token");
                     lk.held = true;
-                    st.stats.lock_local_hits += 1;
                     let lp = st.lock_prof.entry(lock).or_default();
                     lp.local_hits += 1;
                     lp.record_rest();
@@ -1190,7 +1189,6 @@ impl<'n> Tmk<'n> {
                 let mut frame = st.frames.frame_mut(e.page);
                 debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
                 frame.install(e.data, e.applied());
-                st.stats.pages_broadcast += 1;
                 us += cost.diff_apply_us(pw);
             }
             drop(st);

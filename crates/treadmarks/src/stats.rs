@@ -25,12 +25,8 @@ pub struct DsmStats {
     pub forks: u64,
     /// Lock acquires performed.
     pub lock_acquires: u64,
-    /// Lock acquires satisfied without any message.
-    pub lock_local_hits: u64,
     /// Pages pushed via the push extension.
     pub pages_pushed: u64,
-    /// Pages broadcast via the broadcast extension.
-    pub pages_broadcast: u64,
     /// CRI aggregated-validate operations (one per hinted phase with at
     /// least one section).
     pub validates: u64,
@@ -83,13 +79,6 @@ pub struct DsmStats {
     /// Peak bytes parked in the scratch arena — the arena's memory
     /// footprint. Merged across nodes with `max`, not sum.
     pub arena_peak_bytes: u64,
-    /// Data races found by the post-run analysis when
-    /// `TmkConfig::detect_races` is on: pairs of vector-clock-concurrent
-    /// intervals that wrote the same word (see `crate::race`). Filled in
-    /// by the harness after the run (the analysis is cluster-wide, so no
-    /// single node can count during it); zero in a race-free run, so
-    /// detection on/off leaves the whole struct bit-identical there.
-    pub races_detected: u64,
 }
 
 impl DsmStats {
@@ -109,9 +98,7 @@ impl DsmStats {
             barriers,
             forks,
             lock_acquires,
-            lock_local_hits,
             pages_pushed,
-            pages_broadcast,
             validates,
             validate_pages,
             direct_reduces,
@@ -128,7 +115,6 @@ impl DsmStats {
             arena_hits,
             arena_misses,
             arena_peak_bytes,
-            races_detected,
         } = *other;
         self.faults += faults;
         self.twins += twins;
@@ -139,9 +125,7 @@ impl DsmStats {
         self.barriers += barriers;
         self.forks += forks;
         self.lock_acquires += lock_acquires;
-        self.lock_local_hits += lock_local_hits;
         self.pages_pushed += pages_pushed;
-        self.pages_broadcast += pages_broadcast;
         self.validates += validates;
         self.validate_pages += validate_pages;
         self.direct_reduces += direct_reduces;
@@ -159,7 +143,6 @@ impl DsmStats {
         self.arena_misses += arena_misses;
         // A peak is a footprint, not a flow: take the worst node.
         self.arena_peak_bytes = self.arena_peak_bytes.max(arena_peak_bytes);
-        self.races_detected += races_detected;
     }
 
     /// Sum a collection of per-node statistics.

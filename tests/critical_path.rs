@@ -181,9 +181,9 @@ fn seeded_false_sharing_profile_is_exact() {
 #[test]
 fn dropped_events_fail_validation() {
     let mut t = traced(AppId::Jacobi, ProtocolMode::Lrc, 2, 0.05);
-    assert!(validate_chrome_trace(&to_chrome_trace(&t)).is_ok());
+    assert!(validate_chrome_trace(&to_chrome_trace(&t, None)).is_ok());
     t.tracks[0].dropped = 5;
-    let err = validate_chrome_trace(&to_chrome_trace(&t)).unwrap_err();
+    let err = validate_chrome_trace(&to_chrome_trace(&t, None)).unwrap_err();
     assert!(err.contains("dropped"), "unexpected error: {err}");
     let cp = critical_path::compute(&t).unwrap();
     assert!(cp.lossy && !cp.exact());

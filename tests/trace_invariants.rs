@@ -156,7 +156,7 @@ fn exported_chrome_traces_validate_and_round_trip() {
         igrid.run(),
     ];
     for r in &runs {
-        let json = to_chrome_trace(r.trace.as_ref().unwrap());
+        let json = to_chrome_trace(r.trace.as_ref().unwrap(), None);
         validate_chrome_trace(&json).unwrap_or_else(|e| panic!("{:?}: {e}", r.app));
         let back = Json::parse(&json.render()).expect("round trip parses");
         assert_eq!(back, json, "{:?}: lossy JSON round trip", r.app);
