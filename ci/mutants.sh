@@ -4,10 +4,12 @@
 # order, and the three rules that order LRC's diffs: a range stamped at
 # its last interval, an open range that spans a foreign notice, a push
 # applied ahead of an older diff, the windowed reduction's fold order)
-# in a scratch copy of the tree, and the schedule-exploration suite, in
+# or one declaration (a write-all touch whose body reads first) in a
+# scratch copy of the tree, and the schedule-exploration suite, in
 # release at CI's seed budget, must fail on it and name the seed that
 # did it. A patch whose text before its diff has a `Suite: <cargo test
-# arguments>` line is held to that suite instead, on the same terms. A
+# arguments>` line is held to that suite instead, on the same terms (the
+# write-all mutant's turns debug assertions on, which its check needs). A
 # mutant that survives means the explorer lacks a preemption point or an
 # input; a patch that no longer applies means the code it re-breaks
 # moved — both fail this script.

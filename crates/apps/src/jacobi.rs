@@ -24,7 +24,7 @@ use std::ops::{Deref, DerefMut, Range};
 
 use mpl::Comm;
 use sp2sim::Node;
-use spf::Mode::{Read, Write};
+use spf::Mode::{Read, Update};
 use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf};
 use treadmarks::{Tmk, TmkConfig};
 use xhpf::Xhpf;
@@ -213,15 +213,17 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let scr = Cols::new(tmk.malloc_f64(n * n), n);
     // What a node's column block touches: the stencil reads the ghosted
     // data block and stores the interior rows of the scratch block, like
-    // the loop nest SPF compiles; the copy goes back.
+    // the loop nest SPF compiles; the copy goes back. Both store rows
+    // `1..n-1` only, so their written blocks are updates, not writes
+    // all over.
     let stencil = move |iters: &Range<usize>, q: usize, np: usize| {
         let jr = share(iters, q, np)?;
         let ghosted = jr.start - 1..(jr.end + 1).min(n);
-        Some([data.touch(ghosted, Read), scr.touch(jr, Write)])
+        Some([data.touch(ghosted, Read), scr.touch(jr, Update)])
     };
     let copy = move |iters: &Range<usize>, q: usize, np: usize| {
         let jr = share(iters, q, np)?;
-        Some([scr.touch(jr.clone(), Read), data.touch(jr, Write)])
+        Some([scr.touch(jr.clone(), Read), data.touch(jr, Update)])
     };
     let (l_start, l_stop) = meter.register(&spf);
     let l1 = spf.register({

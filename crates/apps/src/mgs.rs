@@ -28,7 +28,7 @@ use std::ops::Range;
 use cri::{Access, Section};
 use mpl::Comm;
 use sp2sim::Node;
-use spf::Mode::{Read, Write};
+use spf::Mode::{Read, Update, Write};
 use spf::{Cols, LoopCtl, Mode, Next, Schedule, Spf, Touch};
 use treadmarks::{ReadView, Tmk, TmkConfig, WriteView};
 use xhpf::Xhpf;
@@ -140,13 +140,12 @@ impl PaddedMatrix {
     /// What node `q`'s share of the orthogonalization over `iters`
     /// touches: the pivot, column `iters.start - 1`, read even when the
     /// share is empty, and the node's columns of `iters` under the cyclic
-    /// schedule, updated where they live (declared as writes: a write
-    /// fetches the current content too).
+    /// schedule, updated where they live: read first.
     fn orthogonalization(&self, iters: &Range<usize>, q: usize, np: usize) -> [Touch; 2] {
         let i = iters.start - 1;
         [
             self.touch(i..i + 1, Read),
-            self.touch(iters.clone(), Write).cyclic(q, np),
+            self.touch(iters.clone(), Update).cyclic(q, np),
         ]
     }
 

@@ -29,7 +29,7 @@ use cri::{Access, Section};
 use inspector::Inspector;
 use mpl::Comm;
 use sp2sim::{Node, SplitMix64, WordReader, WordWriter};
-use spf::Mode::Write;
+use spf::Mode::{self, Update, Write};
 use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf, Touch};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
@@ -301,7 +301,7 @@ impl DsmIter<'_> {
     ) {
         let b = self.block.clone();
         node.advance(b.len() as f64 * reads as f64 * MERGE_US);
-        let [mut x, mut y, mut z] = coord_block(sh, &b).map(|t| t.write(tmk));
+        let [mut x, mut y, mut z] = coord_block(sh, &b, Update).map(|t| t.write(tmk));
         for i in b.clone() {
             x[i] += DT * f(0, i);
             y[i] += DT * f(1, i);
@@ -377,7 +377,10 @@ impl DsmIter<'_> {
             return;
         }
         let (x0, y0, z0) = init_coords(self.p.m);
-        for (t, src) in coord_block(sh, &self.block).iter().zip([&x0, &y0, &z0]) {
+        for (t, src) in coord_block(sh, &self.block, Write)
+            .iter()
+            .zip([&x0, &y0, &z0])
+        {
             t.write(tmk)
                 .slice_mut()
                 .copy_from_slice(&src[t.cols.clone()]);
@@ -385,11 +388,12 @@ impl DsmIter<'_> {
     }
 }
 
-/// What a block of molecules is in the coordinates: the init and merge
-/// phases write it, and the force phase reads it next.
-fn coord_block(sh: &SharedNbf, block: &Range<usize>) -> [Touch; 3] {
+/// What a block of molecules is in the coordinates: the init phase
+/// writes it (`Write`) and the merge phase updates it (`Update`: `x[i] +=
+/// …`); the force phase reads it next.
+fn coord_block(sh: &SharedNbf, block: &Range<usize>, mode: Mode) -> [Touch; 3] {
     sh.coords
-        .map(|c| Cols::new(c, 1).touch(block.clone(), Write))
+        .map(|c| Cols::new(c, 1).touch(block.clone(), mode))
 }
 
 fn dsm_checksum(tmk: &Tmk, sh: &SharedNbf, m: usize) -> Vec<f64> {
@@ -470,12 +474,14 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     // force loop (through its dynamic descriptor).
     if cri {
         let sh = &sh;
-        let coords = move |iters: &Range<usize>, q: usize, nprocs: usize| {
-            Some(coord_block(sh, &share(iters, q, nprocs)?))
+        let coords = move |mode| {
+            move |iters: &Range<usize>, q: usize, nprocs: usize| {
+                Some(coord_block(sh, &share(iters, q, nprocs)?, mode))
+            }
         };
         let to_force = move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l_force, 0..m)];
-        spf.describe(l_init, coords, to_force);
-        spf.describe(l_merge, coords, to_force);
+        spf.describe(l_init, coords(Write), to_force);
+        spf.describe(l_merge, coords(Update), to_force);
         spf.hints().register_dynamic(l_force, {
             let (partners, insp) = (&partners, &insp);
             let k = p.k;

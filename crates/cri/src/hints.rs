@@ -89,8 +89,10 @@ use crate::section::{merge_ranges, Section};
 pub enum AccessMode {
     /// The loop reads the section.
     Read,
-    /// The loop writes the section (a write view also fetches the
-    /// current content, so write sections are validated too).
+    /// The loop writes the section. A write view fetches the current
+    /// content too, so write sections are validated — except the whole
+    /// pages of a write-all access ([`Access::write_all`]), which the
+    /// body overwrites before it reads them.
     Write,
 }
 
@@ -122,6 +124,9 @@ pub struct Access {
     pub section: Section,
     /// Read or write.
     pub mode: AccessMode,
+    /// A write that stores every word of the section before the loop
+    /// reads any of it ([`Access::write_all`]).
+    pub write_all: bool,
     /// Consumers of a written section (ignored for reads).
     pub consumers: Vec<Consumer>,
 }
@@ -133,6 +138,7 @@ impl Access {
             arr,
             section,
             mode: AccessMode::Read,
+            write_all: false,
             consumers: Vec::new(),
         }
     }
@@ -143,7 +149,21 @@ impl Access {
             arr,
             section,
             mode: AccessMode::Write,
+            write_all: false,
             consumers: Vec::new(),
+        }
+    }
+
+    /// A write-all access: the loop stores every word of `section` before
+    /// it reads any. A page the section covers whole, and no other access
+    /// of the loop touches, is neither validated before the body nor
+    /// pushed to it: the body's write view over it fetches nothing, takes
+    /// no fault and no twin, and its release publishes the page whole
+    /// ([`Tmk::arm_write_all`]).
+    pub fn write_all(arr: SharedArray, section: Section) -> Access {
+        Access {
+            write_all: true,
+            ..Access::write(arr, section)
         }
     }
 
@@ -170,6 +190,9 @@ impl Access {
 /// replays the result (see "Hint plans" in the module doc).
 pub type AccessFn<'t> = Rc<dyn Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't>;
 
+/// Sorted, disjoint page runs.
+type Runs = Vec<Range<usize>>;
+
 /// Schedule-cache key: `(loop id, iters.start, iters.end, node)`.
 type ScheduleKey = (usize, usize, usize, usize);
 
@@ -185,9 +208,9 @@ struct Third<L> {
 #[derive(Default)]
 struct Plan {
     iters: Range<usize>,
-    /// `before_loop`: how many sections the body touches, and their
-    /// pages as merged runs.
-    validate: Option<Third<(usize, Vec<Range<usize>>)>>,
+    /// `before_loop`: how many sections the body touches, the pages to
+    /// validate and the pages it overwrites whole, as merged runs.
+    validate: Option<Third<(usize, Runs, Runs)>>,
     /// `after_loop`: the `(target, page)` pushes in registration order,
     /// HLRC home filter not yet applied.
     pushes: Option<Third<Vec<(usize, usize)>>>,
@@ -374,7 +397,9 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 
     /// Pre-loop hint: an aggregated validate of every section the body
-    /// will touch. Returns the number of pages that needed fetching.
+    /// will touch, but for the pages it overwrites whole, which are armed
+    /// instead ([`Tmk::arm_write_all`]). Returns the number of pages that
+    /// needed fetching.
     ///
     /// Home placement is **not** done here: the nodes reach
     /// `before_loop` with different interval views (the master may
@@ -389,17 +414,22 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
         let build = || {
-            let (mut sections, mut pages) = (0, Vec::new());
+            let (mut sections, mut pages, mut armed) = (0, Vec::new(), Vec::new());
             self.eval(id, iters, me, np, |accesses| {
                 for a in accesses {
                     sections += self.add_pages(a.arr, &a.section, &mut pages);
                 }
+                armed = self.write_all_pages(accesses);
             });
-            (sections, merge_ranges(pages))
+            (sections, subtract(merge_ranges(pages), &armed), armed)
         };
-        let validate = |(sections, pages): &(usize, Vec<Range<usize>>)| match sections {
-            0 => 0,
-            _ => self.tmk.validate_pages(*sections, pages),
+        let validate = |(sections, pages, armed): &(usize, Runs, Runs)| {
+            let fetched = match sections {
+                0 => 0,
+                _ => self.tmk.validate_pages(*sections, pages),
+            };
+            self.tmk.arm_write_all(id, armed);
+            fetched
         };
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
@@ -442,10 +472,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 
     /// Post-loop hint: register pushes for every written section with
-    /// known consumers. A consumer's pages are computed from *its* read
+    /// known consumers. A consumer's pages are computed from *its*
     /// descriptor; only the page-level overlap with the producer's writes
     /// travels (page granularity also captures the false-sharing fetches
-    /// a page-based DSM would otherwise pay). Under HLRC a consumer that
+    /// a page-based DSM would otherwise pay), less the pages the consumer
+    /// overwrites whole. Under HLRC a consumer that
     /// is the page's home is skipped: the producer's eager home flush
     /// already carries the same diff there, so a push would only arrive
     /// as a duplicate for the stale-flush guard to drop — this is where
@@ -503,14 +534,17 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                         for q in (0..np).filter(|&q| q != me) {
                             // Union of q's accesses on this array — reads
                             // and writes alike, since a write view fetches
-                            // the current content too.
+                            // the current content too — less the pages q
+                            // overwrites whole, whose write fetches nothing.
                             theirs.clear();
+                            let mut armed = Vec::new();
                             self.eval(*id, iters, q, np, |accesses| {
                                 for ca in accesses.iter().filter(|ca| ca.arr == a.arr) {
                                     self.add_pages(ca.arr, &ca.section, &mut theirs);
                                 }
+                                armed = self.write_all_pages(accesses);
                             });
-                            theirs = merge_ranges(theirs);
+                            theirs = subtract(merge_ranges(theirs), &armed);
                             for_each_overlap(&mine, &theirs, |run| {
                                 pushes.extend(run.map(|p| (q, p)));
                             });
@@ -561,6 +595,58 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         section.runs().len()
     }
+
+    /// The pages a body with `accesses` overwrites whole: each page a
+    /// write-all section covers entirely, less every page an access that
+    /// is not write-all touches — a read, or a write with fetch
+    /// semantics. Sorted, disjoint runs.
+    fn write_all_pages(&self, accesses: &[Access]) -> Runs {
+        let pw = self.tmk.config().page_words;
+        let mut whole = Vec::new();
+        for a in accesses.iter().filter(|a| a.write_all) {
+            let base = a.arr.first_page() * pw;
+            for r in a.section.runs() {
+                let run = (base + r.start).div_ceil(pw)..(base + r.end) / pw;
+                if !run.is_empty() {
+                    whole.push(run);
+                }
+            }
+        }
+        if whole.is_empty() {
+            return whole;
+        }
+        let mut other = Vec::new();
+        for a in accesses.iter().filter(|a| !a.write_all) {
+            self.add_pages(a.arr, &a.section, &mut other);
+        }
+        subtract(merge_ranges(whole), &merge_ranges(other))
+    }
+}
+
+/// The pages of sorted, disjoint runs `a` that are in no run of `b`;
+/// `a` itself when `b` is empty.
+fn subtract(a: Runs, b: &[Range<usize>]) -> Runs {
+    if b.is_empty() {
+        return a;
+    }
+    let (mut out, mut j) = (Vec::with_capacity(a.len()), 0);
+    for run in a {
+        let mut start = run.start;
+        while j < b.len() && b[j].end <= start {
+            j += 1;
+        }
+        // A cut may reach into the next run too: `j` stays on it.
+        for cut in b[j..].iter().take_while(|cut| cut.start < run.end) {
+            if cut.start > start {
+                out.push(start..cut.start);
+            }
+            start = start.max(cut.end);
+        }
+        if start < run.end {
+            out.push(start..run.end);
+        }
+    }
+    out
 }
 
 /// Call `f` with every run of pages two sorted, disjoint run lists share,
@@ -601,6 +687,29 @@ mod tests {
         pages
     }
 
+    /// The pages a body overwrites whole, from word sets: those a
+    /// write-all section holds every word of, less the pages of every
+    /// other access.
+    fn armed_reference(tmk: &Tmk, accesses: &[Access]) -> BTreeSet<usize> {
+        let pw = tmk.config().page_words;
+        let (mut whole, mut other) = (BTreeSet::new(), BTreeSet::new());
+        for a in accesses {
+            if !a.write_all {
+                other.extend(pages_reference(tmk, a.arr, &a.section));
+                continue;
+            }
+            let base = a.arr.first_page() * pw;
+            let words: BTreeSet<usize> = a.section.runs().iter().cloned().flatten().collect();
+            let covered = |p: &usize| (p * pw..(p + 1) * pw).all(|w| words.contains(&(w - base)));
+            whole.extend(
+                pages_reference(tmk, a.arr, &a.section)
+                    .into_iter()
+                    .filter(covered),
+            );
+        }
+        whole.difference(&other).copied().collect()
+    }
+
     fn push_list_reference(hints: &HintEngine, accesses: &[Access]) -> Vec<(usize, usize)> {
         let (me, np) = (hints.tmk.proc_id(), hints.tmk.nprocs());
         let mut pushes = Vec::new();
@@ -613,13 +722,15 @@ mod tests {
                 match c {
                     Consumer::Loop { id, iters } => {
                         for q in (0..np).filter(|&q| q != me) {
-                            let mut pages = BTreeSet::new();
+                            let (mut pages, mut armed) = (BTreeSet::new(), BTreeSet::new());
                             hints.eval(*id, iters, q, np, |theirs| {
                                 for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
                                     pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
                                 }
+                                armed = armed_reference(hints.tmk, theirs);
                             });
-                            pushes.extend(mine.intersection(&pages).map(|&p| (q, p)));
+                            let pushed = mine.intersection(&pages).filter(|p| !armed.contains(p));
+                            pushes.extend(pushed.map(|&p| (q, p)));
                         }
                     }
                     Consumer::Node(q) if *q != me => pushes.extend(mine.iter().map(|&p| (*q, p))),
@@ -688,8 +799,9 @@ mod tests {
         /// Page runs against per-page sets, over random sections from
         /// every constructor and several page sizes: a section's runs are
         /// its pages, a merge is the union, the sweep is the intersection,
-        /// and the push list and home candidates built from runs are the
-        /// ones built from sets.
+        /// a subtraction the difference, and the pages a body overwrites
+        /// whole, the push list and the home candidates built from runs
+        /// are the ones built from sets.
         #[test]
         fn page_runs_equal_the_per_page_sets(
             specs in prop::collection::vec((0usize..6, prop::collection::vec(0usize..40, 8..9)), 6..7),
@@ -720,7 +832,8 @@ mod tests {
                 hints.set(1, move |_, q, _| {
                     vec![
                         Access::read(arr[0], sections[3 + q].clone()),
-                        Access::write(arr[1], sections[3 + (q + 1) % 3].clone()),
+                        Access::write_all(arr[1], sections[3 + (q + 1) % 3].clone()),
+                        Access::write_all(arr[0], sections[(q + 2) % 3].clone()),
                         Access::read(arr[1], sections[q].clone()),
                     ]
                 });
@@ -741,11 +854,17 @@ mod tests {
                     let mut both = Vec::new();
                     for_each_overlap(&ra, &rb, |run| both.push(run));
                     ok &= pages(&both) == sa.intersection(&sb).copied().collect::<Vec<_>>();
+                    let less = subtract(ra.clone(), &rb);
+                    ok &= pages(&less) == sa.difference(&sb).copied().collect::<Vec<_>>();
                     let either = merge_ranges(ra.into_iter().chain(rb).collect());
                     ok &= pages(&either) == sa.union(&sb).copied().collect::<Vec<_>>();
                     ok &= either.windows(2).all(|w| w[0].end < w[1].start);
                 }
                 let me = tmk.proc_id();
+                hints.eval(1, &(0..1), me, 3, |accesses| {
+                    let armed = pages(&hints.write_all_pages(accesses));
+                    ok &= armed == armed_reference(&tmk, accesses).into_iter().collect::<Vec<_>>();
+                });
                 let written = [Access::write(arr[me % 2], sections[me].clone())
                     .consumed_by_loop(1, 0..1)
                     .consumed_by_node(0)];

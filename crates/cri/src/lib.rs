@@ -43,11 +43,16 @@
 //! carries the same diff there. This is the per-page push-vs-home-flush
 //! choice of a hinted body.
 //!
-//! Hints are *performance-only*: every validate fetches exactly the
-//! diffs a fault would have fetched, every push delivers diffs the
-//! consumer would have requested (gapped pushes are dropped, not
-//! misapplied), so hinted and unhinted executions produce byte-identical
-//! shared memory. `tests/cri_equivalence.rs` pins that property.
+//! Validates and pushes are *performance-only*: every validate fetches
+//! exactly the diffs a fault would have fetched, every push delivers
+//! diffs the consumer would have requested (gapped pushes are dropped,
+//! not misapplied). A **write-all** access ([`Access::write_all`]) is
+//! the one hint that skips a fetch — the pages the body overwrites
+//! whole are neither validated nor pushed, and their release publishes
+//! them whole — on the body's word, which debug builds check: an
+//! unstored word or a read before the write panics, naming the loop.
+//! Hinted and unhinted executions produce byte-identical shared memory;
+//! `tests/cri_equivalence.rs` pins that property.
 //!
 //! ## Example
 //!

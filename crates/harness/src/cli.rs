@@ -272,8 +272,8 @@ mod tests {
     };
     const TOOL: Spec = Spec {
         defaults: (1.0, 8),
-        values: &["--out", "--check"],
-        switches: &["--breakdown"],
+        values: &["--out", "--input"],
+        switches: &["--quiet"],
     };
 
     fn common(words: &[&str]) -> Result<Cli, Exit> {
@@ -321,9 +321,9 @@ mod tests {
         rejected(&COMMON, &["0"], "scale must be a positive number");
         rejected(&COMMON, &["-1"], "scale must be a positive number");
         rejected(&COMMON, &["NaN"], "scale must be a positive number");
-        rejected(&TOOL, &["--check"], "missing value after --check");
+        rejected(&TOOL, &["--input"], "missing value after --input");
         // A switch does not swallow a value.
-        rejected(&TOOL, &["--breakdown=1"], "unknown flag --breakdown=1");
+        rejected(&TOOL, &["--quiet=1"], "unknown flag --quiet=1");
     }
 
     #[test]
@@ -336,12 +336,12 @@ mod tests {
 
     #[test]
     fn declared_flags_are_collected() {
-        let words = ["--out", "a.json", "2.0", "--breakdown", "--out=b=c.json"];
+        let words = ["--out", "a.json", "2.0", "--quiet", "--out=b=c.json"];
         let (cli, flags) = TOOL.parse(&mut argv(&words)).unwrap();
         assert_eq!(cli.scale, 2.0);
-        assert!(flags.has("--breakdown"));
+        assert!(flags.has("--quiet"));
         assert_eq!(flags.value("--out").as_deref(), Some("b=c.json"));
-        assert_eq!(flags.value("--check"), None);
+        assert_eq!(flags.value("--input"), None);
         let as_len = |v: &str| Ok::<usize, String>(v.len());
         assert_eq!(flags.parsed("--out", as_len), Ok(Some(8)));
         let refuse = |v: &str| Err::<usize, String>(format!("bad {v}"));

@@ -19,9 +19,12 @@ use treadmarks::{ReadView, SharedArray, Tmk, WriteView};
 pub enum Mode {
     /// Read.
     Read,
-    /// Written (a write view fetches the current content too).
+    /// Written all over: the body stores every word of the touch before
+    /// it reads any, so a hinted loop's pages that the touch covers
+    /// whole are neither fetched nor twinned ([`cri::Access::write_all`]).
     Write,
-    /// Read and written: declared as a read, then a write.
+    /// Read and written — or written in part: declared as a plain write,
+    /// whose view fetches the current content first.
     Update,
 }
 

@@ -265,10 +265,11 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// Attach loop `id`'s section descriptor, derived from `footprint` —
     /// the function of `(iters, q, np)` its body opens its views from,
     /// `None` when node `q` has no share. Every touch is declared in its
-    /// mode, an update as a read and then a write, in footprint order;
-    /// each written one goes to the loops `next(iters, touch)` names,
-    /// and the columns a [`Next::Node`] reads follow it as a write of
-    /// their own, when the touch has any.
+    /// mode — a write as write-all ([`Access::write_all`]), an update as
+    /// a plain write, whose view fetches the current content first — in
+    /// footprint order; each written one goes to the loops
+    /// `next(iters, touch)` names, and the columns a [`Next::Node`] reads
+    /// follow it as a plain write of their own, when the touch has any.
     pub fn describe<T: IntoIterator<Item = Touch>>(
         &self,
         id: usize,
@@ -278,14 +279,15 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.hints.set(id, move |iters, q, np| {
             let mut acc = Vec::new();
             for t in footprint(iters, q, np).into_iter().flatten() {
-                if t.mode != Mode::Write {
-                    acc.push(Access::read(t.at.arr, t.section()));
-                }
+                let write = acc.len();
+                acc.push(match t.mode {
+                    Mode::Read => Access::read(t.at.arr, t.section()),
+                    Mode::Write => Access::write_all(t.at.arr, t.section()),
+                    Mode::Update => Access::write(t.at.arr, t.section()),
+                });
                 if t.mode == Mode::Read {
                     continue;
                 }
-                let write = acc.len();
-                acc.push(Access::write(t.at.arr, t.section()));
                 for n in next(iters, &t) {
                     match n {
                         Next::Loop(id, iters) => {

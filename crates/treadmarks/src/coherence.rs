@@ -44,6 +44,9 @@ pub(crate) struct Miss<'a> {
     pub(crate) aggregated: bool,
     /// A validate: counted as one, and requested on opcodes of its own.
     pub(crate) validate: bool,
+    /// A write view's fault, which opens the armed pages under it as
+    /// written (`DsmState::open_armed`).
+    pub(crate) write: bool,
 }
 
 impl Miss<'_> {

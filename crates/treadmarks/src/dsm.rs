@@ -358,6 +358,7 @@ impl<'n> Tmk<'n> {
             runs,
             aggregated: true,
             validate: true,
+            write: false,
         };
         let missing = self.cfg.protocol.resolve_miss(self, sc, &miss);
         if !sc.entries.is_empty() {
@@ -365,6 +366,22 @@ impl<'n> Tmk<'n> {
             self.charge_apply(us);
         }
         missing
+    }
+
+    /// CRI write-all: the body of loop `loop_id`, about to run, stores
+    /// every word of the pages of `runs` — sorted runs of global page
+    /// ids, which the CRI hint engine leaves out of the body's validate
+    /// and its producers' pushes — before it reads any. The body's first
+    /// write view over such a page fetches nothing and takes no fault
+    /// and no twin, and the release publishes the page whole. Arming
+    /// ends at this node's next release, which (with debug assertions)
+    /// panics on a word the body left unstored; a read view over an
+    /// armed page before its write panics too (with debug assertions),
+    /// or else faults as usual.
+    pub fn arm_write_all(&self, loop_id: usize, runs: &[Range<usize>]) {
+        if !runs.is_empty() {
+            self.state.lock().arm(loop_id, runs);
+        }
     }
 
     /// Phase 1 of a miss, one section: count the invalid pages — `plan`
@@ -383,8 +400,11 @@ impl<'n> Tmk<'n> {
         } else {
             // The view needs its pages side by side: one extent under the
             // whole range (a merge the first time, a lookup afterwards).
+            // A write-all body's first view of a page it overwrites makes
+            // the page valid before `plan` looks.
             let run = &miss.runs[0];
             st.frames.cover(run.start, run.end - 1);
+            st.open_armed(run.clone(), miss.write);
         }
         let invalid = plan(st);
         if miss.validate {
@@ -477,6 +497,7 @@ impl<'n> Tmk<'n> {
             runs: std::slice::from_ref(&run),
             aggregated: self.cfg.aggregation,
             validate: false,
+            write,
         };
         self.cfg.protocol.resolve_miss(self, sc, &miss);
 
@@ -1535,6 +1556,130 @@ pub(crate) mod tests {
         assert_eq!(out.stats.messages(MsgKind::ValidateReq), 1);
         assert_eq!(out.stats.messages(MsgKind::ValidateResp), 1);
         assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// Write-all, under both protocols: node 0 fills page 0 (`i`), then
+    /// node 1 overwrites it whole as loop 7's armed body, storing the
+    /// same values on the even words — a write over the invalid page
+    /// that sends no request and takes no fault and no twin. Node 2
+    /// then reads node 1's page bit for bit (LRC: a diff request to each
+    /// writer; HLRC: a page fetch from home 0, after node 1's flush),
+    /// and node 1's diff is the whole page, even words included.
+    #[test]
+    fn an_armed_write_fetches_nothing_and_publishes_the_page_whole() {
+        let value = |i: usize| if i.is_multiple_of(2) { i } else { 1000 + i } as f64;
+        for protocol in ProtocolMode::ALL {
+            let out = run_cfg(3, TmkConfig::default().with_protocol(protocol), |tmk| {
+                let a = tmk.malloc_f64(512);
+                if tmk.proc_id() == 0 {
+                    let mut w = tmk.write(a, 0..512);
+                    w.slice_mut()
+                        .iter_mut()
+                        .enumerate()
+                        .for_each(|(i, x)| *x = i as f64);
+                }
+                tmk.barrier(0);
+                let before = tmk.stats_snapshot();
+                if tmk.proc_id() == 1 {
+                    tmk.arm_write_all(7, &[tmk.page_span(a, &(0..512))]);
+                    let mut w = tmk.write(a, 0..512);
+                    w.slice_mut()
+                        .iter_mut()
+                        .enumerate()
+                        .for_each(|(i, x)| *x = value(i));
+                }
+                tmk.barrier(1);
+                let seen = match tmk.proc_id() {
+                    2 => tmk
+                        .read(a, 0..512)
+                        .slice()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                tmk.barrier(2);
+                let after = tmk.stats_snapshot();
+                tmk.finish();
+                let moved = (after.faults - before.faults, after.twins - before.twins);
+                (
+                    moved,
+                    after.diff_words_created - before.diff_words_created,
+                    seen,
+                )
+            });
+            let want: Vec<u64> = (0..512).map(|i| value(i).to_bits()).collect();
+            assert_eq!(
+                out.results[1].0,
+                (0, 0),
+                "{protocol}: node 1's faults and twins"
+            );
+            assert_eq!(
+                out.results[1].1, 512,
+                "{protocol}: node 1's diff is the whole page"
+            );
+            assert_eq!(
+                out.results[2].2, want,
+                "{protocol}: node 2 reads node 1's page"
+            );
+            let requests =
+                out.stats.messages(MsgKind::DiffReq) + out.stats.messages(MsgKind::PageReq);
+            let readers = match protocol {
+                ProtocolMode::Lrc => 2,
+                ProtocolMode::Hlrc => 1,
+            };
+            assert_eq!(requests, readers, "{protocol}: node 2's requests only");
+        }
+    }
+
+    /// The write-all contract's checks, under both protocols and with
+    /// debug assertions: the message of the panic `body` raises on node 0
+    /// of two, with page 0 armed for loop 7.
+    #[cfg(debug_assertions)]
+    fn armed_panic(protocol: ProtocolMode, body: fn(&Tmk, SharedArray)) -> String {
+        let cfg = TmkConfig::default().with_protocol(protocol);
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, cfg);
+                let a = tmk.malloc_f64(512);
+                if tmk.proc_id() == 0 {
+                    tmk.arm_write_all(7, &[tmk.page_span(a, &(0..512))]);
+                    body(&tmk, a);
+                }
+                tmk.barrier(0);
+                tmk.finish();
+            });
+        })
+        .expect_err("the contract is broken");
+        match payload.downcast::<String>() {
+            Ok(said) => *said,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_armed_page_left_partly_unstored_panics_naming_its_loop() {
+        for protocol in ProtocolMode::ALL {
+            let said = armed_panic(protocol, |tmk, a| {
+                let mut w = tmk.write(a, 0..512);
+                w.slice_mut()[..511].fill(1.0);
+            });
+            assert!(
+                said.contains("loop 7 left word 511 of page 0 unstored"),
+                "{protocol}: {said}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_read_of_an_armed_page_before_its_write_panics_naming_its_loop() {
+        for protocol in ProtocolMode::ALL {
+            let said = armed_panic(protocol, |tmk, a| drop(tmk.read(a, 3..4)));
+            let want = "loop 7 reads page 0 before it writes it";
+            assert!(said.contains(want), "{protocol}: {said}");
+        }
     }
 
     #[test]

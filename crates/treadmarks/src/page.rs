@@ -88,6 +88,11 @@ use crate::state::DsmState;
 /// Global page number in the shared address space.
 pub type PageId = usize;
 
+/// A signalling NaN no computation produces: the twin of a page a
+/// write-all body overwrites, so that every word it stores is a change,
+/// and — with debug assertions — the words it has not stored yet.
+pub(crate) const POISON: u64 = 0x7FF4_DEAD_0BAD_F00D;
+
 /// Multiple-writer bookkeeping buffers of one page frame.
 #[derive(Debug, Default)]
 pub struct PageMeta {

@@ -38,7 +38,7 @@ use crate::diff::{Diff, DiffBatch, Pending, Sealed};
 use crate::fxhash::FxHashMap;
 use crate::hlrc::{HomePage, HomeState};
 use crate::interval::Interval;
-use crate::page::{FrameStore, PageId};
+use crate::page::{FrameStore, PageId, POISON};
 use crate::profile::{PageProfile, WriterWindow};
 use crate::protocol;
 use crate::race::{IntervalWrites, RaceLog};
@@ -259,6 +259,21 @@ impl DiffScratch {
     /// Served from the pool when possible; the copy itself is unavoidable
     /// — it *is* the twin.
     pub fn take_copy(&mut self, src: &[u64], stats: &mut DsmStats) -> Vec<u64> {
+        let mut buf = self.take(src.len(), stats);
+        buf.extend_from_slice(src);
+        buf
+    }
+
+    /// Take a buffer of `len` poison words: the twin of a page a
+    /// write-all body overwrites (`DsmState::open_armed`).
+    pub fn take_poison(&mut self, len: usize, stats: &mut DsmStats) -> Vec<u64> {
+        let mut buf = self.take(len, stats);
+        buf.resize(len, POISON);
+        buf
+    }
+
+    /// An empty buffer for `len` words, pooled when possible.
+    fn take(&mut self, len: usize, stats: &mut DsmStats) -> Vec<u64> {
         let mut buf = match self.bufs.pop() {
             Some(b) => {
                 self.held_bytes -= 8 * b.capacity() as u64;
@@ -267,11 +282,10 @@ impl DiffScratch {
             }
             None => {
                 stats.arena_misses += 1;
-                Vec::with_capacity(src.len())
+                Vec::with_capacity(len)
             }
         };
         buf.clear();
-        buf.extend_from_slice(src);
         buf
     }
 
@@ -407,6 +421,16 @@ pub fn reduce_children(rank: usize, n: usize) -> Vec<usize> {
 pub fn reduce_parent(rank: usize) -> usize {
     debug_assert_ne!(rank, 0);
     rank & (rank - 1)
+}
+
+/// The pages a hinted loop body stores every word of before it reads
+/// any, armed by `Tmk::arm_write_all` until this node's next release.
+#[derive(Debug, Default)]
+struct Armed {
+    /// The body's loop id, which a broken contract's panic names.
+    loop_id: usize,
+    /// Ascending, each `true` once a view over it has been opened.
+    pages: Vec<(PageId, bool)>,
 }
 
 /// What the protocol keeps per page this node wrote, homes or faulted
@@ -564,6 +588,9 @@ pub struct DsmState {
     /// list, the home overrides and the deferred page requests. Only
     /// [`crate::hlrc`] touches it; under LRC it stays empty.
     pub(crate) home: HomeState,
+    /// The pages the running loop body overwrites whole, until the
+    /// release ([`DsmState::open_armed`]); empty outside a hinted body.
+    armed: Armed,
     /// Recycled page buffers for the twin/diff path.
     pub scratch: DiffScratch,
     /// Per-node protocol statistics.
@@ -602,6 +629,7 @@ impl DsmState {
             pending_push: Vec::new(),
             reduces: BTreeMap::new(),
             home: HomeState::default(),
+            armed: Armed::default(),
             scratch: DiffScratch::default(),
             stats: DsmStats::default(),
             race: detect_races.then(|| RaceLog {
@@ -691,6 +719,73 @@ impl DsmState {
         invalid
     }
 
+    /// Arm the pages of `runs` (sorted page runs) for the body of loop
+    /// `loop_id`, which overwrites them whole.
+    pub(crate) fn arm(&mut self, loop_id: usize, runs: &[std::ops::Range<PageId>]) {
+        debug_assert!(self.armed.pages.is_empty(), "arming ends at a release");
+        self.armed.loop_id = loop_id;
+        let pages = runs.iter().cloned().flatten();
+        self.armed.pages.extend(pages.map(|p| (p, false)));
+    }
+
+    /// The first view the body opens over each armed page of `pages`,
+    /// whose frames exist. A write view's: a page without a twin takes no
+    /// fault — its missing notices count as applied, so no miss fetches
+    /// it — and its twin is the poison page, against which every stored
+    /// word is a change, so its release publishes it whole. With debug
+    /// assertions its words are poisoned too, for [`DsmState::flush`] to
+    /// find any the body left unstored. (A twinned page misses nothing —
+    /// a foreign notice would have frozen its range — and writes as
+    /// usual.) A read view's, before any write, breaks the contract: a
+    /// panic with debug assertions, else the page is disarmed and faults
+    /// as usual.
+    pub(crate) fn open_armed(&mut self, pages: std::ops::Range<PageId>, write: bool) {
+        let at = |end| self.armed.pages.partition_point(|a| a.0 < end);
+        for i in at(pages.start)..at(pages.end) {
+            let (page, opened) = &mut self.armed.pages[i];
+            let page = *page;
+            if std::mem::replace(opened, true) {
+                continue;
+            }
+            assert!(
+                write || !cfg!(debug_assertions),
+                "loop {} reads page {page} before it writes it: a `Write` touch stores every \
+                 word first — declare it `Update`",
+                self.armed.loop_id
+            );
+            if !write || self.frames.meta(page).is_some_and(|m| m.twin.is_some()) {
+                continue;
+            }
+            let twin = self
+                .scratch
+                .take_poison(self.cfg.page_words, &mut self.stats);
+            let mut frame = self.frames.frame_mut(page);
+            frame.meta.twin = Some(twin);
+            if cfg!(debug_assertions) {
+                frame.data.fill(POISON);
+            }
+            frame.raise_applied(self.notices.latest(page).into_iter().flatten().copied());
+        }
+    }
+
+    /// End the arming at this node's release. With debug assertions, a
+    /// poisoned word on a page the body opened is one it never stored.
+    fn disarm(&mut self) {
+        if cfg!(debug_assertions) {
+            for &(page, _) in self.armed.pages.iter().filter(|a| a.1) {
+                let data = self.frames.data(page).expect("an opened page has a frame");
+                if let Some(k) = data.iter().position(|&w| w == POISON) {
+                    panic!(
+                        "loop {} left word {k} of page {page} unstored: a `Write` touch stores \
+                         every word of its pages — declare it `Update`",
+                        self.armed.loop_id
+                    );
+                }
+            }
+        }
+        self.armed.pages.clear();
+    }
+
     /// Highest interval of `writer` already reflected in our frame of
     /// `page` (0 without a frame).
     pub fn applied_seq(&self, page: PageId, writer: usize) -> u32 {
@@ -715,8 +810,11 @@ impl DsmState {
     /// extended — per real TreadMarks, a page nobody requests costs
     /// nothing per interval. Returns the (small) bookkeeping time to
     /// charge to the releasing thread and the interval it created, if
-    /// anything was dirty.
+    /// anything was dirty. It ends a write-all body's arming: with debug
+    /// assertions, a poisoned word left on a page it opened panics,
+    /// naming the loop and the page.
     pub fn flush(&mut self, cost: &CostModel) -> (f64, Option<Interval>) {
+        self.disarm();
         if self.dirty.is_empty() {
             return (0.0, None);
         }

@@ -15,7 +15,7 @@ use std::ops::Range;
 use apps::{AppId, RunSpec, Version};
 use cri::{Access, Section};
 use proptest::prelude::*;
-use sp2sim::{Cluster, ClusterConfig, EngineKind};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
 use spf::{block_range, LoopCtl, Schedule, Spf};
 use treadmarks::{ProtocolMode, Tmk, TmkConfig};
 
@@ -203,6 +203,27 @@ fn fft3d_cri_equivalent_results_fewer_messages() {
     );
     assert!((cri.messages as f64) <= 0.70 * spf.messages as f64);
     assert!(cri.dsm.direct_reduces > 0);
+}
+
+/// 3-D FFT at 0.5 × 8, where a plane fills whole pages: the init loop
+/// overwrites its planes whole (a write-all touch), so the normalized
+/// chunks are not pushed to it — one push per transposing pair and timed
+/// iteration (280; 560 when the normalization was pushed too), and every
+/// page each loop reads is pushed to it, so nothing is validated. The
+/// reduction-free probe is bit-exact against the unhinted run.
+#[test]
+fn fft3d_cri_pushes_nothing_a_write_all_init_overwrites() {
+    let spf = RunSpec::new(AppId::Fft3d, Version::Spf, 8, 0.5).run();
+    let cri = RunSpec::new(AppId::Fft3d, Version::SpfCri, 8, 0.5).run();
+    assert_eq!(cri.stats.messages(MsgKind::Push), 280);
+    assert_eq!(cri.stats.messages(MsgKind::ValidateResp), 0);
+    let bits =
+        |r: &apps::RunResult| -> Vec<u64> { r.checksum[2..].iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(
+        bits(&cri),
+        bits(&spf),
+        "probe is reduction-free and must be bit-exact"
+    );
 }
 
 /// Hinted runs are themselves deterministic on the sequential engine:

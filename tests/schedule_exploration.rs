@@ -44,10 +44,7 @@ const TIER1: RangeInclusive<u64> = 1..=8;
 const CI: RangeInclusive<u64> = 1..=64;
 
 /// `app` in `version` on `nprocs` processors at `scale` under
-/// `protocol`, on schedule `engine`. A panic out of the cluster — the
-/// engine's deadlock diagnostic, a node's assertion — names the seed;
-/// it is raised again with the cell in front, so that it says what to
-/// replay.
+/// `protocol`, on schedule `engine`.
 fn run(
     app: AppId,
     version: Version,
@@ -56,14 +53,34 @@ fn run(
     protocol: ProtocolMode,
     engine: EngineKind,
 ) -> RunResult {
-    let spec = RunSpec::new(app, version, nprocs, scale);
-    let spec = spec.on(engine).protocol(protocol);
+    run_spec(
+        RunSpec::new(app, version, nprocs, scale)
+            .on(engine)
+            .protocol(protocol),
+    )
+}
+
+/// Run `spec`. A panic out of the cluster — the engine's deadlock
+/// diagnostic, a node's assertion — is raised again with the cell and
+/// its schedule in front, so that it says what to replay.
+fn run_spec(spec: RunSpec) -> RunResult {
     std::panic::catch_unwind(|| spec.run()).unwrap_or_else(|payload| {
         let said = match payload.downcast_ref::<String>() {
             Some(said) => said,
             None => *payload.downcast_ref::<&str>().unwrap_or(&"(no message)"),
         };
-        panic!("{app:?} {version:?}/{protocol}/{nprocs}p/{scale}: {said}")
+        let RunSpec {
+            app,
+            version,
+            nprocs,
+            scale,
+            engine,
+            cfg,
+        } = spec;
+        let (protocol, pw) = (cfg.protocol, cfg.page_words);
+        panic!(
+            "{app:?} {version:?}/{protocol}/{nprocs}p/{scale}/{pw}-word pages on {engine}: {said}"
+        )
     })
 }
 
@@ -186,6 +203,34 @@ fn hinted_igrid_on_small_pages(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Every application's hinted version on 3 nodes at scale 0.05 with
+/// 16-word pages, where each write-all (`Write`) touch covers whole
+/// pages, under both protocols, against the sequential program. With
+/// debug assertions a body that reads a page it declared to overwrite,
+/// or leaves a word of one unstored, panics naming its loop
+/// (`ci/mutants/write_all_reads_first.patch` re-declares MGS's
+/// orthogonalization as a write, and dies here).
+fn write_all_cells(seeds: RangeInclusive<u64>) {
+    for app in AppId::ALL {
+        let seq = RunSpec::new(app, Version::Seq, 1, 0.05).run();
+        for protocol in ProtocolMode::ALL {
+            for engine in seeds.clone().map(EngineKind::Seeded) {
+                let mut spec = RunSpec::new(app, Version::SpfCri, 3, 0.05);
+                spec.cfg.page_words = 16;
+                let r = run_spec(spec.on(engine).protocol(protocol));
+                let close = checksums_close(&r.checksum, &seq.checksum, 1e-9);
+                let ctx = format!("{app:?} SpfCri/{protocol}/3p/0.05/16-word pages on {engine}");
+                assert!(close, "{ctx}: {:?} vs {:?}", r.checksum, seq.checksum);
+            }
+        }
+    }
+}
+
+#[test]
+fn write_all_cells_on_every_explored_schedule() {
+    write_all_cells(TIER1);
+}
+
 /// CI's `explore` job (`-- --include-ignored`), and what
 /// `ci/mutants.sh` requires to fail on each re-broken fix: the seeded
 /// cells first, so that a failure names its seed, then the LRC probe
@@ -197,6 +242,7 @@ fn every_cell_on_the_ci_seed_budget() {
         lrc_order::assert_no_rollback(cfg, *CI.end());
     }
     hinted_igrid_on_small_pages(CI);
+    write_all_cells(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);
     fft3d_version_matrix(CI);
