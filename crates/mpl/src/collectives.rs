@@ -12,43 +12,19 @@
 //! | `gather`/`allgather` | `n - 1` / `2 (n - 1)` |
 //! | `alltoall`        | `n (n - 1)` pairwise |
 //!
-//! A broadcast's words are packed once: the root builds one shared
-//! payload, every packet of the collective holds a clone of it (tree
-//! forwarders pass on the one they received), and each receiver refills
-//! the caller's vector from it.
+//! The binomial tree, the tree broadcast's walk and the reduction
+//! operators are `sp2sim`'s ([`sp2sim::Tree`], `Endpoint::tree_bcast`,
+//! [`ReduceOp`]), shared with the DSM's direct reduction and page
+//! broadcast. A broadcast's words are packed once: the root builds one
+//! shared payload, every packet of the collective holds a clone of it
+//! (tree forwarders pass on the one they received), and each receiver
+//! refills the caller's vector from it.
 
-use sp2sim::{MsgKind, SpanKind};
+use sp2sim::{MsgKind, Payload, SpanKind, Tree};
 
 use crate::comm::{into_f64s, land_f64s, pack_f64s, Comm, ReduceOp};
 
 impl<'a> Comm<'a> {
-    /// This rank's place in the binomial tree rooted at `root`: its
-    /// parent (`None` at the root) and its children in the order a
-    /// broadcast sends to them; a reduction gathers in the reverse order.
-    fn tree(
-        &self,
-        root: usize,
-    ) -> (
-        Option<usize>,
-        impl DoubleEndedIterator<Item = usize> + Clone,
-    ) {
-        let n = self.size();
-        // Re-rank so the root is virtual rank 0. Clearing our lowest set
-        // bit gives the parent; our children set one of the bits below it.
-        let vrank = (self.rank() + n - root) % n;
-        let bits = match vrank {
-            0 => n.next_power_of_two().trailing_zeros(),
-            _ => vrank.trailing_zeros(),
-        };
-        let parent = (vrank != 0).then(|| ((vrank & (vrank - 1)) + root) % n);
-        let children = (0..bits)
-            .rev()
-            .map(move |b| vrank | 1 << b)
-            .filter(move |&vchild| vchild < n)
-            .map(move |vchild| (vchild + root) % n);
-        (parent, children)
-    }
-
     /// Tree barrier: gather to rank 0 up a binomial tree, release down it.
     pub fn barrier(&self) {
         let tag = self.next_coll_tag();
@@ -56,57 +32,47 @@ impl<'a> Comm<'a> {
             return;
         }
         let _s = self.node.trace_span(SpanKind::BarrierWait, tag);
-        let (parent, children) = self.tree(0);
+        let tree = Tree::new(self.rank(), self.size(), 0);
         // Gather phase: receive from each child, then report to the parent.
-        for child in children.clone().rev() {
+        for child in tree.children().rev() {
             self.node.recv_from(child, tag);
         }
         // Release phase: wait for the parent, then release our subtree.
-        if let Some(parent) = parent {
+        if let Some(parent) = tree.parent() {
             self.node.send(parent, tag, MsgKind::Sync, Vec::new());
             self.node.recv_from(parent, tag + 1);
         }
-        for child in children {
+        for child in tree.children() {
             self.node.send(child, tag + 1, MsgKind::Sync, Vec::new());
         }
     }
 
     /// Binomial-tree broadcast of raw words from `root`.
     pub fn bcast(&self, root: usize, data: &mut Vec<u64>) {
-        self.tree_bcast(root, data, <[u64]>::to_vec, |words, data| {
+        if let Some(words) = self.bcast_words(root, || data.to_vec()) {
             data.clear();
-            data.extend_from_slice(words);
-        });
+            data.extend_from_slice(&words);
+        }
     }
 
     /// Broadcast a vector of `f64`s from `root` (tree). The root packs
     /// `data` once; everyone else refills its `data` from the payload it
     /// received.
     pub fn bcast_f64s(&self, root: usize, data: &mut Vec<f64>) {
-        self.tree_bcast(root, data, pack_f64s, land_f64s);
+        if let Some(words) = self.bcast_words(root, || pack_f64s(data)) {
+            land_f64s(&words, data);
+        }
     }
 
-    /// The tree broadcast both forms run: the root `pack`s `data` into
-    /// one payload its children share, a forwarder passes on the payload
-    /// it received, and every non-root `land`s it in `data`.
-    fn tree_bcast<T>(
-        &self,
-        root: usize,
-        data: &mut Vec<T>,
-        pack: impl FnOnce(&[T]) -> Vec<u64>,
-        land: impl FnOnce(&[u64], &mut Vec<T>),
-    ) {
+    /// The tree broadcast both forms run under a fresh collective tag:
+    /// the payload a non-root received, `None` at the root.
+    fn bcast_words(&self, root: usize, pack: impl FnOnce() -> Vec<u64>) -> Option<Payload> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
-        let (parent, children) = self.tree(root);
-        match parent {
-            None => self.multicast(children, tag, || pack(data)),
-            Some(parent) => {
-                let payload = self.node.recv_from(parent, tag).payload;
-                self.forward(children, tag, &payload);
-                land(&payload, data);
-            }
-        }
+        let tree = Tree::new(self.rank(), self.size(), root);
+        let ep = self.node.endpoint();
+        let payload = ep.tree_bcast(tree, tag, MsgKind::Data, pack);
+        tree.parent().map(|_| payload)
     }
 
     /// Flat (serialized) broadcast: the root sends `n - 1` individual
@@ -132,13 +98,13 @@ impl<'a> Comm<'a> {
     pub fn reduce_f64s(&self, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::ReduceWait, tag);
-        let (parent, children) = self.tree(root);
+        let tree = Tree::new(self.rank(), self.size(), root);
         let mut acc = data.to_vec();
-        for child in children.rev() {
+        for child in tree.children().rev() {
             let got = into_f64s(self.node.recv_from(child, tag).payload.into_vec());
             op.fold(&mut acc, &got);
         }
-        let Some(parent) = parent else {
+        let Some(parent) = tree.parent() else {
             return Some(acc);
         };
         let words: Vec<u64> = acc.into_iter().map(f64::to_bits).collect();
@@ -326,7 +292,8 @@ mod tests {
         for (name, tree, bcast) in forms {
             for root in 0..N {
                 let out = run(N, |c| {
-                    let (parent, mut children) = c.tree(root);
+                    let shape = Tree::new(c.rank(), c.size(), root);
+                    let (parent, mut children) = (shape.parent(), shape.children());
                     let parent = if tree {
                         parent
                     } else {

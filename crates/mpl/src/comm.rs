@@ -4,29 +4,8 @@ use std::cell::Cell;
 
 use sp2sim::{MsgKind, Node, Payload, SpanKind, WordReader, WordWriter};
 
-/// Reduction operators over `f64` vectors (elementwise).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReduceOp {
-    /// Elementwise sum.
-    Sum,
-    /// Elementwise maximum.
-    Max,
-    /// Elementwise minimum.
-    Min,
-}
-
-impl ReduceOp {
-    /// Combine `b` into `a`.
-    #[inline]
-    pub fn fold(self, a: &mut [f64], b: &[f64]) {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            ReduceOp::Sum => a.iter_mut().zip(b).for_each(|(x, y)| *x += y),
-            ReduceOp::Max => a.iter_mut().zip(b).for_each(|(x, y)| *x = x.max(*y)),
-            ReduceOp::Min => a.iter_mut().zip(b).for_each(|(x, y)| *x = x.min(*y)),
-        }
-    }
-}
+/// The reduction operators, shared with the DSM's direct reduction.
+pub use sp2sim::ReduceOp;
 
 /// Pack a slice of `f64`s into a fresh payload: the one copy a message
 /// costs on its way out — or a multicast, however many destinations
@@ -124,7 +103,7 @@ impl<'a> Comm<'a> {
     }
 
     /// Send one payload, packed by `pack` only if there is a destination,
-    /// to every rank of `dsts` in order.
+    /// to every rank of `dsts` in order, each packet holding a clone.
     pub(crate) fn multicast(
         &self,
         dsts: impl IntoIterator<Item = usize>,
@@ -133,20 +112,10 @@ impl<'a> Comm<'a> {
     ) {
         let mut dsts = dsts.into_iter().peekable();
         if dsts.peek().is_some() {
-            self.forward(dsts, tag, &Payload::shared(pack()));
-        }
-    }
-
-    /// Send `payload` to every rank of `dsts` in order: each packet holds
-    /// a clone, a reference-count bump when the payload is shared.
-    pub(crate) fn forward(
-        &self,
-        dsts: impl IntoIterator<Item = usize>,
-        tag: u32,
-        payload: &Payload,
-    ) {
-        for dst in dsts {
-            self.node.send(dst, tag, MsgKind::Data, payload.clone());
+            let payload = Payload::shared(pack());
+            for dst in dsts {
+                self.node.send(dst, tag, MsgKind::Data, payload.clone());
+            }
         }
     }
 
@@ -317,16 +286,5 @@ mod tests {
         });
         assert_eq!(out.stats.total_messages(), 1);
         assert_eq!(out.stats.total_bytes(), 0);
-    }
-
-    #[test]
-    fn reduce_op_folds() {
-        let mut a = vec![1.0, 5.0, -2.0];
-        ReduceOp::Sum.fold(&mut a, &[1.0, 1.0, 1.0]);
-        assert_eq!(a, vec![2.0, 6.0, -1.0]);
-        ReduceOp::Max.fold(&mut a, &[0.0, 10.0, 0.0]);
-        assert_eq!(a, vec![2.0, 10.0, 0.0]);
-        ReduceOp::Min.fold(&mut a, &[-7.0, 20.0, 0.5]);
-        assert_eq!(a, vec![-7.0, 10.0, 0.0]);
     }
 }

@@ -65,6 +65,7 @@
 pub mod cell;
 pub mod cluster;
 pub mod codec;
+pub mod collective;
 pub mod cost;
 pub mod engine;
 pub mod node;
@@ -76,6 +77,7 @@ pub mod time;
 pub use cell::{StateCell, StateGuard};
 pub use cluster::{Cluster, ClusterConfig, RunOutput};
 pub use codec::{WordReader, WordWriter};
+pub use collective::{block_range, ReduceOp, Tree};
 pub use cost::CostModel;
 pub use engine::{EngineKind, ServiceHandle};
 pub use node::{Endpoint, Node, TraceSpanGuard};

@@ -91,6 +91,7 @@ use cri::{Access, Consumer, HintEngine};
 use treadmarks::{SharedArray, Tmk};
 
 pub use footprint::{Cols, Mode, Next, Touch};
+pub use sp2sim::block_range;
 
 /// Loop iteration scheduling, as selected by the SPF directives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -144,17 +145,6 @@ impl LoopCtl<'_> {
             }
         }
     }
-}
-
-/// Contiguous block decomposition of `range` for processor `me` of `n`:
-/// the first `len % n` processors get one extra iteration.
-pub fn block_range(me: usize, n: usize, range: Range<usize>) -> Range<usize> {
-    let len = range.end - range.start;
-    let base = len / n;
-    let extra = len % n;
-    let lo = range.start + me * base + me.min(extra);
-    let hi = lo + base + usize::from(me < extra);
-    lo..hi.min(range.end)
 }
 
 /// Append the loop-control words (`4 + args`) to `v`.
@@ -534,31 +524,6 @@ mod tests {
     use super::*;
     use sp2sim::{Cluster, ClusterConfig, MsgKind};
     use treadmarks::TmkConfig;
-
-    #[test]
-    fn block_range_partitions_exactly() {
-        for n in 1..9 {
-            for len in [0usize, 1, 7, 64, 1000] {
-                let mut seen = vec![0u32; len];
-                for me in 0..n {
-                    for i in block_range(me, n, 0..len) {
-                        seen[i] += 1;
-                    }
-                }
-                assert!(seen.iter().all(|&c| c == 1), "n={n} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn block_range_is_ordered_and_balanced() {
-        let r0 = block_range(0, 3, 0..10);
-        let r1 = block_range(1, 3, 0..10);
-        let r2 = block_range(2, 3, 0..10);
-        assert_eq!(r0, 0..4);
-        assert_eq!(r1, 4..7);
-        assert_eq!(r2, 7..10);
-    }
 
     #[test]
     fn cyclic_iters_partition_exactly() {

@@ -13,8 +13,8 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use sp2sim::{
-    MsgKind, Node, Payload, Port, ServiceHandle, SpanKind, StateCell, StateGuard, TraceSpanGuard,
-    WordReader, WordWriter,
+    MsgKind, Node, Payload, Port, ReduceOp, ServiceHandle, SpanKind, StateCell, StateGuard,
+    TraceSpanGuard, Tree, WordReader, WordWriter,
 };
 
 use crate::coherence::{Miss, Scratch};
@@ -25,7 +25,7 @@ use crate::page::{PageId, Window};
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
-use crate::state::{reduce_children, DsmState, ReduceOp};
+use crate::state::DsmState;
 use crate::stats::DsmStats;
 
 /// Handle to an allocation in the global shared address space.
@@ -981,49 +981,41 @@ impl<'n> Tmk<'n> {
     /// replaces; Sum stays deterministic but tree-ordered.
     pub fn reduce_op(&self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let me = self.proc_id();
-        let n = self.nprocs();
         let seq = self.reduce_seq.get();
         let _s = self.node.trace_span(SpanKind::ReduceWait, seq & 0xFFFF);
         self.reduce_seq.set(seq.wrapping_add(1));
         let t16 = seq & 0xFFFF;
-        let children = reduce_children(me, n);
         let completed = {
             let mut st = self.state.lock();
             st.stats.direct_reduces += 1;
             st.reduce_contribute(seq as u64, None, vals.to_vec(), op)
         };
-        if let Some(sub) = &completed {
-            // Our subtree is already complete (leaf node, or every child
-            // part beat our deposit): forward from the application side.
-            if me != 0 {
-                forward_reduce(self.node.endpoint(), seq, op, sub, self.node.now(), None);
-            }
-        }
-        let total = if me == 0 {
-            match completed {
-                Some(total) => total,
-                None => {
-                    // The service completes the slot when the last child
-                    // part arrives and upcalls the total to us.
-                    let t = tag::REDUCE_DONE | t16;
-                    let pkt = self.node.recv_match(|p| p.tag == t);
-                    protocol::decode_reduce_vals(&mut WordReader::new(&pkt.payload))
+        let total = match completed {
+            Some(total) if me == 0 => total,
+            completed => {
+                // Our subtree may be complete already (leaf node, or every
+                // child part beat our deposit): forward from the
+                // application side. The root's service completes the slot
+                // when the last child part arrives and upcalls the total to
+                // us; every other node gets it from its parent.
+                if let Some(sub) = &completed {
+                    forward_reduce(self.node.endpoint(), seq, op, sub, self.node.now(), None);
                 }
+                let t = match me {
+                    0 => tag::REDUCE_DONE,
+                    _ => tag::REDUCE_RESULT,
+                } | t16;
+                let pkt = self.node.recv_match(|p| p.tag == t);
+                protocol::decode_reduce_vals(&mut WordReader::new(&pkt.payload))
             }
-        } else {
-            let t = tag::REDUCE_RESULT | t16;
-            let pkt = self.node.recv_match(|p| p.tag == t);
-            protocol::decode_reduce_vals(&mut WordReader::new(&pkt.payload))
         };
-        // Distribute the total down the same tree.
-        for &c in &children {
-            self.node.endpoint().send_to_port(
-                c,
-                Port::App,
-                tag::REDUCE_RESULT | t16,
-                MsgKind::ReduceResult,
-                protocol::encode_reduce_vals(&total),
-            );
+        // Distribute the total down the same tree, children ascending,
+        // every packet holding the one payload.
+        let (t, mut payload) = (tag::REDUCE_RESULT | t16, None);
+        for c in Tree::new(me, self.nprocs(), 0).children().rev() {
+            let p = payload
+                .get_or_insert_with(|| Payload::shared(protocol::encode_reduce_vals(&total)));
+            self.node.send(c, t, MsgKind::ReduceResult, p.clone());
         }
         total
     }
@@ -1132,8 +1124,11 @@ impl<'n> Tmk<'n> {
     }
 
     /// Broadcast the current content of `range` of `arr` from `root` to
-    /// all nodes along a binomial tree — the modified-TreadMarks broadcast
-    /// used by the MGS hand-optimization (§5.3). Collective: every node
+    /// all nodes — the modified-TreadMarks broadcast used by the MGS
+    /// hand-optimization (§5.3). The root publishes its writes and packs
+    /// the pages once; they go down the binomial tree message passing's
+    /// broadcasts walk (`Endpoint::tree_bcast`, one `bcast` message per
+    /// edge), and every other node installs them. Collective: every node
     /// must call it at the same point.
     pub fn bcast_pages(&self, root: usize, arr: SharedArray, range: Range<usize>) {
         self.quiescent("page broadcast");
@@ -1155,11 +1150,8 @@ impl<'n> Tmk<'n> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         let pw = self.cfg.page_words;
         let (p0, p1) = (wlo / pw, (whi - 1) / pw);
-        let cost = self.node.cost();
-
-        // Binomial-tree topology with `root` as virtual rank 0.
-        let vrank = (me + n - root) % n;
-        let payload: Payload = if me == root {
+        let ep = self.node.endpoint();
+        let payload = ep.tree_bcast(Tree::new(me, n, root), t, MsgKind::Bcast, || {
             // Publish local writes first so the broadcast content matches
             // the interval state observers are entitled to.
             self.publish();
@@ -1172,49 +1164,21 @@ impl<'n> Tmk<'n> {
                 debug_assert!(!st.is_dirty(p), "root must not have open writes");
                 protocol::encode_page_entry(&mut w, p, applied, data);
             }
-            // Built once: every packet of the tree holds this buffer.
-            Payload::shared(w.finish())
-        } else {
-            let parent = ((vrank & (vrank.wrapping_sub(1))) + root) % n;
-            let pkt = self.node.recv_match(|p| p.src == parent && p.tag == t);
-            pkt.payload
-        };
-
-        // Forward to children.
-        let lsb = if vrank == 0 {
-            n.next_power_of_two()
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut m = lsb >> 1;
-        while m > 0 {
-            let vchild = vrank | m;
-            if vchild < n && vchild != vrank {
-                let child = (vchild + root) % n;
-                self.node.endpoint().send_to_port(
-                    child,
-                    Port::App,
-                    t,
-                    MsgKind::Bcast,
-                    payload.clone(),
-                );
-            }
-            m >>= 1;
+            w.finish()
+        });
+        if me == root {
+            return;
         }
-
-        if me != root {
-            let mut r = WordReader::new(&payload);
-            let mut st = self.state.lock();
-            let mut us = 0.0;
-            for e in protocol::decode_page_resp(&mut r, n, pw) {
-                let mut frame = st.frames.frame_mut(e.page);
-                debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
-                frame.install(e.data, e.applied());
-                us += cost.diff_apply_us(pw);
-            }
-            drop(st);
-            self.node.advance(us);
+        let mut st = self.state.lock();
+        let mut us = 0.0;
+        for e in protocol::decode_page_resp(&mut WordReader::new(&payload), n, pw) {
+            let mut frame = st.frames.frame_mut(e.page);
+            debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
+            frame.install(e.data, e.applied());
+            us += self.node.cost().diff_apply_us(pw);
         }
+        drop(st);
+        self.node.advance(us);
     }
 
     // ------------------------------------------------------------------
@@ -1959,32 +1923,36 @@ pub(crate) mod tests {
 
     #[test]
     fn bcast_pages_distributes_without_faults() {
-        let out = run(4, |tmk| {
-            let a = tmk.malloc_f64(600); // two pages
-            if tmk.proc_id() == 2 {
-                let mut w = tmk.write(a, 0..600);
-                for i in 0..600 {
-                    w[i] = i as f64;
+        for n in [1usize, 2, 3, 5, 8] {
+            for root in 0..n {
+                let out = run(n, |tmk| {
+                    let a = tmk.malloc_f64(600); // two pages
+                    if tmk.proc_id() == root {
+                        let mut w = tmk.write(a, 0..600);
+                        for i in 0..600 {
+                            w[i] = i as f64;
+                        }
+                        drop(w);
+                    }
+                    tmk.bcast_pages(root, a, 0..600);
+                    let ok = {
+                        let r = tmk.read(a, 0..600);
+                        (0..600).all(|i| r[i] == i as f64)
+                    };
+                    let faults = tmk.stats_snapshot().faults;
+                    tmk.barrier(0);
+                    tmk.finish();
+                    (ok, faults)
+                });
+                let cell = format!("root {root} of {n}");
+                for (i, &(ok, faults)) in out.results.iter().enumerate() {
+                    assert!(ok, "{cell}: node {i} content");
+                    assert!(i == root || faults == 0, "{cell}: node {i} faulted");
                 }
-                drop(w);
-            }
-            tmk.bcast_pages(2, a, 0..600);
-            let ok = {
-                let r = tmk.read(a, 0..600);
-                (0..600).all(|i| r[i] == i as f64)
-            };
-            let faults = tmk.stats_snapshot().faults;
-            tmk.barrier(0);
-            tmk.finish();
-            (ok, faults)
-        });
-        for (i, (ok, faults)) in out.results.iter().enumerate() {
-            assert!(ok, "node {i} content");
-            if i != 2 {
-                assert_eq!(*faults, 0, "node {i} should not fault after bcast");
+                assert_eq!(out.stats.messages(MsgKind::Bcast), n as u64 - 1, "{cell}");
+                assert_eq!(out.stats.messages(MsgKind::DiffReq), 0, "{cell}");
             }
         }
-        assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
     }
 
     #[test]

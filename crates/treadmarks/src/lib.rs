@@ -131,5 +131,5 @@ pub use diff::Diff;
 pub use dsm::{ReadView, SharedArray, Tmk, WriteView};
 pub use profile::{LockProfile, PageProfile, SharingProfile};
 pub use race::{FalseSharingReport, RaceLog, RaceReport};
-pub use state::ReduceOp;
+pub use sp2sim::ReduceOp;
 pub use stats::DsmStats;

@@ -373,7 +373,7 @@ pub fn decode_departure(msg: &Landed) -> Departure<'_> {
 
 /// Encode a direct-reduction partial travelling up the combine tree
 /// (service-port message, first word is the opcode). `op_code` is the
-/// combining operator's wire code (see `state::ReduceOp`).
+/// combining operator's wire code (see `sp2sim::ReduceOp`).
 pub fn encode_reduce_part(seq: u32, src: usize, op_code: u64, vals: &[f64]) -> Vec<u64> {
     let mut w = WordWriter::with_capacity(5 + vals.len());
     w.put(op::REDUCE_PART)

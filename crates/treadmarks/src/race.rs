@@ -111,45 +111,57 @@ fn overlap(a: &[u32], b: &[u32]) -> Option<(u32, u64)> {
     first.map(|w| (w, count))
 }
 
+/// One interval's writes to one page: the interval and its words.
+type PageWrites<'a> = (&'a IntervalWrites, &'a [u32]);
+
+/// Hand `visit` every pair of intervals that wrote the same page while
+/// concurrent under the vector-clock partial order, page by page in
+/// ascending order, the lower node's interval first. An empty word list
+/// cannot race and is skipped.
+fn concurrent_pairs<'a>(
+    logs: &'a [RaceLog],
+    mut visit: impl FnMut(PageId, PageWrites<'a>, PageWrites<'a>),
+) {
+    let mut by_page: BTreeMap<PageId, Vec<PageWrites>> = BTreeMap::new();
+    for log in logs {
+        for iv in &log.intervals {
+            debug_assert_eq!(iv.node, log.node, "log holds its own node's intervals");
+            for (page, words) in iv.writes.iter().filter(|(_, w)| !w.is_empty()) {
+                by_page.entry(*page).or_default().push((iv, words));
+            }
+        }
+    }
+    for (page, ivs) in by_page {
+        for (i, &a) in ivs.iter().enumerate() {
+            for &b in &ivs[i + 1..] {
+                let (x, y) = (a.0, b.0);
+                if vc::intervals_concurrent(x.node, x.seq, &x.vc, y.node, y.seq, &y.vc) {
+                    let (lo, hi) = if x.node < y.node { (a, b) } else { (b, a) };
+                    visit(page, lo, hi);
+                }
+            }
+        }
+    }
+}
+
 /// Analyze the cluster's per-node logs: report every pair of intervals
 /// that wrote the same word of the same page while concurrent under the
 /// vector-clock partial order. One report per `(page, writer pair,
 /// interval pair)`, carrying the first overlapping word and the overlap
 /// size; reports are sorted for deterministic output.
 pub fn detect(logs: &[RaceLog]) -> Vec<RaceReport> {
-    let mut by_page: BTreeMap<PageId, Vec<(&IntervalWrites, &[u32])>> = BTreeMap::new();
-    for log in logs {
-        for iv in &log.intervals {
-            debug_assert_eq!(iv.node, log.node, "log holds its own node's intervals");
-            for (page, words) in &iv.writes {
-                by_page.entry(*page).or_default().push((iv, words));
-            }
-        }
-    }
     let mut out = Vec::new();
-    for (page, ivs) in by_page {
-        for (i, &(a, aw)) in ivs.iter().enumerate() {
-            for &(b, bw) in &ivs[i + 1..] {
-                if !vc::intervals_concurrent(a.node, a.seq, &a.vc, b.node, b.seq, &b.vc) {
-                    continue;
-                }
-                if let Some((word, words)) = overlap(aw, bw) {
-                    let ((w1, s1), (w2, s2)) = if a.node < b.node {
-                        ((a.node, a.seq), (b.node, b.seq))
-                    } else {
-                        ((b.node, b.seq), (a.node, a.seq))
-                    };
-                    out.push(RaceReport {
-                        page,
-                        word,
-                        words,
-                        writers: (w1, w2),
-                        intervals: (s1, s2),
-                    });
-                }
-            }
+    concurrent_pairs(logs, |page, (a, aw), (b, bw)| {
+        if let Some((word, words)) = overlap(aw, bw) {
+            out.push(RaceReport {
+                page,
+                word,
+                words,
+                writers: (a.node, b.node),
+                intervals: (a.seq, b.seq),
+            });
         }
-    }
+    });
     out.sort_by_key(|r| (r.page, r.word, r.writers, r.intervals));
     out
 }
@@ -199,38 +211,16 @@ impl fmt::Display for FalseSharingReport {
 /// pair)` and sorted by descending pair count (then page) so the top
 /// entry names the strongest candidate.
 pub fn detect_false_sharing(logs: &[RaceLog]) -> Vec<FalseSharingReport> {
-    let mut by_page: BTreeMap<PageId, Vec<(&IntervalWrites, &[u32])>> = BTreeMap::new();
-    for log in logs {
-        for iv in &log.intervals {
-            for (page, words) in &iv.writes {
-                if !words.is_empty() {
-                    by_page.entry(*page).or_default().push((iv, words));
-                }
-            }
-        }
-    }
     let mut agg: BTreeMap<(PageId, usize, usize), (u64, u64, u64)> = BTreeMap::new();
-    for (page, ivs) in by_page {
-        for (i, &(a, aw)) in ivs.iter().enumerate() {
-            for &(b, bw) in &ivs[i + 1..] {
-                if !vc::intervals_concurrent(a.node, a.seq, &a.vc, b.node, b.seq, &b.vc) {
-                    continue;
-                }
-                if overlap(aw, bw).is_some() {
-                    continue; // a true race, not false sharing
-                }
-                let ((w1, c1), (w2, c2)) = if a.node < b.node {
-                    ((a.node, aw.len() as u64), (b.node, bw.len() as u64))
-                } else {
-                    ((b.node, bw.len() as u64), (a.node, aw.len() as u64))
-                };
-                let e = agg.entry((page, w1, w2)).or_default();
-                e.0 += 1;
-                e.1 += c1;
-                e.2 += c2;
-            }
+    concurrent_pairs(logs, |page, (a, aw), (b, bw)| {
+        // Disjoint word sets; an overlap is a race, not false sharing.
+        if overlap(aw, bw).is_none() {
+            let e = agg.entry((page, a.node, b.node)).or_default();
+            e.0 += 1;
+            e.1 += aw.len() as u64;
+            e.2 += bw.len() as u64;
         }
-    }
+    });
     let mut out: Vec<FalseSharingReport> = agg
         .into_iter()
         .map(|((page, w1, w2), (pairs, wa, wb))| FalseSharingReport {

@@ -16,7 +16,9 @@
 
 use std::rc::Rc;
 
-use sp2sim::{EdgeKind, Endpoint, MsgKind, Payload, Port, StateCell, VTime, WordReader};
+use sp2sim::{
+    EdgeKind, Endpoint, MsgKind, Payload, Port, ReduceOp, StateCell, Tree, VTime, WordReader,
+};
 
 use crate::config::ProtocolMode;
 use crate::diff::Landed;
@@ -89,7 +91,7 @@ fn handle_reduce_part(
     pkt_seq: u64,
 ) {
     let (seq, src, op_code, vals) = protocol::decode_reduce_part(r);
-    let op = crate::state::ReduceOp::from_code(op_code);
+    let op = ReduceOp::from_code(op_code);
     let combined = state
         .lock()
         .reduce_contribute(seq as u64, Some(src), vals, op);
@@ -114,31 +116,30 @@ fn handle_reduce_part(
 pub(crate) fn forward_reduce(
     ep: &Endpoint,
     seq: u32,
-    op: crate::state::ReduceOp,
+    op: ReduceOp,
     total: &[f64],
     ready: VTime,
     edge: Option<(u64, VTime)>,
 ) {
     let me = ep.id();
-    let out_seq = if me == 0 {
+    let out_seq = match Tree::new(me, ep.nprocs(), 0).parent() {
         // Self-delivery: a local upcall, free and uncounted.
-        ep.send_at(
+        None => ep.send_at(
             me,
             Port::App,
             tag::REDUCE_DONE | (seq & 0xFFFF),
             MsgKind::Control,
             protocol::encode_reduce_vals(total),
             ready,
-        )
-    } else {
-        ep.send_at(
-            crate::state::reduce_parent(me),
+        ),
+        Some(parent) => ep.send_at(
+            parent,
             Port::Service,
             0,
             MsgKind::ReducePart,
             protocol::encode_reduce_part(seq, me, op.code(), total),
             ready,
-        )
+        ),
     };
     if let Some((cause_seq, at)) = edge {
         ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, at);

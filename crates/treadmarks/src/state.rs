@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sp2sim::{CostModel, Payload, VTime};
+use sp2sim::{CostModel, Payload, ReduceOp, Tree, VTime};
 
 use crate::config::TmkConfig;
 use crate::diff::{Diff, DiffBatch, Pending, Sealed};
@@ -339,52 +339,6 @@ pub struct QueuedReq {
     pub arrival: VTime,
 }
 
-/// The combining operator of a direct reduction. Sum is what SPF's
-/// reduction directives emit most; Min/Max cover the comparison
-/// reductions (IGrid's centre-square min/max). Min and Max are exact
-/// and order-insensitive, so a tree combine returns bitwise the same
-/// value as any sequential fold; Sum is deterministic (fixed tree
-/// order) but not bitwise equal to a left fold.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Elementwise addition.
-    Sum,
-    /// Elementwise minimum.
-    Min,
-    /// Elementwise maximum.
-    Max,
-}
-
-impl ReduceOp {
-    /// Combine two values.
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    /// Wire code.
-    pub fn code(self) -> u64 {
-        match self {
-            ReduceOp::Sum => 0,
-            ReduceOp::Min => 1,
-            ReduceOp::Max => 2,
-        }
-    }
-
-    /// Decode a wire code (unknown codes combine as Sum, the legacy
-    /// behaviour — senders in this codebase always encode a valid op).
-    pub fn from_code(code: u64) -> ReduceOp {
-        match code {
-            1 => ReduceOp::Min,
-            2 => ReduceOp::Max,
-            _ => ReduceOp::Sum,
-        }
-    }
-}
-
 /// One in-flight direct reduction at a combine-tree node: the children's
 /// partials (combined by the service loop) plus the local partial
 /// (deposited by the application). Whichever side completes the
@@ -395,32 +349,6 @@ pub struct ReduceSlot {
     pub parts: BTreeMap<usize, Vec<f64>>,
     /// This node's own partial, once deposited.
     pub local: Option<Vec<f64>>,
-}
-
-/// Children of `rank` in the binomial combine tree rooted at 0
-/// (ascending rank order — the deterministic combine order).
-pub fn reduce_children(rank: usize, n: usize) -> Vec<usize> {
-    let lsb = if rank == 0 {
-        n.next_power_of_two()
-    } else {
-        rank & rank.wrapping_neg()
-    };
-    let mut out = Vec::new();
-    let mut m = 1;
-    while m < lsb {
-        let c = rank | m;
-        if c < n && c != rank {
-            out.push(c);
-        }
-        m <<= 1;
-    }
-    out
-}
-
-/// Parent of `rank != 0` in the binomial combine tree.
-pub fn reduce_parent(rank: usize) -> usize {
-    debug_assert_ne!(rank, 0);
-    rank & (rank - 1)
 }
 
 /// The pages a hinted loop body stores every word of before it reads
@@ -667,17 +595,15 @@ impl DsmState {
             }
             None => slot.local = Some(vals),
         }
-        let nchildren = reduce_children(self.me, self.n).len();
+        let nchildren = Tree::new(self.me, self.n, 0).children().count();
         let complete = slot.local.is_some() && slot.parts.len() == nchildren;
         if !complete {
             return None;
         }
         let slot = self.reduces.remove(&seq).expect("slot exists");
         let mut acc = slot.local.expect("complete slot has a local partial");
-        for (_, part) in slot.parts {
-            for (a, b) in acc.iter_mut().zip(part) {
-                *a = op.apply(*a, b);
-            }
+        for part in slot.parts.values() {
+            op.fold(&mut acc, part);
         }
         Some(acc)
     }
@@ -1928,27 +1854,6 @@ mod tests {
         write_words(&mut s, 1, &[(2, 1)]);
         s.flush(&CostModel::sp2());
         assert_eq!(s.take_unreported(), 1..3);
-    }
-
-    #[test]
-    fn reduce_tree_is_a_partition() {
-        for n in 1..=9usize {
-            // Every non-root rank has exactly one parent whose child list
-            // contains it; the root has none.
-            for r in 1..n {
-                let p = reduce_parent(r);
-                assert!(p < r, "parent below child rank");
-                assert!(reduce_children(p, n).contains(&r), "n={n} r={r}");
-            }
-            let mut seen = vec![0u32; n];
-            seen[0] += 1;
-            for r in 0..n {
-                for c in reduce_children(r, n) {
-                    seen[c] += 1;
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "each rank one parent, n={n}");
-        }
     }
 
     #[test]

@@ -57,21 +57,11 @@
 use std::ops::Range;
 
 use mpl::Comm;
-use sp2sim::WordWriter;
+use sp2sim::{block_range, WordWriter};
 
-/// Contiguous block decomposition of `0..len` for processor `me` of `n`
-/// (same convention as the SPF run-time).
-pub fn block_range(me: usize, n: usize, len: usize) -> Range<usize> {
-    let base = len / n;
-    let extra = len % n;
-    let lo = me * base + me.min(extra);
-    let hi = lo + base + usize::from(me < extra);
-    lo..hi.min(len)
-}
-
-/// Owner of column `j` under block distribution of `len` columns over `n`.
+/// Owner of column `j` under block distribution of `len` columns over
+/// `n`: the inverse of [`block_range`], the SPF run-time's partition.
 pub fn block_owner(j: usize, n: usize, len: usize) -> usize {
-    // Inverse of `block_range`.
     let base = len / n;
     let extra = len % n;
     let cut = extra * (base + 1);
@@ -216,7 +206,7 @@ impl<'c, 'n> Xhpf<'c, 'n> {
 
     /// Allocate a block-distributed 2-D array (zeroed).
     pub fn block_array(&self, rows: usize, cols: usize, ghost: usize) -> BlockArray2 {
-        let r = block_range(self.rank(), self.size(), cols);
+        let r = block_range(self.rank(), self.size(), 0..cols);
         let local_cols = (r.end - r.start) + 2 * ghost;
         BlockArray2 {
             rows,
@@ -318,7 +308,7 @@ impl<'c, 'n> Xhpf<'c, 'n> {
         }
         // Flat fragmented broadcast from every process in rank order.
         for root in 0..n {
-            let r = block_range(root, n, a.cols);
+            let r = block_range(root, n, 0..a.cols);
             self.bcast_fragments(root, 200, &mut full[r.start * a.rows..r.end * a.rows]);
         }
     }
@@ -377,7 +367,7 @@ mod tests {
                 for j in 0..len {
                     let owner = block_owner(j, n, len);
                     assert!(
-                        block_range(owner, n, len).contains(&j),
+                        block_range(owner, n, 0..len).contains(&j),
                         "n={n} len={len} j={j} owner={owner}"
                     );
                 }
