@@ -3,8 +3,9 @@
 # re-breaks one fix (the stale twin, the publish window, the lock send
 # order, and the three rules that order LRC's diffs: a range stamped at
 # its last interval, an open range that spans a foreign notice, a push
-# applied ahead of an older diff, the windowed reduction's fold order)
-# or one declaration (a write-all touch whose body reads first) in a
+# applied ahead of an older diff, the windowed reduction's fold order,
+# a superseding push installed over what it does not dominate) or one
+# declaration (a write-all touch whose body reads first) in a
 # scratch copy of the tree, and the schedule-exploration suite, in
 # release at CI's seed budget, must fail on it and name the seed that
 # did it. A patch whose text before its diff has a `Suite: <cargo test

@@ -8,6 +8,12 @@
 //! * **SPF**: normalization is sequential code, so it runs on the master —
 //!   vector `i` must move from its owner to the master and back out to
 //!   everyone (the locality loss the paper blames for 3.35 vs 4.19);
+//! * **SPF+CRI**: the same program with the compiler's descriptors, which
+//!   say the master rewrites the pivot before every orthogonalization —
+//!   so the owner pushes the next pivot to the master alone, and the
+//!   master's normalized pivot reaches every worker with the dispatch,
+//!   down a push tree: each pivot travels once to each node, §5.3's
+//!   merged data and synchronization without the hand edit;
 //! * **TreadMarks (hand)**: the owner of vector `i` normalizes it in
 //!   place; everyone else pages it in after one barrier per iteration;
 //! * **XHPF**: SPMD — the owner sends the unnormalized vector to all
@@ -25,7 +31,6 @@
 
 use std::ops::Range;
 
-use cri::{Access, Section};
 use mpl::Comm;
 use sp2sim::Node;
 use spf::Mode::{Read, Update, Write};
@@ -149,6 +154,13 @@ impl PaddedMatrix {
         ]
     }
 
+    /// What the master's normalization before an orthogonalization over
+    /// `iters` touches: the pivot, column `iters.start - 1`, read and
+    /// rewritten in place.
+    fn normalization(&self, iters: &Range<usize>) -> Touch {
+        self.touch(iters.start - 1..iters.start, Update)
+    }
+
     fn col_range(&self, j: usize) -> Range<usize> {
         j * self.cols.stride..j * self.cols.stride + self.n
     }
@@ -235,12 +247,14 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
 /// The SPF version; with `cri` the compiler's descriptors hint the
 /// broadcast-producing structure of §5.3: the orthogonalize loop's
 /// cyclic column sets over a triangular iteration space (`DO J = I+1, N`,
-/// [`Touch::cyclic`]), the next pivot's owner
-/// pushes it to the master's sequential normalization
-/// (`consumed_by_node(0)`), and the master declares its normalize write
-/// through [`spf::Master::produce`] so the pivot rides the next fork to
-/// every worker — data merged into synchronization exactly like the
-/// hand broadcast, but compiler-described.
+/// [`Touch::cyclic`]), and the footprint of the master's sequential
+/// normalization before each dispatch ([`Spf::describe_sequential`]).
+/// From the two, `spf` derives that the next pivot's owner pushes it
+/// to the master alone — the master reads it, and its rewrite
+/// supersedes what the workers would have read — and the master
+/// republishes the normalized pivot with the fork, down a push tree to
+/// every worker: data merged into synchronization like the hand
+/// broadcast, but compiler-described.
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let n = p.n;
     let me = node.id();
@@ -269,20 +283,17 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         move |ctl: &LoopCtl| a.init(tmk, &init(&ctl.range, me, np))
     });
     if cri {
-        // Written columns feed the loop's next dispatch; the next pivot,
-        // the dispatch's first column, also feeds the master's sequential
-        // normalization.
+        // Written columns feed the loop's next dispatch, and the master's
+        // normalization before it reads and rewrites the first of them,
+        // the next pivot.
         let a = &a;
         let upd = move |iters: &Range<usize>, q, np| Some(a.orthogonalization(iters, q, np));
         spf.describe(l_upd, upd, move |iters, _| {
-            let pivot = Next::Node(0, iters.start..iters.start + 1);
-            match iters.start + 1 < n {
-                true => vec![Next::Loop(l_upd, iters.start + 1..n), pivot],
-                false => vec![pivot],
-            }
+            vec![Next::Loop(l_upd, (iters.start + 1).min(n)..n)]
         });
         let init = move |iters: &Range<usize>, q, np| Some([init(iters, q, np)]);
         spf.describe(l_init, init, move |_, _| vec![Next::Loop(l_upd, 1..n)]);
+        spf.describe_sequential(l_upd, move |iters| vec![a.normalization(iters)]);
     }
 
     let cs = spf.run(|mr| {
@@ -294,14 +305,6 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             // hinted versions).
             normalize(a.update_col(mr.tmk(), i).slice_mut());
             node.advance(n as f64 * NORM_US);
-            if cri {
-                // The compiler's descriptor for the sequential write:
-                // the normalized pivot is read by every node of the next
-                // dispatch — push it with the fork (§5.3's merged data +
-                // synchronization, compiler-described).
-                mr.produce(&[Access::write(a.cols.arr, Section::range(a.col_range(i)))
-                    .consumed_by_loop(l_upd, i + 1..n)]);
-            }
             mr.par_loop(l_upd, i + 1..n, Schedule::Cyclic, &[i as u64]);
         }
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
@@ -389,7 +392,7 @@ pub fn node(node: &Node, version: Version, p: &Params, cfg: &TmkConfig) -> NodeO
         Version::HandOpt => tmk_node(node, p, cfg, true),
         // MGS's loops are regular but triangular: the CRI version hints
         // them through `cri::Section::cyclic_cols` and the master's
-        // `produce`.
+        // sequential footprint.
         Version::Spf => spf_node(node, p, cfg, false),
         Version::SpfCri => spf_node(node, p, cfg, true),
         Version::Xhpf => mp_node(node, p, true),
@@ -445,9 +448,17 @@ mod tests {
             cri.messages,
             spf.messages
         );
-        // Every demand fetch became a push riding a rendezvous.
+        // Every demand fetch became a push riding a rendezvous: a pivot
+        // reaches the master from its owner, then every worker from the
+        // master, down the push tree — at most one message per node.
         assert_eq!(cri.stats.messages(sp2sim::MsgKind::DiffReq), 0);
         assert!(cri.dsm.pages_pushed > 0);
+        let pivots = params(SCALE).n as u64;
+        let pushes = cri.stats.messages(sp2sim::MsgKind::Push);
+        assert!(
+            pushes <= 4 * pivots,
+            "{pushes} pushes for {pivots} pivots on 4 nodes"
+        );
     }
 
     #[test]

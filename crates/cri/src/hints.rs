@@ -500,8 +500,8 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 
     /// Declare sections *sequential* code on this node just wrote,
     /// together with their consumers — the compiler's descriptor for
-    /// straight-line code between two dispatches (MGS's pivot
-    /// normalization on the master is the canonical case). Pushes ride
+    /// straight-line code between two dispatches (IGrid's set-up of its
+    /// grids and maps on the master). Pushes ride
     /// this node's next rendezvous exactly like a loop's `after_loop`
     /// registrations; [`Consumer::Loop`] overlaps are evaluated through
     /// the consumer's registered descriptor. Returns the number of
@@ -510,6 +510,23 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         let mut pushes = Vec::new();
         self.push_list(accesses, &mut pushes);
         self.register_pushes(&pushes)
+    }
+
+    /// [`HintEngine::declare_produce`] for sections sequential code on
+    /// this node just **rewrote**, every word of each current here —
+    /// whose pushes supersede: each carries the section's words, which
+    /// the consumer installs outright instead of applying the newest
+    /// diff, so it needs none of the pages' older diffs, of any writer
+    /// ([`Tmk::supersede_at_next_sync`]). The compiler's promise is
+    /// that nothing else of those pages changed since what a consumer
+    /// holds; debug builds check it. Returns the number of `(target,
+    /// page)` registrations.
+    pub fn republish(&self, accesses: &[Access]) -> u64 {
+        let pushed = |a: &&Access| a.mode == AccessMode::Write && !a.consumers.is_empty();
+        for a in accesses.iter().filter(pushed) {
+            self.tmk.supersede_at_next_sync(a.arr, a.section.runs());
+        }
+        self.declare_produce(accesses)
     }
 
     /// Every `(target, page)` the written sections of `accesses` owe

@@ -44,13 +44,20 @@
 //! choice of a hinted body.
 //!
 //! Validates and pushes are *performance-only*: every validate fetches
-//! exactly the diffs a fault would have fetched, every push delivers
-//! diffs the consumer would have requested (gapped pushes are dropped,
-//! not misapplied). A **write-all** access ([`Access::write_all`]) is
-//! the one hint that skips a fetch — the pages the body overwrites
-//! whole are neither validated nor pushed, and their release publishes
-//! them whole — on the body's word, which debug builds check: an
-//! unstored word or a read before the write panics, naming the loop.
+//! exactly the diffs a fault would have fetched, and a push delivers
+//! the diffs the consumer would have requested (gapped pushes are
+//! dropped, not misapplied) — or, when sequential code republishes a
+//! section it rewrote ([`HintEngine::republish`]), the section's words,
+//! which stand for every diff of their pages the consumer has not
+//! applied, and which it installs only where the pusher's watermarks
+//! dominate its own. Two hints rest on the program's word, and debug
+//! builds check both: a **write-all** access ([`Access::write_all`])
+//! skips a fetch — the pages the body overwrites whole are neither
+//! validated nor pushed, and their release publishes them whole (an
+//! unstored word or a read before the write panics, naming the loop);
+//! a republished section must hold every word of its pages written
+//! since what the consumer holds (a word outside it that differs from
+//! the pusher's panics at the install).
 //! Hinted and unhinted executions produce byte-identical shared memory;
 //! `tests/cri_equivalence.rs` pins that property.
 //!

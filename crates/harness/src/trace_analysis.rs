@@ -272,6 +272,7 @@ fn op_label(op: u32) -> &'static str {
         op::REDUCE_PART => "reduce-part",
         op::HOME_FLUSH => "home-flush",
         op::PAGE_REQ => "page-req",
+        op::PUSH_TREE => "push-tree",
         _ => "op?",
     }
 }

@@ -86,6 +86,7 @@ pub mod footprint;
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::rc::Rc;
 
 use cri::{Access, Consumer, HintEngine};
 use treadmarks::{SharedArray, Tmk};
@@ -207,11 +208,21 @@ fn decode_ctl(words: &[u64]) -> LoopCtl<'_> {
 
 type LoopBody<'t> = Box<dyn Fn(&LoopCtl) + 't>;
 
+/// What the master's sequential code touches right before a dispatch of
+/// a loop, as a function of the dispatch's iteration range.
+type Sequential<'t> = Rc<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
+
+/// The registered [`Sequential`] footprints, by the loop they precede.
+type SequentialFns<'t> = Rc<RefCell<Vec<Option<Sequential<'t>>>>>;
+
 /// The SPF run-time system bound to one node's DSM instance.
 pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
     loops: RefCell<Vec<LoopBody<'t>>>,
     hints: HintEngine<'t, 'n>,
+    /// The master's sequential footprints ([`Spf::describe_sequential`]),
+    /// which the descriptors [`Spf::describe`] derives read too.
+    sequential: SequentialFns<'t>,
     /// Master-side: an epoch-invalidating event is pending; the next
     /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
     /// inspector schedules at the same loop boundary.
@@ -233,6 +244,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             tmk,
             loops: RefCell::new(Vec::new()),
             hints: HintEngine::new(tmk),
+            sequential: Rc::default(),
             pending_invalidate: std::cell::Cell::new(false),
             ctl_idx,
             ctl_args,
@@ -260,41 +272,100 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// footprint order; each written one goes to the loops
     /// `next(iters, touch)` names, and the columns a [`Next::Node`] reads
     /// follow it as a plain write of their own, when the touch has any.
+    ///
+    /// The master's sequential code between this loop and a next one is
+    /// a consumer too, when it is described ([`Spf::describe_sequential`]):
+    /// the columns it reads go to node 0 as a [`Next::Node`]'s do, and
+    /// the columns it rewrites whole do not go to the next loop at all —
+    /// the master republishes them itself before that loop runs.
     pub fn describe<T: IntoIterator<Item = Touch>>(
         &self,
         id: usize,
         footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
         next: impl Fn(&Range<usize>, &Touch) -> Vec<Next> + 't,
     ) {
+        let sequential = Rc::clone(&self.sequential);
         self.hints.set(id, move |iters, q, np| {
             let mut acc = Vec::new();
+            let declare = |t: &Touch, section| match t.mode {
+                Mode::Read => Access::read(t.at.arr, section),
+                Mode::Write => Access::write_all(t.at.arr, section),
+                Mode::Update => Access::write(t.at.arr, section),
+            };
+            // `t` within the columns `cols`, when it touches a word there.
+            let within = |t: &Touch, cols: &Range<usize>| {
+                let cols = cols.start.max(t.cols.start)..cols.end.min(t.cols.end);
+                let t = Touch { cols, ..t.clone() };
+                (!t.rows.is_empty() && t.columns().next().is_some()).then_some(t)
+            };
             for t in footprint(iters, q, np).into_iter().flatten() {
                 let write = acc.len();
-                acc.push(match t.mode {
-                    Mode::Read => Access::read(t.at.arr, t.section()),
-                    Mode::Write => Access::write_all(t.at.arr, t.section()),
-                    Mode::Update => Access::write(t.at.arr, t.section()),
-                });
+                acc.push(declare(&t, t.section()));
                 if t.mode == Mode::Read {
                     continue;
                 }
                 for n in next(iters, &t) {
-                    match n {
-                        Next::Loop(id, iters) => {
-                            acc[write].consumers.push(Consumer::Loop { id, iters })
-                        }
+                    let (id, iters) = match n {
                         Next::Node(node, cols) => {
-                            let cols = cols.start.max(t.cols.start)..cols.end.min(t.cols.end);
-                            let part = Touch { cols, ..t.clone() }.section();
-                            if !part.is_empty() {
-                                acc.push(Access::write(t.at.arr, part).consumed_by_node(node));
-                            }
+                            let to_node = |p: Touch| {
+                                Access::write(t.at.arr, p.section()).consumed_by_node(node)
+                            };
+                            acc.extend(within(&t, &cols).map(to_node));
+                            continue;
                         }
+                        Next::Loop(id, iters) => (id, iters),
+                    };
+                    let between = sequential.borrow().get(id).cloned().flatten();
+                    let between = between.map_or_else(Vec::new, |f| f(&iters));
+                    let mut rewritten = Vec::new();
+                    for s in between.iter().filter(|s| s.at == t.at) {
+                        let Some(part) = within(&t, &s.cols) else {
+                            continue;
+                        };
+                        if s.mode != Mode::Read
+                            && s.rows.start <= t.rows.start
+                            && t.rows.end <= s.rows.end
+                        {
+                            rewritten.push(part.cols.clone());
+                        }
+                        if s.mode != Mode::Write {
+                            acc.push(declare(&t, part.section()).consumed_by_node(0));
+                        }
+                    }
+                    if rewritten.is_empty() {
+                        acc[write].consumers.push(Consumer::Loop { id, iters });
+                        continue;
+                    }
+                    for cols in minus(t.cols.clone(), &mut rewritten) {
+                        let to_loop =
+                            |p: Touch| declare(&t, p.section()).consumed_by_loop(id, iters.clone());
+                        acc.extend(within(&t, &cols).map(to_loop));
                     }
                 }
             }
             acc
         });
+    }
+
+    /// Describe the master's sequential code that runs right before each
+    /// dispatch of loop `id`: `footprint(iters)` is what it touches
+    /// before `id` runs over `iters` (MGS's normalization of the pivot
+    /// before each orthogonalization). It is the compiler's descriptor
+    /// for straight-line code, registered once, like a loop's: the
+    /// master republishes what it rewrites to the loop's readers with
+    /// the dispatch ([`HintEngine::republish`]), and a loop whose writes
+    /// it reads or rewrites sends them to the master alone
+    /// ([`Spf::describe`]). Register it before the first dispatch.
+    pub fn describe_sequential(
+        &self,
+        id: usize,
+        footprint: impl Fn(&Range<usize>) -> Vec<Touch> + 't,
+    ) {
+        let mut sequential = self.sequential.borrow_mut();
+        if sequential.len() <= id {
+            sequential.resize_with(id + 1, || None);
+        }
+        sequential[id] = Some(Rc::new(footprint));
     }
 
     /// Register the subroutine a parallel loop was encapsulated into.
@@ -418,11 +489,11 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
 
     /// Declare sections the master's **sequential** code just wrote,
     /// with their consumers — the compiler's descriptor for
-    /// straight-line code between two dispatches (MGS's pivot
-    /// normalization is the canonical case). The resulting pushes ride
-    /// the next fork, merging data movement into the dispatch exactly
-    /// like the §5.3 hand broadcast merges data into synchronization.
-    /// Returns the number of `(target, page)` push registrations.
+    /// straight-line code between two dispatches (IGrid's set-up of its
+    /// grids and maps). The resulting pushes ride the next fork. Code
+    /// that runs before every dispatch of one loop is described once
+    /// instead ([`Spf::describe_sequential`]). Returns the number of
+    /// `(target, page)` push registrations.
     pub fn produce(&self, accesses: &[Access]) -> u64 {
         self.spf.hints.declare_produce(accesses)
     }
@@ -446,6 +517,18 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             sched,
             args,
         };
+        let between = self.spf.sequential.borrow().get(id).cloned().flatten();
+        if let Some(f) = between {
+            // The sequential code that just ran rewrote these: they ride
+            // the dispatch to the loop's readers.
+            let rewritten = f(&ctl.range).into_iter().filter(|s| s.mode != Mode::Read);
+            let consumed = |s: Touch| {
+                Access::write(s.at.arr, s.section()).consumed_by_loop(id, ctl.range.clone())
+            };
+            self.spf
+                .hints
+                .republish(&rewritten.map(consumed).collect::<Vec<_>>());
+        }
         if self.spf.improved() {
             let mut flags = 0;
             if self.spf.pending_invalidate.take() {
@@ -478,6 +561,19 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             self.spf.tmk.barrier(1);
         }
     }
+}
+
+/// The parts of `cols` outside every range of `cuts` (sorted here, each
+/// within `cols`), ascending; some may be empty.
+fn minus(cols: Range<usize>, cuts: &mut [Range<usize>]) -> Vec<Range<usize>> {
+    cuts.sort_unstable_by_key(|c| c.start);
+    let (mut out, mut start) = (Vec::new(), cols.start);
+    for cut in cuts.iter() {
+        out.push(start..cut.start);
+        start = start.max(cut.end);
+    }
+    out.push(start..cols.end);
+    out
 }
 
 /// An SPF scalar reduction: the reduction variable lives in shared
@@ -735,6 +831,80 @@ mod tests {
             "home flushes are confined to shared boundary pages"
         );
         assert_eq!(hlrc.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// The master's sequential code between a producer loop and its
+    /// consumer loop reads column 1, or reads and rewrites it. Node 1
+    /// writes the column; every node's consumer body reads it. When the
+    /// sequential code only reads it, node 1 pushes it to every reader;
+    /// when it rewrites it, to the master alone, whose rewrite then
+    /// reaches every reader — under LRC as the column's words, which
+    /// nodes 2 and 3 install over the diff of node 1's they never got.
+    /// `(pages pushed by node 1, by node 0)`, and no demand fetch.
+    fn sequential_rewrite(mode: Mode) -> ((u64, u64), u64) {
+        let out = Cluster::run(ClusterConfig::sp2(4), move |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let spf = Spf::new(&tmk);
+            let at = Cols::new(tmk.malloc_f64(4 * 512), 512);
+            let want = |col: &[f64], scale: f64| {
+                col.iter().enumerate().all(|(i, &x)| x == scale * i as f64)
+            };
+            let produce = spf.register({
+                let tmk = &tmk;
+                move |_: &LoopCtl| {
+                    if tmk.proc_id() == 1 {
+                        let mut w = at.touch(1..2, Mode::Write).write(tmk);
+                        w.slice_mut()
+                            .iter_mut()
+                            .enumerate()
+                            .for_each(|(i, x)| *x = i as f64);
+                    }
+                }
+            });
+            let scale = if mode == Mode::Read { 1.0 } else { 2.0 };
+            let consume = spf.register({
+                let tmk = &tmk;
+                move |_: &LoopCtl| {
+                    assert!(want(at.touch(1..2, Mode::Read).read(tmk).slice(), scale))
+                }
+            });
+            let writes =
+                move |_: &Range<usize>, q, _| (q == 1).then(|| [at.touch(1..2, Mode::Write)]);
+            spf.describe(produce, writes, move |_, _| vec![Next::Loop(consume, 0..1)]);
+            let reads = move |_: &Range<usize>, _, _| Some([at.touch(1..2, Mode::Read)]);
+            spf.describe(consume, reads, |_, _| vec![]);
+            spf.describe_sequential(consume, move |_| vec![at.touch(1..2, mode)]);
+            spf.run(|m| {
+                m.par_loop(produce, 0..1, Schedule::Block, &[]);
+                match mode {
+                    Mode::Read => assert!(want(at.touch(1..2, mode).read(m.tmk()).slice(), 1.0)),
+                    _ => at
+                        .touch(1..2, mode)
+                        .write(m.tmk())
+                        .slice_mut()
+                        .iter_mut()
+                        .for_each(|x| *x *= 2.0),
+                }
+                m.par_loop(consume, 0..1, Schedule::Block, &[]);
+            });
+            tmk.finish().pages_pushed
+        });
+        let pushed = (out.results[1], out.results[0]);
+        (pushed, out.stats.messages(MsgKind::DiffReq))
+    }
+
+    #[test]
+    fn a_sequential_rewrite_supersedes_the_producers_push_to_the_loop() {
+        assert_eq!(
+            sequential_rewrite(Mode::Read),
+            ((3, 0), 0),
+            "node 1 to 0, 2 and 3"
+        );
+        assert_eq!(
+            sequential_rewrite(Mode::Update),
+            ((1, 3), 0),
+            "1 to 0, then 0 to all"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | on-release | `Tmk::publish` | seal the interval | … freeze its pages, keep the newest range, flush to the homes |
 //! | resolve-miss | a view's fault, `Tmk::validate_pages` | diff requests to the writers | page requests to the homes |
 //! | serve | the service loop, for an opcode it does not know | `DIFF_REQ`, `VALIDATE_REQ` | `HOME_FLUSH`, `PAGE_REQ` |
-//! | on-rendezvous | manager, pusher, participant | diffs in a push | a floor on the departures, pages in a push, the prune |
+//! | on-rendezvous | manager, pusher, participant | diffs, or rewritten spans, in a push | a floor on the departures, pages in a push, the prune |
 //!
 //! On-release is also asked as a question — where does a release
 //! deliver? (`ProtocolMode::release_delivers`,
@@ -56,10 +56,11 @@ impl Miss<'_> {
     }
 }
 
-/// The containers the fault, fetch and publish planners and the windowed
-/// reduction fill and drain on every call: kept for their capacity, cleared where they are
-/// consumed, never freed. One application fiber per node uses them (`Tmk`
-/// is `!Send`), one planner at a time.
+/// The containers the fault, fetch, publish and push planners and the
+/// windowed reduction fill and drain on every call: kept for their
+/// capacity, cleared where they are consumed, never freed. One
+/// application fiber per node uses them (`Tmk` is `!Send`), one planner
+/// at a time.
 pub(crate) struct Scratch {
     /// LRC: the diff requests of a miss, per writer.
     pub(crate) by_writer: Vec<Vec<lrc::DiffReqEntry>>,
@@ -78,6 +79,13 @@ pub(crate) struct Scratch {
     pub(crate) entries: Vec<(usize, DiffRespEntry)>,
     /// A windowed reduction's outgoing slices: `(node, elements, words)`.
     pub(crate) slices: Vec<(usize, Range<usize>, Vec<u64>)>,
+    /// A rendezvous' pushes: each distinct page list once, back to back…
+    pub(crate) push_pages: Vec<PageId>,
+    /// …as `(its pages, how many targets get it, its message once
+    /// packed)`…
+    pub(crate) push_lists: Vec<(Range<usize>, usize, Option<Payload>)>,
+    /// …and `(target, its list)`, targets ascending.
+    pub(crate) push_order: Vec<(usize, usize)>,
 }
 
 impl Scratch {
@@ -92,6 +100,9 @@ impl Scratch {
             outstanding: Vec::new(),
             entries: Vec::new(),
             slices: Vec::new(),
+            push_pages: Vec::new(),
+            push_lists: Vec::new(),
+            push_order: Vec::new(),
         }
     }
 }
@@ -178,17 +189,23 @@ impl ProtocolMode {
 
     /// On-rendezvous, pusher: the payload of a push of `pages`, each
     /// page's newest range reaching interval `last`, frozen into the push
-    /// if it was still open; `charge` is handed each page's freeze time.
+    /// if it was still open, and whatever else the protocol's consumers
+    /// need to use it. `spans` (by page) are the words of pages the
+    /// pusher rewrote, which supersede what a consumer holds: LRC carries
+    /// them instead of the pages' ranges ([`lrc::push_payload`]); HLRC's
+    /// push carries every page whole anyway. `charge` is handed each
+    /// page's freeze time.
     pub(crate) fn push_payload(
         self,
         st: &mut DsmState,
         pages: &[PageId],
+        spans: &[(PageId, Range<usize>)],
         last: u32,
         cost: &CostModel,
         charge: impl FnMut(f64),
     ) -> Payload {
         match self {
-            Lrc => lrc::push_payload(st, pages, last, cost, charge),
+            Lrc => lrc::push_payload(st, pages, spans, last, cost, charge),
             Hlrc => hlrc::push_payload(st, pages, last, cost, charge),
         }
     }

@@ -21,7 +21,7 @@ use crate::coherence::{Miss, Scratch};
 use crate::config::TmkConfig;
 use crate::diff::Landed;
 use crate::interval::Intervals;
-use crate::page::{PageId, Window};
+use crate::page::Window;
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
@@ -553,7 +553,7 @@ impl<'n> Tmk<'n> {
         self.publish();
 
         // Send registered pushes before arriving.
-        let push_counts = self.do_pushes();
+        let push_counts = self.do_pushes(|_| ());
         self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
 
         let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
@@ -735,15 +735,18 @@ impl<'n> Tmk<'n> {
         self.state.lock().stats.forks += 1;
         self.publish();
         // Registered pushes ride the dispatch: the workers learn how many
-        // to expect from the fork departure.
-        let push_counts = self.do_pushes();
-        let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
-        w.put(op::MASTER_FORK).put(e).put(flag_bits);
-        protocol::put_push_counts(&mut w, &push_counts, self.nprocs());
-        w.put_words(ctl);
-        self.node
-            .endpoint()
-            .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
+        // to expect from the fork departure. A push down the tree goes
+        // out after the fork, so the service sends the departures while
+        // the tree fills.
+        self.do_pushes(|push_counts| {
+            let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
+            w.put(op::MASTER_FORK).put(e).put(flag_bits);
+            protocol::put_push_counts(&mut w, push_counts, self.nprocs());
+            w.put_words(ctl);
+            self.node
+                .endpoint()
+                .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
+        });
     }
 
     /// Master: wait for all workers to finish the current loop — the
@@ -788,7 +791,7 @@ impl<'n> Tmk<'n> {
         self.publish();
         // Pushes registered after the previous loop body ride the
         // rendezvous, exactly like the barrier-time pushes.
-        let push_counts = self.do_pushes();
+        let push_counts = self.do_pushes(|_| ());
         self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
         let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
         let pkt = self.node.recv_match(|p| p.tag == t);
@@ -834,63 +837,153 @@ impl<'n> Tmk<'n> {
         self.state.lock().pending_push.push((target, page));
     }
 
+    /// Mark the words `runs` (sorted, disjoint element runs) of `arr` as
+    /// rewritten by this node, for its next rendezvous: a push of a page
+    /// they reach then **supersedes** what its target holds. Under LRC it
+    /// carries the span of the page's words the runs cover, verbatim,
+    /// with the page's applied watermarks, instead of the page's newest
+    /// diff, and a target that missed older diffs of the page — of any
+    /// writer — installs it all the same, where the watermarks dominate
+    /// its own. The caller promises that every word of such a page
+    /// outside its span is one the target already holds; with debug
+    /// assertions the target checks it. Under HLRC a push carries its
+    /// pages whole anyway. The pushes themselves are registered as any
+    /// other ([`Tmk::push_page_at_next_sync`]).
+    pub fn supersede_at_next_sync(&self, arr: SharedArray, runs: &[Range<usize>]) {
+        let pw = self.cfg.page_words;
+        let mut st = self.state.lock();
+        for r in runs.iter().filter(|r| !r.is_empty()) {
+            let (wlo, whi) = self.word_bounds(arr, r);
+            for p in wlo / pw..(whi - 1) / pw + 1 {
+                let span = wlo.max(p * pw) - p * pw..whi.min((p + 1) * pw) - p * pw;
+                st.pending_spans.push((p, span));
+            }
+        }
+    }
+
     /// Execute registered pushes (called at the synchronization
     /// rendezvous, after the flush). Returns the per-destination message
     /// counts for the arrival — no vector at all when nothing was
     /// registered, which the encoders write as a zero per node
-    /// ([`protocol::put_push_counts`]).
+    /// ([`protocol::put_push_counts`]) — and hands them to `announce`
+    /// before the first push is built.
     ///
     /// A push carries the producer's newest frozen diff range per page
     /// and whatever else the protocol's consumers need to use it (see
-    /// [`crate::hlrc::push_payload`]).
-    fn do_pushes(&self) -> Vec<u64> {
+    /// [`crate::hlrc::push_payload`], [`crate::lrc::push_payload`]).
+    /// Targets that get the same pages get the same message, packed
+    /// once; when that is every other node, it goes down the binomial
+    /// tree rooted here — each forwarder's service passes it on
+    /// (`tag::PUSH_TREE`) — wherever that saves this node a send.
+    fn do_pushes(&self, announce: impl FnOnce(&[u64])) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
-        let n = self.nprocs();
-        let mut pending = {
+        let (me, n) = (self.proc_id(), self.nprocs());
+        let (mut pending, mut spans) = {
             let mut st = self.state.lock();
             if st.pending_push.is_empty() {
+                st.pending_spans.clear();
+                drop(st);
+                announce(&[]);
                 return Vec::new();
             }
-            std::mem::take(&mut st.pending_push)
+            let spans = std::mem::take(&mut st.pending_spans);
+            (std::mem::take(&mut st.pending_push), spans)
         };
-        let mut counts = vec![0u64; n];
         // Group by target, pages ascending; several hinted accesses may
-        // name one page.
+        // name one page. A page's span is the hull of its marks.
         pending.sort_unstable();
         pending.dedup();
+        spans.sort_unstable_by_key(|(p, span)| (*p, span.start));
+        spans.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1.end = kept.1.end.max(next.1.end);
+            }
+            same
+        });
+        // The pages with a range of the last interval to push, by
+        // target: each distinct list once, back to back in `pages`, in
+        // `lists` as `(its pages, how many targets get it, its message)`
+        // — packed at its first target, shared by the rest — and in
+        // `order` each target's list.
+        let mut scratch = self.scratch.borrow_mut();
+        let sc = &mut *scratch;
+        let (pages, lists, order) = (&mut sc.push_pages, &mut sc.push_lists, &mut sc.push_order);
+        {
+            let mut st = self.state.lock();
+            let last = st.vc[st.me];
+            for group in pending.chunk_by(|a, b| a.0 == b.0) {
+                let at = pages.len();
+                let pushable = group.iter().map(|&(_, p)| p);
+                pages.extend(pushable.filter(|&p| st.has_range_from(p, last)));
+                st.stats.pages_pushed += (pages.len() - at) as u64;
+                if pages.len() == at {
+                    continue;
+                }
+                let i = match lists.iter().position(|l| pages[l.0.clone()] == pages[at..]) {
+                    Some(i) => {
+                        pages.truncate(at);
+                        i
+                    }
+                    None => {
+                        lists.push((at..pages.len(), 0, None));
+                        lists.len() - 1
+                    }
+                };
+                lists[i].1 += 1;
+                order.push((group[0].0, i));
+            }
+        }
+        // Every target gets one message: straight, or — the one list
+        // every other node gets, where that saves this node sends — down
+        // the tree rooted here.
+        let mut counts = vec![0u64; n];
+        order.iter().for_each(|&(t, _)| counts[t] += 1);
+        let tree = Tree::new(me, n, me);
+        let saves = tree.children().count() < n - 1;
+        let down_tree = lists.iter().position(|l| l.1 == n - 1 && saves);
         let cost = self.node.cost();
-        let mut pages: Vec<PageId> = Vec::new();
-        for group in pending.chunk_by(|a, b| a.0 == b.0) {
-            let target = group[0].0;
+        let mut payload = |i: usize| -> Payload {
+            let (list, _, built) = &mut lists[i];
+            if let Some(payload) = built {
+                return payload.clone();
+            }
+            // One message for these pages, written in the critical
+            // section that freezes the ranges into it.
             let mut us = 0.0;
             let payload = {
                 let mut st = self.state.lock();
                 let last = st.vc[st.me];
-                // The pages with a range of the last interval to push.
-                pages.clear();
-                let pushable = group.iter().map(|&(_, p)| p);
-                pages.extend(pushable.filter(|&p| st.has_range_from(p, last)));
-                st.stats.pages_pushed += pages.len() as u64;
-                // One message for the target's pages, written in the
-                // critical section that freezes the ranges into it.
-                (!pages.is_empty()).then(|| {
-                    let charge = |page_us| us += page_us;
-                    (self.cfg.protocol).push_payload(&mut st, &pages, last, cost, charge)
-                })
+                let charge = |page_us| us += page_us;
+                let protocol = self.cfg.protocol;
+                protocol.push_payload(&mut st, &pages[list.clone()], &spans, last, cost, charge)
             };
             self.node.advance(us);
-            let Some(payload) = payload else {
-                continue;
-            };
-            self.node
-                .endpoint()
-                .send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload);
-            counts[target] += 1;
+            built.insert(payload).clone()
+        };
+        let ep = self.node.endpoint();
+        for &(target, i) in order.iter().filter(|&&(_, i)| Some(i) != down_tree) {
+            ep.send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload(i));
         }
-        // Only the application fiber registers pushes: hand the buffer
+        // The tree fills after the announcement is out, alongside what it
+        // sets off (a fork's departures).
+        announce(&counts);
+        if let Some(i) = down_tree {
+            let (payload, t) = (payload(i), tag::PUSH_TREE | me as u32);
+            for child in tree.children() {
+                ep.send_to_port(child, Port::Service, t, MsgKind::Push, payload.clone());
+            }
+        }
+        pages.clear();
+        lists.clear();
+        order.clear();
+        // Only the application fiber registers pushes: hand the buffers
         // back for the next phase's registrations.
         pending.clear();
-        self.state.lock().pending_push = pending;
+        spans.clear();
+        let mut st = self.state.lock();
+        st.pending_push = pending;
+        st.pending_spans = spans;
         counts
     }
 
@@ -902,37 +995,47 @@ impl<'n> Tmk<'n> {
         }
         let _s = self.node.trace_span(SpanKind::PushRecv, expected as u32);
         let cost = self.node.cost();
-        let pw = self.cfg.page_words;
+        let (n, pw) = (self.nprocs(), self.cfg.page_words);
         // The messages stay where they landed until the last page is
         // installed: the diffs are windows onto them, the page copies
-        // borrowed walks over their tails.
+        // and spans borrowed walks over their tails.
         let pushes: Vec<(usize, Landed)> = (0..expected)
             .map(|_| {
-                let pkt = self.node.recv_match(|p| p.tag == tag::PUSH);
-                (pkt.src, Landed::new(pkt.payload))
+                let tree = |t: u32| t & tag::BASE == tag::PUSH_TREE;
+                let pkt = self.node.recv_match(|p| p.tag == tag::PUSH || tree(p.tag));
+                // Handed on down a tree, a push names its pusher in its tag.
+                let writer = match tree(pkt.tag) {
+                    true => (pkt.tag & !tag::BASE) as usize,
+                    false => pkt.src,
+                };
+                (writer, Landed::new(pkt.payload))
             })
             .collect();
         let mut scratch = self.scratch.borrow_mut();
         let all = &mut scratch.entries;
         let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
-        for (src, msg) in &pushes {
+        let mut span_pushes: Vec<(usize, protocol::SpanEntry)> = Vec::new();
+        for &(writer, ref msg) in &pushes {
             let mut r = msg.reader();
             let mode = r.get();
-            all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (*src, e)));
-            if mode == protocol::PUSH_MODE_PAGES {
-                page_pushes.extend(
-                    protocol::decode_page_resp(&mut r, self.nprocs(), pw).map(|e| (*src, e)),
-                );
+            all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (writer, e)));
+            match mode {
+                protocol::PUSH_MODE_PAGES => page_pushes
+                    .extend(protocol::decode_page_resp(&mut r, n, pw).map(|e| (writer, e))),
+                protocol::PUSH_MODE_SPANS => span_pushes
+                    .extend(protocol::decode_span_entries(&mut r, n, pw).map(|e| (writer, e))),
+                _ => {}
             }
         }
-        // Deterministic install order for the page copies, independent
-        // of message arrival order (a seeded schedule may deliver
-        // pushes in any order).
+        // Deterministic install order for the page copies and spans,
+        // independent of message arrival order (a seeded schedule may
+        // deliver pushes in any order).
         page_pushes.sort_by_key(|(src, e)| (e.page, *src));
+        span_pushes.sort_by_key(|(src, e)| (e.page, *src));
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mut us = apply_fetched(st, all, cost);
-        // Whole-page pushes: install only where the pushed
+        // Whole-page pushes and spans: install only where the pushed
         // watermarks dominate ours componentwise — after the diff merge
         // above, so a concurrent-writer page whose diffs both applied
         // simply drops both (now dominated) copies. A stale push (we
@@ -942,14 +1045,12 @@ impl<'n> Tmk<'n> {
         // Unlike the home-fetch path (which serves at *our* watermarks
         // and may run mid-epoch), pushes arrive at a rendezvous: we just
         // published — under the protocol that pushes pages, every range
-        // that release made is frozen and its twin gone — so the frame
-        // holds nothing of ours that the pushed content would lose.
+        // that release made is frozen and its twin gone; under the one
+        // that pushes spans, the pusher's notice for the page froze ours
+        // — so the frame holds nothing of ours that the pushed content
+        // would lose.
         for (_, e) in page_pushes {
-            if st
-                .frames
-                .applied(e.page)
-                .is_some_and(|mine| mine.iter().zip(e.applied()).any(|(mine, p)| p < *mine))
-            {
+            if !st.frames.dominated_by(e.page, e.applied()) {
                 continue;
             }
             let mut frame = st.frames.frame_mut(e.page);
@@ -959,6 +1060,21 @@ impl<'n> Tmk<'n> {
             );
             frame.install(e.data, e.applied());
             us += cost.diff_apply_us(pw);
+        }
+        for (_, e) in span_pushes {
+            if !st.frames.dominated_by(e.page, e.applied()) {
+                continue;
+            }
+            let mut frame = st.frames.frame_mut(e.page);
+            debug_assert!(
+                !frame.meta.dirty && frame.meta.twin.is_none(),
+                "spans are consumed after a release and the pusher's notice froze every range"
+            );
+            #[cfg(debug_assertions)]
+            protocol::shadow::check(&e, frame.data);
+            frame.data[e.at..e.at + e.words.len()].copy_from_slice(e.words);
+            frame.raise_applied(e.applied());
+            us += cost.diff_apply_us(e.words.len());
         }
         drop(guard);
         self.charge_apply(us);
@@ -1470,6 +1586,45 @@ pub(crate) mod tests {
         assert_eq!(out.results[1].1, 0);
         assert!(out.stats.messages(MsgKind::Push) == 1);
         assert!(out.stats.messages(MsgKind::DiffReq) == 0);
+    }
+
+    /// A push every other node gets goes down the tree, handed on by the
+    /// forwarders' services: on 8 nodes, under both protocols and as a
+    /// superseding span under LRC (half the page: debug builds check the
+    /// other half at every install), every node reads node 0's words
+    /// without a fault, on every explored schedule, and every node gets
+    /// one message.
+    #[test]
+    fn a_push_to_every_node_goes_down_the_tree() {
+        for (cfg, rewritten) in [
+            (TmkConfig::default(), None),
+            (TmkConfig::default(), Some(0..256)),
+            (TmkConfig::hlrc(), None),
+        ] {
+            let out = run_cfg(8, cfg, |tmk| {
+                let a = tmk.malloc_f64(512);
+                if tmk.proc_id() == 0 {
+                    tmk.write(a, 0..256).slice_mut().fill(5.0);
+                    if let Some(words) = &rewritten {
+                        tmk.supersede_at_next_sync(a, std::slice::from_ref(words));
+                    }
+                    (1..8).for_each(|q| tmk.push_at_next_sync(q, a, 0..512));
+                }
+                tmk.barrier(0);
+                let before = tmk.stats_snapshot().faults;
+                let v = tmk.read(a, 0..512).slice().to_vec();
+                let faults = tmk.stats_snapshot().faults - before;
+                tmk.finish();
+                (v.iter().filter(|&&x| x == 5.0).count(), faults)
+            });
+            let ctx = format!("{:?}, rewritten {rewritten:?}", cfg.protocol);
+            assert!(
+                out.results.iter().all(|&r| r == (256, 0)),
+                "{ctx}: {:?}",
+                out.results
+            );
+            assert_eq!(out.stats.messages(MsgKind::Push), 7, "{ctx}");
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! (`DIFF_REQ` / `VALIDATE_REQ`). It owns no [`DsmState`] field: the
 //! frozen history in [`crate::state::PageDiffs`] is all it keeps.
 
+use std::ops::Range;
+
 use sp2sim::{
     CostModel, EdgeKind, Endpoint, MsgKind, Payload, Port, StateCell, VTime, WordReader, WordWriter,
 };
@@ -88,20 +90,60 @@ pub(crate) fn resolve_miss(tmk: &Tmk<'_>, sc: &mut Scratch, miss: &Miss<'_>) -> 
 /// On-rendezvous, pusher: the payload of a push of `pages` (each with a
 /// range reaching interval `last`) — each page's newest range, frozen
 /// into the push if it was still open, which a consumer that tracked the
-/// page applies like a fetched one. `charge` as in
+/// page applies like a fetched one. A page `spans` names (sorted by
+/// page) supersedes instead: it travels as the words of its span,
+/// verbatim, with the page's applied watermarks, which a consumer that
+/// missed older ranges of the page — of any writer — installs all the
+/// same (`Tmk::receive_pushes`). Its open range is frozen where it
+/// stays, unpaid like one a foreign notice closes, so its twin retires
+/// as a push's freeze would retire it. `charge` as in
 /// [`DsmState::put_entries`].
 pub(crate) fn push_payload(
     st: &mut DsmState,
     pages: &[PageId],
+    spans: &[(PageId, Range<usize>)],
     last: u32,
     cost: &CostModel,
     charge: impl FnMut(f64),
 ) -> Payload {
-    let reqs = pages.iter().map(|&p| (p, last));
+    let span_of = |p: PageId| {
+        spans
+            .binary_search_by_key(&p, |s| s.0)
+            .ok()
+            .map(|i| &spans[i].1)
+    };
+    let spanned = || pages.iter().copied().filter(|&p| span_of(p).is_some());
     let mut msg = DiffBatch::message();
-    msg.put(protocol::PUSH_MODE_DIFFS);
-    st.put_entries(&mut msg, reqs, Carry::Newest, cost, charge);
-    st.finish_message(msg)
+    let superseding = spanned().next().is_some();
+    msg.put(match superseding {
+        true => protocol::PUSH_MODE_SPANS,
+        false => protocol::PUSH_MODE_DIFFS,
+    });
+    let diffs = pages.iter().filter(|&&p| span_of(p).is_none());
+    st.put_entries(
+        &mut msg,
+        diffs.map(|&p| (p, last)),
+        Carry::Newest,
+        cost,
+        charge,
+    );
+    if !superseding {
+        return st.finish_message(msg);
+    }
+    msg.note_copies();
+    msg.put_usize(spanned().count());
+    for p in spanned() {
+        debug_assert!(!st.is_dirty(p), "a push follows the release");
+        let (applied, data) = (st.frames.applied(p), st.frames.data(p));
+        let (applied, data) = applied.zip(data).expect("pushed page has a frame");
+        let span = span_of(p).expect("spanned").clone();
+        protocol::encode_span_entry(&mut msg, p, applied, span.start, &data[span]);
+    }
+    let payload = st.finish_message(msg);
+    #[cfg(debug_assertions)]
+    protocol::shadow::record(&payload, spanned(), &st.frames);
+    st.freeze_all(spanned().map(|p| (p, last)), cost, true);
+    payload
 }
 
 /// Serve: a diff request, or a CRI aggregated validate — the same

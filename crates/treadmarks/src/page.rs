@@ -343,6 +343,14 @@ impl FrameStore {
         Some(&self.extents[i].applied[k * self.nprocs..(k + 1) * self.nprocs])
     }
 
+    /// Do `watermarks` dominate the applied watermarks of `page`
+    /// componentwise (no frame: nothing applied)? A copy of the page
+    /// that reflects them then holds everything the frame does.
+    pub fn dominated_by(&self, page: PageId, watermarks: impl IntoIterator<Item = u32>) -> bool {
+        let mine = self.applied(page);
+        mine.is_none_or(|mine| mine.iter().zip(watermarks).all(|(&m, w)| w >= m))
+    }
+
     /// Twin, published image and dirty flag of `page`, if it has a frame.
     pub(crate) fn meta(&self, page: PageId) -> Option<&PageMeta> {
         let (i, k) = self.locate(page).ok()?;

@@ -47,6 +47,10 @@ pub mod op {
     /// home that has not yet received a required flush defers the reply
     /// until it arrives.
     pub const PAGE_REQ: u64 = 11;
+    /// A push handed on down a binomial tree. Not a payload word — the
+    /// service knows such a push by its tag ([`super::tag::PUSH_TREE`])
+    /// — but the code its service time is traced under.
+    pub const PUSH_TREE: u64 = 12;
 }
 
 /// Application-port tag bases. User-level message tags (in `mpl`) stay
@@ -79,6 +83,15 @@ pub mod tag {
     /// CRI windowed reduction: the part of one node's window another
     /// node needs, sent straight to it: `REDUCE_SLICE | (seq & 0xFFFF)`.
     pub const REDUCE_SLICE: u32 = 0x4B00_0000;
+    /// A push travelling down the binomial tree rooted at its pusher:
+    /// `PUSH_TREE | root`, to a forwarder's *service* port, which passes
+    /// it on to its children and up to its own application under the
+    /// same tag. The payload is a `PUSH` message's, the same words on
+    /// every edge.
+    pub const PUSH_TREE: u32 = 0x4C00_0000;
+    /// The tag bits above the low 16, which carry a sequence number, an
+    /// epoch or a node.
+    pub const BASE: u32 = 0xFFFF_0000;
 }
 
 /// Departure flag bits.
@@ -93,6 +106,9 @@ pub const PUSH_MODE_DIFFS: u64 = 0;
 /// Mode word of a `tag::PUSH` message whose diff entries are followed by
 /// whole pages ([`decode_page_resp`]).
 pub const PUSH_MODE_PAGES: u64 = 1;
+/// Mode word of a `tag::PUSH` message whose diff entries are followed by
+/// spans of pages ([`decode_span_entries`]): LRC's superseding pushes.
+pub const PUSH_MODE_SPANS: u64 = 2;
 
 /// Epoch-key bit distinguishing plain barriers from fork-join epochs in
 /// the manager's epoch map (both counters start at 0).
@@ -472,6 +488,138 @@ pub fn decode_page_resp<'r, 'a>(
     })
 }
 
+/// One entry of a superseding push, read where the message landed: the
+/// words `at..at + words.len()` of a page, verbatim, and the per-writer
+/// applied watermarks of the page they were taken from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpanEntry<'a> {
+    /// The page.
+    pub page: PageId,
+    /// The applied interval watermark per writer node, a wire word each.
+    applied: &'a [u64],
+    /// Where the words start in the page.
+    pub at: usize,
+    /// The words.
+    pub words: &'a [u64],
+}
+
+impl SpanEntry<'_> {
+    /// The applied interval watermark per writer node.
+    pub fn applied(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.applied.iter().map(|&a| a as u32)
+    }
+}
+
+/// Encode one span entry. A push's spans are the entry count followed by
+/// that many of these.
+pub fn encode_span_entry(
+    w: &mut WordWriter,
+    page: PageId,
+    applied: &[u32],
+    at: usize,
+    words: &[u64],
+) {
+    w.put_usize(page);
+    for &a in applied {
+        w.put(a as u64);
+    }
+    w.put_usize(at).put_words(words);
+}
+
+/// Walk the span entries of a push for a cluster of `n` nodes with
+/// `page_words`-word pages. The entries borrow the payload; the count is
+/// held against the words left, and a span must lie inside its page.
+pub fn decode_span_entries<'r, 'a>(
+    r: &'r mut WordReader<'a>,
+    n: usize,
+    page_words: usize,
+) -> impl Iterator<Item = SpanEntry<'a>> + 'r {
+    let k = r.get_count(3 + n);
+    (0..k).map(move |_| {
+        let (page, applied, at) = (r.get_usize(), r.take(n), r.get_usize());
+        let words = r.get_words();
+        let fits = words.len() <= page_words && at <= page_words - words.len();
+        assert!(fits, "span {at}+{} beyond the page", words.len());
+        SpanEntry {
+            page,
+            applied,
+            at,
+            words,
+        }
+    })
+}
+
+/// Debug builds: the pages of every superseding push as its pusher held
+/// them, by the push's buffer, for each receiver to check its own
+/// words outside the spans against. The nodes of a cluster share one
+/// thread, so this travels beside the simulated wire — nothing is added
+/// to a message, its bytes or its time.
+#[cfg(debug_assertions)]
+pub(crate) mod shadow {
+    use std::cell::RefCell;
+    use std::sync::{Arc, Weak};
+
+    use sp2sim::Payload;
+
+    use crate::page::{FrameStore, PageId};
+    use crate::protocol::SpanEntry;
+
+    type Sent = (Weak<Vec<u64>>, Vec<(PageId, Vec<u64>)>);
+
+    thread_local! {
+        static SENT: RefCell<Vec<Sent>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Keep the `pages` of the push `payload` as `frames` hold them. A
+    /// push nobody holds any more is forgotten.
+    pub(crate) fn record(
+        payload: &Payload,
+        pages: impl Iterator<Item = PageId>,
+        frames: &FrameStore,
+    ) {
+        let Payload::Shared(buf) = payload else {
+            unreachable!("a message of diff entries is shared")
+        };
+        let copies = pages.map(|p| (p, frames.data(p).expect("pushed").to_vec()));
+        SENT.with_borrow_mut(|sent| {
+            sent.retain(|(buf, _)| buf.strong_count() > 0);
+            sent.push((Arc::downgrade(buf), copies.collect()));
+        });
+    }
+
+    /// Panic unless `data`, this node's frame of the span's page, holds
+    /// the pusher's words outside the span. The span's words lie in the
+    /// push's buffer, which is alive while they are.
+    pub(crate) fn check(e: &SpanEntry, data: &[u64]) {
+        let at = e.words.as_ptr();
+        SENT.with_borrow(|sent| {
+            let holds = |b: Arc<Vec<u64>>| b.as_ptr_range().contains(&at);
+            let live = |buf: &Weak<Vec<u64>>| buf.upgrade().is_some_and(holds);
+            let (_, pages) = sent
+                .iter()
+                .find(|(buf, _)| live(buf))
+                .expect("the push was recorded");
+            let (_, theirs) = pages
+                .iter()
+                .find(|(p, _)| *p == e.page)
+                .expect("a pushed page");
+            let span = e.at..e.at + e.words.len();
+            let outside = |k: &usize| !span.contains(k);
+            if let Some(k) = (0..data.len())
+                .filter(outside)
+                .find(|&k| data[k] != theirs[k])
+            {
+                panic!(
+                    "word {k} of page {} differs from the pusher's, outside the span {span:?} \
+                     a superseding push carries: the span must cover every word written since \
+                     what the receiver holds",
+                    e.page
+                );
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +716,33 @@ mod tests {
             std::ptr::eq(got[0].data, &buf[5..]),
             "the entry is the payload's own words"
         );
+    }
+
+    #[test]
+    fn span_entries_roundtrip_and_stay_inside_their_page() {
+        let mut w = WordWriter::new();
+        w.put_usize(2);
+        encode_span_entry(&mut w, 3, &[0, 2, 1], 1, &[7, 8]);
+        encode_span_entry(&mut w, 4, &[1, 1, 1], 0, &[9, 10, 11, 12]);
+        let buf = w.finish();
+        let mut r = WordReader::new(&buf);
+        let got: Vec<SpanEntry> = decode_span_entries(&mut r, 3, 4).collect();
+        assert!(r.is_exhausted());
+        assert_eq!((got[0].page, got[0].at, got[0].words), (3, 1, &[7, 8][..]));
+        assert_eq!(got[0].applied().collect::<Vec<_>>(), [0, 2, 1]);
+        assert_eq!(
+            (got[1].page, got[1].at, got[1].words),
+            (4, 0, &[9, 10, 11, 12][..])
+        );
+        // A span reaching past its page is refused, at any offset.
+        for at in [3, usize::MAX] {
+            let mut w = WordWriter::new();
+            w.put_usize(1);
+            encode_span_entry(&mut w, 3, &[0, 0, 0], at, &[7, 8]);
+            let buf = w.finish();
+            let walk = || decode_span_entries(&mut WordReader::new(&buf), 3, 4).count();
+            assert!(std::panic::catch_unwind(walk).is_err(), "span at {at}");
+        }
     }
 
     #[test]

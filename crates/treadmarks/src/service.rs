@@ -17,7 +17,8 @@
 use std::rc::Rc;
 
 use sp2sim::{
-    EdgeKind, Endpoint, MsgKind, Payload, Port, ReduceOp, StateCell, Tree, VTime, WordReader,
+    EdgeKind, Endpoint, MsgKind, Packet, Payload, Port, ReduceOp, StateCell, Tree, VTime,
+    WordReader,
 };
 
 use crate::config::ProtocolMode;
@@ -36,6 +37,13 @@ use crate::state::{Arrival, DsmState};
 pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: ProtocolMode) {
     while let Some(pkt) = ep.recv_any_raw() {
         let arrival = pkt.arrival;
+        if pkt.tag & tag::BASE == tag::PUSH_TREE {
+            if ep.tracing() {
+                ep.trace_service(op::PUSH_TREE as u32, arrival, ep.cost().service_us);
+            }
+            forward_push(&ep, pkt, arrival);
+            continue;
+        }
         let mut r = WordReader::new(&pkt.payload);
         let opcode = r.get();
         if ep.tracing() && opcode != op::SHUTDOWN {
@@ -143,6 +151,25 @@ pub(crate) fn forward_reduce(
     };
     if let Some((cause_seq, at)) = edge {
         ep.trace_edge(EdgeKind::Response, out_seq, cause_seq, at);
+    }
+}
+
+/// A push travelling down the binomial tree rooted at its pusher (the
+/// tag's low bits): pass the one payload on to this node's children, to
+/// their services, and up to this node's application, which consumes it
+/// at its rendezvous with the pushes it was told to expect. Nothing here
+/// waits on the application, so the push moves on while this node is
+/// still waiting for its own departure.
+fn forward_push(ep: &Endpoint, pkt: Packet, arrival: VTime) {
+    let (me, root) = (ep.id(), (pkt.tag & !tag::BASE) as usize);
+    let ready = arrival + ep.cost().service_us;
+    let edges = Tree::new(me, ep.nprocs(), root)
+        .children()
+        .map(|c| (c, Port::Service));
+    for (dst, port) in edges.chain([(me, Port::App)]) {
+        let payload = pkt.payload.clone();
+        let out_seq = ep.send_at(dst, port, pkt.tag, MsgKind::Push, payload, ready);
+        ep.trace_edge(EdgeKind::Response, out_seq, pkt.seq, arrival);
     }
 }
 

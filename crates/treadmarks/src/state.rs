@@ -510,6 +510,10 @@ pub struct DsmState {
     /// Pushes registered for the next synchronization rendezvous
     /// (barrier, worker arrival or master fork): `(target, page)`.
     pub pending_push: Vec<(usize, PageId)>,
+    /// Pages whose pushes at that rendezvous supersede: `(page, words)`,
+    /// the words of the page, page-relative, the caller rewrote
+    /// (`Tmk::supersede_at_next_sync`).
+    pub pending_spans: Vec<(PageId, std::ops::Range<usize>)>,
     /// In-flight direct reductions, keyed by reduction sequence number.
     pub reduces: BTreeMap<u64, ReduceSlot>,
     /// What HLRC keeps beside the per-page home copies: the prune work
@@ -555,6 +559,7 @@ impl DsmState {
             lock_owner: FxHashMap::default(),
             epochs: BTreeMap::new(),
             pending_push: Vec::new(),
+            pending_spans: Vec::new(),
             reduces: BTreeMap::new(),
             home: HomeState::default(),
             armed: Armed::default(),

@@ -18,7 +18,7 @@
 use apps::{AppId, Version};
 use harness::bench_sweep::PAPER_SCALE;
 use harness::Json;
-use Version::{Seq, Spf, Tmk, Xhpf};
+use Version::{Seq, Spf, SpfCri, Tmk, Xhpf};
 
 /// `key` of the recorded row of `app` in `version` at [`PAPER_SCALE`].
 fn column(app: AppId, version: Version, key: &str) -> f64 {
@@ -137,5 +137,18 @@ fn mgs_spf_pays_for_master_normalization() {
     assert!(
         tmk > spf * 1.05,
         "MGS hand-coded {tmk:.2} must clearly beat SPF {spf:.2}"
+    );
+}
+
+#[test]
+fn mgs_hints_move_the_pivot_once_per_node() {
+    // §5.3 merges the pivot's data into synchronization by hand. The
+    // compiler-described version does it with hints: the pivot goes to
+    // the master alone, and the master's rewrite of it down a push tree
+    // with the dispatch. Hinted, SPF pays no more than unhinted SPF.
+    let [spf, cri] = [Spf, SpfCri].map(|v| speedup(AppId::Mgs, v));
+    assert!(
+        cri >= spf,
+        "MGS SPF+CRI {cri:.2} must be no slower than SPF {spf:.2}"
     );
 }

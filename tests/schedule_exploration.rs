@@ -19,8 +19,11 @@
 //! that ordered them (fixed by sending inside it). LRC applied diffs in
 //! an order that did not extend happens-before, rolling words back,
 //! until three rules fixed it (DESIGN.md, "The order diffs apply in";
-//! `lrc_order`). `ci/mutants.sh` re-breaks each of the six fixes and
-//! requires this suite to fail.
+//! `lrc_order`). `ci/mutants.sh` re-breaks each of those fixes, and the
+//! rules a hinted run leans on — a write-all touch's body stores before
+//! it reads, a windowed reduction folds in rank order, a superseding
+//! push installs only over what it dominates — and requires this suite
+//! to fail.
 //!
 //! A failure here is replayable: every assertion and every engine
 //! diagnostic (deadlock, node panic) names the schedule seed, and
@@ -35,8 +38,8 @@ use std::ops::RangeInclusive;
 
 use apps::common::checksums_close;
 use apps::{AppId, RunResult, RunSpec, Version};
-use sp2sim::EngineKind;
-use treadmarks::{ProtocolMode, TmkConfig};
+use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
+use treadmarks::{ProtocolMode, Tmk, TmkConfig};
 
 /// Tier-1's seed budget per cell.
 const TIER1: RangeInclusive<u64> = 1..=8;
@@ -203,6 +206,94 @@ fn hinted_igrid_on_small_pages(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Hinted MGS on 8 nodes — the push tree three deep — at scale 0.05
+/// with 16-word pages, where a column spans several pages and only part
+/// of its last one, under both protocols, against the sequential
+/// program. The next pivot's owner pushes it to the master alone; the
+/// master's rewrite of it supersedes — under LRC as the column's words,
+/// which every worker installs over diffs it never saw, debug builds
+/// checking the words outside them — and goes down the tree, each
+/// forwarder's service handing it on.
+fn mgs_push_tree_cells(seeds: RangeInclusive<u64>) {
+    let seq = RunSpec::new(AppId::Mgs, Version::Seq, 1, 0.05).run();
+    for protocol in ProtocolMode::ALL {
+        for engine in seeds.clone().map(EngineKind::Seeded) {
+            let mut spec = RunSpec::new(AppId::Mgs, Version::SpfCri, 8, 0.05);
+            spec.cfg.page_words = 16;
+            let r = run_spec(spec.on(engine).protocol(protocol));
+            let close = checksums_close(&r.checksum, &seq.checksum, 1e-9);
+            let ctx = format!("Mgs SpfCri/{protocol}/8p/0.05/16-word pages on {engine}");
+            assert!(close, "{ctx}: {:?} vs {:?}", r.checksum, seq.checksum);
+        }
+    }
+}
+
+#[test]
+fn mgs_push_tree_on_every_explored_schedule() {
+    mgs_push_tree_cells(TIER1);
+}
+
+/// Two superseding pushes of one page meet at node 0, the older one
+/// from the higher node: node 2 rewrites the page under a lock, then
+/// node 1 — which takes the lock after it — rewrites it again, and both
+/// push it to node 0 at the next barrier. Node 0 installs node 1's and
+/// must drop node 2's, whose watermarks lack node 1's interval
+/// (`ci/mutants/superseding_push_without_dominance.patch` installs it,
+/// and node 0 reads node 2's words). Node 0's view of the page after
+/// the barrier, on schedule `engine`.
+fn stale_superseding_push(engine: EngineKind) -> Vec<f64> {
+    let out = Cluster::run(ClusterConfig::sp2_on(3, engine), |node| {
+        let tmk = Tmk::new(
+            node,
+            TmkConfig {
+                page_words: 16,
+                ..TmkConfig::default()
+            },
+        );
+        let a = tmk.malloc_f64(16);
+        let me = tmk.proc_id();
+        if me > 0 {
+            if me == 1 {
+                // Take the lock only once node 2 has released it.
+                node.recv_from(2, 1);
+            }
+            tmk.acquire(0);
+            let page = 0..16;
+            tmk.write(a, page.clone()).slice_mut().fill(me as f64);
+            tmk.supersede_at_next_sync(a, std::slice::from_ref(&page));
+            tmk.push_at_next_sync(0, a, page);
+            tmk.release(0);
+            if me == 2 {
+                node.send(1, 1, MsgKind::Data, vec![]);
+            }
+        }
+        tmk.barrier(0);
+        let seen = tmk.read(a, 0..16).slice().to_vec();
+        tmk.barrier(1);
+        tmk.finish();
+        seen
+    });
+    out.results[0].clone()
+}
+
+/// [`stale_superseding_push`] on every schedule of `seeds`: node 0 reads
+/// node 1's words.
+fn stale_superseding_pushes_are_dropped(seeds: RangeInclusive<u64>) {
+    let stale: Vec<String> = (seeds.map(EngineKind::Seeded))
+        .filter(|&engine| stale_superseding_push(engine) != [1.0; 16])
+        .map(|engine| engine.to_string())
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "node 0 installed the stale superseding push on {stale:?}"
+    );
+}
+
+#[test]
+fn stale_superseding_pushes_are_dropped_on_every_explored_schedule() {
+    stale_superseding_pushes_are_dropped(TIER1);
+}
+
 /// Every application's hinted version on 3 nodes at scale 0.05 with
 /// 16-word pages, where each write-all (`Write`) touch covers whole
 /// pages, under both protocols, against the sequential program. With
@@ -242,6 +333,8 @@ fn every_cell_on_the_ci_seed_budget() {
         lrc_order::assert_no_rollback(cfg, *CI.end());
     }
     hinted_igrid_on_small_pages(CI);
+    stale_superseding_pushes_are_dropped(CI);
+    mgs_push_tree_cells(CI);
     write_all_cells(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);
