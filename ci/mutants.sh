@@ -4,11 +4,13 @@
 # order, and the three rules that order LRC's diffs: a range stamped at
 # its last interval, an open range that spans a foreign notice, a push
 # applied ahead of an older diff, the windowed reduction's fold order,
-# a superseding push installed over what it does not dominate) or one
-# declaration (a write-all touch whose body reads first) in a
+# a superseding push installed over what it does not dominate), one
+# declaration (a write-all touch whose body reads first) or one
+# derivation (dispatch fusion across a write-after-read) in a
 # scratch copy of the tree, and the schedule-exploration suite, in
 # release at CI's seed budget, must fail on it and name the seed that
-# did it. A patch whose text before its diff has a `Suite: <cargo test
+# did it — or the FIFO schedule, `sequential`, which a run without
+# `--engine` replays. A patch whose text before its diff has a `Suite: <cargo test
 # arguments>` line is held to that suite instead, on the same terms (the
 # write-all mutant's turns debug assertions on, which its check needs). A
 # mutant that survives means the explorer lacks a preemption point or an
@@ -49,13 +51,13 @@ for patch in ci/mutants/*.patch; do
         echo "SURVIVED: ${suite:-the exploration suite} passed on $name"
         survivors=$((survivors + 1))
     else
-        # The lines that name a cell and a seed: an assertion of the
+        # The lines that name a cell and a schedule: an assertion of the
         # suite, or an engine diagnostic it re-raised with the cell.
-        where=$(grep -E 'seeded:[0-9]+' <<<"$out" | grep -v '^simulated cluster' |
+        where=$(grep -E 'seeded:[0-9]+|on sequential' <<<"$out" | grep -v '^simulated cluster' |
             cut -c1-150 | sort -u | head -n 4 || true)
         if [ -z "$where" ]; then
             printf '%s\n' "$out" | tail -n 40
-            echo "mutants: $name failed the suite without naming a seed" >&2
+            echo "mutants: $name failed the suite without naming a schedule" >&2
             exit 1
         fi
         printf 'killed:\n%s\n' "$where"

@@ -16,6 +16,10 @@
 //!   the transpose point and after the checksum — as the paper describes;
 //! * **SPF**: synchronization around each of the six loops, lock-based
 //!   reductions for the checksum;
+//! * **SPF+CRI**: the six loops in two fork-joins — the three passes
+//!   over each node's own planes, then the dim-3 pass, normalization and
+//!   checksum over its own chunks: only the transpose between them reads
+//!   across nodes — and a tree reduction for the checksum;
 //! * **XHPF**: all-to-all fragmented into run-time-sized packets plus one
 //!   synchronization per loop;
 //! * **PVMe (hand)**: single large message per peer in the transpose;
@@ -422,8 +426,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
 // SPF-generated shared memory: six fork-joins per iteration.
 // With `cri`, regular-section descriptors cover every loop: the
 // transpose (the ~30x message blow-up the paper measures) becomes one
-// aggregated push per producer/consumer pair, and the checksum uses the
-// direct tree reduction instead of lock-guarded shared-page folding.
+// aggregated push per producer/consumer pair, the checksum uses the
+// direct tree reduction instead of lock-guarded shared-page folding, and
+// the six loops go out in two fork-joins.
 // ---------------------------------------------------------------------
 
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
@@ -548,22 +553,38 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         // The normalized scatter is what the next iteration's init (a
         // write over the i3 partition) makes consistent first.
         spf.describe(l_norm, on_chunks(Write), next(l_init, 0..p.n3));
+        // The checksum reads the private transposed block: no shared
+        // word at all.
+        spf.describe(l_cs, |_: &Range<usize>, _, _| Some([]), |_, _| vec![]);
     }
 
     let cs = spf.run(|mr| {
         let one = |it: usize| -> (f64, f64) {
-            mr.par_loop(l_init, 0..p.n3, Schedule::Block, &[it as u64]);
-            mr.par_loop(l_fft1, 0..p.n3, Schedule::Block, &[]);
-            mr.par_loop(l_fft2, 0..p.n3, Schedule::Block, &[]);
-            mr.par_loop(l_fft3, 0..p.n2, Schedule::Block, &[]);
-            mr.par_loop(l_norm, 0..p.n2, Schedule::Block, &[]);
+            let it = [it as u64];
+            let (b3, b2) = (0..p.n3, 0..p.n2);
+            let block = |id, over: &Range<usize>, args| {
+                LoopCtl::new(id, over.clone(), Schedule::Block, args)
+            };
+            let loops = [
+                block(l_init, &b3, &it[..]),
+                block(l_fft1, &b3, &[]),
+                block(l_fft2, &b3, &[]),
+                block(l_fft3, &b2, &[]),
+                block(l_norm, &b2, &[]),
+                block(l_cs, &b2, &[]),
+            ];
             if cri {
-                mr.par_loop(l_cs, 0..p.n2, Schedule::Block, &[]);
+                // Only the transpose into the dim-3 pass reads across
+                // nodes: the passes over each node's own planes share one
+                // dispatch, and the dim-3 pass, normalization and
+                // checksum over its chunks another.
+                mr.par_loops(&loops);
                 *red_tot.borrow()
             } else {
+                mr.par_loops(&loops[..5]);
                 r_re.reset(mr.tmk(), 0.0);
                 r_im.reset(mr.tmk(), 0.0);
-                mr.par_loop(l_cs, 0..p.n2, Schedule::Block, &[]);
+                mr.par_loops(&loops[5..]);
                 (r_re.value(mr.tmk()), r_im.value(mr.tmk()))
             }
         };

@@ -268,13 +268,14 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
             let mut w = m.tmk().write(data.arr, 0..n * n);
             w.slice_mut().copy_from_slice(&full.data);
         }
-        let interior = 1..n - 1;
-        m.par_loop(l1, interior.clone(), Schedule::Block, &[]);
-        m.par_loop(l2, interior.clone(), Schedule::Block, &[]);
+        let interior = |id| LoopCtl::new(id, 1..n - 1, Schedule::Block, &[]);
+        // The copy overwrites the ghost columns the stencil reads on the
+        // neighbours: two dispatches, whatever the call site offers.
+        let step = [interior(l1), interior(l2)];
+        m.par_loops(&step);
         m.par_loop(l_start, 0..0, Schedule::Block, &[]);
         for _ in 0..p.iters {
-            m.par_loop(l1, interior.clone(), Schedule::Block, &[]);
-            m.par_loop(l2, interior.clone(), Schedule::Block, &[]);
+            m.par_loops(&step);
         }
         m.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         let full = m.tmk().read(data.arr, 0..n * n);

@@ -509,9 +509,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let cs = spf.run(|mr| {
         mr.par_loop(l_init, 0..p.m, Schedule::Block, &[]);
         mr.par_loop(l_start, 0..0, Schedule::Block, &[]);
+        // The force loop's descriptor is an inspector's: never fused.
+        let all = |id| LoopCtl::new(id, 0..p.m, Schedule::Block, &[]);
+        let step = [all(l_force), all(l_merge)];
         for _ in 0..p.iters {
-            mr.par_loop(l_force, 0..p.m, Schedule::Block, &[]);
-            mr.par_loop(l_merge, 0..p.m, Schedule::Block, &[]);
+            mr.par_loops(&step);
         }
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)

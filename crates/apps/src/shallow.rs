@@ -15,6 +15,10 @@
 //!   row-wraps, private nothing (all 13 arrays shared);
 //! * **SPF**: five parallel loops per iteration (three steps + two
 //!   row-wrap loops) plus master-executed column wraps;
+//! * **SPF+CRI**: the same five loops in three fork-joins — a row wrap
+//!   touches only its own node's columns of what its step loop wrote, so
+//!   the footprints let the two share a dispatch (`Master::par_loops`),
+//!   Hand-opt's merge derived rather than written;
 //! * **Hand-opt** (§5.2): merged loops (row wraps fused into the step
 //!   loops, 3 dispatches) plus communication aggregation — the paper
 //!   measures 5.96 vs 6.21 for hand-coded shared memory;
@@ -726,18 +730,18 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
 
     let cs = spf.run(|mr| {
         let whole = 1..n + 1;
+        // A step loop and its row wrap are adjacent: one dispatch when
+        // their footprints let them share it (SPF+CRI), two otherwise.
+        // Hand-opt merged the wrap into the step loop's body.
+        let per_step = if fused { 1 } else { 2 };
         mr.par_loop(l_init, whole.clone(), Schedule::Block, &[]);
         let one = |first: bool, tdt: f64| {
-            mr.par_loop(l_s1, whole.clone(), Schedule::Block, &[]);
-            if !fused {
-                mr.par_loop(l_wrap1, whole.clone(), Schedule::Block, &[]);
-            }
+            let block = |id, args| LoopCtl::new(id, whole.clone(), Schedule::Block, args);
+            mr.par_loops(&[block(l_s1, &[]), block(l_wrap1, &[])][..per_step]);
             // Column wrap is sequential code: the master executes it.
             sh.col_wrap(mr.tmk(), &[CU, CV, Z, H]);
-            mr.par_loop(l_s2, whole.clone(), Schedule::Block, &[tdt.to_bits()]);
-            if !fused {
-                mr.par_loop(l_wrap2, whole.clone(), Schedule::Block, &[]);
-            }
+            let tdt = [tdt.to_bits()];
+            mr.par_loops(&[block(l_s2, &tdt), block(l_wrap2, &[])][..per_step]);
             sh.col_wrap(mr.tmk(), &[UNEW, VNEW, PNEW]);
             mr.par_loop(l_s3, whole.clone(), Schedule::Block, &[u64::from(first)]);
         };

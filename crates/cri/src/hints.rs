@@ -31,8 +31,8 @@
 //! * what [`HintEngine::after_loop`] registers — every `(target, page)`
 //!   push, *before* the HLRC "the consumer is the page's home" filter,
 //!   which stays a check at replay because homes change;
-//! * the `(page, producer)` home candidates of
-//!   [`HintEngine::planned_homes`] (HLRC, master only).
+//! * the `(page, writer)` pairs [`HintEngine::planned_homes`] picks its
+//!   home candidates from (HLRC, master only).
 //!
 //! Each third is built the first time its own call site runs, not ahead
 //! of it: building evaluates descriptors, and a dynamic descriptor's
@@ -214,7 +214,7 @@ struct Plan {
     /// `after_loop`: the `(target, page)` pushes in registration order,
     /// HLRC home filter not yet applied.
     pushes: Option<Third<Vec<(usize, usize)>>>,
-    /// `planned_homes`: the `(page, producer)` candidates, by page.
+    /// `planned_homes`: every `(page, writer)` of the write sections.
     homes: Option<Third<Vec<(usize, usize)>>>,
 }
 
@@ -232,6 +232,8 @@ pub struct HintEngine<'t, 'n> {
     /// Dynamic-descriptor evaluations so far (hits and misses): a plan
     /// under construction reads its own share off this counter.
     dyn_evals: Cell<u64>,
+    /// Registrations so far ([`HintEngine::revision`]).
+    revision: Cell<u64>,
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
@@ -244,6 +246,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             schedules: RefCell::new(HashMap::new()),
             plans: RefCell::new(Vec::new()),
             dyn_evals: Cell::new(0),
+            revision: Cell::new(0),
         }
     }
 
@@ -273,6 +276,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         // loop's own and those of the loops it consumes from.
         self.schedules.borrow_mut().retain(|k, _| k.0 != id);
         self.plans.borrow_mut().clear();
+        self.revision.set(self.revision.get() + 1);
     }
 
     /// Attach a **dynamic** (inspector) descriptor to loop `id`: the
@@ -293,6 +297,30 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// True when loop `id` has a descriptor.
     pub fn has(&self, id: usize) -> bool {
         self.fns.borrow().get(id).is_some_and(|f| f.is_some())
+    }
+
+    /// How many descriptors have been attached so far: what a caller
+    /// derived from [`HintEngine::declared`] at another revision may be
+    /// stale.
+    pub fn revision(&self) -> u64 {
+        self.revision.get()
+    }
+
+    /// Loop `id`'s descriptor evaluated for node `q` of `np` over
+    /// `iters`: the accesses the compiler declares for that node's share.
+    /// `None` when the loop has no descriptor or a dynamic one, whose
+    /// evaluation would inspect. Counts nothing and charges nothing.
+    pub fn declared(
+        &self,
+        id: usize,
+        iters: &Range<usize>,
+        q: usize,
+        np: usize,
+    ) -> Option<Vec<Access>> {
+        if self.dynamic.borrow().get(id).copied().unwrap_or(false) {
+            return None;
+        }
+        self.get(id).map(|f| f(iters, q, np))
     }
 
     /// Drop every cached schedule and every plan: an epoch-invalidating
@@ -434,9 +462,10 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
 
-    /// HLRC home-placement candidates from loop `id`'s descriptor: every
-    /// page exactly one node's write section covers, paired with that
-    /// node — the declared producer. Pure (nothing installed): the
+    /// HLRC home-placement candidates from the descriptors of `loops`,
+    /// dispatched together: every page exactly one node's write sections
+    /// cover, in all of them, paired with that node — the declared
+    /// producer. Pure (nothing installed): the
     /// fork-join runtime filters the candidates through the runtime's
     /// no-notice guard on the master at fork time (when every worker is
     /// parked in its dispatch wait and no interval is in flight, so the
@@ -445,30 +474,36 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// for them through [`Tmk::adopt_page_homes`], which evaluates
     /// nothing under a protocol without homes: building the list
     /// evaluates descriptors, and an inspection charges virtual time.
-    pub fn planned_homes(&self, id: usize, iters: &Range<usize>) -> Vec<(usize, usize)> {
-        if !self.has(id) {
-            return Vec::new();
+    pub fn planned_homes<'r>(
+        &self,
+        loops: impl IntoIterator<Item = (usize, &'r Range<usize>)>,
+    ) -> Vec<(usize, usize)> {
+        // Every `(page, writer)` of every loop: each loop's plan holds
+        // its own, one per page a node's write sections cover.
+        let mut writes = Vec::new();
+        for (id, iters) in loops.into_iter().filter(|&(id, _)| self.has(id)) {
+            let build = || {
+                let np = self.tmk.nprocs();
+                let (mut written, mut writes) = (Vec::new(), Vec::new());
+                for q in 0..np {
+                    written.clear();
+                    self.eval(id, iters, q, np, |accesses| {
+                        for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
+                            self.add_pages(a.arr, &a.section, &mut written);
+                        }
+                    });
+                    written = merge_ranges(written);
+                    writes.extend(written.iter().cloned().flatten().map(|p| (p, q)));
+                }
+                writes
+            };
+            let add = |own: &Vec<(usize, usize)>| writes.extend_from_slice(own);
+            self.third(id, iters, |plan| &mut plan.homes, build, add);
         }
-        let build = || {
-            let np = self.tmk.nprocs();
-            let mut written = Vec::new();
-            // One `(page, writer)` per page a node's write sections cover.
-            let mut writes = Vec::new();
-            for q in 0..np {
-                written.clear();
-                self.eval(id, iters, q, np, |accesses| {
-                    for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
-                        self.add_pages(a.arr, &a.section, &mut written);
-                    }
-                });
-                written = merge_ranges(written);
-                writes.extend(written.iter().cloned().flatten().map(|p| (p, q)));
-            }
-            writes.sort_unstable();
-            let by_page = writes.chunk_by(|a, b| a.0 == b.0);
-            by_page.filter(|w| w.len() == 1).map(|w| w[0]).collect()
-        };
-        self.third(id, iters, |plan| &mut plan.homes, build, Vec::clone)
+        writes.sort_unstable();
+        writes.dedup();
+        let by_page = writes.chunk_by(|a, b| a.0 == b.0);
+        by_page.filter(|w| w.len() == 1).map(|w| w[0]).collect()
     }
 
     /// Post-loop hint: register pushes for every written section with
@@ -888,7 +923,7 @@ mod tests {
                 let mut pushes = Vec::new();
                 hints.push_list(&written, &mut pushes);
                 ok &= pushes == push_list_reference(&hints, &written);
-                ok &= hints.planned_homes(1, &(0..1)) == homes_reference(&hints, 1, &(0..1));
+                ok &= hints.planned_homes([(1, &(0..1))]) == homes_reference(&hints, 1, &(0..1));
                 tmk.finish();
                 ok
             });

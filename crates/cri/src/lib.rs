@@ -262,7 +262,7 @@ mod tests {
                 }
             });
             let accepted = tmk
-                .adopt_page_homes(|| hints.planned_homes(0, &(0..1)))
+                .adopt_page_homes(|| hints.planned_homes([(0, &(0..1))]))
                 .len();
             // Page 1 would be homed at node 1 block-cyclically; the
             // descriptor re-homes both pages at the producer, node 0.
@@ -323,7 +323,7 @@ mod tests {
                 }
             });
             let accepted = tmk
-                .adopt_page_homes(|| hints.planned_homes(0, &(0..1)))
+                .adopt_page_homes(|| hints.planned_homes([(0, &(0..1))]))
                 .len();
             assert_eq!(tmk.page_home(a.first_page() + 1), 1, "re-home refused");
             let mut registered = 0;

@@ -115,6 +115,24 @@ impl Section {
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
+
+    /// True when the two sections share a word: a two-pointer sweep over
+    /// both run lists.
+    pub fn meets(&self, other: &Section) -> bool {
+        let (a, b) = (&self.runs, &other.runs);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].start.max(b[j].start) < a[i].end.min(b[j].end) {
+                return true;
+            }
+            if a[i].end <= b[j].end {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        false
+    }
 }
 
 /// The maximal runs of set bits of a bitmap, ascending (bit `i` of word
@@ -152,7 +170,7 @@ fn runs_of_set_bits(bits: &[u64]) -> Vec<Range<usize>> {
 
 /// Sort and merge overlapping or adjacent ranges (in place: the result
 /// reuses the argument's buffer).
-pub(crate) fn merge_ranges(mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
+pub fn merge_ranges(mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
     runs.retain(|r| r.start < r.end);
     // Which of two runs with one start comes first does not matter: the
     // merged run ends at the larger end either way.
@@ -232,6 +250,22 @@ mod tests {
             assert_describes(&Section::from_spans(spans.iter().rev().cloned()), painted.clone());
             let indices = spans.iter().flat_map(|r| r.clone().rev().chain(r.clone()));
             assert_describes(&Section::from_indices(indices), painted);
+        }
+
+        /// Two sections meet exactly when their word sets intersect.
+        #[test]
+        fn sections_meet_when_their_words_do(
+            a in prop::collection::vec((0usize..200, 0usize..30), 0..6),
+            b in prop::collection::vec((0usize..200, 0usize..30), 0..6),
+        ) {
+            let spans = |s: &[(usize, usize)]| -> Vec<Range<usize>> {
+                s.iter().map(|&(at, len)| at..at + len).collect()
+            };
+            let (sa, sb) = (Section::from_spans(spans(&a)), Section::from_spans(spans(&b)));
+            let words = |s: &Section| s.runs().iter().cloned().flatten().collect::<BTreeSet<_>>();
+            let shared = words(&sa).intersection(&words(&sb)).next().is_some();
+            prop_assert_eq!(sa.meets(&sb), shared);
+            prop_assert_eq!(sb.meets(&sa), shared);
         }
     }
 

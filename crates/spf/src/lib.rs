@@ -11,8 +11,10 @@
 //!
 //! * a single **master** executes all sequential code; **workers** wait in
 //!   a dispatch loop for parallel work;
-//! * every parallel loop is bracketed by synchronization (the fork
-//!   departure and the join arrival) whether it needs it or not;
+//! * in the SPF versions, every parallel loop is bracketed by
+//!   synchronization (the fork departure and the join arrival) whether
+//!   it needs it or not (with descriptors, adjacent loops that no other
+//!   node depends on share one: see "Dispatch fusion" below);
 //! * every scalar or array referenced inside a parallel loop is allocated
 //!   in **shared memory**, padded to page boundaries — including scratch
 //!   arrays a hand coder would keep private;
@@ -43,6 +45,25 @@
 //! `(consumer, page)`, between a direct push and the home flush that is
 //! already travelling — so hinted HLRC runs avoid both the consumer's
 //! fetch round trip and most of the eager update traffic.
+//!
+//! ## Dispatch fusion
+//!
+//! [`Master::par_loops`] takes a run of adjacent loops — no sequential
+//! code between them — and ships each maximal run of described loops
+//! that no other node depends on in one fork: for every pair of nodes
+//! `q ≠ q'`, no earlier loop's writes on `q'` meet a later loop's reads
+//! or writes on `q`, and no earlier loop's reads on `q'` meet a later
+//! loop's writes on `q`, word for word. The last term counts because a
+//! write-all body overwrites its pages in place: a request served while
+//! it runs would be served its newer words. Every node runs the bodies
+//! in order, each inside its own validate and push registration; the
+//! pushes and home placements of all of them go with the one join. A
+//! loop without a descriptor, with a dynamic (inspector) one, or with a
+//! sequential footprint ([`Spf::describe_sequential`]) is never fused,
+//! and neither is any loop under the original interface; a one-loop
+//! dispatch's words are the unfused ones. With debug assertions, each
+//! body of a fused dispatch may open views only inside what its
+//! descriptor declared for its node.
 //!
 //! ## Example
 //!
@@ -85,11 +106,13 @@
 pub mod footprint;
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use cri::{Access, Consumer, HintEngine};
-use treadmarks::{SharedArray, Tmk};
+use cri::section::merge_ranges;
+use cri::{Access, AccessMode, Consumer, HintEngine};
+use treadmarks::{SharedArray, Tmk, ViewFence};
 
 pub use footprint::{Cols, Mode, Next, Touch};
 pub use sp2sim::block_range;
@@ -121,7 +144,17 @@ pub struct LoopCtl<'a> {
     pub args: &'a [u64],
 }
 
-impl LoopCtl<'_> {
+impl<'a> LoopCtl<'a> {
+    /// Loop `id` over `range`, scheduled `sched`, with `args`.
+    pub fn new(id: usize, range: Range<usize>, sched: Schedule, args: &'a [u64]) -> LoopCtl<'a> {
+        LoopCtl {
+            id,
+            range,
+            sched,
+            args,
+        }
+    }
+
     /// This processor's contiguous block of the iteration space
     /// (empty for processors beyond the remainder).
     pub fn my_block(&self, me: usize, n: usize) -> Range<usize> {
@@ -165,32 +198,62 @@ fn encode_ctl(ctl: &LoopCtl, v: &mut Vec<u64>) {
 /// inspector schedules before this dispatch's body runs.
 const DISPATCH_INVALIDATE: u64 = 1;
 
+/// Dispatch flag: the dispatch carries a fused run of loops — their
+/// count, then each one's argument count and control words.
+const DISPATCH_FUSED: u64 = 2;
+
 /// Frame a dispatch for the improved interface: a flags word (schedule
-/// invalidation), then the master's fork-time home-placement decision
-/// (HLRC; empty otherwise), then the loop-control words — so every
-/// worker installs the same overrides and drops the same caches before
-/// its body runs.
-fn encode_dispatch(flags: u64, homes: &[(usize, usize)], ctl: &LoopCtl) -> Vec<u64> {
-    let mut v = Vec::with_capacity(2 + homes.len() * 2 + 4 + ctl.args.len());
-    v.push(flags);
+/// invalidation, fusion), then the master's fork-time home-placement
+/// decision (HLRC; empty otherwise), then the loop-control words of each
+/// loop — so every worker installs the same overrides and drops the same
+/// caches before the first body runs. A lone loop carries no fusion
+/// framing: its words are flags, homes and its control words.
+fn encode_dispatch(flags: u64, homes: &[(usize, usize)], group: &[LoopCtl]) -> Vec<u64> {
+    let fused = group.len() > 1;
+    // A fused run adds its count and an argument count per loop.
+    let framing = if fused { 1 + group.len() } else { 0 };
+    let ctls: usize = group.iter().map(|ctl| 4 + ctl.args.len()).sum();
+    let mut v = Vec::with_capacity(2 + homes.len() * 2 + framing + ctls);
+    v.push(if fused { flags | DISPATCH_FUSED } else { flags });
     v.push(homes.len() as u64);
     for &(page, home) in homes {
         v.push(page as u64);
         v.push(home as u64);
     }
-    encode_ctl(ctl, &mut v);
+    if let [ctl] = group {
+        encode_ctl(ctl, &mut v);
+        return v;
+    }
+    v.push(group.len() as u64);
+    for ctl in group {
+        v.push(ctl.args.len() as u64);
+        encode_ctl(ctl, &mut v);
+    }
     v
 }
 
-/// Split a dispatch back into flags, home overrides and loop-control
-/// words.
-fn decode_dispatch(words: &[u64]) -> (u64, Vec<(usize, usize)>, &[u64]) {
+/// Split a dispatch back into flags, home overrides and its loops.
+fn decode_dispatch(words: &[u64]) -> (u64, Vec<(usize, usize)>, impl Iterator<Item = LoopCtl<'_>>) {
     let flags = words[0];
     let n = words[1] as usize;
     let homes = (0..n)
         .map(|k| (words[2 + 2 * k] as usize, words[3 + 2 * k] as usize))
         .collect();
-    (flags, homes, &words[2 + 2 * n..])
+    let rest = &words[2 + 2 * n..];
+    let fused = flags & DISPATCH_FUSED != 0;
+    let (count, mut rest) = match fused {
+        true => (rest[0] as usize, &rest[1..]),
+        false => (1, rest),
+    };
+    let loops = (0..count).map(move |_| {
+        let (ctl, tail) = match fused {
+            true => rest[1..].split_at(4 + rest[0] as usize),
+            false => (rest, &rest[rest.len()..]),
+        };
+        rest = tail;
+        decode_ctl(ctl)
+    });
+    (flags, homes, loops)
 }
 
 fn decode_ctl(words: &[u64]) -> LoopCtl<'_> {
@@ -215,6 +278,40 @@ type Sequential<'t> = Rc<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
 /// The registered [`Sequential`] footprints, by the loop they precede.
 type SequentialFns<'t> = Rc<RefCell<Vec<Option<Sequential<'t>>>>>;
 
+/// A loop over a range, as fusion caches by it: `(id, start, end)`.
+type LoopKey = (usize, usize, usize);
+
+fn loop_key(ctl: &LoopCtl) -> LoopKey {
+    (ctl.id, ctl.range.start, ctl.range.end)
+}
+
+/// What dispatch fusion derived from the descriptors, at one revision of
+/// the hint engine ([`HintEngine::revision`]).
+#[derive(Default)]
+struct Fusion {
+    revision: u64,
+    /// Master: may the first loop and the second, after it, share a
+    /// dispatch?
+    verdicts: HashMap<(LoopKey, LoopKey), bool>,
+    /// This node's fence for a loop's body in a fused dispatch.
+    fences: HashMap<LoopKey, Rc<ViewFence>>,
+}
+
+/// Whether a loop whose accesses on one node are `earlier` may run in the
+/// same dispatch as a later loop whose accesses on another node are
+/// `later`: no word the first writes is touched by the second, and no
+/// word the first reads is written by the second.
+fn independent(earlier: &[Access], later: &[Access]) -> bool {
+    let hazard = |x: &Access, y: &Access| {
+        // Read-after-write and write-after-write: the earlier loop wrote.
+        let after_write = x.mode == AccessMode::Write;
+        // Write-after-read: the later loop overwrites what it read.
+        let after_read = x.mode == AccessMode::Read && y.mode == AccessMode::Write;
+        x.arr == y.arr && (after_write || after_read) && x.section.meets(&y.section)
+    };
+    !earlier.iter().any(|x| later.iter().any(|y| hazard(x, y)))
+}
+
 /// The SPF run-time system bound to one node's DSM instance.
 pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
@@ -227,6 +324,8 @@ pub struct Spf<'t, 'n> {
     /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
     /// inspector schedules at the same loop boundary.
     pending_invalidate: std::cell::Cell<bool>,
+    /// What dispatch fusion derived so far.
+    fusion: RefCell<Fusion>,
     // Original-interface control locations: the loop-index word and the
     // argument words live on separate shared pages, as the paper
     // describes — two faults per worker per loop.
@@ -246,6 +345,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             hints: HintEngine::new(tmk),
             sequential: Rc::default(),
             pending_invalidate: std::cell::Cell::new(false),
+            fusion: RefCell::default(),
             ctl_idx,
             ctl_args,
         }
@@ -406,7 +506,9 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk.config().improved_forkjoin
     }
 
-    fn execute(&self, ctl: &LoopCtl) {
+    /// Run one dispatched body — fenced in, when it is one of a fused
+    /// dispatch's and debug assertions are on.
+    fn execute(&self, ctl: &LoopCtl, fused: bool) {
         // One Compute span per dispatched body; hint work (validate,
         // inspection) nests inside and is debited by the analyzer, so
         // the span's self-time is pure loop arithmetic.
@@ -418,24 +520,128 @@ impl<'t, 'n> Spf<'t, 'n> {
         if hinted {
             self.hints.before_loop(ctl.id, &ctl.range);
         }
+        let fenced = fused && cfg!(debug_assertions);
+        if fenced {
+            self.tmk.fence_views(Some(self.fence(ctl)));
+        }
         {
             let loops = self.loops.borrow();
             (loops[ctl.id])(ctl);
+        }
+        if fenced {
+            self.tmk.fence_views(None);
         }
         if hinted {
             self.hints.after_loop(ctl.id, &ctl.range);
         }
     }
 
+    /// The fusion cache, emptied first when a descriptor changed since.
+    fn fusion(&self) -> std::cell::RefMut<'_, Fusion> {
+        let mut fusion = self.fusion.borrow_mut();
+        if fusion.revision != self.hints.revision() {
+            *fusion = Fusion {
+                revision: self.hints.revision(),
+                ..Fusion::default()
+            };
+        }
+        fusion
+    }
+
+    /// What the body of `ctl` declared it opens on this node, by array.
+    fn fence(&self, ctl: &LoopCtl) -> Rc<ViewFence> {
+        let key = loop_key(ctl);
+        if let Some(fence) = self.fusion().fences.get(&key) {
+            return Rc::clone(fence);
+        }
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let declared = self.hints.declared(ctl.id, &ctl.range, me, np);
+        let mut arrays: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
+        for a in declared.expect("a fused loop is described") {
+            let runs = a.section.runs().iter().cloned();
+            match arrays.iter_mut().find(|(arr, _)| *arr == a.arr) {
+                Some((_, all)) => all.extend(runs),
+                None => arrays.push((a.arr, runs.collect())),
+            }
+        }
+        for (_, runs) in &mut arrays {
+            *runs = merge_ranges(std::mem::take(runs));
+        }
+        let fence = Rc::new(ViewFence {
+            loop_id: ctl.id,
+            arrays,
+        });
+        self.fusion().fences.insert(key, Rc::clone(&fence));
+        fence
+    }
+
+    /// May loop `id` share a dispatch at all? It has a descriptor and
+    /// no sequential footprint.
+    fn may_fuse(&self, id: usize) -> bool {
+        let sequential = self
+            .sequential
+            .borrow()
+            .get(id)
+            .is_some_and(Option::is_some);
+        self.hints.has(id) && !sequential
+    }
+
+    /// Every node's declared accesses of `ctl`, `None` when its
+    /// descriptor is dynamic.
+    fn declared(&self, ctl: &LoopCtl) -> Option<Vec<Vec<Access>>> {
+        let np = self.tmk.nprocs();
+        (0..np)
+            .map(|q| self.hints.declared(ctl.id, &ctl.range, q, np))
+            .collect()
+    }
+
+    /// May `later` run in the same dispatch as `earlier`, before it? No
+    /// node's share of one may touch a word another node's share of the
+    /// other writes (see "Dispatch fusion" in the crate doc). Cached.
+    fn fusable(&self, earlier: &LoopCtl, later: &LoopCtl) -> bool {
+        if !self.may_fuse(earlier.id) || !self.may_fuse(later.id) {
+            return false;
+        }
+        let key = (loop_key(earlier), loop_key(later));
+        if let Some(&verdict) = self.fusion().verdicts.get(&key) {
+            return verdict;
+        }
+        let verdict = match (self.declared(earlier), self.declared(later)) {
+            (Some(a), Some(b)) => (a.iter().enumerate()).all(|(p, a)| {
+                let others = b.iter().enumerate().filter(|&(q, _)| q != p);
+                others.map(|(_, b)| b).all(|b| independent(a, b))
+            }),
+            _ => false,
+        };
+        self.fusion().verdicts.insert(key, verdict);
+        verdict
+    }
+
+    /// How many of `loops`, from the first, go out in one dispatch: the
+    /// longest run of which every loop may share a dispatch with each
+    /// one before it — one under the original interface.
+    fn fused_run(&self, loops: &[LoopCtl]) -> usize {
+        if !self.improved() {
+            return 1;
+        }
+        let mut k = 1;
+        while k < loops.len() && loops[..k].iter().all(|a| self.fusable(a, &loops[k])) {
+            k += 1;
+        }
+        k
+    }
+
     fn worker_loop(&self) {
         if self.improved() {
             while let Some(words) = self.tmk.worker_wait() {
-                let (flags, homes, ctl_words) = decode_dispatch(&words);
+                let (flags, homes, loops) = decode_dispatch(&words);
                 if flags & DISPATCH_INVALIDATE != 0 {
                     self.hints.invalidate_schedules();
                 }
                 self.tmk.install_page_homes(&homes);
-                self.execute(&decode_ctl(ctl_words));
+                for ctl in loops {
+                    self.execute(&ctl, flags & DISPATCH_FUSED != 0);
+                }
             }
         } else {
             loop {
@@ -455,7 +661,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                     words.extend(args.slice()[1..4 + nargs].iter().map(|&x| x as u64));
                     words
                 };
-                self.execute(&decode_ctl(&words));
+                self.execute(&decode_ctl(&words), false);
                 self.tmk.barrier(1);
             }
         }
@@ -500,30 +706,46 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
 
     /// Dispatch one parallel loop, participate in its execution, then
     /// wait for all workers (fork ... join). This is what SPF emits for
-    /// every parallelized DO loop.
+    /// every parallelized DO loop: [`Master::par_loops`] of one loop.
+    pub fn par_loop(&self, id: usize, range: Range<usize>, sched: Schedule, args: &[u64]) {
+        self.par_loops(&[LoopCtl::new(id, range, sched, args)]);
+    }
+
+    /// Dispatch adjacent parallel loops — no sequential code runs between
+    /// them — in order, each maximal run of them that no other node
+    /// depends on in one fork-join (see "Dispatch fusion" in the crate
+    /// doc), the rest one by one.
     ///
     /// Under HLRC with a hinted loop, this is also where home placement
     /// is decided: at fork time every worker is parked in its dispatch
     /// wait, so the master's interval view is cluster-complete — it
-    /// filters the descriptor's producer-home candidates through the
+    /// filters the descriptors' producer-home candidates through the
     /// runtime's guard once, installs them, and ships the accepted list
     /// inside the dispatch for the workers to install verbatim. (The
     /// original interface ships control through shared pages and skips
     /// the decision — every node skips, so the maps still agree.)
-    pub fn par_loop(&self, id: usize, range: Range<usize>, sched: Schedule, args: &[u64]) {
-        let ctl = LoopCtl {
-            id,
-            range,
-            sched,
-            args,
-        };
-        let between = self.spf.sequential.borrow().get(id).cloned().flatten();
-        if let Some(f) = between {
+    pub fn par_loops(&self, loops: &[LoopCtl]) {
+        let mut rest = loops;
+        while !rest.is_empty() {
+            let (group, tail) = rest.split_at(self.spf.fused_run(rest));
+            self.dispatch(group);
+            rest = tail;
+        }
+    }
+
+    /// One fork-join running the loops of `group` (one, unless fused).
+    fn dispatch(&self, group: &[LoopCtl]) {
+        for ctl in group {
+            let between = self.spf.sequential.borrow().get(ctl.id).cloned().flatten();
+            let Some(f) = between else {
+                continue;
+            };
             // The sequential code that just ran rewrote these: they ride
-            // the dispatch to the loop's readers.
+            // the dispatch to the loop's readers. (A loop with a
+            // sequential footprint is never fused: it is alone here.)
             let rewritten = f(&ctl.range).into_iter().filter(|s| s.mode != Mode::Read);
             let consumed = |s: Touch| {
-                Access::write(s.at.arr, s.section()).consumed_by_loop(id, ctl.range.clone())
+                Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
             };
             self.spf
                 .hints
@@ -537,17 +759,23 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
                 self.spf.hints.invalidate_schedules();
                 flags |= DISPATCH_INVALIDATE;
             }
-            let planned = || self.spf.hints.planned_homes(id, &ctl.range);
+            let loops = || group.iter().map(|ctl| (ctl.id, &ctl.range));
+            let planned = || self.spf.hints.planned_homes(loops());
             let homes = self.spf.tmk.adopt_page_homes(planned);
-            self.spf.tmk.fork(&encode_dispatch(flags, &homes, &ctl));
-            self.spf.execute(&ctl);
+            self.spf.tmk.fork(&encode_dispatch(flags, &homes, group));
+            for ctl in group {
+                self.spf.execute(ctl, group.len() > 1);
+            }
             self.spf.tmk.join();
         } else {
             // Original interface: write the control variables to the two
             // shared control pages, then a full barrier releases the
             // workers; a second barrier joins them.
-            let mut words = Vec::with_capacity(4 + args.len());
-            encode_ctl(&ctl, &mut words);
+            let [ctl] = group else {
+                unreachable!("the original interface dispatches loop by loop")
+            };
+            let mut words = Vec::with_capacity(4 + ctl.args.len());
+            encode_ctl(ctl, &mut words);
             self.spf.tmk.write_one(self.spf.ctl_idx, 0, words[0] as f64);
             {
                 let mut w = self.spf.tmk.write(self.spf.ctl_args, 0..64);
@@ -557,7 +785,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
                 }
             }
             self.spf.tmk.barrier(0);
-            self.spf.execute(&ctl);
+            self.spf.execute(ctl, false);
             self.spf.tmk.barrier(1);
         }
     }
@@ -652,6 +880,174 @@ mod tests {
         let mut words = Vec::new();
         encode_ctl(&ctl, &mut words);
         assert_eq!(decode_ctl(&words), ctl);
+    }
+
+    /// A one-loop dispatch is framed as before dispatches could carry
+    /// more — flags, homes, control words — and a fused one decodes back
+    /// to its loops.
+    #[test]
+    fn dispatch_words_of_one_loop_and_of_a_fused_run() {
+        let one = LoopCtl::new(3, 5..77, Schedule::Cyclic, &[9, 1]);
+        let words = encode_dispatch(DISPATCH_INVALIDATE, &[(4, 2)], std::slice::from_ref(&one));
+        assert_eq!(words, [1, 1, 4, 2, 3, 5, 77, 1, 9, 1]);
+        let two = LoopCtl::new(4, 0..8, Schedule::Block, &[]);
+        let group = [one, two];
+        let words = encode_dispatch(0, &[], &group);
+        assert_eq!(words[..3], [DISPATCH_FUSED, 0, 2]);
+        let (flags, homes, loops) = decode_dispatch(&words);
+        assert_eq!((flags, homes), (DISPATCH_FUSED, vec![]));
+        assert_eq!(loops.collect::<Vec<_>>(), group);
+    }
+
+    /// Which column of a three-page array a node's share touches.
+    #[derive(Clone, Copy)]
+    enum Col {
+        Own,
+        Left,
+    }
+
+    /// How the second loop of a pair is registered.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Second {
+        Described,
+        Plain,
+        Dynamic,
+        AfterSequential,
+    }
+
+    /// Two adjacent loops on three nodes, each node's share touching one
+    /// page-long column in one mode, dispatched by one `par_loops`: the
+    /// forks it took and the array's sum after it. A write stores 1, an
+    /// update adds 1.
+    fn pair(first: (Col, Mode), second: (Col, Mode), reg: Second) -> (u64, f64) {
+        let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let spf = Spf::new(&tmk);
+            let at = Cols::new(tmk.malloc_f64(3 * 512), 512);
+            let touch = move |(col, mode): (Col, Mode), q: usize, np: usize| {
+                let j = match col {
+                    Col::Own => q,
+                    Col::Left => (q + np - 1) % np,
+                };
+                at.touch(j..j + 1, mode)
+            };
+            let body = |shape| {
+                let tmk = &tmk;
+                move |_: &LoopCtl| {
+                    let t = touch(shape, tmk.proc_id(), tmk.nprocs());
+                    match t.mode {
+                        Mode::Read => drop(t.read(tmk)),
+                        Mode::Write => t.write(tmk).slice_mut().fill(1.0),
+                        Mode::Update => t.write(tmk).slice_mut().iter_mut().for_each(|x| *x += 1.0),
+                    }
+                }
+            };
+            let (a, b) = (spf.register(body(first)), spf.register(body(second)));
+            let declared = |shape| move |_: &Range<usize>, q, np| Some([touch(shape, q, np)]);
+            spf.describe(a, declared(first), |_, _| vec![]);
+            match reg {
+                Second::Described => spf.describe(b, declared(second), |_, _| vec![]),
+                Second::Plain => {}
+                Second::Dynamic => spf.hints().register_dynamic(b, move |_, q, np| {
+                    let t = touch(second, q, np);
+                    vec![match t.mode {
+                        Mode::Read => Access::read(at.arr, t.section()),
+                        _ => Access::write(at.arr, t.section()),
+                    }]
+                }),
+                Second::AfterSequential => {
+                    spf.describe(b, declared(second), |_, _| vec![]);
+                    spf.describe_sequential(b, |_| vec![]);
+                }
+            }
+            let r = spf.run(|m| {
+                let forks = || m.tmk().stats_snapshot().forks;
+                let before = forks();
+                let over = |id| LoopCtl::new(id, 0..3, Schedule::Block, &[]);
+                m.par_loops(&[over(a), over(b)]);
+                let sum = m.tmk().read(at.arr, 0..3 * 512).slice().iter().sum::<f64>();
+                (forks() - before, sum)
+            });
+            tmk.finish();
+            r
+        });
+        out.results[0].expect("the master's")
+    }
+
+    #[test]
+    fn loops_with_disjoint_footprints_go_out_in_one_fork() {
+        let own = |mode| (Col::Own, mode);
+        assert_eq!(
+            pair(own(Mode::Write), own(Mode::Update), Second::Described),
+            (1, 3.0 * 1024.0)
+        );
+        assert_eq!(
+            pair(own(Mode::Read), own(Mode::Write), Second::Described),
+            (1, 3.0 * 512.0)
+        );
+        // Both only read each other's columns.
+        let left = (Col::Left, Mode::Read);
+        assert_eq!(pair(own(Mode::Read), left, Second::Described).0, 1);
+    }
+
+    #[test]
+    fn a_cross_node_hazard_splits_the_run() {
+        let (own, left) = (|mode| (Col::Own, mode), |mode| (Col::Left, mode));
+        let cases = [
+            ("read after write", own(Mode::Write), left(Mode::Read)),
+            ("write after read", left(Mode::Read), own(Mode::Write)),
+            ("write after write", own(Mode::Write), left(Mode::Write)),
+        ];
+        for (hazard, first, second) in cases {
+            assert_eq!(pair(first, second, Second::Described).0, 2, "{hazard}");
+        }
+    }
+
+    #[test]
+    fn undescribed_dynamic_and_sequential_loops_are_never_fused() {
+        let own = |mode| (Col::Own, mode);
+        for reg in [Second::Plain, Second::Dynamic, Second::AfterSequential] {
+            let (forks, sum) = pair(own(Mode::Write), own(Mode::Update), reg);
+            assert_eq!((forks, sum), (2, 3.0 * 1024.0));
+        }
+    }
+
+    /// With debug assertions, a body of a fused dispatch that opens a view
+    /// its descriptor did not declare panics, naming the loop and the
+    /// array.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_fused_body_opening_an_undeclared_view_panics() {
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let spf = Spf::new(&tmk);
+                let at = Cols::new(tmk.malloc_f64(2 * 512), 512);
+                let quiet = spf.register(|_: &LoopCtl| {});
+                let strays = spf.register({
+                    let tmk = &tmk;
+                    move |_: &LoopCtl| drop(at.touch(0..2, Mode::Read).read(tmk))
+                });
+                let own = move |_: &Range<usize>, q, _| Some([at.touch(q..q + 1, Mode::Read)]);
+                spf.describe(quiet, own, |_, _| vec![]);
+                spf.describe(strays, own, |_, _| vec![]);
+                spf.run(|m| {
+                    let over = |id| LoopCtl::new(id, 0..2, Schedule::Block, &[]);
+                    m.par_loops(&[over(quiet), over(strays)]);
+                });
+                tmk.finish();
+            });
+        })
+        .expect_err("the view is outside the descriptor");
+        let said = match payload.downcast::<String>() {
+            Ok(said) => *said,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        };
+        // The run-time's two control arrays come first: pages 0 and 1.
+        assert!(
+            said.contains("loop 1 opens words 0..1024 of the array at page 2"),
+            "{said}"
+        );
     }
 
     fn run_sum(cfg: TmkConfig) -> (f64, sp2sim::StatsSnapshot) {

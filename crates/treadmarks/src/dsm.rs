@@ -61,6 +61,38 @@ impl SharedArray {
     }
 }
 
+/// The words one loop body declared it opens: per array, sorted and
+/// disjoint word runs. While it is set ([`Tmk::fence_views`]), a view
+/// opened outside them panics with debug assertions, naming the loop and
+/// the array.
+#[derive(Debug)]
+pub struct ViewFence {
+    /// The body's loop id.
+    pub loop_id: usize,
+    /// The declared words, by array.
+    pub arrays: Vec<(SharedArray, Vec<Range<usize>>)>,
+}
+
+impl ViewFence {
+    /// Panic unless `range` of `arr` lies inside one declared run.
+    fn check(&self, arr: SharedArray, range: &Range<usize>) {
+        let runs = self
+            .arrays
+            .iter()
+            .find(|(a, _)| *a == arr)
+            .map(|(_, r)| &r[..]);
+        let runs = runs.unwrap_or_default();
+        let i = runs.partition_point(|r| r.end < range.end);
+        assert!(
+            runs.get(i).is_some_and(|r| r.start <= range.start),
+            "loop {} opens words {range:?} of the array at page {}, outside what its \
+             descriptor declared for this node",
+            self.loop_id,
+            arr.first_page
+        );
+    }
+}
+
 /// Apply fetched or pushed diff ranges `(writer, entry)` in `(lamport,
 /// writer)` order — a linear extension of happens-before — skipping what
 /// the frame already holds, and leave `entries` empty (the messages its
@@ -108,6 +140,8 @@ pub struct Tmk<'n> {
     /// the cluster records a trace.
     trace_epoch: Cell<u32>,
     pub(crate) scratch: RefCell<Scratch>,
+    /// What views may open, while a body of a fused dispatch runs.
+    fence: RefCell<Option<Rc<ViewFence>>>,
 }
 
 impl<'n> Tmk<'n> {
@@ -134,6 +168,7 @@ impl<'n> Tmk<'n> {
             window_seq: Cell::new(0),
             trace_epoch: Cell::new(0),
             scratch: RefCell::new(Scratch::new(node.nprocs())),
+            fence: RefCell::new(None),
         }
     }
 
@@ -293,8 +328,21 @@ impl<'n> Tmk<'n> {
     /// Fault `range` in and register the view in the section that did.
     fn open(&self, arr: SharedArray, range: Range<usize>, write: bool) -> Window<'_> {
         let (wlo, whi) = self.word_bounds(arr, &range);
+        if cfg!(debug_assertions) && wlo < whi {
+            if let Some(fence) = &*self.fence.borrow() {
+                fence.check(arr, &range);
+            }
+        }
         let mut st = self.fault_range(wlo, whi, write);
         Window::open(&self.state, &mut st, wlo, whi, range.start, write)
+    }
+
+    /// Check every view this node opens against `fence` until the next
+    /// call (with debug assertions; `None` checks nothing). The fork-join
+    /// runtime sets it around each body of a fused dispatch, where a view
+    /// outside the body's descriptor could race with another node's body.
+    pub fn fence_views(&self, fence: Option<Rc<ViewFence>>) {
+        *self.fence.borrow_mut() = fence;
     }
 
     /// Invariant 3 of [`crate::page`]: no view may be open across the
@@ -505,7 +553,8 @@ impl<'n> Tmk<'n> {
         // of happens-before — then write-enable.
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let mut us = apply_fetched(st, &mut sc.entries, cost);
+        let applied = apply_fetched(st, &mut sc.entries, cost);
+        let (mut us, mut faulted) = (applied, 0.0);
         if write {
             for p in p0..=p1 {
                 // A page without a twin takes a write fault: the twin is
@@ -524,13 +573,22 @@ impl<'n> Tmk<'n> {
                     .write_enable(p, diff_open, |words| scratch.take_copy(words, stats));
                 if twinned {
                     us += cost.page_fault_us + cost.twin_us;
+                    faulted += cost.page_fault_us + cost.twin_us;
                     st.stats.faults += 1;
                     st.stats.twins += 1;
                 }
                 st.mark_dirty(p);
             }
         }
-        self.charge_apply(us);
+        // The write faults are this span's own time, the applied diffs
+        // the `DiffApply` span's; the clock ends where one charge of both
+        // would have left it.
+        let end = sp2sim::VTime(self.node.now().us() + us);
+        self.node.advance(faulted);
+        if applied > 0.0 {
+            let _a = self.node.trace_span(SpanKind::DiffApply, 0);
+            self.node.endpoint().advance_to(end);
+        }
         guard
     }
 
@@ -1675,6 +1733,77 @@ pub(crate) mod tests {
         assert_eq!(out.stats.messages(MsgKind::ValidateReq), 1);
         assert_eq!(out.stats.messages(MsgKind::ValidateResp), 1);
         assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// A write fault's twin is the `Fault` span's own time: node 0's
+    /// first write fetches nothing and records no `DiffApply` span, while
+    /// node 1's, after the barrier, fetches node 0's diff and records one
+    /// for the diff alone.
+    #[test]
+    fn a_write_fault_with_nothing_to_fetch_records_no_diff_apply() {
+        let cfg = ClusterConfig {
+            trace: true,
+            ..ClusterConfig::sp2(2)
+        };
+        let out = Cluster::run(cfg, |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let a = tmk.malloc_f64(16);
+            if tmk.proc_id() == 0 {
+                tmk.write(a, 0..8).slice_mut().fill(1.0);
+            }
+            tmk.barrier(0);
+            if tmk.proc_id() == 1 {
+                tmk.write(a, 8..16).slice_mut().fill(2.0);
+            }
+            tmk.barrier(1);
+            tmk.finish();
+        });
+        let cost = sp2sim::CostModel::sp2();
+        let trace = out.trace.expect("a traced run");
+        for (node, applies) in [(0, 0), (1, 1)] {
+            let events = &trace
+                .track(node, sp2sim::TracePort::App)
+                .expect("app track")
+                .events;
+            let begins = |kind| {
+                let begin = |e: &&sp2sim::Event| e.kind == EventKind::Begin { kind, arg: 0 };
+                events.iter().filter(begin).count()
+            };
+            assert_eq!(begins(SpanKind::DiffApply), applies, "node {node}");
+            // The first fault span: its own time is the write fault and
+            // the twin, whatever it applied besides.
+            let at = |k: &dyn Fn(&EventKind) -> bool| events.iter().position(|e| k(&e.kind));
+            let open = at(&|k| {
+                matches!(
+                    k,
+                    EventKind::Begin {
+                        kind: SpanKind::Fault,
+                        ..
+                    }
+                )
+            });
+            let close = at(&|k| {
+                *k == EventKind::End {
+                    kind: SpanKind::Fault,
+                }
+            });
+            let (open, close) = (open.expect("a fault"), close.expect("its end"));
+            let span = events[close].vt_us - events[open].vt_us;
+            let nested: f64 = (open..close)
+                .filter(|&i| {
+                    events[i].kind
+                        == EventKind::Begin {
+                            kind: SpanKind::DiffApply,
+                            arg: 0,
+                        }
+                })
+                .map(|i| events[i + 1].vt_us - events[i].vt_us)
+                .sum();
+            let own = span - nested;
+            let want = cost.page_fault_us + cost.twin_us;
+            assert!(own >= want - 1e-9, "node {node}: {own} µs of own time");
+            assert!(node == 1 || (own - want).abs() < 1e-9, "node 0: {own} µs");
+        }
     }
 
     /// Write-all, under both protocols: node 0 fills page 0 (`i`), then

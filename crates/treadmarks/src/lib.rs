@@ -128,7 +128,7 @@ pub mod vc;
 
 pub use config::{ProtocolMode, TmkConfig};
 pub use diff::Diff;
-pub use dsm::{ReadView, SharedArray, Tmk, WriteView};
+pub use dsm::{ReadView, SharedArray, Tmk, ViewFence, WriteView};
 pub use profile::{LockProfile, PageProfile, SharingProfile};
 pub use race::{FalseSharingReport, RaceLog, RaceReport};
 pub use sp2sim::ReduceOp;

@@ -651,9 +651,11 @@ impl DsmState {
     }
 
     /// Arm the pages of `runs` (sorted page runs) for the body of loop
-    /// `loop_id`, which overwrites them whole.
+    /// `loop_id`, which overwrites them whole. The arming of a body that
+    /// ran before it since the release — in one fused dispatch — ends
+    /// here, as it would at the release.
     pub(crate) fn arm(&mut self, loop_id: usize, runs: &[std::ops::Range<PageId>]) {
-        debug_assert!(self.armed.pages.is_empty(), "arming ends at a release");
+        self.disarm();
         self.armed.loop_id = loop_id;
         let pages = runs.iter().cloned().flatten();
         self.armed.pages.extend(pages.map(|p| (p, false)));
@@ -699,7 +701,8 @@ impl DsmState {
         }
     }
 
-    /// End the arming at this node's release. With debug assertions, a
+    /// End the arming at this node's release, or where the next body of
+    /// a fused dispatch arms its own pages. With debug assertions, a
     /// poisoned word on a page the body opened is one it never stored.
     fn disarm(&mut self) {
         if cfg!(debug_assertions) {

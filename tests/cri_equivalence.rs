@@ -134,6 +134,7 @@ proptest! {
 fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
     const LRC_CRI_MAX_MESSAGES: u64 = 494;
     let jacobi = |version| RunSpec::new(AppId::Jacobi, version, 8, 0.08);
+    let engine = jacobi(Version::Spf).engine;
     let reference = jacobi(Version::Spf).run();
     let ref_bits: Vec<u64> = reference.checksum.iter().map(|v| v.to_bits()).collect();
     for protocol in ProtocolMode::ALL {
@@ -147,7 +148,7 @@ fn jacobi_cri_cuts_messages_30_percent_with_identical_state_per_protocol() {
         );
         assert_eq!(
             spf_bits, cri_bits,
-            "{protocol}: shared-memory state must be identical"
+            "{protocol} on {engine}: shared-memory state must be identical"
         );
         assert!(
             (cri.messages as f64) <= 0.70 * spf.messages as f64,

@@ -18,7 +18,7 @@
 use apps::{AppId, Version};
 use harness::bench_sweep::PAPER_SCALE;
 use harness::Json;
-use Version::{Seq, Spf, SpfCri, Tmk, Xhpf};
+use Version::{HandOpt, Seq, Spf, SpfCri, Tmk, Xhpf};
 
 /// `key` of the recorded row of `app` in `version` at [`PAPER_SCALE`].
 fn column(app: AppId, version: Version, key: &str) -> f64 {
@@ -150,5 +150,18 @@ fn mgs_hints_move_the_pivot_once_per_node() {
     assert!(
         cri >= spf,
         "MGS SPF+CRI {cri:.2} must be no slower than SPF {spf:.2}"
+    );
+}
+
+#[test]
+fn shallow_hints_merge_the_loops_hand_opt_merges() {
+    // §5.2 merges the row-wrap loops into the step loops by hand. The
+    // compiler-described version derives the same merge from the
+    // footprints — a step loop and its row wrap share one fork-join —
+    // and adds the pushes Hand-opt's aggregation stands for.
+    let [opt, cri] = [HandOpt, SpfCri].map(|v| speedup(AppId::Shallow, v));
+    assert!(
+        cri >= opt,
+        "Shallow SPF+CRI {cri:.2} must be at least Hand-opt {opt:.2}"
     );
 }

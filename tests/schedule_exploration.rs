@@ -174,6 +174,36 @@ fn fft3d_version_matrix(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Fused dispatches: hinted Shallow (0.05) and FFT (0.1) on 8 nodes
+/// under both protocols, against the sequential program — Shallow
+/// bitwise, FFT's tree-summed accumulators to tolerance and its probe
+/// bitwise. Each of Shallow's step loops shares a fork-join with its row
+/// wrap; FFT's three passes over the planes share one, and its dim-3
+/// pass, normalization and checksum over the chunks another.
+fn fused_dispatch_cells(seeds: RangeInclusive<u64>) {
+    for (app, scale) in [(AppId::Shallow, 0.05), (AppId::Fft3d, 0.1)] {
+        let seq = RunSpec::new(app, Version::Seq, 1, scale).run().checksum;
+        for protocol in ProtocolMode::ALL {
+            for engine in seeds.clone().map(EngineKind::Seeded) {
+                let got = run(app, Version::SpfCri, 8, scale, protocol, engine).checksum;
+                let ctx = format!("{app:?} SpfCri/{protocol}/8p/{scale} on {engine}");
+                // FFT's first two words are tree sums; the rest is exact.
+                let exact = if app == AppId::Shallow { 0 } else { 2 };
+                assert!(
+                    checksums_close(&got, &seq, 1e-9),
+                    "{ctx}: {got:?} vs {seq:?}"
+                );
+                assert_eq!(bits(&got[exact..]), bits(&seq[exact..]), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_dispatches_on_every_explored_schedule() {
+    fused_dispatch_cells(TIER1);
+}
+
 #[test]
 fn irregular_cells_stay_equivalent_on_every_explored_schedule() {
     irregular_cells(TIER1, false);
@@ -336,6 +366,7 @@ fn every_cell_on_the_ci_seed_budget() {
     stale_superseding_pushes_are_dropped(CI);
     mgs_push_tree_cells(CI);
     write_all_cells(CI);
+    fused_dispatch_cells(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);
     fft3d_version_matrix(CI);
