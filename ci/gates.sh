@@ -65,5 +65,15 @@ if [ -n "$sets" ]; then
     echo "gates: a hand-written descriptor: derive it from the loop's footprint with Spf::describe" >&2
     exit 1
 fi
+# Nor does an application name a page private: privacy is `Spf`'s
+# derivation from the same footprints (`Tmk::privatize`).
+named=$(for f in crates/apps/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o '\.privatize(' | sed "s|^|$f: |" || true
+done)
+if [ -n "$named" ]; then
+    printf '%s\n' "$named"
+    echo "gates: an application privatizes pages: let Spf derive privacy from the footprints" >&2
+    exit 1
+fi
 
 step "all gates passed"

@@ -5,8 +5,9 @@
 # its last interval, an open range that spans a foreign notice, a push
 # applied ahead of an older diff, the windowed reduction's fold order,
 # a superseding push installed over what it does not dominate), one
-# declaration (a write-all touch whose body reads first) or one
-# derivation (dispatch fusion across a write-after-read) in a
+# declaration (a write-all touch whose body reads first) or one of two
+# derivations (dispatch fusion across a write-after-read, privatization
+# that counts no read) in a
 # scratch copy of the tree, and the schedule-exploration suite, in
 # release at CI's seed budget, must fail on it and name the seed that
 # did it — or the FIFO schedule, `sequential`, which a run without

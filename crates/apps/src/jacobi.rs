@@ -9,8 +9,8 @@
 //! Paper workload: 2048 × 2048, 101 iterations with the last 100 timed.
 //! Version-specific behaviour reproduced here:
 //!
-//! * **SPF** allocates the scratch array in shared memory (it is accessed
-//!   in a parallel loop), paying twin/diff overhead a hand coder avoids;
+//! * **SPF** shares the scratch array, paying the twins and diffs a hand
+//!   coder avoids — which SPF+CRI's derived privatization takes back;
 //! * **TreadMarks (hand)** keeps scratch private and uses two barriers per
 //!   iteration (the anti-dependence barrier between the phases);
 //! * **XHPF** generates precise ghost-column exchanges plus one run-time

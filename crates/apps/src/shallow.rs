@@ -15,10 +15,10 @@
 //!   row-wraps, private nothing (all 13 arrays shared);
 //! * **SPF**: five parallel loops per iteration (three steps + two
 //!   row-wrap loops) plus master-executed column wraps;
-//! * **SPF+CRI**: the same five loops in three fork-joins — a row wrap
-//!   touches only its own node's columns of what its step loop wrote, so
-//!   the footprints let the two share a dispatch (`Master::par_loops`),
-//!   Hand-opt's merge derived rather than written;
+//! * **SPF+CRI**: the five loops in three fork-joins, as the footprints
+//!   let a row wrap share its step loop's dispatch (Hand-opt's merge,
+//!   derived), and every page only one worker touches kept out of the
+//!   protocol (`spf`'s derived privatization);
 //! * **Hand-opt** (§5.2): merged loops (row wraps fused into the step
 //!   loops, 3 dispatches) plus communication aggregation — the paper
 //!   measures 5.96 vs 6.21 for hand-coded shared memory;

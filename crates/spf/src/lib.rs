@@ -16,8 +16,10 @@
 //!   it needs it or not (with descriptors, adjacent loops that no other
 //!   node depends on share one: see "Dispatch fusion" below);
 //! * every scalar or array referenced inside a parallel loop is allocated
-//!   in **shared memory**, padded to page boundaries — including scratch
-//!   arrays a hand coder would keep private;
+//!   in **shared memory**, padded to page boundaries — in the SPF
+//!   versions including scratch arrays a hand coder would keep private
+//!   (with descriptors, pages only their writer touches leave the
+//!   coherence protocol: see "Derived privatization" below);
 //! * loop iterations are distributed with a simple **block** or **cyclic**
 //!   schedule;
 //! * scalar reductions allocate the reduction variable in shared memory:
@@ -65,6 +67,13 @@
 //! body of a fused dispatch may open views only inside what its
 //! descriptor declared for its node.
 //!
+//! ## Derived privatization
+//!
+//! A page is private to a worker when every counted touch — each footprint
+//! over each range dispatched or named by a `Next::Loop`, each
+//! `Next::Node` — falls on it ([`treadmarks::Tmk::privatize`]; DESIGN.md
+//! has the rule, its exceptions and the owner fetch).
+//!
 //! ## Example
 //!
 //! ```
@@ -106,7 +115,7 @@
 pub mod footprint;
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -278,6 +287,9 @@ type Sequential<'t> = Rc<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
 /// The registered [`Sequential`] footprints, by the loop they precede.
 type SequentialFns<'t> = Rc<RefCell<Vec<Option<Sequential<'t>>>>>;
 
+/// A footprint over `(iters, q, np)`, each touch visited with its `next`.
+type Walk<'t> = Rc<dyn Fn(&Range<usize>, usize, usize, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
+
 /// A loop over a range, as fusion caches by it: `(id, start, end)`.
 type LoopKey = (usize, usize, usize);
 
@@ -295,6 +307,17 @@ struct Fusion {
     verdicts: HashMap<(LoopKey, LoopKey), bool>,
     /// This node's fence for a loop's body in a fused dispatch.
     fences: HashMap<LoopKey, Rc<ViewFence>>,
+}
+
+/// What derived privatization counted at one hint-engine revision, and
+/// each loop's footprint it counts from.
+#[derive(Default)]
+struct Privacy<'t> {
+    revision: u64,
+    counted: HashSet<LoopKey>,
+    touched: HashMap<usize, Option<usize>>,
+    dynamic: bool,
+    walks: Vec<Option<Walk<'t>>>,
 }
 
 /// Whether a loop whose accesses on one node are `earlier` may run in the
@@ -326,6 +349,8 @@ pub struct Spf<'t, 'n> {
     pending_invalidate: std::cell::Cell<bool>,
     /// What dispatch fusion derived so far.
     fusion: RefCell<Fusion>,
+    /// What derived privatization counted so far, and from what.
+    privacy: RefCell<Privacy<'t>>,
     // Original-interface control locations: the loop-index word and the
     // argument words live on separate shared pages, as the paper
     // describes — two faults per worker per loop.
@@ -346,6 +371,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             sequential: Rc::default(),
             pending_invalidate: std::cell::Cell::new(false),
             fusion: RefCell::default(),
+            privacy: RefCell::default(),
             ctl_idx,
             ctl_args,
         }
@@ -384,9 +410,20 @@ impl<'t, 'n> Spf<'t, 'n> {
         footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
         next: impl Fn(&Range<usize>, &Touch) -> Vec<Next> + 't,
     ) {
+        let (footprint, next) = (Rc::new(footprint), Rc::new(next));
+        let (f, n) = (Rc::clone(&footprint), Rc::clone(&next));
+        let walk: Walk<'t> = Rc::new(move |iters: &Range<usize>, q, np, visit| {
+            for t in f(iters, q, np).into_iter().flatten() {
+                let nexts = (t.mode != Mode::Read).then(|| n(iters, &t));
+                visit(t, nexts.unwrap_or_default());
+            }
+        });
+        let walks = &mut self.privacy.borrow_mut().walks;
+        walks.resize_with(walks.len().max(id + 1), || None);
+        walks[id] = Some(walk);
         let sequential = Rc::clone(&self.sequential);
         self.hints.set(id, move |iters, q, np| {
-            let mut acc = Vec::new();
+            let mut acc = Vec::with_capacity(8); // a loop's touches, without regrowth
             let declare = |t: &Touch, section| match t.mode {
                 Mode::Read => Access::read(t.at.arr, section),
                 Mode::Write => Access::write_all(t.at.arr, section),
@@ -520,20 +557,64 @@ impl<'t, 'n> Spf<'t, 'n> {
         if hinted {
             self.hints.before_loop(ctl.id, &ctl.range);
         }
-        let fenced = fused && cfg!(debug_assertions);
-        if fenced {
-            self.tmk.fence_views(Some(self.fence(ctl)));
-        }
+        let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(ctl));
+        self.tmk.fence_views(Some(ctl.id), fence);
         {
             let loops = self.loops.borrow();
             (loops[ctl.id])(ctl);
         }
-        if fenced {
-            self.tmk.fence_views(None);
-        }
+        self.tmk.fence_views(None, None);
         if hinted {
             self.hints.after_loop(ctl.id, &ctl.range);
         }
+    }
+
+    /// Count the uncounted touches of `group`, about to run, and of what
+    /// it names, and install the change (see the crate doc).
+    fn privatize<'a>(&self, group: impl Iterator<Item = LoopCtl<'a>>) {
+        let mut privacy = self.privacy.borrow_mut();
+        let pv = &mut *privacy;
+        if pv.revision != self.hints.revision() {
+            (pv.revision, pv.counted) = (self.hints.revision(), HashSet::new());
+        }
+        let new = |k: &LoopKey| self.hints.has(k.0) && !pv.dynamic && !pv.counted.contains(k);
+        let mut todo: Vec<LoopKey> = group.map(|ctl| loop_key(&ctl)).filter(new).collect();
+        let (tmk, np, mut changed) = (self.tmk, self.tmk.nprocs(), Vec::new());
+        let mut touch = |t: &Touch, q| {
+            for p in t.columns().flat_map(|j| tmk.page_span(t.at.arr, &t.run(j))) {
+                let was = pv.touched.insert(p, None);
+                let own = (q != 0 && was.is_none_or(|t| t == Some(q))).then_some(q);
+                pv.touched.insert(p, own);
+                changed.extend((was != Some(own)).then_some(p));
+            }
+        };
+        while let Some(key) = todo.pop() {
+            if !self.hints.has(key.0) || !pv.counted.insert(key) {
+                continue;
+            }
+            let (id, iters) = (key.0, key.1..key.2);
+            let walk = pv.walks.get(id).cloned().flatten();
+            let Some(walk) = walk.filter(|_| !pv.dynamic && self.may_fuse(id)) else {
+                pv.dynamic = true;
+                continue;
+            };
+            for q in 0..np {
+                walk(&iters, q, np, &mut |t, nexts| {
+                    touch(&t, q);
+                    for n in nexts {
+                        match n {
+                            Next::Node(node, cols) => touch(&Touch { cols, ..t.clone() }, node),
+                            Next::Loop(id, i) => todo.push((id, i.start, i.end)),
+                        }
+                    }
+                });
+            }
+        }
+        for (&p, t) in pv.touched.iter_mut().filter(|_| pv.dynamic) {
+            changed.extend(t.take().map(|_| p));
+        }
+        let changes: Vec<_> = changed.iter().map(|&p| (p, pv.touched[&p])).collect();
+        self.tmk.privatize(&changes);
     }
 
     /// The fusion cache, emptied first when a descriptor changed since.
@@ -639,6 +720,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                     self.hints.invalidate_schedules();
                 }
                 self.tmk.install_page_homes(&homes);
+                self.privatize(decode_dispatch(&words).2);
                 for ctl in loops {
                     self.execute(&ctl, flags & DISPATCH_FUSED != 0);
                 }
@@ -661,6 +743,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                     words.extend(args.slice()[1..4 + nargs].iter().map(|&x| x as u64));
                     words
                 };
+                self.privatize(std::iter::once(decode_ctl(&words)));
                 self.execute(&decode_ctl(&words), false);
                 self.tmk.barrier(1);
             }
@@ -735,6 +818,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
 
     /// One fork-join running the loops of `group` (one, unless fused).
     fn dispatch(&self, group: &[LoopCtl]) {
+        self.spf.privatize(group.iter().cloned());
         for ctl in group {
             let between = self.spf.sequential.borrow().get(ctl.id).cloned().flatten();
             let Some(f) = between else {
@@ -1344,5 +1428,79 @@ mod tests {
             r
         });
         assert_eq!(out.results[0], Some(1));
+    }
+
+    /// What runs after the loop of [`derived_owners`].
+    #[derive(Clone, Copy, PartialEq)]
+    enum Then {
+        Nothing,
+        Inspector,
+        Sequential,
+    }
+
+    /// The owner derived privatization found for each page of three
+    /// four-page arrays, one page a column, on four nodes — `None` for a
+    /// shared page. One loop: every node updates its own column of `own`
+    /// and `to_node` and reads its neighbours' of `ghost`, and node 0's
+    /// sequential code reads column 3 of `to_node` after it. Then another
+    /// loop runs, which may have a dynamic descriptor or a sequential
+    /// footprint.
+    fn derived_owners(then: Then) -> Vec<Vec<Option<usize>>> {
+        let out = Cluster::run(ClusterConfig::sp2(4), move |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let spf = Spf::new(&tmk);
+            let arrays = [(); 3].map(|_| Cols::new(tmk.malloc_f64(4 * 512), 512));
+            let [own, ghost, to_node] = arrays;
+            let (body, next) = (
+                spf.register(|_: &LoopCtl| {}),
+                spf.register(|_: &LoopCtl| {}),
+            );
+            let footprint = move |_: &Range<usize>, q: usize, np: usize| {
+                let mine = [own, to_node].map(|a| a.touch(q..q + 1, Mode::Update));
+                let around = ghost.touch(q.saturating_sub(1)..(q + 2).min(np), Mode::Read);
+                Some(mine.into_iter().chain([around]))
+            };
+            let to = move |_: &Range<usize>, t: &Touch| match t.at == to_node {
+                true => vec![Next::Node(0, 3..4)],
+                false => vec![],
+            };
+            spf.describe(body, footprint, to);
+            match then {
+                Then::Inspector => spf.hints().register_dynamic(next, |_, _, _| vec![]),
+                _ => spf.describe(next, |_: &Range<usize>, _, _| Some([]), |_, _| vec![]),
+            }
+            if then == Then::Sequential {
+                spf.describe_sequential(next, |_| vec![]);
+            }
+            let r = spf.run(|m| {
+                m.par_loop(body, 0..4, Schedule::Block, &[]);
+                m.par_loop(next, 0..4, Schedule::Block, &[]);
+                let privacy = m.spf().privacy.borrow();
+                let owner = |page| privacy.touched.get(&page).copied().flatten();
+                arrays
+                    .map(|a| (0..4).map(|j| owner(a.arr.first_page() + j)).collect())
+                    .to_vec()
+            });
+            tmk.finish();
+            r
+        });
+        out.results[0].clone().expect("the master's")
+    }
+
+    #[test]
+    fn pages_only_their_writer_touches_are_derived_private() {
+        let none = vec![None; 4];
+        // The master's own pages stay shared; so do the neighbours' columns
+        // a stencil reads and the column node 0 reads after the loop.
+        let want = [
+            vec![None, Some(1), Some(2), Some(3)],
+            none.clone(),
+            vec![None, Some(1), Some(2), None],
+        ];
+        assert_eq!(derived_owners(Then::Nothing), want);
+        // An inspector's sections are known only once it ran, and a
+        // sequential footprint moves with every dispatch: both share all.
+        assert_eq!(derived_owners(Then::Inspector), vec![none.clone(); 3]);
+        assert_eq!(derived_owners(Then::Sequential), vec![none; 3]);
     }
 }

@@ -25,7 +25,7 @@ use crate::page::Window;
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
-use crate::state::DsmState;
+use crate::state::{DsmState, Privacy};
 use crate::stats::DsmStats;
 
 /// Handle to an allocation in the global shared address space.
@@ -142,6 +142,10 @@ pub struct Tmk<'n> {
     pub(crate) scratch: RefCell<Scratch>,
     /// What views may open, while a body of a fused dispatch runs.
     fence: RefCell<Option<Rc<ViewFence>>>,
+    /// The loop whose body runs here.
+    body: Cell<Option<usize>>,
+    /// Some page was ever made private or shared again here.
+    privatized: Cell<bool>,
 }
 
 impl<'n> Tmk<'n> {
@@ -169,6 +173,8 @@ impl<'n> Tmk<'n> {
             trace_epoch: Cell::new(0),
             scratch: RefCell::new(Scratch::new(node.nprocs())),
             fence: RefCell::new(None),
+            body: Cell::new(None),
+            privatized: Cell::new(false),
         }
     }
 
@@ -260,7 +266,7 @@ impl<'n> Tmk<'n> {
     /// pages to homes (HLRC; otherwise there is nothing to adopt) —
     /// through the no-notice guard, additionally refusing pages that are
     /// locally dirty, whose diffs the next release will still send to
-    /// the *old* home, and install the survivors.
+    /// the *old* home, and private pages, and install the survivors.
     /// Returns the installed list, which the caller must deliver to
     /// every other node for [`Tmk::install_page_homes`] verbatim. Only
     /// meaningful at a point where this node's interval view is
@@ -272,7 +278,9 @@ impl<'n> Tmk<'n> {
     ) -> Vec<(usize, usize)> {
         let mut homes = self.cfg.protocol.home_candidates(candidates);
         let mut st = self.state.lock();
-        homes.retain(|&(page, home)| !st.is_dirty(page) && st.set_home(page, home));
+        homes.retain(|&(page, home)| {
+            !st.is_dirty(page) && st.owner_elsewhere(page).is_none() && st.set_home(page, home)
+        });
         homes
     }
 
@@ -288,6 +296,27 @@ impl<'n> Tmk<'n> {
             debug_assert!(homes.iter().all(|&(_, home)| home < st.n));
             st.home.overrides.extend(homes.iter().copied());
         }
+    }
+
+    /// Derived privatization, at one loop boundary on every node: make each
+    /// `(page, owner)` private to `owner` or (`None`) shared again.
+    pub fn privatize(&self, changes: &[(usize, Option<usize>)]) {
+        if changes.is_empty() {
+            return;
+        }
+        let mut st = self.state.lock();
+        for &(page, owner) in changes {
+            let len = st.privacy.len().max(page + 1);
+            st.privacy.resize(len, Privacy::Shared);
+            st.end_owned(page);
+            st.privacy[page] = match (owner, st.privacy[page]) {
+                (Some(q), _) => Privacy::Private(q),
+                (None, Privacy::Private(q)) => Privacy::Stale(q),
+                (None, now) => now,
+            };
+        }
+        let granted = changes.iter().any(|&(_, owner)| owner.is_some());
+        self.privatized.set(self.privatized.get() || granted);
     }
 
     /// Release-side publication: create the interval covering all dirty
@@ -333,15 +362,56 @@ impl<'n> Tmk<'n> {
                 fence.check(arr, &range);
             }
         }
+        if self.privatized.get() && wlo < whi {
+            self.fetch_from_owners(arr, &range, wlo, whi);
+        }
         let mut st = self.fault_range(wlo, whi, write);
         Window::open(&self.state, &mut st, wlo, whi, range.start, write)
     }
 
-    /// Check every view this node opens against `fence` until the next
-    /// call (with debug assertions; `None` checks nothing). The fork-join
-    /// runtime sets it around each body of a fused dispatch, where a view
-    /// outside the body's descriptor could race with another node's body.
-    pub fn fence_views(&self, fence: Option<Rc<ViewFence>>) {
+    /// Fetch pages of `[wlo, whi)` private (or stale) elsewhere from owners.
+    fn fetch_from_owners(&self, arr: SharedArray, range: &Range<usize>, wlo: usize, whi: usize) {
+        let (n, pw) = (self.nprocs(), self.cfg.page_words);
+        let sc = &mut *self.scratch.borrow_mut();
+        let (by_owner, outstanding) = (&mut sc.by_home, &mut sc.outstanding);
+        let mut st = self.state.lock();
+        for p in wlo / pw..(whi - 1) / pw + 1 {
+            let Some((q, private)) = st.owner_elsewhere(p) else {
+                continue;
+            };
+            if let (true, Some(id)) = (private && cfg!(debug_assertions), self.body.get()) {
+                let at = arr.first_page;
+                panic!(
+                    "loop {id} opens words {range:?} of the array at page {at}, whose page {p} \
+                        is private to node {q}"
+                );
+            }
+            st.privacy[p] = Privacy::Shared;
+            by_owner[q].push(p);
+        }
+        drop(st);
+        let encode = protocol::encode_owner_fetch;
+        self.send_requests(by_owner, true, MsgKind::PageReq, outstanding, encode);
+        let resps = &mut sc.responses;
+        self.await_responses(outstanding, tag::PAGE_RESP, |_, pkt| resps.push(pkt));
+        let (mut st, mut us) = (self.state.lock(), 0.0);
+        for pkt in resps.drain(..) {
+            for e in protocol::decode_page_resp(&mut WordReader::new(&pkt.payload), n, pw) {
+                if st.frames.dominated_by(e.page, e.applied()) {
+                    st.frames.frame_mut(e.page).install(e.data, e.applied());
+                    us += self.node.cost().diff_apply_us(pw);
+                }
+            }
+        }
+        drop(st);
+        self.charge_apply(us);
+    }
+
+    /// Mark loop `body`'s body running here (`None` between bodies); with
+    /// debug assertions its views panic outside `fence` — a fused body's
+    /// descriptor — or on a page private to another node.
+    pub fn fence_views(&self, body: Option<usize>, fence: Option<Rc<ViewFence>>) {
+        self.body.set(body);
         *self.fence.borrow_mut() = fence;
     }
 
@@ -557,6 +627,9 @@ impl<'n> Tmk<'n> {
         let (mut us, mut faulted) = (applied, 0.0);
         if write {
             for p in p0..=p1 {
+                if st.write_private(p) {
+                    continue;
+                }
                 // A page without a twin takes a write fault: the twin is
                 // saved for later diffing, in a pooled buffer when the
                 // arena has one. Re-dirtying a twinned page whose
@@ -936,8 +1009,12 @@ impl<'n> Tmk<'n> {
     fn do_pushes(&self, announce: impl FnOnce(&[u64])) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let (me, n) = (self.proc_id(), self.nprocs());
-        let (mut pending, mut spans) = {
+        let (mut pending, mut spans, last) = {
             let mut st = self.state.lock();
+            // The newest interval's ranges, unless they already went.
+            let newest = st.vc[me];
+            let last = if newest > st.pushed { newest } else { u32::MAX };
+            st.pushed = newest;
             if st.pending_push.is_empty() {
                 st.pending_spans.clear();
                 drop(st);
@@ -945,7 +1022,7 @@ impl<'n> Tmk<'n> {
                 return Vec::new();
             }
             let spans = std::mem::take(&mut st.pending_spans);
-            (std::mem::take(&mut st.pending_push), spans)
+            (std::mem::take(&mut st.pending_push), spans, last)
         };
         // Group by target, pages ascending; several hinted accesses may
         // name one page. A page's span is the hull of its marks.
@@ -969,7 +1046,6 @@ impl<'n> Tmk<'n> {
         let (pages, lists, order) = (&mut sc.push_pages, &mut sc.push_lists, &mut sc.push_order);
         {
             let mut st = self.state.lock();
-            let last = st.vc[st.me];
             for group in pending.chunk_by(|a, b| a.0 == b.0) {
                 let at = pages.len();
                 let pushable = group.iter().map(|&(_, p)| p);
@@ -1011,7 +1087,6 @@ impl<'n> Tmk<'n> {
             let mut us = 0.0;
             let payload = {
                 let mut st = self.state.lock();
-                let last = st.vc[st.me];
                 let charge = |page_us| us += page_us;
                 let protocol = self.cfg.protocol;
                 protocol.push_payload(&mut st, &pages[list.clone()], &spans, last, cost, charge)
@@ -2308,5 +2383,103 @@ pub(crate) mod tests {
         assert!(agg_bytes > 8 * 512 * 8u64);
         // Aggregation must be faster.
         assert!(agg.elapsed < plain.elapsed);
+    }
+
+    /// A push carries its pusher's newest interval once: registered again
+    /// at a rendezvous whose release dirtied nothing, the page is not
+    /// pushed again.
+    #[test]
+    fn a_release_that_opens_no_interval_pushes_nothing() {
+        let out = run(2, |tmk| {
+            let a = tmk.malloc_f64(16);
+            for round in 0..2 {
+                if tmk.proc_id() == 0 {
+                    if round == 0 {
+                        tmk.write(a, 0..16).slice_mut().fill(5.0);
+                    }
+                    tmk.push_at_next_sync(1, a, 0..16);
+                }
+                tmk.barrier(round);
+            }
+            let v = tmk.read_one(a, 3);
+            (v, tmk.finish().pages_pushed)
+        });
+        assert_eq!(out.results, [(5.0, 1), (5.0, 0)]);
+        assert_eq!(out.stats.messages(MsgKind::Push), 1);
+    }
+
+    /// Node 1 writes a page private to it across two barriers: under both
+    /// protocols, without a fault, a twin or an interval.
+    #[test]
+    fn a_private_write_takes_no_fault_or_twin_and_publishes_nothing() {
+        for protocol in ProtocolMode::ALL {
+            let out = run_cfg(2, TmkConfig::default().with_protocol(protocol), |tmk| {
+                let a = tmk.malloc_f64(512);
+                tmk.privatize(&[(a.first_page(), Some(1))]);
+                for round in 0..2 {
+                    if tmk.proc_id() == 1 {
+                        tmk.write(a, 0..512).slice_mut().fill(round as f64);
+                    }
+                    tmk.barrier(round);
+                }
+                let s = tmk.finish();
+                (s.faults, s.twins, s.intervals_created)
+            });
+            assert_eq!(out.results[1], (0, 0, 0), "{protocol:?}");
+        }
+    }
+
+    /// Node 0 reads a page private to node 1 — an owner fetch, which ends
+    /// its privacy — and node 1 then writes one word of it: under both
+    /// protocols node 0 read node 1's private words, and every node,
+    /// node 2 by an owner fetch of its own, reads the page whole.
+    #[test]
+    fn an_owner_fetch_serves_the_owners_words_and_its_later_writes_travel() {
+        for protocol in ProtocolMode::ALL {
+            let out = run_cfg(3, TmkConfig::default().with_protocol(protocol), |tmk| {
+                let a = tmk.malloc_f64(512);
+                tmk.privatize(&[(a.first_page(), Some(1))]);
+                if tmk.proc_id() == 1 {
+                    tmk.write(a, 0..512).slice_mut().fill(1.0);
+                }
+                tmk.barrier(0);
+                let fetched = (tmk.proc_id() == 0).then(|| tmk.read_one(a, 7));
+                tmk.barrier(1);
+                if tmk.proc_id() == 1 {
+                    tmk.write_one(a, 7, 2.0);
+                }
+                tmk.barrier(2);
+                let sum = tmk.read(a, 0..512).slice().iter().sum::<f64>();
+                tmk.finish();
+                (fetched, sum)
+            });
+            let want = [(Some(1.0), 513.0), (None, 513.0), (None, 513.0)];
+            assert_eq!(out.results, want, "{protocol:?}");
+        }
+    }
+
+    /// With debug assertions, a loop body that opens a view on a page
+    /// private to another node panics, naming the loop and the array.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_view_inside_a_body_on_a_page_private_elsewhere_panics() {
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let a = tmk.malloc_f64(1024);
+                tmk.privatize(&[(a.first_page() + 1, Some(1))]);
+                if tmk.proc_id() == 0 {
+                    tmk.fence_views(Some(4), None);
+                    drop(tmk.read(a, 0..1024));
+                }
+                tmk.finish();
+            });
+        })
+        .expect_err("the derivation missed a touch");
+        let said = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+        assert!(
+            said.contains("loop 4 opens words 0..1024 of the array at page 0, whose page 1 is private to node 1"),
+            "{said}"
+        );
     }
 }

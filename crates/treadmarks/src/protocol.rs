@@ -51,6 +51,9 @@ pub mod op {
     /// service knows such a push by its tag ([`super::tag::PUSH_TREE`])
     /// — but the code its service time is traced under.
     pub const PUSH_TREE: u64 = 12;
+    /// Derived privatization: fetch pages private to the destination
+    /// whole, as a page response (`tag::PAGE_RESP`), either protocol.
+    pub const OWNER_FETCH: u64 = 13;
 }
 
 /// Application-port tag bases. User-level message tags (in `mpl`) stay
@@ -469,6 +472,14 @@ pub fn encode_page_entry(w: &mut WordWriter, page: PageId, applied: &[u32], data
         w.put(a as u64);
     }
     w.put_raw(data);
+}
+
+/// Encode an owner fetch of `pages` (`op::OWNER_FETCH`).
+pub fn encode_owner_fetch(req_id: u32, pages: &[PageId]) -> Vec<u64> {
+    let head = [op::OWNER_FETCH, req_id.into(), pages.len() as u64];
+    head.into_iter()
+        .chain(pages.iter().map(|&p| p as u64))
+        .collect()
 }
 
 /// Walk a page response (or the page section of a push, or a page

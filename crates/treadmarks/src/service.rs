@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use sp2sim::{
     EdgeKind, Endpoint, MsgKind, Packet, Payload, Port, ReduceOp, StateCell, Tree, VTime,
-    WordReader,
+    WordReader, WordWriter,
 };
 
 use crate::config::ProtocolMode;
@@ -64,6 +64,7 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
             }
             op::MASTER_FORK => handle_master_fork(&ep, &state, pkt.payload, arrival, seq),
             op::MASTER_JOIN => handle_master_join(&ep, &state, &mut r, arrival, seq),
+            op::OWNER_FETCH => handle_owner_fetch(&ep, &state, pkt),
             op::SHUTDOWN => break,
             // The coherence protocol's, or nobody's — a request of the
             // protocol this cluster does not run included.
@@ -84,6 +85,27 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
             }
         }
     }
+}
+
+/// Serve pages private here from the working frame, and end the privacy.
+fn handle_owner_fetch(ep: &Endpoint, state: &StateCell<DsmState>, pkt: Packet) {
+    let mut r = WordReader::new(&pkt.payload);
+    let (_, req_id, k) = (r.get(), r.get() as u32, r.get_count(1));
+    let mut st = state.lock();
+    let mut w = WordWriter::with_capacity(protocol::page_resp_words(k, st.n, st.cfg.page_words));
+    w.put(0);
+    for p in r.take(k).iter().map(|&p| p as usize) {
+        if let (Some(applied), Some(data)) = (st.frames.applied(p), st.frames.data(p)) {
+            protocol::encode_page_entry(&mut w, p, applied, data);
+            w.set(0, w.words()[0] + 1);
+        }
+        st.end_owned(p);
+    }
+    drop(st);
+    let t = tag::PAGE_RESP | (req_id & 0xFFFF);
+    let at = pkt.arrival + ep.cost().service_us;
+    let out = ep.send_at(pkt.src, Port::App, t, MsgKind::PageResp, w.finish(), at);
+    ep.trace_edge(EdgeKind::Response, out, pkt.seq, pkt.arrival);
 }
 
 /// CRI direct reduction: a child subtree's partial arrives; combine it

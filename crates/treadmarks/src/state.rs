@@ -361,6 +361,19 @@ struct Armed {
     pages: Vec<(PageId, bool)>,
 }
 
+/// A page's place in derived privatization (`Tmk::privatize`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum Privacy {
+    #[default]
+    Shared,
+    /// Private to node `.0`.
+    Private(usize),
+    /// Private to this node, which wrote it since.
+    Written,
+    /// Was private to node `.0`, and not fetched from there since.
+    Stale(usize),
+}
+
 /// What the protocol keeps per page this node wrote, homes or faulted
 /// on.
 #[derive(Debug, Default)]
@@ -523,6 +536,10 @@ pub struct DsmState {
     /// The pages the running loop body overwrites whole, until the
     /// release ([`DsmState::open_armed`]); empty outside a hinted body.
     armed: Armed,
+    /// Derived privatization, by page; pages past the end are shared.
+    pub(crate) privacy: Vec<Privacy>,
+    /// `vc[me]` at this node's last pushes: newer ranges go, or none.
+    pub(crate) pushed: u32,
     /// Recycled page buffers for the twin/diff path.
     pub scratch: DiffScratch,
     /// Per-node protocol statistics.
@@ -563,6 +580,8 @@ impl DsmState {
             reduces: BTreeMap::new(),
             home: HomeState::default(),
             armed: Armed::default(),
+            privacy: Vec::new(),
+            pushed: 0,
             scratch: DiffScratch::default(),
             stats: DsmStats::default(),
             race: detect_races.then(|| RaceLog {
@@ -669,9 +688,9 @@ impl DsmState {
     /// assertions its words are poisoned too, for [`DsmState::flush`] to
     /// find any the body left unstored. (A twinned page misses nothing —
     /// a foreign notice would have frozen its range — and writes as
-    /// usual.) A read view's, before any write, breaks the contract: a
-    /// panic with debug assertions, else the page is disarmed and faults
-    /// as usual.
+    /// usual; a private one is not armed.) A read view's, before any
+    /// write, breaks the contract: a panic with debug assertions, else
+    /// the page is disarmed and faults as usual.
     pub(crate) fn open_armed(&mut self, pages: std::ops::Range<PageId>, write: bool) {
         let at = |end| self.armed.pages.partition_point(|a| a.0 < end);
         for i in at(pages.start)..at(pages.end) {
@@ -686,7 +705,8 @@ impl DsmState {
                  word first — declare it `Update`",
                 self.armed.loop_id
             );
-            if !write || self.frames.meta(page).is_some_and(|m| m.twin.is_some()) {
+            let twinned = self.frames.meta(page).is_some_and(|m| m.twin.is_some());
+            if !write || twinned || self.owns(page) {
                 continue;
             }
             let twin = self
@@ -861,6 +881,41 @@ impl DsmState {
     pub fn take_unreported(&mut self) -> std::ops::Range<usize> {
         let to = self.vc[self.me];
         std::mem::replace(&mut self.unreported_seq, to) as usize..to as usize
+    }
+
+    /// Is `page` private to this node?
+    pub(crate) fn owns(&self, page: PageId) -> bool {
+        let now = self.privacy.get(page);
+        now == Some(&Privacy::Written) || now == Some(&Privacy::Private(self.me))
+    }
+
+    /// The node to fetch `page` from first, and if it is still private.
+    pub(crate) fn owner_elsewhere(&self, page: PageId) -> Option<(usize, bool)> {
+        match self.privacy.get(page) {
+            Some(&Privacy::Private(q)) if q != self.me => Some((q, true)),
+            Some(&Privacy::Stale(q)) => Some((q, false)),
+            _ => None,
+        }
+    }
+
+    /// End `page`'s privacy if this node owns it: one it wrote goes whole,
+    /// against a poison twin, to every copy at its next release.
+    pub(crate) fn end_owned(&mut self, page: PageId) {
+        if self.owns(page) && std::mem::take(&mut self.privacy[page]) == Privacy::Written {
+            let (pw, stats) = (self.cfg.page_words, &mut self.stats);
+            let twin = Some(self.scratch.take_poison(pw, stats));
+            self.frames.meta_mut(page).expect("a frame").twin = twin;
+            self.mark_dirty(page);
+        }
+    }
+
+    /// A write to `page`: private here and untwinned, it stays clean.
+    pub(crate) fn write_private(&mut self, page: PageId) -> bool {
+        let private = self.owns(page) && self.frames.meta(page).is_some_and(|m| m.twin.is_none());
+        if private {
+            self.privacy[page] = Privacy::Written;
+        }
+        private
     }
 
     /// Has `page` been written since the last flush?

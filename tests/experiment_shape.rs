@@ -165,3 +165,22 @@ fn shallow_hints_merge_the_loops_hand_opt_merges() {
         "Shallow SPF+CRI {cri:.2} must be at least Hand-opt {opt:.2}"
     );
 }
+
+#[test]
+fn derived_privatization_keeps_scratch_out_of_the_protocol() {
+    // The hand-coded versions keep scratch arrays private; SPF shares
+    // every array a loop references. Derived from the footprints, the
+    // pages only their writer touches leave the protocol again: Jacobi's
+    // hinted SPF catches up with its §5.1 hand optimization, and
+    // Shallow's with the hand-coded TreadMarks version.
+    let [opt, cri] = [HandOpt, SpfCri].map(|v| speedup(AppId::Jacobi, v));
+    assert!(
+        cri >= opt,
+        "Jacobi SPF+CRI {cri:.2} must be at least Hand-opt {opt:.2}"
+    );
+    let [tmk, cri] = [Tmk, SpfCri].map(|v| speedup(AppId::Shallow, v));
+    assert!(
+        cri >= tmk,
+        "Shallow SPF+CRI {cri:.2} must be at least Tmk {tmk:.2}"
+    );
+}

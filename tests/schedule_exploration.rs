@@ -199,6 +199,32 @@ fn fused_dispatch_cells(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Derived privatization: hinted Jacobi (0.1) and Shallow (0.05) on 8
+/// nodes under both protocols, against the sequential program bitwise.
+/// Their scratch pages and every page inside a worker's block leave the
+/// protocol; with debug assertions a body that opens a view on a page
+/// private to another node panics naming its loop
+/// (`ci/mutants/privatize_across_a_ghost.patch` drops the stencil's
+/// ghost columns from the derivation, and dies here), and the master's
+/// checksum fetches the private pages from their owners.
+fn privatized_cells(seeds: RangeInclusive<u64>) {
+    for (app, scale) in [(AppId::Jacobi, 0.1), (AppId::Shallow, 0.05)] {
+        let seq = RunSpec::new(app, Version::Seq, 1, scale).run().checksum;
+        for protocol in ProtocolMode::ALL {
+            for engine in seeds.clone().map(EngineKind::Seeded) {
+                let got = run(app, Version::SpfCri, 8, scale, protocol, engine).checksum;
+                let ctx = format!("{app:?} SpfCri/{protocol}/8p/{scale} on {engine}");
+                assert_eq!(bits(&got), bits(&seq), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn privatized_pages_on_every_explored_schedule() {
+    privatized_cells(TIER1);
+}
+
 #[test]
 fn fused_dispatches_on_every_explored_schedule() {
     fused_dispatch_cells(TIER1);
@@ -366,6 +392,7 @@ fn every_cell_on_the_ci_seed_budget() {
     stale_superseding_pushes_are_dropped(CI);
     mgs_push_tree_cells(CI);
     write_all_cells(CI);
+    privatized_cells(CI);
     fused_dispatch_cells(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);
