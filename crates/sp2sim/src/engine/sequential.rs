@@ -408,6 +408,41 @@ impl Engine {
         }
     }
 
+    /// Put `unmatched` — received at (`id`, `port`) and never matched —
+    /// back at the head of its queue, in the order it came. Called from
+    /// a drop, so it never panics: with the scheduler borrowed (a panic
+    /// unwinding through it) the packets are dropped.
+    pub(crate) fn requeue(&self, id: usize, port: Port, unmatched: &mut VecDeque<Packet>) {
+        if let Ok(mut s) = self.sched.try_borrow_mut() {
+            let queue = &mut s.queues[id][port_ix(port)];
+            for pkt in unmatched.drain(..).rev() {
+                queue.push_front(pkt);
+            }
+        }
+    }
+
+    /// With debug assertions, panic on a packet still queued at the end
+    /// of a run: a message nobody received — a push announced to no one,
+    /// or consumed under the wrong count — is a protocol bug even when
+    /// the results come out right.
+    fn check_drained(&self) {
+        let s = self.sched.borrow();
+        for (node, queues) in s.queues.iter().enumerate() {
+            for (port, queue) in [Port::App, Port::Service].into_iter().zip(queues) {
+                if let Some(p) = queue.front() {
+                    panic!(
+                        "the run ended with {} packet(s) queued at node {node}'s {port:?} port, \
+                         the first with tag {:#x}, kind {:?}, from node {}",
+                        queue.len(),
+                        p.tag,
+                        p.kind,
+                        p.src
+                    );
+                }
+            }
+        }
+    }
+
     /// Blocking receive of the next packet at (`id`, `port`), in
     /// delivery order. Returns `None` only when the engine is tearing
     /// the run down and no further packet can arrive.
@@ -536,6 +571,9 @@ where
         }
         if let Some(payload) = engine.schedule() {
             std::panic::resume_unwind(payload);
+        }
+        if cfg!(debug_assertions) {
+            engine.check_drained();
         }
     }
 

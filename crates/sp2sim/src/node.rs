@@ -411,7 +411,14 @@ impl Drop for Endpoint {
     /// endpoints at the end of the node body, service endpoints when
     /// their service loop returns — which `Tmk` joins before its own
     /// node body ends), so the sink is complete by collection time.
+    ///
+    /// Packets it received but never matched go back to the engine's
+    /// queue, where the end-of-run check finds them (debug builds).
     fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            self.engine
+                .requeue(self.id, self.port, self.pending.get_mut());
+        }
         if let (Some(t), Some(ts)) = (self.tracer.take(), self.engine.trace.as_ref()) {
             let (events, dropped) = t.buf.into_inner().into_events();
             ts.sink.borrow_mut().push(TrackTrace {

@@ -74,6 +74,20 @@
 //! `Next::Node` — falls on it ([`treadmarks::Tmk::privatize`]; DESIGN.md
 //! has the rule, its exceptions and the owner fetch).
 //!
+//! ## The master's rendezvous
+//!
+//! A dispatch returns without its join ([`treadmarks::Tmk::defer_join`]):
+//! the master's next action completes it. When that is a dispatch — the
+//! one [`Spf::run`]'s shutdown makes included — nothing ran on the
+//! master since its bodies, so the join sends their pushes before it
+//! waits, beside the workers' own, and the next fork announces them;
+//! the pushes addressed to the master are taken once that fork is out,
+//! before its own body. Anything else — [`Master::tmk`],
+//! [`Master::spf`], [`Master::produce`] — joins first as before, and the
+//! pushes ride the next fork. With debug assertions the master's view
+//! outside a body while the join is deferred panics: sequential code
+//! must reach the DSM through [`Master::tmk`].
+//!
 //! ## Example
 //!
 //! ```
@@ -766,13 +780,17 @@ pub struct Master<'s, 't, 'n> {
 }
 
 impl<'s, 't, 'n> Master<'s, 't, 'n> {
-    /// The DSM instance (for sequential code on the master).
+    /// The DSM instance (for sequential code on the master). The last
+    /// dispatch's join completes first, if it is still deferred (see
+    /// "The master's rendezvous" in the crate doc).
     pub fn tmk(&self) -> &'t Tmk<'n> {
+        self.spf.tmk.settle_join(false);
         self.spf.tmk
     }
 
-    /// The run-time.
+    /// The run-time; joins first, as [`Master::tmk`] does.
     pub fn spf(&self) -> &'s Spf<'t, 'n> {
+        self.spf.tmk.settle_join(false);
         self.spf
     }
 
@@ -784,12 +802,15 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
     /// instead ([`Spf::describe_sequential`]). Returns the number of
     /// `(target, page)` push registrations.
     pub fn produce(&self, accesses: &[Access]) -> u64 {
+        self.spf.tmk.settle_join(false);
         self.spf.hints.declare_produce(accesses)
     }
 
-    /// Dispatch one parallel loop, participate in its execution, then
-    /// wait for all workers (fork ... join). This is what SPF emits for
-    /// every parallelized DO loop: [`Master::par_loops`] of one loop.
+    /// Dispatch one parallel loop and participate in its execution; the
+    /// wait for all workers (fork ... join) completes at the master's
+    /// next action (see "The master's rendezvous" in the crate doc).
+    /// This is what SPF emits for every parallelized DO loop:
+    /// [`Master::par_loops`] of one loop.
     pub fn par_loop(&self, id: usize, range: Range<usize>, sched: Schedule, args: &[u64]) {
         self.par_loops(&[LoopCtl::new(id, range, sched, args)]);
     }
@@ -817,7 +838,11 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
     }
 
     /// One fork-join running the loops of `group` (one, unless fused).
+    /// Its join waits for the master's next action.
     fn dispatch(&self, group: &[LoopCtl]) {
+        // Nothing ran here since the last dispatch's bodies: its join
+        // pushes first.
+        self.spf.tmk.settle_join(true);
         self.spf.privatize(group.iter().cloned());
         for ctl in group {
             let between = self.spf.sequential.borrow().get(ctl.id).cloned().flatten();
@@ -850,7 +875,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             for ctl in group {
                 self.spf.execute(ctl, group.len() > 1);
             }
-            self.spf.tmk.join();
+            self.spf.tmk.defer_join();
         } else {
             // Original interface: write the control variables to the two
             // shared control pages, then a full barrier releases the
@@ -930,8 +955,8 @@ impl SpfReduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2sim::{Cluster, ClusterConfig, MsgKind};
-    use treadmarks::TmkConfig;
+    use sp2sim::{Cluster, ClusterConfig, EngineKind, EventKind, MsgKind, SpanKind};
+    use treadmarks::{ProtocolMode, TmkConfig};
 
     #[test]
     fn cyclic_iters_partition_exactly() {
@@ -1123,15 +1148,151 @@ mod tests {
             });
         })
         .expect_err("the view is outside the descriptor");
-        let said = match payload.downcast::<String>() {
-            Ok(said) => *said,
-            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
-        };
+        let said = panic_message(payload);
         // The run-time's two control arrays come first: pages 0 and 1.
         assert!(
             said.contains("loop 1 opens words 0..1024 of the array at page 2"),
             "{said}"
         );
+    }
+
+    /// What a panic said.
+    #[cfg(debug_assertions)]
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(said) => *said,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    /// Three rounds on four nodes: every node writes its own column of a
+    /// four-page array in one loop, then every node reads all four in the
+    /// next, which each column reaches as a push. In rounds 0 and 2 the
+    /// master reads all four between the two dispatches; in round 1 they
+    /// follow each other, so the first one's join pushes first. The
+    /// master's value: whether each of its reads saw every write.
+    fn columns_round_trip(
+        protocol: ProtocolMode,
+        engine: EngineKind,
+        trace: bool,
+    ) -> sp2sim::RunOutput<Option<bool>> {
+        let cfg = ClusterConfig {
+            trace,
+            ..ClusterConfig::sp2_on(4, engine)
+        };
+        Cluster::run(cfg, move |node| {
+            let tmk = Tmk::new(node, TmkConfig::default().with_protocol(protocol));
+            let spf = Spf::new(&tmk);
+            let at = Cols::new(tmk.malloc_f64(4 * 512), 512);
+            let value = |round: u64, j: usize| (10 * round as usize + j) as f64;
+            let sees_all = move |tmk: &Tmk, round: u64| {
+                let all = at.touch(0..4, Mode::Read).read(tmk);
+                let col = |j: usize| &all.slice()[j * 512..(j + 1) * 512];
+                (0..4).all(|j| col(j).iter().all(|&x| x == value(round, j)))
+            };
+            let write = spf.register({
+                let tmk = &tmk;
+                move |ctl: &LoopCtl| {
+                    let q = tmk.proc_id();
+                    let mut w = at.touch(q..q + 1, Mode::Write).write(tmk);
+                    w.slice_mut().fill(value(ctl.args[0], q));
+                }
+            });
+            let read = spf.register({
+                let tmk = &tmk;
+                move |ctl: &LoopCtl| assert!(sees_all(tmk, ctl.args[0]), "node {}", tmk.proc_id())
+            });
+            let own = move |_: &Range<usize>, q: usize, _| Some([at.touch(q..q + 1, Mode::Write)]);
+            spf.describe(write, own, move |_, _| vec![Next::Loop(read, 0..4)]);
+            let all = move |_: &Range<usize>, _, _| Some([at.touch(0..4, Mode::Read)]);
+            spf.describe(read, all, |_, _| vec![]);
+            let r = spf.run(|m| {
+                let mut seen = true;
+                for round in 0..3 {
+                    m.par_loop(write, 0..4, Schedule::Block, &[round]);
+                    if round != 1 {
+                        seen &= sees_all(m.tmk(), round);
+                    }
+                    m.par_loop(read, 0..4, Schedule::Block, &[round]);
+                }
+                seen
+            });
+            tmk.finish();
+            r
+        })
+    }
+
+    #[test]
+    fn a_master_view_right_after_a_dispatch_sees_every_workers_writes() {
+        for protocol in [ProtocolMode::Lrc, ProtocolMode::Hlrc] {
+            for engine in EngineKind::explore(4) {
+                let out = columns_round_trip(protocol, engine, false);
+                assert_eq!(out.results[0], Some(true), "{protocol}, {engine}");
+            }
+        }
+    }
+
+    /// Round 1's join sends the master's column before it waits, inside
+    /// the join's wait; rounds 0 and 2 send it with the fork, after. The
+    /// messages are the ones the join sent when it never pushed.
+    #[test]
+    fn between_back_to_back_dispatches_the_masters_push_leaves_before_its_join() {
+        let out = columns_round_trip(ProtocolMode::Lrc, EngineKind::default(), true);
+        assert_eq!(out.results[0], Some(true));
+        let trace = out.trace.expect("a traced run");
+        let track = trace
+            .track(0, sp2sim::TracePort::App)
+            .expect("node 0's track");
+        let (mut joining, mut inside, mut outside) = (false, 0, 0);
+        for e in &track.events {
+            match e.kind {
+                EventKind::Begin {
+                    kind: SpanKind::JoinWait,
+                    ..
+                } => joining = true,
+                EventKind::End {
+                    kind: SpanKind::JoinWait,
+                } => joining = false,
+                EventKind::Send { code, .. } if code == MsgKind::Push as u8 => match joining {
+                    true => inside += 1,
+                    false => outside += 1,
+                },
+                _ => {}
+            }
+        }
+        assert!(
+            inside > 0 && outside == 2 * inside,
+            "{inside} in a join, {outside} not"
+        );
+        let traffic = (out.stats.total_messages(), out.stats.total_bytes());
+        assert_eq!(traffic, BEFORE_EARLY_PUSHES);
+    }
+
+    /// [`columns_round_trip`]'s messages and bytes under LRC on the FIFO
+    /// schedule when every join waited first and pushed at the next fork.
+    const BEFORE_EARLY_PUSHES: (u64, u64) = (84, 155_664);
+
+    /// With debug assertions, sequential code that reaches the DSM around
+    /// [`Master::tmk`] before the last dispatch's join panics.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_master_view_around_the_handle_before_the_join_panics() {
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let spf = Spf::new(&tmk);
+                let a = tmk.malloc_f64(512);
+                let body = spf.register(|_: &LoopCtl| {});
+                spf.run(|m| {
+                    m.par_loop(body, 0..2, Schedule::Block, &[]);
+                    drop(tmk.read(a, 0..1));
+                });
+                tmk.finish();
+            });
+        })
+        .expect_err("the view comes before the join");
+        let said = panic_message(payload);
+        assert!(said.contains("while its last fork is un-joined"), "{said}");
     }
 
     fn run_sum(cfg: TmkConfig) -> (f64, sp2sim::StatsSnapshot) {
@@ -1254,7 +1415,6 @@ mod tests {
     #[test]
     fn hinted_pipeline_agrees_across_protocols() {
         use cri::{Access, Section};
-        use treadmarks::ProtocolMode;
 
         let run_with = |protocol: ProtocolMode| {
             Cluster::run(ClusterConfig::sp2(4), move |node| {

@@ -146,6 +146,14 @@ pub struct Tmk<'n> {
     body: Cell<Option<usize>>,
     /// Some page was ever made private or shared again here.
     privatized: Cell<bool>,
+    /// Master: the last fork's join waits for the master's next action
+    /// ([`Tmk::defer_join`]).
+    deferred: Cell<bool>,
+    /// Master: what a join that went before a fork left to it — the
+    /// counts of the pushes it sent, which the fork announces…
+    early_counts: RefCell<Vec<u64>>,
+    /// …and the pushes to this node it left for the fork to take.
+    intake: Cell<u64>,
 }
 
 impl<'n> Tmk<'n> {
@@ -175,6 +183,9 @@ impl<'n> Tmk<'n> {
             fence: RefCell::new(None),
             body: Cell::new(None),
             privatized: Cell::new(false),
+            deferred: Cell::new(false),
+            early_counts: RefCell::new(Vec::new()),
+            intake: Cell::new(0),
         }
     }
 
@@ -361,6 +372,13 @@ impl<'n> Tmk<'n> {
             if let Some(fence) = &*self.fence.borrow() {
                 fence.check(arr, &range);
             }
+            assert!(
+                !self.deferred.get() || self.body.get().is_some(),
+                "the master opens words {range:?} of the array at page {} outside a loop body \
+                 while its last fork is un-joined: sequential code must reach the DSM through \
+                 the master's handle, which joins first",
+                arr.first_page
+            );
         }
         if self.privatized.get() && wlo < whi {
             self.fetch_from_owners(arr, &range, wlo, whi);
@@ -853,43 +871,84 @@ impl<'n> Tmk<'n> {
 
     /// Master: dispatch a parallel loop. The one-to-all departure carries
     /// `ctl` (the encapsulated subroutine id and its arguments) along with
-    /// consistency information — `n - 1` messages.
+    /// consistency information — `n - 1` messages. A deferred join
+    /// ([`Tmk::defer_join`]) completes first, pushing first; the pushes
+    /// it announces ride this departure beside the fork's own, and the
+    /// pushes addressed to this node are taken once the fork is out,
+    /// before the master's own body.
     pub fn fork(&self, ctl: &[u64]) {
         self.fork_with_flags(ctl, 0);
     }
 
     fn fork_with_flags(&self, ctl: &[u64], flag_bits: u64) {
         assert_eq!(self.proc_id(), 0, "only the master forks");
+        self.settle_join(true);
         self.quiescent("fork");
         let e = self.fork_epoch.get();
         self.fork_epoch.set(e + 1);
         self.state.lock().stats.forks += 1;
         self.publish();
         // Registered pushes ride the dispatch: the workers learn how many
-        // to expect from the fork departure. A push down the tree goes
-        // out after the fork, so the service sends the departures while
-        // the tree fills.
+        // to expect from the fork departure, the join's before the fork
+        // included. A push down the tree goes out after the fork, so the
+        // service sends the departures while the tree fills.
+        let early = std::mem::take(&mut *self.early_counts.borrow_mut());
         self.do_pushes(|push_counts| {
             let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
             w.put(op::MASTER_FORK).put(e).put(flag_bits);
-            protocol::put_push_counts(&mut w, push_counts, self.nprocs());
+            let count = |counts: &[u64], t| counts.get(t).copied().unwrap_or(0);
+            for t in 0..self.nprocs() {
+                w.put(count(&early, t) + count(push_counts, t));
+            }
             w.put_words(ctl);
             self.node
                 .endpoint()
                 .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
         });
+        self.receive_pushes(self.intake.take());
     }
 
     /// Master: wait for all workers to finish the current loop — the
-    /// all-to-one arrival half, `n - 1` messages (sent by the workers).
+    /// all-to-one arrival half, `n - 1` messages (sent by the workers) —
+    /// and take the pushes they sent this node.
     pub fn join(&self) {
+        self.join_then(false);
+    }
+
+    /// Master: leave the current loop's join to the master's next action,
+    /// [`Tmk::settle_join`] — a fork settles it itself. Until then, with
+    /// debug assertions, a view opened outside a loop body panics: it
+    /// would read before the workers' writes are in.
+    pub fn defer_join(&self) {
+        assert_eq!(self.proc_id(), 0, "only the master joins");
+        self.deferred.set(true);
+    }
+
+    /// Master: complete a join left by [`Tmk::defer_join`], if one is.
+    /// With `fork_follows` — nothing but a fork comes next — the join
+    /// sends the pushes its loop registered before it waits, to go with
+    /// the workers' own instead of after them, and leaves those to this
+    /// node to the fork; otherwise it is [`Tmk::join`].
+    pub fn settle_join(&self, fork_follows: bool) {
+        if self.deferred.get() {
+            self.join_then(fork_follows);
+        }
+    }
+
+    fn join_then(&self, fork_follows: bool) {
         assert_eq!(self.proc_id(), 0, "only the master joins");
         self.quiescent("join");
+        self.deferred.set(false);
         let e = self.fork_epoch.get();
         let wait = self
             .node
             .trace_span(SpanKind::JoinWait, (e & 0xFFFF) as u32);
         self.publish();
+        if fork_follows {
+            // Announced by the fork (the counts go with it): the workers
+            // take these after its departure.
+            *self.early_counts.borrow_mut() = self.do_pushes(|_| ());
+        }
         let mut w = WordWriter::with_capacity(2);
         w.put(op::MASTER_JOIN).put(e);
         self.node
@@ -904,7 +963,14 @@ impl<'n> Tmk<'n> {
         let _epoch = r.get();
         let expected_push = r.get();
         let floor = protocol::decode_vc_words(&mut r);
-        self.depart(wait, None, false, floor, expected_push);
+        // Before a fork, the pushes to this node wait for it.
+        let pushes = if fork_follows {
+            self.intake.set(expected_push);
+            0
+        } else {
+            expected_push
+        };
+        self.depart(wait, None, false, floor, pushes);
     }
 
     /// Worker: report arrival at the rendezvous and wait for the next
@@ -949,8 +1015,9 @@ impl<'n> Tmk<'n> {
     // ------------------------------------------------------------------
 
     /// Register `range` of `arr` to be pushed to `target` at this node's
-    /// next synchronization rendezvous (barrier arrival, worker arrival
-    /// or master fork), instead of being demand-fetched afterwards.
+    /// next synchronization rendezvous (barrier arrival, worker arrival,
+    /// master fork, or a master join that a fork follows), instead of
+    /// being demand-fetched afterwards.
     pub fn push_at_next_sync(&self, target: usize, arr: SharedArray, range: Range<usize>) {
         for p in self.page_span(arr, &range) {
             self.push_page_at_next_sync(target, p);
@@ -1120,8 +1187,9 @@ impl<'n> Tmk<'n> {
         counts
     }
 
-    /// Receive and apply `expected` push messages (called inside
-    /// `barrier`, after the departure).
+    /// Receive and apply `expected` push messages (called at a
+    /// rendezvous, after the departure; by a fork, for the join that
+    /// went before it).
     fn receive_pushes(&self, expected: u64) {
         if expected == 0 {
             return;

@@ -225,10 +225,10 @@ pub fn encode_arrival(
     w.finish()
 }
 
-/// Append the per-destination push counts of an arrival or a fork: the
-/// `n` counts, or `n` zeros for the empty slice of a node that pushed
+/// Append the per-destination push counts of an arrival: the `n`
+/// counts, or `n` zeros for the empty slice of a node that pushed
 /// nothing (which then never builds the all-zero vector).
-pub fn put_push_counts(w: &mut WordWriter, push_counts: &[u64], n: usize) {
+pub(crate) fn put_push_counts(w: &mut WordWriter, push_counts: &[u64], n: usize) {
     if push_counts.is_empty() {
         for _ in 0..n {
             w.put(0);
@@ -480,6 +480,15 @@ pub fn encode_owner_fetch(req_id: u32, pages: &[PageId]) -> Vec<u64> {
     head.into_iter()
         .chain(pages.iter().map(|&p| p as u64))
         .collect()
+}
+
+/// Decode an owner fetch behind its opcode: the request id and the
+/// pages, where they landed, after the count was held against the words
+/// left.
+pub fn decode_owner_fetch<'a>(r: &mut WordReader<'a>) -> (u32, &'a [u64]) {
+    let req_id = r.get() as u32;
+    let k = r.get_count(1);
+    (req_id, r.take(k))
 }
 
 /// Walk a page response (or the page section of a push, or a page

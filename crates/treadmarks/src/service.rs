@@ -30,10 +30,11 @@ use crate::state::{Arrival, DsmState};
 ///
 /// A malformed request (unknown opcode) must not abort a whole
 /// parameter sweep: it is logged, counted in
-/// [`DsmStats::service_errors`](crate::DsmStats), and the loop shuts
-/// down gracefully — subsequent remote requests to this node will stall
-/// their senders, but the local application, and every other
-/// simulation of the sweep, keeps running.
+/// [`DsmStats::service_errors`](crate::DsmStats), and the loop stops
+/// serving: it takes and drops every later message until the shutdown,
+/// so subsequent remote requests to this node stall their senders, but
+/// the local application, and every other simulation of the sweep,
+/// keeps running — and no message is left queued at the end of the run.
 pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: ProtocolMode) {
     while let Some(pkt) = ep.recv_any_raw() {
         let arrival = pkt.arrival;
@@ -75,12 +76,15 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
                 }
                 eprintln!(
                     "treadmarks[{}]: unknown service opcode {other:#x} from node {src} \
-                     ({words} payload words); shutting the service loop down",
+                     ({words} payload words); serving nothing more until the shutdown",
                     ep.id(),
                 );
                 let mut st = state.lock();
                 st.stats.service_errors += 1;
                 st.stats.last_bad_opcode.get_or_insert(other);
+                drop(st);
+                let shutdown = |p: &Packet| p.tag == 0 && p.payload.first() == Some(&op::SHUTDOWN);
+                while ep.recv_any_raw().is_some_and(|p| !shutdown(&p)) {}
                 break;
             }
         }
@@ -90,11 +94,13 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
 /// Serve pages private here from the working frame, and end the privacy.
 fn handle_owner_fetch(ep: &Endpoint, state: &StateCell<DsmState>, pkt: Packet) {
     let mut r = WordReader::new(&pkt.payload);
-    let (_, req_id, k) = (r.get(), r.get() as u32, r.get_count(1));
+    r.get();
+    let (req_id, pages) = protocol::decode_owner_fetch(&mut r);
     let mut st = state.lock();
-    let mut w = WordWriter::with_capacity(protocol::page_resp_words(k, st.n, st.cfg.page_words));
+    let words = protocol::page_resp_words(pages.len(), st.n, st.cfg.page_words);
+    let mut w = WordWriter::with_capacity(words);
     w.put(0);
-    for p in r.take(k).iter().map(|&p| p as usize) {
+    for p in pages.iter().map(|&p| p as usize) {
         if let (Some(applied), Some(data)) = (st.frames.applied(p), st.frames.data(p)) {
             protocol::encode_page_entry(&mut w, p, applied, data);
             w.set(0, w.words()[0] + 1);

@@ -220,6 +220,25 @@ fn privatized_cells(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Hinted NBF at scale 0.2 on 8 nodes, under both protocols, as
+/// [`irregular_cell`] holds it: its force loop follows the position
+/// update at once, so the update's join sends the master's pushes before
+/// it waits, and the master takes those addressed to it after the next
+/// fork. With debug assertions, a push sent and never announced — or
+/// taken under another rendezvous' count — is a packet left queued at
+/// the end of the run, which the engine panics on
+/// (`ci/mutants/join_pushes_unannounced.patch` dies here).
+fn hinted_nbf_cells(seeds: RangeInclusive<u64>) {
+    for protocol in ProtocolMode::ALL {
+        irregular_cell(AppId::Nbf, protocol, 8, 0.2, seeds.clone());
+    }
+}
+
+#[test]
+fn hinted_nbf_on_every_explored_schedule() {
+    hinted_nbf_cells(TIER1);
+}
+
 #[test]
 fn privatized_pages_on_every_explored_schedule() {
     privatized_cells(TIER1);
@@ -393,6 +412,7 @@ fn every_cell_on_the_ci_seed_budget() {
     mgs_push_tree_cells(CI);
     write_all_cells(CI);
     privatized_cells(CI);
+    hinted_nbf_cells(CI);
     fused_dispatch_cells(CI);
     irregular_cells(CI, true);
     fft3d_cells(CI);

@@ -1,10 +1,11 @@
 //! Regression tests for the unknown-service-opcode graceful-shutdown
 //! path (`DsmStats::service_errors`): a malformed request must not
-//! abort a whole parameter sweep — it is logged, counted, and shuts
-//! only that node's service loop down, on every explored schedule. And
-//! for the decoders: a damaged message — an arrival, a home flush, a
-//! diff response, a page response, a diff request, a page request —
-//! fails as an over-read, before any count in it sizes an allocation.
+//! abort a whole parameter sweep — it is logged, counted, and stops
+//! only that node's service loop serving, on every explored schedule.
+//! And for the decoders: a damaged message — an arrival, a home flush, a
+//! diff response, a page response, a diff request, a page request, an
+//! owner fetch — fails as an over-read, before any count in it sizes an
+//! allocation.
 
 use std::rc::Rc;
 
@@ -14,13 +15,15 @@ use treadmarks::service::service_loop;
 use treadmarks::state::DsmState;
 use treadmarks::{Tmk, TmkConfig};
 
-/// The opcode space currently ends at `PAGE_REQ` (the HLRC page
-/// fetch): the next free opcode must take the graceful
-/// error path. Pinning the boundary means a future opcode addition that
-/// forgets the service dispatch arm shows up here as a counted error,
-/// not as a sweep-wide `unreachable!`. `join_service` returning at all
-/// *is* the graceful-exit assertion — the loop left through the error
-/// path, not a panic.
+/// The payload opcode space currently ends at `OWNER_FETCH` (the fetch
+/// of pages private elsewhere): the next free opcode must take the
+/// graceful error path, and so must `PUSH_TREE`, which is only a traced
+/// code — a tree push is known by its tag, never by a payload word.
+/// Pinning the boundary means a future opcode addition that forgets the
+/// service dispatch arm shows up here as a counted error, not as a
+/// sweep-wide `unreachable!`. `join_service` returning at all *is* the
+/// graceful-exit assertion — the loop took the requester's shutdown
+/// after the error, not a panic, and left nothing queued.
 ///
 /// So must a well-formed request of the protocol the node does *not*
 /// run, in every build profile: each protocol's *serve* hook owns only
@@ -32,16 +35,22 @@ use treadmarks::{Tmk, TmkConfig};
 fn first_unassigned_opcode_is_rejected_gracefully() {
     use treadmarks::{hlrc, lrc, ProtocolMode};
 
-    // HOME_FLUSH and PAGE_REQ are the two highest assigned opcodes;
-    // the boundary sits one past PAGE_REQ.
-    assert_eq!(op::PAGE_REQ, op::HOME_FLUSH + 1, "opcode map moved");
+    // PAGE_REQ, PUSH_TREE and OWNER_FETCH are the three highest
+    // assigned codes; the boundary sits one past OWNER_FETCH.
+    assert_eq!(
+        [op::PUSH_TREE, op::OWNER_FETCH],
+        [op::PAGE_REQ + 1, op::PAGE_REQ + 2],
+        "opcode map moved"
+    );
     let diff_req = lrc::DiffReqEntry {
         page: 3,
         first_needed: 1,
     };
     let zero_watermarks = [(3usize, [0u32, 0].into_iter())];
-    let bad: [(ProtocolMode, Vec<u64>); 5] = [
-        (ProtocolMode::Lrc, vec![op::PAGE_REQ + 1]),
+    let bad: [(ProtocolMode, Vec<u64>); 7] = [
+        (ProtocolMode::Lrc, vec![op::OWNER_FETCH + 1]),
+        (ProtocolMode::Hlrc, vec![op::OWNER_FETCH + 1]),
+        (ProtocolMode::Lrc, vec![op::PUSH_TREE]),
         (ProtocolMode::Hlrc, vec![0xBAAD_F00D]),
         (
             ProtocolMode::Hlrc,
@@ -69,13 +78,10 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
                     assert!(st.frames.is_empty() && st.pages.is_empty(), "served");
                     (st.stats.service_errors, st.stats.last_bad_opcode)
                 } else {
-                    node.endpoint().send_to_port(
-                        0,
-                        Port::Service,
-                        0,
-                        MsgKind::Control,
-                        request.clone(),
-                    );
+                    for words in [request.clone(), vec![op::SHUTDOWN]] {
+                        node.endpoint()
+                            .send_to_port(0, Port::Service, 0, MsgKind::Control, words);
+                    }
                     (0, None)
                 }
             });
@@ -544,6 +550,35 @@ fn damaged_page_request_is_a_bounds_panic_not_an_allocation() {
             ("truncated", whole[..whole.len() - 1].to_vec()),
             ("row count", with_word(&whole, count_at, 1 << 40)),
             ("row count, one too many", with_word(&whole, count_at, 3)),
+        ],
+    );
+}
+
+/// An owner fetch: the owner reads its page list where it landed, after
+/// the count was held against the words left.
+#[test]
+fn damaged_owner_fetch_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::protocol;
+
+    let whole = protocol::encode_owner_fetch(23, &[4, 11, 12]);
+    let decode = |buf: &[u64]| {
+        caught(|| {
+            let mut r = sp2sim::WordReader::new(buf);
+            assert_eq!(r.get(), op::OWNER_FETCH);
+            let (req_id, pages) = protocol::decode_owner_fetch(&mut r);
+            (req_id, pages.to_vec())
+        })
+    };
+    assert_eq!(decode(&whole), Ok((23, vec![4, 11, 12])));
+    // Layout: opcode, request id, the page count, pages.
+    let count_at = 2;
+    assert_eq!(whole[count_at], 3, "layout moved");
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("page count", with_word(&whole, count_at, 1 << 40)),
+            ("page count, one too many", with_word(&whole, count_at, 4)),
         ],
     );
 }
