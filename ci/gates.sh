@@ -52,17 +52,19 @@ if [ -n "$leaks" ]; then
     exit 1
 fi
 
-step "footprints: the applications' static descriptors derive from their loops' footprints"
+step "footprints: the applications describe their loops through Spf alone"
 # Non-test code only, each file cut at its `#[cfg(test)]` line and its
-# whitespace dropped, so a call rustfmt splits over two lines is caught
-# too. A static descriptor is attached by `Spf::describe`; an inspector
-# by `register_dynamic`.
-sets=$(for f in crates/apps/src/*.rs; do
-    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o '\.hints()\.set(' | sed "s|^|$f: |" || true
+# whitespace dropped, so a name rustfmt splits over two lines is caught
+# too. A loop is described once through `Spf` (`describe`,
+# `describe_sequential`, `describe_inspector`), whose loop table fusion
+# and privatization read; an application that builds its own hint engine
+# would attach descriptors that table never sees.
+engines=$(for f in crates/apps/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o 'HintEngine' | sed "s|^|$f: |" || true
 done)
-if [ -n "$sets" ]; then
-    printf '%s\n' "$sets"
-    echo "gates: a hand-written descriptor: derive it from the loop's footprint with Spf::describe" >&2
+if [ -n "$engines" ]; then
+    printf '%s\n' "$engines"
+    echo "gates: an application uses the hint engine: describe the loop through Spf" >&2
     exit 1
 fi
 # Nor does an application name a page private: privacy is `Spf`'s

@@ -497,10 +497,8 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
             ]
         }
     };
-    spf.hints()
-        .register_dynamic(l_step[0], step_access(arrs[0], arrs[1], l_step[1]));
-    spf.hints()
-        .register_dynamic(l_step[1], step_access(arrs[1], arrs[0], l_step[0]));
+    spf.describe_inspector(l_step[0], step_access(arrs[0], arrs[1], l_step[1]));
+    spf.describe_inspector(l_step[1], step_access(arrs[1], arrs[0], l_step[0]));
     // CRI recognizes the three reductions and routes them through the
     // direct binomial tree instead of SPF's lock-and-shared-page folds:
     // min and (negated) max combine exactly in one call, the sum stays

@@ -482,7 +482,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let to_force = move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l_force, 0..m)];
         spf.describe(l_init, coords(Write), to_force);
         spf.describe(l_merge, coords(Update), to_force);
-        spf.hints().register_dynamic(l_force, {
+        spf.describe_inspector(l_force, {
             let (partners, insp) = (&partners, &insp);
             let k = p.k;
             move |iters: &Range<usize>, q: usize, nprocs: usize| {

@@ -232,8 +232,6 @@ pub struct HintEngine<'t, 'n> {
     /// Dynamic-descriptor evaluations so far (hits and misses): a plan
     /// under construction reads its own share off this counter.
     dyn_evals: Cell<u64>,
-    /// Registrations so far ([`HintEngine::revision`]).
-    revision: Cell<u64>,
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
@@ -246,13 +244,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             schedules: RefCell::new(HashMap::new()),
             plans: RefCell::new(Vec::new()),
             dyn_evals: Cell::new(0),
-            revision: Cell::new(0),
         }
-    }
-
-    /// The DSM instance.
-    pub fn tmk(&self) -> &'t Tmk<'n> {
-        self.tmk
     }
 
     /// Attach `access` as loop `id`'s descriptor (same registration order
@@ -276,12 +268,12 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         // loop's own and those of the loops it consumes from.
         self.schedules.borrow_mut().retain(|k, _| k.0 != id);
         self.plans.borrow_mut().clear();
-        self.revision.set(self.revision.get() + 1);
     }
 
-    /// Attach a **dynamic** (inspector) descriptor to loop `id`: the
-    /// function walks a run-time indirection map, so its evaluations are
-    /// memoized in the schedule cache and counted (miss =
+    /// Attach a **dynamic** (inspector) descriptor to loop `id` (what
+    /// `spf`'s `Spf::describe_inspector` calls): the function walks a
+    /// run-time indirection map, so its evaluations are memoized in the
+    /// schedule cache and counted (miss =
     /// `DsmStats::inspections`, hit = `DsmStats::schedule_reuse`). The
     /// walk's virtual-time cost — whatever the function charged through
     /// `Node::advance` — is recorded in `DsmStats::inspect_us`.
@@ -297,30 +289,6 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// True when loop `id` has a descriptor.
     pub fn has(&self, id: usize) -> bool {
         self.fns.borrow().get(id).is_some_and(|f| f.is_some())
-    }
-
-    /// How many descriptors have been attached so far: what a caller
-    /// derived from [`HintEngine::declared`] at another revision may be
-    /// stale.
-    pub fn revision(&self) -> u64 {
-        self.revision.get()
-    }
-
-    /// Loop `id`'s descriptor evaluated for node `q` of `np` over
-    /// `iters`: the accesses the compiler declares for that node's share.
-    /// `None` when the loop has no descriptor or a dynamic one, whose
-    /// evaluation would inspect. Counts nothing and charges nothing.
-    pub fn declared(
-        &self,
-        id: usize,
-        iters: &Range<usize>,
-        q: usize,
-        np: usize,
-    ) -> Option<Vec<Access>> {
-        if self.dynamic.borrow().get(id).copied().unwrap_or(false) {
-            return None;
-        }
-        self.get(id).map(|f| f(iters, q, np))
     }
 
     /// Drop every cached schedule and every plan: an epoch-invalidating

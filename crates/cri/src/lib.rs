@@ -11,9 +11,10 @@
 //!   parallelized loop touches, held as sorted word runs. The compiler
 //!   builds them from its subscript analysis (a contiguous range, a
 //!   chunk of every plane, a cyclic column set), an inspector from its
-//!   indirection-map walk (registered through
-//!   [`HintEngine::register_dynamic`] and memoized in a per-`(loop,
-//!   range, node)` schedule cache — see the `inspector` crate);
+//!   indirection-map walk (registered through `spf`'s
+//!   `Spf::describe_inspector`, like every description of a loop, and
+//!   memoized in a per-`(loop, range, node)` schedule cache — see the
+//!   `inspector` crate);
 //! * [`Access`] / [`AccessFn`] — a loop's touched sections, evaluated
 //!   per node from the dispatched iteration range, with read/write mode
 //!   and (for writes) the known [`Consumer`]s;
@@ -61,35 +62,10 @@
 //! Hinted and unhinted executions produce byte-identical shared memory;
 //! `tests/cri_equivalence.rs` pins that property.
 //!
-//! ## Example
-//!
-//! ```
-//! use sp2sim::{Cluster, ClusterConfig};
-//! use treadmarks::{Tmk, TmkConfig};
-//! use cri::{Access, HintEngine, Section};
-//!
-//! let out = Cluster::run(ClusterConfig::sp2(2), |node| {
-//!     let tmk = Tmk::new(node, TmkConfig::default());
-//!     let hints = HintEngine::new(&tmk);
-//!     let a = tmk.malloc_f64(1024);
-//!     // "Loop 0 writes the block `iters` of `a`, read next by loop 1."
-//!     hints.set(0, move |iters, me, np| {
-//!         let r = spf_like_block(me, np, iters.clone());
-//!         vec![Access::write(a, Section::range(r)).consumed_by_loop(1, 0..1024)]
-//!     });
-//!     hints.set(1, move |_iters, _me, _np| {
-//!         vec![Access::read(a, Section::range(0..1024))]
-//!     });
-//!     // ... the fork-join runtime invokes before_loop/after_loop around
-//!     // each dispatched body (see the `spf` crate).
-//!     tmk.finish();
-//! });
-//!
-//! fn spf_like_block(me: usize, np: usize, r: std::ops::Range<usize>) -> std::ops::Range<usize> {
-//!     let len = (r.end - r.start) / np;
-//!     r.start + me * len..r.start + (me + 1) * len
-//! }
-//! ```
+//! Applications describe each loop once, through `spf`'s `Spf`, which
+//! derives its descriptor from the footprint its body opens its views
+//! from and keeps the one table fusion and privatization read (see the
+//! `spf` crate).
 
 #![forbid(unsafe_code)]
 

@@ -16,11 +16,11 @@
 //! [`Section`]s for [`cri::Access`] lists — the touched words as sorted
 //! runs — while charging the walk's virtual time to the inspecting
 //! node, so the "inspector cost" column of the experiment tables is
-//! real. The executor half lives in `cri::HintEngine`: a descriptor
-//! registered through `HintEngine::register_dynamic` (the application
-//! registers the loop body with `spf::Spf::register` and its inspector
-//! under the same id) has each `(loop, range, node)` evaluation
-//! memoized in the engine's schedule cache, and the cached
+//! real. The executor half lives in `cri::HintEngine`: an inspector
+//! registered through `spf::Spf::describe_inspector` (the application
+//! registers the loop body with `spf::Spf::register` and describes it
+//! by its inspector under the same id) has each `(loop, range, node)`
+//! evaluation memoized in the engine's schedule cache, and the cached
 //! accesses feed straight into the existing CRI machinery — aggregated
 //! validate before the body, rendezvous-time pushes after it, and HLRC
 //! producer-home placement at fork quiescence. Cache behaviour is

@@ -100,6 +100,24 @@ impl Touch {
         j * self.at.stride + self.rows.start..j * self.at.stride + self.rows.end
     }
 
+    /// Whether this touch and `other`, of the same array, share a word.
+    pub(crate) fn meets(&self, other: &Touch) -> bool {
+        let mut a = self.columns().map(|j| self.run(j)).peekable();
+        let mut b = other.columns().map(|j| other.run(j)).peekable();
+        // Both ascend by start: step past whichever run ends first.
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            if x.start.max(y.start) < x.end.min(y.end) {
+                return true;
+            }
+            if x.end <= y.end {
+                a.next();
+            } else {
+                b.next();
+            }
+        }
+        false
+    }
+
     /// The words, when they are one run: whole columns, every one.
     pub fn words(&self) -> Range<usize> {
         assert!(self.cyclic.1 == 1 && self.rows == (0..self.at.stride));
@@ -139,6 +157,8 @@ pub enum Next {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use proptest::prelude::*;
     use sp2sim::{Cluster, ClusterConfig};
     use treadmarks::TmkConfig;
@@ -149,7 +169,8 @@ mod tests {
         /// What a descriptor declares is what a body opens: a touch's
         /// section holds exactly the words of its columns' runs — whole
         /// blocks, row chunks of every column, cyclic column sets with
-        /// a non-divisible origin, empty ones.
+        /// a non-divisible origin, empty ones — and two touches meet
+        /// exactly when those words do.
         #[test]
         fn a_touch_declares_the_words_its_body_opens(
             cols in (0usize..30, 0usize..30),
@@ -166,12 +187,18 @@ mod tests {
                     at.touch(cols.0..cols.1, Mode::Read),
                     at.touch(cols.0..cols.1, Mode::Write).rows(rows.clone()),
                     at.touch(cols.0..cols.1, Mode::Update).rows(rows.clone()).cyclic(me, np),
+                    at.touch(cols.1..cols.1 + 3, Mode::Read).rows(rows.clone()).cyclic(me, np),
                 ];
-                for t in touches {
+                let set = |t: &Touch| t.columns().flat_map(|j| t.run(j)).collect::<BTreeSet<_>>();
+                for t in &touches {
                     let mut words: Vec<usize> = t.columns().flat_map(|j| t.run(j)).collect();
                     words.sort_unstable();
                     let declared: Vec<usize> = t.section().runs().iter().cloned().flatten().collect();
                     prop_assert_eq!(declared, words, "{:?}", t);
+                    for u in &touches {
+                        let shared = set(t).intersection(&set(u)).next().is_some();
+                        prop_assert_eq!(t.meets(u), shared, "{:?} {:?}", t, u);
+                    }
                 }
                 tmk.finish();
             });

@@ -48,10 +48,25 @@
 //! already travelling — so hinted HLRC runs avoid both the consumer's
 //! fetch round trip and most of the eager update traffic.
 //!
+//! ## The loop table
+//!
+//! Each loop is described once, before [`Spf::run`] (a later description
+//! panics): by its footprint with its `next` ([`Spf::describe`]), plus
+//! the master's prelude before each of its dispatches
+//! ([`Spf::describe_sequential`]), or by an inspector
+//! ([`Spf::describe_inspector`]). A loop described by a footprint alone
+//! is *transparent*; an inspector's sections exist only once it ran, and
+//! a prelude moves with every dispatch, so those two are *opaque*, to
+//! both derivations below. For a transparent loop over a range, every
+//! node's footprint is walked once, the first time a derivation asks,
+//! and kept as its facts: each node's touches, the words each
+//! [`Next::Node`] reads, and the loops its writes go to next. Dispatch
+//! fusion and derived privatization read them, and nothing else.
+//!
 //! ## Dispatch fusion
 //!
 //! [`Master::par_loops`] takes a run of adjacent loops — no sequential
-//! code between them — and ships each maximal run of described loops
+//! code between them — and ships each maximal run of transparent loops
 //! that no other node depends on in one fork: for every pair of nodes
 //! `q ≠ q'`, no earlier loop's writes on `q'` meet a later loop's reads
 //! or writes on `q`, and no earlier loop's reads on `q'` meet a later
@@ -59,20 +74,18 @@
 //! write-all body overwrites its pages in place: a request served while
 //! it runs would be served its newer words. Every node runs the bodies
 //! in order, each inside its own validate and push registration; the
-//! pushes and home placements of all of them go with the one join. A
-//! loop without a descriptor, with a dynamic (inspector) one, or with a
-//! sequential footprint ([`Spf::describe_sequential`]) is never fused,
-//! and neither is any loop under the original interface; a one-loop
-//! dispatch's words are the unfused ones. With debug assertions, each
-//! body of a fused dispatch may open views only inside what its
-//! descriptor declared for its node.
+//! pushes and home placements of all of them go with the one join. No
+//! loop is fused under the original interface. With debug assertions,
+//! each body of a fused dispatch may open views only inside what it
+//! declared for its node.
 //!
 //! ## Derived privatization
 //!
-//! A page is private to a worker when every counted touch — each footprint
-//! over each range dispatched or named by a `Next::Loop`, each
-//! `Next::Node` — falls on it ([`treadmarks::Tmk::privatize`]; DESIGN.md
-//! has the rule, its exceptions and the owner fetch).
+//! A page is private to a worker when every counted use falls on it:
+//! each transparent loop's, over each range dispatched or named next by
+//! a counted one ([`treadmarks::Tmk::privatize`]). The first opaque loop
+//! met shares every page for the rest of the run. DESIGN.md has the
+//! rule, its exceptions and the owner fetch.
 //!
 //! ## The master's rendezvous
 //!
@@ -128,13 +141,13 @@
 
 pub mod footprint;
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
 use cri::section::merge_ranges;
-use cri::{Access, AccessMode, Consumer, HintEngine};
+use cri::{Access, Consumer, HintEngine};
 use treadmarks::{SharedArray, Tmk, ViewFence};
 
 pub use footprint::{Cols, Mode, Next, Touch};
@@ -294,57 +307,132 @@ fn decode_ctl(words: &[u64]) -> LoopCtl<'_> {
 
 type LoopBody<'t> = Box<dyn Fn(&LoopCtl) + 't>;
 
-/// What the master's sequential code touches right before a dispatch of
-/// a loop, as a function of the dispatch's iteration range.
-type Sequential<'t> = Rc<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
+/// What the master's prelude to a loop touches, as a function of the
+/// dispatch's range ([`Spf::describe_sequential`]).
+type Prelude<'t> = Box<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
 
-/// The registered [`Sequential`] footprints, by the loop they precede.
-type SequentialFns<'t> = Rc<RefCell<Vec<Option<Sequential<'t>>>>>;
+/// A loop's footprint with its `next` ([`Spf::describe`]): each touch of
+/// node `q`'s share over `iters`, visited with who reads it next.
+type Footprint<'t> =
+    Box<dyn Fn(&Range<usize>, usize, usize, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
 
-/// A footprint over `(iters, q, np)`, each touch visited with its `next`.
-type Walk<'t> = Rc<dyn Fn(&Range<usize>, usize, usize, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
+/// A loop's one description (see "The loop table" in the crate doc).
+enum Description<'t> {
+    /// Its footprint, and its prelude if any.
+    Footprint(Footprint<'t>, Option<Prelude<'t>>),
+    /// An inspector ([`Spf::describe_inspector`]).
+    Inspector,
+}
 
-/// A loop over a range, as fusion caches by it: `(id, start, end)`.
+/// What loop `id`'s prelude touches before it runs over `iters`: nothing
+/// when it has none.
+fn prelude(described: &[Option<Description>], id: usize, iters: &Range<usize>) -> Vec<Touch> {
+    match described.get(id) {
+        Some(Some(Description::Footprint(_, Some(prelude)))) => prelude(iters),
+        _ => Vec::new(),
+    }
+}
+
+/// A loop over a range: `(id, start, end)`.
 type LoopKey = (usize, usize, usize);
 
 fn loop_key(ctl: &LoopCtl) -> LoopKey {
     (ctl.id, ctl.range.start, ctl.range.end)
 }
 
-/// What dispatch fusion derived from the descriptors, at one revision of
-/// the hint engine ([`HintEngine::revision`]).
+/// Words a node uses: `(node, mode, words)`, the mode `None` when its
+/// sequential code reads them after the loop (a [`Next::Node`]).
+type Words = (usize, Option<Mode>, Touch);
+
+/// What one walk of every node's footprint over one range comes to.
 #[derive(Default)]
-struct Fusion {
-    revision: u64,
-    /// Master: may the first loop and the second, after it, share a
-    /// dispatch?
-    verdicts: HashMap<(LoopKey, LoopKey), bool>,
-    /// This node's fence for a loop's body in a fused dispatch.
-    fences: HashMap<LoopKey, Rc<ViewFence>>,
+struct Facts {
+    /// Every touch, and the words each [`Next::Node`] reads.
+    words: Vec<Words>,
+    /// The loops, over their ranges, that read its writes next.
+    next: Vec<LoopKey>,
+    /// Whether privatization counted it.
+    counted: bool,
 }
 
-/// What derived privatization counted at one hint-engine revision, and
-/// each loop's footprint it counts from.
+/// The loop table (see the crate doc).
 #[derive(Default)]
-struct Privacy<'t> {
-    revision: u64,
-    counted: HashSet<LoopKey>,
-    touched: HashMap<usize, Option<usize>>,
-    dynamic: bool,
-    walks: Vec<Option<Walk<'t>>>,
+struct LoopTable<'t> {
+    /// Every loop's description, by id; the hint descriptors read preludes here.
+    described: Rc<RefCell<Vec<Option<Description<'t>>>>>,
+    /// [`Spf::run`] began: the descriptions are fixed.
+    fixed: Cell<bool>,
+    /// Each transparent loop's facts, by the ranges it was used with.
+    facts: RefCell<HashMap<LoopKey, Facts>>,
+    /// Privatization: each counted page's owner, `None` when shared.
+    touched: RefCell<HashMap<usize, Option<usize>>>,
+    /// Privatization met an opaque loop: every page stays shared.
+    stopped: Cell<bool>,
 }
 
-/// Whether a loop whose accesses on one node are `earlier` may run in the
-/// same dispatch as a later loop whose accesses on another node are
-/// `later`: no word the first writes is touched by the second, and no
-/// word the first reads is written by the second.
-fn independent(earlier: &[Access], later: &[Access]) -> bool {
-    let hazard = |x: &Access, y: &Access| {
+impl<'t> LoopTable<'t> {
+    /// Loop `id`'s description, to set before the run.
+    fn slot(&self, id: usize) -> RefMut<'_, Option<Description<'t>>> {
+        assert!(!self.fixed.get(), "loop {id} described after Spf::run");
+        let mut described = self.described.borrow_mut();
+        if described.len() <= id {
+            described.resize_with(id + 1, || None);
+        }
+        RefMut::map(described, |described| &mut described[id])
+    }
+
+    /// Whether loop `id` is opaque to fusion and privatization (an
+    /// inspector, or a footprint with a prelude: see "The loop table"
+    /// above); `None` when it is not described.
+    fn opaque(&self, id: usize) -> Option<bool> {
+        let described = self.described.borrow();
+        let description = described.get(id)?.as_ref()?;
+        Some(!matches!(description, Description::Footprint(_, None)))
+    }
+
+    /// The facts of every key of `keys`, none opaque: each from one walk
+    /// of every node's footprint, the first time it is asked for.
+    fn facts(&self, keys: &[LoopKey], np: usize) -> RefMut<'_, HashMap<LoopKey, Facts>> {
+        let mut facts = self.facts.borrow_mut();
+        for &(id, start, end) in keys {
+            if facts.contains_key(&(id, start, end)) {
+                continue;
+            }
+            let described = self.described.borrow();
+            let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
+                unreachable!("loop {id} is opaque");
+            };
+            let mut f = Facts::default();
+            for q in 0..np {
+                footprint(&(start..end), q, np, &mut |t, nexts| {
+                    for n in nexts {
+                        match n {
+                            Next::Node(node, cols) => {
+                                f.words.push((node, None, Touch { cols, ..t.clone() }))
+                            }
+                            Next::Loop(id, iters) => f.next.push((id, iters.start, iters.end)),
+                        }
+                    }
+                    f.words.push((q, Some(t.mode), t));
+                });
+            }
+            facts.insert((id, start, end), f);
+        }
+        facts
+    }
+}
+
+/// Whether a loop whose words are `earlier` may share a dispatch with a
+/// later one whose words are `later` (see "Dispatch fusion" in the crate
+/// doc).
+fn independent(earlier: &[Words], later: &[Words]) -> bool {
+    let hazard = |(p, x, s): &Words, (q, y, t): &Words| {
+        let written = |m: &Option<Mode>| m.is_some_and(|m| m != Mode::Read);
         // Read-after-write and write-after-write: the earlier loop wrote.
-        let after_write = x.mode == AccessMode::Write;
+        let after_write = written(x) && y.is_some();
         // Write-after-read: the later loop overwrites what it read.
-        let after_read = x.mode == AccessMode::Read && y.mode == AccessMode::Write;
-        x.arr == y.arr && (after_write || after_read) && x.section.meets(&y.section)
+        let after_read = *x == Some(Mode::Read) && written(y);
+        p != q && s.at.arr == t.at.arr && (after_write || after_read) && s.meets(t)
     };
     !earlier.iter().any(|x| later.iter().any(|y| hazard(x, y)))
 }
@@ -354,17 +442,12 @@ pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
     loops: RefCell<Vec<LoopBody<'t>>>,
     hints: HintEngine<'t, 'n>,
-    /// The master's sequential footprints ([`Spf::describe_sequential`]),
-    /// which the descriptors [`Spf::describe`] derives read too.
-    sequential: SequentialFns<'t>,
+    /// Every loop's description and what it comes to.
+    table: LoopTable<'t>,
     /// Master-side: an epoch-invalidating event is pending; the next
     /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
     /// inspector schedules at the same loop boundary.
-    pending_invalidate: std::cell::Cell<bool>,
-    /// What dispatch fusion derived so far.
-    fusion: RefCell<Fusion>,
-    /// What derived privatization counted so far, and from what.
-    privacy: RefCell<Privacy<'t>>,
+    pending_invalidate: Cell<bool>,
     // Original-interface control locations: the loop-index word and the
     // argument words live on separate shared pages, as the paper
     // describes — two faults per worker per loop.
@@ -382,10 +465,8 @@ impl<'t, 'n> Spf<'t, 'n> {
             tmk,
             loops: RefCell::new(Vec::new()),
             hints: HintEngine::new(tmk),
-            sequential: Rc::default(),
-            pending_invalidate: std::cell::Cell::new(false),
-            fusion: RefCell::default(),
-            privacy: RefCell::default(),
+            table: LoopTable::default(),
+            pending_invalidate: Cell::new(false),
             ctl_idx,
             ctl_args,
         }
@@ -396,17 +477,10 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk
     }
 
-    /// The CRI hint engine. Static descriptors are attached through
-    /// [`Spf::describe`]; an inspector's through
-    /// [`HintEngine::register_dynamic`] (its evaluations are memoized
-    /// until [`Spf::invalidate_schedules`]).
-    pub fn hints(&self) -> &HintEngine<'t, 'n> {
-        &self.hints
-    }
-
-    /// Attach loop `id`'s section descriptor, derived from `footprint` —
-    /// the function of `(iters, q, np)` its body opens its views from,
-    /// `None` when node `q` has no share. Every touch is declared in its
+    /// Describe loop `id` by its footprint, before [`Spf::run`]: its
+    /// section descriptor is derived from `footprint` — the function of
+    /// `(iters, q, np)` its body opens its views from, `None` when node
+    /// `q` has no share. Every touch is declared in its
     /// mode — a write as write-all ([`Access::write_all`]), an update as
     /// a plain write, whose view fetches the current content first — in
     /// footprint order; each written one goes to the loops
@@ -426,16 +500,19 @@ impl<'t, 'n> Spf<'t, 'n> {
     ) {
         let (footprint, next) = (Rc::new(footprint), Rc::new(next));
         let (f, n) = (Rc::clone(&footprint), Rc::clone(&next));
-        let walk: Walk<'t> = Rc::new(move |iters: &Range<usize>, q, np, visit| {
+        let walk: Footprint<'t> = Box::new(move |iters, q, np, visit| {
             for t in f(iters, q, np).into_iter().flatten() {
                 let nexts = (t.mode != Mode::Read).then(|| n(iters, &t));
                 visit(t, nexts.unwrap_or_default());
             }
         });
-        let walks = &mut self.privacy.borrow_mut().walks;
-        walks.resize_with(walks.len().max(id + 1), || None);
-        walks[id] = Some(walk);
-        let sequential = Rc::clone(&self.sequential);
+        *self.table.slot(id) = Some(Description::Footprint(walk, None));
+        // The descriptor calls the footprint itself, not the table's walk:
+        // inlined, its `next` lists are never allocated, while each one
+        // handed through the walk is (20 000 allocations more in MGS
+        // SPF+CRI at 0.25 × 8). It reads the preludes of the loops it
+        // feeds from the table, which holds the walk.
+        let table = Rc::downgrade(&self.table.described);
         self.hints.set(id, move |iters, q, np| {
             let mut acc = Vec::with_capacity(8); // a loop's touches, without regrowth
             let declare = |t: &Touch, section| match t.mode {
@@ -466,8 +543,8 @@ impl<'t, 'n> Spf<'t, 'n> {
                         }
                         Next::Loop(id, iters) => (id, iters),
                     };
-                    let between = sequential.borrow().get(id).cloned().flatten();
-                    let between = between.map_or_else(Vec::new, |f| f(&iters));
+                    let table = table.upgrade().expect("the run-time's table");
+                    let between = prelude(&table.borrow(), id, &iters);
                     let mut rewritten = Vec::new();
                     for s in between.iter().filter(|s| s.at == t.at) {
                         let Some(part) = within(&t, &s.cols) else {
@@ -506,17 +583,29 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// master republishes what it rewrites to the loop's readers with
     /// the dispatch ([`HintEngine::republish`]), and a loop whose writes
     /// it reads or rewrites sends them to the master alone
-    /// ([`Spf::describe`]). Register it before the first dispatch.
+    /// ([`Spf::describe`]). Register this prelude after the loop's
+    /// footprint, before [`Spf::run`].
     pub fn describe_sequential(
         &self,
         id: usize,
         footprint: impl Fn(&Range<usize>) -> Vec<Touch> + 't,
     ) {
-        let mut sequential = self.sequential.borrow_mut();
-        if sequential.len() <= id {
-            sequential.resize_with(id + 1, || None);
+        match &mut *self.table.slot(id) {
+            Some(Description::Footprint(_, prelude)) => *prelude = Some(Box::new(footprint)),
+            _ => panic!("loop {id} has a prelude but no footprint"),
         }
-        sequential[id] = Some(Rc::new(footprint));
+    }
+
+    /// Describe loop `id` by an inspector, which walks a run-time map for
+    /// the sections node `q` of `np` touches over `iters`, memoized until
+    /// [`Spf::invalidate_schedules`] ([`HintEngine::register_dynamic`]).
+    pub fn describe_inspector(
+        &self,
+        id: usize,
+        inspect: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
+    ) {
+        *self.table.slot(id) = Some(Description::Inspector);
+        self.hints.register_dynamic(id, inspect);
     }
 
     /// Register the subroutine a parallel loop was encapsulated into.
@@ -542,6 +631,7 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// `master_fn` and returns `Some` of its result; workers dispatch
     /// loops until shutdown and return `None`.
     pub fn run<R>(&self, master_fn: impl FnOnce(&Master<'_, 't, 'n>) -> R) -> Option<R> {
+        self.table.fixed.set(true);
         if self.tmk.proc_id() == 0 {
             let m = Master { spf: self };
             let r = master_fn(&m);
@@ -567,10 +657,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             .tmk
             .node()
             .trace_span(sp2sim::SpanKind::Compute, ctl.id as u32);
-        let hinted = self.hints.has(ctl.id);
-        if hinted {
-            self.hints.before_loop(ctl.id, &ctl.range);
-        }
+        self.hints.before_loop(ctl.id, &ctl.range);
         let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(ctl));
         self.tmk.fence_views(Some(ctl.id), fence);
         {
@@ -578,138 +665,86 @@ impl<'t, 'n> Spf<'t, 'n> {
             (loops[ctl.id])(ctl);
         }
         self.tmk.fence_views(None, None);
-        if hinted {
-            self.hints.after_loop(ctl.id, &ctl.range);
-        }
+        self.hints.after_loop(ctl.id, &ctl.range);
     }
 
-    /// Count the uncounted touches of `group`, about to run, and of what
+    /// Count the uncounted words of `group`, about to run, and of what
     /// it names, and install the change (see the crate doc).
     fn privatize<'a>(&self, group: impl Iterator<Item = LoopCtl<'a>>) {
-        let mut privacy = self.privacy.borrow_mut();
-        let pv = &mut *privacy;
-        if pv.revision != self.hints.revision() {
-            (pv.revision, pv.counted) = (self.hints.revision(), HashSet::new());
+        let (table, tmk) = (&self.table, self.tmk);
+        if table.stopped.get() {
+            return;
         }
-        let new = |k: &LoopKey| self.hints.has(k.0) && !pv.dynamic && !pv.counted.contains(k);
-        let mut todo: Vec<LoopKey> = group.map(|ctl| loop_key(&ctl)).filter(new).collect();
-        let (tmk, np, mut changed) = (self.tmk, self.tmk.nprocs(), Vec::new());
-        let mut touch = |t: &Touch, q| {
-            for p in t.columns().flat_map(|j| tmk.page_span(t.at.arr, &t.run(j))) {
-                let was = pv.touched.insert(p, None);
-                let own = (q != 0 && was.is_none_or(|t| t == Some(q))).then_some(q);
-                pv.touched.insert(p, own);
-                changed.extend((was != Some(own)).then_some(p));
-            }
+        // Only what is left to count: most dispatches allocate nothing.
+        let new = |k: &LoopKey| {
+            let counted = table.facts.borrow().get(k).is_some_and(|f| f.counted);
+            table.opaque(k.0).is_some() && !counted
         };
+        let mut todo: Vec<LoopKey> = group.map(|ctl| loop_key(&ctl)).filter(new).collect();
+        let (mut touched, mut changed) = (table.touched.borrow_mut(), Vec::new());
         while let Some(key) = todo.pop() {
-            if !self.hints.has(key.0) || !pv.counted.insert(key) {
-                continue;
-            }
-            let (id, iters) = (key.0, key.1..key.2);
-            let walk = pv.walks.get(id).cloned().flatten();
-            let Some(walk) = walk.filter(|_| !pv.dynamic && self.may_fuse(id)) else {
-                pv.dynamic = true;
+            // An undescribed loop declares nothing; an opaque one stops
+            // the count.
+            let Some(opaque) = table.opaque(key.0) else {
                 continue;
             };
-            for q in 0..np {
-                walk(&iters, q, np, &mut |t, nexts| {
-                    touch(&t, q);
-                    for n in nexts {
-                        match n {
-                            Next::Node(node, cols) => touch(&Touch { cols, ..t.clone() }, node),
-                            Next::Loop(id, i) => todo.push((id, i.start, i.end)),
-                        }
-                    }
-                });
+            if opaque {
+                table.stopped.set(true);
+                break;
             }
+            let mut facts = table.facts(&[key], tmk.nprocs());
+            let facts = facts.get_mut(&key).expect("evaluated");
+            if std::mem::replace(&mut facts.counted, true) {
+                continue;
+            }
+            for &(node, _, ref t) in &facts.words {
+                for p in t.columns().flat_map(|j| tmk.page_span(t.at.arr, &t.run(j))) {
+                    let was = touched.get(&p).copied();
+                    let own = (node != 0 && was.is_none_or(|t| t == Some(node))).then_some(node);
+                    if was != Some(own) {
+                        touched.insert(p, own);
+                        changed.push(p);
+                    }
+                }
+            }
+            todo.extend_from_slice(&facts.next);
         }
-        for (&p, t) in pv.touched.iter_mut().filter(|_| pv.dynamic) {
+        for (&p, t) in touched.iter_mut().filter(|_| table.stopped.get()) {
             changed.extend(t.take().map(|_| p));
         }
-        let changes: Vec<_> = changed.iter().map(|&p| (p, pv.touched[&p])).collect();
-        self.tmk.privatize(&changes);
-    }
-
-    /// The fusion cache, emptied first when a descriptor changed since.
-    fn fusion(&self) -> std::cell::RefMut<'_, Fusion> {
-        let mut fusion = self.fusion.borrow_mut();
-        if fusion.revision != self.hints.revision() {
-            *fusion = Fusion {
-                revision: self.hints.revision(),
-                ..Fusion::default()
-            };
-        }
-        fusion
+        let changes: Vec<_> = changed.iter().map(|&p| (p, touched[&p])).collect();
+        tmk.privatize(&changes);
     }
 
     /// What the body of `ctl` declared it opens on this node, by array.
-    fn fence(&self, ctl: &LoopCtl) -> Rc<ViewFence> {
-        let key = loop_key(ctl);
-        if let Some(fence) = self.fusion().fences.get(&key) {
-            return Rc::clone(fence);
-        }
-        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
-        let declared = self.hints.declared(ctl.id, &ctl.range, me, np);
+    fn fence(&self, ctl: &LoopCtl) -> ViewFence {
+        let (key, me) = (loop_key(ctl), self.tmk.proc_id());
+        let facts = self.table.facts(&[key], self.tmk.nprocs());
         let mut arrays: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
-        for a in declared.expect("a fused loop is described") {
-            let runs = a.section.runs().iter().cloned();
-            match arrays.iter_mut().find(|(arr, _)| *arr == a.arr) {
+        let mine = |w: &&Words| w.0 == me && w.1.is_some();
+        for (_, _, t) in facts[&key].words.iter().filter(mine) {
+            let runs = t.columns().map(|j| t.run(j));
+            match arrays.iter_mut().find(|(arr, _)| *arr == t.at.arr) {
                 Some((_, all)) => all.extend(runs),
-                None => arrays.push((a.arr, runs.collect())),
+                None => arrays.push((t.at.arr, runs.collect())),
             }
         }
         for (_, runs) in &mut arrays {
             *runs = merge_ranges(std::mem::take(runs));
         }
-        let fence = Rc::new(ViewFence {
-            loop_id: ctl.id,
-            arrays,
-        });
-        self.fusion().fences.insert(key, Rc::clone(&fence));
-        fence
+        let loop_id = ctl.id;
+        ViewFence { loop_id, arrays }
     }
 
-    /// May loop `id` share a dispatch at all? It has a descriptor and
-    /// no sequential footprint.
-    fn may_fuse(&self, id: usize) -> bool {
-        let sequential = self
-            .sequential
-            .borrow()
-            .get(id)
-            .is_some_and(Option::is_some);
-        self.hints.has(id) && !sequential
-    }
-
-    /// Every node's declared accesses of `ctl`, `None` when its
-    /// descriptor is dynamic.
-    fn declared(&self, ctl: &LoopCtl) -> Option<Vec<Vec<Access>>> {
-        let np = self.tmk.nprocs();
-        (0..np)
-            .map(|q| self.hints.declared(ctl.id, &ctl.range, q, np))
-            .collect()
-    }
-
-    /// May `later` run in the same dispatch as `earlier`, before it? No
-    /// node's share of one may touch a word another node's share of the
-    /// other writes (see "Dispatch fusion" in the crate doc). Cached.
+    /// May `later` run in the same dispatch as `earlier`, before it? Only
+    /// when both are transparent and [`independent`].
     fn fusable(&self, earlier: &LoopCtl, later: &LoopCtl) -> bool {
-        if !self.may_fuse(earlier.id) || !self.may_fuse(later.id) {
+        let (a, b) = (loop_key(earlier), loop_key(later));
+        if [a, b].iter().any(|k| self.table.opaque(k.0) != Some(false)) {
             return false;
         }
-        let key = (loop_key(earlier), loop_key(later));
-        if let Some(&verdict) = self.fusion().verdicts.get(&key) {
-            return verdict;
-        }
-        let verdict = match (self.declared(earlier), self.declared(later)) {
-            (Some(a), Some(b)) => (a.iter().enumerate()).all(|(p, a)| {
-                let others = b.iter().enumerate().filter(|&(q, _)| q != p);
-                others.map(|(_, b)| b).all(|b| independent(a, b))
-            }),
-            _ => false,
-        };
-        self.fusion().verdicts.insert(key, verdict);
-        verdict
+        let facts = self.table.facts(&[a, b], self.tmk.nprocs());
+        independent(&facts[&a].words, &facts[&b].words)
     }
 
     /// How many of `loops`, from the first, go out in one dispatch: the
@@ -845,14 +880,11 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         self.spf.tmk.settle_join(true);
         self.spf.privatize(group.iter().cloned());
         for ctl in group {
-            let between = self.spf.sequential.borrow().get(ctl.id).cloned().flatten();
-            let Some(f) = between else {
-                continue;
-            };
+            let between = prelude(&self.spf.table.described.borrow(), ctl.id, &ctl.range);
             // The sequential code that just ran rewrote these: they ride
             // the dispatch to the loop's readers. (A loop with a
             // sequential footprint is never fused: it is alone here.)
-            let rewritten = f(&ctl.range).into_iter().filter(|s| s.mode != Mode::Read);
+            let rewritten = between.into_iter().filter(|s| s.mode != Mode::Read);
             let consumed = |s: Touch| {
                 Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
             };
@@ -1029,6 +1061,16 @@ mod tests {
     /// forks it took and the array's sum after it. A write stores 1, an
     /// update adds 1.
     fn pair(first: (Col, Mode), second: (Col, Mode), reg: Second) -> (u64, f64) {
+        let (forks, sum, _) = pair_owners(first, second, reg);
+        (forks, sum)
+    }
+
+    /// [`pair`], and the owner privatization found for each page, if any.
+    fn pair_owners(
+        first: (Col, Mode),
+        second: (Col, Mode),
+        reg: Second,
+    ) -> (u64, f64, Vec<Option<usize>>) {
         let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
             let spf = Spf::new(&tmk);
@@ -1057,7 +1099,7 @@ mod tests {
             match reg {
                 Second::Described => spf.describe(b, declared(second), |_, _| vec![]),
                 Second::Plain => {}
-                Second::Dynamic => spf.hints().register_dynamic(b, move |_, q, np| {
+                Second::Dynamic => spf.describe_inspector(b, move |_, q, np| {
                     let t = touch(second, q, np);
                     vec![match t.mode {
                         Mode::Read => Access::read(at.arr, t.section()),
@@ -1075,12 +1117,14 @@ mod tests {
                 let over = |id| LoopCtl::new(id, 0..3, Schedule::Block, &[]);
                 m.par_loops(&[over(a), over(b)]);
                 let sum = m.tmk().read(at.arr, 0..3 * 512).slice().iter().sum::<f64>();
-                (forks() - before, sum)
+                let touched = m.spf().table.touched.borrow();
+                let owner = |j| touched.get(&(at.arr.first_page() + j)).copied().flatten();
+                (forks() - before, sum, (0..3).map(owner).collect())
             });
             tmk.finish();
             r
         });
-        out.results[0].expect("the master's")
+        out.results[0].clone().expect("the master's")
     }
 
     #[test]
@@ -1112,12 +1156,26 @@ mod tests {
         }
     }
 
+    /// Fusion and privatization read loops through one predicate: a
+    /// footprint loop fuses with a disjoint neighbour and the columns of
+    /// nodes 1 and 2 go private; a loop with no description, an inspector
+    /// or a prelude does neither (an undescribed one declares nothing;
+    /// the other two share every page).
     #[test]
     fn undescribed_dynamic_and_sequential_loops_are_never_fused() {
         let own = |mode| (Col::Own, mode);
+        let private = vec![None, Some(1), Some(2)];
+        let described = pair_owners(own(Mode::Write), own(Mode::Update), Second::Described);
+        assert_eq!(described, (1, 3.0 * 1024.0, private.clone()));
         for reg in [Second::Plain, Second::Dynamic, Second::AfterSequential] {
-            let (forks, sum) = pair(own(Mode::Write), own(Mode::Update), reg);
+            let (forks, sum, owners) = pair_owners(own(Mode::Write), own(Mode::Update), reg);
             assert_eq!((forks, sum), (2, 3.0 * 1024.0));
+            let counted = if reg == Second::Plain {
+                private.clone()
+            } else {
+                vec![None; 3]
+            };
+            assert_eq!(owners, counted);
         }
     }
 
@@ -1156,8 +1214,25 @@ mod tests {
         );
     }
 
+    /// Describing a loop once the run began panics, naming the loop:
+    /// nothing fusion or privatization derived can go stale.
+    #[test]
+    fn a_description_after_the_run_began_panics() {
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let spf = Spf::new(&tmk);
+                let late = spf.register(|_: &LoopCtl| {});
+                spf.run(|m| m.spf().describe_inspector(late, |_, _, _| vec![]));
+                tmk.finish();
+            });
+        })
+        .expect_err("the description comes after the run began");
+        let said = panic_message(payload);
+        assert!(said.contains("loop 0 described after Spf::run"), "{said}");
+    }
+
     /// What a panic said.
-    #[cfg(debug_assertions)]
     fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         match payload.downcast::<String>() {
             Ok(said) => *said,
@@ -1344,8 +1419,6 @@ mod tests {
     /// fetches).
     #[test]
     fn hinted_registration_agrees_and_saves_messages() {
-        use cri::{Access, Section};
-
         let run_with = |hinted: bool| {
             Cluster::run(ClusterConfig::sp2(4), move |node| {
                 let tmk = Tmk::new(node, TmkConfig::default());
@@ -1374,15 +1447,14 @@ mod tests {
                 };
                 let (prod, sum) = (spf.register(body_prod), spf.register(body_sum));
                 if hinted {
-                    spf.hints().set(prod, move |iters, me, np| {
-                        vec![
-                            Access::write(a, Section::range(block_range(me, np, iters.clone())))
-                                .consumed_by_loop(1, 0..len),
-                        ]
-                    });
-                    spf.hints().set(sum, move |_iters, _me, _np| {
-                        vec![Access::read(a, Section::range(0..len))]
-                    });
+                    let at = Cols::new(a, 1);
+                    let block = move |i: &Range<usize>, me, np| block_range(me, np, i.clone());
+                    let own = move |i: &Range<usize>, me, np| {
+                        Some([at.touch(block(i, me, np), Mode::Update)])
+                    };
+                    spf.describe(prod, own, move |_, _| vec![Next::Loop(sum, 0..len)]);
+                    let all = move |_: &Range<usize>, _, _| Some([at.touch(0..len, Mode::Read)]);
+                    spf.describe(sum, all, |_, _| vec![]);
                 }
                 let r = spf.run(|m| {
                     m.par_loop(prod, 0..len, Schedule::Block, &[]);
@@ -1414,8 +1486,6 @@ mod tests {
     /// flushes stay local.
     #[test]
     fn hinted_pipeline_agrees_across_protocols() {
-        use cri::{Access, Section};
-
         let run_with = |protocol: ProtocolMode| {
             Cluster::run(ClusterConfig::sp2(4), move |node| {
                 let tmk = Tmk::new(node, TmkConfig::default().with_protocol(protocol));
@@ -1443,15 +1513,14 @@ mod tests {
                     }
                 };
                 let (prod, sum) = (spf.register(body_prod), spf.register(body_sum));
-                spf.hints().set(prod, move |iters, me, np| {
-                    vec![
-                        Access::write(a, Section::range(block_range(me, np, iters.clone())))
-                            .consumed_by_loop(1, 0..len),
-                    ]
-                });
-                spf.hints().set(sum, move |_iters, _me, _np| {
-                    vec![Access::read(a, Section::range(0..len))]
-                });
+                let at = Cols::new(a, 1);
+                let block = move |i: &Range<usize>, me, np| block_range(me, np, i.clone());
+                let own = move |i: &Range<usize>, me, np| {
+                    Some([at.touch(block(i, me, np), Mode::Update)])
+                };
+                spf.describe(prod, own, move |_, _| vec![Next::Loop(sum, 0..len)]);
+                let all = move |_: &Range<usize>, _, _| Some([at.touch(0..len, Mode::Read)]);
+                spf.describe(sum, all, |_, _| vec![]);
                 let r = spf.run(|m| {
                     m.par_loop(prod, 0..len, Schedule::Block, &[]);
                     m.par_loop(sum, 0..len, Schedule::Block, &[]);
@@ -1626,7 +1695,7 @@ mod tests {
             };
             spf.describe(body, footprint, to);
             match then {
-                Then::Inspector => spf.hints().register_dynamic(next, |_, _, _| vec![]),
+                Then::Inspector => spf.describe_inspector(next, |_, _, _| vec![]),
                 _ => spf.describe(next, |_: &Range<usize>, _, _| Some([]), |_, _| vec![]),
             }
             if then == Then::Sequential {
@@ -1635,8 +1704,8 @@ mod tests {
             let r = spf.run(|m| {
                 m.par_loop(body, 0..4, Schedule::Block, &[]);
                 m.par_loop(next, 0..4, Schedule::Block, &[]);
-                let privacy = m.spf().privacy.borrow();
-                let owner = |page| privacy.touched.get(&page).copied().flatten();
+                let touched = m.spf().table.touched.borrow();
+                let owner = |page| touched.get(&page).copied().flatten();
                 arrays
                     .map(|a| (0..4).map(|j| owner(a.arr.first_page() + j)).collect())
                     .to_vec()

@@ -141,7 +141,7 @@ pub struct Tmk<'n> {
     trace_epoch: Cell<u32>,
     pub(crate) scratch: RefCell<Scratch>,
     /// What views may open, while a body of a fused dispatch runs.
-    fence: RefCell<Option<Rc<ViewFence>>>,
+    fence: RefCell<Option<ViewFence>>,
     /// The loop whose body runs here.
     body: Cell<Option<usize>>,
     /// Some page was ever made private or shared again here.
@@ -428,7 +428,7 @@ impl<'n> Tmk<'n> {
     /// Mark loop `body`'s body running here (`None` between bodies); with
     /// debug assertions its views panic outside `fence` — a fused body's
     /// descriptor — or on a page private to another node.
-    pub fn fence_views(&self, body: Option<usize>, fence: Option<Rc<ViewFence>>) {
+    pub fn fence_views(&self, body: Option<usize>, fence: Option<ViewFence>) {
         self.body.set(body);
         *self.fence.borrow_mut() = fence;
     }

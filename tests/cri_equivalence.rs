@@ -13,10 +13,9 @@
 use std::ops::Range;
 
 use apps::{AppId, RunSpec, Version};
-use cri::{Access, Section};
 use proptest::prelude::*;
 use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
-use spf::{block_range, LoopCtl, Schedule, Spf};
+use spf::{block_range, Cols, LoopCtl, Mode, Next, Schedule, Spf};
 use treadmarks::{ProtocolMode, Tmk, TmkConfig};
 
 /// A synthetic phase-regular pipeline over one shared array: `rounds`
@@ -57,22 +56,18 @@ fn pipeline_bits(
                     }
                 }
             };
-            let access_prod = move |iters: &Range<usize>, me: usize, np: usize| {
+            // The ghost-extended block read, the own block updated for the loop itself.
+            let at = Cols::new(a, 1);
+            let footprint = move |iters: &Range<usize>, me: usize, np: usize| {
                 let r = block_range(me, np, iters.clone());
-                if r.is_empty() {
-                    return vec![];
-                }
                 let lo = r.start.saturating_sub(17);
                 let hi = (r.end + 17).min(len);
-                vec![
-                    Access::read(a, Section::range(lo..hi)),
-                    Access::write(a, Section::range(r)).consumed_by_loop(0, 0..len),
-                ]
+                (!r.is_empty()).then(|| [at.touch(lo..hi, Mode::Read), at.touch(r, Mode::Update)])
             };
             let prod = spf.register(body_prod);
             assert_eq!(prod, 0, "descriptor self-reference assumes id 0");
             if hinted {
-                spf.hints().set(prod, access_prod);
+                spf.describe(prod, footprint, move |_, _| vec![Next::Loop(0, 0..len)]);
             }
             spf.run(|m| {
                 for round in 0..rounds {

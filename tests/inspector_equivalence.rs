@@ -256,7 +256,7 @@ fn map_rebuild_reinspects_once_and_stays_correct() {
                 }
             };
             let gather = spf.register(body);
-            spf.hints().register_dynamic(gather, {
+            spf.describe_inspector(gather, {
                 let (tmk, map, insp) = (&tmk, &map, &insp);
                 move |iters, q, nprocs| {
                     let r = block_range(q, nprocs, iters.clone());
