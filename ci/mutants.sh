@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# The twelve historic protocol bugs as mutants: each patch under
+# The thirteen historic protocol bugs as mutants: each patch under
 # ci/mutants/ re-breaks one fix (the stale twin, the publish window, the
 # lock send order, and the three rules that order LRC's diffs: a range
 # stamped at its last interval, an open range that spans a foreign
 # notice, a push applied ahead of an older diff, the windowed
 # reduction's fold order, a superseding push installed over what it
 # does not dominate, a join's early pushes left out of the next fork's
-# counts), one declaration (a write-all touch whose body reads first) or
-# one of two derivations (dispatch fusion across a write-after-read,
-# privatization that counts no read) in a scratch copy of the tree, and
+# counts, a chained body started before its link push), one declaration
+# (a write-all touch whose body reads first) or one of two derivations
+# (dispatch fusion across a write-after-read, privatization that counts
+# no read) in a scratch copy of the tree, and
 # the schedule-exploration suite, in release at CI's seed budget, must
 # fail on it and name the seed that did it — or the FIFO schedule,
 # `sequential`, which a run without `--engine` replays. A patch whose

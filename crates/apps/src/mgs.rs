@@ -9,11 +9,14 @@
 //!   vector `i` must move from its owner to the master and back out to
 //!   everyone (the locality loss the paper blames for 3.35 vs 4.19);
 //! * **SPF+CRI**: the same program with the compiler's descriptors, which
-//!   say the master rewrites the pivot before every orthogonalization —
-//!   so the owner pushes the next pivot to the master alone, and the
-//!   master's normalized pivot reaches every worker with the dispatch,
-//!   down a push tree: each pivot travels once to each node, §5.3's
-//!   merged data and synchronization without the hand edit;
+//!   say the normalization before every orthogonalization rewrites the
+//!   pivot — which only its owner wrote in the dispatch before. So the
+//!   owner normalizes it at the end of its own body and pushes it down a
+//!   tree rooted at itself, and every node starts its next body once the
+//!   pivot is in: the whole pivot loop is one chained fork-join, each
+//!   pivot travels once to each node, and no rendezvous is left per
+//!   pivot — §5.3's merged data and synchronization without the hand
+//!   edit;
 //! * **TreadMarks (hand)**: the owner of vector `i` normalizes it in
 //!   place; everyone else pages it in after one barrier per iteration;
 //! * **XHPF**: SPMD — the owner sends the unnormalized vector to all
@@ -247,14 +250,15 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig, use_bcast: bool) -> NodeOu
 /// The SPF version; with `cri` the compiler's descriptors hint the
 /// broadcast-producing structure of §5.3: the orthogonalize loop's
 /// cyclic column sets over a triangular iteration space (`DO J = I+1, N`,
-/// [`Touch::cyclic`]), and the footprint of the master's sequential
-/// normalization before each dispatch ([`Spf::describe_sequential`]).
-/// From the two, `spf` derives that the next pivot's owner pushes it
-/// to the master alone — the master reads it, and its rewrite
-/// supersedes what the workers would have read — and the master
-/// republishes the normalized pivot with the fork, down a push tree to
-/// every worker: data merged into synchronization like the hand
-/// broadcast, but compiler-described.
+/// [`Touch::cyclic`]), and the footprint of the sequential normalization
+/// before each dispatch ([`Spf::describe_sequential`]). From the two,
+/// `spf` derives that each pivot lies in the words its owner wrote in
+/// the dispatch before, so the pivot loop is one chained dispatch: the
+/// owner runs the normalization at the end of its body and pushes the
+/// pivot down a tree rooted at itself, and every node takes it before
+/// its next body — data merged into synchronization like the hand
+/// broadcast, but compiler-described. Without descriptors the master
+/// runs the normalization before each dispatch, joined first.
 fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let n = p.n;
     let me = node.id();
@@ -282,8 +286,17 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let (tmk, a) = (&tmk, &a);
         move |ctl: &LoopCtl| a.init(tmk, &init(&ctl.range, me, np))
     });
+    // Normalization is sequential code, emitted before each dispatch of
+    // the orthogonalization: args[0] is the pivot it normalizes.
+    spf.register_sequential(l_upd, {
+        let (tmk, a) = (&tmk, &a);
+        move |ctl: &LoopCtl| {
+            normalize(a.update_col(tmk, ctl.args[0] as usize).slice_mut());
+            node.advance(n as f64 * NORM_US);
+        }
+    });
     if cri {
-        // Written columns feed the loop's next dispatch, and the master's
+        // Written columns feed the loop's next dispatch, and the
         // normalization before it reads and rewrites the first of them,
         // the next pivot.
         let a = &a;
@@ -299,14 +312,12 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let cs = spf.run(|mr| {
         mr.par_loop(l_init, 0..n, Schedule::Cyclic, &[]);
         mr.par_loop(l_start, 0..0, Schedule::Block, &[]);
-        for i in 0..n {
-            // Normalization is sequential code: the master executes it,
-            // pulling vector i over from its owner (pushed there by the
-            // hinted versions).
-            normalize(a.update_col(mr.tmk(), i).slice_mut());
-            node.advance(n as f64 * NORM_US);
-            mr.par_loop(l_upd, i + 1..n, Schedule::Cyclic, &[i as u64]);
-        }
+        // The pivot loop, each dispatch after its normalization.
+        let pivots: Vec<[u64; 1]> = (0..n as u64).map(|i| [i]).collect();
+        let links: Vec<LoopCtl> = (0..n)
+            .map(|i| LoopCtl::new(l_upd, i + 1..n, Schedule::Cyclic, &pivots[i]))
+            .collect();
+        mr.par_loops(&links);
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &a)
     });
@@ -448,9 +459,9 @@ mod tests {
             cri.messages,
             spf.messages
         );
-        // Every demand fetch became a push riding a rendezvous: a pivot
-        // reaches the master from its owner, then every worker from the
-        // master, down the push tree — at most one message per node.
+        // Every demand fetch became a push: a pivot reaches every node
+        // from its owner, down the push tree rooted there, the first with
+        // the pivot loop's one fork — one message per node.
         assert_eq!(cri.stats.messages(sp2sim::MsgKind::DiffReq), 0);
         assert!(cri.dsm.pages_pushed > 0);
         let pivots = params(SCALE).n as u64;

@@ -10,7 +10,9 @@
 //! are mechanical transliterations of compiler output:
 //!
 //! * a single **master** executes all sequential code; **workers** wait in
-//!   a dispatch loop for parallel work;
+//!   a dispatch loop for parallel work (with descriptors, the code before
+//!   a loop's dispatch may run on the one node whose writes it reads: see
+//!   "Chained dispatches" below);
 //! * in the SPF versions, every parallel loop is bracketed by
 //!   synchronization (the fork departure and the join arrival) whether
 //!   it needs it or not (with descriptors, adjacent loops that no other
@@ -52,8 +54,8 @@
 //!
 //! Each loop is described once, before [`Spf::run`] (a later description
 //! panics): by its footprint with its `next` ([`Spf::describe`]), plus
-//! the master's prelude before each of its dispatches
-//! ([`Spf::describe_sequential`]), or by an inspector
+//! the prelude — the sequential code before each of its dispatches
+//! ([`Spf::describe_sequential`]) — or by an inspector
 //! ([`Spf::describe_inspector`]). A loop described by a footprint alone
 //! is *transparent*; an inspector's sections exist only once it ran, and
 //! a prelude moves with every dispatch, so those two are *opaque*, to
@@ -61,16 +63,24 @@
 //! node's footprint is walked once, the first time a derivation asks,
 //! and kept as its facts: each node's touches, the words each
 //! [`Next::Node`] reads, and the loops its writes go to next. Dispatch
-//! fusion and derived privatization read them, and nothing else.
+//! fusion and derived privatization read them, and nothing else. A
+//! prelude is transparent to fusion where its code is registered
+//! ([`Spf::register_sequential`]) and its footprint lies inside the
+//! words exactly one node wrote in the dispatch before: then its loop
+//! may join a run as a chained link, below; such a loop's touches are
+//! walked afresh at each link and kept nowhere.
 //!
 //! ## Dispatch fusion
 //!
 //! [`Master::par_loops`] takes a run of adjacent loops — no sequential
-//! code between them — and ships each maximal run of transparent loops
-//! that no other node depends on in one fork: for every pair of nodes
+//! code between them but what is registered before each — and ships
+//! each maximal run of transparent loops (or chained links, below) that
+//! no other node depends on in one fork: for every pair of nodes
 //! `q ≠ q'`, no earlier loop's writes on `q'` meet a later loop's reads
 //! or writes on `q`, and no earlier loop's reads on `q'` meet a later
-//! loop's writes on `q`, word for word. The last term counts because a
+//! loop's writes on `q`, word for word — tested against the words every
+//! node used in the run so far, so that a long run is no quadratic walk.
+//! The last term counts because a
 //! write-all body overwrites its pages in place: a request served while
 //! it runs would be served its newer words. Every node runs the bodies
 //! in order, each inside its own validate and push registration; the
@@ -78,6 +88,30 @@
 //! loop is fused under the original interface. With debug assertions,
 //! each body of a fused dispatch may open views only inside what it
 //! declared for its node.
+//!
+//! ## Chained dispatches
+//!
+//! A loop after the first of a run may have a prelude (MGS's pivot loop,
+//! each dispatch after its normalization: [`Master::par_loops`] of every
+//! pivot's link). It shares the run's fork as a *chained link* when the
+//! prelude's footprint lies inside the words exactly one node — its
+//! *writer* — wrote in the loop before, and the loop passes the fusion
+//! test above against every earlier loop of the run, but for the words
+//! the prelude rewrites, which its writer pushes. The writer runs the
+//! prelude at the end of its body of the loop before, publishes, and
+//! pushes the rewritten words to every node whose body of the link reads
+//! them ([`treadmarks::Tmk::push_link`]: a superseding push, down the
+//! tree rooted at the writer when every other node reads them); each of
+//! them starts that body once the push is in
+//! ([`treadmarks::Tmk::take_link_push`]). Every node derives the writer
+//! and the readers from the loop table, so nothing announces the push,
+//! and the run's one join closes the chain. No other node may have
+//! written a page the push carries since the run began. The write
+//! notices the readers skip arrive at that join, and find the pushed
+//! words already in place. Anywhere else — the first loop of a run, the
+//! original interface, a prelude no one node's writes hold, or code not
+//! registered — the master runs the sequential code, joined first. With
+//! debug assertions every body of a chain is fenced as a fused one is.
 //!
 //! ## Derived privatization
 //!
@@ -96,10 +130,12 @@
 //! waits, beside the workers' own, and the next fork announces them;
 //! the pushes addressed to the master are taken once that fork is out,
 //! before its own body. Anything else — [`Master::tmk`],
-//! [`Master::spf`], [`Master::produce`] — joins first as before, and the
-//! pushes ride the next fork. With debug assertions the master's view
-//! outside a body while the join is deferred panics: sequential code
-//! must reach the DSM through [`Master::tmk`].
+//! [`Master::spf`], [`Master::produce`], a first loop's registered
+//! sequential code — joins first as before, and the pushes ride the next
+//! fork. A chain has one join, after its last link. With debug
+//! assertions the master's view outside a body while the join is
+//! deferred panics: sequential code must reach the DSM through
+//! [`Master::tmk`].
 //!
 //! ## Example
 //!
@@ -312,9 +348,10 @@ type LoopBody<'t> = Box<dyn Fn(&LoopCtl) + 't>;
 type Prelude<'t> = Box<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
 
 /// A loop's footprint with its `next` ([`Spf::describe`]): each touch of
-/// node `q`'s share over `iters`, visited with who reads it next.
+/// node `q`'s share over `iters`, visited with who reads it next — when
+/// the flag asks for that, else with nothing.
 type Footprint<'t> =
-    Box<dyn Fn(&Range<usize>, usize, usize, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
+    Box<dyn Fn(&Range<usize>, usize, usize, bool, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
 
 /// A loop's one description (see "The loop table" in the crate doc).
 enum Description<'t> {
@@ -394,56 +431,305 @@ impl<'t> LoopTable<'t> {
     /// of every node's footprint, the first time it is asked for.
     fn facts(&self, keys: &[LoopKey], np: usize) -> RefMut<'_, HashMap<LoopKey, Facts>> {
         let mut facts = self.facts.borrow_mut();
-        for &(id, start, end) in keys {
-            if facts.contains_key(&(id, start, end)) {
-                continue;
-            }
-            let described = self.described.borrow();
-            let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
-                unreachable!("loop {id} is opaque");
-            };
-            let mut f = Facts::default();
-            for q in 0..np {
-                footprint(&(start..end), q, np, &mut |t, nexts| {
-                    for n in nexts {
-                        match n {
-                            Next::Node(node, cols) => {
-                                f.words.push((node, None, Touch { cols, ..t.clone() }))
-                            }
-                            Next::Loop(id, iters) => f.next.push((id, iters.start, iters.end)),
-                        }
-                    }
-                    f.words.push((q, Some(t.mode), t));
-                });
-            }
-            facts.insert((id, start, end), f);
+        for &key in keys {
+            facts.entry(key).or_insert_with(|| {
+                let mut f = Facts::default();
+                self.walk(key, np, true, &mut f);
+                f
+            });
         }
         facts
     }
+
+    /// One walk of every node's footprint of `key`'s loop over its range,
+    /// into `f`, emptied first; with `next`, where each write goes next
+    /// too. Unless [`LoopTable::facts`] keeps it, it is kept nowhere: a
+    /// chained link's (see "Chained dispatches" in the crate doc), whose
+    /// range is never dispatched again, needs only its touches.
+    fn walk(&self, (id, start, end): LoopKey, np: usize, next: bool, f: &mut Facts) {
+        let described = self.described.borrow();
+        let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
+            unreachable!("loop {id} has no footprint");
+        };
+        f.words.clear();
+        f.next.clear();
+        for q in 0..np {
+            footprint(&(start..end), q, np, next, &mut |t, nexts| {
+                for n in nexts {
+                    match n {
+                        Next::Node(node, cols) => {
+                            f.words.push((node, None, Touch { cols, ..t.clone() }))
+                        }
+                        Next::Loop(id, iters) => f.next.push((id, iters.start, iters.end)),
+                    }
+                }
+                f.words.push((q, Some(t.mode), t));
+            });
+        }
+    }
+
+    /// Whether loop `id` is described by its footprint and a prelude.
+    fn has_prelude(&self, id: usize) -> bool {
+        let described = self.described.borrow();
+        matches!(
+            described.get(id),
+            Some(Some(Description::Footprint(_, Some(_))))
+        )
+    }
 }
 
-/// Whether a loop whose words are `earlier` may share a dispatch with a
-/// later one whose words are `later` (see "Dispatch fusion" in the crate
-/// doc).
-fn independent(earlier: &[Words], later: &[Words]) -> bool {
-    let hazard = |(p, x, s): &Words, (q, y, t): &Words| {
-        let written = |m: &Option<Mode>| m.is_some_and(|m| m != Mode::Read);
-        // Read-after-write and write-after-write: the earlier loop wrote.
-        let after_write = written(x) && y.is_some();
-        // Write-after-read: the later loop overwrites what it read.
-        let after_read = *x == Some(Mode::Read) && written(y);
-        p != q && s.at.arr == t.at.arr && (after_write || after_read) && s.meets(t)
+/// The words each node used in the loops of a run so far, by array and
+/// by whether it wrote them: what a next loop is tested against (see
+/// "Dispatch fusion" in the crate doc), without walking the earlier
+/// loops again. Kept between runs, emptied, so that it allocates only
+/// while it grows.
+#[derive(Default)]
+struct Used {
+    /// Each set's key and its word runs, sorted and disjoint.
+    sets: Vec<(SetKey, Vec<Range<usize>>)>,
+}
+
+/// Whose words a set of [`Used`] holds: `(node, the array's first page,
+/// written)`.
+type SetKey = (usize, usize, bool);
+
+impl Used {
+    /// Forget every loop.
+    fn clear(&mut self) {
+        self.sets.iter_mut().for_each(|(_, runs)| runs.clear());
+    }
+
+    /// Add a loop whose words are `words`.
+    fn add(&mut self, words: &[Words]) {
+        for (q, mode, t) in words {
+            let Some(mode) = *mode else {
+                continue;
+            };
+            let key = (*q, t.at.arr.first_page(), mode != Mode::Read);
+            let at = match self.sets.iter().position(|(k, _)| *k == key) {
+                Some(at) => at,
+                None => {
+                    self.sets.push((key, Vec::new()));
+                    self.sets.len() - 1
+                }
+            };
+            t.columns()
+                .for_each(|j| insert(&mut self.sets[at].1, t.run(j)));
+        }
+    }
+
+    /// Whether a loop whose words are `later` may run after the loops
+    /// added, in the same dispatch: for every pair of nodes `q ≠ p`, no
+    /// word `q` uses is one `p` wrote, and no word `q` writes is one `p`
+    /// read — but for the words `link` pushes to `q` from its writer,
+    /// which `q` reads once they arrived.
+    fn admits(&self, later: &[Words], link: Option<&Link>) -> bool {
+        later.iter().all(|(q, mode, t)| {
+            let Some(mode) = *mode else {
+                return true;
+            };
+            let pushed = |p: usize| match link {
+                Some(link) if link.writer == p && mode == Mode::Read => link.runs(t.at.arr),
+                _ => &[],
+            };
+            let arr = t.at.arr.first_page();
+            !self.sets.iter().any(|&((p, a, written), ref runs)| {
+                // Read-after-write and write-after-write: `p` wrote.
+                let after_write = written;
+                // Write-after-read: `q` overwrites what `p` read.
+                let after_read = !written && mode != Mode::Read;
+                let meet = || t.columns().any(|j| meets(runs, &t.run(j), pushed(p)));
+                p != *q && a == arr && (after_write || after_read) && meet()
+            })
+        })
+    }
+
+    /// Whether no node but `link`'s writer wrote a word of a page its
+    /// push carries: each reader installs the pages over its own frame,
+    /// which must hold no write of its own yet to be published.
+    fn clear_of(&self, link: &Link, page_words: usize) -> bool {
+        link.words.iter().all(|(arr, runs)| {
+            let pages = runs.iter().map(|r| {
+                r.start / page_words * page_words..r.end.div_ceil(page_words) * page_words
+            });
+            let others = |&&((p, a, written), _): &&(SetKey, Vec<Range<usize>>)| {
+                written && p != link.writer && a == arr.first_page()
+            };
+            (self.sets.iter().filter(others))
+                .all(|(_, set)| pages.clone().all(|r| !meets(set, &r, &[])))
+        })
+    }
+}
+
+/// Add word run `r` to `runs`, sorted and disjoint, merging what it
+/// meets or abuts.
+fn insert(runs: &mut Vec<Range<usize>>, r: Range<usize>) {
+    if r.is_empty() {
+        return;
+    }
+    let (i, j) = (
+        runs.partition_point(|x| x.end < r.start),
+        runs.partition_point(|x| x.start <= r.end),
+    );
+    if i == j {
+        runs.insert(i, r);
+    } else {
+        runs[i] = runs[i].start.min(r.start)..runs[j - 1].end.max(r.end);
+        runs.drain(i + 1..j);
+    }
+}
+
+/// Whether word run `r`, less the words of `minus`, meets a run of
+/// `runs` (both sorted and disjoint).
+fn meets(runs: &[Range<usize>], r: &Range<usize>, minus: &[Range<usize>]) -> bool {
+    let hit = |a: usize, b: usize| {
+        let k = runs.partition_point(|x| x.end <= a);
+        a < b && runs.get(k).is_some_and(|x| x.start < b)
     };
-    !earlier.iter().any(|x| later.iter().any(|y| hazard(x, y)))
+    let mut start = r.start;
+    for m in &minus[minus.partition_point(|m| m.end <= r.start)..] {
+        if m.start >= r.end {
+            break;
+        }
+        if hit(start, m.start) {
+            return true;
+        }
+        start = start.max(m.end);
+    }
+    hit(start, r.end)
+}
+
+/// The words of the loops around a chained link, walked afresh
+/// ([`LoopTable::walk`]): a link's range is never dispatched again.
+#[derive(Default)]
+struct Walks {
+    /// The loop whose words `last` holds.
+    key: Option<LoopKey>,
+    /// The loop before the last one's words.
+    before: Facts,
+    /// The last loop's words.
+    last: Facts,
+}
+
+impl Walks {
+    /// Walk loop `key`: its words, which `last` holds from now on.
+    fn walk(&mut self, table: &LoopTable, key: LoopKey, np: usize) -> &[Words] {
+        table.walk(key, np, false, &mut self.last);
+        self.key = Some(key);
+        &self.last.words
+    }
+
+    /// The link `ctl` makes after `prev`, if its prelude lies in what
+    /// one node wrote there ([`link`]); `last` holds `ctl`'s words from
+    /// now on.
+    fn link(
+        &mut self,
+        table: &LoopTable,
+        prev: &LoopCtl,
+        ctl: &LoopCtl,
+        np: usize,
+    ) -> Option<Link> {
+        if self.key != Some(loop_key(prev)) {
+            self.walk(table, loop_key(prev), np);
+        }
+        std::mem::swap(&mut self.before, &mut self.last);
+        self.walk(table, loop_key(ctl), np);
+        let prelude = prelude(&table.described.borrow(), ctl.id, &ctl.range);
+        link(&self.before.words, &self.last.words, &prelude, np)
+    }
+}
+
+/// A chained link's prelude, as every node derives it from the loop
+/// table (see "Chained dispatches" in the crate doc).
+struct Link {
+    /// The one node that wrote the prelude's words in the link before,
+    /// which runs it.
+    writer: usize,
+    /// What the prelude rewrites, by array, as sorted word runs: the
+    /// words the link push carries.
+    words: Vec<(SharedArray, Vec<Range<usize>>)>,
+    /// The other nodes whose body of the link reads a word of them.
+    readers: Vec<usize>,
+}
+
+impl Link {
+    /// The words pushed in `arr`.
+    fn runs(&self, arr: SharedArray) -> &[Range<usize>] {
+        let runs = self.words.iter().find(|(a, _)| *a == arr);
+        runs.map_or(&[], |(_, runs)| &runs[..])
+    }
+}
+
+/// The link whose prelude touches `prelude`, between a loop whose words
+/// are `before` and its next one, whose words are `after`: `None` unless
+/// exactly one node's writes in `before` meet the prelude, and they hold
+/// every word of it.
+fn link(before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> Option<Link> {
+    let writes = |w: &&Words| w.1.is_some_and(|m| m != Mode::Read);
+    let mut writer = None;
+    for s in prelude {
+        for (q, _, t) in before.iter().filter(writes) {
+            if t.at.arr == s.at.arr && t.meets(s) && *writer.get_or_insert(*q) != *q {
+                return None;
+            }
+        }
+    }
+    let writer = writer?;
+    let mut own = Vec::new();
+    for s in prelude {
+        own.clear();
+        let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
+        for (_, _, t) in before.iter().filter(writes).filter(mine) {
+            t.columns().for_each(|j| insert(&mut own, t.run(j)));
+        }
+        let inside = |r: Range<usize>| {
+            let k = own.partition_point(|x| x.end <= r.start);
+            r.is_empty()
+                || own
+                    .get(k)
+                    .is_some_and(|x| x.start <= r.start && r.end <= x.end)
+        };
+        if !s.columns().all(|j| inside(s.run(j))) {
+            return None;
+        }
+    }
+    let mut words: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
+    for s in prelude.iter().filter(|s| s.mode != Mode::Read) {
+        let at = match words.iter().position(|(arr, _)| *arr == s.at.arr) {
+            Some(at) => at,
+            None => {
+                words.push((s.at.arr, Vec::new()));
+                words.len() - 1
+            }
+        };
+        s.columns().for_each(|j| insert(&mut words[at].1, s.run(j)));
+    }
+    let link = Link {
+        writer,
+        words,
+        readers: Vec::new(),
+    };
+    let reads = |q: usize| {
+        after.iter().any(|(p, mode, t)| {
+            let pushed = link.runs(t.at.arr);
+            *p == q && mode.is_some() && t.columns().any(|j| meets(pushed, &t.run(j), &[]))
+        })
+    };
+    let readers = (0..np).filter(|&q| q != writer && reads(q)).collect();
+    Some(Link { readers, ..link })
 }
 
 /// The SPF run-time system bound to one node's DSM instance.
 pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
     loops: RefCell<Vec<LoopBody<'t>>>,
+    /// The sequential code before each dispatch of a loop, by loop id.
+    sequential: RefCell<Vec<Option<LoopBody<'t>>>>,
     hints: HintEngine<'t, 'n>,
     /// Every loop's description and what it comes to.
     table: LoopTable<'t>,
+    /// What the loops of the run being formed used ([`Spf::fused_run`]).
+    used: RefCell<Used>,
     /// Master-side: an epoch-invalidating event is pending; the next
     /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
     /// inspector schedules at the same loop boundary.
@@ -464,8 +750,10 @@ impl<'t, 'n> Spf<'t, 'n> {
         Spf {
             tmk,
             loops: RefCell::new(Vec::new()),
+            sequential: RefCell::new(Vec::new()),
             hints: HintEngine::new(tmk),
             table: LoopTable::default(),
+            used: RefCell::default(),
             pending_invalidate: Cell::new(false),
             ctl_idx,
             ctl_args,
@@ -487,11 +775,13 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// `next(iters, touch)` names, and the columns a [`Next::Node`] reads
     /// follow it as a plain write of their own, when the touch has any.
     ///
-    /// The master's sequential code between this loop and a next one is
-    /// a consumer too, when it is described ([`Spf::describe_sequential`]):
+    /// The sequential code between this loop and a next one is a
+    /// consumer too, when it is described ([`Spf::describe_sequential`]):
     /// the columns it reads go to node 0 as a [`Next::Node`]'s do, and
     /// the columns it rewrites whole do not go to the next loop at all —
-    /// the master republishes them itself before that loop runs.
+    /// whoever runs it republishes them before that loop runs. (When
+    /// the writer runs it, in a chain, its push to node 0 gives way to
+    /// the link push.)
     pub fn describe<T: IntoIterator<Item = Touch>>(
         &self,
         id: usize,
@@ -500,9 +790,9 @@ impl<'t, 'n> Spf<'t, 'n> {
     ) {
         let (footprint, next) = (Rc::new(footprint), Rc::new(next));
         let (f, n) = (Rc::clone(&footprint), Rc::clone(&next));
-        let walk: Footprint<'t> = Box::new(move |iters, q, np, visit| {
+        let walk: Footprint<'t> = Box::new(move |iters, q, np, next, visit| {
             for t in f(iters, q, np).into_iter().flatten() {
-                let nexts = (t.mode != Mode::Read).then(|| n(iters, &t));
+                let nexts = (next && t.mode != Mode::Read).then(|| n(iters, &t));
                 visit(t, nexts.unwrap_or_default());
             }
         });
@@ -575,16 +865,18 @@ impl<'t, 'n> Spf<'t, 'n> {
         });
     }
 
-    /// Describe the master's sequential code that runs right before each
-    /// dispatch of loop `id`: `footprint(iters)` is what it touches
-    /// before `id` runs over `iters` (MGS's normalization of the pivot
-    /// before each orthogonalization). It is the compiler's descriptor
-    /// for straight-line code, registered once, like a loop's: the
-    /// master republishes what it rewrites to the loop's readers with
-    /// the dispatch ([`HintEngine::republish`]), and a loop whose writes
-    /// it reads or rewrites sends them to the master alone
-    /// ([`Spf::describe`]). Register this prelude after the loop's
-    /// footprint, before [`Spf::run`].
+    /// Describe the sequential code that runs right before each dispatch
+    /// of loop `id`: `footprint(iters)` is what it touches before `id`
+    /// runs over `iters` (MGS's normalization of the pivot before each
+    /// orthogonalization). It is the compiler's descriptor for
+    /// straight-line code, registered once, like a loop's. Run on the
+    /// master, the code's rewrites go to the loop's readers with the
+    /// dispatch ([`HintEngine::republish`]), and a loop whose writes it
+    /// reads or rewrites sends them to the master alone
+    /// ([`Spf::describe`]); run by the one node that wrote its words, in
+    /// a chain, they go in a link push (see "Chained dispatches" in the
+    /// crate doc). Register this prelude after the loop's footprint,
+    /// before [`Spf::run`].
     pub fn describe_sequential(
         &self,
         id: usize,
@@ -614,6 +906,30 @@ impl<'t, 'n> Spf<'t, 'n> {
         let mut loops = self.loops.borrow_mut();
         loops.push(Box::new(body));
         loops.len() - 1
+    }
+
+    /// Register the sequential code SPF emits before each dispatch of
+    /// loop `id` (MGS's normalization of the pivot before each
+    /// orthogonalization): `body` runs with the control words of the
+    /// dispatch it precedes. The master runs it, joined first, before
+    /// the dispatch — unless the loop is a chained link (see "Chained
+    /// dispatches" in the crate doc), whose writer runs it at the end of
+    /// its body of the link before. Must be called in the same order on
+    /// every node.
+    pub fn register_sequential(&self, id: usize, body: impl Fn(&LoopCtl) + 't) {
+        let mut sequential = self.sequential.borrow_mut();
+        if sequential.len() <= id {
+            sequential.resize_with(id + 1, || None);
+        }
+        sequential[id] = Some(Box::new(body));
+    }
+
+    /// Run the sequential code registered before `ctl`'s dispatch, if
+    /// any.
+    fn run_sequential(&self, ctl: &LoopCtl) {
+        if let Some(Some(body)) = self.sequential.borrow().get(ctl.id) {
+            body(ctl);
+        }
     }
 
     /// Master-side (sequential code): declare an epoch-invalidating
@@ -718,11 +1034,19 @@ impl<'t, 'n> Spf<'t, 'n> {
 
     /// What the body of `ctl` declared it opens on this node, by array.
     fn fence(&self, ctl: &LoopCtl) -> ViewFence {
-        let (key, me) = (loop_key(ctl), self.tmk.proc_id());
-        let facts = self.table.facts(&[key], self.tmk.nprocs());
+        let (key, me, np) = (loop_key(ctl), self.tmk.proc_id(), self.tmk.nprocs());
+        let (mut walked, kept);
+        let words: &[Words] = if self.table.has_prelude(ctl.id) {
+            walked = Facts::default();
+            self.table.walk(key, np, false, &mut walked);
+            &walked.words
+        } else {
+            kept = self.table.facts(&[key], np);
+            &kept[&key].words
+        };
         let mut arrays: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
         let mine = |w: &&Words| w.0 == me && w.1.is_some();
-        for (_, _, t) in facts[&key].words.iter().filter(mine) {
+        for (_, _, t) in words.iter().filter(mine) {
             let runs = t.columns().map(|j| t.run(j));
             match arrays.iter_mut().find(|(arr, _)| *arr == t.at.arr) {
                 Some((_, all)) => all.extend(runs),
@@ -736,29 +1060,86 @@ impl<'t, 'n> Spf<'t, 'n> {
         ViewFence { loop_id, arrays }
     }
 
-    /// May `later` run in the same dispatch as `earlier`, before it? Only
-    /// when both are transparent and [`independent`].
-    fn fusable(&self, earlier: &LoopCtl, later: &LoopCtl) -> bool {
-        let (a, b) = (loop_key(earlier), loop_key(later));
-        if [a, b].iter().any(|k| self.table.opaque(k.0) != Some(false)) {
-            return false;
-        }
-        let facts = self.table.facts(&[a, b], self.tmk.nprocs());
-        independent(&facts[&a].words, &facts[&b].words)
-    }
-
     /// How many of `loops`, from the first, go out in one dispatch: the
-    /// longest run of which every loop may share a dispatch with each
-    /// one before it — one under the original interface.
+    /// longest run of which every loop may share a dispatch with all the
+    /// ones before it — one under the original interface. The first may
+    /// have a prelude, which the master runs before the dispatch; a later
+    /// one only as a chained link (see the crate doc).
     fn fused_run(&self, loops: &[LoopCtl]) -> usize {
-        if !self.improved() {
+        let table = &self.table;
+        let starts = match table.opaque(loops[0].id) {
+            Some(opaque) => !opaque || table.has_prelude(loops[0].id),
+            None => false,
+        };
+        if !self.improved() || loops.len() == 1 || !starts {
             return 1;
         }
+        let (np, pw) = (self.tmk.nprocs(), self.tmk.config().page_words);
+        let mut used = self.used.borrow_mut();
+        used.clear();
+        let mut walks = Walks::default();
+        let first = loop_key(&loops[0]);
+        match table.has_prelude(first.0) {
+            true => used.add(walks.walk(table, first, np)),
+            false => used.add(&table.facts(&[first], np)[&first].words),
+        }
         let mut k = 1;
-        while k < loops.len() && loops[..k].iter().all(|a| self.fusable(a, &loops[k])) {
+        while k < loops.len() {
+            let key = loop_key(&loops[k]);
+            if table.opaque(key.0) == Some(false) {
+                let facts = table.facts(&[key], np);
+                if !used.admits(&facts[&key].words, None) {
+                    break;
+                }
+                used.add(&facts[&key].words);
+            } else if table.has_prelude(key.0) && self.has_sequential(key.0) {
+                let link = walks.link(table, &loops[k - 1], &loops[k], np);
+                let words = &walks.last.words;
+                let chains =
+                    |link: Link| used.clear_of(&link, pw) && used.admits(words, Some(&link));
+                if !link.is_some_and(chains) {
+                    break;
+                }
+                used.add(words);
+            } else {
+                break;
+            }
             k += 1;
         }
         k
+    }
+
+    /// Whether sequential code is registered before loop `id`.
+    fn has_sequential(&self, id: usize) -> bool {
+        self.sequential
+            .borrow()
+            .get(id)
+            .is_some_and(Option::is_some)
+    }
+
+    /// Run the bodies of one dispatch in order. Before each chained link
+    /// — a loop after the first with a prelude — its writer runs the
+    /// prelude and pushes what it rewrote, and every reader takes that
+    /// push (see "Chained dispatches" in the crate doc).
+    fn run_group<'a>(&self, group: impl IntoIterator<Item = LoopCtl<'a>>, fused: bool) {
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let (mut prev, mut walks) = (None, Walks::default());
+        for ctl in group {
+            if let Some(prev) = prev.as_ref().filter(|_| self.table.has_prelude(ctl.id)) {
+                let link = walks.link(&self.table, prev, &ctl, np);
+                let link = link.expect("the master chained this link");
+                if me == link.writer {
+                    self.run_sequential(&ctl);
+                    if !link.readers.is_empty() {
+                        self.tmk.push_link(&link.words, &link.readers);
+                    }
+                } else if link.readers.contains(&me) {
+                    self.tmk.take_link_push(link.writer);
+                }
+            }
+            self.execute(&ctl, fused);
+            prev = Some(ctl);
+        }
     }
 
     fn worker_loop(&self) {
@@ -770,9 +1151,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                 }
                 self.tmk.install_page_homes(&homes);
                 self.privatize(decode_dispatch(&words).2);
-                for ctl in loops {
-                    self.execute(&ctl, flags & DISPATCH_FUSED != 0);
-                }
+                self.run_group(loops, flags & DISPATCH_FUSED != 0);
             }
         } else {
             loop {
@@ -850,10 +1229,12 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         self.par_loops(&[LoopCtl::new(id, range, sched, args)]);
     }
 
-    /// Dispatch adjacent parallel loops — no sequential code runs between
-    /// them — in order, each maximal run of them that no other node
-    /// depends on in one fork-join (see "Dispatch fusion" in the crate
-    /// doc), the rest one by one.
+    /// Dispatch adjacent parallel loops in order, each after the
+    /// sequential code registered before it ([`Spf::register_sequential`];
+    /// no other code runs between them): each maximal run of them that
+    /// no other node depends on, chained links included, in one
+    /// fork-join (see "Dispatch fusion" and "Chained dispatches" in the
+    /// crate doc), the rest one by one.
     ///
     /// Under HLRC with a hinted loop, this is also where home placement
     /// is decided: at fork time every worker is parked in its dispatch
@@ -867,6 +1248,11 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         let mut rest = loops;
         while !rest.is_empty() {
             let (group, tail) = rest.split_at(self.spf.fused_run(rest));
+            // The first loop's sequential code runs here, joined first.
+            if self.spf.has_sequential(group[0].id) {
+                self.spf.tmk.settle_join(false);
+                self.spf.run_sequential(&group[0]);
+            }
             self.dispatch(group);
             rest = tail;
         }
@@ -879,19 +1265,18 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         // pushes first.
         self.spf.tmk.settle_join(true);
         self.spf.privatize(group.iter().cloned());
-        for ctl in group {
-            let between = prelude(&self.spf.table.described.borrow(), ctl.id, &ctl.range);
-            // The sequential code that just ran rewrote these: they ride
-            // the dispatch to the loop's readers. (A loop with a
-            // sequential footprint is never fused: it is alone here.)
-            let rewritten = between.into_iter().filter(|s| s.mode != Mode::Read);
-            let consumed = |s: Touch| {
-                Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
-            };
-            self.spf
-                .hints
-                .republish(&rewritten.map(consumed).collect::<Vec<_>>());
-        }
+        // The sequential code that just ran here rewrote these: they ride
+        // the dispatch to the first loop's readers. (A chained link's
+        // runs on its writer, which pushes what it rewrote itself.)
+        let ctl = &group[0];
+        let between = prelude(&self.spf.table.described.borrow(), ctl.id, &ctl.range);
+        let rewritten = between.into_iter().filter(|s| s.mode != Mode::Read);
+        let consumed = |s: Touch| {
+            Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
+        };
+        self.spf
+            .hints
+            .republish(&rewritten.map(consumed).collect::<Vec<_>>());
         if self.spf.improved() {
             let mut flags = 0;
             if self.spf.pending_invalidate.take() {
@@ -904,9 +1289,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             let planned = || self.spf.hints.planned_homes(loops());
             let homes = self.spf.tmk.adopt_page_homes(planned);
             self.spf.tmk.fork(&encode_dispatch(flags, &homes, group));
-            for ctl in group {
-                self.spf.execute(ctl, group.len() > 1);
-            }
+            self.spf.run_group(group.iter().cloned(), group.len() > 1);
             self.spf.tmk.defer_join();
         } else {
             // Original interface: write the control variables to the two
@@ -1615,6 +1998,258 @@ mod tests {
             "1 to 0, then 0 to all"
         );
     }
+
+    /// What the sequential code of [`pivot_chain`] declares it touches.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Declared {
+        /// Nothing: the loops are not described either.
+        Nothing,
+        /// The pivot, column `k`, which it rewrites.
+        Pivot,
+        /// The pivot and, read, column `k + 1 mod 8`, which another node
+        /// wrote.
+        Wide,
+    }
+
+    /// What [`pivot_chain`] came to: the master's sum of the matrix, the
+    /// forks its pivot loop took, the cluster's messages and demand
+    /// fetches, and which node ran each pivot's sequential code.
+    #[derive(Debug, PartialEq)]
+    struct Chain {
+        sum: f64,
+        forks: u64,
+        messages: u64,
+        fetches: u64,
+        ran_on: Vec<usize>,
+    }
+
+    /// A miniature MGS on four nodes: eight page-long columns, cyclic.
+    /// Before each dispatch `k` of the pivot loop, over `k + 1..8`,
+    /// sequential code rewrites column `k` (`x ← 2x + 1`); each node's
+    /// share then adds the pivot to its columns of the range. With
+    /// `neighbour` node `q` also writes its column of one half of a
+    /// second array, the halves taking turns, and reads the column node
+    /// `q + 1 mod 4` wrote in the other half in the dispatch before. The
+    /// code is `registered`, or inline in the master's closure as SPF
+    /// emitted it before it was a body.
+    fn pivot_chain(cfg: TmkConfig, registered: bool, declared: Declared, neighbour: bool) -> Chain {
+        let out = Cluster::run(ClusterConfig::sp2(4), move |node| {
+            let ran = Cell::new(Vec::new());
+            let tmk = Tmk::new(node, cfg);
+            let spf = Spf::new(&tmk);
+            let at = Cols::new(tmk.malloc_f64(8 * 512), 512);
+            let trail = Cols::new(tmk.malloc_f64(8 * 512), 512);
+            let own = move |iters: &Range<usize>, q, np| {
+                at.touch(iters.clone(), Mode::Update).cyclic(q, np)
+            };
+            // The column of `trail` node `q` writes in dispatch `k`, and
+            // the one it reads: node `q + 1`'s of dispatch `k - 1`.
+            let trails = move |k: usize, q: usize| {
+                let (mine, theirs) = (4 * (k % 2) + q, 4 * ((k + 1) % 2) + (q + 1) % 4);
+                let read = (k > 0).then(|| trail.touch(theirs..theirs + 1, Mode::Read));
+                [Some(trail.touch(mine..mine + 1, Mode::Write)), read]
+                    .into_iter()
+                    .flatten()
+            };
+            let init = spf.register({
+                let tmk = &tmk;
+                move |ctl: &LoopCtl| {
+                    for j in own(&ctl.range, tmk.proc_id(), tmk.nprocs()).columns() {
+                        let mut w = at.touch(j..j + 1, Mode::Write).write(tmk);
+                        let col = w.slice_mut().iter_mut().enumerate();
+                        col.for_each(|(i, x)| *x = (j * 512 + i) as f64);
+                    }
+                }
+            });
+            let upd = spf.register({
+                let tmk = &tmk;
+                move |ctl: &LoopCtl| {
+                    let k = ctl.args[0] as usize;
+                    let pivot = at.touch(k..k + 1, Mode::Read).read(tmk).slice().to_vec();
+                    for t in trails(k, tmk.proc_id()).filter(|_| neighbour) {
+                        match t.mode {
+                            Mode::Read => drop(t.read(tmk)),
+                            _ => t.write(tmk).slice_mut().fill(k as f64),
+                        }
+                    }
+                    for j in own(&ctl.range, tmk.proc_id(), tmk.nprocs()).columns() {
+                        let mut w = at.touch(j..j + 1, Mode::Update).write(tmk);
+                        w.slice_mut()
+                            .iter_mut()
+                            .zip(&pivot)
+                            .for_each(|(x, p)| *x += p);
+                    }
+                }
+            });
+            let normalize = {
+                let (tmk, ran) = (&tmk, &ran);
+                move |k: usize| {
+                    let mut w = at.touch(k..k + 1, Mode::Update).write(tmk);
+                    w.slice_mut().iter_mut().for_each(|x| *x = 2.0 * *x + 1.0);
+                    let mut seen = ran.take();
+                    seen.push(k);
+                    ran.set(seen);
+                }
+            };
+            if registered {
+                spf.register_sequential(upd, move |ctl: &LoopCtl| normalize(ctl.args[0] as usize));
+            }
+            if declared != Declared::Nothing {
+                let init_fp = move |i: &Range<usize>, q, np| {
+                    Some([at.touch(i.clone(), Mode::Write).cyclic(q, np)])
+                };
+                spf.describe(init, init_fp, move |_, _| vec![Next::Loop(upd, 1..8)]);
+                let upd_fp = move |i: &Range<usize>, q, np| {
+                    let k = i.start - 1;
+                    let trails = trails(k, q).filter(move |_| neighbour);
+                    Some(
+                        [at.touch(k..k + 1, Mode::Read), own(i, q, np)]
+                            .into_iter()
+                            .chain(trails),
+                    )
+                };
+                let next = move |i: &Range<usize>, _: &Touch| {
+                    vec![Next::Loop(upd, (i.start + 1).min(8)..8)]
+                };
+                spf.describe(upd, upd_fp, next);
+                spf.describe_sequential(upd, move |i| {
+                    let k = i.start - 1;
+                    let mut touches = vec![at.touch(k..k + 1, Mode::Update)];
+                    if declared == Declared::Wide {
+                        let next = (k + 1) % 8;
+                        touches.push(at.touch(next..next + 1, Mode::Read));
+                    }
+                    touches
+                });
+            }
+            let master = spf.run(|m| {
+                m.par_loop(init, 0..8, Schedule::Cyclic, &[]);
+                let forks = || m.tmk().stats_snapshot().forks;
+                let before = forks();
+                let pivots: Vec<[u64; 1]> = (0..8).map(|k| [k]).collect();
+                let link = |k: usize| LoopCtl::new(upd, k + 1..8, Schedule::Cyclic, &pivots[k]);
+                if registered {
+                    m.par_loops(&(0..8).map(link).collect::<Vec<_>>());
+                } else {
+                    for k in 0..8 {
+                        m.tmk();
+                        normalize(k);
+                        m.par_loops(&[link(k)]);
+                    }
+                }
+                let forks = forks() - before;
+                let sum = at
+                    .touch(0..8, Mode::Read)
+                    .read(m.tmk())
+                    .slice()
+                    .iter()
+                    .sum::<f64>();
+                (sum, forks)
+            });
+            tmk.finish();
+            (master, ran.take())
+        });
+        let (sum, forks) = out.results[0].0.expect("the master's");
+        let mut ran_on = vec![usize::MAX; 8];
+        for (q, (_, ran)) in out.results.iter().enumerate() {
+            ran.iter().for_each(|&k| ran_on[k] = q);
+        }
+        Chain {
+            sum,
+            forks,
+            messages: out.stats.total_messages(),
+            fetches: out.stats.messages(MsgKind::DiffReq),
+            ran_on,
+        }
+    }
+
+    /// The sum every version of [`pivot_chain`] must reach.
+    fn pivot_chain_sum() -> f64 {
+        let mut cols: Vec<Vec<f64>> = (0..8)
+            .map(|j| (0..512).map(|i| (j * 512 + i) as f64).collect())
+            .collect();
+        for k in 0..8 {
+            cols[k].iter_mut().for_each(|x| *x = 2.0 * *x + 1.0);
+            let pivot = cols[k].clone();
+            for col in &mut cols[k + 1..] {
+                col.iter_mut().zip(&pivot).for_each(|(x, p)| *x += p);
+            }
+        }
+        cols.iter().flatten().sum()
+    }
+
+    /// Each pivot after the first lies in the words its owner wrote in the
+    /// dispatch before: the owner rewrites it at the end of its body and
+    /// pushes it, and every node reads it from the push — nothing is
+    /// fetched — in one fork for the whole loop.
+    #[test]
+    fn a_prelude_inside_one_nodes_writes_runs_there_and_reaches_every_reader() {
+        let chain = pivot_chain(TmkConfig::default(), true, Declared::Pivot, false);
+        let owners = [0, 1, 2, 3, 0, 1, 2, 3];
+        assert_eq!(chain.sum, pivot_chain_sum());
+        assert_eq!(
+            chain.ran_on, owners,
+            "the first on the master, the rest where they lie"
+        );
+        assert_eq!(chain.fetches, 0);
+        let hlrc = pivot_chain(TmkConfig::hlrc(), true, Declared::Pivot, false);
+        assert_eq!((hlrc.sum, hlrc.ran_on), (chain.sum, owners.to_vec()));
+    }
+
+    #[test]
+    fn a_run_of_chained_links_goes_out_in_one_fork() {
+        let chain = pivot_chain(TmkConfig::default(), true, Declared::Pivot, false);
+        assert_eq!(chain.forks, 1);
+        let hlrc = pivot_chain(TmkConfig::hlrc(), true, Declared::Pivot, false);
+        assert_eq!(hlrc.forks, 1);
+    }
+
+    /// A prelude that reads a column another node wrote besides its pivot
+    /// is not inside one node's writes: the master runs every one.
+    #[test]
+    fn a_prelude_reading_what_two_nodes_wrote_stays_on_the_master() {
+        let wide = pivot_chain(TmkConfig::default(), true, Declared::Wide, false);
+        assert_eq!((wide.sum, wide.forks), (pivot_chain_sum(), 8));
+        assert_eq!(wide.ran_on, [0; 8]);
+    }
+
+    /// A body that reads the column another node wrote in the dispatch
+    /// before, and no prelude rewrote, needs that node's notice: every
+    /// link goes out in a fork of its own, after the master's prelude.
+    #[test]
+    fn a_link_reading_another_nodes_write_breaks_the_chain() {
+        let chain = pivot_chain(TmkConfig::default(), true, Declared::Pivot, true);
+        assert_eq!((chain.sum, chain.forks), (pivot_chain_sum(), 8));
+        assert_eq!(chain.ran_on, [0; 8]);
+    }
+
+    /// Under the original interface, or undescribed, registered sequential
+    /// code runs on the master before each dispatch, joined first, as the
+    /// inline code did: the same forks, the same messages — the ones the
+    /// inline program sent when sequential code could not be registered.
+    #[test]
+    fn the_original_interface_and_undescribed_preludes_never_chain() {
+        let cases = [
+            (TmkConfig::default(), Declared::Nothing, INLINE_MESSAGES[0]),
+            (
+                TmkConfig::legacy_forkjoin(),
+                Declared::Pivot,
+                INLINE_MESSAGES[1],
+            ),
+        ];
+        for (cfg, declared, messages) in cases {
+            let inline = pivot_chain(cfg, false, declared, false);
+            let registered = pivot_chain(cfg, true, declared, false);
+            assert_eq!(registered.ran_on, [0; 8], "{declared:?}");
+            assert_eq!(registered, inline, "{declared:?}");
+            assert_eq!((inline.sum, inline.messages), (pivot_chain_sum(), messages));
+        }
+    }
+
+    /// [`pivot_chain`]'s messages with inline sequential code, undescribed
+    /// under the improved interface and described under the original one,
+    /// when sequential code was always inline.
+    const INLINE_MESSAGES: [u64; 2] = [150, 264];
 
     #[test]
     fn reduction_under_lock() {

@@ -702,7 +702,7 @@ impl<'n> Tmk<'n> {
         self.publish();
 
         // Send registered pushes before arriving.
-        let push_counts = self.do_pushes(|_| ());
+        let push_counts = self.do_pushes(false, |_| ());
         self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
 
         let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
@@ -739,7 +739,7 @@ impl<'n> Tmk<'n> {
             st.stats.barriers += u64::from(barrier);
             self.cfg.protocol.on_rendezvous(&mut st, floor);
         }
-        self.receive_pushes(pushes);
+        self.receive_pushes(pushes, None);
         drop(wait);
         // The epoch-boundary marker: every span of the epoch that just
         // completed has already ended.
@@ -893,7 +893,7 @@ impl<'n> Tmk<'n> {
         // included. A push down the tree goes out after the fork, so the
         // service sends the departures while the tree fills.
         let early = std::mem::take(&mut *self.early_counts.borrow_mut());
-        self.do_pushes(|push_counts| {
+        self.do_pushes(false, |push_counts| {
             let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
             w.put(op::MASTER_FORK).put(e).put(flag_bits);
             let count = |counts: &[u64], t| counts.get(t).copied().unwrap_or(0);
@@ -905,7 +905,7 @@ impl<'n> Tmk<'n> {
                 .endpoint()
                 .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
         });
-        self.receive_pushes(self.intake.take());
+        self.receive_pushes(self.intake.take(), None);
     }
 
     /// Master: wait for all workers to finish the current loop — the
@@ -947,7 +947,7 @@ impl<'n> Tmk<'n> {
         if fork_follows {
             // Announced by the fork (the counts go with it): the workers
             // take these after its departure.
-            *self.early_counts.borrow_mut() = self.do_pushes(|_| ());
+            *self.early_counts.borrow_mut() = self.do_pushes(false, |_| ());
         }
         let mut w = WordWriter::with_capacity(2);
         w.put(op::MASTER_JOIN).put(e);
@@ -988,7 +988,7 @@ impl<'n> Tmk<'n> {
         self.publish();
         // Pushes registered after the previous loop body ride the
         // rendezvous, exactly like the barrier-time pushes.
-        let push_counts = self.do_pushes(|_| ());
+        let push_counts = self.do_pushes(false, |_| ());
         self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
         let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
         let pkt = self.node.recv_match(|p| p.tag == t);
@@ -1059,6 +1059,59 @@ impl<'n> Tmk<'n> {
         }
     }
 
+    /// Send the words `runs` of each array of `words`, which this node
+    /// has just rewritten, to `readers` at once, outside any rendezvous:
+    /// a **link push**, which a chained dispatch sends between two of its
+    /// loop bodies (see the `spf` crate). The writes are published first
+    /// and travel as a superseding push ([`Tmk::supersede_at_next_sync`])
+    /// — straight to each reader, or down the tree rooted here when every
+    /// other node reads them — under `tag::LINK_PUSH`, where no
+    /// rendezvous takes them: each reader takes it with
+    /// [`Tmk::take_link_push`], knowing without being told that it comes.
+    /// No write notice goes with it. A reader's watermarks for the pages
+    /// rise to the push's, so the notices it meets at its next rendezvous
+    /// find the words already there; the caller promises that no reader
+    /// needs any other word of those pages from this node before then,
+    /// and that its pages dominate every reader's — a reader panics on
+    /// one that does not, which nothing would fetch again in time.
+    /// Pushes registered for the next rendezvous stay registered, but for
+    /// those of these pages to a reader, which this one delivers.
+    pub fn push_link(&self, words: &[(SharedArray, Vec<Range<usize>>)], readers: &[usize]) {
+        self.quiescent("link push");
+        self.publish();
+        let (mut kept, kept_spans) = {
+            let mut st = self.state.lock();
+            let spans = std::mem::take(&mut st.pending_spans);
+            (std::mem::take(&mut st.pending_push), spans)
+        };
+        for (arr, runs) in words {
+            self.supersede_at_next_sync(*arr, runs);
+            for r in runs {
+                for &t in readers {
+                    self.push_at_next_sync(t, *arr, r.clone());
+                }
+            }
+        }
+        self.do_pushes(true, |_| ());
+        let pushed = |p| {
+            let mut runs = words
+                .iter()
+                .flat_map(|(arr, runs)| runs.iter().map(|r| (*arr, r)));
+            runs.any(|(arr, r)| self.page_span(arr, r).contains(&p))
+        };
+        kept.retain(|&(t, p)| !(readers.contains(&t) && pushed(p)));
+        let mut st = self.state.lock();
+        st.pending_push = kept;
+        st.pending_spans = kept_spans;
+    }
+
+    /// Take the link push `writer` sends this node ([`Tmk::push_link`])
+    /// and install it, before this node's next loop body reads it.
+    pub fn take_link_push(&self, writer: usize) {
+        self.quiescent("link push");
+        self.receive_pushes(1, Some(writer));
+    }
+
     /// Execute registered pushes (called at the synchronization
     /// rendezvous, after the flush). Returns the per-destination message
     /// counts for the arrival — no vector at all when nothing was
@@ -1073,15 +1126,26 @@ impl<'n> Tmk<'n> {
     /// once; when that is every other node, it goes down the binomial
     /// tree rooted here — each forwarder's service passes it on
     /// (`tag::PUSH_TREE`) — wherever that saves this node a send.
-    fn do_pushes(&self, announce: impl FnOnce(&[u64])) -> Vec<u64> {
+    ///
+    /// With `link` these are a link push's ([`Tmk::push_link`]): every
+    /// registered page goes, with a range of the interval just published
+    /// or not, under `tag::LINK_PUSH`, and the newest interval stays to
+    /// push at the next rendezvous.
+    fn do_pushes(&self, link: bool, announce: impl FnOnce(&[u64])) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let (me, n) = (self.proc_id(), self.nprocs());
         let (mut pending, mut spans, last) = {
             let mut st = self.state.lock();
             // The newest interval's ranges, unless they already went.
             let newest = st.vc[me];
-            let last = if newest > st.pushed { newest } else { u32::MAX };
-            st.pushed = newest;
+            let last = match link {
+                true => newest,
+                false if newest > st.pushed => newest,
+                false => u32::MAX,
+            };
+            if !link {
+                st.pushed = newest;
+            }
             if st.pending_push.is_empty() {
                 st.pending_spans.clear();
                 drop(st);
@@ -1116,7 +1180,7 @@ impl<'n> Tmk<'n> {
             for group in pending.chunk_by(|a, b| a.0 == b.0) {
                 let at = pages.len();
                 let pushable = group.iter().map(|&(_, p)| p);
-                pages.extend(pushable.filter(|&p| st.has_range_from(p, last)));
+                pages.extend(pushable.filter(|&p| link || st.has_range_from(p, last)));
                 st.stats.pages_pushed += (pages.len() - at) as u64;
                 if pages.len() == at {
                     continue;
@@ -1162,14 +1226,18 @@ impl<'n> Tmk<'n> {
             built.insert(payload).clone()
         };
         let ep = self.node.endpoint();
+        let (straight, tree_tag) = match link {
+            true => (tag::LINK_PUSH | me as u32, tag::LINK_PUSH | me as u32),
+            false => (tag::PUSH, tag::PUSH_TREE | me as u32),
+        };
         for &(target, i) in order.iter().filter(|&&(_, i)| Some(i) != down_tree) {
-            ep.send_to_port(target, Port::App, tag::PUSH, MsgKind::Push, payload(i));
+            ep.send_to_port(target, Port::App, straight, MsgKind::Push, payload(i));
         }
         // The tree fills after the announcement is out, alongside what it
         // sets off (a fork's departures).
         announce(&counts);
         if let Some(i) = down_tree {
-            let (payload, t) = (payload(i), tag::PUSH_TREE | me as u32);
+            let (payload, t) = (payload(i), tree_tag);
             for child in tree.children() {
                 ep.send_to_port(child, Port::Service, t, MsgKind::Push, payload.clone());
             }
@@ -1189,8 +1257,9 @@ impl<'n> Tmk<'n> {
 
     /// Receive and apply `expected` push messages (called at a
     /// rendezvous, after the departure; by a fork, for the join that
-    /// went before it).
-    fn receive_pushes(&self, expected: u64) {
+    /// went before it) — or, with `link`, the one link push that node
+    /// sent ([`Tmk::take_link_push`]).
+    fn receive_pushes(&self, expected: u64, link: Option<usize>) {
         if expected == 0 {
             return;
         }
@@ -1203,11 +1272,15 @@ impl<'n> Tmk<'n> {
         let pushes: Vec<(usize, Landed)> = (0..expected)
             .map(|_| {
                 let tree = |t: u32| t & tag::BASE == tag::PUSH_TREE;
-                let pkt = self.node.recv_match(|p| p.tag == tag::PUSH || tree(p.tag));
-                // Handed on down a tree, a push names its pusher in its tag.
-                let writer = match tree(pkt.tag) {
-                    true => (pkt.tag & !tag::BASE) as usize,
-                    false => pkt.src,
+                let pkt = self.node.recv_match(|p| match link {
+                    Some(w) => p.tag == tag::LINK_PUSH | w as u32,
+                    None => p.tag == tag::PUSH || tree(p.tag),
+                });
+                // Handed on down a tree, or a link push, a push names its
+                // pusher in its tag.
+                let writer = match pkt.tag == tag::PUSH {
+                    true => pkt.src,
+                    false => (pkt.tag & !tag::BASE) as usize,
                 };
                 (writer, Landed::new(pkt.payload))
             })
@@ -1250,8 +1323,17 @@ impl<'n> Tmk<'n> {
         // that pushes spans, the pusher's notice for the page froze ours
         // — so the frame holds nothing of ours that the pushed content
         // would lose.
+        // A link push has no fault path behind it: the reader's body runs
+        // on its words before any notice could send it there.
+        let dropped = |page: usize| {
+            assert!(
+                link.is_none(),
+                "a link push of page {page} holds less than this node already does"
+            )
+        };
         for (_, e) in page_pushes {
             if !st.frames.dominated_by(e.page, e.applied()) {
+                dropped(e.page);
                 continue;
             }
             let mut frame = st.frames.frame_mut(e.page);
@@ -1264,6 +1346,7 @@ impl<'n> Tmk<'n> {
         }
         for (_, e) in span_pushes {
             if !st.frames.dominated_by(e.page, e.applied()) {
+                dropped(e.page);
                 continue;
             }
             let mut frame = st.frames.frame_mut(e.page);

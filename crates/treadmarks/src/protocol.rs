@@ -92,6 +92,12 @@ pub mod tag {
     /// same tag. The payload is a `PUSH` message's, the same words on
     /// every edge.
     pub const PUSH_TREE: u32 = 0x4C00_0000;
+    /// A link push ([`crate::Tmk::push_link`]): words a node just
+    /// rewrote, sent outside any rendezvous to the nodes that read them
+    /// next — `LINK_PUSH | pusher`, straight to a reader's application
+    /// port, or down the tree rooted at the pusher as `PUSH_TREE` goes.
+    /// The payload is a `PUSH` message's.
+    pub const LINK_PUSH: u32 = 0x4D00_0000;
     /// The tag bits above the low 16, which carry a sequence number, an
     /// epoch or a node.
     pub const BASE: u32 = 0xFFFF_0000;

@@ -38,7 +38,7 @@ use crate::state::{Arrival, DsmState};
 pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: ProtocolMode) {
     while let Some(pkt) = ep.recv_any_raw() {
         let arrival = pkt.arrival;
-        if pkt.tag & tag::BASE == tag::PUSH_TREE {
+        if matches!(pkt.tag & tag::BASE, tag::PUSH_TREE | tag::LINK_PUSH) {
             if ep.tracing() {
                 ep.trace_service(op::PUSH_TREE as u32, arrival, ep.cost().service_us);
             }
@@ -185,7 +185,8 @@ pub(crate) fn forward_reduce(
 /// A push travelling down the binomial tree rooted at its pusher (the
 /// tag's low bits): pass the one payload on to this node's children, to
 /// their services, and up to this node's application, which consumes it
-/// at its rendezvous with the pushes it was told to expect. Nothing here
+/// at its rendezvous with the pushes it was told to expect (a link push:
+/// before its next loop body, [`crate::Tmk::take_link_push`]). Nothing here
 /// waits on the application, so the push moves on while this node is
 /// still waiting for its own departure.
 fn forward_push(ep: &Endpoint, pkt: Packet, arrival: VTime) {

@@ -99,7 +99,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use apps::jacobi::{self, Params};
-use apps::{igrid, nbf, shallow, AppId, RunResult, RunSpec, Version};
+use apps::{igrid, mgs, nbf, shallow, AppId, RunResult, RunSpec, Version};
 use mpl::Comm;
 use sp2sim::{Cluster, ClusterConfig, EngineKind};
 use treadmarks::TmkConfig;
@@ -298,6 +298,45 @@ fn hinted_dispatches_replay_their_plans() {
     );
 }
 
+/// Allocation budget per link of hinted MGS's chained pivot loop,
+/// cluster-wide (measured: about 611 in release, 733 with debug
+/// assertions, most of them every node's hint plans, built again for
+/// each link's new range; about 633 and 714 per pivot when every pivot
+/// had a fork-join of its own).
+const ALLOCS_PER_CHAINED_LINK: f64 = 1000.0;
+
+/// `(allocations, links, forks)` of one 8-node MGS SPF+CRI run on `n`
+/// vectors of `n` words: its pivot loop is one chain of `n` links.
+fn mgs_cri(n: usize) -> (u64, u64, u64) {
+    let p = mgs::Params { n };
+    let run = || RunSpec::new(AppId::Mgs, Version::SpfCri, 8, 0.25).launch(&p, mgs::node);
+    let (r, allocs, _) = counted(run);
+    (allocs, n as u64, r.dsm.forks)
+}
+
+/// Hinted MGS for chains of `n` and `2n` links: the extra allocations
+/// per extra link. A link is what every node derives from the loop
+/// table — its writer and readers, from one walk of every node's
+/// footprint of the link, kept nowhere — the writer's interval and link
+/// push, and the forwarders' copies on the way down the tree; the chain
+/// adds no fork.
+fn chained_links_allocate_their_messages() {
+    mgs_cri(16);
+    let (allocs_n, links_n, forks_n) = mgs_cri(64);
+    let (allocs_2n, links_2n, forks_2n) = mgs_cri(128);
+    assert_eq!(forks_n, forks_2n, "the pivot loop is one fork however long");
+    let per_link = (allocs_2n - allocs_n) as f64 / (links_2n - links_n) as f64;
+    eprintln!(
+        "MGS SPF+CRI allocations: {allocs_n} for {links_n} links, {allocs_2n} for {links_2n}; \
+         {per_link:.1} allocations per extra chained link"
+    );
+    assert!(
+        per_link <= ALLOCS_PER_CHAINED_LINK,
+        "{per_link:.1} allocations per chained link exceed the budget of \
+         {ALLOCS_PER_CHAINED_LINK}"
+    );
+}
+
 /// Heap bytes budget per window word of hinted NBF (measured: 20.2,
 /// each part of a window in the message that carries it and each node's
 /// result its own range).
@@ -435,6 +474,7 @@ fn within_message_budget(app: &str, version: Version, run: Run, heap_per_byte: f
 fn release_paths_stay_within_their_allocation_budgets() {
     message_passing_iterations_allocate_only_their_payloads();
     hinted_dispatches_replay_their_plans();
+    chained_links_allocate_their_messages();
     hinted_reductions_allocate_their_windows_once();
 
     // Warm-up: one-time allocations (the fiber stacks this thread

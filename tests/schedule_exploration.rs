@@ -284,11 +284,11 @@ fn hinted_igrid_on_small_pages(seeds: RangeInclusive<u64>) {
 /// Hinted MGS on 8 nodes — the push tree three deep — at scale 0.05
 /// with 16-word pages, where a column spans several pages and only part
 /// of its last one, under both protocols, against the sequential
-/// program. The next pivot's owner pushes it to the master alone; the
-/// master's rewrite of it supersedes — under LRC as the column's words,
-/// which every worker installs over diffs it never saw, debug builds
-/// checking the words outside them — and goes down the tree, each
-/// forwarder's service handing it on.
+/// program. Each pivot's owner normalizes it and pushes the rewrite down
+/// the tree rooted at itself; the rewrite supersedes — under LRC as the
+/// column's words, which every other node installs over diffs it never
+/// saw, debug builds checking the words outside them — and each
+/// forwarder's service hands it on.
 fn mgs_push_tree_cells(seeds: RangeInclusive<u64>) {
     let seq = RunSpec::new(AppId::Mgs, Version::Seq, 1, 0.05).run();
     for protocol in ProtocolMode::ALL {
@@ -306,6 +306,39 @@ fn mgs_push_tree_cells(seeds: RangeInclusive<u64>) {
 #[test]
 fn mgs_push_tree_on_every_explored_schedule() {
     mgs_push_tree_cells(TIER1);
+}
+
+/// Hinted MGS at scale 0.05 on 8 nodes, with 16-word pages and with
+/// 512-word ones, under both protocols, bitwise against the sequential
+/// program: the pivot loop is one chained dispatch, in which each node
+/// starts its next body once the link push of the next pivot, which that
+/// pivot's owner normalized at the end of its own body, has arrived.
+/// With debug assertions every chained body is fenced to its
+/// descriptor, and a link push taken by no one, or one that never came,
+/// is a packet left queued or a deadlock naming the seed
+/// (`ci/mutants/chain_body_before_its_push.patch` starts the next body
+/// without waiting, and dies here).
+fn chained_mgs_cells(seeds: RangeInclusive<u64>) {
+    let seq = RunSpec::new(AppId::Mgs, Version::Seq, 1, 0.05)
+        .run()
+        .checksum;
+    for page_words in [16, 512] {
+        for protocol in ProtocolMode::ALL {
+            for engine in seeds.clone().map(EngineKind::Seeded) {
+                let mut spec = RunSpec::new(AppId::Mgs, Version::SpfCri, 8, 0.05);
+                spec.cfg.page_words = page_words;
+                let got = run_spec(spec.on(engine).protocol(protocol)).checksum;
+                let ctx =
+                    format!("Mgs SpfCri/{protocol}/8p/0.05/{page_words}-word pages on {engine}");
+                assert_eq!(bits(&got), bits(&seq), "{ctx}: {got:?} vs {seq:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn chained_mgs_on_every_explored_schedule() {
+    chained_mgs_cells(TIER1);
 }
 
 /// Two superseding pushes of one page meet at node 0, the older one
@@ -410,6 +443,7 @@ fn every_cell_on_the_ci_seed_budget() {
     hinted_igrid_on_small_pages(CI);
     stale_superseding_pushes_are_dropped(CI);
     mgs_push_tree_cells(CI);
+    chained_mgs_cells(CI);
     write_all_cells(CI);
     privatized_cells(CI);
     hinted_nbf_cells(CI);
