@@ -82,7 +82,7 @@ use std::rc::Rc;
 
 use treadmarks::{SharedArray, Tmk};
 
-use crate::section::{merge_ranges, Section};
+use crate::section::{for_each_overlap, merge_ranges, subtract, Section};
 
 /// Whether an access reads or writes its section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -565,7 +565,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                                 armed = self.write_all_pages(accesses);
                             });
                             theirs = subtract(merge_ranges(theirs), &armed);
-                            for_each_overlap(&mine, &theirs, |run| {
+                            for_each_overlap(mine.iter().cloned(), theirs.iter().cloned(), |run| {
                                 pushes.extend(run.map(|p| (q, p)));
                             });
                         }
@@ -643,49 +643,6 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 }
 
-/// The pages of sorted, disjoint runs `a` that are in no run of `b`;
-/// `a` itself when `b` is empty.
-fn subtract(a: Runs, b: &[Range<usize>]) -> Runs {
-    if b.is_empty() {
-        return a;
-    }
-    let (mut out, mut j) = (Vec::with_capacity(a.len()), 0);
-    for run in a {
-        let mut start = run.start;
-        while j < b.len() && b[j].end <= start {
-            j += 1;
-        }
-        // A cut may reach into the next run too: `j` stays on it.
-        for cut in b[j..].iter().take_while(|cut| cut.start < run.end) {
-            if cut.start > start {
-                out.push(start..cut.start);
-            }
-            start = start.max(cut.end);
-        }
-        if start < run.end {
-            out.push(start..run.end);
-        }
-    }
-    out
-}
-
-/// Call `f` with every run of pages two sorted, disjoint run lists share,
-/// ascending: a two-pointer sweep.
-fn for_each_overlap(a: &[Range<usize>], b: &[Range<usize>], mut f: impl FnMut(Range<usize>)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let run = a[i].start.max(b[j].start)..a[i].end.min(b[j].end);
-        if run.start < run.end {
-            f(run);
-        }
-        if a[i].end <= b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
@@ -695,6 +652,7 @@ mod tests {
     use treadmarks::TmkConfig;
 
     use super::*;
+    use crate::section::{contains, insert, meets};
 
     // The per-page `BTreeSet` formulation the page runs replaced, kept as
     // the reference they are tested against.
@@ -819,7 +777,9 @@ mod tests {
         /// Page runs against per-page sets, over random sections from
         /// every constructor and several page sizes: a section's runs are
         /// its pages, a merge is the union, the sweep is the intersection,
-        /// a subtraction the difference, and the pages a body overwrites
+        /// a subtraction the difference, an insertion the union with its
+        /// run, "meets, less a minus set" and containment the set tests
+        /// they name, and the pages a body overwrites
         /// whole, the push list and the home candidates built from runs
         /// are the ones built from sets.
         #[test]
@@ -872,13 +832,32 @@ mod tests {
                     ok &= pages(&ra) == sa.iter().copied().collect::<Vec<_>>();
                     ok &= ra.windows(2).all(|w| w[0].end < w[1].start);
                     let mut both = Vec::new();
-                    for_each_overlap(&ra, &rb, |run| both.push(run));
+                    for_each_overlap(ra.iter().cloned(), rb.iter().cloned(), |run| both.push(run));
                     ok &= pages(&both) == sa.intersection(&sb).copied().collect::<Vec<_>>();
                     let less = subtract(ra.clone(), &rb);
                     ok &= pages(&less) == sa.difference(&sb).copied().collect::<Vec<_>>();
-                    let either = merge_ranges(ra.into_iter().chain(rb).collect());
+                    let either = merge_ranges(ra.iter().chain(&rb).cloned().collect());
                     ok &= pages(&either) == sa.union(&sb).copied().collect::<Vec<_>>();
                     ok &= either.windows(2).all(|w| w[0].end < w[1].start);
+                    // The operations `spf` shares, on runs that meet or
+                    // abut `a`'s: each run of `b`, each one page wider on
+                    // both sides, the hull of `b`, and an empty run.
+                    let mut inserted = ra.clone();
+                    rb.iter().for_each(|r| insert(&mut inserted, r.clone()));
+                    ok &= inserted == either;
+                    let wider = rb.iter().map(|r| r.start.saturating_sub(1)..r.end + 1);
+                    let hull = rb.first().zip(rb.last()).map(|(f, l)| f.start..l.end);
+                    for r in rb.iter().cloned().chain(wider).chain(hull).chain(std::iter::once(7..7)) {
+                        let words: BTreeSet<usize> = r.clone().collect();
+                        let mut one = ra.clone();
+                        insert(&mut one, r.clone());
+                        ok &= pages(&one) == sa.union(&words).copied().collect::<Vec<_>>();
+                        ok &= one.windows(2).all(|w| w[0].end < w[1].start);
+                        // Whether `r` less `a` meets `b`.
+                        let outside_a: BTreeSet<usize> = words.difference(&sa).copied().collect();
+                        ok &= meets(&rb, &r, &ra) == outside_a.intersection(&sb).next().is_some();
+                        ok &= contains(&ra, &r) == words.is_subset(&sa);
+                    }
                 }
                 let me = tmk.proc_id();
                 hints.eval(1, &(0..1), me, 3, |accesses| {

@@ -167,6 +167,100 @@ pub fn merge_ranges(mut runs: Vec<Range<usize>>) -> Vec<Range<usize>> {
     runs
 }
 
+/// Add run `r` to the sorted, disjoint, non-adjacent `runs`, joining
+/// what it meets or abuts.
+pub fn insert(runs: &mut Vec<Range<usize>>, r: Range<usize>) {
+    if r.is_empty() {
+        return;
+    }
+    let (i, j) = (
+        runs.partition_point(|x| x.end < r.start),
+        runs.partition_point(|x| x.start <= r.end),
+    );
+    if i == j {
+        runs.insert(i, r);
+    } else {
+        runs[i] = runs[i].start.min(r.start)..runs[j - 1].end.max(r.end);
+        runs.drain(i + 1..j);
+    }
+}
+
+/// Call `f` with every run of the words of `a` in no run of `b` (both
+/// sorted and disjoint), ascending.
+pub fn for_each_difference(
+    a: &[Range<usize>],
+    b: &[Range<usize>],
+    mut f: impl FnMut(Range<usize>),
+) {
+    let mut j = 0;
+    for run in a {
+        let mut start = run.start;
+        j += b[j..].partition_point(|cut| cut.end <= start);
+        // A cut may reach into the next run too: `j` stays on it.
+        for cut in b[j..].iter().take_while(|cut| cut.start < run.end) {
+            if cut.start > start {
+                f(start..cut.start);
+            }
+            start = start.max(cut.end);
+        }
+        if start < run.end {
+            f(start..run.end);
+        }
+    }
+}
+
+/// The words of sorted, disjoint runs `a` in no run of `b`, as runs;
+/// `a` itself when `b` is empty.
+pub fn subtract(a: Vec<Range<usize>>, b: &[Range<usize>]) -> Vec<Range<usize>> {
+    if b.is_empty() {
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len());
+    for_each_difference(&a, b, |r| out.push(r));
+    out
+}
+
+/// Call `f` with every run two ascending lists of disjoint runs share,
+/// ascending: a two-pointer sweep.
+pub fn for_each_overlap(
+    a: impl IntoIterator<Item = Range<usize>>,
+    b: impl IntoIterator<Item = Range<usize>>,
+    mut f: impl FnMut(Range<usize>),
+) {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let (run, a_ends_first) = (x.start.max(y.start)..x.end.min(y.end), x.end <= y.end);
+        if run.start < run.end {
+            f(run);
+        }
+        // Step past whichever run ends first.
+        if a_ends_first {
+            a.next();
+        } else {
+            b.next();
+        }
+    }
+}
+
+/// Whether run `r`, less the words of `minus`, meets a run of `runs`
+/// (both sorted and disjoint).
+pub fn meets(runs: &[Range<usize>], r: &Range<usize>, minus: &[Range<usize>]) -> bool {
+    let mut met = false;
+    for_each_difference(std::slice::from_ref(r), minus, |part| {
+        let k = runs.partition_point(|x| x.end <= part.start);
+        met |= runs.get(k).is_some_and(|x| x.start < part.end);
+    });
+    met
+}
+
+/// Whether every word of run `r` is in a run of `runs` (sorted and
+/// disjoint).
+pub fn contains(runs: &[Range<usize>], r: &Range<usize>) -> bool {
+    let mut outside = false;
+    for_each_difference(std::slice::from_ref(r), runs, |_| outside = true);
+    !outside
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;

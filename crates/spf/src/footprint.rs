@@ -100,22 +100,9 @@ impl Touch {
         j * self.at.stride + self.rows.start..j * self.at.stride + self.rows.end
     }
 
-    /// Whether this touch and `other`, of the same array, share a word.
-    pub(crate) fn meets(&self, other: &Touch) -> bool {
-        let mut a = self.columns().map(|j| self.run(j)).peekable();
-        let mut b = other.columns().map(|j| other.run(j)).peekable();
-        // Both ascend by start: step past whichever run ends first.
-        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-            if x.start.max(y.start) < x.end.min(y.end) {
-                return true;
-            }
-            if x.end <= y.end {
-                a.next();
-            } else {
-                b.next();
-            }
-        }
-        false
+    /// The words touched, a run per column, ascending.
+    pub fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.columns().map(|j| self.run(j))
     }
 
     /// The words, when they are one run: whole columns, every one.
@@ -159,6 +146,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    use cri::section::for_each_overlap;
     use proptest::prelude::*;
     use sp2sim::{Cluster, ClusterConfig};
     use treadmarks::TmkConfig;
@@ -197,7 +185,9 @@ mod tests {
                     prop_assert_eq!(declared, words, "{:?}", t);
                     for u in &touches {
                         let shared = set(t).intersection(&set(u)).next().is_some();
-                        prop_assert_eq!(t.meets(u), shared, "{:?} {:?}", t, u);
+                        let mut met = false;
+                        for_each_overlap(t.runs(), u.runs(), |_| met = true);
+                        prop_assert_eq!(met, shared, "{:?} {:?}", t, u);
                     }
                 }
                 tmk.finish();

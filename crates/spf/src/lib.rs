@@ -59,16 +59,17 @@
 //! ([`Spf::describe_inspector`]). A loop described by a footprint alone
 //! is *transparent*; an inspector's sections exist only once it ran, and
 //! a prelude moves with every dispatch, so those two are *opaque*, to
-//! both derivations below. For a transparent loop over a range, every
-//! node's footprint is walked once, the first time a derivation asks,
-//! and kept as its facts: each node's touches, the words each
-//! [`Next::Node`] reads, and the loops its writes go to next. Dispatch
-//! fusion and derived privatization read them, and nothing else. A
+//! both derivations below. The table keeps the descriptions and
+//! privatization's conclusions, never a loop's touches: fusion, chained
+//! links, the debug view fence and privatization walk every node's
+//! footprint again each time, through one walker: the fence and
+//! privatization use the touches as they come, fusion and links keep
+//! them in buffers the walker reuses. A footprint is a pure function of `(iters, q, np)`, so every
+//! walk of a loop over a range, on any node, finds the same words. A
 //! prelude is transparent to fusion where its code is registered
 //! ([`Spf::register_sequential`]) and its footprint lies inside the
 //! words exactly one node wrote in the dispatch before: then its loop
-//! may join a run as a chained link, below; such a loop's touches are
-//! walked afresh at each link and kept nowhere.
+//! may join a run as a chained link, below.
 //!
 //! ## Dispatch fusion
 //!
@@ -104,7 +105,7 @@
 //! tree rooted at the writer when every other node reads them); each of
 //! them starts that body once the push is in
 //! ([`treadmarks::Tmk::take_link_push`]). Every node derives the writer
-//! and the readers from the loop table, so nothing announces the push,
+//! and the readers from its walks, so nothing announces the push,
 //! and the run's one join closes the chain. No other node may have
 //! written a page the push carries since the run began. The write
 //! notices the readers skip arrive at that join, and find the pushed
@@ -178,11 +179,11 @@
 pub mod footprint;
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
 
-use cri::section::merge_ranges;
+use cri::section::{contains, for_each_difference, for_each_overlap, insert, meets, merge_ranges};
 use cri::{Access, Consumer, HintEngine};
 use treadmarks::{SharedArray, Tmk, ViewFence};
 
@@ -377,32 +378,20 @@ fn loop_key(ctl: &LoopCtl) -> LoopKey {
     (ctl.id, ctl.range.start, ctl.range.end)
 }
 
-/// Words a node uses: `(node, mode, words)`, the mode `None` when its
-/// sequential code reads them after the loop (a [`Next::Node`]).
-type Words = (usize, Option<Mode>, Touch);
+/// Words a node uses: `(node, mode, words)`.
+type Words = (usize, Mode, Touch);
 
-/// What one walk of every node's footprint over one range comes to.
-#[derive(Default)]
-struct Facts {
-    /// Every touch, and the words each [`Next::Node`] reads.
-    words: Vec<Words>,
-    /// The loops, over their ranges, that read its writes next.
-    next: Vec<LoopKey>,
-    /// Whether privatization counted it.
-    counted: bool,
-}
-
-/// The loop table (see the crate doc).
+/// The loop table (see the crate doc): descriptions and conclusions.
 #[derive(Default)]
 struct LoopTable<'t> {
     /// Every loop's description, by id; the hint descriptors read preludes here.
     described: Rc<RefCell<Vec<Option<Description<'t>>>>>,
     /// [`Spf::run`] began: the descriptions are fixed.
     fixed: Cell<bool>,
-    /// Each transparent loop's facts, by the ranges it was used with.
-    facts: RefCell<HashMap<LoopKey, Facts>>,
     /// Privatization: each counted page's owner, `None` when shared.
     touched: RefCell<HashMap<usize, Option<usize>>>,
+    /// Privatization: the loops, over their ranges, it counted.
+    counted: RefCell<HashSet<LoopKey>>,
     /// Privatization met an opaque loop: every page stays shared.
     stopped: Cell<bool>,
 }
@@ -427,47 +416,6 @@ impl<'t> LoopTable<'t> {
         Some(!matches!(description, Description::Footprint(_, None)))
     }
 
-    /// The facts of every key of `keys`, none opaque: each from one walk
-    /// of every node's footprint, the first time it is asked for.
-    fn facts(&self, keys: &[LoopKey], np: usize) -> RefMut<'_, HashMap<LoopKey, Facts>> {
-        let mut facts = self.facts.borrow_mut();
-        for &key in keys {
-            facts.entry(key).or_insert_with(|| {
-                let mut f = Facts::default();
-                self.walk(key, np, true, &mut f);
-                f
-            });
-        }
-        facts
-    }
-
-    /// One walk of every node's footprint of `key`'s loop over its range,
-    /// into `f`, emptied first; with `next`, where each write goes next
-    /// too. Unless [`LoopTable::facts`] keeps it, it is kept nowhere: a
-    /// chained link's (see "Chained dispatches" in the crate doc), whose
-    /// range is never dispatched again, needs only its touches.
-    fn walk(&self, (id, start, end): LoopKey, np: usize, next: bool, f: &mut Facts) {
-        let described = self.described.borrow();
-        let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
-            unreachable!("loop {id} has no footprint");
-        };
-        f.words.clear();
-        f.next.clear();
-        for q in 0..np {
-            footprint(&(start..end), q, np, next, &mut |t, nexts| {
-                for n in nexts {
-                    match n {
-                        Next::Node(node, cols) => {
-                            f.words.push((node, None, Touch { cols, ..t.clone() }))
-                        }
-                        Next::Loop(id, iters) => f.next.push((id, iters.start, iters.end)),
-                    }
-                }
-                f.words.push((q, Some(t.mode), t));
-            });
-        }
-    }
-
     /// Whether loop `id` is described by its footprint and a prelude.
     fn has_prelude(&self, id: usize) -> bool {
         let described = self.described.borrow();
@@ -476,6 +424,90 @@ impl<'t> LoopTable<'t> {
             Some(Some(Description::Footprint(_, Some(_))))
         )
     }
+}
+
+/// The walker (see "The loop table" in the crate doc), with the words
+/// of the last two loops it walked, kept between uses and emptied, so
+/// that it allocates only while it grows.
+#[derive(Default)]
+struct Walks {
+    /// The node count: a walk visits every node's footprint.
+    np: usize,
+    /// The loop whose words `last` holds.
+    key: Option<LoopKey>,
+    /// The loop before the last one's words.
+    before: Vec<Words>,
+    /// The last loop's words.
+    last: Vec<Words>,
+}
+
+impl Walks {
+    /// Visit every node's touches of `key`'s loop over its range in
+    /// `words`; with `next`, also the words each [`Next::Node`]'s
+    /// sequential code reads after the loop, as that node's reads, and
+    /// each loop a write goes to next, in `to`.
+    fn visit(
+        &self,
+        table: &LoopTable,
+        key: LoopKey,
+        next: bool,
+        words: &mut dyn FnMut(Words),
+        to: &mut dyn FnMut(LoopKey),
+    ) {
+        let (id, start, end, np) = (key.0, key.1, key.2, self.np);
+        let described = table.described.borrow();
+        let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
+            unreachable!("loop {id} has no footprint");
+        };
+        for q in 0..np {
+            footprint(&(start..end), q, np, next, &mut |t, nexts| {
+                for n in nexts {
+                    match n {
+                        Next::Node(node, cols) => {
+                            words((node, Mode::Read, Touch { cols, ..t.clone() }))
+                        }
+                        Next::Loop(id, iters) => to((id, iters.start, iters.end)),
+                    }
+                }
+                words((q, t.mode, t));
+            });
+        }
+    }
+
+    /// Every node's touches of `key`'s loop, which `last` holds from now on.
+    fn walk(&mut self, table: &LoopTable, key: LoopKey) -> &[Words] {
+        let mut last = std::mem::take(&mut self.last);
+        last.clear();
+        self.visit(table, key, false, &mut |w| last.push(w), &mut |_| {});
+        (self.last, self.key) = (last, Some(key));
+        &self.last
+    }
+
+    /// The link `ctl` makes after `prev`, if its prelude lies in what
+    /// one node wrote there ([`link`]); `last` holds `ctl`'s words from
+    /// now on.
+    fn link(&mut self, table: &LoopTable, prev: &LoopCtl, ctl: &LoopCtl) -> Option<Link> {
+        if self.key != Some(loop_key(prev)) {
+            self.walk(table, loop_key(prev));
+        }
+        std::mem::swap(&mut self.before, &mut self.last);
+        self.walk(table, loop_key(ctl));
+        let prelude = prelude(&table.described.borrow(), ctl.id, &ctl.range);
+        link(&self.before, &self.last, &prelude, self.np)
+    }
+}
+
+/// The word runs kept for `key` in `sets`, sorted and disjoint; none
+/// yet when it is new.
+fn runs_of<K: PartialEq>(sets: &mut Vec<(K, Vec<Range<usize>>)>, key: K) -> &mut Vec<Range<usize>> {
+    let at = match sets.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            sets.push((key, Vec::new()));
+            sets.len() - 1
+        }
+    };
+    &mut sets[at].1
 }
 
 /// The words each node used in the loops of a run so far, by array and
@@ -502,19 +534,9 @@ impl Used {
     /// Add a loop whose words are `words`.
     fn add(&mut self, words: &[Words]) {
         for (q, mode, t) in words {
-            let Some(mode) = *mode else {
-                continue;
-            };
-            let key = (*q, t.at.arr.first_page(), mode != Mode::Read);
-            let at = match self.sets.iter().position(|(k, _)| *k == key) {
-                Some(at) => at,
-                None => {
-                    self.sets.push((key, Vec::new()));
-                    self.sets.len() - 1
-                }
-            };
-            t.columns()
-                .for_each(|j| insert(&mut self.sets[at].1, t.run(j)));
+            let key = (*q, t.at.arr.first_page(), *mode != Mode::Read);
+            let runs = runs_of(&mut self.sets, key);
+            t.runs().for_each(|r| insert(runs, r));
         }
     }
 
@@ -524,10 +546,7 @@ impl Used {
     /// read — but for the words `link` pushes to `q` from its writer,
     /// which `q` reads once they arrived.
     fn admits(&self, later: &[Words], link: Option<&Link>) -> bool {
-        later.iter().all(|(q, mode, t)| {
-            let Some(mode) = *mode else {
-                return true;
-            };
+        later.iter().all(|&(q, mode, ref t)| {
             let pushed = |p: usize| match link {
                 Some(link) if link.writer == p && mode == Mode::Read => link.runs(t.at.arr),
                 _ => &[],
@@ -538,8 +557,8 @@ impl Used {
                 let after_write = written;
                 // Write-after-read: `q` overwrites what `p` read.
                 let after_read = !written && mode != Mode::Read;
-                let meet = || t.columns().any(|j| meets(runs, &t.run(j), pushed(p)));
-                p != *q && a == arr && (after_write || after_read) && meet()
+                let meet = || t.runs().any(|r| meets(runs, &r, pushed(p)));
+                p != q && a == arr && (after_write || after_read) && meet()
             })
         })
     }
@@ -552,95 +571,16 @@ impl Used {
             let pages = runs.iter().map(|r| {
                 r.start / page_words * page_words..r.end.div_ceil(page_words) * page_words
             });
-            let others = |&&((p, a, written), _): &&(SetKey, Vec<Range<usize>>)| {
-                written && p != link.writer && a == arr.first_page()
-            };
-            (self.sets.iter().filter(others))
-                .all(|(_, set)| pages.clone().all(|r| !meets(set, &r, &[])))
+            self.sets.iter().all(|&((p, a, written), ref set)| {
+                let others = written && p != link.writer && a == arr.first_page();
+                !others || pages.clone().all(|r| !meets(set, &r, &[]))
+            })
         })
     }
 }
 
-/// Add word run `r` to `runs`, sorted and disjoint, merging what it
-/// meets or abuts.
-fn insert(runs: &mut Vec<Range<usize>>, r: Range<usize>) {
-    if r.is_empty() {
-        return;
-    }
-    let (i, j) = (
-        runs.partition_point(|x| x.end < r.start),
-        runs.partition_point(|x| x.start <= r.end),
-    );
-    if i == j {
-        runs.insert(i, r);
-    } else {
-        runs[i] = runs[i].start.min(r.start)..runs[j - 1].end.max(r.end);
-        runs.drain(i + 1..j);
-    }
-}
-
-/// Whether word run `r`, less the words of `minus`, meets a run of
-/// `runs` (both sorted and disjoint).
-fn meets(runs: &[Range<usize>], r: &Range<usize>, minus: &[Range<usize>]) -> bool {
-    let hit = |a: usize, b: usize| {
-        let k = runs.partition_point(|x| x.end <= a);
-        a < b && runs.get(k).is_some_and(|x| x.start < b)
-    };
-    let mut start = r.start;
-    for m in &minus[minus.partition_point(|m| m.end <= r.start)..] {
-        if m.start >= r.end {
-            break;
-        }
-        if hit(start, m.start) {
-            return true;
-        }
-        start = start.max(m.end);
-    }
-    hit(start, r.end)
-}
-
-/// The words of the loops around a chained link, walked afresh
-/// ([`LoopTable::walk`]): a link's range is never dispatched again.
-#[derive(Default)]
-struct Walks {
-    /// The loop whose words `last` holds.
-    key: Option<LoopKey>,
-    /// The loop before the last one's words.
-    before: Facts,
-    /// The last loop's words.
-    last: Facts,
-}
-
-impl Walks {
-    /// Walk loop `key`: its words, which `last` holds from now on.
-    fn walk(&mut self, table: &LoopTable, key: LoopKey, np: usize) -> &[Words] {
-        table.walk(key, np, false, &mut self.last);
-        self.key = Some(key);
-        &self.last.words
-    }
-
-    /// The link `ctl` makes after `prev`, if its prelude lies in what
-    /// one node wrote there ([`link`]); `last` holds `ctl`'s words from
-    /// now on.
-    fn link(
-        &mut self,
-        table: &LoopTable,
-        prev: &LoopCtl,
-        ctl: &LoopCtl,
-        np: usize,
-    ) -> Option<Link> {
-        if self.key != Some(loop_key(prev)) {
-            self.walk(table, loop_key(prev), np);
-        }
-        std::mem::swap(&mut self.before, &mut self.last);
-        self.walk(table, loop_key(ctl), np);
-        let prelude = prelude(&table.described.borrow(), ctl.id, &ctl.range);
-        link(&self.before.words, &self.last.words, &prelude, np)
-    }
-}
-
-/// A chained link's prelude, as every node derives it from the loop
-/// table (see "Chained dispatches" in the crate doc).
+/// A chained link's prelude, as every node derives it from its walks
+/// (see "Chained dispatches" in the crate doc).
 struct Link {
     /// The one node that wrote the prelude's words in the link before,
     /// which runs it.
@@ -665,11 +605,17 @@ impl Link {
 /// exactly one node's writes in `before` meet the prelude, and they hold
 /// every word of it.
 fn link(before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> Option<Link> {
-    let writes = |w: &&Words| w.1.is_some_and(|m| m != Mode::Read);
+    let writes = |w: &&Words| w.1 != Mode::Read;
     let mut writer = None;
     for s in prelude {
-        for (q, _, t) in before.iter().filter(writes) {
-            if t.at.arr == s.at.arr && t.meets(s) && *writer.get_or_insert(*q) != *q {
+        for (q, _, t) in before
+            .iter()
+            .filter(writes)
+            .filter(|w| w.2.at.arr == s.at.arr)
+        {
+            let mut met = false;
+            for_each_overlap(t.runs(), s.runs(), |_| met = true);
+            if met && *writer.get_or_insert(*q) != *q {
                 return None;
             }
         }
@@ -680,29 +626,16 @@ fn link(before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> Opti
         own.clear();
         let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
         for (_, _, t) in before.iter().filter(writes).filter(mine) {
-            t.columns().for_each(|j| insert(&mut own, t.run(j)));
+            t.runs().for_each(|r| insert(&mut own, r));
         }
-        let inside = |r: Range<usize>| {
-            let k = own.partition_point(|x| x.end <= r.start);
-            r.is_empty()
-                || own
-                    .get(k)
-                    .is_some_and(|x| x.start <= r.start && r.end <= x.end)
-        };
-        if !s.columns().all(|j| inside(s.run(j))) {
+        if !s.runs().all(|r| contains(&own, &r)) {
             return None;
         }
     }
-    let mut words: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
+    let mut words = Vec::new();
     for s in prelude.iter().filter(|s| s.mode != Mode::Read) {
-        let at = match words.iter().position(|(arr, _)| *arr == s.at.arr) {
-            Some(at) => at,
-            None => {
-                words.push((s.at.arr, Vec::new()));
-                words.len() - 1
-            }
-        };
-        s.columns().for_each(|j| insert(&mut words[at].1, s.run(j)));
+        let runs = runs_of(&mut words, s.at.arr);
+        s.runs().for_each(|r| insert(runs, r));
     }
     let link = Link {
         writer,
@@ -710,9 +643,9 @@ fn link(before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> Opti
         readers: Vec::new(),
     };
     let reads = |q: usize| {
-        after.iter().any(|(p, mode, t)| {
+        after.iter().any(|(p, _, t)| {
             let pushed = link.runs(t.at.arr);
-            *p == q && mode.is_some() && t.columns().any(|j| meets(pushed, &t.run(j), &[]))
+            *p == q && t.runs().any(|r| meets(pushed, &r, &[]))
         })
     };
     let readers = (0..np).filter(|&q| q != writer && reads(q)).collect();
@@ -726,10 +659,12 @@ pub struct Spf<'t, 'n> {
     /// The sequential code before each dispatch of a loop, by loop id.
     sequential: RefCell<Vec<Option<LoopBody<'t>>>>,
     hints: HintEngine<'t, 'n>,
-    /// Every loop's description and what it comes to.
+    /// Every loop's description and what privatization concluded.
     table: LoopTable<'t>,
     /// What the loops of the run being formed used ([`Spf::fused_run`]).
     used: RefCell<Used>,
+    /// The walker's buffers.
+    walks: RefCell<Walks>,
     /// Master-side: an epoch-invalidating event is pending; the next
     /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
     /// inspector schedules at the same loop boundary.
@@ -754,6 +689,10 @@ impl<'t, 'n> Spf<'t, 'n> {
             hints: HintEngine::new(tmk),
             table: LoopTable::default(),
             used: RefCell::default(),
+            walks: RefCell::new(Walks {
+                np: tmk.nprocs(),
+                ..Walks::default()
+            }),
             pending_invalidate: Cell::new(false),
             ctl_idx,
             ctl_args,
@@ -854,11 +793,12 @@ impl<'t, 'n> Spf<'t, 'n> {
                         acc[write].consumers.push(Consumer::Loop { id, iters });
                         continue;
                     }
-                    for cols in minus(t.cols.clone(), &mut rewritten) {
+                    let kept = std::slice::from_ref(&t.cols);
+                    for_each_difference(kept, &merge_ranges(rewritten), |cols| {
                         let to_loop =
                             |p: Touch| declare(&t, p.section()).consumed_by_loop(id, iters.clone());
                         acc.extend(within(&t, &cols).map(to_loop));
-                    }
+                    });
                 }
             }
             acc
@@ -992,12 +932,10 @@ impl<'t, 'n> Spf<'t, 'n> {
             return;
         }
         // Only what is left to count: most dispatches allocate nothing.
-        let new = |k: &LoopKey| {
-            let counted = table.facts.borrow().get(k).is_some_and(|f| f.counted);
-            table.opaque(k.0).is_some() && !counted
-        };
+        let new = |k: &LoopKey| table.opaque(k.0).is_some() && !table.counted.borrow().contains(k);
         let mut todo: Vec<LoopKey> = group.map(|ctl| loop_key(&ctl)).filter(new).collect();
         let (mut touched, mut changed) = (table.touched.borrow_mut(), Vec::new());
+        let walks = self.walks.borrow();
         while let Some(key) = todo.pop() {
             // An undescribed loop declares nothing; an opaque one stops
             // the count.
@@ -1008,13 +946,11 @@ impl<'t, 'n> Spf<'t, 'n> {
                 table.stopped.set(true);
                 break;
             }
-            let mut facts = table.facts(&[key], tmk.nprocs());
-            let facts = facts.get_mut(&key).expect("evaluated");
-            if std::mem::replace(&mut facts.counted, true) {
+            if !table.counted.borrow_mut().insert(key) {
                 continue;
             }
-            for &(node, _, ref t) in &facts.words {
-                for p in t.columns().flat_map(|j| tmk.page_span(t.at.arr, &t.run(j))) {
+            let mut count = |(node, _, t): Words| {
+                for p in t.runs().flat_map(|r| tmk.page_span(t.at.arr, &r)) {
                     let was = touched.get(&p).copied();
                     let own = (node != 0 && was.is_none_or(|t| t == Some(node))).then_some(node);
                     if was != Some(own) {
@@ -1022,8 +958,8 @@ impl<'t, 'n> Spf<'t, 'n> {
                         changed.push(p);
                     }
                 }
-            }
-            todo.extend_from_slice(&facts.next);
+            };
+            walks.visit(table, key, true, &mut count, &mut |next| todo.push(next));
         }
         for (&p, t) in touched.iter_mut().filter(|_| table.stopped.get()) {
             changed.extend(t.take().map(|_| p));
@@ -1034,28 +970,15 @@ impl<'t, 'n> Spf<'t, 'n> {
 
     /// What the body of `ctl` declared it opens on this node, by array.
     fn fence(&self, ctl: &LoopCtl) -> ViewFence {
-        let (key, me, np) = (loop_key(ctl), self.tmk.proc_id(), self.tmk.nprocs());
-        let (mut walked, kept);
-        let words: &[Words] = if self.table.has_prelude(ctl.id) {
-            walked = Facts::default();
-            self.table.walk(key, np, false, &mut walked);
-            &walked.words
-        } else {
-            kept = self.table.facts(&[key], np);
-            &kept[&key].words
-        };
-        let mut arrays: Vec<(SharedArray, Vec<Range<usize>>)> = Vec::new();
-        let mine = |w: &&Words| w.0 == me && w.1.is_some();
-        for (_, _, t) in words.iter().filter(mine) {
-            let runs = t.columns().map(|j| t.run(j));
-            match arrays.iter_mut().find(|(arr, _)| *arr == t.at.arr) {
-                Some((_, all)) => all.extend(runs),
-                None => arrays.push((t.at.arr, runs.collect())),
+        let (me, mut arrays) = (self.tmk.proc_id(), Vec::new());
+        let mut mine = |(q, _, t): Words| {
+            if q == me {
+                let runs = runs_of(&mut arrays, t.at.arr);
+                t.runs().for_each(|r| insert(runs, r));
             }
-        }
-        for (_, runs) in &mut arrays {
-            *runs = merge_ranges(std::mem::take(runs));
-        }
+        };
+        let walks = self.walks.borrow();
+        walks.visit(&self.table, loop_key(ctl), false, &mut mine, &mut |_| {});
         let loop_id = ctl.id;
         ViewFence { loop_id, arrays }
     }
@@ -1067,43 +990,33 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// one only as a chained link (see the crate doc).
     fn fused_run(&self, loops: &[LoopCtl]) -> usize {
         let table = &self.table;
-        let starts = match table.opaque(loops[0].id) {
-            Some(opaque) => !opaque || table.has_prelude(loops[0].id),
-            None => false,
-        };
+        let starts = table.opaque(loops[0].id) == Some(false) || table.has_prelude(loops[0].id);
         if !self.improved() || loops.len() == 1 || !starts {
             return 1;
         }
-        let (np, pw) = (self.tmk.nprocs(), self.tmk.config().page_words);
-        let mut used = self.used.borrow_mut();
+        let pw = self.tmk.config().page_words;
+        let (mut used, mut walks) = (self.used.borrow_mut(), self.walks.borrow_mut());
         used.clear();
-        let mut walks = Walks::default();
-        let first = loop_key(&loops[0]);
-        match table.has_prelude(first.0) {
-            true => used.add(walks.walk(table, first, np)),
-            false => used.add(&table.facts(&[first], np)[&first].words),
-        }
+        used.add(walks.walk(table, loop_key(&loops[0])));
         let mut k = 1;
         while k < loops.len() {
-            let key = loop_key(&loops[k]);
-            if table.opaque(key.0) == Some(false) {
-                let facts = table.facts(&[key], np);
-                if !used.admits(&facts[&key].words, None) {
-                    break;
+            let ctl = &loops[k];
+            // `last` holds this loop's words either way.
+            let link = if table.opaque(ctl.id) == Some(false) {
+                walks.walk(table, loop_key(ctl));
+                None
+            } else if table.has_prelude(ctl.id) && self.has_sequential(ctl.id) {
+                match walks.link(table, &loops[k - 1], ctl) {
+                    Some(link) if used.clear_of(&link, pw) => Some(link),
+                    _ => break,
                 }
-                used.add(&facts[&key].words);
-            } else if table.has_prelude(key.0) && self.has_sequential(key.0) {
-                let link = walks.link(table, &loops[k - 1], &loops[k], np);
-                let words = &walks.last.words;
-                let chains =
-                    |link: Link| used.clear_of(&link, pw) && used.admits(words, Some(&link));
-                if !link.is_some_and(chains) {
-                    break;
-                }
-                used.add(words);
             } else {
                 break;
+            };
+            if !used.admits(&walks.last, link.as_ref()) {
+                break;
             }
+            used.add(&walks.last);
             k += 1;
         }
         k
@@ -1111,10 +1024,7 @@ impl<'t, 'n> Spf<'t, 'n> {
 
     /// Whether sequential code is registered before loop `id`.
     fn has_sequential(&self, id: usize) -> bool {
-        self.sequential
-            .borrow()
-            .get(id)
-            .is_some_and(Option::is_some)
+        matches!(self.sequential.borrow().get(id), Some(Some(_)))
     }
 
     /// Run the bodies of one dispatch in order. Before each chained link
@@ -1122,11 +1032,12 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// prelude and pushes what it rewrote, and every reader takes that
     /// push (see "Chained dispatches" in the crate doc).
     fn run_group<'a>(&self, group: impl IntoIterator<Item = LoopCtl<'a>>, fused: bool) {
-        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
-        let (mut prev, mut walks) = (None, Walks::default());
+        let (me, mut prev) = (self.tmk.proc_id(), None);
+        // No walk outlives its dispatch.
+        self.walks.borrow_mut().key = None;
         for ctl in group {
             if let Some(prev) = prev.as_ref().filter(|_| self.table.has_prelude(ctl.id)) {
-                let link = walks.link(&self.table, prev, &ctl, np);
+                let link = self.walks.borrow_mut().link(&self.table, prev, &ctl);
                 let link = link.expect("the master chained this link");
                 if me == link.writer {
                     self.run_sequential(&ctl);
@@ -1313,19 +1224,6 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             self.spf.tmk.barrier(1);
         }
     }
-}
-
-/// The parts of `cols` outside every range of `cuts` (sorted here, each
-/// within `cols`), ascending; some may be empty.
-fn minus(cols: Range<usize>, cuts: &mut [Range<usize>]) -> Vec<Range<usize>> {
-    cuts.sort_unstable_by_key(|c| c.start);
-    let (mut out, mut start) = (Vec::new(), cols.start);
-    for cut in cuts.iter() {
-        out.push(start..cut.start);
-        start = start.max(cut.end);
-    }
-    out.push(start..cols.end);
-    out
 }
 
 /// An SPF scalar reduction: the reduction variable lives in shared

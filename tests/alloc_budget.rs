@@ -258,7 +258,8 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
 }
 
 /// Allocation budget per dispatch of hinted Shallow, cluster-wide
-/// (measured: about 111, the protocol's own, with a row wrap fused into
+/// (measured: 106.6 in release, 189.2 with debug assertions, the
+/// profile `cargo test` runs; the protocol's own, with a row wrap fused into
 /// each step loop's dispatch; about 112 per loop before fusion; with a sealed buffer beside
 /// each diff response and push and a copy of the control words: about
 /// 133; with owned intervals and
@@ -299,10 +300,19 @@ fn hinted_dispatches_replay_their_plans() {
 }
 
 /// Allocation budget per link of hinted MGS's chained pivot loop,
-/// cluster-wide (measured: about 611 in release, 733 with debug
-/// assertions, most of them every node's hint plans, built again for
-/// each link's new range; about 633 and 714 per pivot when every pivot
-/// had a fork-join of its own).
+/// cluster-wide (measured: 601.9 in release, 708.3 with debug
+/// assertions; about 611 and 733 while each link's walks filled buffers
+/// of their own; about 633 and 714 per pivot when every pivot had a
+/// fork-join of its own). Split by where they happen, as a per-phase
+/// counter kept per fiber in a copy of this test read them, release /
+/// debug: every node's hint plans, built again for each link's new
+/// range, 477.7 / 549.7; deriving the link on every node and on the
+/// master as it forms the run, 71.9 / 71.9 — its walks add none, since
+/// `Spf` keeps the walker's buffers: the prelude's touch list, the
+/// writer's runs, the pushed words and the readers are the rest; the
+/// link push and its take, 44.2 / 46.2; the debug view fence of each
+/// link's body, 0 / 32.4; the rest of the protocol and the run-time,
+/// 8.0 / 8.0.
 const ALLOCS_PER_CHAINED_LINK: f64 = 1000.0;
 
 /// `(allocations, links, forks)` of one 8-node MGS SPF+CRI run on `n`
@@ -315,9 +325,9 @@ fn mgs_cri(n: usize) -> (u64, u64, u64) {
 }
 
 /// Hinted MGS for chains of `n` and `2n` links: the extra allocations
-/// per extra link. A link is what every node derives from the loop
-/// table — its writer and readers, from one walk of every node's
-/// footprint of the link, kept nowhere — the writer's interval and link
+/// per extra link. A link is what every node derives from its walks —
+/// its writer and readers, from every node's footprints of the link
+/// and the loop before, walked again — the writer's interval and link
 /// push, and the forwarders' copies on the way down the tree; the chain
 /// adds no fork.
 fn chained_links_allocate_their_messages() {
