@@ -43,7 +43,7 @@ cargo test -q --release --test trace_invariants --test critical_path
 step "seam: no protocol comparison outside lrc.rs, hlrc.rs and the dispatchers in coherence.rs"
 # Non-test code only: each file is cut at its `#[cfg(test)]` line.
 leaks=$(for f in crates/treadmarks/src/{dsm,state,service,protocol,page,diff,interval}.rs \
-    crates/cri/src/*.rs crates/spf/src/lib.rs; do
+    crates/cri/src/*.rs crates/spf/src/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.hlrc\(\)|ProtocolMode::(Lrc|Hlrc)' | sed "s|^|$f:|" || true
 done)
 if [ -n "$leaks" ]; then
@@ -52,22 +52,12 @@ if [ -n "$leaks" ]; then
     exit 1
 fi
 
-step "footprints: the applications describe their loops through Spf alone"
+step "footprints: the applications leave privacy to Spf"
 # Non-test code only, each file cut at its `#[cfg(test)]` line and its
 # whitespace dropped, so a name rustfmt splits over two lines is caught
-# too. A loop is described once through `Spf` (`describe`,
-# `describe_sequential`, `describe_inspector`), whose loop table fusion
-# and privatization read; an application that builds its own hint engine
-# would attach descriptors that table never sees.
-engines=$(for f in crates/apps/src/*.rs; do
-    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o 'HintEngine' | sed "s|^|$f: |" || true
-done)
-if [ -n "$engines" ]; then
-    printf '%s\n' "$engines"
-    echo "gates: an application uses the hint engine: describe the loop through Spf" >&2
-    exit 1
-fi
-# Nor does an application name a page private: privacy is `Spf`'s
+# too. A loop is described once through `Spf` (the hint engine that reads
+# its loop table is private to `spf`, so the compiler refuses any other
+# way), and no application names a page private: privacy is `Spf`'s
 # derivation from the same footprints (`Tmk::privatize`).
 named=$(for f in crates/apps/src/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o '\.privatize(' | sed "s|^|$f: |" || true

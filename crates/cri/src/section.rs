@@ -5,7 +5,7 @@
 //! et al.) derives it from subscript analysis of DO loops; an inspector
 //! materializes it by walking a run-time indirection map. Either way the
 //! runtime asks one thing of it — its maximal contiguous word ranges,
-//! ascending, which the hint engine turns into page runs for validates
+//! ascending, which `spf`'s hint engine turns into page runs for validates
 //! and pushes — so a [`Section`] *is* that list, and each constructor
 //! evaluates its shape once, when the descriptor is built, without
 //! running the loop.

@@ -16,12 +16,12 @@
 //! [`Section`]s for [`cri::Access`] lists — the touched words as sorted
 //! runs — while charging the walk's virtual time to the inspecting
 //! node, so the "inspector cost" column of the experiment tables is
-//! real. The executor half lives in `cri::HintEngine`: an inspector
-//! registered through `spf::Spf::describe_inspector` (the application
-//! registers the loop body with `spf::Spf::register` and describes it
-//! by its inspector under the same id) has each `(loop, range, node)`
-//! evaluation memoized in the engine's schedule cache, and the cached
-//! accesses feed straight into the existing CRI machinery — aggregated
+//! real. The executor half lives in `spf`: an inspector described
+//! through `spf::Spf::describe_inspector` (the application registers
+//! the loop body with `spf::Spf::register` and describes it by its
+//! inspector under the same id) sits in the loop's table entry, `spf`'s
+//! hint engine memoizes each `(loop, range, node)` evaluation in a
+//! schedule cache, and the cached accesses feed the CRI machinery — aggregated
 //! validate before the body, rendezvous-time pushes after it, and HLRC
 //! producer-home placement at fork quiescence. Cache behaviour is
 //! observable per run as `DsmStats::{inspections, inspect_us,

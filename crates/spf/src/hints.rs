@@ -1,4 +1,5 @@
-//! The hint engine: turning access descriptors into runtime actions.
+//! The hint engine: turning the loop table's descriptors into runtime
+//! actions.
 //!
 //! A compiler that knows the regular sections a parallel loop touches
 //! can tell the DSM three things the paper's measurements show it pays
@@ -19,176 +20,45 @@
 //! compiler's runtime would evaluate its symbolic sections with the
 //! loop bounds of the current dispatch.
 //!
-//! ## Hint plans
+//! Under HLRC ([`treadmarks::hlrc`]) they also drive **home placement**
+//! ([`HintEngine::planned_homes`], decided once on the master at fork
+//! time through [`Tmk::adopt_page_homes`]), and a push to a consumer that
+//! *is* the page's home is skipped: the home flush already carries the
+//! same diff there.
 //!
-//! A loop that is dispatched again over the same iteration range asks
-//! for the same validate, the same pushes and the same home candidates,
-//! so the engine compiles each registered loop **once** into a plan of
-//! three flat lists and replays them:
+//! Validates and pushes are *performance-only*: every validate fetches
+//! exactly the diffs a fault would have fetched, and a push delivers
+//! the diffs the consumer would have requested (gapped pushes are
+//! dropped, not misapplied) — or, when sequential code republishes a
+//! section it rewrote ([`HintEngine::republish`]), the section's words,
+//! which stand for every diff of their pages the consumer has not
+//! applied, and which it installs only where the pusher's watermarks
+//! dominate its own. Two hints rest on the program's word, and debug
+//! builds check both: a **write-all** access ([`Access::write_all`])
+//! skips a fetch — the pages the body overwrites whole are neither
+//! validated nor pushed, and their release publishes them whole (an
+//! unstored word or a read before the write panics, naming the loop);
+//! a republished section must hold every word of its pages written
+//! since what the consumer holds (a word outside it that differs from
+//! the pusher's panics at the install).
+//! Hinted and unhinted executions produce byte-identical shared memory;
+//! `tests/cri_equivalence.rs` pins that property.
 //!
-//! * what [`HintEngine::before_loop`] validates — the section count and
-//!   the merged page runs handed to [`Tmk::validate_pages`];
-//! * what [`HintEngine::after_loop`] registers — every `(target, page)`
-//!   push, *before* the HLRC "the consumer is the page's home" filter,
-//!   which stays a check at replay because homes change;
-//! * the `(page, writer)` pairs [`HintEngine::planned_homes`] picks its
-//!   home candidates from (HLRC, master only).
-//!
-//! Each third is built the first time its own call site runs, not ahead
-//! of it: building evaluates descriptors, and a dynamic descriptor's
-//! inspection charges virtual time where it runs. There is one plan per
-//! loop id, replaced when the loop comes with another range (MGS
-//! dispatches `i+1..n`: it never replays, and must not pile up a plan per
-//! pivot). Every plan is dropped by [`HintEngine::set`],
-//! [`HintEngine::register_dynamic`] and
-//! [`HintEngine::invalidate_schedules`] — a producer's plan embeds its
-//! consumers' descriptors, so any re-registration invalidates all of
-//! them — which are exactly the events that drop cached schedules: a
-//! replay therefore stands for evaluations that would all have hit the
-//! schedule cache, and adds their number to `schedule_reuse`.
-//!
-//! The one contract plans lean on: a static [`AccessFn`] is a **pure
-//! function of `(iters, q, np)`** — as a dynamic one already had to be
-//! between two invalidations.
-//!
-//! Page sets are sorted, disjoint **page runs** (`Vec<Range<usize>>`)
-//! throughout: a section's word runs map to page runs in order, unions
-//! are sorted and merged, overlaps found by a two-pointer sweep.
-//!
-//! ## Dynamic descriptors (the inspector/executor split)
-//!
-//! When a loop's subscripts go through a run-time indirection map, no
-//! static section exists — the descriptor *function* must walk the map
-//! (an inspector loop) to discover the touched words, which it returns
-//! as [`Section`]s built from the walk. Registering
-//! such a function through [`HintEngine::register_dynamic`] makes the
-//! engine memoize every evaluation in a **schedule cache** keyed by
-//! `(loop, iteration range, node)`: the walk runs once per key per
-//! epoch, and every later evaluation — the executor path — is served
-//! from the cache at zero inspection cost. Cache effectiveness is
-//! observable as [`DsmStats::inspections`](treadmarks::DsmStats) (cache
-//! misses, with the walk's virtual time in `inspect_us`) versus
-//! [`DsmStats::schedule_reuse`](treadmarks::DsmStats) (hits, counted
-//! one by one or by the plan replay that stands for them). An
-//! epoch-invalidating event — the application rebuilt the map — clears
-//! the cache through [`HintEngine::invalidate_schedules`] (the `spf`
-//! runtime broadcasts the invalidation inside the next dispatch, so
-//! every node re-inspects at the same loop boundary).
+//! The engine keeps no descriptor. It looks each one up in the loop
+//! table it is handed, and keeps only what they came to: the plans it
+//! replays and the inspectors' schedules (see "Hint plans" and "Dynamic
+//! descriptors" in the crate doc).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
+use cri::section::{for_each_overlap, merge_ranges, subtract};
+use cri::{Access, AccessMode, Consumer, Section};
 use treadmarks::{SharedArray, Tmk};
 
-use crate::section::{for_each_overlap, merge_ranges, subtract, Section};
-
-/// Whether an access reads or writes its section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessMode {
-    /// The loop reads the section.
-    Read,
-    /// The loop writes the section. A write view fetches the current
-    /// content too, so write sections are validated — except the whole
-    /// pages of a write-all access ([`Access::write_all`]), which the
-    /// body overwrites before it reads them.
-    Write,
-}
-
-/// Who reads a written section next — the producer side of the
-/// barrier-time push.
-#[derive(Clone, Debug)]
-pub enum Consumer {
-    /// The registered loop `id`, next dispatched over `iters`: every
-    /// node's read sections of that loop are evaluated and the page
-    /// overlap with the producer's writes is pushed.
-    Loop {
-        /// Consuming loop id (registration order).
-        id: usize,
-        /// The iteration space that loop will be dispatched over.
-        iters: Range<usize>,
-    },
-    /// A specific node's sequential code (e.g. the master's wrap-around
-    /// copies in Shallow): the whole written section is pushed there.
-    Node(usize),
-}
-
-/// One access of a loop: a section of a shared array, its mode, and
-/// (for writes) the known consumers.
-#[derive(Clone, Debug)]
-pub struct Access {
-    /// The shared array.
-    pub arr: SharedArray,
-    /// The section touched.
-    pub section: Section,
-    /// Read or write.
-    pub mode: AccessMode,
-    /// A write that stores every word of the section before the loop
-    /// reads any of it ([`Access::write_all`]).
-    pub write_all: bool,
-    /// Consumers of a written section (ignored for reads).
-    pub consumers: Vec<Consumer>,
-}
-
-impl Access {
-    /// A read access.
-    pub fn read(arr: SharedArray, section: Section) -> Access {
-        Access {
-            arr,
-            section,
-            mode: AccessMode::Read,
-            write_all: false,
-            consumers: Vec::new(),
-        }
-    }
-
-    /// A write access.
-    pub fn write(arr: SharedArray, section: Section) -> Access {
-        Access {
-            arr,
-            section,
-            mode: AccessMode::Write,
-            write_all: false,
-            consumers: Vec::new(),
-        }
-    }
-
-    /// A write-all access: the loop stores every word of `section` before
-    /// it reads any. A page the section covers whole, and no other access
-    /// of the loop touches, is neither validated before the body nor
-    /// pushed to it: the body's write view over it fetches nothing, takes
-    /// no fault and no twin, and its release publishes the page whole
-    /// ([`Tmk::arm_write_all`]).
-    pub fn write_all(arr: SharedArray, section: Section) -> Access {
-        Access {
-            write_all: true,
-            ..Access::write(arr, section)
-        }
-    }
-
-    /// Declare that registered loop `id`, dispatched over `iters`, reads
-    /// this written section next.
-    pub fn consumed_by_loop(mut self, id: usize, iters: Range<usize>) -> Access {
-        self.consumers.push(Consumer::Loop { id, iters });
-        self
-    }
-
-    /// Declare that node `q`'s sequential code reads this written
-    /// section next.
-    pub fn consumed_by_node(mut self, q: usize) -> Access {
-        self.consumers.push(Consumer::Node(q));
-        self
-    }
-}
-
-/// A loop's access descriptor: evaluated with the dispatched iteration
-/// range and a `(proc id, nprocs)` pair — for this node before/after the
-/// body, and for every peer when computing push targets. It must be a
-/// pure function of those three arguments (for an inspector: between two
-/// invalidations): the engine evaluates it once per loop and range and
-/// replays the result (see "Hint plans" in the module doc).
-pub type AccessFn<'t> = Rc<dyn Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't>;
+use crate::{described, Description, Entry};
 
 /// Sorted, disjoint page runs.
 type Runs = Vec<Range<usize>>;
@@ -204,7 +74,7 @@ struct Third<L> {
     dyn_evals: u64,
 }
 
-/// What a registered loop's hints come to over one iteration range.
+/// What a described loop's hints come to over one iteration range.
 #[derive(Default)]
 struct Plan {
     iters: Range<usize>,
@@ -218,109 +88,62 @@ struct Plan {
     homes: Option<Third<Vec<(usize, usize)>>>,
 }
 
-/// The per-node hint engine, layered on one [`Tmk`] instance.
-pub struct HintEngine<'t, 'n> {
+/// The per-node hint engine, layered on one [`Tmk`] instance. Every
+/// call that evaluates a descriptor is handed the loop table's entries,
+/// `loops`, in which it looks the descriptor up.
+pub(crate) struct HintEngine<'t, 'n> {
     tmk: &'t Tmk<'n>,
-    fns: RefCell<Vec<Option<AccessFn<'t>>>>,
-    /// Which registered descriptors are dynamic (inspector-backed).
-    dynamic: RefCell<Vec<bool>>,
-    /// Schedule cache for dynamic descriptors:
+    /// Schedule cache for inspectors:
     /// `(loop id, iters.start, iters.end, node) -> evaluated accesses`.
     schedules: RefCell<HashMap<ScheduleKey, Rc<Vec<Access>>>>,
     /// The compiled plan of each loop id, for the range it last ran over.
     plans: RefCell<Vec<Option<Plan>>>,
-    /// Dynamic-descriptor evaluations so far (hits and misses): a plan
-    /// under construction reads its own share off this counter.
+    /// Inspector evaluations so far (hits and misses): a plan under
+    /// construction reads its own share off this counter.
     dyn_evals: Cell<u64>,
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
-    /// An engine with no descriptors.
-    pub fn new(tmk: &'t Tmk<'n>) -> HintEngine<'t, 'n> {
+    /// An engine with nothing cached.
+    pub(crate) fn new(tmk: &'t Tmk<'n>) -> HintEngine<'t, 'n> {
         HintEngine {
             tmk,
-            fns: RefCell::new(Vec::new()),
-            dynamic: RefCell::new(Vec::new()),
             schedules: RefCell::new(HashMap::new()),
             plans: RefCell::new(Vec::new()),
             dyn_evals: Cell::new(0),
         }
     }
 
-    /// Attach `access` as loop `id`'s descriptor (same registration order
-    /// on every node, like the loop bodies themselves). The fork-join
-    /// runtime's applications do not call this directly: `spf`'s
-    /// `Spf::describe` derives the function from the loop's footprint,
-    /// the one its body opens its views from.
-    pub fn set(&self, id: usize, access: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't) {
-        let mut fns = self.fns.borrow_mut();
-        if fns.len() <= id {
-            fns.resize_with(id + 1, || None);
-        }
-        fns[id] = Some(Rc::new(access));
-        let mut dynamic = self.dynamic.borrow_mut();
-        if dynamic.len() <= id {
-            dynamic.resize(id + 1, false);
-        }
-        dynamic[id] = false;
-        // Re-registration replaces the descriptor: any schedules cached
-        // from the previous one are stale, and so is every plan — this
-        // loop's own and those of the loops it consumes from.
-        self.schedules.borrow_mut().retain(|k, _| k.0 != id);
-        self.plans.borrow_mut().clear();
-    }
-
-    /// Attach a **dynamic** (inspector) descriptor to loop `id` (what
-    /// `spf`'s `Spf::describe_inspector` calls): the function walks a
-    /// run-time indirection map, so its evaluations are memoized in the
-    /// schedule cache and counted (miss =
-    /// `DsmStats::inspections`, hit = `DsmStats::schedule_reuse`). The
-    /// walk's virtual-time cost — whatever the function charged through
-    /// `Node::advance` — is recorded in `DsmStats::inspect_us`.
-    pub fn register_dynamic(
-        &self,
-        id: usize,
-        inspect: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
-    ) {
-        self.set(id, inspect);
-        self.dynamic.borrow_mut()[id] = true;
-    }
-
-    /// True when loop `id` has a descriptor.
-    pub fn has(&self, id: usize) -> bool {
-        self.fns.borrow().get(id).is_some_and(|f| f.is_some())
-    }
-
     /// Drop every cached schedule and every plan: an epoch-invalidating
     /// event (the application rebuilt an indirection map). The next
-    /// evaluation of each dynamic descriptor re-inspects. Every node must
-    /// invalidate at the same loop boundary — the `spf` runtime ships the
+    /// evaluation of each inspector re-inspects. Every node must
+    /// invalidate at the same loop boundary — the run-time ships the
     /// invalidation inside the dispatch so workers and master agree.
-    pub fn invalidate_schedules(&self) {
+    pub(crate) fn invalidate_schedules(&self) {
         self.schedules.borrow_mut().clear();
         self.plans.borrow_mut().clear();
     }
 
-    fn get(&self, id: usize) -> Option<AccessFn<'t>> {
-        self.fns.borrow().get(id).and_then(|f| f.clone())
-    }
-
     /// Evaluate loop `id`'s descriptor for node `q` over `iters` and hand
     /// the accesses to `with`; `None` when the loop has no descriptor.
-    /// Static descriptors evaluate directly (they are cheap symbolic
-    /// sections); dynamic descriptors go through the schedule cache.
+    /// A footprint's descriptor evaluates directly (cheap symbolic
+    /// sections), handed the table to read its consumers' preludes;
+    /// an inspector goes through the schedule cache.
     fn eval<R>(
         &self,
+        loops: &[Entry<'t>],
         id: usize,
         iters: &Range<usize>,
         q: usize,
         np: usize,
         with: impl FnOnce(&[Access]) -> R,
     ) -> Option<R> {
-        let f = self.get(id)?;
-        if !self.dynamic.borrow().get(id).copied().unwrap_or(false) {
-            return Some(with(&f(iters, q, np)));
-        }
+        let f = match described(loops, id)? {
+            Description::Footprint(.., descriptor) => {
+                return Some(with(&descriptor(loops, iters, q, np)))
+            }
+            Description::Inspector(inspect) => inspect,
+        };
         self.dyn_evals.set(self.dyn_evals.get() + 1);
         let key = (id, iters.start, iters.end, q);
         let hit = self.schedules.borrow().get(&key).cloned();
@@ -404,14 +227,14 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// fork-join runtime instead decides once on the master at fork
     /// time — see [`HintEngine::planned_homes`] and the `spf` crate —
     /// and ships the accepted overrides with the dispatch.
-    pub fn before_loop(&self, id: usize, iters: &Range<usize>) -> u64 {
-        if !self.has(id) {
+    pub(crate) fn before_loop(&self, loops: &[Entry<'t>], id: usize, iters: &Range<usize>) -> u64 {
+        if described(loops, id).is_none() {
             return 0;
         }
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
         let build = || {
             let (mut sections, mut pages, mut armed) = (0, Vec::new(), Vec::new());
-            self.eval(id, iters, me, np, |accesses| {
+            self.eval(loops, id, iters, me, np, |accesses| {
                 for a in accesses {
                     sections += self.add_pages(a.arr, &a.section, &mut pages);
                 }
@@ -430,7 +253,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
 
-    /// HLRC home-placement candidates from the descriptors of `loops`,
+    /// HLRC home-placement candidates from the descriptors of `group`,
     /// dispatched together: every page exactly one node's write sections
     /// cover, in all of them, paired with that node — the declared
     /// producer. Pure (nothing installed): the
@@ -442,20 +265,22 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// for them through [`Tmk::adopt_page_homes`], which evaluates
     /// nothing under a protocol without homes: building the list
     /// evaluates descriptors, and an inspection charges virtual time.
-    pub fn planned_homes<'r>(
+    pub(crate) fn planned_homes<'r>(
         &self,
-        loops: impl IntoIterator<Item = (usize, &'r Range<usize>)>,
+        loops: &[Entry<'t>],
+        group: impl IntoIterator<Item = (usize, &'r Range<usize>)>,
     ) -> Vec<(usize, usize)> {
         // Every `(page, writer)` of every loop: each loop's plan holds
         // its own, one per page a node's write sections cover.
         let mut writes = Vec::new();
-        for (id, iters) in loops.into_iter().filter(|&(id, _)| self.has(id)) {
+        let described = |&(id, _): &(usize, _)| described(loops, id).is_some();
+        for (id, iters) in group.into_iter().filter(described) {
             let build = || {
                 let np = self.tmk.nprocs();
                 let (mut written, mut writes) = (Vec::new(), Vec::new());
                 for q in 0..np {
                     written.clear();
-                    self.eval(id, iters, q, np, |accesses| {
+                    self.eval(loops, id, iters, q, np, |accesses| {
                         for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
                             self.add_pages(a.arr, &a.section, &mut written);
                         }
@@ -485,15 +310,15 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// as a duplicate for the stale-flush guard to drop — this is where
     /// a hinted body chooses push vs home-flush per `(consumer, page)`.
     /// Returns the number of `(target, page)` registrations.
-    pub fn after_loop(&self, id: usize, iters: &Range<usize>) -> u64 {
-        if !self.has(id) {
+    pub(crate) fn after_loop(&self, loops: &[Entry<'t>], id: usize, iters: &Range<usize>) -> u64 {
+        if described(loops, id).is_none() {
             return 0;
         }
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
         let build = || {
             let mut pushes = Vec::new();
-            self.eval(id, iters, me, np, |accesses| {
-                self.push_list(accesses, &mut pushes)
+            self.eval(loops, id, iters, me, np, |accesses| {
+                self.push_list(loops, accesses, &mut pushes)
             });
             pushes
         };
@@ -507,11 +332,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// grids and maps on the master). Pushes ride
     /// this node's next rendezvous exactly like a loop's `after_loop`
     /// registrations; [`Consumer::Loop`] overlaps are evaluated through
-    /// the consumer's registered descriptor. Returns the number of
-    /// `(target, page)` registrations.
-    pub fn declare_produce(&self, accesses: &[Access]) -> u64 {
+    /// the consumer's descriptor. Returns the number of `(target, page)`
+    /// registrations.
+    pub(crate) fn declare_produce(&self, loops: &[Entry<'t>], accesses: &[Access]) -> u64 {
         let mut pushes = Vec::new();
-        self.push_list(accesses, &mut pushes);
+        self.push_list(loops, accesses, &mut pushes);
         self.register_pushes(&pushes)
     }
 
@@ -524,18 +349,23 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// that nothing else of those pages changed since what a consumer
     /// holds; debug builds check it. Returns the number of `(target,
     /// page)` registrations.
-    pub fn republish(&self, accesses: &[Access]) -> u64 {
+    pub(crate) fn republish(&self, loops: &[Entry<'t>], accesses: &[Access]) -> u64 {
         let pushed = |a: &&Access| a.mode == AccessMode::Write && !a.consumers.is_empty();
         for a in accesses.iter().filter(pushed) {
             self.tmk.supersede_at_next_sync(a.arr, a.section.runs());
         }
-        self.declare_produce(accesses)
+        self.declare_produce(loops, accesses)
     }
 
     /// Every `(target, page)` the written sections of `accesses` owe
     /// their consumers, in registration order: per access, per consumer,
     /// targets then pages ascending.
-    fn push_list(&self, accesses: &[Access], pushes: &mut Vec<(usize, usize)>) {
+    fn push_list(
+        &self,
+        loops: &[Entry<'t>],
+        accesses: &[Access],
+        pushes: &mut Vec<(usize, usize)>,
+    ) {
         let me = self.tmk.proc_id();
         let np = self.tmk.nprocs();
         let (mut mine, mut theirs) = (Vec::new(), Vec::new());
@@ -558,7 +388,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                             // overwrites whole, whose write fetches nothing.
                             theirs.clear();
                             let mut armed = Vec::new();
-                            self.eval(*id, iters, q, np, |accesses| {
+                            self.eval(loops, *id, iters, q, np, |accesses| {
                                 for ca in accesses.iter().filter(|ca| ca.arr == a.arr) {
                                     self.add_pages(ca.arr, &ca.section, &mut theirs);
                                 }
@@ -647,12 +477,33 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
+    use cri::section::{contains, insert, meets};
     use proptest::prelude::*;
-    use sp2sim::{Cluster, ClusterConfig};
+    use sp2sim::{Cluster, ClusterConfig, MsgKind};
     use treadmarks::TmkConfig;
 
     use super::*;
-    use crate::section::{contains, insert, meets};
+
+    /// A loop described by a hand-written access list: a footprint's
+    /// descriptor, or with `inspector` an inspector's.
+    fn entry<'t>(
+        inspector: bool,
+        accesses: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
+    ) -> Entry<'t> {
+        let description = match inspector {
+            true => Description::Inspector(Box::new(accesses)),
+            false => Description::Footprint(
+                Box::new(|_, _, _, _, _| {}),
+                None,
+                Box::new(move |_, iters, q, np| accesses(iters, q, np)),
+            ),
+        };
+        Entry {
+            body: Box::new(|_| {}),
+            sequential: None,
+            description: Some(description),
+        }
+    }
 
     // The per-page `BTreeSet` formulation the page runs replaced, kept as
     // the reference they are tested against.
@@ -688,7 +539,11 @@ mod tests {
         whole.difference(&other).copied().collect()
     }
 
-    fn push_list_reference(hints: &HintEngine, accesses: &[Access]) -> Vec<(usize, usize)> {
+    fn push_list_reference<'t>(
+        hints: &HintEngine<'t, '_>,
+        loops: &[Entry<'t>],
+        accesses: &[Access],
+    ) -> Vec<(usize, usize)> {
         let (me, np) = (hints.tmk.proc_id(), hints.tmk.nprocs());
         let mut pushes = Vec::new();
         for a in accesses {
@@ -701,7 +556,7 @@ mod tests {
                     Consumer::Loop { id, iters } => {
                         for q in (0..np).filter(|&q| q != me) {
                             let (mut pages, mut armed) = (BTreeSet::new(), BTreeSet::new());
-                            hints.eval(*id, iters, q, np, |theirs| {
+                            hints.eval(loops, *id, iters, q, np, |theirs| {
                                 for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
                                     pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
                                 }
@@ -719,11 +574,16 @@ mod tests {
         pushes
     }
 
-    fn homes_reference(hints: &HintEngine, id: usize, iters: &Range<usize>) -> Vec<(usize, usize)> {
+    fn homes_reference<'t>(
+        hints: &HintEngine<'t, '_>,
+        loops: &[Entry<'t>],
+        id: usize,
+        iters: &Range<usize>,
+    ) -> Vec<(usize, usize)> {
         let np = hints.tmk.nprocs();
         let mut writers: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
         for q in 0..np {
-            hints.eval(id, iters, q, np, |accesses| {
+            hints.eval(loops, id, iters, q, np, |accesses| {
                 for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
                     for p in pages_reference(hints.tmk, a.arr, &a.section) {
                         writers.entry(p).or_default().insert(q);
@@ -804,19 +664,21 @@ mod tests {
                 // Loop 0: node q writes section q of array q % 2 for loop
                 // 1 and for node 0; loop 1: node q reads section 3 + q of
                 // the same array.
-                hints.set(0, move |_, q, _| {
-                    vec![Access::write(arr[q % 2], sections[q].clone())
-                        .consumed_by_loop(1, 0..1)
-                        .consumed_by_node(0)]
-                });
-                hints.set(1, move |_, q, _| {
-                    vec![
-                        Access::read(arr[0], sections[3 + q].clone()),
-                        Access::write_all(arr[1], sections[3 + (q + 1) % 3].clone()),
-                        Access::write_all(arr[0], sections[(q + 2) % 3].clone()),
-                        Access::read(arr[1], sections[q].clone()),
-                    ]
-                });
+                let loops = [
+                    entry(false, move |_, q, _| {
+                        vec![Access::write(arr[q % 2], sections[q].clone())
+                            .consumed_by_loop(1, 0..1)
+                            .consumed_by_node(0)]
+                    }),
+                    entry(false, move |_, q, _| {
+                        vec![
+                            Access::read(arr[0], sections[3 + q].clone()),
+                            Access::write_all(arr[1], sections[3 + (q + 1) % 3].clone()),
+                            Access::write_all(arr[0], sections[(q + 2) % 3].clone()),
+                            Access::read(arr[1], sections[q].clone()),
+                        ]
+                    }),
+                ];
                 let runs_of = |s: &Section| {
                     let mut runs = Vec::new();
                     hints.add_pages(arr[1], s, &mut runs);
@@ -860,7 +722,7 @@ mod tests {
                     }
                 }
                 let me = tmk.proc_id();
-                hints.eval(1, &(0..1), me, 3, |accesses| {
+                hints.eval(&loops, 1, &(0..1), me, 3, |accesses| {
                     let armed = pages(&hints.write_all_pages(accesses));
                     ok &= armed == armed_reference(&tmk, accesses).into_iter().collect::<Vec<_>>();
                 });
@@ -868,9 +730,10 @@ mod tests {
                     .consumed_by_loop(1, 0..1)
                     .consumed_by_node(0)];
                 let mut pushes = Vec::new();
-                hints.push_list(&written, &mut pushes);
-                ok &= pushes == push_list_reference(&hints, &written);
-                ok &= hints.planned_homes([(1, &(0..1))]) == homes_reference(&hints, 1, &(0..1));
+                hints.push_list(&loops, &written, &mut pushes);
+                ok &= pushes == push_list_reference(&hints, &loops, &written);
+                let homes = hints.planned_homes(&loops, [(1, &(0..1))]);
+                ok &= homes == homes_reference(&hints, &loops, 1, &(0..1));
                 tmk.finish();
                 ok
             });
@@ -882,30 +745,25 @@ mod tests {
     /// read next by loop 1) and its consumer (loop 1: everyone reads
     /// everything), each evaluation counted in `calls`.
     fn counted_pipeline<'t>(
-        hints: &HintEngine<'t, '_>,
         a: SharedArray,
         calls: &'t Cell<usize>,
         dynamic_consumer: bool,
-    ) {
-        hints.set(0, move |iters, q, _| {
+    ) -> [Entry<'t>; 2] {
+        let producer = move |iters: &Range<usize>, q, _| {
             calls.set(calls.get() + 1);
             let page = q * 512..(q + 1) * 512;
             vec![Access::write(a, Section::range(page)).consumed_by_loop(1, iters.clone())]
-        });
+        };
         let consumer = move |_: &Range<usize>, _, np| {
             calls.set(calls.get() + 1);
             vec![Access::read(a, Section::range(0..np * 512))]
         };
-        if dynamic_consumer {
-            hints.register_dynamic(1, consumer);
-        } else {
-            hints.set(1, consumer);
-        }
+        [entry(false, producer), entry(dynamic_consumer, consumer)]
     }
 
     /// A repeated dispatch replays the plan without calling a descriptor;
-    /// another range, a re-registered *consumer* and an invalidation each
-    /// build it again; and there is one plan per loop, not one per range.
+    /// another range and an invalidation each build it again; and there is
+    /// one plan per loop, not one per range.
     #[test]
     fn plans_replay_until_something_they_embed_changes() {
         let out = Cluster::run(ClusterConfig::sp2(3), |node| {
@@ -913,21 +771,18 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::default());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 3);
-            counted_pipeline(&hints, a, &calls, false);
+            let loops = counted_pipeline(a, &calls, false);
             // One dispatch of loop 0: its own descriptor before and after
             // the body, the consumer's once per peer.
             let dispatch = |iters: Range<usize>| {
                 let before = calls.get();
-                hints.before_loop(0, &iters);
-                let registered = hints.after_loop(0, &iters);
+                hints.before_loop(&loops, 0, &iters);
+                let registered = hints.after_loop(&loops, 0, &iters);
                 tmk.barrier(0);
                 (calls.get() - before, registered)
             };
             let mut seen = vec![dispatch(0..8), dispatch(0..8), dispatch(0..8)];
             seen.push(dispatch(0..4));
-            seen.push(dispatch(0..8));
-            counted_pipeline(&hints, a, &calls, false);
-            seen.push(dispatch(0..8));
             seen.push(dispatch(0..8));
             hints.invalidate_schedules();
             seen.push(dispatch(0..8));
@@ -941,7 +796,6 @@ mod tests {
         let want = [
             built, replayed, replayed, // same range
             built, built, // another range and back
-            built, replayed, // consumer re-registered
             built, replayed, // invalidated
         ];
         for seen in &out.results {
@@ -959,13 +813,13 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::default());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 3);
-            counted_pipeline(&hints, a, &calls, true);
+            let loops = counted_pipeline(a, &calls, true);
             let mut seen = Vec::new();
             for _ in 0..3 {
-                hints.before_loop(0, &(0..8));
-                hints.after_loop(0, &(0..8));
-                hints.before_loop(1, &(0..8));
-                hints.after_loop(1, &(0..8));
+                hints.before_loop(&loops, 0, &(0..8));
+                hints.after_loop(&loops, 0, &(0..8));
+                hints.before_loop(&loops, 1, &(0..8));
+                hints.after_loop(&loops, 1, &(0..8));
                 tmk.barrier(0);
                 let s = tmk.stats_snapshot();
                 seen.push((calls.get(), s.inspections, s.schedule_reuse));
@@ -992,13 +846,13 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 2);
-            hints.set(0, move |_, q, _| {
+            let loops = [entry(false, move |_, q, _| {
                 calls.set(calls.get() + 1);
                 if q != 0 {
                     return vec![];
                 }
                 vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_node(1)]
-            });
+            })];
             let pages = [a.first_page(), a.first_page() + 1];
             // Nothing is written, so no notice pins a home and the
             // registrations carry no diff.
@@ -1009,7 +863,7 @@ mod tests {
                         assert!(tmk.set_page_home(p, home));
                     }
                 }
-                registered.push(hints.after_loop(0, &(0..1)));
+                registered.push(hints.after_loop(&loops, 0, &(0..1)));
                 tmk.barrier(0);
             }
             tmk.finish();
@@ -1019,5 +873,267 @@ mod tests {
         assert_eq!(registered[1..], [0, 2], "all at the consumer, then none");
         assert!(registered[0] < 2, "block-cyclic homes put a page at node 1");
         assert_eq!(*calls, 1, "one build, two replays");
+    }
+
+    /// before_loop validates everything a phase will read: the body's
+    /// views then fault nothing, and the whole exchange is one
+    /// ValidateReq/Resp pair per (reader, writer) pair.
+    #[test]
+    fn before_loop_prevalidates_reads() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 4);
+            let loops = [entry(false, move |_, me, _| {
+                if me == 1 {
+                    vec![Access::read(a, Section::range(0..512 * 4))]
+                } else {
+                    vec![]
+                }
+            })];
+            if tmk.proc_id() == 0 {
+                let mut w = tmk.write(a, 0..512 * 4);
+                for (i, x) in w.slice_mut().iter_mut().enumerate() {
+                    *x = i as f64;
+                }
+            }
+            tmk.barrier(0);
+            let mut ok = true;
+            if tmk.proc_id() == 1 {
+                let validated = hints.before_loop(&loops, 0, &(0..4));
+                assert_eq!(validated, 4);
+                let before = tmk.stats_snapshot().faults;
+                let r = tmk.read(a, 0..512 * 4);
+                ok = (0..512 * 4).all(|i| r[i] == i as f64);
+                assert_eq!(tmk.stats_snapshot().faults, before, "reads must not fault");
+            }
+            tmk.barrier(1);
+            tmk.finish();
+            ok
+        });
+        assert!(out.results.iter().all(|&ok| ok));
+        assert_eq!(out.stats.messages(MsgKind::ValidateReq), 1);
+        assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// after_loop registers pushes for exactly the page overlap between
+    /// the producer's writes and each consumer's declared reads.
+    #[test]
+    fn after_loop_pushes_producer_consumer_overlap() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 4);
+            // Loop 0: node 0 writes the first two pages; loop 1: node 1
+            // reads pages 1..3 — the overlap is exactly page 1.
+            let writes = move |_: &Range<usize>, me, _| {
+                if me == 0 {
+                    vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_loop(1, 0..1)]
+                } else {
+                    vec![]
+                }
+            };
+            let reads = move |_: &Range<usize>, me, _| {
+                if me == 1 {
+                    vec![Access::read(a, Section::range(512..512 * 3))]
+                } else {
+                    vec![]
+                }
+            };
+            let loops = [entry(false, writes), entry(false, reads)];
+            let mut probe = 0.0;
+            if tmk.proc_id() == 0 {
+                let mut w = tmk.write(a, 0..512 * 2);
+                for (i, x) in w.slice_mut().iter_mut().enumerate() {
+                    *x = 1.0 + i as f64;
+                }
+                drop(w);
+                let registered = hints.after_loop(&loops, 0, &(0..1));
+                assert_eq!(registered, 1, "only the overlapping page");
+            }
+            tmk.barrier(0);
+            if tmk.proc_id() == 1 {
+                let before = tmk.stats_snapshot().faults;
+                let r = tmk.read(a, 512..1024); // the pushed page
+                probe = r[512];
+                assert_eq!(tmk.stats_snapshot().faults, before, "pushed page");
+            }
+            tmk.barrier(1);
+            tmk.finish();
+            probe
+        });
+        assert_eq!(out.results[1], 513.0);
+        assert_eq!(out.stats.messages(MsgKind::Push), 1);
+    }
+
+    /// Consumer::Node pushes the whole written section to one node's
+    /// sequential code.
+    #[test]
+    fn node_consumer_receives_everything() {
+        let out = Cluster::run(ClusterConfig::sp2(3), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 3);
+            let loops = [entry(false, move |_, me, _| {
+                // Each node writes its own page, destined for node 0.
+                let r = me * 512..(me + 1) * 512;
+                vec![Access::write(a, Section::range(r)).consumed_by_node(0)]
+            })];
+            {
+                let me = tmk.proc_id();
+                let mut w = tmk.write(a, me * 512..(me + 1) * 512);
+                for i in me * 512..(me + 1) * 512 {
+                    w[i] = me as f64;
+                }
+            }
+            hints.after_loop(&loops, 0, &(0..3));
+            tmk.barrier(0);
+            let mut sum = 0.0;
+            if tmk.proc_id() == 0 {
+                let before = tmk.stats_snapshot().faults;
+                let r = tmk.read(a, 0..512 * 3);
+                sum = (0..3).map(|q| r[q * 512 + 7]).sum();
+                assert_eq!(tmk.stats_snapshot().faults, before);
+            }
+            tmk.barrier(1);
+            tmk.finish();
+            sum
+        });
+        assert_eq!(out.results[0], 3.0);
+        // Node 1 and node 2 each push their page; node 0's self-push is
+        // dropped at registration.
+        assert_eq!(out.stats.messages(MsgKind::Push), 2);
+        assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// HLRC: the declared producer of a single-writer page becomes its
+    /// home, so the producer's eager flushes are local no-ops; the push
+    /// to the (non-home) consumer still rides the barrier. Every node
+    /// adopts the planned homes itself, which is safe here — nothing has
+    /// been written yet — and agrees with the master's fork-time decision.
+    #[test]
+    fn planned_homes_make_the_producer_the_home() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let tmk = Tmk::new(node, TmkConfig::hlrc());
+            let hints = HintEngine::new(&tmk);
+            let a = tmk.malloc_f64(512 * 2);
+            let writes = move |_: &Range<usize>, me, _| {
+                if me == 0 {
+                    vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_loop(1, 0..1)]
+                } else {
+                    vec![]
+                }
+            };
+            let reads = move |_: &Range<usize>, me, _| {
+                if me == 1 {
+                    vec![Access::read(a, Section::range(0..512 * 2))]
+                } else {
+                    vec![]
+                }
+            };
+            let loops = [entry(false, writes), entry(false, reads)];
+            let accepted = tmk
+                .adopt_page_homes(|| hints.planned_homes(&loops, [(0, &(0..1))]))
+                .len();
+            // Page 1 would be homed at node 1 block-cyclically; the
+            // descriptor re-homes both pages at the producer, node 0.
+            assert_eq!(tmk.page_home(a.first_page()), 0);
+            assert_eq!(tmk.page_home(a.first_page() + 1), 0);
+            let mut probe = 0.0;
+            if tmk.proc_id() == 0 {
+                let mut w = tmk.write(a, 0..512 * 2);
+                for (i, x) in w.slice_mut().iter_mut().enumerate() {
+                    *x = 1.0 + i as f64;
+                }
+                drop(w);
+                hints.after_loop(&loops, 0, &(0..1));
+            }
+            tmk.barrier(0);
+            if tmk.proc_id() == 1 {
+                let before = tmk.stats_snapshot().faults;
+                let r = tmk.read(a, 0..512 * 2);
+                probe = r[700];
+                assert_eq!(tmk.stats_snapshot().faults, before, "pushed pages");
+            }
+            tmk.barrier(1);
+            tmk.finish();
+            (accepted, probe)
+        });
+        assert_eq!(out.results[0].0, 2, "both pages re-homed (evaluated on 0)");
+        assert_eq!(out.results[1].1, 701.0);
+        // Producer is the home: no flush traffic; both pages pushed.
+        assert_eq!(out.stats.messages(MsgKind::HomeFlush), 0);
+        assert_eq!(out.stats.messages(MsgKind::Push), 1);
+        assert_eq!(out.stats.messages(MsgKind::PageReq), 0);
+    }
+
+    /// HLRC: when a consumer *is* the page's home (re-homing was refused
+    /// because the page already had notices), the push is skipped — the
+    /// producer's home flush already carries the same diff there.
+    #[test]
+    fn push_to_home_consumer_is_replaced_by_the_flush() {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+            let tmk = Tmk::new(node, TmkConfig::hlrc());
+            let hints = HintEngine::new(&tmk);
+            // Page 1 is homed at node 1. Pre-existing notices on both
+            // pages: node 1 wrote them before the descriptors were ever
+            // evaluated.
+            let a = tmk.malloc_f64(512 * 2);
+            if tmk.proc_id() == 1 {
+                let mut w = tmk.write(a, 0..512 * 2);
+                for x in w.slice_mut().iter_mut() {
+                    *x = 1.0;
+                }
+            }
+            tmk.barrier(0);
+            let loops = [entry(false, move |_, me, _| {
+                if me == 0 {
+                    vec![Access::write(a, Section::range(512..512 * 2)).consumed_by_node(1)]
+                } else {
+                    vec![]
+                }
+            })];
+            let accepted = tmk
+                .adopt_page_homes(|| hints.planned_homes(&loops, [(0, &(0..1))]))
+                .len();
+            assert_eq!(tmk.page_home(a.first_page() + 1), 1, "re-home refused");
+            let mut registered = 0;
+            if tmk.proc_id() == 0 {
+                let _ = tmk.read(a, 512..512 * 2);
+                let mut w = tmk.write(a, 512..512 * 2);
+                for x in w.slice_mut().iter_mut() {
+                    *x = 9.0;
+                }
+                drop(w);
+                registered = hints.after_loop(&loops, 0, &(0..1));
+            }
+            tmk.barrier(1);
+            let mut probe = 0.0;
+            if tmk.proc_id() == 1 {
+                probe = tmk.read_one(a, 600); // folds the flush at the home
+            }
+            tmk.barrier(2);
+            tmk.finish();
+            (accepted, registered, probe)
+        });
+        assert_eq!(out.results[0].0, 0, "no override accepted");
+        assert_eq!(out.results[0].1, 0, "push to the home is skipped");
+        assert_eq!(out.results[1].2, 9.0, "the flush delivered the data");
+        assert_eq!(out.stats.messages(MsgKind::Push), 0);
+        assert!(out.stats.messages(MsgKind::HomeFlush) >= 1);
+    }
+
+    #[test]
+    fn loops_without_descriptors_are_untouched() {
+        let out = Cluster::run(ClusterConfig::sp2(1), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk);
+            let loops: [Entry; 0] = [];
+            assert!(described(&loops, 3).is_none());
+            assert_eq!(hints.before_loop(&loops, 3, &(0..10)), 0);
+            assert_eq!(hints.after_loop(&loops, 3, &(0..10)), 0);
+            tmk.finish();
+        });
+        assert_eq!(out.stats.total_messages(), 0);
     }
 }

@@ -59,17 +59,58 @@
 //! ([`Spf::describe_inspector`]). A loop described by a footprint alone
 //! is *transparent*; an inspector's sections exist only once it ran, and
 //! a prelude moves with every dispatch, so those two are *opaque*, to
-//! both derivations below. The table keeps the descriptions and
-//! privatization's conclusions, never a loop's touches: fusion, chained
-//! links, the debug view fence and privatization walk every node's
-//! footprint again each time, through one walker: the fence and
-//! privatization use the touches as they come, fusion and links keep
-//! them in buffers the walker reuses. A footprint is a pure function of `(iters, q, np)`, so every
+//! both derivations below. The table keeps one entry per loop id — its
+//! body, its registered sequential code and its description, from which
+//! every use reads it — and privatization's conclusions, never a loop's
+//! touches: fusion, chained links, the debug view fence and
+//! privatization walk every node's footprint again each time, through
+//! one walker: the fence and privatization use the touches as they
+//! come, fusion and links keep them in buffers the walker reuses. A
+//! footprint is a pure function of `(iters, q, np)`, so every
 //! walk of a loop over a range, on any node, finds the same words. A
 //! prelude is transparent to fusion where its code is registered
 //! ([`Spf::register_sequential`]) and its footprint lies inside the
 //! words exactly one node wrote in the dispatch before: then its loop
 //! may join a run as a chained link, below.
+//!
+//! ## Hint plans
+//!
+//! A loop dispatched again over the same range asks for the same
+//! validate, pushes and home candidates, so the hint engine compiles each
+//! described loop **once** per range into a plan of three flat lists and
+//! replays them: the section count and merged page runs its validate
+//! takes ([`treadmarks::Tmk::validate_pages`]); every `(target, page)`
+//! push its body registers, before the HLRC "the consumer is the page's
+//! home" filter, which stays a check at replay because homes move; and
+//! the `(page, writer)` pairs the master picks home candidates from.
+//! Each third is built the first time its own call site runs, not ahead
+//! of it: building evaluates descriptors, and an inspection charges
+//! virtual time where it runs. There is one plan per loop id, replaced
+//! when the loop comes with another range (MGS dispatches `i+1..n`: it
+//! never replays, and must not pile up a plan per pivot). Descriptions
+//! are fixed before the run, so only [`Spf::invalidate_schedules`] drops
+//! plans — every one, since a producer's plan embeds its consumers'
+//! descriptors — and it is exactly the event that drops cached
+//! schedules: a replay stands for evaluations that would all have hit
+//! the schedule cache, and adds their number to `schedule_reuse`. Plans
+//! lean on one contract: a footprint's descriptor is a pure function of
+//! `(iters, q, np)`, as an inspector is between two invalidations. Page
+//! sets are sorted, disjoint page runs throughout (`cri::section`).
+//!
+//! ## Dynamic descriptors
+//!
+//! When a loop's subscripts go through a run-time indirection map, no
+//! static section exists: its inspector ([`Spf::describe_inspector`])
+//! walks the map for the words it touches. Every evaluation is memoized
+//! in a **schedule cache** keyed by `(loop, iteration range, node)`: the
+//! walk runs once per key per epoch, and every later evaluation — the
+//! executor path — is served from the cache at zero inspection cost.
+//! `DsmStats::inspections` counts the misses (the walk's virtual time in
+//! `inspect_us`), `DsmStats::schedule_reuse` the hits, one by one or by
+//! the plan replay that stands for them. An epoch-invalidating event —
+//! the application rebuilt the map — goes through
+//! [`Spf::invalidate_schedules`], which the next dispatch broadcasts, so
+//! that every node re-inspects at the same loop boundary.
 //!
 //! ## Dispatch fusion
 //!
@@ -177,6 +218,7 @@
 #![forbid(unsafe_code)]
 
 pub mod footprint;
+mod hints;
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
@@ -184,7 +226,8 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use cri::section::{contains, for_each_difference, for_each_overlap, insert, meets, merge_ranges};
-use cri::{Access, Consumer, HintEngine};
+use cri::{Access, Consumer};
+use hints::HintEngine;
 use treadmarks::{SharedArray, Tmk, ViewFence};
 
 pub use footprint::{Cols, Mode, Next, Touch};
@@ -354,19 +397,44 @@ type Prelude<'t> = Box<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
 type Footprint<'t> =
     Box<dyn Fn(&Range<usize>, usize, usize, bool, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
 
+/// A footprint's section descriptor ([`Spf::describe`]): node `q`'s
+/// accesses over `iters`, handed the table's entries to read the
+/// preludes of the loops its writes go to.
+type Descriptor<'t> = Box<dyn Fn(&[Entry<'t>], &Range<usize>, usize, usize) -> Vec<Access> + 't>;
+
+/// An inspector ([`Spf::describe_inspector`]).
+type Inspect<'t> = Box<dyn Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't>;
+
 /// A loop's one description (see "The loop table" in the crate doc).
 enum Description<'t> {
-    /// Its footprint, and its prelude if any.
-    Footprint(Footprint<'t>, Option<Prelude<'t>>),
-    /// An inspector ([`Spf::describe_inspector`]).
-    Inspector,
+    /// Its footprint's walk, its prelude if any, and the hint descriptor
+    /// derived from them.
+    Footprint(Footprint<'t>, Option<Prelude<'t>>, Descriptor<'t>),
+    /// An inspector.
+    Inspector(Inspect<'t>),
+}
+
+/// One loop's entry in the table, by id.
+struct Entry<'t> {
+    /// The subroutine the loop was encapsulated into ([`Spf::register`]).
+    body: LoopBody<'t>,
+    /// The sequential code before each of its dispatches
+    /// ([`Spf::register_sequential`]).
+    sequential: Option<LoopBody<'t>>,
+    /// How it is described, if it is.
+    description: Option<Description<'t>>,
+}
+
+/// Loop `id`'s description, when it is registered and described.
+fn described<'a, 't>(loops: &'a [Entry<'t>], id: usize) -> Option<&'a Description<'t>> {
+    loops.get(id)?.description.as_ref()
 }
 
 /// What loop `id`'s prelude touches before it runs over `iters`: nothing
 /// when it has none.
-fn prelude(described: &[Option<Description>], id: usize, iters: &Range<usize>) -> Vec<Touch> {
-    match described.get(id) {
-        Some(Some(Description::Footprint(_, Some(prelude)))) => prelude(iters),
+fn prelude(loops: &[Entry], id: usize, iters: &Range<usize>) -> Vec<Touch> {
+    match described(loops, id) {
+        Some(Description::Footprint(_, Some(prelude), _)) => prelude(iters),
         _ => Vec::new(),
     }
 }
@@ -381,11 +449,12 @@ fn loop_key(ctl: &LoopCtl) -> LoopKey {
 /// Words a node uses: `(node, mode, words)`.
 type Words = (usize, Mode, Touch);
 
-/// The loop table (see the crate doc): descriptions and conclusions.
+/// The loop table (see the crate doc): one entry per loop, and
+/// privatization's conclusions.
 #[derive(Default)]
 struct LoopTable<'t> {
-    /// Every loop's description, by id; the hint descriptors read preludes here.
-    described: Rc<RefCell<Vec<Option<Description<'t>>>>>,
+    /// Every loop's entry, by id.
+    loops: RefCell<Vec<Entry<'t>>>,
     /// [`Spf::run`] began: the descriptions are fixed.
     fixed: Cell<bool>,
     /// Privatization: each counted page's owner, `None` when shared.
@@ -397,38 +466,50 @@ struct LoopTable<'t> {
 }
 
 impl<'t> LoopTable<'t> {
+    /// Registered loop `id`'s entry.
+    fn entry(&self, id: usize) -> RefMut<'_, Entry<'t>> {
+        RefMut::map(self.loops.borrow_mut(), |loops| match loops.get_mut(id) {
+            Some(entry) => entry,
+            None => panic!("loop {id} is not registered"),
+        })
+    }
+
     /// Loop `id`'s description, to set before the run.
     fn slot(&self, id: usize) -> RefMut<'_, Option<Description<'t>>> {
         assert!(!self.fixed.get(), "loop {id} described after Spf::run");
-        let mut described = self.described.borrow_mut();
-        if described.len() <= id {
-            described.resize_with(id + 1, || None);
-        }
-        RefMut::map(described, |described| &mut described[id])
+        RefMut::map(self.entry(id), |entry| &mut entry.description)
     }
 
     /// Whether loop `id` is opaque to fusion and privatization (an
     /// inspector, or a footprint with a prelude: see "The loop table"
     /// above); `None` when it is not described.
     fn opaque(&self, id: usize) -> Option<bool> {
-        let described = self.described.borrow();
-        let description = described.get(id)?.as_ref()?;
-        Some(!matches!(description, Description::Footprint(_, None)))
+        let loops = self.loops.borrow();
+        let description = described(&loops, id)?;
+        Some(!matches!(description, Description::Footprint(_, None, _)))
     }
 
     /// Whether loop `id` is described by its footprint and a prelude.
     fn has_prelude(&self, id: usize) -> bool {
-        let described = self.described.borrow();
+        let loops = self.loops.borrow();
         matches!(
-            described.get(id),
-            Some(Some(Description::Footprint(_, Some(_))))
+            described(&loops, id),
+            Some(Description::Footprint(_, Some(_), _))
         )
+    }
+
+    /// Whether sequential code is registered before loop `id`.
+    fn has_sequential(&self, id: usize) -> bool {
+        let loops = self.loops.borrow();
+        loops
+            .get(id)
+            .is_some_and(|entry| entry.sequential.is_some())
     }
 }
 
 /// The walker (see "The loop table" in the crate doc), with the words
-/// of the last two loops it walked, kept between uses and emptied, so
-/// that it allocates only while it grows.
+/// of the last two loops it walked and the last link it derived, kept
+/// between uses and emptied, so that it allocates only while it grows.
 #[derive(Default)]
 struct Walks {
     /// The node count: a walk visits every node's footprint.
@@ -439,6 +520,8 @@ struct Walks {
     before: Vec<Words>,
     /// The last loop's words.
     last: Vec<Words>,
+    /// The last chained link derived ([`Walks::chain`]).
+    link: Link,
 }
 
 impl Walks {
@@ -455,12 +538,12 @@ impl Walks {
         to: &mut dyn FnMut(LoopKey),
     ) {
         let (id, start, end, np) = (key.0, key.1, key.2, self.np);
-        let described = table.described.borrow();
-        let Some(Some(Description::Footprint(footprint, _))) = described.get(id) else {
+        let loops = table.loops.borrow();
+        let Some(Description::Footprint(walk, ..)) = described(&loops, id) else {
             unreachable!("loop {id} has no footprint");
         };
         for q in 0..np {
-            footprint(&(start..end), q, np, next, &mut |t, nexts| {
+            walk(&(start..end), q, np, next, &mut |t, nexts| {
                 for n in nexts {
                     match n {
                         Next::Node(node, cols) => {
@@ -483,17 +566,18 @@ impl Walks {
         &self.last
     }
 
-    /// The link `ctl` makes after `prev`, if its prelude lies in what
-    /// one node wrote there ([`link`]); `last` holds `ctl`'s words from
-    /// now on.
-    fn link(&mut self, table: &LoopTable, prev: &LoopCtl, ctl: &LoopCtl) -> Option<Link> {
+    /// Whether `ctl` makes a chained link after `prev`: its prelude lies
+    /// in what one node wrote there ([`Link::derive`]). `last` holds
+    /// `ctl`'s words from now on, and `link` the link when it makes one.
+    fn chain(&mut self, table: &LoopTable, prev: &LoopCtl, ctl: &LoopCtl) -> bool {
         if self.key != Some(loop_key(prev)) {
             self.walk(table, loop_key(prev));
         }
         std::mem::swap(&mut self.before, &mut self.last);
         self.walk(table, loop_key(ctl));
-        let prelude = prelude(&table.described.borrow(), ctl.id, &ctl.range);
-        link(&self.before, &self.last, &prelude, self.np)
+        let prelude = prelude(&table.loops.borrow(), ctl.id, &ctl.range);
+        self.link
+            .derive(&self.before, &self.last, &prelude, self.np)
     }
 }
 
@@ -580,7 +664,9 @@ impl Used {
 }
 
 /// A chained link's prelude, as every node derives it from its walks
-/// (see "Chained dispatches" in the crate doc).
+/// (see "Chained dispatches" in the crate doc). Its buffers are kept from
+/// link to link and emptied, as the walker's are.
+#[derive(Default)]
 struct Link {
     /// The one node that wrote the prelude's words in the link before,
     /// which runs it.
@@ -590,6 +676,8 @@ struct Link {
     words: Vec<(SharedArray, Vec<Range<usize>>)>,
     /// The other nodes whose body of the link reads a word of them.
     readers: Vec<usize>,
+    /// The writer's words in one array of the prelude.
+    own: Vec<Range<usize>>,
 }
 
 impl Link {
@@ -598,68 +686,67 @@ impl Link {
         let runs = self.words.iter().find(|(a, _)| *a == arr);
         runs.map_or(&[], |(_, runs)| &runs[..])
     }
-}
 
-/// The link whose prelude touches `prelude`, between a loop whose words
-/// are `before` and its next one, whose words are `after`: `None` unless
-/// exactly one node's writes in `before` meet the prelude, and they hold
-/// every word of it.
-fn link(before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> Option<Link> {
-    let writes = |w: &&Words| w.1 != Mode::Read;
-    let mut writer = None;
-    for s in prelude {
-        for (q, _, t) in before
-            .iter()
-            .filter(writes)
-            .filter(|w| w.2.at.arr == s.at.arr)
-        {
-            let mut met = false;
-            for_each_overlap(t.runs(), s.runs(), |_| met = true);
-            if met && *writer.get_or_insert(*q) != *q {
-                return None;
+    /// Derive the link whose prelude touches `prelude`, between a loop
+    /// whose words are `before` and its next one, whose words are
+    /// `after`: `false` unless exactly one node's writes in `before` meet
+    /// the prelude, and they hold every word of it.
+    fn derive(&mut self, before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> bool {
+        let writes = |w: &&Words| w.1 != Mode::Read;
+        let mut writer = None;
+        for s in prelude {
+            for (q, _, t) in before
+                .iter()
+                .filter(writes)
+                .filter(|w| w.2.at.arr == s.at.arr)
+            {
+                let mut met = false;
+                for_each_overlap(t.runs(), s.runs(), |_| met = true);
+                if met && *writer.get_or_insert(*q) != *q {
+                    return false;
+                }
             }
         }
-    }
-    let writer = writer?;
-    let mut own = Vec::new();
-    for s in prelude {
-        own.clear();
-        let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
-        for (_, _, t) in before.iter().filter(writes).filter(mine) {
-            t.runs().for_each(|r| insert(&mut own, r));
+        let Some(writer) = writer else {
+            return false;
+        };
+        for s in prelude {
+            self.own.clear();
+            let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
+            for (_, _, t) in before.iter().filter(writes).filter(mine) {
+                t.runs().for_each(|r| insert(&mut self.own, r));
+            }
+            if !s.runs().all(|r| contains(&self.own, &r)) {
+                return false;
+            }
         }
-        if !s.runs().all(|r| contains(&own, &r)) {
-            return None;
+        self.writer = writer;
+        self.words.iter_mut().for_each(|(_, runs)| runs.clear());
+        for s in prelude.iter().filter(|s| s.mode != Mode::Read) {
+            let runs = runs_of(&mut self.words, s.at.arr);
+            s.runs().for_each(|r| insert(runs, r));
         }
+        self.words.retain(|(_, runs)| !runs.is_empty());
+        let mut readers = std::mem::take(&mut self.readers);
+        let reads = |q: usize| {
+            after.iter().any(|(p, _, t)| {
+                let pushed = self.runs(t.at.arr);
+                *p == q && t.runs().any(|r| meets(pushed, &r, &[]))
+            })
+        };
+        readers.clear();
+        readers.extend((0..np).filter(|&q| q != writer && reads(q)));
+        self.readers = readers;
+        true
     }
-    let mut words = Vec::new();
-    for s in prelude.iter().filter(|s| s.mode != Mode::Read) {
-        let runs = runs_of(&mut words, s.at.arr);
-        s.runs().for_each(|r| insert(runs, r));
-    }
-    let link = Link {
-        writer,
-        words,
-        readers: Vec::new(),
-    };
-    let reads = |q: usize| {
-        after.iter().any(|(p, _, t)| {
-            let pushed = link.runs(t.at.arr);
-            *p == q && t.runs().any(|r| meets(pushed, &r, &[]))
-        })
-    };
-    let readers = (0..np).filter(|&q| q != writer && reads(q)).collect();
-    Some(Link { readers, ..link })
 }
 
 /// The SPF run-time system bound to one node's DSM instance.
 pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
-    loops: RefCell<Vec<LoopBody<'t>>>,
-    /// The sequential code before each dispatch of a loop, by loop id.
-    sequential: RefCell<Vec<Option<LoopBody<'t>>>>,
+    /// What the table's descriptors came to: plans and schedules.
     hints: HintEngine<'t, 'n>,
-    /// Every loop's description and what privatization concluded.
+    /// Every loop's entry and what privatization concluded.
     table: LoopTable<'t>,
     /// What the loops of the run being formed used ([`Spf::fused_run`]).
     used: RefCell<Used>,
@@ -684,8 +771,6 @@ impl<'t, 'n> Spf<'t, 'n> {
         let ctl_args = tmk.malloc_f64(64);
         Spf {
             tmk,
-            loops: RefCell::new(Vec::new()),
-            sequential: RefCell::new(Vec::new()),
             hints: HintEngine::new(tmk),
             table: LoopTable::default(),
             used: RefCell::default(),
@@ -735,14 +820,12 @@ impl<'t, 'n> Spf<'t, 'n> {
                 visit(t, nexts.unwrap_or_default());
             }
         });
-        *self.table.slot(id) = Some(Description::Footprint(walk, None));
-        // The descriptor calls the footprint itself, not the table's walk:
+        // The descriptor calls the footprint itself, not the walk:
         // inlined, its `next` lists are never allocated, while each one
         // handed through the walk is (20 000 allocations more in MGS
         // SPF+CRI at 0.25 × 8). It reads the preludes of the loops it
-        // feeds from the table, which holds the walk.
-        let table = Rc::downgrade(&self.table.described);
-        self.hints.set(id, move |iters, q, np| {
+        // feeds from the table it is handed.
+        let descriptor: Descriptor<'t> = Box::new(move |loops, iters, q, np| {
             let mut acc = Vec::with_capacity(8); // a loop's touches, without regrowth
             let declare = |t: &Touch, section| match t.mode {
                 Mode::Read => Access::read(t.at.arr, section),
@@ -772,8 +855,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                         }
                         Next::Loop(id, iters) => (id, iters),
                     };
-                    let table = table.upgrade().expect("the run-time's table");
-                    let between = prelude(&table.borrow(), id, &iters);
+                    let between = prelude(loops, id, &iters);
                     let mut rewritten = Vec::new();
                     for s in between.iter().filter(|s| s.at == t.at) {
                         let Some(part) = within(&t, &s.cols) else {
@@ -803,6 +885,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             }
             acc
         });
+        *self.table.slot(id) = Some(Description::Footprint(walk, None, descriptor));
     }
 
     /// Describe the sequential code that runs right before each dispatch
@@ -811,7 +894,7 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// orthogonalization). It is the compiler's descriptor for
     /// straight-line code, registered once, like a loop's. Run on the
     /// master, the code's rewrites go to the loop's readers with the
-    /// dispatch ([`HintEngine::republish`]), and a loop whose writes it
+    /// dispatch (a superseding push), and a loop whose writes it
     /// reads or rewrites sends them to the master alone
     /// ([`Spf::describe`]); run by the one node that wrote its words, in
     /// a chain, they go in a link push (see "Chained dispatches" in the
@@ -823,28 +906,32 @@ impl<'t, 'n> Spf<'t, 'n> {
         footprint: impl Fn(&Range<usize>) -> Vec<Touch> + 't,
     ) {
         match &mut *self.table.slot(id) {
-            Some(Description::Footprint(_, prelude)) => *prelude = Some(Box::new(footprint)),
+            Some(Description::Footprint(_, prelude, _)) => *prelude = Some(Box::new(footprint)),
             _ => panic!("loop {id} has a prelude but no footprint"),
         }
     }
 
     /// Describe loop `id` by an inspector, which walks a run-time map for
     /// the sections node `q` of `np` touches over `iters`, memoized until
-    /// [`Spf::invalidate_schedules`] ([`HintEngine::register_dynamic`]).
+    /// [`Spf::invalidate_schedules`] (see "Dynamic descriptors" in the
+    /// crate doc).
     pub fn describe_inspector(
         &self,
         id: usize,
         inspect: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
     ) {
-        *self.table.slot(id) = Some(Description::Inspector);
-        self.hints.register_dynamic(id, inspect);
+        *self.table.slot(id) = Some(Description::Inspector(Box::new(inspect)));
     }
 
     /// Register the subroutine a parallel loop was encapsulated into.
     /// Must be called in the same order on every node.
     pub fn register(&self, body: impl Fn(&LoopCtl) + 't) -> usize {
-        let mut loops = self.loops.borrow_mut();
-        loops.push(Box::new(body));
+        let mut loops = self.table.loops.borrow_mut();
+        loops.push(Entry {
+            body: Box::new(body),
+            sequential: None,
+            description: None,
+        });
         loops.len() - 1
     }
 
@@ -857,17 +944,17 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// its body of the link before. Must be called in the same order on
     /// every node.
     pub fn register_sequential(&self, id: usize, body: impl Fn(&LoopCtl) + 't) {
-        let mut sequential = self.sequential.borrow_mut();
-        if sequential.len() <= id {
-            sequential.resize_with(id + 1, || None);
-        }
-        sequential[id] = Some(Box::new(body));
+        self.table.entry(id).sequential = Some(Box::new(body));
     }
 
     /// Run the sequential code registered before `ctl`'s dispatch, if
     /// any.
     fn run_sequential(&self, ctl: &LoopCtl) {
-        if let Some(Some(body)) = self.sequential.borrow().get(ctl.id) {
+        let loops = self.table.loops.borrow();
+        if let Some(body) = loops
+            .get(ctl.id)
+            .and_then(|entry| entry.sequential.as_ref())
+        {
             body(ctl);
         }
     }
@@ -913,15 +1000,13 @@ impl<'t, 'n> Spf<'t, 'n> {
             .tmk
             .node()
             .trace_span(sp2sim::SpanKind::Compute, ctl.id as u32);
-        self.hints.before_loop(ctl.id, &ctl.range);
+        let loops = self.table.loops.borrow();
+        self.hints.before_loop(&loops, ctl.id, &ctl.range);
         let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(ctl));
         self.tmk.fence_views(Some(ctl.id), fence);
-        {
-            let loops = self.loops.borrow();
-            (loops[ctl.id])(ctl);
-        }
+        (loops[ctl.id].body)(ctl);
         self.tmk.fence_views(None, None);
-        self.hints.after_loop(ctl.id, &ctl.range);
+        self.hints.after_loop(&loops, ctl.id, &ctl.range);
     }
 
     /// Count the uncounted words of `group`, about to run, and of what
@@ -1005,26 +1090,21 @@ impl<'t, 'n> Spf<'t, 'n> {
             let link = if table.opaque(ctl.id) == Some(false) {
                 walks.walk(table, loop_key(ctl));
                 None
-            } else if table.has_prelude(ctl.id) && self.has_sequential(ctl.id) {
-                match walks.link(table, &loops[k - 1], ctl) {
-                    Some(link) if used.clear_of(&link, pw) => Some(link),
-                    _ => break,
+            } else if table.has_prelude(ctl.id) && table.has_sequential(ctl.id) {
+                if !walks.chain(table, &loops[k - 1], ctl) || !used.clear_of(&walks.link, pw) {
+                    break;
                 }
+                Some(&walks.link)
             } else {
                 break;
             };
-            if !used.admits(&walks.last, link.as_ref()) {
+            if !used.admits(&walks.last, link) {
                 break;
             }
             used.add(&walks.last);
             k += 1;
         }
         k
-    }
-
-    /// Whether sequential code is registered before loop `id`.
-    fn has_sequential(&self, id: usize) -> bool {
-        matches!(self.sequential.borrow().get(id), Some(Some(_)))
     }
 
     /// Run the bodies of one dispatch in order. Before each chained link
@@ -1037,8 +1117,10 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.walks.borrow_mut().key = None;
         for ctl in group {
             if let Some(prev) = prev.as_ref().filter(|_| self.table.has_prelude(ctl.id)) {
-                let link = self.walks.borrow_mut().link(&self.table, prev, &ctl);
-                let link = link.expect("the master chained this link");
+                let mut walks = self.walks.borrow_mut();
+                let chained = walks.chain(&self.table, prev, &ctl);
+                assert!(chained, "the master chained this link");
+                let link = &walks.link;
                 if me == link.writer {
                     self.run_sequential(&ctl);
                     if !link.readers.is_empty() {
@@ -1128,7 +1210,8 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
     /// `(target, page)` push registrations.
     pub fn produce(&self, accesses: &[Access]) -> u64 {
         self.spf.tmk.settle_join(false);
-        self.spf.hints.declare_produce(accesses)
+        let loops = self.spf.table.loops.borrow();
+        self.spf.hints.declare_produce(&loops, accesses)
     }
 
     /// Dispatch one parallel loop and participate in its execution; the
@@ -1160,7 +1243,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         while !rest.is_empty() {
             let (group, tail) = rest.split_at(self.spf.fused_run(rest));
             // The first loop's sequential code runs here, joined first.
-            if self.spf.has_sequential(group[0].id) {
+            if self.spf.table.has_sequential(group[0].id) {
                 self.spf.tmk.settle_join(false);
                 self.spf.run_sequential(&group[0]);
             }
@@ -1180,14 +1263,15 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         // the dispatch to the first loop's readers. (A chained link's
         // runs on its writer, which pushes what it rewrote itself.)
         let ctl = &group[0];
-        let between = prelude(&self.spf.table.described.borrow(), ctl.id, &ctl.range);
+        let loops = self.spf.table.loops.borrow();
+        let between = prelude(&loops, ctl.id, &ctl.range);
         let rewritten = between.into_iter().filter(|s| s.mode != Mode::Read);
         let consumed = |s: Touch| {
             Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
         };
         self.spf
             .hints
-            .republish(&rewritten.map(consumed).collect::<Vec<_>>());
+            .republish(&loops, &rewritten.map(consumed).collect::<Vec<_>>());
         if self.spf.improved() {
             let mut flags = 0;
             if self.spf.pending_invalidate.take() {
@@ -1196,8 +1280,8 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
                 self.spf.hints.invalidate_schedules();
                 flags |= DISPATCH_INVALIDATE;
             }
-            let loops = || group.iter().map(|ctl| (ctl.id, &ctl.range));
-            let planned = || self.spf.hints.planned_homes(loops());
+            let group_loops = group.iter().map(|ctl| (ctl.id, &ctl.range));
+            let planned = || self.spf.hints.planned_homes(&loops, group_loops);
             let homes = self.spf.tmk.adopt_page_homes(planned);
             self.spf.tmk.fork(&encode_dispatch(flags, &homes, group));
             self.spf.run_group(group.iter().cloned(), group.len() > 1);

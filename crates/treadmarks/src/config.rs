@@ -86,8 +86,8 @@ pub struct TmkConfig {
     /// home-based LRC (HLRC). Home assignment is block-cyclic
     /// (`page % nprocs`) unless overridden per page before the page's
     /// first write notice — the CRI hint engine overrides it so a
-    /// compiler-declared producer becomes the home (see
-    /// `cri::HintEngine`).
+    /// compiler-declared producer becomes the home (see "Hint plans" in
+    /// the `spf` crate).
     pub protocol: ProtocolMode,
     /// When true, the DSM layer asks the cluster to record a virtual-time
     /// event trace and emits protocol spans into it (see the `trace`

@@ -70,7 +70,7 @@
 //!   ([`lrc`], [`hlrc`]); the rest of the crate reaches them through
 //!   the four hooks of [`coherence`] and never compares the mode.
 //! * **Compiler–runtime interface services.** Three entry points the
-//!   `cri` crate's hint engine drives from compiler-provided
+//!   `spf` crate's hint engine drives from compiler-provided
 //!   regular-section descriptors: [`dsm::Tmk::validate_pages`] (aggregated
 //!   validate — one round trip per writer for every page a phase will
 //!   fault), [`dsm::Tmk::push_page_at_next_sync`] (producer→consumer

@@ -300,16 +300,17 @@ fn hinted_dispatches_replay_their_plans() {
 }
 
 /// Allocation budget per link of hinted MGS's chained pivot loop,
-/// cluster-wide (measured: 601.9 in release, 708.3 with debug
-/// assertions; about 611 and 733 while each link's walks filled buffers
-/// of their own; about 633 and 714 per pivot when every pivot had a
+/// cluster-wide (measured: 539.2 in release, 645.6 with debug
+/// assertions; 601.9 and 708.3 while each link filled a writer's runs,
+/// pushed words and readers of its own; about 611 and 733 while its
+/// walks did too; about 633 and 714 per pivot when every pivot had a
 /// fork-join of its own). Split by where they happen, as a per-phase
-/// counter kept per fiber in a copy of this test read them, release /
-/// debug: every node's hint plans, built again for each link's new
-/// range, 477.7 / 549.7; deriving the link on every node and on the
-/// master as it forms the run, 71.9 / 71.9 — its walks add none, since
-/// `Spf` keeps the walker's buffers: the prelude's touch list, the
-/// writer's runs, the pushed words and the readers are the rest; the
+/// counter kept per fiber in a copy of this test read them before the
+/// link's buffers were kept, release / debug: every node's hint plans,
+/// built again for each link's new range, 477.7 / 549.7; deriving the
+/// link on every node and on the master as it forms the run, 71.9 /
+/// 71.9, of which the kept buffers took 62.7 away — the prelude's
+/// touch list, one per node and one on the master, is the rest; the
 /// link push and its take, 44.2 / 46.2; the debug view fence of each
 /// link's body, 0 / 32.4; the rest of the protocol and the run-time,
 /// 8.0 / 8.0.
