@@ -6,7 +6,9 @@
 # and the release suites that belong to them — `cri_equivalence`,
 # `inspector_equivalence` and `protocol_equivalence` hold the recorded
 # message and round-trip bounds at 8 nodes, scale 0.08, and
-# `race_detection` is the race gate. The committed BENCH_sweep.json —
+# `race_detection` is the race gate; `alloc_budget` re-measures in
+# release the per-unit allocation figures its budgets' documentation
+# quotes (tier-1 runs it in debug only). The committed BENCH_sweep.json —
 # the reduced-scale SPF grid, hinted and message-passing cells, and the
 # paper's cells at `bench_sweep::PAPER_SCALE` — is held by the tier-1
 # golden tests (`bench_sweep`, `cri_golden`, `mp_equivalence`), and
@@ -33,6 +35,9 @@ cargo test -q --release --test protocol_equivalence --test cri_equivalence --tes
 
 step "race: the seeded race is flagged, the six applications are race-free"
 cargo test -q --release --test race_detection
+
+step "alloc: the allocation budgets in release, the profile their documentation quotes"
+cargo test -q --release --test alloc_budget -- --nocapture
 
 step "analyze: traced runs, their checked Perfetto and analyze/v1 documents, identity gates; trace and critical-path suites"
 "$dsm" analyze 0.08 8 --app igrid --version cri --json analyze_igrid_cri.json --gate-identity

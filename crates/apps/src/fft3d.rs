@@ -541,7 +541,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
 
     if cri {
         let next = |l, over: Range<usize>| {
-            move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l, over.clone())]
+            move |_: &Range<usize>, _: &Touch| [Next::Loop(l, over.clone())]
         };
         spf.describe(l_init, on_planes(Write), next(l_fft1, 0..p.n3));
         spf.describe(l_fft1, on_planes(Update), next(l_fft2, 0..p.n3));
@@ -555,7 +555,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         spf.describe(l_norm, on_chunks(Write), next(l_init, 0..p.n3));
         // The checksum reads the private transposed block: no shared
         // word at all.
-        spf.describe(l_cs, |_: &Range<usize>, _, _| Some([]), |_, _| vec![]);
+        spf.describe(l_cs, |_: &Range<usize>, _, _| Some([]), |_, _| []);
     }
 
     let cs = spf.run(|mr| {

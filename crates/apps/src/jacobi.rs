@@ -258,8 +258,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         }
     });
     if cri {
-        spf.describe(l1, stencil, move |_, _| vec![Next::Loop(l2, 1..n - 1)]);
-        spf.describe(l2, copy, move |_, _| vec![Next::Loop(l1, 1..n - 1)]);
+        spf.describe(l1, stencil, move |_, _| [Next::Loop(l2, 1..n - 1)]);
+        spf.describe(l2, copy, move |_, _| [Next::Loop(l1, 1..n - 1)]);
     }
 
     let cs = spf.run(|m| {

@@ -302,11 +302,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let a = &a;
         let upd = move |iters: &Range<usize>, q, np| Some(a.orthogonalization(iters, q, np));
         spf.describe(l_upd, upd, move |iters, _| {
-            vec![Next::Loop(l_upd, (iters.start + 1).min(n)..n)]
+            [Next::Loop(l_upd, (iters.start + 1).min(n)..n)]
         });
         let init = move |iters: &Range<usize>, q, np| Some([init(iters, q, np)]);
-        spf.describe(l_init, init, move |_, _| vec![Next::Loop(l_upd, 1..n)]);
-        spf.describe_sequential(l_upd, move |iters| vec![a.normalization(iters)]);
+        spf.describe(l_init, init, move |_, _| [Next::Loop(l_upd, 1..n)]);
+        spf.describe_sequential(l_upd, move |iters| [a.normalization(iters)]);
     }
 
     let cs = spf.run(|mr| {

@@ -479,7 +479,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
                 Some(coord_block(sh, &share(iters, q, nprocs)?, mode))
             }
         };
-        let to_force = move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l_force, 0..m)];
+        let to_force = move |_: &Range<usize>, _: &Touch| [Next::Loop(l_force, 0..m)];
         spf.describe(l_init, coords(Write), to_force);
         spf.describe(l_merge, coords(Update), to_force);
         spf.describe_inspector(l_force, {

@@ -712,13 +712,11 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
         let uvp = [U, V, P].map(|w| sh.arrs[w]);
         let state = move |_: &Range<usize>, t: &Touch| {
             let to = if uvp.contains(&t.at) { l_s1 } else { l_s2 };
-            vec![Next::Loop(to, 1..n + 1)]
+            [Next::Loop(to, 1..n + 1)]
         };
-        let to = move |l| move |_: &Range<usize>, _: &Touch| vec![Next::Loop(l, 1..n + 1)];
+        let to = move |l| move |_: &Range<usize>, _: &Touch| [Next::Loop(l, 1..n + 1)];
         let wrapped = move |l| {
-            move |_: &Range<usize>, _: &Touch| {
-                vec![Next::Loop(l, 1..n + 1), Next::Node(0, n..n + 1)]
-            }
+            move |_: &Range<usize>, _: &Touch| [Next::Loop(l, 1..n + 1), Next::Node(0, n..n + 1)]
         };
         spf.describe(l_init, init, state);
         spf.describe(l_s1, s1, to(l_wrap1));

@@ -19,11 +19,12 @@
 //!   iteration range, returns, and what sequential code declares it
 //!   wrote.
 //!
-//! Applications describe each loop once, through `spf`'s `Spf`, which
-//! derives its descriptor from the footprint its body opens its views
-//! from (or takes an inspector's), keeps it in its loop table, and turns
-//! it into validates, pushes and home placements around every body (see
-//! "Hint plans" in the `spf` crate). The third mechanism, **direct
+//! Applications describe each loop once, through `spf`'s `Spf`, by the
+//! footprint its body opens its views from (or by an inspector, which
+//! returns [`Access`]es), which its loop table keeps and its hint engine
+//! turns into validates, pushes and home placements around every body,
+//! reading a footprint's accesses off its walk (see "Hint plans" in the
+//! `spf` crate). The third mechanism, **direct
 //! reductions**, lives on the DSM handle itself
 //! ([`treadmarks::Tmk::reduce`]).
 

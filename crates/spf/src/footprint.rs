@@ -4,10 +4,10 @@
 //! A loop's footprint for a dispatch is a list of [`Touch`]es, each the
 //! words of one shared array the node's share of the iterations touches
 //! and the mode the compiler declares for them. The body opens its views
-//! from it, and a hinted loop's section descriptor is the same list with
+//! from it, and a hinted loop's hints are read off the same list, with
 //! the consumers of its writes added ([`crate::Spf::describe`]), so the
-//! two cannot drift apart. A touch holds plain word ranges: the body
-//! builds no [`Section`], only the descriptor does.
+//! two cannot drift apart. A touch holds plain word ranges: neither the
+//! body nor the hint engine builds a [`Section`] of it.
 
 use std::ops::Range;
 
@@ -103,6 +103,16 @@ impl Touch {
     /// The words touched, a run per column, ascending.
     pub fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.columns().map(|j| self.run(j))
+    }
+
+    /// The touch within columns `cols`, when it touches a word there.
+    pub(crate) fn within(&self, cols: &Range<usize>) -> Option<Touch> {
+        let cols = cols.start.max(self.cols.start)..cols.end.min(self.cols.end);
+        let t = Touch {
+            cols,
+            ..self.clone()
+        };
+        (!t.rows.is_empty() && t.columns().next().is_some()).then_some(t)
     }
 
     /// The words, when they are one run: whole columns, every one.

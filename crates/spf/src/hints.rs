@@ -44,10 +44,12 @@
 //! Hinted and unhinted executions produce byte-identical shared memory;
 //! `tests/cri_equivalence.rs` pins that property.
 //!
-//! The engine keeps no descriptor. It looks each one up in the loop
-//! table it is handed, and keeps only what they came to: the plans it
-//! replays and the inspectors' schedules (see "Hint plans" and "Dynamic
-//! descriptors" in the crate doc).
+//! The engine keeps no descriptor. It reads each loop's accesses off the
+//! loop table it is handed — a footprint's as its walk visits the
+//! touches, an inspector's from the schedule cache — as one stream that
+//! one builder turns into plans, and keeps only what they came to: the
+//! plans it replays and the inspectors' schedules (see "Hint plans" and
+//! "Dynamic descriptors" in the crate doc).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -58,7 +60,7 @@ use cri::section::{for_each_overlap, merge_ranges, subtract};
 use cri::{Access, AccessMode, Consumer, Section};
 use treadmarks::{SharedArray, Tmk};
 
-use crate::{described, Description, Entry};
+use crate::{described, prelude, walk, Description, Entry, Mode, Next, Touch};
 
 /// Sorted, disjoint page runs.
 type Runs = Vec<Range<usize>>;
@@ -66,11 +68,284 @@ type Runs = Vec<Range<usize>>;
 /// Schedule-cache key: `(loop id, iters.start, iters.end, node)`.
 type ScheduleKey = (usize, usize, usize, usize);
 
-/// One third of a [`Plan`]: the list its call site replays, and how many
-/// dynamic-descriptor evaluations building it took — schedule-cache hits,
-/// every one, by the time it is replayed.
+/// The words of a declared access.
+#[derive(Clone, Copy)]
+enum Shape<'a> {
+    /// A footprint's touch, or a part of one.
+    Touch(&'a Touch),
+    /// An inspector's or sequential code's section.
+    Section(&'a Section),
+}
+
+impl Shape<'_> {
+    /// Call `f` with each maximal word run, ascending: a section's as it
+    /// holds them, a touch's column runs joined where they meet, as its
+    /// section would hold them.
+    fn for_each_run(self, mut f: impl FnMut(Range<usize>)) {
+        let t = match self {
+            Shape::Section(s) => return s.runs().iter().cloned().for_each(f),
+            Shape::Touch(t) => t,
+        };
+        let mut open: Option<Range<usize>> = None;
+        for r in t.runs().filter(|r| !r.is_empty()) {
+            match &mut open {
+                Some(run) if r.start <= run.end => run.end = run.end.max(r.end),
+                _ => open.replace(r).into_iter().for_each(&mut f),
+            }
+        }
+        open.into_iter().for_each(f);
+    }
+}
+
+/// One access of a stream, as the plan builder reads it.
+struct Declared<'a> {
+    /// The shared array.
+    arr: SharedArray,
+    /// Read, written all over (a write-all access,
+    /// [`Access::write_all`]), or written with fetch semantics.
+    mode: Mode,
+    /// The words.
+    shape: Shape<'a>,
+    /// Who reads a write next.
+    consumers: Consumers<'a>,
+}
+
+/// Visits who reads a write next, afresh at every call.
+type Consumers<'a> = &'a dyn Fn(&mut dyn FnMut(Consumer));
+
+/// A stream of declared accesses: visits each, in declaration order,
+/// afresh at every call.
+type Stream<'a> = &'a dyn Fn(&mut dyn FnMut(&Declared));
+
+/// Visit `accesses` (an inspector's, or what sequential code declares).
+fn listed(accesses: &[Access], visit: &mut dyn FnMut(&Declared)) {
+    for a in accesses {
+        let consumers = |to: &mut dyn FnMut(Consumer)| a.consumers.iter().cloned().for_each(to);
+        visit(&Declared {
+            arr: a.arr,
+            mode: match (a.mode, a.write_all) {
+                (AccessMode::Read, _) => Mode::Read,
+                (AccessMode::Write, true) => Mode::Write,
+                (AccessMode::Write, false) => Mode::Update,
+            },
+            shape: Shape::Section(&a.section),
+            consumers: &consumers,
+        });
+    }
+}
+
+/// Visit `part`, declared in `mode`, read next by `consumer` alone.
+fn visit_part(visit: &mut dyn FnMut(&Declared), part: &Touch, mode: Mode, consumer: Consumer) {
+    let consumers = |to: &mut dyn FnMut(Consumer)| to(consumer.clone());
+    visit(&Declared {
+        arr: part.at.arr,
+        mode,
+        shape: Shape::Touch(part),
+        consumers: &consumers,
+    });
+}
+
+/// Visit node `q`'s accesses of footprint loop `id` over `iters` as
+/// [`crate::Spf::describe`] declares them, as the loop's walk visits its
+/// touches: each touch, a written one with the loops that read all of it
+/// next; then, per `next`, the columns a [`Next::Node`] reads, as a plain
+/// write of their own, and for a [`Next::Loop`] with a prelude, the
+/// columns the prelude reads, to node 0, and — when it rewrites some
+/// whole — those it leaves, to the loop.
+fn footprint_accesses(
+    loops: &[Entry],
+    id: usize,
+    iters: &Range<usize>,
+    q: usize,
+    np: usize,
+    visit: &mut dyn FnMut(&Declared),
+) {
+    walk(loops, id, iters, q, np, &mut |t, nexts| {
+        let whole = |to: &mut dyn FnMut(Consumer)| {
+            nexts(&mut |n| match n {
+                Next::Loop(id, iters) if !rewrites(loops, id, &iters, t) => {
+                    to(Consumer::Loop { id, iters })
+                }
+                _ => {}
+            })
+        };
+        visit(&Declared {
+            arr: t.at.arr,
+            mode: t.mode,
+            shape: Shape::Touch(t),
+            consumers: &whole,
+        });
+        nexts(&mut |n| match n {
+            Next::Node(node, cols) => {
+                if let Some(part) = t.within(&cols) {
+                    visit_part(visit, &part, Mode::Update, Consumer::Node(node));
+                }
+            }
+            Next::Loop(id, iters) => {
+                // What the prelude before the loop reads goes to the
+                // master, which runs it; when it rewrites columns whole,
+                // the loop is sent only the rest.
+                prelude(loops, id, &iters, &mut |s| {
+                    let read = |_: &Touch| s.at == t.at && s.mode != Mode::Write;
+                    if let Some(part) = t.within(&s.cols).filter(read) {
+                        visit_part(visit, &part, t.mode, Consumer::Node(0));
+                    }
+                });
+                if rewrites(loops, id, &iters, t) {
+                    kept(loops, id, &iters, t, &mut |cols| {
+                        if let Some(part) = t.within(&cols) {
+                            let to = Consumer::Loop {
+                                id,
+                                iters: iters.clone(),
+                            };
+                            visit_part(visit, &part, t.mode, to);
+                        }
+                    });
+                }
+            }
+        });
+    });
+}
+
+/// Visit the columns of `t` that loop `id`'s prelude over `iters`
+/// rewrites, every row of `t` in each.
+fn rewritten(
+    loops: &[Entry],
+    id: usize,
+    iters: &Range<usize>,
+    t: &Touch,
+    visit: &mut dyn FnMut(Range<usize>),
+) {
+    prelude(loops, id, iters, &mut |s| {
+        let rows = s.rows.start <= t.rows.start && t.rows.end <= s.rows.end;
+        if s.at == t.at && s.mode != Mode::Read && rows {
+            if let Some(part) = t.within(&s.cols) {
+                visit(part.cols);
+            }
+        }
+    });
+}
+
+/// Whether loop `id`'s prelude over `iters` rewrites a column of `t`.
+fn rewrites(loops: &[Entry], id: usize, iters: &Range<usize>, t: &Touch) -> bool {
+    let mut any = false;
+    rewritten(loops, id, iters, t, &mut |_| any = true);
+    any
+}
+
+/// Visit the columns of `t` that loop `id`'s prelude over `iters` does
+/// not rewrite, as maximal ranges, ascending: a sweep that asks the
+/// prelude again at each step rather than sort what it rewrites.
+fn kept(
+    loops: &[Entry],
+    id: usize,
+    iters: &Range<usize>,
+    t: &Touch,
+    visit: &mut dyn FnMut(Range<usize>),
+) {
+    let mut at = t.cols.start;
+    loop {
+        // Past every rewritten run that holds column `at`.
+        let mut stepped = true;
+        while stepped {
+            stepped = false;
+            rewritten(loops, id, iters, t, &mut |cols| {
+                if cols.contains(&at) {
+                    (at, stepped) = (cols.end, true);
+                }
+            });
+        }
+        if at >= t.cols.end {
+            return;
+        }
+        let mut end = t.cols.end;
+        rewritten(loops, id, iters, t, &mut |cols| {
+            if cols.start > at {
+                end = end.min(cols.start);
+            }
+        });
+        visit(at..end);
+        at = end;
+    }
+}
+
+/// Append the pages of `a` to `runs` and return how many word runs it
+/// has. Its runs ascend, so its pages come out as sorted, merged runs;
+/// what `runs` held before is left alone (the caller merges across
+/// accesses).
+fn add_pages(tmk: &Tmk, a: &Declared, runs: &mut Runs) -> usize {
+    let (first, mut words) = (runs.len(), 0);
+    a.shape.for_each_run(|r| {
+        words += 1;
+        let span = tmk.page_span(a.arr, &r);
+        match runs[first..].last_mut() {
+            Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
+            _ => runs.push(span),
+        }
+    });
+    words
+}
+
+/// What a node's accesses come to in pages.
+#[derive(Default)]
+struct Pages {
+    /// How many word runs the accesses counted have.
+    sections: usize,
+    /// The pages the accesses counted touch, less those armed.
+    pages: Runs,
+    /// The pages the body overwrites whole: each page a write-all access
+    /// covers entirely, less every page an access that is not write-all
+    /// touches — a read, or a write with fetch semantics.
+    armed: Runs,
+}
+
+impl Pages {
+    /// Fill in the pages of `stream`, of the accesses `counted` picks
+    /// only. The pages of the others are walked for only when some page
+    /// is covered whole.
+    fn build(&mut self, tmk: &Tmk, stream: Stream, counted: &dyn Fn(&Declared) -> bool) {
+        let pw = tmk.config().page_words;
+        self.sections = 0;
+        self.pages.clear();
+        self.armed.clear();
+        stream(&mut |a| {
+            if counted(a) {
+                self.sections += add_pages(tmk, a, &mut self.pages);
+            }
+            if a.mode == Mode::Write {
+                let base = a.arr.first_page() * pw;
+                a.shape.for_each_run(|r| {
+                    let run = (base + r.start).div_ceil(pw)..(base + r.end) / pw;
+                    if !run.is_empty() {
+                        self.armed.push(run);
+                    }
+                });
+            }
+        });
+        self.pages = merge_ranges(std::mem::take(&mut self.pages));
+        if self.armed.is_empty() {
+            return;
+        }
+        let mut other = Vec::new();
+        stream(&mut |a| {
+            if a.mode != Mode::Write {
+                add_pages(tmk, a, &mut other);
+            }
+        });
+        let other = merge_ranges(other);
+        self.armed = subtract(merge_ranges(std::mem::take(&mut self.armed)), &other);
+        self.pages = subtract(std::mem::take(&mut self.pages), &self.armed);
+    }
+}
+
+/// One third of a [`Plan`]: the list its call site replays, whether it
+/// is built for the plan's range, and how many dynamic-descriptor
+/// evaluations building it took — schedule-cache hits, every one, by
+/// the time it is replayed.
+#[derive(Default)]
 struct Third<L> {
     list: L,
+    built: bool,
     dyn_evals: u64,
 }
 
@@ -78,29 +353,53 @@ struct Third<L> {
 #[derive(Default)]
 struct Plan {
     iters: Range<usize>,
-    /// `before_loop`: how many sections the body touches, the pages to
-    /// validate and the pages it overwrites whole, as merged runs.
-    validate: Option<Third<(usize, Runs, Runs)>>,
+    /// `before_loop`: the body's accesses in pages — how many word runs
+    /// they have, the pages to validate and the pages it overwrites
+    /// whole.
+    validate: Third<Pages>,
     /// `after_loop`: the `(target, page)` pushes in registration order,
     /// HLRC home filter not yet applied.
-    pushes: Option<Third<Vec<(usize, usize)>>>,
-    /// `planned_homes`: every `(page, writer)` of the write sections.
-    homes: Option<Third<Vec<(usize, usize)>>>,
+    pushes: Third<Vec<(usize, usize)>>,
+    /// `planned_homes`: every `(page, writer)` of the writes.
+    homes: Third<Vec<(usize, usize)>>,
+}
+
+impl Plan {
+    /// Have every third built again, into the list it holds.
+    fn stale(&mut self) {
+        self.validate.built = false;
+        self.pushes.built = false;
+        self.homes.built = false;
+    }
+}
+
+/// The builder's buffers, kept between builds.
+#[derive(Default)]
+struct Scratch {
+    /// The pages a written access covers.
+    mine: Runs,
+    /// A consumer's pages of the written array, less those it overwrites
+    /// whole.
+    theirs: Pages,
+    /// A node's written pages, or a republished access's word runs.
+    runs: Runs,
 }
 
 /// The per-node hint engine, layered on one [`Tmk`] instance. Every
-/// call that evaluates a descriptor is handed the loop table's entries,
-/// `loops`, in which it looks the descriptor up.
+/// call that reads a loop's accesses is handed the loop table's entries,
+/// `loops`, in which it looks the loop up.
 pub(crate) struct HintEngine<'t, 'n> {
     tmk: &'t Tmk<'n>,
     /// Schedule cache for inspectors:
     /// `(loop id, iters.start, iters.end, node) -> evaluated accesses`.
     schedules: RefCell<HashMap<ScheduleKey, Rc<Vec<Access>>>>,
     /// The compiled plan of each loop id, for the range it last ran over.
-    plans: RefCell<Vec<Option<Plan>>>,
+    plans: RefCell<Vec<Plan>>,
     /// Inspector evaluations so far (hits and misses): a plan under
     /// construction reads its own share off this counter.
     dyn_evals: Cell<u64>,
+    /// The builder's buffers.
+    scratch: RefCell<Scratch>,
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
@@ -111,38 +410,40 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             schedules: RefCell::new(HashMap::new()),
             plans: RefCell::new(Vec::new()),
             dyn_evals: Cell::new(0),
+            scratch: RefCell::default(),
         }
     }
 
-    /// Drop every cached schedule and every plan: an epoch-invalidating
-    /// event (the application rebuilt an indirection map). The next
-    /// evaluation of each inspector re-inspects. Every node must
-    /// invalidate at the same loop boundary — the run-time ships the
-    /// invalidation inside the dispatch so workers and master agree.
+    /// Drop every cached schedule and have every plan built again: an
+    /// epoch-invalidating event (the application rebuilt an indirection
+    /// map). The next evaluation of each inspector re-inspects. Every
+    /// node must invalidate at the same loop boundary — the run-time
+    /// ships the invalidation inside the dispatch so workers and master
+    /// agree.
     pub(crate) fn invalidate_schedules(&self) {
         self.schedules.borrow_mut().clear();
-        self.plans.borrow_mut().clear();
+        self.plans.borrow_mut().iter_mut().for_each(Plan::stale);
     }
 
-    /// Evaluate loop `id`'s descriptor for node `q` over `iters` and hand
-    /// the accesses to `with`; `None` when the loop has no descriptor.
-    /// A footprint's descriptor evaluates directly (cheap symbolic
-    /// sections), handed the table to read its consumers' preludes;
-    /// an inspector goes through the schedule cache.
-    fn eval<R>(
+    /// Hand `with` the stream of node `q`'s accesses of loop `id` over
+    /// `iters`: a footprint's off its walk ([`footprint_accesses`]), an
+    /// inspector's through the schedule cache, evaluated once however
+    /// often `with` reads the stream; none when the loop has no
+    /// description.
+    fn with_accesses<R>(
         &self,
         loops: &[Entry<'t>],
         id: usize,
         iters: &Range<usize>,
-        q: usize,
-        np: usize,
-        with: impl FnOnce(&[Access]) -> R,
-    ) -> Option<R> {
-        let f = match described(loops, id)? {
-            Description::Footprint(.., descriptor) => {
-                return Some(with(&descriptor(loops, iters, q, np)))
+        (q, np): (usize, usize),
+        with: impl FnOnce(Stream) -> R,
+    ) -> R {
+        let inspect = match described(loops, id) {
+            None => return with(&|_| {}),
+            Some(Description::Footprint(..)) => {
+                return with(&|visit| footprint_accesses(loops, id, iters, q, np, visit))
             }
-            Description::Inspector(inspect) => inspect,
+            Some(Description::Inspector(inspect)) => inspect,
         };
         self.dyn_evals.set(self.dyn_evals.get() + 1);
         let key = (id, iters.start, iters.end, q);
@@ -161,7 +462,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                     .node()
                     .trace_span(sp2sim::SpanKind::Inspect, id as u32);
                 let t0 = self.tmk.node().now().us();
-                let accesses = Rc::new(f(iters, q, np));
+                let accesses = Rc::new(inspect(iters, q, np));
                 let us = self.tmk.node().now().us() - t0;
                 self.tmk.note_inspection(us);
                 self.schedules
@@ -170,49 +471,100 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                 accesses
             }
         };
-        Some(with(&accesses))
+        with(&|visit| listed(&accesses, visit))
     }
 
     /// Replay one third of loop `id`'s plan over `iters` — `build`ing it
-    /// first if this is the call site's first run since the plan was
-    /// dropped or the range changed. A replay counts the schedule-cache
-    /// hits it stands for.
+    /// first, into the list it holds, if this is the call site's first
+    /// run since the range changed or the plans went stale. A replay
+    /// counts the schedule-cache hits it stands for.
     fn third<L, R>(
         &self,
         id: usize,
         iters: &Range<usize>,
-        slot: fn(&mut Plan) -> &mut Option<Third<L>>,
-        build: impl FnOnce() -> L,
+        slot: fn(&mut Plan) -> &mut Third<L>,
+        build: impl FnOnce(&mut L),
         replay: impl FnOnce(&L) -> R,
     ) -> R {
         let mut plans = self.plans.borrow_mut();
         if plans.len() <= id {
-            plans.resize_with(id + 1, || None);
+            plans.resize_with(id + 1, Plan::default);
         }
-        let plan = match &mut plans[id] {
-            Some(plan) if plan.iters == *iters => plan,
-            stale => stale.insert(Plan {
-                iters: iters.clone(),
-                ..Plan::default()
-            }),
-        };
-        let third = match slot(plan) {
-            Some(third) => {
-                if third.dyn_evals > 0 {
-                    self.tmk.note_schedule_reuse(third.dyn_evals);
-                }
-                third
+        let plan = &mut plans[id];
+        if plan.iters != *iters {
+            plan.iters = iters.clone();
+            plan.stale();
+        }
+        let third = slot(plan);
+        if third.built {
+            if third.dyn_evals > 0 {
+                self.tmk.note_schedule_reuse(third.dyn_evals);
             }
-            unbuilt => {
-                let before = self.dyn_evals.get();
-                let list = build();
-                unbuilt.insert(Third {
-                    list,
-                    dyn_evals: self.dyn_evals.get() - before,
-                })
-            }
-        };
+        } else {
+            let before = self.dyn_evals.get();
+            build(&mut third.list);
+            third.dyn_evals = self.dyn_evals.get() - before;
+            third.built = true;
+        }
         replay(&third.list)
+    }
+
+    /// Loop `id`'s accesses on this node over `iters` in pages: the
+    /// validate third.
+    fn build_validate(
+        &self,
+        loops: &[Entry<'t>],
+        id: usize,
+        iters: &Range<usize>,
+        pages: &mut Pages,
+    ) {
+        let node = (self.tmk.proc_id(), self.tmk.nprocs());
+        self.with_accesses(loops, id, iters, node, |stream| {
+            pages.build(self.tmk, stream, &|_| true)
+        });
+    }
+
+    /// Every `(target, page)` loop `id`'s writes on this node over
+    /// `iters` owe their consumers: the push third.
+    fn build_pushes(
+        &self,
+        loops: &[Entry<'t>],
+        id: usize,
+        iters: &Range<usize>,
+        pushes: &mut Vec<(usize, usize)>,
+    ) {
+        let node = (self.tmk.proc_id(), self.tmk.nprocs());
+        pushes.clear();
+        self.with_accesses(loops, id, iters, node, |stream| {
+            self.push_list(loops, stream, pushes)
+        });
+    }
+
+    /// Every `(page, writer)` of loop `id`'s writes over `iters`, one per
+    /// page a node's writes cover: the home third.
+    fn build_homes(
+        &self,
+        loops: &[Entry<'t>],
+        id: usize,
+        iters: &Range<usize>,
+        writes: &mut Vec<(usize, usize)>,
+    ) {
+        let np = self.tmk.nprocs();
+        writes.clear();
+        let mut scratch = self.scratch.borrow_mut();
+        let written = &mut scratch.runs;
+        for q in 0..np {
+            written.clear();
+            self.with_accesses(loops, id, iters, (q, np), |stream| {
+                stream(&mut |a| {
+                    if a.mode != Mode::Read {
+                        add_pages(self.tmk, a, written);
+                    }
+                })
+            });
+            *written = merge_ranges(std::mem::take(written));
+            writes.extend(written.iter().cloned().flatten().map(|p| (p, q)));
+        }
     }
 
     /// Pre-loop hint: an aggregated validate of every section the body
@@ -231,32 +583,22 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         if described(loops, id).is_none() {
             return 0;
         }
-        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
-        let build = || {
-            let (mut sections, mut pages, mut armed) = (0, Vec::new(), Vec::new());
-            self.eval(loops, id, iters, me, np, |accesses| {
-                for a in accesses {
-                    sections += self.add_pages(a.arr, &a.section, &mut pages);
-                }
-                armed = self.write_all_pages(accesses);
-            });
-            (sections, subtract(merge_ranges(pages), &armed), armed)
-        };
-        let validate = |(sections, pages, armed): &(usize, Runs, Runs)| {
-            let fetched = match sections {
+        let build = |pages: &mut Pages| self.build_validate(loops, id, iters, pages);
+        let validate = |pages: &Pages| {
+            let fetched = match pages.sections {
                 0 => 0,
-                _ => self.tmk.validate_pages(*sections, pages),
+                sections => self.tmk.validate_pages(sections, &pages.pages),
             };
-            self.tmk.arm_write_all(id, armed);
+            self.tmk.arm_write_all(id, &pages.armed);
             fetched
         };
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
 
-    /// HLRC home-placement candidates from the descriptors of `group`,
-    /// dispatched together: every page exactly one node's write sections
-    /// cover, in all of them, paired with that node — the declared
-    /// producer. Pure (nothing installed): the
+    /// HLRC home-placement candidates from the accesses of `group`,
+    /// dispatched together: every page exactly one node's writes cover,
+    /// in all of them, paired with that node — the declared producer.
+    /// Pure (nothing installed): the
     /// fork-join runtime filters the candidates through the runtime's
     /// no-notice guard on the master at fork time (when every worker is
     /// parked in its dispatch wait and no interval is in flight, so the
@@ -271,25 +613,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         group: impl IntoIterator<Item = (usize, &'r Range<usize>)>,
     ) -> Vec<(usize, usize)> {
         // Every `(page, writer)` of every loop: each loop's plan holds
-        // its own, one per page a node's write sections cover.
+        // its own, one per page a node's writes cover.
         let mut writes = Vec::new();
         let described = |&(id, _): &(usize, _)| described(loops, id).is_some();
         for (id, iters) in group.into_iter().filter(described) {
-            let build = || {
-                let np = self.tmk.nprocs();
-                let (mut written, mut writes) = (Vec::new(), Vec::new());
-                for q in 0..np {
-                    written.clear();
-                    self.eval(loops, id, iters, q, np, |accesses| {
-                        for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
-                            self.add_pages(a.arr, &a.section, &mut written);
-                        }
-                    });
-                    written = merge_ranges(written);
-                    writes.extend(written.iter().cloned().flatten().map(|p| (p, q)));
-                }
-                writes
-            };
+            let build = |own: &mut Vec<_>| self.build_homes(loops, id, iters, own);
             let add = |own: &Vec<(usize, usize)>| writes.extend_from_slice(own);
             self.third(id, iters, |plan| &mut plan.homes, build, add);
         }
@@ -301,7 +629,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 
     /// Post-loop hint: register pushes for every written section with
     /// known consumers. A consumer's pages are computed from *its*
-    /// descriptor; only the page-level overlap with the producer's writes
+    /// accesses; only the page-level overlap with the producer's writes
     /// travels (page granularity also captures the false-sharing fetches
     /// a page-based DSM would otherwise pay), less the pages the consumer
     /// overwrites whole. Under HLRC a consumer that
@@ -314,14 +642,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         if described(loops, id).is_none() {
             return 0;
         }
-        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
-        let build = || {
-            let mut pushes = Vec::new();
-            self.eval(loops, id, iters, me, np, |accesses| {
-                self.push_list(loops, accesses, &mut pushes)
-            });
-            pushes
-        };
+        let build = |pushes: &mut Vec<_>| self.build_pushes(loops, id, iters, pushes);
         let register = |pushes: &Vec<(usize, usize)>| self.register_pushes(pushes);
         self.third(id, iters, |plan| &mut plan.pushes, build, register)
     }
@@ -332,81 +653,102 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// grids and maps on the master). Pushes ride
     /// this node's next rendezvous exactly like a loop's `after_loop`
     /// registrations; [`Consumer::Loop`] overlaps are evaluated through
-    /// the consumer's descriptor. Returns the number of `(target, page)`
+    /// the consumer's accesses. Returns the number of `(target, page)`
     /// registrations.
     pub(crate) fn declare_produce(&self, loops: &[Entry<'t>], accesses: &[Access]) -> u64 {
-        let mut pushes = Vec::new();
-        self.push_list(loops, accesses, &mut pushes);
-        self.register_pushes(&pushes)
+        self.register_stream(loops, &|visit: &mut dyn FnMut(&Declared)| {
+            listed(accesses, visit)
+        })
     }
 
-    /// [`HintEngine::declare_produce`] for sections sequential code on
-    /// this node just **rewrote**, every word of each current here —
-    /// whose pushes supersede: each carries the section's words, which
+    /// What the sequential code before loop `id`'s dispatch over `iters`
+    /// — its prelude ([`crate::Spf::describe_sequential`]) — just
+    /// **rewrote** on this node, every word of each current here, goes
+    /// to that loop as [`HintEngine::declare_produce`] declares it, in
+    /// pushes that supersede: each carries the words rewritten, which
     /// the consumer installs outright instead of applying the newest
     /// diff, so it needs none of the pages' older diffs, of any writer
     /// ([`Tmk::supersede_at_next_sync`]). The compiler's promise is
     /// that nothing else of those pages changed since what a consumer
     /// holds; debug builds check it. Returns the number of `(target,
     /// page)` registrations.
-    pub(crate) fn republish(&self, loops: &[Entry<'t>], accesses: &[Access]) -> u64 {
-        let pushed = |a: &&Access| a.mode == AccessMode::Write && !a.consumers.is_empty();
-        for a in accesses.iter().filter(pushed) {
-            self.tmk.supersede_at_next_sync(a.arr, a.section.runs());
-        }
-        self.declare_produce(loops, accesses)
+    pub(crate) fn republish(&self, loops: &[Entry<'t>], id: usize, iters: &Range<usize>) -> u64 {
+        let rewritten = |visit: &mut dyn FnMut(&Declared)| {
+            let to = |to: &mut dyn FnMut(Consumer)| {
+                to(Consumer::Loop {
+                    id,
+                    iters: iters.clone(),
+                })
+            };
+            prelude(loops, id, iters, &mut |s| {
+                if s.mode != Mode::Read {
+                    visit(&Declared {
+                        arr: s.at.arr,
+                        mode: Mode::Update,
+                        shape: Shape::Touch(s),
+                        consumers: &to,
+                    });
+                }
+            });
+        };
+        rewritten(&mut |a| {
+            let mut scratch = self.scratch.borrow_mut();
+            scratch.runs.clear();
+            a.shape.for_each_run(|r| scratch.runs.push(r));
+            self.tmk.supersede_at_next_sync(a.arr, &scratch.runs);
+        });
+        self.register_stream(loops, &rewritten)
     }
 
-    /// Every `(target, page)` the written sections of `accesses` owe
-    /// their consumers, in registration order: per access, per consumer,
-    /// targets then pages ascending.
-    fn push_list(
-        &self,
-        loops: &[Entry<'t>],
-        accesses: &[Access],
-        pushes: &mut Vec<(usize, usize)>,
-    ) {
-        let me = self.tmk.proc_id();
-        let np = self.tmk.nprocs();
-        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
-        for a in accesses {
-            if a.mode != AccessMode::Write || a.consumers.is_empty() {
-                continue;
+    /// Register the pushes the written accesses of `stream` owe their
+    /// consumers. Returns the number of `(target, page)` registrations.
+    fn register_stream(&self, loops: &[Entry<'t>], stream: Stream) -> u64 {
+        let mut pushes = Vec::new();
+        self.push_list(loops, stream, &mut pushes);
+        self.register_pushes(&pushes)
+    }
+
+    /// Append every `(target, page)` the written accesses of `stream` owe
+    /// their consumers to `pushes`, in registration order: per access, per
+    /// consumer, targets then pages ascending.
+    fn push_list(&self, loops: &[Entry<'t>], stream: Stream, pushes: &mut Vec<(usize, usize)>) {
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { mine, theirs, .. } = &mut *scratch;
+        stream(&mut |a| {
+            if a.mode == Mode::Read {
+                return;
             }
             mine.clear();
-            self.add_pages(a.arr, &a.section, &mut mine);
+            add_pages(self.tmk, a, mine);
             if mine.is_empty() {
-                continue;
+                return;
             }
-            for c in &a.consumers {
-                match c {
-                    Consumer::Loop { id, iters } => {
-                        for q in (0..np).filter(|&q| q != me) {
-                            // Union of q's accesses on this array — reads
-                            // and writes alike, since a write view fetches
-                            // the current content too — less the pages q
-                            // overwrites whole, whose write fetches nothing.
-                            theirs.clear();
-                            let mut armed = Vec::new();
-                            self.eval(loops, *id, iters, q, np, |accesses| {
-                                for ca in accesses.iter().filter(|ca| ca.arr == a.arr) {
-                                    self.add_pages(ca.arr, &ca.section, &mut theirs);
-                                }
-                                armed = self.write_all_pages(accesses);
-                            });
-                            theirs = subtract(merge_ranges(theirs), &armed);
-                            for_each_overlap(mine.iter().cloned(), theirs.iter().cloned(), |run| {
+            (a.consumers)(&mut |c| match c {
+                Consumer::Loop { id, iters } => {
+                    for q in (0..np).filter(|&q| q != me) {
+                        // Union of q's accesses on this array — reads and
+                        // writes alike, since a write view fetches the
+                        // current content too — less the pages q
+                        // overwrites whole, whose write fetches nothing.
+                        self.with_accesses(loops, id, &iters, (q, np), |stream| {
+                            theirs.build(self.tmk, stream, &|ca| ca.arr == a.arr)
+                        });
+                        for_each_overlap(
+                            mine.iter().cloned(),
+                            theirs.pages.iter().cloned(),
+                            |run| {
                                 pushes.extend(run.map(|p| (q, p)));
-                            });
-                        }
+                            },
+                        );
                     }
-                    Consumer::Node(q) if *q != me => {
-                        pushes.extend(mine.iter().cloned().flatten().map(|p| (*q, p)));
-                    }
-                    Consumer::Node(_) => {}
                 }
-            }
-        }
+                Consumer::Node(q) if q != me => {
+                    pushes.extend(mine.iter().cloned().flatten().map(|p| (q, p)));
+                }
+                Consumer::Node(_) => {}
+            });
+        });
     }
 
     /// Register `pushes` for the next rendezvous, minus those the
@@ -424,84 +766,137 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         registered
     }
-
-    /// Append the pages of `section` to `runs` and return how many word
-    /// runs it has. A section's runs ascend, so its pages come out as
-    /// sorted, merged runs; what `runs` held before is left alone (the
-    /// caller merges across sections).
-    fn add_pages(
-        &self,
-        arr: SharedArray,
-        section: &Section,
-        runs: &mut Vec<Range<usize>>,
-    ) -> usize {
-        let first = runs.len();
-        for r in section.runs() {
-            let span = self.tmk.page_span(arr, r);
-            match runs[first..].last_mut() {
-                Some(last) if span.start <= last.end => last.end = last.end.max(span.end),
-                _ => runs.push(span),
-            }
-        }
-        section.runs().len()
-    }
-
-    /// The pages a body with `accesses` overwrites whole: each page a
-    /// write-all section covers entirely, less every page an access that
-    /// is not write-all touches — a read, or a write with fetch
-    /// semantics. Sorted, disjoint runs.
-    fn write_all_pages(&self, accesses: &[Access]) -> Runs {
-        let pw = self.tmk.config().page_words;
-        let mut whole = Vec::new();
-        for a in accesses.iter().filter(|a| a.write_all) {
-            let base = a.arr.first_page() * pw;
-            for r in a.section.runs() {
-                let run = (base + r.start).div_ceil(pw)..(base + r.end) / pw;
-                if !run.is_empty() {
-                    whole.push(run);
-                }
-            }
-        }
-        if whole.is_empty() {
-            return whole;
-        }
-        let mut other = Vec::new();
-        for a in accesses.iter().filter(|a| !a.write_all) {
-            self.add_pages(a.arr, &a.section, &mut other);
-        }
-        subtract(merge_ranges(whole), &merge_ranges(other))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use cri::section::{contains, insert, meets};
+    use cri::section::{contains, for_each_difference, insert, meets, subtract};
     use proptest::prelude::*;
     use sp2sim::{Cluster, ClusterConfig, MsgKind};
     use treadmarks::TmkConfig;
 
     use super::*;
+    use crate::{Cols, Prelude};
 
-    /// A loop described by a hand-written access list: a footprint's
-    /// descriptor, or with `inspector` an inspector's.
-    fn entry<'t>(
-        inspector: bool,
-        accesses: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
-    ) -> Entry<'t> {
-        let description = match inspector {
-            true => Description::Inspector(Box::new(accesses)),
-            false => Description::Footprint(
-                Box::new(|_, _, _, _, _| {}),
-                None,
-                Box::new(move |_, iters, q, np| accesses(iters, q, np)),
-            ),
-        };
+    /// An entry with `description` and a body that does nothing.
+    fn entry(description: Description) -> Entry {
         Entry {
             body: Box::new(|_| {}),
             sequential: None,
             description: Some(description),
+        }
+    }
+
+    /// A loop described by an inspector that returns `accesses`.
+    fn inspected<'t>(
+        accesses: impl Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't,
+    ) -> Entry<'t> {
+        entry(Description::Inspector(Box::new(accesses)))
+    }
+
+    /// A loop described by its footprint and `next`, as
+    /// [`crate::Spf::describe`] describes it.
+    fn walked<'t, T, N>(
+        footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
+        next: impl Fn(&Range<usize>, &Touch) -> N + 't,
+    ) -> Entry<'t>
+    where
+        T: IntoIterator<Item = Touch>,
+        N: IntoIterator<Item = Next>,
+    {
+        entry(Description::footprint(footprint, next))
+    }
+
+    /// The accesses `Spf::describe`'s descriptor derived for node `q`'s
+    /// share of footprint loop `id` over `iters` before the plan builder
+    /// read them off the walk, reading the preludes of the loops its
+    /// writes go to: the derivation kept as the reference the stream is
+    /// tested against. It walks the same footprint, collecting each
+    /// written touch's `next` and each prelude into lists.
+    fn derived_reference(
+        loops: &[Entry],
+        id: usize,
+        iters: &Range<usize>,
+        q: usize,
+        np: usize,
+    ) -> Vec<Access> {
+        let mut acc: Vec<Access> = Vec::new();
+        let declare = |t: &Touch, section| match t.mode {
+            Mode::Read => Access::read(t.at.arr, section),
+            Mode::Write => Access::write_all(t.at.arr, section),
+            Mode::Update => Access::write(t.at.arr, section),
+        };
+        // `t` within the columns `cols`, when it touches a word there.
+        let within = |t: &Touch, cols: &Range<usize>| {
+            let cols = cols.start.max(t.cols.start)..cols.end.min(t.cols.end);
+            let t = Touch { cols, ..t.clone() };
+            (!t.rows.is_empty() && t.columns().next().is_some()).then_some(t)
+        };
+        walk(loops, id, iters, q, np, &mut |t, nexts| {
+            let write = acc.len();
+            acc.push(declare(t, t.section()));
+            if t.mode == Mode::Read {
+                return;
+            }
+            let mut next = Vec::new();
+            nexts(&mut |n| next.push(n));
+            for n in next {
+                let (id, iters) = match n {
+                    Next::Node(node, cols) => {
+                        let to_node =
+                            |p: Touch| Access::write(t.at.arr, p.section()).consumed_by_node(node);
+                        acc.extend(within(t, &cols).map(to_node));
+                        continue;
+                    }
+                    Next::Loop(id, iters) => (id, iters),
+                };
+                let mut between = Vec::new();
+                prelude(loops, id, &iters, &mut |s| between.push(s.clone()));
+                let mut rewritten = Vec::new();
+                for s in between.iter().filter(|s| s.at == t.at) {
+                    let Some(part) = within(t, &s.cols) else {
+                        continue;
+                    };
+                    if s.mode != Mode::Read
+                        && s.rows.start <= t.rows.start
+                        && t.rows.end <= s.rows.end
+                    {
+                        rewritten.push(part.cols.clone());
+                    }
+                    if s.mode != Mode::Write {
+                        acc.push(declare(t, part.section()).consumed_by_node(0));
+                    }
+                }
+                if rewritten.is_empty() {
+                    acc[write].consumers.push(Consumer::Loop { id, iters });
+                    continue;
+                }
+                let kept = std::slice::from_ref(&t.cols);
+                for_each_difference(kept, &merge_ranges(rewritten), |cols| {
+                    let to_loop =
+                        |p: Touch| declare(t, p.section()).consumed_by_loop(id, iters.clone());
+                    acc.extend(within(t, &cols).map(to_loop));
+                });
+            }
+        });
+        acc
+    }
+
+    /// Node `q`'s accesses of loop `id` over `iters`: an inspector's, or
+    /// those [`derived_reference`] derives from a footprint.
+    fn accesses_reference(
+        loops: &[Entry],
+        id: usize,
+        iters: &Range<usize>,
+        q: usize,
+        np: usize,
+    ) -> Vec<Access> {
+        match described(loops, id) {
+            None => Vec::new(),
+            Some(Description::Inspector(inspect)) => inspect(iters, q, np),
+            Some(Description::Footprint(..)) => derived_reference(loops, id, iters, q, np),
         }
     }
 
@@ -555,13 +950,12 @@ mod tests {
                 match c {
                     Consumer::Loop { id, iters } => {
                         for q in (0..np).filter(|&q| q != me) {
-                            let (mut pages, mut armed) = (BTreeSet::new(), BTreeSet::new());
-                            hints.eval(loops, *id, iters, q, np, |theirs| {
-                                for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
-                                    pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
-                                }
-                                armed = armed_reference(hints.tmk, theirs);
-                            });
+                            let theirs = accesses_reference(loops, *id, iters, q, np);
+                            let mut pages = BTreeSet::new();
+                            for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
+                                pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
+                            }
+                            let armed = armed_reference(hints.tmk, &theirs);
                             let pushed = mine.intersection(&pages).filter(|p| !armed.contains(p));
                             pushes.extend(pushed.map(|&p| (q, p)));
                         }
@@ -583,19 +977,35 @@ mod tests {
         let np = hints.tmk.nprocs();
         let mut writers: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
         for q in 0..np {
-            hints.eval(loops, id, iters, q, np, |accesses| {
-                for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
-                    for p in pages_reference(hints.tmk, a.arr, &a.section) {
-                        writers.entry(p).or_default().insert(q);
-                    }
+            let accesses = accesses_reference(loops, id, iters, q, np);
+            for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
+                for p in pages_reference(hints.tmk, a.arr, &a.section) {
+                    writers.entry(p).or_default().insert(q);
                 }
-            });
+            }
         }
         writers
             .into_iter()
             .filter(|(_, ws)| ws.len() == 1)
             .map(|(p, ws)| (p, *ws.iter().next().expect("single writer")))
             .collect()
+    }
+
+    /// The page runs of `section` of `arr`, as the builder adds them.
+    fn runs_of(tmk: &Tmk, arr: SharedArray, section: &Section) -> Runs {
+        let mut runs = Vec::new();
+        listed(&[Access::read(arr, section.clone())], &mut |a| {
+            add_pages(tmk, a, &mut runs);
+        });
+        runs
+    }
+
+    /// The pages a body with `accesses` overwrites whole, as the builder
+    /// arms them.
+    fn armed_of(tmk: &Tmk, accesses: &[Access]) -> Runs {
+        let mut pages = Pages::default();
+        pages.build(tmk, &|visit| listed(accesses, visit), &|_| true);
+        pages.armed
     }
 
     /// Words every generated section stays below.
@@ -664,26 +1074,23 @@ mod tests {
                 // Loop 0: node q writes section q of array q % 2 for loop
                 // 1 and for node 0; loop 1: node q reads section 3 + q of
                 // the same array.
+                let consumer = move |_: &Range<usize>, q: usize, _| {
+                    vec![
+                        Access::read(arr[0], sections[3 + q].clone()),
+                        Access::write_all(arr[1], sections[3 + (q + 1) % 3].clone()),
+                        Access::write_all(arr[0], sections[(q + 2) % 3].clone()),
+                        Access::read(arr[1], sections[q].clone()),
+                    ]
+                };
                 let loops = [
-                    entry(false, move |_, q, _| {
+                    inspected(move |_, q, _| {
                         vec![Access::write(arr[q % 2], sections[q].clone())
                             .consumed_by_loop(1, 0..1)
                             .consumed_by_node(0)]
                     }),
-                    entry(false, move |_, q, _| {
-                        vec![
-                            Access::read(arr[0], sections[3 + q].clone()),
-                            Access::write_all(arr[1], sections[3 + (q + 1) % 3].clone()),
-                            Access::write_all(arr[0], sections[(q + 2) % 3].clone()),
-                            Access::read(arr[1], sections[q].clone()),
-                        ]
-                    }),
+                    inspected(consumer),
                 ];
-                let runs_of = |s: &Section| {
-                    let mut runs = Vec::new();
-                    hints.add_pages(arr[1], s, &mut runs);
-                    runs
-                };
+                let runs_of = |s: &Section| runs_of(&tmk, arr[1], s);
                 let pages = |runs: &[Range<usize>]| -> Vec<usize> {
                     runs.iter().cloned().flatten().collect()
                 };
@@ -722,15 +1129,14 @@ mod tests {
                     }
                 }
                 let me = tmk.proc_id();
-                hints.eval(&loops, 1, &(0..1), me, 3, |accesses| {
-                    let armed = pages(&hints.write_all_pages(accesses));
-                    ok &= armed == armed_reference(&tmk, accesses).into_iter().collect::<Vec<_>>();
-                });
+                let accesses = consumer(&(0..1), me, 3);
+                let armed = pages(&armed_of(&tmk, &accesses));
+                ok &= armed == armed_reference(&tmk, &accesses).into_iter().collect::<Vec<_>>();
                 let written = [Access::write(arr[me % 2], sections[me].clone())
                     .consumed_by_loop(1, 0..1)
                     .consumed_by_node(0)];
                 let mut pushes = Vec::new();
-                hints.push_list(&loops, &written, &mut pushes);
+                hints.push_list(&loops, &|visit| listed(&written, visit), &mut pushes);
                 ok &= pushes == push_list_reference(&hints, &loops, &written);
                 let homes = hints.planned_homes(&loops, [(1, &(0..1))]);
                 ok &= homes == homes_reference(&hints, &loops, 1, &(0..1));
@@ -741,24 +1147,224 @@ mod tests {
         }
     }
 
-    /// The descriptors of a producer (loop 0: node `q` writes page `q`,
+    /// `(target, page)` pushes or `(page, writer)` candidates.
+    type Pairs = Vec<(usize, usize)>;
+
+    /// Columns of each array a generated footprint spans.
+    const COLS: usize = 12;
+
+    /// A touch of one of `arrs`, from seven small numbers, for node `q` of
+    /// `np` over `iters`: a run of columns starting at an offset from
+    /// `iters.start` (and, for some, from `q`), in any mode, every row or
+    /// a chunk of each column, every column or a cyclic set.
+    fn touch_from(
+        arrs: [Cols; 2],
+        p: &[usize],
+        iters: &Range<usize>,
+        q: usize,
+        np: usize,
+    ) -> Touch {
+        let at = arrs[p[0] % 2];
+        let start = (p[1] + iters.start + q * (p[2] % 3)) % COLS;
+        let t = at.touch(
+            start..(start + p[3] % 6).min(COLS),
+            [Mode::Read, Mode::Write, Mode::Update][p[4] % 3],
+        );
+        let t = match p[5] % 3 {
+            0 => t,
+            _ => {
+                let first = p[6] % at.stride;
+                t.rows(first..(first + 1 + p[5] % at.stride).min(at.stride))
+            }
+        };
+        match p[6] % 3 {
+            0 => t.cyclic(q, np),
+            _ => t,
+        }
+    }
+
+    /// Who reads a written touch next, from three small numbers: nothing,
+    /// one of three loops over a range, one node's sequential code over
+    /// a run of columns, or both.
+    fn next_from(p: &[usize]) -> Vec<Next> {
+        let to_loop = Next::Loop(p[1] % 3, p[2] % 3..p[2] % 3 + 1 + p[1] % 2);
+        let to_node = Next::Node(p[2] % 3, p[1] % COLS..COLS);
+        match p[0] % 4 {
+            0 => vec![],
+            1 => vec![to_loop],
+            2 => vec![to_node],
+            _ => vec![to_node, to_loop],
+        }
+    }
+
+    /// A prelude's touch, from five small numbers, before a dispatch over
+    /// `iters`: a column or two at `iters.start` or just past it — where
+    /// the loops before wrote — mostly rewritten, every row or a chunk.
+    fn prelude_from(arrs: [Cols; 2], p: &[usize], iters: &Range<usize>) -> Touch {
+        let at = arrs[p[0] % 2];
+        let start = (iters.start + p[1] % 3) % COLS;
+        let mode = [Mode::Read, Mode::Write, Mode::Update, Mode::Update][p[2] % 4];
+        let t = at.touch(start..(start + 1 + p[3] % 2).min(COLS), mode);
+        match p[4] % 2 {
+            0 => t,
+            _ => t.rows(p[3] % at.stride..at.stride),
+        }
+    }
+
+    /// Three loops described by footprints generated from `p`, each with
+    /// up to three touches, their `next` and, for some, a prelude.
+    fn generated<'t>(arrs: [Cols; 2], p: &'t [usize]) -> Vec<Entry<'t>> {
+        (0..3)
+            .map(|l| {
+                let p = &p[l * 45..(l + 1) * 45];
+                let count = 1 + p[0] % 3;
+                let footprint = move |iters: &Range<usize>, q: usize, np: usize| {
+                    let touches =
+                        (0..count).map(|k| touch_from(arrs, &p[1 + 7 * k..], iters, q, np));
+                    (!p[44].is_multiple_of(5) || q != 1).then(|| touches.collect::<Vec<_>>())
+                };
+                let next =
+                    move |_: &Range<usize>, t: &Touch| next_from(&p[22 + 3 * (t.cols.start % 3)..]);
+                let mut entry = walked(footprint, next);
+                if p[31].is_multiple_of(2) {
+                    let touches = 1 + p[32] % 2;
+                    let prelude: Prelude = Box::new(move |iters, visit| {
+                        for k in 0..touches {
+                            visit(&prelude_from(arrs, &p[33 + 5 * k..], iters));
+                        }
+                    });
+                    let Some(Description::Footprint(_, slot)) = &mut entry.description else {
+                        unreachable!("a footprint");
+                    };
+                    *slot = Some(prelude);
+                }
+                entry
+            })
+            .collect()
+    }
+
+    /// The loops of `loops`, each footprint replaced by an inspector that
+    /// returns what [`derived_reference`] derives from it.
+    fn by_reference<'t>(loops: &'t [Entry<'t>]) -> Vec<Entry<'t>> {
+        (0..loops.len())
+            .map(|id| inspected(move |iters, q, np| derived_reference(loops, id, iters, q, np)))
+            .collect()
+    }
+
+    /// The three lists of loop `id`'s plan over `iters` on this node:
+    /// the validate's word-run count, pages and pages armed, the pushes
+    /// and the home candidates — each built, or refilled, by the plan's
+    /// own call sites' path.
+    fn plan_lists<'t>(
+        hints: &HintEngine<'t, '_>,
+        loops: &[Entry<'t>],
+        id: usize,
+        iters: &Range<usize>,
+    ) -> (usize, Runs, Runs, Pairs, Pairs) {
+        let validate = |pages: &Pages| (pages.sections, pages.pages.clone(), pages.armed.clone());
+        let (sections, pages, armed) = hints.third(
+            id,
+            iters,
+            |plan| &mut plan.validate,
+            |pages| hints.build_validate(loops, id, iters, pages),
+            validate,
+        );
+        let pushes = hints.third(
+            id,
+            iters,
+            |plan| &mut plan.pushes,
+            |pushes| hints.build_pushes(loops, id, iters, pushes),
+            Vec::clone,
+        );
+        let homes = hints.third(
+            id,
+            iters,
+            |plan| &mut plan.homes,
+            |homes| hints.build_homes(loops, id, iters, homes),
+            Vec::clone,
+        );
+        (sections, pages, armed, pushes, homes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        /// A plan built from the walk — each touch declared as it comes,
+        /// its consumers derived from its `next` and the preludes of the
+        /// loops it names — equals the plan built from the accesses the
+        /// descriptor once derived: over random footprints of three
+        /// loops (modes, row chunks, cyclic sets, `Next::Loop` and
+        /// `Next::Node` consumers, with and without a prelude that reads
+        /// or rewrites part of a written touch), the validate, push and
+        /// home lists of every loop over two ranges, on every node and
+        /// several page sizes. A plan refilled for the second range after
+        /// the first equals one built for it afresh.
+        #[test]
+        fn a_plan_from_the_walk_equals_the_plan_from_derived_accesses(
+            p in prop::collection::vec(0usize..64, 135..136),
+            shape in (0usize..3, 3usize..12),
+        ) {
+            let cfg = TmkConfig {
+                page_words: [4, 16, 64][shape.0],
+                ..TmkConfig::hlrc()
+            };
+            let p = &p;
+            let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
+                let tmk = Tmk::new(node, cfg);
+                let arrs = [(); 2].map(|_| Cols::new(tmk.malloc_f64(COLS * shape.1), shape.1));
+                let loops = generated(arrs, p);
+                let reference = by_reference(&loops);
+                // Each plan built by an engine of its own, but the one
+                // refilled.
+                let fresh = |loops: &[Entry], id, iters: &Range<usize>| {
+                    plan_lists(&HintEngine::new(&tmk), loops, id, iters)
+                };
+                let (refilled, mut ok) = (HintEngine::new(&tmk), true);
+                for id in 0..3 {
+                    for iters in [0..1, 1..3] {
+                        ok &= fresh(&loops, id, &iters) == fresh(&reference, id, &iters);
+                    }
+                    plan_lists(&refilled, &loops, id, &(0..1));
+                    let again = plan_lists(&refilled, &loops, id, &(1..3));
+                    ok &= again == fresh(&loops, id, &(1..3));
+                }
+                tmk.finish();
+                ok
+            });
+            prop_assert!(out.results.iter().all(|&ok| ok));
+        }
+    }
+
+    /// The descriptions of a producer (loop 0: node `q` writes page `q`,
     /// read next by loop 1) and its consumer (loop 1: everyone reads
-    /// everything), each evaluation counted in `calls`.
+    /// everything, by its footprint or, `dynamic_consumer`, an
+    /// inspector), each evaluation counted in `calls`.
     fn counted_pipeline<'t>(
         a: SharedArray,
         calls: &'t Cell<usize>,
         dynamic_consumer: bool,
     ) -> [Entry<'t>; 2] {
-        let producer = move |iters: &Range<usize>, q, _| {
+        let at = Cols::new(a, 512);
+        let producer = move |_: &Range<usize>, q: usize, _| {
             calls.set(calls.get() + 1);
-            let page = q * 512..(q + 1) * 512;
-            vec![Access::write(a, Section::range(page)).consumed_by_loop(1, iters.clone())]
+            Some([at.touch(q..q + 1, Mode::Update)])
         };
-        let consumer = move |_: &Range<usize>, _, np| {
+        let to_consumer = |iters: &Range<usize>, _: &Touch| [Next::Loop(1, iters.clone())];
+        let consumer = move |_: &Range<usize>, _, np: usize| {
             calls.set(calls.get() + 1);
-            vec![Access::read(a, Section::range(0..np * 512))]
+            at.touch(0..np, Mode::Read)
         };
-        [entry(false, producer), entry(dynamic_consumer, consumer)]
+        let consumer = match dynamic_consumer {
+            true => inspected(move |iters, q, np| {
+                let t = consumer(iters, q, np);
+                vec![Access::read(a, t.section())]
+            }),
+            false => walked(
+                move |iters, q, np| Some([consumer(iters, q, np)]),
+                |_, _| [],
+            ),
+        };
+        [walked(producer, to_consumer), consumer]
     }
 
     /// A repeated dispatch replays the plan without calling a descriptor;
@@ -846,13 +1452,11 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 2);
-            let loops = [entry(false, move |_, q, _| {
+            let both = move |_: &Range<usize>, q: usize, _| {
                 calls.set(calls.get() + 1);
-                if q != 0 {
-                    return vec![];
-                }
-                vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_node(1)]
-            })];
+                (q == 0).then(|| [Cols::new(a, 512).touch(0..2, Mode::Update)])
+            };
+            let loops = [walked(both, |_, _| [Next::Node(1, 0..2)])];
             let pages = [a.first_page(), a.first_page() + 1];
             // Nothing is written, so no notice pins a home and the
             // registrations carry no diff.
@@ -884,13 +1488,10 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::default());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 4);
-            let loops = [entry(false, move |_, me, _| {
-                if me == 1 {
-                    vec![Access::read(a, Section::range(0..512 * 4))]
-                } else {
-                    vec![]
-                }
-            })];
+            let all = move |_: &Range<usize>, me: usize, _| {
+                (me == 1).then(|| [Cols::new(a, 512).touch(0..4, Mode::Read)])
+            };
+            let loops = [walked(all, |_, _| [])];
             if tmk.proc_id() == 0 {
                 let mut w = tmk.write(a, 0..512 * 4);
                 for (i, x) in w.slice_mut().iter_mut().enumerate() {
@@ -926,21 +1527,15 @@ mod tests {
             let a = tmk.malloc_f64(512 * 4);
             // Loop 0: node 0 writes the first two pages; loop 1: node 1
             // reads pages 1..3 — the overlap is exactly page 1.
-            let writes = move |_: &Range<usize>, me, _| {
-                if me == 0 {
-                    vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_loop(1, 0..1)]
-                } else {
-                    vec![]
-                }
+            let at = Cols::new(a, 512);
+            let writes = move |_: &Range<usize>, me: usize, _| {
+                (me == 0).then(|| [at.touch(0..2, Mode::Update)])
             };
-            let reads = move |_: &Range<usize>, me, _| {
-                if me == 1 {
-                    vec![Access::read(a, Section::range(512..512 * 3))]
-                } else {
-                    vec![]
-                }
+            let reads = move |_: &Range<usize>, me: usize, _| {
+                (me == 1).then(|| [at.touch(1..3, Mode::Read)])
             };
-            let loops = [entry(false, writes), entry(false, reads)];
+            let to_reads = |_: &Range<usize>, _: &Touch| [Next::Loop(1, 0..1)];
+            let loops = [walked(writes, to_reads), walked(reads, |_, _| [])];
             let mut probe = 0.0;
             if tmk.proc_id() == 0 {
                 let mut w = tmk.write(a, 0..512 * 2);
@@ -974,11 +1569,11 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::default());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 3);
-            let loops = [entry(false, move |_, me, _| {
-                // Each node writes its own page, destined for node 0.
-                let r = me * 512..(me + 1) * 512;
-                vec![Access::write(a, Section::range(r)).consumed_by_node(0)]
-            })];
+            // Each node writes its own page, destined for node 0.
+            let own = move |_: &Range<usize>, me: usize, _| {
+                Some([Cols::new(a, 512).touch(me..me + 1, Mode::Update)])
+            };
+            let loops = [walked(own, |_, _| [Next::Node(0, 0..3)])];
             {
                 let me = tmk.proc_id();
                 let mut w = tmk.write(a, me * 512..(me + 1) * 512);
@@ -1017,21 +1612,15 @@ mod tests {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
             let hints = HintEngine::new(&tmk);
             let a = tmk.malloc_f64(512 * 2);
-            let writes = move |_: &Range<usize>, me, _| {
-                if me == 0 {
-                    vec![Access::write(a, Section::range(0..512 * 2)).consumed_by_loop(1, 0..1)]
-                } else {
-                    vec![]
-                }
+            let at = Cols::new(a, 512);
+            let writes = move |_: &Range<usize>, me: usize, _| {
+                (me == 0).then(|| [at.touch(0..2, Mode::Update)])
             };
-            let reads = move |_: &Range<usize>, me, _| {
-                if me == 1 {
-                    vec![Access::read(a, Section::range(0..512 * 2))]
-                } else {
-                    vec![]
-                }
+            let reads = move |_: &Range<usize>, me: usize, _| {
+                (me == 1).then(|| [at.touch(0..2, Mode::Read)])
             };
-            let loops = [entry(false, writes), entry(false, reads)];
+            let to_reads = |_: &Range<usize>, _: &Touch| [Next::Loop(1, 0..1)];
+            let loops = [walked(writes, to_reads), walked(reads, |_, _| [])];
             let accepted = tmk
                 .adopt_page_homes(|| hints.planned_homes(&loops, [(0, &(0..1))]))
                 .len();
@@ -1086,13 +1675,10 @@ mod tests {
                 }
             }
             tmk.barrier(0);
-            let loops = [entry(false, move |_, me, _| {
-                if me == 0 {
-                    vec![Access::write(a, Section::range(512..512 * 2)).consumed_by_node(1)]
-                } else {
-                    vec![]
-                }
-            })];
+            let second = move |_: &Range<usize>, me: usize, _| {
+                (me == 0).then(|| [Cols::new(a, 512).touch(1..2, Mode::Update)])
+            };
+            let loops = [walked(second, |_, _| [Next::Node(1, 0..2)])];
             let accepted = tmk
                 .adopt_page_homes(|| hints.planned_homes(&loops, [(0, &(0..1))]))
                 .len();

@@ -37,12 +37,13 @@
 //!   two shared pages and releases the workers through a full barrier;
 //!   workers fault the control pages in — `8 (n - 1)` messages per loop.
 //!
-//! When a loop has a section descriptor (see the [`cri`] crate; derived
-//! from the loop's [`footprint`] by [`Spf::describe`]), it is evaluated
-//! around every execution of the body: the run-time pre-validates all
-//! pages the body will fault in one aggregated exchange, and registers
-//! producer→consumer pushes that ride the next rendezvous. This is the
-//! compiler–DSM interface the paper's conclusion calls for. The same
+//! When a loop is described (see the [`cri`] crate: by the loop's
+//! [`footprint`], [`Spf::describe`], or by an inspector), its accesses
+//! are evaluated around every execution of the body: the run-time
+//! pre-validates all pages the body will fault in one aggregated
+//! exchange, and registers producer→consumer pushes that ride the next
+//! rendezvous. This is the compiler–DSM interface the paper's
+//! conclusion calls for. The same
 //! bracketing carries the protocol axis: under the home-based protocol
 //! (HLRC, [`treadmarks::hlrc`]) a hinted body re-homes its
 //! single-writer pages at the declared producer and chooses, per
@@ -62,12 +63,13 @@
 //! both derivations below. The table keeps one entry per loop id — its
 //! body, its registered sequential code and its description, from which
 //! every use reads it — and privatization's conclusions, never a loop's
-//! touches: fusion, chained links, the debug view fence and
-//! privatization walk every node's footprint again each time, through
-//! one walker: the fence and privatization use the touches as they
-//! come, fusion and links keep them in buffers the walker reuses. A
-//! footprint is a pure function of `(iters, q, np)`, so every
-//! walk of a loop over a range, on any node, finds the same words. A
+//! touches: fusion, chained links, the debug view fence, privatization
+//! and the hint engine's plans walk every node's footprint again each
+//! time, through one walk: the fence, privatization and the plans use
+//! the touches as they come, fusion and links keep them in buffers the
+//! walker reuses. A footprint is a pure function of `(iters, q, np)`,
+//! so every walk of a loop over a range, on any node, finds the same
+//! words. A
 //! prelude is transparent to fusion where its code is registered
 //! ([`Spf::register_sequential`]) and its footprint lies inside the
 //! words exactly one node wrote in the dispatch before: then its loop
@@ -78,24 +80,35 @@
 //! A loop dispatched again over the same range asks for the same
 //! validate, pushes and home candidates, so the hint engine compiles each
 //! described loop **once** per range into a plan of three flat lists and
-//! replays them: the section count and merged page runs its validate
+//! replays them: the word-run count and merged page runs its validate
 //! takes ([`treadmarks::Tmk::validate_pages`]); every `(target, page)`
 //! push its body registers, before the HLRC "the consumer is the page's
 //! home" filter, which stays a check at replay because homes move; and
 //! the `(page, writer)` pairs the master picks home candidates from.
-//! Each third is built the first time its own call site runs, not ahead
-//! of it: building evaluates descriptors, and an inspection charges
-//! virtual time where it runs. There is one plan per loop id, replaced
-//! when the loop comes with another range (MGS dispatches `i+1..n`: it
-//! never replays, and must not pile up a plan per pivot). Descriptions
-//! are fixed before the run, so only [`Spf::invalidate_schedules`] drops
-//! plans — every one, since a producer's plan embeds its consumers'
-//! descriptors — and it is exactly the event that drops cached
-//! schedules: a replay stands for evaluations that would all have hit
-//! the schedule cache, and adds their number to `schedule_reuse`. Plans
-//! lean on one contract: a footprint's descriptor is a pure function of
-//! `(iters, q, np)`, as an inspector is between two invalidations. Page
-//! sets are sorted, disjoint page runs throughout (`cri::section`).
+//! One builder fills all three from a stream of declared accesses, each
+//! an array, a mode, a write-all flag, word runs and consumers. A
+//! footprint loop's stream is its walk: each touch is declared as the
+//! walk visits it, its page runs come from its own column runs, and its
+//! consumers are derived from its `next` and the preludes of the loops
+//! that names, as [`Spf::describe`] defines them — building evaluates no
+//! descriptor and builds no section or access list. An inspector's
+//! stream is its cached access list, as is what [`Master::produce`]
+//! declares; what a prelude rewrote, republished before its loop's
+//! dispatch, is read off the prelude. Each third is built the first time
+//! its own call site runs, not ahead of it: building reads the loops'
+//! accesses, and an inspection charges virtual time where it runs.
+//! There is one plan per loop id, refilled in place when the loop comes
+//! with another range: MGS dispatches `i+1..n`, never replays, and
+//! refills the same three lists at every pivot, allocating nothing once
+//! they have grown. Descriptions are fixed before the run, so only
+//! [`Spf::invalidate_schedules`] has plans built again — every one,
+//! since a producer's plan embeds its consumers' accesses — and it is
+//! exactly the event that drops cached schedules: a replay stands for
+//! evaluations that would all have hit the schedule cache, and adds
+//! their number to `schedule_reuse`. Plans lean on one contract: a
+//! footprint, its `next` and its prelude are pure functions of `(iters,
+//! q, np)`, as an inspector is between two invalidations. Page sets are
+//! sorted, disjoint page runs throughout (`cri::section`).
 //!
 //! ## Dynamic descriptors
 //!
@@ -223,10 +236,9 @@ mod hints;
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::rc::Rc;
 
-use cri::section::{contains, for_each_difference, for_each_overlap, insert, meets, merge_ranges};
-use cri::{Access, Consumer};
+use cri::section::{contains, for_each_overlap, insert, meets};
+use cri::Access;
 use hints::HintEngine;
 use treadmarks::{SharedArray, Tmk, ViewFence};
 
@@ -387,31 +399,54 @@ fn decode_ctl(words: &[u64]) -> LoopCtl<'_> {
 
 type LoopBody<'t> = Box<dyn Fn(&LoopCtl) + 't>;
 
-/// What the master's prelude to a loop touches, as a function of the
-/// dispatch's range ([`Spf::describe_sequential`]).
-type Prelude<'t> = Box<dyn Fn(&Range<usize>) -> Vec<Touch> + 't>;
+/// What the master's prelude to a loop touches, visited, as a function of
+/// the dispatch's range ([`Spf::describe_sequential`]).
+type Prelude<'t> = Box<dyn Fn(&Range<usize>, &mut dyn FnMut(&Touch)) + 't>;
+
+/// A prelude's touches: visits each afresh at every call.
+type Touches<'a> = &'a dyn Fn(&mut dyn FnMut(&Touch));
+
+/// Who reads a written touch next: visits each [`Next`] afresh at every
+/// call, none for a read.
+type Nexts<'a> = &'a dyn Fn(&mut dyn FnMut(Next));
 
 /// A loop's footprint with its `next` ([`Spf::describe`]): each touch of
-/// node `q`'s share over `iters`, visited with who reads it next — when
-/// the flag asks for that, else with nothing.
-type Footprint<'t> =
-    Box<dyn Fn(&Range<usize>, usize, usize, bool, &mut dyn FnMut(Touch, Vec<Next>)) + 't>;
-
-/// A footprint's section descriptor ([`Spf::describe`]): node `q`'s
-/// accesses over `iters`, handed the table's entries to read the
-/// preludes of the loops its writes go to.
-type Descriptor<'t> = Box<dyn Fn(&[Entry<'t>], &Range<usize>, usize, usize) -> Vec<Access> + 't>;
+/// node `q`'s share over `iters`, visited with who reads it next.
+type Footprint<'t> = Box<dyn Fn(&Range<usize>, usize, usize, &mut dyn FnMut(&Touch, Nexts)) + 't>;
 
 /// An inspector ([`Spf::describe_inspector`]).
 type Inspect<'t> = Box<dyn Fn(&Range<usize>, usize, usize) -> Vec<Access> + 't>;
 
 /// A loop's one description (see "The loop table" in the crate doc).
 enum Description<'t> {
-    /// Its footprint's walk, its prelude if any, and the hint descriptor
-    /// derived from them.
-    Footprint(Footprint<'t>, Option<Prelude<'t>>, Descriptor<'t>),
+    /// Its footprint's walk and its prelude, if any.
+    Footprint(Footprint<'t>, Option<Prelude<'t>>),
     /// An inspector.
     Inspector(Inspect<'t>),
+}
+
+impl<'t> Description<'t> {
+    /// A footprint with its `next`, and no prelude ([`Spf::describe`]).
+    fn footprint<T, N>(
+        footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
+        next: impl Fn(&Range<usize>, &Touch) -> N + 't,
+    ) -> Description<'t>
+    where
+        T: IntoIterator<Item = Touch>,
+        N: IntoIterator<Item = Next>,
+    {
+        let walk: Footprint<'t> = Box::new(move |iters, q, np, visit| {
+            for t in footprint(iters, q, np).into_iter().flatten() {
+                let nexts = |to: &mut dyn FnMut(Next)| {
+                    if t.mode != Mode::Read {
+                        next(iters, &t).into_iter().for_each(to);
+                    }
+                };
+                visit(&t, &nexts);
+            }
+        });
+        Description::Footprint(walk, None)
+    }
 }
 
 /// One loop's entry in the table, by id.
@@ -430,12 +465,27 @@ fn described<'a, 't>(loops: &'a [Entry<'t>], id: usize) -> Option<&'a Descriptio
     loops.get(id)?.description.as_ref()
 }
 
-/// What loop `id`'s prelude touches before it runs over `iters`: nothing
-/// when it has none.
-fn prelude(loops: &[Entry], id: usize, iters: &Range<usize>) -> Vec<Touch> {
-    match described(loops, id) {
-        Some(Description::Footprint(_, Some(prelude), _)) => prelude(iters),
-        _ => Vec::new(),
+/// Visit node `q`'s touches of footprint loop `id` over `iters`, each
+/// with who reads it next: the loop table's walk.
+fn walk(
+    loops: &[Entry],
+    id: usize,
+    iters: &Range<usize>,
+    q: usize,
+    np: usize,
+    visit: &mut dyn FnMut(&Touch, Nexts),
+) {
+    let Some(Description::Footprint(walk, _)) = described(loops, id) else {
+        unreachable!("loop {id} has no footprint");
+    };
+    walk(iters, q, np, visit);
+}
+
+/// Visit what loop `id`'s prelude touches before it runs over `iters`:
+/// nothing when it has none.
+fn prelude(loops: &[Entry], id: usize, iters: &Range<usize>, visit: &mut dyn FnMut(&Touch)) {
+    if let Some(Description::Footprint(_, Some(prelude))) = described(loops, id) {
+        prelude(iters, visit);
     }
 }
 
@@ -486,7 +536,7 @@ impl<'t> LoopTable<'t> {
     fn opaque(&self, id: usize) -> Option<bool> {
         let loops = self.loops.borrow();
         let description = described(&loops, id)?;
-        Some(!matches!(description, Description::Footprint(_, None, _)))
+        Some(!matches!(description, Description::Footprint(_, None)))
     }
 
     /// Whether loop `id` is described by its footprint and a prelude.
@@ -494,7 +544,7 @@ impl<'t> LoopTable<'t> {
         let loops = self.loops.borrow();
         matches!(
             described(&loops, id),
-            Some(Description::Footprint(_, Some(_), _))
+            Some(Description::Footprint(_, Some(_)))
         )
     }
 
@@ -537,22 +587,19 @@ impl Walks {
         words: &mut dyn FnMut(Words),
         to: &mut dyn FnMut(LoopKey),
     ) {
-        let (id, start, end, np) = (key.0, key.1, key.2, self.np);
+        let (id, iters, np) = (key.0, key.1..key.2, self.np);
         let loops = table.loops.borrow();
-        let Some(Description::Footprint(walk, ..)) = described(&loops, id) else {
-            unreachable!("loop {id} has no footprint");
-        };
         for q in 0..np {
-            walk(&(start..end), q, np, next, &mut |t, nexts| {
-                for n in nexts {
-                    match n {
+            walk(&loops, id, &iters, q, np, &mut |t, nexts| {
+                if next {
+                    nexts(&mut |n| match n {
                         Next::Node(node, cols) => {
                             words((node, Mode::Read, Touch { cols, ..t.clone() }))
                         }
                         Next::Loop(id, iters) => to((id, iters.start, iters.end)),
-                    }
+                    });
                 }
-                words((q, t.mode, t));
+                words((q, t.mode, t.clone()));
             });
         }
     }
@@ -575,9 +622,10 @@ impl Walks {
         }
         std::mem::swap(&mut self.before, &mut self.last);
         self.walk(table, loop_key(ctl));
-        let prelude = prelude(&table.loops.borrow(), ctl.id, &ctl.range);
+        let loops = table.loops.borrow();
+        let touches = |visit: &mut dyn FnMut(&Touch)| prelude(&loops, ctl.id, &ctl.range, visit);
         self.link
-            .derive(&self.before, &self.last, &prelude, self.np)
+            .derive(&self.before, &self.last, &touches, self.np)
     }
 }
 
@@ -687,14 +735,14 @@ impl Link {
         runs.map_or(&[], |(_, runs)| &runs[..])
     }
 
-    /// Derive the link whose prelude touches `prelude`, between a loop
-    /// whose words are `before` and its next one, whose words are
-    /// `after`: `false` unless exactly one node's writes in `before` meet
-    /// the prelude, and they hold every word of it.
-    fn derive(&mut self, before: &[Words], after: &[Words], prelude: &[Touch], np: usize) -> bool {
+    /// Derive the link whose prelude visits its touches through `prelude`,
+    /// between a loop whose words are `before` and its next one, whose
+    /// words are `after`: `false` unless exactly one node's writes in
+    /// `before` meet the prelude, and they hold every word of it.
+    fn derive(&mut self, before: &[Words], after: &[Words], prelude: Touches, np: usize) -> bool {
         let writes = |w: &&Words| w.1 != Mode::Read;
-        let mut writer = None;
-        for s in prelude {
+        let (mut writer, mut two) = (None, false);
+        prelude(&mut |s| {
             for (q, _, t) in before
                 .iter()
                 .filter(writes)
@@ -702,30 +750,33 @@ impl Link {
             {
                 let mut met = false;
                 for_each_overlap(t.runs(), s.runs(), |_| met = true);
-                if met && *writer.get_or_insert(*q) != *q {
-                    return false;
-                }
+                two |= met && *writer.get_or_insert(*q) != *q;
             }
-        }
-        let Some(writer) = writer else {
+        });
+        let Some(writer) = writer.filter(|_| !two) else {
             return false;
         };
-        for s in prelude {
-            self.own.clear();
+        let (own, mut inside) = (&mut self.own, true);
+        prelude(&mut |s| {
+            own.clear();
             let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
             for (_, _, t) in before.iter().filter(writes).filter(mine) {
-                t.runs().for_each(|r| insert(&mut self.own, r));
+                t.runs().for_each(|r| insert(own, r));
             }
-            if !s.runs().all(|r| contains(&self.own, &r)) {
-                return false;
-            }
+            inside &= s.runs().all(|r| contains(own, &r));
+        });
+        if !inside {
+            return false;
         }
         self.writer = writer;
         self.words.iter_mut().for_each(|(_, runs)| runs.clear());
-        for s in prelude.iter().filter(|s| s.mode != Mode::Read) {
-            let runs = runs_of(&mut self.words, s.at.arr);
-            s.runs().for_each(|r| insert(runs, r));
-        }
+        let words = &mut self.words;
+        prelude(&mut |s| {
+            if s.mode != Mode::Read {
+                let runs = runs_of(words, s.at.arr);
+                s.runs().for_each(|r| insert(runs, r));
+            }
+        });
         self.words.retain(|(_, runs)| !runs.is_empty());
         let mut readers = std::mem::take(&mut self.readers);
         let reads = |q: usize| {
@@ -744,7 +795,7 @@ impl Link {
 /// The SPF run-time system bound to one node's DSM instance.
 pub struct Spf<'t, 'n> {
     tmk: &'t Tmk<'n>,
-    /// What the table's descriptors came to: plans and schedules.
+    /// What the table's loops came to: plans and schedules.
     hints: HintEngine<'t, 'n>,
     /// Every loop's entry and what privatization concluded.
     table: LoopTable<'t>,
@@ -789,11 +840,12 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk
     }
 
-    /// Describe loop `id` by its footprint, before [`Spf::run`]: its
-    /// section descriptor is derived from `footprint` — the function of
-    /// `(iters, q, np)` its body opens its views from, `None` when node
-    /// `q` has no share. Every touch is declared in its
-    /// mode — a write as write-all ([`Access::write_all`]), an update as
+    /// Describe loop `id` by its footprint, before [`Spf::run`]:
+    /// `footprint` is the function of `(iters, q, np)` its body opens its
+    /// views from, `None` when node `q` has no share, and the hint engine
+    /// reads the loop's accesses off the same walk. Every touch is
+    /// declared in its mode — a write as write-all
+    /// ([`Access::write_all`]), an update as
     /// a plain write, whose view fetches the current content first — in
     /// footprint order; each written one goes to the loops
     /// `next(iters, touch)` names, and the columns a [`Next::Node`] reads
@@ -806,86 +858,16 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// whoever runs it republishes them before that loop runs. (When
     /// the writer runs it, in a chain, its push to node 0 gives way to
     /// the link push.)
-    pub fn describe<T: IntoIterator<Item = Touch>>(
+    pub fn describe<T, N>(
         &self,
         id: usize,
         footprint: impl Fn(&Range<usize>, usize, usize) -> Option<T> + 't,
-        next: impl Fn(&Range<usize>, &Touch) -> Vec<Next> + 't,
-    ) {
-        let (footprint, next) = (Rc::new(footprint), Rc::new(next));
-        let (f, n) = (Rc::clone(&footprint), Rc::clone(&next));
-        let walk: Footprint<'t> = Box::new(move |iters, q, np, next, visit| {
-            for t in f(iters, q, np).into_iter().flatten() {
-                let nexts = (next && t.mode != Mode::Read).then(|| n(iters, &t));
-                visit(t, nexts.unwrap_or_default());
-            }
-        });
-        // The descriptor calls the footprint itself, not the walk:
-        // inlined, its `next` lists are never allocated, while each one
-        // handed through the walk is (20 000 allocations more in MGS
-        // SPF+CRI at 0.25 × 8). It reads the preludes of the loops it
-        // feeds from the table it is handed.
-        let descriptor: Descriptor<'t> = Box::new(move |loops, iters, q, np| {
-            let mut acc = Vec::with_capacity(8); // a loop's touches, without regrowth
-            let declare = |t: &Touch, section| match t.mode {
-                Mode::Read => Access::read(t.at.arr, section),
-                Mode::Write => Access::write_all(t.at.arr, section),
-                Mode::Update => Access::write(t.at.arr, section),
-            };
-            // `t` within the columns `cols`, when it touches a word there.
-            let within = |t: &Touch, cols: &Range<usize>| {
-                let cols = cols.start.max(t.cols.start)..cols.end.min(t.cols.end);
-                let t = Touch { cols, ..t.clone() };
-                (!t.rows.is_empty() && t.columns().next().is_some()).then_some(t)
-            };
-            for t in footprint(iters, q, np).into_iter().flatten() {
-                let write = acc.len();
-                acc.push(declare(&t, t.section()));
-                if t.mode == Mode::Read {
-                    continue;
-                }
-                for n in next(iters, &t) {
-                    let (id, iters) = match n {
-                        Next::Node(node, cols) => {
-                            let to_node = |p: Touch| {
-                                Access::write(t.at.arr, p.section()).consumed_by_node(node)
-                            };
-                            acc.extend(within(&t, &cols).map(to_node));
-                            continue;
-                        }
-                        Next::Loop(id, iters) => (id, iters),
-                    };
-                    let between = prelude(loops, id, &iters);
-                    let mut rewritten = Vec::new();
-                    for s in between.iter().filter(|s| s.at == t.at) {
-                        let Some(part) = within(&t, &s.cols) else {
-                            continue;
-                        };
-                        if s.mode != Mode::Read
-                            && s.rows.start <= t.rows.start
-                            && t.rows.end <= s.rows.end
-                        {
-                            rewritten.push(part.cols.clone());
-                        }
-                        if s.mode != Mode::Write {
-                            acc.push(declare(&t, part.section()).consumed_by_node(0));
-                        }
-                    }
-                    if rewritten.is_empty() {
-                        acc[write].consumers.push(Consumer::Loop { id, iters });
-                        continue;
-                    }
-                    let kept = std::slice::from_ref(&t.cols);
-                    for_each_difference(kept, &merge_ranges(rewritten), |cols| {
-                        let to_loop =
-                            |p: Touch| declare(&t, p.section()).consumed_by_loop(id, iters.clone());
-                        acc.extend(within(&t, &cols).map(to_loop));
-                    });
-                }
-            }
-            acc
-        });
-        *self.table.slot(id) = Some(Description::Footprint(walk, None, descriptor));
+        next: impl Fn(&Range<usize>, &Touch) -> N + 't,
+    ) where
+        T: IntoIterator<Item = Touch>,
+        N: IntoIterator<Item = Next>,
+    {
+        *self.table.slot(id) = Some(Description::footprint(footprint, next));
     }
 
     /// Describe the sequential code that runs right before each dispatch
@@ -900,13 +882,16 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// a chain, they go in a link push (see "Chained dispatches" in the
     /// crate doc). Register this prelude after the loop's footprint,
     /// before [`Spf::run`].
-    pub fn describe_sequential(
+    pub fn describe_sequential<T: IntoIterator<Item = Touch>>(
         &self,
         id: usize,
-        footprint: impl Fn(&Range<usize>) -> Vec<Touch> + 't,
+        footprint: impl Fn(&Range<usize>) -> T + 't,
     ) {
+        let visit: Prelude<'t> = Box::new(move |iters, visit| {
+            footprint(iters).into_iter().for_each(|t| visit(&t));
+        });
         match &mut *self.table.slot(id) {
-            Some(Description::Footprint(_, prelude, _)) => *prelude = Some(Box::new(footprint)),
+            Some(Description::Footprint(_, prelude)) => *prelude = Some(visit),
             _ => panic!("loop {id} has a prelude but no footprint"),
         }
     }
@@ -1264,14 +1249,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         // runs on its writer, which pushes what it rewrote itself.)
         let ctl = &group[0];
         let loops = self.spf.table.loops.borrow();
-        let between = prelude(&loops, ctl.id, &ctl.range);
-        let rewritten = between.into_iter().filter(|s| s.mode != Mode::Read);
-        let consumed = |s: Touch| {
-            Access::write(s.at.arr, s.section()).consumed_by_loop(ctl.id, ctl.range.clone())
-        };
-        self.spf
-            .hints
-            .republish(&loops, &rewritten.map(consumed).collect::<Vec<_>>());
+        self.spf.hints.republish(&loops, ctl.id, &ctl.range);
         if self.spf.improved() {
             let mut flags = 0;
             if self.spf.pending_invalidate.take() {

@@ -300,21 +300,23 @@ fn hinted_dispatches_replay_their_plans() {
 }
 
 /// Allocation budget per link of hinted MGS's chained pivot loop,
-/// cluster-wide (measured: 539.2 in release, 645.6 with debug
-/// assertions; 601.9 and 708.3 while each link filled a writer's runs,
-/// pushed words and readers of its own; about 611 and 733 while its
-/// walks did too; about 633 and 714 per pivot when every pivot had a
-/// fork-join of its own). Split by where they happen, as a per-phase
-/// counter kept per fiber in a copy of this test read them before the
-/// link's buffers were kept, release / debug: every node's hint plans,
-/// built again for each link's new range, 477.7 / 549.7; deriving the
-/// link on every node and on the master as it forms the run, 71.9 /
-/// 71.9, of which the kept buffers took 62.7 away — the prelude's
-/// touch list, one per node and one on the master, is the rest; the
-/// link push and its take, 44.2 / 46.2; the debug view fence of each
-/// link's body, 0 / 32.4; the rest of the protocol and the run-time,
-/// 8.0 / 8.0.
-const ALLOCS_PER_CHAINED_LINK: f64 = 1000.0;
+/// cluster-wide (measured: 52.9 in release, 87.3 with debug
+/// assertions; 539.2 and 645.6 while every node built each link's hint
+/// plans afresh from an access list its descriptor derived, and the
+/// prelude's touches came as a list; 601.9 and 708.3 while each link
+/// filled a writer's runs, pushed words and readers of its own; about
+/// 611 and 733 while its walks did too; about 633 and 714 per pivot
+/// when every pivot had a fork-join of its own). Split by where they
+/// happen, as a per-phase counter in a copy of this test read them,
+/// release / debug: the link push and its take and the rest of the
+/// protocol and the run-time, 52.3 / 54.3; the debug view fence of each
+/// link's body, 0 / 32.4; every node's hint plans, refilled for each
+/// link's new range, 0.50 / 0.50 (their lists growing with the longer
+/// run's longer columns); deriving the link on every node and on the
+/// master as it forms the run, 0.12 / 0.12. The plans took 477.7 /
+/// 549.7 while they were built afresh, and the prelude's touch lists
+/// 9.2.
+const ALLOCS_PER_CHAINED_LINK: f64 = 150.0;
 
 /// `(allocations, links, forks)` of one 8-node MGS SPF+CRI run on `n`
 /// vectors of `n` words: its pivot loop is one chain of `n` links.
