@@ -13,20 +13,23 @@
 //!   chunk of every plane, a cyclic column set), an inspector from its
 //!   indirection-map walk (see the `inspector` crate); [`section`] also
 //!   holds the algebra on sorted runs that every derivation shares;
+//! * [`Mode`] — how a loop uses the words it touches: read, written
+//!   all over, or updated. One vocabulary serves both descriptions: a
+//!   footprint's touch (`spf` re-exports it) and an inspector's access;
 //! * [`Access`] — one touched section of a shared array, with its
-//!   [`AccessMode`] and (for writes) the known [`Consumer`]s: what a
-//!   loop's descriptor, evaluated per node from the dispatched
-//!   iteration range, returns, and what sequential code declares it
-//!   wrote.
+//!   [`Mode`] and (for writes) the known [`Consumer`]s: what an
+//!   inspector, evaluated per node from the dispatched iteration range,
+//!   returns, and what sequential code declares it wrote.
 //!
-//! Applications describe each loop once, through `spf`'s `Spf`, by the
-//! footprint its body opens its views from (or by an inspector, which
-//! returns [`Access`]es), which its loop table keeps and its hint engine
-//! turns into validates, pushes and home placements around every body,
+//! Applications describe each loop once, before the run, through
+//! `spf`'s `Spf`: by the footprint its body opens its views from, or by
+//! an inspector, which returns [`Access`]es. Either is a pure function
+//! of the dispatched range, the node and the node count for the whole
+//! run. The loop table keeps the description, and its hint engine turns
+//! it into validates, pushes and home placements around every body,
 //! reading a footprint's accesses off its walk (see "Hint plans" in the
-//! `spf` crate). The third mechanism, **direct
-//! reductions**, lives on the DSM handle itself
-//! ([`treadmarks::Tmk::reduce`]).
+//! `spf` crate). The third mechanism, **direct reductions**, lives on
+//! the DSM handle itself ([`treadmarks::Tmk::reduce`]).
 
 #![forbid(unsafe_code)]
 
@@ -38,16 +41,19 @@ pub mod section;
 
 pub use section::Section;
 
-/// Whether an access reads or writes its section.
+/// How a loop uses the words of an access, as its descriptor declares
+/// them: a footprint's touch and an inspector's access alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessMode {
-    /// The loop reads the section.
+pub enum Mode {
+    /// Read.
     Read,
-    /// The loop writes the section. A write view fetches the current
-    /// content too, so write sections are validated — except the whole
-    /// pages of a write-all access ([`Access::write_all`]), which the
-    /// body overwrites before it reads them.
+    /// Written all over: the body stores every word before it reads
+    /// any, so a hinted loop's pages the access covers whole are neither
+    /// fetched nor twinned ([`Access::write_all`]).
     Write,
+    /// Read and written — or written in part: a plain write, whose view
+    /// fetches the current content first, so its pages are validated.
+    Update,
 }
 
 /// Who reads a written section next — the producer side of the
@@ -76,11 +82,8 @@ pub struct Access {
     pub arr: SharedArray,
     /// The section touched.
     pub section: Section,
-    /// Read or write.
-    pub mode: AccessMode,
-    /// A write that stores every word of the section before the loop
-    /// reads any of it ([`Access::write_all`]).
-    pub write_all: bool,
+    /// How the loop uses it.
+    pub mode: Mode,
     /// Consumers of a written section (ignored for reads).
     pub consumers: Vec<Consumer>,
 }
@@ -91,20 +94,16 @@ impl Access {
         Access {
             arr,
             section,
-            mode: AccessMode::Read,
-            write_all: false,
+            mode: Mode::Read,
             consumers: Vec::new(),
         }
     }
 
-    /// A write access.
+    /// A write access, with fetch semantics ([`Mode::Update`]).
     pub fn write(arr: SharedArray, section: Section) -> Access {
         Access {
-            arr,
-            section,
-            mode: AccessMode::Write,
-            write_all: false,
-            consumers: Vec::new(),
+            mode: Mode::Update,
+            ..Access::read(arr, section)
         }
     }
 
@@ -116,8 +115,8 @@ impl Access {
     /// ([`treadmarks::Tmk::arm_write_all`]).
     pub fn write_all(arr: SharedArray, section: Section) -> Access {
         Access {
-            write_all: true,
-            ..Access::write(arr, section)
+            mode: Mode::Write,
+            ..Access::read(arr, section)
         }
     }
 

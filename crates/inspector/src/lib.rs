@@ -27,11 +27,10 @@
 //! observable per run as `DsmStats::{inspections, inspect_us,
 //! schedule_reuse}`.
 //!
-//! An **epoch-invalidating event** — the application rebuilt a map —
-//! flows through `spf::Spf::invalidate_schedules`: the master marks the
-//! event in sequential code, the next dispatch carries it, and every
-//! node drops its schedules at the same loop boundary (the same
-//! quiescent point HLRC home adoption uses), then re-inspects.
+//! An inspector is held to the contract of every loop description: a
+//! pure function of `(iters, q, np)` for the whole run. The maps it
+//! walks are published once ([`SharedMap::publish`] panics on a second
+//! publish), so a cached schedule never goes stale.
 //!
 //! ## Example
 //!
@@ -56,7 +55,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use cri::Section;
@@ -111,13 +110,13 @@ impl<'n> Inspector<'n> {
 /// (SPF allocates everything referenced inside a parallel loop in
 /// shared memory, maps included): the master establishes it, every node
 /// faults it in once and keeps a local integer materialization for the
-/// inspector to walk. Rebuilding the map (`publish` again) is an
-/// epoch-invalidating event — pair it with
-/// `spf::Spf::invalidate_schedules` and drop local caches via
-/// [`SharedMap::invalidate_local`] inside the next inspection.
+/// inspector to walk. The map is fixed for the run once published, as
+/// a loop's description is: the schedules inspected from it, and each
+/// node's materialization, stay valid to the end.
 pub struct SharedMap {
     arr: SharedArray,
     len: usize,
+    published: Cell<bool>,
     cache: RefCell<Option<Rc<[u32]>>>,
 }
 
@@ -128,6 +127,7 @@ impl SharedMap {
         SharedMap {
             arr: tmk.malloc_f64(len),
             len,
+            published: Cell::new(false),
             cache: RefCell::new(None),
         }
     }
@@ -149,18 +149,24 @@ impl SharedMap {
         self.len == 0
     }
 
-    /// Establish (or rebuild) the map — the master's run-time code.
+    /// Establish the map, once — the master's run-time code. A second
+    /// publish panics: a published map is fixed for the run.
     pub fn publish(&self, tmk: &Tmk, vals: &[u32]) {
+        assert!(
+            !self.published.replace(true),
+            "shared map at page {} published twice: a published map is fixed for the run",
+            self.arr.first_page()
+        );
         assert_eq!(vals.len(), self.len);
         let mut w = tmk.write(self.arr, 0..self.len);
         for (x, &v) in w.slice_mut().iter_mut().zip(vals) {
             *x = v as f64;
         }
-        self.cache.borrow_mut().take();
     }
 
     /// The local integer materialization, faulting the shared pages in
-    /// on first use (the inspector loop's read of the map).
+    /// on first use (the inspector loop's read of the map) and kept for
+    /// the run: use it only once the map is published.
     pub fn local(&self, tmk: &Tmk) -> Rc<[u32]> {
         if let Some(m) = self.cache.borrow().as_ref() {
             return Rc::clone(m);
@@ -169,12 +175,6 @@ impl SharedMap {
         let m: Rc<[u32]> = r.slice().iter().map(|&v| v as u32).collect();
         *self.cache.borrow_mut() = Some(Rc::clone(&m));
         m
-    }
-
-    /// Drop the local materialization (the map was rebuilt elsewhere;
-    /// the next [`SharedMap::local`] re-faults the current content).
-    pub fn invalidate_local(&self) {
-        self.cache.borrow_mut().take();
     }
 }
 
@@ -225,28 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_map_rebuild_invalidates_local_copies() {
-        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
+    #[should_panic(expected = "published twice: a published map is fixed for the run")]
+    fn a_second_publish_panics() {
+        Cluster::run(ClusterConfig::sp2(1), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
             let map = SharedMap::alloc(&tmk, 64);
-            if tmk.proc_id() == 0 {
-                map.publish(&tmk, &vec![1; 64]);
-            }
-            tmk.barrier(0);
-            assert_eq!(map.local(&tmk)[5], 1);
-            tmk.barrier(1);
-            if tmk.proc_id() == 0 {
-                map.publish(&tmk, &vec![2; 64]);
-            }
-            tmk.barrier(2);
-            // Stale until explicitly invalidated — the schedule-epoch
-            // contract: invalidation is a declared event, not implicit.
-            assert_eq!(map.local(&tmk)[5], if tmk.proc_id() == 0 { 2 } else { 1 });
-            map.invalidate_local();
-            let v = map.local(&tmk)[5];
-            tmk.finish();
-            v
+            map.publish(&tmk, &[1; 64]);
+            map.publish(&tmk, &[2; 64]);
         });
-        assert_eq!(out.results, vec![2, 2]);
     }
 }

@@ -157,25 +157,6 @@ impl<'a> Comm<'a> {
             .map(|vs| vs.into_iter().map(into_f64s).collect())
     }
 
-    /// All-gather: gather to rank 0, then broadcast the concatenation.
-    pub fn allgather_f64s(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        let (mut lens, mut flat) = (Vec::new(), Vec::new());
-        for v in self.gather(0, pack_f64s(data)).into_iter().flatten() {
-            lens.push(v.len() as u64);
-            flat.extend_from_slice(&v);
-        }
-        self.bcast(0, &mut lens);
-        self.bcast(0, &mut flat);
-        let mut rest = flat.as_slice();
-        lens.iter()
-            .map(|&l| {
-                let (part, tail) = rest.split_at(l as usize);
-                rest = tail;
-                part.iter().map(|&w| f64::from_bits(w)).collect()
-            })
-            .collect()
-    }
-
     /// Pairwise all-to-all exchange of packed payloads: `pack(r)` builds
     /// what rank `r` is sent, `unpack(r, payload)` consumes what it sent
     /// us, so a transpose can gather from and scatter into its arrays
@@ -198,19 +179,6 @@ impl<'a> Comm<'a> {
             self.node.send(peer, tag, MsgKind::Data, pack(peer));
             unpack(peer, self.node.recv_from(peer, tag).payload.into_vec());
         }
-    }
-
-    /// [`Comm::alltoall_packed`] over owned vectors: `bufs[r]` is sent to
-    /// rank `r`; the returned vector holds what each rank sent us.
-    pub fn alltoall_f64s(&self, bufs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert_eq!(bufs.len(), self.size());
-        let mut out: Vec<Vec<f64>> = (0..self.size()).map(|_| Vec::new()).collect();
-        out[self.rank()] = bufs[self.rank()].clone();
-        self.alltoall_packed(
-            |peer| pack_f64s(&bufs[peer]),
-            |peer, payload| out[peer] = into_f64s(payload),
-        );
-        out
     }
 }
 
@@ -393,21 +361,16 @@ mod tests {
     }
 
     #[test]
-    fn allgather_gives_everyone_everything() {
-        let out = run(3, |c| c.allgather_f64s(&[c.rank() as f64; 2]));
-        for r in out.results {
-            assert_eq!(r[0], vec![0.0, 0.0]);
-            assert_eq!(r[1], vec![1.0, 1.0]);
-            assert_eq!(r[2], vec![2.0, 2.0]);
-        }
-    }
-
-    #[test]
     fn alltoall_transposes() {
         let out = run(4, |c| {
             let me = c.rank() as f64;
-            let bufs: Vec<Vec<f64>> = (0..4).map(|d| vec![me * 10.0 + d as f64]).collect();
-            c.alltoall_f64s(&bufs)
+            let mut got = vec![Vec::new(); 4];
+            got[c.rank()] = vec![me * 10.0 + c.rank() as f64];
+            c.alltoall_packed(
+                |peer| pack_f64s(&[me * 10.0 + peer as f64]),
+                |peer, payload| got[peer] = into_f64s(payload),
+            );
+            got
         });
         for (me, r) in out.results.iter().enumerate() {
             for (src, got) in r.iter().enumerate() {

@@ -149,20 +149,6 @@ impl<'a> Comm<'a> {
         WordReader::new(&payload).take_f64s_into(out);
     }
 
-    /// Combined send+receive (both directions in flight at once), the
-    /// natural idiom for boundary exchange in the hand-coded programs.
-    pub fn sendrecv_f64s(
-        &self,
-        dst: usize,
-        send_tag: u32,
-        data: &[f64],
-        src: usize,
-        recv_tag: u32,
-    ) -> Vec<f64> {
-        self.send_f64s(dst, send_tag, data);
-        self.recv_f64s(src, recv_tag)
-    }
-
     /// A zero-payload synchronization message (PVMe programs signal with
     /// empty messages when they need pure synchronization).
     pub fn send_signal(&self, dst: usize, tag: u32) {
@@ -260,18 +246,6 @@ mod tests {
     #[should_panic(expected = "has 3 words, its destination 4")]
     fn recv_into_a_long_destination_panics() {
         recv_three_words_into(4);
-    }
-
-    #[test]
-    fn sendrecv_exchanges_boundaries() {
-        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
-            let comm = Comm::new(node);
-            let me = comm.rank();
-            let other = 1 - me;
-            comm.sendrecv_f64s(other, 1, &[me as f64], other, 1)
-        });
-        assert_eq!(out.results[0], vec![1.0]);
-        assert_eq!(out.results[1], vec![0.0]);
     }
 
     #[test]

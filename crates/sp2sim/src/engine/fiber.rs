@@ -16,9 +16,7 @@
 //! Stacks are heap allocations (the build environment provides no
 //! `mmap` guard pages); each stack ends in a canary word that is
 //! checked when the fiber completes, turning a silent overflow into a
-//! loud panic. The default stack is 1 MiB, overridable through the
-//! `SP2SIM_FIBER_STACK_KIB` environment variable (read once per
-//! process).
+//! loud panic. Every stack is [`FIBER_STACK_BYTES`] long (1 MiB).
 //!
 //! A sweep runs thousands of short clusters on one thread, each wanting
 //! the same 16 stacks, so completed fibers park their stacks in a
@@ -27,10 +25,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
-use std::sync::OnceLock;
 
-/// Stack size fallback (bytes).
-const DEFAULT_STACK_BYTES: usize = 1 << 20;
+/// Every fiber's stack size in bytes.
+const FIBER_STACK_BYTES: usize = 1 << 20;
 
 /// Canary pattern written at the far (overflow) end of each stack.
 const CANARY: u128 = 0xDEAD_FACE_CAFE_F00D_DEAD_FACE_CAFE_F00D;
@@ -51,25 +48,10 @@ thread_local! {
 }
 
 /// A stack: a parked one when there is one, else a fresh allocation.
-/// Every stack of a process is [`stack_bytes`] long.
 fn take_stack() -> Stack {
     SPARE_STACKS
         .with_borrow_mut(Vec::pop)
-        .unwrap_or_else(|| Box::new_uninit_slice(stack_bytes() / std::mem::size_of::<u128>()))
-}
-
-/// Configured stack size in bytes. The environment is read once: the
-/// lookup takes its lock and builds a `String`, and every fiber of every
-/// cluster asks.
-pub(crate) fn stack_bytes() -> usize {
-    static BYTES: OnceLock<usize> = OnceLock::new();
-    *BYTES.get_or_init(|| {
-        std::env::var("SP2SIM_FIBER_STACK_KIB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|kib| (kib * 1024).max(64 * 1024))
-            .unwrap_or(DEFAULT_STACK_BYTES)
-    })
+        .unwrap_or_else(|| Box::new_uninit_slice(FIBER_STACK_BYTES / std::mem::size_of::<u128>()))
 }
 
 /// A suspended or running fiber: its stack plus the saved stack pointer.
@@ -158,7 +140,7 @@ impl Fiber {
             assert!(
                 *w == CANARY,
                 "fiber stack overflow detected (canary word {i} clobbered); \
-                 raise SP2SIM_FIBER_STACK_KIB (current stack: {} KiB)",
+                 raise FIBER_STACK_BYTES in sp2sim::engine::fiber (current stack: {} KiB)",
                 self.stack.len() * std::mem::size_of::<u128>() / 1024,
             );
         }
@@ -442,7 +424,7 @@ mod tests {
             let second = spent_fiber();
             assert_eq!(second.stack.as_ptr() as usize, addr, "same allocation");
             assert!(spare_stack_addrs().is_empty());
-            assert_eq!(second.stack.len() * 16, stack_bytes());
+            assert_eq!(second.stack.len() * 16, FIBER_STACK_BYTES);
             second.recycle();
 
             // The list is bounded.

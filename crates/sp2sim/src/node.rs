@@ -373,11 +373,6 @@ impl Endpoint {
         self.recv_match(|p| p.src == src && p.tag == tag)
     }
 
-    /// Receive the next packet with `tag` from anyone.
-    pub fn recv_tag(&self, tag: u32) -> Packet {
-        self.recv_match(|p| p.tag == tag)
-    }
-
     /// Open a span and return a guard that closes it on drop — the
     /// convenient way to bracket a region with early returns. A no-op
     /// (cheap) when tracing is off.

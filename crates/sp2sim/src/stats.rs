@@ -92,26 +92,6 @@ pub fn msg_label(code: u8) -> &'static str {
 }
 
 impl MsgKind {
-    /// True for categories that represent application data movement
-    /// rather than synchronization.
-    pub fn is_data(self) -> bool {
-        // Reduction partials/results carry application values, like the
-        // hand-coded versions' allreduce messages (MsgKind::Data): both
-        // sides of the SPF+CRI vs message-passing comparison count them.
-        matches!(
-            self,
-            MsgKind::Data
-                | MsgKind::DiffResp
-                | MsgKind::Push
-                | MsgKind::Bcast
-                | MsgKind::ValidateResp
-                | MsgKind::ReducePart
-                | MsgKind::ReduceResult
-                | MsgKind::HomeFlush
-                | MsgKind::PageResp
-        )
-    }
-
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -215,15 +195,6 @@ impl StatsSnapshot {
         self.bytes[kind as usize]
     }
 
-    /// Data-movement bytes (see [`MsgKind::is_data`]).
-    pub fn data_bytes(&self) -> u64 {
-        ALL_KINDS
-            .iter()
-            .filter(|k| k.is_data())
-            .map(|&k| self.bytes[k as usize])
-            .sum()
-    }
-
     /// `self - earlier`, elementwise. Panics in debug builds if counters
     /// would go negative (snapshots taken out of order).
     pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
@@ -268,15 +239,5 @@ mod tests {
         assert_eq!(d.messages(MsgKind::DiffResp), 1);
         assert_eq!(d.messages(MsgKind::DiffReq), 1);
         assert_eq!(d.total_bytes(), 1040);
-    }
-
-    #[test]
-    fn data_kinds_classification() {
-        assert!(MsgKind::Data.is_data());
-        assert!(MsgKind::DiffResp.is_data());
-        assert!(MsgKind::Push.is_data());
-        assert!(!MsgKind::Sync.is_data());
-        assert!(!MsgKind::BarrierArrive.is_data());
-        assert!(!MsgKind::LockReq.is_data());
     }
 }

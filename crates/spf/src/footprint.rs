@@ -3,7 +3,8 @@
 //!
 //! A loop's footprint for a dispatch is a list of [`Touch`]es, each the
 //! words of one shared array the node's share of the iterations touches
-//! and the mode the compiler declares for them. The body opens its views
+//! and the [`Mode`] the compiler declares for them (`cri`'s, which an
+//! inspector's accesses speak too). The body opens its views
 //! from it, and a hinted loop's hints are read off the same list, with
 //! the consumers of its writes added ([`crate::Spf::describe`]), so the
 //! two cannot drift apart. A touch holds plain word ranges: neither the
@@ -11,22 +12,9 @@
 
 use std::ops::Range;
 
+pub use cri::Mode;
 use cri::Section;
 use treadmarks::{ReadView, SharedArray, Tmk, WriteView};
-
-/// How a loop uses the words of a touch, as its descriptor declares it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Read.
-    Read,
-    /// Written all over: the body stores every word of the touch before
-    /// it reads any, so a hinted loop's pages that the touch covers
-    /// whole are neither fetched nor twinned ([`cri::Access::write_all`]).
-    Write,
-    /// Read and written — or written in part: declared as a plain write,
-    /// whose view fetches the current content first.
-    Update,
-}
 
 /// A shared array as consecutive columns of `stride` words each (a
 /// column-major matrix, a stack of planes, or — with `stride` 1 — a

@@ -47,9 +47,12 @@
 //! The engine keeps no descriptor. It reads each loop's accesses off the
 //! loop table it is handed — a footprint's as its walk visits the
 //! touches, an inspector's from the schedule cache — as one stream that
-//! one builder turns into plans, and keeps only what they came to: the
-//! plans it replays and the inspectors' schedules (see "Hint plans" and
-//! "Dynamic descriptors" in the crate doc).
+//! one builder turns into plans, in one [`Mode`] vocabulary, and keeps
+//! only what they came to: the plans it replays and the inspectors'
+//! schedules. Every description is fixed for the run, so a schedule is
+//! never dropped and a plan is built again only when its loop comes with
+//! another range (see "Hint plans" and "Dynamic descriptors" in the
+//! crate doc).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -57,7 +60,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use cri::section::{for_each_overlap, merge_ranges, subtract};
-use cri::{Access, AccessMode, Consumer, Section};
+use cri::{Access, Consumer, Section};
 use treadmarks::{SharedArray, Tmk};
 
 use crate::{described, prelude, walk, Description, Entry, Mode, Next, Touch};
@@ -101,8 +104,7 @@ impl Shape<'_> {
 struct Declared<'a> {
     /// The shared array.
     arr: SharedArray,
-    /// Read, written all over (a write-all access,
-    /// [`Access::write_all`]), or written with fetch semantics.
+    /// How the loop uses the words.
     mode: Mode,
     /// The words.
     shape: Shape<'a>,
@@ -123,11 +125,7 @@ fn listed(accesses: &[Access], visit: &mut dyn FnMut(&Declared)) {
         let consumers = |to: &mut dyn FnMut(Consumer)| a.consumers.iter().cloned().for_each(to);
         visit(&Declared {
             arr: a.arr,
-            mode: match (a.mode, a.write_all) {
-                (AccessMode::Read, _) => Mode::Read,
-                (AccessMode::Write, true) => Mode::Write,
-                (AccessMode::Write, false) => Mode::Update,
-            },
+            mode: a.mode,
             shape: Shape::Section(&a.section),
             consumers: &consumers,
         });
@@ -364,15 +362,6 @@ struct Plan {
     homes: Third<Vec<(usize, usize)>>,
 }
 
-impl Plan {
-    /// Have every third built again, into the list it holds.
-    fn stale(&mut self) {
-        self.validate.built = false;
-        self.pushes.built = false;
-        self.homes.built = false;
-    }
-}
-
 /// The builder's buffers, kept between builds.
 #[derive(Default)]
 struct Scratch {
@@ -412,17 +401,6 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             dyn_evals: Cell::new(0),
             scratch: RefCell::default(),
         }
-    }
-
-    /// Drop every cached schedule and have every plan built again: an
-    /// epoch-invalidating event (the application rebuilt an indirection
-    /// map). The next evaluation of each inspector re-inspects. Every
-    /// node must invalidate at the same loop boundary — the run-time
-    /// ships the invalidation inside the dispatch so workers and master
-    /// agree.
-    pub(crate) fn invalidate_schedules(&self) {
-        self.schedules.borrow_mut().clear();
-        self.plans.borrow_mut().iter_mut().for_each(Plan::stale);
     }
 
     /// Hand `with` the stream of node `q`'s accesses of loop `id` over
@@ -476,8 +454,8 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 
     /// Replay one third of loop `id`'s plan over `iters` — `build`ing it
     /// first, into the list it holds, if this is the call site's first
-    /// run since the range changed or the plans went stale. A replay
-    /// counts the schedule-cache hits it stands for.
+    /// run since the range changed. A replay counts the schedule-cache
+    /// hits it stands for.
     fn third<L, R>(
         &self,
         id: usize,
@@ -492,8 +470,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         let plan = &mut plans[id];
         if plan.iters != *iters {
+            // Every third is built again, into the list it holds.
             plan.iters = iters.clone();
-            plan.stale();
+            plan.validate.built = false;
+            plan.pushes.built = false;
+            plan.homes.built = false;
         }
         let third = slot(plan);
         if third.built {
@@ -918,7 +899,7 @@ mod tests {
         let pw = tmk.config().page_words;
         let (mut whole, mut other) = (BTreeSet::new(), BTreeSet::new());
         for a in accesses {
-            if !a.write_all {
+            if a.mode != Mode::Write {
                 other.extend(pages_reference(tmk, a.arr, &a.section));
                 continue;
             }
@@ -942,7 +923,7 @@ mod tests {
         let (me, np) = (hints.tmk.proc_id(), hints.tmk.nprocs());
         let mut pushes = Vec::new();
         for a in accesses {
-            if a.mode != AccessMode::Write || a.consumers.is_empty() {
+            if a.mode == Mode::Read || a.consumers.is_empty() {
                 continue;
             }
             let mine = pages_reference(hints.tmk, a.arr, &a.section);
@@ -978,7 +959,7 @@ mod tests {
         let mut writers: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
         for q in 0..np {
             let accesses = accesses_reference(loops, id, iters, q, np);
-            for a in accesses.iter().filter(|a| a.mode == AccessMode::Write) {
+            for a in accesses.iter().filter(|a| a.mode != Mode::Read) {
                 for p in pages_reference(hints.tmk, a.arr, &a.section) {
                     writers.entry(p).or_default().insert(q);
                 }
@@ -1368,8 +1349,8 @@ mod tests {
     }
 
     /// A repeated dispatch replays the plan without calling a descriptor;
-    /// another range and an invalidation each build it again; and there is
-    /// one plan per loop, not one per range.
+    /// another range builds it again; and there is one plan per loop, not
+    /// one per range.
     #[test]
     fn plans_replay_until_something_they_embed_changes() {
         let out = Cluster::run(ClusterConfig::sp2(3), |node| {
@@ -1390,9 +1371,6 @@ mod tests {
             let mut seen = vec![dispatch(0..8), dispatch(0..8), dispatch(0..8)];
             seen.push(dispatch(0..4));
             seen.push(dispatch(0..8));
-            hints.invalidate_schedules();
-            seen.push(dispatch(0..8));
-            seen.push(dispatch(0..8));
             tmk.finish();
             seen
         });
@@ -1402,7 +1380,6 @@ mod tests {
         let want = [
             built, replayed, replayed, // same range
             built, built, // another range and back
-            built, replayed, // invalidated
         ];
         for seen in &out.results {
             assert_eq!(seen[..], want);

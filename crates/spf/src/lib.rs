@@ -63,13 +63,15 @@
 //! both derivations below. The table keeps one entry per loop id — its
 //! body, its registered sequential code and its description, from which
 //! every use reads it — and privatization's conclusions, never a loop's
-//! touches: fusion, chained links, the debug view fence, privatization
-//! and the hint engine's plans walk every node's footprint again each
-//! time, through one walk: the fence, privatization and the plans use
-//! the touches as they come, fusion and links keep them in buffers the
-//! walker reuses. A footprint is a pure function of `(iters, q, np)`,
-//! so every walk of a loop over a range, on any node, finds the same
-//! words. A
+//! touches: fusion, chained links, privatization and the hint engine's
+//! plans walk every node's footprint again each time, the debug view
+//! fence this node's alone, through one walk: the fence, privatization
+//! and the plans use the touches as they come, fusion and links keep
+//! them in buffers the walker reuses. One contract covers every
+//! description — a footprint, its `next`, a prelude and an inspector:
+//! each is a pure function of `(iters, q, np)` for the whole run, so
+//! every walk of a loop over a range, on any node, finds the same words,
+//! and nothing a plan or a schedule embeds ever changes under it. A
 //! prelude is transparent to fusion where its code is registered
 //! ([`Spf::register_sequential`]) and its footprint lies inside the
 //! words exactly one node wrote in the dispatch before: then its loop
@@ -86,7 +88,7 @@
 //! home" filter, which stays a check at replay because homes move; and
 //! the `(page, writer)` pairs the master picks home candidates from.
 //! One builder fills all three from a stream of declared accesses, each
-//! an array, a mode, a write-all flag, word runs and consumers. A
+//! an array, a [`Mode`], word runs and consumers. A
 //! footprint loop's stream is its walk: each touch is declared as the
 //! walk visits it, its page runs come from its own column runs, and its
 //! consumers are derived from its `next` and the preludes of the loops
@@ -100,30 +102,25 @@
 //! There is one plan per loop id, refilled in place when the loop comes
 //! with another range: MGS dispatches `i+1..n`, never replays, and
 //! refills the same three lists at every pivot, allocating nothing once
-//! they have grown. Descriptions are fixed before the run, so only
-//! [`Spf::invalidate_schedules`] has plans built again — every one,
-//! since a producer's plan embeds its consumers' accesses — and it is
-//! exactly the event that drops cached schedules: a replay stands for
-//! evaluations that would all have hit the schedule cache, and adds
-//! their number to `schedule_reuse`. Plans lean on one contract: a
-//! footprint, its `next` and its prelude are pure functions of `(iters,
-//! q, np)`, as an inspector is between two invalidations. Page sets are
+//! they have grown. Descriptions are fixed for the run (the contract
+//! above), so a plan goes stale only when its loop's range changes, and
+//! a replay stands for evaluations that would all have hit the schedule
+//! cache: it adds their number to `schedule_reuse`. Page sets are
 //! sorted, disjoint page runs throughout (`cri::section`).
 //!
 //! ## Dynamic descriptors
 //!
 //! When a loop's subscripts go through a run-time indirection map, no
 //! static section exists: its inspector ([`Spf::describe_inspector`])
-//! walks the map for the words it touches. Every evaluation is memoized
-//! in a **schedule cache** keyed by `(loop, iteration range, node)`: the
-//! walk runs once per key per epoch, and every later evaluation — the
-//! executor path — is served from the cache at zero inspection cost.
-//! `DsmStats::inspections` counts the misses (the walk's virtual time in
-//! `inspect_us`), `DsmStats::schedule_reuse` the hits, one by one or by
-//! the plan replay that stands for them. An epoch-invalidating event —
-//! the application rebuilt the map — goes through
-//! [`Spf::invalidate_schedules`], which the next dispatch broadcasts, so
-//! that every node re-inspects at the same loop boundary.
+//! walks the map for the words it touches. The map is published once
+//! and fixed for the run (a second `inspector::SharedMap::publish`
+//! panics), so every evaluation is memoized in a **schedule cache**
+//! keyed by `(loop, iteration range, node)`: the walk runs once per key,
+//! and every later evaluation — the executor path — is served from the
+//! cache at zero inspection cost. `DsmStats::inspections` counts the
+//! misses (the walk's virtual time in `inspect_us`),
+//! `DsmStats::schedule_reuse` the hits, one by one or by the plan replay
+//! that stands for them.
 //!
 //! ## Dispatch fusion
 //!
@@ -321,28 +318,23 @@ fn encode_ctl(ctl: &LoopCtl, v: &mut Vec<u64>) {
     v.extend_from_slice(ctl.args);
 }
 
-/// Dispatch flag: the master declared an epoch-invalidating event (an
-/// indirection map was rebuilt), so every node must drop its cached
-/// inspector schedules before this dispatch's body runs.
-const DISPATCH_INVALIDATE: u64 = 1;
-
 /// Dispatch flag: the dispatch carries a fused run of loops — their
 /// count, then each one's argument count and control words.
 const DISPATCH_FUSED: u64 = 2;
 
-/// Frame a dispatch for the improved interface: a flags word (schedule
-/// invalidation, fusion), then the master's fork-time home-placement
-/// decision (HLRC; empty otherwise), then the loop-control words of each
-/// loop — so every worker installs the same overrides and drops the same
-/// caches before the first body runs. A lone loop carries no fusion
-/// framing: its words are flags, homes and its control words.
-fn encode_dispatch(flags: u64, homes: &[(usize, usize)], group: &[LoopCtl]) -> Vec<u64> {
+/// Frame a dispatch for the improved interface: a flags word (fusion),
+/// then the master's fork-time home-placement decision (HLRC; empty
+/// otherwise), then the loop-control words of each loop — so every
+/// worker installs the same overrides before the first body runs. A
+/// lone loop carries no fusion framing: its words are flags, homes and
+/// its control words.
+fn encode_dispatch(homes: &[(usize, usize)], group: &[LoopCtl]) -> Vec<u64> {
     let fused = group.len() > 1;
     // A fused run adds its count and an argument count per loop.
     let framing = if fused { 1 + group.len() } else { 0 };
     let ctls: usize = group.iter().map(|ctl| 4 + ctl.args.len()).sum();
     let mut v = Vec::with_capacity(2 + homes.len() * 2 + framing + ctls);
-    v.push(if fused { flags | DISPATCH_FUSED } else { flags });
+    v.push(if fused { DISPATCH_FUSED } else { 0 });
     v.push(homes.len() as u64);
     for &(page, home) in homes {
         v.push(page as u64);
@@ -803,10 +795,6 @@ pub struct Spf<'t, 'n> {
     used: RefCell<Used>,
     /// The walker's buffers.
     walks: RefCell<Walks>,
-    /// Master-side: an epoch-invalidating event is pending; the next
-    /// dispatch carries [`DISPATCH_INVALIDATE`] so every node drops its
-    /// inspector schedules at the same loop boundary.
-    pending_invalidate: Cell<bool>,
     // Original-interface control locations: the loop-index word and the
     // argument words live on separate shared pages, as the paper
     // describes — two faults per worker per loop.
@@ -829,7 +817,6 @@ impl<'t, 'n> Spf<'t, 'n> {
                 np: tmk.nprocs(),
                 ..Walks::default()
             }),
-            pending_invalidate: Cell::new(false),
             ctl_idx,
             ctl_args,
         }
@@ -896,10 +883,10 @@ impl<'t, 'n> Spf<'t, 'n> {
         }
     }
 
-    /// Describe loop `id` by an inspector, which walks a run-time map for
-    /// the sections node `q` of `np` touches over `iters`, memoized until
-    /// [`Spf::invalidate_schedules`] (see "Dynamic descriptors" in the
-    /// crate doc).
+    /// Describe loop `id` by an inspector, before [`Spf::run`]: it walks
+    /// a run-time map, fixed for the run, for the sections node `q` of
+    /// `np` touches over `iters`, and each evaluation is memoized (see
+    /// "Dynamic descriptors" in the crate doc).
     pub fn describe_inspector(
         &self,
         id: usize,
@@ -944,17 +931,6 @@ impl<'t, 'n> Spf<'t, 'n> {
         }
     }
 
-    /// Master-side (sequential code): declare an epoch-invalidating
-    /// event — an indirection map changed, so every cached inspector
-    /// schedule is stale. The invalidation ships inside the next
-    /// dispatch (improved interface), so master and workers drop their
-    /// caches at the same loop boundary; under the original interface
-    /// the dispatch cannot carry it and the call is a local no-op
-    /// recorded for the next improved dispatch.
-    pub fn invalidate_schedules(&self) {
-        self.pending_invalidate.set(true);
-    }
-
     /// Enter the fork-join execution model: the master (processor 0) runs
     /// `master_fn` and returns `Some` of its result; workers dispatch
     /// loops until shutdown and return `None`.
@@ -987,7 +963,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             .trace_span(sp2sim::SpanKind::Compute, ctl.id as u32);
         let loops = self.table.loops.borrow();
         self.hints.before_loop(&loops, ctl.id, &ctl.range);
-        let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(ctl));
+        let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(&loops, ctl));
         self.tmk.fence_views(Some(ctl.id), fence);
         (loops[ctl.id].body)(ctl);
         self.tmk.fence_views(None, None);
@@ -1038,17 +1014,14 @@ impl<'t, 'n> Spf<'t, 'n> {
         tmk.privatize(&changes);
     }
 
-    /// What the body of `ctl` declared it opens on this node, by array.
-    fn fence(&self, ctl: &LoopCtl) -> ViewFence {
-        let (me, mut arrays) = (self.tmk.proc_id(), Vec::new());
-        let mut mine = |(q, _, t): Words| {
-            if q == me {
-                let runs = runs_of(&mut arrays, t.at.arr);
-                t.runs().for_each(|r| insert(runs, r));
-            }
-        };
-        let walks = self.walks.borrow();
-        walks.visit(&self.table, loop_key(ctl), false, &mut mine, &mut |_| {});
+    /// What the body of `ctl` declared it opens on this node, by array:
+    /// this node's footprint alone.
+    fn fence(&self, loops: &[Entry], ctl: &LoopCtl) -> ViewFence {
+        let (me, np, mut arrays) = (self.tmk.proc_id(), self.tmk.nprocs(), Vec::new());
+        walk(loops, ctl.id, &ctl.range, me, np, &mut |t, _| {
+            let runs = runs_of(&mut arrays, t.at.arr);
+            t.runs().for_each(|r| insert(runs, r));
+        });
         let loop_id = ctl.id;
         ViewFence { loop_id, arrays }
     }
@@ -1124,9 +1097,6 @@ impl<'t, 'n> Spf<'t, 'n> {
         if self.improved() {
             while let Some(words) = self.tmk.worker_wait() {
                 let (flags, homes, loops) = decode_dispatch(&words);
-                if flags & DISPATCH_INVALIDATE != 0 {
-                    self.hints.invalidate_schedules();
-                }
                 self.tmk.install_page_homes(&homes);
                 self.privatize(decode_dispatch(&words).2);
                 self.run_group(loops, flags & DISPATCH_FUSED != 0);
@@ -1251,17 +1221,10 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
         let loops = self.spf.table.loops.borrow();
         self.spf.hints.republish(&loops, ctl.id, &ctl.range);
         if self.spf.improved() {
-            let mut flags = 0;
-            if self.spf.pending_invalidate.take() {
-                // Drop the master's own schedules before planning homes,
-                // and tell the workers to do the same at this boundary.
-                self.spf.hints.invalidate_schedules();
-                flags |= DISPATCH_INVALIDATE;
-            }
             let group_loops = group.iter().map(|ctl| (ctl.id, &ctl.range));
             let planned = || self.spf.hints.planned_homes(&loops, group_loops);
             let homes = self.spf.tmk.adopt_page_homes(planned);
-            self.spf.tmk.fork(&encode_dispatch(flags, &homes, group));
+            self.spf.tmk.fork(&encode_dispatch(&homes, group));
             self.spf.run_group(group.iter().cloned(), group.len() > 1);
             self.spf.tmk.defer_join();
         } else {
@@ -1372,11 +1335,11 @@ mod tests {
     #[test]
     fn dispatch_words_of_one_loop_and_of_a_fused_run() {
         let one = LoopCtl::new(3, 5..77, Schedule::Cyclic, &[9, 1]);
-        let words = encode_dispatch(DISPATCH_INVALIDATE, &[(4, 2)], std::slice::from_ref(&one));
-        assert_eq!(words, [1, 1, 4, 2, 3, 5, 77, 1, 9, 1]);
+        let words = encode_dispatch(&[(4, 2)], std::slice::from_ref(&one));
+        assert_eq!(words, [0, 1, 4, 2, 3, 5, 77, 1, 9, 1]);
         let two = LoopCtl::new(4, 0..8, Schedule::Block, &[]);
         let group = [one, two];
-        let words = encode_dispatch(0, &[], &group);
+        let words = encode_dispatch(&[], &group);
         assert_eq!(words[..3], [DISPATCH_FUSED, 0, 2]);
         let (flags, homes, loops) = decode_dispatch(&words);
         assert_eq!((flags, homes), (DISPATCH_FUSED, vec![]));

@@ -59,22 +59,6 @@ use std::ops::Range;
 use mpl::Comm;
 use sp2sim::{block_range, WordWriter};
 
-/// Owner of column `j` under block distribution of `len` columns over
-/// `n`: the inverse of [`block_range`], the SPF run-time's partition.
-pub fn block_owner(j: usize, n: usize, len: usize) -> usize {
-    let base = len / n;
-    let extra = len % n;
-    let cut = extra * (base + 1);
-    if j < cut {
-        j / (base + 1)
-    } else {
-        match (j - cut).checked_div(base) {
-            Some(q) => extra + q,
-            None => n - 1,
-        }
-    }
-}
-
 /// A 2-D array distributed blockwise over its columns, with `ghost`
 /// shadow columns on each side. Column-major storage of the local slab,
 /// matching the Fortran layout of the original programs.
@@ -359,21 +343,6 @@ impl<'c, 'n> Xhpf<'c, 'n> {
 mod tests {
     use super::*;
     use sp2sim::{Cluster, ClusterConfig};
-
-    #[test]
-    fn block_owner_inverts_block_range() {
-        for n in 1..9 {
-            for len in [1usize, 7, 16, 100] {
-                for j in 0..len {
-                    let owner = block_owner(j, n, len);
-                    assert!(
-                        block_range(owner, n, 0..len).contains(&j),
-                        "n={n} len={len} j={j} owner={owner}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn ghost_exchange_nonperiodic() {
