@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The thirteen historic protocol bugs as mutants: each patch under
+# The historic protocol bugs as mutants, fourteen in all: each patch under
 # ci/mutants/ re-breaks one fix (the stale twin, the publish window, the
 # lock send order, and the three rules that order LRC's diffs: a range
 # stamped at its last interval, an open range that spans a foreign
@@ -7,16 +7,17 @@
 # reduction's fold order, a superseding push installed over what it
 # does not dominate, a join's early pushes left out of the next fork's
 # counts, a chained body started before its link push), one declaration
-# (a write-all touch whose body reads first) or one of two derivations
+# (a write-all touch whose body reads first) or one of three derivations
 # (dispatch fusion across a write-after-read, privatization that counts
-# no read) in a scratch copy of the tree, and
+# no read, a closed-form meet of touches that ignores a cyclic residue)
+# in a scratch copy of the tree, and
 # the schedule-exploration suite, in release at CI's seed budget, must
 # fail on it and name the seed that did it — or the FIFO schedule,
 # `sequential`, which a run without `--engine` replays. A patch whose
 # text before its diff has a `Suite: <cargo test arguments>` line is
 # held to that suite instead, on the same terms (the write-all,
-# privatization and early-push mutants' turn debug assertions on, which
-# their checks need). A
+# privatization, early-push and residue mutants' turn debug assertions
+# on, which their checks need). A
 # mutant that survives means the explorer lacks a preemption point or an
 # input; a patch that no longer applies means the code it re-breaks
 # moved — both fail this script.

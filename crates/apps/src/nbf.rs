@@ -29,7 +29,7 @@ use cri::{Access, Section};
 use inspector::Inspector;
 use mpl::Comm;
 use sp2sim::{Node, SplitMix64, WordReader, WordWriter};
-use spf::Mode::{self, Update, Write};
+use spf::Mode::{self, Read, Update, Write};
 use spf::{block_range, Cols, LoopCtl, Next, Schedule, Spf, Touch};
 use treadmarks::{SharedArray, Tmk, TmkConfig};
 use xhpf::Xhpf;
@@ -479,9 +479,16 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
                 Some(coord_block(sh, &share(iters, q, nprocs)?, mode))
             }
         };
+        // The merge also reads the node's own force buffer over its span.
+        let merge = move |iters: &Range<usize>, q: usize, nprocs: usize| {
+            let block = share(iters, q, nprocs)?;
+            let span = buf_span(&block, p.w, p.m);
+            let bufs = sh.bufs[q].map(|b| Cols::new(b, 1).touch(span.clone(), Read));
+            Some(coord_block(sh, &block, Update).into_iter().chain(bufs))
+        };
         let to_force = move |_: &Range<usize>, _: &Touch| [Next::Loop(l_force, 0..m)];
         spf.describe(l_init, coords(Write), to_force);
-        spf.describe(l_merge, coords(Update), to_force);
+        spf.describe(l_merge, merge, to_force);
         spf.describe_inspector(l_force, {
             let (partners, insp) = (&partners, &insp);
             let k = p.k;

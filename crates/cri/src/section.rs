@@ -242,17 +242,6 @@ pub fn for_each_overlap(
     }
 }
 
-/// Whether run `r`, less the words of `minus`, meets a run of `runs`
-/// (both sorted and disjoint).
-pub fn meets(runs: &[Range<usize>], r: &Range<usize>, minus: &[Range<usize>]) -> bool {
-    let mut met = false;
-    for_each_difference(std::slice::from_ref(r), minus, |part| {
-        let k = runs.partition_point(|x| x.end <= part.start);
-        met |= runs.get(k).is_some_and(|x| x.start < part.end);
-    });
-    met
-}
-
 /// Whether every word of run `r` is in a run of `runs` (sorted and
 /// disjoint).
 pub fn contains(runs: &[Range<usize>], r: &Range<usize>) -> bool {

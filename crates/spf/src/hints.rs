@@ -63,6 +63,7 @@ use cri::section::{for_each_overlap, merge_ranges, subtract};
 use cri::{Access, Consumer, Section};
 use treadmarks::{SharedArray, Tmk};
 
+use crate::footprint::meet;
 use crate::{described, prelude, walk, Description, Entry, Mode, Next, Touch};
 
 /// Sorted, disjoint page runs.
@@ -82,21 +83,12 @@ enum Shape<'a> {
 
 impl Shape<'_> {
     /// Call `f` with each maximal word run, ascending: a section's as it
-    /// holds them, a touch's column runs joined where they meet, as its
-    /// section would hold them.
-    fn for_each_run(self, mut f: impl FnMut(Range<usize>)) {
-        let t = match self {
-            Shape::Section(s) => return s.runs().iter().cloned().for_each(f),
-            Shape::Touch(t) => t,
-        };
-        let mut open: Option<Range<usize>> = None;
-        for r in t.runs().filter(|r| !r.is_empty()) {
-            match &mut open {
-                Some(run) if r.start <= run.end => run.end = run.end.max(r.end),
-                _ => open.replace(r).into_iter().for_each(&mut f),
-            }
+    /// holds them, a touch's as [`Touch::runs`] yields them.
+    fn for_each_run(self, f: impl FnMut(Range<usize>)) {
+        match self {
+            Shape::Section(s) => s.runs().iter().cloned().for_each(f),
+            Shape::Touch(t) => t.runs().for_each(f),
         }
-        open.into_iter().for_each(f);
     }
 }
 
@@ -287,9 +279,9 @@ fn add_pages(tmk: &Tmk, a: &Declared, runs: &mut Runs) -> usize {
 /// What a node's accesses come to in pages.
 #[derive(Default)]
 struct Pages {
-    /// How many word runs the accesses counted have.
+    /// How many word runs the accesses have.
     sections: usize,
-    /// The pages the accesses counted touch, less those armed.
+    /// The pages the accesses touch, less those armed.
     pages: Runs,
     /// The pages the body overwrites whole: each page a write-all access
     /// covers entirely, less every page an access that is not write-all
@@ -298,18 +290,15 @@ struct Pages {
 }
 
 impl Pages {
-    /// Fill in the pages of `stream`, of the accesses `counted` picks
-    /// only. The pages of the others are walked for only when some page
-    /// is covered whole.
-    fn build(&mut self, tmk: &Tmk, stream: Stream, counted: &dyn Fn(&Declared) -> bool) {
+    /// Fill in the pages of `stream`. Its accesses are walked a second
+    /// time only when some page is covered whole.
+    fn build(&mut self, tmk: &Tmk, stream: Stream) {
         let pw = tmk.config().page_words;
         self.sections = 0;
         self.pages.clear();
         self.armed.clear();
         stream(&mut |a| {
-            if counted(a) {
-                self.sections += add_pages(tmk, a, &mut self.pages);
-            }
+            self.sections += add_pages(tmk, a, &mut self.pages);
             if a.mode == Mode::Write {
                 let base = a.arr.first_page() * pw;
                 a.shape.for_each_run(|r| {
@@ -501,7 +490,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     ) {
         let node = (self.tmk.proc_id(), self.tmk.nprocs());
         self.with_accesses(loops, id, iters, node, |stream| {
-            pages.build(self.tmk, stream, &|_| true)
+            pages.build(self.tmk, stream)
         });
     }
 
@@ -694,6 +683,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// consumer, targets then pages ascending.
     fn push_list(&self, loops: &[Entry<'t>], stream: Stream, pushes: &mut Vec<(usize, usize)>) {
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let pw = self.tmk.config().page_words;
         let mut scratch = self.scratch.borrow_mut();
         let Scratch { mine, theirs, .. } = &mut *scratch;
         stream(&mut |a| {
@@ -705,6 +695,17 @@ impl<'t, 'n> HintEngine<'t, 'n> {
             if mine.is_empty() {
                 return;
             }
+            // Whether an access may touch a page of `mine`: one of another
+            // array touches none, and of two touches, arithmetic can tell.
+            let units = match a.shape {
+                Shape::Touch(s) => Some((s, s.units(pw))),
+                Shape::Section(_) => None,
+            };
+            let may_meet = |ca: &Declared| match (&units, ca.shape) {
+                _ if ca.arr != a.arr => false,
+                (Some((s, su)), Shape::Touch(t)) => meet(s, su, t, &t.units(pw)),
+                _ => true,
+            };
             (a.consumers)(&mut |c| match c {
                 Consumer::Loop { id, iters } => {
                     for q in (0..np).filter(|&q| q != me) {
@@ -712,8 +713,18 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                         // writes alike, since a write view fetches the
                         // current content too — less the pages q
                         // overwrites whole, whose write fetches nothing.
+                        // An access that cannot meet a page of `mine` adds
+                        // no page to the overlap and arms none of `mine`:
+                        // it is left out before its pages are counted.
                         self.with_accesses(loops, id, &iters, (q, np), |stream| {
-                            theirs.build(self.tmk, stream, &|ca| ca.arr == a.arr)
+                            let near = |visit: &mut dyn FnMut(&Declared)| {
+                                stream(&mut |ca| {
+                                    if may_meet(ca) {
+                                        visit(ca)
+                                    }
+                                })
+                            };
+                            theirs.build(self.tmk, &near)
                         });
                         for_each_overlap(
                             mine.iter().cloned(),
@@ -753,7 +764,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use cri::section::{contains, for_each_difference, insert, meets, subtract};
+    use cri::section::{contains, for_each_difference, insert, subtract};
     use proptest::prelude::*;
     use sp2sim::{Cluster, ClusterConfig, MsgKind};
     use treadmarks::TmkConfig;
@@ -985,7 +996,7 @@ mod tests {
     /// arms them.
     fn armed_of(tmk: &Tmk, accesses: &[Access]) -> Runs {
         let mut pages = Pages::default();
-        pages.build(tmk, &|visit| listed(accesses, visit), &|_| true);
+        pages.build(tmk, &|visit| listed(accesses, visit));
         pages.armed
     }
 
@@ -1029,8 +1040,8 @@ mod tests {
         /// every constructor and several page sizes: a section's runs are
         /// its pages, a merge is the union, the sweep is the intersection,
         /// a subtraction the difference, an insertion the union with its
-        /// run, "meets, less a minus set" and containment the set tests
-        /// they name, and the pages a body overwrites
+        /// run, containment the set test it names, and the pages a body
+        /// overwrites
         /// whole, the push list and the home candidates built from runs
         /// are the ones built from sets.
         #[test]
@@ -1103,9 +1114,6 @@ mod tests {
                         insert(&mut one, r.clone());
                         ok &= pages(&one) == sa.union(&words).copied().collect::<Vec<_>>();
                         ok &= one.windows(2).all(|w| w[0].end < w[1].start);
-                        // Whether `r` less `a` meets `b`.
-                        let outside_a: BTreeSet<usize> = words.difference(&sa).copied().collect();
-                        ok &= meets(&rb, &r, &ra) == outside_a.intersection(&sb).next().is_some();
                         ok &= contains(&ra, &r) == words.is_subset(&sa);
                     }
                 }

@@ -93,7 +93,9 @@
 //! walk visits it, its page runs come from its own column runs, and its
 //! consumers are derived from its `next` and the preludes of the loops
 //! that names, as [`Spf::describe`] defines them — building evaluates no
-//! descriptor and builds no section or access list. An inspector's
+//! descriptor and builds no section or access list. A push list counts
+//! only the consumer's accesses that can meet a page of the write, which
+//! two touches settle by arithmetic (below). An inspector's
 //! stream is its cached access list, as is what [`Master::produce`]
 //! declares; what a prelude rewrote, republished before its loop's
 //! dispatch, is read off the prelude. Each third is built the first time
@@ -130,16 +132,22 @@
 //! no other node depends on in one fork: for every pair of nodes
 //! `q ≠ q'`, no earlier loop's writes on `q'` meet a later loop's reads
 //! or writes on `q`, and no earlier loop's reads on `q'` meet a later
-//! loop's writes on `q`, word for word — tested against the words every
-//! node used in the run so far, so that a long run is no quadratic walk.
-//! The last term counts because a
+//! loop's writes on `q`, word for word — tested against the touches every
+//! node used in the run so far, those alike but for their columns joined,
+//! so that a long run is no quadratic walk. Two touches meet or not by
+//! arithmetic where it can tell — a touch that is one run against a
+//! column range, or two of one stride, whose cyclic column sets share a
+//! column by the Chinese remainder theorem — and by their word runs
+//! (`cri::section`) where it cannot; with debug assertions every
+//! arithmetic answer is checked against the runs. The last term counts
+//! because a
 //! write-all body overwrites its pages in place: a request served while
 //! it runs would be served its newer words. Every node runs the bodies
 //! in order, each inside its own validate and push registration; the
 //! pushes and home placements of all of them go with the one join. No
 //! loop is fused under the original interface. With debug assertions,
-//! each body of a fused dispatch may open views only inside what it
-//! declared for its node.
+//! every body a footprint describes — fused, chained or alone — may open
+//! views only inside what it declared for its node.
 //!
 //! ## Chained dispatches
 //!
@@ -156,14 +164,16 @@
 //! tree rooted at the writer when every other node reads them); each of
 //! them starts that body once the push is in
 //! ([`treadmarks::Tmk::take_link_push`]). Every node derives the writer
-//! and the readers from its walks, so nothing announces the push,
+//! and the readers from its walks, the touches meeting by arithmetic as
+//! fusion's do, so nothing announces the push,
 //! and the run's one join closes the chain. No other node may have
 //! written a page the push carries since the run began. The write
 //! notices the readers skip arrive at that join, and find the pushed
 //! words already in place. Anywhere else — the first loop of a run, the
 //! original interface, a prelude no one node's writes hold, or code not
 //! registered — the master runs the sequential code, joined first. With
-//! debug assertions every body of a chain is fenced as a fused one is.
+//! debug assertions every body of a chain is fenced, as every body a
+//! footprint describes is.
 //!
 //! ## Derived privatization
 //!
@@ -234,11 +244,12 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
-use cri::section::{contains, for_each_overlap, insert, meets};
+use cri::section::{contains, for_each_difference, for_each_overlap, insert};
 use cri::Access;
 use hints::HintEngine;
 use treadmarks::{SharedArray, Tmk, ViewFence};
 
+use footprint::{meet, Units};
 pub use footprint::{Cols, Mode, Next, Touch};
 pub use sp2sim::block_range;
 
@@ -488,8 +499,14 @@ fn loop_key(ctl: &LoopCtl) -> LoopKey {
     (ctl.id, ctl.range.start, ctl.range.end)
 }
 
-/// Words a node uses: `(node, mode, words)`.
-type Words = (usize, Mode, Touch);
+/// Words a node uses: `(node, mode, words, their units in closed form)`.
+type Words = (usize, Mode, Touch, Units);
+
+/// `t`'s words as node `node` uses them, in `mode`.
+fn used(node: usize, mode: Mode, t: Touch) -> Words {
+    let units = t.units(1);
+    (node, mode, t, units)
+}
 
 /// The loop table (see the crate doc): one entry per loop, and
 /// privatization's conclusions.
@@ -586,12 +603,12 @@ impl Walks {
                 if next {
                     nexts(&mut |n| match n {
                         Next::Node(node, cols) => {
-                            words((node, Mode::Read, Touch { cols, ..t.clone() }))
+                            words(used(node, Mode::Read, Touch { cols, ..t.clone() }))
                         }
                         Next::Loop(id, iters) => to((id, iters.start, iters.end)),
                     });
                 }
-                words((q, t.mode, t.clone()));
+                words(used(q, t.mode, t.clone()));
             });
         }
     }
@@ -607,7 +624,8 @@ impl Walks {
 
     /// Whether `ctl` makes a chained link after `prev`: its prelude lies
     /// in what one node wrote there ([`Link::derive`]). `last` holds
-    /// `ctl`'s words from now on, and `link` the link when it makes one.
+    /// `ctl`'s words from now on, and `link` the link when it makes one,
+    /// but for its readers.
     fn chain(&mut self, table: &LoopTable, prev: &LoopCtl, ctl: &LoopCtl) -> bool {
         if self.key != Some(loop_key(prev)) {
             self.walk(table, loop_key(prev));
@@ -616,14 +634,12 @@ impl Walks {
         self.walk(table, loop_key(ctl));
         let loops = table.loops.borrow();
         let touches = |visit: &mut dyn FnMut(&Touch)| prelude(&loops, ctl.id, &ctl.range, visit);
-        self.link
-            .derive(&self.before, &self.last, &touches, self.np)
+        self.link.derive(&self.before, &touches)
     }
 }
 
-/// The word runs kept for `key` in `sets`, sorted and disjoint; none
-/// yet when it is new.
-fn runs_of<K: PartialEq>(sets: &mut Vec<(K, Vec<Range<usize>>)>, key: K) -> &mut Vec<Range<usize>> {
+/// What `sets` keeps for `key`: none yet when it is new.
+fn set_of<K: PartialEq, T>(sets: &mut Vec<(K, Vec<T>)>, key: K) -> &mut Vec<T> {
     let at = match sets.iter().position(|(k, _)| *k == key) {
         Some(at) => at,
         None => {
@@ -635,14 +651,16 @@ fn runs_of<K: PartialEq>(sets: &mut Vec<(K, Vec<Range<usize>>)>, key: K) -> &mut
 }
 
 /// The words each node used in the loops of a run so far, by array and
-/// by whether it wrote them: what a next loop is tested against (see
-/// "Dispatch fusion" in the crate doc), without walking the earlier
-/// loops again. Kept between runs, emptied, so that it allocates only
-/// while it grows.
+/// by whether it wrote them, as touches: what a next loop is tested
+/// against (see "Dispatch fusion" in the crate doc), without walking the
+/// earlier loops again. Touches that differ only in their columns are
+/// joined, so that along a chain of links over shrinking ranges a set
+/// stays the size of one link's. Kept between runs, emptied, so that it
+/// allocates only while it grows.
 #[derive(Default)]
 struct Used {
-    /// Each set's key and its word runs, sorted and disjoint.
-    sets: Vec<(SetKey, Vec<Range<usize>>)>,
+    /// Each set's key and its touches, with their units.
+    sets: Vec<(SetKey, Vec<(Touch, Units)>)>,
 }
 
 /// Whose words a set of [`Used`] holds: `(node, the array's first page,
@@ -652,15 +670,30 @@ type SetKey = (usize, usize, bool);
 impl Used {
     /// Forget every loop.
     fn clear(&mut self) {
-        self.sets.iter_mut().for_each(|(_, runs)| runs.clear());
+        self.sets
+            .iter_mut()
+            .for_each(|(_, touches)| touches.clear());
     }
 
     /// Add a loop whose words are `words`.
     fn add(&mut self, words: &[Words]) {
-        for (q, mode, t) in words {
+        for (q, mode, t, units) in words {
             let key = (*q, t.at.arr.first_page(), *mode != Mode::Read);
-            let runs = runs_of(&mut self.sets, key);
-            t.runs().for_each(|r| insert(runs, r));
+            let touches = set_of(&mut self.sets, key);
+            // The columns of two touches alike but for them, when they
+            // overlap or abut, are one range.
+            let joins = |(u, _): &&mut (Touch, Units)| {
+                (u.at, u.cyclic, &u.rows) == (t.at, t.cyclic, &t.rows)
+                    && u.cols.start <= t.cols.end
+                    && t.cols.start <= u.cols.end
+            };
+            match touches.iter_mut().find(joins) {
+                Some((u, units)) => {
+                    u.cols = u.cols.start.min(t.cols.start)..u.cols.end.max(t.cols.end);
+                    *units = u.units(1);
+                }
+                None => touches.push((t.clone(), units.clone())),
+            }
         }
     }
 
@@ -670,18 +703,18 @@ impl Used {
     /// read — but for the words `link` pushes to `q` from its writer,
     /// which `q` reads once they arrived.
     fn admits(&self, later: &[Words], link: Option<&Link>) -> bool {
-        later.iter().all(|&(q, mode, ref t)| {
+        later.iter().all(|&(q, mode, ref t, ref tu)| {
             let pushed = |p: usize| match link {
                 Some(link) if link.writer == p && mode == Mode::Read => link.runs(t.at.arr),
                 _ => &[],
             };
             let arr = t.at.arr.first_page();
-            !self.sets.iter().any(|&((p, a, written), ref runs)| {
+            !self.sets.iter().any(|&((p, a, written), ref touches)| {
                 // Read-after-write and write-after-write: `p` wrote.
                 let after_write = written;
                 // Write-after-read: `q` overwrites what `p` read.
                 let after_read = !written && mode != Mode::Read;
-                let meet = || t.runs().any(|r| meets(runs, &r, pushed(p)));
+                let meet = || touches.iter().any(|u| meets_beyond((t, tu), u, pushed(p)));
                 p != q && a == arr && (after_write || after_read) && meet()
             })
         })
@@ -691,16 +724,37 @@ impl Used {
     /// push carries: each reader installs the pages over its own frame,
     /// which must hold no write of its own yet to be published.
     fn clear_of(&self, link: &Link, page_words: usize) -> bool {
-        link.words.iter().all(|(arr, runs)| {
-            let pages = runs.iter().map(|r| {
-                r.start / page_words * page_words..r.end.div_ceil(page_words) * page_words
-            });
-            self.sets.iter().all(|&((p, a, written), ref set)| {
-                let others = written && p != link.writer && a == arr.first_page();
-                !others || pages.clone().all(|r| !meets(set, &r, &[]))
+        link.touches.iter().all(|(s, _)| {
+            let pages = s.units(page_words);
+            self.sets.iter().all(|&((p, a, written), ref touches)| {
+                let others = written && p != link.writer && a == s.at.arr.first_page();
+                let meets = |u: &Touch| meet(s, &pages, u, &u.units(page_words));
+                !others || !touches.iter().any(|(u, _)| meets(u))
             })
         })
     }
+}
+
+/// Whether `t`, less the words `pushed`, meets `u` (each with its
+/// units): by arithmetic when nothing is pushed or `t` is pushed whole,
+/// else by their runs.
+fn meets_beyond(
+    (t, tu): (&Touch, &Units),
+    (u, uu): &(Touch, Units),
+    pushed: &[Range<usize>],
+) -> bool {
+    let met = meet(t, tu, u, uu);
+    if !met || pushed.is_empty() {
+        return met;
+    }
+    if t.runs().all(|r| contains(pushed, &r)) {
+        return false;
+    }
+    let mut met = false;
+    for_each_overlap(t.runs(), u.runs(), |run| {
+        for_each_difference(std::slice::from_ref(&run), pushed, |_| met = true)
+    });
+    met
 }
 
 /// A chained link's prelude, as every node derives it from its walks
@@ -711,10 +765,14 @@ struct Link {
     /// The one node that wrote the prelude's words in the link before,
     /// which runs it.
     writer: usize,
-    /// What the prelude rewrites, by array, as sorted word runs: the
-    /// words the link push carries.
+    /// What the prelude rewrites: its touches that write, with their
+    /// units.
+    touches: Vec<(Touch, Units)>,
+    /// The same words, by array, as sorted word runs: what the link push
+    /// carries.
     words: Vec<(SharedArray, Vec<Range<usize>>)>,
-    /// The other nodes whose body of the link reads a word of them.
+    /// The other nodes whose body of the link reads a word of them, when
+    /// [`Link::find_readers`] found them.
     readers: Vec<usize>,
     /// The writer's words in one array of the prelude.
     own: Vec<Range<usize>>,
@@ -728,21 +786,23 @@ impl Link {
     }
 
     /// Derive the link whose prelude visits its touches through `prelude`,
-    /// between a loop whose words are `before` and its next one, whose
-    /// words are `after`: `false` unless exactly one node's writes in
-    /// `before` meet the prelude, and they hold every word of it.
-    fn derive(&mut self, before: &[Words], after: &[Words], prelude: Touches, np: usize) -> bool {
+    /// after a loop whose words are `before`: `false` unless exactly one
+    /// node's writes in `before` meet the prelude, and they hold every
+    /// word of it. Touches meet by arithmetic (`footprint::meet`); a
+    /// prelude touch lies inside one of the writer's when
+    /// [`Touch::covers`] says so, else it is held against the runs of all
+    /// of them. Who reads the push is left to [`Link::reads`].
+    fn derive(&mut self, before: &[Words], prelude: Touches) -> bool {
         let writes = |w: &&Words| w.1 != Mode::Read;
         let (mut writer, mut two) = (None, false);
         prelude(&mut |s| {
-            for (q, _, t) in before
+            let units = s.units(1);
+            for (q, _, t, tu) in before
                 .iter()
                 .filter(writes)
                 .filter(|w| w.2.at.arr == s.at.arr)
             {
-                let mut met = false;
-                for_each_overlap(t.runs(), s.runs(), |_| met = true);
-                two |= met && *writer.get_or_insert(*q) != *q;
+                two |= meet(t, tu, s, &units) && *writer.get_or_insert(*q) != *q;
             }
         });
         let Some(writer) = writer.filter(|_| !two) else {
@@ -750,9 +810,13 @@ impl Link {
         };
         let (own, mut inside) = (&mut self.own, true);
         prelude(&mut |s| {
-            own.clear();
             let mine = |w: &&Words| w.0 == writer && w.2.at.arr == s.at.arr;
-            for (_, _, t) in before.iter().filter(writes).filter(mine) {
+            let theirs = || before.iter().filter(writes).filter(mine);
+            if !inside || theirs().any(|(_, _, t, _)| t.covers(s)) {
+                return;
+            }
+            own.clear();
+            for (_, _, t, _) in theirs() {
                 t.runs().for_each(|r| insert(own, r));
             }
             inside &= s.runs().all(|r| contains(own, &r));
@@ -761,26 +825,35 @@ impl Link {
             return false;
         }
         self.writer = writer;
+        self.touches.clear();
         self.words.iter_mut().for_each(|(_, runs)| runs.clear());
-        let words = &mut self.words;
+        let (touches, words) = (&mut self.touches, &mut self.words);
         prelude(&mut |s| {
             if s.mode != Mode::Read {
-                let runs = runs_of(words, s.at.arr);
+                touches.push((s.clone(), s.units(1)));
+                let runs = set_of(words, s.at.arr);
                 s.runs().for_each(|r| insert(runs, r));
             }
         });
         self.words.retain(|(_, runs)| !runs.is_empty());
-        let mut readers = std::mem::take(&mut self.readers);
-        let reads = |q: usize| {
-            after.iter().any(|(p, _, t)| {
-                let pushed = self.runs(t.at.arr);
-                *p == q && t.runs().any(|r| meets(pushed, &r, &[]))
-            })
-        };
-        readers.clear();
-        readers.extend((0..np).filter(|&q| q != writer && reads(q)));
-        self.readers = readers;
         true
+    }
+
+    /// Whether node `q`'s body of the link, whose words are `after`,
+    /// reads a word the push carries.
+    fn reads(&self, after: &[Words], q: usize) -> bool {
+        let pushed =
+            |(t, tu): (&Touch, &Units)| self.touches.iter().any(|(s, su)| meet(s, su, t, tu));
+        after.iter().any(|(p, _, t, tu)| *p == q && pushed((t, tu)))
+    }
+
+    /// Find [`Link::readers`]: every other node whose body of the link,
+    /// over `after`, reads a word the push carries.
+    fn find_readers(&mut self, after: &[Words], np: usize) {
+        let mut readers = std::mem::take(&mut self.readers);
+        readers.clear();
+        readers.extend((0..np).filter(|&q| q != self.writer && self.reads(after, q)));
+        self.readers = readers;
     }
 }
 
@@ -795,6 +868,8 @@ pub struct Spf<'t, 'n> {
     used: RefCell<Used>,
     /// The walker's buffers.
     walks: RefCell<Walks>,
+    /// The debug view fence's buffers, between bodies.
+    fence: Cell<Option<ViewFence>>,
     // Original-interface control locations: the loop-index word and the
     // argument words live on separate shared pages, as the paper
     // describes — two faults per worker per loop.
@@ -817,6 +892,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                 np: tmk.nprocs(),
                 ..Walks::default()
             }),
+            fence: Cell::default(),
             ctl_idx,
             ctl_args,
         }
@@ -951,9 +1027,9 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk.config().improved_forkjoin
     }
 
-    /// Run one dispatched body — fenced in, when it is one of a fused
-    /// dispatch's and debug assertions are on.
-    fn execute(&self, ctl: &LoopCtl, fused: bool) {
+    /// Run one dispatched body — fenced in, when a footprint describes it
+    /// and debug assertions are on.
+    fn execute(&self, ctl: &LoopCtl) {
         // One Compute span per dispatched body; hint work (validate,
         // inspection) nests inside and is debited by the analyzer, so
         // the span's self-time is pure loop arithmetic.
@@ -963,10 +1039,11 @@ impl<'t, 'n> Spf<'t, 'n> {
             .trace_span(sp2sim::SpanKind::Compute, ctl.id as u32);
         let loops = self.table.loops.borrow();
         self.hints.before_loop(&loops, ctl.id, &ctl.range);
-        let fence = (fused && cfg!(debug_assertions)).then(|| self.fence(&loops, ctl));
+        let footprint = matches!(described(&loops, ctl.id), Some(Description::Footprint(..)));
+        let fence = (footprint && cfg!(debug_assertions)).then(|| self.fence(&loops, ctl));
         self.tmk.fence_views(Some(ctl.id), fence);
         (loops[ctl.id].body)(ctl);
-        self.tmk.fence_views(None, None);
+        self.fence.set(self.tmk.fence_views(None, None));
         self.hints.after_loop(&loops, ctl.id, &ctl.range);
     }
 
@@ -995,7 +1072,7 @@ impl<'t, 'n> Spf<'t, 'n> {
             if !table.counted.borrow_mut().insert(key) {
                 continue;
             }
-            let mut count = |(node, _, t): Words| {
+            let mut count = |(node, _, t, _): Words| {
                 for p in t.runs().flat_map(|r| tmk.page_span(t.at.arr, &r)) {
                     let was = touched.get(&p).copied();
                     let own = (node != 0 && was.is_none_or(|t| t == Some(node))).then_some(node);
@@ -1007,23 +1084,32 @@ impl<'t, 'n> Spf<'t, 'n> {
             };
             walks.visit(table, key, true, &mut count, &mut |next| todo.push(next));
         }
-        for (&p, t) in touched.iter_mut().filter(|_| table.stopped.get()) {
-            changed.extend(t.take().map(|_| p));
+        // Only when this call met the first opaque loop: every page goes
+        // shared, once.
+        if table.stopped.get() {
+            for (&p, t) in touched.iter_mut() {
+                changed.extend(t.take().map(|_| p));
+            }
         }
         let changes: Vec<_> = changed.iter().map(|&p| (p, touched[&p])).collect();
         tmk.privatize(&changes);
     }
 
     /// What the body of `ctl` declared it opens on this node, by array:
-    /// this node's footprint alone.
+    /// this node's footprint alone, in the buffers of the fence before.
     fn fence(&self, loops: &[Entry], ctl: &LoopCtl) -> ViewFence {
-        let (me, np, mut arrays) = (self.tmk.proc_id(), self.tmk.nprocs(), Vec::new());
+        let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
+        let mut fence = self.fence.take().unwrap_or(ViewFence {
+            loop_id: ctl.id,
+            arrays: Vec::new(),
+        });
+        fence.loop_id = ctl.id;
+        fence.arrays.iter_mut().for_each(|(_, runs)| runs.clear());
         walk(loops, ctl.id, &ctl.range, me, np, &mut |t, _| {
-            let runs = runs_of(&mut arrays, t.at.arr);
+            let runs = set_of(&mut fence.arrays, t.at.arr);
             t.runs().for_each(|r| insert(runs, r));
         });
-        let loop_id = ctl.id;
-        ViewFence { loop_id, arrays }
+        fence
     }
 
     /// How many of `loops`, from the first, go out in one dispatch: the
@@ -1069,7 +1155,7 @@ impl<'t, 'n> Spf<'t, 'n> {
     /// — a loop after the first with a prelude — its writer runs the
     /// prelude and pushes what it rewrote, and every reader takes that
     /// push (see "Chained dispatches" in the crate doc).
-    fn run_group<'a>(&self, group: impl IntoIterator<Item = LoopCtl<'a>>, fused: bool) {
+    fn run_group<'a>(&self, group: impl IntoIterator<Item = LoopCtl<'a>>) {
         let (me, mut prev) = (self.tmk.proc_id(), None);
         // No walk outlives its dispatch.
         self.walks.borrow_mut().key = None;
@@ -1078,17 +1164,18 @@ impl<'t, 'n> Spf<'t, 'n> {
                 let mut walks = self.walks.borrow_mut();
                 let chained = walks.chain(&self.table, prev, &ctl);
                 assert!(chained, "the master chained this link");
-                let link = &walks.link;
+                let Walks { link, last, np, .. } = &mut *walks;
                 if me == link.writer {
                     self.run_sequential(&ctl);
+                    link.find_readers(last, *np);
                     if !link.readers.is_empty() {
                         self.tmk.push_link(&link.words, &link.readers);
                     }
-                } else if link.readers.contains(&me) {
+                } else if link.reads(last, me) {
                     self.tmk.take_link_push(link.writer);
                 }
             }
-            self.execute(&ctl, fused);
+            self.execute(&ctl);
             prev = Some(ctl);
         }
     }
@@ -1096,10 +1183,10 @@ impl<'t, 'n> Spf<'t, 'n> {
     fn worker_loop(&self) {
         if self.improved() {
             while let Some(words) = self.tmk.worker_wait() {
-                let (flags, homes, loops) = decode_dispatch(&words);
+                let (_, homes, loops) = decode_dispatch(&words);
                 self.tmk.install_page_homes(&homes);
                 self.privatize(decode_dispatch(&words).2);
-                self.run_group(loops, flags & DISPATCH_FUSED != 0);
+                self.run_group(loops);
             }
         } else {
             loop {
@@ -1120,7 +1207,7 @@ impl<'t, 'n> Spf<'t, 'n> {
                     words
                 };
                 self.privatize(std::iter::once(decode_ctl(&words)));
-                self.execute(&decode_ctl(&words), false);
+                self.execute(&decode_ctl(&words));
                 self.tmk.barrier(1);
             }
         }
@@ -1225,7 +1312,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
             let planned = || self.spf.hints.planned_homes(&loops, group_loops);
             let homes = self.spf.tmk.adopt_page_homes(planned);
             self.spf.tmk.fork(&encode_dispatch(&homes, group));
-            self.spf.run_group(group.iter().cloned(), group.len() > 1);
+            self.spf.run_group(group.iter().cloned());
             self.spf.tmk.defer_join();
         } else {
             // Original interface: write the control variables to the two
@@ -1245,7 +1332,7 @@ impl<'s, 't, 'n> Master<'s, 't, 'n> {
                 }
             }
             self.spf.tmk.barrier(0);
-            self.spf.execute(ctl, false);
+            self.spf.execute(ctl);
             self.spf.tmk.barrier(1);
         }
     }
@@ -2215,6 +2302,329 @@ mod tests {
             r
         });
         assert_eq!(out.results[0], Some(1));
+    }
+
+    /// Fusion by runs alone, as [`Spf::fused_run`] decided before touches
+    /// met by arithmetic: every node's words of the run so far as sorted
+    /// runs, and a link's writer, containment and readers by run overlap.
+    /// The reference the closed form must agree with.
+    mod by_runs {
+        use super::super::*;
+
+        /// Whether run `r`, less the words of `minus`, meets a run of
+        /// `runs` (both sorted and disjoint).
+        fn meets(runs: &[Range<usize>], r: &Range<usize>, minus: &[Range<usize>]) -> bool {
+            let mut met = false;
+            for_each_difference(std::slice::from_ref(r), minus, |part| {
+                let k = runs.partition_point(|x| x.end <= part.start);
+                met |= runs.get(k).is_some_and(|x| x.start < part.end);
+            });
+            met
+        }
+
+        type Sets = Vec<(SetKey, Vec<Range<usize>>)>;
+
+        /// A link: its writer, the runs it pushes by array, its readers.
+        pub(super) type Link = (usize, Vec<(SharedArray, Vec<Range<usize>>)>, Vec<usize>);
+
+        /// Every node's touches of `ctl`'s loop.
+        fn words(spf: &Spf, ctl: &LoopCtl) -> Vec<Words> {
+            let mut words = Vec::new();
+            let walks = spf.walks.borrow();
+            walks.visit(
+                &spf.table,
+                loop_key(ctl),
+                false,
+                &mut |w| words.push(w),
+                &mut |_| {},
+            );
+            words
+        }
+
+        fn add(sets: &mut Sets, words: &[Words]) {
+            for (q, mode, t, _) in words {
+                let runs = set_of(sets, (*q, t.at.arr.first_page(), *mode != Mode::Read));
+                t.runs().for_each(|r| insert(runs, r));
+            }
+        }
+
+        fn pushed(link: &Link, arr: SharedArray) -> &[Range<usize>] {
+            let runs = link.1.iter().find(|(a, _)| *a == arr);
+            runs.map_or(&[], |(_, runs)| &runs[..])
+        }
+
+        /// The link `ctl` makes after `prev`, if it makes one.
+        pub(super) fn link(spf: &Spf, prev: &LoopCtl, ctl: &LoopCtl) -> Option<Link> {
+            let (before, after) = (words(spf, prev), words(spf, ctl));
+            let mut touches = Vec::new();
+            let loops = spf.table.loops.borrow();
+            prelude(&loops, ctl.id, &ctl.range, &mut |t| touches.push(t.clone()));
+            let writes = || before.iter().filter(|w| w.1 != Mode::Read);
+            let mut writer = None;
+            for s in &touches {
+                for (q, _, t, _) in writes().filter(|w| w.2.at.arr == s.at.arr) {
+                    let mut met = false;
+                    for_each_overlap(t.runs(), s.runs(), |_| met = true);
+                    if met && *writer.get_or_insert(*q) != *q {
+                        return None;
+                    }
+                }
+            }
+            let writer = writer?;
+            for s in &touches {
+                let mut own = Vec::new();
+                for (_, _, t, _) in writes().filter(|w| w.0 == writer && w.2.at.arr == s.at.arr) {
+                    t.runs().for_each(|r| insert(&mut own, r));
+                }
+                if !s.runs().all(|r| contains(&own, &r)) {
+                    return None;
+                }
+            }
+            let mut words = Vec::new();
+            for s in touches.iter().filter(|s| s.mode != Mode::Read) {
+                let runs = set_of(&mut words, s.at.arr);
+                s.runs().for_each(|r| insert(runs, r));
+            }
+            words.retain(|(_, runs): &(_, Vec<_>)| !runs.is_empty());
+            let mut link = (writer, words, Vec::new());
+            let reads = |q: usize| {
+                let read = |(p, _, t, _): &Words| {
+                    *p == q && t.runs().any(|r| meets(pushed(&link, t.at.arr), &r, &[]))
+                };
+                after.iter().any(read)
+            };
+            let readers = (0..spf.tmk.nprocs())
+                .filter(|&q| q != writer && reads(q))
+                .collect();
+            link.2 = readers;
+            Some(link)
+        }
+
+        fn admits(used: &Sets, later: &[Words], link: Option<&Link>) -> bool {
+            later.iter().all(|&(q, mode, ref t, _)| {
+                let pushed = |p: usize| match link {
+                    Some(link) if link.0 == p && mode == Mode::Read => pushed(link, t.at.arr),
+                    _ => &[],
+                };
+                let arr = t.at.arr.first_page();
+                !used.iter().any(|&((p, a, written), ref runs)| {
+                    let hazard = written || mode != Mode::Read;
+                    p != q && a == arr && hazard && t.runs().any(|r| meets(runs, &r, pushed(p)))
+                })
+            })
+        }
+
+        fn clear_of(used: &Sets, link: &Link, pw: usize) -> bool {
+            link.1.iter().all(|(arr, runs)| {
+                let pages = runs
+                    .iter()
+                    .map(|r| r.start / pw * pw..r.end.div_ceil(pw) * pw);
+                used.iter().all(|&((p, a, written), ref set)| {
+                    let others = written && p != link.0 && a == arr.first_page();
+                    !others || pages.clone().all(|r| !meets(set, &r, &[]))
+                })
+            })
+        }
+
+        /// How many of `loops`, from the first, go out in one dispatch.
+        pub(super) fn fused_run(spf: &Spf, loops: &[LoopCtl]) -> usize {
+            let table = &spf.table;
+            let starts = table.opaque(loops[0].id) == Some(false) || table.has_prelude(loops[0].id);
+            if !spf.improved() || loops.len() == 1 || !starts {
+                return 1;
+            }
+            let pw = spf.tmk.config().page_words;
+            let mut used = Sets::new();
+            add(&mut used, &words(spf, &loops[0]));
+            let mut k = 1;
+            while k < loops.len() {
+                let ctl = &loops[k];
+                let link = if table.opaque(ctl.id) == Some(false) {
+                    None
+                } else if table.has_prelude(ctl.id) && table.has_sequential(ctl.id) {
+                    match link(spf, &loops[k - 1], ctl) {
+                        Some(link) if clear_of(&used, &link, pw) => Some(link),
+                        _ => break,
+                    }
+                } else {
+                    break;
+                };
+                let later = words(spf, ctl);
+                if !admits(&used, &later, link.as_ref()) {
+                    break;
+                }
+                add(&mut used, &later);
+                k += 1;
+            }
+            k
+        }
+    }
+
+    /// Hold `spf`'s fusion and chain decisions over `loops` against
+    /// [`by_runs`]: the run that goes out from every loop on, and the link
+    /// every loop after the first with a prelude makes.
+    fn decides_as_by_runs(spf: &Spf, loops: &[LoopCtl]) {
+        for k in 0..loops.len() {
+            let rest = &loops[k..];
+            let want = by_runs::fused_run(spf, rest);
+            assert_eq!(spf.fused_run(rest), want, "the run from loop {k}");
+            if k == 0 || !spf.table.has_prelude(loops[k].id) {
+                continue;
+            }
+            let want = by_runs::link(spf, &loops[k - 1], &loops[k]);
+            let mut walks = spf.walks.borrow_mut();
+            walks.key = None;
+            let chained = walks.chain(&spf.table, &loops[k - 1], &loops[k]);
+            let Walks { link, last, np, .. } = &mut *walks;
+            link.find_readers(last, *np);
+            let got = chained.then(|| (link.writer, link.words.clone(), link.readers.clone()));
+            assert_eq!(got, want, "link {k}");
+        }
+    }
+
+    /// MGS's shape on four nodes: twelve columns of 16 words, 10 of them
+    /// used, written cyclically, then a link per pivot that reads the
+    /// pivot and updates its share of the columns after it, each after a
+    /// normalization of the pivot — or of the pivot and the column after
+    /// it (`wide`), which another node wrote; with `trails`, each link
+    /// also writes a column of a second array and reads the one its
+    /// neighbour wrote in the link before. Pages of 16 and of 512 words.
+    #[test]
+    fn fusion_decides_as_by_runs_on_mgs_shaped_tables() {
+        for (page_words, wide, trails) in [
+            (16, false, false),
+            (16, true, false),
+            (16, false, true),
+            (512, false, false),
+            (64, false, true),
+        ] {
+            let cfg = TmkConfig {
+                page_words,
+                ..TmkConfig::default()
+            };
+            Cluster::run(ClusterConfig::sp2(4), move |node| {
+                let tmk = Tmk::new(node, cfg);
+                let spf = Spf::new(&tmk);
+                let (n, at) = (12, Cols::new(tmk.malloc_f64(12 * 16), 16));
+                let trail = Cols::new(tmk.malloc_f64(12 * 16), 16);
+                let col = move |j: usize, mode| at.touch(j..j + 1, mode).rows(0..10);
+                let (init, upd) = (
+                    spf.register(|_: &LoopCtl| {}),
+                    spf.register(|_: &LoopCtl| {}),
+                );
+                spf.register_sequential(upd, |_: &LoopCtl| {});
+                let written = move |i: &Range<usize>, q, np| {
+                    Some([at.touch(i.clone(), Mode::Write).rows(0..10).cyclic(q, np)])
+                };
+                spf.describe(init, written, move |_, _| vec![Next::Loop(upd, 1..n)]);
+                let orthogonalization = move |i: &Range<usize>, q: usize, np| {
+                    let k = i.start - 1;
+                    let own = at.touch(i.clone(), Mode::Update).rows(0..10).cyclic(q, np);
+                    let (mine, theirs) = (4 * (k % 2) + q, 4 * ((k + 1) % 2) + (q + 1) % 4);
+                    let trailing = [
+                        trail.touch(mine..mine + 1, Mode::Write),
+                        trail.touch(theirs..theirs + 1, Mode::Read),
+                    ];
+                    let trailing = trailing.into_iter().filter(move |_| trails && k > 0);
+                    Some([col(k, Mode::Read), own].into_iter().chain(trailing))
+                };
+                spf.describe(upd, orthogonalization, move |i, _| {
+                    vec![Next::Loop(upd, (i.start + 1).min(n)..n)]
+                });
+                spf.describe_sequential(upd, move |i| {
+                    let k = i.start - 1;
+                    let next = wide.then(|| col((k + 1) % n, Mode::Read));
+                    [col(k, Mode::Update)].into_iter().chain(next)
+                });
+                let pivots: Vec<[u64; 1]> = (0..n as u64).map(|k| [k]).collect();
+                let mut loops = vec![LoopCtl::new(init, 0..n, Schedule::Cyclic, &[])];
+                loops.extend(
+                    (0..n - 1).map(|k| LoopCtl::new(upd, k + 1..n, Schedule::Cyclic, &pivots[k])),
+                );
+                decides_as_by_runs(&spf, &loops);
+                tmk.finish();
+            });
+        }
+    }
+
+    /// Shallow's shape on four nodes: arrays of nine columns of nine
+    /// words, each node's block of columns 1–8 read with the column
+    /// before it and written or updated whole, in loops that fuse and
+    /// loops that must not; pages of 16 words, which columns straddle.
+    #[test]
+    fn fusion_decides_as_by_runs_on_shallow_shaped_tables() {
+        let cfg = TmkConfig {
+            page_words: 16,
+            ..TmkConfig::default()
+        };
+        Cluster::run(ClusterConfig::sp2(4), move |node| {
+            let tmk = Tmk::new(node, cfg);
+            let spf = Spf::new(&tmk);
+            let arrays: [Cols; 5] = std::array::from_fn(|_| Cols::new(tmk.malloc_f64(81), 9));
+            let [p, u, cu, unew, uold] = arrays;
+            let block = |i: &Range<usize>, q, np| {
+                Some(block_range(q, np, i.clone())).filter(|b| !b.is_empty())
+            };
+            let ghosted = |jr: &Range<usize>| jr.start - 1..jr.end;
+            let ids: [usize; 5] = std::array::from_fn(|_| spf.register(|_: &LoopCtl| {}));
+            let [s1, s2, s3, own, wrap] = ids;
+            let to = move |id| move |_: &Range<usize>, _: &Touch| vec![Next::Loop(id, 1..9)];
+            spf.describe(
+                s1,
+                move |i: &Range<usize>, q, np| {
+                    let jr = block(i, q, np)?;
+                    Some([
+                        p.touch(ghosted(&jr), Mode::Read),
+                        u.touch(ghosted(&jr), Mode::Read),
+                        cu.touch(jr, Mode::Write),
+                    ])
+                },
+                to(s2),
+            );
+            spf.describe(
+                s2,
+                move |i: &Range<usize>, q, np| {
+                    let jr = block(i, q, np)?;
+                    Some([
+                        cu.touch(ghosted(&jr), Mode::Read),
+                        uold.touch(jr.clone(), Mode::Read),
+                        unew.touch(jr, Mode::Write),
+                    ])
+                },
+                to(s3),
+            );
+            spf.describe(
+                s3,
+                move |i: &Range<usize>, q, np| {
+                    let jr = block(i, q, np)?;
+                    Some([
+                        unew.touch(jr.clone(), Mode::Read),
+                        u.touch(jr.clone(), Mode::Update),
+                        uold.touch(jr, Mode::Update),
+                    ])
+                },
+                move |_, _| vec![Next::Loop(s1, 1..9), Next::Node(0, 8..9)],
+            );
+            spf.describe(
+                own,
+                move |i: &Range<usize>, q, np| {
+                    let jr = block(i, q, np)?;
+                    Some([p.touch(jr, Mode::Update)])
+                },
+                to(s1),
+            );
+            spf.describe(
+                wrap,
+                move |_: &Range<usize>, q, _| {
+                    (q == 0).then(|| [u.touch(8..9, Mode::Read), u.touch(0..1, Mode::Write)])
+                },
+                to(s1),
+            );
+            let over = |id| LoopCtl::new(id, 1..9, Schedule::Block, &[]);
+            let loops = [s1, s2, s3, wrap, s1, own, s3, own, wrap, s2].map(over);
+            decides_as_by_runs(&spf, &loops);
+            tmk.finish();
+        });
     }
 
     /// What runs after the loop of [`derived_owners`].

@@ -426,11 +426,12 @@ impl<'n> Tmk<'n> {
     }
 
     /// Mark loop `body`'s body running here (`None` between bodies); with
-    /// debug assertions its views panic outside `fence` — a fused body's
-    /// descriptor — or on a page private to another node.
-    pub fn fence_views(&self, body: Option<usize>, fence: Option<ViewFence>) {
+    /// debug assertions its views panic outside `fence` — the body's
+    /// descriptor — or on a page private to another node. Returns the
+    /// fence it replaces, whose buffers the caller may fill again.
+    pub fn fence_views(&self, body: Option<usize>, fence: Option<ViewFence>) -> Option<ViewFence> {
         self.body.set(body);
-        *self.fence.borrow_mut() = fence;
+        self.fence.replace(fence)
     }
 
     /// Invariant 3 of [`crate::page`]: no view may be open across the
