@@ -11,7 +11,8 @@
 # quotes (tier-1 runs it in debug only). The committed BENCH_sweep.json —
 # the reduced-scale SPF grid, hinted and message-passing cells, and the
 # paper's cells at `bench_sweep::PAPER_SCALE` — is held by the tier-1
-# golden tests (`bench_sweep`, `cri_golden`, `mp_equivalence`), and
+# golden tests (`bench_sweep`, `cri_golden`, `mp_equivalence`), in
+# debug; `cri_golden` and `bench_sweep` run here in release too, and
 # `experiment_shape` asserts the paper's claims over its paper rows,
 # not here. Run from anywhere inside a checkout:
 # `bash ci/gates.sh`. Leaves trace_smoke.json and analyze_*.json
@@ -26,8 +27,11 @@ step() { printf '\n== %s\n' "$*"; }
 step "cri: SPF vs SPF+CRI vs PVMe, every cell against Seq"
 "$dsm" compiler_opt 0.08 8
 
-step "irregular: inspector equivalence (hinted IGrid bound)"
+step "irregular: inspector equivalence (hinted IGrid bound), the goldens in release"
 cargo test -q --release --test inspector_equivalence
+# Tier-1 runs the goldens in debug only; the cluster's schedule table
+# must serve the same walks, and charge the same time, in release.
+cargo test -q --release --test cri_golden --test bench_sweep
 
 step "hlrc: LRC vs HLRC, protocol and hint equivalence suites (HLRC Jacobi and hinted Jacobi bounds)"
 "$dsm" protocol_compare 0.08 8

@@ -58,7 +58,7 @@ pub enum Mode {
 
 /// Who reads a written section next — the producer side of the
 /// barrier-time push.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Consumer {
     /// The described loop `id`, next dispatched over `iters`: every
     /// node's sections of that loop are evaluated and the page overlap
@@ -76,7 +76,7 @@ pub enum Consumer {
 
 /// One access of a loop: a section of a shared array, its mode, and
 /// (for writes) the known consumers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Access {
     /// The shared array.
     pub arr: SharedArray,

@@ -14,18 +14,21 @@
 //!
 //! This crate is the inspector half. It turns map walks into
 //! [`Section`]s for [`cri::Access`] lists — the touched words as sorted
-//! runs — while charging the walk's virtual time to the inspecting
-//! node, so the "inspector cost" column of the experiment tables is
-//! real. The executor half lives in `spf`: an inspector described
-//! through `spf::Spf::describe_inspector` (the application registers
-//! the loop body with `spf::Spf::register` and describes it by its
-//! inspector under the same id) sits in the loop's table entry, `spf`'s
-//! hint engine memoizes each `(loop, range, node)` evaluation in a
-//! schedule cache, and the cached accesses feed the CRI machinery — aggregated
-//! validate before the body, rendezvous-time pushes after it, and HLRC
-//! producer-home placement at fork quiescence. Cache behaviour is
-//! observable per run as `DsmStats::{inspections, inspect_us,
-//! schedule_reuse}`.
+//! runs — and counts the indices each walk visits, which prices it:
+//! [`INSPECT_ENTRY_US`] each, charged to a node's virtual clock by
+//! [`Inspector::charge`], so the "inspector cost" column of the
+//! experiment tables is real. The walk charges nothing itself; whoever
+//! runs the inspection does. The executor half lives in `spf`: an
+//! inspector described through `spf::Spf::describe_inspector` (the
+//! application registers the loop body with `spf::Spf::register` and
+//! describes it by its inspector under the same id) sits in the loop's
+//! table entry, `spf`'s hint engine memoizes each `(loop, range, node)`
+//! evaluation in a schedule cache — walked once per cluster, and
+//! charged, from the count, on every node that reads it — and the cached
+//! accesses feed the CRI machinery — aggregated validate before the
+//! body, rendezvous-time pushes after it, and HLRC producer-home
+//! placement at fork quiescence. Cache behaviour is observable per run
+//! as `DsmStats::{inspections, inspect_us, schedule_reuse}`.
 //!
 //! An inspector is held to the contract of every loop description: a
 //! pure function of `(iters, q, np)` for the whole run. The maps it
@@ -46,8 +49,12 @@
 //!     // The run-time map: which element each iteration really reads.
 //!     let map: Vec<u32> = (0..1024).rev().collect();
 //!     let insp = Inspector::new(node);
-//!     // Inspect iterations 0..512 — the walk is charged virtual time.
+//!     // Inspect iterations 0..512: the walk counts the indices it
+//!     // visits, and the caller charges them (`spf` does, around every
+//!     // inspection it runs).
+//!     let before = insp.visited();
 //!     let touched = insp.gather((0..512).map(|i| map[i] as usize));
+//!     insp.charge(insp.visited() - before);
 //!     let _access = Access::read(a, touched);
 //!     tmk.finish();
 //! });
@@ -70,39 +77,65 @@ use treadmarks::{SharedArray, Tmk};
 pub const INSPECT_ENTRY_US: f64 = 0.02;
 
 /// A node-bound inspector: compacts walked index streams into
-/// [`Section`]s and charges the walk's virtual time.
+/// [`Section`]s and counts the indices each walk visits, for whoever
+/// charges the walk ([`Inspector::charge`]): `spf`'s hint engine, around
+/// each inspection it runs.
 pub struct Inspector<'n> {
     node: &'n Node,
+    visited: Rc<Visited>,
 }
 
+/// The indices every node's inspectors have visited so far, by node: a
+/// cluster slot whose entries each node alone reads and writes.
+struct Visited(Box<[Cell<usize>]>);
+
 impl<'n> Inspector<'n> {
-    /// An inspector charging walk costs to `node`.
+    /// An inspector counting its walks on `node`.
     pub fn new(node: &'n Node) -> Inspector<'n> {
-        Inspector { node }
+        let np = node.nprocs();
+        let visited = node.cluster_slot(|| Visited((0..np).map(|_| Cell::new(0)).collect()));
+        Inspector { node, visited }
     }
 
     /// Walk a stream of touched word indices (duplicates welcome) into a
-    /// compacted section, charging [`INSPECT_ENTRY_US`] per index
-    /// produced.
+    /// compacted section, counting each index produced.
     pub fn gather(&self, touched: impl IntoIterator<Item = usize>) -> Section {
         let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
         let mut count = 0usize;
         let section = Section::from_indices(touched.into_iter().inspect(|_| count += 1));
-        self.node.advance(count as f64 * INSPECT_ENTRY_US);
+        self.count(count);
         section
     }
 
     /// [`Inspector::gather`] for a walk that meets its indices a few
     /// neighbours at a time (a stencil point's row segments): the same
-    /// section and the same charge — [`INSPECT_ENTRY_US`] per index the
-    /// spans cover, since the walk still visits every subscript — with
-    /// each span compacted in one step instead of index by index.
+    /// section and the same count — every index the spans cover, since
+    /// the walk still visits every subscript — with each span compacted
+    /// in one step instead of index by index.
     pub fn gather_spans(&self, spans: impl IntoIterator<Item = std::ops::Range<usize>>) -> Section {
         let _s = self.node.trace_span(sp2sim::SpanKind::Inspect, 0);
         let mut count = 0usize;
         let section = Section::from_spans(spans.into_iter().inspect(|r| count += r.len()));
-        self.node.advance(count as f64 * INSPECT_ENTRY_US);
+        self.count(count);
         section
+    }
+
+    /// How many indices the walks of every inspector on this node have
+    /// visited so far: an inspection's walk visited the difference
+    /// across it.
+    pub fn visited(&self) -> usize {
+        self.visited.0[self.node.id()].get()
+    }
+
+    /// Charge a walk that visited `visited` indices to the node:
+    /// [`INSPECT_ENTRY_US`] each.
+    pub fn charge(&self, visited: usize) {
+        self.node.advance(visited as f64 * INSPECT_ENTRY_US);
+    }
+
+    fn count(&self, indices: usize) {
+        let mine = &self.visited.0[self.node.id()];
+        mine.set(mine.get() + indices);
     }
 }
 
@@ -186,18 +219,27 @@ mod tests {
 
     #[test]
     fn gather_compacts_and_charges_time() {
-        let out = Cluster::run(ClusterConfig::sp2(1), |node| {
+        let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
             let t0 = node.now().us();
             let insp = Inspector::new(node);
             let s = insp.gather([7usize, 3, 4, 5, 4]);
+            // The walk counts its indices and charges nothing itself;
+            // every inspector of a node counts toward the node's total.
+            let walked = node.now().us() - t0;
+            Inspector::new(node).gather_spans(std::iter::once(node.id()..node.id() + 2));
+            let visited = insp.visited();
+            insp.charge(5);
             let us = node.now().us() - t0;
             tmk.finish();
-            (s.runs().to_vec(), us)
+            (s.runs().to_vec(), walked, visited, us)
         });
-        let (runs, us) = out.results[0].clone();
-        assert_eq!(runs, vec![3..6, 7..8]);
-        assert!((us - 5.0 * INSPECT_ENTRY_US).abs() < 1e-9, "charged {us}");
+        for (q, (runs, walked, visited, us)) in out.results.into_iter().enumerate() {
+            assert_eq!(runs, vec![3..6, 7..8]);
+            assert_eq!(walked, 0.0, "node {q}: the walk charged {walked}");
+            assert_eq!(visited, 5 + 2, "node {q}");
+            assert!((us - 5.0 * INSPECT_ENTRY_US).abs() < 1e-9, "charged {us}");
+        }
     }
 
     #[test]

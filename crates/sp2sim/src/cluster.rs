@@ -154,6 +154,29 @@ mod tests {
     }
 
     #[test]
+    fn a_cluster_slot_is_one_value_per_run_and_type() {
+        use std::cell::Cell;
+        let made = Cell::new(0);
+        let run = || {
+            Cluster::run(ClusterConfig::sp2(3), |node| {
+                let slot = node.cluster_slot(|| {
+                    made.set(made.get() + 1);
+                    Cell::new(0usize)
+                });
+                slot.set(slot.get() + 1);
+                node.rendezvous();
+                let other = node.cluster_slot(|| 7u8);
+                (slot.get(), *other)
+            })
+        };
+        // Made once per run, on the first node to ask; a fresh run, and
+        // another type, start afresh.
+        assert_eq!(run().results, vec![(3, 7); 3]);
+        assert_eq!(run().results, vec![(3, 7); 3]);
+        assert_eq!(made.get(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = Cluster::run(ClusterConfig::sp2(0), |_| ());

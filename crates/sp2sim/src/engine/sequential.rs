@@ -151,6 +151,9 @@ pub(crate) struct Engine {
     pub(crate) stats: NetStats,
     /// The run's trace recorder, when tracing is enabled.
     pub(crate) trace: Option<TraceShared>,
+    /// The run's host slots, one value per type (see
+    /// [`Node::cluster_slot`]).
+    pub(crate) slots: RefCell<Vec<Rc<dyn Any>>>,
     /// The schedule seed; `None` is strict FIFO, which never preempts.
     seed: Option<u64>,
     sched: RefCell<Sched>,
@@ -532,6 +535,7 @@ where
         cost: cfg.cost,
         stats: NetStats::new(),
         trace: cfg.trace.then(TraceShared::new),
+        slots: RefCell::default(),
         seed,
         sched: RefCell::new(Sched {
             n,

@@ -7,6 +7,7 @@
 //! received-but-unmatched packets. Handles share the engine through an
 //! `Rc`, so none of them can leave the OS thread that runs the cluster.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -462,6 +463,29 @@ impl Node {
     /// Number of nodes in the cluster.
     pub fn nprocs(&self) -> usize {
         self.ep.nprocs()
+    }
+
+    /// The run's one host value of type `T`: the first call, from any
+    /// node, makes it with `init`; every node of this
+    /// [`crate::Cluster::run`] gets the same one after that, and it drops
+    /// with the cluster. It lives on the host, beside the simulated
+    /// machine, so it is held to one rule: a node may learn nothing from
+    /// it that it would not compute itself. Hold in it pure derivations
+    /// — functions of inputs fixed for the run, which every node would
+    /// reach alike — or entries that one node alone reads and writes;
+    /// a value that carried one node's state to another would be
+    /// communication no message paid for.
+    pub fn cluster_slot<T: Any>(&self, init: impl FnOnce() -> T) -> Rc<T> {
+        let slots = &self.engine().slots;
+        let found = slots
+            .borrow()
+            .iter()
+            .find_map(|s| Rc::clone(s).downcast().ok());
+        found.unwrap_or_else(|| {
+            let made = Rc::new(init());
+            slots.borrow_mut().push(Rc::clone(&made) as Rc<dyn Any>);
+            made
+        })
     }
 
     /// The application endpoint.

@@ -48,8 +48,14 @@
 //! loop table it is handed — a footprint's as its walk visits the
 //! touches, an inspector's from the schedule cache — as one stream that
 //! one builder turns into plans, in one [`Mode`] vocabulary, and keeps
-//! only what they came to: the plans it replays and the inspectors'
-//! schedules. Every description is fixed for the run, so a schedule is
+//! only what they came to: the plans it replays and which inspectors'
+//! schedules this node was charged for. The schedules themselves live
+//! once per cluster, in a table every node's engine shares: each share
+//! of an inspector loop is walked once on the host for all nodes, but a
+//! node's own share always by that node — the walk faults in the maps
+//! it reads, which a share served from the table would leave to the loop
+//! body — and every node is charged each share's walk as if it had
+//! walked it. Every description is fixed for the run, so a schedule is
 //! never dropped and a plan is built again only when its loop comes with
 //! another range (see "Hint plans" and "Dynamic descriptors" in the
 //! crate doc).
@@ -61,16 +67,34 @@ use std::rc::Rc;
 
 use cri::section::{for_each_overlap, merge_ranges, subtract};
 use cri::{Access, Consumer, Section};
+use inspector::Inspector;
 use treadmarks::{SharedArray, Tmk};
 
 use crate::footprint::meet;
-use crate::{described, prelude, walk, Description, Entry, Mode, Next, Touch};
+use crate::{described, prelude, walk, Description, Entry, Inspect, Mode, Next, Touch};
 
 /// Sorted, disjoint page runs.
 type Runs = Vec<Range<usize>>;
 
 /// Schedule-cache key: `(loop id, iters.start, iters.end, node)`.
 type ScheduleKey = (usize, usize, usize, usize);
+
+/// What one inspection came to: node `q`'s accesses, and how many
+/// indices the walk visited — what each node is charged for it.
+#[derive(PartialEq)]
+struct Schedule {
+    accesses: Vec<Access>,
+    visited: usize,
+}
+
+/// The cluster's schedules, a host slot every node of the run shares
+/// ([`sp2sim::Node::cluster_slot`]): each share an inspector describes,
+/// by run-time and [`ScheduleKey`], inspected once on the host. It holds
+/// pure derivations only: a schedule is a function of `(iters, q, np)`
+/// over maps published once, so a node served from it learns nothing
+/// its own walk would not produce.
+#[derive(Default)]
+struct Schedules(RefCell<HashMap<(usize, ScheduleKey), Rc<Schedule>>>);
 
 /// The words of a declared access.
 #[derive(Clone, Copy)]
@@ -368,9 +392,16 @@ struct Scratch {
 /// `loops`, in which it looks the loop up.
 pub(crate) struct HintEngine<'t, 'n> {
     tmk: &'t Tmk<'n>,
-    /// Schedule cache for inspectors:
-    /// `(loop id, iters.start, iters.end, node) -> evaluated accesses`.
-    schedules: RefCell<HashMap<ScheduleKey, Rc<Vec<Access>>>>,
+    /// Which run-time of the cluster's this engine serves: its loop ids
+    /// name loops of that run-time alone.
+    run_time: usize,
+    /// The shares this node has been charged for, each with its
+    /// schedule in the cluster's table.
+    charged: RefCell<HashMap<ScheduleKey, Rc<Schedule>>>,
+    /// The cluster's schedules.
+    schedules: Rc<Schedules>,
+    /// What counts the inspectors' walks on this node and charges them.
+    inspector: Inspector<'t>,
     /// The compiled plan of each loop id, for the range it last ran over.
     plans: RefCell<Vec<Plan>>,
     /// Inspector evaluations so far (hits and misses): a plan under
@@ -381,11 +412,16 @@ pub(crate) struct HintEngine<'t, 'n> {
 }
 
 impl<'t, 'n> HintEngine<'t, 'n> {
-    /// An engine with nothing cached.
-    pub(crate) fn new(tmk: &'t Tmk<'n>) -> HintEngine<'t, 'n> {
+    /// An engine with nothing cached, for run-time `run_time` of the
+    /// cluster: the same number on every node, and another for each
+    /// other run-time in the cluster.
+    pub(crate) fn new(tmk: &'t Tmk<'n>, run_time: usize) -> HintEngine<'t, 'n> {
         HintEngine {
             tmk,
-            schedules: RefCell::new(HashMap::new()),
+            run_time,
+            charged: RefCell::default(),
+            schedules: tmk.node().cluster_slot(Schedules::default),
+            inspector: Inspector::new(tmk.node()),
             plans: RefCell::new(Vec::new()),
             dyn_evals: Cell::new(0),
             scratch: RefCell::default(),
@@ -394,8 +430,8 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 
     /// Hand `with` the stream of node `q`'s accesses of loop `id` over
     /// `iters`: a footprint's off its walk ([`footprint_accesses`]), an
-    /// inspector's through the schedule cache, evaluated once however
-    /// often `with` reads the stream; none when the loop has no
+    /// inspector's through the schedule cache, charged to this node once
+    /// however often `with` reads the stream; none when the loop has no
     /// description.
     fn with_accesses<R>(
         &self,
@@ -414,31 +450,63 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         };
         self.dyn_evals.set(self.dyn_evals.get() + 1);
         let key = (id, iters.start, iters.end, q);
-        let hit = self.schedules.borrow().get(&key).cloned();
-        let accesses = match hit {
-            Some(hit) => {
+        let charged = self.charged.borrow().get(&key).cloned();
+        let schedule = match charged {
+            Some(schedule) => {
                 self.tmk.note_schedule_reuse(1);
-                hit
+                schedule
             }
             None => {
-                // Inspection: run the walk and charge it as inspector
-                // cost (the walk advances virtual time itself; the delta
-                // is the cost).
-                let _s = self
-                    .tmk
-                    .node()
-                    .trace_span(sp2sim::SpanKind::Inspect, id as u32);
-                let t0 = self.tmk.node().now().us();
-                let accesses = Rc::new(inspect(iters, q, np));
-                let us = self.tmk.node().now().us() - t0;
-                self.tmk.note_inspection(us);
-                self.schedules
-                    .borrow_mut()
-                    .insert(key, Rc::clone(&accesses));
-                accesses
+                // Inspection: the walk's indices charged as inspector
+                // cost, whether this node walked them or the cluster's
+                // table served them (with whatever a walk here faulted
+                // in, the delta is the cost).
+                let node = self.tmk.node();
+                let _s = node.trace_span(sp2sim::SpanKind::Inspect, id as u32);
+                let t0 = node.now().us();
+                let schedule = self.inspection(inspect, key, np);
+                self.inspector.charge(schedule.visited);
+                self.tmk.note_inspection(node.now().us() - t0);
+                self.charged.borrow_mut().insert(key, Rc::clone(&schedule));
+                schedule
             }
         };
-        with(&|visit| listed(&accesses, visit))
+        with(&|visit| listed(&schedule.accesses, visit))
+    }
+
+    /// Node `q`'s schedule of loop `id` over `iters` (`key`): a peer's
+    /// from the cluster's table once some node inspected it, walked here
+    /// otherwise. This node walks its own share itself — its walk is
+    /// where it faults in the maps it reads, and a share served from the
+    /// table would move that fault into the body. A walk of a share the table holds must come to the table's
+    /// schedule, or the inspector depends on the node that evaluates it.
+    fn inspection(&self, inspect: &Inspect<'t>, key: ScheduleKey, np: usize) -> Rc<Schedule> {
+        let (id, start, end, q) = key;
+        let (me, at) = (self.tmk.proc_id(), (self.run_time, key));
+        if q != me {
+            if let Some(held) = self.schedules.0.borrow().get(&at) {
+                return Rc::clone(held);
+            }
+        }
+        // The walk may fault a map in and switch fibers: the table is
+        // not borrowed across it.
+        let before = self.inspector.visited();
+        let accesses = inspect(&(start..end), q, np);
+        let visited = self.inspector.visited() - before;
+        let walked = Schedule { accesses, visited };
+        let mut schedules = self.schedules.0.borrow_mut();
+        if let Some(held) = schedules.get(&at) {
+            assert!(
+                **held == walked,
+                "loop {id}: its inspector gave node {q}'s share of {start}..{end} \
+                 on node {me} other than on the node that inspected it first: \
+                 an inspector is a pure function of (iters, q, np)"
+            );
+            return Rc::clone(held);
+        }
+        let walked = Rc::new(walked);
+        schedules.insert(at, Rc::clone(&walked));
+        walked
     }
 
     /// Replay one third of loop `id`'s plan over `iters` — `build`ing it
@@ -1061,7 +1129,7 @@ mod tests {
             };
             let out = Cluster::run(ClusterConfig::sp2(3), move |node| {
                 let tmk = Tmk::new(node, cfg);
-                let hints = HintEngine::new(&tmk);
+                let hints = HintEngine::new(&tmk, 0);
                 let arr = [tmk.malloc_f64(WORDS), tmk.malloc_f64(WORDS)];
                 // Loop 0: node q writes section q of array q % 2 for loop
                 // 1 and for node 0; loop 1: node q reads section 3 + q of
@@ -1306,9 +1374,9 @@ mod tests {
                 // Each plan built by an engine of its own, but the one
                 // refilled.
                 let fresh = |loops: &[Entry], id, iters: &Range<usize>| {
-                    plan_lists(&HintEngine::new(&tmk), loops, id, iters)
+                    plan_lists(&HintEngine::new(&tmk, 0), loops, id, iters)
                 };
-                let (refilled, mut ok) = (HintEngine::new(&tmk), true);
+                let (refilled, mut ok) = (HintEngine::new(&tmk, 0), true);
                 for id in 0..3 {
                     for iters in [0..1, 1..3] {
                         ok &= fresh(&loops, id, &iters) == fresh(&reference, id, &iters);
@@ -1364,7 +1432,7 @@ mod tests {
         let out = Cluster::run(ClusterConfig::sp2(3), |node| {
             let calls = Cell::new(0);
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 3);
             let loops = counted_pipeline(a, &calls, false);
             // One dispatch of loop 0: its own descriptor before and after
@@ -1402,7 +1470,7 @@ mod tests {
         let out = Cluster::run(ClusterConfig::sp2(3), |node| {
             let calls = Cell::new(0);
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 3);
             let loops = counted_pipeline(a, &calls, true);
             let mut seen = Vec::new();
@@ -1418,13 +1486,47 @@ mod tests {
             tmk.finish();
             seen
         });
-        for seen in &out.results {
+        for (q, seen) in out.results.iter().enumerate() {
             // First dispatches: loop 0 twice, loop 1 inspected for the two
             // peers (after loop 0) and for this node (before loop 1), then
             // found in the cache after loop 1. Later ones: the same four
-            // evaluations of loop 1, all hits, none of them made.
-            assert_eq!(seen[..], [(5, 3, 1), (5, 3, 5), (5, 3, 9)]);
+            // evaluations of loop 1, all hits, none of them made. Node 0,
+            // first under FIFO, walks the peers' shares; the others are
+            // served them from the cluster's table, and every node walks
+            // its own.
+            let calls = if q == 0 { 5 } else { 3 };
+            assert_eq!(seen[..], [(calls, 3, 1), (calls, 3, 5), (calls, 3, 9)]);
         }
+    }
+
+    /// An inspector whose accesses depend on the node that evaluates it,
+    /// not on the share it is asked for, is caught where a node walks its
+    /// own share after a peer walked it into the cluster's table: the
+    /// panic names the loop.
+    #[test]
+    #[should_panic(expected = "loop 0: its inspector gave node 1's share of 0..2 on node 1")]
+    fn an_inspector_that_depends_on_its_evaluating_node_panics() {
+        Cluster::run(ClusterConfig::sp2(2), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let hints = HintEngine::new(&tmk, 0);
+            let a = tmk.malloc_f64(512 * 2);
+            let me = tmk.proc_id();
+            // The evaluating node's page, whichever share is asked for,
+            // read next by the loop itself.
+            let loops = [inspected(move |iters, _, _| {
+                let mine = Section::range(me * 512..(me + 1) * 512);
+                vec![Access::write(a, mine).consumed_by_loop(0, iters.clone())]
+            })];
+            if me == 0 {
+                // Node 1's share, walked here for the push list.
+                hints.after_loop(&loops, 0, &(0..2));
+            }
+            tmk.barrier(0);
+            if me == 1 {
+                hints.before_loop(&loops, 0, &(0..2));
+            }
+            tmk.finish();
+        });
     }
 
     /// The HLRC "consumer is the home" filter is applied when a push
@@ -1435,7 +1537,7 @@ mod tests {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let calls = &Cell::new(0);
             let tmk = Tmk::new(node, TmkConfig::hlrc());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 2);
             let both = move |_: &Range<usize>, q: usize, _| {
                 calls.set(calls.get() + 1);
@@ -1471,7 +1573,7 @@ mod tests {
     fn before_loop_prevalidates_reads() {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 4);
             let all = move |_: &Range<usize>, me: usize, _| {
                 (me == 1).then(|| [Cols::new(a, 512).touch(0..4, Mode::Read)])
@@ -1508,7 +1610,7 @@ mod tests {
     fn after_loop_pushes_producer_consumer_overlap() {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 4);
             // Loop 0: node 0 writes the first two pages; loop 1: node 1
             // reads pages 1..3 — the overlap is exactly page 1.
@@ -1552,7 +1654,7 @@ mod tests {
     fn node_consumer_receives_everything() {
         let out = Cluster::run(ClusterConfig::sp2(3), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 3);
             // Each node writes its own page, destined for node 0.
             let own = move |_: &Range<usize>, me: usize, _| {
@@ -1595,7 +1697,7 @@ mod tests {
     fn planned_homes_make_the_producer_the_home() {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let a = tmk.malloc_f64(512 * 2);
             let at = Cols::new(a, 512);
             let writes = move |_: &Range<usize>, me: usize, _| {
@@ -1648,7 +1750,7 @@ mod tests {
     fn push_to_home_consumer_is_replaced_by_the_flush() {
         let out = Cluster::run(ClusterConfig::sp2(2), |node| {
             let tmk = Tmk::new(node, TmkConfig::hlrc());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             // Page 1 is homed at node 1. Pre-existing notices on both
             // pages: node 1 wrote them before the descriptors were ever
             // evaluated.
@@ -1698,7 +1800,7 @@ mod tests {
     fn loops_without_descriptors_are_untouched() {
         let out = Cluster::run(ClusterConfig::sp2(1), |node| {
             let tmk = Tmk::new(node, TmkConfig::default());
-            let hints = HintEngine::new(&tmk);
+            let hints = HintEngine::new(&tmk, 0);
             let loops: [Entry; 0] = [];
             assert!(described(&loops, 3).is_none());
             assert_eq!(hints.before_loop(&loops, 3, &(0..10)), 0);

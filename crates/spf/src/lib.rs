@@ -117,10 +117,26 @@
 //! walks the map for the words it touches. The map is published once
 //! and fixed for the run (a second `inspector::SharedMap::publish`
 //! panics), so every evaluation is memoized in a **schedule cache**
-//! keyed by `(loop, iteration range, node)`: the walk runs once per key,
-//! and every later evaluation — the executor path — is served from the
-//! cache at zero inspection cost. `DsmStats::inspections` counts the
-//! misses (the walk's virtual time in `inspect_us`),
+//! keyed by `(loop, iteration range, node)`, and each key is inspected
+//! once **per cluster** on the host: a node that needs a peer's share
+//! (its push list reads every consumer's) takes it from the cluster's
+//! table of schedules (a host slot all nodes of the run share,
+//! `sp2sim::Node::cluster_slot`) once a node walked it, and walks it
+//! only when none has. The table holds pure derivations alone, so a node
+//! learns nothing from it that its own walk would not produce. Every
+//! node is still **charged** for every key, once, as if it had walked
+//! it: the walk counts the indices it visits (`inspector::Inspector`),
+//! and the run-time advances the node's clock by the same
+//! `INSPECT_ENTRY_US` each on the node that walked and on every node the
+//! table serves. A node walks its **own** share itself: that walk is
+//! where it faults in the maps it reads, and a share served from the
+//! table would move the fault into the loop body, after the validate,
+//! and change what the run simulates. A walk of a share the table
+//! already holds must come to the same schedule; one that does not
+//! panics, naming the loop — an inspector that depends on the node
+//! evaluating it. Every later evaluation — the executor path — is served
+//! from the cache at zero inspection cost. `DsmStats::inspections`
+//! counts the charged keys (their walks' virtual time in `inspect_us`),
 //! `DsmStats::schedule_reuse` the hits, one by one or by the plan replay
 //! that stands for them.
 //!
@@ -241,7 +257,7 @@ pub mod footprint;
 mod hints;
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
 use cri::section::{contains, for_each_difference, for_each_overlap, insert};
@@ -516,8 +532,9 @@ struct LoopTable<'t> {
     loops: RefCell<Vec<Entry<'t>>>,
     /// [`Spf::run`] began: the descriptions are fixed.
     fixed: Cell<bool>,
-    /// Privatization: each counted page's owner, `None` when shared.
-    touched: RefCell<HashMap<usize, Option<usize>>>,
+    /// Privatization, by page: a counted page's owner, `Some(None)` when
+    /// shared; `None` for a page not counted.
+    touched: RefCell<Vec<Option<Option<usize>>>>,
     /// Privatization: the loops, over their ranges, it counted.
     counted: RefCell<HashSet<LoopKey>>,
     /// Privatization met an opaque loop: every page stays shared.
@@ -885,7 +902,8 @@ impl<'t, 'n> Spf<'t, 'n> {
         let ctl_args = tmk.malloc_f64(64);
         Spf {
             tmk,
-            hints: HintEngine::new(tmk),
+            // A run-time's first allocation names it across the cluster.
+            hints: HintEngine::new(tmk, ctl_idx.first_page()),
             table: LoopTable::default(),
             used: RefCell::default(),
             walks: RefCell::new(Walks {
@@ -1074,10 +1092,13 @@ impl<'t, 'n> Spf<'t, 'n> {
             }
             let mut count = |(node, _, t, _): Words| {
                 for p in t.runs().flat_map(|r| tmk.page_span(t.at.arr, &r)) {
-                    let was = touched.get(&p).copied();
+                    if touched.len() <= p {
+                        touched.resize(p + 1, None);
+                    }
+                    let was = touched[p];
                     let own = (node != 0 && was.is_none_or(|t| t == Some(node))).then_some(node);
                     if was != Some(own) {
-                        touched.insert(p, own);
+                        touched[p] = Some(own);
                         changed.push(p);
                     }
                 }
@@ -1087,11 +1108,11 @@ impl<'t, 'n> Spf<'t, 'n> {
         // Only when this call met the first opaque loop: every page goes
         // shared, once.
         if table.stopped.get() {
-            for (&p, t) in touched.iter_mut() {
-                changed.extend(t.take().map(|_| p));
+            for (p, t) in touched.iter_mut().enumerate() {
+                changed.extend(t.as_mut().and_then(Option::take).map(|_| p));
             }
         }
-        let changes: Vec<_> = changed.iter().map(|&p| (p, touched[&p])).collect();
+        let changes: Vec<_> = changed.iter().map(|&p| (p, touched[p].flatten())).collect();
         tmk.privatize(&changes);
     }
 
@@ -1511,13 +1532,83 @@ mod tests {
                 m.par_loops(&[over(a), over(b)]);
                 let sum = m.tmk().read(at.arr, 0..3 * 512).slice().iter().sum::<f64>();
                 let touched = m.spf().table.touched.borrow();
-                let owner = |j| touched.get(&(at.arr.first_page() + j)).copied().flatten();
+                let owner = |j| {
+                    touched
+                        .get(at.arr.first_page() + j)
+                        .copied()
+                        .flatten()
+                        .flatten()
+                };
                 (forks() - before, sum, (0..3).map(owner).collect())
             });
             tmk.finish();
             r
         });
         out.results[0].clone().expect("the master's")
+    }
+
+    /// An IGrid-shaped pair of inspector loops on 8 nodes — each walks
+    /// a map for its block's reads of one array and writes its block of
+    /// the other, which the other loop reads next — walks each `(loop,
+    /// range)` at most `2·np` times on the host, not `np²`: a share once
+    /// for the cluster's table, and once more by its own node. Every node
+    /// is still charged for every share it reads: the same inspections
+    /// and walk time on each, as if it had walked them all.
+    #[test]
+    fn each_share_is_walked_once_per_cluster_and_charged_on_every_node() {
+        const NP: usize = 8;
+        let len = 512 * NP;
+        let walks = Cell::new([0usize; 2]);
+        let out = Cluster::run(ClusterConfig::sp2(NP), |node| {
+            let tmk = Tmk::new(node, TmkConfig::default());
+            let insp = inspector::Inspector::new(node);
+            let map: Vec<usize> = (0..len).map(|i| i * 7 % len).collect();
+            let spf = Spf::new(&tmk);
+            let arrs = [tmk.malloc_f64(len), tmk.malloc_f64(len)];
+            let (me, tmk) = (tmk.proc_id(), &tmk);
+            let body = |k: usize| {
+                move |ctl: &LoopCtl| {
+                    let block = ctl.my_block(me, NP);
+                    tmk.write(arrs[1 - k], block).slice_mut().fill(k as f64);
+                }
+            };
+            let l = [spf.register(body(0)), spf.register(body(1))];
+            for k in 0..2 {
+                let (walks, insp, map) = (&walks, &insp, &map);
+                spf.describe_inspector(l[k], move |iters, q, np| {
+                    let mut walked = walks.get();
+                    walked[k] += 1;
+                    walks.set(walked);
+                    let block = block_range(q, np, iters.clone());
+                    let reads = insp.gather(block.clone().map(|i| map[i]));
+                    let next = l[1 - k];
+                    vec![
+                        Access::read(arrs[k], reads),
+                        Access::write(arrs[1 - k], cri::Section::range(block))
+                            .consumed_by_loop(next, 0..len),
+                    ]
+                });
+            }
+            spf.run(|m| {
+                for _ in 0..2 {
+                    m.par_loop(l[0], 0..len, Schedule::Block, &[]);
+                    m.par_loop(l[1], 0..len, Schedule::Block, &[]);
+                }
+            });
+            let s = tmk.finish();
+            (s.inspections, s.inspect_us, s.schedule_reuse)
+        });
+        for (k, walked) in walks.get().into_iter().enumerate() {
+            assert!((NP..=2 * NP).contains(&walked), "loop {k}: {walked} walks");
+        }
+        // Every node reads every share of both loops, 512 indices each.
+        let share_us = (512.0 * inspector::INSPECT_ENTRY_US).ceil() as u64;
+        for (q, &(inspections, inspect_us, reuse)) in out.results.iter().enumerate() {
+            assert_eq!(inspections, 2 * NP as u64, "node {q}");
+            assert_eq!(inspect_us, 2 * NP as u64 * share_us, "node {q}");
+            assert_eq!(reuse, out.results[0].2, "node {q}");
+            assert!(reuse > 0, "node {q}");
+        }
     }
 
     #[test]
@@ -2673,7 +2764,7 @@ mod tests {
                 m.par_loop(body, 0..4, Schedule::Block, &[]);
                 m.par_loop(next, 0..4, Schedule::Block, &[]);
                 let touched = m.spf().table.touched.borrow();
-                let owner = |page| touched.get(&page).copied().flatten();
+                let owner = |page| touched.get(page).copied().flatten().flatten();
                 arrays
                     .map(|a| (0..4).map(|j| owner(a.arr.first_page() + j)).collect())
                     .to_vec()
