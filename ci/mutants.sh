@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The historic protocol bugs as mutants, fifteen in all: each patch under
+# The historic protocol bugs as mutants, sixteen in all: each patch under
 # ci/mutants/ re-breaks one fix (the stale twin, the publish window, the
 # lock send order, and the three rules that order LRC's diffs: a range
 # stamped at its last interval, an open range that spans a foreign
@@ -9,11 +9,12 @@
 # counts, a chained body started before its link push), one declaration
 # (a write-all touch whose body reads first), one of three derivations
 # (dispatch fusion across a write-after-read, privatization that counts
-# no read, a closed-form meet of touches that ignores a cyclic residue)
-# or the rule that a node walks its own share of an inspector loop (one
+# no read, a closed-form meet of touches that ignores a cyclic residue),
+# the rule that a node walks its own share of an inspector loop (one
 # served from the cluster's table moves IGrid's first map fault out of
 # the inspection and into the body, and the hinted golden cells with it)
-# in a scratch copy of the tree, and
+# or the page table's refill after a merge (the absorbed extents' pages
+# left naming their old slots) in a scratch copy of the tree, and
 # the schedule-exploration suite, in release at CI's seed budget, must
 # fail on it and name the seed that did it — or the FIFO schedule,
 # `sequential`, which a run without `--engine` replays. A patch whose
@@ -21,7 +22,9 @@
 # held to that suite instead, on the same terms (the write-all,
 # privatization, early-push and residue mutants' turn debug assertions
 # on, which their checks need); a golden suite, which runs the FIFO
-# schedule alone, names the recorded cell that moved instead. A
+# schedule alone, names the recorded cell that moved instead, and a
+# unit property test, which runs no schedule, the step of its random
+# program (`at step N of [...]`). A
 # mutant that survives means the explorer lacks a preemption point or an
 # input; a patch that no longer applies means the code it re-breaks
 # moved — both fail this script.
@@ -62,8 +65,8 @@ for patch in ci/mutants/*.patch; do
     else
         # The lines that name a cell and a schedule: an assertion of the
         # suite, or an engine diagnostic it re-raised with the cell; or
-        # a golden cell that moved.
-        where=$(grep -E 'seeded:[0-9]+|on sequential|^cell [0-9]+ \(' <<<"$out" | grep -v '^simulated cluster' |
+        # a golden cell that moved; or a property test's program step.
+        where=$(grep -E 'seeded:[0-9]+|on sequential|^cell [0-9]+ \(| at step [0-9]+ of ' <<<"$out" | grep -v '^simulated cluster' |
             cut -c1-150 | sort -u | head -n 4 || true)
         if [ -z "$where" ]; then
             printf '%s\n' "$out" | tail -n 40

@@ -22,6 +22,7 @@
 
 use std::cell::{OnceCell, RefCell};
 use std::ops::{Deref, DerefMut, Range};
+use std::rc::Rc;
 
 use cri::{Access, Section};
 use inspector::{Inspector, SharedMap};
@@ -131,6 +132,18 @@ fn split_map(map: &[u32], n: usize) -> (Vec<u32>, Vec<u32>) {
     let mapx: Vec<u32> = map.iter().map(|&k| k % n as u32).collect();
     let mapy: Vec<u32> = map.iter().map(|&k| k / n as u32).collect();
     (mapx, mapy)
+}
+
+/// The split map of a cluster run, `(mapx, mapy)`: a pure function of
+/// `n` that every node computing it locally would reach alike, so the
+/// host builds it once and hands every node the same one.
+struct Maps(Vec<u32>, Vec<u32>);
+
+fn replicated_maps(node: &Node, n: usize) -> Rc<Maps> {
+    node.cluster_slot(|| {
+        let (mapx, mapy) = split_map(&build_map(n), n);
+        Maps(mapx, mapy)
+    })
 }
 
 /// Min/max/sum over the centre square of the final grid.
@@ -267,7 +280,8 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let arrs = [tmk.malloc_f64(n * n), tmk.malloc_f64(n * n)];
     // The map is established at run time; each node computes it locally
     // (hand coders know it is replicable).
-    let (mapx, mapy) = split_map(&build_map(n), n);
+    let maps = replicated_maps(node, n);
+    let (mapx, mapy) = (&maps.0[..], &maps.1[..]);
     if me == 0 {
         for arr in arrs {
             let full = init_full(n);
@@ -280,7 +294,7 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let jr = block_range(me, np, 1..n - 1);
     let one = |src_arr: SharedArray, dst_arr: SharedArray| {
         if !jr.is_empty() {
-            dsm_step(&tmk, (src_arr, dst_arr), (&mapx, &mapy), n, &jr);
+            dsm_step(&tmk, (src_arr, dst_arr), (mapx, mapy), n, &jr);
             charge_step(node, jr.len(), n);
         }
         tmk.barrier(1);
@@ -573,7 +587,8 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let np = node.nprocs();
     let comm = Comm::new(node);
     let x = Xhpf::new(&comm);
-    let (mapx, mapy) = split_map(&build_map(n), n);
+    let maps = replicated_maps(node, n);
+    let (mapx, mapy) = (&maps.0[..], &maps.1[..]);
 
     // XHPF keeps full copies (it broadcasts whole partitions anyway);
     // the hand-coded version keeps a block with ghost columns.
@@ -601,7 +616,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             // whole partition to everyone (the unknown-pattern fallback).
             if !jr.is_empty() {
                 let mut part = Slab::over(n, rc.start, blk.readable_mut());
-                step(src_full, &mapx, &mapy, &mut part, n, jr.clone());
+                step(src_full, mapx, mapy, &mut part, n, jr.clone());
                 charge_step(node, jr.len(), n);
             }
             x.broadcast_partition(blk, &mut dst_full.data);
@@ -614,7 +629,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             x.exchange_ghost(blk, false);
             if !jr.is_empty() {
                 let src = Slab::over(n, rc.start, blk.readable());
-                step(&src, &mapx, &mapy, &mut out, n, jr.clone());
+                step(&src, mapx, mapy, &mut out, n, jr.clone());
                 charge_step(node, jr.len(), n);
                 Slab::over(n, rc.start, blk.readable_mut()).copy_block_from(
                     &out,

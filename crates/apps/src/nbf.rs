@@ -24,6 +24,7 @@
 //!   aggregated messages.
 
 use std::ops::{DerefMut, Range};
+use std::rc::Rc;
 
 use cri::{Access, Section};
 use inspector::Inspector;
@@ -102,13 +103,26 @@ fn build_partners(p: &Params) -> Vec<u32> {
     out
 }
 
-/// Initial coordinates: a jittered lattice.
+/// The partner lists of a cluster run: a pure function of the
+/// parameters that every node building them would reach alike, so the
+/// host builds them once and hands every node the same ones.
+struct Partners(Vec<u32>);
+
+fn replicated_partners(node: &Node, p: &Params) -> Rc<Partners> {
+    node.cluster_slot(|| Partners(build_partners(p)))
+}
+
+/// Initial coordinate of molecule `i` on `axis`: a jittered lattice.
+fn coord(axis: usize, i: usize) -> f64 {
+    i as f64 * 0.7 + hash01(0xC0FFEE + axis as u64, i as u64)
+}
+
+/// Every molecule's initial coordinates.
 fn init_coords(m: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let f = |axis: u64, i: usize| i as f64 * 0.7 + hash01(0xC0FFEE + axis, i as u64);
     (
-        (0..m).map(|i| f(0, i)).collect(),
-        (0..m).map(|i| f(1, i)).collect(),
-        (0..m).map(|i| f(2, i)).collect(),
+        (0..m).map(|i| coord(0, i)).collect(),
+        (0..m).map(|i| coord(1, i)).collect(),
+        (0..m).map(|i| coord(2, i)).collect(),
     )
 }
 
@@ -376,14 +390,11 @@ impl DsmIter<'_> {
         if self.block.is_empty() {
             return;
         }
-        let (x0, y0, z0) = init_coords(self.p.m);
-        for (t, src) in coord_block(sh, &self.block, Write)
-            .iter()
-            .zip([&x0, &y0, &z0])
-        {
-            t.write(tmk)
-                .slice_mut()
-                .copy_from_slice(&src[t.cols.clone()]);
+        for (axis, t) in coord_block(sh, &self.block, Write).iter().enumerate() {
+            let mut w = t.write(tmk);
+            for (v, i) in w.slice_mut().iter_mut().zip(t.cols.clone()) {
+                *v = coord(axis, i);
+            }
         }
     }
 }
@@ -406,9 +417,9 @@ fn tmk_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
     let np = node.nprocs();
     let tmk = Tmk::new(node, *cfg);
     let sh = SharedNbf::alloc(&tmk, p.m, np);
-    let partners = build_partners(p);
+    let partners = replicated_partners(node, p);
     // Each processor initializes its own coordinate block.
-    let it = DsmIter::new(p, &partners, me, np);
+    let it = DsmIter::new(p, &partners.0, me, np);
     it.init(&tmk, &sh);
     tmk.barrier(0);
     let m = meter_start(node);
@@ -446,8 +457,8 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
     let insp = Inspector::new(node);
     let tmk = Tmk::new(node, *cfg);
     let sh = SharedNbf::alloc(&tmk, p.m, np);
-    let partners = build_partners(p);
-    let it = DsmIter::new(p, &partners, me, np);
+    let partners = replicated_partners(node, p);
+    let it = DsmIter::new(p, &partners.0, me, np);
     let spf = Spf::new(&tmk);
 
     let (l_start, l_stop) = meter.register(&spf);
@@ -490,7 +501,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         spf.describe(l_init, coords(Write), to_force);
         spf.describe(l_merge, merge, to_force);
         spf.describe_inspector(l_force, {
-            let (partners, insp) = (&partners, &insp);
+            let (partners, insp) = (&partners.0, &insp);
             let k = p.k;
             move |iters: &Range<usize>, q: usize, nprocs: usize| {
                 let block = block_range(q, nprocs, iters.clone());
@@ -537,7 +548,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
     let np = node.nprocs();
     let comm = Comm::new(node);
     let x = Xhpf::new(&comm);
-    let partners = build_partners(p);
+    let partners = replicated_partners(node, p);
     let block = block_range(me, np, 0..p.m);
     let span = buf_span(&block, p.w, p.m);
     // Coordinates: kept for the span we read (hand) or fully replicated
@@ -569,7 +580,7 @@ fn mp_node(node: &Node, p: &Params, xhpf_mode: bool) -> NodeOut {
             let (by, bz) = byz.split_at_mut(span.len());
             force_kernel(
                 block.clone(),
-                &partners,
+                &partners.0,
                 p.k,
                 &cx[span.clone()],
                 &cy[span.clone()],

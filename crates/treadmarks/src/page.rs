@@ -1,14 +1,17 @@
 //! Pages, extent-backed page frames, and the in-place views over them.
 //!
 //! A node's cached pages live in **extents**: contiguous runs of page
-//! frames backed by one allocation each, kept in a table sorted by first
-//! page ([`FrameStore`]). Touching a single page no extent covers (a push
-//! receipt, a validate, a broadcast, an HLRC fetch install) creates a
-//! one-page extent. Opening a view over pages `p0..=p1` needs one extent
-//! covering them all: every extent the range intersects is replaced by
-//! one extent over their hull, words and bookkeeping carried over, gaps
-//! left as the zero page. Access ranges repeat from epoch to epoch, so
-//! merging stops after the first one and memory stays touched-pages-only.
+//! frames backed by one allocation each, held in a slab and found
+//! through a page table — one entry per page, naming the slot of the
+//! extent that holds it ([`FrameStore`]) — so finding a page's frame is
+//! an index, never a search. Touching a single page no extent covers (a
+//! push receipt, a validate, a broadcast, an HLRC fetch install) creates
+//! a one-page extent. Opening a view over pages `p0..=p1` needs one
+//! extent covering them all: every extent the range intersects is
+//! replaced by one extent over their hull, words and bookkeeping carried
+//! over, gaps left as the zero page. Access ranges repeat from epoch to
+//! epoch, so merging stops after the first one and memory stays
+//! touched-pages-only.
 //!
 //! [`ReadView`] and [`WriteView`] are **windows**, not snapshots: they
 //! point at the words where they live, a store through a `WriteView`
@@ -255,13 +258,20 @@ struct OpenView {
     write: bool,
 }
 
-/// A node's page frames: the sorted extent table plus the registry of
-/// open views (see the module docs for the invariants it enforces).
+/// A node's page frames: the extents, the page table that finds them,
+/// and the registry of open views (see the module docs for the
+/// invariants it enforces).
 pub struct FrameStore {
     page_words: usize,
     nprocs: usize,
-    /// Disjoint, ascending by `first_page`.
-    extents: Vec<Extent>,
+    /// A slab of disjoint extents in no particular order: a merge
+    /// empties the slots of the extents it replaces, and `free` lists
+    /// them for the next extent.
+    extents: Vec<Option<Extent>>,
+    free: Vec<usize>,
+    /// Page → slot + 1 of the extent holding it, 0 when it has no frame;
+    /// as long as the highest page this node has a frame for.
+    table: Vec<u32>,
     views: Vec<OpenView>,
     next_view: u64,
 }
@@ -273,6 +283,8 @@ impl FrameStore {
             page_words,
             nprocs,
             extents: Vec::new(),
+            free: Vec::new(),
+            table: Vec::new(),
             views: Vec::new(),
             next_view: 1,
         }
@@ -280,36 +292,96 @@ impl FrameStore {
 
     /// True when no page has a frame.
     pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
+        self.extents.len() == self.free.len()
+    }
+
+    #[cfg(test)]
+    fn live(&self) -> impl Iterator<Item = &Extent> {
+        self.extents.iter().flatten()
     }
 
     #[cfg(test)]
     fn extent_count(&self) -> usize {
-        self.extents.len()
+        self.live().count()
     }
 
     #[cfg(test)]
     fn resident_pages(&self) -> usize {
-        self.extents.iter().map(|e| e.meta.len()).sum()
+        self.live().map(|e| e.meta.len()).sum()
     }
 
-    /// Where `page` lives — `Ok((extent index, page index in it))` — or
-    /// where in the table a new extent for it belongs.
-    fn locate(&self, page: PageId) -> Result<(usize, usize), usize> {
-        let i = self.extents.partition_point(|e| e.first_page <= page);
-        match i.checked_sub(1).map(|prev| (prev, &self.extents[prev])) {
-            Some((prev, e)) if page < e.end_page() => Ok((prev, page - e.first_page)),
-            _ => Err(i),
+    /// The live extent in `slot`.
+    fn extent(&self, slot: usize) -> &Extent {
+        self.extents[slot]
+            .as_ref()
+            .expect("the page table names live extents")
+    }
+
+    fn extent_mut(&mut self, slot: usize) -> &mut Extent {
+        self.extents[slot]
+            .as_mut()
+            .expect("the page table names live extents")
+    }
+
+    /// The slot of the extent holding `page`, if it has a frame.
+    fn slot_of(&self, page: PageId) -> Option<usize> {
+        let entry = *self.table.get(page)?;
+        entry.checked_sub(1).map(|slot| slot as usize)
+    }
+
+    /// Where `page` lives: its extent's slot and its index in it.
+    fn locate(&self, page: PageId) -> Option<(usize, usize)> {
+        let slot = self.slot_of(page)?;
+        Some((slot, page - self.extent(slot).first_page))
+    }
+
+    /// Put `e` in a free slot and point its pages' table entries at it.
+    fn install(&mut self, e: Extent) -> usize {
+        let (first, end) = (e.first_page, e.end_page());
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.extents[slot] = Some(e);
+                slot
+            }
+            None => {
+                self.extents.push(Some(e));
+                self.extents.len() - 1
+            }
+        };
+        if self.table.len() < end {
+            self.table.resize(end, 0);
         }
+        let entry = u32::try_from(slot + 1).expect("fewer than 2^32 extents");
+        self.table[first..end].fill(entry);
+        slot
     }
 
     /// Like [`FrameStore::locate`], creating a one-page extent when no
     /// extent holds `page`. Never moves an existing extent.
     fn find_or_create(&mut self, page: PageId) -> (usize, usize) {
-        self.locate(page).unwrap_or_else(|at| {
-            self.extents
-                .insert(at, Extent::new(page, 1, self.page_words, self.nprocs));
-            (at, 0)
+        self.locate(page).unwrap_or_else(|| {
+            let e = Extent::new(page, 1, self.page_words, self.nprocs);
+            (self.install(e), 0)
+        })
+    }
+
+    /// The slots of the extents that hold a page of `p0..=p1`, ascending
+    /// by page: the scan reads each gap page's entry and one entry per
+    /// extent, skipping the rest of its pages.
+    fn intersecting(&self, p0: PageId, p1: PageId) -> impl Iterator<Item = usize> + '_ {
+        let end = (p1 + 1).min(self.table.len());
+        let mut page = p0;
+        std::iter::from_fn(move || {
+            while page < end {
+                match self.slot_of(page) {
+                    Some(slot) => {
+                        page = self.extent(slot).end_page();
+                        return Some(slot);
+                    }
+                    None => page += 1,
+                }
+            }
+            None
         })
     }
 
@@ -323,8 +395,8 @@ impl FrameStore {
 
     /// The words of `page`, if it has a frame.
     pub fn data(&self, page: PageId) -> Option<&[u64]> {
-        let (i, k) = self.locate(page).ok()?;
-        let e = &self.extents[i];
+        let (i, k) = self.locate(page)?;
+        let e = self.extent(i);
         // SAFETY: `k` is a page index inside the extent, so the range is
         // inside its live allocation, and the borrow of `self` keeps the
         // extent from being replaced. Nothing writes these words while
@@ -339,8 +411,8 @@ impl FrameStore {
 
     /// The per-writer applied watermarks of `page`, if it has a frame.
     pub fn applied(&self, page: PageId) -> Option<&[u32]> {
-        let (i, k) = self.locate(page).ok()?;
-        Some(&self.extents[i].applied[k * self.nprocs..(k + 1) * self.nprocs])
+        let (i, k) = self.locate(page)?;
+        Some(&self.extent(i).applied[k * self.nprocs..(k + 1) * self.nprocs])
     }
 
     /// Do `watermarks` dominate the applied watermarks of `page`
@@ -353,15 +425,15 @@ impl FrameStore {
 
     /// Twin, published image and dirty flag of `page`, if it has a frame.
     pub(crate) fn meta(&self, page: PageId) -> Option<&PageMeta> {
-        let (i, k) = self.locate(page).ok()?;
-        Some(&self.extents[i].meta[k])
+        let (i, k) = self.locate(page)?;
+        Some(&self.extent(i).meta[k])
     }
 
     /// Mutable twin and published image of `page` — no access to its
     /// words, so the service loop may use it at any time.
     pub fn meta_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
-        let (i, k) = self.locate(page).ok()?;
-        Some(&mut self.extents[i].meta[k])
+        let (i, k) = self.locate(page)?;
+        Some(&mut self.extent_mut(i).meta[k])
     }
 
     /// Write-enable `page`, which must have a frame, at a write fault:
@@ -385,7 +457,7 @@ impl FrameStore {
         copy: impl FnOnce(&[u64]) -> Vec<u64>,
     ) -> bool {
         let (i, k) = self.locate(page).expect("a write fault covers its pages");
-        let meta = &self.extents[i].meta[k];
+        let meta = &self.extent(i).meta[k];
         let twinned = meta.twin.is_some();
         if twinned && !(diff_open && meta.published.is_none()) {
             return false;
@@ -397,7 +469,7 @@ impl FrameStore {
             );
         }
         let pw = self.page_words;
-        let e = &mut self.extents[i];
+        let e = self.extent_mut(i);
         // SAFETY: in bounds and kept alive as in `data`. Read views may
         // cover words of this page — shared with shared is fine; no
         // write view does (checked above), so no `&mut [f64]` over these
@@ -427,7 +499,7 @@ impl FrameStore {
         }
         let (i, k) = self.find_or_create(page);
         let (pw, n) = (self.page_words, self.nprocs);
-        let e = &mut self.extents[i];
+        let e = self.extent_mut(i);
         // SAFETY: in bounds and kept alive as in `data`; `&mut self` rules
         // out every other protocol borrow, and the check above rules out
         // a view over any word of this page, so the slice is exclusive.
@@ -440,25 +512,26 @@ impl FrameStore {
     }
 
     /// Make one extent cover pages `p0..=p1`, merging every extent the
-    /// range intersects into a new one over their hull (gaps zero).
+    /// range intersects into a new one over their hull (gaps zero), whose
+    /// slot the table then names for every page of the hull. A range one
+    /// extent holds already costs one table entry.
     ///
     /// # Panics
     /// When an extent that would be replaced is pinned by an open view
     /// (invariant 1).
     pub fn cover(&mut self, p0: PageId, p1: PageId) {
-        let lo = self.extents.partition_point(|e| e.end_page() <= p0);
-        let hi = self.extents.partition_point(|e| e.first_page <= p1);
-        let (mut first, mut end) = (p0, p1 + 1);
-        if lo < hi {
-            let (head, tail) = (&self.extents[lo], &self.extents[hi - 1]);
-            if lo + 1 == hi && head.first_page <= p0 && p1 < head.end_page() {
-                return;
-            }
-            first = first.min(head.first_page);
-            end = end.max(tail.end_page());
+        if self
+            .slot_of(p0)
+            .is_some_and(|slot| p1 < self.extent(slot).end_page())
+        {
+            return;
         }
+        let (mut first, mut end) = (p0, p1 + 1);
         let pw = self.page_words;
-        for e in &self.extents[lo..hi] {
+        for slot in self.intersecting(p0, p1) {
+            let e = self.extent(slot);
+            first = first.min(e.first_page);
+            end = end.max(e.end_page());
             let pinned = self
                 .views
                 .iter()
@@ -476,10 +549,17 @@ impl FrameStore {
             }
         }
         let mut merged = Extent::new(first, end - first, pw, self.nprocs);
-        for old in self.extents.drain(lo..hi) {
+        let mut page = first;
+        loop {
+            let Some(slot) = self.intersecting(page, end - 1).next() else {
+                break;
+            };
+            let old = self.extents[slot].take().expect("a live extent");
+            self.free.push(slot);
+            page = old.end_page();
             merged.absorb(old, pw, self.nprocs);
         }
-        self.extents.insert(lo, merged);
+        self.install(merged);
     }
 
     /// Register a view over global words `wlo..whi` (non-empty, inside
@@ -508,7 +588,7 @@ impl FrameStore {
         let (i, _) = self
             .locate(wlo / pw)
             .expect("cover() ran before the view is opened");
-        let e = &self.extents[i];
+        let e = self.extent(i);
         let off = wlo - e.first_page * pw;
         assert!(
             off + (whi - wlo) <= e.len,
@@ -685,6 +765,11 @@ mod tests {
     use super::*;
     use crate::diff::Diff;
 
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::ops::Range;
+    use std::panic::AssertUnwindSafe;
+
     const PW: usize = 8;
 
     fn store() -> FrameStore {
@@ -731,8 +816,10 @@ mod tests {
             s.frame_mut(p).data[0] = p as u64;
         }
         assert_eq!(s.extent_count(), 3);
-        let firsts: Vec<_> = s.extents.iter().map(|e| e.first_page).collect();
-        assert_eq!(firsts, vec![3, 6, 9]);
+        // Slab order is not page order: compare the pages as a set.
+        let mut pages: Vec<_> = s.live().map(|e| (e.first_page, e.end_page())).collect();
+        pages.sort_unstable();
+        assert_eq!(pages, vec![(3, 4), (6, 7), (9, 10)]);
         assert_eq!(s.data(6).unwrap()[0], 6);
     }
 
@@ -770,9 +857,10 @@ mod tests {
         }
         assert_eq!(s.data(9).unwrap()[0], 90);
         // Covered already: nothing moves.
-        let before = s.extents[0].words;
+        let words = |s: &FrameStore| s.extent(s.locate(2).unwrap().0).words;
+        let before = words(&s);
         s.cover(2, 6);
-        assert_eq!(s.extents[0].words, before);
+        assert_eq!(words(&s), before);
         // Frames re-point into the merged extent: a store through one page
         // handle is visible through the extent-wide view pointer.
         s.frame_mut(4).data[0] = 44;
@@ -867,5 +955,234 @@ mod tests {
         s.cover(0, 2);
         s.open_view(PW + 2, PW + 3, false);
         s.frame_mut(1);
+    }
+
+    /// One page as the model holds it.
+    struct ModelPage {
+        words: Vec<u64>,
+        applied: Vec<u32>,
+        twin: Option<Vec<u64>>,
+    }
+
+    /// What a [`FrameStore`] must hold, kept the simple way: each page's
+    /// words, watermarks and twin; the extents as sorted page ranges,
+    /// merged by the rule `cover` replaced a sorted table with; the open
+    /// views.
+    #[derive(Default)]
+    struct Model {
+        pages: BTreeMap<PageId, ModelPage>,
+        extents: Vec<Range<PageId>>,
+        /// `(id, wlo, whi, write)` of each open view.
+        views: Vec<(u64, usize, usize, bool)>,
+    }
+
+    impl Model {
+        fn page(&mut self, p: PageId) -> &mut ModelPage {
+            self.pages.entry(p).or_insert_with(|| ModelPage {
+                words: vec![0; PW],
+                applied: vec![0; 2],
+                twin: None,
+            })
+        }
+
+        fn under_a_view(&self, p: PageId) -> bool {
+            self.views
+                .iter()
+                .any(|&(_, lo, hi, _)| lo / PW <= p && p <= (hi - 1) / PW)
+        }
+
+        /// A frame for page `p`: a one-page extent if none holds it.
+        fn touch(&mut self, p: PageId) {
+            if !self.extents.iter().any(|e| e.contains(&p)) {
+                let at = self.extents.partition_point(|e| e.start < p);
+                self.extents.insert(at, p..p + 1);
+                self.page(p);
+            }
+        }
+
+        /// What `cover(p0, p1)` does: `Ok(true)` if one extent holds the
+        /// range already, `Err(())` if the merge would move a pinned
+        /// extent; else merge (gaps zero) and `Ok(false)`.
+        fn cover(&mut self, p0: PageId, p1: PageId) -> Result<bool, ()> {
+            if self.extents.iter().any(|e| e.start <= p0 && p1 < e.end) {
+                return Ok(true);
+            }
+            let (hit, keep): (Vec<_>, Vec<_>) = self
+                .extents
+                .drain(..)
+                .partition(|e| e.start <= p1 && p0 < e.end);
+            let pinned = hit
+                .iter()
+                .any(|e| (e.start..e.end).any(|p| self.under_a_view(p)));
+            if pinned {
+                self.extents = keep.into_iter().chain(hit).collect();
+                self.extents.sort_by_key(|e| e.start);
+                return Err(());
+            }
+            let first = hit.iter().map(|e| e.start).fold(p0, PageId::min);
+            let end = hit.iter().map(|e| e.end).fold(p1 + 1, PageId::max);
+            for p in first..end {
+                self.page(p);
+            }
+            self.extents = keep;
+            let at = self.extents.partition_point(|e| e.start < first);
+            self.extents.insert(at, first..end);
+            Ok(false)
+        }
+    }
+
+    /// The store against the model after one step (`at` names it).
+    fn check(s: &FrameStore, m: &Model, at: &str) {
+        for (p, &entry) in s.table.iter().enumerate() {
+            let Some(slot) = entry.checked_sub(1) else {
+                continue;
+            };
+            let e = s.extents[slot as usize].as_ref();
+            assert!(
+                e.is_some_and(|e| e.first_page <= p && p < e.end_page()),
+                "page table: page {p} names slot {slot}, which does not hold it, {at}"
+            );
+        }
+        let mut live: Vec<_> = s
+            .extents
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, e)| Some((slot, e.as_ref()?)))
+            .map(|(slot, e)| {
+                for p in e.first_page..e.end_page() {
+                    assert_eq!(
+                        s.table.get(p).copied(),
+                        Some(slot as u32 + 1),
+                        "page table: page {p} of slot {slot}'s extent, {at}"
+                    );
+                }
+                e.first_page..e.end_page()
+            })
+            .collect();
+        live.sort_by_key(|e| e.start);
+        assert!(
+            live.windows(2).all(|w| w[0].end <= w[1].start),
+            "page table: extents {live:?} overlap, {at}"
+        );
+        assert_eq!(live, m.extents, "page table: extents, {at}");
+        for p in 0..2 * PAGES {
+            let want = m.pages.get(&p);
+            assert_eq!(
+                s.data(p),
+                want.map(|w| &w.words[..]),
+                "page table: data of {p}, {at}"
+            );
+            assert_eq!(
+                s.applied(p),
+                want.map(|w| &w.applied[..]),
+                "page table: applied of {p}, {at}"
+            );
+            assert_eq!(
+                s.meta(p).map(|meta| meta.twin.as_deref()),
+                want.map(|w| w.twin.as_deref()),
+                "page table: twin of {p}, {at}"
+            );
+        }
+    }
+
+    const PAGES: usize = 24;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random programs of single-page updates (some far beyond the
+        /// table's length), covers, and view opens and closes: after
+        /// every step the table names a live extent spanning each page
+        /// it holds, extents are disjoint and laid out as the model's,
+        /// and every page reads as the model. A range already covered
+        /// keeps its words where they were; a merge over a pinned extent
+        /// panics.
+        #[test]
+        fn prop_page_table_matches_the_model(
+            ops in prop::collection::vec((0u8..8, 0usize..PAGES, 0usize..PAGES, 0u64..1 << 20), 1..60),
+        ) {
+            let (mut s, mut m) = (store(), Model::default());
+            for (step, &(kind, a, b, x)) in ops.iter().enumerate() {
+                let at = format!("at step {step} of {ops:?}");
+                let (p0, p1) = (a.min(b), a.max(b));
+                match kind {
+                    // A protocol update, near or far.
+                    0..=2 => {
+                        let p = if kind == 2 { a + PAGES } else { a };
+                        if m.under_a_view(p) {
+                            continue;
+                        }
+                        let f = s.frame_mut(p);
+                        let (w, n) = (x as usize % PW, x as usize % 2);
+                        f.data[w] = x;
+                        f.applied[n] = x as u32;
+                        let twin = (x % 3 == 0).then(|| vec![x; PW]);
+                        f.meta.twin.clone_from(&twin);
+                        m.touch(p);
+                        let page = m.page(p);
+                        page.words[w] = x;
+                        page.applied[n] = x as u32;
+                        page.twin = twin;
+                    }
+                    // A cover alone.
+                    3 => {
+                        let before = s.locate(p0).map(|(slot, _)| s.extent(slot).words);
+                        match m.cover(p0, p1) {
+                            Ok(covered) => {
+                                s.cover(p0, p1);
+                                if covered {
+                                    let after = s.locate(p0).map(|(slot, _)| s.extent(slot).words);
+                                    prop_assert_eq!(after, before, "covered range moved {}", at);
+                                }
+                            }
+                            Err(()) => {
+                                let r = std::panic::catch_unwind(AssertUnwindSafe(|| s.cover(p0, p1)));
+                                let msg = r.err().and_then(|e| e.downcast::<String>().ok());
+                                prop_assert!(
+                                    msg.is_some_and(|msg| msg.contains("pins")),
+                                    "a merge over a pinned extent did not panic {}", at
+                                );
+                            }
+                        }
+                    }
+                    // Open a read or write view over words of `p0..=p1`,
+                    // covering them first as a fault does.
+                    4..=6 => {
+                        let write = kind == 6;
+                        let wlo = p0 * PW + x as usize % PW;
+                        let whi = (p1 * PW + PW - (x as usize / PW) % PW).max(wlo + 1);
+                        let clash = m
+                            .views
+                            .iter()
+                            .any(|&(_, lo, hi, w)| (write || w) && wlo < hi && lo < whi);
+                        if clash || m.cover(p0, p1).is_err() {
+                            continue;
+                        }
+                        s.cover(p0, p1);
+                        let (ptr, id) = s.open_view(wlo, whi, write);
+                        // SAFETY: the view spans `wlo..whi` inside one
+                        // pinned extent; nothing else touches it here.
+                        let words = unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr(), whi - wlo) };
+                        for (i, &got) in words.iter().enumerate() {
+                            let (p, k) = ((wlo + i) / PW, (wlo + i) % PW);
+                            prop_assert_eq!(got, m.pages[&p].words[k], "view word {} {}", wlo + i, at);
+                        }
+                        if write {
+                            words[0] = x;
+                            m.page(wlo / PW).words[wlo % PW] = x;
+                        }
+                        m.views.push((id, wlo, whi, write));
+                    }
+                    // Close a view.
+                    _ => {
+                        if !m.views.is_empty() {
+                            let (id, ..) = m.views.swap_remove(x as usize % m.views.len());
+                            s.close_view(id);
+                        }
+                    }
+                }
+                check(&s, &m, &at);
+            }
+        }
     }
 }
