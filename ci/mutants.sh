@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The historic protocol bugs as mutants, sixteen in all: each patch under
-# ci/mutants/ re-breaks one fix (the stale twin, the publish window, the
-# lock send order, and the three rules that order LRC's diffs: a range
-# stamped at its last interval, an open range that spans a foreign
-# notice, a push applied ahead of an older diff, the windowed
-# reduction's fold order, a superseding push installed over what it
+# The historic protocol bugs as mutants, every patch under ci/mutants/
+# (counted as it runs them: it ends "N of N killed"). Each re-breaks
+# one fix (the stale twin, the publish window, the lock send order, and
+# the three rules that order LRC's diffs: a range stamped at its last
+# interval, an open range that spans a foreign notice, a push applied
+# ahead of an older diff, the windowed reduction's fold order, a superseding push installed over what it
 # does not dominate, a join's early pushes left out of the next fork's
 # counts, a chained body started before its link push), one declaration
 # (a write-all touch whose body reads first), one of three derivations
@@ -49,8 +49,9 @@ git ls-files -co --exclude-standard -z |
     while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
     xargs -0 cp --parents -t "$tree"
 
+patches=(ci/mutants/*.patch)
 survivors=0
-for patch in ci/mutants/*.patch; do
+for patch in "${patches[@]}"; do
     name=$(basename "$patch" .patch)
     printf '\n== mutant %s\n' "$name"
     if ! (cd "$tree" && patch -p1 --forward --silent <"$root/$patch"); then
@@ -78,8 +79,9 @@ for patch in ci/mutants/*.patch; do
     (cd "$tree" && patch -p1 --reverse --silent <"$root/$patch")
 done
 
+total=${#patches[@]}
 if [ "$survivors" -ne 0 ]; then
-    echo "mutants: $survivors of the historic bugs went unnoticed" >&2
+    echo "mutants: $survivors of $total historic bugs went unnoticed" >&2
     exit 1
 fi
-printf '\n== all mutants killed\n'
+printf '\n== %d of %d killed\n' "$total" "$total"

@@ -34,6 +34,7 @@
 
 use sp2sim::stats::msg_label;
 use sp2sim::{Category, EventKind, SpanKind, TraceData, TracePort, TrackTrace};
+use treadmarks::protocol::op;
 
 use crate::critical_path::CriticalPath;
 use crate::json::{obj, Json};
@@ -258,25 +259,6 @@ fn walk_app_track(t: &TrackTrace, b: &mut NodeBreakdown, epochs: &mut Vec<EpochB
 // Chrome/Perfetto trace-event export
 // ---------------------------------------------------------------------
 
-fn op_label(op: u32) -> &'static str {
-    use treadmarks::protocol::op;
-    match op as u64 {
-        op::DIFF_REQ => "diff-req",
-        op::LOCK_REQ => "lock-req",
-        op::BARRIER_ARRIVE => "barrier-arrive",
-        op::WORKER_ARRIVE => "worker-arrive",
-        op::MASTER_FORK => "fork",
-        op::MASTER_JOIN => "join",
-        op::SHUTDOWN => "shutdown",
-        op::VALIDATE_REQ => "validate-req",
-        op::REDUCE_PART => "reduce-part",
-        op::HOME_FLUSH => "home-flush",
-        op::PAGE_REQ => "page-req",
-        op::PUSH_TREE => "push-tree",
-        _ => "op?",
-    }
-}
-
 fn base_event(name: String, ph: &str, ts: f64, pid: u32, tid: u32) -> Vec<(&'static str, Json)> {
     vec![
         ("name", Json::Str(name)),
@@ -403,7 +385,7 @@ pub fn to_chrome_trace(data: &TraceData, path: Option<&CriticalPath>) -> Json {
                     ],
                 ),
                 EventKind::Service { op, dur_us } => {
-                    let mut f = base_event(op_label(op).into(), "X", ts, t.node, tid);
+                    let mut f = base_event(op::label(op.into()).into(), "X", ts, t.node, tid);
                     f.push(("dur", Json::Num(dur_us)));
                     f.push(("cat", Json::Str("service".into())));
                     obj(f)
@@ -733,6 +715,40 @@ mod tests {
         let back = Json::parse(&text).expect("parses");
         assert_eq!(back, json);
         validate_chrome_trace(&back).expect("still valid after round trip");
+    }
+
+    /// Every service span of a real run exports under its opcode's
+    /// name, the owner fetch of a privatized page's words among them.
+    #[test]
+    fn an_owner_fetch_exports_under_its_own_name() {
+        use sp2sim::{Cluster, ClusterConfig};
+        use treadmarks::{ProtocolMode, Tmk, TmkConfig};
+        for protocol in ProtocolMode::ALL {
+            let cfg = ClusterConfig::sp2(3).with_tracing(true);
+            let out = Cluster::run(cfg, |node| {
+                let tmk = Tmk::new(node, TmkConfig::default().with_protocol(protocol));
+                let a = tmk.malloc_f64(512);
+                tmk.privatize(&[(a.first_page(), Some(1))]);
+                if tmk.proc_id() == 1 {
+                    tmk.write(a, 0..512).slice_mut().fill(1.0);
+                }
+                tmk.barrier(0);
+                let fetched = (tmk.proc_id() == 0).then(|| tmk.read_one(a, 7));
+                tmk.finish();
+                fetched
+            });
+            assert_eq!(out.results, [Some(1.0), None, None], "{protocol:?}");
+            let json = to_chrome_trace(&out.trace.expect("traced"), None);
+            let names: Vec<&str> = json
+                .get("traceEvents")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .filter_map(|e| e.get("name").and_then(Json::as_str))
+                .collect();
+            assert!(names.contains(&"owner-fetch"), "{protocol:?}");
+            assert!(!names.contains(&"op?"), "{protocol:?}");
+        }
     }
 
     #[test]

@@ -70,8 +70,7 @@ impl<'a> Comm<'a> {
         let tag = self.next_coll_tag();
         let _s = self.node.trace_span(SpanKind::RecvWait, tag);
         let tree = Tree::new(self.rank(), self.size(), root);
-        let ep = self.node.endpoint();
-        let payload = ep.tree_bcast(tree, tag, MsgKind::Data, pack);
+        let payload = self.node.tree_bcast(tree, tag, MsgKind::Data, pack);
         tree.parent().map(|_| payload)
     }
 

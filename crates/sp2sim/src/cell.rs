@@ -33,7 +33,7 @@ impl<T> StateCell<T> {
     pub fn new(node: &Node, value: T) -> StateCell<T> {
         StateCell {
             value: RefCell::new(value),
-            engine: Rc::clone(node.engine()),
+            engine: Rc::clone(&node.engine),
             waiters: RefCell::new(Vec::new()),
         }
     }

@@ -224,7 +224,7 @@ mod tests {
                 let svc_ep = node.take_service_endpoint();
                 let h = node.spawn_service(move || {
                     // Answer exactly one request, then exit.
-                    let req = svc_ep.recv_match_raw(|p| p.tag == 9);
+                    let req = svc_ep.recv_any_raw().expect("one request");
                     svc_ep.send_at(
                         req.src,
                         Port::App,
@@ -237,8 +237,7 @@ mod tests {
                 node.join_service(h);
                 0
             } else {
-                node.endpoint()
-                    .send_to_port(0, Port::Service, 9, MsgKind::Data, vec![21]);
+                node.send_to_port(0, Port::Service, 9, MsgKind::Data, vec![21]);
                 let resp = node.recv_from(0, 10);
                 resp.payload[0]
             }

@@ -109,13 +109,6 @@ impl CostModel {
         self.send_overhead_us + (payload_bytes + self.header_bytes) as f64 * self.per_byte_us
     }
 
-    /// Time on the wire for a message with `payload_bytes` of payload:
-    /// latency plus serialization of payload and header.
-    #[inline]
-    pub fn transit_us(&self, payload_bytes: usize) -> f64 {
-        self.latency_us + (payload_bytes + self.header_bytes) as f64 * self.per_byte_us
-    }
-
     /// Cost of creating a diff with `changed_words` modified words.
     #[inline]
     pub fn diff_create_us(&self, changed_words: usize) -> f64 {
@@ -140,19 +133,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sp2_transit_scales_with_bytes() {
-        let c = CostModel::sp2();
-        let small = c.transit_us(0);
-        let big = c.transit_us(4096);
-        assert!(big > small);
-        // 4 KB at ~38 MB/s is ~108 us of serialization.
-        assert!((big - small - 4096.0 / 38.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn free_model_is_free() {
         let c = CostModel::free();
-        assert_eq!(c.transit_us(123456), 0.0);
+        assert_eq!(c.occupancy_us(123456), 0.0);
         assert_eq!(c.diff_create_us(100), 0.0);
         assert_eq!(c.diff_apply_us(100), 0.0);
     }

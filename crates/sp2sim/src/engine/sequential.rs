@@ -566,7 +566,7 @@ where
             let body = Box::new(move || {
                 let node = Node::new(id, n, handle);
                 let r = fref(&node);
-                node.endpoint().record_final_clock();
+                node.record_final_clock();
                 // SAFETY: each fiber owns exactly one distinct slot,
                 // and `results` outlives the scheduler loop below.
                 unsafe { *slot = Some(r) };

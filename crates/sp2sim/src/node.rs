@@ -10,6 +10,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -38,7 +39,9 @@ pub struct Endpoint {
     port: Port,
     clock: Cell<f64>,
     pending: RefCell<VecDeque<Packet>>,
-    engine: Rc<Engine>,
+    /// The engine carrying this endpoint (what a [`crate::StateCell`]
+    /// parks and preempts fibers through).
+    pub(crate) engine: Rc<Engine>,
     tracer: Option<Tracer>,
     /// Packets sent from this endpoint so far — the low bits of the
     /// correlation ids it stamps (see [`Packet::seq`]).
@@ -335,12 +338,6 @@ impl Endpoint {
         pkt
     }
 
-    /// Like [`Endpoint::recv_match`] but without any clock accounting.
-    /// Service threads use this: their time base is per-request.
-    pub fn recv_match_raw(&self, pred: impl Fn(&Packet) -> bool) -> Packet {
-        self.wait_match(pred)
-    }
-
     /// Receive any next packet without clock accounting, or `None` when the
     /// cluster is tearing down (all senders dropped).
     pub fn recv_any_raw(&self) -> Option<Packet> {
@@ -388,7 +385,7 @@ impl Endpoint {
     }
 }
 
-/// Guard returned by [`Endpoint::trace_span`]/[`Node::trace_span`]:
+/// Guard returned by [`Endpoint::trace_span`]:
 /// records the span's `End` event when dropped.
 pub struct TraceSpanGuard<'a> {
     ep: &'a Endpoint,
@@ -430,15 +427,25 @@ impl Drop for Endpoint {
     }
 }
 
-/// The handle given to each simulated node's application closure.
-///
-/// A `Node` bundles the application-port [`Endpoint`] with the node's
-/// service-port endpoint (claimed by the DSM layer via
-/// [`Node::take_service_endpoint`]), the engine's service executor, and
-/// a wall-clock rendezvous used only by the measurement harness.
+/// The handle given to each simulated node's application closure: the
+/// node's application-port [`Endpoint`] (it derefs to it, so `send`,
+/// `recv_from`, `now` and the trace hooks are the endpoint's) plus the
+/// service slot — the service-port endpoint the DSM layer claims with
+/// [`Node::take_service_endpoint`], the engine's service executor, the
+/// run's host slots and a wall-clock rendezvous used only by the
+/// measurement harness.
 pub struct Node {
     ep: Endpoint,
     service: RefCell<Option<Endpoint>>,
+}
+
+impl Deref for Node {
+    type Target = Endpoint;
+
+    #[inline]
+    fn deref(&self) -> &Endpoint {
+        &self.ep
+    }
 }
 
 impl Node {
@@ -447,22 +454,6 @@ impl Node {
             ep: Endpoint::new(id, n, Port::App, Rc::clone(&engine)),
             service: RefCell::new(Some(Endpoint::new(id, n, Port::Service, engine))),
         }
-    }
-
-    /// The engine carrying this node (what a [`crate::StateCell`] parks
-    /// and preempts fibers through).
-    pub(crate) fn engine(&self) -> &Rc<Engine> {
-        &self.ep.engine
-    }
-
-    /// This node's id in `0..nprocs`.
-    pub fn id(&self) -> usize {
-        self.ep.id()
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn nprocs(&self) -> usize {
-        self.ep.nprocs()
     }
 
     /// The run's one host value of type `T`: the first call, from any
@@ -476,7 +467,7 @@ impl Node {
     /// a value that carried one node's state to another would be
     /// communication no message paid for.
     pub fn cluster_slot<T: Any>(&self, init: impl FnOnce() -> T) -> Rc<T> {
-        let slots = &self.engine().slots;
+        let slots = &self.ep.engine.slots;
         let found = slots
             .borrow()
             .iter()
@@ -486,11 +477,6 @@ impl Node {
             slots.borrow_mut().push(Rc::clone(&made) as Rc<dyn Any>);
             made
         })
-    }
-
-    /// The application endpoint.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.ep
     }
 
     /// Claim the service-port endpoint (once). The DSM layer hands it to
@@ -513,73 +499,6 @@ impl Node {
     /// panicked (like joining a thread).
     pub fn join_service(&self, h: ServiceHandle) {
         self.ep.engine.join_service(h)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> VTime {
-        self.ep.now()
-    }
-
-    /// Charge `us` microseconds of computation.
-    pub fn advance(&self, us: f64) {
-        self.ep.advance(us)
-    }
-
-    /// The cluster cost model.
-    pub fn cost(&self) -> &CostModel {
-        self.ep.cost()
-    }
-
-    /// The cluster-wide statistics.
-    pub fn stats(&self) -> &NetStats {
-        self.ep.stats()
-    }
-
-    /// Send to `dst`'s application port. Returns the packet's
-    /// correlation id.
-    pub fn send(&self, dst: usize, tag: u32, kind: MsgKind, payload: impl Into<Payload>) -> u64 {
-        self.ep.send(dst, tag, kind, payload)
-    }
-
-    /// Blocking receive matching `pred`; see [`Endpoint::recv_match`].
-    pub fn recv_match(&self, pred: impl Fn(&Packet) -> bool) -> Packet {
-        self.ep.recv_match(pred)
-    }
-
-    /// Receive the next packet with `tag` from `src`.
-    pub fn recv_from(&self, src: usize, tag: u32) -> Packet {
-        self.ep.recv_from(src, tag)
-    }
-
-    /// Whether this node's endpoints record a trace.
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.ep.tracing()
-    }
-
-    /// Open a span on the application track; see [`Endpoint::trace_begin`].
-    #[inline]
-    pub fn trace_begin(&self, kind: SpanKind, arg: u32) {
-        self.ep.trace_begin(kind, arg)
-    }
-
-    /// Close a span on the application track; see [`Endpoint::trace_end`].
-    #[inline]
-    pub fn trace_end(&self, kind: SpanKind) {
-        self.ep.trace_end(kind)
-    }
-
-    /// Mark an epoch boundary on the application track.
-    #[inline]
-    pub fn trace_epoch(&self, index: u32) {
-        self.ep.trace_epoch(index)
-    }
-
-    /// Open a guarded span on the application track; see
-    /// [`Endpoint::trace_span`].
-    #[inline]
-    pub fn trace_span(&self, kind: SpanKind, arg: u32) -> TraceSpanGuard<'_> {
-        self.ep.trace_span(kind, arg)
     }
 
     /// Wall-clock rendezvous of **all** node contexts. This is

@@ -127,7 +127,8 @@ pub struct Tmk<'n> {
     pub(crate) state: Rc<StateCell<DsmState>>,
     pub(crate) cfg: TmkConfig,
     svc: Cell<Option<ServiceHandle>>,
-    next_page: Cell<usize>,
+    /// Shared with the frame store, which sizes its page table by it.
+    next_page: Rc<Cell<usize>>,
     req_seq: Cell<u32>,
     fork_epoch: Cell<u64>,
     barrier_epoch: Cell<u64>,
@@ -162,6 +163,7 @@ impl<'n> Tmk<'n> {
     /// identical `cfg`.
     pub fn new(node: &'n Node, cfg: TmkConfig) -> Tmk<'n> {
         let state = DsmState::new(node.id(), node.nprocs(), cfg);
+        let next_page = Rc::clone(&state.frames.space_end);
         let state = Rc::new(StateCell::new(node, state));
         let svc_ep = node.take_service_endpoint();
         let svc_state = Rc::clone(&state);
@@ -171,7 +173,7 @@ impl<'n> Tmk<'n> {
             state,
             cfg,
             svc: Cell::new(Some(svc)),
-            next_page: Cell::new(0),
+            next_page,
             req_seq: Cell::new(0),
             fork_epoch: Cell::new(0),
             barrier_epoch: Cell::new(0),
@@ -303,9 +305,7 @@ impl<'n> Tmk<'n> {
     /// re-checking the guard here could diverge from the decision.
     pub fn install_page_homes(&self, homes: &[(usize, usize)]) {
         if !homes.is_empty() {
-            let mut st = self.state.lock();
-            debug_assert!(homes.iter().all(|&(_, home)| home < st.n));
-            st.home.overrides.extend(homes.iter().copied());
+            self.state.lock().install_homes(homes);
         }
     }
 
@@ -577,7 +577,6 @@ impl<'n> Tmk<'n> {
                 let id = self.req_seq.get();
                 self.req_seq.set(id.wrapping_add(1));
                 self.node
-                    .endpoint()
                     .send_to_port(dst, Port::Service, 0, kind, encode(id, items));
                 outstanding.push((dst, id));
             }
@@ -679,7 +678,7 @@ impl<'n> Tmk<'n> {
         self.node.advance(faulted);
         if applied > 0.0 {
             let _a = self.node.trace_span(SpanKind::DiffApply, 0);
-            self.node.endpoint().advance_to(end);
+            self.node.advance_to(end);
         }
         guard
     }
@@ -768,7 +767,6 @@ impl<'n> Tmk<'n> {
             )
         };
         self.node
-            .endpoint()
             .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
     }
 
@@ -816,7 +814,6 @@ impl<'n> Tmk<'n> {
             // request "self-directed" without one.
             let payload = protocol::encode_lock_req(lock, me, &st.vc);
             self.node
-                .endpoint()
                 .send_to_port(dst, Port::Service, 0, MsgKind::LockReq, payload);
         }
         let t = tag::LOCK_GRANT | lock;
@@ -856,7 +853,7 @@ impl<'n> Tmk<'n> {
             })
         };
         if let Some((dst, payload)) = grant {
-            self.node.endpoint().send_to_port(
+            self.node.send_to_port(
                 dst,
                 Port::App,
                 tag::LOCK_GRANT | lock,
@@ -903,7 +900,6 @@ impl<'n> Tmk<'n> {
             }
             w.put_words(ctl);
             self.node
-                .endpoint()
                 .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
         });
         self.receive_pushes(self.intake.take(), None);
@@ -953,7 +949,6 @@ impl<'n> Tmk<'n> {
         let mut w = WordWriter::with_capacity(2);
         w.put(op::MASTER_JOIN).put(e);
         self.node
-            .endpoint()
             .send_to_port(0, Port::Service, 0, MsgKind::Control, w.finish());
         let t = tag::JOIN_DEP | (e & 0xFFFF) as u32;
         let pkt = self.node.recv_match(|p| p.tag == t);
@@ -1226,7 +1221,7 @@ impl<'n> Tmk<'n> {
             self.node.advance(us);
             built.insert(payload).clone()
         };
-        let ep = self.node.endpoint();
+        let ep = self.node;
         let (straight, tree_tag) = match link {
             true => (tag::LINK_PUSH | me as u32, tag::LINK_PUSH | me as u32),
             false => (tag::PUSH, tag::PUSH_TREE | me as u32),
@@ -1400,7 +1395,7 @@ impl<'n> Tmk<'n> {
                 // when the last child part arrives and upcalls the total to
                 // us; every other node gets it from its parent.
                 if let Some(sub) = &completed {
-                    forward_reduce(self.node.endpoint(), seq, op, sub, self.node.now(), None);
+                    forward_reduce(self.node, seq, op, sub, self.node.now(), None);
                 }
                 let t = match me {
                     0 => tag::REDUCE_DONE,
@@ -1496,8 +1491,8 @@ impl<'n> Tmk<'n> {
             if p == me {
                 own = words;
             } else {
-                let ep = self.node.endpoint();
-                ep.send_to_port(p, Port::App, t, MsgKind::ReducePart, words);
+                self.node
+                    .send_to_port(p, Port::App, t, MsgKind::ReducePart, words);
             }
         }
         self.scratch.borrow_mut().slices = parts;
@@ -1551,22 +1546,23 @@ impl<'n> Tmk<'n> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         let pw = self.cfg.page_words;
         let (p0, p1) = (wlo / pw, (whi - 1) / pw);
-        let ep = self.node.endpoint();
-        let payload = ep.tree_bcast(Tree::new(me, n, root), t, MsgKind::Bcast, || {
-            // Publish local writes first so the broadcast content matches
-            // the interval state observers are entitled to.
-            self.publish();
-            let mut w = WordWriter::with_capacity(1 + (p1 - p0 + 1) * (1 + n + pw));
-            let st = self.state.lock();
-            w.put_usize(p1 - p0 + 1);
-            for p in p0..=p1 {
-                let applied = st.frames.applied(p).expect("root owns the pages");
-                let data = st.frames.data(p).expect("root owns the pages");
-                debug_assert!(!st.is_dirty(p), "root must not have open writes");
-                protocol::encode_page_entry(&mut w, p, applied, data);
-            }
-            w.finish()
-        });
+        let payload = self
+            .node
+            .tree_bcast(Tree::new(me, n, root), t, MsgKind::Bcast, || {
+                // Publish local writes first so the broadcast content matches
+                // the interval state observers are entitled to.
+                self.publish();
+                let mut w = WordWriter::with_capacity(1 + (p1 - p0 + 1) * (1 + n + pw));
+                let st = self.state.lock();
+                w.put_usize(p1 - p0 + 1);
+                for p in p0..=p1 {
+                    let applied = st.frames.applied(p).expect("root owns the pages");
+                    let data = st.frames.data(p).expect("root owns the pages");
+                    debug_assert!(!st.is_dirty(p), "root must not have open writes");
+                    protocol::encode_page_entry(&mut w, p, applied, data);
+                }
+                w.finish()
+            });
         if me == root {
             return;
         }
@@ -1642,7 +1638,7 @@ impl<'n> Tmk<'n> {
     /// spinning on a snapshot.
     pub fn stop_service(&self) {
         if let Some(handle) = self.svc.take() {
-            self.node.endpoint().send_to_port(
+            self.node.send_to_port(
                 self.proc_id(),
                 Port::Service,
                 0,

@@ -27,7 +27,6 @@ use sp2sim::{
 use crate::coherence::{Miss, Scratch};
 use crate::diff::{DiffBatch, Landed};
 use crate::dsm::Tmk;
-use crate::fxhash::FxHashMap;
 use crate::page::PageId;
 use crate::protocol::{self, op, tag, DiffRespEntry};
 use crate::state::{Arrival, Carry, DiffRange, DsmState};
@@ -41,10 +40,11 @@ pub struct HomeState {
     /// The pages homed here that hold buffered ranges — the work list of
     /// [`DsmState::prune_home_copies`].
     buffered: Vec<PageId>,
-    /// Per-page home overrides (block-cyclic `page % n` otherwise).
+    /// Page → home, empty until a home is overridden; block-cyclic
+    /// (`page % n`) where no override names the page and past its end.
     /// Every node must install identical overrides, before the page's
     /// first write notice exists — see [`DsmState::set_home`].
-    pub(crate) overrides: FxHashMap<PageId, usize>,
+    homes: Vec<usize>,
     /// Page requests deferred until the flushes they require arrive.
     waiting: Vec<WaitingPageReq>,
 }
@@ -255,7 +255,6 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
     // Ascending home order.
     for (home, payload) in flushes.drain(..) {
         tmk.node
-            .endpoint()
             .send_to_port(home, Port::Service, 0, MsgKind::HomeFlush, payload);
     }
 }
@@ -529,11 +528,7 @@ impl DsmState {
     /// The home node of `page`: block-cyclic by default, overridden by
     /// [`DsmState::set_home`].
     pub fn home_of(&self, page: PageId) -> usize {
-        self.home
-            .overrides
-            .get(&page)
-            .copied()
-            .unwrap_or(page % self.n)
+        self.home.homes.get(page).copied().unwrap_or(page % self.n)
     }
 
     /// Install a home override for `page`. Refused (returns `false`)
@@ -548,8 +543,20 @@ impl DsmState {
         if self.notices.is_named(page) {
             return false;
         }
-        self.home.overrides.insert(page, home);
+        self.install_homes(&[(page, home)]);
         true
+    }
+
+    /// Install home overrides unguarded (see [`Tmk::install_page_homes`]).
+    pub(crate) fn install_homes(&mut self, homes: &[(PageId, usize)]) {
+        let (table, n) = (&mut self.home.homes, self.n);
+        for &(page, home) in homes {
+            debug_assert!(home < n);
+            if page >= table.len() {
+                table.extend((table.len()..=page).map(|p| p % n));
+            }
+            table[page] = home;
+        }
     }
 
     /// The requester-side watermark vector for a page request: the
@@ -885,10 +892,24 @@ mod tests {
         assert_eq!(s.home_of(7), 3);
         assert!(s.set_home(7, 2), "no notices yet: override accepted");
         assert_eq!(s.home_of(7), 2);
-        // Once a notice names the page, rehoming is refused.
-        s.integrate_interval(Interval::seal(1, 1, 1, &[5]), &CostModel::sp2());
+        // Node 0 is a home like any other, not an "unset" mark.
+        assert!(s.set_home(6, 0));
+        assert_eq!(s.home_of(6), 0);
+        // Pages below the table's end that no override names, and pages
+        // past it, stay block-cyclic.
+        assert_eq!((s.home_of(5), s.home_of(4)), (1, 0));
+        assert_eq!((s.home_of(9), s.home_of(102)), (1, 2));
+        // Once a notice names the page, rehoming is refused, and an
+        // earlier override stands.
+        let notice = Interval::seal(1, 1, 1, &[5, 7]);
+        s.integrate_interval(notice, &CostModel::sp2());
         assert!(!s.set_home(5, 0));
         assert_eq!(s.home_of(5), 1);
+        assert!(!s.set_home(7, 3));
+        assert_eq!(s.home_of(7), 2);
+        // Overrides decided elsewhere install past the guard.
+        s.install_homes(&[(5, 0), (11, 2)]);
+        assert_eq!((s.home_of(5), s.home_of(11), s.home_of(10)), (0, 2, 2));
     }
 
     #[test]

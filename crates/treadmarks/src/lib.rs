@@ -112,7 +112,6 @@ pub mod coherence;
 pub mod config;
 pub mod diff;
 pub mod dsm;
-pub mod fxhash;
 pub mod hlrc;
 pub mod interval;
 pub mod lrc;

@@ -80,8 +80,10 @@
 //! it, so a `&mut [f64]` still borrowed from
 //! [`WriteView::slice_mut`] is never read behind its back.
 
+use std::cell::Cell;
 use std::ops::{Index, IndexMut};
 use std::ptr::NonNull;
+use std::rc::Rc;
 
 use sp2sim::StateCell;
 
@@ -270,8 +272,12 @@ pub struct FrameStore {
     extents: Vec<Option<Extent>>,
     free: Vec<usize>,
     /// Page → slot + 1 of the extent holding it, 0 when it has no frame;
-    /// as long as the highest page this node has a frame for.
+    /// at least as long as the highest page this node has a frame for.
     table: Vec<u32>,
+    /// The end of the shared address space in pages, which
+    /// `Tmk::malloc_f64` moves: a table too short for a new frame grows
+    /// to it at once, not page by page as first touches climb.
+    pub(crate) space_end: Rc<Cell<usize>>,
     views: Vec<OpenView>,
     next_view: u64,
 }
@@ -285,6 +291,7 @@ impl FrameStore {
             extents: Vec::new(),
             free: Vec::new(),
             table: Vec::new(),
+            space_end: Rc::new(Cell::new(0)),
             views: Vec::new(),
             next_view: 1,
         }
@@ -349,7 +356,7 @@ impl FrameStore {
             }
         };
         if self.table.len() < end {
-            self.table.resize(end, 0);
+            self.table.resize(end.max(self.space_end.get()), 0);
         }
         let entry = u32::try_from(slot + 1).expect("fewer than 2^32 extents");
         self.table[first..end].fill(entry);

@@ -54,6 +54,27 @@ pub mod op {
     /// Derived privatization: fetch pages private to the destination
     /// whole, as a page response (`tag::PAGE_RESP`), either protocol.
     pub const OWNER_FETCH: u64 = 13;
+
+    /// The name a service span of opcode `code` is exported under;
+    /// `"op?"` for a code no constant above names.
+    pub fn label(code: u64) -> &'static str {
+        match code {
+            DIFF_REQ => "diff-req",
+            LOCK_REQ => "lock-req",
+            BARRIER_ARRIVE => "barrier-arrive",
+            WORKER_ARRIVE => "worker-arrive",
+            MASTER_FORK => "fork",
+            MASTER_JOIN => "join",
+            SHUTDOWN => "shutdown",
+            VALIDATE_REQ => "validate-req",
+            REDUCE_PART => "reduce-part",
+            HOME_FLUSH => "home-flush",
+            PAGE_REQ => "page-req",
+            PUSH_TREE => "push-tree",
+            OWNER_FETCH => "owner-fetch",
+            _ => "op?",
+        }
+    }
 }
 
 /// Application-port tag bases. User-level message tags (in `mpl`) stay
@@ -649,6 +670,16 @@ pub(crate) mod shadow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_opcode_has_its_own_label() {
+        let labels: Vec<_> = (1..=op::OWNER_FETCH).map(op::label).collect();
+        assert!(!labels.contains(&"op?"), "{labels:?}");
+        let distinct: std::collections::BTreeSet<_> = labels.iter().collect();
+        assert_eq!(distinct.len(), labels.len(), "{labels:?}");
+        assert_eq!(op::label(0), "op?");
+        assert_eq!(op::label(op::OWNER_FETCH + 1), "op?");
+    }
 
     #[test]
     fn lock_req_roundtrip() {

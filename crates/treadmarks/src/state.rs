@@ -35,7 +35,6 @@ use sp2sim::{CostModel, Payload, ReduceOp, Tree, VTime};
 
 use crate::config::TmkConfig;
 use crate::diff::{Diff, DiffBatch, Pending, Sealed};
-use crate::fxhash::FxHashMap;
 use crate::hlrc::{HomePage, HomeState};
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId, POISON};
@@ -515,9 +514,9 @@ pub struct DsmState {
     /// Our own intervals not yet reported to the barrier manager.
     pub unreported_seq: u32,
     /// Lock state where we are (or were) the holder.
-    pub locks: FxHashMap<u32, LockLocal>,
+    pub locks: BTreeMap<u32, LockLocal>,
     /// Manager-side: last node a lock was directed to.
-    pub lock_owner: FxHashMap<u32, usize>,
+    pub lock_owner: BTreeMap<u32, usize>,
     /// Manager-side barrier state per epoch.
     pub epochs: BTreeMap<u64, EpochState>,
     /// Pushes registered for the next synchronization rendezvous
@@ -572,8 +571,8 @@ impl DsmState {
             dirty: Vec::new(),
             freezing: Vec::new(),
             unreported_seq: 0,
-            locks: FxHashMap::default(),
-            lock_owner: FxHashMap::default(),
+            locks: BTreeMap::new(),
+            lock_owner: BTreeMap::new(),
             epochs: BTreeMap::new(),
             pending_push: Vec::new(),
             pending_spans: Vec::new(),

@@ -79,8 +79,7 @@ fn first_unassigned_opcode_is_rejected_gracefully() {
                     (st.stats.service_errors, st.stats.last_bad_opcode)
                 } else {
                     for words in [request.clone(), vec![op::SHUTDOWN]] {
-                        node.endpoint()
-                            .send_to_port(0, Port::Service, 0, MsgKind::Control, words);
+                        node.send_to_port(0, Port::Service, 0, MsgKind::Control, words);
                     }
                     (0, None)
                 }
@@ -142,7 +141,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                         diff,
                         unpaid: false,
                     };
-                    node.endpoint().send_to_port(
+                    node.send_to_port(
                         0,
                         Port::Service,
                         0,
@@ -152,7 +151,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                 };
                 let fetch = |req_id: u32, required: u32| {
                     let rows = [(3usize, [0, required].into_iter())];
-                    node.endpoint().send_to_port(
+                    node.send_to_port(
                         0,
                         Port::Service,
                         0,
@@ -178,13 +177,7 @@ fn flush_arriving_after_the_home_served_the_page_is_dropped() {
                 let third = fetch(9, 2);
                 assert_eq!((first, second, third), (41, 42, 42), "engine {engine}");
                 // Shut the home's service loop down.
-                node.endpoint().send_to_port(
-                    0,
-                    Port::Service,
-                    0,
-                    MsgKind::Control,
-                    vec![op::SHUTDOWN],
-                );
+                node.send_to_port(0, Port::Service, 0, MsgKind::Control, vec![op::SHUTDOWN]);
                 0
             }
         });
@@ -211,13 +204,7 @@ fn unknown_opcode_leaves_other_nodes_running() {
                 1 => {
                     // Poison node 0's service, then produce under the
                     // lock managed here (lock 1 % 3 == node 1).
-                    node.endpoint().send_to_port(
-                        0,
-                        Port::Service,
-                        0,
-                        MsgKind::Control,
-                        vec![0xDEAD_BEEF],
-                    );
+                    node.send_to_port(0, Port::Service, 0, MsgKind::Control, vec![0xDEAD_BEEF]);
                     tmk.acquire(1);
                     let mut w = tmk.write(a, 0..8);
                     for i in 0..8 {
