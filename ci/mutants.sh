@@ -14,7 +14,8 @@
 # served from the cluster's table moves IGrid's first map fault out of
 # the inspection and into the body, and the hinted golden cells with it)
 # or the page table's refill after a merge (the absorbed extents' pages
-# left naming their old slots) in a scratch copy of the tree, and
+# left naming their old slots), or a push's meet (one word short, it
+# leaves a hole a timed view faults on) in a scratch copy of the tree, and
 # the schedule-exploration suite, in release at CI's seed budget, must
 # fail on it and name the seed that did it — or the FIFO schedule,
 # `sequential`, which a run without `--engine` replays. A patch whose

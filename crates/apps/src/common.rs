@@ -3,11 +3,14 @@
 //! meter (the paper times only the steady-state iterations), and checksum
 //! comparison helpers.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut, Range};
 
 use sp2sim::{Node, StatsSnapshot};
 use spf::{block_range, LoopCtl, Spf, Touch};
+use treadmarks::Tmk;
+
+use crate::runner::NodeOut;
 
 /// A column-major 2-D slab: columns `col0 .. col0 + ncols`, `rows` rows.
 ///
@@ -162,8 +165,10 @@ pub fn meter_stop(node: &Node, m: Meter) -> (f64, Option<StatsSnapshot>) {
 /// before the [`Spf`] that stores them.
 pub(crate) struct SpfMeter<'n> {
     node: &'n Node,
-    started: RefCell<Option<Meter>>,
+    started: RefCell<Option<(Meter, u64)>>,
     measured: RefCell<Option<(f64, Option<StatsSnapshot>)>>,
+    /// This node's hole faults in the region.
+    hole_faults: Cell<u64>,
 }
 
 impl<'n> SpfMeter<'n> {
@@ -172,6 +177,7 @@ impl<'n> SpfMeter<'n> {
             node,
             started: RefCell::new(None),
             measured: RefCell::new(None),
+            hole_faults: Cell::new(0),
         }
     }
 
@@ -179,19 +185,30 @@ impl<'n> SpfMeter<'n> {
     /// other loop: they are loop ids 0 and 1 in every dispatch message
     /// and trace span of every SPF program.
     pub(crate) fn register<'t>(&'t self, spf: &Spf<'t, '_>) -> (usize, usize) {
-        let start = spf.register(|_: &LoopCtl| {
-            *self.started.borrow_mut() = Some(meter_start(self.node));
+        let tmk = spf.tmk();
+        let start = spf.register(move |_: &LoopCtl| {
+            let holes = tmk.stats_snapshot().hole_faults;
+            *self.started.borrow_mut() = Some((meter_start(self.node), holes));
         });
-        let stop = spf.register(|_: &LoopCtl| {
-            let m = self.started.borrow_mut().take().expect("meter started");
+        let stop = spf.register(move |_: &LoopCtl| {
+            let (m, holes) = self.started.borrow_mut().take().expect("meter started");
             *self.measured.borrow_mut() = Some(meter_stop(self.node, m));
+            self.hole_faults
+                .set(tmk.stats_snapshot().hole_faults - holes);
         });
         (start, stop)
     }
 
-    /// What [`meter_stop`] returned when the stop loop ran.
-    pub(crate) fn take(&self) -> (f64, Option<StatsSnapshot>) {
-        self.measured.borrow_mut().take().expect("meter ran")
+    /// What a node of the program reports ([`NodeOut::shared`]): the
+    /// region as [`meter_stop`] returned it when the stop loop ran, and
+    /// the hole faults in it.
+    pub(crate) fn finish(&self, tmk: &Tmk, checksum: Option<Vec<f64>>) -> NodeOut {
+        let timed = self.measured.borrow_mut().take().expect("meter ran");
+        let out = NodeOut::shared(tmk, timed, checksum);
+        NodeOut {
+            timed_hole_faults: self.hole_faults.get(),
+            ..out
+        }
     }
 }
 

@@ -600,7 +600,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let probe = mr.tmk().read(planes.arr, 0..2);
         vec![acc_re, acc_im, probe[0], probe[1]]
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------

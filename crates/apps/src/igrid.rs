@@ -431,7 +431,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur as usize], n, p.square, red)
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +574,7 @@ fn spf_cri_node(node: &Node, p: &Params, cfg: &TmkConfig) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), arrs[cur], n, p.square, red)
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------

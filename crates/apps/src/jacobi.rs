@@ -281,7 +281,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         let full = m.tmk().read(data.arr, 0..n * n);
         checksum(&Slab::over(n, 0, full.slice()), n)
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------

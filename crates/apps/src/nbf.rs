@@ -536,7 +536,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, cri: bool) -> NodeOut {
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         dsm_checksum(mr.tmk(), &sh, p.m)
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------

@@ -137,6 +137,9 @@ pub struct NodeOut {
     /// contention; shared-memory versions, taken via
     /// `Tmk::take_sharing` after `finish`).
     pub sharing: Option<SharingProfile>,
+    /// Views of the timed region that faulted on a hole a meet push
+    /// left (`treadmarks::hole`; SPF programs).
+    pub timed_hole_faults: u64,
 }
 
 impl NodeOut {
@@ -171,6 +174,7 @@ impl NodeOut {
             dsm: Some(dsm),
             races: tmk.take_race_log(),
             sharing: Some(tmk.take_sharing()),
+            timed_hole_faults: 0,
         }
     }
 }
@@ -194,6 +198,10 @@ pub struct RunResult {
     pub kbytes: u64,
     /// Full message statistics of the timed region.
     pub stats: StatsSnapshot,
+    /// Views of the timed region that faulted on a hole a meet push
+    /// left, over every node: a footprint that missed a word its loop
+    /// reads (`treadmarks::hole`; SPF programs).
+    pub timed_hole_faults: u64,
     /// Result checksum (for cross-version validation).
     pub checksum: Vec<f64>,
     /// Aggregated DSM statistics (zero for message-passing versions).
@@ -234,6 +242,7 @@ impl RunResult {
             .find_map(|o| o.checksum.clone())
             .expect("some node produced a checksum");
         let dsm = DsmStats::total(outs.iter().filter_map(|o| o.dsm.as_ref()));
+        let timed_hole_faults = outs.iter().map(|o| o.timed_hole_faults).sum();
         let mut sharing = SharingProfile::default();
         let mut logs: Vec<RaceLog> = Vec::new();
         for o in outs {
@@ -255,6 +264,7 @@ impl RunResult {
             messages: stats.total_messages(),
             kbytes: stats.total_bytes() / 1024,
             stats,
+            timed_hole_faults,
             checksum,
             dsm,
             trace: None,
@@ -421,6 +431,7 @@ mod tests {
                 }),
                 races: None,
                 sharing: None,
+                ..NodeOut::default()
             },
             NodeOut {
                 elapsed_us: 150.0,
@@ -432,6 +443,7 @@ mod tests {
                 }),
                 races: None,
                 sharing: None,
+                ..NodeOut::default()
             },
         ];
         let r = RunResult::assemble(AppId::Jacobi, Version::Tmk, 2, 1.0, outs);

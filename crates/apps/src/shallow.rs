@@ -751,7 +751,7 @@ fn spf_node(node: &Node, p: &Params, cfg: &TmkConfig, fused: bool, cri: bool) ->
         mr.par_loop(l_stop, 0..0, Schedule::Block, &[]);
         sh.checksum(mr.tmk(), n)
     });
-    NodeOut::shared(&tmk, meter.take(), cs)
+    meter.finish(&tmk, cs)
 }
 
 // ---------------------------------------------------------------------

@@ -38,7 +38,7 @@
 //! counters, the totals and the throughput) and added the hinted and
 //! message-passing cells with `kinds`, `hints` and `checksum`.
 
-use apps::{AppId, RunSpec, Version};
+use apps::{AppId, RunResult, RunSpec, Version};
 use sp2sim::stats::ALL_KINDS;
 use sp2sim::EngineKind;
 use treadmarks::ProtocolMode::{self, Hlrc, Lrc};
@@ -141,7 +141,11 @@ pub fn cells() -> Vec<RunSpec> {
 /// must have tracing on: the breakdown and causal columns come from the
 /// trace.
 pub fn row(spec: &RunSpec) -> Json {
-    let r = crate::oracle::run(spec);
+    render(spec, &crate::oracle::run(spec))
+}
+
+/// The row of `r`, the run of `spec`.
+pub fn render(spec: &RunSpec, r: &RunResult) -> Json {
     let trace = r.trace.as_ref().expect("sweep cells run traced");
     let breakdown = crate::trace_analysis::analyze(trace);
     let (critical_path_us, cp_wait_share) = crate::critical_path::compute(trace)

@@ -368,11 +368,47 @@ struct Plan {
     /// they have, the pages to validate and the pages it overwrites
     /// whole.
     validate: Third<Pages>,
-    /// `after_loop`: the `(target, page)` pushes in registration order,
-    /// HLRC home filter not yet applied.
-    pushes: Third<Vec<(usize, usize)>>,
+    /// `after_loop`: the pushes in registration order, HLRC home filter
+    /// not yet applied.
+    pushes: Third<Pushes>,
     /// `planned_homes`: every `(page, writer)` of the writes.
     homes: Third<Vec<(usize, usize)>>,
+}
+
+/// A push list: `(target, page, words)` in registration order, `words`
+/// indexing the page-relative word runs of `runs` the target reads on
+/// the page — the meet its push carries — or empty for the whole page.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Pushes {
+    list: Vec<(usize, usize, Range<usize>)>,
+    runs: Runs,
+}
+
+impl Pushes {
+    fn clear(&mut self) {
+        self.list.clear();
+        self.runs.clear();
+    }
+
+    /// Push page `p` to `q` whole.
+    fn whole(&mut self, q: usize, p: usize) {
+        self.list.push((q, p, 0..0));
+    }
+
+    /// Push page `p` to `q`, which reads the words of `words` — sorted,
+    /// disjoint global word runs — there, on pages of `pw` words.
+    fn meet(&mut self, q: usize, p: usize, words: &[Range<usize>], pw: usize) {
+        let (lo, hi, at) = (p * pw, (p + 1) * pw, self.runs.len());
+        let first = words.partition_point(|w| w.end <= lo);
+        let on_page = words[first..].iter().take_while(|w| w.start < hi);
+        self.runs
+            .extend(on_page.map(|w| w.start.max(lo) - lo..w.end.min(hi) - lo));
+        debug_assert!(
+            self.runs.len() > at,
+            "a consumer reads the page it is pushed"
+        );
+        self.list.push((q, p, at..self.runs.len()));
+    }
 }
 
 /// The builder's buffers, kept between builds.
@@ -385,6 +421,8 @@ struct Scratch {
     theirs: Pages,
     /// A node's written pages, or a republished access's word runs.
     runs: Runs,
+    /// The global words a consumer's accesses touch.
+    words: Runs,
 }
 
 /// The per-node hint engine, layered on one [`Tmk`] instance. Every
@@ -562,14 +600,14 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         });
     }
 
-    /// Every `(target, page)` loop `id`'s writes on this node over
-    /// `iters` owe their consumers: the push third.
+    /// Every push loop `id`'s writes on this node over `iters` owe their
+    /// consumers: the push third.
     fn build_pushes(
         &self,
         loops: &[Entry<'t>],
         id: usize,
         iters: &Range<usize>,
-        pushes: &mut Vec<(usize, usize)>,
+        pushes: &mut Pushes,
     ) {
         let node = (self.tmk.proc_id(), self.tmk.nprocs());
         pushes.clear();
@@ -667,10 +705,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
 
     /// Post-loop hint: register pushes for every written section with
     /// known consumers. A consumer's pages are computed from *its*
-    /// accesses; only the page-level overlap with the producer's writes
-    /// travels (page granularity also captures the false-sharing fetches
-    /// a page-based DSM would otherwise pay), less the pages the consumer
-    /// overwrites whole. Under HLRC a consumer that
+    /// accesses: the pages the producer's writes share with them, less
+    /// the pages the consumer overwrites whole, each with the words the
+    /// consumer's accesses touch there — the meet its push carries of the
+    /// producer's newest range (`Tmk::push_words_at_next_sync`). Under
+    /// HLRC a consumer that
     /// is the page's home is skipped: the producer's eager home flush
     /// already carries the same diff there, so a push would only arrive
     /// as a duplicate for the stale-flush guard to drop — this is where
@@ -680,8 +719,8 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         if described(loops, id).is_none() {
             return 0;
         }
-        let build = |pushes: &mut Vec<_>| self.build_pushes(loops, id, iters, pushes);
-        let register = |pushes: &Vec<(usize, usize)>| self.register_pushes(pushes);
+        let build = |pushes: &mut Pushes| self.build_pushes(loops, id, iters, pushes);
+        let register = |pushes: &Pushes| self.register_pushes(pushes);
         self.third(id, iters, |plan| &mut plan.pushes, build, register)
     }
 
@@ -741,19 +780,26 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// Register the pushes the written accesses of `stream` owe their
     /// consumers. Returns the number of `(target, page)` registrations.
     fn register_stream(&self, loops: &[Entry<'t>], stream: Stream) -> u64 {
-        let mut pushes = Vec::new();
+        let mut pushes = Pushes::default();
         self.push_list(loops, stream, &mut pushes);
         self.register_pushes(&pushes)
     }
 
-    /// Append every `(target, page)` the written accesses of `stream` owe
-    /// their consumers to `pushes`, in registration order: per access, per
-    /// consumer, targets then pages ascending.
-    fn push_list(&self, loops: &[Entry<'t>], stream: Stream, pushes: &mut Vec<(usize, usize)>) {
+    /// Append every push the written accesses of `stream` owe their
+    /// consumers to `pushes`, in registration order: per access, per
+    /// consumer, targets then pages ascending. A consumer loop's push of a
+    /// page names the words its accesses touch there; a consumer node's
+    /// takes the page whole.
+    fn push_list(&self, loops: &[Entry<'t>], stream: Stream, pushes: &mut Pushes) {
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
         let pw = self.tmk.config().page_words;
         let mut scratch = self.scratch.borrow_mut();
-        let Scratch { mine, theirs, .. } = &mut *scratch;
+        let Scratch {
+            mine,
+            theirs,
+            words,
+            ..
+        } = &mut *scratch;
         stream(&mut |a| {
             if a.mode == Mode::Read {
                 return;
@@ -784,27 +830,51 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                         // An access that cannot meet a page of `mine` adds
                         // no page to the overlap and arms none of `mine`:
                         // it is left out before its pages are counted.
+                        // The words of those accesses are gathered as
+                        // their pages are: every word run once or twice.
+                        // They bound q's views only if all are touches,
+                        // which debug builds fence the body's views to;
+                        // an inspector's sections name the words read,
+                        // not the views that read them, so its pages go
+                        // whole.
+                        words.clear();
+                        let touched = RefCell::new(std::mem::take(words));
+                        let fenced = Cell::new(true);
                         self.with_accesses(loops, id, &iters, (q, np), |stream| {
                             let near = |visit: &mut dyn FnMut(&Declared)| {
                                 stream(&mut |ca| {
-                                    if may_meet(ca) {
-                                        visit(ca)
+                                    if !may_meet(ca) {
+                                        return;
                                     }
+                                    if let Shape::Section(_) = ca.shape {
+                                        fenced.set(false);
+                                    }
+                                    let base = ca.arr.first_page() * pw;
+                                    let global = |r: Range<usize>| base + r.start..base + r.end;
+                                    let mut touched = touched.borrow_mut();
+                                    ca.shape.for_each_run(|r| touched.push(global(r)));
+                                    drop(touched);
+                                    visit(ca)
                                 })
                             };
                             theirs.build(self.tmk, &near)
                         });
+                        *words = merge_ranges(touched.into_inner());
                         for_each_overlap(
                             mine.iter().cloned(),
                             theirs.pages.iter().cloned(),
-                            |run| {
-                                pushes.extend(run.map(|p| (q, p)));
+                            |run| match fenced.get() {
+                                true => run.for_each(|p| pushes.meet(q, p, words, pw)),
+                                false => run.for_each(|p| pushes.whole(q, p)),
                             },
                         );
                     }
                 }
                 Consumer::Node(q) if q != me => {
-                    pushes.extend(mine.iter().cloned().flatten().map(|p| (q, p)));
+                    mine.iter()
+                        .cloned()
+                        .flatten()
+                        .for_each(|p| pushes.whole(q, p));
                 }
                 Consumer::Node(_) => {}
             });
@@ -815,13 +885,16 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// release already delivers to their target *now* (HLRC: the page's
     /// home) — homes move between two replays of one list. Returns the
     /// number registered.
-    fn register_pushes(&self, pushes: &[(usize, usize)]) -> u64 {
+    fn register_pushes(&self, pushes: &Pushes) -> u64 {
         let mut registered = 0;
-        for &(q, p) in pushes {
+        for (q, p, words) in pushes.list.iter().cloned() {
             if self.tmk.release_delivers(p, q) {
                 continue;
             }
-            self.tmk.push_page_at_next_sync(q, p);
+            match words.is_empty() {
+                true => self.tmk.push_page_at_next_sync(q, p),
+                false => self.tmk.push_words_at_next_sync(q, p, &pushes.runs[words]),
+            }
             registered += 1;
         }
         registered
@@ -839,6 +912,17 @@ mod tests {
 
     use super::*;
     use crate::{Cols, Prelude};
+
+    impl Pushes {
+        /// `(target, page, words)`, a whole page's words empty.
+        fn entries(&self) -> Vec<(usize, usize, Runs)> {
+            let words = |w: &Range<usize>| self.runs[w.clone()].to_vec();
+            self.list
+                .iter()
+                .map(|(q, p, w)| (*q, *p, words(w)))
+                .collect()
+        }
+    }
 
     /// An entry with `description` and a body that does nothing.
     fn entry(description: Description) -> Entry {
@@ -998,8 +1082,9 @@ mod tests {
         hints: &HintEngine<'t, '_>,
         loops: &[Entry<'t>],
         accesses: &[Access],
-    ) -> Vec<(usize, usize)> {
+    ) -> Vec<(usize, usize, Runs)> {
         let (me, np) = (hints.tmk.proc_id(), hints.tmk.nprocs());
+        let pw = hints.tmk.config().page_words;
         let mut pushes = Vec::new();
         for a in accesses {
             if a.mode == Mode::Read || a.consumers.is_empty() {
@@ -1011,16 +1096,34 @@ mod tests {
                     Consumer::Loop { id, iters } => {
                         for q in (0..np).filter(|&q| q != me) {
                             let theirs = accesses_reference(loops, *id, iters, q, np);
-                            let mut pages = BTreeSet::new();
+                            let (mut pages, mut words) = (BTreeSet::new(), BTreeSet::new());
                             for ca in theirs.iter().filter(|ca| ca.arr == a.arr) {
                                 pages.extend(pages_reference(hints.tmk, ca.arr, &ca.section));
+                                let base = ca.arr.first_page() * pw;
+                                let runs = ca.section.runs().iter().cloned();
+                                words.extend(runs.flatten().map(|w| base + w));
                             }
                             let armed = armed_reference(hints.tmk, &theirs);
                             let pushed = mine.intersection(&pages).filter(|p| !armed.contains(p));
-                            pushes.extend(pushed.map(|&p| (q, p)));
+                            // The words q touches on the page, page-relative,
+                            // when a footprint describes q's loop; else none:
+                            // the page goes whole.
+                            let fenced =
+                                matches!(described(loops, *id), Some(Description::Footprint(..)));
+                            let on = |p: usize| {
+                                let mut runs = Vec::new();
+                                let words = words.range(p * pw..(p + 1) * pw).filter(|_| fenced);
+                                for w in words.map(|w| w - p * pw) {
+                                    insert(&mut runs, w..w + 1);
+                                }
+                                runs
+                            };
+                            pushes.extend(pushed.map(|&p| (q, p, on(p))));
                         }
                     }
-                    Consumer::Node(q) if *q != me => pushes.extend(mine.iter().map(|&p| (*q, p))),
+                    Consumer::Node(q) if *q != me => {
+                        pushes.extend(mine.iter().map(|&p| (*q, p, Vec::new())))
+                    }
                     Consumer::Node(_) => {}
                 }
             }
@@ -1192,9 +1295,9 @@ mod tests {
                 let written = [Access::write(arr[me % 2], sections[me].clone())
                     .consumed_by_loop(1, 0..1)
                     .consumed_by_node(0)];
-                let mut pushes = Vec::new();
+                let mut pushes = Pushes::default();
                 hints.push_list(&loops, &|visit| listed(&written, visit), &mut pushes);
-                ok &= pushes == push_list_reference(&hints, &loops, &written);
+                ok &= pushes.entries() == push_list_reference(&hints, &loops, &written);
                 let homes = hints.planned_homes(&loops, [(1, &(0..1))]);
                 ok &= homes == homes_reference(&hints, &loops, 1, &(0..1));
                 tmk.finish();
@@ -1317,7 +1420,7 @@ mod tests {
         loops: &[Entry<'t>],
         id: usize,
         iters: &Range<usize>,
-    ) -> (usize, Runs, Runs, Pairs, Pairs) {
+    ) -> (usize, Runs, Runs, Pushes, Pairs) {
         let validate = |pages: &Pages| (pages.sections, pages.pages.clone(), pages.armed.clone());
         let (sections, pages, armed) = hints.third(
             id,
@@ -1331,7 +1434,7 @@ mod tests {
             iters,
             |plan| &mut plan.pushes,
             |pushes| hints.build_pushes(loops, id, iters, pushes),
-            Vec::clone,
+            Pushes::clone,
         );
         let homes = hints.third(
             id,
@@ -1377,9 +1480,19 @@ mod tests {
                     plan_lists(&HintEngine::new(&tmk, 0), loops, id, iters)
                 };
                 let (refilled, mut ok) = (HintEngine::new(&tmk, 0), true);
+                // The pushes' pages; their words are the footprints' own,
+                // which an inspector's consumer does not have.
+                let pages = |(s, p, a, pushes, h): (usize, Runs, Runs, Pushes, Pairs)| {
+                    let pairs: Pairs = pushes.list.iter().map(|&(q, p, _)| (q, p)).collect();
+                    (s, p, a, pairs, h)
+                };
                 for id in 0..3 {
                     for iters in [0..1, 1..3] {
-                        ok &= fresh(&loops, id, &iters) == fresh(&reference, id, &iters);
+                        let walked = fresh(&loops, id, &iters);
+                        let derived = derived_reference(&loops, id, &iters, node.id(), 3);
+                        let hints = HintEngine::new(&tmk, 0);
+                        ok &= walked.3.entries() == push_list_reference(&hints, &loops, &derived);
+                        ok &= pages(walked) == pages(fresh(&reference, id, &iters));
                     }
                     plan_lists(&refilled, &loops, id, &(0..1));
                     let again = plan_lists(&refilled, &loops, id, &(1..3));

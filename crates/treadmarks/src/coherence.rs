@@ -47,6 +47,27 @@ pub(crate) struct Miss<'a> {
     /// A write view's fault, which opens the armed pages under it as
     /// written (`DsmState::open_armed`).
     pub(crate) write: bool,
+    /// The global words a view's fault reads, which fetch the holes they
+    /// overlap (`crate::hole`); empty for a validate.
+    pub(crate) words: Range<usize>,
+}
+
+/// The pages one push message carries: ascending, each with the words
+/// its target reads there — `meets[i]` indexes the page-relative runs
+/// `words`, and is empty for the whole page.
+pub(crate) struct PushList<'a> {
+    pub(crate) pages: &'a [PageId],
+    pub(crate) meets: &'a [Range<usize>],
+    pub(crate) words: &'a [Range<usize>],
+}
+
+impl<'a> PushList<'a> {
+    /// The words the target of the push reads on its `i`-th page, `None`
+    /// for the whole page.
+    pub(crate) fn meet(&self, i: usize) -> Option<&'a [Range<usize>]> {
+        let m = &self.meets[i];
+        (!m.is_empty()).then(|| &self.words[m.clone()])
+    }
 }
 
 impl Miss<'_> {
@@ -84,8 +105,12 @@ pub(crate) struct Scratch {
     /// …as `(its pages, how many targets get it, its message once
     /// packed)`…
     pub(crate) push_lists: Vec<(Range<usize>, usize, Option<Payload>)>,
-    /// …and `(target, its list)`, targets ascending.
+    /// …and `(target, its list)`, targets ascending. Each page of
+    /// `push_pages` has the words its targets read there in
+    /// `push_meets` ([`PushList`]), which index `push_words`.
     pub(crate) push_order: Vec<(usize, usize)>,
+    pub(crate) push_meets: Vec<Range<usize>>,
+    pub(crate) push_words: Vec<Range<usize>>,
 }
 
 impl Scratch {
@@ -103,6 +128,8 @@ impl Scratch {
             push_pages: Vec::new(),
             push_lists: Vec::new(),
             push_order: Vec::new(),
+            push_meets: Vec::new(),
+            push_words: Vec::new(),
         }
     }
 }
@@ -187,26 +214,35 @@ impl ProtocolMode {
         }
     }
 
-    /// On-rendezvous, pusher: the payload of a push of `pages`, each
+    /// Does a push of this protocol carry only the words its target
+    /// reads of a page ([`PushList::meet`]), the rest of the page's range
+    /// a hole (`crate::hole`)? LRC's does; HLRC's carries every page
+    /// whole.
+    pub(crate) fn pushes_meets(self) -> bool {
+        self == Lrc
+    }
+
+    /// On-rendezvous, pusher: the payload of a push of `list`, each
     /// page's newest range reaching interval `last`, frozen into the push
-    /// if it was still open, and whatever else the protocol's consumers
-    /// need to use it. `spans` (by page) are the words of pages the
-    /// pusher rewrote, which supersede what a consumer holds: LRC carries
-    /// them instead of the pages' ranges ([`lrc::push_payload`]); HLRC's
-    /// push carries every page whole anyway. `charge` is handed each
-    /// page's freeze time.
+    /// if it was still open — or, under LRC, the meet of that range with
+    /// the words its target reads there ([`PushList::meet`]) — and
+    /// whatever else the protocol's consumers need to use it. `spans` (by
+    /// page) are the words of pages the pusher rewrote, which supersede
+    /// what a consumer holds: LRC carries them instead of the pages'
+    /// ranges ([`lrc::push_payload`]); HLRC's push carries every page
+    /// whole anyway. `charge` is handed each page's freeze time.
     pub(crate) fn push_payload(
         self,
         st: &mut DsmState,
-        pages: &[PageId],
+        list: &PushList,
         spans: &[(PageId, Range<usize>)],
         last: u32,
         cost: &CostModel,
         charge: impl FnMut(f64),
     ) -> Payload {
         match self {
-            Lrc => lrc::push_payload(st, pages, spans, last, cost, charge),
-            Hlrc => hlrc::push_payload(st, pages, last, cost, charge),
+            Lrc => lrc::push_payload(st, list, spans, last, cost, charge),
+            Hlrc => hlrc::push_payload(st, list.pages, last, cost, charge),
         }
     }
 

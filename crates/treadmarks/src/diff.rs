@@ -39,19 +39,24 @@
 //!    pin: they are gathered into an exact-size buffer of their own
 //!    (see "What a window retains").
 //! 3. **A batch that stays seals.** The pages of an HLRC release homed
-//!    at their writer, a page frozen to retire its twin (`freeze`) and
-//!    [`Diff::create`] never leave: [`DiffBatch::seal`] copies them into
-//!    **one** exact-size shared allocation and hands the scratch back. An
+//!    at their writer, a page frozen to retire its twin (`freeze_all`),
+//!    the ranges an LRC rendezvous pushes by meet and [`Diff::create`]
+//!    never leave: [`DiffBatch::seal`] copies them into **one**
+//!    exact-size shared allocation and hands the scratch back. An
 //!    unchanged page is the process-wide empty diff, and a batch of
-//!    unchanged pages seals into nothing.
+//!    unchanged pages seals into nothing. A push by meet carries a cut
+//!    copy of such a range ([`Diff::encode_meet`]): the words its target
+//!    reads with their values, the others as bare run headers — the
+//!    holes of `crate::hole`, which keep no words anywhere.
 //! 4. **Message → window.** The receiver wraps the payload it was handed
 //!    in a [`Landed`] — an owned payload moves in, a shared one is the
 //!    sender's buffer itself: no copy either way — and [`Diff::window`]
 //!    measures each diff in place — every header hop bounds-checked
 //!    against the message — yielding windows onto the payload. A diff
 //!    response, a validate response and a push apply them straight from
-//!    there and drop the message; a home keeps a flush's windows in
-//!    `HomePage::ranges`.
+//!    there and drop the message (a push by meet records its holes'
+//!    runs beside the frame, and a later fault fills them from a diff
+//!    response); a home keeps a flush's windows in `HomePage::ranges`.
 //! 5. **Folded at prune.** `prune_home_copies` applies a range onto the
 //!    page's base image and drops the window; the last window gone frees
 //!    the message.
@@ -519,7 +524,7 @@ impl Diff {
     }
 
     /// The runs, in order: `(start, new values)`.
-    fn runs(&self) -> impl Iterator<Item = (usize, &[u64])> {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, &[u64])> {
         let mut rest = &self.enc()[1..];
         std::iter::from_fn(move || {
             let (&header, tail) = rest.split_first()?;
@@ -567,6 +572,69 @@ impl Diff {
     /// into the run header word.
     pub fn encode(&self, w: &mut WordWriter) {
         w.put_raw(self.enc());
+    }
+
+    /// How many changed words lie in `keep` — sorted, disjoint
+    /// page-relative word runs: the diff's **meet** with them.
+    pub fn meet_words(&self, keep: &[Range<usize>]) -> usize {
+        let mut words = 0;
+        for (start, values) in self.runs() {
+            split(start..start + values.len(), keep, |run, inside| {
+                if inside {
+                    words += run.len();
+                }
+            });
+        }
+        words
+    }
+
+    /// Serialize the meet of the diff with `keep` ([`Diff::meet_words`])
+    /// as a diff of its own, then the rest of the diff's words as bare
+    /// run headers behind their count (the holes of `crate::hole`).
+    pub fn encode_meet(&self, keep: &[Range<usize>], w: &mut WordWriter) {
+        let mut count = 0;
+        let at = w.len();
+        w.put(0);
+        for (start, values) in self.runs() {
+            split(start..start + values.len(), keep, |run, inside| {
+                if inside {
+                    count += 1;
+                    w.put(header(run.start, run.len()));
+                    w.put_raw(&values[run.start - start..run.end - start]);
+                }
+            });
+        }
+        w.set(at, count);
+        let at = w.len();
+        let mut holes = 0;
+        w.put(0);
+        for (start, values) in self.runs() {
+            split(start..start + values.len(), keep, |run, inside| {
+                if !inside {
+                    holes += 1;
+                    w.put(header(run.start, run.len()));
+                }
+            });
+        }
+        w.set(at, holes);
+    }
+}
+
+/// Cut `run` at the edges of `keep` (sorted, disjoint runs) and hand
+/// each piece to `f`, ascending, with whether it lies inside `keep`.
+fn split(run: Range<usize>, keep: &[Range<usize>], mut f: impl FnMut(Range<usize>, bool)) {
+    let mut at = run.start;
+    let first = keep.partition_point(|k| k.end <= run.start);
+    for k in keep[first..].iter().take_while(|k| k.start < run.end) {
+        if k.start > at {
+            f(at..k.start, false);
+        }
+        let end = k.end.min(run.end);
+        f(at.max(k.start)..end, true);
+        at = end;
+    }
+    if at < run.end {
+        f(at..run.end, false);
     }
 }
 

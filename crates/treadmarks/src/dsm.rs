@@ -17,11 +17,11 @@ use sp2sim::{
     TraceSpanGuard, Tree, WordReader, WordWriter,
 };
 
-use crate::coherence::{Miss, Scratch};
+use crate::coherence::{Miss, PushList, Scratch};
 use crate::config::TmkConfig;
 use crate::diff::Landed;
 use crate::interval::Intervals;
-use crate::page::Window;
+use crate::page::{PageId, Window};
 pub use crate::page::{ReadView, WriteView};
 use crate::protocol::{self, flags, op, tag};
 use crate::service::{forward_reduce, service_loop};
@@ -93,6 +93,10 @@ impl ViewFence {
     }
 }
 
+/// The holes a meet push leaves: `(writer, page, seq, wire headers)`
+/// per meet entry (`crate::hole`), sorted.
+pub(crate) type MeetHoles<'a> = [(usize, PageId, u32, &'a [u64])];
+
 /// Apply fetched or pushed diff ranges `(writer, entry)` in `(lamport,
 /// writer)` order — a linear extension of happens-before — skipping what
 /// the frame already holds, and leave `entries` empty (the messages its
@@ -101,24 +105,52 @@ impl ViewFence {
 /// A range applies only if no unapplied notice for its page sorts before
 /// it ([`DsmState::notice_before`]): a push that skips an older diff, of
 /// its own writer or another, is dropped, the page stays invalid, and
-/// the next access fetches the whole set in order.
+/// the next access fetches the whole set in order. A range that is the
+/// meet of a push leaves the holes `holes` names for it once applied; a
+/// range the frame already holds fills the holes it left
+/// ([`DsmState::fill_holes`]).
 pub(crate) fn apply_fetched(
     st: &mut DsmState,
     entries: &mut Vec<(usize, protocol::DiffRespEntry)>,
+    holes: &MeetHoles,
     cost: &sp2sim::CostModel,
 ) -> f64 {
     entries.sort_by_key(|(w, e)| (e.range.lamport, *w));
     let mut us = 0.0;
     for (writer, protocol::DiffRespEntry { page, range }) in entries.drain(..) {
-        if range.hi <= st.applied_seq(page, writer)
-            || st.notice_before(page, (range.lamport, writer))
-        {
+        if range.hi <= st.applied_seq(page, writer) {
+            let filled = st.fill_holes(page, writer, range.hi, &range.diff);
+            if filled > 0 {
+                us += cost.diff_apply_us(filled);
+            }
+            continue;
+        }
+        if st.notice_before(page, (range.lamport, writer)) {
             continue;
         }
         st.apply_range(page, writer, range.hi, &range.diff);
         us += cost.diff_apply_us(range.diff.encoded_words());
+        let key = (writer, page, range.hi);
+        if let Ok(i) = holes.binary_search_by_key(&key, |h| (h.0, h.1, h.2)) {
+            st.add_holes(page, writer, range.hi, holes[i].3);
+        }
     }
     us
+}
+
+/// Merge `runs`, sorted by start, in place: the merged runs end up at
+/// the front; returns how many there are.
+fn merge_runs(runs: &mut [Range<usize>]) -> usize {
+    let mut k = 0;
+    for i in 0..runs.len() {
+        if k > 0 && runs[i].start <= runs[k - 1].end {
+            runs[k - 1].end = runs[k - 1].end.max(runs[i].end);
+        } else {
+            runs[k] = runs[i].clone();
+            k += 1;
+        }
+    }
+    k
 }
 
 /// One node's TreadMarks instance.
@@ -417,6 +449,7 @@ impl<'n> Tmk<'n> {
             for e in protocol::decode_page_resp(&mut WordReader::new(&pkt.payload), n, pw) {
                 if st.frames.dominated_by(e.page, e.applied()) {
                     st.frames.frame_mut(e.page).install(e.data, e.applied());
+                    st.clear_holes(e.page, 0..pw);
                     us += self.node.cost().diff_apply_us(pw);
                 }
             }
@@ -496,10 +529,12 @@ impl<'n> Tmk<'n> {
             aggregated: true,
             validate: true,
             write: false,
+            words: 0..0,
         };
         let missing = self.cfg.protocol.resolve_miss(self, sc, &miss);
         if !sc.entries.is_empty() {
-            let us = apply_fetched(&mut self.state.lock(), &mut sc.entries, self.node.cost());
+            let st = &mut self.state.lock();
+            let us = apply_fetched(st, &mut sc.entries, &[], self.node.cost());
             self.charge_apply(us);
         }
         missing
@@ -634,6 +669,7 @@ impl<'n> Tmk<'n> {
             aggregated: self.cfg.aggregation,
             validate: false,
             write,
+            words: wlo..whi,
         };
         self.cfg.protocol.resolve_miss(self, sc, &miss);
 
@@ -641,7 +677,14 @@ impl<'n> Tmk<'n> {
         // of happens-before — then write-enable.
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let applied = apply_fetched(st, &mut sc.entries, cost);
+        let applied = apply_fetched(st, &mut sc.entries, &[], cost);
+        debug_assert!(
+            (p0..=p1).all(|p| {
+                let words = wlo.max(p * pw) - p * pw..whi.min((p + 1) * pw) - p * pw;
+                st.holes_under(p, words).next().is_none()
+            }),
+            "a view's fault filled every hole under it"
+        );
         let (mut us, mut faulted) = (applied, 0.0);
         if write {
             for p in p0..=p1 {
@@ -1028,7 +1071,32 @@ impl<'n> Tmk<'n> {
         if target == self.proc_id() {
             return;
         }
-        self.state.lock().pending_push.push((target, page));
+        self.state.lock().pending_push.push((target, page, 0..0));
+    }
+
+    /// Register a single (global) page for pushing to `target` at the
+    /// next synchronization rendezvous, where `target` reads the words
+    /// `words` of it — sorted, disjoint page-relative runs, not empty.
+    /// Under LRC the push carries the **meet**: the words of the page's
+    /// newest range that `words` holds, and the range's other words as
+    /// holes, which `target` fetches if a view of its overlaps one
+    /// (`crate::hole`). Under HLRC, or when the page is also registered
+    /// whole, the whole page goes. The CRI hint engine feeds the words
+    /// a consumer loop's footprint touches on each page it shares with
+    /// a producer's writes through this entry point.
+    pub fn push_words_at_next_sync(&self, target: usize, page: usize, words: &[Range<usize>]) {
+        assert!(
+            !words.is_empty(),
+            "a meet push names the words its target reads"
+        );
+        if target == self.proc_id() {
+            return;
+        }
+        let mut st = self.state.lock();
+        let at = st.pending_words.len();
+        st.pending_words.extend_from_slice(words);
+        let end = st.pending_words.len();
+        st.pending_push.push((target, page, at..end));
     }
 
     /// Mark the words `runs` (sorted, disjoint element runs) of `arr` as
@@ -1075,10 +1143,11 @@ impl<'n> Tmk<'n> {
     pub fn push_link(&self, words: &[(SharedArray, Vec<Range<usize>>)], readers: &[usize]) {
         self.quiescent("link push");
         self.publish();
-        let (mut kept, kept_spans) = {
+        let (mut kept, kept_spans, kept_words) = {
             let mut st = self.state.lock();
             let spans = std::mem::take(&mut st.pending_spans);
-            (std::mem::take(&mut st.pending_push), spans)
+            let words = std::mem::take(&mut st.pending_words);
+            (std::mem::take(&mut st.pending_push), spans, words)
         };
         for (arr, runs) in words {
             self.supersede_at_next_sync(*arr, runs);
@@ -1095,10 +1164,11 @@ impl<'n> Tmk<'n> {
                 .flat_map(|(arr, runs)| runs.iter().map(|r| (*arr, r)));
             runs.any(|(arr, r)| self.page_span(arr, r).contains(&p))
         };
-        kept.retain(|&(t, p)| !(readers.contains(&t) && pushed(p)));
+        kept.retain(|&(t, p, _)| !(readers.contains(&t) && pushed(p)));
         let mut st = self.state.lock();
         st.pending_push = kept;
         st.pending_spans = kept_spans;
+        st.pending_words = kept_words;
     }
 
     /// Take the link push `writer` sends this node ([`Tmk::push_link`])
@@ -1130,7 +1200,7 @@ impl<'n> Tmk<'n> {
     fn do_pushes(&self, link: bool, announce: impl FnOnce(&[u64])) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let (me, n) = (self.proc_id(), self.nprocs());
-        let (mut pending, mut spans, last) = {
+        let (mut pending, mut words, mut spans, last) = {
             let mut st = self.state.lock();
             // The newest interval's ranges, unless they already went.
             let newest = st.vc[me];
@@ -1144,17 +1214,18 @@ impl<'n> Tmk<'n> {
             }
             if st.pending_push.is_empty() {
                 st.pending_spans.clear();
+                st.pending_words.clear();
                 drop(st);
                 announce(&[]);
                 return Vec::new();
             }
             let spans = std::mem::take(&mut st.pending_spans);
-            (std::mem::take(&mut st.pending_push), spans, last)
+            let words = std::mem::take(&mut st.pending_words);
+            (std::mem::take(&mut st.pending_push), words, spans, last)
         };
         // Group by target, pages ascending; several hinted accesses may
         // name one page. A page's span is the hull of its marks.
-        pending.sort_unstable();
-        pending.dedup();
+        pending.sort_unstable_by_key(|&(t, p, ref w)| (t, p, w.start));
         spans.sort_unstable_by_key(|(p, span)| (*p, span.start));
         spans.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
@@ -1167,23 +1238,61 @@ impl<'n> Tmk<'n> {
         // target: each distinct list once, back to back in `pages`, in
         // `lists` as `(its pages, how many targets get it, its message)`
         // — packed at its first target, shared by the rest — and in
-        // `order` each target's list.
+        // `order` each target's list. A page's meet is the union of the
+        // words every registration of it names, or the whole page when
+        // one names it whole, the protocol pushes pages whole or this is
+        // a link push.
         let mut scratch = self.scratch.borrow_mut();
         let sc = &mut *scratch;
         let (pages, lists, order) = (&mut sc.push_pages, &mut sc.push_lists, &mut sc.push_order);
+        let (meets, meet_words) = (&mut sc.push_meets, &mut sc.push_words);
+        let meeting = !link && self.cfg.protocol.pushes_meets();
+        let cost = self.node.cost();
         {
             let mut st = self.state.lock();
             for group in pending.chunk_by(|a, b| a.0 == b.0) {
-                let at = pages.len();
-                let pushable = group.iter().map(|&(_, p)| p);
-                pages.extend(pushable.filter(|&p| link || st.has_range_from(p, last)));
+                let (at, words_at) = (pages.len(), meet_words.len());
+                for page in group.chunk_by(|a, b| a.1 == b.1) {
+                    let p = page[0].1;
+                    if !link && !st.has_range_from(p, last) {
+                        continue;
+                    }
+                    pages.push(p);
+                    let from = meet_words.len();
+                    if meeting && page.iter().all(|r| !r.2.is_empty()) {
+                        let runs = page.iter().flat_map(|r| words[r.2.clone()].iter().cloned());
+                        meet_words.extend(runs);
+                        meet_words[from..].sort_unstable_by_key(|r| r.start);
+                        let merged = merge_runs(&mut meet_words[from..]);
+                        meet_words.truncate(from + merged);
+                        // A page whose range changed no word outside its
+                        // meet goes whole, as it would anyway.
+                        let keep = &meet_words[from..];
+                        st.stats.push_words_read +=
+                            keep.iter().map(|r| r.len() as u64).sum::<u64>();
+                        if st.range_within(p, last, keep) {
+                            meet_words.truncate(from);
+                        }
+                    }
+                    meets.push(from..meet_words.len());
+                }
                 st.stats.pages_pushed += (pages.len() - at) as u64;
                 if pages.len() == at {
                     continue;
                 }
-                let i = match lists.iter().position(|l| pages[l.0.clone()] == pages[at..]) {
+                let list = |l: &Range<usize>| {
+                    let ms = meets[l.clone()].iter().map(|m| &meet_words[m.clone()]);
+                    (&pages[l.clone()], ms)
+                };
+                let same = |l: &Range<usize>| {
+                    let ((a, ma), (b, mb)) = (list(l), list(&(at..pages.len())));
+                    a == b && ma.eq(mb)
+                };
+                let i = match lists.iter().position(|l| same(&l.0)) {
                     Some(i) => {
                         pages.truncate(at);
+                        meets.truncate(at);
+                        meet_words.truncate(words_at);
                         i
                     }
                     None => {
@@ -1194,6 +1303,10 @@ impl<'n> Tmk<'n> {
                 lists[i].1 += 1;
                 order.push((group[0].0, i));
             }
+            // The ranges meets are cut from stay whole here, frozen apart
+            // in one batch for the rendezvous: the messages carry cuts.
+            let cut = (0..pages.len()).filter(|&i| !meets[i].is_empty());
+            st.freeze_all(cut.map(|i| (pages[i], last)), cost, true);
         }
         // Every target gets one message: straight, or — the one list
         // every other node gets, where that saves this node sends — down
@@ -1203,9 +1316,8 @@ impl<'n> Tmk<'n> {
         let tree = Tree::new(me, n, me);
         let saves = tree.children().count() < n - 1;
         let down_tree = lists.iter().position(|l| l.1 == n - 1 && saves);
-        let cost = self.node.cost();
         let mut payload = |i: usize| -> Payload {
-            let (list, _, built) = &mut lists[i];
+            let (list, targets, built) = &mut lists[i];
             if let Some(payload) = built {
                 return payload.clone();
             }
@@ -1215,8 +1327,17 @@ impl<'n> Tmk<'n> {
             let payload = {
                 let mut st = self.state.lock();
                 let charge = |page_us| us += page_us;
+                let list = PushList {
+                    pages: &pages[list.clone()],
+                    meets: &meets[list.clone()],
+                    words: &meet_words[..],
+                };
                 let protocol = self.cfg.protocol;
-                protocol.push_payload(&mut st, &pages[list.clone()], &spans, last, cost, charge)
+                let payload = protocol.push_payload(&mut st, &list, &spans, last, cost, charge);
+                if meeting {
+                    st.count_push_words(&list, &spans, last, *targets as u64);
+                }
+                payload
             };
             self.node.advance(us);
             built.insert(payload).clone()
@@ -1241,12 +1362,16 @@ impl<'n> Tmk<'n> {
         pages.clear();
         lists.clear();
         order.clear();
+        meets.clear();
+        meet_words.clear();
         // Only the application fiber registers pushes: hand the buffers
         // back for the next phase's registrations.
         pending.clear();
+        words.clear();
         spans.clear();
         let mut st = self.state.lock();
         st.pending_push = pending;
+        st.pending_words = words;
         st.pending_spans = spans;
         counts
     }
@@ -1285,18 +1410,27 @@ impl<'n> Tmk<'n> {
         let all = &mut scratch.entries;
         let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
         let mut span_pushes: Vec<(usize, protocol::SpanEntry)> = Vec::new();
+        let mut holes: Vec<(usize, PageId, u32, &[u64])> = Vec::new();
         for &(writer, ref msg) in &pushes {
             let mut r = msg.reader();
             let mode = r.get();
             all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (writer, e)));
-            match mode {
-                protocol::PUSH_MODE_PAGES => page_pushes
-                    .extend(protocol::decode_page_resp(&mut r, n, pw).map(|e| (writer, e))),
-                protocol::PUSH_MODE_SPANS => span_pushes
-                    .extend(protocol::decode_span_entries(&mut r, n, pw).map(|e| (writer, e))),
-                _ => {}
+            if mode & protocol::PUSH_MODE_PAGES != 0 {
+                let pages = protocol::decode_page_resp(&mut r, n, pw);
+                page_pushes.extend(pages.map(|e| (writer, e)));
+            }
+            if mode & protocol::PUSH_MODE_SPANS != 0 {
+                let spans = protocol::decode_span_entries(&mut r, n, pw);
+                span_pushes.extend(spans.map(|e| (writer, e)));
+            }
+            if mode & protocol::PUSH_MODE_MEETS != 0 {
+                for (e, h) in protocol::decode_meet_entries(msg, &mut r, pw) {
+                    holes.push((writer, e.page, e.range.hi, h));
+                    all.push((writer, e));
+                }
             }
         }
+        holes.sort_unstable_by_key(|h| (h.0, h.1, h.2));
         // Deterministic install order for the page copies and spans,
         // independent of message arrival order (a seeded schedule may
         // deliver pushes in any order).
@@ -1304,7 +1438,7 @@ impl<'n> Tmk<'n> {
         span_pushes.sort_by_key(|(src, e)| (e.page, *src));
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        let mut us = apply_fetched(st, all, cost);
+        let mut us = apply_fetched(st, all, &holes, cost);
         // Whole-page pushes and spans: install only where the pushed
         // watermarks dominate ours componentwise — after the diff merge
         // above, so a concurrent-writer page whose diffs both applied
@@ -1338,6 +1472,7 @@ impl<'n> Tmk<'n> {
                 "page pushes are consumed after a release that froze every range"
             );
             frame.install(e.data, e.applied());
+            st.clear_holes(e.page, 0..pw);
             us += cost.diff_apply_us(pw);
         }
         for (_, e) in span_pushes {
@@ -1351,9 +1486,10 @@ impl<'n> Tmk<'n> {
                 "spans are consumed after a release and the pusher's notice froze every range"
             );
             #[cfg(debug_assertions)]
-            protocol::shadow::check(&e, frame.data);
+            protocol::shadow::check(&e, frame.data, st.holes.get(&e.page));
             frame.data[e.at..e.at + e.words.len()].copy_from_slice(e.words);
             frame.raise_applied(e.applied());
+            st.clear_holes(e.page, e.at..e.at + e.words.len());
             us += cost.diff_apply_us(e.words.len());
         }
         drop(guard);
@@ -1572,6 +1708,7 @@ impl<'n> Tmk<'n> {
             let mut frame = st.frames.frame_mut(e.page);
             debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
             frame.install(e.data, e.applied());
+            st.clear_holes(e.page, 0..pw);
             us += self.node.cost().diff_apply_us(pw);
         }
         drop(st);
@@ -1662,6 +1799,7 @@ impl Drop for Tmk<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::ProtocolMode;
+    use proptest::prelude::*;
     use sp2sim::{Cluster, ClusterConfig, EngineKind, EventKind, RunOutput};
     use std::fmt::Debug;
 
@@ -2384,6 +2522,173 @@ pub(crate) mod tests {
         }
         assert_eq!(out.stats.messages(MsgKind::Push), 2);
         assert_eq!(out.stats.messages(MsgKind::DiffReq), 0);
+    }
+
+    /// A node's frame and applied watermarks of each page.
+    type Frames = Vec<(Vec<u64>, Vec<u32>)>;
+
+    /// This node's frame and applied watermarks of every page of `pages`.
+    fn frames_of(tmk: &Tmk, pages: Range<usize>) -> Frames {
+        let st = tmk.state.lock();
+        let frame = |p| (st.frames.data(p).map(<[u64]>::to_vec), st.frames.applied(p));
+        let frame = |p| {
+            frame(p)
+                .0
+                .zip(frame(p).1.map(<[u32]>::to_vec))
+                .expect("a frame")
+        };
+        pages.map(frame).collect()
+    }
+
+    /// A push of the words `0..4` of a page to a node that then reads
+    /// word 10, outside them: the view faults on the hole — one fault,
+    /// one diff request — and the frame and its watermarks come out as a
+    /// push of the whole page leaves them.
+    #[test]
+    fn a_read_outside_the_meet_faults_and_ends_as_a_page_push() {
+        let cfg = TmkConfig {
+            page_words: 16,
+            ..TmkConfig::default()
+        };
+        let program = |meet: bool| {
+            move |tmk: &Tmk| {
+                let a = tmk.malloc_f64(16);
+                if tmk.proc_id() == 1 {
+                    let mut w = tmk.write(a, 0..16);
+                    (0..16).for_each(|i| w[i] = i as f64 + 1.0);
+                    drop(w);
+                    match meet {
+                        true => tmk.push_words_at_next_sync(0, 0, std::slice::from_ref(&(0..4))),
+                        false => tmk.push_page_at_next_sync(0, 0),
+                    }
+                }
+                tmk.barrier(0);
+                let before = tmk.stats_snapshot();
+                let inside = tmk.read_one(a, 2);
+                let mid = tmk.stats_snapshot();
+                let outside = tmk.read_one(a, 10);
+                let after = tmk.stats_snapshot();
+                let frames = frames_of(tmk, 0..1);
+                tmk.finish();
+                let faults = [mid.faults - before.faults, after.faults - mid.faults];
+                (inside, outside, faults, after.hole_faults, frames)
+            }
+        };
+        let (meet, page) = (
+            run_cfg(2, cfg, program(true)),
+            run_cfg(2, cfg, program(false)),
+        );
+        let (inside, outside, faults, holes, frames) = &meet.results[0];
+        assert_eq!((*inside, *outside), (3.0, 11.0));
+        assert_eq!(
+            (faults, *holes),
+            (&[0, 1], 1),
+            "the hole word faults, the meet does not"
+        );
+        assert_eq!(meet.stats.messages(MsgKind::DiffReq), 1);
+        assert_eq!(
+            page.results[0].2,
+            [0, 0],
+            "a page push leaves nothing to fault on"
+        );
+        assert_eq!(
+            frames, &page.results[0].4,
+            "memory and watermarks as a page push's"
+        );
+        assert!(meet.stats.bytes_of(MsgKind::Push) < page.stats.bytes_of(MsgKind::Push));
+    }
+
+    /// One round of [`meet_program`]: `writer` stores words `lo..lo + len`
+    /// and pushes them to the others, each reading the page-relative
+    /// words `meet` of every page written; then `reader` reads `read`.
+    type Round = (usize, usize, usize, Range<usize>, usize, Range<usize>);
+
+    /// Rounds of writes, each pushed to the other nodes by meet (`meets`)
+    /// or by page, each followed by one node's read, on 3 nodes with two
+    /// 16-word pages under `engine`; then every node reads everything.
+    /// Returns each node's frames, watermarks and hole faults.
+    fn meet_program(engine: EngineKind, meets: bool, rounds: &[Round]) -> Vec<(Frames, u64)> {
+        let cfg = TmkConfig {
+            page_words: 16,
+            ..TmkConfig::default()
+        };
+        let out = Cluster::run(ClusterConfig::sp2_on(3, engine), |node| {
+            let tmk = Tmk::new(node, cfg);
+            let a = tmk.malloc_f64(32);
+            for (k, (writer, lo, len, meet, reader, read)) in rounds.iter().cloned().enumerate() {
+                let me = tmk.proc_id();
+                if me == writer {
+                    let mut w = tmk.write(a, lo..lo + len);
+                    (lo..lo + len).for_each(|i| w[i] = (100 * k + i) as f64);
+                    drop(w);
+                    for (p, t) in
+                        (lo / 16..(lo + len - 1) / 16 + 1).flat_map(|p| (0..3).map(move |t| (p, t)))
+                    {
+                        match meets {
+                            true => tmk.push_words_at_next_sync(t, p, std::slice::from_ref(&meet)),
+                            false => tmk.push_page_at_next_sync(t, p),
+                        }
+                    }
+                }
+                tmk.barrier(2 * k as u32);
+                if me == reader {
+                    drop(tmk.read(a, read));
+                }
+                tmk.barrier(2 * k as u32 + 1);
+            }
+            drop(tmk.read(a, 0..32));
+            let frames = frames_of(&tmk, 0..2);
+            let holes = tmk.finish().hole_faults;
+            (frames, holes)
+        });
+        out.results
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random producer ranges, meets, later writes by other writers,
+        /// hole fills and a final whole read: every node's frames and
+        /// applied watermarks come out bit-equal to page pushes', on the
+        /// FIFO schedule and three seeded ones.
+        #[test]
+        fn prop_meet_pushes_end_as_page_pushes(
+            raw in prop::collection::vec(
+                ((0usize..3, 0usize..32, 1usize..20), (0usize..16, 1usize..16), (0usize..3, 0usize..32, 1usize..32)),
+                1..6,
+            ),
+        ) {
+            let rounds: Vec<Round> = raw
+                .iter()
+                .map(|&((w, lo, len), (mo, ml), (r, rl, rlen))| {
+                    let len = len.min(32 - lo);
+                    let read = rl.min(31)..(rl + rlen).min(32);
+                    (w, lo, len, mo..(mo + ml).min(16), r, read)
+                })
+                .collect();
+            let mut holes = 0;
+            for engine in EngineKind::explore(3) {
+                let meet = meet_program(engine, true, &rounds);
+                let page = meet_program(engine, false, &rounds);
+                for (node, (m, p)) in meet.iter().zip(&page).enumerate() {
+                    prop_assert_eq!(&m.0, &p.0, "node {} on {} after {:?}", node, engine, rounds);
+                    holes += m.1;
+                }
+            }
+            HOLES_FILLED.with(|h| h.set(h.get() + holes));
+        }
+    }
+
+    thread_local! {
+        /// Hole faults over the cases of `prop_meet_pushes_end_as_page_pushes`.
+        static HOLES_FILLED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The property above is not vacuous: its programs fault on holes.
+    #[test]
+    fn meet_pushes_property_fills_holes() {
+        prop_meet_pushes_end_as_page_pushes();
+        assert!(HOLES_FILLED.with(|h| h.get()) > 0);
     }
 
     #[test]

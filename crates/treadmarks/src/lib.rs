@@ -73,8 +73,10 @@
 //!   `spf` crate's hint engine drives from compiler-provided
 //!   regular-section descriptors: [`dsm::Tmk::validate_pages`] (aggregated
 //!   validate — one round trip per writer for every page a phase will
-//!   fault), [`dsm::Tmk::push_page_at_next_sync`] (producer→consumer
-//!   pushes riding every rendezvous, barriers and fork-join alike), and
+//!   fault), [`dsm::Tmk::push_words_at_next_sync`] (producer→consumer
+//!   pushes riding every rendezvous, barriers and fork-join alike; under
+//!   LRC a push carries the words its consumer reads, the rest a
+//!   [`hole`] the consumer faults on if it reads it), and
 //!   [`dsm::Tmk::reduce`] (direct binomial-tree reduction, `2 (n - 1)`
 //!   messages instead of lock-and-shared-page folding).
 //!
@@ -113,6 +115,7 @@ pub mod config;
 pub mod diff;
 pub mod dsm;
 pub mod hlrc;
+pub mod hole;
 pub mod interval;
 pub mod lrc;
 #[allow(unsafe_code)]

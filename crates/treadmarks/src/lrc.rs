@@ -21,7 +21,7 @@ use sp2sim::{
     CostModel, EdgeKind, Endpoint, MsgKind, Payload, Port, StateCell, VTime, WordReader, WordWriter,
 };
 
-use crate::coherence::{Miss, Scratch};
+use crate::coherence::{Miss, PushList, Scratch};
 use crate::diff::{DiffBatch, Landed};
 use crate::dsm::Tmk;
 use crate::page::PageId;
@@ -43,22 +43,36 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
 pub(crate) fn resolve_miss(tmk: &Tmk<'_>, sc: &mut Scratch, miss: &Miss<'_>) -> u64 {
     let by_writer = &mut sc.by_writer;
     let invalid = tmk.plan_miss(miss, |st| {
-        let me = st.me;
-        let mut invalid = 0;
+        let (me, pw) = (st.me, st.cfg.page_words);
+        let (mut invalid, mut holed) = (0, false);
         for page in miss.pages() {
+            // The view's words on the page, and the holes it overlaps
+            // there, which fault as a missing notice does.
+            let base = page * pw;
+            let words = miss.words.start.clamp(base, base + pw) - base
+                ..miss.words.end.clamp(base, base + pw) - base;
+            let overlaps = st.holes_under(page, words.clone()).next().is_some();
             if !st.faults_on(page) {
-                continue;
+                if !overlaps {
+                    continue;
+                }
+                st.pages.row(page).prof.faults += 1;
             }
+            holed |= overlaps;
             invalid += 1;
+            let holes = st.holes.get(&page);
             let applied = st.frames.applied(page);
             for writer in (0..st.n).filter(|&w| w != me) {
                 let done = applied.map_or(0, |a| a[writer]);
                 let first = st.notices.first_after(page, writer, done, &st.log[writer]);
-                if let Some(first_needed) = first {
+                let under = holes.into_iter().flat_map(|h| h.overlapping(words.clone()));
+                let hole = under.filter(|h| h.writer == writer).map(|h| h.seq).min();
+                if let Some(first_needed) = first.into_iter().chain(hole).min() {
                     by_writer[writer].push(DiffReqEntry { page, first_needed });
                 }
             }
         }
+        st.stats.hole_faults += u64::from(holed);
         invalid
     });
     // A validate is a diff request on an opcode, tag and kind of its
@@ -87,24 +101,28 @@ pub(crate) fn resolve_miss(tmk: &Tmk<'_>, sc: &mut Scratch, miss: &Miss<'_>) -> 
     invalid
 }
 
-/// On-rendezvous, pusher: the payload of a push of `pages` (each with a
-/// range reaching interval `last`) — each page's newest range, frozen
-/// into the push if it was still open, which a consumer that tracked the
-/// page applies like a fetched one. A page `spans` names (sorted by
-/// page) supersedes instead: it travels as the words of its span,
-/// verbatim, with the page's applied watermarks, which a consumer that
-/// missed older ranges of the page — of any writer — installs all the
-/// same (`Tmk::receive_pushes`). Its open range is frozen where it
+/// On-rendezvous, pusher: the payload of a push of `list`'s pages (each
+/// with a range reaching interval `last`) — each page's newest range,
+/// frozen into the push if it was still open, which a consumer that
+/// tracked the page applies like a fetched one. A page with a meet
+/// ([`PushList::meet`]) carries only the range's words its target reads
+/// with their values, and its other words as bare run headers, which the
+/// consumer keeps as holes (`crate::hole`); its range is frozen apart
+/// from the message first, which pays for it. A page `spans` names
+/// (sorted by page) supersedes instead: it travels as the words of its
+/// span, verbatim, with the page's applied watermarks, which a consumer
+/// that missed older ranges of the page — of any writer — installs all
+/// the same (`Tmk::receive_pushes`). Its open range is frozen where it
 /// stays, unpaid like one a foreign notice closes, so its twin retires
 /// as a push's freeze would retire it. `charge` as in
 /// [`DsmState::put_entries`].
 pub(crate) fn push_payload(
     st: &mut DsmState,
-    pages: &[PageId],
+    list: &PushList,
     spans: &[(PageId, Range<usize>)],
     last: u32,
     cost: &CostModel,
-    charge: impl FnMut(f64),
+    mut charge: impl FnMut(f64),
 ) -> Payload {
     let span_of = |p: PageId| {
         spans
@@ -112,37 +130,66 @@ pub(crate) fn push_payload(
             .ok()
             .map(|i| &spans[i].1)
     };
+    let pages = list.pages;
     let spanned = || pages.iter().copied().filter(|&p| span_of(p).is_some());
+    let met = || {
+        let unspanned = (0..pages.len()).filter(|&i| span_of(pages[i]).is_none());
+        unspanned.filter_map(|i| Some((pages[i], list.meet(i)?)))
+    };
+    st.freeze_all(met().map(|(p, _)| (p, last)), cost, true);
     let mut msg = DiffBatch::message();
     let superseding = spanned().next().is_some();
-    msg.put(match superseding {
-        true => protocol::PUSH_MODE_SPANS,
-        false => protocol::PUSH_MODE_DIFFS,
-    });
-    let diffs = pages.iter().filter(|&&p| span_of(p).is_none());
+    let meeting = met().next().is_some();
+    let mut mode = protocol::PUSH_MODE_DIFFS;
+    if superseding {
+        mode |= protocol::PUSH_MODE_SPANS;
+    }
+    if meeting {
+        mode |= protocol::PUSH_MODE_MEETS;
+    }
+    msg.put(mode);
+    let whole = (0..pages.len()).filter(|&i| span_of(pages[i]).is_none() && list.meet(i).is_none());
+    let whole = || whole.clone().map(|i| pages[i]);
     st.put_entries(
         &mut msg,
-        diffs.map(|&p| (p, last)),
+        whole().map(|p| (p, last)),
         Carry::Newest,
         cost,
-        charge,
+        &mut charge,
     );
-    if !superseding {
-        return st.finish_message(msg);
+    if superseding {
+        msg.note_copies();
+        msg.put_usize(spanned().count());
+        for p in spanned() {
+            debug_assert!(!st.is_dirty(p), "a push follows the release");
+            let (applied, data) = (st.frames.applied(p), st.frames.data(p));
+            let (applied, data) = applied.zip(data).expect("pushed page has a frame");
+            let span = span_of(p).expect("spanned").clone();
+            protocol::encode_span_entry(&mut msg, p, applied, span.start, &data[span]);
+        }
     }
-    msg.note_copies();
-    msg.put_usize(spanned().count());
-    for p in spanned() {
-        debug_assert!(!st.is_dirty(p), "a push follows the release");
-        let (applied, data) = (st.frames.applied(p), st.frames.data(p));
-        let (applied, data) = applied.zip(data).expect("pushed page has a frame");
-        let span = span_of(p).expect("spanned").clone();
-        protocol::encode_span_entry(&mut msg, p, applied, span.start, &data[span]);
+    if meeting {
+        msg.note_copies();
+        msg.put_usize(met().count());
+        for (p, keep) in met() {
+            let range = st
+                .newest_frozen(p, last)
+                .expect("a pushed page has a range")
+                .clone();
+            protocol::encode_meet_entry(&mut msg, p, &range, keep);
+            if range.unpaid {
+                charge(cost.diff_create_us(range.diff.changed_words()));
+                let frozen = &mut st.pages.row(p).diffs.frozen;
+                frozen.last_mut().expect("the range").unpaid = false;
+            }
+        }
     }
     let payload = st.finish_message(msg);
-    #[cfg(debug_assertions)]
-    protocol::shadow::record(&payload, spanned(), &st.frames);
-    st.freeze_all(spanned().map(|p| (p, last)), cost, true);
+    if superseding {
+        #[cfg(debug_assertions)]
+        protocol::shadow::record(&payload, spanned(), &st.frames);
+        st.freeze_all(spanned().map(|p| (p, last)), cost, true);
+    }
     payload
 }
 

@@ -156,6 +156,18 @@ impl Frame<'_> {
         }
     }
 
+    /// Write `values` at page word `at`, as an incoming diff run lands:
+    /// into the twin and the published image too, when present.
+    pub fn put_words(&mut self, at: usize, values: &[u64]) {
+        let copies = [
+            self.meta.twin.as_deref_mut(),
+            self.meta.published.as_deref_mut(),
+        ];
+        for page in std::iter::once(&mut *self.data).chain(copies.into_iter().flatten()) {
+            page[at..at + values.len()].copy_from_slice(values);
+        }
+    }
+
     /// Install a whole-page copy (fetched, pushed or broadcast) that
     /// reflects the `applied` watermarks. A write-enabled frame keeps its
     /// local in-progress modifications: reinstalled on top, with the twin

@@ -131,14 +131,18 @@ pub mod flags {
 }
 
 /// Mode word of a `tag::PUSH` message (its first payload word): diff
-/// entries only.
+/// entries only. The other modes are flags, and what each adds follows
+/// the diff entries in the order of their bits.
 pub const PUSH_MODE_DIFFS: u64 = 0;
-/// Mode word of a `tag::PUSH` message whose diff entries are followed by
+/// Mode flag of a `tag::PUSH` message whose diff entries are followed by
 /// whole pages ([`decode_page_resp`]).
 pub const PUSH_MODE_PAGES: u64 = 1;
-/// Mode word of a `tag::PUSH` message whose diff entries are followed by
+/// Mode flag of a `tag::PUSH` message whose diff entries are followed by
 /// spans of pages ([`decode_span_entries`]): LRC's superseding pushes.
 pub const PUSH_MODE_SPANS: u64 = 2;
+/// Mode flag of a `tag::PUSH` message that ends in meet entries
+/// ([`decode_meet_entries`]): LRC's pushes of the words a target reads.
+pub const PUSH_MODE_MEETS: u64 = 4;
 
 /// Epoch-key bit distinguishing plain barriers from fork-join epochs in
 /// the manager's epoch map (both counters start at 0).
@@ -191,6 +195,49 @@ pub fn decode_diff_entries<'r, 'a>(
             diff: Diff::window(msg, r),
             unpaid: false,
         },
+    })
+}
+
+/// Encode one meet entry: the header of `range`, the range of `page`
+/// it is cut from, then [`Diff::encode_meet`] of its diff with `keep`.
+/// A push's meets are the entry count followed by that many of these.
+pub fn encode_meet_entry(
+    w: &mut WordWriter,
+    page: PageId,
+    range: &DiffRange,
+    keep: &[Range<usize>],
+) {
+    encode_diff_entry_head(w, page, range.lo, range.hi, range.lamport);
+    range.diff.encode_meet(keep, w);
+}
+
+/// Walk the meet entries of `msg`, which `r` is reading, for pages of
+/// `page_words` words: each entry's meet as a diff entry, a window onto
+/// `msg`, with the wire headers of its holes (`crate::hole`). The count
+/// is held against the words left (an entry is at least six).
+pub fn decode_meet_entries<'r, 'a>(
+    msg: &'r Landed,
+    r: &'r mut WordReader<'a>,
+    page_words: usize,
+) -> impl Iterator<Item = (DiffRespEntry, &'a [u64])> + use<'r, 'a> {
+    let n = r.get_count(6);
+    (0..n).map(move |_| {
+        let page = r.get_usize();
+        let (lo, hi, lamport) = (r.get() as u32, r.get() as u32, r.get());
+        let diff = Diff::window(msg, r);
+        let k = r.get_count(1);
+        let holes = r.take(k);
+        holes
+            .iter()
+            .for_each(|&h| _ = crate::hole::run_of(h, page_words));
+        let range = DiffRange {
+            lo,
+            hi,
+            lamport,
+            diff,
+            unpaid: false,
+        };
+        (DiffRespEntry { page, range }, holes)
     })
 }
 
@@ -608,6 +655,7 @@ pub(crate) mod shadow {
 
     use sp2sim::Payload;
 
+    use crate::hole::Holes;
     use crate::page::{FrameStore, PageId};
     use crate::protocol::SpanEntry;
 
@@ -635,9 +683,10 @@ pub(crate) mod shadow {
     }
 
     /// Panic unless `data`, this node's frame of the span's page, holds
-    /// the pusher's words outside the span. The span's words lie in the
+    /// the pusher's words outside the span — but for its `holes`, which
+    /// it fetches when a view reads them. The span's words lie in the
     /// push's buffer, which is alive while they are.
-    pub(crate) fn check(e: &SpanEntry, data: &[u64]) {
+    pub(crate) fn check(e: &SpanEntry, data: &[u64], holes: Option<&Holes>) {
         let at = e.words.as_ptr();
         SENT.with_borrow(|sent| {
             let holds = |b: Arc<Vec<u64>>| b.as_ptr_range().contains(&at);
@@ -651,7 +700,8 @@ pub(crate) mod shadow {
                 .find(|(p, _)| *p == e.page)
                 .expect("a pushed page");
             let span = e.at..e.at + e.words.len();
-            let outside = |k: &usize| !span.contains(k);
+            let held = |k: usize| holes.is_none_or(|h| h.overlapping(k..k + 1).next().is_none());
+            let outside = |k: &usize| !span.contains(k) && held(*k);
             if let Some(k) = (0..data.len())
                 .filter(outside)
                 .find(|&k| data[k] != theirs[k])

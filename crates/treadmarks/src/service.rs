@@ -101,6 +101,10 @@ fn handle_owner_fetch(ep: &Endpoint, state: &StateCell<DsmState>, pkt: Packet) {
     let mut w = WordWriter::with_capacity(words);
     w.put(0);
     for p in pages.iter().map(|&p| p as usize) {
+        assert!(
+            !st.holes.contains_key(&p),
+            "private page {p} has holes: a meet push reached its owner"
+        );
         if let (Some(applied), Some(data)) = (st.frames.applied(p), st.frames.data(p)) {
             protocol::encode_page_entry(&mut w, p, applied, data);
             w.set(0, w.words()[0] + 1);

@@ -36,6 +36,7 @@ use sp2sim::{CostModel, Payload, ReduceOp, Tree, VTime};
 use crate::config::TmkConfig;
 use crate::diff::{Diff, DiffBatch, Pending, Sealed};
 use crate::hlrc::{HomePage, HomeState};
+use crate::hole::{self, Holes};
 use crate::interval::Interval;
 use crate::page::{FrameStore, PageId, POISON};
 use crate::profile::{PageProfile, WriterWindow};
@@ -499,6 +500,9 @@ pub struct DsmState {
     pub notices: NoticeTable,
     /// Per-page protocol state: diffs, home copy, profile counters.
     pub pages: PageTable,
+    /// The words meet pushes left out, which a view faults on
+    /// ([`crate::hole`]), by page: only pages with a hole have an entry.
+    pub holes: BTreeMap<PageId, Holes>,
     /// Cached page frames, in extents (see [`crate::page`]).
     pub frames: FrameStore,
     /// Pages written since the last flush, in first-write order, each
@@ -520,8 +524,13 @@ pub struct DsmState {
     /// Manager-side barrier state per epoch.
     pub epochs: BTreeMap<u64, EpochState>,
     /// Pushes registered for the next synchronization rendezvous
-    /// (barrier, worker arrival or master fork): `(target, page)`.
-    pub pending_push: Vec<(usize, PageId)>,
+    /// (barrier, worker arrival or master fork): `(target, page, words)`,
+    /// `words` indexing the runs of [`DsmState::pending_words`] the
+    /// target reads on the page — empty for the whole page.
+    pub pending_push: Vec<(usize, PageId, std::ops::Range<usize>)>,
+    /// The page-relative word runs of the meet pushes registered
+    /// (`Tmk::push_words_at_next_sync`).
+    pub pending_words: Vec<std::ops::Range<usize>>,
     /// Pages whose pushes at that rendezvous supersede: `(page, words)`,
     /// the words of the page, page-relative, the caller rewrote
     /// (`Tmk::supersede_at_next_sync`).
@@ -567,6 +576,7 @@ impl DsmState {
             log: (0..n).map(|_| Vec::new()).collect(),
             notices: NoticeTable::new(n),
             pages: PageTable::default(),
+            holes: BTreeMap::new(),
             frames,
             dirty: Vec::new(),
             freezing: Vec::new(),
@@ -575,6 +585,7 @@ impl DsmState {
             lock_owner: BTreeMap::new(),
             epochs: BTreeMap::new(),
             pending_push: Vec::new(),
+            pending_words: Vec::new(),
             pending_spans: Vec::new(),
             reduces: BTreeMap::new(),
             home: HomeState::default(),
@@ -717,6 +728,7 @@ impl DsmState {
                 frame.data.fill(POISON);
             }
             frame.raise_applied(self.notices.latest(page).into_iter().flatten().copied());
+            self.clear_holes(page, 0..self.cfg.page_words);
         }
     }
 
@@ -1036,6 +1048,40 @@ impl DsmState {
         (copies, open)
     }
 
+    /// Does the newest range of `page` reaching interval `first_needed`
+    /// change no word outside `keep` (sorted, disjoint page-relative
+    /// runs)? A push of the page carries the meet with `keep` only when
+    /// it does not. An open range is read as [`DsmState::put_entries`]
+    /// will freeze it: its twin against the published image, or the
+    /// frame — without freezing it.
+    pub(crate) fn range_within(
+        &self,
+        page: PageId,
+        first_needed: u32,
+        keep: &[std::ops::Range<usize>],
+    ) -> bool {
+        let (copies, open) = self.entries_of(page, first_needed, Carry::Newest);
+        if open.is_none() {
+            return (copies.last())
+                .is_none_or(|r| r.diff.meet_words(keep) == r.diff.changed_words());
+        }
+        let meta = self.frames.meta(page).expect("open range has a frame");
+        let twin = meta.twin.as_deref().expect("open range has a twin");
+        let image = meta.published.as_deref();
+        let image = image
+            .or(self.frames.data(page))
+            .expect("open range has a frame");
+        let mut at = 0;
+        let end = self.cfg.page_words;
+        for k in keep.iter().chain(std::iter::once(&(end..end))) {
+            if twin[at..k.start] != image[at..k.start] {
+                return false;
+            }
+            at = k.end;
+        }
+        true
+    }
+
     /// The payload of `msg`, whose entries [`DsmState::put_entries`]
     /// wrote: the batch becomes the message, and every range frozen into
     /// it is kept in its page's frozen list, a window onto that message —
@@ -1158,7 +1204,8 @@ impl DsmState {
     }
 
     /// Apply a fetched diff range from `writer` to our frame of `page`.
-    /// Caller is responsible for ordering by `(lamport, writer)`.
+    /// Caller is responsible for ordering by `(lamport, writer)`. The
+    /// words it lands on are holes no more.
     pub fn apply_range(&mut self, page: PageId, writer: usize, hi: u32, diff: &Diff) {
         let mut frame = self.frames.frame_mut(page);
         frame.apply_diff(diff);
@@ -1167,6 +1214,97 @@ impl DsmState {
         }
         self.stats.diffs_applied += 1;
         self.pages.row(page).prof.diffs_applied += 1;
+        if let Some(holes) = self.holes.get_mut(&page) {
+            diff.runs()
+                .for_each(|(at, values)| holes.clear(at..at + values.len()));
+            if holes.is_empty() {
+                self.holes.remove(&page);
+            }
+        }
+    }
+
+    /// Count a push of `list`, built for interval `last`, to `targets`
+    /// nodes in the push-word statistics: per target and page, the words
+    /// its range changed and those sent with their values — all of them,
+    /// or the meet. Pages `spans` names (sorted) carry no range.
+    pub(crate) fn count_push_words(
+        &mut self,
+        list: &crate::coherence::PushList,
+        spans: &[(PageId, std::ops::Range<usize>)],
+        last: u32,
+        targets: u64,
+    ) {
+        for (i, &p) in list.pages.iter().enumerate() {
+            if spans.binary_search_by_key(&p, |s| s.0).is_ok() {
+                continue;
+            }
+            let Some(range) = self.newest_frozen(p, last) else {
+                continue;
+            };
+            let changed = range.diff.changed_words() as u64;
+            let sent = list
+                .meet(i)
+                .map_or(changed, |keep| range.diff.meet_words(keep) as u64);
+            self.stats.push_words_changed += changed * targets;
+            self.stats.push_words_sent += sent * targets;
+        }
+    }
+
+    /// Record the hole runs `headers` (wire headers, `crate::hole`) of
+    /// range `seq` of `writer` on `page`, which a meet push just applied.
+    pub(crate) fn add_holes(&mut self, page: PageId, writer: usize, seq: u32, headers: &[u64]) {
+        let pw = self.cfg.page_words;
+        let holes = self.holes.entry(page).or_default();
+        for &h in headers {
+            holes.add(writer, seq, hole::run_of(h, pw));
+        }
+        if holes.is_empty() {
+            self.holes.remove(&page);
+        }
+    }
+
+    /// Forget the holes of `page` under `words` (page-relative): an
+    /// install landed there.
+    pub(crate) fn clear_holes(&mut self, page: PageId, words: std::ops::Range<usize>) {
+        if let Some(holes) = self.holes.get_mut(&page) {
+            holes.clear(words);
+            if holes.is_empty() {
+                self.holes.remove(&page);
+            }
+        }
+    }
+
+    /// Fill the holes range `seq` of `writer` left on `page` from
+    /// `diff`, that range — a diff whose interval the frame has applied.
+    /// Returns the words filled.
+    pub(crate) fn fill_holes(
+        &mut self,
+        page: PageId,
+        writer: usize,
+        seq: u32,
+        diff: &Diff,
+    ) -> usize {
+        let Some(holes) = self.holes.get_mut(&page) else {
+            return 0;
+        };
+        let mut frame = self.frames.frame_mut(page);
+        let filled = holes.fill(writer, seq, diff, |at, values| frame.put_words(at, values));
+        if holes.is_empty() {
+            self.holes.remove(&page);
+        }
+        filled
+    }
+
+    /// The holes of `page` a view of its page-relative `words` overlaps.
+    pub(crate) fn holes_under(
+        &self,
+        page: PageId,
+        words: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = &hole::Hole> {
+        let holes = self.holes.get(&page);
+        holes
+            .into_iter()
+            .flat_map(move |h| h.overlapping(words.clone()))
     }
 }
 

@@ -27,6 +27,17 @@ pub struct DsmStats {
     pub lock_acquires: u64,
     /// Pages pushed via the push extension.
     pub pages_pushed: u64,
+    /// Views that overlapped a hole a meet push left (`crate::hole`) and
+    /// faulted to fill it: a footprint that missed a word its loop reads.
+    pub hole_faults: u64,
+    /// Words the pushed ranges changed, over every LRC push of a range
+    /// or its meet…
+    pub push_words_changed: u64,
+    /// …the words of them sent with their values…
+    pub push_words_sent: u64,
+    /// …and, over the meet pushes, the words the target's footprint
+    /// reads on the pushed pages.
+    pub push_words_read: u64,
     /// CRI aggregated-validate operations (one per hinted phase with at
     /// least one section).
     pub validates: u64,
@@ -99,6 +110,10 @@ impl DsmStats {
             forks,
             lock_acquires,
             pages_pushed,
+            hole_faults,
+            push_words_changed,
+            push_words_sent,
+            push_words_read,
             validates,
             validate_pages,
             direct_reduces,
@@ -126,6 +141,10 @@ impl DsmStats {
         self.forks += forks;
         self.lock_acquires += lock_acquires;
         self.pages_pushed += pages_pushed;
+        self.hole_faults += hole_faults;
+        self.push_words_changed += push_words_changed;
+        self.push_words_sent += push_words_sent;
+        self.push_words_read += push_words_read;
         self.validates += validates;
         self.validate_pages += validate_pages;
         self.direct_reduces += direct_reduces;

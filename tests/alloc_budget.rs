@@ -258,8 +258,11 @@ fn measure(run: impl FnOnce() -> RunResult) -> [u64; 4] {
 }
 
 /// Allocation budget per dispatch of hinted Shallow, cluster-wide
-/// (measured: 106.6 in release, 189.2 with debug assertions, the
-/// profile `cargo test` runs; the protocol's own, with a row wrap fused into
+/// (measured: 129.9 in release and in the profile `cargo test` runs
+/// since pushes carry meets — a sealed batch per rendezvous for the
+/// ranges they are cut from, each receiver's hole list and holes; 106.6
+/// before, 189.2 with debug assertions while the view fence allocated
+/// per body; the protocol's own, with a row wrap fused into
 /// each step loop's dispatch; about 112 per loop before fusion; with a sealed buffer beside
 /// each diff response and push and a copy of the control words: about
 /// 133; with owned intervals and

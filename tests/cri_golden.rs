@@ -13,7 +13,9 @@
 //! pins hinted against unhinted memory and `inspector_equivalence` the
 //! dynamic descriptors; this pins every hinted cell across commits, so a
 //! lost push, an extra validate or a schedule-reuse count that drifted
-//! shows up here by name.
+//! shows up here by name — and so does a view of a timed region that
+//! faulted on a hole an LRC push left (`treadmarks::hole`): a footprint
+//! that misses a word its loop reads.
 
 mod golden;
 

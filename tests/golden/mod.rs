@@ -1,13 +1,15 @@
 //! What the golden tests share: render the cells of
 //! `harness::bench_sweep::cells` that a test selects and compare each
 //! with its row of the committed `BENCH_sweep.json` exactly, naming
-//! every cell and key that moved.
+//! every cell and key that moved — and every cell whose timed region
+//! faulted on a hole a meet push left (`treadmarks::hole`): a footprint
+//! that misses a word its loop reads.
 //!
 //! To re-record after a change that *means* to move a column (say why):
 //! `cargo run --release -p harness -- sweep`, and commit the file.
 
 use apps::RunSpec;
-use harness::bench_sweep::{cells, row};
+use harness::bench_sweep::{cells, render};
 use harness::{sweep_map, Json};
 
 pub const COMMITTED: &str = include_str!("../../BENCH_sweep.json");
@@ -70,7 +72,7 @@ fn label(row: &Json) -> String {
 
 /// Render every cell `keep` selects (across cores) and panic, naming
 /// each moved cell and key, unless each equals the file's row at the
-/// cell's index.
+/// cell's index and no view of its timed region faulted on a hole.
 pub fn assert_cells_match(keep: impl Fn(&RunSpec) -> bool) {
     let (at, specs): (Vec<usize>, Vec<RunSpec>) = cells()
         .into_iter()
@@ -81,11 +83,18 @@ pub fn assert_cells_match(keep: impl Fn(&RunSpec) -> bool) {
     let file = committed();
     let want = file.get("grid").and_then(Json::as_arr).unwrap_or(&[]);
     let mut report = Vec::new();
-    for (i, got) in at.into_iter().zip(sweep_map(&specs, row)) {
+    let run = |s: &RunSpec| {
+        let r = harness::oracle::run(s);
+        (render(s, &r), r.timed_hole_faults)
+    };
+    for (i, (got, holes)) in at.into_iter().zip(sweep_map(&specs, run)) {
         let mut keys = Vec::new();
         match want.get(i) {
             Some(w) => moved("", &got, w, &mut keys),
             None => keys.push("not in the file".into()),
+        }
+        if holes > 0 {
+            keys.push(format!("{holes} hole faults in the timed region"));
         }
         if !keys.is_empty() {
             report.push(format!("cell {i} ({}):", label(&got)));
@@ -94,8 +103,8 @@ pub fn assert_cells_match(keep: impl Fn(&RunSpec) -> bool) {
     }
     assert!(
         report.is_empty(),
-        "simulated columns moved; if the change means to move them, re-record with \
-         `cargo run --release -p harness -- sweep`:\n{}",
+        "simulated columns moved, or a footprint missed a word its loop reads; if the change \
+         means to move them, re-record with `cargo run --release -p harness -- sweep`:\n{}",
         report.join("\n")
     );
 }

@@ -199,6 +199,37 @@ fn fused_dispatch_cells(seeds: RangeInclusive<u64>) {
     }
 }
 
+/// Meet pushes: hinted Shallow under LRC on 8 and 3 nodes, whose pushes
+/// carry the words the consumer loops read and leave the rest of each
+/// range a hole (`treadmarks::hole`), against the sequential program
+/// bitwise. No view of the timed region overlaps a hole, and the
+/// master's checksum, which reads every word after it, faults on at
+/// least one and fills it (`ci/mutants/push_short_of_its_meet.patch`,
+/// a meet one word short, dies in the golden cells instead).
+fn meet_push_cells(seeds: RangeInclusive<u64>) {
+    for (nprocs, scale) in [(8, 0.05), (3, 0.05)] {
+        let seq = RunSpec::new(AppId::Shallow, Version::Seq, 1, scale)
+            .run()
+            .checksum;
+        for engine in seeds.clone().map(EngineKind::Seeded) {
+            let lrc = ProtocolMode::Lrc;
+            let r = run(AppId::Shallow, Version::SpfCri, nprocs, scale, lrc, engine);
+            let ctx = format!("Shallow SpfCri/lrc/{nprocs}p/{scale} on {engine}");
+            assert_eq!(bits(&r.checksum), bits(&seq), "{ctx}");
+            assert_eq!(
+                r.timed_hole_faults, 0,
+                "{ctx}: a timed view faulted on a hole"
+            );
+            assert!(r.dsm.hole_faults > 0, "{ctx}: the checksum filled no hole");
+        }
+    }
+}
+
+#[test]
+fn meet_pushes_on_every_explored_schedule() {
+    meet_push_cells(TIER1);
+}
+
 /// Derived privatization: hinted Jacobi (0.1) and Shallow (0.05) on 8
 /// nodes under both protocols, against the sequential program bitwise.
 /// Their scratch pages and every page inside a worker's block leave the
@@ -446,6 +477,7 @@ fn every_cell_on_the_ci_seed_budget() {
     chained_mgs_cells(CI);
     write_all_cells(CI);
     privatized_cells(CI);
+    meet_push_cells(CI);
     hinted_nbf_cells(CI);
     fused_dispatch_cells(CI);
     irregular_cells(CI, true);

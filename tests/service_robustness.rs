@@ -429,6 +429,58 @@ fn damaged_diff_response_is_a_bounds_panic_not_an_allocation() {
     );
 }
 
+/// A push's meet entries: each a diff entry and its holes' run headers,
+/// walked where they landed; both counts are held against the words
+/// left, and a hole must lie inside its page.
+#[test]
+fn damaged_meet_push_is_a_bounds_panic_not_an_allocation() {
+    use treadmarks::diff::Landed;
+    use treadmarks::protocol;
+
+    let (page, range) = two_ranges().swap_remove(0);
+    let mut w = sp2sim::WordWriter::new();
+    w.put_usize(1);
+    protocol::encode_meet_entry(&mut w, page, &range, std::slice::from_ref(&(1..2)));
+    let whole = w.finish();
+    let decode = |buf: &[u64]| {
+        let buf = buf.to_vec();
+        caught(move || {
+            let msg = Landed::new(buf);
+            let mut r = msg.reader();
+            let entries = protocol::decode_meet_entries(&msg, &mut r, 8)
+                .map(|(e, holes)| {
+                    (
+                        e.page,
+                        e.range.hi,
+                        e.range.diff.changed_words(),
+                        holes.to_vec(),
+                    )
+                })
+                .collect::<Vec<_>>();
+            assert!(r.is_exhausted());
+            entries
+        })
+    };
+    // Page 3's range changed words 1, 2 and 5: word 1 goes with its
+    // value, words 2 and 5 as holes.
+    let holes = vec![2 << 32 | 1, 5 << 32 | 1];
+    assert_eq!(decode(&whole), Ok(vec![(3, 4, 1, holes)]));
+    let (count_at, holes_at) = (0, 8);
+    assert_eq!((whole[count_at], whole[holes_at]), (1, 2), "layout moved");
+    assert_bounds_panics(
+        decode,
+        &[
+            ("truncated", whole[..whole.len() - 1].to_vec()),
+            ("entry count", with_word(&whole, count_at, 1 << 40)),
+            ("hole count", with_word(&whole, holes_at, 1 << 40)),
+            (
+                "hole beyond the page",
+                with_word(&whole, holes_at + 1, 7 << 32 | 4),
+            ),
+        ],
+    );
+}
+
 /// A page response is walked in place and each page copied once into
 /// its frame; the walk holds the count against the words left.
 #[test]
