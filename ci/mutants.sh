@@ -6,23 +6,27 @@
 # interval, an open range that spans a foreign notice, a push applied
 # ahead of an older diff, the windowed reduction's fold order, a superseding push installed over what it
 # does not dominate, a join's early pushes left out of the next fork's
-# counts, a chained body started before its link push), one declaration
-# (a write-all touch whose body reads first), one of three derivations
+# counts, a chained body started before its link push, a validated
+# write's arming that survives its body's release), one of two
+# declarations (a write-all touch whose body reads first, a touch its
+# body writes declared read), one of three derivations
 # (dispatch fusion across a write-after-read, privatization that counts
 # no read, a closed-form meet of touches that ignores a cyclic residue),
 # the rule that a node walks its own share of an inspector loop (one
 # served from the cluster's table moves IGrid's first map fault out of
 # the inspection and into the body, and the hinted golden cells with it)
 # or the page table's refill after a merge (the absorbed extents' pages
-# left naming their old slots), or a push's meet (one word short, it
-# leaves a hole a timed view faults on) in a scratch copy of the tree, and
+# left naming their old slots), a push's meet (one word short, it
+# leaves a hole a timed view faults on) or a validated write's charge
+# (its twin waived with its fault) in a scratch copy of the tree, and
 # the schedule-exploration suite, in release at CI's seed budget, must
 # fail on it and name the seed that did it — or the FIFO schedule,
 # `sequential`, which a run without `--engine` replays. A patch whose
 # text before its diff has a `Suite: <cargo test arguments>` line is
 # held to that suite instead, on the same terms (the write-all,
-# privatization, early-push and residue mutants' turn debug assertions
-# on, which their checks need); a golden suite, which runs the FIFO
+# privatization, early-push, residue, write-mode and surviving-arming
+# mutants' turn debug assertions on, which their checks need); a golden
+# suite, which runs the FIFO
 # schedule alone, names the recorded cell that moved instead, and a
 # unit property test, which runs no schedule, the step of its random
 # program (`at step N of [...]`). A

@@ -99,7 +99,10 @@ impl Access {
         }
     }
 
-    /// A write access, with fetch semantics ([`Mode::Update`]).
+    /// A write access, with fetch semantics ([`Mode::Update`]). Its pages
+    /// are validated before a hinted body and write-enabled: the body's
+    /// first write view over each takes its twin but no fault
+    /// ([`treadmarks::Tmk::arm`]).
     pub fn write(arr: SharedArray, section: Section) -> Access {
         Access {
             mode: Mode::Update,
@@ -112,7 +115,7 @@ impl Access {
     /// of the loop touches, is neither validated before the body nor
     /// pushed to it: the body's write view over it fetches nothing, takes
     /// no fault and no twin, and its release publishes the page whole
-    /// ([`treadmarks::Tmk::arm_write_all`]).
+    /// ([`treadmarks::Tmk::arm`]).
     pub fn write_all(arr: SharedArray, section: Section) -> Access {
         Access {
             mode: Mode::Write,

@@ -40,7 +40,11 @@
 //! unstored word or a read before the write panics, naming the loop);
 //! a republished section must hold every word of its pages written
 //! since what the consumer holds (a word outside it that differs from
-//! the pusher's panics at the install).
+//! the pusher's panics at the install). A third rests on it for time
+//! alone: the other pages a body declares written are write-enabled by
+//! its validate, so the body's first store there twins without a fault
+//! ([`Tmk::arm`]); debug builds fence each body's write views to the
+//! words it declared written.
 //! Hinted and unhinted executions produce byte-identical shared memory;
 //! `tests/cri_equivalence.rs` pins that property.
 //!
@@ -311,6 +315,9 @@ struct Pages {
     /// covers entirely, less every page an access that is not write-all
     /// touches — a read, or a write with fetch semantics.
     armed: Runs,
+    /// The validated-write pages: the other pages a write touches, which
+    /// the validate write-enables.
+    written: Runs,
 }
 
 impl Pages {
@@ -321,8 +328,13 @@ impl Pages {
         self.sections = 0;
         self.pages.clear();
         self.armed.clear();
+        self.written.clear();
         stream(&mut |a| {
+            let at = self.pages.len();
             self.sections += add_pages(tmk, a, &mut self.pages);
+            if a.mode != Mode::Read {
+                self.written.extend_from_slice(&self.pages[at..]);
+            }
             if a.mode == Mode::Write {
                 let base = a.arr.first_page() * pw;
                 a.shape.for_each_run(|r| {
@@ -334,6 +346,7 @@ impl Pages {
             }
         });
         self.pages = merge_ranges(std::mem::take(&mut self.pages));
+        self.written = merge_ranges(std::mem::take(&mut self.written));
         if self.armed.is_empty() {
             return;
         }
@@ -346,6 +359,7 @@ impl Pages {
         let other = merge_ranges(other);
         self.armed = subtract(merge_ranges(std::mem::take(&mut self.armed)), &other);
         self.pages = subtract(std::mem::take(&mut self.pages), &self.armed);
+        self.written = subtract(std::mem::take(&mut self.written), &self.armed);
     }
 }
 
@@ -512,6 +526,23 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         with(&|visit| listed(&schedule.accesses, visit))
     }
 
+    /// Visit the accesses of this node's share of inspector loop `id`
+    /// over `iters`, as the schedule its `before_loop` was charged for
+    /// lists them, charging and counting nothing.
+    pub(crate) fn inspected(
+        &self,
+        id: usize,
+        iters: &Range<usize>,
+        visit: &mut dyn FnMut(&Access),
+    ) {
+        let key = (id, iters.start, iters.end, self.tmk.proc_id());
+        let charged = self.charged.borrow();
+        let schedule = charged
+            .get(&key)
+            .expect("the body's validate inspected its share");
+        schedule.accesses.iter().for_each(visit);
+    }
+
     /// Node `q`'s schedule of loop `id` over `iters` (`key`): a peer's
     /// from the cluster's table once some node inspected it, walked here
     /// otherwise. This node walks its own share itself — its walk is
@@ -644,9 +675,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     }
 
     /// Pre-loop hint: an aggregated validate of every section the body
-    /// will touch, but for the pages it overwrites whole, which are armed
-    /// instead ([`Tmk::arm_write_all`]). Returns the number of pages that
-    /// needed fetching.
+    /// will touch, but for the pages it overwrites whole, and the arming
+    /// of the pages it writes ([`Tmk::arm`]): those it overwrites whole,
+    /// which the validate leaves out, and the others it writes, which the
+    /// validate write-enables. Returns the number of pages that needed
+    /// fetching.
     ///
     /// Home placement is **not** done here: the nodes reach
     /// `before_loop` with different interval views (the master may
@@ -665,7 +698,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                 0 => 0,
                 sections => self.tmk.validate_pages(sections, &pages.pages),
             };
-            self.tmk.arm_write_all(id, &pages.armed);
+            self.tmk.arm(id, &pages.armed, &pages.written);
             fetched
         };
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
@@ -1163,12 +1196,26 @@ mod tests {
         runs
     }
 
-    /// The pages a body with `accesses` overwrites whole, as the builder
-    /// arms them.
-    fn armed_of(tmk: &Tmk, accesses: &[Access]) -> Runs {
+    /// The pages a body with `accesses` overwrites whole, and the other
+    /// pages it writes, as the builder arms them.
+    fn armed_of(tmk: &Tmk, accesses: &[Access]) -> (Runs, Runs) {
         let mut pages = Pages::default();
         pages.build(tmk, &|visit| listed(accesses, visit));
-        pages.armed
+        (pages.armed, pages.written)
+    }
+
+    /// Whether [`armed_of`] arms what the per-page references say: the
+    /// write-all pages, and every other page a write touches.
+    fn arms_the_references(tmk: &Tmk, accesses: &[Access]) -> bool {
+        let pages = |runs: &Runs| runs.iter().cloned().flatten().collect::<Vec<_>>();
+        let (armed, written) = armed_of(tmk, accesses);
+        let whole = armed_reference(tmk, accesses);
+        let mut writes = BTreeSet::new();
+        for a in accesses.iter().filter(|a| a.mode != Mode::Read) {
+            writes.extend(pages_reference(tmk, a.arr, &a.section));
+        }
+        pages(&armed) == whole.iter().copied().collect::<Vec<_>>()
+            && pages(&written) == writes.difference(&whole).copied().collect::<Vec<_>>()
     }
 
     /// Words every generated section stays below.
@@ -1290,11 +1337,11 @@ mod tests {
                 }
                 let me = tmk.proc_id();
                 let accesses = consumer(&(0..1), me, 3);
-                let armed = pages(&armed_of(&tmk, &accesses));
-                ok &= armed == armed_reference(&tmk, &accesses).into_iter().collect::<Vec<_>>();
+                ok &= arms_the_references(&tmk, &accesses);
                 let written = [Access::write(arr[me % 2], sections[me].clone())
                     .consumed_by_loop(1, 0..1)
                     .consumed_by_node(0)];
+                ok &= arms_the_references(&tmk, &written);
                 let mut pushes = Pushes::default();
                 hints.push_list(&loops, &|visit| listed(&written, visit), &mut pushes);
                 ok &= pushes.entries() == push_list_reference(&hints, &loops, &written);
@@ -1412,7 +1459,8 @@ mod tests {
     }
 
     /// The three lists of loop `id`'s plan over `iters` on this node:
-    /// the validate's word-run count, pages and pages armed, the pushes
+    /// the validate's word-run count, pages and pages armed (write-all,
+    /// and validated-write), the pushes
     /// and the home candidates — each built, or refilled, by the plan's
     /// own call sites' path.
     fn plan_lists<'t>(
@@ -1420,8 +1468,11 @@ mod tests {
         loops: &[Entry<'t>],
         id: usize,
         iters: &Range<usize>,
-    ) -> (usize, Runs, Runs, Pushes, Pairs) {
-        let validate = |pages: &Pages| (pages.sections, pages.pages.clone(), pages.armed.clone());
+    ) -> (usize, Runs, (Runs, Runs), Pushes, Pairs) {
+        let validate = |pages: &Pages| {
+            let armed = (pages.armed.clone(), pages.written.clone());
+            (pages.sections, pages.pages.clone(), armed)
+        };
         let (sections, pages, armed) = hints.third(
             id,
             iters,
@@ -1482,7 +1533,7 @@ mod tests {
                 let (refilled, mut ok) = (HintEngine::new(&tmk, 0), true);
                 // The pushes' pages; their words are the footprints' own,
                 // which an inspector's consumer does not have.
-                let pages = |(s, p, a, pushes, h): (usize, Runs, Runs, Pushes, Pairs)| {
+                let pages = |(s, p, a, pushes, h): (usize, Runs, (Runs, Runs), Pushes, Pairs)| {
                     let pairs: Pairs = pushes.list.iter().map(|&(q, p, _)| (q, p)).collect();
                     (s, p, a, pairs, h)
                 };

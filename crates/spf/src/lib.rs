@@ -189,7 +189,10 @@
 //! original interface, a prelude no one node's writes hold, or code not
 //! registered — the master runs the sequential code, joined first. With
 //! debug assertions every body of a chain is fenced, as every body a
-//! footprint describes is.
+//! footprint describes is: its views inside the words it declared, its
+//! write views inside those it declared written. An inspector's body is
+//! fenced by mode alone: its write views inside what its schedule
+//! declares written.
 //!
 //! ## Derived privatization
 //!
@@ -1045,7 +1048,7 @@ impl<'t, 'n> Spf<'t, 'n> {
         self.tmk.config().improved_forkjoin
     }
 
-    /// Run one dispatched body — fenced in, when a footprint describes it
+    /// Run one dispatched body — fenced in, when a descriptor describes it
     /// and debug assertions are on.
     fn execute(&self, ctl: &LoopCtl) {
         // One Compute span per dispatched body; hint work (validate,
@@ -1057,8 +1060,9 @@ impl<'t, 'n> Spf<'t, 'n> {
             .trace_span(sp2sim::SpanKind::Compute, ctl.id as u32);
         let loops = self.table.loops.borrow();
         self.hints.before_loop(&loops, ctl.id, &ctl.range);
-        let footprint = matches!(described(&loops, ctl.id), Some(Description::Footprint(..)));
-        let fence = (footprint && cfg!(debug_assertions)).then(|| self.fence(&loops, ctl));
+        let fence = cfg!(debug_assertions)
+            .then(|| described(&loops, ctl.id).map(|d| self.fence(&loops, d, ctl)))
+            .flatten();
         self.tmk.fence_views(Some(ctl.id), fence);
         (loops[ctl.id].body)(ctl);
         self.fence.set(self.tmk.fence_views(None, None));
@@ -1116,20 +1120,48 @@ impl<'t, 'n> Spf<'t, 'n> {
         tmk.privatize(&changes);
     }
 
-    /// What the body of `ctl` declared it opens on this node, by array:
-    /// this node's footprint alone, in the buffers of the fence before.
-    fn fence(&self, loops: &[Entry], ctl: &LoopCtl) -> ViewFence {
+    /// What the body of `ctl`, described by `d`, declared it opens on
+    /// this node, by array, in the buffers of the fence before: a
+    /// footprint's touches, and what an inspector's schedule for this
+    /// node's share declares written — its reads are not fenced, since
+    /// it names the words its body touches, not the views that read
+    /// them.
+    fn fence(&self, loops: &[Entry], d: &Description, ctl: &LoopCtl) -> ViewFence {
         let (me, np) = (self.tmk.proc_id(), self.tmk.nprocs());
         let mut fence = self.fence.take().unwrap_or(ViewFence {
             loop_id: ctl.id,
+            reads: true,
             arrays: Vec::new(),
+            writes: Vec::new(),
         });
         fence.loop_id = ctl.id;
         fence.arrays.iter_mut().for_each(|(_, runs)| runs.clear());
-        walk(loops, ctl.id, &ctl.range, me, np, &mut |t, _| {
-            let runs = set_of(&mut fence.arrays, t.at.arr);
-            t.runs().for_each(|r| insert(runs, r));
-        });
+        fence.writes.iter_mut().for_each(|(_, runs)| runs.clear());
+        match d {
+            Description::Footprint(..) => {
+                fence.reads = true;
+                walk(loops, ctl.id, &ctl.range, me, np, &mut |t, _| {
+                    let runs = set_of(&mut fence.arrays, t.at.arr);
+                    t.runs().for_each(|r| insert(runs, r));
+                    if t.mode != Mode::Read {
+                        let runs = set_of(&mut fence.writes, t.at.arr);
+                        t.runs().for_each(|r| insert(runs, r));
+                    }
+                });
+            }
+            Description::Inspector(_) => {
+                fence.reads = false;
+                self.hints.inspected(ctl.id, &ctl.range, &mut |a| {
+                    if a.mode != Mode::Read {
+                        let runs = set_of(&mut fence.writes, a.arr);
+                        a.section
+                            .runs()
+                            .iter()
+                            .for_each(|r| insert(runs, r.clone()));
+                    }
+                });
+            }
+        }
         fence
     }
 

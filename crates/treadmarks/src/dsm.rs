@@ -62,33 +62,43 @@ impl SharedArray {
 }
 
 /// The words one loop body declared it opens: per array, sorted and
-/// disjoint word runs. While it is set ([`Tmk::fence_views`]), a view
-/// opened outside them panics with debug assertions, naming the loop and
-/// the array.
+/// disjoint word runs, all it declared and those it declared written
+/// (`Write` or `Update`). While it is set ([`Tmk::fence_views`]), with
+/// debug assertions, a write view opened outside the written runs
+/// panics, naming the loop and the array, and so does a read view
+/// outside the declared runs when `reads` says they are fenced too.
 #[derive(Debug)]
 pub struct ViewFence {
     /// The body's loop id.
     pub loop_id: usize,
+    /// Whether read views are fenced: a footprint declares the words its
+    /// body's views open, an inspector the words its body touches.
+    pub reads: bool,
     /// The declared words, by array.
     pub arrays: Vec<(SharedArray, Vec<Range<usize>>)>,
+    /// The declared written words, by array.
+    pub writes: Vec<(SharedArray, Vec<Range<usize>>)>,
 }
 
 impl ViewFence {
-    /// Panic unless `range` of `arr` lies inside one declared run.
-    fn check(&self, arr: SharedArray, range: &Range<usize>) {
-        let runs = self
-            .arrays
-            .iter()
-            .find(|(a, _)| *a == arr)
-            .map(|(_, r)| &r[..]);
+    /// Panic unless `range` of `arr` lies inside one run the body
+    /// declared — written, for a write view.
+    fn check(&self, arr: SharedArray, range: &Range<usize>, write: bool) {
+        if !write && !self.reads {
+            return;
+        }
+        let sets = if write { &self.writes } else { &self.arrays };
+        let runs = sets.iter().find(|(a, _)| *a == arr).map(|(_, r)| &r[..]);
         let runs = runs.unwrap_or_default();
         let i = runs.partition_point(|r| r.end < range.end);
         assert!(
             runs.get(i).is_some_and(|r| r.start <= range.start),
-            "loop {} opens words {range:?} of the array at page {}, outside what its \
-             descriptor declared for this node",
+            "loop {} opens words {range:?} of the array at page {}{}, outside what its \
+             descriptor declared {}for this node",
             self.loop_id,
-            arr.first_page
+            arr.first_page,
+            if write { " to write" } else { "" },
+            if write { "written " } else { "" },
         );
     }
 }
@@ -402,7 +412,7 @@ impl<'n> Tmk<'n> {
         let (wlo, whi) = self.word_bounds(arr, &range);
         if cfg!(debug_assertions) && wlo < whi {
             if let Some(fence) = &*self.fence.borrow() {
-                fence.check(arr, &range);
+                fence.check(arr, &range, write);
             }
             assert!(
                 !self.deferred.get() || self.body.get().is_some(),
@@ -540,19 +550,30 @@ impl<'n> Tmk<'n> {
         missing
     }
 
-    /// CRI write-all: the body of loop `loop_id`, about to run, stores
-    /// every word of the pages of `runs` — sorted runs of global page
-    /// ids, which the CRI hint engine leaves out of the body's validate
-    /// and its producers' pushes — before it reads any. The body's first
-    /// write view over such a page fetches nothing and takes no fault
-    /// and no twin, and the release publishes the page whole. Arming
-    /// ends at this node's next release, which (with debug assertions)
-    /// panics on a word the body left unstored; a read view over an
-    /// armed page before its write panics too (with debug assertions),
-    /// or else faults as usual.
-    pub fn arm_write_all(&self, loop_id: usize, runs: &[Range<usize>]) {
-        if !runs.is_empty() {
-            self.state.lock().arm(loop_id, runs);
+    /// CRI `Validate`'s write accesses: arm, for the body of loop
+    /// `loop_id`, about to run, the pages it declared written — sorted
+    /// runs of global page ids, which the CRI hint engine computes, the
+    /// two sets apart.
+    ///
+    /// * `write_all` (`WRITE_ALL`): the body stores every word of these
+    ///   pages before it reads any. The hint engine leaves them out of
+    ///   the body's validate and its producers' pushes; the body's first
+    ///   write view over such a page fetches nothing and takes no fault
+    ///   and no twin, and the release publishes the page whole. With
+    ///   debug assertions the release panics on a word the body left
+    ///   unstored, and a read view over the page before its write panics
+    ///   too (without, it faults as usual).
+    /// * `written` (`WRITE`, `READ&WRITE`): the body writes part of these
+    ///   pages, or reads them first; they are validated as any other.
+    ///   The validate write-enables them: the body's first write view
+    ///   over such a page takes its twin, charged `twin_us`, but no
+    ///   fault — none is charged or counted.
+    ///
+    /// Arming ends at this node's next release, or where the next body of
+    /// a fused dispatch arms its own pages.
+    pub fn arm(&self, loop_id: usize, write_all: &[Range<usize>], written: &[Range<usize>]) {
+        if !write_all.is_empty() || !written.is_empty() {
+            self.state.lock().arm(loop_id, write_all, written);
         }
     }
 
@@ -705,10 +726,15 @@ impl<'n> Tmk<'n> {
                 let twinned = st
                     .frames
                     .write_enable(p, diff_open, |words| scratch.take_copy(words, stats));
+                // A validated write's page was write-enabled by the
+                // body's validate: its twin is made here, at the first
+                // store, but no fault is taken.
+                let validated = st.first_validated_write(p);
                 if twinned {
-                    us += cost.page_fault_us + cost.twin_us;
-                    faulted += cost.page_fault_us + cost.twin_us;
-                    st.stats.faults += 1;
+                    let fault = if validated { 0.0 } else { cost.page_fault_us };
+                    us += fault + cost.twin_us;
+                    faulted += fault + cost.twin_us;
+                    st.stats.faults += u64::from(!validated);
                     st.stats.twins += 1;
                 }
                 st.mark_dirty(p);
@@ -2190,7 +2216,7 @@ pub(crate) mod tests {
                 tmk.barrier(0);
                 let before = tmk.stats_snapshot();
                 if tmk.proc_id() == 1 {
-                    tmk.arm_write_all(7, &[tmk.page_span(a, &(0..512))]);
+                    tmk.arm(7, &[tmk.page_span(a, &(0..512))], &[]);
                     let mut w = tmk.write(a, 0..512);
                     w.slice_mut()
                         .iter_mut()
@@ -2252,7 +2278,7 @@ pub(crate) mod tests {
                 let tmk = Tmk::new(node, cfg);
                 let a = tmk.malloc_f64(512);
                 if tmk.proc_id() == 0 {
-                    tmk.arm_write_all(7, &[tmk.page_span(a, &(0..512))]);
+                    tmk.arm(7, &[tmk.page_span(a, &(0..512))], &[]);
                     body(&tmk, a);
                 }
                 tmk.barrier(0);
@@ -2289,6 +2315,107 @@ pub(crate) mod tests {
             let want = "loop 7 reads page 0 before it writes it";
             assert!(said.contains(want), "{protocol}: {said}");
         }
+    }
+
+    /// A validated write, under both protocols: node 1 validates two
+    /// pages node 0 wrote, arms the first as written for loop 7 and
+    /// writes part of each. The declared page's write takes its twin and
+    /// no fault — `twin_us` of clock, `faults` still, `twins` up one —
+    /// and the undeclared one's is charged as before, as both are in the
+    /// same program run unarmed; every node then reads what the unarmed
+    /// run leaves, bit for bit.
+    #[test]
+    fn a_validated_write_takes_its_twin_and_no_fault() {
+        let cost = sp2sim::CostModel::sp2();
+        let (fault, twin) = (cost.page_fault_us, cost.twin_us);
+        for protocol in ProtocolMode::ALL {
+            let program = |armed: bool| {
+                let cfg = TmkConfig::default().with_protocol(protocol);
+                run_cfg(3, cfg, move |tmk| {
+                    let a = tmk.malloc_f64(1024);
+                    if tmk.proc_id() == 0 {
+                        let mut w = tmk.write(a, 0..1024);
+                        let words = w.slice_mut().iter_mut().enumerate();
+                        words.for_each(|(i, x)| *x = i as f64);
+                    }
+                    tmk.barrier(0);
+                    let mut charged = Vec::new();
+                    if tmk.proc_id() == 1 {
+                        let pages = tmk.page_span(a, &(0..1024));
+                        tmk.validate_pages(1, std::slice::from_ref(&pages));
+                        if armed {
+                            let first = pages.start..pages.start + 1;
+                            tmk.arm(7, &[], std::slice::from_ref(&first));
+                        }
+                        for words in [100..200, 600..700] {
+                            let (t0, s0) = (tmk.node().now().us(), tmk.stats_snapshot());
+                            tmk.write(a, words).slice_mut().fill(-1.0);
+                            let s1 = tmk.stats_snapshot();
+                            let us = tmk.node().now().us() - t0;
+                            charged.push((us, s1.faults - s0.faults, s1.twins - s0.twins));
+                        }
+                    }
+                    tmk.barrier(1);
+                    let seen: Vec<u64> = (tmk.read(a, 0..1024).slice().iter())
+                        .map(|x| x.to_bits())
+                        .collect();
+                    tmk.finish();
+                    (charged, seen)
+                })
+            };
+            let (armed, unarmed) = (program(true), program(false));
+            let close = |got: &[(f64, u64, u64)], want: [(f64, u64, u64); 2]| {
+                got.len() == 2
+                    && got
+                        .iter()
+                        .zip(want)
+                        .all(|(g, w)| (g.0 - w.0).abs() < 1e-9 && (g.1, g.2) == (w.1, w.2))
+            };
+            let charged = &armed.results[1].0;
+            let want = [(twin, 0, 1), (fault + twin, 1, 1)];
+            assert!(close(charged, want), "{protocol}: armed {charged:?}");
+            let charged = &unarmed.results[1].0;
+            let want = [(fault + twin, 1, 1), (fault + twin, 1, 1)];
+            assert!(close(charged, want), "{protocol}: unarmed {charged:?}");
+            for (node, (a, u)) in armed.results.iter().zip(&unarmed.results).enumerate() {
+                assert_eq!(a.1, u.1, "{protocol}: node {node}'s memory");
+            }
+        }
+    }
+
+    /// With debug assertions, a body's write view outside the words its
+    /// fence declares written panics, naming the loop and the array,
+    /// though the words are declared read; a fence that leaves reads
+    /// alone (an inspector's) lets any read view open.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_write_view_outside_the_declared_writes_panics() {
+        let payload = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::sp2(2), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let (a, b) = (tmk.malloc_f64(1024), tmk.malloc_f64(512));
+                if tmk.proc_id() == 0 {
+                    let fence = |reads| ViewFence {
+                        loop_id: 4,
+                        reads,
+                        arrays: vec![(a, std::iter::once(0..1024).collect())],
+                        writes: vec![(a, std::iter::once(512..1024).collect())],
+                    };
+                    tmk.fence_views(Some(4), Some(fence(false)));
+                    drop(tmk.read(b, 0..512));
+                    tmk.fence_views(Some(4), Some(fence(true)));
+                    drop(tmk.read(a, 0..1024));
+                    drop(tmk.write(a, 600..700));
+                    drop(tmk.write(a, 100..200));
+                }
+                tmk.finish();
+            });
+        })
+        .expect_err("the body writes words it declared read");
+        let said = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+        let want = "loop 4 opens words 100..200 of the array at page 0 to write, outside what \
+                    its descriptor declared written for this node";
+        assert!(said.contains(want), "{said}");
     }
 
     #[test]

@@ -351,14 +351,29 @@ pub struct ReduceSlot {
     pub local: Option<Vec<f64>>,
 }
 
-/// The pages a hinted loop body stores every word of before it reads
-/// any, armed by `Tmk::arm_write_all` until this node's next release.
+/// The pages a hinted loop body declared it writes, armed by `Tmk::arm`
+/// until this node's next release.
 #[derive(Debug, Default)]
 struct Armed {
     /// The body's loop id, which a broken contract's panic names.
     loop_id: usize,
-    /// Ascending, each `true` once a view over it has been opened.
-    pages: Vec<(PageId, bool)>,
+    /// Ascending and disjoint.
+    pages: Vec<ArmedPage>,
+    /// This node released since the pages were armed: none may be left.
+    released: bool,
+}
+
+/// One armed page.
+#[derive(Clone, Copy, Debug)]
+struct ArmedPage {
+    page: PageId,
+    /// Write-all: the body stores every word before it reads any. Or
+    /// else a validated write: a write of part of the page, or one that
+    /// reads first.
+    whole: bool,
+    /// A view over it has been opened — for a validated write, a write
+    /// view.
+    opened: bool,
 }
 
 /// A page's place in derived privatization (`Tmk::privatize`).
@@ -679,18 +694,47 @@ impl DsmState {
         invalid
     }
 
-    /// Arm the pages of `runs` (sorted page runs) for the body of loop
-    /// `loop_id`, which overwrites them whole. The arming of a body that
-    /// ran before it since the release — in one fused dispatch — ends
-    /// here, as it would at the release.
-    pub(crate) fn arm(&mut self, loop_id: usize, runs: &[std::ops::Range<PageId>]) {
+    /// Arm, for the body of loop `loop_id`, the pages of `whole` — which
+    /// it overwrites whole — and of `written`, which it writes otherwise
+    /// (sorted, disjoint page runs, the two sets apart). The arming of a
+    /// body that ran before it since the release — in one fused dispatch
+    /// — ends here, as it would at the release.
+    pub(crate) fn arm(
+        &mut self,
+        loop_id: usize,
+        whole: &[std::ops::Range<PageId>],
+        written: &[std::ops::Range<PageId>],
+    ) {
+        self.assert_disarmed();
         self.disarm();
         self.armed.loop_id = loop_id;
-        let pages = runs.iter().cloned().flatten();
-        self.armed.pages.extend(pages.map(|p| (p, false)));
+        self.armed.released = false;
+        for (runs, whole) in [(whole, true), (written, false)] {
+            let pages = runs.iter().cloned().flatten();
+            self.armed.pages.extend(pages.map(|page| ArmedPage {
+                page,
+                whole,
+                opened: false,
+            }));
+        }
+        self.armed.pages.sort_unstable_by_key(|a| a.page);
     }
 
-    /// The first view the body opens over each armed page of `pages`,
+    /// A sync-point invariant, checked with debug assertions at every
+    /// release and wherever a body arms its pages: no page is still armed
+    /// for a body whose release has passed.
+    fn assert_disarmed(&self) {
+        if cfg!(debug_assertions) && self.armed.released {
+            if let Some(a) = self.armed.pages.first() {
+                panic!(
+                    "page {} is still armed for loop {} past that body's release",
+                    a.page, self.armed.loop_id
+                );
+            }
+        }
+    }
+
+    /// The first view the body opens over each write-all page of `pages`,
     /// whose frames exist. A write view's: a page without a twin takes no
     /// fault — its missing notices count as applied, so no miss fetches
     /// it — and its twin is the poison page, against which every stored
@@ -702,11 +746,15 @@ impl DsmState {
     /// write, breaks the contract: a panic with debug assertions, else
     /// the page is disarmed and faults as usual.
     pub(crate) fn open_armed(&mut self, pages: std::ops::Range<PageId>, write: bool) {
-        let at = |end| self.armed.pages.partition_point(|a| a.0 < end);
+        let at = |end| self.armed.pages.partition_point(|a| a.page < end);
         for i in at(pages.start)..at(pages.end) {
-            let (page, opened) = &mut self.armed.pages[i];
+            let ArmedPage {
+                page,
+                whole,
+                opened,
+            } = &mut self.armed.pages[i];
             let page = *page;
-            if std::mem::replace(opened, true) {
+            if !*whole || std::mem::replace(opened, true) {
                 continue;
             }
             assert!(
@@ -732,12 +780,28 @@ impl DsmState {
         }
     }
 
+    /// Whether this is the body's first write view over `page`, a
+    /// validated write: the body's validate write-enabled it, so the
+    /// write takes no fault (`Tmk::arm`).
+    pub(crate) fn first_validated_write(&mut self, page: PageId) -> bool {
+        if self.armed.pages.is_empty() {
+            return false;
+        }
+        let i = self.armed.pages.partition_point(|a| a.page < page);
+        match self.armed.pages.get_mut(i) {
+            Some(a) if a.page == page && !a.whole => !std::mem::replace(&mut a.opened, true),
+            _ => false,
+        }
+    }
+
     /// End the arming at this node's release, or where the next body of
     /// a fused dispatch arms its own pages. With debug assertions, a
-    /// poisoned word on a page the body opened is one it never stored.
+    /// poisoned word on a write-all page the body opened is one it never
+    /// stored.
     fn disarm(&mut self) {
         if cfg!(debug_assertions) {
-            for &(page, _) in self.armed.pages.iter().filter(|a| a.1) {
+            let opened = self.armed.pages.iter().filter(|a| a.whole && a.opened);
+            for &ArmedPage { page, .. } in opened {
                 let data = self.frames.data(page).expect("an opened page has a frame");
                 if let Some(k) = data.iter().position(|&w| w == POISON) {
                     panic!(
@@ -775,11 +839,13 @@ impl DsmState {
     /// extended — per real TreadMarks, a page nobody requests costs
     /// nothing per interval. Returns the (small) bookkeeping time to
     /// charge to the releasing thread and the interval it created, if
-    /// anything was dirty. It ends a write-all body's arming: with debug
-    /// assertions, a poisoned word left on a page it opened panics,
-    /// naming the loop and the page.
+    /// anything was dirty. It ends a body's arming: with debug
+    /// assertions, a poisoned word left on a write-all page it opened
+    /// panics, naming the loop and the page.
     pub fn flush(&mut self, cost: &CostModel) -> (f64, Option<Interval>) {
+        self.assert_disarmed();
         self.disarm();
+        self.armed.released = true;
         if self.dirty.is_empty() {
             return (0.0, None);
         }

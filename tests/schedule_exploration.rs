@@ -461,6 +461,42 @@ fn write_all_cells_on_every_explored_schedule() {
     write_all_cells(TIER1);
 }
 
+/// Validated writes: hinted Shallow (0.05) and FFT (0.1) on 3 nodes,
+/// where blocks are uneven, under both protocols, against the sequential
+/// program — Shallow bitwise, FFT's tree-summed accumulators to
+/// tolerance and its probe bitwise. Their bodies write pages their
+/// footprints declare written but do not cover whole, which the validate
+/// write-enables (`Tmk::arm`): a first write there twins without a
+/// fault. With debug assertions a write view outside the declared
+/// writes panics naming its loop
+/// (`ci/mutants/write_declared_as_read.patch` declares a Shallow output
+/// read, and dies here), and so does a page still armed once its body
+/// released (`ci/mutants/validated_arming_survives_release.patch`).
+fn validated_write_cells(seeds: RangeInclusive<u64>) {
+    for (app, scale) in [(AppId::Shallow, 0.05), (AppId::Fft3d, 0.1)] {
+        let seq = RunSpec::new(app, Version::Seq, 1, scale).run().checksum;
+        for protocol in ProtocolMode::ALL {
+            for engine in seeds.clone().map(EngineKind::Seeded) {
+                let r = run(app, Version::SpfCri, 3, scale, protocol, engine);
+                let ctx = format!("{app:?} SpfCri/{protocol}/3p/{scale} on {engine}");
+                let exact = if app == AppId::Shallow { 0 } else { 2 };
+                let got = &r.checksum;
+                assert!(
+                    checksums_close(got, &seq, 1e-9),
+                    "{ctx}: {got:?} vs {seq:?}"
+                );
+                assert_eq!(bits(&got[exact..]), bits(&seq[exact..]), "{ctx}");
+                assert!(r.dsm.twins > 0, "{ctx}: no body twinned a page");
+            }
+        }
+    }
+}
+
+#[test]
+fn validated_writes_on_every_explored_schedule() {
+    validated_write_cells(TIER1);
+}
+
 /// CI's `explore` job (`-- --include-ignored`), and what
 /// `ci/mutants.sh` requires to fail on each re-broken fix: the seeded
 /// cells first, so that a failure names its seed, then the LRC probe
@@ -476,6 +512,7 @@ fn every_cell_on_the_ci_seed_budget() {
     mgs_push_tree_cells(CI);
     chained_mgs_cells(CI);
     write_all_cells(CI);
+    validated_write_cells(CI);
     privatized_cells(CI);
     meet_push_cells(CI);
     hinted_nbf_cells(CI);
