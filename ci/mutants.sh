@@ -7,7 +7,10 @@
 # ahead of an older diff, the windowed reduction's fold order, a superseding push installed over what it
 # does not dominate, a join's early pushes left out of the next fork's
 # counts, a chained body started before its link push, a validated
-# write's arming that survives its body's release), one of two
+# write's arming that survives its body's release, a fork's departures
+# built from the master's live clock instead of the clock its fork
+# carries, which makes the hinted cells' virtual clock depend on the
+# schedule), one of two
 # declarations (a write-all touch whose body reads first, a touch its
 # body writes declared read), one of three derivations
 # (dispatch fusion across a write-after-read, privatization that counts

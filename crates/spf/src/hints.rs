@@ -681,10 +681,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// validate write-enables. Returns the number of pages that needed
     /// fetching.
     ///
-    /// Home placement is **not** done here: the nodes reach
-    /// `before_loop` with different interval views (the master may
-    /// already have published its post-body interval into the dispatch
-    /// departure), so a per-node placement decision could diverge. The
+    /// Home placement is **not** done here: the guard a placement passes
+    /// (no notice names the page) reads the node's interval view, and
+    /// when a node reaches `before_loop` is the schedule's — the master's
+    /// service may or may not have integrated a first dispatch's
+    /// arrivals by then — so a per-node decision could diverge. The
     /// fork-join runtime instead decides once on the master at fork
     /// time — see [`HintEngine::planned_homes`] and the `spf` crate —
     /// and ships the accepted overrides with the dispatch.
@@ -709,9 +710,11 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// in all of them, paired with that node — the declared producer.
     /// Pure (nothing installed): the
     /// fork-join runtime filters the candidates through the runtime's
-    /// no-notice guard on the master at fork time (when every worker is
-    /// parked in its dispatch wait and no interval is in flight, so the
-    /// decision state is cluster-complete) and ships the accepted list
+    /// no-notice guard on the master at fork time, when every worker is
+    /// parked in its dispatch wait and no interval is in flight — the
+    /// notices the guard reads are those the fork's departures announce,
+    /// but for the interval the fork's release seals from the master's
+    /// dirty pages, which the guard refuses — and ships the accepted list
     /// with the dispatch for the workers to install verbatim. It asks
     /// for them through [`Tmk::adopt_page_homes`], which evaluates
     /// nothing under a protocol without homes: building the list

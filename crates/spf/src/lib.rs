@@ -213,10 +213,18 @@
 //! before its own body. Anything else — [`Master::tmk`],
 //! [`Master::spf`], [`Master::produce`], a first loop's registered
 //! sequential code — joins first as before, and the pushes ride the next
-//! fork. A chain has one join, after its last link. With debug
-//! assertions the master's view outside a body while the join is
-//! deferred panics: sequential code must reach the DSM through
-//! [`Master::tmk`].
+//! fork, which pushes every range its node wrote since its last pushes
+//! — the bodies' included, not only the sequential code's. A chain has
+//! one join, after its last link. With debug assertions the master's
+//! view outside a body while the join is deferred panics: sequential
+//! code must reach the DSM through [`Master::tmk`].
+//!
+//! A fork carries the master's clock as it forks, and its departures
+//! announce the intervals before that clock and before the workers'
+//! arrivals — never the one the master's own body makes, which its
+//! service may already hold when it sends them. That interval reaches
+//! the workers with the next fork, as every worker's does, so no node
+//! fetches the master's body while the body is still running.
 //!
 //! ## Example
 //!

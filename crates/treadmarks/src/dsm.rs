@@ -917,7 +917,7 @@ impl<'n> Tmk<'n> {
                 st.lock_prof.entry(lock).or_default().record_handoff();
             }
             next.map(|req| {
-                let ivs = st.intervals_since(req.vc.iter().copied());
+                let ivs = st.intervals_since(req.vc.iter().copied(), &st.vc);
                 (req.requester, protocol::encode_lock_grant(ivs))
             })
         };
@@ -938,7 +938,9 @@ impl<'n> Tmk<'n> {
 
     /// Master: dispatch a parallel loop. The one-to-all departure carries
     /// `ctl` (the encapsulated subroutine id and its arguments) along with
-    /// consistency information — `n - 1` messages. A deferred join
+    /// consistency information: the write notices of the intervals before
+    /// the fork, never of the one this node's body makes, which the next
+    /// fork carries — `n - 1` messages. A deferred join
     /// ([`Tmk::defer_join`]) completes first, pushing first; the pushes
     /// it announces ride this departure beside the fork's own, and the
     /// pushes addressed to this node are taken once the fork is out,
@@ -953,16 +955,23 @@ impl<'n> Tmk<'n> {
         self.quiescent("fork");
         let e = self.fork_epoch.get();
         self.fork_epoch.set(e + 1);
-        self.state.lock().stats.forks += 1;
         self.publish();
+        // The fork carries this node's clock as it forks: the departures
+        // announce the intervals before the fork, and the one this node's
+        // body makes while the workers arrive goes with the next
+        // rendezvous, as every other node's does.
+        let mut w = WordWriter::with_capacity(3 + 2 * self.nprocs() + ctl.len());
+        {
+            let mut st = self.state.lock();
+            st.stats.forks += 1;
+            protocol::put_fork_head(&mut w, e, flag_bits, &st.vc);
+        }
         // Registered pushes ride the dispatch: the workers learn how many
         // to expect from the fork departure, the join's before the fork
         // included. A push down the tree goes out after the fork, so the
         // service sends the departures while the tree fills.
         let early = std::mem::take(&mut *self.early_counts.borrow_mut());
         self.do_pushes(false, |push_counts| {
-            let mut w = WordWriter::with_capacity(4 + self.nprocs() + ctl.len());
-            w.put(op::MASTER_FORK).put(e).put(flag_bits);
             let count = |counts: &[u64], t| counts.get(t).copied().unwrap_or(0);
             for t in 0..self.nprocs() {
                 w.put(count(&early, t) + count(push_counts, t));
@@ -1228,16 +1237,15 @@ impl<'n> Tmk<'n> {
         let (me, n) = (self.proc_id(), self.nprocs());
         let (mut pending, mut words, mut spans, last) = {
             let mut st = self.state.lock();
-            // The newest interval's ranges, unless they already went.
+            // A link push's ranges reach the newest interval; a
+            // rendezvous's, any interval since the last rendezvous
+            // pushes — sequential code that published after a body (the
+            // master's, `Master::tmk`) leaves the body's ranges to go.
             let newest = st.vc[me];
             let last = match link {
                 true => newest,
-                false if newest > st.pushed => newest,
-                false => u32::MAX,
+                false => std::mem::replace(&mut st.pushed, newest) + 1,
             };
-            if !link {
-                st.pushed = newest;
-            }
             if st.pending_push.is_empty() {
                 st.pending_spans.clear();
                 st.pending_words.clear();

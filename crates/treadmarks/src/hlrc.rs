@@ -184,12 +184,13 @@ pub(crate) fn on_release(tmk: &Tmk<'_>) {
     let mut us = 0.0;
     // One section from flush through home buffering. The service
     // loop ships the flushed interval cluster-wide the moment it can
-    // enter the state cell (fork/join departures, grants); if it
-    // could observe the interval closed but the home copy not yet
-    // holding its ranges, a requester could ask this home for them
-    // in that window — and a deferred request for our *own* pages
-    // has no incoming flush to retry it: it would wait forever (the
-    // NBF/HLRC deadlock; `ci/mutants/pr9_publish_window.patch`).
+    // enter the state cell (lock grants; a fork's departures stop at
+    // the clock the fork carries); if it could observe the interval
+    // closed but the home copy not yet holding its ranges, a requester
+    // could ask this home for them in that window — and a deferred
+    // request for our *own* pages has no incoming flush to retry it: it
+    // would wait forever (the NBF/HLRC deadlock;
+    // `ci/mutants/pr9_publish_window.patch`).
     let flush_us = {
         let mut st = tmk.state.lock();
         let (flush_us, interval) = st.flush(cost);

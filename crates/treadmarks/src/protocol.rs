@@ -24,7 +24,8 @@ pub mod op {
     pub const BARRIER_ARRIVE: u64 = 3;
     /// Worker arrival at the fork-join rendezvous.
     pub const WORKER_ARRIVE: u64 = 4;
-    /// Master dispatches a parallel loop (one-to-all departure follows).
+    /// Master dispatches a parallel loop (one-to-all departure follows):
+    /// to its own service, with its clock as it forks ([`super::Fork`]).
     pub const MASTER_FORK: u64 = 5;
     /// Master waits for workers (all-to-one arrival collection).
     pub const MASTER_JOIN: u64 = 6;
@@ -392,6 +393,43 @@ pub fn encode_departure<'a>(
     w.put_words(ctl);
     encode_intervals(&mut w, intervals);
     w.finish()
+}
+
+/// The head of a master's fork, up to its push counts: the opcode, the
+/// epoch, the flag bits and the master's vector clock as it forks. The
+/// push counts per destination and the loop's control words follow.
+pub fn put_fork_head(w: &mut WordWriter, epoch: u64, flag_bits: u64, clock: &[u32]) {
+    w.put(op::MASTER_FORK).put(epoch).put(flag_bits);
+    for &x in clock {
+        w.put(x as u64);
+    }
+}
+
+/// A master's fork, read where it landed, behind the opcode and the
+/// epoch ([`put_fork_head`]).
+pub struct Fork<'a> {
+    /// Flag bits (see [`flags`]).
+    pub flag_bits: u64,
+    /// The master's vector clock as it forked: the departures announce
+    /// none of its intervals past this — not the one its body makes
+    /// while the workers are still arriving.
+    pub clock: &'a [u64],
+    /// The pushes that ride the dispatch, per destination.
+    pub push_counts: &'a [u64],
+    /// Loop-control words.
+    pub ctl: &'a [u64],
+}
+
+/// Decode the fork `words` (its opcode and epoch first), for a cluster
+/// of `n` nodes.
+pub fn decode_fork(words: &[u64], n: usize) -> Fork<'_> {
+    let mut r = WordReader::new(&words[2..]);
+    Fork {
+        flag_bits: r.get(),
+        clock: r.take(n),
+        push_counts: r.take(n),
+        ctl: r.get_words(),
+    }
 }
 
 /// A departure, read where it landed.

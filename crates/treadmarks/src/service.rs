@@ -25,6 +25,7 @@ use crate::config::ProtocolMode;
 use crate::diff::Landed;
 use crate::protocol::{self, op, tag};
 use crate::state::{Arrival, DsmState};
+use crate::vc::Vc;
 
 /// Run the service loop until a `SHUTDOWN` opcode or cluster teardown.
 ///
@@ -311,7 +312,7 @@ fn holder_grant_or_queue(
         Port::App,
         tag::LOCK_GRANT | lock,
         MsgKind::LockGrant,
-        protocol::encode_lock_grant(st.intervals_since(vc.iter().copied())),
+        protocol::encode_lock_grant(st.intervals_since(vc.iter().copied(), &st.vc)),
         ready.max(release_vt) + service_us,
     );
     let cause = if release_vt > ready { 0 } else { req_seq };
@@ -476,18 +477,29 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
     let mut entry = st.epochs.remove(&epoch).expect("epoch exists");
     sort_arrivals(&mut entry.arrivals);
     st.integrate_arrivals(&entry.arrivals, ep.cost());
-    // A fork is read where it landed (behind the opcode and the epoch).
-    // The master's own pushes ride it, expected by the workers beside
-    // their peers'; its clock joins the floor, as it sends no arrival.
-    let fork = entry.fork_msg.take();
-    let (flag_bits, fork_push, ctl_words, master_vc) = match &fork {
-        Some(fork) => {
-            let mut r = WordReader::new(&fork[2..]);
-            (r.get(), r.take(n), r.get_words(), Some(&st.vc))
+    // A fork is read where it landed. The master's own pushes ride it,
+    // expected by the workers beside their peers'. Its departures
+    // announce what happened before it — the master's clock as it forked
+    // and the workers' as they arrived — and never the interval the
+    // master's body may have published since; that clock joins the
+    // floor, as the master sends no arrival.
+    let fork_msg = entry.fork_msg.take();
+    let fork = fork_msg.as_deref().map(|f| protocol::decode_fork(f, n));
+    let before = fork.as_ref().map(|f| {
+        let mut clock: Vc = f.clock.iter().map(|&x| x as u32).collect();
+        for a in &entry.arrivals {
+            for (c, x) in clock.iter_mut().zip(a.msg.vc()) {
+                *c = (*c).max(x);
+            }
         }
-        None => (0, &[][..], &[][..], None),
+        clock
+    });
+    let (flag_bits, fork_push, ctl_words) = match &fork {
+        Some(f) => (f.flag_bits, f.push_counts, f.ctl),
+        None => (0, &[][..], &[][..]),
     };
-    let floor = protocol.rendezvous_floor(&entry.arrivals, master_vc, n);
+    let floor = protocol.rendezvous_floor(&entry.arrivals, before.as_ref(), n);
+    let upto = before.as_deref().unwrap_or(&st.vc);
     // A barrier departure waits on the last arrival; a fork departure
     // on the master's MASTER_FORK and on the workers having arrived in
     // the previous epoch.
@@ -511,7 +523,7 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
             flag_bits,
             pushes_to(&entry.arrivals, src) + fork_push.get(src).copied().unwrap_or(0),
             ctl_words,
-            st.intervals_since(a.msg.vc()),
+            st.intervals_since(a.msg.vc(), upto),
             &floor,
         );
         let kind = if src == me {

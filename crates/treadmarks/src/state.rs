@@ -389,6 +389,12 @@ pub(crate) enum Privacy {
     Stale(usize),
 }
 
+/// Is `page` private to node `me`, by its `privacy` table?
+fn owned(privacy: &[Privacy], me: usize, page: PageId) -> bool {
+    let now = privacy.get(page);
+    now == Some(&Privacy::Written) || now == Some(&Privacy::Private(me))
+}
+
 /// What the protocol keeps per page this node wrote, homes or faulted
 /// on.
 #[derive(Debug, Default)]
@@ -561,7 +567,8 @@ pub struct DsmState {
     armed: Armed,
     /// Derived privatization, by page; pages past the end are shared.
     pub(crate) privacy: Vec<Privacy>,
-    /// `vc[me]` at this node's last pushes: newer ranges go, or none.
+    /// `vc[me]` at this node's last rendezvous pushes: the ranges of the
+    /// intervals after it go at the next.
     pub(crate) pushed: u32,
     /// Recycled page buffers for the twin/diff path.
     pub scratch: DiffScratch,
@@ -696,7 +703,10 @@ impl DsmState {
 
     /// Arm, for the body of loop `loop_id`, the pages of `whole` — which
     /// it overwrites whole — and of `written`, which it writes otherwise
-    /// (sorted, disjoint page runs, the two sets apart). The arming of a
+    /// (sorted, disjoint page runs, the two sets apart), less the written
+    /// pages private here, whose writes take no fault anyway
+    /// (`DsmState::write_private`; privacy changes only where a
+    /// dispatch privatizes, before its bodies arm). The arming of a
     /// body that ran before it since the release — in one fused dispatch
     /// — ends here, as it would at the release.
     pub(crate) fn arm(
@@ -709,8 +719,10 @@ impl DsmState {
         self.disarm();
         self.armed.loop_id = loop_id;
         self.armed.released = false;
+        let (privacy, me) = (&self.privacy, self.me);
         for (runs, whole) in [(whole, true), (written, false)] {
             let pages = runs.iter().cloned().flatten();
+            let pages = pages.filter(|&page| whole || !owned(privacy, me, page));
             self.armed.pages.extend(pages.map(|page| ArmedPage {
                 page,
                 whole,
@@ -940,16 +952,20 @@ impl DsmState {
         true
     }
 
-    /// All intervals in our log that the clock `their_vc` has not seen,
-    /// by creator and sequence number: what a departure or a grant
-    /// encodes straight from the log, under the lock that holds it.
-    pub fn intervals_since(
-        &self,
-        their_vc: impl Iterator<Item = u32> + Clone,
-    ) -> impl Iterator<Item = &Interval> + Clone {
-        // Sequence numbers are 1-based and dense: skip the first `known`
-        // entries.
-        (self.log.iter().zip(their_vc)).flat_map(|(ivs, known)| ivs.iter().skip(known as usize))
+    /// The intervals in our log up to the clock `upto` that the clock
+    /// `their_vc` has not seen, by creator and sequence number: what a
+    /// departure or a grant encodes straight from the log, under the lock
+    /// that holds it. A grant and a barrier's departures pass this node's
+    /// own clock; a fork's, the clock of what happened before the fork.
+    pub fn intervals_since<'a>(
+        &'a self,
+        their_vc: impl Iterator<Item = u32> + Clone + 'a,
+        upto: &'a [u32],
+    ) -> impl Iterator<Item = &'a Interval> + Clone + 'a {
+        // Sequence numbers are 1-based and dense: the first `upto`
+        // entries, less the first `known`.
+        let logs = self.log.iter().zip(their_vc).zip(upto);
+        logs.flat_map(|((ivs, known), &upto)| ivs.iter().take(upto as usize).skip(known as usize))
     }
 
     /// Our own intervals not yet reported via a barrier arrival, as a
@@ -962,8 +978,7 @@ impl DsmState {
 
     /// Is `page` private to this node?
     pub(crate) fn owns(&self, page: PageId) -> bool {
-        let now = self.privacy.get(page);
-        now == Some(&Privacy::Written) || now == Some(&Privacy::Private(self.me))
+        owned(&self.privacy, self.me, page)
     }
 
     /// The node to fetch `page` from first, and if it is still private.
@@ -2099,13 +2114,18 @@ mod tests {
         s.flush(&CostModel::sp2());
         write_words(&mut s, 2, &[(0, 9)]);
         s.flush(&CostModel::sp2());
-        assert_eq!(s.intervals_since([0, 0].into_iter()).count(), 2);
-        let unseen: Vec<&Interval> = s.intervals_since([1, 0].into_iter()).collect();
+        let now = s.vc.clone();
+        assert_eq!(s.intervals_since([0, 0].into_iter(), &now).count(), 2);
+        let unseen: Vec<&Interval> = s.intervals_since([1, 0].into_iter(), &now).collect();
         assert_eq!(unseen, [&s.log[0][1]]);
-        assert_eq!(s.intervals_since([2, 0].into_iter()).count(), 0);
+        assert_eq!(s.intervals_since([2, 0].into_iter(), &now).count(), 0);
         // A clock ahead of this log (a lock requester may know more of a
         // third node than the granter) is owed nothing.
-        assert_eq!(s.intervals_since([3, 1].into_iter()).count(), 0);
+        assert_eq!(s.intervals_since([3, 1].into_iter(), &now).count(), 0);
+        // Bounded by an older clock (a fork's), the newer interval stays.
+        let before: Vec<&Interval> = s.intervals_since([0, 0].into_iter(), &[1, 0]).collect();
+        assert_eq!(before, [&s.log[0][0]]);
+        assert_eq!(s.intervals_since([1, 0].into_iter(), &[1, 0]).count(), 0);
     }
 
     #[test]

@@ -68,10 +68,7 @@ fn run(
 /// its schedule in front, so that it says what to replay.
 fn run_spec(spec: RunSpec) -> RunResult {
     std::panic::catch_unwind(|| spec.run()).unwrap_or_else(|payload| {
-        let said = match payload.downcast_ref::<String>() {
-            Some(said) => said,
-            None => *payload.downcast_ref::<&str>().unwrap_or(&"(no message)"),
-        };
+        let said = said(&*payload);
         let RunSpec {
             app,
             version,
@@ -85,6 +82,14 @@ fn run_spec(spec: RunSpec) -> RunResult {
             "{app:?} {version:?}/{protocol}/{nprocs}p/{scale}/{pw}-word pages on {engine}: {said}"
         )
     })
+}
+
+/// What a panic's `payload` says.
+fn said(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<String>() {
+        Some(said) => said,
+        None => payload.downcast_ref::<&str>().unwrap_or(&"(no message)"),
+    }
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -433,6 +438,66 @@ fn stale_superseding_pushes_are_dropped_on_every_explored_schedule() {
     stale_superseding_pushes_are_dropped(TIER1);
 }
 
+/// Rounds of [`grant_during_a_publish`].
+const ROUNDS: u32 = 16;
+
+/// A lock grant a node's service sends while its application publishes,
+/// under HLRC: node 0 writes a word of page 0, which it homes, under a
+/// lock it manages, `ROUNDS` times, while node 1 takes a fresh lock that
+/// node 0 manages each round — granted by node 0's service from node 0's
+/// live log — and reads the word. A grant built between a release's
+/// flush and the buffering of node 0's own ranges into its home copy
+/// would announce an interval that home cannot serve yet, and node 1's
+/// fetch would be deferred with no flush ever to retry it: publication
+/// is one state-cell section (`ci/mutants/pr9_publish_window.patch`
+/// splits it, and the engine's deadlock diagnostic names the seed).
+/// Every node's read of the word after the closing barrier.
+fn grant_during_a_publish(engine: EngineKind) -> Vec<f64> {
+    let out = Cluster::run(ClusterConfig::sp2_on(2, engine), |node| {
+        let tmk = Tmk::new(node, TmkConfig::hlrc());
+        let a = tmk.malloc_f64(1);
+        for round in 0..ROUNDS {
+            if tmk.proc_id() == 0 {
+                tmk.acquire(0);
+                tmk.write_one(a, 0, f64::from(round + 1));
+                tmk.release(0);
+            } else {
+                // Even locks are node 0's to manage, and their tokens
+                // start there.
+                tmk.acquire(2 * round + 2);
+                tmk.read_one(a, 0);
+                tmk.release(2 * round + 2);
+            }
+        }
+        tmk.barrier(0);
+        let seen = tmk.read_one(a, 0);
+        tmk.finish();
+        seen
+    });
+    out.results
+}
+
+/// [`grant_during_a_publish`] on every schedule of `seeds`: it ends, and
+/// both nodes read the last round's word.
+fn grants_during_a_publish(seeds: RangeInclusive<u64>) {
+    for engine in seeds.map(EngineKind::Seeded) {
+        let seen =
+            std::panic::catch_unwind(|| grant_during_a_publish(engine)).unwrap_or_else(|payload| {
+                panic!("grant during a publish on {engine}: {}", said(&*payload))
+            });
+        assert_eq!(
+            seen,
+            [f64::from(ROUNDS); 2],
+            "grant during a publish on {engine}"
+        );
+    }
+}
+
+#[test]
+fn grants_during_a_publish_on_every_explored_schedule() {
+    grants_during_a_publish(TIER1);
+}
+
 /// Every application's hinted version on 3 nodes at scale 0.05 with
 /// 16-word pages, where each write-all (`Write`) touch covers whole
 /// pages, under both protocols, against the sequential program. With
@@ -497,6 +562,37 @@ fn validated_writes_on_every_explored_schedule() {
     validated_write_cells(TIER1);
 }
 
+/// The virtual clock is a function of the program: hinted Shallow (8 ×
+/// 0.1), MGS (8 × 0.12) and NBF (8 × 0.2) under LRC — `BENCH_sweep.json`'s
+/// cells 51, 52 and 50 — take the same time, messages and bytes on every
+/// explored schedule as on the FIFO one, bit for bit. A fork that
+/// announces the master's body interval before the body has run makes
+/// the FIFO schedule fetch it early
+/// (`ci/mutants/fork_departure_reads_live_clock.patch` builds the
+/// departures from the live clock again, and dies here).
+fn schedule_free_cells(seeds: RangeInclusive<u64>) {
+    for (app, scale) in [(AppId::Shallow, 0.1), (AppId::Mgs, 0.12), (AppId::Nbf, 0.2)] {
+        let columns = |engine| {
+            let r = run(app, Version::SpfCri, 8, scale, ProtocolMode::Lrc, engine);
+            (r.time_us, r.messages, r.stats.total_bytes())
+        };
+        let fifo = columns(EngineKind::Sequential);
+        for engine in seeds.clone().map(EngineKind::Seeded) {
+            let got = columns(engine);
+            assert!(
+                got.0.to_bits() == fifo.0.to_bits() && (got.1, got.2) == (fifo.1, fifo.2),
+                "{app:?} SpfCri/lrc/8p/{scale} on {engine}: (time_us, messages, bytes) {got:?}, \
+                 on sequential {fifo:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hinted_cells_take_the_same_virtual_time_on_every_explored_schedule() {
+    schedule_free_cells(TIER1);
+}
+
 /// CI's `explore` job (`-- --include-ignored`), and what
 /// `ci/mutants.sh` requires to fail on each re-broken fix: the seeded
 /// cells first, so that a failure names its seed, then the LRC probe
@@ -509,10 +605,12 @@ fn every_cell_on_the_ci_seed_budget() {
     }
     hinted_igrid_on_small_pages(CI);
     stale_superseding_pushes_are_dropped(CI);
+    grants_during_a_publish(CI);
     mgs_push_tree_cells(CI);
     chained_mgs_cells(CI);
     write_all_cells(CI);
     validated_write_cells(CI);
+    schedule_free_cells(CI);
     privatized_cells(CI);
     meet_push_cells(CI);
     hinted_nbf_cells(CI);
