@@ -22,9 +22,11 @@
 //!
 //! Under HLRC ([`treadmarks::hlrc`]) they also drive **home placement**
 //! ([`HintEngine::planned_homes`], decided once on the master at fork
-//! time through [`Tmk::adopt_page_homes`]), and a push to a consumer that
-//! *is* the page's home is skipped: the home flush already carries the
-//! same diff there.
+//! time through [`Tmk::adopt_page_homes`]). The engine hands the runtime
+//! each push list whole ([`Tmk::push_at_next_sync`], a [`Pushes`]) and
+//! asks the protocol nothing: the runtime drops a push to a consumer
+//! that *is* the page's home, whose home flush already carries the same
+//! diff there.
 //!
 //! Validates and pushes are *performance-only*: every validate fetches
 //! exactly the diffs a fault would have fetched, and a push delivers
@@ -43,7 +45,7 @@
 //! the pusher's panics at the install). A third rests on it for time
 //! alone: the other pages a body declares written are write-enabled by
 //! its validate, so the body's first store there twins without a fault
-//! ([`Tmk::arm`]); debug builds fence each body's write views to the
+//! ([`Tmk::validate`]); debug builds fence each body's write views to the
 //! words it declared written.
 //! Hinted and unhinted executions produce byte-identical shared memory;
 //! `tests/cri_equivalence.rs` pins that property.
@@ -72,7 +74,7 @@ use std::rc::Rc;
 use cri::section::{for_each_overlap, merge_ranges, subtract};
 use cri::{Access, Consumer, Section};
 use inspector::Inspector;
-use treadmarks::{SharedArray, Tmk};
+use treadmarks::{Pushes, SharedArray, Tmk};
 
 use crate::footprint::meet;
 use crate::{described, prelude, walk, Description, Entry, Inspect, Mode, Next, Touch};
@@ -389,42 +391,6 @@ struct Plan {
     homes: Third<Vec<(usize, usize)>>,
 }
 
-/// A push list: `(target, page, words)` in registration order, `words`
-/// indexing the page-relative word runs of `runs` the target reads on
-/// the page — the meet its push carries — or empty for the whole page.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct Pushes {
-    list: Vec<(usize, usize, Range<usize>)>,
-    runs: Runs,
-}
-
-impl Pushes {
-    fn clear(&mut self) {
-        self.list.clear();
-        self.runs.clear();
-    }
-
-    /// Push page `p` to `q` whole.
-    fn whole(&mut self, q: usize, p: usize) {
-        self.list.push((q, p, 0..0));
-    }
-
-    /// Push page `p` to `q`, which reads the words of `words` — sorted,
-    /// disjoint global word runs — there, on pages of `pw` words.
-    fn meet(&mut self, q: usize, p: usize, words: &[Range<usize>], pw: usize) {
-        let (lo, hi, at) = (p * pw, (p + 1) * pw, self.runs.len());
-        let first = words.partition_point(|w| w.end <= lo);
-        let on_page = words[first..].iter().take_while(|w| w.start < hi);
-        self.runs
-            .extend(on_page.map(|w| w.start.max(lo) - lo..w.end.min(hi) - lo));
-        debug_assert!(
-            self.runs.len() > at,
-            "a consumer reads the page it is pushed"
-        );
-        self.list.push((q, p, at..self.runs.len()));
-    }
-}
-
 /// The builder's buffers, kept between builds.
 #[derive(Default)]
 struct Scratch {
@@ -433,7 +399,7 @@ struct Scratch {
     /// A consumer's pages of the written array, less those it overwrites
     /// whole.
     theirs: Pages,
-    /// A node's written pages, or a republished access's word runs.
+    /// A node's written pages.
     runs: Runs,
     /// The global words a consumer's accesses touch.
     words: Runs,
@@ -674,9 +640,9 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
     }
 
-    /// Pre-loop hint: an aggregated validate of every section the body
-    /// will touch, but for the pages it overwrites whole, and the arming
-    /// of the pages it writes ([`Tmk::arm`]): those it overwrites whole,
+    /// Pre-loop hint: one [`Tmk::validate`], an aggregated validate of
+    /// every section the body will touch, but for the pages it overwrites
+    /// whole, which arms the pages it writes: those it overwrites whole,
     /// which the validate leaves out, and the others it writes, which the
     /// validate write-enables. Returns the number of pages that needed
     /// fetching.
@@ -695,12 +661,9 @@ impl<'t, 'n> HintEngine<'t, 'n> {
         }
         let build = |pages: &mut Pages| self.build_validate(loops, id, iters, pages);
         let validate = |pages: &Pages| {
-            let fetched = match pages.sections {
-                0 => 0,
-                sections => self.tmk.validate_pages(sections, &pages.pages),
-            };
-            self.tmk.arm(id, &pages.armed, &pages.written);
-            fetched
+            let (write_all, written) = (&pages.armed, &pages.written);
+            self.tmk
+                .validate(id, pages.sections, &pages.pages, write_all, written)
         };
         self.third(id, iters, |plan| &mut plan.validate, build, validate)
     }
@@ -744,19 +707,17 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// accesses: the pages the producer's writes share with them, less
     /// the pages the consumer overwrites whole, each with the words the
     /// consumer's accesses touch there — the meet its push carries of the
-    /// producer's newest range (`Tmk::push_words_at_next_sync`). Under
-    /// HLRC a consumer that
-    /// is the page's home is skipped: the producer's eager home flush
-    /// already carries the same diff there, so a push would only arrive
-    /// as a duplicate for the stale-flush guard to drop — this is where
-    /// a hinted body chooses push vs home-flush per `(consumer, page)`.
-    /// Returns the number of `(target, page)` registrations.
+    /// producer's newest range ([`Pushes::meet`]). The plan's list goes
+    /// whole to [`Tmk::push_at_next_sync`], which under HLRC drops a
+    /// consumer that is the page's home, at every replay: the producer's
+    /// eager home flush already carries the same diff there. Returns the
+    /// number of `(target, page)` registrations.
     pub(crate) fn after_loop(&self, loops: &[Entry<'t>], id: usize, iters: &Range<usize>) -> u64 {
         if described(loops, id).is_none() {
             return 0;
         }
         let build = |pushes: &mut Pushes| self.build_pushes(loops, id, iters, pushes);
-        let register = |pushes: &Pushes| self.register_pushes(pushes);
+        let register = |pushes: &Pushes| self.tmk.push_at_next_sync(pushes);
         self.third(id, iters, |plan| &mut plan.pushes, build, register)
     }
 
@@ -769,9 +730,9 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// the consumer's accesses. Returns the number of `(target, page)`
     /// registrations.
     pub(crate) fn declare_produce(&self, loops: &[Entry<'t>], accesses: &[Access]) -> u64 {
-        self.register_stream(loops, &|visit: &mut dyn FnMut(&Declared)| {
-            listed(accesses, visit)
-        })
+        let mut pushes = Pushes::default();
+        self.push_list(loops, &|visit| listed(accesses, visit), &mut pushes);
+        self.tmk.push_at_next_sync(&pushes)
     }
 
     /// What the sequential code before loop `id`'s dispatch over `iters`
@@ -781,7 +742,7 @@ impl<'t, 'n> HintEngine<'t, 'n> {
     /// pushes that supersede: each carries the words rewritten, which
     /// the consumer installs outright instead of applying the newest
     /// diff, so it needs none of the pages' older diffs, of any writer
-    /// ([`Tmk::supersede_at_next_sync`]). The compiler's promise is
+    /// ([`Pushes::supersede`]). The compiler's promise is
     /// that nothing else of those pages changed since what a consumer
     /// holds; debug builds check it. Returns the number of `(target,
     /// page)` registrations.
@@ -804,21 +765,10 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                 }
             });
         };
-        rewritten(&mut |a| {
-            let mut scratch = self.scratch.borrow_mut();
-            scratch.runs.clear();
-            a.shape.for_each_run(|r| scratch.runs.push(r));
-            self.tmk.supersede_at_next_sync(a.arr, &scratch.runs);
-        });
-        self.register_stream(loops, &rewritten)
-    }
-
-    /// Register the pushes the written accesses of `stream` owe their
-    /// consumers. Returns the number of `(target, page)` registrations.
-    fn register_stream(&self, loops: &[Entry<'t>], stream: Stream) -> u64 {
-        let mut pushes = Pushes::default();
-        self.push_list(loops, stream, &mut pushes);
-        self.register_pushes(&pushes)
+        let (mut pushes, pw) = (Pushes::default(), self.tmk.config().page_words);
+        rewritten(&mut |a| a.shape.for_each_run(|r| _ = pushes.supersede(a.arr, r, pw)));
+        self.push_list(loops, &rewritten, &mut pushes);
+        self.tmk.push_at_next_sync(&pushes)
     }
 
     /// Append every push the written accesses of `stream` owe their
@@ -900,40 +850,16 @@ impl<'t, 'n> HintEngine<'t, 'n> {
                             mine.iter().cloned(),
                             theirs.pages.iter().cloned(),
                             |run| match fenced.get() {
-                                true => run.for_each(|p| pushes.meet(q, p, words, pw)),
-                                false => run.for_each(|p| pushes.whole(q, p)),
+                                true => run.for_each(|p| _ = pushes.meet(q, p, words, pw)),
+                                false => _ = pushes.whole(q, run),
                             },
                         );
                     }
                 }
-                Consumer::Node(q) if q != me => {
-                    mine.iter()
-                        .cloned()
-                        .flatten()
-                        .for_each(|p| pushes.whole(q, p));
-                }
+                Consumer::Node(q) if q != me => _ = pushes.whole(q, mine.iter().cloned().flatten()),
                 Consumer::Node(_) => {}
             });
         });
-    }
-
-    /// Register `pushes` for the next rendezvous, minus those the
-    /// release already delivers to their target *now* (HLRC: the page's
-    /// home) — homes move between two replays of one list. Returns the
-    /// number registered.
-    fn register_pushes(&self, pushes: &Pushes) -> u64 {
-        let mut registered = 0;
-        for (q, p, words) in pushes.list.iter().cloned() {
-            if self.tmk.release_delivers(p, q) {
-                continue;
-            }
-            match words.is_empty() {
-                true => self.tmk.push_page_at_next_sync(q, p),
-                false => self.tmk.push_words_at_next_sync(q, p, &pushes.runs[words]),
-            }
-            registered += 1;
-        }
-        registered
     }
 }
 
@@ -949,15 +875,9 @@ mod tests {
     use super::*;
     use crate::{Cols, Prelude};
 
-    impl Pushes {
-        /// `(target, page, words)`, a whole page's words empty.
-        fn entries(&self) -> Vec<(usize, usize, Runs)> {
-            let words = |w: &Range<usize>| self.runs[w.clone()].to_vec();
-            self.list
-                .iter()
-                .map(|(q, p, w)| (*q, *p, words(w)))
-                .collect()
-        }
+    /// `(target, page, words)`, a whole page's words empty.
+    fn entries(pushes: &Pushes) -> Vec<(usize, usize, Runs)> {
+        pushes.iter().map(|(q, p, w)| (q, p, w.to_vec())).collect()
     }
 
     /// An entry with `description` and a body that does nothing.
@@ -1347,7 +1267,7 @@ mod tests {
                 ok &= arms_the_references(&tmk, &written);
                 let mut pushes = Pushes::default();
                 hints.push_list(&loops, &|visit| listed(&written, visit), &mut pushes);
-                ok &= pushes.entries() == push_list_reference(&hints, &loops, &written);
+                ok &= entries(&pushes) == push_list_reference(&hints, &loops, &written);
                 let homes = hints.planned_homes(&loops, [(1, &(0..1))]);
                 ok &= homes == homes_reference(&hints, &loops, 1, &(0..1));
                 tmk.finish();
@@ -1537,7 +1457,7 @@ mod tests {
                 // The pushes' pages; their words are the footprints' own,
                 // which an inspector's consumer does not have.
                 let pages = |(s, p, a, pushes, h): (usize, Runs, (Runs, Runs), Pushes, Pairs)| {
-                    let pairs: Pairs = pushes.list.iter().map(|&(q, p, _)| (q, p)).collect();
+                    let pairs: Pairs = pushes.iter().map(|(q, p, _)| (q, p)).collect();
                     (s, p, a, pairs, h)
                 };
                 for id in 0..3 {
@@ -1545,7 +1465,7 @@ mod tests {
                         let walked = fresh(&loops, id, &iters);
                         let derived = derived_reference(&loops, id, &iters, node.id(), 3);
                         let hints = HintEngine::new(&tmk, 0);
-                        ok &= walked.3.entries() == push_list_reference(&hints, &loops, &derived);
+                        ok &= entries(&walked.3) == push_list_reference(&hints, &loops, &derived);
                         ok &= pages(walked) == pages(fresh(&reference, id, &iters));
                     }
                     plan_lists(&refilled, &loops, id, &(0..1));

@@ -83,9 +83,10 @@
 //! validate, pushes and home candidates, so the hint engine compiles each
 //! described loop **once** per range into a plan of three flat lists and
 //! replays them: the word-run count and merged page runs its validate
-//! takes ([`treadmarks::Tmk::validate_pages`]); every `(target, page)`
-//! push its body registers, before the HLRC "the consumer is the page's
-//! home" filter, which stays a check at replay because homes move; and
+//! takes ([`treadmarks::Tmk::validate`]); the push list its body
+//! registers, a [`treadmarks::Pushes`] handed whole to
+//! [`treadmarks::Tmk::push_at_next_sync`], which drops at every replay
+//! the pushes the protocol's release delivers, because homes move; and
 //! the `(page, writer)` pairs the master picks home candidates from.
 //! One builder fills all three from a stream of declared accesses, each
 //! an array, a [`Mode`], word runs and consumers. A

@@ -10,7 +10,7 @@
 //! | hook | asked by | LRC | HLRC |
 //! |---|---|---|---|
 //! | on-release | `Tmk::publish` | seal the interval | … freeze its pages, keep the newest range, flush to the homes |
-//! | resolve-miss | a view's fault, `Tmk::validate_pages` | diff requests to the writers | page requests to the homes |
+//! | resolve-miss | a view's fault, `Tmk::validate` | diff requests to the writers | page requests to the homes |
 //! | serve | the service loop, for an opcode it does not know | `DIFF_REQ`, `VALIDATE_REQ` | `HOME_FLUSH`, `PAGE_REQ` |
 //! | on-rendezvous | manager, pusher, participant | diffs, or rewritten spans, in a push | a floor on the departures, pages in a push, the prune |
 //!
@@ -147,10 +147,10 @@ impl ProtocolMode {
     /// On-release, as a question: does this node's release already
     /// deliver `page` to node `q`? To the page's home, if the protocol
     /// has homes.
-    pub(crate) fn release_delivers(self, tmk: &Tmk<'_>, page: PageId, q: usize) -> bool {
+    pub(crate) fn release_delivers(self, st: &DsmState, page: PageId, q: usize) -> bool {
         match self {
             Lrc => false,
-            Hlrc => tmk.state.lock().home_of(page) == q,
+            Hlrc => st.home_of(page) == q,
         }
     }
 

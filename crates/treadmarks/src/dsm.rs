@@ -163,6 +163,81 @@ fn merge_runs(runs: &mut [Range<usize>]) -> usize {
     k
 }
 
+/// A push list, the one value pushes are registered in
+/// ([`Tmk::push_at_next_sync`]) and sent from: `(target, page, words)`
+/// entries in registration order, `words` the page-relative word runs
+/// the target reads on the page — the meet its push carries under LRC
+/// (`crate::hole`) — or none for the whole page; and the spans of pages
+/// the pusher rewrote, whose pushes **supersede** ([`Pushes::supersede`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Pushes {
+    /// `(target, page, words)`, `words` indexing `runs`.
+    list: Vec<(usize, PageId, Range<usize>)>,
+    runs: Vec<Range<usize>>,
+    /// `(page, span)`, the span page-relative.
+    spans: Vec<(PageId, Range<usize>)>,
+}
+
+impl Pushes {
+    /// Forget every entry and span, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.list.clear();
+        self.runs.clear();
+        self.spans.clear();
+    }
+
+    /// The entries in registration order: `(target, page, words)`, the
+    /// words empty for a whole page.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, PageId, &[Range<usize>])> + '_ {
+        let words = |w: &Range<usize>| &self.runs[w.clone()];
+        self.list.iter().map(move |(q, p, w)| (*q, *p, words(w)))
+    }
+
+    /// Push each of `pages` to `q` whole.
+    pub fn whole(&mut self, q: usize, pages: impl IntoIterator<Item = PageId>) -> &mut Self {
+        self.list.extend(pages.into_iter().map(|p| (q, p, 0..0)));
+        self
+    }
+
+    /// Push `page` to `q`, which reads the words of `words` there —
+    /// sorted, disjoint global word runs, on pages of `pw` words, one at
+    /// least on the page. Under HLRC, or when the page is also pushed
+    /// whole, the whole page goes.
+    pub fn meet(&mut self, q: usize, page: PageId, words: &[Range<usize>], pw: usize) -> &mut Self {
+        let (lo, hi, at) = (page * pw, (page + 1) * pw, self.runs.len());
+        let first = words.partition_point(|w| w.end <= lo);
+        let on_page = words[first..].iter().take_while(|w| w.start < hi);
+        let runs = on_page.map(|w| w.start.max(lo) - lo..w.end.min(hi) - lo);
+        self.runs.extend(runs);
+        assert!(self.runs.len() > at, "a meet names words its target reads");
+        self.list.push((q, page, at..self.runs.len()));
+        self
+    }
+
+    /// Mark the elements `run` of `arr`, on pages of `pw` words, as
+    /// rewritten: a push of a page they reach then **supersedes** what
+    /// its target holds. Under LRC it carries the words of the page the
+    /// runs cover, verbatim, with the page's applied watermarks, which a
+    /// target installs where they dominate its own, whatever older diffs
+    /// of the page — of any writer — it missed. The pusher promises that
+    /// every other word of the page is one the target holds; with debug
+    /// assertions the target checks it. Under HLRC a push carries its
+    /// pages whole anyway.
+    pub fn supersede(&mut self, arr: SharedArray, run: Range<usize>, pw: usize) -> &mut Self {
+        debug_assert!(run.end <= arr.len, "span {run:?} beyond the array");
+        if run.is_empty() {
+            return self;
+        }
+        let base = arr.first_page * pw;
+        let (wlo, whi) = (base + run.start, base + run.end);
+        for p in wlo / pw..whi.div_ceil(pw) {
+            let span = wlo.max(p * pw) - p * pw..whi.min((p + 1) * pw) - p * pw;
+            self.spans.push((p, span));
+        }
+        self
+    }
+}
+
 /// One node's TreadMarks instance.
 pub struct Tmk<'n> {
     pub(crate) node: &'n Node,
@@ -307,13 +382,6 @@ impl<'n> Tmk<'n> {
     pub fn set_page_home(&self, page: usize, home: usize) -> bool {
         assert!(home < self.nprocs(), "home {home} out of range");
         self.state.lock().set_home(page, home)
-    }
-
-    /// Does this node's release already deliver `page` to node `q`
-    /// (under HLRC: is `q` its home)? The CRI hint engine asks before it
-    /// registers a push, which would only arrive as a duplicate.
-    pub fn release_delivers(&self, page: usize, q: usize) -> bool {
-        self.cfg.protocol.release_delivers(self, page, q)
     }
 
     /// Decision side of coordinated home placement: filter the `(page,
@@ -516,65 +584,65 @@ impl<'n> Tmk<'n> {
         wlo / pw..(whi - 1) / pw + 1
     }
 
-    /// CRI aggregated validate: make every page of `runs` — sorted,
-    /// disjoint runs of global page ids, which the CRI hint engine
-    /// computes once per loop and replays at every dispatch — consistent
-    /// up front, with **one** access fault and **one** request round trip
-    /// per writer (or home) for the whole phase, instead of one of each
-    /// per page as the loop body's views would take. Returns the number
-    /// of pages that needed fetching. `sections` is the number of
-    /// sections the runs came from (the `Validate` trace span's).
-    ///
-    /// This is the compiler-described counterpart of the per-view
-    /// aggregation of [`TmkConfig::aggregation`]: the compiler knows the
-    /// regular sections a loop will touch before it runs, so the runtime
-    /// can fetch everything the phase will fault in a single exchange.
-    pub fn validate_pages(&self, sections: usize, runs: &[Range<usize>]) -> u64 {
-        self.quiescent("validate");
-        let _s = self.node.trace_span(SpanKind::Validate, sections as u32);
-        let mut scratch = self.scratch.borrow_mut();
-        let sc = &mut *scratch;
-        let miss = Miss {
-            runs,
-            aggregated: true,
-            validate: true,
-            write: false,
-            words: 0..0,
-        };
-        let missing = self.cfg.protocol.resolve_miss(self, sc, &miss);
-        if !sc.entries.is_empty() {
-            let st = &mut self.state.lock();
-            let us = apply_fetched(st, &mut sc.entries, &[], self.node.cost());
-            self.charge_apply(us);
-        }
-        missing
-    }
-
-    /// CRI `Validate`'s write accesses: arm, for the body of loop
-    /// `loop_id`, about to run, the pages it declared written — sorted
-    /// runs of global page ids, which the CRI hint engine computes, the
-    /// two sets apart.
+    /// CRI `Validate`, before loop `loop_id`'s body runs here: make every
+    /// page of `pages` — sorted, disjoint runs of global page ids, which
+    /// the CRI hint engine computes once per loop and replays at every
+    /// dispatch — consistent up front, with **one** access fault and
+    /// **one** request round trip per writer (or home) for the whole
+    /// phase, instead of one of each per page as the body's views would
+    /// take (the compiler-described counterpart of
+    /// [`TmkConfig::aggregation`]); then write-enable the pages the body
+    /// declared written, two sets apart. Returns the number of pages
+    /// fetched. `sections` is the number of sections the pages came from
+    /// (the `Validate` trace span's); with none, nothing is fetched.
     ///
     /// * `write_all` (`WRITE_ALL`): the body stores every word of these
     ///   pages before it reads any. The hint engine leaves them out of
-    ///   the body's validate and its producers' pushes; the body's first
-    ///   write view over such a page fetches nothing and takes no fault
-    ///   and no twin, and the release publishes the page whole. With
-    ///   debug assertions the release panics on a word the body left
-    ///   unstored, and a read view over the page before its write panics
-    ///   too (without, it faults as usual).
+    ///   `pages` and its producers' pushes; the body's first write view
+    ///   over such a page fetches nothing and takes no fault and no
+    ///   twin, and the release publishes the page whole. With debug
+    ///   assertions the release panics on a word the body left unstored,
+    ///   and a read view over the page before its write panics too
+    ///   (without, it faults as usual).
     /// * `written` (`WRITE`, `READ&WRITE`): the body writes part of these
     ///   pages, or reads them first; they are validated as any other.
-    ///   The validate write-enables them: the body's first write view
-    ///   over such a page takes its twin, charged `twin_us`, but no
-    ///   fault — none is charged or counted.
+    ///   The body's first write view over such a page takes its twin,
+    ///   charged `twin_us`, but no fault — none is charged or counted.
     ///
     /// Arming ends at this node's next release, or where the next body of
     /// a fused dispatch arms its own pages.
-    pub fn arm(&self, loop_id: usize, write_all: &[Range<usize>], written: &[Range<usize>]) {
+    pub fn validate(
+        &self,
+        loop_id: usize,
+        sections: usize,
+        pages: &[Range<usize>],
+        write_all: &[Range<usize>],
+        written: &[Range<usize>],
+    ) -> u64 {
+        let mut missing = 0;
+        if sections > 0 {
+            self.quiescent("validate");
+            let _s = self.node.trace_span(SpanKind::Validate, sections as u32);
+            let mut scratch = self.scratch.borrow_mut();
+            let sc = &mut *scratch;
+            let miss = Miss {
+                runs: pages,
+                aggregated: true,
+                validate: true,
+                write: false,
+                words: 0..0,
+            };
+            missing = self.cfg.protocol.resolve_miss(self, sc, &miss);
+            if !sc.entries.is_empty() {
+                let st = &mut self.state.lock();
+                let us = apply_fetched(st, &mut sc.entries, &[], self.node.cost());
+                self.charge_apply(us);
+            }
+        }
         if !write_all.is_empty() || !written.is_empty() {
             self.state.lock().arm(loop_id, write_all, written);
         }
+        missing
     }
 
     /// Phase 1 of a miss, one section: count the invalid pages — `plan`
@@ -771,7 +839,7 @@ impl<'n> Tmk<'n> {
         self.publish();
 
         // Send registered pushes before arriving.
-        let push_counts = self.do_pushes(false, |_| ());
+        let push_counts = self.do_pushes(None, |_| ());
         self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
 
         let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
@@ -971,7 +1039,7 @@ impl<'n> Tmk<'n> {
         // included. A push down the tree goes out after the fork, so the
         // service sends the departures while the tree fills.
         let early = std::mem::take(&mut *self.early_counts.borrow_mut());
-        self.do_pushes(false, |push_counts| {
+        self.do_pushes(None, |push_counts| {
             let count = |counts: &[u64], t| counts.get(t).copied().unwrap_or(0);
             for t in 0..self.nprocs() {
                 w.put(count(&early, t) + count(push_counts, t));
@@ -1022,7 +1090,7 @@ impl<'n> Tmk<'n> {
         if fork_follows {
             // Announced by the fork (the counts go with it): the workers
             // take these after its departure.
-            *self.early_counts.borrow_mut() = self.do_pushes(false, |_| ());
+            *self.early_counts.borrow_mut() = self.do_pushes(None, |_| ());
         }
         let mut w = WordWriter::with_capacity(2);
         w.put(op::MASTER_JOIN).put(e);
@@ -1062,7 +1130,7 @@ impl<'n> Tmk<'n> {
         self.publish();
         // Pushes registered after the previous loop body ride the
         // rendezvous, exactly like the barrier-time pushes.
-        let push_counts = self.do_pushes(false, |_| ());
+        let push_counts = self.do_pushes(None, |_| ());
         self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
         let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
         let pkt = self.node.recv_match(|p| p.tag == t);
@@ -1088,82 +1156,37 @@ impl<'n> Tmk<'n> {
     // Extensions (paper §8 / Dwarkadas et al.): push and broadcast
     // ------------------------------------------------------------------
 
-    /// Register `range` of `arr` to be pushed to `target` at this node's
-    /// next synchronization rendezvous (barrier arrival, worker arrival,
-    /// master fork, or a master join that a fork follows), instead of
-    /// being demand-fetched afterwards.
-    pub fn push_at_next_sync(&self, target: usize, arr: SharedArray, range: Range<usize>) {
-        for p in self.page_span(arr, &range) {
-            self.push_page_at_next_sync(target, p);
+    /// Register `pushes` for this node's next synchronization rendezvous
+    /// (barrier arrival, worker arrival, master fork, or a master join
+    /// that a fork follows) — but for the entries to this node and those
+    /// its release delivers (under HLRC, to the page's home, which may
+    /// move between two registrations of a list). Returns how many went.
+    pub fn push_at_next_sync(&self, pushes: &Pushes) -> u64 {
+        if pushes.list.is_empty() && pushes.spans.is_empty() {
+            return 0;
         }
-    }
-
-    /// Register a single (global) page for pushing to `target` at the
-    /// next synchronization rendezvous. Self-pushes are dropped — the
-    /// page is already local. The CRI hint engine feeds page overlaps of
-    /// producer and consumer sections through this entry point.
-    pub fn push_page_at_next_sync(&self, target: usize, page: usize) {
-        if target == self.proc_id() {
-            return;
-        }
-        self.state.lock().pending_push.push((target, page, 0..0));
-    }
-
-    /// Register a single (global) page for pushing to `target` at the
-    /// next synchronization rendezvous, where `target` reads the words
-    /// `words` of it — sorted, disjoint page-relative runs, not empty.
-    /// Under LRC the push carries the **meet**: the words of the page's
-    /// newest range that `words` holds, and the range's other words as
-    /// holes, which `target` fetches if a view of its overlaps one
-    /// (`crate::hole`). Under HLRC, or when the page is also registered
-    /// whole, the whole page goes. The CRI hint engine feeds the words
-    /// a consumer loop's footprint touches on each page it shares with
-    /// a producer's writes through this entry point.
-    pub fn push_words_at_next_sync(&self, target: usize, page: usize, words: &[Range<usize>]) {
-        assert!(
-            !words.is_empty(),
-            "a meet push names the words its target reads"
-        );
-        if target == self.proc_id() {
-            return;
-        }
+        let (me, protocol) = (self.proc_id(), self.cfg.protocol);
         let mut st = self.state.lock();
-        let at = st.pending_words.len();
-        st.pending_words.extend_from_slice(words);
-        let end = st.pending_words.len();
-        st.pending_push.push((target, page, at..end));
-    }
-
-    /// Mark the words `runs` (sorted, disjoint element runs) of `arr` as
-    /// rewritten by this node, for its next rendezvous: a push of a page
-    /// they reach then **supersedes** what its target holds. Under LRC it
-    /// carries the span of the page's words the runs cover, verbatim,
-    /// with the page's applied watermarks, instead of the page's newest
-    /// diff, and a target that missed older diffs of the page — of any
-    /// writer — installs it all the same, where the watermarks dominate
-    /// its own. The caller promises that every word of such a page
-    /// outside its span is one the target already holds; with debug
-    /// assertions the target checks it. Under HLRC a push carries its
-    /// pages whole anyway. The pushes themselves are registered as any
-    /// other ([`Tmk::push_page_at_next_sync`]).
-    pub fn supersede_at_next_sync(&self, arr: SharedArray, runs: &[Range<usize>]) {
-        let pw = self.cfg.page_words;
-        let mut st = self.state.lock();
-        for r in runs.iter().filter(|r| !r.is_empty()) {
-            let (wlo, whi) = self.word_bounds(arr, r);
-            for p in wlo / pw..(whi - 1) / pw + 1 {
-                let span = wlo.max(p * pw) - p * pw..whi.min((p + 1) * pw) - p * pw;
-                st.pending_spans.push((p, span));
-            }
+        let mut pending = std::mem::take(&mut st.pending);
+        let delivered = |q, p| q == me || protocol.release_delivers(&st, p, q);
+        let mut registered = 0;
+        for (q, p, words) in pushes.iter().filter(|&(q, p, _)| !delivered(q, p)) {
+            let at = pending.runs.len();
+            pending.runs.extend_from_slice(words);
+            pending.list.push((q, p, at..pending.runs.len()));
+            registered += 1;
         }
+        pending.spans.extend_from_slice(&pushes.spans);
+        st.pending = pending;
+        registered
     }
 
     /// Send the words `runs` of each array of `words`, which this node
     /// has just rewritten, to `readers` at once, outside any rendezvous:
     /// a **link push**, which a chained dispatch sends between two of its
     /// loop bodies (see the `spf` crate). The writes are published first
-    /// and travel as a superseding push ([`Tmk::supersede_at_next_sync`])
-    /// — straight to each reader, or down the tree rooted here when every
+    /// and travel as a superseding push ([`Pushes::supersede`]) —
+    /// straight to each reader, or down the tree rooted here when every
     /// other node reads them — under `tag::LINK_PUSH`, where no
     /// rendezvous takes them: each reader takes it with
     /// [`Tmk::take_link_push`], knowing without being told that it comes.
@@ -1178,32 +1201,19 @@ impl<'n> Tmk<'n> {
     pub fn push_link(&self, words: &[(SharedArray, Vec<Range<usize>>)], readers: &[usize]) {
         self.quiescent("link push");
         self.publish();
-        let (mut kept, kept_spans, kept_words) = {
-            let mut st = self.state.lock();
-            let spans = std::mem::take(&mut st.pending_spans);
-            let words = std::mem::take(&mut st.pending_words);
-            (std::mem::take(&mut st.pending_push), spans, words)
-        };
+        let mut link = Pushes::default();
         for (arr, runs) in words {
-            self.supersede_at_next_sync(*arr, runs);
             for r in runs {
+                link.supersede(*arr, r.clone(), self.cfg.page_words);
                 for &t in readers {
-                    self.push_at_next_sync(t, *arr, r.clone());
+                    link.whole(t, self.page_span(*arr, r));
                 }
             }
         }
-        self.do_pushes(true, |_| ());
-        let pushed = |p| {
-            let mut runs = words
-                .iter()
-                .flat_map(|(arr, runs)| runs.iter().map(|r| (*arr, r)));
-            runs.any(|(arr, r)| self.page_span(arr, r).contains(&p))
-        };
-        kept.retain(|&(t, p, _)| !(readers.contains(&t) && pushed(p)));
+        self.do_pushes(Some(&mut link), |_| ());
+        let delivered = |t, p| link.list.iter().any(|e| (e.0, e.1) == (t, p));
         let mut st = self.state.lock();
-        st.pending_push = kept;
-        st.pending_spans = kept_spans;
-        st.pending_words = kept_words;
+        st.pending.list.retain(|&(t, p, _)| !delivered(t, p));
     }
 
     /// Take the link push `writer` sends this node ([`Tmk::push_link`])
@@ -1213,12 +1223,13 @@ impl<'n> Tmk<'n> {
         self.receive_pushes(1, Some(writer));
     }
 
-    /// Execute registered pushes (called at the synchronization
-    /// rendezvous, after the flush). Returns the per-destination message
-    /// counts for the arrival — no vector at all when nothing was
-    /// registered, which the encoders write as a zero per node
-    /// ([`protocol::put_push_counts`]) — and hands them to `announce`
-    /// before the first push is built.
+    /// Send a push list: the pushes registered for this rendezvous
+    /// (called there, after the flush), which it leaves empty, or with
+    /// `link` a link push's own ([`Tmk::push_link`]). Returns the
+    /// per-destination message counts for the arrival — no vector at all
+    /// when the list has no entry, which the encoders write as a zero per
+    /// node ([`protocol::put_push_counts`]) — and hands them to
+    /// `announce` before the first push is built.
     ///
     /// A push carries the producer's newest frozen diff range per page
     /// and whatever else the protocol's consumers need to use it (see
@@ -1228,38 +1239,43 @@ impl<'n> Tmk<'n> {
     /// tree rooted here — each forwarder's service passes it on
     /// (`tag::PUSH_TREE`) — wherever that saves this node a send.
     ///
-    /// With `link` these are a link push's ([`Tmk::push_link`]): every
-    /// registered page goes, with a range of the interval just published
-    /// or not, under `tag::LINK_PUSH`, and the newest interval stays to
-    /// push at the next rendezvous.
-    fn do_pushes(&self, link: bool, announce: impl FnOnce(&[u64])) -> Vec<u64> {
+    /// A link push's every page goes, with a range of the interval just
+    /// published or not, under `tag::LINK_PUSH`, and the newest interval
+    /// stays to push at the next rendezvous.
+    fn do_pushes(&self, link: Option<&mut Pushes>, announce: impl FnOnce(&[u64])) -> Vec<u64> {
         let _s = self.node.trace_span(SpanKind::PushSend, 0);
         let (me, n) = (self.proc_id(), self.nprocs());
-        let (mut pending, mut words, mut spans, last) = {
+        let rendezvous = link.is_none();
+        let mut pending = Pushes::default();
+        let (pushes, last) = {
             let mut st = self.state.lock();
             // A link push's ranges reach the newest interval; a
             // rendezvous's, any interval since the last rendezvous
             // pushes — sequential code that published after a body (the
             // master's, `Master::tmk`) leaves the body's ranges to go.
             let newest = st.vc[me];
-            let last = match link {
-                true => newest,
-                false => std::mem::replace(&mut st.pushed, newest) + 1,
+            let (pushes, last) = match link {
+                Some(link) => (link, newest),
+                None => {
+                    pending = std::mem::take(&mut st.pending);
+                    (&mut pending, std::mem::replace(&mut st.pushed, newest) + 1)
+                }
             };
-            if st.pending_push.is_empty() {
-                st.pending_spans.clear();
-                st.pending_words.clear();
+            if pushes.list.is_empty() {
+                pushes.clear();
+                if rendezvous {
+                    st.pending = std::mem::take(pushes);
+                }
                 drop(st);
                 announce(&[]);
                 return Vec::new();
             }
-            let spans = std::mem::take(&mut st.pending_spans);
-            let words = std::mem::take(&mut st.pending_words);
-            (std::mem::take(&mut st.pending_push), words, spans, last)
+            (pushes, last)
         };
         // Group by target, pages ascending; several hinted accesses may
         // name one page. A page's span is the hull of its marks.
-        pending.sort_unstable_by_key(|&(t, p, ref w)| (t, p, w.start));
+        let (entries, words, spans) = (&mut pushes.list, &pushes.runs, &mut pushes.spans);
+        entries.sort_unstable_by_key(|&(t, p, ref w)| (t, p, w.start));
         spans.sort_unstable_by_key(|(p, span)| (*p, span.start));
         spans.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
@@ -1280,15 +1296,15 @@ impl<'n> Tmk<'n> {
         let sc = &mut *scratch;
         let (pages, lists, order) = (&mut sc.push_pages, &mut sc.push_lists, &mut sc.push_order);
         let (meets, meet_words) = (&mut sc.push_meets, &mut sc.push_words);
-        let meeting = !link && self.cfg.protocol.pushes_meets();
+        let meeting = rendezvous && self.cfg.protocol.pushes_meets();
         let cost = self.node.cost();
         {
             let mut st = self.state.lock();
-            for group in pending.chunk_by(|a, b| a.0 == b.0) {
+            for group in entries.chunk_by(|a, b| a.0 == b.0) {
                 let (at, words_at) = (pages.len(), meet_words.len());
                 for page in group.chunk_by(|a, b| a.1 == b.1) {
                     let p = page[0].1;
-                    if !link && !st.has_range_from(p, last) {
+                    if rendezvous && !st.has_range_from(p, last) {
                         continue;
                     }
                     pages.push(p);
@@ -1367,9 +1383,9 @@ impl<'n> Tmk<'n> {
                     words: &meet_words[..],
                 };
                 let protocol = self.cfg.protocol;
-                let payload = protocol.push_payload(&mut st, &list, &spans, last, cost, charge);
+                let payload = protocol.push_payload(&mut st, &list, spans, last, cost, charge);
                 if meeting {
-                    st.count_push_words(&list, &spans, last, *targets as u64);
+                    st.count_push_words(&list, spans, last, *targets as u64);
                 }
                 payload
             };
@@ -1377,9 +1393,9 @@ impl<'n> Tmk<'n> {
             built.insert(payload).clone()
         };
         let ep = self.node;
-        let (straight, tree_tag) = match link {
-            true => (tag::LINK_PUSH | me as u32, tag::LINK_PUSH | me as u32),
-            false => (tag::PUSH, tag::PUSH_TREE | me as u32),
+        let (straight, tree_tag) = match rendezvous {
+            true => (tag::PUSH, tag::PUSH_TREE | me as u32),
+            false => (tag::LINK_PUSH | me as u32, tag::LINK_PUSH | me as u32),
         };
         for &(target, i) in order.iter().filter(|&&(_, i)| Some(i) != down_tree) {
             ep.send_to_port(target, Port::App, straight, MsgKind::Push, payload(i));
@@ -1400,13 +1416,10 @@ impl<'n> Tmk<'n> {
         meet_words.clear();
         // Only the application fiber registers pushes: hand the buffers
         // back for the next phase's registrations.
-        pending.clear();
-        words.clear();
-        spans.clear();
-        let mut st = self.state.lock();
-        st.pending_push = pending;
-        st.pending_words = words;
-        st.pending_spans = spans;
+        if rendezvous {
+            pending.clear();
+            self.state.lock().pending = pending;
+        }
         counts
     }
 
@@ -1442,8 +1455,9 @@ impl<'n> Tmk<'n> {
             .collect();
         let mut scratch = self.scratch.borrow_mut();
         let all = &mut scratch.entries;
-        let mut page_pushes: Vec<(usize, protocol::PageRespEntry)> = Vec::new();
-        let mut span_pushes: Vec<(usize, protocol::SpanEntry)> = Vec::new();
+        // Page copies (HLRC's) and superseding spans (LRC's) alike: words
+        // of a page with the watermarks they reflect.
+        let mut copies: Vec<(usize, protocol::SpanEntry)> = Vec::new();
         let mut holes: Vec<(usize, PageId, u32, &[u64])> = Vec::new();
         for &(writer, ref msg) in &pushes {
             let mut r = msg.reader();
@@ -1451,11 +1465,11 @@ impl<'n> Tmk<'n> {
             all.extend(protocol::decode_diff_entries(msg, &mut r).map(|e| (writer, e)));
             if mode & protocol::PUSH_MODE_PAGES != 0 {
                 let pages = protocol::decode_page_resp(&mut r, n, pw);
-                page_pushes.extend(pages.map(|e| (writer, e)));
+                copies.extend(pages.map(|e| (writer, e.span())));
             }
             if mode & protocol::PUSH_MODE_SPANS != 0 {
                 let spans = protocol::decode_span_entries(&mut r, n, pw);
-                span_pushes.extend(spans.map(|e| (writer, e)));
+                copies.extend(spans.map(|e| (writer, e)));
             }
             if mode & protocol::PUSH_MODE_MEETS != 0 {
                 for (e, h) in protocol::decode_meet_entries(msg, &mut r, pw) {
@@ -1465,20 +1479,19 @@ impl<'n> Tmk<'n> {
             }
         }
         holes.sort_unstable_by_key(|h| (h.0, h.1, h.2));
-        // Deterministic install order for the page copies and spans,
-        // independent of message arrival order (a seeded schedule may
-        // deliver pushes in any order).
-        page_pushes.sort_by_key(|(src, e)| (e.page, *src));
-        span_pushes.sort_by_key(|(src, e)| (e.page, *src));
+        // Deterministic install order for the copies, independent of
+        // message arrival order (a seeded schedule may deliver pushes in
+        // any order).
+        copies.sort_by_key(|(src, e)| (e.page, *src));
         let mut guard = self.state.lock();
         let st = &mut *guard;
         let mut us = apply_fetched(st, all, &holes, cost);
-        // Whole-page pushes and spans: install only where the pushed
-        // watermarks dominate ours componentwise — after the diff merge
-        // above, so a concurrent-writer page whose diffs both applied
-        // simply drops both (now dominated) copies. A stale push (we
-        // already hold something it lacks) is dropped and the page left
-        // for the fault path.
+        // Install a copy only where the pushed watermarks dominate ours
+        // componentwise — after the diff merge above, so a
+        // concurrent-writer page whose diffs both applied simply drops
+        // both (now dominated) copies. A stale push (we already hold
+        // something it lacks) is dropped and the page left for the fault
+        // path.
         //
         // Unlike the home-fetch path (which serves at *our* watermarks
         // and may run mid-epoch), pushes arrive at a rendezvous: we just
@@ -1489,41 +1502,25 @@ impl<'n> Tmk<'n> {
         // would lose.
         // A link push has no fault path behind it: the reader's body runs
         // on its words before any notice could send it there.
-        let dropped = |page: usize| {
-            assert!(
-                link.is_none(),
-                "a link push of page {page} holds less than this node already does"
-            )
-        };
-        for (_, e) in page_pushes {
+        for (_, e) in copies {
             if !st.frames.dominated_by(e.page, e.applied()) {
-                dropped(e.page);
+                assert!(link.is_none(), "a link push of page {} is stale", e.page);
                 continue;
             }
             let mut frame = st.frames.frame_mut(e.page);
             debug_assert!(
                 !frame.meta.dirty && frame.meta.twin.is_none(),
-                "page pushes are consumed after a release that froze every range"
+                "pushed copies are consumed after a release that froze every range"
             );
-            frame.install(e.data, e.applied());
-            st.clear_holes(e.page, 0..pw);
-            us += cost.diff_apply_us(pw);
-        }
-        for (_, e) in span_pushes {
-            if !st.frames.dominated_by(e.page, e.applied()) {
-                dropped(e.page);
-                continue;
-            }
-            let mut frame = st.frames.frame_mut(e.page);
-            debug_assert!(
-                !frame.meta.dirty && frame.meta.twin.is_none(),
-                "spans are consumed after a release and the pusher's notice froze every range"
-            );
+            // A span short of its page, not a page copy, has words to check.
             #[cfg(debug_assertions)]
-            protocol::shadow::check(&e, frame.data, st.holes.get(&e.page));
-            frame.data[e.at..e.at + e.words.len()].copy_from_slice(e.words);
+            if e.words.len() < pw {
+                protocol::shadow::check(&e, frame.data, st.holes.get(&e.page));
+            }
+            let words = e.at..e.at + e.words.len();
+            frame.data[words.clone()].copy_from_slice(e.words);
             frame.raise_applied(e.applied());
-            st.clear_holes(e.page, e.at..e.at + e.words.len());
+            st.clear_holes(e.page, words);
             us += cost.diff_apply_us(e.words.len());
         }
         drop(guard);
@@ -2025,7 +2022,7 @@ pub(crate) mod tests {
                     w[i] = 5.0;
                 }
                 drop(w);
-                tmk.push_at_next_sync(1, a, 0..16);
+                tmk.push_at_next_sync(Pushes::default().whole(1, tmk.page_span(a, &(0..16))));
             }
             tmk.barrier(0);
             let before = tmk.stats_snapshot().faults;
@@ -2058,10 +2055,12 @@ pub(crate) mod tests {
                 let a = tmk.malloc_f64(512);
                 if tmk.proc_id() == 0 {
                     tmk.write(a, 0..256).slice_mut().fill(5.0);
+                    let mut pushes = Pushes::default();
                     if let Some(words) = &rewritten {
-                        tmk.supersede_at_next_sync(a, std::slice::from_ref(words));
+                        pushes.supersede(a, words.clone(), 512);
                     }
-                    (1..8).for_each(|q| tmk.push_at_next_sync(q, a, 0..512));
+                    (1..8).for_each(|q| _ = pushes.whole(q, tmk.page_span(a, &(0..512))));
+                    tmk.push_at_next_sync(&pushes);
                 }
                 tmk.barrier(0);
                 let before = tmk.stats_snapshot().faults;
@@ -2104,7 +2103,7 @@ pub(crate) mod tests {
             if tmk.proc_id() == 1 {
                 let before = tmk.stats_snapshot();
                 let runs = [a, b].map(|arr| tmk.page_span(arr, &(0..arr.len())));
-                let pages = tmk.validate_pages(2, &runs);
+                let pages = tmk.validate(0, 2, &runs, &[], &[]);
                 assert_eq!(pages, 12);
                 let ra = tmk.read(a, 0..512 * 8);
                 let rb = tmk.read(b, 0..512 * 4);
@@ -2224,7 +2223,7 @@ pub(crate) mod tests {
                 tmk.barrier(0);
                 let before = tmk.stats_snapshot();
                 if tmk.proc_id() == 1 {
-                    tmk.arm(7, &[tmk.page_span(a, &(0..512))], &[]);
+                    tmk.validate(7, 0, &[], &[tmk.page_span(a, &(0..512))], &[]);
                     let mut w = tmk.write(a, 0..512);
                     w.slice_mut()
                         .iter_mut()
@@ -2286,7 +2285,7 @@ pub(crate) mod tests {
                 let tmk = Tmk::new(node, cfg);
                 let a = tmk.malloc_f64(512);
                 if tmk.proc_id() == 0 {
-                    tmk.arm(7, &[tmk.page_span(a, &(0..512))], &[]);
+                    tmk.validate(7, 0, &[], &[tmk.page_span(a, &(0..512))], &[]);
                     body(&tmk, a);
                 }
                 tmk.barrier(0);
@@ -2350,10 +2349,10 @@ pub(crate) mod tests {
                     let mut charged = Vec::new();
                     if tmk.proc_id() == 1 {
                         let pages = tmk.page_span(a, &(0..1024));
-                        tmk.validate_pages(1, std::slice::from_ref(&pages));
+                        tmk.validate(7, 1, std::slice::from_ref(&pages), &[], &[]);
                         if armed {
                             let first = pages.start..pages.start + 1;
-                            tmk.arm(7, &[], std::slice::from_ref(&first));
+                            tmk.validate(7, 0, &[], &[], std::slice::from_ref(&first));
                         }
                         for words in [100..200, 600..700] {
                             let (t0, s0) = (tmk.node().now().us(), tmk.stats_snapshot());
@@ -2431,7 +2430,7 @@ pub(crate) mod tests {
         let out = run(2, |tmk| {
             let a = tmk.malloc_f64(64);
             tmk.barrier(0);
-            let missing = tmk.validate_pages(1, &[tmk.page_span(a, &(0..64))]);
+            let missing = tmk.validate(0, 1, &[tmk.page_span(a, &(0..64))], &[], &[]);
             tmk.barrier(1);
             tmk.finish();
             missing
@@ -2633,8 +2632,12 @@ pub(crate) mod tests {
                                     w[i] = 7.0;
                                 }
                                 drop(w);
-                                tmk.push_at_next_sync(2, a, 0..16);
-                                tmk.push_at_next_sync(0, a, 0..16);
+                                tmk.push_at_next_sync(
+                                    Pushes::default().whole(2, tmk.page_span(a, &(0..16))),
+                                );
+                                tmk.push_at_next_sync(
+                                    Pushes::default().whole(0, tmk.page_span(a, &(0..16))),
+                                );
                             }
                         }
                         _ => {
@@ -2675,6 +2678,53 @@ pub(crate) mod tests {
         pages.map(frame).collect()
     }
 
+    /// A link push gives way: node 0 registers pushes of page P to nodes
+    /// 1 and 2 and of page Q to node 1, then rewrites P and link-pushes it
+    /// to node 1, which takes it. At the barrier node 2 gets P and node 1
+    /// gets Q, but not P again: node 0 pushes three pages in all, node 1's
+    /// frame of P stays the link push's, and no reader faults. (A packet
+    /// left queued at the end of a run fails it in debug builds.)
+    #[test]
+    fn a_link_push_takes_its_pages_out_of_the_rendezvous() {
+        let cfg = TmkConfig {
+            page_words: 16,
+            ..TmkConfig::default()
+        };
+        let out = run_cfg(3, cfg, |tmk| {
+            let a = tmk.malloc_f64(32);
+            let (p, q) = (a.first_page(), a.first_page() + 1);
+            let mut linked = None;
+            match tmk.proc_id() {
+                0 => {
+                    tmk.write(a, 0..32).slice_mut().fill(1.0);
+                    let mut pushes = Pushes::default();
+                    pushes.whole(1, [p]).whole(2, [p]).whole(1, [q]);
+                    assert_eq!(tmk.push_at_next_sync(&pushes), 3);
+                    tmk.write(a, 0..16).slice_mut().fill(2.0);
+                    let p_words = 0..16;
+                    tmk.push_link(&[(a, vec![p_words])], &[1]);
+                }
+                1 => {
+                    tmk.take_link_push(0);
+                    linked = Some(frames_of(tmk, p..p + 1));
+                }
+                _ => {}
+            }
+            tmk.barrier(0);
+            let (before, me) = (tmk.stats_snapshot().faults, tmk.proc_id());
+            let seen = tmk.read(a, 0..[32, 32, 16][me]).slice().to_vec();
+            let faults = tmk.stats_snapshot().faults - before;
+            let same = linked.is_none_or(|linked| linked == frames_of(tmk, p..p + 1));
+            tmk.barrier(1);
+            (seen, faults, same, tmk.finish().pages_pushed)
+        });
+        let (ones, twos) = (vec![1.0; 16], vec![2.0; 16]);
+        assert_eq!(out.results[0].3, 3, "P to node 1 once, by the link push");
+        assert_eq!(out.results[1], ([&twos[..], &ones].concat(), 0, true, 0));
+        assert_eq!(out.results[2], (twos, 0, true, 0));
+        assert_eq!(out.stats.messages(MsgKind::Push), 3);
+    }
+
     /// A push of the words `0..4` of a page to a node that then reads
     /// word 10, outside them: the view faults on the hole — one fault,
     /// one diff request — and the frame and its watermarks come out as a
@@ -2692,10 +2742,12 @@ pub(crate) mod tests {
                     let mut w = tmk.write(a, 0..16);
                     (0..16).for_each(|i| w[i] = i as f64 + 1.0);
                     drop(w);
+                    let mut pushes = Pushes::default();
                     match meet {
-                        true => tmk.push_words_at_next_sync(0, 0, std::slice::from_ref(&(0..4))),
-                        false => tmk.push_page_at_next_sync(0, 0),
-                    }
+                        true => pushes.meet(0, 0, std::slice::from_ref(&(0..4)), 16),
+                        false => pushes.whole(0, [0]),
+                    };
+                    tmk.push_at_next_sync(&pushes);
                 }
                 tmk.barrier(0);
                 let before = tmk.stats_snapshot();
@@ -2759,10 +2811,17 @@ pub(crate) mod tests {
                     for (p, t) in
                         (lo / 16..(lo + len - 1) / 16 + 1).flat_map(|p| (0..3).map(move |t| (p, t)))
                     {
+                        let mut pushes = Pushes::default();
                         match meets {
-                            true => tmk.push_words_at_next_sync(t, p, std::slice::from_ref(&meet)),
-                            false => tmk.push_page_at_next_sync(t, p),
-                        }
+                            true => pushes.meet(
+                                t,
+                                p,
+                                std::slice::from_ref(&(16 * p + meet.start..16 * p + meet.end)),
+                                16,
+                            ),
+                            false => pushes.whole(t, [p]),
+                        };
+                        tmk.push_at_next_sync(&pushes);
                     }
                 }
                 tmk.barrier(2 * k as u32);
@@ -2853,7 +2912,7 @@ pub(crate) mod tests {
             tmk.barrier(3);
             if me == 0 {
                 tmk.write_one(a, 2, 3.0); // interval 3 (open range [3..3])
-                tmk.push_at_next_sync(1, a, 0..8);
+                tmk.push_at_next_sync(Pushes::default().whole(1, tmk.page_span(a, &(0..8))));
             }
             tmk.barrier(4);
             let v = {
@@ -2985,7 +3044,7 @@ pub(crate) mod tests {
                     if round == 0 {
                         tmk.write(a, 0..16).slice_mut().fill(5.0);
                     }
-                    tmk.push_at_next_sync(1, a, 0..16);
+                    tmk.push_at_next_sync(Pushes::default().whole(1, tmk.page_span(a, &(0..16))));
                 }
                 tmk.barrier(round);
             }

@@ -815,7 +815,7 @@ mod tests {
     use crate::diff::Diff;
     use crate::dsm::tests::run_cfg;
     use crate::interval::Interval;
-    use crate::{DsmStats, TmkConfig};
+    use crate::{DsmStats, Pushes, TmkConfig};
     use sp2sim::{Cluster, ClusterConfig};
 
     fn state(me: usize, n: usize) -> DsmState {
@@ -1173,7 +1173,7 @@ mod tests {
                     w[3] = f64::from(r);
                     w[700] = f64::from(r) + 0.5;
                     drop(w);
-                    tmk.push_at_next_sync(2, a, 0..1024);
+                    tmk.push_at_next_sync(Pushes::default().whole(2, tmk.page_span(a, &(0..1024))));
                 }
                 tmk.barrier(r);
                 if tmk.proc_id() == 2 {
@@ -1325,9 +1325,10 @@ mod tests {
 
     #[test]
     fn push_and_flush_to_the_same_home_coexist() {
-        // Node 1 writes a page homed at node 0 and *also* registers a
-        // push to node 0. The pushed diff feeds node 0's *working* frame
-        // (so its own read takes no fault) while the eager flush feeds
+        // Node 1 writes a page homed at node 0 and *also* link-pushes it
+        // to node 0 (a push registered for a rendezvous would be dropped:
+        // the release delivers there). The push feeds node 0's *working*
+        // frame (so its own read takes no fault) while the eager flush feeds
         // the *home copy* (so node 2's whole-page fetch is served) — two
         // separate copies by design, so neither delivery is a duplicate
         // of the other and nothing is dropped. Sequential engine: the
@@ -1343,7 +1344,11 @@ mod tests {
                         w[i] = 6.0;
                     }
                     drop(w);
-                    tmk.push_at_next_sync(0, a, 0..16);
+                    let page = 0..16;
+                    tmk.push_link(&[(a, vec![page])], &[0]);
+                }
+                if tmk.proc_id() == 0 {
+                    tmk.take_link_push(1);
                 }
                 tmk.barrier(0);
                 let faults_before = tmk.stats_snapshot().faults;

@@ -1,7 +1,7 @@
 //! Holes: the words of a page a meet push left out.
 //!
 //! An LRC push of a page that names its target's words
-//! ([`crate::dsm::Tmk::push_words_at_next_sync`]) carries the **meet**:
+//! ([`crate::dsm::Pushes::meet`]) carries the **meet**:
 //! the words of the pusher's newest range that the target reads there,
 //! with their values. The range's other changed words travel as bare run
 //! headers. The target applies the meet and raises its watermark for the

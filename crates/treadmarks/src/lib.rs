@@ -71,12 +71,13 @@
 //!   the four hooks of [`coherence`] and never compares the mode.
 //! * **Compiler–runtime interface services.** Three entry points the
 //!   `spf` crate's hint engine drives from compiler-provided
-//!   regular-section descriptors: [`dsm::Tmk::validate_pages`] (aggregated
+//!   regular-section descriptors: [`dsm::Tmk::validate`] (aggregated
 //!   validate — one round trip per writer for every page a phase will
-//!   fault), [`dsm::Tmk::push_words_at_next_sync`] (producer→consumer
-//!   pushes riding every rendezvous, barriers and fork-join alike; under
-//!   LRC a push carries the words its consumer reads, the rest a
-//!   [`hole`] the consumer faults on if it reads it), and
+//!   fault — which write-enables the pages the phase writes),
+//!   [`dsm::Tmk::push_at_next_sync`] (a [`dsm::Pushes`] list of
+//!   producer→consumer pushes riding the next rendezvous, barrier or
+//!   fork-join; under LRC a push carries the words its consumer reads,
+//!   the rest a [`hole`] the consumer faults on if it reads it), and
 //!   [`dsm::Tmk::reduce`] (direct binomial-tree reduction, `2 (n - 1)`
 //!   messages instead of lock-and-shared-page folding).
 //!
@@ -130,7 +131,7 @@ pub mod vc;
 
 pub use config::{ProtocolMode, TmkConfig};
 pub use diff::Diff;
-pub use dsm::{ReadView, SharedArray, Tmk, ViewFence, WriteView};
+pub use dsm::{Pushes, ReadView, SharedArray, Tmk, ViewFence, WriteView};
 pub use profile::{LockProfile, PageProfile, SharingProfile};
 pub use race::{FalseSharingReport, RaceLog, RaceReport};
 pub use sp2sim::ReduceOp;

@@ -560,10 +560,21 @@ pub struct PageRespEntry<'a> {
     pub data: &'a [u64],
 }
 
-impl PageRespEntry<'_> {
+impl<'a> PageRespEntry<'a> {
     /// The applied interval watermark per writer node.
     pub fn applied(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.applied.iter().map(|&a| a as u32)
+    }
+
+    /// The page copy as the span of its whole page.
+    pub(crate) fn span(self) -> SpanEntry<'a> {
+        let (page, applied, words) = (self.page, self.applied, self.data);
+        SpanEntry {
+            page,
+            applied,
+            at: 0,
+            words,
+        }
     }
 }
 

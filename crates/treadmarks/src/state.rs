@@ -351,7 +351,7 @@ pub struct ReduceSlot {
     pub local: Option<Vec<f64>>,
 }
 
-/// The pages a hinted loop body declared it writes, armed by `Tmk::arm`
+/// The pages a hinted loop body declared it writes, armed by `Tmk::validate`
 /// until this node's next release.
 #[derive(Debug, Default)]
 struct Armed {
@@ -545,17 +545,8 @@ pub struct DsmState {
     /// Manager-side barrier state per epoch.
     pub epochs: BTreeMap<u64, EpochState>,
     /// Pushes registered for the next synchronization rendezvous
-    /// (barrier, worker arrival or master fork): `(target, page, words)`,
-    /// `words` indexing the runs of [`DsmState::pending_words`] the
-    /// target reads on the page — empty for the whole page.
-    pub pending_push: Vec<(usize, PageId, std::ops::Range<usize>)>,
-    /// The page-relative word runs of the meet pushes registered
-    /// (`Tmk::push_words_at_next_sync`).
-    pub pending_words: Vec<std::ops::Range<usize>>,
-    /// Pages whose pushes at that rendezvous supersede: `(page, words)`,
-    /// the words of the page, page-relative, the caller rewrote
-    /// (`Tmk::supersede_at_next_sync`).
-    pub pending_spans: Vec<(PageId, std::ops::Range<usize>)>,
+    /// (barrier, worker arrival or master fork).
+    pub(crate) pending: crate::dsm::Pushes,
     /// In-flight direct reductions, keyed by reduction sequence number.
     pub reduces: BTreeMap<u64, ReduceSlot>,
     /// What HLRC keeps beside the per-page home copies: the prune work
@@ -606,9 +597,7 @@ impl DsmState {
             locks: BTreeMap::new(),
             lock_owner: BTreeMap::new(),
             epochs: BTreeMap::new(),
-            pending_push: Vec::new(),
-            pending_words: Vec::new(),
-            pending_spans: Vec::new(),
+            pending: Default::default(),
             reduces: BTreeMap::new(),
             home: HomeState::default(),
             armed: Armed::default(),
@@ -794,7 +783,7 @@ impl DsmState {
 
     /// Whether this is the body's first write view over `page`, a
     /// validated write: the body's validate write-enabled it, so the
-    /// write takes no fault (`Tmk::arm`).
+    /// write takes no fault (`Tmk::validate`).
     pub(crate) fn first_validated_write(&mut self, page: PageId) -> bool {
         if self.armed.pages.is_empty() {
             return false;

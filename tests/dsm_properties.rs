@@ -6,7 +6,7 @@ mod lrc_order;
 
 use proptest::prelude::*;
 use sp2sim::{Cluster, ClusterConfig};
-use treadmarks::{Tmk, TmkConfig};
+use treadmarks::{Pushes, Tmk, TmkConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -130,7 +130,7 @@ proptest! {
                     w[i] = i as f64 + 0.5;
                 }
                 drop(w);
-                tmk.push_at_next_sync(target, a, 0..len);
+                tmk.push_at_next_sync(Pushes::default().whole(target, tmk.page_span(a, &(0..len))));
             }
             tmk.barrier(0);
             let ok = {

@@ -39,7 +39,7 @@ use std::ops::RangeInclusive;
 use apps::common::checksums_close;
 use apps::{AppId, RunResult, RunSpec, Version};
 use sp2sim::{Cluster, ClusterConfig, EngineKind, MsgKind};
-use treadmarks::{ProtocolMode, Tmk, TmkConfig};
+use treadmarks::{ProtocolMode, Pushes, Tmk, TmkConfig};
 
 /// Tier-1's seed budget per cell.
 const TIER1: RangeInclusive<u64> = 1..=8;
@@ -404,8 +404,11 @@ fn stale_superseding_push(engine: EngineKind) -> Vec<f64> {
             tmk.acquire(0);
             let page = 0..16;
             tmk.write(a, page.clone()).slice_mut().fill(me as f64);
-            tmk.supersede_at_next_sync(a, std::slice::from_ref(&page));
-            tmk.push_at_next_sync(0, a, page);
+            let (mut pushes, pw) = (Pushes::default(), tmk.config().page_words);
+            pushes
+                .supersede(a, page.clone(), pw)
+                .whole(0, tmk.page_span(a, &page));
+            tmk.push_at_next_sync(&pushes);
             tmk.release(0);
             if me == 2 {
                 node.send(1, 1, MsgKind::Data, vec![]);
@@ -531,7 +534,7 @@ fn write_all_cells_on_every_explored_schedule() {
 /// program — Shallow bitwise, FFT's tree-summed accumulators to
 /// tolerance and its probe bitwise. Their bodies write pages their
 /// footprints declare written but do not cover whole, which the validate
-/// write-enables (`Tmk::arm`): a first write there twins without a
+/// write-enables (`Tmk::validate`): a first write there twins without a
 /// fault. With debug assertions a write view outside the declared
 /// writes panics naming its loop
 /// (`ci/mutants/write_declared_as_read.patch` declares a Shallow output
