@@ -200,11 +200,12 @@ impl Endpoint {
     }
 
     /// Send a packet to `dst`'s `port`, stamping the arrival time from this
-    /// endpoint's clock. The sender's clock advances by the message
-    /// occupancy (fixed overhead plus per-byte serialization through the
-    /// node's network interface), so back-to-back sends serialize.
-    /// Messages a node sends to itself are local upcalls: free and not
-    /// counted. Returns the packet's correlation id.
+    /// endpoint's clock: [`Endpoint::send_at`] at [`Endpoint::now`]. The
+    /// sender's clock advances by the message occupancy (fixed overhead
+    /// plus per-byte serialization through the node's network
+    /// interface), so back-to-back sends serialize. Messages a node sends
+    /// to itself are local upcalls: free and not counted. Returns the
+    /// packet's correlation id.
     pub fn send_to_port(
         &self,
         dst: usize,
@@ -213,31 +214,7 @@ impl Endpoint {
         kind: MsgKind,
         payload: impl Into<Payload>,
     ) -> u64 {
-        let payload = payload.into();
-        let seq = self.next_seq();
-        let arrival = if dst == self.id {
-            self.now()
-        } else {
-            let bytes = payload.len() * 8;
-            self.engine.stats.record(kind, bytes);
-            let occ = self.engine.cost.occupancy_us(bytes);
-            if self.tracer.is_some() {
-                self.trace_record(
-                    self.clock.get(),
-                    EventKind::Send {
-                        code: kind as u8,
-                        bytes: bytes as u32,
-                        peer: dst as u16,
-                        wire_us: occ,
-                        seq,
-                    },
-                );
-            }
-            self.advance(occ);
-            self.now() + self.engine.cost.latency_us
-        };
-        self.deliver(dst, port, tag, kind, payload, arrival, seq);
-        seq
+        self.send_at(dst, port, tag, kind, payload, self.now())
     }
 
     /// Send with an explicit time base. Used by service threads: the

@@ -526,9 +526,7 @@ impl<'n> Tmk<'n> {
         for pkt in resps.drain(..) {
             for e in protocol::decode_page_resp(&mut WordReader::new(&pkt.payload), n, pw) {
                 if st.frames.dominated_by(e.page, e.applied()) {
-                    st.frames.frame_mut(e.page).install(e.data, e.applied());
-                    st.clear_holes(e.page, 0..pw);
-                    us += self.node.cost().diff_apply_us(pw);
+                    us += st.install(&e.span(), self.node.cost());
                 }
             }
         }
@@ -828,31 +826,46 @@ impl<'n> Tmk<'n> {
     /// arrivals carry this node's new intervals to the manager (node 0),
     /// the departures carry back every interval the node has not seen.
     pub fn barrier(&self, _id: u32) {
-        self.quiescent("barrier");
-        let e = self.barrier_epoch.get();
-        self.barrier_epoch.set(e + 1);
-        let epoch = e | protocol::BARRIER_EPOCH_BIT;
-        let wait = self
-            .node
-            .trace_span(SpanKind::BarrierWait, (e & 0xFFFF) as u32);
+        self.arrive(true);
+    }
 
+    /// Arrive at a rendezvous — a barrier, or a worker's fork-join epoch
+    /// — and wait for its departure: publish, send the registered pushes,
+    /// then this node's clock and the intervals it has not yet reported,
+    /// encoded from the state where they live, under one lock. Returns a
+    /// fork's control words, where the departure landed — `None` for a
+    /// barrier or the master's shutdown.
+    fn arrive(&self, barrier: bool) -> Option<protocol::LoopControl> {
+        let (counter, bit, what) = match barrier {
+            true => (&self.barrier_epoch, protocol::BARRIER_EPOCH_BIT, "barrier"),
+            false => (&self.fork_epoch, 0, "worker arrival"),
+        };
+        let (opcode, span, dep_tag) = match barrier {
+            true => (op::BARRIER_ARRIVE, SpanKind::BarrierWait, tag::BARRIER_DEP),
+            false => (op::WORKER_ARRIVE, SpanKind::ForkWait, tag::FORK_DEP),
+        };
+        self.quiescent(what);
+        let e = counter.get();
+        counter.set(e + 1);
+        let wait = self.node.trace_span(span, (e & 0xFFFF) as u32);
         self.publish();
-
-        // Send registered pushes before arriving.
         let push_counts = self.do_pushes(None, |_| ());
-        self.send_arrival(op::BARRIER_ARRIVE, epoch, &push_counts);
-
-        let t = tag::BARRIER_DEP | (epoch & 0xFFFF) as u32;
+        let payload = {
+            let mut st = self.state.lock();
+            let unreported = st.take_unreported();
+            let (vc, log) = (&st.vc, &st.log[st.me][unreported]);
+            protocol::encode_arrival(opcode, e | bit, st.me, &push_counts, vc, log)
+        };
+        self.node
+            .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
+        let t = dep_tag | (e & 0xFFFF) as u32;
         let pkt = self.node.recv_match(|p| p.tag == t);
         let msg = Landed::new(pkt.payload);
         let dep = protocol::decode_departure(&msg);
-        self.depart(
-            wait,
-            Some(dep.intervals),
-            true,
-            dep.min_vc,
-            dep.expected_push,
-        );
+        let ctl = (!barrier && dep.flag_bits & flags::SHUTDOWN == 0).then(|| dep.control());
+        let (intervals, floor, pushes) = (dep.intervals, dep.min_vc, dep.expected_push);
+        self.depart(wait, Some(intervals), barrier, floor, pushes);
+        ctl
     }
 
     /// The tail of every rendezvous, once the departure is in: integrate
@@ -885,26 +898,6 @@ impl<'n> Tmk<'n> {
             self.trace_epoch.set(e + 1);
             self.node.trace_epoch(e);
         }
-    }
-
-    /// Arrive at the manager for `epoch`: this node's clock and the
-    /// intervals it has not yet reported, encoded from the state where
-    /// they live, under one lock.
-    fn send_arrival(&self, opcode: u64, epoch: u64, push_counts: &[u64]) {
-        let payload = {
-            let mut st = self.state.lock();
-            let unreported = st.take_unreported();
-            protocol::encode_arrival(
-                opcode,
-                epoch,
-                st.me,
-                push_counts,
-                &st.vc,
-                &st.log[st.me][unreported],
-            )
-        };
-        self.node
-            .send_to_port(0, Port::Service, 0, MsgKind::BarrierArrive, payload);
     }
 
     /// Acquire a lock (`Tmk_lock_acquire`). Managed by node `lock % n`;
@@ -1121,30 +1114,7 @@ impl<'n> Tmk<'n> {
     /// computation down.
     pub fn worker_wait(&self) -> Option<protocol::LoopControl> {
         assert_ne!(self.proc_id(), 0, "workers only");
-        self.quiescent("worker arrival");
-        let e = self.fork_epoch.get();
-        self.fork_epoch.set(e + 1);
-        let wait = self
-            .node
-            .trace_span(SpanKind::ForkWait, (e & 0xFFFF) as u32);
-        self.publish();
-        // Pushes registered after the previous loop body ride the
-        // rendezvous, exactly like the barrier-time pushes.
-        let push_counts = self.do_pushes(None, |_| ());
-        self.send_arrival(op::WORKER_ARRIVE, e, &push_counts);
-        let t = tag::FORK_DEP | (e & 0xFFFF) as u32;
-        let pkt = self.node.recv_match(|p| p.tag == t);
-        let msg = Landed::new(pkt.payload);
-        let dep = protocol::decode_departure(&msg);
-        let ctl = (dep.flag_bits & flags::SHUTDOWN == 0).then(|| dep.control());
-        self.depart(
-            wait,
-            Some(dep.intervals),
-            false,
-            dep.min_vc,
-            dep.expected_push,
-        );
-        ctl
+        self.arrive(false)
     }
 
     /// Master: release the workers from their dispatch loop.
@@ -1507,21 +1477,19 @@ impl<'n> Tmk<'n> {
                 assert!(link.is_none(), "a link push of page {} is stale", e.page);
                 continue;
             }
-            let mut frame = st.frames.frame_mut(e.page);
-            debug_assert!(
-                !frame.meta.dirty && frame.meta.twin.is_none(),
-                "pushed copies are consumed after a release that froze every range"
-            );
-            // A span short of its page, not a page copy, has words to check.
             #[cfg(debug_assertions)]
-            if e.words.len() < pw {
-                protocol::shadow::check(&e, frame.data, st.holes.get(&e.page));
+            {
+                let frame = st.frames.frame_mut(e.page);
+                assert!(
+                    !frame.meta.dirty && frame.meta.twin.is_none(),
+                    "pushed copies are consumed after a release that froze every range"
+                );
+                // A span short of its page, not a page copy, has words to check.
+                if e.words.len() < pw {
+                    protocol::shadow::check(&e, frame.data, st.holes.get(&e.page));
+                }
             }
-            let words = e.at..e.at + e.words.len();
-            frame.data[words.clone()].copy_from_slice(e.words);
-            frame.raise_applied(e.applied());
-            st.clear_holes(e.page, words);
-            us += cost.diff_apply_us(e.words.len());
+            us += st.install(&e, cost);
         }
         drop(guard);
         self.charge_apply(us);
@@ -1736,11 +1704,11 @@ impl<'n> Tmk<'n> {
         let mut st = self.state.lock();
         let mut us = 0.0;
         for e in protocol::decode_page_resp(&mut WordReader::new(&payload), n, pw) {
-            let mut frame = st.frames.frame_mut(e.page);
-            debug_assert!(frame.meta.twin.is_none(), "broadcast onto dirty page");
-            frame.install(e.data, e.applied());
-            st.clear_holes(e.page, 0..pw);
-            us += self.node.cost().diff_apply_us(pw);
+            debug_assert!(
+                st.frames.frame_mut(e.page).meta.twin.is_none(),
+                "broadcast onto dirty page"
+            );
+            us += st.install(&e.span(), self.node.cost());
         }
         drop(st);
         self.node.advance(us);
@@ -2010,6 +1978,53 @@ pub(crate) mod tests {
         let (arr, dep) = out.results[0].unwrap();
         assert_eq!(arr, 2 * (n as u64 - 1)); // startup + post-loop arrivals
         assert_eq!(dep, n as u64 - 1); // one dispatch
+    }
+
+    /// Barrier and fork-join epochs side by side at the manager: on 3
+    /// nodes, under the FIFO schedule and eight seeded ones, the master
+    /// dispatches a body twice, joining each, then shuts the workers
+    /// down; every node's body writes its own word, meets the others at
+    /// a barrier and reads its neighbour's. Every rendezvous — three
+    /// fork-join epochs, three barriers with `finish`'s — costs
+    /// `2 (n - 1)` messages, and (debug builds) no packet is left queued.
+    #[test]
+    fn a_barrier_inside_a_dispatched_body() {
+        let n = 3;
+        for engine in EngineKind::explore(8) {
+            let out = Cluster::run(ClusterConfig::sp2_on(n, engine), |node| {
+                let tmk = Tmk::new(node, TmkConfig::default());
+                let (a, me) = (tmk.malloc_f64(n), tmk.proc_id());
+                let body = |k: u64| {
+                    tmk.write_one(a, me, (10 * k) as f64 + me as f64);
+                    tmk.barrier(0);
+                    tmk.read_one(a, (me + 1) % n)
+                };
+                let mut read = Vec::new();
+                if me == 0 {
+                    for k in 0..2 {
+                        tmk.fork(&[k]);
+                        read.push(body(k));
+                        tmk.join();
+                    }
+                    tmk.shutdown_workers();
+                } else {
+                    while let Some(ctl) = tmk.worker_wait() {
+                        read.push(body(ctl[0]));
+                    }
+                }
+                let stats = tmk.finish();
+                (read, stats.barriers, stats.forks)
+            });
+            for (me, (read, barriers, forks)) in out.results.iter().enumerate() {
+                let peer = ((me + 1) % n) as f64;
+                assert_eq!(read, &[peer, 10.0 + peer], "{engine}: node {me}");
+                let dispatches = if me == 0 { 3 } else { 0 };
+                assert_eq!((*barriers, *forks), (3, dispatches), "{engine}: node {me}");
+            }
+            let arrive = out.stats.messages(MsgKind::BarrierArrive);
+            let depart = out.stats.messages(MsgKind::BarrierDepart);
+            assert_eq!(arrive + depart, 6 * 2 * (n as u64 - 1), "{engine}");
+        }
     }
 
     #[test]

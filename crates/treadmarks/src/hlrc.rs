@@ -317,10 +317,9 @@ fn fetch_pages(tmk: &Tmk<'_>, sc: &mut Scratch, aggregated: bool) {
         for e in protocol::decode_page_resp(&mut r, n, pw) {
             // A write-enabled page keeps its local in-progress
             // modifications on top of the home's copy.
-            st.frames.frame_mut(e.page).install(e.data, e.applied());
+            us += st.install(&e.span(), cost);
             st.stats.page_fetches += 1;
             st.pages.row(e.page).prof.page_fetches += 1;
-            us += cost.diff_apply_us(pw);
         }
     }
     drop(guard);

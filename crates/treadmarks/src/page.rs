@@ -168,18 +168,20 @@ impl Frame<'_> {
         }
     }
 
-    /// Install a whole-page copy (fetched, pushed or broadcast) that
-    /// reflects the `applied` watermarks. A write-enabled frame keeps its
-    /// local in-progress modifications: reinstalled on top, with the twin
-    /// reset to the copy so the eventual diff is exactly the local delta.
-    pub fn install(&mut self, data: &[u64], applied: impl IntoIterator<Item = u32>) {
+    /// Install `words` at page word `at` — a whole-page copy (fetched,
+    /// pushed or broadcast) or a pushed span — reflecting the `applied`
+    /// watermarks. A write-enabled frame keeps its local in-progress
+    /// modifications: reinstalled on top, with the twin reset to the copy
+    /// so the eventual diff is exactly the local delta.
+    pub fn install(&mut self, at: usize, words: &[u64], applied: impl IntoIterator<Item = u32>) {
+        let range = at..at + words.len();
         if let Some(twin) = &mut self.meta.twin {
             let local = Diff::create(twin, self.data);
-            self.data.copy_from_slice(data);
-            twin.copy_from_slice(data);
+            self.data[range.clone()].copy_from_slice(words);
+            twin[range].copy_from_slice(words);
             local.apply(self.data);
         } else {
-            self.data.copy_from_slice(data);
+            self.data[range].copy_from_slice(words);
         }
         self.raise_applied(applied);
     }

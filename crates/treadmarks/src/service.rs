@@ -3,9 +3,13 @@
 //! One service loop runs per node — a fiber of its own beside the
 //! application's — playing the role of TreadMarks' SIGIO-driven request
 //! handlers: it participates in the distributed lock protocol, combines
-//! reductions, (on the manager node) collects barrier arrivals and
-//! issues departures, and hands every other request to the coherence
-//! protocol's *serve* hook ([`crate::coherence`]). It shares the node's [`DsmState`] with the
+//! reductions, and hands every other request to the coherence
+//! protocol's *serve* hook ([`crate::coherence`]). On the manager node
+//! (node 0) it runs every rendezvous: one step files each rendezvous
+//! message — a barrier or worker arrival, the master's fork or join —
+//! in its epoch, and an epoch, once it has what it needs, is served:
+//! its arrivals integrated, once, then the master's join reply and the
+//! departures, each when its turn comes. It shares the node's [`DsmState`] with the
 //! application through a [`StateCell`] and never blocks on remote
 //! operations, which makes the protocol deadlock-free by construction.
 //!
@@ -61,11 +65,9 @@ pub fn service_loop(ep: Endpoint, state: Rc<StateCell<DsmState>>, protocol: Prot
             // An arrival and a fork are kept where they landed (the
             // interval log is windows onto the first, the second waits for
             // the workers): the payload is handed over by value.
-            op::BARRIER_ARRIVE | op::WORKER_ARRIVE => {
-                handle_arrival(&ep, &state, pkt.payload, arrival, seq)
+            op::BARRIER_ARRIVE | op::WORKER_ARRIVE | op::MASTER_FORK | op::MASTER_JOIN => {
+                file_rendezvous(&ep, &state, opcode, pkt.payload, arrival, seq)
             }
-            op::MASTER_FORK => handle_master_fork(&ep, &state, pkt.payload, arrival, seq),
-            op::MASTER_JOIN => handle_master_join(&ep, &state, &mut r, arrival, seq),
             op::OWNER_FETCH => handle_owner_fetch(&ep, &state, pkt),
             op::SHUTDOWN => break,
             // The coherence protocol's, or nobody's — a request of the
@@ -319,59 +321,34 @@ fn holder_grant_or_queue(
     ep.trace_edge(EdgeKind::LockHandoff, out_seq, cause, ready.max(release_vt));
 }
 
-fn handle_arrival(
+/// File a rendezvous message — a barrier or worker arrival, the
+/// master's fork or its join — in its epoch, word 1 of all three, and
+/// serve what the epoch now has. An arrival's intervals are NOT
+/// integrated here: the manager's application fiber may still be
+/// computing in the previous epoch and must not observe future write
+/// notices. They stay in the message, which the epoch keeps, and are
+/// integrated when the epoch is first served, while the local
+/// application is blocked in the rendezvous.
+fn file_rendezvous(
     ep: &Endpoint,
     state: &StateCell<DsmState>,
+    opcode: u64,
     payload: Payload,
-    arrival: VTime,
-    seq: u64,
-) {
-    let msg = protocol::decode_arrival(Landed::new(payload), ep.nprocs());
-    let mut st = state.lock();
-    // Intervals are NOT integrated yet: the manager's application fiber
-    // may still be computing in the previous epoch and must not observe
-    // future write notices. They stay in the message, which the epoch
-    // keeps, and are integrated at epoch completion, when the local
-    // application is guaranteed to be blocked in the barrier.
-    let epoch = msg.epoch;
-    let entry = st.epochs.entry(epoch).or_default();
-    entry.arrivals.push(Arrival {
-        msg,
-        at: arrival,
-        seq,
-    });
-    try_complete_epoch(ep, &mut st, epoch);
-}
-
-fn handle_master_fork(
-    ep: &Endpoint,
-    state: &StateCell<DsmState>,
-    payload: Payload,
-    arrival: VTime,
+    at: VTime,
     seq: u64,
 ) {
     let epoch = payload[1];
     let mut st = state.lock();
+    let n = st.n;
     let entry = st.epochs.entry(epoch).or_default();
-    entry.fork_msg = Some(payload);
-    entry.fork_vt = arrival;
-    entry.fork_seq = seq;
-    try_complete_epoch(ep, &mut st, epoch);
-}
-
-fn handle_master_join(
-    ep: &Endpoint,
-    state: &StateCell<DsmState>,
-    r: &mut WordReader,
-    arrival: VTime,
-    seq: u64,
-) {
-    let epoch = r.get();
-    let mut st = state.lock();
-    let entry = st.epochs.entry(epoch).or_default();
-    entry.joined = true;
-    entry.join_vt = arrival;
-    entry.join_seq = seq;
+    match opcode {
+        op::MASTER_FORK => entry.fork = Some((payload, at, seq)),
+        op::MASTER_JOIN => entry.join = Some((at, seq)),
+        _ => {
+            let msg = protocol::decode_arrival(Landed::new(payload), n);
+            entry.arrivals.push(Arrival { msg, at, seq });
+        }
+    }
     try_complete_epoch(ep, &mut st, epoch);
 }
 
@@ -381,111 +358,75 @@ fn arrival_order(a: &Arrival, b: &Arrival) -> std::cmp::Ordering {
     (by_time.expect("virtual times are never NaN")).then(a.msg.src.cmp(&b.msg.src))
 }
 
-/// Order epoch arrivals before the departures are serialized through
-/// the manager's link. The order in which the service loop happened to
-/// process the arrivals is the schedule's; sorting makes the departure
-/// sequence — and with it each node's departure time — a pure function
-/// of virtual time, which keeps results schedule-independent wherever
-/// virtual arrival times themselves are.
-fn sort_arrivals(arrivals: &mut [Arrival]) {
-    arrivals.sort_by(arrival_order);
-}
-
-/// The correlation id of the *critical* arrival: the one the epoch's
-/// completion time waits on (the last in [`arrival_order`]). `None` for
-/// an empty arrival set (a 1-node fork/join epoch).
-fn critical_arrival(arrivals: &[Arrival]) -> Option<u64> {
-    arrivals
-        .iter()
-        .max_by(|a, b| arrival_order(a, b))
-        .map(|a| a.seq)
-}
-
 /// Pushes announced in `arrivals` for destination `dst`.
 fn pushes_to(arrivals: &[Arrival], dst: usize) -> u64 {
     arrivals.iter().map(|a| a.msg.push_counts()[dst]).sum()
 }
 
-/// Check whether `epoch` has everything it needs, and serve it.
+/// Check whether `epoch` has everything it needs, and serve it: the
+/// master's join once the workers are in, the departures once the
+/// master's fork is too — a barrier's once every node is in.
 fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
-    let n = st.n;
-    let me = ep.id();
+    let (n, me, protocol) = (st.n, ep.id(), st.cfg.protocol);
     let manager_us = ep.cost().manager_us;
-    let protocol = st.cfg.protocol;
-    let entry = match st.epochs.get(&epoch) {
-        Some(e) => e,
-        None => return,
-    };
     // A barrier gathers every node; a fork-join epoch the `n - 1` workers,
     // the master taking part via MASTER_JOIN and MASTER_FORK.
     let is_barrier = epoch & protocol::BARRIER_EPOCH_BIT != 0;
     let arriving = if is_barrier { n } else { n - 1 };
-    if entry.arrivals.len() < arriving {
+    let entry = &st.epochs[&epoch];
+    let join = entry.join.filter(|_| !entry.join_served);
+    let departs = is_barrier || entry.fork.is_some();
+    if entry.arrivals.len() < arriving || join.is_none() && !departs {
         return;
     }
-    let max_at = entry
-        .arrivals
-        .iter()
-        .map(|a| a.at)
-        .fold(VTime::ZERO, VTime::max);
-    let crit_seq = critical_arrival(&entry.arrivals);
+    let mut entry = st.epochs.remove(&epoch).expect("filed");
+    if !entry.join_served {
+        // Served for the first time: integrate everyone's intervals,
+        // once. The arrivals leave the order the service loop happened
+        // to take them in — the schedule's — for (virtual arrival time,
+        // node id): the departures are serialized through the manager's
+        // link in that order, which makes each node's departure time a
+        // pure function of virtual time wherever the arrival times are.
+        entry.arrivals.sort_by(arrival_order);
+        st.integrate_arrivals(&entry.arrivals, ep.cost());
+    }
+    // The last arrival is the critical one, which the epoch's completion
+    // waits on (none in a 1-node fork-join epoch) — unless the master's
+    // join or fork lands later.
+    let last = entry.arrivals.last().map(|a| (a.at, a.seq));
+    let waits_on = |(at, seq): (VTime, u64)| match last {
+        Some((max_at, crit)) if max_at >= at => (max_at, crit),
+        _ => (at, seq),
+    };
     let e16 = (epoch & 0xFFFF) as u32;
-
-    let joined = entry.joined && !entry.join_served;
-    let join_vt = entry.join_vt;
-    let join_seq = entry.join_seq;
-    if joined {
-        // The arrivals leave the epoch for the moment the state is
-        // borrowed whole; the fork below integrates them again, which
-        // changes nothing.
-        let entry = st.epochs.get_mut(&epoch).expect("epoch exists");
-        let arrivals = std::mem::take(&mut entry.arrivals);
-        st.integrate_arrivals(&arrivals, ep.cost());
-        let floor = protocol.rendezvous_floor(&arrivals, Some(&st.vc), n);
-        let dep_time = max_at.max(join_vt) + (n as f64 - 1.0) * manager_us;
-        let mut w = sp2sim::WordWriter::with_capacity(3 + floor.len());
-        w.put(epoch).put(pushes_to(&arrivals, me));
+    if let Some(join) = join {
+        let floor = protocol.rendezvous_floor(&entry.arrivals, Some(&st.vc), n);
+        let mut w = WordWriter::with_capacity(3 + floor.len());
+        w.put(epoch).put(pushes_to(&entry.arrivals, me));
         protocol::encode_vc_words(&mut w, &floor);
-        let payload = w.finish();
-        let entry = st.epochs.get_mut(&epoch).expect("epoch exists");
-        entry.arrivals = arrivals;
+        let (ready, cause) = waits_on(join);
+        let dep_time = ready + (n as f64 - 1.0) * manager_us;
+        let t = tag::JOIN_DEP | e16;
+        let out_seq = ep.send_at(me, Port::App, t, MsgKind::Control, w.finish(), dep_time);
+        ep.trace_edge(EdgeKind::Join, out_seq, cause, ready);
         entry.join_served = true;
-        let out_seq = ep.send_at(
-            me,
-            Port::App,
-            tag::JOIN_DEP | e16,
-            MsgKind::Control,
-            payload,
-            dep_time,
-        );
-        // The join completes when the last worker arrival is in, or when
-        // the master's own MASTER_JOIN lands — whichever is later.
-        let cause = if join_vt > max_at {
-            join_seq
-        } else {
-            crit_seq.unwrap_or(join_seq)
-        };
-        ep.trace_edge(EdgeKind::Join, out_seq, cause, max_at.max(join_vt));
     }
-
-    let entry = st.epochs.get(&epoch).expect("epoch exists");
-    if !is_barrier && entry.fork_msg.is_none() {
+    if !departs {
+        st.epochs.insert(epoch, entry);
         return;
     }
-    // The departures, a barrier's or a fork's: integrate everyone's
-    // intervals, then tell each arrival what it has not seen.
-    let mut entry = st.epochs.remove(&epoch).expect("epoch exists");
-    sort_arrivals(&mut entry.arrivals);
-    st.integrate_arrivals(&entry.arrivals, ep.cost());
-    // A fork is read where it landed. The master's own pushes ride it,
-    // expected by the workers beside their peers'. Its departures
-    // announce what happened before it — the master's clock as it forked
-    // and the workers' as they arrived — and never the interval the
-    // master's body may have published since; that clock joins the
-    // floor, as the master sends no arrival.
-    let fork_msg = entry.fork_msg.take();
-    let fork = fork_msg.as_deref().map(|f| protocol::decode_fork(f, n));
-    let before = fork.as_ref().map(|f| {
+    // The departures, a barrier's or a fork's: tell each arrival what it
+    // has not seen. A fork is read where it landed. The master's own
+    // pushes ride it, expected by the workers beside their peers'. Its
+    // departures announce what happened before it — the master's clock
+    // as it forked and the workers' as they arrived — and never the
+    // interval the master's body may have published since; that clock
+    // joins the floor, as the master sends no arrival.
+    let fork = entry
+        .fork
+        .as_ref()
+        .map(|(f, at, seq)| (protocol::decode_fork(f, n), *at, *seq));
+    let before = fork.as_ref().map(|(f, ..)| {
         let mut clock: Vc = f.clock.iter().map(|&x| x as u32).collect();
         for a in &entry.arrivals {
             for (c, x) in clock.iter_mut().zip(a.msg.vc()) {
@@ -495,25 +436,19 @@ fn try_complete_epoch(ep: &Endpoint, st: &mut DsmState, epoch: u64) {
         clock
     });
     let (flag_bits, fork_push, ctl_words) = match &fork {
-        Some(f) => (f.flag_bits, f.push_counts, f.ctl),
+        Some((f, ..)) => (f.flag_bits, f.push_counts, f.ctl),
         None => (0, &[][..], &[][..]),
     };
     let floor = protocol.rendezvous_floor(&entry.arrivals, before.as_ref(), n);
     let upto = before.as_deref().unwrap_or(&st.vc);
     // A barrier departure waits on the last arrival; a fork departure
-    // on the master's MASTER_FORK and on the workers having arrived in
-    // the previous epoch.
-    let (dep_tag, edge, ready, cause) = if is_barrier {
-        let cause = crit_seq.expect("n >= 1 arrivals");
-        (tag::BARRIER_DEP, EdgeKind::BarrierRelease, max_at, cause)
-    } else {
-        let cause = if entry.fork_vt > max_at {
-            entry.fork_seq
-        } else {
-            crit_seq.unwrap_or(entry.fork_seq)
-        };
-        let ready = max_at.max(entry.fork_vt);
-        (tag::FORK_DEP, EdgeKind::Fork, ready, cause)
+    // on the master's MASTER_FORK too.
+    let (dep_tag, edge, (ready, cause)) = match &fork {
+        Some((_, at, seq)) => (tag::FORK_DEP, EdgeKind::Fork, waits_on((*at, *seq))),
+        None => {
+            let last = last.expect("n >= 1 arrivals");
+            (tag::BARRIER_DEP, EdgeKind::BarrierRelease, last)
+        }
     };
     let dep_time = ready + arriving as f64 * manager_us;
     for a in &entry.arrivals {

@@ -481,22 +481,15 @@ pub struct Arrival {
 pub struct EpochState {
     /// Arrivals received so far.
     pub arrivals: Vec<Arrival>,
-    /// The master's fork message where it landed, once `fork` was called
-    /// this epoch: flag bits, the push counts of the pushes the master
-    /// sent right before dispatching the loop, and the loop's control
-    /// words.
-    pub fork_msg: Option<Payload>,
-    /// Virtual time of the master's fork call.
-    pub fork_vt: VTime,
-    /// Correlation id of the master's fork packet.
-    pub fork_seq: u64,
-    /// Master called `join` this epoch.
-    pub joined: bool,
-    /// Virtual time of the master's join call.
-    pub join_vt: VTime,
-    /// Correlation id of the master's join packet.
-    pub join_seq: u64,
-    /// The join reply was already sent.
+    /// The master's fork where it landed — flag bits, the push counts of
+    /// the pushes the master sent right before dispatching the loop, and
+    /// the loop's control words — with its arrival time and correlation
+    /// id, once `fork` was called this epoch.
+    pub fork: Option<(Payload, VTime, u64)>,
+    /// The arrival time and correlation id of the master's join, once
+    /// `join` was called this epoch.
+    pub join: Option<(VTime, u64)>,
+    /// The join reply was already sent, and the arrivals integrated.
     pub join_served: bool,
 }
 
@@ -1331,6 +1324,19 @@ impl DsmState {
         if holes.is_empty() {
             self.holes.remove(&page);
         }
+    }
+
+    /// Install `e` — a whole-page copy (`PageRespEntry::span`) or a
+    /// pushed span — in its page's frame: its words land, keeping a
+    /// write-enabled frame's own writes on top, the frame's watermarks
+    /// rise to the entry's and the holes under the words close. Returns
+    /// its charge, `diff_apply_us` of its length.
+    pub(crate) fn install(&mut self, e: &crate::protocol::SpanEntry, cost: &CostModel) -> f64 {
+        self.frames
+            .frame_mut(e.page)
+            .install(e.at, e.words, e.applied());
+        self.clear_holes(e.page, e.at..e.at + e.words.len());
+        cost.diff_apply_us(e.words.len())
     }
 
     /// Forget the holes of `page` under `words` (page-relative): an
