@@ -12,8 +12,9 @@
 # and a unit property test, which runs no schedule, the step of its
 # random program (`at step N of [...]`). A mutant that survives means
 # the explorer lacks a preemption point or an input; a patch that no
-# longer applies means the code it re-breaks moved — both fail this
-# script, which ends "N of N killed".
+# longer applies exactly (`patch -F0`: no fuzz, so its context lines
+# are the code as it stands) means the code it re-breaks moved — both
+# fail this script, which ends "N of N killed".
 #
 # The copy lives in $MUTANTS_DIR (default .bench_build/mutants,
 # git-ignored) and is reused from mutant to mutant with one
@@ -46,7 +47,7 @@ for patch in "${patches[@]}"; do
         exit 2
     fi
     printf '\n== mutant %s\n%s\n' "$name" "$what"
-    if ! (cd "$tree" && patch -p1 --forward --silent <"$root/$patch"); then
+    if ! (cd "$tree" && patch -p1 -F0 --forward --silent <"$root/$patch"); then
         echo "mutants: $patch no longer applies: re-derive it from the fix it reverts" >&2
         exit 2
     fi
@@ -68,7 +69,7 @@ for patch in "${patches[@]}"; do
         fi
         printf 'killed:\n%s\n' "$where"
     fi
-    (cd "$tree" && patch -p1 --reverse --silent <"$root/$patch")
+    (cd "$tree" && patch -p1 -F0 --reverse --silent <"$root/$patch")
 done
 
 total=${#patches[@]}

@@ -267,7 +267,10 @@ impl Engine {
             s.live -= 1;
             if let Err(payload) = result {
                 if let Some(seed) = engine.seed {
-                    eprintln!("sp2sim: fiber {id} panicked under schedule seed {seed}");
+                    eprintln!(
+                        "sp2sim: fiber {id} panicked under schedule seeded:{seed} \
+                         [replay with --engine seeded:{seed}]"
+                    );
                 }
                 s.panicked[id] = true;
                 if matches!(s.kind[id], FiberKind::Node(_)) && s.panic.is_none() {
@@ -353,12 +356,9 @@ impl Engine {
                         }
                         continue;
                     }
-                    let report: Vec<String> = s
-                        .state
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, st)| !matches!(st, FiberState::Done))
-                        .map(|(i, st)| format!("fiber {i} ({:?}): {st:?}", s.kind[i]))
+                    let report: Vec<String> = (0..s.state.len())
+                        .filter(|&i| s.state[i] != FiberState::Done)
+                        .map(|i| format!("fiber {i} ({:?}): {:?}", s.kind[i], s.state[i]))
                         .collect();
                     let seed = self.seed.map_or(String::new(), |seed| {
                         format!(" [schedule seed {seed}: replay with --engine seeded:{seed}]")

@@ -912,32 +912,27 @@ impl<'n> Tmk<'n> {
         {
             let mut st = self.state.lock();
             st.stats.lock_acquires += 1;
-            st.lock_prof.entry(lock).or_default().acquires += 1;
+            st.lock_entry(lock).prof.acquires += 1;
             let dst = if mgr == me {
-                // Manager-local request: consult the ownership table
-                // directly (no message to ourselves).
-                let owner = *st.lock_owner.get(&lock).unwrap_or(&me);
-                st.lock_owner.insert(lock, me);
-                if owner == me {
-                    // No one requested the lock since our registration:
-                    // the token is (still) ours.
-                    let lk = st.lock_entry(lock);
-                    debug_assert!(!lk.held, "recursive acquire");
-                    debug_assert!(lk.has_token, "registered owner keeps the token");
-                    lk.held = true;
-                    let lp = st.lock_prof.entry(lock).or_default();
-                    lp.local_hits += 1;
-                    lp.record_rest();
-                    return;
-                }
-                owner
+                st.redirect(lock, me)
             } else {
                 mgr
             };
-            // Sent under the lock that read the ownership table: the
+            if dst == me {
+                // Manager-local hit: no one requested the lock since our
+                // registration, so the token is (still) ours.
+                let lk = st.lock_entry(lock);
+                debug_assert!(!lk.held, "recursive acquire");
+                debug_assert!(lk.has_token, "registered owner keeps the token");
+                lk.held = true;
+                lk.prof.local_hits += 1;
+                lk.prof.record_rest();
+                return;
+            }
+            // Sent under the lock that read the directory entry: the
             // manager's service loop forwards requests under it too
             // (`service::handle_lock_req`), so the requests the manager
-            // node directs at one holder reach it in the order the table
+            // node directs at one holder reach it in the order the entry
             // serialized them. Were our request to overtake a request of
             // the holder's own, forwarded back to it a moment earlier,
             // the holder would grant us the token and then find its own
@@ -951,11 +946,12 @@ impl<'n> Tmk<'n> {
         let msg = Landed::new(pkt.payload);
         let intervals = Intervals::window(&msg, &mut msg.reader());
         let mut st = self.state.lock();
-        st.lock_prof.entry(lock).or_default().wait_us += self.node.now() - t0;
+        let wait_us = self.node.now() - t0;
         for iv in intervals {
             st.integrate_interval(iv, self.node.cost());
         }
         let lk = st.lock_entry(lock);
+        lk.prof.wait_us += wait_us;
         lk.has_token = true;
         lk.held = true;
     }
@@ -971,25 +967,14 @@ impl<'n> Tmk<'n> {
             debug_assert!(lk.held, "release without holding");
             lk.held = false;
             lk.release_vt = self.node.now();
+            // The token travels with the grant.
             let next = lk.queue.pop_front();
-            if next.is_some() {
-                // The token travels with the grant.
-                lk.has_token = false;
-                st.lock_prof.entry(lock).or_default().record_handoff();
-            }
-            next.map(|req| {
-                let ivs = st.intervals_since(req.vc.iter().copied(), &st.vc);
-                (req.requester, protocol::encode_lock_grant(ivs))
-            })
+            next.map(|(dst, vc)| (dst, st.grant(lock, &vc)))
         };
         if let Some((dst, payload)) = grant {
-            self.node.send_to_port(
-                dst,
-                Port::App,
-                tag::LOCK_GRANT | lock,
-                MsgKind::LockGrant,
-                payload,
-            );
+            let t = tag::LOCK_GRANT | lock;
+            self.node
+                .send_to_port(dst, Port::App, t, MsgKind::LockGrant, payload);
         }
     }
 
@@ -1740,7 +1725,10 @@ impl<'n> Tmk<'n> {
 
     /// Take this node's sharing profile (always recorded; see
     /// [`crate::profile`]). Call after [`Tmk::finish`]; pages and locks
-    /// come out in ascending id order. The cluster-wide view is the
+    /// come out in ascending id order, a lock where this node acquired it
+    /// or handed its token on (every other recording follows an acquire),
+    /// so a manager that only forwarded requests reports none. The
+    /// cluster-wide view is the
     /// [`SharingProfile::merge_from`](crate::profile::SharingProfile::merge_from)
     /// fold over all nodes.
     pub fn take_sharing(&self) -> crate::profile::SharingProfile {
@@ -1760,8 +1748,10 @@ impl<'n> Tmk<'n> {
                 (!prof.is_untouched()).then_some((page, prof))
             })
             .collect();
-        let locks: Vec<(u32, crate::profile::LockProfile)> =
-            std::mem::take(&mut st.lock_prof).into_iter().collect();
+        let locks = (st.locks.iter_mut())
+            .map(|(&lock, lk)| (lock, std::mem::take(&mut lk.prof)))
+            .filter(|(_, prof)| prof.acquires > 0 || prof.handoffs > 0)
+            .collect();
         crate::profile::SharingProfile { pages, locks }
     }
 
@@ -1911,6 +1901,69 @@ pub(crate) mod tests {
                 assert_eq!(v, 12.0, "{protocol}");
             }
         }
+    }
+
+    /// One node of [`one_lock_path_takes_every_branch`]: four phases
+    /// around lock 0, managed by node 0; returns the counter the lock
+    /// protects and this node's sharing profile.
+    fn lock_paths(tmk: &Tmk) -> (f64, crate::profile::SharingProfile) {
+        let a = tmk.malloc_f64(1);
+        let me = tmk.proc_id();
+        let bump = || {
+            tmk.acquire(0);
+            let cur = tmk.read_one(a, 0);
+            tmk.write_one(a, 0, cur + 1.0);
+            tmk.release(0);
+        };
+        let phases: [&[usize]; 4] = [&[0], &[1, 2], &[0], &[1, 1]];
+        for (e, nodes) in phases.into_iter().enumerate() {
+            for _ in nodes.iter().filter(|&&node| node == me) {
+                bump();
+            }
+            tmk.barrier(e as u32);
+        }
+        let v = tmk.read_one(a, 0);
+        tmk.finish();
+        (v, tmk.take_sharing())
+    }
+
+    #[test]
+    fn one_lock_path_takes_every_branch() {
+        // On FIFO: the manager's first acquire is a local hit; node 1 is
+        // handed the token by the manager's service at once, and node 2's
+        // request, forwarded to node 1, waits for its release; the
+        // manager's next request is redirected to node 2, which hands the
+        // token over at once; node 1 takes it back from the manager, and
+        // its second request, forwarded back to it, is a self-grant (a
+        // `Control` upcall). A debug build also holds that no packet is
+        // left queued when each run ends.
+        let cfg = TmkConfig::default();
+        let out = run_cfg(3, cfg, |tmk| {
+            let (v, prof) = lock_paths(tmk);
+            let rows = prof.locks.iter().map(|(lock, l)| (*lock, l.acquires));
+            (v, rows.collect::<Vec<_>>())
+        });
+        assert_eq!(
+            out.results,
+            [
+                (6.0, vec![(0, 2)]),
+                (6.0, vec![(0, 3)]),
+                (6.0, vec![(0, 1)])
+            ]
+        );
+        let msgs = [MsgKind::LockReq, MsgKind::LockFwd, MsgKind::LockGrant];
+        assert_eq!(msgs.map(|k| out.stats.messages(k)), [5, 2, 4]);
+        let fifo = Cluster::run(ClusterConfig::sp2_on(3, EngineKind::Sequential), |node| {
+            lock_paths(&Tmk::new(node, cfg)).1
+        });
+        let mut merged = crate::profile::SharingProfile::default();
+        for prof in &fifo.results {
+            merged.merge_from(prof);
+        }
+        let [(0, lock)] = &merged.locks[..] else {
+            panic!("one lock row expected: {:?}", merged.locks)
+        };
+        assert_eq!((lock.acquires, lock.local_hits, lock.handoffs), (6, 1, 4));
     }
 
     #[test]

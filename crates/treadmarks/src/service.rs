@@ -209,48 +209,10 @@ fn forward_push(ep: &Endpoint, pkt: Packet, arrival: VTime) {
     }
 }
 
-fn handle_lock_req(
-    ep: &Endpoint,
-    state: &StateCell<DsmState>,
-    r: &mut WordReader,
-    arrival: VTime,
-    seq: u64,
-) {
-    let me = ep.id();
-    let n = ep.nprocs();
-    let (lock, requester, vc) = protocol::decode_lock_req(r, n);
-    let mgr = lock as usize % n;
-    let mut st = state.lock();
-    let manager_us = ep.cost().manager_us;
-
-    if me == mgr {
-        // Manager role: find the last node the lock was directed to and
-        // redirect the chain to the requester.
-        let owner = *st.lock_owner.get(&lock).unwrap_or(&mgr);
-        st.lock_owner.insert(lock, requester);
-        if owner != me {
-            // Forward to the (possibly future) holder — still under the
-            // state lock, so that forwards and the manager application's
-            // own requests (`Tmk::acquire`) leave in the order the
-            // ownership table serialized them.
-            let out_seq = ep.send_at(
-                owner,
-                Port::Service,
-                0,
-                MsgKind::LockFwd,
-                protocol::encode_lock_req(lock, requester, &vc),
-                arrival + manager_us,
-            );
-            ep.trace_edge(EdgeKind::LockHandoff, out_seq, seq, arrival);
-            return;
-        }
-        // else: we are also the holder-side — fall through.
-    }
-
-    holder_grant_or_queue(ep, &mut st, lock, requester, vc, arrival + manager_us, seq);
-}
-
-/// Holder-side handling of a lock request.
+/// A lock request, at its manager or at the node the manager directed it
+/// to. The manager redirects the lock's chain to the requester and
+/// forwards the request to the node the previous request was directed
+/// to, unless that is this node: then it is the holder side too.
 ///
 /// Token discipline (deadlock freedom): if the token is here and the
 /// application is not holding the lock, the request is granted
@@ -258,20 +220,34 @@ fn handle_lock_req(
 /// the chain, because the manager serialized that request after this one.
 /// Only a node that truly holds the lock, or that is itself waiting for
 /// the token to arrive, queues the request for its next release.
-#[allow(clippy::too_many_arguments)]
-fn holder_grant_or_queue(
+fn handle_lock_req(
     ep: &Endpoint,
-    st: &mut DsmState,
-    lock: u32,
-    requester: usize,
-    vc: crate::vc::Vc,
-    ready: VTime,
-    req_seq: u64,
+    state: &StateCell<DsmState>,
+    r: &mut WordReader,
+    arrival: VTime,
+    seq: u64,
 ) {
-    let me = ep.id();
-    let service_us = ep.cost().service_us;
+    let (me, n) = (ep.id(), ep.nprocs());
+    let (lock, requester, vc) = protocol::decode_lock_req(r, n);
+    let ready = arrival + ep.cost().manager_us;
+    let mut st = state.lock();
+    if lock as usize % n == me {
+        let owner = st.redirect(lock, requester);
+        if owner != me {
+            // Forward to the (possibly future) holder — still under the
+            // state lock, so that forwards and the manager application's
+            // own requests (`Tmk::acquire`) leave in the order the
+            // directory entry serialized them.
+            let fwd = protocol::encode_lock_req(lock, requester, &vc);
+            let out_seq = ep.send_at(owner, Port::Service, 0, MsgKind::LockFwd, fwd, ready);
+            ep.trace_edge(EdgeKind::LockHandoff, out_seq, seq, arrival);
+            return;
+        }
+    }
     let lk = st.lock_entry(lock);
-    if requester == me {
+    let release_vt = lk.release_vt;
+    let at = ready.max(release_vt);
+    let (kind, grant, send) = if requester == me {
         // Our own request chased the chain back to us (we kept the
         // token): grant locally, no further message. The lock is marked
         // held *now*, in this section of the state cell — the self-grant is
@@ -281,44 +257,23 @@ fn holder_grant_or_queue(
         // the critical section at once (a lost-update race).
         debug_assert!(lk.has_token, "self-directed request implies token");
         lk.held = true;
-        let release_vt = lk.release_vt;
-        st.lock_prof.entry(lock).or_default().record_rest();
-        let out_seq = ep.send_at(
-            me,
-            Port::App,
-            tag::LOCK_GRANT | lock,
-            MsgKind::Control,
-            protocol::encode_lock_grant(std::iter::empty()),
-            ready.max(release_vt),
-        );
-        // A grant gated by our own last release (`release_vt > ready`)
-        // is causally local; otherwise the request itself is the cause.
-        let cause = if release_vt > ready { 0 } else { req_seq };
-        ep.trace_edge(EdgeKind::LockHandoff, out_seq, cause, ready.max(release_vt));
+        lk.prof.record_rest();
+        let empty = protocol::encode_lock_grant(std::iter::empty());
+        (MsgKind::Control, empty, at)
+    } else if lk.held || !lk.has_token {
+        lk.queue.push_back((requester, vc));
         return;
-    }
-    if lk.held || !lk.has_token {
-        lk.queue.push_back(crate::state::QueuedReq {
-            requester,
-            vc,
-            arrival: ready,
-        });
-        return;
-    }
-    // Token present, lock free: hand the token over.
-    lk.has_token = false;
-    let release_vt = lk.release_vt;
-    st.lock_prof.entry(lock).or_default().record_handoff();
-    let out_seq = ep.send_at(
-        requester,
-        Port::App,
-        tag::LOCK_GRANT | lock,
-        MsgKind::LockGrant,
-        protocol::encode_lock_grant(st.intervals_since(vc.iter().copied(), &st.vc)),
-        ready.max(release_vt) + service_us,
-    );
-    let cause = if release_vt > ready { 0 } else { req_seq };
-    ep.trace_edge(EdgeKind::LockHandoff, out_seq, cause, ready.max(release_vt));
+    } else {
+        // Token present, lock free: hand the token over.
+        let grant = st.grant(lock, &vc);
+        (MsgKind::LockGrant, grant, at + ep.cost().service_us)
+    };
+    let t = tag::LOCK_GRANT | lock;
+    let out_seq = ep.send_at(requester, Port::App, t, kind, grant, send);
+    // A grant gated by our own last release (`release_vt > ready`) is
+    // causally local; otherwise the request itself is the cause.
+    let cause = if release_vt > ready { 0 } else { seq };
+    ep.trace_edge(EdgeKind::LockHandoff, out_seq, cause, at);
 }
 
 /// File a rendezvous message — a barrier or worker arrival, the

@@ -307,7 +307,8 @@ impl DiffScratch {
     }
 }
 
-/// Local state of one lock.
+/// One lock as this node sees it: the manager's directory entry, the
+/// token, the application's hold and this node's contention profile.
 ///
 /// The **token** is what makes the distributed queue deadlock-free: it
 /// lives at the last holder after a release and moves with each grant.
@@ -317,6 +318,9 @@ impl DiffScratch {
 /// by the manager's serialization, so granting keeps the chain acyclic.
 #[derive(Debug, Default)]
 pub struct LockLocal {
+    /// Manager side: the node the last request was directed to, the
+    /// manager itself before the first ([`DsmState::redirect`]).
+    pub owner: usize,
     /// This node possesses the lock token.
     pub has_token: bool,
     /// Application currently holds the lock.
@@ -324,19 +328,11 @@ pub struct LockLocal {
     /// Virtual time of the last local release.
     pub release_vt: VTime,
     /// Requests forwarded to us while we held the lock (or while our own
-    /// re-acquire was chasing the token); granted at release.
-    pub queue: VecDeque<QueuedReq>,
-}
-
-/// A queued remote lock request.
-#[derive(Debug)]
-pub struct QueuedReq {
-    /// Requesting node.
-    pub requester: usize,
-    /// Requester's vector clock at request time.
-    pub vc: Vc,
-    /// Arrival time of the request at this node.
-    pub arrival: VTime,
+    /// re-acquire was chasing the token), each the requester and its
+    /// vector clock at request time; granted at release.
+    pub queue: VecDeque<(usize, Vc)>,
+    /// This node's contention profile of the lock (host-side only).
+    pub prof: crate::profile::LockProfile,
 }
 
 /// One in-flight direct reduction at a combine-tree node: the children's
@@ -531,10 +527,8 @@ pub struct DsmState {
     freezing: Vec<(PageId, OpenRange, Pending)>,
     /// Our own intervals not yet reported to the barrier manager.
     pub unreported_seq: u32,
-    /// Lock state where we are (or were) the holder.
+    /// Every lock this node manages, requested, held or was asked for.
     pub locks: BTreeMap<u32, LockLocal>,
-    /// Manager-side: last node a lock was directed to.
-    pub lock_owner: BTreeMap<u32, usize>,
     /// Manager-side barrier state per epoch.
     pub epochs: BTreeMap<u64, EpochState>,
     /// Pushes registered for the next synchronization rendezvous
@@ -564,8 +558,6 @@ pub struct DsmState {
     /// [`crate::race`]). Host-side only — never touches the wire or the
     /// virtual clock.
     pub race: Option<RaceLog>,
-    /// Per-lock contention profile (always on; host-side only).
-    pub lock_prof: BTreeMap<u32, crate::profile::LockProfile>,
 }
 
 impl DsmState {
@@ -588,7 +580,6 @@ impl DsmState {
             freezing: Vec::new(),
             unreported_seq: 0,
             locks: BTreeMap::new(),
-            lock_owner: BTreeMap::new(),
             epochs: BTreeMap::new(),
             pending: Default::default(),
             reduces: BTreeMap::new(),
@@ -602,7 +593,6 @@ impl DsmState {
                 node: me,
                 intervals: Vec::new(),
             }),
-            lock_prof: BTreeMap::new(),
         }
     }
 
@@ -646,14 +636,34 @@ impl DsmState {
         Some(acc)
     }
 
-    /// Lock-state entry with correct token initialization: the token
-    /// starts at the lock's statically assigned manager.
+    /// Lock-state entry with correct initialization: the token and the
+    /// directory entry start at the lock's statically assigned manager.
     pub fn lock_entry(&mut self, lock: u32) -> &mut LockLocal {
-        let is_mgr = lock as usize % self.n == self.me;
+        let mgr = lock as usize % self.n;
         self.locks.entry(lock).or_insert_with(|| LockLocal {
-            has_token: is_mgr,
+            owner: mgr,
+            has_token: mgr == self.me,
             ..LockLocal::default()
         })
+    }
+
+    /// Manager side: direct `lock`'s chain at `requester` and return the
+    /// node the previous request was directed to — the one place a lock's
+    /// directory entry changes. A return of this node itself means the
+    /// token has been here since.
+    pub fn redirect(&mut self, lock: u32, requester: usize) -> usize {
+        std::mem::replace(&mut self.lock_entry(lock).owner, requester)
+    }
+
+    /// Hand `lock`'s token to a requester whose vector clock was `vc`:
+    /// the token leaves, the handoff is recorded, and the grant carries
+    /// the intervals `vc` has not seen — the happens-before edge from this
+    /// node's release to the requester's acquire. The caller sends it.
+    pub fn grant(&mut self, lock: u32, vc: &[u32]) -> Vec<u64> {
+        let lk = self.lock_entry(lock);
+        lk.has_token = false;
+        lk.prof.record_handoff();
+        protocol::encode_lock_grant(self.intervals_since(vc.iter().copied(), &self.vc))
     }
 
     /// Integrate the intervals `arrivals` carried (manager side, called
